@@ -10,7 +10,13 @@
 // The router speaks the same wire protocols as ravencached itself —
 // text and binary, pipelined, with GETQ/PING — because it embeds the
 // same hardened server front-end; clients cannot tell a router from a
-// node. STATS aggregates the router's own view; METRICS additionally
+// node. What a client pipelines is forwarded pipelined: the requests
+// already buffered on a connection are served as one burst, each node's
+// share of it written in one flush and its replies read back in order,
+// so the backend round trip is paid once per node per burst. A round
+// trip that fails counts once against the node's breaker; the requests
+// it left unanswered each count as a failure of that node and are
+// retried one by one. STATS aggregates the router's own view; METRICS additionally
 // serves the router.* health/failover metrics and per-node latency
 // histograms.
 //

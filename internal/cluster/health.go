@@ -112,30 +112,34 @@ func (b *Breaker) AllowProbe() bool {
 	return true
 }
 
-// Success records a successful request or probe: any success restores
-// Healthy from any state, exactly like a completed training restores
-// the policy's health machine.
-func (b *Breaker) Success() {
+// Success records a successful round trip or probe: any success
+// restores Healthy from any state, exactly like a completed training
+// restores the policy's health machine. It reports whether the state
+// moved.
+func (b *Breaker) Success() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == Fallback {
 		b.recovers++
 	}
+	moved := b.state != Healthy
 	b.state = Healthy
 	b.fails = 0
 	b.probing = false
+	return moved
 }
 
-// Failure records a failed request or probe and climbs the ladder after
-// failLimit consecutive failures on the current rung. A failed
-// half-open probe re-arms the cool-down.
-func (b *Breaker) Failure() {
+// Failure records a failed round trip or probe and climbs the ladder
+// after failLimit consecutive failures on the current rung. A failed
+// half-open probe re-arms the cool-down. It reports whether the state
+// moved.
+func (b *Breaker) Failure() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
 	b.fails++
 	if b.fails < b.failLimit {
-		return
+		return false
 	}
 	b.fails = 0
 	switch b.state {
@@ -147,7 +151,9 @@ func (b *Breaker) Failure() {
 		b.ejects++
 	case Fallback:
 		b.ejected = b.now() // re-arm the half-open cool-down
+		return false
 	}
+	return true
 }
 
 // Eject forces the node straight to Fallback (the router uses it when a

@@ -17,9 +17,9 @@ const defaultPoolSize = 4
 // the router's METRICS verb).
 type nodeMetrics struct {
 	state     *obs.Gauge     // Breaker state (0 healthy, 1 degraded, 2 fallback, -1 removed)
-	ops       *obs.Counter   // successful cache ops served by this node
-	failures  *obs.Counter   // failed ops and probes
-	latencyNs *obs.Histogram // per-op round-trip latency
+	ops       *obs.Counter   // cache ops this node answered
+	failures  *obs.Counter   // ops of a failed round trip it did not answer, and failed probes
+	latencyNs *obs.Histogram // round-trip latency: one sample per batch
 }
 
 // node is one backend: its address, circuit breaker, bounded client

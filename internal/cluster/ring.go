@@ -13,11 +13,13 @@
 //     ejects the node from routing, and half-open probes re-admit it.
 //   - node (node.go): one backend's address, breaker, bounded client
 //     pool, and per-node metrics.
-//   - Router (router.go): the request path — ring lookup, per-request
-//     timeout, bounded retry with backoff failing over across ring
-//     replicas, hot-key replication steered by a count-min sketch, and
-//     health probing. Router implements server.Backend, so the router
-//     process reuses the entire hardened protocol loop.
+//   - Router (router.go): the request path — a burst of requests is
+//     grouped by owner node and forwarded as one batch per node under
+//     one timeout, with bounded retry with backoff failing over across
+//     ring replicas for what a failed batch left unanswered, hot-key
+//     replication steered by a count-min sketch, and health probing.
+//     Router implements server.Backend and server.BatchBackend, so the
+//     router process reuses the entire hardened protocol loop.
 package cluster
 
 import (

@@ -27,6 +27,11 @@ const (
 	// maxReplicas caps the lookup fan-out so the per-request candidate
 	// scratch can live on the stack.
 	maxReplicas = 8
+
+	// burstPoolSize bounds the idle burst scratch a router keeps: enough
+	// for the front connections of a busy router to serve bursts side by
+	// side without allocating, at a few KiB each for depth-32 clients.
+	burstPoolSize = 32
 )
 
 // Faults injects failures into the router for tests; nil in production.
@@ -36,9 +41,9 @@ type Faults struct {
 	// Dial, when non-nil, is consulted before dialing a node; a non-nil
 	// error fails the dial.
 	Dial func(node string) error
-	// BeforeOp, when non-nil, is consulted before each op (request or
-	// probe) on a checked-out connection; a non-nil error fails the op
-	// without touching the wire.
+	// BeforeOp, when non-nil, is consulted before each round trip (a
+	// batch of requests, or a probe) to a node; a non-nil error fails
+	// the round trip without touching the wire.
 	BeforeOp func(node string) error
 }
 
@@ -105,8 +110,9 @@ type routerMetrics struct {
 // Router spreads cache traffic over a fleet of ravencached nodes via a
 // deterministic consistent-hash ring, with per-node circuit breakers,
 // bounded retry-with-backoff failover, health probing, and hot-key
-// replication. It implements server.Backend, so a server.Server can
-// front it with the full hardened protocol loop.
+// replication. It implements server.Backend and server.BatchBackend,
+// so a server.Server can front it with the full hardened protocol loop
+// and hand it each connection's pipelined requests a burst at a time.
 //
 // Failure semantics: a request whose every attempt fails is reported as
 // a miss — the cluster tier degrades to origin traffic, it never errors
@@ -124,6 +130,11 @@ type Router struct {
 
 	sketchMu sync.Mutex
 	hotness  *sketch.CountMin
+
+	// bursts recycles per-burst scratch, so a warmed-up burst allocates
+	// nothing. Like a node's pool it caps what idles, not concurrency:
+	// bursts beyond it work in fresh scratch that is dropped afterwards.
+	bursts chan *burst
 
 	// Aggregate serving stats (server.Backend contract).
 	requests atomic.Int64
@@ -184,6 +195,7 @@ func New(cfg Config) (*Router, error) {
 		// out a Zipf head over a replay window without remembering it
 		// forever.
 		hotness: sketch.NewCountMin(4, 1024, 64*1024),
+		bursts:  make(chan *burst, burstPoolSize),
 		stop:    make(chan struct{}),
 		met: routerMetrics{
 			failovers:      reg.Counter("router.failovers"),
@@ -316,192 +328,331 @@ func (r *Router) Metrics() *obs.Registry { return r.reg }
 // Replicas returns the effective lookup fan-out after defaulting.
 func (r *Router) Replicas() int { return r.replicas }
 
-// candidates appends the key's owner and failover replicas (as nodes)
-// to dst under the ring lock.
-func (r *Router) candidates(key trace.Key, dst []*node) []*node {
-	var ibuf [maxReplicas]int
-	r.mu.RLock()
-	idxs := r.ring.LookupN(key, r.replicas, ibuf[:0])
-	for _, i := range idxs {
-		dst = append(dst, r.byName[r.ring.names[i]])
-	}
-	r.mu.RUnlock()
-	return dst
+// batch is one round trip to one node: the requests of a burst that
+// route to it, in the order the client sent them, on one checked-out
+// connection. A batch without ops is a bare PING, the health probe.
+type batch struct {
+	n     *node
+	allow bool // n's breaker admitted traffic when the wave was planned
+	cl    *server.Client
+	t0    time.Time
+	ops   []server.Op
+	at    []int // each op's position in the burst
+	res   []bool
+	// answered counts the leading ops the node answered; the rest
+	// failed with the round trip.
+	answered int
 }
 
-// observeState mirrors a node's breaker state to its gauge after any
-// outcome that may have moved it.
-func (n *node) observeState() { n.met.state.Set(int64(n.breaker.State())) }
+// burst is the scratch one ServeBatch call works in.
+type burst struct {
+	hot     []bool  // per op: the sketch calls its key hot
+	by      []*node // per op: the node that served it (nil: none did)
+	cands   []*node // per op: the owner, then its failover replicas
+	fan     int     // candidates per op: min(replicas, members)
+	batches []batch // the current wave, one batch per node
+	one     batch   // a retried op's round trip
+}
 
-// try runs one op on one node and reports (completed, positive). A
-// failure trips the node's breaker; a success resets it. Probes skip
-// the per-node ops counter so router.node<i>.ops reconciles exactly
-// against the node's own cache.requests (the node likewise keeps PING
-// out of its request counters).
-func (r *Router) try(n *node, probe bool, op func(*server.Client) (bool, error)) (bool, bool) {
-	if f := r.cfg.Faults; f != nil && f.BeforeOp != nil {
-		if err := f.BeforeOp(n.name); err != nil {
-			n.met.failures.Inc()
-			n.breaker.Failure()
-			n.observeState()
-			return false, false
+// plan feeds the hotness sketch and looks up every op's candidates:
+// one acquisition of the sketch lock and one of the ring lock per burst.
+func (r *Router) plan(b *burst, ops []server.Op) {
+	if cap(b.hot) < len(ops) {
+		//lint:allow hot-path-purity burst scratch grows to the largest burst seen, then is reused
+		b.hot, b.by = make([]bool, len(ops)), make([]*node, len(ops))
+	}
+	b.hot, b.by = b.hot[:len(ops)], b.by[:len(ops)]
+	clear(b.hot)
+	clear(b.by)
+	if r.cfg.HotKeyMinFreq >= 0 {
+		r.sketchMu.Lock()
+		for i, op := range ops {
+			r.hotness.Add(uint64(op.Key))
+			b.hot[i] = r.hotness.Estimate(uint64(op.Key)) >= uint32(r.cfg.HotKeyMinFreq)
+		}
+		r.sketchMu.Unlock()
+	}
+	var ibuf [maxReplicas]int
+	b.cands, b.fan = b.cands[:0], 0
+	r.mu.RLock()
+	for _, op := range ops {
+		idxs := r.ring.LookupN(op.Key, r.replicas, ibuf[:0])
+		b.fan = len(idxs) // membership is fixed under the lock: the same for every key
+		for _, i := range idxs {
+			b.cands = append(b.cands, r.byName[r.ring.names[i]])
 		}
 	}
-	cl, err := n.get()
-	if err != nil {
-		n.met.failures.Inc()
-		n.breaker.Failure()
-		n.observeState()
-		return false, false
-	}
-	t0 := time.Now()
-	ok, err := op(cl)
-	n.met.latencyNs.Observe(time.Since(t0).Nanoseconds())
-	if err != nil {
-		n.put(cl, false)
-		n.met.failures.Inc()
-		n.breaker.Failure()
-		n.observeState()
-		return false, false
-	}
-	n.put(cl, true)
-	if !probe {
-		n.met.ops.Inc()
-	}
-	n.breaker.Success()
-	n.observeState()
-	return true, ok
+	r.mu.RUnlock()
 }
 
-// doOp routes one op across the key's replicas: per-request timeout
-// (the pooled clients carry it), bounded retry with exponential
-// backoff, failing over to the next routable replica on every failure.
-// Returns (positive, served); served=false means every attempt failed
-// or every replica was ejected.
-func (r *Router) doOp(cands []*node, op func(*server.Client) (bool, error)) (bool, bool, *node) {
-	attempts := r.cfg.MaxRetries + 1
-	if attempts < 1 {
-		attempts = 1
+// batchFor returns the wave's batch for n, opening it — and asking n's
+// breaker once per wave, not once per op — on first use. The pointer is
+// valid until the next call.
+func (b *burst) batchFor(n *node) *batch {
+	for j := range b.batches {
+		if b.batches[j].n == n {
+			return &b.batches[j]
+		}
+	}
+	if len(b.batches) < cap(b.batches) {
+		b.batches = b.batches[:len(b.batches)+1] // reuse the slot's slices
+	} else {
+		//lint:allow hot-path-purity burst scratch: one slot per node, opened once and reused
+		b.batches = append(b.batches, batch{})
+	}
+	g := &b.batches[len(b.batches)-1]
+	g.n, g.allow, g.answered = n, n.breaker.Allow(), 0
+	g.ops, g.at, g.res = g.ops[:0], g.at[:0], g.res[:0]
+	return g
+}
+
+// route queues op (position i in the burst) on the first of its
+// candidates, skip aside, whose breaker admits traffic, and reports
+// whether there was one.
+func (b *burst) route(i int, op server.Op, skip *node) bool {
+	for _, n := range b.cands[i*b.fan : (i+1)*b.fan] {
+		if n == skip {
+			continue
+		}
+		if g := b.batchFor(n); g.allow {
+			//lint:allow hot-path-purity appends into the batch's reused slices; they grow to the largest batch once
+			g.ops, g.at, g.res = append(g.ops, op), append(g.at, i), append(g.res, false)
+			return true
+		}
+	}
+	return false
+}
+
+// roundTrips runs the wave: every batch is written before any reply is
+// awaited, so the nodes work on their shares side by side.
+func (r *Router) roundTrips(b *burst) {
+	for j := range b.batches {
+		if len(b.batches[j].ops) > 0 {
+			r.send(&b.batches[j])
+		}
+	}
+	for j := range b.batches {
+		if len(b.batches[j].ops) > 0 {
+			r.recv(&b.batches[j])
+		}
+	}
+}
+
+// send checks a connection out of g's node and writes the batch to it
+// in one flush. A round trip that fails here answered nothing.
+func (r *Router) send(g *batch) {
+	g.cl, g.answered = nil, 0
+	if f := r.cfg.Faults; f != nil && f.BeforeOp != nil && f.BeforeOp(g.n.name) != nil {
+		r.failed(g)
+		return
+	}
+	cl, err := g.n.get()
+	if err != nil {
+		r.failed(g)
+		return
+	}
+	//lint:allow hot-path-purity times the round trip for router.node<i>.latency_ns: one read per batch, not per op
+	g.t0 = time.Now()
+	if err := cl.Send(g.ops); err != nil {
+		g.n.put(cl, false)
+		r.failed(g)
+		return
+	}
+	g.cl = cl
+}
+
+// recv reads the replies to the batch send wrote and settles the
+// node's accounts. Answered ops count as ops — probes answer none, so
+// router.node<i>.ops reconciles exactly against the node's own
+// cache.requests + cache.sets (the node likewise keeps PING out of its
+// request counters). A connection that failed mid-batch is closed: its
+// framing state is unknown.
+func (r *Router) recv(g *batch) {
+	if g.cl == nil {
+		return // send already failed the round trip
+	}
+	n, err := g.cl.Recv(g.ops, g.res)
+	//lint:allow hot-path-purity times the round trip for router.node<i>.latency_ns: one read per batch, not per op
+	g.n.met.latencyNs.Observe(time.Since(g.t0).Nanoseconds())
+	g.n.put(g.cl, err == nil)
+	g.cl, g.answered = nil, n
+	g.n.met.ops.Add(int64(n))
+	if err != nil {
+		r.failed(g)
+	} else if g.n.breaker.Success() {
+		g.n.observeState()
+	}
+}
+
+// failed accounts a failed round trip. Every op the node did not answer
+// counts one failure: it may have served any of them, so that
+// ops <= served <= ops + failures holds on every node whatever was in
+// flight when the connection died. A failed probe counts one. The
+// breaker climbs once per failed round trip, not once per op, so a node
+// is ejected after FailLimit failed round trips per rung however deep
+// the client pipelines.
+func (r *Router) failed(g *batch) {
+	g.n.met.failures.Add(int64(max(1, len(g.ops)-g.answered)))
+	if g.n.breaker.Failure() {
+		g.n.observeState()
+	}
+}
+
+// observeState mirrors a node's breaker state to its gauge; called
+// when a round trip's outcome moved it.
+func (n *node) observeState() { n.met.state.Set(int64(n.breaker.State())) }
+
+// doOp is the slow path of an op whose batch round trip failed. That
+// was its first attempt, on the node failed; the others run here one
+// at a time, as bursts of one: bounded retry with exponential backoff,
+// failing over to the next routable replica on every failure. It
+// returns the outcome and the node that served the op (nil: every
+// attempt failed, or every replica is ejected).
+func (r *Router) doOp(b *burst, op server.Op, cands []*node, failed *node) (bool, *node) {
+	ci := 0 // index of the node used by the previous attempt
+	for i, n := range cands {
+		if n == failed {
+			ci = i
+		}
 	}
 	backoff := r.cfg.RetryBackoff
-	ci := -1 // index of the node used by the previous attempt
-	for a := 0; a < attempts; a++ {
-		// Next routable candidate at or after the cursor.
+	g := &b.one
+	for a := 0; a < r.cfg.MaxRetries; a++ {
+		// Next routable candidate after the cursor; the node that just
+		// failed is retried only when it is the key's only replica.
 		next := -1
-		for off := 0; off < len(cands); off++ {
-			i := (max(ci, 0) + off) % len(cands)
-			if a > 0 && i == ci && off == 0 && len(cands) > 1 {
-				continue // prefer moving off a node that just failed
-			}
-			if cands[i].breaker.Allow() {
+		for off := min(1, len(cands)-1); off < len(cands); off++ {
+			if i := (ci + off) % len(cands); cands[i].breaker.Allow() {
 				next = i
 				break
 			}
 		}
 		if next == -1 {
 			r.met.unroutable.Inc()
-			return false, false, nil
+			return false, nil
 		}
-		if a > 0 {
-			r.met.retries.Inc()
-			time.Sleep(backoff)
-			if backoff < time.Second {
-				backoff *= 2
-			}
-			if next != ci {
-				r.met.failovers.Inc()
-			}
+		r.met.retries.Inc()
+		time.Sleep(backoff)
+		if backoff < time.Second {
+			backoff *= 2
+		}
+		if next != ci {
+			r.met.failovers.Inc()
 		}
 		ci = next
-		done, ok := r.try(cands[ci], false, op)
-		if done {
-			return ok, true, cands[ci]
+		//lint:allow hot-path-purity slow path, and the retry batch's slices are reused
+		g.n, g.ops, g.res = cands[ci], append(g.ops[:0], op), append(g.res[:0], false)
+		r.send(g)
+		r.recv(g)
+		if g.answered == 1 {
+			return g.res[0], g.n
 		}
 	}
-	return false, false, nil
+	return false, nil
 }
 
-// noteKey feeds the hotness sketch and reports whether key is hot
-// enough to replicate.
-func (r *Router) noteKey(key trace.Key) bool {
-	if r.cfg.HotKeyMinFreq < 0 {
-		return false
+// ServeBatch implements server.BatchBackend: the burst of requests a
+// front connection had buffered is forwarded as one batch per node.
+// Each op goes to its key's owner — the first replica whose breaker
+// admits traffic — and the batches are written, flushed once each, and
+// read back in order, so the backend round trip is paid once per node
+// per burst and every node sees its requests in the order the client
+// sent them. Ops whose round trip failed re-enter doOp one by one. Hot
+// keys then get their follow-ups as a second wave of batches: a hot GET
+// that missed is hedged with a quiet read (binary GETQ — a miss costs
+// no reply payload) against the first other replica, which hot-key
+// replication keeps warm, and a hot SET is copied there (best effort —
+// a failed copy trips that node's breaker but never fails the op).
+//
+//lint:hotpath the router hop: every request ravenrouter serves crosses it, and TestServingPathAllocFree holds it to 0 allocs/op
+func (r *Router) ServeBatch(ops []server.Op, res []bool) {
+	var b *burst
+	select {
+	case b = <-r.bursts:
+	default:
+		//lint:allow hot-path-purity pooled: allocated when the pool is empty, then recycled burst after burst
+		b = new(burst)
 	}
-	r.sketchMu.Lock()
-	r.hotness.Add(uint64(key))
-	est := r.hotness.Estimate(uint64(key))
-	r.sketchMu.Unlock()
-	return est >= uint32(r.cfg.HotKeyMinFreq)
-}
+	r.plan(b, ops)
 
-// Get implements server.Backend: route the lookup to the key's owner
-// with failover, and for hot keys that miss, hedge a quiet read
-// (binary GETQ — a miss costs no reply payload) against the first
-// replica, which hot-key replication keeps warm.
-func (r *Router) Get(key trace.Key, size, ts int64) bool {
-	hot := r.noteKey(key)
-	var nbuf [maxReplicas]*node
-	cands := r.candidates(key, nbuf[:0])
-	r.requests.Add(1)
-	r.reqBytes.Add(size)
-	if len(cands) == 0 {
-		r.met.unroutable.Inc()
-		return false
-	}
-	hit, served, servedBy := r.doOp(cands, func(cl *server.Client) (bool, error) {
-		return cl.Get(key, size, ts)
-	})
-	if served && !hit && hot {
-		// Replica fan-out read: the replica might hold a hot copy.
-		for _, n := range cands {
-			if n == servedBy || !n.breaker.Allow() {
-				continue
-			}
-			r.met.hedges.Inc()
-			if done, ok := r.try(n, false, func(cl *server.Client) (bool, error) {
-				return cl.GetQuiet(key, size, ts)
-			}); done && ok {
-				hit = true
-			}
-			break
+	var gets, getBytes, hits, hitBytes int64
+	b.batches = b.batches[:0]
+	for i, op := range ops {
+		res[i] = false
+		if !op.Set {
+			gets++
+			getBytes += op.Size
+		}
+		op.Quiet = false // the front connection's reply framing, not ours
+		if !b.route(i, op, nil) {
+			r.met.unroutable.Inc()
 		}
 	}
-	if hit {
-		r.hits.Add(1)
-		r.hitBytes.Add(size)
-	}
-	return hit
-}
-
-// Set implements server.Backend: route the store to the key's owner
-// with failover; hot keys are additionally copied to the first other
-// routable replica (best effort — a failed copy trips that node's
-// breaker but never fails the op).
-func (r *Router) Set(key trace.Key, size, ts int64) bool {
-	hot := r.noteKey(key)
-	var nbuf [maxReplicas]*node
-	cands := r.candidates(key, nbuf[:0])
-	r.sets.Add(1)
-	if len(cands) == 0 {
-		r.met.unroutable.Inc()
-		return false
-	}
-	stored, served, servedBy := r.doOp(cands, func(cl *server.Client) (bool, error) {
-		return cl.Set(key, size, ts)
-	})
-	if served && hot {
-		for _, n := range cands {
-			if n == servedBy || !n.breaker.Allow() {
-				continue
+	r.requests.Add(gets)
+	r.reqBytes.Add(getBytes)
+	r.sets.Add(int64(len(ops)) - gets)
+	r.roundTrips(b)
+	for j := range b.batches {
+		g := &b.batches[j]
+		for k, i := range g.at {
+			if k < g.answered {
+				res[i], b.by[i] = g.res[k], g.n
+			} else {
+				res[i], b.by[i] = r.doOp(b, g.ops[k], b.cands[i*b.fan:(i+1)*b.fan], g.n)
 			}
+		}
+	}
+
+	b.batches = b.batches[:0]
+	for i, op := range ops {
+		if b.by[i] == nil || !b.hot[i] || !op.Set && res[i] {
+			continue
+		}
+		op.Quiet = !op.Set
+		if !b.route(i, op, b.by[i]) {
+			continue
+		}
+		if op.Set {
 			r.met.replicatedSets.Inc()
-			r.try(n, false, func(cl *server.Client) (bool, error) {
-				return cl.Set(key, size, ts)
-			})
-			break
+		} else {
+			r.met.hedges.Inc()
 		}
 	}
-	return stored
+	r.roundTrips(b)
+	for j := range b.batches {
+		g := &b.batches[j]
+		for k, i := range g.at[:g.answered] {
+			if g.res[k] && !ops[i].Set {
+				res[i] = true // the replica held a hot copy
+			}
+		}
+	}
+	for i, op := range ops {
+		if res[i] && !op.Set {
+			hits++
+			hitBytes += op.Size
+		}
+	}
+	r.hits.Add(hits)
+	r.hitBytes.Add(hitBytes)
+	select {
+	case r.bursts <- b:
+	default:
+	}
+}
+
+// Get implements server.Backend: a burst of one.
+func (r *Router) Get(key trace.Key, size, ts int64) bool {
+	ops, res := [1]server.Op{{Key: key, Size: size, Time: ts}}, [1]bool{}
+	r.ServeBatch(ops[:], res[:])
+	return res[0]
+}
+
+// Set implements server.Backend: a burst of one.
+func (r *Router) Set(key trace.Key, size, ts int64) bool {
+	ops, res := [1]server.Op{{Set: true, Key: key, Size: size, Time: ts}}, [1]bool{}
+	r.ServeBatch(ops[:], res[:])
+	return res[0]
 }
 
 // Stats implements server.Backend: the router's own view of the
@@ -543,8 +694,8 @@ func (r *Router) ProbePass() {
 			continue
 		}
 		r.met.probes.Inc()
-		r.try(n, true, func(cl *server.Client) (bool, error) {
-			return true, cl.Ping()
-		})
+		probe := batch{n: n}
+		r.send(&probe)
+		r.recv(&probe)
 	}
 }

@@ -13,18 +13,19 @@ import (
 )
 
 // startBackends launches n in-process LRU cache servers on ephemeral
-// ports and returns their addresses and handles.
-func startBackends(t *testing.T, n int, capacity int64) ([]string, []*server.Server) {
+// ports and returns their addresses and handles. mods adjust node i's
+// configuration (its capacity included) before the policy is built.
+func startBackends(t testing.TB, n int, capacity int64, mods ...func(i int, c *server.Config)) ([]string, []*server.Server) {
 	t.Helper()
 	addrs := make([]string, n)
 	srvs := make([]*server.Server, n)
 	for i := range addrs {
-		srv, err := server.New(server.Config{
-			Addr:         "127.0.0.1:0",
-			Capacity:     capacity,
-			Policy:       policy.MustNew("lru", policy.Options{Capacity: capacity}),
-			DrainTimeout: time.Second,
-		})
+		cfg := server.Config{Addr: "127.0.0.1:0", Capacity: capacity, DrainTimeout: time.Second}
+		for _, m := range mods {
+			m(i, &cfg)
+		}
+		cfg.Policy = policy.MustNew("lru", policy.Options{Capacity: cfg.Capacity})
+		srv, err := server.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +38,7 @@ func startBackends(t *testing.T, n int, capacity int64) ([]string, []*server.Ser
 // newTestRouter builds a router with fast, deterministic settings: no
 // background prober (tests call ProbePass), tight timeouts, no hot-key
 // replication unless the test opts in.
-func newTestRouter(t *testing.T, addrs []string, mods ...func(*Config)) *Router {
+func newTestRouter(t testing.TB, addrs []string, mods ...func(*Config)) *Router {
 	t.Helper()
 	cfg := Config{
 		Nodes:          addrs,

@@ -888,8 +888,9 @@ func (g *Graph) modelExternCall(n *FuncNode, call *ast.CallExpr, fn *types.Func)
 		switch name {
 		case "Len", "Front", "Back", "Next", "Prev", "Remove", "Init",
 			"MoveToFront", "MoveToBack", "MoveBefore", "MoveAfter", "Value",
-			"Reset", "Cap", "Available":
-			// non-allocating container ops
+			"Reset", "Cap", "Available",
+			"Uint16", "Uint32", "Uint64", "PutUint16", "PutUint32", "PutUint64":
+			// non-allocating container ops and binary.ByteOrder codecs
 		default:
 			n.addEffect(effAlloc, call.Pos(), path+"."+name)
 		}

@@ -29,7 +29,6 @@ import (
 	"io"
 	"time"
 
-	"raven/internal/obs"
 	"raven/internal/trace"
 )
 
@@ -94,12 +93,47 @@ func putBinResp(dst *[binRespLen]byte, status byte, size int64) {
 	binary.LittleEndian.PutUint64(dst[2:10], uint64(size))
 }
 
-// handleBinary serves one binary-protocol connection. The request
-// header and reply frame live in the per-connection connIO, so the
-// steady-state GET/SET loop performs zero heap allocations per
-// request (TestServingPathAllocFree). Replies are buffered and
-// flushed once per drained read burst.
+// burstCap bounds how many requests are served as one burst: the
+// frames a default read buffer holds. Their replies fill a fifth of
+// the reply buffer, so a burst never forces a mid-burst flush.
+const burstCap = defaultReadBuf / binReqLen
+
+// parseOp decodes the GET/SET/GETQ request frame p. ok is false for
+// any other verb and for a malformed frame (bad magic, non-positive
+// size, time < -1).
+func parseOp(p []byte) (op Op, ok bool) {
+	verb := p[1]
+	op = Op{
+		Set:   verb == binVerbSet,
+		Quiet: verb == binVerbGetQ,
+		Key:   trace.Key(binary.LittleEndian.Uint64(p[2:10])),
+		Size:  int64(binary.LittleEndian.Uint64(p[10:18])),
+		Time:  int64(binary.LittleEndian.Uint64(p[18:26])),
+	}
+	ok = p[0] == binMagicReq && (op.Set || op.Quiet || verb == binVerbGet) && op.Size > 0 && op.Time >= binNoTime
+	return op, ok
+}
+
+// handleBinary serves one binary-protocol connection burst by burst. A
+// burst is the GET/SET frames already buffered on the connection when
+// the first of them is read: the handler never waits for more, so a
+// strict request-response client gets bursts of one. A backend that
+// implements BatchBackend is handed the burst in one call; the
+// in-process engine serves it op by op. Either way CacheDelay,
+// OriginDelay and Faults.PreReply apply per op, and replies are written
+// in request order and flushed once per drained read burst. The burst
+// scratch lives for the connection's lifetime, so the steady-state
+// GET/SET loop performs zero heap allocations per request
+// (TestServingPathAllocFree).
 func (s *Server) handleBinary(c *connIO) {
+	// One block, outcomes first: a burst of one touches a single page of
+	// it. As two allocations the scratch cost a depth-1 client 0.3 µs a
+	// request in cold lines after every context switch (kv_hit_heavy).
+	buf := new(struct {
+		res [burstCap]bool
+		ops [burstCap]Op
+	})
+	ops, res := buf.ops[:0], buf.res[:]
 	for {
 		// Arm the idle deadline only when the next header read can
 		// block; mid-burst frames are already buffered.
@@ -115,75 +149,83 @@ func (s *Server) handleBinary(c *connIO) {
 			s.binError(c, binStatusBadFrame)
 			return
 		}
-		verb := c.hdr[1]
-		key := trace.Key(binary.LittleEndian.Uint64(c.hdr[2:10]))
-		size := int64(binary.LittleEndian.Uint64(c.hdr[10:18]))
-		ts := int64(binary.LittleEndian.Uint64(c.hdr[18:26]))
-		switch verb {
+		switch c.hdr[1] {
 		case binVerbGet, binVerbSet, binVerbGetQ:
-			if size <= 0 || ts < binNoTime {
+			op, ok := parseOp(c.hdr[:])
+			if !ok {
 				s.met.badRequests.Inc()
 				s.binError(c, binStatusBadFrame)
 				return
 			}
-			s.met.requestsBinary.Inc()
-			t0 := time.Now()
-			var status byte
-			var payload int64 = size
-			var hist *obs.Histogram
-			if verb == binVerbGet || verb == binVerbGetQ {
-				hit := s.serve(key, size, ts)
+			// A PING, a QUIT or a malformed frame ends the burst; it
+			// stays buffered and the next iteration deals with it.
+			ops = append(ops[:0], op)
+			for len(ops) < burstCap && c.br.Buffered() >= binReqLen {
+				p, _ := c.br.Peek(binReqLen)
+				if op, ok = parseOp(p); !ok {
+					break
+				}
+				ops = append(ops, op)
+				_, _ = c.br.Discard(binReqLen)
+			}
+			s.met.requestsBinary.Add(int64(len(ops)))
+			// The latency histograms time each op from its own start on
+			// the engine, and from the burst's start behind a
+			// BatchBackend: there the burst is the unit of work, and an
+			// op's reply is ready when the burst's round trip is.
+			var t0 time.Time
+			if s.batch != nil {
+				t0 = time.Now()
+				for i := range ops {
+					ops[i].Time = s.now(ops[i].Time)
+				}
+				s.batch.ServeBatch(ops, res[:len(ops)])
+			}
+			for i, op := range ops {
+				ok := res[i]
+				if s.batch == nil {
+					t0 = time.Now()
+					if op.Set {
+						ok = s.serveSet(op.Key, op.Size, op.Time)
+					} else {
+						ok = s.serve(op.Key, op.Size, op.Time)
+					}
+				}
 				if s.cfg.CacheDelay > 0 {
 					time.Sleep(s.cfg.CacheDelay)
 				}
-				if !hit && s.cfg.OriginDelay > 0 {
-					time.Sleep(s.cfg.OriginDelay)
-				}
-				status, hist = binStatusMiss, s.met.getLatency
-				if hit {
-					status = binStatusHit
-				}
-				if verb == binVerbGetQ {
-					if !hit {
+				status, payload, hist := binStatusMiss, op.Size, s.met.getLatency
+				switch {
+				case op.Set:
+					status, hist = binStatusNotStored, s.met.setLatency
+					if ok {
+						status = binStatusStored
+					}
+				case !ok:
+					if s.cfg.OriginDelay > 0 {
+						time.Sleep(s.cfg.OriginDelay)
+					}
+					if op.Quiet {
 						// Quiet miss: no reply frame at all. The latency
-						// sample is still recorded — the work happened —
-						// and earlier buffered replies still flush when
-						// the read side drains, exactly as if a frame
-						// had been written.
+						// sample is still recorded — the work happened.
 						hist.Observe(time.Since(t0).Nanoseconds())
-						if c.br.Buffered() < binReqLen && !c.flush() {
-							return
-						}
 						continue
 					}
+				case op.Quiet:
 					// A quiet hit echoes the key, not the size, so a
 					// pipelining client can match the sparse reply to
 					// the right in-flight quiet get.
-					status, payload = binStatusHitQ, int64(key)
+					status, payload = binStatusHitQ, int64(op.Key)
+				default:
+					status = binStatusHit
 				}
-			} else {
-				stored := s.serveSet(key, size, ts)
-				if s.cfg.CacheDelay > 0 {
-					time.Sleep(s.cfg.CacheDelay)
+				if f := s.cfg.Faults; f != nil && f.PreReply != nil {
+					f.PreReply()
 				}
-				status, hist = binStatusNotStored, s.met.setLatency
-				if stored {
-					status = binStatusStored
-				}
-			}
-			if f := s.cfg.Faults; f != nil && f.PreReply != nil {
-				f.PreReply()
-			}
-			putBinResp(&c.rep, status, payload)
-			_, err := c.bw.Write(c.rep[:])
-			hist.Observe(time.Since(t0).Nanoseconds())
-			if err != nil {
-				return
-			}
-			// Flush once the read side has drained below a full frame:
-			// the client is (or will be) blocked on these replies.
-			if c.br.Buffered() < binReqLen || c.bw.Available() < binRespLen {
-				if !c.flush() {
+				putBinResp(&c.rep, status, payload)
+				_, err := c.bw.Write(c.rep[:])
+				hist.Observe(time.Since(t0).Nanoseconds())
+				if err != nil || c.bw.Available() < binRespLen && !c.flush() {
 					return
 				}
 			}
@@ -199,11 +241,6 @@ func (s *Server) handleBinary(c *connIO) {
 			if _, err := c.bw.Write(c.rep[:]); err != nil {
 				return
 			}
-			if c.br.Buffered() < binReqLen || c.bw.Available() < binRespLen {
-				if !c.flush() {
-					return
-				}
-			}
 		case binVerbQuit:
 			c.flush()
 			return
@@ -211,6 +248,13 @@ func (s *Server) handleBinary(c *connIO) {
 			s.met.badRequests.Inc()
 			s.binError(c, binStatusBadVerb)
 			return
+		}
+		// Flush once the read side has drained below a full frame: the
+		// client is (or will be) blocked on these replies.
+		if c.br.Buffered() < binReqLen || c.bw.Available() < binRespLen {
+			if !c.flush() {
+				return
+			}
 		}
 	}
 }

@@ -6,9 +6,12 @@ import (
 	"io"
 	"math"
 	"net"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"raven/internal/cache"
 	"raven/internal/policy"
 	"raven/internal/trace"
 )
@@ -107,7 +110,7 @@ func TestBinaryHostileFrames(t *testing.T) {
 		{"bad verb", rawFrame(binMagicReq, 0x7f, 1, 10, 1), binStatusBadVerb},
 		{"zero size", rawFrame(binMagicReq, binVerbGet, 1, 0, 1), binStatusBadFrame},
 		{"negative size", rawFrame(binMagicReq, binVerbGet, 1, math.MaxUint64, 1), binStatusBadFrame},
-		{"time below -1", rawFrame(binMagicReq, binVerbSet, 1, 10, math.MaxUint64 - 4), binStatusBadFrame},
+		{"time below -1", rawFrame(binMagicReq, binVerbSet, 1, 10, math.MaxUint64-4), binStatusBadFrame},
 		{"bad magic mid-stream", append(rawFrame(binMagicReq, binVerbGet, 1, 10, 1),
 			rawFrame(0x99, binVerbGet, 1, 10, 1)...), binStatusBadFrame},
 		{"truncated header", rawFrame(binMagicReq, binVerbGet, 1, 10, 1)[:10], 0},
@@ -260,7 +263,7 @@ func FuzzBinaryFrames(f *testing.F) {
 // handler goroutine runs within the measured window).
 func TestServingPathAllocFree(t *testing.T) {
 	srv := newTestServer(t, 1<<20, func(c *Config) {
-		c.IdleTimeout = -1 // deadline arming is the only timer churn;
+		c.IdleTimeout = -1  // deadline arming is the only timer churn;
 		c.WriteTimeout = -1 // disable it so the measurement is exact
 	})
 	cl := dialBinary(t, srv)
@@ -297,5 +300,97 @@ func TestServingPathAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("binary same-size SET allocates %.2f times per op; want 0", avg)
+	}
+}
+
+// recordingBatch is a BatchBackend that answers from a fixed rule (odd
+// keys hit or store) and records the bursts it was handed.
+type recordingBatch struct {
+	mu     sync.Mutex
+	bursts [][]Op
+	single int // Get/Set calls: the text protocol's path
+}
+
+func (b *recordingBatch) ServeBatch(ops []Op, res []bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.bursts = append(b.bursts, append([]Op(nil), ops...))
+	for i, op := range ops {
+		res[i] = op.Key%2 == 1
+	}
+}
+func (b *recordingBatch) Get(key trace.Key, _, _ int64) bool { b.single++; return key%2 == 1 }
+func (b *recordingBatch) Set(key trace.Key, _, _ int64) bool { b.single++; return key%2 == 1 }
+func (b *recordingBatch) Stats() cache.Stats                 { return cache.Stats{} }
+
+// TestBinaryBurstToBatchBackend: the frames a client wrote together
+// reach a BatchBackend as one burst, in order, with timestamps resolved
+// and a PING ending the burst; the replies come back in request order,
+// a quiet miss silent. A strict request-response client gets bursts of
+// one.
+func TestBinaryBurstToBatchBackend(t *testing.T) {
+	be := &recordingBatch{}
+	srv, err := New(Config{Backend: be, DrainTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	noTime := uint64(math.MaxUint64) // binNoTime on the wire
+	var wire []byte
+	wire = append(wire, rawFrame(binMagicReq, binVerbGet, 1, 10, 5)...)
+	wire = append(wire, rawFrame(binMagicReq, binVerbGet, 2, 11, noTime)...)
+	wire = append(wire, rawFrame(binMagicReq, binVerbSet, 3, 12, noTime)...)
+	wire = append(wire, rawFrame(binMagicReq, binVerbGetQ, 4, 13, noTime)...) // quiet miss: no frame
+	wire = append(wire, rawFrame(binMagicReq, binVerbGetQ, 5, 14, noTime)...)
+	wire = append(wire, rawFrame(binMagicReq, binVerbPing, 0, 0, 0)...)
+	wire = append(wire, rawFrame(binMagicReq, binVerbSet, 6, 15, noTime)...)
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []struct {
+		status  byte
+		payload int64
+	}{
+		{binStatusHit, 10}, {binStatusMiss, 11}, {binStatusStored, 12},
+		{binStatusHitQ, 5}, {binStatusPong, 0}, {binStatusNotStored, 15},
+	} {
+		if status, payload := readRawReply(t, conn); status != want.status || payload != want.payload {
+			t.Errorf("reply %d: status 0x%02x payload %d, want 0x%02x %d", i, status, payload, want.status, want.payload)
+		}
+	}
+
+	cl := dialBinary(t, srv)
+	for k := trace.Key(10); k < 13; k++ {
+		if hit, err := cl.Get(k, 10, binNoTime); err != nil || hit != (k%2 == 1) {
+			t.Errorf("GET %d: hit=%v err=%v", k, hit, err)
+		}
+	}
+
+	be.mu.Lock()
+	defer be.mu.Unlock()
+	var sizes []int
+	for _, b := range be.bursts {
+		sizes = append(sizes, len(b))
+	}
+	if want := []int{5, 1, 1, 1, 1}; !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("burst sizes %v, want %v (one write, split only by its PING; then strict request-response)", sizes, want)
+	}
+	first := be.bursts[0]
+	for i, op := range first {
+		if op.Key != trace.Key(i+1) || op.Size != int64(10+i) || op.Set != (i == 2) || op.Quiet != (i >= 3) {
+			t.Errorf("burst op %d = %+v", i, op)
+		}
+		if op.Time < 5 || i > 0 && op.Time <= first[i-1].Time {
+			t.Errorf("burst op %d: time %d is not resolved against the virtual clock (previous %d)", i, op.Time, first[max(i-1, 0)].Time)
+		}
+	}
+	if be.single != 0 {
+		t.Errorf("%d requests took the op-by-op path", be.single)
 	}
 }

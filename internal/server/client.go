@@ -32,11 +32,16 @@ type Client struct {
 	binary bool
 
 	// Reusable wire buffers: the binary request/reply frames and the
-	// text-encoding scratch, so a warmed-up round trip allocates
-	// nothing on the client side either.
+	// encoding scratch a burst is built in, so a warmed-up round trip
+	// allocates nothing on the client side either.
 	frame   [binReqLen]byte
 	rep     [binRespLen]byte
 	scratch []byte
+
+	// pending[head:] is the window of sent-but-unsettled requests in
+	// wire order: indices into the caller's ops, pipeBarrier for a PING.
+	pending []int
+	head    int
 
 	// Timeout bounds each request round trip (write + reply read);
 	// 0 means no deadline.
@@ -56,8 +61,10 @@ type Client struct {
 
 // Dial connects to a server speaking the text protocol.
 func Dial(addr string) (*Client, error) {
+	//lint:allow hot-path-purity a node's pool dials only when it is empty; a warmed-up router reuses its connections
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
+		//lint:allow hot-path-purity error path: the dial failed, the round trip is lost anyway
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
 	return &Client{addr: addr, conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
@@ -81,6 +88,7 @@ func DialBinary(addr string) (*Client, error) {
 func (c *Client) armDeadline() {
 	var dl time.Time
 	if c.Timeout > 0 {
+		//lint:allow hot-path-purity the clock read IS the round-trip timeout; one per burst, not one per op
 		dl = time.Now().Add(c.Timeout)
 	}
 	_ = c.conn.SetDeadline(dl)
@@ -107,6 +115,7 @@ func (c *Client) Close() error {
 	c.armDeadline()
 	if c.binary {
 		putBinReq(&c.frame, binVerbQuit, 0, 0, 0)
+		//lint:allow hot-path-purity closes a connection whose round trip failed, or that overflows the pool: not the steady state
 		_, _ = c.w.Write(c.frame[:])
 	} else {
 		fmt.Fprintf(c.w, "QUIT\n")
@@ -132,6 +141,7 @@ func (c *Client) appendOp(buf []byte, op Op) []byte {
 			verb = binVerbGetQ
 		}
 		putBinReq(&c.frame, verb, op.Key, op.Size, op.Time)
+		//lint:allow hot-path-purity appends into the client's reused scratch; grows to the largest burst once
 		return append(buf, c.frame[:]...)
 	}
 	if op.Set {
@@ -149,51 +159,102 @@ func (c *Client) appendOp(buf []byte, op Op) []byte {
 	return append(buf, '\n')
 }
 
-// readReply reads one in-order reply and reports whether it was
-// positive (HIT for a GET, STORED for a SET). The deadline is
-// re-armed whenever the read may block, so long pipelined runs are
-// bounded per reply, not per batch.
-func (c *Client) readReply(isSet bool) (bool, error) {
+// pipeBarrier marks a PING in the window: its PONG proves every quiet
+// get sent before it has been served, so the ones that never replied
+// are known misses.
+const pipeBarrier = -1
+
+// quiet reports whether op rides the no-reply-on-miss path: a
+// binary-protocol GET marked Quiet.
+func (c *Client) quiet(op Op) bool { return c.binary && op.Quiet && !op.Set }
+
+// appendBarrier appends a PING to buf and to the window.
+func (c *Client) appendBarrier(buf []byte) []byte {
+	//lint:allow hot-path-purity the window and the scratch are reused across bursts; they grow to the largest burst once
+	c.pending = append(c.pending, pipeBarrier)
 	if c.binary {
-		status, _, err := c.readBinReply()
-		if err != nil {
-			return false, err
-		}
-		switch status {
-		case binStatusHit, binStatusStored, binStatusHitQ:
-			return true, nil
-		case binStatusMiss, binStatusNotStored:
-			return false, nil
-		default:
-			return false, fmt.Errorf("client: unexpected reply status 0x%02x", status)
-		}
+		putBinReq(&c.frame, binVerbPing, 0, 0, 0)
+		return append(buf, c.frame[:]...)
 	}
-	if c.r.Buffered() == 0 {
-		c.armDeadline()
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return false, err
-	}
-	switch {
-	case !isSet && strings.HasPrefix(line, "HIT"):
-		return true, nil
-	case !isSet && strings.HasPrefix(line, "MISS"):
-		return false, nil
-	case isSet && strings.HasPrefix(line, "STORED"):
-		return true, nil
-	case isSet && strings.HasPrefix(line, "NOSTORED"):
-		return false, nil
-	default:
-		return false, fmt.Errorf("client: unexpected reply %q", strings.TrimSpace(line))
-	}
+	return append(buf, "PING\n"...)
 }
 
-// readBinReply reads one binary reply frame and returns its status and
+// echoAmbiguous reports whether a quiet get for key would follow
+// another for the same key with nothing that always replies between
+// them: the server's one echoed key could then mean either.
+func (c *Client) echoAmbiguous(ops []Op, key trace.Key) bool {
+	for j := len(c.pending) - 1; j >= c.head; j-- {
+		i := c.pending[j]
+		if i == pipeBarrier || !c.quiet(ops[i]) {
+			return false
+		}
+		if ops[i].Key == key {
+			return true
+		}
+	}
+	return false
+}
+
+// send writes ops[lo:hi], and a PING barrier behind them when asked,
+// as one burst — one write, one flush, under one deadline — and
+// appends them to the window. Two quiet gets for one key are kept
+// apart by a barrier of their own, so an echoed key names one request.
+func (c *Client) send(ops []Op, lo, hi int, barrier bool) error {
+	c.armDeadline()
+	c.scratch = c.scratch[:0]
+	for i := lo; i < hi; i++ {
+		if c.quiet(ops[i]) && c.echoAmbiguous(ops, ops[i].Key) {
+			c.scratch = c.appendBarrier(c.scratch)
+		}
+		c.scratch = c.appendOp(c.scratch, ops[i])
+		//lint:allow hot-path-purity the window and the scratch are reused across bursts; they grow to the largest burst once
+		c.pending = append(c.pending, i)
+	}
+	if barrier {
+		c.scratch = c.appendBarrier(c.scratch)
+	}
+	//lint:allow hot-path-purity the wire write IS the hop: one write and one flush per node per burst
+	if _, err := c.w.Write(c.scratch); err != nil {
+		return err
+	}
+	return c.w.Flush()
+}
+
+// textReplies maps the text protocol's reply words onto the binary
+// statuses, so one matcher serves both protocols.
+var textReplies = [...]struct {
+	word   string
+	status byte
+}{
+	{"HIT", binStatusHit}, {"MISS", binStatusMiss},
+	{"STORED", binStatusStored}, {"NOSTORED", binStatusNotStored},
+	{"PONG", binStatusPong},
+}
+
+// readReply reads one reply in either protocol as a status and its
 // 8-byte payload (the size for most statuses, the echoed key for
-// binStatusHitQ). Error statuses (>= 0x80) are surfaced as errors —
-// the server closes the connection after sending one.
-func (c *Client) readBinReply() (byte, int64, error) {
+// binStatusHitQ; text replies report -1). Error statuses (>= 0x80)
+// are surfaced as errors — the server closes the connection after
+// sending one. The deadline is re-armed whenever the read may block,
+// so long pipelined runs are bounded per reply, not per batch.
+func (c *Client) readReply() (byte, int64, error) {
+	if !c.binary {
+		//lint:allow hot-path-purity the wire read IS the hop; the binary branch reads a node's whole reply burst from one buffer fill
+		if c.r.Buffered() == 0 {
+			c.armDeadline()
+		}
+		line, err := c.r.ReadString('\n')
+		if err != nil {
+			return 0, 0, err
+		}
+		for _, t := range textReplies {
+			if strings.HasPrefix(line, t.word) {
+				return t.status, -1, nil
+			}
+		}
+		//lint:allow hot-path-purity error path: framing is lost and the connection is closed
+		return 0, 0, fmt.Errorf("client: unexpected reply %q", strings.TrimSpace(line))
+	}
 	if c.r.Buffered() < binRespLen {
 		c.armDeadline()
 	}
@@ -210,88 +271,97 @@ func (c *Client) readBinReply() (byte, int64, error) {
 	return status, int64(binary.LittleEndian.Uint64(c.rep[2:10])), nil
 }
 
+// settle reads one reply and matches it against the window. Both
+// protocols reply in request order and a quiet get replies only on a
+// hit, so every reply settles a prefix of the window: the entry it
+// answers, and in front of it quiet gets that stayed silent, which
+// therefore missed. A quiet hit is matched by the key it echoes, a
+// PONG answers a barrier, any other status the first loud op — and
+// must be a status that op can have. settle returns the settled
+// entries (valid until the next send) and whether the last of them,
+// the one answered, was answered positively.
+func (c *Client) settle(ops []Op) (done []int, ok bool, err error) {
+	status, payload, err := c.readReply()
+	if err != nil {
+		return nil, false, err
+	}
+	for n, i := range c.pending[c.head:] {
+		switch {
+		case i == pipeBarrier:
+			if status != binStatusPong {
+				//lint:allow hot-path-purity error path: framing is lost and the connection is closed
+				return nil, false, fmt.Errorf("client: reply status 0x%02x crossed a PING barrier", status)
+			}
+		case !c.quiet(ops[i]):
+			pos, neg := binStatusHit, binStatusMiss
+			if ops[i].Set {
+				pos, neg = binStatusStored, binStatusNotStored
+			}
+			if status != pos && status != neg || payload >= 0 && payload != ops[i].Size {
+				return nil, false, fmt.Errorf("client: reply status 0x%02x size %d does not answer op %d", status, payload, i)
+			}
+			ok = status == pos
+		case status == binStatusHitQ && trace.Key(payload) == ops[i].Key:
+			ok = true
+		default:
+			continue // a quiet get the reply passed over: it missed
+		}
+		done = c.pending[c.head : c.head+n+1]
+		c.head += n + 1
+		return done, ok, nil
+	}
+	return nil, false, fmt.Errorf("client: reply status 0x%02x payload %d matches nothing in flight", status, payload)
+}
+
+// Send writes ops as one burst: every request in one write and one
+// flush, under one deadline. A burst that does not end in a request
+// that always replies — it ends in a quiet get, or is empty — is closed
+// with a PING barrier, so Recv never waits on silence. Recv must
+// follow before the connection is used for anything else.
+func (c *Client) Send(ops []Op) error {
+	c.pending, c.head = c.pending[:0], 0
+	n := len(ops)
+	return c.send(ops, 0, n, n == 0 || c.quiet(ops[n-1]))
+}
+
+// Recv reads the replies to the burst Send wrote, storing each op's
+// outcome (HIT or STORED) in res. Replies arrive in request order, so
+// on an error the ops settled so far are a prefix of the burst; Recv
+// returns its length, and the connection must not be reused.
+func (c *Client) Recv(ops []Op, res []bool) (int, error) {
+	settled := 0
+	for c.head < len(c.pending) {
+		done, ok, err := c.settle(ops)
+		if err != nil {
+			return settled, err
+		}
+		for k, i := range done {
+			if i != pipeBarrier {
+				res[i] = ok && k == len(done)-1
+				settled++
+			}
+		}
+	}
+	return settled, nil
+}
+
 // Ping checks liveness with one PING round trip (both protocols). The
 // server answers without touching the cache, so probes never perturb
 // the traffic statistics the cluster tier reconciles.
 func (c *Client) Ping() error {
-	c.armDeadline()
-	if c.binary {
-		putBinReq(&c.frame, binVerbPing, 0, 0, 0)
-		if _, err := c.w.Write(c.frame[:]); err != nil {
-			return err
-		}
-		if err := c.w.Flush(); err != nil {
-			return err
-		}
-		status, _, err := c.readBinReply()
-		if err != nil {
-			return err
-		}
-		if status != binStatusPong {
-			return fmt.Errorf("client: PING answered with status 0x%02x", status)
-		}
-		return nil
-	}
-	if _, err := io.WriteString(c.w, "PING\n"); err != nil {
+	if err := c.Send(nil); err != nil {
 		return err
 	}
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return err
-	}
-	if !strings.HasPrefix(line, "PONG") {
-		return fmt.Errorf("client: PING answered %q", strings.TrimSpace(line))
-	}
-	return nil
+	_, err := c.Recv(nil, nil)
+	return err
 }
 
 // GetQuiet issues one quiet GET (binary protocol): the server sends a
 // reply frame only on a hit, so a miss costs zero reply bytes beyond
 // the PING barrier pipelined behind it to resolve the outcome. On a
-// text connection it degrades to a plain Get. This is what the
-// router's replica fan-out reads use — replica probes are miss-heavy
-// by construction.
+// text connection it degrades to a plain Get.
 func (c *Client) GetQuiet(key trace.Key, size int64, ts int64) (bool, error) {
-	if !c.binary {
-		return c.Get(key, size, ts)
-	}
-	c.armDeadline()
-	putBinReq(&c.frame, binVerbGetQ, key, size, ts)
-	if _, err := c.w.Write(c.frame[:]); err != nil {
-		return false, err
-	}
-	putBinReq(&c.frame, binVerbPing, 0, 0, 0)
-	if _, err := c.w.Write(c.frame[:]); err != nil {
-		return false, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return false, err
-	}
-	status, payload, err := c.readBinReply()
-	if err != nil {
-		return false, err
-	}
-	switch status {
-	case binStatusPong:
-		return false, nil // quiet miss: only the barrier came back
-	case binStatusHitQ:
-		if trace.Key(payload) != key {
-			return false, fmt.Errorf("client: quiet hit echoed key %d, want %d", payload, key)
-		}
-		status, _, err = c.readBinReply()
-		if err != nil {
-			return false, err
-		}
-		if status != binStatusPong {
-			return false, fmt.Errorf("client: expected PONG after quiet hit, got status 0x%02x", status)
-		}
-		return true, nil
-	default:
-		return false, fmt.Errorf("client: unexpected quiet-get reply status 0x%02x", status)
-	}
+	return c.roundTrip(Op{Quiet: true, Key: key, Size: size, Time: ts})
 }
 
 // Get requests one object and reports whether it hit. The round trip
@@ -308,18 +378,14 @@ func (c *Client) Set(key trace.Key, size int64, ts int64) (bool, error) {
 	return c.roundTrip(Op{Set: true, Key: key, Size: size, Time: ts})
 }
 
-// roundTrip issues one request and reads its reply under the
-// client's deadline.
+// roundTrip is a burst of one.
 func (c *Client) roundTrip(op Op) (bool, error) {
-	c.armDeadline()
-	c.scratch = c.appendOp(c.scratch[:0], op)
-	if _, err := c.w.Write(c.scratch); err != nil {
+	ops, res := [1]Op{op}, [1]bool{}
+	if err := c.Send(ops[:]); err != nil {
 		return false, err
 	}
-	if err := c.w.Flush(); err != nil {
-		return false, err
-	}
-	return c.readReply(op.Set)
+	_, err := c.Recv(ops[:], res[:])
+	return res[0], err
 }
 
 // getRetry is Get plus recovery: on failure it reconnects with
@@ -525,24 +591,17 @@ func (p *PipelineStats) ReqPerSec() float64 {
 	return float64(p.Requests) / p.Wall.Seconds()
 }
 
-// pipeBarrier marks an injected PING in the pipeline's pending queue:
-// its PONG proves every quiet get sent before it has been served, so
-// the ones that never replied are known misses.
-const pipeBarrier = -1
-
 // Pipeline issues ops keeping up to depth requests in flight on the
-// connection. Both protocols reply strictly in request order, so
-// replies are matched to ops front to back. Requests are batched: the
-// window is refilled (and flushed in one write) whenever it drops to
-// half depth, which pairs with the server's one-flush-per-burst reply
-// batching. depth <= 1 degenerates to strict request-response.
+// connection; replies are matched to ops by settle. Requests are
+// batched: the window is refilled (and flushed in one write) whenever
+// it drops to half depth, which pairs with the server's
+// one-flush-per-burst reply batching. depth <= 1 degenerates to strict
+// request-response.
 //
-// Quiet gets (binary only) produce no reply frame on a miss. A quiet
-// hit is matched by the key the server echoes in its binStatusHitQ
-// frame; every unanswered quiet get in front of it missed. A window
+// Quiet gets (binary only) produce no reply frame on a miss. A window
 // holding nothing but quiet gets could be all misses — and therefore
 // produce no reply to unblock the reader — so before blocking in that
-// state the client pipelines one PING barrier; the PONG resolves the
+// state the client pipelines one PING barrier; the PONG settles the
 // whole quiet run as misses.
 func (c *Client) Pipeline(ops []Op, depth int) (PipelineStats, error) {
 	if depth < 1 {
@@ -551,158 +610,58 @@ func (c *Client) Pipeline(ops []Op, depth int) (PipelineStats, error) {
 	var st PipelineStats
 	sent := make([]int64, len(ops)) // enqueue times, ns
 	lat := make([]float64, 0, len(ops))
-	// pending holds indices of sent-but-unresolved ops in wire order,
-	// plus pipeBarrier markers for injected PINGs.
-	pending := make([]int, 0, depth+1)
-	next, resolved := 0, 0
+	c.pending, c.head = c.pending[:0], 0
+	next := 0
 	start := time.Now()
 
-	// quiet reports whether op i rides the no-reply-on-miss path:
-	// binary-protocol non-SET ops marked Quiet.
-	quiet := func(i int) bool { return c.binary && ops[i].Quiet && !ops[i].Set }
-	resolve := func(i int, ok bool) {
-		lat = append(lat, float64(time.Now().UnixNano()-sent[i]))
-		if ok {
-			if ops[i].Set {
-				st.Stored++
-			} else {
-				st.Hits++
+	for st.Requests < len(ops) {
+		if inflight := next - st.Requests; next < len(ops) && (inflight == 0 || inflight <= depth/2) {
+			c.pending = c.pending[:copy(c.pending, c.pending[c.head:])]
+			c.head = 0
+			lo, now := next, time.Now().UnixNano()
+			for ; next < len(ops) && next-st.Requests < depth; next++ {
+				sent[next] = now
+			}
+			if err := c.send(ops, lo, next, false); err != nil {
+				return st, fmt.Errorf("client: pipeline enqueue %d: %w", lo, err)
 			}
 		}
-		st.Requests++
-		resolved++
-	}
-
-	for resolved < len(ops) {
-		if inflight := next - resolved; next < len(ops) && (inflight == 0 || inflight <= depth/2) {
-			c.armDeadline()
-			for next < len(ops) && next-resolved < depth {
-				c.scratch = c.appendOp(c.scratch[:0], ops[next])
-				if _, err := c.w.Write(c.scratch); err != nil {
-					return st, fmt.Errorf("client: pipeline enqueue %d: %w", next, err)
-				}
-				sent[next] = time.Now().UnixNano()
-				pending = append(pending, next)
-				next++
-			}
-			if err := c.w.Flush(); err != nil {
-				return st, fmt.Errorf("client: pipeline flush: %w", err)
+		// All-quiet window: if every one of them misses the server stays
+		// silent, so inject a PING barrier before blocking.
+		allQuiet := c.head < len(c.pending)
+		for _, i := range c.pending[c.head:] {
+			allQuiet = allQuiet && i != pipeBarrier && c.quiet(ops[i])
+		}
+		if allQuiet {
+			if err := c.send(ops, 0, 0, true); err != nil {
+				return st, fmt.Errorf("client: pipeline barrier: %w", err)
 			}
 		}
-		// All-quiet outstanding window: if every one of them misses the
-		// server stays silent, so inject a PING barrier before blocking.
-		if c.binary && len(pending) > 0 && pending[len(pending)-1] != pipeBarrier {
-			allQuiet := true
-			for _, i := range pending {
-				if i == pipeBarrier || !quiet(i) {
-					allQuiet = false
-					break
-				}
-			}
-			if allQuiet {
-				putBinReq(&c.frame, binVerbPing, 0, 0, 0)
-				if _, err := c.w.Write(c.frame[:]); err != nil {
-					return st, fmt.Errorf("client: pipeline barrier: %w", err)
-				}
-				if err := c.w.Flush(); err != nil {
-					return st, fmt.Errorf("client: pipeline barrier flush: %w", err)
-				}
-				pending = append(pending, pipeBarrier)
-			}
-		}
-
-		if !c.binary {
-			// Text protocol: every op replies, strictly in order.
-			i := pending[0]
-			pending = pending[1:]
-			ok, err := c.readReply(ops[i].Set)
-			if err != nil {
-				return st, fmt.Errorf("client: pipeline reply %d: %w", i, err)
-			}
-			resolve(i, ok)
-			continue
-		}
-
-		status, payload, err := c.readBinReply()
+		done, ok, err := c.settle(ops)
 		if err != nil {
-			return st, fmt.Errorf("client: pipeline reply %d: %w", resolved, err)
+			return st, fmt.Errorf("client: pipeline reply %d: %w", st.Requests, err)
 		}
-		switch status {
-		case binStatusHitQ:
-			// The echoed key names the quiet get that hit; every quiet
-			// get still pending in front of it missed.
-			key := trace.Key(payload)
-			matched := false
-			for len(pending) > 0 {
-				i := pending[0]
-				if i == pipeBarrier || !quiet(i) {
-					break
-				}
-				pending = pending[1:]
-				if ops[i].Key == key {
-					resolve(i, true)
-					matched = true
-					break
-				}
-				resolve(i, false)
+		for k, i := range done {
+			if i == pipeBarrier {
+				continue
 			}
-			if !matched {
-				return st, fmt.Errorf("client: unmatched quiet hit for key %d", key)
+			lat = append(lat, float64(time.Now().UnixNano()-sent[i]))
+			if ok && k == len(done)-1 {
+				if ops[i].Set {
+					st.Stored++
+				} else {
+					st.Hits++
+				}
 			}
-		case binStatusPong:
-			// The barrier's PONG: every quiet get sent before it that
-			// never replied is a miss.
-			seenBarrier := false
-			for len(pending) > 0 {
-				i := pending[0]
-				pending = pending[1:]
-				if i == pipeBarrier {
-					seenBarrier = true
-					break
-				}
-				if !quiet(i) {
-					return st, fmt.Errorf("client: PONG crossed non-quiet op %d", i)
-				}
-				resolve(i, false)
-			}
-			if !seenBarrier {
-				return st, fmt.Errorf("client: PONG without a pending barrier")
-			}
-		default:
-			// A regular reply answers the first non-quiet pending op;
-			// quiet gets in front of it missed.
-			for {
-				if len(pending) == 0 {
-					return st, fmt.Errorf("client: reply status 0x%02x with nothing pending", status)
-				}
-				i := pending[0]
-				pending = pending[1:]
-				if i == pipeBarrier {
-					return st, fmt.Errorf("client: reply status 0x%02x crossed a barrier", status)
-				}
-				if quiet(i) {
-					resolve(i, false)
-					continue
-				}
-				ok := status == binStatusHit || status == binStatusStored
-				resolve(i, ok)
-				break
-			}
+			st.Requests++
 		}
 	}
-	// A quiet hit can resolve the last op while its window's injected
+	// A quiet hit can settle the last op while its window's injected
 	// barrier is still in flight; drain those PONGs now or they would
 	// desync the next use of the connection.
-	for _, i := range pending {
-		if i != pipeBarrier {
-			continue
-		}
-		status, _, err := c.readBinReply()
-		if err != nil {
+	for c.head < len(c.pending) {
+		if _, _, err := c.settle(ops); err != nil {
 			return st, fmt.Errorf("client: pipeline barrier drain: %w", err)
-		}
-		if status != binStatusPong {
-			return st, fmt.Errorf("client: barrier drain got status 0x%02x, want PONG", status)
 		}
 	}
 	st.Wall = time.Since(start)

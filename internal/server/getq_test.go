@@ -3,6 +3,7 @@ package server
 import (
 	"math/rand"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -360,5 +361,34 @@ func TestBinaryErrorClosesWithoutDesync(t *testing.T) {
 	}
 	if n := srv.Metrics().Counter("server.bad_requests").Load(); n == 0 {
 		t.Error("bad frame was not counted")
+	}
+}
+
+// TestQuietGetsSameKey: two quiet gets for one key in one burst. The
+// first misses (and admits the key), the second hits, and the server
+// echoes the key once — which names the second only because the client
+// keeps the two apart with a barrier of its own.
+func TestQuietGetsSameKey(t *testing.T) {
+	srv := newTestServer(t, 100)
+	cl := dialBinary(t, srv)
+	ops := []Op{
+		{Quiet: true, Key: 7, Size: 10, Time: 1},
+		{Quiet: true, Key: 8, Size: 10, Time: 2},
+		{Quiet: true, Key: 7, Size: 10, Time: 3},
+		{Quiet: true, Key: 7, Size: 10, Time: 4},
+	}
+	res := make([]bool, len(ops))
+	if err := cl.Send(ops); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := cl.Recv(ops, res); err != nil || n != len(ops) {
+		t.Fatalf("%d of %d settled: %v", n, len(ops), err)
+	}
+	if want := []bool{false, false, true, true}; !reflect.DeepEqual(res, want) {
+		t.Errorf("results %v, want %v", res, want)
+	}
+	st, err := cl.Pipeline(ops, 4)
+	if err != nil || st.Hits != 4 {
+		t.Errorf("pipelined rerun: %d hits (%v), want 4 (the first pass admitted both keys)", st.Hits, err)
 	}
 }

@@ -225,6 +225,21 @@ type Backend interface {
 	Stats() cache.Stats
 }
 
+// BatchBackend is optionally implemented by a Backend that serves a
+// burst of pipelined requests faster together than one by one (the
+// cluster router forwards a burst as one batch per node). The binary
+// protocol loop probes for it; without it a burst is served through
+// Get and Set, op by op.
+type BatchBackend interface {
+	Backend
+	// ServeBatch serves ops in order and stores each op's outcome (hit
+	// or stored) in res, which has len(ops). Op.Time is already
+	// resolved against the server's virtual clock. Op.Quiet only
+	// frames the front connection's reply and must be ignored: a quiet
+	// get is served like any get.
+	ServeBatch(ops []Op, res []bool)
+}
+
 // Server is a TCP cache server.
 type Server struct {
 	cfg Config
@@ -235,6 +250,7 @@ type Server struct {
 	// nil when Config.Backend overrides it.
 	engine  *cache.Sharded
 	backend Backend
+	batch   BatchBackend // backend, when it serves bursts as batches
 	// vclock is the fallback virtual clock for clients that send no
 	// trace timestamps: a monotone request counter across all shards.
 	vclock atomic.Int64
@@ -330,6 +346,7 @@ func New(cfg Config) (*Server, error) {
 			pings:          reg.Counter("server.pings"),
 		},
 	}
+	s.batch, _ = cfg.Backend.(BatchBackend)
 	if engine != nil {
 		cacheObs := &obs.ShardedCacheObs{}
 		cacheObs.Init(engine.Shards())

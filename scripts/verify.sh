@@ -1,55 +1,63 @@
 #!/usr/bin/env bash
 # verify.sh — the repository's single verification entry point.
 #
-# Runs, in order:
-#   1. go vet            (stdlib static checks: printf verbs, copylocks, tags)
-#   2. go build          (everything compiles)
-#   3. go test           (full unit + integration suite)
-#   4. go test -race     (concurrent packages under the race detector,
-#                         plus the dedicated sharded-engine stress run:
-#                         100 clients of mixed GET/SET against an
-#                         8-shard server, reconciling METRICS totals,
-#                         and the multi-process cluster chaos test:
-#                         SIGKILL + restart of a ravencached node
-#                         mid-replay behind the router)
-#   5. ravenlint         (repo-specific determinism / concurrency /
-#                         hygiene invariants plus the interprocedural
-#                         hot-path / lock / taint rules; runs four ways:
-#                         plain, -tests, a double-run -json byte-equality
-#                         check, and a baseline round-trip that fails if
-#                         .ravenlint-baseline.json is stale)
-#   6. alloc assertions  (eviction decisions and the binary serving
-#                         path both hold their 0 allocs/op budgets)
-#   7. benchmark smoke   (benchmarks still compile and run, including
-#                         the pipelined serving path over the wire)
-#   8. checkpoint smoke  (a corrupted newest checkpoint generation is
-#                         skipped on resume, end to end through raven-sim)
+#   scripts/verify.sh                  every stage, in the order below
+#   scripts/verify.sh <stage>...       only the named stages
 #
-# Any failure aborts with a nonzero exit. CI runs exactly this script,
-# so a green local run means a green CI run.
+# Stages:
+#   static       go vet (printf verbs, copylocks, tags) and go build
+#   test         go test ./... (full unit + integration suite)
+#   race         go test -race on the concurrent packages, plus the
+#                dedicated sharded-engine stress run (100 clients of
+#                mixed GET/SET against an 8-shard server, reconciling
+#                METRICS totals) and the multi-process cluster chaos
+#                test (SIGKILL + restart of a ravencached node
+#                mid-replay behind the router)
+#   lint         ravenlint: the repo-specific determinism / concurrency
+#                / hygiene invariants plus the interprocedural hot-path /
+#                lock / taint rules, four ways: plain, -tests, a
+#                double-run -json byte-equality check, and a baseline
+#                round-trip that fails if .ravenlint-baseline.json is
+#                stale. RAVENLINT_REPORT=<file> keeps the -json report.
+#   determinism  admission + prefetch replays are bit-exact across runs
+#                and worker counts
+#   alloc        eviction decisions and the binary serving path —
+#                direct and through the router — hold 0 allocs/op
+#   bench-smoke  every benchmark still compiles and runs once,
+#                including the pipelined serving path over the wire and
+#                through the router
+#   checkpoint   a corrupted newest checkpoint generation is skipped on
+#                resume, end to end through raven-sim
+#
+# Any failure aborts with a nonzero exit. Every CI job calls a stage of
+# this script, so a green local run means a green CI run. SKIP_RACE=1
+# drops the race stage from a run of everything (CI runs it as its own
+# job).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Packages with real concurrency: the parallel training and eviction
-# layer (nn.Pool and its users in core), the parallel simulator, the
-# TCP server and its stress tests, the metrics layer it exports, the
-# experiment harness that fans out runs, the cache engine they all
-# share, and the cluster tier (router, breakers, probing, chaos test).
-RACE_PKGS="./internal/nn/... ./internal/core/... ./internal/sim/... ./internal/server/... ./internal/obs/... ./internal/experiments/... ./internal/cache/... ./internal/cluster/..."
+stage_static() {
+    echo "==> go vet ./..."
+    go vet ./...
+    echo "==> go build ./..."
+    go build ./...
+}
 
-echo "==> go vet ./..."
-go vet ./...
+stage_test() {
+    echo "==> go test ./..."
+    go test ./...
+}
 
-echo "==> go build ./..."
-go build ./...
-
-echo "==> go test ./..."
-go test ./...
-
-if [[ "${SKIP_RACE:-0}" != "1" ]]; then
-    echo "==> go test -race ${RACE_PKGS}"
+stage_race() {
+    # Packages with real concurrency: the parallel training and eviction
+    # layer (nn.Pool and its users in core), the parallel simulator, the
+    # TCP server and its stress tests, the metrics layer it exports, the
+    # experiment harness that fans out runs, the cache engine they all
+    # share, and the cluster tier (router, breakers, probing, chaos test).
+    local pkgs="./internal/nn/... ./internal/core/... ./internal/sim/... ./internal/server/... ./internal/obs/... ./internal/experiments/... ./internal/cache/... ./internal/cluster/..."
+    echo "==> go test -race ${pkgs}"
     # shellcheck disable=SC2086
-    go test -race ${RACE_PKGS}
+    go test -race ${pkgs}
     # The sharded engine's cross-shard stress runs again explicitly
     # (-count=1 defeats the test cache) so the per-shard-lock fast path
     # is always exercised fresh under the race detector.
@@ -60,67 +68,100 @@ if [[ "${SKIP_RACE:-0}" != "1" ]]; then
     # bounded hit-ratio error and METRICS reconciliation.
     echo "==> cluster chaos churn (3-node fleet, SIGKILL + restart mid-replay)"
     go test -race -count=1 -timeout 300s -run 'TestChaosNodeChurn' ./internal/cluster/
-else
-    echo "==> skipping -race (SKIP_RACE=1; CI runs it as a dedicated job)"
+}
+
+stage_lint() {
+    echo "==> go run ./cmd/ravenlint ./..."
+    go run ./cmd/ravenlint ./...
+
+    echo "==> ravenlint -tests (test files: concurrency rules + stale pragmas)"
+    go run ./cmd/ravenlint -tests ./...
+
+    echo "==> ravenlint determinism (double run, byte-identical -json)"
+    local dir
+    dir="$(mktemp -d)"
+    go run ./cmd/ravenlint -json ./... >"${dir}/run1.json"
+    go run ./cmd/ravenlint -json ./... >"${dir}/run2.json"
+    if ! cmp -s "${dir}/run1.json" "${dir}/run2.json"; then
+        echo "ravenlint FAILED: two identical runs produced different -json output"
+        diff "${dir}/run1.json" "${dir}/run2.json" || true
+        rm -rf "${dir}"
+        exit 1
+    fi
+    if [[ -n "${RAVENLINT_REPORT:-}" ]]; then
+        cp "${dir}/run1.json" "${RAVENLINT_REPORT}"
+    fi
+
+    echo "==> ravenlint baseline round-trip (-write-baseline matches committed)"
+    go run ./cmd/ravenlint -write-baseline "${dir}/baseline.json" ./... >/dev/null
+    if ! cmp -s "${dir}/baseline.json" .ravenlint-baseline.json; then
+        echo "ravenlint FAILED: .ravenlint-baseline.json is out of date"
+        echo "regenerate with: go run ./cmd/ravenlint -write-baseline .ravenlint-baseline.json ./..."
+        diff "${dir}/baseline.json" .ravenlint-baseline.json || true
+        rm -rf "${dir}"
+        exit 1
+    fi
+    rm -rf "${dir}"
+}
+
+stage_determinism() {
+    echo "==> admission + prefetch determinism (double run, Workers 1 vs 8)"
+    go test -count=1 -run 'TestAdmissionPrefetchBitExact|TestAdmissionOffMatchesUnfronted' ./internal/sim/
+}
+
+stage_alloc() {
+    echo "==> eviction alloc sweep (0 allocs/op at Workers 1,2,4,8)"
+    go test -count=1 -run 'TestEvictionPathAllocFree|TestFastPathAllocFree' ./internal/core/
+
+    echo "==> serving-path alloc assertion (binary GET/SET direct, 32-frame bursts through the router; 0 allocs/op)"
+    go test -count=1 -run 'TestServingPathAllocFree' ./internal/server/ ./internal/cluster/
+}
+
+stage_bench_smoke() {
+    # Covers BenchmarkEvictDecisionFast (the ScoreCache fast path)
+    # alongside the legacy decision and kernel benchmarks, the pipelined
+    # serving path over the wire (BenchmarkServing) and the same through
+    # the router (BenchmarkRoutedPipeline).
+    echo "==> benchmark smoke (-benchtime=1x)"
+    go test -run='^$' -bench=. -benchtime=1x ./internal/nn/... ./internal/core/... ./internal/server/... ./internal/cluster/... >/dev/null
+}
+
+stage_checkpoint() {
+    echo "==> checkpoint corruption smoke"
+    local dir newest out
+    dir="$(mktemp -d)"
+    # shellcheck disable=SC2064
+    trap "rm -rf '${dir}'" EXIT
+    local sim_args=(-synthetic poisson -requests 8000 -objects 100 -capacity 40 -policies raven -checkpoint "${dir}")
+    go run ./cmd/raven-sim "${sim_args[@]}" >/dev/null
+    newest="$(ls "${dir}"/raven-*.ckpt | sort | tail -1)"
+    # Truncate the newest generation (torn write); the next run must skip
+    # it and resume an older generation rather than load garbage.
+    truncate -s -1 "${newest}"
+    out="$(go run ./cmd/raven-sim "${sim_args[@]}")"
+    if ! grep -q "1 corrupt skipped" <<<"${out}"; then
+        echo "checkpoint smoke FAILED: corrupted generation was not skipped on resume"
+        echo "${out}"
+        exit 1
+    fi
+}
+
+stages="static test race lint determinism alloc bench-smoke checkpoint"
+if [[ $# -eq 0 ]]; then
+    if [[ "${SKIP_RACE:-0}" == "1" ]]; then
+        echo "==> skipping the race stage (SKIP_RACE=1; CI runs it as a dedicated job)"
+        stages="${stages/ race/}"
+    fi
+    # shellcheck disable=SC2086
+    set -- ${stages}
 fi
-
-echo "==> go run ./cmd/ravenlint ./..."
-go run ./cmd/ravenlint ./...
-
-echo "==> ravenlint -tests (test files: concurrency rules + stale pragmas)"
-go run ./cmd/ravenlint -tests ./...
-
-echo "==> ravenlint determinism (double run, byte-identical -json)"
-LINT_DIR="$(mktemp -d)"
-go run ./cmd/ravenlint -json ./... >"${LINT_DIR}/run1.json"
-go run ./cmd/ravenlint -json ./... >"${LINT_DIR}/run2.json"
-if ! cmp -s "${LINT_DIR}/run1.json" "${LINT_DIR}/run2.json"; then
-    echo "ravenlint FAILED: two identical runs produced different -json output"
-    diff "${LINT_DIR}/run1.json" "${LINT_DIR}/run2.json" || true
-    rm -rf "${LINT_DIR}"
-    exit 1
-fi
-
-echo "==> ravenlint baseline round-trip (-write-baseline matches committed)"
-go run ./cmd/ravenlint -write-baseline "${LINT_DIR}/baseline.json" ./... >/dev/null
-if ! cmp -s "${LINT_DIR}/baseline.json" .ravenlint-baseline.json; then
-    echo "ravenlint FAILED: .ravenlint-baseline.json is out of date"
-    echo "regenerate with: go run ./cmd/ravenlint -write-baseline .ravenlint-baseline.json ./..."
-    diff "${LINT_DIR}/baseline.json" .ravenlint-baseline.json || true
-    rm -rf "${LINT_DIR}"
-    exit 1
-fi
-rm -rf "${LINT_DIR}"
-
-echo "==> admission + prefetch determinism (double run, Workers 1 vs 8)"
-go test -count=1 -run 'TestAdmissionPrefetchBitExact|TestAdmissionOffMatchesUnfronted' ./internal/sim/
-
-echo "==> eviction alloc sweep (0 allocs/op at Workers 1,2,4,8)"
-go test -count=1 -run 'TestEvictionPathAllocFree|TestFastPathAllocFree' ./internal/core/
-
-echo "==> serving-path alloc assertion (binary GET/SET, 0 allocs/op)"
-go test -count=1 -run 'TestServingPathAllocFree' ./internal/server/
-
-# Covers BenchmarkEvictDecisionFast (the ScoreCache fast path) alongside
-# the legacy decision and kernel benchmarks, plus the pipelined serving
-# path over the wire (BenchmarkServing).
-echo "==> benchmark smoke (-benchtime=1x)"
-go test -run='^$' -bench=. -benchtime=1x ./internal/nn/... ./internal/core/... ./internal/server/... >/dev/null
-
-echo "==> checkpoint corruption smoke"
-CKPT_DIR="$(mktemp -d)"
-trap 'rm -rf "${CKPT_DIR}"' EXIT
-SIM_ARGS=(-synthetic poisson -requests 8000 -objects 100 -capacity 40 -policies raven -checkpoint "${CKPT_DIR}")
-go run ./cmd/raven-sim "${SIM_ARGS[@]}" >/dev/null
-newest="$(ls "${CKPT_DIR}"/raven-*.ckpt | sort | tail -1)"
-# Truncate the newest generation (torn write); the next run must skip
-# it and resume an older generation rather than load garbage.
-truncate -s -1 "${newest}"
-out="$(go run ./cmd/raven-sim "${SIM_ARGS[@]}")"
-if ! grep -q "1 corrupt skipped" <<<"${out}"; then
-    echo "checkpoint smoke FAILED: corrupted generation was not skipped on resume"
-    echo "${out}"
-    exit 1
-fi
+for stage in "$@"; do
+    fn="stage_${stage//-/_}"
+    if ! declare -F "${fn}" >/dev/null; then
+        echo "verify.sh: unknown stage '${stage}' (${stages})" >&2
+        exit 2
+    fi
+    "${fn}"
+done
 
 echo "verify: OK"
