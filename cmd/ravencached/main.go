@@ -5,23 +5,25 @@
 //
 //	ravencached -addr :7070 -capacity 1073741824 -policy raven
 //
-// Protocol (line-based text over TCP):
+// One request loop serves every connection through one of two codecs,
+// picked by the connection's first byte: text lines, or — first byte
+// 0x80 — fixed binary frames (26-byte little-endian requests, 10-byte
+// status replies; internal/server/binary.go has the layout). Both are
+// pipelined on a zero-allocation path.
 //
-//	GET <key> <size> [time]  →  HIT <size> | MISS <size>
-//	SET <key> <size> [time]  →  STORED <size> | NOSTORED <size>
-//	STATS                    →  STATS <requests> <hits> <reqBytes> <hitBytes>
-//	METRICS                  →  METRICS <n> followed by n "name value" lines
-//	PING                     →  PONG (liveness probe; not counted as a request)
-//	QUIT
+//	verb     text                                              binary
+//	GET      GET <key> <size> [time] → HIT|MISS <size>         0x01 → HIT|MISS
+//	SET      SET <key> <size> [time] → STORED|NOSTORED <size>  0x02 → STORED|NOSTORED
+//	GETQ     —                                                 0x04 → HITQ; silent on a miss
+//	PING     PING → PONG (not counted as a request)            0x05 → PONG
+//	QUIT     QUIT                                              0x03
+//	STATS    STATS → STATS <requests> <hits> <reqBytes> <hitBytes>   —
+//	METRICS  METRICS → METRICS <n> + n "name value" lines      —
 //
-// The same port also speaks a fixed-frame binary protocol (memcached
-// style): a connection whose first byte is 0x80 is served 26-byte
-// little-endian request frames (verb, key, size, time — GET, SET,
-// QUIT, quiet GETQ, PING) with 10-byte status replies, pipelined, on
-// a zero-allocation path. See internal/server/binary.go for the frame
-// layout. -readbuf sizes the
-// per-connection read buffer, which bounds how many pipelined
-// requests batch into one reply flush.
+// Anything else is answered "ERR ..." on a text connection, which goes
+// on, and with an error status (0x80/0x81) on a binary one, which is
+// then closed. -readbuf sizes the per-connection read buffer, which
+// bounds how many pipelined requests batch into one reply flush.
 //
 // -shards splits the cache into independent shards (memcached-style,
 // rounded up to a power of two), each with its own policy instance and

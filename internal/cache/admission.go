@@ -5,11 +5,11 @@ import (
 	"raven/internal/sketch"
 )
 
-// This file is the admission front-end: the redesigned typed admission
-// seam (Decision / Admitter), the compat shim for the legacy boolean
-// seam, and the composable pipeline stages — the CM-sketch + Bloom
-// doorkeeper frequency front and the MDN predicted-reuse check — that
-// policy.Options.Admission wires in front of any eviction policy.
+// This file is the admission front-end: the typed admission seam
+// (Decision / Admitter) and the composable pipeline stages — the
+// CM-sketch + Bloom doorkeeper frequency front and the MDN
+// predicted-reuse check — that policy.Options.Admission wires in front
+// of any eviction policy.
 
 // Canonical reject reasons, re-exported from obs (which defines them
 // next to the per-reason metric names) so decisions and metrics can
@@ -24,10 +24,10 @@ const (
 	RejectPredictedReuse = obs.ReasonPredictedReuse
 )
 
-// Decision is the typed result of an admission check. The boolean seam
-// it replaces (ShouldAdmit(req) bool) could not express WHY an object
-// was refused, so reject reasons were invisible to operators and
-// stages could not be chained without losing information.
+// Decision is the typed result of an admission check: a bare boolean
+// could not express WHY an object was refused, so reject reasons would
+// be invisible to operators and stages could not be chained without
+// losing information.
 type Decision struct {
 	// Admit reports whether the object may be inserted.
 	Admit bool
@@ -43,7 +43,7 @@ var Accepted = Decision{Admit: true}
 // Reject returns a rejecting Decision carrying reason.
 func Reject(reason string) Decision { return Decision{Reason: reason} }
 
-// Admitter is the redesigned admission seam: an optional Policy
+// Admitter is the admission seam: an optional Policy
 // extension (or standalone pipeline stage) consulted before a missed
 // object is inserted. Implementations may update internal state
 // (sketches, doorkeepers) on every call; the engine calls Admit at
@@ -58,35 +58,12 @@ type AdmitterFunc func(req Request) Decision
 // Admit implements Admitter.
 func (f AdmitterFunc) Admit(req Request) Decision { return f(req) }
 
-// LegacyAdmitter is the pre-redesign boolean admission seam. Policies
-// that still implement it (TinyLFU, AdaptSize, LHR) pass through the
-// engine unchanged: a false return is treated as Reject(RejectPolicy).
-type LegacyAdmitter interface {
-	ShouldAdmit(req Request) bool
-}
-
-// AdmitLegacy adapts a legacy boolean admitter to the typed seam.
-func AdmitLegacy(a LegacyAdmitter) Admitter {
-	return AdmitterFunc(func(req Request) Decision {
-		if !a.ShouldAdmit(req) {
-			return Reject(RejectPolicy)
-		}
-		return Accepted
-	})
-}
-
-// PolicyAdmit runs p's admission control over req: the typed Admitter
-// if implemented, else the legacy boolean seam through the compat
-// shim, else accept. It is the engine's single consumption point, so
-// every policy — redesigned or legacy — flows through one code path.
+// PolicyAdmit runs p's admission control over req: its Admit when it
+// is an Admitter, else accept. It is the engine's single consumption
+// point, so every policy flows through one code path.
 func PolicyAdmit(p Policy, req Request) Decision {
-	switch a := p.(type) {
-	case Admitter:
+	if a, ok := p.(Admitter); ok {
 		return a.Admit(req)
-	case LegacyAdmitter:
-		if !a.ShouldAdmit(req) {
-			return Reject(RejectPolicy)
-		}
 	}
 	return Accepted
 }
@@ -246,8 +223,7 @@ func (a *ReuseAdmitter) Admit(req Request) Decision {
 }
 
 // fronted wraps a policy with an admission pipeline, chaining the
-// front's decision with the inner policy's own admission (typed or
-// legacy). It is how policy.Options.Admission attaches the pipeline:
+// front's decision with the inner policy's own admission. It is how policy.Options.Admission attaches the pipeline:
 // the wrapper travels through every existing construction seam
 // (Factory, PerShard, ShardFactory, the server's NewPolicy) untouched.
 type fronted struct {

@@ -6,33 +6,33 @@ import (
 	"raven/internal/obs"
 )
 
-// ---- typed seam, shim, and pipeline composition ----
+// ---- typed seam and pipeline composition ----
 
-// legacyDeny is a policy on the pre-redesign boolean seam.
-type legacyDeny struct {
+// policyDeny is a policy with its own admission control.
+type policyDeny struct {
 	*testLRU
 	deny bool
 }
 
-func (p *legacyDeny) ShouldAdmit(Request) bool { return !p.deny }
+func (p *policyDeny) Admit(Request) Decision {
+	if p.deny {
+		return Reject(RejectPolicy)
+	}
+	return Accepted
+}
 
 func TestPolicyAdmitDispatch(t *testing.T) {
 	// Plain policy: no admission seam at all -> accept.
 	if d := PolicyAdmit(newTestLRU(), req(1, 1, 1)); !d.Admit {
 		t.Errorf("plain policy rejected: %+v", d)
 	}
-	// Legacy boolean seam through the shim -> RejectPolicy.
-	d := PolicyAdmit(&legacyDeny{testLRU: newTestLRU(), deny: true}, req(1, 1, 1))
+	// A policy that is an Admitter decides, reason included.
+	d := PolicyAdmit(&policyDeny{testLRU: newTestLRU(), deny: true}, req(1, 1, 1))
 	if d.Admit || d.Reason != RejectPolicy {
-		t.Errorf("legacy deny = %+v, want reject with reason %q", d, RejectPolicy)
+		t.Errorf("policy deny = %+v, want reject with reason %q", d, RejectPolicy)
 	}
-	if d := PolicyAdmit(&legacyDeny{testLRU: newTestLRU()}, req(1, 1, 1)); !d.Admit {
-		t.Errorf("legacy allow rejected: %+v", d)
-	}
-	// AdmitLegacy adapts a LegacyAdmitter directly.
-	a := AdmitLegacy(&legacyDeny{testLRU: newTestLRU(), deny: true})
-	if d := a.Admit(req(1, 1, 1)); d.Admit || d.Reason != RejectPolicy {
-		t.Errorf("AdmitLegacy = %+v", d)
+	if d := PolicyAdmit(&policyDeny{testLRU: newTestLRU()}, req(1, 1, 1)); !d.Admit {
+		t.Errorf("policy allow rejected: %+v", d)
 	}
 }
 
@@ -49,7 +49,7 @@ func TestChainFirstRejectWins(t *testing.T) {
 }
 
 func TestWithAdmissionWrapsAndUnwraps(t *testing.T) {
-	inner := &legacyDeny{testLRU: newTestLRU()}
+	inner := &policyDeny{testLRU: newTestLRU()}
 	front := AdmitterFunc(func(r Request) Decision {
 		if r.Size > 5 {
 			return Reject(RejectSizeThreshold)
@@ -66,7 +66,7 @@ func TestWithAdmissionWrapsAndUnwraps(t *testing.T) {
 	if same := WithAdmission(inner); same != Policy(inner) {
 		t.Error("WithAdmission with no stages must return inner unchanged")
 	}
-	// Front rejects first; then the inner policy's own (legacy) seam.
+	// Front rejects first; then the inner policy's own admission.
 	if d := p.(Admitter).Admit(req(1, 1, 9)); d.Reason != RejectSizeThreshold {
 		t.Errorf("front reject = %+v", d)
 	}

@@ -94,7 +94,7 @@ func TestCacheRejectsOversized(t *testing.T) {
 
 type denyAll struct{ *testLRU }
 
-func (denyAll) ShouldAdmit(Request) bool { return false }
+func (denyAll) Admit(Request) Decision { return Reject(RejectPolicy) }
 
 func TestCacheAdmissionControl(t *testing.T) {
 	c := New(10, denyAll{newTestLRU()})

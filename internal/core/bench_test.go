@@ -41,13 +41,40 @@ func trainedRaven(tb testing.TB, workers int) *Raven {
 // touch the heap. Workers>1 used to leak 2(w-1)+1 allocs per pool
 // dispatch through per-call goroutine closures; the persistent-worker
 // pool (nn/pool.go) eliminates them, and this sweep keeps it that way.
+//
+// The model is fitted once, on one window of a short trace, and shared:
+// training is bit-exact across Workers, so every entry of the sweep
+// would fit this same net. Each entry decides with it at its own
+// fan-out, over a cache filled by the trace's tail.
 func TestEvictionPathAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
 	}
+	tr := trace.Synthetic(trace.SynthConfig{
+		Objects: 200, Requests: 8000, Interarrival: trace.Poisson, Seed: 5,
+	})
+	fill := func(r *Raven, reqs []trace.Request) {
+		c := cache.New(40, r) // 40 unit-size objects
+		for _, req := range reqs {
+			c.Handle(req)
+		}
+	}
+	fitted := New(Config{
+		TrainWindow:     tr.Duration()/2 + 1,
+		MaxTrainObjects: 300,
+		Net:             nn.Config{Hidden: 8, MLPHidden: 12, K: 4},
+		Train:           nn.TrainConfig{MaxEpochs: 5, Patience: 2},
+		Seed:            7,
+	})
+	fill(fitted, tr.Reqs)
+	if !fitted.Trained() {
+		t.Fatal("raven never trained a model")
+	}
 	for _, w := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			r := trainedRaven(t, w)
+			r := New(Config{TrainWindow: 1 << 40, Workers: w, Seed: 7})
+			r.net = fitted.net
+			fill(r, tr.Reqs[7000:])
 			r.Victim() // grow scratch, embed all residents, spawn workers
 			avg := testing.AllocsPerRun(200, func() {
 				if _, ok := r.Victim(); !ok {
@@ -56,6 +83,9 @@ func TestEvictionPathAllocFree(t *testing.T) {
 			})
 			if avg != 0 {
 				t.Errorf("Workers=%d: eviction decision allocates %.1f times per op; want 0", w, avg)
+			}
+			if r.health != Healthy || r.infNets == nil {
+				t.Fatalf("the model did not decide: health %v", r.health)
 			}
 		})
 	}

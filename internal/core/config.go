@@ -47,13 +47,6 @@ type Config struct {
 	// ResidualSamples is M, the Monte Carlo draws per candidate used
 	// to estimate the priority score (§4.3.2; default 100).
 	ResidualSamples int
-	// ExactPriority evaluates the exact priority integral of Eq. 1b by
-	// quadrature instead of Monte Carlo sampling. The paper calls this
-	// "optimal [but] too complicated and computationally expensive"
-	// (§3.3); it is O(candidates² · grid) per eviction and exists for
-	// explainability experiments and as the reference the sampled
-	// estimator converges to.
-	ExactPriority bool
 
 	// TrainWindow is the elapsed virtual time between retrainings
 	// (§4.1, "1 day" in the paper). Required.

@@ -12,10 +12,11 @@ import (
 //
 //	p_j = ∫ p_{R_j}(t) Π_{k≠j} F_{R_k}(t) dt
 //
-// by trapezoidal quadrature on a log-time grid. It is O(n²·points) and
-// exists for explainability and for verifying the Monte Carlo
-// estimator (Eq. 1c) in tests; the policy itself uses the sampled
-// estimator.
+// by trapezoidal quadrature on a log-time grid. The paper calls this
+// rule "optimal [but] too complicated and computationally expensive"
+// (§3.3): it is O(n²·points). It is the reference the Monte Carlo
+// estimator (Eq. 1c) is verified against in tests; the policy itself
+// uses the sampled estimator.
 func PriorityScoresExact(mixes []nn.Mixture, points int) []float64 {
 	n := len(mixes)
 	out := make([]float64, n)

@@ -508,7 +508,7 @@ func (r *Raven) Victim() (cache.Key, bool) {
 	}
 	// Candidate-loop boundary: embed+predict is done, the estimator is
 	// next. A decision already past its deadline abandons to LRU here
-	// instead of paying the Monte Carlo (or quadrature) pass.
+	// instead of paying the Monte Carlo pass.
 	if r.overBudget(budget, deadline) {
 		r.sloOverrun()
 		return r.fallbackVictim(), true
@@ -518,25 +518,6 @@ func (r *Raven) Victim() (cache.Key, bool) {
 			r.sloMet()
 		}
 		return r.scrKeys[0], true
-	}
-	if r.cfg.ExactPriority {
-		scores := PriorityScoresExact(r.scrMix, 256)
-		best := -1.0
-		victim := r.scrKeys[0]
-		for j := 0; j < n; j++ {
-			score := scores[j]
-			if r.cfg.Goal == GoalOHR {
-				score *= float64(r.scrSize[j])
-			}
-			if score > best {
-				best = score
-				victim = r.scrKeys[j]
-			}
-		}
-		if budget > 0 {
-			r.sloMet()
-		}
-		return victim, true
 	}
 	// Monte Carlo estimator (Eq. 1c): the win count is the score up to
 	// the constant 1/M factor, which cannot change the argmax, so the

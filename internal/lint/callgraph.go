@@ -83,6 +83,10 @@ type Edge struct {
 	To   *FuncNode
 	Pos  token.Pos
 	Kind string // "static", "interface", "funcval", "literal"
+	// Cold marks dispatch through an interface declared
+	// //lint:coldpath <reason>: a seam where the hot path hands over to
+	// code under another budget. Hot-path closures do not follow it.
+	Cold bool
 }
 
 // taint masks for the determinism-taint rule.
@@ -192,6 +196,9 @@ type Graph struct {
 	// namedTypes is every named (non-interface) type declared in the
 	// module, in deterministic order, for implements queries.
 	namedTypes []*types.Named
+
+	// coldIfaces is every interface type declared //lint:coldpath.
+	coldIfaces map[types.Object]bool
 }
 
 // NodeByName returns the node with the given display name, or nil.
@@ -211,16 +218,17 @@ func isTestFile(p *Package, f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Package).Filename, "_test.go")
 }
 
-// hotPathDirective scans the doc comment of decl for a
-// "//lint:hotpath <reason>" directive marking an additional
-// hot-path-purity entry point.
-func hotPathDirective(decl *ast.FuncDecl) bool {
-	if decl.Doc == nil {
+// docDirective reports whether a doc comment carries the
+// "//<directive> <reason>" line: "lint:hotpath" on a function marks an
+// additional hot-path-purity entry point, "lint:coldpath" on an
+// interface type a seam those closures stop at.
+func docDirective(doc *ast.CommentGroup, directive string) bool {
+	if doc == nil {
 		return false
 	}
-	for _, c := range decl.Doc.List {
+	for _, c := range doc.List {
 		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if strings.HasPrefix(text, "lint:hotpath") {
+		if strings.HasPrefix(text, directive) {
 			return true
 		}
 	}
@@ -237,6 +245,7 @@ func BuildGraph(pkgs []*Package) *Graph {
 		byLit:       make(map[*ast.FuncLit]*FuncNode),
 		funcTargets: make(map[*types.Var][]*FuncNode),
 		ifaceImpls:  make(map[*types.Func][]*FuncNode),
+		coldIfaces:  make(map[types.Object]bool),
 	}
 	g.collectNodes()
 	g.collectNamedTypes()
@@ -285,6 +294,13 @@ func (g *Graph) collectNodes() {
 				continue
 			}
 			for _, d := range f.Decls {
+				if gen, ok := d.(*ast.GenDecl); ok && docDirective(gen.Doc, "lint:coldpath") {
+					for _, spec := range gen.Specs {
+						if ts, ok := spec.(*ast.TypeSpec); ok {
+							g.coldIfaces[p.Info.Defs[ts.Name]] = true
+						}
+					}
+				}
 				decl, ok := d.(*ast.FuncDecl)
 				if !ok || decl.Body == nil {
 					continue
@@ -293,7 +309,7 @@ func (g *Graph) collectNodes() {
 					Name:     nodeName(p, decl),
 					Pkg:      p,
 					Decl:     decl,
-					HotEntry: hotPathDirective(decl),
+					HotEntry: docDirective(decl.Doc, "lint:hotpath"),
 					index:    len(g.Nodes),
 				}
 				if obj, ok := p.Info.Defs[decl.Name].(*types.Func); ok {
@@ -707,8 +723,10 @@ func (g *Graph) walkCall(n *FuncNode, call *ast.CallExpr, lockEvents *[]lockEven
 		}
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 			if _, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
+				named, _ := sig.Recv().Type().(*types.Named)
+				cold := named != nil && g.coldIfaces[named.Obj()]
 				for _, impl := range g.ifaceMethodImpls(fn) {
-					n.addEdge(impl, call.Pos(), "interface")
+					n.Calls = append(n.Calls, Edge{To: impl, Pos: call.Pos(), Kind: "interface", Cold: cold})
 				}
 				return
 			}
@@ -842,8 +860,8 @@ var allocPkgs = map[string]bool{
 	"container/list": true, "container/heap": true,
 }
 
-// pureStringFuncs are strings/bytes/strconv/sort functions that do not
-// allocate (pure scans, in-place sorts of concrete slices).
+// pureStringFuncs are strings/bytes/strconv/sort/errors functions that
+// do not allocate (pure scans, in-place sorts of concrete slices).
 var pureStringFuncs = map[string]bool{
 	"Contains": true, "ContainsAny": true, "ContainsRune": true,
 	"HasPrefix": true, "HasSuffix": true, "Index": true, "IndexByte": true,
@@ -854,6 +872,13 @@ var pureStringFuncs = map[string]bool{
 	"ParseUint": true, "ParseFloat": true, "ParseBool": true,
 	"Ints": true, "Float64s": true, "Strings": true, "Search": true,
 	"SearchInts": true, "IsSorted": true, "Len": true,
+	"Is": true, "As": true, "Unwrap": true, // errors: walk the chain, allocate nothing
+}
+
+// bufioAccessors are the bufio.Reader/Writer methods that only inspect
+// the buffer.
+var bufioAccessors = map[string]bool{
+	"Buffered": true, "Available": true, "AvailableBuffer": true, "Size": true,
 }
 
 // clockFuncs are the time package's wall-clock reads.
@@ -876,6 +901,8 @@ func (g *Graph) modelExternCall(n *FuncNode, call *ast.CallExpr, fn *types.Func)
 	switch {
 	case path == "time" && !isMethod && clockFuncs[name]:
 		n.addEffect(effClock, call.Pos(), "time."+name)
+	case path == "bufio" && bufioAccessors[name]:
+		// reads a field of the buffer; no byte moves
 	case ioPkgs[path]:
 		n.addEffect(effIO, call.Pos(), path+"."+name)
 	case path == "fmt" && (strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint")):

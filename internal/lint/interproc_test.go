@@ -214,6 +214,20 @@ func sub() int64 { return time.Now().UnixNano() }
 			want: []string{"5:[hot-path-purity]", "9:[hot-path-purity]", "9:[wall-clock]"},
 		},
 		{
+			name: "the closure stops at a coldpath interface, not at any other",
+			src: `package fix
+//lint:coldpath fixture seam: what is behind it has its own budget
+type Seam interface{ Serve() }
+type Plain interface{ Work() }
+type impl struct{}
+func (impl) Serve() { _ = make([]int, 8) }
+func (impl) Work()  { _ = make([]int, 8) }
+//lint:hotpath fixture entry point
+func Entry(s Seam, p Plain) { s.Serve(); p.Work() }
+`,
+			want: []string{"7:[hot-path-purity]"},
+		},
+		{
 			name: "pure hot path is clean",
 			src: `package fix
 //lint:hotpath fixture entry point

@@ -46,7 +46,10 @@ transitive call closure of the eviction entry points
     internal/cache.(*Cache).evict           (the lock-held eviction section)
 
 plus any function carrying a "//lint:hotpath <reason>" doc-comment
-directive, and reports every effect inside that closure: heap
+directive, and reports every effect inside that closure (which does
+not follow calls dispatched through an interface type declared
+"//lint:coldpath <reason>": a seam behind which code answers to
+another budget): heap
 allocation (make/new/append, &T{...}, slice/map literals, string
 concatenation or conversion, closure creation, go statements, known
 allocating stdlib calls), map iteration (nondeterministic order AND a
@@ -98,7 +101,7 @@ func checkHotPathPurity(g *Graph) []Finding {
 		queue = queue[1:]
 		order = append(order, n)
 		for _, e := range n.Calls {
-			if !visited[e.To] {
+			if !e.Cold && !visited[e.To] {
 				visited[e.To] = true
 				parent[e.To] = n
 				queue = append(queue, e.To)
@@ -265,10 +268,9 @@ propagation through local variables, control-dependence taint
 value flow through stdlib calls and conversions.
 
 Decision sinks are the policy decision functions, identified by shape:
-methods named Victim returning (candidate, bool), methods named Admit
-returning a single named struct type (the typed admission seam,
-cache.Decision), and methods named ShouldAdmit returning bool (the
-legacy boolean seam). A finding means a nondeterministic source
+methods named Victim returning (candidate, bool) and methods named
+Admit returning a single named struct type (the typed admission seam,
+cache.Decision). A finding means a nondeterministic source
 can reach the decision's return value; it names the source site. Two
 deliberate exclusions keep instrumentation clean: arguments do not
 flow through in-module calls (so passing a latency sample into a
@@ -282,10 +284,8 @@ taint).`,
 }
 
 // decisionSink reports whether n is a policy decision function by
-// shape: Victim() (T, bool) methods, Admit(...) Decision methods (the
-// typed admission seam — a single named-struct result), or
-// ShouldAdmit(...) bool methods (the legacy boolean seam, still
-// covered so out-of-tree policies on the shim stay checked).
+// shape: Victim() (T, bool) methods and Admit(...) Decision methods
+// (the typed admission seam — a single named-struct result).
 func decisionSink(n *FuncNode) bool {
 	if n.Decl == nil || n.Obj == nil || n.Decl.Recv == nil {
 		return false
@@ -302,8 +302,6 @@ func decisionSink(n *FuncNode) bool {
 	switch n.Obj.Name() {
 	case "Victim":
 		return res.Len() == 2 && isBool(res.At(1).Type())
-	case "ShouldAdmit":
-		return res.Len() == 1 && isBool(res.At(0).Type())
 	case "Admit":
 		if res.Len() != 1 {
 			return false

@@ -2,11 +2,11 @@ package nn
 
 // Checkpoint wire format v2.
 //
-// The legacy Save/LoadNet stream (v1) is a bare gob payload: a
-// truncated or bit-flipped file either fails to decode with an
-// unhelpful gob error or — worse — decodes into a plausible but wrong
-// network. v2 wraps the same gob payload in an integrity envelope so
-// corruption is detected before any weight is installed:
+// A bare gob payload (the retired v1 format) that is truncated or
+// bit-flipped either fails to decode with an unhelpful gob error or —
+// worse — decodes into a plausible but wrong network. v2 wraps the gob
+// payload in an integrity envelope so corruption is detected before
+// any weight is installed:
 //
 //	offset  size  field
 //	0       7     magic "RVNCKPT"
@@ -47,8 +47,8 @@ const (
 )
 
 // Checkpoint writes the network in wire format v2 (format-version
-// header, gob payload, CRC32 trailer). Like Save it persists
-// architecture, weights, and Version but no optimizer state.
+// header, gob payload, CRC32 trailer). It persists architecture,
+// weights, and Version but no optimizer state.
 func (n *Net) Checkpoint(w io.Writer) error {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(n.wire()); err != nil {
@@ -66,11 +66,10 @@ func (n *Net) Checkpoint(w io.Writer) error {
 	return nil
 }
 
-// LoadCheckpoint reads a network from a v2 checkpoint stream, falling
-// back to the legacy v1 (bare gob) format when the magic is absent so
-// pre-v2 model files stay loadable. Any integrity or validation
-// failure — truncation, CRC mismatch, unknown version, non-finite
-// weights, empty stream — returns an error wrapping ErrCorrupt.
+// LoadCheckpoint reads a network from a v2 checkpoint stream. Any
+// integrity or validation failure — missing magic, truncation, CRC
+// mismatch, unknown version, non-finite weights, empty stream —
+// returns an error wrapping ErrCorrupt.
 func LoadCheckpoint(r io.Reader) (*Net, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -80,8 +79,7 @@ func LoadCheckpoint(r io.Reader) (*Net, error) {
 		return nil, fmt.Errorf("nn: empty checkpoint: %w", ErrCorrupt)
 	}
 	if !bytes.HasPrefix(data, []byte(ckptMagic)) {
-		// Legacy v1 stream (bare gob); LoadNet validates it fully.
-		return LoadNet(bytes.NewReader(data))
+		return nil, fmt.Errorf("nn: not a checkpoint (no %q magic): %w", ckptMagic, ErrCorrupt)
 	}
 	if len(data) < ckptHeaderLen+4 {
 		return nil, fmt.Errorf("nn: truncated checkpoint header (%d bytes): %w", len(data), ErrCorrupt)

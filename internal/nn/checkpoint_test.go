@@ -31,23 +31,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointV1Fallback: pre-v2 model files (bare gob from
-// Save) must stay loadable through LoadCheckpoint.
-func TestLoadCheckpointV1Fallback(t *testing.T) {
-	n := guardNet()
-	var v1 bytes.Buffer
-	if err := n.Save(&v1); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCheckpoint(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(netBytes(t, got), netBytes(t, n)) {
-		t.Error("v1 fallback did not preserve weights bit-identically")
-	}
-}
-
 // TestCheckpointCorruptionMatrix is the satellite test: every
 // corruption in the matrix must yield an error wrapping ErrCorrupt
 // and a nil network — never a non-finite or silently-wrong net.
@@ -71,7 +54,8 @@ func TestCheckpointCorruptionMatrix(t *testing.T) {
 		{"flipped length byte", flip(good, len(ckptMagic)+2)},
 		{"wrong version byte", flip(good, len(ckptMagic))},
 		{"magic only", []byte(ckptMagic)},
-		{"garbage v1 stream", []byte("time key size\n1 2 3\n")},
+		{"no magic: text", []byte("time key size\n1 2 3\n")},
+		{"no magic: bare gob payload", good[ckptHeaderLen : len(good)-4]},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -100,22 +84,11 @@ func TestCheckpointRejectsNonFiniteWeights(t *testing.T) {
 	}
 }
 
-// TestLoadNetRejectsCorruptWire covers the satellite LoadNet fixes:
-// non-finite weights and duplicate tensor names in a legacy v1 stream.
-func TestLoadNetRejectsCorruptWire(t *testing.T) {
+// TestNetFromWireRejectsCorruptWire: a payload that decodes but does
+// not describe the network it claims to is rejected (non-finite weights
+// are TestCheckpointRejectsNonFiniteWeights).
+func TestNetFromWireRejectsCorruptWire(t *testing.T) {
 	n := guardNet()
-
-	t.Run("nan weight", func(t *testing.T) {
-		bad := guardNet()
-		bad.params[0].W[0] = math.NaN()
-		var buf bytes.Buffer
-		if err := bad.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if got, err := LoadNet(&buf); got != nil || !errors.Is(err, ErrCorrupt) {
-			t.Errorf("got net=%v err=%v, want nil + ErrCorrupt", got != nil, err)
-		}
-	})
 
 	t.Run("duplicate tensor", func(t *testing.T) {
 		w := n.wire()

@@ -17,7 +17,7 @@ func testNet(seed int64) *nn.Net {
 func netBytes(t *testing.T, n *nn.Net) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
+	if err := n.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

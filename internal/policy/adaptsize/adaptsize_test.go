@@ -11,10 +11,10 @@ func TestAdmissionProbabilityShape(t *testing.T) {
 	small := 0
 	big := 0
 	for i := 0; i < 1000; i++ {
-		if p.ShouldAdmit(cache.Request{Key: cache.Key(i), Size: 1}) {
+		if p.Admit(cache.Request{Key: cache.Key(i), Size: 1}).Admit {
 			small++
 		}
-		if p.ShouldAdmit(cache.Request{Key: cache.Key(i), Size: 100000}) {
+		if p.Admit(cache.Request{Key: cache.Key(i), Size: 100000}).Admit {
 			big++
 		}
 	}

@@ -180,14 +180,16 @@ func (p *LHR) OnEvict(key cache.Key) {
 	p.set.Remove(key)
 }
 
-// ShouldAdmit implements cache.Admitter when admission is enabled:
-// the newcomer must be worth more than the cheapest sampled resident.
-func (p *LHR) ShouldAdmit(req cache.Request) bool {
+// Admit implements cache.Admitter when admission is enabled: the
+// newcomer must be worth at least the cheapest sampled resident.
+func (p *LHR) Admit(req cache.Request) cache.Decision {
 	if !p.admission || p.set.Len() < sampleN {
-		return true
+		return cache.Accepted
 	}
-	_, minVal := p.cheapest()
-	return p.value(req.Key, req.Size) >= minVal
+	if _, minVal := p.cheapest(); p.value(req.Key, req.Size) < minVal {
+		return cache.Reject(cache.RejectPolicy)
+	}
+	return cache.Accepted
 }
 
 func (p *LHR) cheapest() (cache.Key, float64) {

@@ -83,17 +83,15 @@ func (p *TinyLFU) OnMiss(req cache.Request) {
 	p.SLRU.OnMiss(req)
 }
 
-// ShouldAdmit implements cache.Admitter: the TinyLFU duel — the
-// newcomer must be at least as popular as the object that would be
-// evicted to make room. Newcomers that fit in free space are always
-// admitted.
-func (p *TinyLFU) ShouldAdmit(req cache.Request) bool {
+// Admit implements cache.Admitter: the TinyLFU duel — the newcomer
+// must be at least as popular as the object that would be evicted to
+// make room. Newcomers that fit in free space are always admitted.
+func (p *TinyLFU) Admit(req cache.Request) cache.Decision {
 	if p.used+req.Size <= p.capacity {
-		return true
+		return cache.Accepted
 	}
-	victim, ok := p.SLRU.Victim()
-	if !ok {
-		return true
+	if victim, ok := p.SLRU.Victim(); ok && p.freq(req.Key) < p.freq(victim) {
+		return cache.Reject(cache.RejectPolicy)
 	}
-	return p.freq(req.Key) >= p.freq(victim)
+	return cache.Accepted
 }

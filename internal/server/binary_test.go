@@ -257,10 +257,10 @@ func FuzzBinaryFrames(f *testing.F) {
 }
 
 // TestServingPathAllocFree pins the zero-allocation budget of the
-// binary serving path: with deadlines disabled and buffers warmed, a
-// GET hit and a same-size SET must not allocate — on the server or
-// the client side (AllocsPerRun counts process-wide mallocs, and the
-// handler goroutine runs within the measured window).
+// serving path, binary and text: with deadlines disabled and buffers
+// warmed, a GET hit and a same-size SET must not allocate — on the
+// server or the client side (AllocsPerRun counts process-wide mallocs,
+// and the handler goroutine runs within the measured window).
 func TestServingPathAllocFree(t *testing.T) {
 	srv := newTestServer(t, 1<<20, func(c *Config) {
 		c.IdleTimeout = -1  // deadline arming is the only timer churn;
@@ -301,6 +301,35 @@ func TestServingPathAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("binary same-size SET allocates %.2f times per op; want 0", avg)
 	}
+
+	// Text, over a raw connection with fixed buffers: the text Client
+	// allocates a string per reply line, the server must not.
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var reply [16]byte
+	for _, tc := range []struct{ name, req, want string }{
+		{"GET hit", "GET 7 128\n", "HIT 128\n"},
+		{"same-size SET", "SET 7 128\n", "STORED 128\n"},
+	} {
+		req := []byte(tc.req)
+		roundTrip := func() {
+			if _, err := conn.Write(req); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(conn, reply[:len(tc.want)]); err != nil || string(reply[:len(tc.want)]) != tc.want {
+				t.Fatalf("text %s: reply %q err=%v", tc.name, reply[:len(tc.want)], err)
+			}
+		}
+		for i := 0; i < 32; i++ {
+			roundTrip()
+		}
+		if avg := testing.AllocsPerRun(500, roundTrip); avg != 0 {
+			t.Errorf("text %s allocates %.2f times per op; want 0", tc.name, avg)
+		}
+	}
 }
 
 // recordingBatch is a BatchBackend that answers from a fixed rule (odd
@@ -308,7 +337,7 @@ func TestServingPathAllocFree(t *testing.T) {
 type recordingBatch struct {
 	mu     sync.Mutex
 	bursts [][]Op
-	single int // Get/Set calls: the text protocol's path
+	single int // Get/Set calls: not the burst path
 }
 
 func (b *recordingBatch) ServeBatch(ops []Op, res []bool) {
@@ -323,74 +352,98 @@ func (b *recordingBatch) Get(key trace.Key, _, _ int64) bool { b.single++; retur
 func (b *recordingBatch) Set(key trace.Key, _, _ int64) bool { b.single++; return key%2 == 1 }
 func (b *recordingBatch) Stats() cache.Stats                 { return cache.Stats{} }
 
-// TestBinaryBurstToBatchBackend: the frames a client wrote together
-// reach a BatchBackend as one burst, in order, with timestamps resolved
-// and a PING ending the burst; the replies come back in request order,
-// a quiet miss silent. A strict request-response client gets bursts of
-// one.
-func TestBinaryBurstToBatchBackend(t *testing.T) {
-	be := &recordingBatch{}
-	srv, err := New(Config{Backend: be, DrainTimeout: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
+// TestBurstToBatchBackend, for both codecs: the requests a client wrote
+// together reach a BatchBackend as one burst, in order, with timestamps
+// resolved and a PING ending the burst; the replies come back in
+// request order, a quiet miss (binary only) silent. A strict
+// request-response client gets bursts of one.
+func TestBurstToBatchBackend(t *testing.T) {
 	noTime := uint64(math.MaxUint64) // binNoTime on the wire
-	var wire []byte
-	wire = append(wire, rawFrame(binMagicReq, binVerbGet, 1, 10, 5)...)
-	wire = append(wire, rawFrame(binMagicReq, binVerbGet, 2, 11, noTime)...)
-	wire = append(wire, rawFrame(binMagicReq, binVerbSet, 3, 12, noTime)...)
-	wire = append(wire, rawFrame(binMagicReq, binVerbGetQ, 4, 13, noTime)...) // quiet miss: no frame
-	wire = append(wire, rawFrame(binMagicReq, binVerbGetQ, 5, 14, noTime)...)
-	wire = append(wire, rawFrame(binMagicReq, binVerbPing, 0, 0, 0)...)
-	wire = append(wire, rawFrame(binMagicReq, binVerbSet, 6, 15, noTime)...)
-	if _, err := conn.Write(wire); err != nil {
-		t.Fatal(err)
+	var frames []byte
+	for _, f := range []struct {
+		verb      byte
+		key, size uint64
+		ts        uint64
+	}{
+		{binVerbGet, 1, 10, 5}, {binVerbGet, 2, 11, noTime}, {binVerbSet, 3, 12, noTime},
+		{binVerbGetQ, 4, 13, noTime}, // quiet miss: no frame
+		{binVerbGetQ, 5, 14, noTime}, {binVerbPing, 0, 0, 0}, {binVerbSet, 6, 15, noTime},
+	} {
+		frames = append(frames, rawFrame(binMagicReq, f.verb, f.key, f.size, f.ts)...)
 	}
-	for i, want := range []struct {
+	var replies []byte
+	for _, r := range []struct {
 		status  byte
 		payload int64
 	}{
 		{binStatusHit, 10}, {binStatusMiss, 11}, {binStatusStored, 12},
 		{binStatusHitQ, 5}, {binStatusPong, 0}, {binStatusNotStored, 15},
 	} {
-		if status, payload := readRawReply(t, conn); status != want.status || payload != want.payload {
-			t.Errorf("reply %d: status 0x%02x payload %d, want 0x%02x %d", i, status, payload, want.status, want.payload)
-		}
+		replies = appendBinResp(replies, r.status, r.payload)
 	}
+	for _, tc := range []struct {
+		name          string
+		wire, replies string
+		dial          func(string) (*Client, error)
+		quietFrom     int // first quiet op of the burst
+	}{
+		{"binary", string(frames), string(replies), DialBinary, 3},
+		{"text", "GET 1 10 5\nGET 2 11\nSET 3 12\nGET 4 13\nGET 5 14\nPING\nSET 6 15\n",
+			"HIT 10\nMISS 11\nSTORED 12\nMISS 13\nHIT 14\nPONG\nNOSTORED 15\n", Dial, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			be := &recordingBatch{}
+			srv, err := New(Config{Backend: be, DrainTimeout: time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = srv.Close() })
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write([]byte(tc.wire)); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, len(tc.replies))
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := io.ReadFull(conn, got); err != nil || string(got) != tc.replies {
+				t.Fatalf("replies %q err=%v, want %q", got, err, tc.replies)
+			}
 
-	cl := dialBinary(t, srv)
-	for k := trace.Key(10); k < 13; k++ {
-		if hit, err := cl.Get(k, 10, binNoTime); err != nil || hit != (k%2 == 1) {
-			t.Errorf("GET %d: hit=%v err=%v", k, hit, err)
-		}
-	}
+			cl, err := tc.dial(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			for k := trace.Key(10); k < 13; k++ {
+				if hit, err := cl.Get(k, 10, binNoTime); err != nil || hit != (k%2 == 1) {
+					t.Errorf("GET %d: hit=%v err=%v", k, hit, err)
+				}
+			}
 
-	be.mu.Lock()
-	defer be.mu.Unlock()
-	var sizes []int
-	for _, b := range be.bursts {
-		sizes = append(sizes, len(b))
-	}
-	if want := []int{5, 1, 1, 1, 1}; !reflect.DeepEqual(sizes, want) {
-		t.Fatalf("burst sizes %v, want %v (one write, split only by its PING; then strict request-response)", sizes, want)
-	}
-	first := be.bursts[0]
-	for i, op := range first {
-		if op.Key != trace.Key(i+1) || op.Size != int64(10+i) || op.Set != (i == 2) || op.Quiet != (i >= 3) {
-			t.Errorf("burst op %d = %+v", i, op)
-		}
-		if op.Time < 5 || i > 0 && op.Time <= first[i-1].Time {
-			t.Errorf("burst op %d: time %d is not resolved against the virtual clock (previous %d)", i, op.Time, first[max(i-1, 0)].Time)
-		}
-	}
-	if be.single != 0 {
-		t.Errorf("%d requests took the op-by-op path", be.single)
+			be.mu.Lock()
+			defer be.mu.Unlock()
+			var sizes []int
+			for _, b := range be.bursts {
+				sizes = append(sizes, len(b))
+			}
+			if want := []int{5, 1, 1, 1, 1}; !reflect.DeepEqual(sizes, want) {
+				t.Fatalf("burst sizes %v, want %v (one write, split only by its PING; then strict request-response)", sizes, want)
+			}
+			first := be.bursts[0]
+			for i, op := range first {
+				if op.Key != trace.Key(i+1) || op.Size != int64(10+i) || op.Set != (i == 2) || op.Quiet != (i >= tc.quietFrom) {
+					t.Errorf("burst op %d = %+v", i, op)
+				}
+				if op.Time < 5 || i > 0 && op.Time <= first[i-1].Time {
+					t.Errorf("burst op %d: time %d is not resolved against the virtual clock (previous %d)", i, op.Time, first[max(i-1, 0)].Time)
+				}
+			}
+			if be.single != 0 {
+				t.Errorf("%d requests took the op-by-op path", be.single)
+			}
+		})
 	}
 }

@@ -239,10 +239,10 @@ var textReplies = [...]struct {
 // so long pipelined runs are bounded per reply, not per batch.
 func (c *Client) readReply() (byte, int64, error) {
 	if !c.binary {
-		//lint:allow hot-path-purity the wire read IS the hop; the binary branch reads a node's whole reply burst from one buffer fill
 		if c.r.Buffered() == 0 {
 			c.armDeadline()
 		}
+		//lint:allow hot-path-purity the wire read IS the hop; the binary branch reads a node's whole reply burst from one buffer fill
 		line, err := c.r.ReadString('\n')
 		if err != nil {
 			return 0, 0, err

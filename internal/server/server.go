@@ -1,25 +1,29 @@
 // Package server implements the prototype cache server used for the
 // paper's §5.4 system experiment — our stand-in for the Apache Traffic
-// Server integration. It serves two protocols on the same port,
-// selected per connection by the first byte (no text command starts
-// with the binary magic 0x80):
+// Server integration. One request loop (serveConn) serves every
+// connection; what differs per connection is the codec, picked by the
+// first byte (no text command starts with the binary magic 0x80):
+// LF-terminated lines (text.go), or fixed 26-byte request and 10-byte
+// reply frames, memcached-style (binary.go).
 //
-// Line-based text protocol:
+//	verb       text: request → reply                                  binary: verb → status, payload
+//	GET        GET <key> <size> [time] → HIT|MISS <size>              0x01 → HIT|MISS, size
+//	SET        SET <key> <size> [time] → STORED|NOSTORED <size>       0x02 → STORED|NOSTORED, size
+//	GETQ       —                                                      0x04 → HITQ, key; no reply on a miss
+//	PING       PING → PONG                                            0x05 → PONG
+//	QUIT       QUIT → close                                           0x03 → close
+//	STATS      STATS → STATS <requests> <hits> <reqBytes> <hitBytes>  —
+//	METRICS    METRICS → METRICS <n> + n "name value" lines           —
+//	malformed  ERR <why>, connection goes on; a line over 64 KiB:     0x80 (unknown verb) or 0x81 (bad
+//	           ERR line too long, then close                          frame), then close
 //
-//	GET <key> <size> [time]\n →  HIT <size>\n | MISS <size>\n
-//	SET <key> <size> [time]\n →  STORED <size>\n | NOSTORED <size>\n
-//	STATS\n                   →  STATS <requests> <hits> <reqBytes> <hitBytes>\n
-//	METRICS\n                 →  METRICS <n>\n followed by n "name value" lines
-//	QUIT\n                    →  connection close
-//
-// Binary protocol (binary.go): fixed 26-byte little-endian request
-// frames and 10-byte status replies, memcached-style. Both protocols
-// support pipelining — any number of requests may be in flight per
-// connection, replies come back in order, and the server batches
-// reply flushes (one write syscall per drained read burst, not one
-// per reply). All per-request parse/reply state lives in reusable
-// per-connection buffers, so the steady-state GET/SET serving path
-// performs zero heap allocations per request.
+// A verb a codec does not carry is malformed to it. Both codecs
+// pipeline: any number of requests may be in flight, replies come back
+// in order, the requests buffered together are served as one burst
+// (one ServeBatch call behind a BatchBackend such as the cluster
+// router) and their replies leave in one write. All per-request state
+// lives in the connection's reusable block, so the steady-state GET/SET
+// path performs zero heap allocations per request.
 //
 // A configurable origin delay is charged on every miss and a cache
 // delay on every request, modelling the testbed RTTs of §5.1.4 at a
@@ -51,9 +55,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,10 +64,6 @@ import (
 	"raven/internal/obs"
 	"raven/internal/trace"
 )
-
-// maxLineBytes bounds one protocol line; longer lines are answered
-// with "ERR line too long" and the connection is closed.
-const maxLineBytes = 1 << 16
 
 // defaultReadBuf is the per-connection read buffer; it bounds how
 // many pipelined requests are parsed (and their replies batched) per
@@ -219,17 +217,39 @@ type serverMetrics struct {
 // hardened protocol loop. Get and Set receive the timestamp already
 // resolved against the server's virtual clock and report hit/stored.
 // Implementations must be safe for concurrent use.
+//
+//lint:coldpath the serving loop's fence ends at this seam: behind it a miss admits, evicts and, under Raven, may fit inline; Cache.evict, Raven.Victim and Router.ServeBatch are hot-path entries of their own
 type Backend interface {
 	Get(key trace.Key, size, ts int64) bool
 	Set(key trace.Key, size, ts int64) bool
 	Stats() cache.Stats
 }
 
+// engineBackend is the default Backend: the in-process sharded cache.
+// Only the key's shard lock is held per op. It is deliberately not a
+// BatchBackend: on the engine each op of a burst is timed from its own
+// start.
+type engineBackend struct{ eng *cache.Sharded }
+
+func (e engineBackend) Get(key trace.Key, size, ts int64) bool {
+	return e.eng.Handle(trace.Request{Time: ts, Key: key, Size: size, Next: trace.NoNext})
+}
+
+// Set stores one object (see cache.Cache.Set) and reports whether it is
+// resident afterwards.
+func (e engineBackend) Set(key trace.Key, size, ts int64) bool {
+	return e.eng.Set(trace.Request{Time: ts, Key: key, Size: size, Next: trace.NoNext})
+}
+
+// Stats merges the per-shard snapshots, each taken under its own lock;
+// see Sharded.StatsSnapshot.
+func (e engineBackend) Stats() cache.Stats { return e.eng.StatsSnapshot() }
+
 // BatchBackend is optionally implemented by a Backend that serves a
 // burst of pipelined requests faster together than one by one (the
-// cluster router forwards a burst as one batch per node). The binary
-// protocol loop probes for it; without it a burst is served through
-// Get and Set, op by op.
+// cluster router forwards a burst as one batch per node). The request
+// loop probes for it; without it a burst is served through Get and
+// Set, op by op.
 type BatchBackend interface {
 	Backend
 	// ServeBatch serves ops in order and stores each op's outcome (hit
@@ -245,12 +265,13 @@ type Server struct {
 	cfg Config
 	ln  net.Listener
 
-	// engine is the sharded cache; it owns all locking (per shard), so
-	// the server has no global cache mutex on the request path. It is
-	// nil when Config.Backend overrides it.
-	engine  *cache.Sharded
+	// backend serves every request: Config.Backend, or the in-process
+	// sharded cache behind engineBackend. The engine owns all locking
+	// (per shard), so the server has no global cache mutex on the
+	// request path.
 	backend Backend
 	batch   BatchBackend // backend, when it serves bursts as batches
+	shards  int          // the in-process engine's shard count; 0 behind Config.Backend
 	// vclock is the fallback virtual clock for clients that send no
 	// trace timestamps: a monotone request counter across all shards.
 	vclock atomic.Int64
@@ -275,7 +296,8 @@ type Server struct {
 // New creates and starts a server listening on cfg.Addr.
 func New(cfg Config) (*Server, error) {
 	var engine *cache.Sharded
-	if cfg.Backend != nil {
+	backend := cfg.Backend
+	if backend != nil {
 		if cfg.Policy != nil || cfg.NewPolicy != nil {
 			return nil, errors.New("server: Backend and Policy/NewPolicy are mutually exclusive")
 		}
@@ -305,6 +327,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
+		backend = engineBackend{engine}
 	}
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -320,8 +343,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		ln:      ln,
-		engine:  engine,
-		backend: cfg.Backend,
+		backend: backend,
 		closed:  make(chan struct{}),
 		fatal:   make(chan struct{}),
 		conns:   make(map[net.Conn]struct{}),
@@ -346,12 +368,13 @@ func New(cfg Config) (*Server, error) {
 			pings:          reg.Counter("server.pings"),
 		},
 	}
-	s.batch, _ = cfg.Backend.(BatchBackend)
+	s.batch, _ = backend.(BatchBackend)
 	if engine != nil {
+		s.shards = engine.Shards()
 		cacheObs := &obs.ShardedCacheObs{}
-		cacheObs.Init(engine.Shards())
+		cacheObs.Init(s.shards)
 		cacheObs.Register(reg, "cache")
-		for i := 0; i < engine.Shards(); i++ {
+		for i := 0; i < s.shards; i++ {
 			engine.SetShardObs(i, cacheObs.Shard(i))
 		}
 	}
@@ -362,12 +385,7 @@ func New(cfg Config) (*Server, error) {
 
 // Shards returns the engine's shard count (a power of two), or 0 when
 // a Backend replaces the in-process engine.
-func (s *Server) Shards() int {
-	if s.engine == nil {
-		return 0
-	}
-	return s.engine.Shards()
-}
+func (s *Server) Shards() int { return s.shards }
 
 // Fatal is closed if the accept loop dies without Close being called —
 // the listener failed permanently and the server will never serve
@@ -389,12 +407,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Stats returns merged per-shard cache statistics (or the Backend's
 // view when one replaces the engine). Each shard's snapshot is taken
 // under its own lock; see Sharded.StatsSnapshot.
-func (s *Server) Stats() cache.Stats {
-	if s.backend != nil {
-		return s.backend.Stats()
-	}
-	return s.engine.StatsSnapshot()
-}
+func (s *Server) Stats() cache.Stats { return s.backend.Stats() }
 
 // Metrics returns the server's metric registry (live counters, gauges,
 // and latency histograms — the same data METRICS serves on the wire).
@@ -545,10 +558,11 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// connIO bundles one connection's reusable I/O state. Every buffer is
-// allocated once at accept time and reused for each request, so the
+// connIO is one connection's whole serving state, allocated as a single
+// block at accept time and reused for every request, so the
 // steady-state serving path (text and binary GET/SET) performs zero
 // heap allocations per request — asserted by TestServingPathAllocFree.
+// The codecs (text.go, binary.go) are method sets over it.
 type connIO struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -558,81 +572,87 @@ type connIO struct {
 	idle  time.Duration // read deadline, armed when a read may block
 	write time.Duration // write deadline, armed per flush
 
-	line   []byte          // accumulates one text line across ReadSlice chunks
-	fields [][]byte        // reused per-line field views into line
-	out    []byte          // reply-building scratch
-	hdr    [binReqLen]byte // binary request frame
-	rep    [binRespLen]byte
+	// The slices grow on first use and are then reused.
+	line   []byte   // text: one request line, accumulated across ReadSlice chunks
+	fields [][]byte // text: field views into line
+	out    []byte   // the staged reply to a malformed request; STATS/METRICS scratch
+	ended  bool     // the codec's stream is over: its next decode reports io.EOF
 
-	sawEOF bool // a final unterminated line was already served
+	// Burst scratch, outcomes first: a burst of one touches a single page
+	// of the block. Split over two heap objects it cost a depth-1 client
+	// 0.3 µs a request in cold lines after every context switch.
+	res [burstCap]bool
+	ops [burstCap]Op
 }
+
+// burstCap bounds how many requests are served as one burst: the
+// binary frames a default read buffer holds. Their replies, text or
+// binary, fit the reply buffer.
+const burstCap = defaultReadBuf / binReqLen
 
 // flush writes the buffered replies to the connection under the write
-// deadline and reports whether the peer is still reachable.
+// deadline and reports whether the peer is still reachable (a reply
+// write that failed earlier surfaces here).
 func (c *connIO) flush() bool {
-	if c.bw.Buffered() == 0 {
-		return true
+	if c.bw.Buffered() > 0 {
+		if c.write > 0 {
+			//lint:allow hot-path-purity the clock read IS the write deadline; one per flush, not per reply
+			_ = c.conn.SetWriteDeadline(time.Now().Add(c.write))
+		}
+		c.met.flushes.Inc()
 	}
-	if c.write > 0 {
+	return c.bw.Flush() == nil //lint:allow hot-path-purity the wire write IS the reply: one per drained burst
+}
+
+// send buffers one framed reply; flush decides when bytes hit the wire.
+// A reply that does not fit (a large METRICS snapshot) spills to the
+// connection inside bufio, so that write gets the write deadline too.
+// A failed write is sticky in bufio and surfaces at the next flush.
+func (c *connIO) send(p []byte) {
+	if len(p) > c.bw.Available() && c.write > 0 {
+		//lint:allow hot-path-purity the clock read IS the write deadline; only when a reply spills past the buffer
 		_ = c.conn.SetWriteDeadline(time.Now().Add(c.write))
 	}
-	c.met.flushes.Inc()
-	return c.bw.Flush() == nil
+	_, _ = c.bw.Write(p) //lint:allow hot-path-purity a copy into the reply buffer; the wire is touched only on a spill
 }
 
-// maybeFlush flushes when the read side has drained (the handler is
-// about to block, so the client is waiting on these replies) or the
-// reply buffer is nearly full. Mid-burst replies stay buffered: a
-// pipelined batch costs one write syscall, not one per reply.
-func (c *connIO) maybeFlush() bool {
-	if c.br.Buffered() == 0 || c.bw.Available() < 128 {
-		return c.flush()
-	}
-	return true
-}
+// verb is what a codec decoded a request into.
+type verb uint8
 
-// errLineTooLong marks a text request line exceeding maxLineBytes.
-var errLineTooLong = errors.New("server: line too long")
+const (
+	verbNone    verb = iota // nothing to answer (a blank text line)
+	verbOp                  // GET, SET or GETQ, decoded into an Op
+	verbPing                // liveness probe / pipeline barrier
+	verbQuit                // close the connection
+	verbStats               // text only
+	verbMetrics             // text only
+	verbBad                 // malformed; the error reply is staged in connIO.out
+	verbTooLong             // text line over maxLineBytes; reply staged likewise
+)
 
-// readLine reads one LF-terminated request line into c.line, reusing
-// its backing array. The idle deadline is armed whenever the read may
-// block (nothing buffered), so a slow-loris that trickles bytes is
-// still reaped. A final unterminated line before EOF is served once,
-// matching the previous bufio.Scanner behavior.
-func (c *connIO) readLine() ([]byte, error) {
-	if c.sawEOF {
-		return nil, io.EOF
-	}
-	c.line = c.line[:0]
-	for {
-		if c.br.Buffered() == 0 && c.idle > 0 {
-			_ = c.conn.SetReadDeadline(time.Now().Add(c.idle))
-		}
-		chunk, err := c.br.ReadSlice('\n')
-		if len(c.line)+len(chunk) > maxLineBytes {
-			return nil, errLineTooLong
-		}
-		c.line = append(c.line, chunk...)
-		switch err {
-		case nil:
-			return c.line, nil
-		case bufio.ErrBufferFull:
-			continue
-		case io.EOF:
-			if len(c.line) > 0 {
-				c.sawEOF = true
-				return c.line, nil
-			}
-			return nil, io.EOF
-		default:
-			return nil, err
-		}
-	}
+// codec is the byte side of a connection: it decodes requests and
+// frames replies, and knows nothing of what a request means. Both
+// implementations wrap the connection's *connIO and keep their state in it.
+type codec interface {
+	// next blocks for the next request and decodes it: a verbOp into
+	// *op, anything else into its verb. A request the codec does not
+	// carry, or cannot parse, is verbBad with the reply staged in
+	// connIO.out; a codec that cannot find the next request boundary
+	// after it ends the stream. The idle deadline is armed only when
+	// the read can block.
+	next(op *Op) (verb, error)
+	// more reports whether another whole request is already buffered,
+	// so that next will not block.
+	more() bool
+	// reply frames the outcome of a GET/SET; pong answers a PING.
+	reply(op Op, ok bool)
+	pong()
 }
 
 // handle serves one connection: it sniffs the protocol from the first
-// byte (the binary request magic can never start a text command) and
-// dispatches to the text or binary loop for the connection's lifetime.
+// byte (the binary request magic can never start a text command),
+// picks the codec and runs the request loop for the connection's
+// lifetime.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.removeConn(conn)
@@ -642,15 +662,12 @@ func (s *Server) handle(conn net.Conn) {
 		r = &faultReader{r: r, inject: f.ReadErr}
 	}
 	c := &connIO{
-		conn:   conn,
-		br:     bufio.NewReaderSize(r, s.cfg.readBuf()),
-		bw:     bufio.NewWriterSize(conn, replyBufBytes),
-		met:    &s.met,
-		idle:   s.cfg.idleTimeout(),
-		write:  s.cfg.writeTimeout(),
-		line:   make([]byte, 0, 256),
-		fields: make([][]byte, 0, 8),
-		out:    make([]byte, 0, 64),
+		conn:  conn,
+		br:    bufio.NewReaderSize(r, s.cfg.readBuf()),
+		bw:    bufio.NewWriterSize(conn, replyBufBytes),
+		met:   &s.met,
+		idle:  s.cfg.idleTimeout(),
+		write: s.cfg.writeTimeout(),
 	}
 	if c.idle > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(c.idle))
@@ -660,195 +677,129 @@ func (s *Server) handle(conn net.Conn) {
 		s.classifyReadErr(err)
 		return
 	}
+	cd, conns, requests := codec(textCodec{c}), s.met.connsText, s.met.requestsText
 	if first[0] == binMagicReq {
-		s.met.connsBinary.Inc()
-		s.handleBinary(c)
-		return
+		cd, conns, requests = binCodec{c}, s.met.connsBinary, s.met.requestsBinary
 	}
-	s.met.connsText.Inc()
-	s.handleText(c)
+	conns.Inc()
+	s.serveConn(c, cd, requests)
 }
 
-// handleText serves one text-protocol connection. Requests are parsed
-// in place from the connection's reusable line buffer and replies are
-// built in its scratch buffer — no per-request allocation — with
-// batched flushing shared with the binary path.
-func (s *Server) handleText(c *connIO) {
-	// Arm the idle deadline for the first line; readLine re-arms it
-	// whenever a later read may block, and connIO.flush arms the write
-	// deadline per batched flush.
-	if c.idle > 0 {
-		_ = c.conn.SetReadDeadline(time.Now().Add(c.idle))
-	}
+// serveConn is the request loop of every connection. It owns what a
+// request means; cd owns the bytes. Each iteration gathers a burst — the
+// GET/SETs already buffered when the first of them is read; the loop
+// never waits for more, so a strict request-response client gets bursts
+// of one — serves it, then answers the control verb or malformed
+// request that ended it, if one did. Replies are flushed when the read
+// side has drained: the client is waiting on them.
+//
+//lint:hotpath the serving loop: every request of either protocol crosses it, and TestServingPathAllocFree holds GET/SET to 0 allocs/op
+func (s *Server) serveConn(c *connIO, cd codec, requests *obs.Counter) {
 	for {
-		// Flush pending replies before a read that may block: the
-		// client is waiting on them before it sends more.
-		if !c.maybeFlush() {
-			return
+		n := 0
+		v, err := cd.next(&c.ops[0])
+		for v == verbOp {
+			if n++; n == burstCap || !cd.more() {
+				break
+			}
+			v, err = cd.next(&c.ops[n])
 		}
-		line, err := c.readLine()
+		if n > 0 {
+			requests.Add(int64(n))
+			s.serveBurst(c, cd, c.ops[:n])
+		}
 		if err != nil {
-			if errors.Is(err, errLineTooLong) {
-				// An oversized request line: tell the client why
-				// before closing instead of silently dropping the
-				// connection.
-				s.met.lineTooLong.Inc()
-				c.out = append(c.out[:0], "ERR line too long\n"...)
-				_, _ = c.bw.Write(c.out)
-				c.flush()
-			} else {
-				s.classifyReadErr(err)
-			}
+			s.classifyReadErr(err)
+			c.flush()
 			return
 		}
-		c.fields = splitFields(line, c.fields[:0])
-		fields := c.fields
-		if len(fields) == 0 {
-			continue
-		}
-		verb := fields[0]
-		switch {
-		case verbIs(verb, "GET"), verbIs(verb, "SET"):
-			isGet := verbIs(verb, "GET")
-			if len(fields) != 3 && len(fields) != 4 {
-				s.met.badRequests.Inc()
-				if isGet {
-					c.out = append(c.out[:0], "ERR want: GET <key> <size> [time]\n"...)
-				} else {
-					c.out = append(c.out[:0], "ERR want: SET <key> <size> [time]\n"...)
-				}
-				if _, err := c.bw.Write(c.out); err != nil {
-					return
-				}
-				continue
-			}
-			key, ok1 := parseUint(fields[1])
-			size, ok2 := parseUint(fields[2])
-			if !ok1 || !ok2 || size == 0 || size > math.MaxInt64 {
-				s.met.badRequests.Inc()
-				c.out = append(c.out[:0], "ERR bad key or size\n"...)
-				if _, err := c.bw.Write(c.out); err != nil {
-					return
-				}
-				continue
-			}
-			ts := int64(-1)
-			if len(fields) == 4 {
-				// A negative or otherwise malformed explicit timestamp
-				// is rejected outright — it must not silently fall
-				// back to the virtual clock and masquerade as a
-				// clockless client.
-				t, ok := parseUint(fields[3])
-				if !ok || t > math.MaxInt64 {
-					s.met.badRequests.Inc()
-					c.out = append(c.out[:0], "ERR bad time\n"...)
-					if _, err := c.bw.Write(c.out); err != nil {
-						return
-					}
-					continue
-				}
-				ts = int64(t)
-			}
-			s.met.requestsText.Inc()
-			t0 := time.Now()
-			var reply string
-			var hist *obs.Histogram
-			if isGet {
-				hit := s.serve(trace.Key(key), int64(size), ts)
-				if s.cfg.CacheDelay > 0 {
-					time.Sleep(s.cfg.CacheDelay)
-				}
-				if !hit && s.cfg.OriginDelay > 0 {
-					time.Sleep(s.cfg.OriginDelay)
-				}
-				reply, hist = "MISS ", s.met.getLatency
-				if hit {
-					reply = "HIT "
-				}
-			} else {
-				stored := s.serveSet(trace.Key(key), int64(size), ts)
-				if s.cfg.CacheDelay > 0 {
-					time.Sleep(s.cfg.CacheDelay)
-				}
-				reply, hist = "NOSTORED ", s.met.setLatency
-				if stored {
-					reply = "STORED "
-				}
-			}
-			if f := s.cfg.Faults; f != nil && f.PreReply != nil {
-				f.PreReply()
-			}
-			c.out = append(c.out[:0], reply...)
-			c.out = strconv.AppendUint(c.out, size, 10)
-			c.out = append(c.out, '\n')
-			_, err := c.bw.Write(c.out)
-			hist.Observe(time.Since(t0).Nanoseconds())
-			if err != nil {
-				return
-			}
-		case verbIs(verb, "STATS"):
-			st := s.Stats()
-			if f := s.cfg.Faults; f != nil && f.PreReply != nil {
-				f.PreReply()
-			}
-			c.out = append(c.out[:0], "STATS "...)
-			c.out = strconv.AppendInt(c.out, st.Requests, 10)
-			c.out = append(c.out, ' ')
-			c.out = strconv.AppendInt(c.out, st.Hits, 10)
-			c.out = append(c.out, ' ')
-			c.out = strconv.AppendInt(c.out, st.ReqBytes, 10)
-			c.out = append(c.out, ' ')
-			c.out = strconv.AppendInt(c.out, st.HitBytes, 10)
-			c.out = append(c.out, '\n')
-			if _, err := c.bw.Write(c.out); err != nil {
-				return
-			}
-		case verbIs(verb, "METRICS"):
-			// The whole snapshot is built into one buffer and handed
-			// to the writer as a unit: a mid-snapshot write fault
-			// kills the connection instead of leaving the client a
-			// torn half-snapshot, and the reply costs one flush.
+		switch v {
+		case verbPing:
+			// No cache work and no request accounting: health probing
+			// must not skew traffic reconciliation.
+			s.met.pings.Inc()
+			s.preReply()
+			cd.pong()
+		case verbStats:
+			st := s.backend.Stats()
+			s.preReply()
+			textCodec{c}.stats(st)
+		case verbMetrics:
+			// The snapshot is handed to the writer as a unit and flushed
+			// at once: a write fault kills the connection instead of
+			// leaving the client a torn half-snapshot.
 			kvs := s.metrics.Snapshot()
-			if f := s.cfg.Faults; f != nil && f.PreReply != nil {
-				f.PreReply()
-			}
-			c.out = append(c.out[:0], "METRICS "...)
-			c.out = strconv.AppendInt(c.out, int64(len(kvs)), 10)
-			c.out = append(c.out, '\n')
-			for _, kv := range kvs {
-				c.out = append(c.out, kv.Name...)
-				c.out = append(c.out, ' ')
-				c.out = strconv.AppendInt(c.out, kv.Value, 10)
-				c.out = append(c.out, '\n')
-			}
-			if _, err := c.bw.Write(c.out); err != nil {
-				return
-			}
+			s.preReply()
+			textCodec{c}.metrics(kvs)
 			if !c.flush() {
 				return
 			}
-		case verbIs(verb, "PING"):
-			// Liveness probe: answered without touching the cache and
-			// excluded from request counters, so health probing never
-			// skews traffic reconciliation.
-			s.met.pings.Inc()
-			if f := s.cfg.Faults; f != nil && f.PreReply != nil {
-				f.PreReply()
-			}
-			c.out = append(c.out[:0], "PONG\n"...)
-			if _, err := c.bw.Write(c.out); err != nil {
-				return
-			}
-		case verbIs(verb, "QUIT"):
+		case verbBad:
+			s.met.badRequests.Inc()
+			c.send(c.out)
+		case verbTooLong:
+			s.met.lineTooLong.Inc()
+			c.send(c.out)
+		case verbQuit:
 			c.flush()
 			return
-		default:
-			s.met.badRequests.Inc()
-			c.out = fmt.Appendf(c.out[:0], "ERR unknown command %q\n", verb)
-			if _, err := c.bw.Write(c.out); err != nil {
-				return
+		}
+		if !cd.more() && !c.flush() {
+			return
+		}
+	}
+}
+
+// serveBurst serves ops in order and frames their replies. A backend
+// that implements BatchBackend is handed the burst in one call; any
+// other serves it op by op. Either way CacheDelay, OriginDelay and
+// Faults.PreReply apply per op. The latency histograms time each op
+// from its own start, and from the burst's start behind a BatchBackend:
+// there the burst is the unit of work, and an op's reply is ready when
+// the burst's round trip is.
+func (s *Server) serveBurst(c *connIO, cd codec, ops []Op) {
+	var t0 time.Time
+	if s.batch != nil {
+		//lint:allow hot-path-purity times the op for server.get/set_latency_ns: two clock reads per op are the histograms' price
+		t0 = time.Now()
+		for i := range ops {
+			ops[i].Time = s.now(ops[i].Time)
+		}
+		s.batch.ServeBatch(ops, c.res[:len(ops)])
+	}
+	for i, op := range ops {
+		ok, hist := c.res[i], s.met.getLatency
+		if op.Set {
+			hist = s.met.setLatency
+		}
+		if s.batch == nil {
+			t0 = time.Now()
+			if ts := s.now(op.Time); op.Set {
+				ok = s.backend.Set(op.Key, op.Size, ts)
+			} else {
+				ok = s.backend.Get(op.Key, op.Size, ts)
 			}
 		}
+		if s.cfg.CacheDelay > 0 {
+			time.Sleep(s.cfg.CacheDelay)
+		}
+		if !ok && !op.Set && s.cfg.OriginDelay > 0 {
+			time.Sleep(s.cfg.OriginDelay)
+		}
+		// A quiet miss has no reply at all; its latency sample is still
+		// recorded — the work happened.
+		if ok || !op.Quiet {
+			s.preReply()
+			cd.reply(op, ok)
+		}
+		hist.Observe(time.Since(t0).Nanoseconds())
+	}
+}
+
+// preReply runs the fault-injection hook that precedes every reply.
+func (s *Server) preReply() {
+	if f := s.cfg.Faults; f != nil && f.PreReply != nil {
+		f.PreReply()
 	}
 }
 
@@ -873,62 +824,6 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// asciiSpace reports whether b is text-protocol field whitespace.
-func asciiSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\r' || b == '\n' }
-
-// splitFields splits line on ASCII whitespace into dst, reusing its
-// capacity; the returned views alias line.
-func splitFields(line []byte, dst [][]byte) [][]byte {
-	i := 0
-	for i < len(line) {
-		for i < len(line) && asciiSpace(line[i]) {
-			i++
-		}
-		start := i
-		for i < len(line) && !asciiSpace(line[i]) {
-			i++
-		}
-		if i > start {
-			dst = append(dst, line[start:i])
-		}
-	}
-	return dst
-}
-
-// verbIs reports a case-insensitive match of b against the upper-case
-// ASCII verb.
-func verbIs(b []byte, verb string) bool {
-	if len(b) != len(verb) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		if b[i]&^byte(0x20) != verb[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// parseUint parses an unsigned decimal from b. It rejects empty
-// input, any non-digit (including a sign), and overflow.
-func parseUint(b []byte) (uint64, bool) {
-	if len(b) == 0 || len(b) > 20 {
-		return 0, false
-	}
-	var v uint64
-	for _, ch := range b {
-		if ch < '0' || ch > '9' {
-			return 0, false
-		}
-		d := uint64(ch - '0')
-		if v > (math.MaxUint64-d)/10 {
-			return 0, false
-		}
-		v = v*10 + d
-	}
-	return v, true
-}
-
 // now resolves a request's policy timestamp. Explicit timestamps
 // ratchet the virtual clock forward (never backward), so mixed
 // timestamped and clockless clients keep policy time monotone —
@@ -944,28 +839,4 @@ func (s *Server) now(ts int64) int64 {
 			return ts
 		}
 	}
-}
-
-// serve handles one lookup on the key's shard; only that shard's lock
-// is held. ts < 0 substitutes the virtual clock so learning policies'
-// training windows still advance for clients that do not send trace
-// timestamps; explicit timestamps ratchet that clock (see now).
-func (s *Server) serve(key trace.Key, size int64, ts int64) bool {
-	t := s.now(ts)
-	if s.backend != nil {
-		return s.backend.Get(key, size, t)
-	}
-	req := trace.Request{Time: t, Key: key, Size: size, Next: trace.NoNext}
-	return s.engine.Handle(req)
-}
-
-// serveSet stores one object on the key's shard (see cache.Cache.Set)
-// and reports whether it is resident afterwards.
-func (s *Server) serveSet(key trace.Key, size int64, ts int64) bool {
-	t := s.now(ts)
-	if s.backend != nil {
-		return s.backend.Set(key, size, t)
-	}
-	req := trace.Request{Time: t, Key: key, Size: size, Next: trace.NoNext}
-	return s.engine.Set(req)
 }

@@ -58,7 +58,7 @@ func TestAdmissionPrefetchBitExact(t *testing.T) {
 		s += fmt.Sprintf(" queue=%d", r.PrefetchQueueLen())
 		if n := r.Net(); n != nil {
 			var buf bytes.Buffer
-			if err := n.Save(&buf); err != nil {
+			if err := n.Checkpoint(&buf); err != nil {
 				t.Fatalf("save net: %v", err)
 			}
 			s += fmt.Sprintf(" net=%x", buf.Bytes())

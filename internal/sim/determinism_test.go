@@ -104,7 +104,7 @@ func TestRavenWorkersBitExact(t *testing.T) {
 		}
 		if n := r.Net(); n != nil {
 			var buf bytes.Buffer
-			if err := n.Save(&buf); err != nil {
+			if err := n.Checkpoint(&buf); err != nil {
 				t.Fatalf("save net: %v", err)
 			}
 			s += fmt.Sprintf(" net=%x", buf.Bytes())

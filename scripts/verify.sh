@@ -21,11 +21,15 @@
 #                stale. RAVENLINT_REPORT=<file> keeps the -json report.
 #   determinism  admission + prefetch replays are bit-exact across runs
 #                and worker counts
-#   alloc        eviction decisions and the binary serving path —
-#                direct and through the router — hold 0 allocs/op
+#   alloc        eviction decisions and the serving path — text and
+#                binary direct, binary through the router — hold 0
+#                allocs/op
 #   bench-smoke  every benchmark still compiles and runs once,
 #                including the pipelined serving path over the wire and
 #                through the router
+#   fuzz-smoke   five seconds each of FuzzBinaryFrames and FuzzTextLines
+#                against a live server: no panic, no desync, and the
+#                seed corpora still pass
 #   checkpoint   a corrupted newest checkpoint generation is skipped on
 #                resume, end to end through raven-sim
 #
@@ -113,7 +117,7 @@ stage_alloc() {
     echo "==> eviction alloc sweep (0 allocs/op at Workers 1,2,4,8)"
     go test -count=1 -run 'TestEvictionPathAllocFree|TestFastPathAllocFree' ./internal/core/
 
-    echo "==> serving-path alloc assertion (binary GET/SET direct, 32-frame bursts through the router; 0 allocs/op)"
+    echo "==> serving-path alloc assertion (text and binary GET/SET direct, 32-frame bursts through the router; 0 allocs/op)"
     go test -count=1 -run 'TestServingPathAllocFree' ./internal/server/ ./internal/cluster/
 }
 
@@ -124,6 +128,14 @@ stage_bench_smoke() {
     # the router (BenchmarkRoutedPipeline).
     echo "==> benchmark smoke (-benchtime=1x)"
     go test -run='^$' -bench=. -benchtime=1x ./internal/nn/... ./internal/core/... ./internal/server/... ./internal/cluster/... >/dev/null
+}
+
+stage_fuzz_smoke() {
+    local target
+    for target in FuzzBinaryFrames FuzzTextLines; do
+        echo "==> fuzz smoke: ${target} (5s)"
+        go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s ./internal/server/
+    done
 }
 
 stage_checkpoint() {
@@ -146,7 +158,7 @@ stage_checkpoint() {
     fi
 }
 
-stages="static test race lint determinism alloc bench-smoke checkpoint"
+stages="static test race lint determinism alloc bench-smoke fuzz-smoke checkpoint"
 if [[ $# -eq 0 ]]; then
     if [[ "${SKIP_RACE:-0}" == "1" ]]; then
         echo "==> skipping the race stage (SKIP_RACE=1; CI runs it as a dedicated job)"
