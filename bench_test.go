@@ -16,7 +16,7 @@ import (
 // benchRunner is shared across the per-figure benchmarks: the first
 // iteration of each experiment pays for its simulations, later
 // iterations hit the memo. All benchmarks use Quick mode so the full
-// suite stays CI-sized; `raven-bench -exp all` regenerates the
+// suite stays CI-sized; `raven-exp -exp all` regenerates the
 // full-scale numbers recorded in EXPERIMENTS.md.
 var (
 	benchRunner  *experiments.Runner

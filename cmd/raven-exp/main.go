@@ -1,11 +1,11 @@
-// Command raven-bench regenerates the paper's tables and figures.
+// Command raven-exp regenerates the paper's tables and figures.
 //
 // Usage:
 //
-//	raven-bench -list
-//	raven-bench -exp fig9
-//	raven-bench -exp all -quick
-//	raven-bench -exp fig3 -csv
+//	raven-exp -list
+//	raven-exp -exp fig9
+//	raven-exp -exp all -quick
+//	raven-exp -exp fig3 -csv
 //
 // Each experiment prints the same rows/series the paper reports; see
 // DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
@@ -38,7 +38,7 @@ func main() {
 		return
 	}
 	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "raven-bench: -exp is required (try -list)")
+		fmt.Fprintln(os.Stderr, "raven-exp: -exp is required (try -list)")
 		os.Exit(2)
 	}
 	cfg := experiments.Config{Quick: *quick, Scale: *scale, Seed: *seed}
@@ -54,7 +54,7 @@ func main() {
 	for _, id := range ids {
 		rep, err := runner.Run(id)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "raven-bench:", err)
+			fmt.Fprintln(os.Stderr, "raven-exp:", err)
 			os.Exit(1)
 		}
 		if *csvOut {

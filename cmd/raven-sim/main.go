@@ -41,7 +41,7 @@ func main() {
 		warmup    = flag.Float64("warmup", 0.3, "fraction of requests excluded from statistics")
 		netKind   = flag.String("net", "", "latency model: cdn|memory|'' (off)")
 		workers   = flag.Int("workers", 1, "Raven training/eviction goroutines (results are bit-identical for any value)")
-		shards    = flag.Int("shards", 1, "cache shards, one policy instance each (1 = plain engine; rounded up to a power of two)")
+		shards    = flag.Int("shards", 1, "cache shards, one policy instance each (rounded up to a power of two)")
 		ckptDir   = flag.String("checkpoint", "", "Raven checkpoint directory: resume from the newest valid generation, save after trainings")
 		ckptEvery = flag.Int("checkpoint-every", 1, "save a checkpoint generation every N completed trainings")
 		seed      = flag.Int64("seed", 42, "random seed")
@@ -114,7 +114,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "raven-sim:", err)
 			os.Exit(1)
 		}
-		res, err := sim.RunSharded(tr, name, *shards, factory.PerShard(popts, *shards), opts)
+		res, err := sim.Run(tr, *shards, factory.PerShard(popts, *shards), opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "raven-sim:", err)
 			os.Exit(1)
@@ -125,7 +125,7 @@ func main() {
 		}
 		fmt.Printf("%-18s %8.4f %8.4f %12d %12.0f %10v\n",
 			label, res.OHR, res.BHR, res.Stats.Evictions, res.EvictionNanos.Mean, res.WallTime.Round(1e6))
-		for shard, p := range res.PolicyState.([]cache.Policy) {
+		for shard, p := range res.Policies {
 			r, ok := cache.Unwrap(p).(*core.Raven)
 			if !ok {
 				continue

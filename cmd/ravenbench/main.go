@@ -399,6 +399,16 @@ func percentile(sorted []float64, p int) float64 {
 	return sorted[idx]
 }
 
+// simulate replays tr through a one-shard engine driven by p.
+func simulate(tr *trace.Trace, p cache.Policy, opts sim.Options) *sim.Result {
+	res, err := sim.Run(tr, 1, cache.SingleFactory(p), opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ravenbench:", err)
+		os.Exit(1)
+	}
+	return res
+}
+
 func benchEndToEnd(workers []int, requests int) []e2eResult {
 	out := make([]e2eResult, 0, len(workers))
 	for _, w := range workers {
@@ -411,7 +421,7 @@ func benchEndToEnd(workers []int, requests int) []e2eResult {
 			Capacity: capacity, TrainWindow: tr.Duration() / 4, Seed: 7, Workers: w,
 		})
 		start := time.Now()
-		sim.Run(tr, p, sim.Options{Capacity: capacity, Seed: 3})
+		simulate(tr, p, sim.Options{Capacity: capacity, Seed: 3})
 		el := time.Since(start).Seconds()
 		out = append(out, e2eResult{
 			Workers: w, Requests: requests, Seconds: el,
@@ -458,7 +468,7 @@ func benchAdmissionSweep(requests int) []admissionResult {
 			Admission:   m.adm,
 			Prefetch:    m.pf,
 		})
-		res := sim.Run(tr, p, sim.Options{Capacity: capacity, Seed: 3, WarmupFrac: 0.3})
+		res := simulate(tr, p, sim.Options{Capacity: capacity, Seed: 3, WarmupFrac: 0.3})
 		misses := res.Stats.Admissions + res.Stats.Rejections
 		rejectRate := 0.0
 		if misses > 0 {

@@ -14,7 +14,10 @@
 //		Objects: 1000, Requests: 100000, Interarrival: raven.Poisson,
 //	})
 //	p := raven.NewRaven(raven.RavenConfig{TrainWindow: tr.Duration() / 8})
-//	res := raven.Simulate(tr, p, raven.SimOptions{Capacity: 100})
+//	res, err := raven.Simulate(tr, p, raven.SimOptions{Capacity: 100})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	fmt.Printf("OHR %.3f\n", res.OHR)
 //
 // Or, to compare against the built-in baselines by name:

@@ -13,7 +13,10 @@ func ExampleSimulate() {
 		Objects: 100, Requests: 20000, Interarrival: raven.Poisson, Seed: 1,
 	})
 	p := raven.MustNewPolicy("lru", raven.PolicyOptions{Capacity: 50})
-	res := raven.Simulate(tr, p, raven.SimOptions{Capacity: 50})
+	res, err := raven.Simulate(tr, p, raven.SimOptions{Capacity: 50})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("requests=%d evictions>0=%v hit ratio in (0,1)=%v\n",
 		res.Stats.Requests, res.Stats.Evictions > 0, res.OHR > 0 && res.OHR < 1)
 	// Output:
@@ -27,14 +30,19 @@ func ExampleNewPolicy() {
 		Objects: 100, Requests: 10000, Interarrival: raven.Uniform, Seed: 2,
 	})
 	opts := raven.SimOptions{Capacity: 30}
-	lru := raven.Simulate(tr, raven.MustNewPolicy("lru", raven.PolicyOptions{Capacity: 30}), opts)
-	opt := raven.Simulate(tr, raven.MustNewPolicy("belady", raven.PolicyOptions{Capacity: 30}), opts)
-	fmt.Println("belady beats lru:", opt.OHR > lru.OHR)
+	ohr := func(name string) float64 {
+		res, err := raven.Simulate(tr, raven.MustNewPolicy(name, raven.PolicyOptions{Capacity: 30}), opts)
+		if err != nil {
+			panic(err)
+		}
+		return res.OHR
+	}
+	fmt.Println("belady beats lru:", ohr("belady") > ohr("lru"))
 	// Output:
 	// belady beats lru: true
 }
 
-// ExampleNewCache drives the cache engine directly, request by
+// ExampleNewCache drives a one-shard cache engine directly, request by
 // request.
 func ExampleNewCache() {
 	c := raven.NewCache(2, raven.MustNewPolicy("lru", raven.PolicyOptions{Capacity: 2}))
@@ -46,8 +54,8 @@ func ExampleNewCache() {
 	// false true true
 }
 
-// ExampleNewShardedCache builds a 4-shard engine — one independent LRU
-// per shard, each under its own lock — and drives it concurrently-safe
+// ExampleNewShardedCache builds the same engine with 4 shards — one
+// independent LRU per shard, each under its own lock — and drives it
 // request by request.
 func ExampleNewShardedCache() {
 	f, err := raven.LookupPolicy("lru")

@@ -1,11 +1,12 @@
 // Admission: front Raven with the learned admission pipeline and the
 // MDN-driven prefetch queue, and compare against admit-all on a
-// one-hit-wonder-heavy workload — the NewFrontedCache entry point of
-// the redesigned admission API.
+// one-hit-wonder-heavy workload — PolicyOptions.Admission and
+// PolicyOptions.Prefetch are the whole admission API.
 package main
 
 import (
 	"fmt"
+	"log"
 
 	"raven"
 )
@@ -43,12 +44,15 @@ func main() {
 		opts.Seed = 7
 		p, err := raven.NewPolicy("raven", opts)
 		if err != nil {
-			panic(err)
+			log.Fatal(err)
 		}
-		res := raven.Simulate(tr, p, raven.SimOptions{
+		res, err := raven.Simulate(tr, p, raven.SimOptions{
 			Capacity:   capacity,
 			WarmupFrac: 0.5,
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-11s OHR %.4f  (%d admissions, %d rejections, %d prefetch hits)\n",
 			cfg.label, res.OHR, res.Stats.Admissions, res.Stats.Rejections,
 			res.Stats.PrefetchHits)

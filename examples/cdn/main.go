@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"raven"
 )
@@ -27,7 +28,10 @@ func main() {
 
 	fmt.Printf("%-10s %8s %8s %12s %12s\n", "policy", "OHR", "BHR", "backendMB", "avgLatency")
 	for _, name := range []string{"lru", "gdsf", "lrb", "raven"} {
-		res := raven.Simulate(tr, raven.MustNewPolicy(name, polOpts), opts)
+		res, err := raven.Simulate(tr, raven.MustNewPolicy(name, polOpts), opts)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-10s %8.4f %8.4f %12.1f %12v\n",
 			name, res.OHR, res.BHR,
 			float64(res.Net.BackendBytes)/(1<<20), res.Net.AvgLatency.Round(1e5))

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"raven"
 )
@@ -37,7 +38,10 @@ func main() {
 		raven.MustNewPolicy("lhr", polOpts),
 		rv,
 	} {
-		res := raven.Simulate(tr, p, opts)
+		res, err := raven.Simulate(tr, p, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-12s %8.4f %14.2f %11.1f KRPS\n",
 			res.Policy, res.OHR,
 			float64(res.Net.BackendBytes)/(1<<20), res.Net.ThroughputKRPS)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"raven"
-	"raven/internal/cache"
 	"raven/internal/stats"
 )
 
@@ -35,7 +34,7 @@ func flipTrace(objects, requests int, seed int64) *raven.Trace {
 }
 
 func phaseOHR(tr *raven.Trace, p raven.Policy, capacity int64, phases int) []float64 {
-	c := cache.New(capacity, p)
+	c := raven.NewCache(capacity, p)
 	out := make([]float64, 0, phases)
 	per := tr.Len() / phases
 	hits := 0

@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"raven"
 )
@@ -40,7 +41,10 @@ func main() {
 		rv,
 		raven.MustNewPolicy("belady", raven.PolicyOptions{Capacity: capacity}),
 	} {
-		res := raven.Simulate(tr, p, opts)
+		res, err := raven.Simulate(tr, p, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-8s object hit ratio %.4f  (%d evictions, mean eviction %.0f ns)\n",
 			res.Policy, res.OHR, res.Stats.Evictions, res.EvictionNanos.Mean)
 	}

@@ -169,13 +169,13 @@ func TestRejectReasonCountersReconcile(t *testing.T) {
 		return Accepted
 	})
 	c := New(100, WithAdmission(newTestLRU(), front))
-	c.SetObs(&co)
+	c.SetShardObs(0, &co)
 	for i := 0; i < 90; i++ {
 		c.Handle(req(int64(i+1), Key(i), 1))
 	}
 	c.Handle(req(1000, 200, 101)) // oversize -> too_large
 
-	st := c.Stats()
+	st := c.StatsSnapshot()
 	snap := make(map[string]int64)
 	for _, kv := range r.Snapshot() {
 		snap[kv.Name] = kv.Value
@@ -269,7 +269,7 @@ func TestPrefetchCountersReconcile(t *testing.T) {
 	co.Register(r, "cache")
 	p := &queuePrefetcher{testLRU: newTestLRU()}
 	c := New(3, p)
-	c.SetObs(&co)
+	c.SetShardObs(0, &co)
 
 	check := func(when string) {
 		t.Helper()
@@ -283,7 +283,7 @@ func TestPrefetchCountersReconcile(t *testing.T) {
 			t.Errorf("%s: prefetch_inserts %d != hits %d + wasted %d + resident %d",
 				when, ins, hits, wasted, res)
 		}
-		st := c.Stats()
+		st := c.StatsSnapshot()
 		if st.Prefetches != ins || st.PrefetchHits != hits || st.PrefetchWasted != wasted {
 			t.Errorf("%s: stats (%d,%d,%d) != obs (%d,%d,%d)", when,
 				st.Prefetches, st.PrefetchHits, st.PrefetchWasted, ins, hits, wasted)
@@ -297,7 +297,7 @@ func TestPrefetchCountersReconcile(t *testing.T) {
 	if !c.Contains(50) || !c.Contains(51) {
 		t.Fatal("prefetched objects not resident")
 	}
-	st := c.Stats()
+	st := c.StatsSnapshot()
 	if st.Prefetches != 2 || st.Admissions != 1 {
 		t.Fatalf("prefetches=%d admissions=%d, want 2 and 1", st.Prefetches, st.Admissions)
 	}
@@ -306,7 +306,7 @@ func TestPrefetchCountersReconcile(t *testing.T) {
 	c.Handle(req(11, 50, 1))
 	check("after prefetch hit")
 	c.Handle(req(12, 50, 1))
-	st = c.Stats()
+	st = c.StatsSnapshot()
 	if st.PrefetchHits != 1 {
 		t.Errorf("prefetch hits = %d, want 1 (flag clears on first hit)", st.PrefetchHits)
 	}
@@ -317,7 +317,7 @@ func TestPrefetchCountersReconcile(t *testing.T) {
 	c.Handle(req(14, 3, 1))
 	c.Handle(req(15, 4, 1))
 	check("after eviction churn")
-	st = c.Stats()
+	st = c.StatsSnapshot()
 	if st.PrefetchWasted == 0 {
 		t.Error("untouched prefetched entry never counted as wasted")
 	}
@@ -342,7 +342,7 @@ func TestPrefetchStaleAndResidentSkipped(t *testing.T) {
 		{Time: 100, Key: 9, Size: 1}, // already resident
 	}
 	c.Handle(req(5, 9, 1))
-	st := c.Stats()
+	st := c.StatsSnapshot()
 	if st.Prefetches != 0 {
 		t.Errorf("prefetches = %d, want 0 (stale + resident are skipped)", st.Prefetches)
 	}
@@ -360,14 +360,14 @@ func TestPrefetchDrainBounded(t *testing.T) {
 		p.queue = append(p.queue, Request{Time: 1000, Key: Key(70 + i), Size: 1})
 	}
 	c.Handle(req(1, 1, 1))
-	if got := c.Stats().Prefetches; got != maxPrefetchPerObserve {
+	if got := c.StatsSnapshot().Prefetches; got != maxPrefetchPerObserve {
 		t.Errorf("prefetches after one request = %d, want %d", got, maxPrefetchPerObserve)
 	}
 	if len(p.queue) != 10-maxPrefetchPerObserve {
 		t.Errorf("queue length %d, want %d", len(p.queue), 10-maxPrefetchPerObserve)
 	}
 	c.Handle(req(2, 1, 1))
-	if got := c.Stats().Prefetches; got != 8 {
+	if got := c.StatsSnapshot().Prefetches; got != 8 {
 		t.Errorf("prefetches after two requests = %d, want 8", got)
 	}
 }
@@ -380,7 +380,7 @@ func TestFrontedStatsStayConserved(t *testing.T) {
 		k := Key(i % 97)
 		c.Handle(req(int64(i+1), k, 1+int64(k%5)))
 	}
-	st := c.Stats()
+	st := c.StatsSnapshot()
 	if st.Hits+st.Admissions+st.Rejections != st.Requests {
 		t.Errorf("conservation broken: %+v", st)
 	}

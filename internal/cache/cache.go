@@ -11,7 +11,8 @@ package cache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"raven/internal/obs"
 	"raven/internal/trace"
@@ -152,8 +153,11 @@ type entry struct {
 	prefetched bool
 }
 
-// Cache couples a Policy with capacity accounting.
-type Cache struct {
+// shard is one independent cache partition: a Policy coupled with
+// capacity accounting and statistics, under its own lock. Its methods
+// are unsynchronised; Sharded takes mu around every call.
+type shard struct {
+	mu       sync.Mutex
 	capacity int64
 	used     int64
 	entries  map[Key]entry
@@ -166,16 +170,18 @@ type Cache struct {
 	obs        *obs.CacheObs
 }
 
-// SetEvictionObserver registers fn, invoked with every victim just
-// before it is removed (while it is still resident). The simulator
-// uses this for rank-order error measurement; passing nil disables it.
-func (c *Cache) SetEvictionObserver(fn func(victim Key)) { c.observer = fn }
+func (c *shard) init(capacity int64, policy Policy) {
+	c.capacity = capacity
+	c.entries = make(map[Key]entry, 1024)
+	c.policy = policy
+	c.prefetcher, _ = policy.(Prefetcher)
+}
 
-// SetObs attaches live observability metrics (occupancy gauges and
+// setObs attaches live observability metrics (occupancy gauges and
 // request/eviction counters), updated inline on every request. The
 // updates are a few atomic ops and never allocate, so attaching
 // metrics does not perturb what they measure. Passing nil detaches.
-func (c *Cache) SetObs(m *obs.CacheObs) {
+func (c *shard) setObs(m *obs.CacheObs) {
 	c.obs = m
 	if m != nil {
 		m.UsedBytes.Set(c.used)
@@ -183,74 +189,19 @@ func (c *Cache) SetObs(m *obs.CacheObs) {
 	}
 }
 
-// New creates a cache of the given byte capacity driven by policy.
-// It panics if capacity is not positive or policy is nil.
-func New(capacity int64, policy Policy) *Cache {
-	if capacity <= 0 {
-		panic("cache: capacity must be positive") //lint:allow no-panic non-positive capacity is a construction-time programmer error
-	}
-	if policy == nil {
-		panic("cache: nil policy") //lint:allow no-panic nil policy is a construction-time programmer error
-	}
-	c := &Cache{
-		capacity: capacity,
-		entries:  make(map[Key]entry, 1024),
-		policy:   policy,
-	}
-	c.prefetcher, _ = policy.(Prefetcher)
-	return c
-}
-
-// Capacity returns the configured capacity in bytes.
-func (c *Cache) Capacity() int64 { return c.capacity }
-
-// Used returns the bytes currently cached.
-func (c *Cache) Used() int64 { return c.used }
-
-// Len returns the number of cached objects.
-func (c *Cache) Len() int { return len(c.entries) }
-
-// Policy returns the driving policy.
-func (c *Cache) Policy() Policy { return c.policy }
-
-// Stats returns a copy of the accumulated statistics.
-//
-// Deprecated: use StatsSnapshot, which Cache and Sharded share; Stats
-// remains for existing callers.
-func (c *Cache) Stats() Stats { return c.stats }
-
-// StatsSnapshot returns a copy of the accumulated statistics. It is
-// the accessor shared with Sharded, so code written against it works
-// unchanged on either engine.
-func (c *Cache) StatsSnapshot() Stats { return c.stats }
-
-// ResetStats zeroes the statistics without touching cache contents or
-// policy state. The simulator uses it to exclude warmup periods, as
-// the paper does for its synthetic experiments (Appendix C.1).
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// Contains reports whether key is cached.
-func (c *Cache) Contains(key Key) bool {
-	_, ok := c.entries[key]
-	return ok
-}
-
-// Keys appends all cached keys to dst in ascending order and returns
-// it. Sorting keeps consumers deterministic: the simulator's
-// rank-order sampling seeds its shuffle, which only helps if the input
-// order is itself reproducible.
-func (c *Cache) Keys(dst []Key) []Key {
+// sortedKeys appends the shard's cached keys to dst in ascending order.
+func (c *shard) sortedKeys(dst []Key) []Key {
 	for k := range c.entries {
 		dst = append(dst, k)
 	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
+	slices.Sort(dst)
 	return dst
 }
 
-// Handle processes one request and reports whether it hit. On a miss
+// handle processes one request and reports whether it hit. On a miss
 // the object is admitted (evicting as needed) unless it exceeds the
 // capacity or the policy's admission control refuses it.
-func (c *Cache) Handle(req Request) bool {
+func (c *shard) handle(req Request) bool {
 	c.stats.Requests++
 	c.stats.ReqBytes += req.Size
 	if c.obs != nil {
@@ -282,10 +233,10 @@ func (c *Cache) Handle(req Request) bool {
 	return false
 }
 
-// admit runs the post-OnMiss admission sequence shared by Handle and
-// Set: capacity and admission-control checks, the eviction loop,
+// admit runs the post-OnMiss admission sequence shared by handle and
+// set: capacity and admission-control checks, the eviction loop,
 // insertion, and accounting. It reports whether req was inserted.
-func (c *Cache) admit(req Request) bool {
+func (c *shard) admit(req Request) bool {
 	if req.Size > c.capacity {
 		c.reject(RejectTooLarge)
 		return false
@@ -314,15 +265,15 @@ func (c *Cache) admit(req Request) bool {
 	return true
 }
 
-// Set stores req.Key with req.Size (memcached-style SET). An existing
+// set stores req.Key with req.Size (memcached-style SET). An existing
 // entry of the same size is refreshed through OnHit; a size change
 // evicts the stale entry first so policy metadata never
 // desynchronizes; a new entry runs the same OnMiss → admission →
 // eviction-loop → OnAdmit sequence as a miss-fill, so policies observe
-// a well-formed request stream. Set reports whether the object is
+// a well-formed request stream. set reports whether the object is
 // resident afterwards. It counts into Stats.Sets, not Requests/Hits,
 // which measure lookups.
-func (c *Cache) Set(req Request) bool {
+func (c *shard) set(req Request) bool {
 	c.stats.Sets++
 	if c.obs != nil {
 		c.obs.Sets.Inc()
@@ -343,7 +294,7 @@ func (c *Cache) Set(req Request) bool {
 
 // reject counts a refused admission under the given reason (one of the
 // Reject* constants; anything else reconciles under "other").
-func (c *Cache) reject(reason string) {
+func (c *shard) reject(reason string) {
 	c.stats.Rejections++
 	if c.obs != nil {
 		c.obs.AdmitReject(reason)
@@ -358,7 +309,7 @@ const maxPrefetchPerObserve = 4
 // and inserts them. It runs after every request on the request's own
 // virtual timestamp, so the drain schedule is a pure function of the
 // trace.
-func (c *Cache) drainPrefetch(now int64) {
+func (c *shard) drainPrefetch(now int64) {
 	if c.prefetcher == nil {
 		return
 	}
@@ -378,7 +329,7 @@ func (c *Cache) drainPrefetch(now int64) {
 // admit, but no admission checks (the policy itself asked for it) and
 // separate accounting (Prefetches, not Admissions — no request
 // triggered the insert).
-func (c *Cache) prefetchInsert(req Request) {
+func (c *shard) prefetchInsert(req Request) {
 	if req.Size > c.capacity {
 		return
 	}
@@ -401,7 +352,7 @@ func (c *Cache) prefetchInsert(req Request) {
 	}
 }
 
-func (c *Cache) evict(key Key) {
+func (c *shard) evict(key Key) {
 	e, ok := c.entries[key]
 	if !ok {
 		//lint:allow hot-path-purity formats the already-fatal panic message; unreachable on the healthy path
@@ -430,11 +381,4 @@ func (c *Cache) evict(key Key) {
 		c.obs.Objects.Set(int64(len(c.entries)))
 	}
 	c.policy.OnEvict(key)
-}
-
-// Flush invokes the policy's Flush hook, if any.
-func (c *Cache) Flush() {
-	if f, ok := c.policy.(Flusher); ok {
-		f.Flush()
-	}
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"container/list"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -52,7 +53,7 @@ func TestCacheHitMiss(t *testing.T) {
 	if !c.Handle(req(2, 1, 4)) {
 		t.Error("second access must hit")
 	}
-	st := c.Stats()
+	st := c.StatsSnapshot()
 	if st.Requests != 2 || st.Hits != 1 || st.HitBytes != 4 || st.ReqBytes != 8 {
 		t.Errorf("bad stats: %+v", st)
 	}
@@ -72,8 +73,8 @@ func TestCacheEvictsToFit(t *testing.T) {
 	if c.Used() != 7 {
 		t.Errorf("used %d, want 7", c.Used())
 	}
-	if c.Stats().Evictions != 2 {
-		t.Errorf("evictions %d, want 2", c.Stats().Evictions)
+	if c.StatsSnapshot().Evictions != 2 {
+		t.Errorf("evictions %d, want 2", c.StatsSnapshot().Evictions)
 	}
 }
 
@@ -87,8 +88,8 @@ func TestCacheRejectsOversized(t *testing.T) {
 	if !c.Contains(1) {
 		t.Error("existing entry should survive an oversized miss")
 	}
-	if c.Stats().Rejections != 1 {
-		t.Errorf("rejections %d", c.Stats().Rejections)
+	if c.StatsSnapshot().Rejections != 1 {
+		t.Errorf("rejections %d", c.StatsSnapshot().Rejections)
 	}
 }
 
@@ -102,8 +103,8 @@ func TestCacheAdmissionControl(t *testing.T) {
 	if c.Len() != 0 {
 		t.Error("admitter should have rejected everything")
 	}
-	if c.Stats().Rejections != 1 {
-		t.Errorf("rejections %d", c.Stats().Rejections)
+	if c.StatsSnapshot().Rejections != 1 {
+		t.Errorf("rejections %d", c.StatsSnapshot().Rejections)
 	}
 }
 
@@ -113,7 +114,7 @@ func TestOneHitWonderCounting(t *testing.T) {
 	c.Handle(req(2, 2, 4)) // evicts 1 -> one-hit wonder
 	c.Handle(req(3, 2, 4)) // hit
 	c.Handle(req(4, 3, 4)) // evicts 2 (which was hit)
-	st := c.Stats()
+	st := c.StatsSnapshot()
 	if st.OneHitWonders != 1 {
 		t.Errorf("one-hit wonders %d, want 1", st.OneHitWonders)
 	}
@@ -122,14 +123,15 @@ func TestOneHitWonderCounting(t *testing.T) {
 func TestEvictionObserverSeesResidentVictim(t *testing.T) {
 	c := New(4, newTestLRU())
 	var observed []Key
-	c.SetEvictionObserver(func(v Key) {
-		if !c.Contains(v) {
-			t.Error("victim must still be resident inside the observer")
+	c.SetEvictionObserver(func(v Key, resident func([]Key) []Key) {
+		if keys := resident(nil); !slices.Equal(keys, []Key{1, 2}) {
+			t.Errorf("observer saw resident keys %v, want the victim and its neighbour [1 2]", keys)
 		}
 		observed = append(observed, v)
 	})
-	c.Handle(req(1, 1, 4))
-	c.Handle(req(2, 2, 4))
+	c.Handle(req(1, 1, 2))
+	c.Handle(req(2, 2, 2))
+	c.Handle(req(3, 3, 2))
 	if len(observed) != 1 || observed[0] != 1 {
 		t.Errorf("observed %v, want [1]", observed)
 	}
@@ -150,7 +152,7 @@ func TestCacheInvariantsUnderRandomWorkload(t *testing.T) {
 			}
 			_ = s
 		}
-		st := c.Stats()
+		st := c.StatsSnapshot()
 		return st.Hits+st.Admissions+st.Rejections == st.Requests &&
 			st.HitBytes <= st.ReqBytes
 	}
@@ -174,7 +176,7 @@ func TestResetStats(t *testing.T) {
 	c := New(10, newTestLRU())
 	c.Handle(req(1, 1, 4))
 	c.ResetStats()
-	if c.Stats().Requests != 0 {
+	if c.StatsSnapshot().Requests != 0 {
 		t.Error("stats should be zeroed")
 	}
 	if !c.Contains(1) {
@@ -286,13 +288,13 @@ func TestSampledSetSwapDeleteConsistency(t *testing.T) {
 func TestCacheObsWiring(t *testing.T) {
 	c := New(10, newTestLRU())
 	var co obs.CacheObs
-	c.SetObs(&co)
-	c.Handle(req(1, 1, 4)) // miss, admit
-	c.Handle(req(2, 1, 4)) // hit
-	c.Handle(req(3, 2, 8)) // miss, evicts 1, admit
+	c.SetShardObs(0, &co)
+	c.Handle(req(1, 1, 4))  // miss, admit
+	c.Handle(req(2, 1, 4))  // hit
+	c.Handle(req(3, 2, 8))  // miss, evicts 1, admit
 	c.Handle(req(4, 3, 20)) // oversized: reject
 
-	st := c.Stats()
+	st := c.StatsSnapshot()
 	if co.Requests.Load() != st.Requests || co.Hits.Load() != st.Hits {
 		t.Errorf("obs (%d req, %d hits) != stats (%d, %d)",
 			co.Requests.Load(), co.Hits.Load(), st.Requests, st.Hits)
@@ -310,13 +312,13 @@ func TestCacheObsWiring(t *testing.T) {
 
 	// Attaching to a warm cache seeds the gauges immediately.
 	var co2 obs.CacheObs
-	c.SetObs(&co2)
+	c.SetShardObs(0, &co2)
 	if co2.UsedBytes.Load() != c.Used() || co2.Objects.Load() != int64(c.Len()) {
 		t.Error("SetObs did not seed occupancy gauges")
 	}
 
 	// Detach: further traffic must not touch the old metrics.
-	c.SetObs(nil)
+	c.SetShardObs(0, nil)
 	before := co2.Requests.Load()
 	c.Handle(req(5, 2, 8))
 	if co2.Requests.Load() != before {

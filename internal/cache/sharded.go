@@ -2,8 +2,7 @@ package cache
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"raven/internal/obs"
 )
@@ -31,26 +30,30 @@ func SingleFactory(p Policy) ShardFactory {
 	}
 }
 
-// shard is one independent cache partition: its own engine (policy,
-// capacity accounting, stats) under its own lock.
-type shard struct {
-	mu sync.Mutex
-	c  *Cache
-}
-
-// Sharded partitions a cache into N independent shards, memcached
-// style. Each shard owns its own Policy instance, byte capacity, lock,
-// and Stats; a deterministic FNV-1a hash of the key (masked to the
-// power-of-two shard count) selects the shard, so requests for
-// different shards proceed in parallel while each policy still sees a
-// strictly serialized request stream — Raven's deterministic eviction
-// path is preserved unchanged inside every shard.
+// Sharded is the cache engine: N independent shards, memcached style
+// (N = 1 is an unpartitioned cache). Each shard owns its own Policy
+// instance, byte capacity, lock, and Stats; a deterministic FNV-1a hash
+// of the key (masked to the power-of-two shard count) selects the
+// shard, so requests for different shards proceed in parallel while
+// each policy still sees a strictly serialized request stream —
+// Raven's deterministic eviction path is preserved unchanged inside
+// every shard.
 //
-// Unlike Cache, Sharded is safe for concurrent use.
+// Sharded is safe for concurrent use.
 type Sharded struct {
 	capacity int64
 	mask     uint64
 	shards   []shard
+}
+
+// New creates a one-shard cache of the given byte capacity driven by
+// policy. It panics if capacity is not positive or policy is nil.
+func New(capacity int64, policy Policy) *Sharded {
+	s, err := NewSharded(capacity, 1, SingleFactory(policy))
+	if err != nil {
+		panic(err) //lint:allow no-panic a non-positive capacity or nil policy is a construction-time programmer error
+	}
+	return s
 }
 
 // NewSharded creates a sharded cache of the given total byte capacity.
@@ -91,7 +94,7 @@ func NewSharded(capacity int64, shards int, newPolicy ShardFactory) (*Sharded, e
 		if p == nil {
 			return nil, fmt.Errorf("cache: shard %d factory returned a nil policy", i)
 		}
-		s.shards[i].c = New(shardCap, p)
+		s.shards[i].init(shardCap, p)
 	}
 	return s, nil
 }
@@ -124,6 +127,8 @@ func (s *Sharded) ShardIndex(key Key) int {
 	return int(h & s.mask)
 }
 
+func (s *Sharded) shardFor(key Key) *shard { return &s.shards[s.ShardIndex(key)] }
+
 // Shards returns the shard count (always a power of two).
 func (s *Sharded) Shards() int { return len(s.shards) }
 
@@ -131,33 +136,39 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 func (s *Sharded) Capacity() int64 { return s.capacity }
 
 // ShardCapacity returns shard i's byte capacity.
-func (s *Sharded) ShardCapacity(i int) int64 { return s.shards[i].c.Capacity() }
+func (s *Sharded) ShardCapacity(i int) int64 { return s.shards[i].capacity }
 
 // Handle processes one lookup on the key's shard and reports whether
-// it hit. Only that shard's lock is held, so requests mapping to
+// it hit. On a miss the object is admitted (evicting as needed) unless
+// it exceeds the shard's capacity or the policy's admission control
+// refuses it. Only that shard's lock is held, so requests mapping to
 // different shards proceed in parallel.
 func (s *Sharded) Handle(req Request) bool {
-	sh := &s.shards[s.ShardIndex(req.Key)]
+	sh := s.shardFor(req.Key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.c.Handle(req)
+	return sh.handle(req)
 }
 
-// Set stores req on the key's shard (see Cache.Set) and reports
-// whether the object is resident afterwards.
+// Set stores req on the key's shard (memcached-style SET) and reports
+// whether the object is resident afterwards. A same-size store
+// refreshes the entry through OnHit; anything else runs the miss-fill
+// sequence, after evicting a stale entry of another size. It counts
+// into Stats.Sets, not Requests/Hits, which measure lookups.
 func (s *Sharded) Set(req Request) bool {
-	sh := &s.shards[s.ShardIndex(req.Key)]
+	sh := s.shardFor(req.Key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.c.Set(req)
+	return sh.set(req)
 }
 
 // Contains reports whether key is cached on its shard.
 func (s *Sharded) Contains(key Key) bool {
-	sh := &s.shards[s.ShardIndex(key)]
+	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.c.Contains(key)
+	_, ok := sh.entries[key]
+	return ok
 }
 
 // StatsSnapshot merges per-shard statistics into one total. Each
@@ -169,7 +180,7 @@ func (s *Sharded) StatsSnapshot() Stats {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		total.Add(sh.c.StatsSnapshot())
+		total.Add(sh.stats)
 		sh.mu.Unlock()
 	}
 	return total
@@ -180,15 +191,18 @@ func (s *Sharded) ShardStats(i int) Stats {
 	sh := &s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.c.StatsSnapshot()
+	return sh.stats
 }
 
-// ResetStats zeroes every shard's statistics.
+// ResetStats zeroes every shard's statistics without touching cache
+// contents or policy state. The simulator uses it to exclude warmup
+// periods, as the paper does for its synthetic experiments (Appendix
+// C.1).
 func (s *Sharded) ResetStats() {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.c.ResetStats()
+		sh.stats = Stats{}
 		sh.mu.Unlock()
 	}
 }
@@ -199,7 +213,7 @@ func (s *Sharded) Used() int64 {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		used += sh.c.Used()
+		used += sh.used
 		sh.mu.Unlock()
 	}
 	return used
@@ -211,69 +225,61 @@ func (s *Sharded) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n += sh.c.Len()
+		n += len(sh.entries)
 		sh.mu.Unlock()
 	}
 	return n
 }
 
 // Keys appends all cached keys across shards to dst in ascending order
-// and returns it (the same deterministic contract as Cache.Keys).
+// and returns it. Sorting keeps consumers deterministic: map order is
+// not reproducible.
 func (s *Sharded) Keys(dst []Key) []Key {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		dst = sh.c.Keys(dst)
+		for k := range sh.entries {
+			dst = append(dst, k)
+		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
+	slices.Sort(dst)
 	return dst
 }
 
-// SetEvictionObserver registers fn on every shard. Under concurrent
-// load fn may be called from several goroutines (each holding its
-// shard's lock); a serial driver sees the same per-shard callback
-// order a single Cache would produce. fn runs inside the eviction path
-// with the evicting shard's lock held, so it must not call back into
-// the Sharded engine's locked methods (Keys, StatsSnapshot, ...) — that
-// self-deadlocks. Observers that need to inspect cache state at
-// eviction time use SetShardEvictionObserver instead.
-func (s *Sharded) SetEvictionObserver(fn func(victim Key)) {
+// SetEvictionObserver registers fn, invoked with every victim just
+// before it is removed (while it is still resident); nil disables it.
+// resident appends the evicting shard's cached keys to dst in ascending
+// order — the set the policy chose the victim from, which is how the
+// simulator ranks a victim against the Belady oracle.
+//
+// fn runs inside the eviction path with the evicting shard's lock
+// held: it must not call the engine's own methods (that self-deadlocks)
+// and must not keep resident past its return. Under concurrent load fn
+// may be called from several goroutines, one per shard.
+func (s *Sharded) SetEvictionObserver(fn func(victim Key, resident func(dst []Key) []Key)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
+		var observer func(Key)
+		if fn != nil {
+			resident := sh.sortedKeys
+			observer = func(victim Key) { fn(victim, resident) }
+		}
 		sh.mu.Lock()
-		sh.c.SetEvictionObserver(fn)
+		sh.observer = observer
 		sh.mu.Unlock()
 	}
 }
 
-// SetShardEvictionObserver registers fn to run on every eviction with
-// the evicting shard's index and engine. fn executes inside the
-// eviction path while that shard's lock is held: it may inspect the
-// shard engine directly (Keys, StatsSnapshot — lock-free, already
-// serialized) but must not call the Sharded engine's own locked
-// methods. This is how measurement code (rank-order errors against the
-// Belady oracle) snapshots the cached-key set at eviction time; the
-// shard-local view is also the semantically right one, since a policy
-// only ever evicts within its own shard.
-func (s *Sharded) SetShardEvictionObserver(fn func(shard int, c *Cache, victim Key)) {
-	for i := range s.shards {
-		i := i
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.c.SetEvictionObserver(func(victim Key) { fn(i, sh.c, victim) })
-		sh.mu.Unlock()
-	}
-}
-
-// SetShardObs attaches live metrics to shard i's engine (see
-// Cache.SetObs). obs.ShardedCacheObs bundles one CacheObs per shard
-// plus merged totals.
+// SetShardObs attaches live metrics to shard i (occupancy gauges and
+// request/eviction counters, updated inline on every request); nil
+// detaches. obs.ShardedCacheObs bundles one CacheObs per shard plus
+// merged totals.
 func (s *Sharded) SetShardObs(i int, m *obs.CacheObs) {
 	sh := &s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.c.SetObs(m)
+	sh.setObs(m)
 }
 
 // Flush invokes every shard policy's Flush hook, in shard order.
@@ -281,8 +287,10 @@ func (s *Sharded) Flush() {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		//lint:allow lock-cycle Flusher dispatch cannot reach *Sharded here: a Sharded is never installed as a shard's policy
-		sh.c.Flush()
+		if f, ok := sh.policy.(Flusher); ok {
+			//lint:allow lock-cycle Flusher dispatch cannot reach *Sharded here: a Sharded is never installed as a shard's policy
+			f.Flush()
+		}
 		sh.mu.Unlock()
 	}
 }
@@ -294,5 +302,5 @@ func (s *Sharded) ShardPolicy(i int) Policy {
 	sh := &s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.c.Policy()
+	return sh.policy
 }

@@ -83,51 +83,6 @@ func TestShardIndexDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedSingleShardMatchesCache: with one shard, the sharded
-// engine is the plain engine — identical stats, eviction sequence, and
-// contents on the same request stream.
-func TestShardedSingleShardMatchesCache(t *testing.T) {
-	plain := New(50, newTestLRU())
-	sharded := newTestSharded(t, 50, 1)
-
-	var plainEv, shardEv []Key
-	plain.SetEvictionObserver(func(v Key) { plainEv = append(plainEv, v) })
-	sharded.SetEvictionObserver(func(v Key) { shardEv = append(shardEv, v) })
-
-	g := stats.NewRNG(7)
-	for i := 0; i < 5000; i++ {
-		k := Key(g.Intn(60))
-		r := Request{Time: int64(i), Key: k, Size: int64(1 + int(k)%9)}
-		if g.Float64() < 0.2 {
-			if plain.Set(r) != sharded.Set(r) {
-				t.Fatalf("Set(%d) diverged at step %d", k, i)
-			}
-		} else if plain.Handle(r) != sharded.Handle(r) {
-			t.Fatalf("Handle(%d) diverged at step %d", k, i)
-		}
-	}
-	if ps, ss := plain.StatsSnapshot(), sharded.StatsSnapshot(); ps != ss {
-		t.Errorf("stats diverged:\n plain:   %+v\n sharded: %+v", ps, ss)
-	}
-	if len(plainEv) != len(shardEv) {
-		t.Fatalf("eviction counts differ: %d vs %d", len(plainEv), len(shardEv))
-	}
-	for i := range plainEv {
-		if plainEv[i] != shardEv[i] {
-			t.Fatalf("eviction %d differs: %d vs %d", i, plainEv[i], shardEv[i])
-		}
-	}
-	pk, sk := plain.Keys(nil), sharded.Keys(nil)
-	if len(pk) != len(sk) {
-		t.Fatalf("key counts differ: %d vs %d", len(pk), len(sk))
-	}
-	for i := range pk {
-		if pk[i] != sk[i] {
-			t.Fatalf("key %d differs: %d vs %d", i, pk[i], sk[i])
-		}
-	}
-}
-
 // TestShardedShardLocality: every object lands on exactly the shard
 // its key hashes to, and per-shard stats sum to the merged snapshot.
 func TestShardedShardLocality(t *testing.T) {

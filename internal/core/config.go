@@ -59,10 +59,6 @@ type Config struct {
 	// (0 = default 4000), keeping CPU training time bounded.
 	MaxTrainObjects int
 
-	// HistoryLen is the per-object ring of recent interarrival times
-	// kept for re-embedding after a model swap (default 16).
-	HistoryLen int
-
 	// Net configures the mixture density network. A zero TimeScale is
 	// inferred from the first window's mean interarrival time.
 	Net nn.Config
@@ -125,12 +121,6 @@ type Config struct {
 	// nn.DefaultWorkers() is the hardware optimum.
 	Workers int
 
-	// DisableTrainGuard turns off the default training guard
-	// (nn.DefaultGuard: finite checks, loss blow-up detection, outer
-	// gradient clip). With the guard on, a diverged training rolls
-	// back to the last good network instead of committing insane
-	// weights; see DESIGN.md "Model lifecycle & failure domains".
-	DisableTrainGuard bool
 	// FallbackAfterTrips is how many consecutive guard trips force
 	// the Fallback health state (LRU eviction until a training
 	// succeeds). Default 2: the first trip only degrades.
@@ -167,10 +157,15 @@ type PrefetchConfig struct {
 	// to return within Horizon ticks is queued for re-warming. 0
 	// disables prefetching entirely.
 	Horizon int64
-	// MaxQueue bounds the pending queue (default 256); when full the
-	// incoming entry is dropped, keeping memory and drain work bounded.
-	MaxQueue int
 }
+
+// prefetchMaxQueue bounds the pending prefetch queue; when full the
+// incoming entry is dropped, keeping memory and drain work bounded.
+const prefetchMaxQueue = 256
+
+// historyLen is the per-object ring of recent interarrival times kept
+// for re-embedding after a model swap.
+const historyLen = 16
 
 // CheckpointConfig configures model persistence (internal/nn/ckpt).
 type CheckpointConfig struct {
@@ -179,9 +174,6 @@ type CheckpointConfig struct {
 	// Every saves a generation after every N completed (non-skipped,
 	// non-diverged) trainings (default 1).
 	Every int
-	// Keep is how many rotated generations survive pruning
-	// (default 3).
-	Keep int
 }
 
 func (c *Config) defaults() {
@@ -190,9 +182,6 @@ func (c *Config) defaults() {
 	}
 	if c.ResidualSamples == 0 {
 		c.ResidualSamples = 100
-	}
-	if c.HistoryLen == 0 {
-		c.HistoryLen = 16
 	}
 	if c.MaxTrainObjects == 0 {
 		c.MaxTrainObjects = 4000
@@ -219,8 +208,11 @@ func (c *Config) defaults() {
 	if c.Train.Workers == 0 {
 		c.Train.Workers = c.Workers
 	}
-	if !c.DisableTrainGuard && !c.Train.Guard.CheckFinite &&
-		c.Train.Guard.MaxLossBlowup <= 0 && c.Train.Guard.ClipNorm <= 0 {
+	// A training without a guard of its own gets nn.DefaultGuard (finite
+	// checks, loss blow-up detection, outer gradient clip): a diverged
+	// fit rolls back to the last good network instead of committing
+	// insane weights; see DESIGN.md "Model lifecycle & failure domains".
+	if !c.Train.Guard.CheckFinite && c.Train.Guard.MaxLossBlowup <= 0 && c.Train.Guard.ClipNorm <= 0 {
 		c.Train.Guard = nn.DefaultGuard()
 	}
 	if c.FallbackAfterTrips == 0 {
@@ -231,9 +223,6 @@ func (c *Config) defaults() {
 	}
 	if c.Checkpoint.Every == 0 {
 		c.Checkpoint.Every = 1
-	}
-	if c.Prefetch.MaxQueue == 0 {
-		c.Prefetch.MaxQueue = 256
 	}
 	if c.Train.Seed == 0 {
 		c.Train.Seed = c.Seed + 1

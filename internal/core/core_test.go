@@ -163,7 +163,7 @@ func TestRavenTrainsAndEvicts(t *testing.T) {
 		t.Skip("training test skipped in -short mode")
 	}
 	tr := trace.Synthetic(trace.SynthConfig{
-		Objects: 200, Requests: 30000, Interarrival: trace.Poisson, Seed: 5,
+		Objects: 200, Requests: 10000, Interarrival: trace.Poisson, Seed: 5,
 	})
 	window := tr.Duration() / 4
 	r := New(Config{
@@ -184,7 +184,7 @@ func TestRavenTrainsAndEvicts(t *testing.T) {
 	if len(r.TrainStats) < 2 {
 		t.Errorf("expected multiple training windows, got %d", len(r.TrainStats))
 	}
-	st := c.Stats()
+	st := c.StatsSnapshot()
 	if st.OHR() < 0.05 {
 		t.Errorf("suspiciously low hit ratio %.3f", st.OHR())
 	}
@@ -205,11 +205,11 @@ func TestRavenOHRGoalUsesSizeWeight(t *testing.T) {
 	// trace with two size classes and checking eviction counts favour
 	// large objects.
 	tr := trace.Synthetic(trace.SynthConfig{
-		Objects: 100, Requests: 20000, Interarrival: trace.Poisson,
+		Objects: 100, Requests: 12000, Interarrival: trace.Poisson,
 		VariableSizes: true, SizeLo: 10, SizeHi: 1000, Seed: 9,
 	})
 	window := tr.Duration() / 3
-	mk := func(goal Goal) *cache.Cache {
+	mk := func(goal Goal) *cache.Sharded {
 		r := New(Config{
 			Goal:            goal,
 			TrainWindow:     window,
@@ -227,8 +227,8 @@ func TestRavenOHRGoalUsesSizeWeight(t *testing.T) {
 	}
 	ohr := mk(GoalOHR)
 	bhr := mk(GoalBHR)
-	if ohr.Stats().OHR() < bhr.Stats().OHR()-0.05 {
+	if ohr.StatsSnapshot().OHR() < bhr.StatsSnapshot().OHR()-0.05 {
 		t.Errorf("OHR goal (%.3f) should not lag BHR goal (%.3f) on object hits by this much",
-			ohr.Stats().OHR(), bhr.Stats().OHR())
+			ohr.StatsSnapshot().OHR(), bhr.StatsSnapshot().OHR())
 	}
 }

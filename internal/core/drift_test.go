@@ -59,15 +59,15 @@ func TestRavenDriftSkipsRetraining(t *testing.T) {
 		t.Skip("training test skipped in -short mode")
 	}
 	tr := trace.Synthetic(trace.SynthConfig{
-		Objects: 200, Requests: 40000, Interarrival: trace.Poisson, Seed: 5,
+		Objects: 200, Requests: 12000, Interarrival: trace.Poisson, Seed: 5,
 	})
 	r := New(Config{
 		TrainWindow:     tr.Duration() / 8,
 		DriftThreshold:  0.08,
-		MaxTrainObjects: 300,
-		Net:             nn.Config{Hidden: 8, MLPHidden: 12, K: 4},
-		Train:           nn.TrainConfig{MaxEpochs: 6, Patience: 2},
-		ResidualSamples: 30,
+		MaxTrainObjects: 200,
+		Net:             nn.Config{Hidden: 4, MLPHidden: 6, K: 2},
+		Train:           nn.TrainConfig{MaxEpochs: 3, Patience: 1},
+		ResidualSamples: 10,
 		Seed:            7,
 	})
 	c := cache.New(40, r)

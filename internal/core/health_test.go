@@ -90,10 +90,10 @@ func poisonNet(n *nn.Net) {
 
 // trainSmallRaven runs a short synthetic workload through a cache so
 // the policy trains at least once.
-func trainSmallRaven(t *testing.T, cfg Config) (*Raven, *cache.Cache, *trace.Trace) {
+func trainSmallRaven(t *testing.T, cfg Config) (*Raven, *cache.Sharded, *trace.Trace) {
 	t.Helper()
 	tr := trace.Synthetic(trace.SynthConfig{
-		Objects: 100, Requests: 12000, Interarrival: trace.Poisson, Seed: 5,
+		Objects: 100, Requests: 8000, Interarrival: trace.Poisson, Seed: 5,
 	})
 	if cfg.TrainWindow == 0 {
 		cfg.TrainWindow = tr.Duration() / 4

@@ -36,14 +36,14 @@ func (r *Raven) maybeEnqueuePrefetch(key cache.Key, h *objHist) {
 	if r.cfg.Prefetch.Horizon <= 0 || r.draining || r.net == nil || r.health == Fallback {
 		return
 	}
-	if len(r.pfq) >= r.cfg.Prefetch.MaxQueue {
+	if len(r.pfq) >= prefetchMaxQueue {
 		return
 	}
 	next, ok := r.predictArrival(h)
 	if !ok || next <= r.now || next-r.now > r.cfg.Prefetch.Horizon {
 		return
 	}
-	//lint:allow hot-path-purity bounded queue append (MaxQueue-capped), amortized after the first fill
+	//lint:allow hot-path-purity bounded queue append (prefetchMaxQueue-capped), amortized after the first fill
 	r.pfq = append(r.pfq, prefetchEntry{key: key, size: h.size, due: next})
 }
 

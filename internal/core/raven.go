@@ -169,7 +169,7 @@ func (r *Raven) resumeCheckpoint() {
 	if r.cfg.Checkpoint.Dir == "" {
 		return
 	}
-	st, err := ckpt.Open(r.cfg.Checkpoint.Dir, ckpt.Options{Prefix: "raven", Keep: r.cfg.Checkpoint.Keep})
+	st, err := ckpt.Open(r.cfg.Checkpoint.Dir, ckpt.Options{Prefix: "raven"})
 	if err != nil {
 		r.ckptError(err)
 		return
@@ -236,7 +236,7 @@ func (r *Raven) MetadataBytesPerObject() int64 {
 	if r.net != nil {
 		state = int64(r.net.StateSize())
 	}
-	return 8*state + 8 + 8 + 8*int64(r.cfg.HistoryLen) + 4*8
+	return 8*state + 8 + 8 + 8*historyLen + 4*8
 }
 
 // Trained reports whether at least one model has been fit.
@@ -272,7 +272,7 @@ func (r *Raven) observe(req cache.Request) {
 		if r.drift != nil {
 			r.drift.observe(tau)
 		}
-		pushHist(&h.hist, tau, r.cfg.HistoryLen)
+		pushHist(&h.hist, tau, historyLen)
 		if r.net != nil && h.embVersion == r.net.Version {
 			r.net.StepEmbed(h.emb, tau)
 		}

@@ -49,7 +49,7 @@ func (r *Runner) Admission() *Report {
 		o.Admission = m.adm
 		o.Prefetch = m.pf
 		p := policy.MustNew("raven", o)
-		res := sim.Run(t, p, sim.Options{
+		res := r.simulate(t, p, sim.Options{
 			Capacity: capacity, Seed: r.Cfg.Seed, WarmupFrac: prodWarmup,
 		})
 		misses := res.Stats.Admissions + res.Stats.Rejections

@@ -36,7 +36,7 @@ func (r *Runner) Table5() *Report {
 	for _, t := range traces {
 		t.AnnotateNext()
 		opts := sim.Options{Capacity: capacity, WarmupFrac: warm, Seed: r.Cfg.Seed}
-		belady := sim.Run(t, policy.MustNew("belady", policy.Options{Capacity: capacity}), opts)
+		belady := r.simulate(t, policy.MustNew("belady", policy.Options{Capacity: capacity}), opts)
 		beladyMisses := float64(belady.Stats.Misses())
 		for _, name := range pols {
 			var res *sim.Result
@@ -49,9 +49,9 @@ func (r *Runner) Table5() *Report {
 				} else {
 					rc.Train = nn.TrainConfig{MaxEpochs: 20, Patience: 4}
 				}
-				res = sim.Run(t, core.New(rc), opts)
+				res = r.simulate(t, core.New(rc), opts)
 			} else {
-				res = sim.Run(t, policy.MustNew(name, policy.Options{Capacity: capacity, Seed: r.Cfg.Seed}), opts)
+				res = r.simulate(t, policy.MustNew(name, policy.Options{Capacity: capacity, Seed: r.Cfg.Seed}), opts)
 			}
 			misses := float64(res.Stats.Misses())
 			missSum[name] += 1 - res.OHR

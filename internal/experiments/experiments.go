@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"raven/internal/cache"
 	"raven/internal/core"
 	"raven/internal/nn"
 	"raven/internal/policy"
@@ -118,6 +119,7 @@ type Runner struct {
 	mu      sync.Mutex
 	traces  map[string]*trace.Trace
 	results map[string]*sim.Result
+	err     error // first simulate failure since the last Run
 }
 
 // NewRunner creates a Runner.
@@ -145,9 +147,14 @@ func (r *Runner) synthRequests() int {
 	return int(200000 * r.Cfg.Scale)
 }
 
+// synthKey names the memoized §3.5 trace of one interarrival law.
+func synthKey(d trace.Interarrival, variable bool) string {
+	return fmt.Sprintf("synth/%s/var=%v", d, variable)
+}
+
 // synthetic returns the memoized §3.5 trace for one interarrival law.
 func (r *Runner) synthetic(d trace.Interarrival, variable bool) *trace.Trace {
-	key := fmt.Sprintf("synth/%s/var=%v", d, variable)
+	key := synthKey(d, variable)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if t, ok := r.traces[key]; ok {
@@ -231,8 +238,8 @@ func (r *Runner) run(t *trace.Trace, polName string, capacity int64, opts sim.Op
 	if opts.Net != nil {
 		netKey = fmt.Sprint(int(opts.Net.Kind))
 	}
-	key := fmt.Sprintf("%s|%s|%d|net=%s|rank=%d|warm=%.2f|curve=%d",
-		t.Name, polName, capacity, netKey, opts.RankOrderEvery, opts.WarmupFrac, opts.CurvePoints)
+	key := fmt.Sprintf("%s|%s|%d|net=%s|rank=%d|warm=%.2f",
+		t.Name, polName, capacity, netKey, opts.RankOrderEvery, opts.WarmupFrac)
 	r.mu.Lock()
 	if res, ok := r.results[key]; ok {
 		r.mu.Unlock()
@@ -244,13 +251,30 @@ func (r *Runner) run(t *trace.Trace, polName string, capacity int64, opts sim.Op
 	opts.Seed = r.Cfg.Seed
 	p := policy.MustNew(polName, r.polOpts(t, capacity))
 	start := time.Now()
-	res := sim.Run(t, p, opts)
+	res := r.simulate(t, p, opts)
 	r.logf("  ran %-18s on %-12s C=%-12d OHR=%.4f BHR=%.4f (%v)",
 		polName, t.Name, capacity, res.OHR, res.BHR, time.Since(start).Round(time.Millisecond))
 
 	r.mu.Lock()
 	r.results[key] = res
 	r.mu.Unlock()
+	return res
+}
+
+// simulate replays t through a one-shard engine driven by p. The
+// experiments size every cache themselves, so only a bug makes the
+// engine refuse its configuration; the error is kept for Run to return
+// and the empty result lets the experiment finish its table.
+func (r *Runner) simulate(t *trace.Trace, p cache.Policy, opts sim.Options) *sim.Result {
+	res, err := sim.Run(t, 1, cache.SingleFactory(p), opts)
+	if err != nil {
+		r.mu.Lock()
+		if r.err == nil {
+			r.err = err
+		}
+		r.mu.Unlock()
+		return &sim.Result{Policies: []cache.Policy{p}}
+	}
 	return res
 }
 
@@ -319,6 +343,13 @@ func (r *Runner) Run(id string) (*Report, error) {
 	start := time.Now()
 	rep := fn()
 	rep.Took = time.Since(start)
+	r.mu.Lock()
+	err := r.err
+	r.err = nil
+	r.mu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", id, err)
+	}
 	return rep, nil
 }
 

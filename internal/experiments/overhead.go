@@ -24,12 +24,12 @@ func (r *Runner) Overhead() *Report {
 			WarmupFrac: synthWarmup, RankOrderEvery: 10, // share fig2a runs
 		})
 		meta := int64(0)
-		if fp, ok := res.PolicyState.(cache.Footprinter); ok {
+		if fp, ok := res.Policies[0].(cache.Footprinter); ok {
 			meta = fp.MetadataBytesPerObject()
 		}
 		trainings := "-"
 		trainWall := "-"
-		switch p := res.PolicyState.(type) {
+		switch p := res.Policies[0].(type) {
 		case *core.Raven:
 			n, skipped := 0, 0
 			for _, ts := range p.TrainStats {
@@ -72,7 +72,7 @@ func (r *Runner) sruAblation(rep *Report, t *trace.Trace) {
 		}
 		p := core.New(cfg)
 		start := time.Now()
-		res := sim.Run(t, p, sim.Options{
+		res := r.simulate(t, p, sim.Options{
 			Capacity: synthUnitCapacity, WarmupFrac: synthWarmup, Seed: r.Cfg.Seed,
 		})
 		r.logf("  ablation rnn=%s OHR=%.4f (%v)", kind, res.OHR, time.Since(start).Round(time.Millisecond))
@@ -97,7 +97,7 @@ func (r *Runner) driftAblation(rep *Report, t *trace.Trace) {
 			cfg.Train = nn.TrainConfig{MaxEpochs: 25, Patience: 5}
 		}
 		p := core.New(cfg)
-		res := sim.Run(t, p, sim.Options{
+		res := r.simulate(t, p, sim.Options{
 			Capacity: synthUnitCapacity, WarmupFrac: synthWarmup, Seed: r.Cfg.Seed,
 		})
 		trained, skipped := 0, 0

@@ -189,7 +189,7 @@ func (r *Runner) Fig5() *Report {
 		rc.SampleBudgetBytes = 5 * capacity
 		rc.Seed = r.Cfg.Seed + 999
 		start := time.Now()
-		without := sim.Run(t, core.New(rc), sim.Options{
+		without := r.simulate(t, core.New(rc), sim.Options{
 			Capacity: capacity, Net: netFor(p), WarmupFrac: prodWarmup, Seed: r.Cfg.Seed,
 		})
 		r.logf("  fig5 %s nosurv OHR=%.4f (%v)", p, without.OHR, time.Since(start).Round(time.Second))
@@ -211,7 +211,7 @@ func (r *Runner) Table7() *Report {
 		for _, sz := range prodSizes {
 			lbl, frac := sz.lbl, sz.frac
 			res := r.prodRun(p, "raven", frac)
-			rv, ok := res.PolicyState.(*core.Raven)
+			rv, ok := res.Policies[0].(*core.Raven)
 			if !ok || len(rv.TrainStats) == 0 {
 				rep.Add(string(p), lbl, 0, 0, 0)
 				continue

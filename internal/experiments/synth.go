@@ -238,7 +238,7 @@ func (r *Runner) Fig6() *Report {
 	for _, d := range synthTriple {
 		t := r.synthetic(d, false)
 		for _, m := range residualMs {
-			res := sim.Run(t, r.ravenWithM(t, m), sim.Options{
+			res := r.simulate(t, r.ravenWithM(t, m), sim.Options{
 				Capacity: synthUnitCapacity, WarmupFrac: synthWarmup, Seed: r.Cfg.Seed,
 			})
 			r.logf("  fig6 M=%-4d %-8s OHR=%.4f", m, d, res.OHR)
@@ -259,7 +259,7 @@ func (r *Runner) Fig7() *Report {
 	rep.Header = []string{"M", "mean_us", "p90_us"}
 	t := r.synthetic(trace.Uniform, false)
 	for _, m := range residualMs {
-		res := sim.Run(t, r.ravenWithM(t, m), sim.Options{
+		res := r.simulate(t, r.ravenWithM(t, m), sim.Options{
 			Capacity: synthUnitCapacity, WarmupFrac: synthWarmup, Seed: r.Cfg.Seed,
 		})
 		rep.Add(m, res.EvictionNanos.Mean/1e3, res.EvictionNanos.P90/1e3)
@@ -288,7 +288,7 @@ func (r *Runner) Ablations() *Report {
 		return cfg
 	}
 	runCfg := func(knob, val string, cfg core.Config) {
-		res := sim.Run(t, core.New(cfg), sim.Options{
+		res := r.simulate(t, core.New(cfg), sim.Options{
 			Capacity: synthUnitCapacity, WarmupFrac: synthWarmup, Seed: r.Cfg.Seed,
 		})
 		r.logf("  ablation %s=%s OHR=%.4f", knob, val, res.OHR)

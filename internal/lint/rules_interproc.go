@@ -22,7 +22,7 @@ var hotPathEntries = []string{
 	"internal/nn.(*Net).Freeze32",
 	"internal/nn.(*Frozen32).PredictBatch",
 	"internal/nn.(*Net).StepEmbed",
-	"internal/cache.(*Cache).evict",
+	"internal/cache.(*shard).evict",
 	"internal/cluster.(*Ring).Lookup",
 	"internal/cluster.(*Ring).LookupN",
 }
@@ -43,7 +43,7 @@ transitive call closure of the eviction entry points
     internal/nn.(*Net).Freeze32             (f32 weight snapshot build)
     internal/nn.(*Frozen32).PredictBatch    (fused batch inference, f32)
     internal/nn.(*Net).StepEmbed            (embedding kernel)
-    internal/cache.(*Cache).evict           (the lock-held eviction section)
+    internal/cache.(*shard).evict           (the lock-held eviction section)
 
 plus any function carrying a "//lint:hotpath <reason>" doc-comment
 directive, and reports every effect inside that closure (which does
@@ -153,7 +153,7 @@ re-acquires a lock it already holds deadlocks itself. The sharded cache
 engine makes this easy to do by accident — eviction observers run
 UNDER the shard lock, so an observer that calls back into any Sharded
 method (Keys, StatsSnapshot, Handle, ...) re-locks the same shard
-mutex. SetShardEvictionObserver's documentation warns about exactly
+mutex. SetEvictionObserver's documentation warns about exactly
 this; lock-cycle machine-checks it.
 
 For every lock acquisition the rule computes the held region (from the

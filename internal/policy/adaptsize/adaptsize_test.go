@@ -50,7 +50,7 @@ func TestNameAndLRUDelegation(t *testing.T) {
 	c := cache.New(10000, p)
 	c.Handle(cache.Request{Time: 1, Key: 1, Size: 1})
 	c.Handle(cache.Request{Time: 2, Key: 1, Size: 1})
-	if st := c.Stats(); st.Hits != 1 {
+	if st := c.StatsSnapshot(); st.Hits != 1 {
 		t.Errorf("delegated LRU should produce a hit: %+v", st)
 	}
 }

@@ -57,8 +57,6 @@ type PrefetchOptions struct {
 	// to return within Horizon ticks is queued for re-warming. 0
 	// disables prefetching.
 	Horizon int64
-	// MaxQueue bounds the pending queue (0 = 256).
-	MaxQueue int
 }
 
 // front wraps p with the configured admission pipeline. Off returns p

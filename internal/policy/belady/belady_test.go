@@ -14,7 +14,7 @@ func runPolicy(t *trace.Trace, p cache.Policy, capacity int64) cache.Stats {
 	for _, r := range t.Reqs {
 		c.Handle(r)
 	}
-	return c.Stats()
+	return c.StatsSnapshot()
 }
 
 func synth(seed int64, variable bool) *trace.Trace {

@@ -12,7 +12,7 @@ import (
 // statistics — reproducibility is a stated design goal (DESIGN.md).
 func TestPoliciesDeterministic(t *testing.T) {
 	tr := trace.Synthetic(trace.SynthConfig{
-		Objects: 150, Requests: 8000, Interarrival: trace.Pareto,
+		Objects: 150, Requests: 5000, Interarrival: trace.Pareto,
 		VariableSizes: true, Seed: 4,
 	})
 	tr.AnnotateNext()
@@ -23,7 +23,7 @@ func TestPoliciesDeterministic(t *testing.T) {
 		for _, r := range tr.Reqs {
 			c.Handle(r)
 		}
-		return c.Stats()
+		return c.StatsSnapshot()
 	}
 	for _, name := range Names() {
 		a := run(name)
@@ -79,7 +79,7 @@ func TestPoliciesSurviveAdversarialPatterns(t *testing.T) {
 			if c.Used() > c.Capacity() {
 				t.Errorf("%s on %s: capacity violated", name, pname)
 			}
-			st := c.Stats()
+			st := c.StatsSnapshot()
 			if st.Requests != int64(len(reqs)) {
 				t.Errorf("%s on %s: lost requests", name, pname)
 			}

@@ -108,7 +108,7 @@ func TestHeapConsistencyUnderChurn(t *testing.T) {
 	if c.Used() > 10 {
 		t.Errorf("capacity violated: %d", c.Used())
 	}
-	st := c.Stats()
+	st := c.StatsSnapshot()
 	if st.Hits+st.Admissions+st.Rejections != st.Requests {
 		t.Errorf("inconsistent stats: %+v", st)
 	}

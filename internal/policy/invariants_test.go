@@ -13,173 +13,303 @@ import (
 	"raven/internal/trace"
 )
 
-// engine is what the accounting invariants are stated over; cache.Cache
-// and cache.Sharded both offer it.
-type engine interface {
-	Handle(cache.Request) bool
-	Set(cache.Request) bool
-	Used() int64
-	Capacity() int64
-	Keys([]cache.Key) []cache.Key
-	StatsSnapshot() cache.Stats
-	SetEvictionObserver(func(cache.Key))
+// model is a deliberately naive cache: a map of resident sizes plus the
+// counters of cache.Stats, with no policy and no shards. It never looks
+// inside the engine. It learns what happened from the operation and its
+// return value, from the eviction observer, and from tap — a
+// pass-through around each shard's policy that reports OnAdmit, the
+// only sign of a prefetch insert (no request triggers one) and of
+// whether a missed Handle was admitted (Handle returns hit or miss).
+type model struct {
+	t        *testing.T
+	resident map[cache.Key]modelEntry
+	used     int64
+	st       cache.Stats
+
+	// Per-operation state.
+	key      cache.Key // the key the running operation asked for
+	admitted bool      // that key's admission was seen
+	draining bool      // the engine has started the prefetch drain
 }
 
-// recorder keeps the resident set as the policy is told about it:
-// entered on OnAdmit here, left in the engine's eviction observer. It
-// forwards the optional faces the engine looks for.
-type recorder struct {
+type modelEntry struct {
+	size       int64
+	hit        bool // looked up since insertion
+	prefetched bool // inserted by the drain and not yet looked up
+}
+
+func (m *model) insert(req cache.Request) {
+	if _, ok := m.resident[req.Key]; ok {
+		m.t.Fatalf("OnAdmit(%d) for an object the model already holds", req.Key)
+	}
+	e := modelEntry{size: req.Size}
+	switch {
+	case m.draining:
+		e.prefetched = true
+		m.st.Prefetches++
+	case req.Key == m.key && !m.admitted:
+		m.admitted = true
+		m.st.Admissions++
+	default:
+		m.t.Fatalf("OnAdmit(%d) outside the drain while serving key %d", req.Key, m.key)
+	}
+	m.resident[req.Key] = e
+	m.used += req.Size
+}
+
+func (m *model) evict(victim cache.Key) {
+	e, ok := m.resident[victim]
+	if !ok {
+		m.t.Fatalf("evicted %d, which the model does not hold", victim)
+	}
+	delete(m.resident, victim)
+	m.used -= e.size
+	m.st.Evictions++
+	if e.prefetched {
+		m.st.PrefetchWasted++
+	} else if !e.hit {
+		m.st.OneHitWonders++
+	}
+}
+
+// lookup applies a Handle before the engine runs it — the drain that
+// follows a hit may evict the very object that was hit, and must find
+// it marked — and predicts the outcome: a hit iff the model holds the
+// key.
+func (m *model) lookup(req cache.Request) (hit bool) {
+	m.st.Requests++
+	m.st.ReqBytes += req.Size
+	e, ok := m.resident[req.Key]
+	if !ok {
+		return false
+	}
+	m.st.Hits++
+	m.st.HitBytes += req.Size
+	if e.prefetched {
+		m.st.PrefetchHits++
+	}
+	e.hit, e.prefetched = true, false
+	m.resident[req.Key] = e
+	return true
+}
+
+// store applies a Set before the engine runs it and reports whether it
+// is a refresh: the key resident at the same size, which stores nothing.
+func (m *model) store(req cache.Request) (refresh bool) {
+	m.st.Sets++
+	e, ok := m.resident[req.Key]
+	return ok && e.size == req.Size
+}
+
+// settle closes an operation that had to insert its key — a missed
+// lookup or a storing Set: no admission seen means it was refused.
+func (m *model) settle() {
+	if !m.admitted {
+		m.st.Rejections++
+	}
+}
+
+func (m *model) prefetchedResident() int64 {
+	var n int64
+	for _, e := range m.resident {
+		if e.prefetched {
+			n++
+		}
+	}
+	return n
+}
+
+// tap reports a shard policy's OnAdmit calls and the start of the
+// prefetch drain to the model, and forwards the optional faces the
+// engine looks for.
+type tap struct {
 	cache.Policy
-	resident map[cache.Key]int64
+	m *model
 }
 
-func (r *recorder) OnAdmit(req cache.Request) {
-	r.resident[req.Key] = req.Size
-	r.Policy.OnAdmit(req)
+func (p *tap) OnAdmit(req cache.Request) {
+	p.m.insert(req)
+	p.Policy.OnAdmit(req)
 }
 
-func (r *recorder) Admit(req cache.Request) cache.Decision { return cache.PolicyAdmit(r.Policy, req) }
+func (p *tap) Admit(req cache.Request) cache.Decision { return cache.PolicyAdmit(p.Policy, req) }
 
-func (r *recorder) NextPrefetch(now int64) (cache.Request, bool) {
-	if pf, ok := r.Policy.(cache.Prefetcher); ok {
+func (p *tap) NextPrefetch(now int64) (cache.Request, bool) {
+	p.m.draining = true
+	if pf, ok := p.Policy.(cache.Prefetcher); ok {
 		return pf.NextPrefetch(now)
 	}
 	return cache.Request{}, false
 }
 
-// TestAccountingInvariants drives every registered policy — plain, and
-// behind the admission front — through both engines with a seeded
-// random mix of lookups and stores, and checks after every step the
-// accounting identities that the metrics, the benchmark's
-// reconciliation gate and the operators' dashboards rely on:
+// step is one operation of a lockstep run.
+type step struct {
+	req cache.Request
+	set bool
+}
+
+// modelOptions configures name for a lockstep run over a trace of the
+// given duration: plain, or behind the admission front (the learned
+// pipeline for the Raven variants, the doorkeeper for the rest).
+func modelOptions(name string, front bool, capacity, duration int64) Options {
+	o := Options{Capacity: capacity, TrainWindow: duration/5 + 1, Seed: 9}
+	raven := name == "raven" || name == "raven-ohr"
+	if raven {
+		// A short window, a small net and the prefetch queue armed.
+		o.Prefetch = PrefetchOptions{Horizon: duration/8 + 1}
+		o.Raven = &core.Config{
+			MaxTrainObjects: 120,
+			Net:             nn.Config{Hidden: 4, MLPHidden: 6, K: 2},
+			Train:           nn.TrainConfig{MaxEpochs: 2, Patience: 1},
+		}
+	}
+	if front {
+		o.Admission.Mode = AdmitDoorkeeper
+		if raven {
+			o.Admission.Mode = AdmitLearned
+		}
+	}
+	return o
+}
+
+// runModel drives the engine and the model in lockstep over steps and
+// checks after every step that the engine's Keys, Len, Used, Contains
+// and StatsSnapshot are the model's, and the accounting identities that
+// the metrics, the benchmark's reconciliation gate and the operators'
+// dashboards rely on:
 //
 //   - every lookup and every storing SET ends as exactly one of hit,
 //     admission, rejection;
 //   - the per-reason reject counters sum to the rejections;
 //   - every prefetch insert is a prefetch hit, a wasted prefetch, or
 //     still resident and unused;
-//   - 0 <= used == the resident objects' bytes <= capacity;
-//   - the engine's resident set is the one the policy was told about
-//     (OnAdmit in, eviction observer out).
-func TestAccountingInvariants(t *testing.T) {
+//   - 0 <= used == the resident objects' bytes <= capacity.
+//
+// It returns the final statistics and the policy-reason reject count.
+func runModel(t *testing.T, name string, o Options, shards int, steps []step) (cache.Stats, int64) {
+	factory, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &model{t: t, resident: map[cache.Key]modelEntry{}}
+	perShard := factory.PerShard(o, shards)
+	eng, err := cache.NewSharded(o.Capacity, shards, func(i int, c int64) (cache.Policy, error) {
+		p, err := perShard(i, c)
+		return &tap{p, m}, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cobs := make([]*obs.CacheObs, eng.Shards())
+	for i := range cobs {
+		cobs[i] = &obs.CacheObs{}
+		eng.SetShardObs(i, cobs[i])
+	}
+	eng.SetEvictionObserver(func(victim cache.Key, _ func([]cache.Key) []cache.Key) { m.evict(victim) })
+
+	var fills int64 // SETs that had to store: not a same-size refresh
+	var keys, want []cache.Key
+	for i, s := range steps {
+		m.key, m.admitted, m.draining = s.req.Key, false, false
+		if s.set {
+			refresh := m.store(s.req)
+			if !refresh {
+				fills++
+			}
+			stored := eng.Set(s.req)
+			if (refresh && m.admitted) || stored != (refresh || m.admitted) {
+				t.Fatalf("step %d: Set(%d) returned %v; refresh %v, admission seen %v", i, s.req.Key, stored, refresh, m.admitted)
+			}
+			if !refresh {
+				m.settle()
+			}
+		} else {
+			want := m.lookup(s.req)
+			if hit := eng.Handle(s.req); hit != want || (hit && m.admitted) {
+				t.Fatalf("step %d: Handle(%d) returned %v, the model predicted %v (admission seen %v)", i, s.req.Key, hit, want, m.admitted)
+			}
+			if !want {
+				m.settle()
+			}
+		}
+
+		st := eng.StatsSnapshot()
+		if st != m.st {
+			t.Fatalf("step %d: engine stats %+v, model %+v", i, st, m.st)
+		}
+		if used := eng.Used(); used != m.used || used < 0 || used > eng.Capacity() {
+			t.Fatalf("step %d: used %d, model %d, capacity %d", i, used, m.used, eng.Capacity())
+		}
+		var bytes int64
+		want = want[:0]
+		for k, e := range m.resident {
+			bytes += e.size
+			want = append(want, k)
+		}
+		slices.Sort(want)
+		if keys = eng.Keys(keys[:0]); !slices.Equal(keys, want) || eng.Len() != len(want) || bytes != m.used {
+			t.Fatalf("step %d: engine holds %v (Len %d), model %v (%d bytes, used %d)", i, keys, eng.Len(), want, bytes, m.used)
+		}
+		if _, ok := m.resident[s.req.Key]; eng.Contains(s.req.Key) != ok {
+			t.Fatalf("step %d: Contains(%d) = %v, model %v", i, s.req.Key, !ok, ok)
+		}
+
+		if st.Hits+st.Admissions+st.Rejections != st.Requests+fills {
+			t.Fatalf("step %d: hits %d + admissions %d + rejections %d != requests %d + storing sets %d",
+				i, st.Hits, st.Admissions, st.Rejections, st.Requests, fills)
+		}
+		var rejects, byReason, prefetched int64
+		for _, co := range cobs {
+			rejects += co.Rejections.Load()
+			byReason += co.RejTooLarge.Load() + co.RejNoVictim.Load() + co.RejPolicy.Load() +
+				co.RejSizeThreshold.Load() + co.RejDoorkeeper.Load() + co.RejFrequency.Load() +
+				co.RejReuse.Load() + co.RejOther.Load()
+			prefetched += co.PrefetchResident.Load()
+		}
+		if byReason != st.Rejections || rejects != st.Rejections {
+			t.Fatalf("step %d: per-reason rejects sum to %d, counter %d, stats %d", i, byReason, rejects, st.Rejections)
+		}
+		if prefetched != m.prefetchedResident() || st.Prefetches != st.PrefetchHits+st.PrefetchWasted+prefetched {
+			t.Fatalf("step %d: prefetches %d != hits %d + wasted %d + resident %d (model resident %d)",
+				i, st.Prefetches, st.PrefetchHits, st.PrefetchWasted, prefetched, m.prefetchedResident())
+		}
+	}
+	var policyRejects int64
+	for _, co := range cobs {
+		policyRejects += co.RejPolicy.Load()
+	}
+	return m.st, policyRejects
+}
+
+// TestEngineModel is the engine's reference-model test: every
+// registered policy — plain, and behind the admission front — at 1 and
+// 4 shards, through a seeded random mix of lookups and stores.
+func TestEngineModel(t *testing.T) {
 	tr := trace.Synthetic(trace.SynthConfig{
 		Objects: 120, Requests: 2400, Interarrival: trace.Pareto, VariableSizes: true, Seed: 3,
 	})
 	tr.AnnotateNext() // the Belady variants read Request.Next
+	g := stats.NewRNG(21)
+	steps := make([]step, tr.Len())
+	for i, req := range tr.Reqs {
+		steps[i].req = req
+		if g.Intn(5) == 0 {
+			steps[i].set = true
+			if g.Intn(2) == 0 {
+				steps[i].req.Size += 1 + int64(g.Intn(9)) // a SET may change the size
+			}
+		}
+	}
 	capacity := tr.UniqueBytes() / 6
 	prefetches, policyRejects := int64(0), int64(0)
 	for _, name := range Names() {
-		raven := name == "raven" || name == "raven-ohr"
-		for _, mode := range []string{AdmitOff, AdmitDoorkeeper} {
-			o := Options{
-				Capacity:    capacity,
-				TrainWindow: tr.Duration() / 5,
-				Seed:        9,
-				Admission:   AdmissionOptions{Mode: mode},
-			}
-			if raven {
-				// A short window, a small net and the prefetch queue armed;
-				// behind the front, the learned pipeline.
-				o.Prefetch = PrefetchOptions{Horizon: tr.Duration() / 8}
-				o.Raven = &core.Config{
-					MaxTrainObjects: 120,
-					Net:             nn.Config{Hidden: 4, MLPHidden: 6, K: 2},
-					Train:           nn.TrainConfig{MaxEpochs: 2, Patience: 1},
-				}
-				if mode == AdmitDoorkeeper {
-					o.Admission.Mode = AdmitLearned
-				}
-			}
-			factory, err := Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, shards := range []int{0, 4} { // 0: a plain cache.Cache
+		for _, front := range []bool{false, true} {
+			o := modelOptions(name, front, capacity, tr.Duration())
+			for _, shards := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/admit=%s/shards=%d", name, o.Admission.Mode, shards), func(t *testing.T) {
-					resident := map[cache.Key]int64{}
-					var eng engine
-					var cobs []*obs.CacheObs
-					if shards == 0 {
-						p, err := factory(o)
-						if err != nil {
-							t.Fatal(err)
-						}
-						c := cache.New(capacity, &recorder{p, resident})
-						cobs = []*obs.CacheObs{{}}
-						c.SetObs(cobs[0])
-						eng = c
-					} else {
-						perShard := factory.PerShard(o, shards)
-						s, err := cache.NewSharded(capacity, shards, func(i int, c int64) (cache.Policy, error) {
-							p, err := perShard(i, c)
-							return &recorder{p, resident}, err
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						for i := 0; i < s.Shards(); i++ {
-							cobs = append(cobs, &obs.CacheObs{})
-							s.SetShardObs(i, cobs[i])
-						}
-						eng = s
-					}
-					eng.SetEvictionObserver(func(k cache.Key) { delete(resident, k) })
-
-					g := stats.NewRNG(21)
-					var fills int64 // SETs that had to store: not a same-size refresh
-					var keys, want []cache.Key
-					for step, req := range tr.Reqs {
-						if g.Intn(5) == 0 {
-							if g.Intn(2) == 0 {
-								req.Size += 1 + int64(g.Intn(9)) // a SET may change the size
-							}
-							if size, ok := resident[req.Key]; !ok || size != req.Size {
-								fills++
-							}
-							eng.Set(req)
-						} else {
-							eng.Handle(req)
-						}
-
-						st := eng.StatsSnapshot()
-						if st.Hits+st.Admissions+st.Rejections != st.Requests+fills {
-							t.Fatalf("step %d: hits %d + admissions %d + rejections %d != requests %d + storing sets %d",
-								step, st.Hits, st.Admissions, st.Rejections, st.Requests, fills)
-						}
-						var rejects, byReason, prefetched int64
-						for _, co := range cobs {
-							rejects += co.Rejections.Load()
-							byReason += co.RejTooLarge.Load() + co.RejNoVictim.Load() + co.RejPolicy.Load() +
-								co.RejSizeThreshold.Load() + co.RejDoorkeeper.Load() + co.RejFrequency.Load() +
-								co.RejReuse.Load() + co.RejOther.Load()
-							prefetched += co.PrefetchResident.Load()
-						}
-						if byReason != st.Rejections || rejects != st.Rejections {
-							t.Fatalf("step %d: per-reason rejects sum to %d, counter %d, stats %d", step, byReason, rejects, st.Rejections)
-						}
-						if st.Prefetches != st.PrefetchHits+st.PrefetchWasted+prefetched {
-							t.Fatalf("step %d: prefetches %d != hits %d + wasted %d + resident %d",
-								step, st.Prefetches, st.PrefetchHits, st.PrefetchWasted, prefetched)
-						}
-						var bytes int64
-						want = want[:0]
-						for k, size := range resident {
-							bytes += size
-							want = append(want, k)
-						}
-						if used := eng.Used(); used != bytes || used < 0 || used > eng.Capacity() {
-							t.Fatalf("step %d: used %d, resident bytes %d, capacity %d", step, used, bytes, eng.Capacity())
-						}
-						slices.Sort(want)
-						if keys = eng.Keys(keys[:0]); !slices.Equal(keys, want) {
-							t.Fatalf("step %d: engine holds %v, the policy was told %v", step, keys, want)
-						}
-					}
-					st := eng.StatsSnapshot()
+					st, rejects := runModel(t, name, o, shards, steps)
 					prefetches += st.Prefetches
-					for _, co := range cobs {
-						policyRejects += co.RejPolicy.Load()
-					}
+					policyRejects += rejects
 					if st.Evictions == 0 {
 						t.Errorf("no evictions: the fixture does not press %s", name)
 					}
@@ -187,11 +317,60 @@ func TestAccountingInvariants(t *testing.T) {
 			}
 		}
 	}
-	// The identities above are vacuous for a path the fixture never takes.
+	// The identities are vacuous for a path the fixture never takes.
 	if prefetches == 0 {
 		t.Error("no policy prefetched: the prefetch identity was never exercised")
 	}
 	if policyRejects == 0 {
 		t.Error("no policy-reason rejects: the ported admitters were never exercised")
 	}
+}
+
+// FuzzEngineModel feeds the lockstep driver operation sequences decoded
+// from the fuzzer's bytes: two bytes an operation — a key in [0, 64)
+// with its high bits choosing lookup, store or resizing store, and the
+// ticks since the previous operation. sel picks the policy, the
+// admission front and the shard count.
+func FuzzEngineModel(f *testing.F) {
+	names := Names()
+	churn := make([]byte, 0, 600)
+	g := stats.NewRNG(5)
+	for i := 0; i < 300; i++ {
+		churn = append(churn, byte(g.Intn(256)), byte(g.Intn(8)))
+	}
+	for sel := 0; sel < 4*len(names); sel += 3 {
+		f.Add(uint16(sel), churn)
+	}
+	f.Add(uint16(0), []byte{})
+	f.Add(uint16(1), []byte{1, 1, 1, 1, 0x41, 1, 0x81, 1, 0xc1, 1, 1, 0})
+
+	f.Fuzz(func(t *testing.T, sel uint16, data []byte) {
+		if len(data) > 4096 {
+			t.Skip("oversized input")
+		}
+		tr := &trace.Trace{Name: "fuzz"}
+		sets := make([]byte, 0, len(data)/2)
+		now := int64(1) // Belady reads Next == 0 as "not annotated"
+		for i := 0; i+1 < len(data); i += 2 {
+			now += int64(data[i+1])
+			key := cache.Key(data[i] & 63)
+			tr.Reqs = append(tr.Reqs, cache.Request{Time: now, Key: key, Size: 1 + int64(key)%7})
+			sets = append(sets, data[i]>>6)
+		}
+		tr.AnnotateNext()
+		steps := make([]step, tr.Len())
+		for i, req := range tr.Reqs {
+			steps[i] = step{req: req, set: sets[i] >= 2}
+			if sets[i] == 3 {
+				steps[i].req.Size += 3
+			}
+		}
+		name := names[int(sel/4)%len(names)]
+		o := modelOptions(name, sel&1 != 0, 40, now)
+		shards := 1
+		if sel&2 != 0 {
+			shards = 4
+		}
+		runModel(t, name, o, shards, steps)
+	})
 }

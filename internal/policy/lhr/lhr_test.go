@@ -19,9 +19,9 @@ func TestLHRBeatsLRUOnZipfPoisson(t *testing.T) {
 		c.Handle(r)
 		lc.Handle(r)
 	}
-	if c.Stats().OHR() <= lc.Stats().OHR() {
+	if c.StatsSnapshot().OHR() <= lc.StatsSnapshot().OHR() {
 		t.Errorf("LHR OHR %.4f should beat LRU %.4f on Poisson (its model assumption)",
-			c.Stats().OHR(), lc.Stats().OHR())
+			c.StatsSnapshot().OHR(), lc.StatsSnapshot().OHR())
 	}
 }
 
@@ -56,12 +56,12 @@ func TestLHRAdmissionRefusesColdNewcomers(t *testing.T) {
 			c.Handle(cache.Request{Time: int64(round*100 + int(k)), Key: k, Size: 1})
 		}
 	}
-	rejBefore := c.Stats().Rejections
+	rejBefore := c.StatsSnapshot().Rejections
 	// A burst of brand-new singletons should face rejections.
 	for i := 0; i < 200; i++ {
 		c.Handle(cache.Request{Time: int64(10000 + i), Key: cache.Key(1000 + i), Size: 1})
 	}
-	if c.Stats().Rejections == rejBefore {
+	if c.StatsSnapshot().Rejections == rejBefore {
 		t.Error("admission control never rejected cold newcomers")
 	}
 }

@@ -25,9 +25,9 @@ func TestLRBTrainsAndOutperformsLRU(t *testing.T) {
 	if p.Trainings < 2 {
 		t.Errorf("expected multiple trainings, got %d", p.Trainings)
 	}
-	if c.Stats().OHR() <= lc.Stats().OHR() {
+	if c.StatsSnapshot().OHR() <= lc.StatsSnapshot().OHR() {
 		t.Errorf("LRB OHR %.4f should beat LRU %.4f on a recency-unfriendly trace",
-			c.Stats().OHR(), lc.Stats().OHR())
+			c.StatsSnapshot().OHR(), lc.StatsSnapshot().OHR())
 	}
 }
 

@@ -68,7 +68,7 @@ func TestPredictiveMarkerBeatsMarkerOnPeriodicTrace(t *testing.T) {
 		for _, r := range gen().Reqs {
 			c.Handle(r)
 		}
-		return c.Stats().OHR()
+		return c.StatsSnapshot().OHR()
 	}
 	classic := run(New(2))
 	pred := run(NewPredictive(2, NewEWMAPredictor(0.3)))

@@ -67,7 +67,7 @@ func TestARCScanResistance(t *testing.T) {
 		for _, r := range hot() {
 			c.Handle(r)
 		}
-		return c.Stats().OHR()
+		return c.StatsSnapshot().OHR()
 	}
 	if a, l := run(arc.New(25)), run(lru.New()); a < l {
 		t.Errorf("ARC OHR %.4f should beat LRU %.4f under a scan", a, l)
@@ -86,22 +86,22 @@ func TestTinyLFURejectsOneHitWonders(t *testing.T) {
 		}
 	}
 	// Stream of singletons: TinyLFU should reject most of them.
-	rejBefore := c.Stats().Rejections
+	rejBefore := c.StatsSnapshot().Rejections
 	for k := trace.Key(10000); k < 10300; k++ {
 		tm++
 		c.Handle(cache.Request{Time: tm, Key: k, Size: 1})
 	}
-	rejected := c.Stats().Rejections - rejBefore
+	rejected := c.StatsSnapshot().Rejections - rejBefore
 	if rejected < 200 {
 		t.Errorf("TinyLFU rejected only %d/300 one-hit wonders", rejected)
 	}
 	// The hot set must still be hitting.
-	hitsBefore := c.Stats().Hits
+	hitsBefore := c.StatsSnapshot().Hits
 	for k := trace.Key(1); k <= 50; k++ {
 		tm++
 		c.Handle(cache.Request{Time: tm, Key: k, Size: 1})
 	}
-	if c.Stats().Hits-hitsBefore < 45 {
+	if c.StatsSnapshot().Hits-hitsBefore < 45 {
 		t.Error("hot set was damaged by the singleton scan")
 	}
 }

@@ -35,7 +35,7 @@ func ohr(t *testing.T, p cache.Policy, tr *trace.Trace, capacity int64) float64 
 	if c.Used() > c.Capacity() {
 		t.Fatalf("%s: capacity violated", p.Name())
 	}
-	return c.Stats().OHR()
+	return c.StatsSnapshot().OHR()
 }
 
 func TestRandomIsWorseThanLRUOnZipf(t *testing.T) {

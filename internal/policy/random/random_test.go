@@ -10,7 +10,7 @@ func TestEvictsUniformly(t *testing.T) {
 	p := New(1)
 	c := cache.New(10, p)
 	evicted := map[cache.Key]int{}
-	c.SetEvictionObserver(func(v cache.Key) { evicted[v]++ })
+	c.SetEvictionObserver(func(v cache.Key, _ func([]cache.Key) []cache.Key) { evicted[v]++ })
 	for i := 0; i < 5000; i++ {
 		c.Handle(cache.Request{Time: int64(i), Key: cache.Key(i % 40), Size: 1})
 	}

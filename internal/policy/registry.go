@@ -38,9 +38,6 @@ type Options struct {
 	// TrainWindow is the retraining period in ticks for the learning
 	// policies (LRB's memory window, Raven's training window).
 	TrainWindow int64
-	// EntriesEstimate approximates how many objects fit in the cache
-	// (LeCaR ghost lists). 0 derives a rough default from Capacity.
-	EntriesEstimate int
 	// Seed makes stochastic policies deterministic.
 	Seed int64
 	// Workers is Raven's goroutine fan-out for training and eviction
@@ -81,10 +78,9 @@ type Options struct {
 	Raven *core.Config
 }
 
+// entries approximates how many objects fit in the cache (LeCaR ghost
+// lists) from Capacity.
 func (o Options) entries() int {
-	if o.EntriesEstimate > 0 {
-		return o.EntriesEstimate
-	}
 	if o.Capacity > 0 && o.Capacity < 1<<20 {
 		return int(o.Capacity)
 	}
@@ -137,9 +133,6 @@ func (o Options) ravenConfig(goal core.Goal) core.Config {
 	if cfg.Prefetch.Horizon == 0 {
 		cfg.Prefetch.Horizon = o.Prefetch.Horizon
 	}
-	if cfg.Prefetch.MaxQueue == 0 {
-		cfg.Prefetch.MaxQueue = o.Prefetch.MaxQueue
-	}
 	return cfg
 }
 
@@ -178,11 +171,10 @@ type Factory func(o Options) (cache.Policy, error)
 // signature: each shard gets an instance built from o with the shard's
 // own byte capacity, a deterministically derived RNG seed
 // (o.Seed + shardIndex, so shard 0 of a 1-shard engine is bit-identical
-// to the unsharded policy), and — when checkpointing is on and shards
-// > 1 — a per-shard checkpoint subdirectory so shards never overwrite
-// each other's generations. A single-shard engine keeps o.CheckpointDir
-// unchanged, so its checkpoint layout (and resume of checkpoints
-// written by the unsharded engine) is identical to the unsharded path.
+// to an instance built from o itself), and — when checkpointing is on
+// and shards > 1 — a per-shard checkpoint subdirectory so shards never
+// overwrite each other's generations. A single-shard engine keeps
+// o.CheckpointDir unchanged.
 // Pass the same shard count the engine is built with; engines that
 // round the count up to a power of two stay consistent because
 // rounding never crosses the shards<=1 boundary.

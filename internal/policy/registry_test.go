@@ -27,7 +27,7 @@ func TestAllRegisteredPoliciesRun(t *testing.T) {
 		for _, r := range tr.Reqs {
 			c.Handle(r)
 		}
-		st := c.Stats()
+		st := c.StatsSnapshot()
 		if st.Requests != int64(tr.Len()) {
 			t.Errorf("%s: processed %d of %d requests", name, st.Requests, tr.Len())
 		}

@@ -218,7 +218,7 @@ type serverMetrics struct {
 // resolved against the server's virtual clock and report hit/stored.
 // Implementations must be safe for concurrent use.
 //
-//lint:coldpath the serving loop's fence ends at this seam: behind it a miss admits, evicts and, under Raven, may fit inline; Cache.evict, Raven.Victim and Router.ServeBatch are hot-path entries of their own
+//lint:coldpath the serving loop's fence ends at this seam: behind it a miss admits, evicts and, under Raven, may fit inline; the engine's evict, Raven.Victim and Router.ServeBatch are hot-path entries of their own
 type Backend interface {
 	Get(key trace.Key, size, ts int64) bool
 	Set(key trace.Key, size, ts int64) bool
@@ -235,7 +235,7 @@ func (e engineBackend) Get(key trace.Key, size, ts int64) bool {
 	return e.eng.Handle(trace.Request{Time: ts, Key: key, Size: size, Next: trace.NoNext})
 }
 
-// Set stores one object (see cache.Cache.Set) and reports whether it is
+// Set stores one object (see cache.Sharded.Set) and reports whether it is
 // resident afterwards.
 func (e engineBackend) Set(key trace.Key, size, ts int64) bool {
 	return e.eng.Set(trace.Request{Time: ts, Key: key, Size: size, Next: trace.NoNext})

@@ -46,11 +46,11 @@ func TestAdmissionPrefetchBitExact(t *testing.T) {
 		})
 		c := cache.New(tr.UniqueBytes()/8, p)
 		s := ""
-		c.SetEvictionObserver(func(v cache.Key) { s += fmt.Sprintf(" %d", v) })
+		c.SetEvictionObserver(func(v cache.Key, _ func([]cache.Key) []cache.Key) { s += fmt.Sprintf(" %d", v) })
 		for _, req := range tr.Reqs {
 			c.Handle(req)
 		}
-		s += fmt.Sprintf(" stats=%+v", c.Stats())
+		s += fmt.Sprintf(" stats=%+v", c.StatsSnapshot())
 		r, ok := cache.Unwrap(p).(*core.Raven)
 		if !ok {
 			t.Fatal("fronted policy did not unwrap to *core.Raven")
@@ -92,9 +92,9 @@ func TestAdmissionOffMatchesUnfronted(t *testing.T) {
 	capacity := tr.UniqueBytes() / 8
 	opts := Options{Capacity: capacity, Seed: 3}
 
-	base := Run(newTrace(),
+	base := runOne(t, newTrace(),
 		policy.MustNew("tinylfu", policy.Options{Capacity: capacity, Seed: 7}), opts)
-	off := Run(newTrace(),
+	off := runOne(t, newTrace(),
 		policy.MustNew("tinylfu", policy.Options{
 			Capacity: capacity, Seed: 7,
 			Admission: policy.AdmissionOptions{Mode: policy.AdmitOff},

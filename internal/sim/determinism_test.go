@@ -23,43 +23,50 @@ func canonicalResult(r *Result) string {
 	for _, e := range r.RankErrors {
 		s += fmt.Sprintf(" %x", e)
 	}
-	for _, cp := range r.Curve {
-		s += fmt.Sprintf(" curve(%d,%x,%x)", cp.Requests, cp.OHR, cp.BHR)
-	}
 	return s
 }
 
 // TestSimulateDeterministic is the repository's determinism regression
-// test: the full Simulate pipeline, run twice on the same seeded
-// synthetic trace, must produce byte-identical outputs (hit ratios,
-// eviction counts, rank-order errors, hit-ratio curves) for a
-// representative policy spread — Raven itself, the learned LRB
-// baseline, and LRU.
+// test: the full replay, run twice on the same seeded synthetic trace,
+// must produce byte-identical outputs (hit ratios, eviction counts,
+// rank-order errors) for a representative policy spread — Raven
+// itself, the learned LRB baseline, and LRU. A third run pins the
+// seed-derivation half of the sharding contract: PerShard derives
+// shard 0's seed as Seed+0, so factory.PerShard(o, 1) must replay
+// bit-identically to policy.MustNew(name, o) behind SingleFactory — no
+// hidden reseeding may leak in.
 func TestSimulateDeterministic(t *testing.T) {
 	for _, name := range []string{"raven", "lrb", "lru"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			run := func() string {
+			run := func(perShard bool) string {
 				tr := trace.Synthetic(trace.SynthConfig{
-					Objects: 200, Requests: 10000, Interarrival: trace.Pareto,
+					Objects: 200, Requests: 6000, Interarrival: trace.Pareto,
 					VariableSizes: true, Seed: 11,
 				})
 				tr.AnnotateNext()
 				capacity := tr.UniqueBytes() / 8
-				p := policy.MustNew(name, policy.Options{
-					Capacity: capacity, TrainWindow: tr.Duration() / 4, Seed: 7,
-				})
-				res := Run(tr, p, Options{
-					Capacity:       capacity,
-					Seed:           3,
-					RankOrderEvery: 50,
-					CurvePoints:    16,
-				})
+				popts := policy.Options{Capacity: capacity, TrainWindow: tr.Duration() / 4, Seed: 7}
+				factory := cache.SingleFactory(policy.MustNew(name, popts))
+				if perShard {
+					f, err := policy.Lookup(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					factory = f.PerShard(popts, 1)
+				}
+				res, err := Run(tr, 1, factory, Options{Capacity: capacity, Seed: 3, RankOrderEvery: 50})
+				if err != nil {
+					t.Fatal(err)
+				}
 				return canonicalResult(res)
 			}
-			a, b := run(), run()
+			a, b := run(false), run(false)
 			if a != b {
 				t.Errorf("two identical runs diverged:\n run1: %s\n run2: %s", a, b)
+			}
+			if c := run(true); c != a {
+				t.Errorf("PerShard(o, 1) diverged from MustNew behind SingleFactory:\n single:   %s\n perShard: %s", a, c)
 			}
 		})
 	}
@@ -78,7 +85,7 @@ func TestRavenWorkersBitExact(t *testing.T) {
 	}
 	run := func(workers int) string {
 		tr := trace.Synthetic(trace.SynthConfig{
-			Objects: 150, Requests: 8000, Interarrival: trace.Pareto,
+			Objects: 150, Requests: 5000, Interarrival: trace.Pareto,
 			VariableSizes: true, Seed: 17,
 		})
 		r := core.New(core.Config{
@@ -91,11 +98,11 @@ func TestRavenWorkersBitExact(t *testing.T) {
 		})
 		c := cache.New(tr.UniqueBytes()/8, r)
 		s := ""
-		c.SetEvictionObserver(func(v cache.Key) { s += fmt.Sprintf(" %d", v) })
+		c.SetEvictionObserver(func(v cache.Key, _ func([]cache.Key) []cache.Key) { s += fmt.Sprintf(" %d", v) })
 		for _, req := range tr.Reqs {
 			c.Handle(req)
 		}
-		s += fmt.Sprintf(" stats=%+v", c.Stats())
+		s += fmt.Sprintf(" stats=%+v", c.StatsSnapshot())
 		for _, rec := range r.TrainStats {
 			s += fmt.Sprintf(" train(%d,%d,%d,%t,%d,%x,%x,%d,%d)",
 				rec.WindowEnd, rec.Objects, rec.Samples, rec.Skipped,
@@ -156,72 +163,6 @@ func TestTraceGeneratorsDeterministic(t *testing.T) {
 					}
 				}
 				t.Fatal("traces differ")
-			}
-		})
-	}
-}
-
-// TestShardedSingleShardBitExact enforces the sharding determinism
-// contract end to end for a representative policy spread (Raven, LRB,
-// LRU): a 1-shard sharded engine must be bit-identical to the plain
-// engine — same hit ratios, same stats, same rank-order errors, same
-// curves (via RunSharded vs Run), and the same eviction sequence (via
-// a direct engine comparison). PerShard derives shard 0's seed as
-// Seed+0, so no hidden reseeding may leak in.
-func TestShardedSingleShardBitExact(t *testing.T) {
-	for _, name := range []string{"raven", "lrb", "lru"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			newTrace := func() *trace.Trace {
-				tr := trace.Synthetic(trace.SynthConfig{
-					Objects: 200, Requests: 10000, Interarrival: trace.Pareto,
-					VariableSizes: true, Seed: 11,
-				})
-				tr.AnnotateNext()
-				return tr
-			}
-			tr := newTrace()
-			capacity := tr.UniqueBytes() / 8
-			popts := policy.Options{
-				Capacity: capacity, TrainWindow: tr.Duration() / 4, Seed: 7,
-			}
-			sopts := Options{
-				Capacity:       capacity,
-				Seed:           3,
-				RankOrderEvery: 50,
-				CurvePoints:    16,
-			}
-			factory, err := policy.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			plain := Run(newTrace(), policy.MustNew(name, popts), sopts)
-			sharded, err := RunSharded(newTrace(), name, 1, factory.PerShard(popts, 1), sopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, b := canonicalResult(plain), canonicalResult(sharded)
-			if a != b {
-				t.Errorf("1-shard RunSharded diverged from Run:\n plain:   %s\n sharded: %s", a, b)
-			}
-
-			// Eviction sequences, compared at the engine level.
-			evict := func(eng Engine) string {
-				s := ""
-				eng.SetEvictionObserver(func(v cache.Key) { s += fmt.Sprintf(" %d", v) })
-				for _, req := range newTrace().Reqs {
-					eng.Handle(req)
-				}
-				return s
-			}
-			pc := cache.New(capacity, policy.MustNew(name, popts))
-			sc, err := cache.NewSharded(capacity, 1, factory.PerShard(popts, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pe, se := evict(pc), evict(sc); pe != se {
-				t.Errorf("eviction sequences diverged (first 300 bytes):\n plain:   %.300s\n sharded: %.300s", pe, se)
 			}
 		})
 	}

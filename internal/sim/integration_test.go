@@ -37,7 +37,7 @@ func TestWarmupExcludesEarlyRequests(t *testing.T) {
 	tr := trace.Synthetic(trace.SynthConfig{
 		Objects: 100, Requests: 10000, Interarrival: trace.Poisson, Seed: 3,
 	})
-	res := Run(tr, policy.MustNew("lru", policy.Options{Capacity: 50}), Options{
+	res := runOne(t, tr, policy.MustNew("lru", policy.Options{Capacity: 50}), Options{
 		Capacity: 50, WarmupFrac: 0.5,
 	})
 	if res.Stats.Requests != 5000 {
@@ -46,24 +46,19 @@ func TestWarmupExcludesEarlyRequests(t *testing.T) {
 }
 
 // TestWarmupDoesNotChangeCacheContents: warmup affects accounting, not
-// behaviour — final hit counts with warmup equal the second-half
-// incremental hits of a run without warmup.
+// behaviour — the hits reported after a half-trace warmup are the
+// full run's hits minus those of the first half replayed alone.
 func TestWarmupDoesNotChangeCacheContents(t *testing.T) {
 	tr := trace.Synthetic(trace.SynthConfig{
 		Objects: 100, Requests: 10000, Interarrival: trace.Uniform, Seed: 4,
 	})
-	warm := Run(tr, policy.MustNew("lru", policy.Options{Capacity: 50}), Options{
-		Capacity: 50, WarmupFrac: 0.5,
-	})
-	full := Run(tr, policy.MustNew("lru", policy.Options{Capacity: 50}), Options{
-		Capacity: 50, CurvePoints: 2,
-	})
-	// Incremental hits over the second half of the no-warmup run.
-	mid := full.Curve[0]
-	last := full.Curve[1]
-	incHits := int64(last.OHR*float64(last.Requests) - mid.OHR*float64(mid.Requests))
-	if d := warm.Stats.Hits - incHits; d > 1 || d < -1 {
-		t.Errorf("warmup hits %d != incremental second-half hits %d", warm.Stats.Hits, incHits)
+	lru := func() cache.Policy { return policy.MustNew("lru", policy.Options{Capacity: 50}) }
+	warm := runOne(t, tr, lru(), Options{Capacity: 50, WarmupFrac: 0.5})
+	full := runOne(t, tr, lru(), Options{Capacity: 50})
+	firstHalf := tr.Slice(0, tr.Len()/2)
+	head := runOne(t, firstHalf, lru(), Options{Capacity: 50})
+	if want := full.Stats.Hits - head.Stats.Hits; warm.Stats.Hits != want {
+		t.Errorf("warmup hits %d != second-half hits %d of the run without warmup", warm.Stats.Hits, want)
 	}
 }
 
@@ -76,7 +71,7 @@ func TestHigherCapacityNeverHurtsBelady(t *testing.T) {
 	})
 	prev := -1.0
 	for _, c := range []int64{25, 50, 100, 200} {
-		res := Run(tr, policy.MustNew("belady", policy.Options{Capacity: c}), Options{Capacity: c})
+		res := runOne(t, tr, policy.MustNew("belady", policy.Options{Capacity: c}), Options{Capacity: c})
 		if res.OHR < prev-1e-9 {
 			t.Errorf("Belady OHR decreased from %.4f to %.4f at capacity %d", prev, res.OHR, c)
 		}
@@ -91,7 +86,7 @@ func TestNetAccountingConsistent(t *testing.T) {
 		Objects: 100, Requests: 10000, Interarrival: trace.Poisson,
 		VariableSizes: true, Seed: 6,
 	})
-	res := Run(tr, policy.MustNew("lru", policy.Options{Capacity: tr.UniqueBytes() / 10}), Options{
+	res := runOne(t, tr, policy.MustNew("lru", policy.Options{Capacity: tr.UniqueBytes() / 10}), Options{
 		Capacity: tr.UniqueBytes() / 10, Net: CDNModel(),
 	})
 	if res.Net.BackendBytes != res.Stats.MissBytes() {
@@ -102,26 +97,5 @@ func TestNetAccountingConsistent(t *testing.T) {
 	}
 	if res.Net.P99Latency < res.Net.P90Latency || res.Net.P90Latency < res.Net.AvgLatency/10 {
 		t.Errorf("implausible latency percentiles: %+v", res.Net)
-	}
-}
-
-// TestRunManyOrder preserves input order and sorts work as expected.
-func TestRunManyOrder(t *testing.T) {
-	tr := trace.Synthetic(trace.SynthConfig{Objects: 50, Requests: 3000, Interarrival: trace.Poisson, Seed: 7})
-	var list []cache.Policy
-	for _, n := range []string{"lru", "fifo", "random"} {
-		list = append(list, policy.MustNew(n, policy.Options{Capacity: 20, Seed: 1}))
-	}
-	rs := RunMany(tr, list, Options{Capacity: 20})
-	if rs[0].Policy != "lru" || rs[1].Policy != "fifo" || rs[2].Policy != "random" {
-		t.Errorf("order not preserved: %s %s %s", rs[0].Policy, rs[1].Policy, rs[2].Policy)
-	}
-	SortByOHR(rs)
-	if rs[0].OHR < rs[1].OHR || rs[1].OHR < rs[2].OHR {
-		t.Error("SortByOHR not descending")
-	}
-	SortByBHR(rs)
-	if rs[0].BHR < rs[len(rs)-1].BHR {
-		t.Error("SortByBHR not descending")
 	}
 }

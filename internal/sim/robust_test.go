@@ -20,12 +20,12 @@ func TestRavenSurvivesTrainingDivergence(t *testing.T) {
 		t.Skip("training test skipped in -short mode")
 	}
 	tr := trace.Synthetic(trace.SynthConfig{
-		Objects: 300, Requests: 30000, Interarrival: trace.Poisson, Seed: 9,
+		Objects: 300, Requests: 18000, Interarrival: trace.Poisson, Seed: 9,
 	})
 	const capacity = 60
 	opts := Options{Capacity: capacity, WarmupFrac: 0.1, Seed: 1}
 
-	lru := Run(tr, policy.MustNew("lru", policy.Options{Capacity: capacity}), opts)
+	lru := runOne(t, tr, policy.MustNew("lru", policy.Options{Capacity: capacity}), opts)
 
 	cfg := &core.Config{
 		TrainWindow:       tr.Duration() / 6,
@@ -38,7 +38,7 @@ func TestRavenSurvivesTrainingDivergence(t *testing.T) {
 	}
 	p := policy.MustNew("raven", policy.Options{Capacity: capacity, Raven: cfg})
 	r := p.(*core.Raven)
-	res := Run(tr, p, opts)
+	res := runOne(t, tr, p, opts)
 
 	if res.OHR < lru.OHR-0.05 {
 		t.Errorf("faulted Raven OHR %.4f below LRU %.4f - 0.05: degradation is not graceful",
@@ -79,7 +79,7 @@ func TestRavenFaultedRunIsDeterministic(t *testing.T) {
 		t.Skip("training test skipped in -short mode")
 	}
 	tr := trace.Synthetic(trace.SynthConfig{
-		Objects: 200, Requests: 15000, Interarrival: trace.Poisson, Seed: 3,
+		Objects: 200, Requests: 9000, Interarrival: trace.Poisson, Seed: 3,
 	})
 	const capacity = 40
 	run := func(workers int) (*Result, *core.Raven) {
@@ -94,7 +94,7 @@ func TestRavenFaultedRunIsDeterministic(t *testing.T) {
 			TrainFaultWindows: 1,
 		}
 		p := policy.MustNew("raven", policy.Options{Capacity: capacity, Raven: cfg})
-		return Run(tr, p, Options{Capacity: capacity, Seed: 1}), p.(*core.Raven)
+		return runOne(t, tr, p, Options{Capacity: capacity, Seed: 1}), p.(*core.Raven)
 	}
 	base, baseR := run(1)
 	for _, w := range []int{2, 4} {

@@ -1,11 +1,10 @@
 package sim
 
 import (
-	"sort"
+	"fmt"
 	"time"
 
 	"raven/internal/cache"
-	"raven/internal/obs"
 	"raven/internal/stats"
 	"raven/internal/trace"
 )
@@ -17,19 +16,11 @@ type Options struct {
 	// Net enables the latency/traffic/throughput model (nil = off).
 	Net *NetModel
 
-	// RankOrder enables rank-order error measurement against the
-	// Belady oracle: at each observed eviction the victim's true rank
-	// (0 = its next arrival really is the farthest among all cached
-	// objects) is recorded. RankOrderEvery observes every n-th
-	// eviction (1 = all; 0 disables).
+	// RankOrderEvery enables rank-order error measurement against the
+	// Belady oracle: at every n-th eviction (1 = all; 0 disables) the
+	// victim's true rank among the objects cached on its shard is
+	// recorded (0 = its next arrival really is the farthest).
 	RankOrderEvery int
-	// RankOrderMaxCached caps how many cached objects are ranked
-	// against (0 = all; large caches use sampling to stay affordable).
-	RankOrderMaxCached int
-
-	// CurvePoints, when positive, records a hit-ratio-over-time curve
-	// with that many points (Fig. 12).
-	CurvePoints int
 
 	// WarmupFrac excludes the first fraction of requests from all
 	// reported statistics (hit ratios, latency, traffic, rank errors).
@@ -40,32 +31,15 @@ type Options struct {
 
 	// Seed drives the measurement sampling (not the policy).
 	Seed int64
-
-	// Obs, when non-nil, attaches live observability metrics to the
-	// run's cache engine (occupancy gauges, request/eviction counters)
-	// so long simulations can be watched in flight. The counters span
-	// the whole run including warmup — unlike Result.Stats, which
-	// resets at the warmup boundary.
-	Obs *obs.CacheObs
-	// ObsEvictNanos, when non-nil, additionally receives every
-	// measured per-eviction compute time.
-	ObsEvictNanos *obs.Histogram
-}
-
-// CurvePoint is one sample of the cumulative hit-ratio trajectory.
-type CurvePoint struct {
-	Requests int
-	OHR      float64
-	BHR      float64
 }
 
 // Result is everything a run measured.
 type Result struct {
+	// Policy is the display name of the policy under test.
 	Policy   string
 	Trace    string
 	Capacity int64
-	// Shards is the shard count of the engine under test (0 for the
-	// plain unsharded engine, >= 1 for RunSharded).
+	// Shards is the engine's shard count (>= 1, a power of two).
 	Shards int
 
 	Stats cache.Stats
@@ -79,37 +53,22 @@ type Result struct {
 	// Table 6).
 	RankErrors []float64
 
-	Net   NetResult
-	Curve []CurvePoint
+	Net NetResult
 
-	// PolicyState is the policy instance the run used, for callers
-	// that inspect learned state afterwards (e.g. Raven's training
-	// records for Table 7).
-	PolicyState interface{}
+	// Policies holds the policy instances the run built, in shard
+	// order, for callers that inspect learned state afterwards (e.g.
+	// Raven's training records for Table 7).
+	Policies []cache.Policy
 
 	WallTime time.Duration
 }
 
-// Engine is what a replay drives: the plain cache engine or the
-// sharded one. Both *cache.Cache and *cache.Sharded satisfy it.
-type Engine interface {
-	Handle(cache.Request) bool
-	StatsSnapshot() cache.Stats
-	ResetStats()
-	Keys(buf []cache.Key) []cache.Key
-	SetEvictionObserver(func(cache.Key))
-	Flush()
-}
-
-// evictTimer accumulates per-eviction compute time. Shards of a
-// sharded run share one timer, so the measurement covers the whole
-// engine exactly as in the unsharded case (the replay is serial, so
-// no synchronization is needed).
+// evictTimer accumulates per-eviction compute time. All shards share
+// one timer, so the measurement covers the whole engine (the replay is
+// serial, so no synchronization is needed).
 type evictTimer struct {
-	res  *stats.Reservoir
-	hist *obs.Histogram
-	sum  time.Duration
-	n    int64
+	res *stats.Reservoir
+	sum time.Duration
 }
 
 // timedPolicy decorates a policy, measuring Victim wall time and
@@ -122,17 +81,14 @@ type timedPolicy struct {
 // Victim times the inner decision. The wall clock here only measures;
 // it can reach the decision itself solely through an inner policy's
 // DecisionBudget SLO, which replay configurations leave at 0.
+//
 //lint:allow determinism-taint the clock read measures eviction latency; it influences the decision only via an inner DecisionBudget, off by default in the simulator
 func (t *timedPolicy) Victim() (cache.Key, bool) {
 	start := time.Now()
 	k, ok := t.Policy.Victim()
 	d := time.Since(start)
 	t.t.sum += d
-	t.t.n++
 	t.t.res.Add(float64(d.Nanoseconds()))
-	if t.t.hist != nil {
-		t.t.hist.Observe(d.Nanoseconds())
-	}
 	return k, ok
 }
 
@@ -153,68 +109,46 @@ func (t *timedPolicy) Flush() {
 	}
 }
 
-// Run replays tr through a cache of opts.Capacity driven by p.
-// The trace is annotated with oracle next-arrival times on demand.
-func Run(tr *trace.Trace, p cache.Policy, opts Options) *Result {
-	tm := &evictTimer{res: stats.NewReservoir(4096, opts.Seed+1), hist: opts.ObsEvictNanos}
-	c := cache.New(opts.Capacity, &timedPolicy{Policy: p, t: tm})
-	if opts.Obs != nil {
-		c.SetObs(opts.Obs)
-	}
-	res := replay(tr, c, p.Name(), tm, opts)
-	res.PolicyState = p
-	return res
-}
-
-// RunSharded replays tr through a sharded engine of opts.Capacity
-// split over the given shard count, building one policy per shard via
-// newPolicy (see policy.Factory.PerShard). With shards == 1 the run is
-// bit-identical to Run on the same policy. PolicyState holds the
-// per-shard policy instances ([]cache.Policy, shard order); opts.Obs
-// is attached only when shards == 1 (a multi-shard engine needs
-// per-shard observers — see cache.Sharded.SetShardObs).
-func RunSharded(tr *trace.Trace, name string, shards int, newPolicy cache.ShardFactory, opts Options) (*Result, error) {
-	tm := &evictTimer{res: stats.NewReservoir(4096, opts.Seed+1), hist: opts.ObsEvictNanos}
+// Run replays tr through a cache engine of opts.Capacity split over
+// the given shard count, building one policy per shard via newPolicy:
+// policy.Factory.PerShard for a registered name, cache.SingleFactory
+// for an instance the caller already holds (one shard only). The trace
+// is annotated with oracle next-arrival times on demand.
+func Run(tr *trace.Trace, shards int, newPolicy cache.ShardFactory, opts Options) (*Result, error) {
+	tp := &evictTimer{res: stats.NewReservoir(4096, opts.Seed+1)}
 	var policies []cache.Policy
-	eng, err := cache.NewSharded(opts.Capacity, shards, func(shard int, capacity int64) (cache.Policy, error) {
+	c, err := cache.NewSharded(opts.Capacity, shards, func(shard int, capacity int64) (cache.Policy, error) {
 		p, err := newPolicy(shard, capacity)
-		if err != nil {
+		if err != nil || p == nil {
 			return nil, err
 		}
 		policies = append(policies, p)
-		return &timedPolicy{Policy: p, t: tm}, nil
+		return &timedPolicy{Policy: p, t: tp}, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	if opts.Obs != nil && eng.Shards() == 1 {
-		eng.SetShardObs(0, opts.Obs)
-	}
-	res := replay(tr, eng, name, tm, opts)
-	res.Shards = eng.Shards()
-	res.PolicyState = policies
-	return res, nil
-}
-
-// replay is the measurement loop shared by Run and RunSharded.
-func replay(tr *trace.Trace, c Engine, name string, tp *evictTimer, opts Options) *Result {
 	if !tr.Annotated() {
 		tr.AnnotateNext()
 	}
 	start := time.Now()
-	res := &Result{Policy: name, Trace: tr.Name, Capacity: opts.Capacity}
+	res := &Result{
+		Policy: policies[0].Name(), Trace: tr.Name, Capacity: opts.Capacity,
+		Shards: c.Shards(), Policies: policies,
+	}
 
 	warmIdx := int(opts.WarmupFrac * float64(tr.Len()))
 
-	var oracle *Oracle
 	var now int64
 	collecting := warmIdx == 0
-	evictions := 0
-	var keyBuf []cache.Key
-	rng := stats.NewRNG(opts.Seed + 2)
 	if opts.RankOrderEvery > 0 {
-		oracle = NewOracle(tr)
-		observe := func(keys func([]cache.Key) []cache.Key, victim cache.Key) {
+		oracle := NewOracle(tr)
+		evictions := 0
+		var keyBuf []cache.Key
+		// The observer runs with the evicting shard's lock held and ranks
+		// the victim against that shard's keys: the policy only chooses
+		// victims within its shard.
+		c.SetEvictionObserver(func(victim cache.Key, resident func([]cache.Key) []cache.Key) {
 			if !collecting {
 				return
 			}
@@ -222,22 +156,9 @@ func replay(tr *trace.Trace, c Engine, name string, tp *evictTimer, opts Options
 			if (evictions-1)%opts.RankOrderEvery != 0 {
 				return
 			}
-			keyBuf = keys(keyBuf[:0])
-			res.RankErrors = append(res.RankErrors,
-				rankError(oracle, keyBuf, victim, now, opts.RankOrderMaxCached, rng))
-		}
-		if sh, ok := c.(*cache.Sharded); ok {
-			// The observer runs with the evicting shard's lock held, so
-			// it must read keys from that shard's engine, not through
-			// the sharded engine's own locks. Ranking against the
-			// shard's keys is also the right semantic: the policy only
-			// chooses victims within its shard.
-			sh.SetShardEvictionObserver(func(_ int, sc *cache.Cache, victim cache.Key) {
-				observe(sc.Keys, victim)
-			})
-		} else {
-			c.SetEvictionObserver(func(victim cache.Key) { observe(c.Keys, victim) })
-		}
+			keyBuf = resident(keyBuf[:0])
+			res.RankErrors = append(res.RankErrors, rankError(oracle, keyBuf, victim, now))
+		})
 	}
 
 	var lat *stats.Reservoir
@@ -250,13 +171,6 @@ func replay(tr *trace.Trace, c Engine, name string, tp *evictTimer, opts Options
 		lat = stats.NewReservoir(8192, opts.Seed+3)
 		perBucketBytes = make([]int64, 0, 256)
 		perBucketTime = make([]time.Duration, 0, 256)
-	}
-	curveEvery := 0
-	if opts.CurvePoints > 0 {
-		curveEvery = tr.Len() / opts.CurvePoints
-		if curveEvery == 0 {
-			curveEvery = 1
-		}
 	}
 
 	bucketReqs := tr.Len()/200 + 1
@@ -304,10 +218,6 @@ func replay(tr *trace.Trace, c Engine, name string, tp *evictTimer, opts Options
 				bucketBytes, bucketTime = 0, 0
 			}
 		}
-		if curveEvery > 0 && (i+1)%curveEvery == 0 {
-			st := c.StatsSnapshot()
-			res.Curve = append(res.Curve, CurvePoint{Requests: i + 1, OHR: st.OHR(), BHR: st.BHR()})
-		}
 	}
 	c.Flush()
 
@@ -319,7 +229,7 @@ func replay(tr *trace.Trace, c Engine, name string, tp *evictTimer, opts Options
 		res.Net = summarizeNet(lat, modelled, backendBytes, res.Stats, perBucketBytes, perBucketTime)
 	}
 	res.WallTime = time.Since(start)
-	return res
+	return res, nil
 }
 
 func summarizeNet(lat *stats.Reservoir, modelled time.Duration, backendBytes int64,
@@ -352,24 +262,8 @@ func summarizeNet(lat *stats.Reservoir, modelled time.Duration, backendBytes int
 }
 
 // rankError computes the victim's true farthest-next-arrival rank
-// among the cached keys (0 = the policy matched Belady exactly). When
-// maxCached > 0 and the cache holds more keys, a uniform sample of
-// that size (always containing the victim) is ranked instead.
-func rankError(o *Oracle, keys []cache.Key, victim cache.Key, now int64, maxCached int, g *stats.RNG) float64 {
-	if maxCached > 0 && len(keys) > maxCached {
-		g.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-		keys = keys[:maxCached]
-		found := false
-		for _, k := range keys {
-			if k == victim {
-				found = true
-				break
-			}
-		}
-		if !found {
-			keys[0] = victim
-		}
-	}
+// among the cached keys (0 = the policy matched Belady exactly).
+func rankError(o *Oracle, keys []cache.Key, victim cache.Key, now int64) float64 {
 	vNext := o.NextAfter(victim, now)
 	rank := 0
 	for _, k := range keys {
@@ -381,24 +275,4 @@ func rankError(o *Oracle, keys []cache.Key, victim cache.Key, now int64, maxCach
 		}
 	}
 	return float64(rank)
-}
-
-// RunMany runs the same trace/capacity across several policies,
-// returning results in input order.
-func RunMany(tr *trace.Trace, ps []cache.Policy, opts Options) []*Result {
-	out := make([]*Result, 0, len(ps))
-	for _, p := range ps {
-		out = append(out, Run(tr, p, opts))
-	}
-	return out
-}
-
-// SortByOHR sorts results by descending object hit ratio.
-func SortByOHR(rs []*Result) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].OHR > rs[j].OHR })
-}
-
-// SortByBHR sorts results by descending byte hit ratio.
-func SortByBHR(rs []*Result) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].BHR > rs[j].BHR })
 }

@@ -14,6 +14,16 @@ func synth(seed int64) *trace.Trace {
 	})
 }
 
+// runOne replays tr through a one-shard engine driven by p.
+func runOne(t *testing.T, tr *trace.Trace, p cache.Policy, opts Options) *Result {
+	t.Helper()
+	res, err := Run(tr, 1, cache.SingleFactory(p), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestOracleNextAfter(t *testing.T) {
 	tr := &trace.Trace{Reqs: []trace.Request{
 		{Time: 10, Key: 1, Size: 1},
@@ -34,7 +44,7 @@ func TestOracleNextAfter(t *testing.T) {
 
 func TestRunMatchesCacheStats(t *testing.T) {
 	tr := synth(1)
-	res := Run(tr, policy.MustNew("lru", policy.Options{Capacity: 100}), Options{Capacity: 100})
+	res := runOne(t, tr, policy.MustNew("lru", policy.Options{Capacity: 100}), Options{Capacity: 100})
 	if res.Stats.Requests != int64(tr.Len()) {
 		t.Errorf("requests %d != trace %d", res.Stats.Requests, tr.Len())
 	}
@@ -49,9 +59,9 @@ func TestRunMatchesCacheStats(t *testing.T) {
 func TestBeladyIsUpperBound(t *testing.T) {
 	tr := synth(2)
 	opts := Options{Capacity: 100}
-	belady := Run(tr, policy.MustNew("belady", policy.Options{Capacity: 100}), opts)
+	belady := runOne(t, tr, policy.MustNew("belady", policy.Options{Capacity: 100}), opts)
 	for _, name := range []string{"lru", "lfu", "random", "fifo", "hyperbolic", "lhd"} {
-		r := Run(tr, policy.MustNew(name, policy.Options{Capacity: 100, Seed: 3}), opts)
+		r := runOne(t, tr, policy.MustNew(name, policy.Options{Capacity: 100, Seed: 3}), opts)
 		if r.OHR > belady.OHR+1e-9 {
 			t.Errorf("%s OHR %.4f exceeds Belady %.4f — Belady must be optimal", name, r.OHR, belady.OHR)
 		}
@@ -60,7 +70,7 @@ func TestBeladyIsUpperBound(t *testing.T) {
 
 func TestBeladyRankErrorIsZero(t *testing.T) {
 	tr := synth(3)
-	res := Run(tr, policy.MustNew("belady", policy.Options{Capacity: 100}), Options{
+	res := runOne(t, tr, policy.MustNew("belady", policy.Options{Capacity: 100}), Options{
 		Capacity:       100,
 		RankOrderEvery: 10,
 	})
@@ -77,7 +87,7 @@ func TestBeladyRankErrorIsZero(t *testing.T) {
 func TestRandomHasLargerRankErrorThanBelady(t *testing.T) {
 	tr := synth(4)
 	opts := Options{Capacity: 100, RankOrderEvery: 5}
-	rnd := Run(tr, policy.MustNew("random", policy.Options{Capacity: 100, Seed: 1}), opts)
+	rnd := runOne(t, tr, policy.MustNew("random", policy.Options{Capacity: 100, Seed: 1}), opts)
 	if len(rnd.RankErrors) == 0 {
 		t.Fatal("no rank errors for random")
 	}
@@ -105,8 +115,8 @@ func TestNetModelLatencyOrdering(t *testing.T) {
 func TestNetResultHigherHitRatioLowerLatency(t *testing.T) {
 	tr := synth(5)
 	opts := Options{Capacity: 100, Net: InMemoryModel()}
-	lruRes := Run(tr, policy.MustNew("lru", policy.Options{Capacity: 100}), opts)
-	belRes := Run(tr, policy.MustNew("belady", policy.Options{Capacity: 100}), opts)
+	lruRes := runOne(t, tr, policy.MustNew("lru", policy.Options{Capacity: 100}), opts)
+	belRes := runOne(t, tr, policy.MustNew("belady", policy.Options{Capacity: 100}), opts)
 	if belRes.Net.AvgLatency >= lruRes.Net.AvgLatency {
 		t.Errorf("Belady latency %v should beat LRU %v", belRes.Net.AvgLatency, lruRes.Net.AvgLatency)
 	}
@@ -120,23 +130,9 @@ func TestNetResultHigherHitRatioLowerLatency(t *testing.T) {
 	}
 }
 
-func TestCurveRecorded(t *testing.T) {
-	tr := synth(6)
-	res := Run(tr, policy.MustNew("lru", policy.Options{Capacity: 100}), Options{
-		Capacity: 100, CurvePoints: 20,
-	})
-	if len(res.Curve) < 15 {
-		t.Fatalf("expected ~20 curve points, got %d", len(res.Curve))
-	}
-	last := res.Curve[len(res.Curve)-1]
-	if last.Requests != tr.Len() {
-		t.Errorf("last curve point at %d, want %d", last.Requests, tr.Len())
-	}
-}
-
 func TestEvictionTimeMeasured(t *testing.T) {
 	tr := synth(7)
-	res := Run(tr, policy.MustNew("lru", policy.Options{Capacity: 50}), Options{Capacity: 50})
+	res := runOne(t, tr, policy.MustNew("lru", policy.Options{Capacity: 50}), Options{Capacity: 50})
 	if res.Stats.Evictions == 0 {
 		t.Fatal("no evictions")
 	}
@@ -154,7 +150,7 @@ func TestRankErrorVictimNeverRequestedAgain(t *testing.T) {
 	}}
 	o := NewOracle(tr)
 	keys := []cache.Key{1, 2}
-	if e := rankError(o, keys, 2, 2, 0, nil); e != 0 {
+	if e := rankError(o, keys, 2, 2); e != 0 {
 		t.Errorf("rank error %v, want 0 for never-again victim", e)
 	}
 }

@@ -49,11 +49,10 @@ type (
 	// Policy is the eviction-policy interface every algorithm in this
 	// repository implements.
 	Policy = cache.Policy
-	// Cache couples a Policy with capacity accounting.
-	Cache = cache.Cache
-	// ShardedCache is a memcached-style sharded engine: independent
-	// shards, each with its own Policy instance, byte budget, and lock.
-	ShardedCache = cache.Sharded
+	// Cache is the cache engine: one or more independent shards,
+	// memcached style, each coupling its own Policy instance with a byte
+	// budget, statistics and a lock. It is safe for concurrent use.
+	Cache = cache.Sharded
 	// ShardFactory builds one policy per shard (see PolicyFactory.PerShard).
 	ShardFactory = cache.ShardFactory
 	// Stats holds hit/byte counters.
@@ -139,33 +138,18 @@ func LookupPolicy(name string) (PolicyFactory, error) { return policy.Lookup(nam
 // PolicyNames lists every registered policy.
 func PolicyNames() []string { return policy.Names() }
 
-// NewCache couples a policy with a byte-capacity cache.
+// NewCache couples a policy with a one-shard byte-capacity cache. It
+// panics if capacity is not positive or p is nil.
 func NewCache(capacity int64, p Policy) *Cache { return cache.New(capacity, p) }
 
 // NewShardedCache splits capacity over the given number of shards
 // (rounded up to a power of two), building one policy per shard via
 // newPolicy — typically LookupPolicy(name).PerShard(opts, shards).
 // Keys map to shards by a deterministic hash; each shard runs under
-// its own lock,
-// so concurrent requests for different shards never contend.
-func NewShardedCache(capacity int64, shards int, newPolicy ShardFactory) (*ShardedCache, error) {
+// its own lock, so concurrent requests for different shards never
+// contend.
+func NewShardedCache(capacity int64, shards int, newPolicy ShardFactory) (*Cache, error) {
 	return cache.NewSharded(capacity, shards, newPolicy)
-}
-
-// NewFrontedCache builds a cache whose policy is fronted by the
-// configured admission pipeline and prefetch queue: a one-call
-// composition of LookupPolicy + PolicyOptions.Admission/Prefetch +
-// NewCache. With opts.Admission and opts.Prefetch zero it is exactly
-// NewPolicy + NewCache.
-func NewFrontedCache(capacity int64, name string, opts PolicyOptions) (*Cache, error) {
-	if opts.Capacity == 0 {
-		opts.Capacity = capacity
-	}
-	p, err := policy.New(name, opts)
-	if err != nil {
-		return nil, err
-	}
-	return cache.New(capacity, p), nil
 }
 
 // UnwrapPolicy returns the innermost policy behind admission (or
@@ -173,10 +157,11 @@ func NewFrontedCache(capacity int64, name string, opts PolicyOptions) (*Cache, e
 // — e.g. UnwrapPolicy(p).(*raven.Raven) to read checkpoint status.
 func UnwrapPolicy(p Policy) Policy { return cache.Unwrap(p) }
 
-// Simulate replays a trace through a fresh cache and returns the
-// measurements.
-func Simulate(tr *Trace, p Policy, opts SimOptions) *SimResult {
-	return sim.Run(tr, p, opts)
+// Simulate replays a trace through a fresh one-shard cache driven by p
+// and returns the measurements. It fails if opts.Capacity is not
+// positive or p is nil.
+func Simulate(tr *Trace, p Policy, opts SimOptions) (*SimResult, error) {
+	return sim.Run(tr, 1, cache.SingleFactory(p), opts)
 }
 
 // CDNNetModel returns the paper's CDN latency model (10 ms edge RTT,

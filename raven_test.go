@@ -6,12 +6,21 @@ import (
 	"raven"
 )
 
+func simulate(t *testing.T, tr *raven.Trace, p raven.Policy, opts raven.SimOptions) *raven.SimResult {
+	t.Helper()
+	res, err := raven.Simulate(tr, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestFacadeEndToEnd(t *testing.T) {
 	tr := raven.SyntheticTrace(raven.SynthConfig{
 		Objects: 200, Requests: 20000, Interarrival: raven.Uniform, Seed: 1,
 	})
 	p := raven.MustNewPolicy("lru", raven.PolicyOptions{Capacity: 50})
-	res := raven.Simulate(tr, p, raven.SimOptions{Capacity: 50})
+	res := simulate(t, tr, p, raven.SimOptions{Capacity: 50})
 	if res.OHR <= 0 || res.OHR >= 1 {
 		t.Errorf("implausible OHR %v", res.OHR)
 	}
@@ -30,11 +39,11 @@ func TestFacadeRavenPolicy(t *testing.T) {
 		ResidualSamples: 30,
 		Seed:            3,
 	})
-	res := raven.Simulate(tr, rv, raven.SimOptions{Capacity: 40, WarmupFrac: 0.5})
+	res := simulate(t, tr, rv, raven.SimOptions{Capacity: 40, WarmupFrac: 0.5})
 	if !rv.Trained() {
 		t.Fatal("facade Raven never trained")
 	}
-	lru := raven.Simulate(tr, raven.MustNewPolicy("lru", raven.PolicyOptions{Capacity: 40}),
+	lru := simulate(t, tr, raven.MustNewPolicy("lru", raven.PolicyOptions{Capacity: 40}),
 		raven.SimOptions{Capacity: 40, WarmupFrac: 0.5})
 	if res.OHR <= lru.OHR {
 		t.Errorf("Raven OHR %.4f should beat LRU %.4f post-warmup", res.OHR, lru.OHR)

@@ -28,8 +28,9 @@
 #                including the pipelined serving path over the wire and
 #                through the router
 #   fuzz-smoke   five seconds each of FuzzBinaryFrames and FuzzTextLines
-#                against a live server: no panic, no desync, and the
-#                seed corpora still pass
+#                against a live server (no panic, no desync) and of
+#                FuzzEngineModel (the engine against its naive reference
+#                model); the seed corpora still pass
 #   checkpoint   a corrupted newest checkpoint generation is skipped on
 #                resume, end to end through raven-sim
 #
@@ -39,6 +40,31 @@
 # job).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# run_named '<Name|Name...>' [go test flags] <packages> runs exactly the
+# named tests. `go test -run` exits 0 with "no tests to run" when a name
+# stops matching, so a renamed test would silently drop out of its
+# gate: every name must be listed by some package, and no package may
+# report that warning.
+run_named() {
+    local names="$1" name listed out
+    shift
+    listed="$(go test -list "^(${names})\$" "$@")"
+    for name in ${names//|/ }; do
+        if ! grep -qx "${name}" <<<"${listed}"; then
+            echo "verify.sh: no test named ${name} in $*: renamed or deleted?" >&2
+            exit 1
+        fi
+    done
+    out="$(mktemp)"
+    go test -count=1 -run "^(${names})\$" "$@" 2>&1 | tee "${out}"
+    if grep -q 'no tests to run' "${out}"; then
+        rm -f "${out}"
+        echo "verify.sh: a package of $* has none of ${names}" >&2
+        exit 1
+    fi
+    rm -f "${out}"
+}
 
 stage_static() {
     echo "==> go vet ./..."
@@ -63,15 +89,16 @@ stage_race() {
     # shellcheck disable=SC2086
     go test -race ${pkgs}
     # The sharded engine's cross-shard stress runs again explicitly
-    # (-count=1 defeats the test cache) so the per-shard-lock fast path
-    # is always exercised fresh under the race detector.
+    # so the per-shard-lock fast path is always exercised fresh under the
+    # race detector.
     echo "==> sharded cross-shard race stress (100 clients, mixed GET/SET)"
-    go test -race -count=1 -run 'TestShardedStress|TestShardedConcurrent' ./internal/server/ ./internal/cache/
+    run_named 'TestShardedStress' -race ./internal/server/
+    run_named 'TestShardedConcurrent' -race ./internal/cache/
     # The multi-process chaos test runs again explicitly under a hard
     # timeout: 3 ravencached processes, SIGKILL + restart mid-replay,
     # bounded hit-ratio error and METRICS reconciliation.
     echo "==> cluster chaos churn (3-node fleet, SIGKILL + restart mid-replay)"
-    go test -race -count=1 -timeout 300s -run 'TestChaosNodeChurn' ./internal/cluster/
+    run_named 'TestChaosNodeChurn' -race -timeout 300s ./internal/cluster/
 }
 
 stage_lint() {
@@ -110,15 +137,15 @@ stage_lint() {
 
 stage_determinism() {
     echo "==> admission + prefetch determinism (double run, Workers 1 vs 8)"
-    go test -count=1 -run 'TestAdmissionPrefetchBitExact|TestAdmissionOffMatchesUnfronted' ./internal/sim/
+    run_named 'TestAdmissionPrefetchBitExact|TestAdmissionOffMatchesUnfronted' ./internal/sim/
 }
 
 stage_alloc() {
     echo "==> eviction alloc sweep (0 allocs/op at Workers 1,2,4,8)"
-    go test -count=1 -run 'TestEvictionPathAllocFree|TestFastPathAllocFree' ./internal/core/
+    run_named 'TestEvictionPathAllocFree|TestFastPathAllocFree' ./internal/core/
 
     echo "==> serving-path alloc assertion (text and binary GET/SET direct, 32-frame bursts through the router; 0 allocs/op)"
-    go test -count=1 -run 'TestServingPathAllocFree' ./internal/server/ ./internal/cluster/
+    run_named 'TestServingPathAllocFree' ./internal/server/ ./internal/cluster/
 }
 
 stage_bench_smoke() {
@@ -132,9 +159,9 @@ stage_bench_smoke() {
 
 stage_fuzz_smoke() {
     local target
-    for target in FuzzBinaryFrames FuzzTextLines; do
+    for target in server/FuzzBinaryFrames server/FuzzTextLines policy/FuzzEngineModel; do
         echo "==> fuzz smoke: ${target} (5s)"
-        go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s ./internal/server/
+        go test -run '^$' -fuzz "^${target##*/}\$" -fuzztime 5s "./internal/${target%/*}/"
     done
 }
 
