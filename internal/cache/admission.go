@@ -87,42 +87,34 @@ func Chain(stages ...Admitter) Admitter {
 // Bloom doorkeeper absorbs first sightings (one-hit wonders never
 // reach the sketch) and a conservative-update CM-sketch counts
 // repeats. An object is admitted once its estimated frequency —
-// doorkeeper bit included — reaches MinFreq. The doorkeeper resets in
+// doorkeeper bit included — reaches sketchMinFreq. The doorkeeper resets in
 // lockstep with the sketch's periodic halving, so long replays decay
 // stale popularity instead of saturating (sketch.CountMin.OnAge).
 type SketchAdmitter struct {
 	door *sketch.Bloom
 	sk   *sketch.CountMin
-	min  uint32
 }
 
-// NewSketchAdmitter sizes the front for roughly entries objects.
-// minFreq is the admission threshold (0 defaults to 2: first sighting
-// is absorbed, the second passes). halveEvery is the deterministic
-// sketch aging period in sketch increments (0 defaults to 16x entries,
-// TinyLFU's W ratio).
-func NewSketchAdmitter(entries int, minFreq uint32, halveEvery uint64) *SketchAdmitter {
+// sketchMinFreq is the admission threshold: the doorkeeper absorbs the
+// first sighting, the second passes.
+const sketchMinFreq = 2
+
+// NewSketchAdmitter sizes the front for roughly entries objects (the
+// policy layer derives entries from the instance's capacity, so shards
+// size their fronts from their own slice of the cache). The sketch ages
+// deterministically every 16x entries increments, TinyLFU's W ratio.
+func NewSketchAdmitter(entries int) *SketchAdmitter {
 	if entries < 64 {
 		entries = 64
-	}
-	if minFreq == 0 {
-		minFreq = 2
-	}
-	if halveEvery == 0 {
-		halveEvery = uint64(16 * entries)
 	}
 	// The doorkeeper is sized for the sample window (TinyLFU's W = 16x
 	// cache entries), NOT the cache size: it must remember a full aging
 	// period's worth of distinct keys, or it self-resets faster than
 	// typical reuse distances and nothing ever recurs "within" it.
-	doorN := int(halveEvery)
-	if doorN < entries {
-		doorN = entries
-	}
+	window := 16 * entries
 	a := &SketchAdmitter{
-		door: sketch.NewBloom(doorN),
-		sk:   sketch.NewCountMin(4, 4*entries, halveEvery),
-		min:  minFreq,
+		door: sketch.NewBloom(window),
+		sk:   sketch.NewCountMin(4, 4*entries, uint64(window)),
 	}
 	// Aging halves sketch counters; the doorkeeper's "seen once" bits
 	// are half-counts too and must decay with them, or every object
@@ -143,7 +135,7 @@ func (a *SketchAdmitter) Admit(req Request) Decision {
 	if a.door.Contains(k) {
 		f++
 	}
-	if f >= a.min {
+	if f >= sketchMinFreq {
 		return Accepted
 	}
 	if !seen {
@@ -174,7 +166,6 @@ type ReusePredictor interface {
 type ReuseAdmitter struct {
 	pred     ReusePredictor
 	capacity int64
-	slack    float64
 
 	begun    bool
 	t0       int64
@@ -182,13 +173,9 @@ type ReuseAdmitter struct {
 }
 
 // NewReuseAdmitter builds the predicted-reuse stage for a cache of the
-// given byte capacity. slack scales the expected-lifetime bound
-// (<= 0 defaults to 1); larger values admit more speculative objects.
-func NewReuseAdmitter(pred ReusePredictor, capacity int64, slack float64) *ReuseAdmitter {
-	if slack <= 0 {
-		slack = 1
-	}
-	return &ReuseAdmitter{pred: pred, capacity: capacity, slack: slack}
+// given byte capacity.
+func NewReuseAdmitter(pred ReusePredictor, capacity int64) *ReuseAdmitter {
+	return &ReuseAdmitter{pred: pred, capacity: capacity}
 }
 
 // lifetime returns the expected residency lifetime in virtual ticks.
@@ -203,7 +190,7 @@ func (a *ReuseAdmitter) lifetime(now int64) (float64, bool) {
 	if elapsed <= 0 {
 		return 0, false
 	}
-	return a.slack * float64(elapsed) * float64(a.capacity) / float64(a.accepted), true
+	return float64(elapsed) * float64(a.capacity) / float64(a.accepted), true
 }
 
 // Admit implements Admitter.

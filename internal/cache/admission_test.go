@@ -83,7 +83,7 @@ func TestWithAdmissionWrapsAndUnwraps(t *testing.T) {
 // enough one-hit-wonder traffic to saturate and age several times, a
 // genuinely hot key must still be admitted on its second sighting.
 func TestSketchAdmitterSaturatedStillAdmitsHotKeys(t *testing.T) {
-	a := NewSketchAdmitter(64, 0, 256) // tiny: ages every 256 sketch adds
+	a := NewSketchAdmitter(64) // tiny: ages every 1024 sketch adds
 	now := int64(0)
 	next := func(k Key) Decision { now++; return a.Admit(req(now, k, 1)) }
 
@@ -127,7 +127,7 @@ func (s stubPredictor) PredictNextArrival(r Request) (int64, bool) {
 
 func TestReuseAdmitterLifetimeBound(t *testing.T) {
 	pred := stubPredictor{at: map[Key]int64{7: 1000000, 8: 1010}}
-	a := NewReuseAdmitter(pred, 100, 1)
+	a := NewReuseAdmitter(pred, 100)
 	// Warm-up: before one full cache turnover of accepted bytes the
 	// stage abstains, even for the far-future key.
 	if d := a.Admit(req(1, 7, 50)); !d.Admit {
@@ -375,7 +375,7 @@ func TestPrefetchDrainBounded(t *testing.T) {
 // TestFrontedStatsStayConserved runs a randomized workload through a
 // fronted cache (sketch admission) and checks engine conservation.
 func TestFrontedStatsStayConserved(t *testing.T) {
-	c := New(50, WithAdmission(newTestLRU(), NewSketchAdmitter(64, 0, 0)))
+	c := New(50, WithAdmission(newTestLRU(), NewSketchAdmitter(64)))
 	for i := 0; i < 5000; i++ {
 		k := Key(i % 97)
 		c.Handle(req(int64(i+1), k, 1+int64(k%5)))

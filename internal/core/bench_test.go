@@ -28,7 +28,7 @@ func trainedRaven(tb testing.TB, workers int) *Raven {
 	for _, req := range tr.Reqs {
 		c.Handle(req)
 	}
-	if !r.Trained() {
+	if r.Net() == nil {
 		tb.Fatal("raven never trained a model")
 	}
 	return r
@@ -67,7 +67,7 @@ func TestEvictionPathAllocFree(t *testing.T) {
 		Seed:            7,
 	})
 	fill(fitted, tr.Reqs)
-	if !fitted.Trained() {
+	if fitted.Net() == nil {
 		t.Fatal("raven never trained a model")
 	}
 	for _, w := range []int{1, 2, 4, 8} {

@@ -100,15 +100,11 @@ type Config struct {
 	// positive, Victim() checks the wall clock at candidate-loop
 	// boundaries; a decision that overruns the budget is abandoned and
 	// served from the LRU fallback list, counted in raven.slo_overruns,
-	// and SLOTripsBeforeDegrade consecutive overruns trip the health
+	// and sloTripsBeforeDegrade consecutive overruns trip the health
 	// machine exactly like a diverged training. 0 (the default)
 	// disables the deadline — and keeps the wall clock off the
 	// decision path entirely, which deterministic replay tests rely on.
 	DecisionBudget time.Duration
-	// SLOTripsBeforeDegrade is how many consecutive DecisionBudget
-	// overruns count as one guard trip (default 4). Ignored when
-	// DecisionBudget is 0.
-	SLOTripsBeforeDegrade int
 	// EvictFault, when non-nil, runs once per re-scored candidate on
 	// the eviction fast path. Test hook for injecting latency into the
 	// decision loop (SLO overrun drills), mirroring Train.Faults.
@@ -120,11 +116,6 @@ type Config struct {
 	// & determinism" — so Workers is purely a throughput knob;
 	// nn.DefaultWorkers() is the hardware optimum.
 	Workers int
-
-	// FallbackAfterTrips is how many consecutive guard trips force
-	// the Fallback health state (LRU eviction until a training
-	// succeeds). Default 2: the first trip only degrades.
-	FallbackAfterTrips int
 
 	// Checkpoint, when Dir is set, persists the trained model with
 	// rotated, checksummed, atomically-written generations and
@@ -214,12 +205,6 @@ func (c *Config) defaults() {
 	// insane weights; see DESIGN.md "Model lifecycle & failure domains".
 	if !c.Train.Guard.CheckFinite && c.Train.Guard.MaxLossBlowup <= 0 && c.Train.Guard.ClipNorm <= 0 {
 		c.Train.Guard = nn.DefaultGuard()
-	}
-	if c.FallbackAfterTrips == 0 {
-		c.FallbackAfterTrips = 2
-	}
-	if c.SLOTripsBeforeDegrade == 0 {
-		c.SLOTripsBeforeDegrade = 4
 	}
 	if c.Checkpoint.Every == 0 {
 		c.Checkpoint.Every = 1

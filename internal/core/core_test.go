@@ -84,7 +84,7 @@ func TestRavenFallsBackToLRUBeforeTraining(t *testing.T) {
 	for i, k := range []cache.Key{1, 2, 3, 4} {
 		c.Handle(cache.Request{Time: int64(i), Key: k, Size: 1})
 	}
-	if r.Trained() {
+	if r.Net() != nil {
 		t.Fatal("model unexpectedly trained")
 	}
 	if c.Contains(1) {
@@ -178,7 +178,7 @@ func TestRavenTrainsAndEvicts(t *testing.T) {
 	for _, req := range tr.Reqs {
 		c.Handle(req)
 	}
-	if !r.Trained() {
+	if r.Net() == nil {
 		t.Fatal("Raven never trained a model")
 	}
 	if len(r.TrainStats) < 2 {

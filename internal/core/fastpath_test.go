@@ -189,14 +189,11 @@ func TestFastPathInference32MatchesRanking(t *testing.T) {
 // training restores Healthy.
 func TestSLOOverrunDegradesAndRecovers(t *testing.T) {
 	ro := &obs.RavenObs{}
-	h := newFastHarness(func(c *Config) {
-		c.Obs = ro
-		c.SLOTripsBeforeDegrade = 3
-	})
+	h := newFastHarness(func(c *Config) { c.Obs = ro })
 	h.r.cfg.DecisionBudget = 2 * time.Millisecond
 	h.r.cfg.EvictFault = func() { time.Sleep(time.Millisecond) }
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < sloTripsBeforeDegrade; i++ {
 		h.touchAll() // keep candidates dirty so the slow rescore path runs
 		lru := h.r.ll.Back().Value.(cache.Key)
 		v := h.evictAdmit(t)
@@ -204,11 +201,11 @@ func TestSLOOverrunDegradesAndRecovers(t *testing.T) {
 			t.Fatalf("overrun decision %d evicted %d, want LRU tail %d", i, v, lru)
 		}
 	}
-	if got := ro.SLOOverruns.Load(); got != 3 {
-		t.Fatalf("raven.slo_overruns = %d, want 3", got)
+	if got := ro.SLOOverruns.Load(); got != sloTripsBeforeDegrade {
+		t.Fatalf("raven.slo_overruns = %d, want %d", got, sloTripsBeforeDegrade)
 	}
 	if h.r.Health() != Degraded {
-		t.Fatalf("health after %d consecutive overruns = %v, want Degraded", 3, h.r.Health())
+		t.Fatalf("health after %d consecutive overruns = %v, want Degraded", sloTripsBeforeDegrade, h.r.Health())
 	}
 	last := h.r.HealthLog[len(h.r.HealthLog)-1]
 	if last.Reason != "eviction decision SLO overrun" {
@@ -237,13 +234,10 @@ func TestSLOOverrunDegradesAndRecovers(t *testing.T) {
 // never accumulate into a guard trip.
 func TestSLOMetResetsStreak(t *testing.T) {
 	ro := &obs.RavenObs{}
-	h := newFastHarness(func(c *Config) {
-		c.Obs = ro
-		c.SLOTripsBeforeDegrade = 3
-	})
+	h := newFastHarness(func(c *Config) { c.Obs = ro })
 	h.r.cfg.DecisionBudget = 2 * time.Millisecond
 	slow := func() { time.Sleep(time.Millisecond) }
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 2*sloTripsBeforeDegrade; i++ {
 		if i%2 == 0 {
 			h.r.cfg.EvictFault = slow // overrun
 		} else {
@@ -252,8 +246,8 @@ func TestSLOMetResetsStreak(t *testing.T) {
 		h.touchAll()
 		h.evictAdmit(t)
 	}
-	if got := ro.SLOOverruns.Load(); got != 3 {
-		t.Fatalf("raven.slo_overruns = %d, want 3", got)
+	if got := ro.SLOOverruns.Load(); got != sloTripsBeforeDegrade {
+		t.Fatalf("raven.slo_overruns = %d, want %d", got, sloTripsBeforeDegrade)
 	}
 	if h.r.Health() != Healthy {
 		t.Fatalf("health = %v after alternating overruns, want Healthy (streak must reset)", h.r.Health())

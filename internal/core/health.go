@@ -69,16 +69,26 @@ func (r *Raven) setHealth(to Health, reason string) {
 // Health returns the current model-lifecycle state.
 func (r *Raven) Health() Health { return r.health }
 
+const (
+	// fallbackAfterTrips is how many consecutive guard trips force the
+	// Fallback state (LRU eviction until a training succeeds): the
+	// first trip only degrades.
+	fallbackAfterTrips = 2
+	// sloTripsBeforeDegrade is how many consecutive DecisionBudget
+	// overruns count as one guard trip.
+	sloTripsBeforeDegrade = 4
+)
+
 // guardTripped advances the state machine after a diverged training:
 // Healthy degrades, Degraded falls back, and enough consecutive trips
-// (Config.FallbackAfterTrips) force Fallback from any state.
+// (fallbackAfterTrips) force Fallback from any state.
 func (r *Raven) guardTripped(reason string) {
 	r.trips++
 	if r.obs != nil {
 		r.obs.GuardTrips.Inc()
 	}
 	switch {
-	case r.trips >= r.cfg.FallbackAfterTrips:
+	case r.trips >= fallbackAfterTrips:
 		r.setHealth(Fallback, reason)
 	case r.health == Healthy:
 		r.setHealth(Degraded, reason)
@@ -97,7 +107,7 @@ func (r *Raven) trainSucceeded() {
 // sloOverrun records one eviction decision abandoned past its
 // DecisionBudget deadline. The decision itself is served from the LRU
 // fallback list by the caller; here the overrun is counted and, after
-// Config.SLOTripsBeforeDegrade consecutive overruns, converted into a
+// sloTripsBeforeDegrade consecutive overruns, converted into a
 // guard trip — the same Healthy→Degraded→Fallback ladder a diverged
 // training climbs, so a model that is too slow is treated exactly
 // like a model that is wrong. Recovery is the usual one: the next
@@ -107,7 +117,7 @@ func (r *Raven) sloOverrun() {
 		r.obs.SLOOverruns.Inc()
 	}
 	r.sloStreak++
-	if r.sloStreak >= r.cfg.SLOTripsBeforeDegrade {
+	if r.sloStreak >= sloTripsBeforeDegrade {
 		r.sloStreak = 0
 		r.guardTripped("eviction decision SLO overrun")
 	}
@@ -121,6 +131,6 @@ func (r *Raven) sloMet() { r.sloStreak = 0 }
 // priority score: no further model output can be trusted until a
 // retrain succeeds.
 func (r *Raven) scoresInsane() {
-	r.trips = r.cfg.FallbackAfterTrips
+	r.trips = fallbackAfterTrips
 	r.setHealth(Fallback, "non-finite priority score")
 }

@@ -27,7 +27,7 @@ func TestHealthStateMachine(t *testing.T) {
 	}
 	r.guardTripped("second divergence")
 	if r.Health() != Fallback {
-		t.Fatalf("after 2 trips (FallbackAfterTrips default): %v, want fallback", r.Health())
+		t.Fatalf("after 2 trips (fallbackAfterTrips): %v, want fallback", r.Health())
 	}
 	r.trainSucceeded()
 	if r.Health() != Healthy {
@@ -64,13 +64,14 @@ func TestHealthStateMachine(t *testing.T) {
 	}
 }
 
-// TestGuardTripsResetOnSuccess: FallbackAfterTrips counts consecutive
+// TestGuardTripsResetOnSuccess: fallbackAfterTrips counts consecutive
 // diverged trainings; a success in between resets the counter so a
 // single later trip only degrades.
 func TestGuardTripsResetOnSuccess(t *testing.T) {
-	r := New(Config{TrainWindow: 1, Seed: 1, FallbackAfterTrips: 3})
-	r.guardTripped("a")
-	r.guardTripped("b")
+	r := New(Config{TrainWindow: 1, Seed: 1})
+	for i := 0; i < fallbackAfterTrips; i++ {
+		r.guardTripped("diverged")
+	}
 	r.trainSucceeded()
 	r.guardTripped("c")
 	if r.Health() != Degraded {
@@ -118,7 +119,7 @@ func trainSmallRaven(t *testing.T, cfg Config) (*Raven, *cache.Sharded, *trace.T
 	for _, req := range tr.Reqs {
 		c.Handle(req)
 	}
-	if !r.Trained() {
+	if r.Net() == nil {
 		t.Fatal("Raven never trained a model")
 	}
 	return r, c, tr
@@ -236,7 +237,7 @@ func TestCheckpointResume(t *testing.T) {
 	cfg2 := Config{TrainWindow: 1 << 40}
 	cfg2.Checkpoint.Dir = dir
 	r2 := New(cfg2)
-	if !r2.Trained() {
+	if r2.Net() == nil {
 		t.Fatal("resume did not install a model")
 	}
 	if r2.CkptResume.Path == "" || r2.CkptResume.Seq < 0 {
@@ -254,7 +255,7 @@ func TestCheckpointResume(t *testing.T) {
 	cfg3 := Config{TrainWindow: 1 << 40, Obs: ro3}
 	cfg3.Checkpoint.Dir = dir
 	r3 := New(cfg3)
-	if !r3.Trained() {
+	if r3.Net() == nil {
 		t.Fatal("resume with one corrupt generation did not fall back to the previous one")
 	}
 	if r3.CkptResume.CorruptSkipped != 1 || r3.CkptResume.Seq >= r2.CkptResume.Seq {
@@ -295,7 +296,7 @@ func TestCheckpointResumeAllCorrupt(t *testing.T) {
 	cfg2 := Config{TrainWindow: 1 << 40}
 	cfg2.Checkpoint.Dir = dir
 	r2 := New(cfg2)
-	if r2.Trained() {
+	if r2.Net() != nil {
 		t.Fatal("all-corrupt resume installed a model")
 	}
 	if !errors.Is(r2.CkptErr, nn.ErrCorrupt) {

@@ -239,9 +239,6 @@ func (r *Raven) MetadataBytesPerObject() int64 {
 	return 8*state + 8 + 8 + 8*historyLen + 4*8
 }
 
-// Trained reports whether at least one model has been fit.
-func (r *Raven) Trained() bool { return r.net != nil }
-
 // Net returns the current model (nil before the first training).
 func (r *Raven) Net() *nn.Net { return r.net }
 

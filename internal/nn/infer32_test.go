@@ -42,32 +42,6 @@ func TestMatVec32MatchesF64(t *testing.T) {
 	}
 }
 
-func TestMatTVecAdd32MatchesF64(t *testing.T) {
-	g := stats.NewRNG(11)
-	rows, cols := 7, 5
-	w := make([]float64, rows*cols)
-	w32 := make([]float32, rows*cols)
-	for i := range w {
-		w[i] = g.NormFloat64()
-		w32[i] = float32(w[i])
-	}
-	dy := make([]float64, rows)
-	dy32 := make([]float32, rows)
-	for i := range dy {
-		dy[i] = g.NormFloat64()
-		dy32[i] = float32(dy[i])
-	}
-	dx := make([]float64, cols)
-	dx32 := make([]float32, cols)
-	matTVecAdd(w, rows, cols, dy, dx)
-	matTVecAdd32(w32, rows, cols, dy32, dx32)
-	for i := range dx {
-		if d := math.Abs(float64(dx32[i]) - dx[i]); d > 1e-4 {
-			t.Fatalf("col %d: f32 %v vs f64 %v", i, dx32[i], dx[i])
-		}
-	}
-}
-
 // testNet returns a small trained-ish net (random weights are fine:
 // the inference paths only need deterministic weights, not good ones).
 func testNet() *Net {

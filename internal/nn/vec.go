@@ -140,15 +140,3 @@ func zero(x []float64) {
 		x[i] = 0
 	}
 }
-
-// Exported kernel entry points: cmd/ravenbench times these directly,
-// and they are the natural seam for a future SIMD or assembly backend.
-
-// MatVec computes y = W*x (+ y0 when non-nil); see matVec.
-func MatVec(w []float64, rows, cols int, x, y0, y []float64) { matVec(w, rows, cols, x, y0, y) }
-
-// MatTVecAdd computes dx += W^T * dy; see matTVecAdd.
-func MatTVecAdd(w []float64, rows, cols int, dy, dx []float64) { matTVecAdd(w, rows, cols, dy, dx) }
-
-// OuterAdd accumulates dW += dy ⊗ x; see outerAdd.
-func OuterAdd(dw []float64, rows, cols int, dy, x []float64) { outerAdd(dw, rows, cols, dy, x) }

@@ -40,31 +40,6 @@ func matVec32(w []float32, rows, cols int, x, y0, y []float32) {
 	}
 }
 
-// matTVecAdd32 computes dx += W^T * dy. Inference itself never
-// back-propagates; the kernel exists so the f32 seam is complete for
-// benchmarking and for a future SIMD backend that wants both
-// orientations behind one switch.
-func matTVecAdd32(w []float32, rows, cols int, dy, dx []float32) {
-	dx = dx[:cols]
-	for r := 0; r < rows; r++ {
-		row := w[r*cols : r*cols+cols]
-		d := dy[r]
-		if d == 0 { //lint:allow float-equal exact zero skips dead rows; bit-exact by design
-			continue
-		}
-		c := 0
-		for ; c+4 <= cols; c += 4 {
-			dx[c] += row[c] * d
-			dx[c+1] += row[c+1] * d
-			dx[c+2] += row[c+2] * d
-			dx[c+3] += row[c+3] * d
-		}
-		for ; c < cols; c++ {
-			dx[c] += row[c] * d
-		}
-	}
-}
-
 // relu32 applies max(0, x) elementwise from x into y (may alias).
 func relu32(x, y []float32) {
 	for i, v := range x {
@@ -85,13 +60,3 @@ func quantize32(w []float64) []float32 {
 	}
 	return out
 }
-
-// Exported f32 kernel entry points: cmd/ravenbench times these
-// directly against the f64 kernels, and they are the seam a SIMD or
-// assembly backend would replace.
-
-// MatVec32 computes y = W*x (+ y0 when non-nil); see matVec32.
-func MatVec32(w []float32, rows, cols int, x, y0, y []float32) { matVec32(w, rows, cols, x, y0, y) }
-
-// MatTVecAdd32 computes dx += W^T * dy; see matTVecAdd32.
-func MatTVecAdd32(w []float32, rows, cols int, dy, dx []float32) { matTVecAdd32(w, rows, cols, dy, dx) }

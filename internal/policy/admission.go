@@ -21,8 +21,8 @@ const (
 	AdmitLearned = "learned"
 )
 
-// AdmissionOptions groups the admission front-end knobs of Options.
-// The zero value is off and leaves the built policy untouched, so
+// AdmissionOptions selects the admission front-end of Options. The
+// zero value is off and leaves the built policy untouched, so
 // replays without admission are bit-identical to builds that predate
 // the front-end. All state the pipeline keeps (sketch counters,
 // doorkeeper bits, the online lifetime estimate) is derived from the
@@ -33,20 +33,6 @@ type AdmissionOptions struct {
 	// AdmitDoorkeeper installs the frequency front, AdmitLearned chains
 	// the frequency front with the predicted-reuse check.
 	Mode string
-	// MinFreq is the sketch frequency an object needs to be admitted
-	// (0 = 2: the doorkeeper absorbs the first sighting, the second
-	// passes).
-	MinFreq uint32
-	// Entries overrides the sketch/doorkeeper sizing (0 derives it from
-	// Capacity like the TinyLFU policy does, so shards size their
-	// fronts from their own slice of the cache).
-	Entries int
-	// HalveEvery is the deterministic sketch aging period in sketch
-	// increments (0 = 16x entries, TinyLFU's sample-to-size ratio).
-	HalveEvery uint64
-	// LifetimeSlack scales the predicted-reuse bound (<= 0 = 1); larger
-	// values admit more speculative objects. Only used by AdmitLearned.
-	LifetimeSlack float64
 }
 
 // PrefetchOptions groups the prefetch knobs of Options; they flow into
@@ -67,7 +53,7 @@ func (a AdmissionOptions) front(p cache.Policy, o Options) (cache.Policy, error)
 	case "", AdmitOff:
 		return p, nil
 	case AdmitDoorkeeper:
-		return cache.WithAdmission(p, a.sketch(o)), nil
+		return cache.WithAdmission(p, cache.NewSketchAdmitter(o.entries())), nil
 	case AdmitLearned:
 		pred, ok := cache.Unwrap(p).(cache.ReusePredictor)
 		if !ok {
@@ -75,18 +61,9 @@ func (a AdmissionOptions) front(p cache.Policy, o Options) (cache.Policy, error)
 				a.Mode, p.Name())
 		}
 		return cache.WithAdmission(p,
-			a.sketch(o),
-			cache.NewReuseAdmitter(pred, o.Capacity, a.LifetimeSlack),
+			cache.NewSketchAdmitter(o.entries()),
+			cache.NewReuseAdmitter(pred, o.Capacity),
 		), nil
 	}
 	return nil, fmt.Errorf("policy: unknown admission mode %q (known: off, doorkeeper, learned)", a.Mode)
-}
-
-// sketch builds the frequency front sized for this instance's capacity.
-func (a AdmissionOptions) sketch(o Options) *cache.SketchAdmitter {
-	entries := a.Entries
-	if entries == 0 {
-		entries = o.entries()
-	}
-	return cache.NewSketchAdmitter(entries, a.MinFreq, a.HalveEvery)
 }

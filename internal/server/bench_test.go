@@ -10,9 +10,10 @@ import (
 
 // BenchmarkServing measures over-the-wire request throughput for the
 // text and binary protocols at several pipeline depths (depth 1 is
-// strict request-response). CI runs it with -benchtime=1x as a smoke
-// test of the pipelined path; real numbers come from ravenbench's
-// pipelined_sweep.
+// strict request-response) against an in-process LRU server: the
+// connection loop and the two codecs alone. CI runs it with
+// -benchtime=1x as a smoke test of the pipelined path; the served
+// system (ravencached, Raven on) is timed by benchmark/ only.
 func BenchmarkServing(b *testing.B) {
 	for _, bc := range []struct {
 		proto string

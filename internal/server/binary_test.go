@@ -266,68 +266,48 @@ func TestServingPathAllocFree(t *testing.T) {
 		c.IdleTimeout = -1  // deadline arming is the only timer churn;
 		c.WriteTimeout = -1 // disable it so the measurement is exact
 	})
-	cl := dialBinary(t, srv)
-
-	const key, size = trace.Key(7), int64(128)
-	if _, err := cl.Set(key, size, binNoTime); err != nil {
-		t.Fatal(err)
-	}
-	// Warm up both paths: grow client scratch, fault in bufio pages.
-	for i := 0; i < 32; i++ {
-		if _, err := cl.Get(key, size, binNoTime); err != nil {
+	for _, proto := range []struct {
+		name string
+		dial func(string) (*Client, error)
+	}{{"binary", DialBinary}, {"text", Dial}} {
+		cl, err := proto.dial(srv.Addr())
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer cl.Close()
+
+		const key, size = trace.Key(7), int64(128)
 		if _, err := cl.Set(key, size, binNoTime); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	avg := testing.AllocsPerRun(500, func() {
-		hit, err := cl.Get(key, size, binNoTime)
-		if err != nil || !hit {
-			t.Fatalf("GET: hit=%v err=%v", hit, err)
-		}
-	})
-	if avg != 0 {
-		t.Errorf("binary GET hit allocates %.2f times per op; want 0", avg)
-	}
-
-	avg = testing.AllocsPerRun(500, func() {
-		stored, err := cl.Set(key, size, binNoTime)
-		if err != nil || !stored {
-			t.Fatalf("SET: stored=%v err=%v", stored, err)
-		}
-	})
-	if avg != 0 {
-		t.Errorf("binary same-size SET allocates %.2f times per op; want 0", avg)
-	}
-
-	// Text, over a raw connection with fixed buffers: the text Client
-	// allocates a string per reply line, the server must not.
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var reply [16]byte
-	for _, tc := range []struct{ name, req, want string }{
-		{"GET hit", "GET 7 128\n", "HIT 128\n"},
-		{"same-size SET", "SET 7 128\n", "STORED 128\n"},
-	} {
-		req := []byte(tc.req)
-		roundTrip := func() {
-			if _, err := conn.Write(req); err != nil {
+		// Warm up both paths: grow client scratch, fault in bufio pages.
+		for i := 0; i < 32; i++ {
+			if _, err := cl.Get(key, size, binNoTime); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := io.ReadFull(conn, reply[:len(tc.want)]); err != nil || string(reply[:len(tc.want)]) != tc.want {
-				t.Fatalf("text %s: reply %q err=%v", tc.name, reply[:len(tc.want)], err)
+			if _, err := cl.Set(key, size, binNoTime); err != nil {
+				t.Fatal(err)
 			}
 		}
-		for i := 0; i < 32; i++ {
-			roundTrip()
+
+		avg := testing.AllocsPerRun(500, func() {
+			hit, err := cl.Get(key, size, binNoTime)
+			if err != nil || !hit {
+				t.Fatalf("%s GET: hit=%v err=%v", proto.name, hit, err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%s GET hit allocates %.2f times per op; want 0", proto.name, avg)
 		}
-		if avg := testing.AllocsPerRun(500, roundTrip); avg != 0 {
-			t.Errorf("text %s allocates %.2f times per op; want 0", tc.name, avg)
+
+		avg = testing.AllocsPerRun(500, func() {
+			stored, err := cl.Set(key, size, binNoTime)
+			if err != nil || !stored {
+				t.Fatalf("%s SET: stored=%v err=%v", proto.name, stored, err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%s same-size SET allocates %.2f times per op; want 0", proto.name, avg)
 		}
 	}
 }

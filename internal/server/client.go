@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -223,12 +224,12 @@ func (c *Client) send(ops []Op, lo, hi int, barrier bool) error {
 // textReplies maps the text protocol's reply words onto the binary
 // statuses, so one matcher serves both protocols.
 var textReplies = [...]struct {
-	word   string
+	word   []byte
 	status byte
 }{
-	{"HIT", binStatusHit}, {"MISS", binStatusMiss},
-	{"STORED", binStatusStored}, {"NOSTORED", binStatusNotStored},
-	{"PONG", binStatusPong},
+	{[]byte("HIT"), binStatusHit}, {[]byte("MISS"), binStatusMiss},
+	{[]byte("STORED"), binStatusStored}, {[]byte("NOSTORED"), binStatusNotStored},
+	{[]byte("PONG"), binStatusPong},
 }
 
 // readReply reads one reply in either protocol as a status and its
@@ -242,18 +243,20 @@ func (c *Client) readReply() (byte, int64, error) {
 		if c.r.Buffered() == 0 {
 			c.armDeadline()
 		}
+		// The line is matched in the reader's buffer: a reply is far
+		// shorter than it, and nothing is kept past the next read.
 		//lint:allow hot-path-purity the wire read IS the hop; the binary branch reads a node's whole reply burst from one buffer fill
-		line, err := c.r.ReadString('\n')
+		line, err := c.r.ReadSlice('\n')
 		if err != nil {
 			return 0, 0, err
 		}
 		for _, t := range textReplies {
-			if strings.HasPrefix(line, t.word) {
+			if bytes.HasPrefix(line, t.word) {
 				return t.status, -1, nil
 			}
 		}
 		//lint:allow hot-path-purity error path: framing is lost and the connection is closed
-		return 0, 0, fmt.Errorf("client: unexpected reply %q", strings.TrimSpace(line))
+		return 0, 0, fmt.Errorf("client: unexpected reply %q", bytes.TrimSpace(line))
 	}
 	if c.r.Buffered() < binRespLen {
 		c.armDeadline()

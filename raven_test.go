@@ -40,7 +40,7 @@ func TestFacadeRavenPolicy(t *testing.T) {
 		Seed:            3,
 	})
 	res := simulate(t, tr, rv, raven.SimOptions{Capacity: 40, WarmupFrac: 0.5})
-	if !rv.Trained() {
+	if rv.Net() == nil {
 		t.Fatal("facade Raven never trained")
 	}
 	lru := simulate(t, tr, raven.MustNewPolicy("lru", raven.PolicyOptions{Capacity: 40}),

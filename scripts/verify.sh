@@ -24,9 +24,12 @@
 #   alloc        eviction decisions and the serving path — text and
 #                binary direct, binary through the router — hold 0
 #                allocs/op
-#   bench-smoke  every benchmark still compiles and runs once,
-#                including the pipelined serving path over the wire and
-#                through the router
+#   bench-smoke  every `go test -bench` benchmark — the one place a single
+#                layer is timed — still compiles and runs once: the root
+#                package's per-operation costs, nn kernels and fit, core
+#                eviction decisions, the serving path over the wire and
+#                through the router. (The served system is timed by
+#                benchmark/ only; cmd/ravenbench records and gates it.)
 #   fuzz-smoke   five seconds each of FuzzBinaryFrames and FuzzTextLines
 #                against a live server (no panic, no desync) and of
 #                FuzzEngineModel (the engine against its naive reference
@@ -149,12 +152,10 @@ stage_alloc() {
 }
 
 stage_bench_smoke() {
-    # Covers BenchmarkEvictDecisionFast (the ScoreCache fast path)
-    # alongside the legacy decision and kernel benchmarks, the pipelined
-    # serving path over the wire (BenchmarkServing) and the same through
-    # the router (BenchmarkRoutedPipeline).
+    # Every package that declares a Benchmark function; DESIGN.md
+    # "Performance: two timing surfaces" names them.
     echo "==> benchmark smoke (-benchtime=1x)"
-    go test -run='^$' -bench=. -benchtime=1x ./internal/nn/... ./internal/core/... ./internal/server/... ./internal/cluster/... >/dev/null
+    go test -run='^$' -bench=. -benchtime=1x . ./internal/nn/... ./internal/core/... ./internal/server/... ./internal/cluster/... >/dev/null
 }
 
 stage_fuzz_smoke() {
