@@ -1,9 +1,9 @@
 // Command ravenlint runs the repository's static-analysis rule set
-// (internal/lint) over the module: determinism, concurrency-safety,
-// library-hygiene, and interprocedural hot-path invariants that keep
-// the paper's replay results reproducible and the eviction decision
-// inside its latency budget. It is stdlib-only — no compiled export
-// data, no third-party loaders.
+// (internal/lint) over the module: the determinism, concurrency and
+// library-hygiene contracts that keep the paper's replay results
+// reproducible and that no compiler, vet pass, race run or runtime
+// test checks (DESIGN.md "Correctness tooling"). It is stdlib-only —
+// no compiled export data, no third-party loaders.
 //
 // Usage:
 //
@@ -12,30 +12,15 @@
 // Patterns are package patterns relative to the module root ("./...",
 // "./internal/sim", "./internal/policy/..."); the default is "./...".
 // Findings print as "file:line: [rule-id] message" and the exit status
-// is 1 when any new finding (or baseline drift) is reported, 2 on
-// usage or load errors. Output is deterministic: two consecutive runs
-// over the same tree are byte-identical.
+// is 1 when any finding is reported, 2 on usage or load errors — a
+// package that fails to type-check is a load error: go build precedes
+// lint, so it means the loader is wrong. Output is deterministic: two
+// runs over the same tree are byte-identical.
 //
 // Flags:
 //
 //	-rules            list rule IDs and one-line docs, then exit
 //	-explain <rule>   print a rule's full documentation, then exit
-//	-json             emit the machine-readable report on stdout
-//	-tests            also lint _test.go files (concurrency rules only)
-//	-typeerrs         print type-check diagnostics to stderr
-//	-baseline <path>  baseline file ("none" disables; default:
-//	                  .ravenlint-baseline.json at the module root,
-//	                  used only when it exists)
-//	-write-baseline <path>  write the current findings as a baseline
-//	                  and exit 0
-//
-// Pre-existing findings live in the committed baseline: they are
-// absorbed (and counted) instead of failing the run, while any NEW
-// finding fails, and so does drift — a baseline entry with no matching
-// finding means the debt was paid and the baseline must be
-// regenerated with -write-baseline. Drift is only checked on
-// whole-module runs; a partial-package run cannot tell "paid" from
-// "not scanned".
 //
 // Individual sites are suppressed with a pragma on the same line or
 // the line directly above, which must name the rule and a reason:
@@ -49,8 +34,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 
 	"raven/internal/lint"
 )
@@ -58,11 +43,6 @@ import (
 func main() {
 	listRules := flag.Bool("rules", false, "list rule IDs and their documentation, then exit")
 	explain := flag.String("explain", "", "print the full documentation of one rule, then exit")
-	jsonOut := flag.Bool("json", false, "emit the machine-readable JSON report on stdout")
-	tests := flag.Bool("tests", false, "also lint _test.go files (go-loop-capture, lock-by-value)")
-	typeErrs := flag.Bool("typeerrs", false, "print type-check diagnostics to stderr")
-	baselinePath := flag.String("baseline", "", `baseline file; "none" disables, default is .ravenlint-baseline.json at the module root when present`)
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit")
 	flag.Parse()
 
 	rules := lint.DefaultRules()
@@ -83,100 +63,58 @@ func main() {
 			}
 			return
 		}
-		fatal(fmt.Errorf("unknown rule %q (see -rules for the list)", *explain))
+		fmt.Fprintf(os.Stderr, "ravenlint: unknown rule %q (see -rules for the list)\n", *explain)
+		os.Exit(2)
 	}
 
 	cwd, err := os.Getwd()
 	if err != nil {
-		fatal(err)
+		fmt.Fprintf(os.Stderr, "ravenlint: %v\n", err)
+		os.Exit(2)
 	}
-	root, err := lint.FindModuleRoot(cwd)
+	os.Exit(run(cwd, flag.Args(), rules, os.Stdout, os.Stderr))
+}
+
+// run lints the packages of the module enclosing dir that match
+// patterns and returns the exit status.
+func run(dir string, patterns []string, rules []lint.Rule, stdout, stderr io.Writer) int {
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "ravenlint: %v\n", err)
+		return 2
+	}
+	root, err := lint.FindModuleRoot(dir)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	mod, err := lint.LoadModuleOpts(root, lint.LoadOptions{Tests: *tests})
+	mod, err := lint.LoadModule(root)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	pkgs, err := mod.Select(flag.Args())
+	pkgs, err := mod.Select(patterns)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if *typeErrs {
-		for _, p := range pkgs {
-			for _, e := range p.TypeErrs {
-				fmt.Fprintf(os.Stderr, "ravenlint: typecheck %s: %v\n", p.ImportPath, e)
-			}
+	typeErrs := 0
+	for _, p := range pkgs {
+		for _, e := range p.TypeErrs {
+			fmt.Fprintf(stderr, "ravenlint: typecheck %s: %v\n", p.ImportPath, e)
+			typeErrs++
 		}
+	}
+	if typeErrs > 0 {
+		return fail(fmt.Errorf("%d type error(s): rules need a fully type-checked module", typeErrs))
 	}
 
 	// Stale-pragma detection is only sound when every package a pragma
 	// could apply to was linted, i.e. the whole module was selected.
 	wholeModule := len(pkgs) == len(mod.Pkgs)
 	findings := lint.RunOpts(pkgs, rules, lint.Options{StalePragmas: wholeModule})
-
-	if *writeBaseline != "" {
-		if err := lint.NewBaseline(findings).Write(*writeBaseline); err != nil {
-			fatal(err)
-		}
-		return
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f)
 	}
-
-	news := findings
-	var drift []lint.BaselineEntry
-	baselined := 0
-	switch *baselinePath {
-	case "none":
-	case "":
-		p := filepath.Join(root, lint.DefaultBaselineName)
-		if _, statErr := os.Stat(p); statErr == nil {
-			news, drift, baselined = applyBaseline(p, findings)
-		}
-	default:
-		news, drift, baselined = applyBaseline(*baselinePath, findings)
+	if len(findings) > 0 {
+		fmt.Fprintf(stderr, "ravenlint: %d finding(s)\n", len(findings))
+		return 1
 	}
-	// Drift ("this baseline entry no longer matches anything") is only
-	// meaningful when every file the baseline covers was actually
-	// linted; on a partial-package run the unscanned entries would all
-	// look drifted. Baselined findings still absorb either way.
-	if !wholeModule {
-		drift = nil
-	}
-
-	if *jsonOut {
-		data, err := lint.NewJSONReport(news, drift, baselined).Marshal()
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := os.Stdout.Write(data); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, f := range news {
-			fmt.Println(f)
-		}
-		for _, d := range drift {
-			fmt.Printf("baseline drift: %d x %s: [%s] %s no longer found (regenerate with -write-baseline)\n",
-				d.Count, d.File, d.Rule, d.Msg)
-		}
-	}
-	if len(news) > 0 || len(drift) > 0 {
-		fmt.Fprintf(os.Stderr, "ravenlint: %d new finding(s), %d drifted baseline entr(ies), %d baselined\n",
-			len(news), len(drift), baselined)
-		os.Exit(1)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "ravenlint: %v\n", err)
-	os.Exit(2)
-}
-
-func applyBaseline(path string, findings []lint.Finding) ([]lint.Finding, []lint.BaselineEntry, int) {
-	b, err := lint.LoadBaseline(path)
-	if err != nil {
-		fatal(err)
-	}
-	news, drift := b.Apply(findings)
-	return news, drift, len(findings) - len(news)
+	return 0
 }

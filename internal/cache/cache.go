@@ -355,8 +355,7 @@ func (c *shard) prefetchInsert(req Request) {
 func (c *shard) evict(key Key) {
 	e, ok := c.entries[key]
 	if !ok {
-		//lint:allow hot-path-purity formats the already-fatal panic message; unreachable on the healthy path
-		panic(fmt.Sprintf("cache: policy %q returned non-resident victim %d", c.policy.Name(), key)) //lint:allow no-panic a policy returning a non-resident victim breaks the engine contract; unrecoverable
+		panic(fmt.Sprintf("cache: policy %q returned non-resident victim %d", c.policy.Name(), key))
 	}
 	if c.observer != nil {
 		c.observer(key)

@@ -325,3 +325,36 @@ func TestCacheObsWiring(t *testing.T) {
 		t.Error("detached obs still receiving updates")
 	}
 }
+
+// TestEvictAllocFree: the lock-held eviction section — the policy's
+// Victim, then evict's observer call, entry-map delete, counters,
+// metrics and OnEvict — allocates nothing. The serving-path alloc
+// tests overwrite same-size objects and never evict, so this is the
+// section's own referee.
+func TestEvictAllocFree(t *testing.T) {
+	const runs = 200 // AllocsPerRun adds one warm-up call
+	c := New(runs+1, newTestLRU())
+	var co obs.CacheObs
+	c.SetShardObs(0, &co)
+	observed := 0
+	c.SetEvictionObserver(func(Key, func([]Key) []Key) { observed++ })
+	for k := Key(0); k <= runs; k++ {
+		c.Handle(req(int64(k), k, 1))
+	}
+	sh := &c.shards[0]
+	avg := testing.AllocsPerRun(runs, func() {
+		victim, ok := sh.policy.Victim()
+		if !ok {
+			t.Fatal("no victim in a full cache")
+		}
+		sh.evict(victim)
+	})
+	if avg != 0 {
+		t.Errorf("Victim + evict: %v allocs/op, want 0", avg)
+	}
+	if observed != runs+1 || c.Len() != 0 || c.Used() != 0 ||
+		c.StatsSnapshot().Evictions != runs+1 || co.Evictions.Load() != runs+1 {
+		t.Errorf("after %d evictions: observer saw %d, %d objects / %d B left, stats %d, obs %d",
+			runs+1, observed, c.Len(), c.Used(), c.StatsSnapshot().Evictions, co.Evictions.Load())
+	}
+}

@@ -51,7 +51,7 @@ type Sharded struct {
 func New(capacity int64, policy Policy) *Sharded {
 	s, err := NewSharded(capacity, 1, SingleFactory(policy))
 	if err != nil {
-		panic(err) //lint:allow no-panic a non-positive capacity or nil policy is a construction-time programmer error
+		panic(err)
 	}
 	return s
 }

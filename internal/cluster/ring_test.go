@@ -143,8 +143,7 @@ func TestRingBalance(t *testing.T) {
 }
 
 // TestRingLookupAllocFree: Lookup and LookupN are on the router's
-// per-request path and must not allocate (ravenlint's hot-path-purity
-// checks this statically; this is the dynamic counterpart).
+// per-request path and must not allocate.
 func TestRingLookupAllocFree(t *testing.T) {
 	r := ringOf(t, 3, 128, "a", "b", "c", "d")
 	var buf [8]int

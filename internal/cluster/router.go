@@ -358,7 +358,7 @@ type burst struct {
 // one acquisition of the sketch lock and one of the ring lock per burst.
 func (r *Router) plan(b *burst, ops []server.Op) {
 	if cap(b.hot) < len(ops) {
-		//lint:allow hot-path-purity burst scratch grows to the largest burst seen, then is reused
+		// Burst scratch grows to the largest burst seen, then is reused.
 		b.hot, b.by = make([]bool, len(ops)), make([]*node, len(ops))
 	}
 	b.hot, b.by = b.hot[:len(ops)], b.by[:len(ops)]
@@ -397,7 +397,7 @@ func (b *burst) batchFor(n *node) *batch {
 	if len(b.batches) < cap(b.batches) {
 		b.batches = b.batches[:len(b.batches)+1] // reuse the slot's slices
 	} else {
-		//lint:allow hot-path-purity burst scratch: one slot per node, opened once and reused
+		// One slot per node, opened once and reused.
 		b.batches = append(b.batches, batch{})
 	}
 	g := &b.batches[len(b.batches)-1]
@@ -415,7 +415,7 @@ func (b *burst) route(i int, op server.Op, skip *node) bool {
 			continue
 		}
 		if g := b.batchFor(n); g.allow {
-			//lint:allow hot-path-purity appends into the batch's reused slices; they grow to the largest batch once
+			// The batch's slices are reused; they grow to the largest batch once.
 			g.ops, g.at, g.res = append(g.ops, op), append(g.at, i), append(g.res, false)
 			return true
 		}
@@ -451,7 +451,7 @@ func (r *Router) send(g *batch) {
 		r.failed(g)
 		return
 	}
-	//lint:allow hot-path-purity times the round trip for router.node<i>.latency_ns: one read per batch, not per op
+	// One clock read per batch, not per op.
 	g.t0 = time.Now()
 	if err := cl.Send(g.ops); err != nil {
 		g.n.put(cl, false)
@@ -472,7 +472,6 @@ func (r *Router) recv(g *batch) {
 		return // send already failed the round trip
 	}
 	n, err := g.cl.Recv(g.ops, g.res)
-	//lint:allow hot-path-purity times the round trip for router.node<i>.latency_ns: one read per batch, not per op
 	g.n.met.latencyNs.Observe(time.Since(g.t0).Nanoseconds())
 	g.n.put(g.cl, err == nil)
 	g.cl, g.answered = nil, n
@@ -540,7 +539,7 @@ func (r *Router) doOp(b *burst, op server.Op, cands []*node, failed *node) (bool
 			r.met.failovers.Inc()
 		}
 		ci = next
-		//lint:allow hot-path-purity slow path, and the retry batch's slices are reused
+		// Slow path, and the retry batch's slices are reused.
 		g.n, g.ops, g.res = cands[ci], append(g.ops[:0], op), append(g.res[:0], false)
 		r.send(g)
 		r.recv(g)
@@ -563,14 +562,14 @@ func (r *Router) doOp(b *burst, op server.Op, cands []*node, failed *node) (bool
 // no reply payload) against the first other replica, which hot-key
 // replication keeps warm, and a hot SET is copied there (best effort —
 // a failed copy trips that node's breaker but never fails the op).
-//
-//lint:hotpath the router hop: every request ravenrouter serves crosses it, and TestServingPathAllocFree holds it to 0 allocs/op
+// Every request ravenrouter serves crosses this hop;
+// TestServingPathAllocFree holds it to 0 allocs/op.
 func (r *Router) ServeBatch(ops []server.Op, res []bool) {
 	var b *burst
 	select {
 	case b = <-r.bursts:
 	default:
-		//lint:allow hot-path-purity pooled: allocated when the pool is empty, then recycled burst after burst
+		// Allocated when the pool is empty, then recycled burst after burst.
 		b = new(burst)
 	}
 	r.plan(b, ops)

@@ -57,7 +57,6 @@ func (r *Raven) invalidateFastPath() {
 // growFastScratch sizes the fast-path scratch slices for n candidates.
 func (r *Raven) growFastScratch(n int) {
 	if cap(r.scrMix) < n {
-		//lint:allow hot-path-purity cap-guarded scratch growth; amortized to zero allocs at steady state
 		r.scrMix = make([]nn.Mixture, n)
 		r.scrKeys = make([]cache.Key, n)
 		r.scrSize = make([]int64, n)
@@ -84,7 +83,6 @@ func (r *Raven) victimFast() (cache.Key, bool) {
 	budget := r.cfg.DecisionBudget
 	var deadline time.Time
 	if budget > 0 {
-		//lint:allow hot-path-purity the clock read IS the per-decision SLO; armed only when DecisionBudget > 0
 		deadline = time.Now().Add(budget) //lint:allow wall-clock the DecisionBudget deadline is the SLO feature; replay configurations leave the budget at 0
 	}
 	r.scrIdx = r.set.Sample(r.rng, r.cfg.CandidateSample, r.scrIdx)
@@ -103,7 +101,7 @@ func (r *Raven) victimFast() (cache.Key, bool) {
 		if !r.forceRescore && h.scoreVer == ver && h.scoreEp == h.epoch {
 			r.scrScore[j] = h.score
 		} else {
-			//lint:allow hot-path-purity appends into cap-guarded scratch sized by growFastScratch; amortized
+			// Into scratch sized by growFastScratch.
 			dirty = append(dirty, j)
 		}
 	}
@@ -244,6 +242,5 @@ func (r *Raven) rescore(dirty []int, ver int, budget time.Duration, deadline tim
 // overBudget reports whether an armed DecisionBudget deadline has
 // passed.
 func (r *Raven) overBudget(budget time.Duration, deadline time.Time) bool {
-	//lint:allow hot-path-purity the clock read IS the per-decision SLO; armed only when DecisionBudget > 0
 	return budget > 0 && time.Now().After(deadline) //lint:allow wall-clock the DecisionBudget deadline is the SLO feature; replay configurations leave the budget at 0
 }

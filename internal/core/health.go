@@ -57,7 +57,6 @@ func (r *Raven) setHealth(to Health, reason string) {
 	if r.health == to {
 		return
 	}
-	//lint:allow hot-path-purity health transitions are rare state changes, not per-decision work; the log is postmortem bookkeeping
 	r.HealthLog = append(r.HealthLog, HealthTransition{At: r.now, From: r.health, To: to, Reason: reason})
 	r.health = to
 	if r.obs != nil {

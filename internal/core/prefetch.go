@@ -43,7 +43,7 @@ func (r *Raven) maybeEnqueuePrefetch(key cache.Key, h *objHist) {
 	if !ok || next <= r.now || next-r.now > r.cfg.Prefetch.Horizon {
 		return
 	}
-	//lint:allow hot-path-purity bounded queue append (prefetchMaxQueue-capped), amortized after the first fill
+	// Bounded by prefetchMaxQueue.
 	r.pfq = append(r.pfq, prefetchEntry{key: key, size: h.size, due: next})
 }
 

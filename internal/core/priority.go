@@ -155,7 +155,6 @@ func (sc *mcScratch) winsMC(mixes []nn.Mixture, m int, g *stats.RNG) []int {
 	n := len(mixes)
 	sc.mixes, sc.m = mixes, m
 	for len(sc.cums) < n {
-		//lint:allow hot-path-purity cap-guarded scratch growth; amortized to zero allocs at steady state
 		sc.cums = append(sc.cums, nil)
 	}
 	for len(sc.rngs) < n {

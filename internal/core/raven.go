@@ -136,7 +136,7 @@ type TrainRecord struct {
 func New(cfg Config) *Raven {
 	cfg.defaults()
 	if cfg.TrainWindow <= 0 {
-		panic("core: Config.TrainWindow must be positive") //lint:allow no-panic invalid Config is a construction-time programmer error
+		panic("core: Config.TrainWindow must be positive")
 	}
 	r := &Raven{
 		cfg:   cfg,
@@ -488,7 +488,6 @@ func (r *Raven) Victim() (cache.Key, bool) {
 	budget := r.cfg.DecisionBudget
 	var deadline time.Time
 	if budget > 0 {
-		//lint:allow hot-path-purity the clock read IS the per-decision SLO; armed only when DecisionBudget > 0
 		deadline = time.Now().Add(budget) //lint:allow wall-clock the DecisionBudget deadline is the SLO feature; replay configurations leave the budget at 0
 	}
 	r.prepareCandidates()
@@ -567,7 +566,6 @@ func (r *Raven) prepareCandidates() {
 	r.scrIdx = r.set.Sample(r.rng, r.cfg.CandidateSample, r.scrIdx)
 	n := len(r.scrIdx)
 	if cap(r.scrMix) < n {
-		//lint:allow hot-path-purity cap-guarded scratch growth; amortized to zero allocs at steady state
 		r.scrMix = make([]nn.Mixture, n)
 		r.scrKeys = make([]cache.Key, n)
 		r.scrSize = make([]int64, n)
@@ -624,7 +622,6 @@ func cumWeights(w []float64, dst []float64) []float64 {
 	acc := 0.0
 	for _, wi := range w {
 		acc += wi
-		//lint:allow hot-path-purity appends into caller-owned per-worker scratch; grows once then is reused
 		dst = append(dst, acc)
 	}
 	return dst

@@ -9,13 +9,11 @@ import (
 )
 
 // This file builds ravenlint's interprocedural layer: a module-wide,
-// type-resolved call graph with per-function effect summaries. The
-// intra-procedural rules see one function at a time; the call graph
-// lets rules reason about properties of whole call chains — "nothing
-// reachable from the eviction entry points allocates", "no path
-// re-acquires a held shard lock", "no clock value flows into a
-// decision" — which is where the repo's latency and determinism
-// invariants actually live (DESIGN.md "Correctness tooling").
+// type-resolved call graph with per-function lock sites and taint
+// summaries. The intra-procedural rules see one function at a time;
+// the call graph lets rules reason about properties of whole call
+// chains — "no path re-acquires a held shard lock", "no clock value
+// flows into a decision" (DESIGN.md "Correctness tooling").
 //
 // Resolution, in decreasing order of precision:
 //
@@ -30,41 +28,8 @@ import (
 //     `r.candTask = r.candidateTask; pool.ParallelFor(n, r.candTask)`
 //     link ParallelFor to candidateTask.
 //
-// Out-of-module (stdlib) callees have no bodies here; their effects
-// come from the small model tables at the bottom of this file, and
-// anything unlisted is assumed effect-free. Test files are never part
-// of the graph, even under -tests.
-
-// effectKind classifies one entry of a function's effect summary.
-type effectKind uint8
-
-const (
-	effAlloc effectKind = iota
-	effMapRange
-	effClock
-	effIO
-)
-
-func (k effectKind) String() string {
-	switch k {
-	case effAlloc:
-		return "allocates"
-	case effMapRange:
-		return "ranges over a map"
-	case effClock:
-		return "reads the wall clock"
-	case effIO:
-		return "performs I/O"
-	}
-	return "unknown effect"
-}
-
-// EffectSite is one effect-bearing source position inside a function.
-type EffectSite struct {
-	Kind effectKind
-	Pos  token.Pos
-	What string // human-readable cause: "make", "append", "time.Now", "os.WriteFile", ...
-}
+// Out-of-module (stdlib) callees have no bodies here and get no edge;
+// the taint walker models the value flow through them (taint.go).
 
 // LockSite is one lock acquisition inside a function, together with
 // the source region over which the lock is considered held: from the
@@ -83,10 +48,6 @@ type Edge struct {
 	To   *FuncNode
 	Pos  token.Pos
 	Kind string // "static", "interface", "funcval", "literal"
-	// Cold marks dispatch through an interface declared
-	// //lint:coldpath <reason>: a seam where the hot path hands over to
-	// code under another budget. Hot-path closures do not follow it.
-	Cold bool
 }
 
 // taint masks for the determinism-taint rule.
@@ -129,13 +90,8 @@ type FuncNode struct {
 	Lit  *ast.FuncLit  // nil for declared functions
 	Obj  *types.Func   // nil for literals
 
-	// HotEntry marks functions annotated //lint:hotpath <reason>,
-	// extending the built-in hot-path-purity entry points.
-	HotEntry bool
-
-	Effects []EffectSite
-	Locks   []LockSite
-	Calls   []Edge
+	Locks []LockSite
+	Calls []Edge
 
 	// Determinism-taint summary: the taint carried by the function's
 	// return values, with one representative origin per taint bit.
@@ -196,43 +152,6 @@ type Graph struct {
 	// namedTypes is every named (non-interface) type declared in the
 	// module, in deterministic order, for implements queries.
 	namedTypes []*types.Named
-
-	// coldIfaces is every interface type declared //lint:coldpath.
-	coldIfaces map[types.Object]bool
-}
-
-// NodeByName returns the node with the given display name, or nil.
-// It is O(n) and intended for rule configuration and tests.
-func (g *Graph) NodeByName(name string) *FuncNode {
-	for _, n := range g.Nodes {
-		if n.Name == name {
-			return n
-		}
-	}
-	return nil
-}
-
-// isTestFile reports whether the file's name marks it as a test file;
-// the call graph and the interprocedural rules always exclude those.
-func isTestFile(p *Package, f *ast.File) bool {
-	return strings.HasSuffix(p.Fset.Position(f.Package).Filename, "_test.go")
-}
-
-// docDirective reports whether a doc comment carries the
-// "//<directive> <reason>" line: "lint:hotpath" on a function marks an
-// additional hot-path-purity entry point, "lint:coldpath" on an
-// interface type a seam those closures stop at.
-func docDirective(doc *ast.CommentGroup, directive string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if strings.HasPrefix(text, directive) {
-			return true
-		}
-	}
-	return false
 }
 
 // BuildGraph constructs the call graph over the given packages
@@ -245,12 +164,11 @@ func BuildGraph(pkgs []*Package) *Graph {
 		byLit:       make(map[*ast.FuncLit]*FuncNode),
 		funcTargets: make(map[*types.Var][]*FuncNode),
 		ifaceImpls:  make(map[*types.Func][]*FuncNode),
-		coldIfaces:  make(map[types.Object]bool),
 	}
 	g.collectNodes()
 	g.collectNamedTypes()
 	g.collectFuncTargets()
-	g.collectEdgesAndEffects()
+	g.collectEdgesAndLocks()
 	g.computeTaintSummaries()
 	return g
 }
@@ -286,31 +204,20 @@ func nodeName(p *Package, decl *ast.FuncDecl) string {
 }
 
 // collectNodes creates one node per function declaration and function
-// literal of every non-test file, in deterministic source order.
+// literal, in deterministic source order.
 func (g *Graph) collectNodes() {
 	for _, p := range g.Pkgs {
 		for _, f := range p.Files {
-			if isTestFile(p, f) {
-				continue
-			}
 			for _, d := range f.Decls {
-				if gen, ok := d.(*ast.GenDecl); ok && docDirective(gen.Doc, "lint:coldpath") {
-					for _, spec := range gen.Specs {
-						if ts, ok := spec.(*ast.TypeSpec); ok {
-							g.coldIfaces[p.Info.Defs[ts.Name]] = true
-						}
-					}
-				}
 				decl, ok := d.(*ast.FuncDecl)
 				if !ok || decl.Body == nil {
 					continue
 				}
 				n := &FuncNode{
-					Name:     nodeName(p, decl),
-					Pkg:      p,
-					Decl:     decl,
-					HotEntry: docDirective(decl.Doc, "lint:hotpath"),
-					index:    len(g.Nodes),
+					Name:  nodeName(p, decl),
+					Pkg:   p,
+					Decl:  decl,
+					index: len(g.Nodes),
 				}
 				if obj, ok := p.Info.Defs[decl.Name].(*types.Func); ok {
 					n.Obj = obj
@@ -451,9 +358,6 @@ func (g *Graph) collectFuncTargets() {
 		grew := false
 		for _, p := range g.Pkgs {
 			for _, f := range p.Files {
-				if isTestFile(p, f) {
-					continue
-				}
 				ast.Inspect(f, func(m ast.Node) bool {
 					switch x := m.(type) {
 					case *ast.AssignStmt:
@@ -571,8 +475,7 @@ func (g *Graph) ifaceMethodImpls(fn *types.Func) []*FuncNode {
 	return out
 }
 
-// addEdge appends a call edge, deduplicating identical (To, Kind)
-// pairs at different positions only when they repeat at the same site.
+// addEdge appends a call edge; a nil callee (out-of-module) adds none.
 func (n *FuncNode) addEdge(to *FuncNode, pos token.Pos, kind string) {
 	if to == nil {
 		return
@@ -580,9 +483,9 @@ func (n *FuncNode) addEdge(to *FuncNode, pos token.Pos, kind string) {
 	n.Calls = append(n.Calls, Edge{To: to, Pos: pos, Kind: kind})
 }
 
-// collectEdgesAndEffects walks every node body once, recording call
-// edges, effect sites, and lock regions.
-func (g *Graph) collectEdgesAndEffects() {
+// collectEdgesAndLocks walks every node body once, recording call
+// edges and lock regions.
+func (g *Graph) collectEdgesAndLocks() {
 	for _, n := range g.Nodes {
 		g.walkNode(n)
 	}
@@ -603,10 +506,6 @@ func ownStmts(n *FuncNode, visit func(ast.Node) bool) {
 	})
 }
 
-func (n *FuncNode) addEffect(kind effectKind, pos token.Pos, what string) {
-	n.Effects = append(n.Effects, EffectSite{Kind: kind, Pos: pos, What: what})
-}
-
 // lockEvent is a raw Lock/Unlock observation used to build LockSites.
 type lockEvent struct {
 	class    string
@@ -617,7 +516,6 @@ type lockEvent struct {
 }
 
 func (g *Graph) walkNode(n *FuncNode) {
-	p := n.Pkg
 	var lockEvents []lockEvent
 	deferred := make(map[ast.Node]bool)
 
@@ -625,44 +523,6 @@ func (g *Graph) walkNode(n *FuncNode) {
 		switch x := m.(type) {
 		case *ast.DeferStmt:
 			deferred[x.Call] = true
-		case *ast.GoStmt:
-			n.addEffect(effAlloc, x.Pos(), "go statement (forks a goroutine)")
-		case *ast.FuncLit:
-			// A literal belonging to this walk is only n itself; any
-			// other literal was cut off above. Reaching here means the
-			// literal expression appears in n's body: creating the
-			// closure is an allocation, and invoking it is an edge
-			// (added at the call site below).
-			if x != n.Lit {
-				n.addEffect(effAlloc, x.Pos(), "func literal (closure)")
-			}
-		case *ast.RangeStmt:
-			if t := p.Info.TypeOf(x.X); t != nil {
-				if _, isMap := t.Underlying().(*types.Map); isMap {
-					n.addEffect(effMapRange, x.Pos(), "map range")
-				}
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
-					n.addEffect(effAlloc, x.Pos(), "&composite literal")
-				}
-			}
-		case *ast.CompositeLit:
-			if t := p.Info.TypeOf(x); t != nil {
-				switch t.Underlying().(type) {
-				case *types.Slice, *types.Map:
-					n.addEffect(effAlloc, x.Pos(), "slice/map literal")
-				}
-			}
-		case *ast.BinaryExpr:
-			if x.Op == token.ADD {
-				if tv, ok := p.Info.Types[x]; ok && tv.Value == nil && tv.Type != nil {
-					if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-						n.addEffect(effAlloc, x.Pos(), "string concatenation")
-					}
-				}
-			}
 		case *ast.CallExpr:
 			g.walkCall(n, x, &lockEvents, deferred[x])
 		}
@@ -672,45 +532,9 @@ func (g *Graph) walkNode(n *FuncNode) {
 	n.Locks = buildLockSites(lockEvents, n.body().End())
 }
 
-// walkCall classifies one call expression: builtin allocation, lock
-// event, out-of-module effect, or call edge.
+// walkCall classifies one call expression: lock event or call edge.
 func (g *Graph) walkCall(n *FuncNode, call *ast.CallExpr, lockEvents *[]lockEvent, isDeferred bool) {
 	p := n.Pkg
-
-	// Builtins.
-	switch {
-	case p.isBuiltin(call, "make"):
-		n.addEffect(effAlloc, call.Pos(), "make")
-		return
-	case p.isBuiltin(call, "new"):
-		n.addEffect(effAlloc, call.Pos(), "new")
-		return
-	case p.isBuiltin(call, "append"):
-		n.addEffect(effAlloc, call.Pos(), "append")
-		return
-	}
-
-	// Conversions that copy: []byte(s), []rune(s), string(b).
-	if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		dst := tv.Type.Underlying()
-		src := p.Info.TypeOf(call.Args[0])
-		if src != nil {
-			sb, _ := src.Underlying().(*types.Basic)
-			switch d := dst.(type) {
-			case *types.Slice:
-				if sb != nil && sb.Info()&types.IsString != 0 {
-					n.addEffect(effAlloc, call.Pos(), "string-to-slice conversion")
-				}
-			case *types.Basic:
-				if d.Info()&types.IsString != 0 {
-					if _, isSlice := src.Underlying().(*types.Slice); isSlice {
-						n.addEffect(effAlloc, call.Pos(), "slice-to-string conversion")
-					}
-				}
-			}
-		}
-		return
-	}
 
 	fn := p.funcObj(call)
 	if fn != nil {
@@ -723,20 +547,13 @@ func (g *Graph) walkCall(n *FuncNode, call *ast.CallExpr, lockEvents *[]lockEven
 		}
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 			if _, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
-				named, _ := sig.Recv().Type().(*types.Named)
-				cold := named != nil && g.coldIfaces[named.Obj()]
 				for _, impl := range g.ifaceMethodImpls(fn) {
-					n.Calls = append(n.Calls, Edge{To: impl, Pos: call.Pos(), Kind: "interface", Cold: cold})
+					n.addEdge(impl, call.Pos(), "interface")
 				}
 				return
 			}
 		}
-		if callee := g.byObj[fn]; callee != nil {
-			n.addEdge(callee, call.Pos(), "static")
-			return
-		}
-		// Out-of-module: consult the stdlib effect model.
-		g.modelExternCall(n, call, fn)
+		n.addEdge(g.byObj[fn], call.Pos(), "static") // nil for out-of-module callees: no edge
 		return
 	}
 
@@ -766,7 +583,8 @@ func lockCall(p *Package, call *ast.CallExpr, fn *types.Func) (class string, rlo
 	if sig == nil || sig.Recv() == nil {
 		return "", false, false, false
 	}
-	if ln := syncLockName(deref(sig.Recv().Type())); ln != "Mutex" && ln != "RWMutex" {
+	recv, _ := types.Unalias(deref(sig.Recv().Type())).(*types.Named)
+	if recv == nil || (recv.Obj().Name() != "Mutex" && recv.Obj().Name() != "RWMutex") {
 		return "", false, false, false
 	}
 	sel, okSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -840,86 +658,4 @@ func buildLockSites(events []lockEvent, bodyEnd token.Pos) []LockSite {
 		out = append(out, LockSite{Class: ev.class, RLock: ev.rlock, Pos: ev.pos, End: end})
 	}
 	return out
-}
-
-// ---- out-of-module effect model ----
-
-// ioPkgs are packages whose calls count as I/O on a hot path.
-var ioPkgs = map[string]bool{
-	"os": true, "net": true, "io": true, "io/fs": true, "io/ioutil": true,
-	"bufio": true, "syscall": true, "net/http": true, "log": true,
-}
-
-// allocPkgFuncs marks out-of-module calls that allocate. Keyed by
-// package path; a nil set means every function of the package
-// allocates except those in pureStringFuncs.
-var allocPkgs = map[string]bool{
-	"strings": true, "bytes": true, "strconv": true,
-	"fmt": true, "errors": true, "sort": true, "regexp": true,
-	"encoding/json": true, "encoding/gob": true, "encoding/binary": true,
-	"container/list": true, "container/heap": true,
-}
-
-// pureStringFuncs are strings/bytes/strconv/sort/errors functions that
-// do not allocate (pure scans, in-place sorts of concrete slices).
-var pureStringFuncs = map[string]bool{
-	"Contains": true, "ContainsAny": true, "ContainsRune": true,
-	"HasPrefix": true, "HasSuffix": true, "Index": true, "IndexByte": true,
-	"IndexRune": true, "IndexAny": true, "LastIndex": true, "LastIndexByte": true,
-	"Equal": true, "EqualFold": true, "Compare": true, "Count": true, "Cut": true,
-	"TrimSpace": true, "TrimPrefix": true, "TrimSuffix": true, "Trim": true,
-	"TrimLeft": true, "TrimRight": true, "Atoi": true, "ParseInt": true,
-	"ParseUint": true, "ParseFloat": true, "ParseBool": true,
-	"Ints": true, "Float64s": true, "Strings": true, "Search": true,
-	"SearchInts": true, "IsSorted": true, "Len": true,
-	"Is": true, "As": true, "Unwrap": true, // errors: walk the chain, allocate nothing
-}
-
-// bufioAccessors are the bufio.Reader/Writer methods that only inspect
-// the buffer.
-var bufioAccessors = map[string]bool{
-	"Buffered": true, "Available": true, "AvailableBuffer": true, "Size": true,
-}
-
-// clockFuncs are the time package's wall-clock reads.
-var clockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
-
-// modelExternCall records the effects of a call whose callee is
-// defined outside the module (stdlib): clock reads, I/O, known
-// allocators, and global-rand taint sources. Unlisted callees are
-// assumed effect-free; the tables err toward the hot path's needs.
-func (g *Graph) modelExternCall(n *FuncNode, call *ast.CallExpr, fn *types.Func) {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return
-	}
-	path := pkg.Path()
-	name := fn.Name()
-	sig, _ := fn.Type().(*types.Signature)
-	isMethod := sig != nil && sig.Recv() != nil
-
-	switch {
-	case path == "time" && !isMethod && clockFuncs[name]:
-		n.addEffect(effClock, call.Pos(), "time."+name)
-	case path == "bufio" && bufioAccessors[name]:
-		// reads a field of the buffer; no byte moves
-	case ioPkgs[path]:
-		n.addEffect(effIO, call.Pos(), path+"."+name)
-	case path == "fmt" && (strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint")):
-		n.addEffect(effIO, call.Pos(), "fmt."+name)
-	case allocPkgs[path] && !isMethod && !pureStringFuncs[name]:
-		n.addEffect(effAlloc, call.Pos(), path+"."+name)
-	case allocPkgs[path] && isMethod:
-		// Methods on stdlib container/builder types: list.PushFront,
-		// strings.Builder.WriteString, json.Encoder.Encode, ...
-		switch name {
-		case "Len", "Front", "Back", "Next", "Prev", "Remove", "Init",
-			"MoveToFront", "MoveToBack", "MoveBefore", "MoveAfter", "Value",
-			"Reset", "Cap", "Available",
-			"Uint16", "Uint32", "Uint64", "PutUint16", "PutUint32", "PutUint64":
-			// non-allocating container ops and binary.ByteOrder codecs
-		default:
-			n.addEffect(effAlloc, call.Pos(), path+"."+name)
-		}
-	}
 }

@@ -56,32 +56,15 @@ func DefaultRules() []Rule {
 		ruleRandGlobal(),
 		ruleWallClock(),
 		ruleMapIterOrder(),
-		ruleLockByValue(),
-		ruleGoLoopCapture(),
-		ruleUnsyncedCounter(),
 		ruleGoroutineOutsidePool(),
 		ruleDeadlineOnConn(),
-		ruleNoPanic(),
 		ruleFloatEqual(),
 		ruleUncheckedError(),
 		ruleCkptAtomicWrite(),
 		ruleShardLocalState(),
-		ruleHotPathPurity(),
 		ruleLockCycle(),
 		ruleDeterminismTaint(),
 	}
-}
-
-// RuleIDs returns the IDs of rules plus the engine's own pragma-syntax
-// pseudo-rule, for pragma validation and documentation.
-func RuleIDs(rules []Rule) []string {
-	ids := make([]string, 0, len(rules)+1)
-	for _, r := range rules {
-		ids = append(ids, r.ID)
-	}
-	ids = append(ids, pragmaRuleID)
-	sort.Strings(ids)
-	return ids
 }
 
 // Options tunes a Run.
@@ -94,17 +77,6 @@ type Options struct {
 	StalePragmas bool
 }
 
-// testRuleAllowed lists the rules that apply to _test.go files when
-// tests are loaded (-tests). Test code is exempt from the library
-// invariants, but the concurrency-correctness rules catch real bugs
-// in the stress tests; pragma hygiene applies everywhere.
-var testRuleAllowed = map[string]bool{
-	"go-loop-capture": true,
-	"lock-by-value":   true,
-	pragmaRuleID:      true,
-	pragmaStaleID:     true,
-}
-
 // Run executes rules over pkgs with default options.
 func Run(pkgs []*Package, rules []Rule) []Finding {
 	return RunOpts(pkgs, rules, Options{})
@@ -112,8 +84,8 @@ func Run(pkgs []*Package, rules []Rule) []Finding {
 
 // RunOpts executes rules over pkgs, applies pragma suppression, and
 // returns findings sorted by file, line, column, and rule. Graph rules
-// run over a call graph built from the full package set (test files
-// excluded); their findings go through the same pragma suppression.
+// run over a call graph built from the full package set; their
+// findings go through the same pragma suppression.
 func RunOpts(pkgs []*Package, rules []Rule, opts Options) []Finding {
 	known := make(map[string]bool)
 	hasGraphRule := false
@@ -130,20 +102,13 @@ func RunOpts(pkgs []*Package, rules []Rule, opts Options) []Finding {
 		out = append(out, pragmas.collect(p, known)...)
 	}
 
-	keep := func(f Finding) bool {
-		if strings.HasSuffix(f.Pos.Filename, "_test.go") && !testRuleAllowed[f.Rule] {
-			return false // test files only face the allowlisted rules
-		}
-		return !pragmas.suppresses(f)
-	}
-
 	for _, p := range pkgs {
 		for _, r := range rules {
 			if r.Check == nil {
 				continue
 			}
 			for _, f := range r.Check(p) {
-				if keep(f) {
+				if !pragmas.suppresses(f) {
 					out = append(out, f)
 				}
 			}
@@ -156,7 +121,7 @@ func RunOpts(pkgs []*Package, rules []Rule, opts Options) []Finding {
 				continue
 			}
 			for _, f := range r.CheckGraph(g) {
-				if keep(f) {
+				if !pragmas.suppresses(f) {
 					out = append(out, f)
 				}
 			}

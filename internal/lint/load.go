@@ -59,30 +59,14 @@ func FindModuleRoot(dir string) (string, error) {
 	}
 }
 
-// LoadOptions tunes module loading.
-type LoadOptions struct {
-	// Tests also loads _test.go files: in-package test files join their
-	// package (so they type-check against unexported declarations), and
-	// external "_test"-suffixed test packages become separate packages
-	// ordered after the package they test. Rules identify test files by
-	// their "_test.go" filename suffix; the call graph always excludes
-	// them.
-	Tests bool
-}
-
 // LoadModule parses and type-checks every non-test package of the
-// module rooted at root; see LoadModuleOpts for loading tests too.
+// module rooted at root.
 //
 // Module-internal imports are resolved against the packages loaded
 // here (in dependency order); standard-library imports are
 // type-checked from source via go/importer, so the loader works
 // without compiled export data and without any third-party loader.
 func LoadModule(root string) (*Module, error) {
-	return LoadModuleOpts(root, LoadOptions{})
-}
-
-// LoadModuleOpts is LoadModule with options.
-func LoadModuleOpts(root string, opts LoadOptions) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -110,11 +94,11 @@ func LoadModuleOpts(root string, opts LoadOptions) (*Module, error) {
 			name == "testdata" || name == "vendor") {
 			return filepath.SkipDir
 		}
-		ps, err := mod.parseDir(path, opts.Tests)
+		p, err := mod.parseDir(path)
 		if err != nil {
 			return err
 		}
-		for _, p := range ps {
+		if p != nil {
 			byPath[p.ImportPath] = p
 		}
 		return nil
@@ -139,11 +123,9 @@ func LoadModuleOpts(root string, opts LoadOptions) (*Module, error) {
 	return mod, nil
 }
 
-// parseDir loads the package(s) in dir: the regular package (with its
-// in-package test files when tests is set) and, when tests is set, a
-// separate package for external "_test"-suffixed test files. Returns
+// parseDir loads the package in dir from its non-test files. Returns
 // nil when dir holds no loadable Go files.
-func (m *Module) parseDir(dir string, tests bool) ([]*Package, error) {
+func (m *Module) parseDir(dir string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -161,29 +143,14 @@ func (m *Module) parseDir(dir string, tests bool) ([]*Package, error) {
 		importPath = m.Path + "/" + rel
 	}
 	p := &Package{RelDir: rel, ModuleRoot: m.Root, Fset: m.Fset, ImportPath: importPath}
-	var xt *Package // external test package ("package foo_test")
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
-			continue
-		}
-		isTest := strings.HasSuffix(name, "_test.go")
-		if isTest && !tests {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(m.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %v", err)
-		}
-		if isTest && strings.HasSuffix(f.Name.Name, "_test") {
-			if xt == nil {
-				xt = &Package{
-					RelDir: rel, ModuleRoot: m.Root, Fset: m.Fset,
-					ImportPath: importPath + "_test", Name: f.Name.Name,
-				}
-			}
-			xt.Files = append(xt.Files, f)
-			continue
 		}
 		if p.Name == "" {
 			p.Name = f.Name.Name
@@ -192,14 +159,10 @@ func (m *Module) parseDir(dir string, tests bool) ([]*Package, error) {
 		}
 		p.Files = append(p.Files, f)
 	}
-	var out []*Package
-	if len(p.Files) > 0 {
-		out = append(out, p)
+	if len(p.Files) == 0 {
+		return nil, nil
 	}
-	if xt != nil {
-		out = append(out, xt)
-	}
-	return out, nil
+	return p, nil
 }
 
 // imports returns the import paths of all files in p.
@@ -281,8 +244,8 @@ func (mi *moduleImporter) Import(path string) (*types.Package, error) {
 	return mi.std.Import(path)
 }
 
-// check type-checks p, recording (but tolerating) type errors so rules
-// can still run best-effort over partially checked code.
+// check type-checks p, recording its type errors in p.TypeErrs; ravenlint
+// prints them and exits 2 rather than lint partially checked code.
 func (p *Package) check(std types.Importer, checked map[string]*types.Package) {
 	p.Info = &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),

@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// pragmaRuleID is the pseudo-rule under which malformed or unknown
-// suppression pragmas are reported.
+// pragmaRuleID is the pseudo-rule under which malformed suppression
+// pragmas are reported.
 const pragmaRuleID = "pragma-syntax"
 
 // pragmaStaleID is the pseudo-rule under which pragmas that suppress
@@ -70,8 +70,11 @@ func (ps *pragmaSet) stale() []Finding {
 
 // collect scans all comments of p for //lint:allow pragmas, recording
 // well-formed ones and returning pragma-syntax findings for the rest.
-// A pragma must name a known rule and give a reason, so every
-// suppression documents why the invariant does not apply.
+// A pragma must name a rule and give a reason, so every suppression
+// documents why the invariant does not apply. One whose rule ID matches
+// no rule is an inert comment, neither recorded nor reported: a
+// mistyped ID shows itself because the finding it meant to suppress
+// still fires.
 func (ps *pragmaSet) collect(p *Package, known map[string]bool) []Finding {
 	var bad []Finding
 	for _, f := range p.Files {
@@ -92,8 +95,7 @@ func (ps *pragmaSet) collect(p *Package, known map[string]bool) []Finding {
 					bad = append(bad, p.finding(pragmaRuleID, c.Slash,
 						"pragma needs a rule ID and a reason: //lint:allow <rule-id> <reason>"))
 				case !known[fields[0]]:
-					bad = append(bad, p.finding(pragmaRuleID, c.Slash,
-						"pragma names unknown rule %q", fields[0]))
+					// inert
 				case len(fields) < 2:
 					bad = append(bad, p.finding(pragmaRuleID, c.Slash,
 						"pragma for %q is missing its reason", fields[0]))

@@ -7,266 +7,6 @@ import (
 	"strings"
 )
 
-// lockTypes are the sync types that must never be copied.
-var lockTypes = map[string]bool{
-	"Mutex":     true,
-	"RWMutex":   true,
-	"WaitGroup": true,
-	"Once":      true,
-	"Cond":      true,
-}
-
-// syncLockName returns the sync type name if t is one of the
-// non-copyable sync types, else "".
-func syncLockName(t types.Type) string {
-	n, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := n.Obj()
-	if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && lockTypes[obj.Name()] {
-		return obj.Name()
-	}
-	return ""
-}
-
-// containsLock reports whether t holds one of the sync lock types by
-// value (directly, through struct fields, or through arrays).
-func containsLock(t types.Type, depth int) bool {
-	if depth > 8 {
-		return false
-	}
-	t = types.Unalias(t)
-	switch tt := t.(type) {
-	case *types.Named:
-		if syncLockName(tt) != "" {
-			return true
-		}
-		return containsLock(tt.Underlying(), depth+1)
-	case *types.Struct:
-		for i := 0; i < tt.NumFields(); i++ {
-			if containsLock(tt.Field(i).Type(), depth+1) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(tt.Elem(), depth+1)
-	}
-	return false
-}
-
-// ruleLockByValue flags sync.Mutex/RWMutex/WaitGroup/Once/Cond passed
-// by value (parameters, results, receivers — copying a held lock
-// silently forks it) and embedded anonymously in structs (which
-// exports Lock/Unlock as part of the type's API; use a named field).
-func ruleLockByValue() Rule {
-	const id = "lock-by-value"
-	return Rule{
-		ID:  id,
-		Doc: "no sync lock types passed or embedded by value",
-		Check: func(p *Package) []Finding {
-			var out []Finding
-			check := func(fl *ast.FieldList, what string) {
-				if fl == nil {
-					return
-				}
-				for _, field := range fl.List {
-					t := p.Info.TypeOf(field.Type)
-					if t == nil {
-						continue
-					}
-					if _, isPtr := types.Unalias(t).(*types.Pointer); isPtr {
-						continue
-					}
-					if containsLock(t, 0) {
-						out = append(out, p.finding(id, field.Type.Pos(),
-							"%s copies a sync lock by value; pass a pointer", what))
-					}
-				}
-			}
-			for _, f := range p.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					switch d := n.(type) {
-					case *ast.FuncDecl:
-						check(d.Recv, "receiver")
-						check(d.Type.Params, "parameter")
-						check(d.Type.Results, "result")
-					case *ast.FuncLit:
-						check(d.Type.Params, "parameter")
-						check(d.Type.Results, "result")
-					case *ast.StructType:
-						for _, field := range d.Fields.List {
-							if len(field.Names) > 0 {
-								continue // named lock fields are the guarded idiom
-							}
-							t := p.Info.TypeOf(field.Type)
-							if t == nil {
-								continue
-							}
-							if name := syncLockName(t); name != "" {
-								out = append(out, p.finding(id, field.Type.Pos(),
-									"embedding sync.%s by value exports Lock/Unlock; use a named field", name))
-							}
-						}
-					}
-					return true
-				})
-			}
-			return out
-		},
-	}
-}
-
-// loopVarObjs collects the objects of the variables a loop statement
-// declares (range key/value, or the init of a 3-clause for).
-func (p *Package) loopVarObjs(loop ast.Node) []types.Object {
-	var idents []ast.Expr
-	switch l := loop.(type) {
-	case *ast.RangeStmt:
-		idents = append(idents, l.Key, l.Value)
-	case *ast.ForStmt:
-		if init, ok := l.Init.(*ast.AssignStmt); ok {
-			idents = append(idents, init.Lhs...)
-		}
-	}
-	var out []types.Object
-	for _, e := range idents {
-		if e == nil {
-			continue
-		}
-		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			if obj := p.Info.Defs[id]; obj != nil {
-				out = append(out, obj)
-			}
-		}
-	}
-	return out
-}
-
-// loopBody returns the body of a for/range statement, or nil.
-func loopBody(n ast.Node) *ast.BlockStmt {
-	switch l := n.(type) {
-	case *ast.RangeStmt:
-		return l.Body
-	case *ast.ForStmt:
-		return l.Body
-	}
-	return nil
-}
-
-// ruleGoLoopCapture flags goroutines launched inside a loop whose
-// function literal captures the loop variable instead of receiving it
-// as an argument or a rebound local. Go 1.22 made the capture itself
-// safe, but the repo keeps the invariant explicit: a reader must be
-// able to see what each goroutine received without knowing which
-// language version compiled it.
-func ruleGoLoopCapture() Rule {
-	const id = "go-loop-capture"
-	return Rule{
-		ID:  id,
-		Doc: "goroutines in loops must receive loop variables as arguments, not captures",
-		Check: func(p *Package) []Finding {
-			var out []Finding
-			p.eachFunc(func(file *ast.File, decl *ast.FuncDecl) {
-				ast.Inspect(decl.Body, func(n ast.Node) bool {
-					body := loopBody(n)
-					if body == nil {
-						return true
-					}
-					vars := p.loopVarObjs(n)
-					if len(vars) == 0 {
-						return true
-					}
-					ast.Inspect(body, func(m ast.Node) bool {
-						gs, ok := m.(*ast.GoStmt)
-						if !ok {
-							return true
-						}
-						lit, ok := gs.Call.Fun.(*ast.FuncLit)
-						if !ok {
-							return true
-						}
-						for _, v := range vars {
-							if p.mentionsObj(lit.Body, v) {
-								out = append(out, p.finding(id, gs.Pos(),
-									"goroutine captures loop variable %s; pass it as an argument", v.Name()))
-							}
-						}
-						return true
-					})
-					return true
-				})
-			})
-			return out
-		},
-	}
-}
-
-// assignOps are the compound assignment tokens treated as
-// read-modify-write for the unsynced-counter rule.
-var assignOps = map[string]bool{
-	"+=": true, "-=": true, "*=": true, "/=": true,
-	"|=": true, "&=": true, "^=": true, "%=": true,
-	"<<=": true, ">>=": true, "&^=": true,
-}
-
-// ruleUnsyncedCounter flags read-modify-write updates (x++, x += ...)
-// to variables captured from an enclosing scope inside a `go` function
-// literal that takes no lock: two goroutines doing counter++ lose
-// updates. Use sync/atomic or guard the counter with a mutex.
-func ruleUnsyncedCounter() Rule {
-	const id = "unsynced-counter"
-	return Rule{
-		ID:  id,
-		Doc: "no unguarded shared-counter writes inside goroutines; use sync/atomic or a mutex",
-		Check: func(p *Package) []Finding {
-			var out []Finding
-			p.eachFunc(func(file *ast.File, decl *ast.FuncDecl) {
-				ast.Inspect(decl.Body, func(n ast.Node) bool {
-					gs, ok := n.(*ast.GoStmt)
-					if !ok {
-						return true
-					}
-					lit, ok := gs.Call.Fun.(*ast.FuncLit)
-					if !ok {
-						return true
-					}
-					if p.takesLock(lit.Body) {
-						return true
-					}
-					ast.Inspect(lit.Body, func(m ast.Node) bool {
-						var target ast.Expr
-						switch s := m.(type) {
-						case *ast.IncDecStmt:
-							target = s.X
-						case *ast.AssignStmt:
-							if len(s.Lhs) == 1 && assignOps[s.Tok.String()] {
-								target = s.Lhs[0]
-							}
-						}
-						if target == nil {
-							return true
-						}
-						root, indexed := rootIdent(target)
-						if root == nil || indexed {
-							return true
-						}
-						obj := p.varOf(root)
-						if obj == nil || declaredWithin(obj, lit) {
-							return true
-						}
-						out = append(out, p.finding(id, m.Pos(),
-							"unguarded read-modify-write of shared %s inside a goroutine; use sync/atomic or a mutex", root.Name))
-						return true
-					})
-					return true
-				})
-			})
-			return out
-		},
-	}
-}
-
 // poolFile is the one file in the deterministic packages allowed to
 // launch goroutines: nn.Pool's fork-join loop.
 const poolFile = "internal/nn/pool.go"
@@ -389,24 +129,4 @@ func ruleDeadlineOnConn() Rule {
 			return out
 		},
 	}
-}
-
-// takesLock reports whether body calls a Lock/RLock method anywhere,
-// in which case shared writes inside it are assumed guarded.
-func (p *Package) takesLock(body ast.Node) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn := p.funcObj(call); fn != nil && (fn.Name() == "Lock" || fn.Name() == "RLock") {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

@@ -83,14 +83,19 @@ var wallClockAllowed = []string{
 	"internal/cluster",
 }
 
-// ruleWallClock flags time.Now in simulation/policy library code.
-// Policies and trace generators must run on trace time (request
-// timestamps), never wall time, or replays stop being reproducible.
+// clockFuncs are the time package's wall-clock reads, shared by the
+// wall-clock rule and the determinism-taint walker.
+var clockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
+
+// ruleWallClock flags time.Now/Since/Until in simulation/policy
+// library code. Policies and trace generators must run on trace time
+// (request timestamps), never wall time, or replays stop being
+// reproducible.
 func ruleWallClock() Rule {
 	const id = "wall-clock"
 	return Rule{
 		ID:  id,
-		Doc: "no time.Now in policy/trace/library code; trace time only (allowlist: experiments, sim timing, server)",
+		Doc: "no time.Now/Since/Until in policy/trace/library code; trace time only (allowlist: experiments, sim timing, server, cluster)",
 		Check: func(p *Package) []Finding {
 			if p.Name == "main" {
 				return nil
@@ -102,9 +107,12 @@ func ruleWallClock() Rule {
 				}
 				ast.Inspect(f, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
-					if ok && p.calleeIs(call, "time", "Now") {
+					if !ok || p.calleePkg(call) != "time" {
+						return true
+					}
+					if name := p.funcObj(call).Name(); clockFuncs[name] {
 						out = append(out, p.finding(id, call.Pos(),
-							"time.Now in library code breaks replay determinism; use trace timestamps"))
+							"time.%s in library code breaks replay determinism; use trace timestamps", name))
 					}
 					return true
 				})

@@ -6,43 +6,6 @@ import (
 	"go/types"
 )
 
-// panicExemptDirs are directories whose panics are structurally
-// expected: internal/nn panics on tensor shape mismatches, which are
-// programming errors no caller can recover from meaningfully.
-var panicExemptDirs = []string{"internal/nn"}
-
-// ruleNoPanic flags panic calls in library (non-main, non-test) code.
-// A cache server must degrade, not crash: library code returns errors,
-// and the few construction-time invariant panics that remain must each
-// carry a //lint:allow no-panic pragma documenting why.
-func ruleNoPanic() Rule {
-	const id = "no-panic"
-	return Rule{
-		ID:  id,
-		Doc: "no panic in library code (exempt: internal/nn shape checks); allowed sites need a pragma",
-		Check: func(p *Package) []Finding {
-			if p.Name == "main" {
-				return nil
-			}
-			var out []Finding
-			for _, f := range p.Files {
-				if underDirs(p.relFile(f), panicExemptDirs...) {
-					continue
-				}
-				ast.Inspect(f, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if ok && p.isBuiltin(call, "panic") {
-						out = append(out, p.finding(id, call.Pos(),
-							"panic in library code; return an error, or pragma-annotate a construction-time invariant"))
-					}
-					return true
-				})
-			}
-			return out
-		},
-	}
-}
-
 // ruleFloatEqual flags == and != between floating-point operands.
 // Policy priority comparisons hinge on these, and exact float equality
 // silently depends on evaluation order and FMA contraction; compare

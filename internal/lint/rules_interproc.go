@@ -10,140 +10,6 @@ import (
 // than over single functions. They run once per Graph (built from the
 // whole selected package set) instead of once per package.
 
-// hotPathEntries are the built-in roots of the eviction hot path: the
-// functions whose transitive closure must stay allocation-, map-range-,
-// clock-, and I/O-free so the <50µs p99 decision budget (ROADMAP) holds.
-// Additional roots can be declared in source with a
-// "//lint:hotpath <reason>" doc comment on the function.
-var hotPathEntries = []string{
-	"internal/core.(*Raven).Victim",
-	"internal/nn.(*Net).PredictWith",
-	"internal/nn.(*Net).PredictBatch",
-	"internal/nn.(*Net).Freeze32",
-	"internal/nn.(*Frozen32).PredictBatch",
-	"internal/nn.(*Net).StepEmbed",
-	"internal/cache.(*shard).evict",
-	"internal/cluster.(*Ring).Lookup",
-	"internal/cluster.(*Ring).LookupN",
-}
-
-func ruleHotPathPurity() Rule {
-	return Rule{
-		ID:  "hot-path-purity",
-		Doc: "nothing reachable from the eviction entry points may allocate, range over a map, read the clock, or do I/O",
-		Explain: `The eviction decision has a hard latency budget (ROADMAP: <50µs p99),
-and TestEvictionPathAllocFree asserts the serial path runs with zero
-allocations — but only for the one configuration the test happens to
-run. hot-path-purity generalizes that test statically: it computes the
-transitive call closure of the eviction entry points
-
-    internal/core.(*Raven).Victim           (victim selection)
-    internal/nn.(*Net).PredictWith          (inference kernel)
-    internal/nn.(*Net).PredictBatch         (fused batch inference, f64)
-    internal/nn.(*Net).Freeze32             (f32 weight snapshot build)
-    internal/nn.(*Frozen32).PredictBatch    (fused batch inference, f32)
-    internal/nn.(*Net).StepEmbed            (embedding kernel)
-    internal/cache.(*shard).evict           (the lock-held eviction section)
-
-plus any function carrying a "//lint:hotpath <reason>" doc-comment
-directive, and reports every effect inside that closure (which does
-not follow calls dispatched through an interface type declared
-"//lint:coldpath <reason>": a seam behind which code answers to
-another budget): heap
-allocation (make/new/append, &T{...}, slice/map literals, string
-concatenation or conversion, closure creation, go statements, known
-allocating stdlib calls), map iteration (nondeterministic order AND a
-hidden hash walk), wall-clock reads, and I/O. Interface calls fan out
-to every in-module implementer; calls through function values (stored
-observers, ParallelFor tasks) fan out to everything ever assigned to
-that variable, so the closure over-approximates: a finding means "this
-effect is statically reachable from an entry", not "it executes on
-every eviction". Amortized warm-up allocations (lazy scratch growth,
-shadow-model rebuilds) are accepted with a pragma naming the
-amortization argument; measurement-path effects live in the baseline.
-One finding is reported per function and effect kind, at the first
-effect site, with the call chain from the entry point.`,
-		CheckGraph: checkHotPathPurity,
-	}
-}
-
-func checkHotPathPurity(g *Graph) []Finding {
-	var entries []*FuncNode
-	seenEntry := make(map[*FuncNode]bool)
-	for _, name := range hotPathEntries {
-		if n := g.NodeByName(name); n != nil && !seenEntry[n] {
-			seenEntry[n] = true
-			entries = append(entries, n)
-		}
-	}
-	for _, n := range g.Nodes {
-		if n.HotEntry && !seenEntry[n] {
-			seenEntry[n] = true
-			entries = append(entries, n)
-		}
-	}
-	if len(entries) == 0 {
-		return nil
-	}
-
-	// Multi-source BFS in deterministic order; parent edges reconstruct
-	// the shortest chain from the nearest entry.
-	parent := make(map[*FuncNode]*FuncNode)
-	visited := make(map[*FuncNode]bool)
-	queue := make([]*FuncNode, 0, len(entries))
-	for _, e := range entries {
-		visited[e] = true
-		queue = append(queue, e)
-	}
-	var order []*FuncNode
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, e := range n.Calls {
-			if !e.Cold && !visited[e.To] {
-				visited[e.To] = true
-				parent[e.To] = n
-				queue = append(queue, e.To)
-			}
-		}
-	}
-
-	var out []Finding
-	for _, n := range order {
-		seenKind := make(map[effectKind]bool)
-		for _, eff := range n.Effects {
-			if seenKind[eff.Kind] {
-				continue
-			}
-			seenKind[eff.Kind] = true
-			out = append(out, n.Pkg.finding("hot-path-purity", eff.Pos,
-				"%s %s (%s) on the eviction hot path, reached via %s",
-				n.Name, eff.Kind, eff.What, chainString(n, parent)))
-		}
-	}
-	return out
-}
-
-// chainString renders the BFS chain from the entry point down to n.
-func chainString(n *FuncNode, parent map[*FuncNode]*FuncNode) string {
-	var rev []string
-	for m := n; m != nil; m = parent[m] {
-		rev = append(rev, m.Name)
-	}
-	if len(rev) == 1 {
-		return "entry point " + rev[0]
-	}
-	var b strings.Builder
-	for i := len(rev) - 1; i >= 0; i-- {
-		if b.Len() > 0 {
-			b.WriteString(" -> ")
-		}
-		b.WriteString(rev[i])
-	}
-	return b.String()
-}
-
 func ruleLockCycle() Rule {
 	return Rule{
 		ID:  "lock-cycle",

@@ -95,7 +95,7 @@ func (m *Model) Predict(x []float64) float64 {
 func Train(X [][]float64, y []float64, cfg Config) *Model {
 	cfg.defaults()
 	if len(X) == 0 || len(X) != len(y) {
-		panic("gbm: bad training data") //lint:allow no-panic mismatched training matrices are a programmer error
+		panic("gbm: bad training data")
 	}
 	nf := len(X[0])
 	m := &Model{cfg: cfg, bias: stats.Mean(y)}

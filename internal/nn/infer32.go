@@ -32,7 +32,7 @@ func (n *Net) Freeze32() *Frozen32 {
 	if n.frozen32 != nil && n.frozen32.Version == n.Version {
 		return n.frozen32
 	}
-	//lint:allow hot-path-purity frozen-weight snapshot is built once per model swap and cached on the Net; every later call returns it
+	// Built once per model swap and cached on the Net; every later call returns it.
 	fz := &Frozen32{
 		Version:   n.Version,
 		hidden:    n.Cfg.Hidden,
@@ -63,7 +63,6 @@ type Scratch32 struct {
 
 // NewScratch allocates prediction buffers sized for this frozen model.
 func (fz *Frozen32) NewScratch() *Scratch32 {
-	//lint:allow hot-path-purity scratch is built once per caller per model swap and reused across predictions
 	return &Scratch32{
 		in: make([]float32, fz.hidden+2), y1: make([]float32, fz.mlp), y2: make([]float32, fz.mlp),
 		aW: make([]float32, fz.k), aMu: make([]float32, fz.k), aS: make([]float32, fz.k),
@@ -114,7 +113,7 @@ func (fz *Frozen32) PredictBatch(s *Scratch32, in []PredictInput, out []Mixture)
 func MixtureFromActivations32(aW, aMu, aS []float32, out *Mixture) {
 	k := len(aW)
 	if out.W == nil {
-		//lint:allow hot-path-purity first-fill of a reused Mixture; callers keep mixtures in scratch arenas so steady state never re-allocates
+		// First fill of a reused Mixture; callers keep mixtures in scratch arenas, so the steady state never re-allocates.
 		out.W = make([]float64, k)
 		out.Mu = make([]float64, k)
 		out.S = make([]float64, k)

@@ -276,7 +276,6 @@ func (n *Net) StepEmbedInto(hPrev, hOut []float64, tau float64) {
 func (n *Net) EmbedHistoryInto(dst []float64, taus []float64) []float64 {
 	ss := n.cell.StateSize()
 	if cap(dst) < ss {
-		//lint:allow hot-path-purity caller-owned dst grows once then is reused; amortized
 		dst = make([]float64, ss)
 	}
 	dst = dst[:ss]

@@ -127,7 +127,7 @@ func (p *Pool) forkJoin(n, w int, fn func(worker, i int)) {
 // later spawns may reallocate).
 func (p *Pool) spawn(extra int) {
 	for len(p.wake) < extra {
-		//lint:allow hot-path-purity one-time worker spawn at first parallel dispatch; parked workers make every later dispatch allocation-free
+		// One-time spawn at first parallel dispatch; parked workers make every later dispatch allocation-free.
 		ch := make(chan struct{}, 1)
 		p.wake = append(p.wake, ch)
 		go p.work(len(p.wake), ch)

@@ -53,7 +53,6 @@ func relu32(x, y []float32) {
 
 // quantize32 copies an f64 tensor into a freshly allocated f32 one.
 func quantize32(w []float64) []float32 {
-	//lint:allow hot-path-purity runs only inside Freeze32's once-per-model-swap snapshot build
 	out := make([]float32, len(w))
 	for i, v := range w {
 		out[i] = float32(v)

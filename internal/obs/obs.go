@@ -295,7 +295,7 @@ func (r *Registry) RegisterFunc(name string, fn func() int64) {
 func (r *Registry) Snapshot() []KV {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]KV, 0, len(r.entries)+8) //lint:allow hot-path-purity METRICS is an operator verb on the serving loop, not the GET/SET path
+	out := make([]KV, 0, len(r.entries)+8)
 	for _, e := range r.entries {
 		switch e.kind {
 		case kindCounter:

@@ -45,7 +45,7 @@ type ARC struct {
 // New returns an ARC policy for a cache of the given byte capacity.
 func New(capacity int64) *ARC {
 	if capacity <= 0 {
-		panic("arc: capacity must be positive") //lint:allow no-panic non-positive capacity is a construction-time programmer error
+		panic("arc: capacity must be positive")
 	}
 	return &ARC{
 		capacity:  capacity,

@@ -59,7 +59,7 @@ func (p *Belady) Name() string { return "belady" }
 
 func (p *Belady) record(req cache.Request) {
 	if req.Next == 0 {
-		panic("belady: trace not annotated with next-arrival times") //lint:allow no-panic the offline policy requires an annotated trace by contract
+		panic("belady: trace not annotated with next-arrival times")
 	}
 	if f, ok := p.current[req.Key]; ok {
 		f.stale = true
@@ -134,7 +134,7 @@ func (p *BeladySize) Name() string { return "belady-size" }
 
 func (p *BeladySize) record(req cache.Request) {
 	if req.Next == 0 {
-		panic("belady: trace not annotated with next-arrival times") //lint:allow no-panic the offline policy requires an annotated trace by contract
+		panic("belady: trace not annotated with next-arrival times")
 	}
 	p.now = req.Time
 	if m := p.set.Ref(req.Key); m != nil {

@@ -99,7 +99,7 @@ func NewGDSF() *Policy {
 // rank lowest (their k-distance is infinite).
 func NewLRUK(k int) *Policy {
 	if k < 1 {
-		panic("freq: LRU-K needs k >= 1") //lint:allow no-panic k < 1 is a construction-time programmer error
+		panic("freq: LRU-K needs k >= 1")
 	}
 	return newPolicy("lruk", k, func(_ *Policy, m *meta, _ int64) float64 {
 		if len(m.times) < cap(m.times) {

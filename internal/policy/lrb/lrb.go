@@ -91,7 +91,7 @@ type LRB struct {
 func New(cfg Config) *LRB {
 	cfg.defaults()
 	if cfg.MemoryWindow <= 0 {
-		panic("lrb: Config.MemoryWindow must be positive") //lint:allow no-panic invalid Config is a construction-time programmer error
+		panic("lrb: Config.MemoryWindow must be positive")
 	}
 	return &LRB{
 		cfg:  cfg,

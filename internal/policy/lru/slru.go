@@ -30,10 +30,10 @@ type SLRU struct {
 // over the given total capacity (needed to derive per-segment quotas).
 func NewSLRU(segments int, capacity int64) *SLRU {
 	if segments <= 0 {
-		panic("lru: SLRU needs at least one segment") //lint:allow no-panic zero segments is a construction-time programmer error
+		panic("lru: SLRU needs at least one segment")
 	}
 	if capacity <= 0 {
-		panic("lru: SLRU needs a positive capacity") //lint:allow no-panic non-positive capacity is a construction-time programmer error
+		panic("lru: SLRU needs a positive capacity")
 	}
 	p := &SLRU{
 		segs:     make([]*list.List, segments),

@@ -37,7 +37,7 @@ type EWMAPredictor struct {
 // NewEWMAPredictor returns a predictor with smoothing alpha in (0, 1].
 func NewEWMAPredictor(alpha float64) *EWMAPredictor {
 	if alpha <= 0 || alpha > 1 {
-		panic("marker: EWMA alpha must be in (0,1]") //lint:allow no-panic out-of-range alpha is a construction-time programmer error
+		panic("marker: EWMA alpha must be in (0,1]")
 	}
 	return &EWMAPredictor{
 		alpha: alpha,

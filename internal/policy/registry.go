@@ -201,7 +201,7 @@ var builders = map[string]Factory{}
 // front-end composes with any policy without per-policy wiring.
 func Register(name string, build func(o Options) (cache.Policy, error)) Factory {
 	if _, dup := builders[name]; dup {
-		panic(fmt.Sprintf("policy: duplicate registration of %q", name)) //lint:allow no-panic duplicate registration is an init-time programmer error
+		panic(fmt.Sprintf("policy: duplicate registration of %q", name))
 	}
 	f := Factory(func(o Options) (cache.Policy, error) {
 		p, err := build(o)
@@ -290,7 +290,7 @@ func New(name string, o Options) (cache.Policy, error) {
 func MustNew(name string, o Options) cache.Policy {
 	p, err := New(name, o)
 	if err != nil {
-		panic(err) //lint:allow no-panic MustNew is the documented panicking variant of New
+		panic(err)
 	}
 	return p
 }

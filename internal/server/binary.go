@@ -80,7 +80,7 @@ func putBinReq(dst *[binReqLen]byte, verb byte, key trace.Key, size, ts int64) {
 
 // appendBinResp appends one reply frame to dst.
 func appendBinResp(dst []byte, status byte, size int64) []byte {
-	dst = append(dst, binMagicResp, status) //lint:allow hot-path-purity appends into the reply buffer's free space (or the staged-reply scratch); TestServingPathAllocFree asserts 0 allocs/op
+	dst = append(dst, binMagicResp, status) // into the reply buffer's free space (or the staged-reply scratch)
 	return binary.LittleEndian.AppendUint64(dst, uint64(size))
 }
 
@@ -98,10 +98,10 @@ func (b binCodec) next(op *Op) (verb, error) {
 		return verbNone, io.EOF
 	}
 	if !b.more() && b.idle > 0 {
-		//lint:allow hot-path-purity the clock read IS the idle deadline; armed only when the read can block, so once per burst
+		// Armed only when the read can block, so one clock read per burst.
 		_ = b.conn.SetReadDeadline(time.Now().Add(b.idle))
 	}
-	//lint:allow hot-path-purity the wire read IS the request; mid-burst frames are already in the buffer
+	// Mid-burst frames are already in the buffer.
 	p, err := b.br.Peek(binReqLen)
 	if err != nil {
 		if errors.Is(err, io.EOF) && len(p) > 0 {

@@ -62,10 +62,8 @@ type Client struct {
 
 // Dial connects to a server speaking the text protocol.
 func Dial(addr string) (*Client, error) {
-	//lint:allow hot-path-purity a node's pool dials only when it is empty; a warmed-up router reuses its connections
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		//lint:allow hot-path-purity error path: the dial failed, the round trip is lost anyway
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
 	return &Client{addr: addr, conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
@@ -89,7 +87,7 @@ func DialBinary(addr string) (*Client, error) {
 func (c *Client) armDeadline() {
 	var dl time.Time
 	if c.Timeout > 0 {
-		//lint:allow hot-path-purity the clock read IS the round-trip timeout; one per burst, not one per op
+		// One clock read per burst, not one per op.
 		dl = time.Now().Add(c.Timeout)
 	}
 	_ = c.conn.SetDeadline(dl)
@@ -116,7 +114,6 @@ func (c *Client) Close() error {
 	c.armDeadline()
 	if c.binary {
 		putBinReq(&c.frame, binVerbQuit, 0, 0, 0)
-		//lint:allow hot-path-purity closes a connection whose round trip failed, or that overflows the pool: not the steady state
 		_, _ = c.w.Write(c.frame[:])
 	} else {
 		fmt.Fprintf(c.w, "QUIT\n")
@@ -142,7 +139,7 @@ func (c *Client) appendOp(buf []byte, op Op) []byte {
 			verb = binVerbGetQ
 		}
 		putBinReq(&c.frame, verb, op.Key, op.Size, op.Time)
-		//lint:allow hot-path-purity appends into the client's reused scratch; grows to the largest burst once
+		// Appends into the client's reused scratch, which grows to the largest burst once.
 		return append(buf, c.frame[:]...)
 	}
 	if op.Set {
@@ -171,7 +168,6 @@ func (c *Client) quiet(op Op) bool { return c.binary && op.Quiet && !op.Set }
 
 // appendBarrier appends a PING to buf and to the window.
 func (c *Client) appendBarrier(buf []byte) []byte {
-	//lint:allow hot-path-purity the window and the scratch are reused across bursts; they grow to the largest burst once
 	c.pending = append(c.pending, pipeBarrier)
 	if c.binary {
 		putBinReq(&c.frame, binVerbPing, 0, 0, 0)
@@ -208,13 +204,13 @@ func (c *Client) send(ops []Op, lo, hi int, barrier bool) error {
 			c.scratch = c.appendBarrier(c.scratch)
 		}
 		c.scratch = c.appendOp(c.scratch, ops[i])
-		//lint:allow hot-path-purity the window and the scratch are reused across bursts; they grow to the largest burst once
+		// The window and the scratch are reused across bursts; they grow to the largest burst once.
 		c.pending = append(c.pending, i)
 	}
 	if barrier {
 		c.scratch = c.appendBarrier(c.scratch)
 	}
-	//lint:allow hot-path-purity the wire write IS the hop: one write and one flush per node per burst
+	// One write and one flush per node per burst.
 	if _, err := c.w.Write(c.scratch); err != nil {
 		return err
 	}
@@ -245,7 +241,6 @@ func (c *Client) readReply() (byte, int64, error) {
 		}
 		// The line is matched in the reader's buffer: a reply is far
 		// shorter than it, and nothing is kept past the next read.
-		//lint:allow hot-path-purity the wire read IS the hop; the binary branch reads a node's whole reply burst from one buffer fill
 		line, err := c.r.ReadSlice('\n')
 		if err != nil {
 			return 0, 0, err
@@ -255,7 +250,6 @@ func (c *Client) readReply() (byte, int64, error) {
 				return t.status, -1, nil
 			}
 		}
-		//lint:allow hot-path-purity error path: framing is lost and the connection is closed
 		return 0, 0, fmt.Errorf("client: unexpected reply %q", bytes.TrimSpace(line))
 	}
 	if c.r.Buffered() < binRespLen {
@@ -292,7 +286,6 @@ func (c *Client) settle(ops []Op) (done []int, ok bool, err error) {
 		switch {
 		case i == pipeBarrier:
 			if status != binStatusPong {
-				//lint:allow hot-path-purity error path: framing is lost and the connection is closed
 				return nil, false, fmt.Errorf("client: reply status 0x%02x crossed a PING barrier", status)
 			}
 		case !c.quiet(ops[i]):

@@ -217,8 +217,6 @@ type serverMetrics struct {
 // hardened protocol loop. Get and Set receive the timestamp already
 // resolved against the server's virtual clock and report hit/stored.
 // Implementations must be safe for concurrent use.
-//
-//lint:coldpath the serving loop's fence ends at this seam: behind it a miss admits, evicts and, under Raven, may fit inline; the engine's evict, Raven.Victim and Router.ServeBatch are hot-path entries of their own
 type Backend interface {
 	Get(key trace.Key, size, ts int64) bool
 	Set(key trace.Key, size, ts int64) bool
@@ -596,12 +594,12 @@ const burstCap = defaultReadBuf / binReqLen
 func (c *connIO) flush() bool {
 	if c.bw.Buffered() > 0 {
 		if c.write > 0 {
-			//lint:allow hot-path-purity the clock read IS the write deadline; one per flush, not per reply
+			// One clock read per flush, not per reply.
 			_ = c.conn.SetWriteDeadline(time.Now().Add(c.write))
 		}
 		c.met.flushes.Inc()
 	}
-	return c.bw.Flush() == nil //lint:allow hot-path-purity the wire write IS the reply: one per drained burst
+	return c.bw.Flush() == nil
 }
 
 // send buffers one framed reply; flush decides when bytes hit the wire.
@@ -610,10 +608,9 @@ func (c *connIO) flush() bool {
 // A failed write is sticky in bufio and surfaces at the next flush.
 func (c *connIO) send(p []byte) {
 	if len(p) > c.bw.Available() && c.write > 0 {
-		//lint:allow hot-path-purity the clock read IS the write deadline; only when a reply spills past the buffer
 		_ = c.conn.SetWriteDeadline(time.Now().Add(c.write))
 	}
-	_, _ = c.bw.Write(p) //lint:allow hot-path-purity a copy into the reply buffer; the wire is touched only on a spill
+	_, _ = c.bw.Write(p) // a copy into the reply buffer; the wire is touched only on a spill
 }
 
 // verb is what a codec decoded a request into.
@@ -691,9 +688,9 @@ func (s *Server) handle(conn net.Conn) {
 // never waits for more, so a strict request-response client gets bursts
 // of one — serves it, then answers the control verb or malformed
 // request that ended it, if one did. Replies are flushed when the read
-// side has drained: the client is waiting on them.
-//
-//lint:hotpath the serving loop: every request of either protocol crosses it, and TestServingPathAllocFree holds GET/SET to 0 allocs/op
+// side has drained: the client is waiting on them. Every request of
+// either protocol crosses this loop; TestServingPathAllocFree holds
+// GET/SET through it to 0 allocs/op.
 func (s *Server) serveConn(c *connIO, cd codec, requests *obs.Counter) {
 	for {
 		n := 0
@@ -760,7 +757,7 @@ func (s *Server) serveConn(c *connIO, cd codec, requests *obs.Counter) {
 func (s *Server) serveBurst(c *connIO, cd codec, ops []Op) {
 	var t0 time.Time
 	if s.batch != nil {
-		//lint:allow hot-path-purity times the op for server.get/set_latency_ns: two clock reads per op are the histograms' price
+		// Two clock reads per op are the latency histograms' price.
 		t0 = time.Now()
 		for i := range ops {
 			ops[i].Time = s.now(ops[i].Time)

@@ -36,7 +36,7 @@ type textCodec struct{ *connIO }
 // more looks for a line end in what is buffered: a partial line is not
 // a request yet.
 func (t textCodec) more() bool {
-	p, _ := t.br.Peek(t.br.Buffered()) //lint:allow hot-path-purity peeks at what is already buffered: no read can happen
+	p, _ := t.br.Peek(t.br.Buffered()) // what is already buffered: no read can happen
 	return bytes.IndexByte(p, '\n') >= 0
 }
 
@@ -52,14 +52,14 @@ func (t textCodec) readLine() ([]byte, error) {
 	t.line = t.line[:0]
 	for {
 		if t.br.Buffered() == 0 && t.idle > 0 {
-			//lint:allow hot-path-purity the clock read IS the idle deadline; armed only when the read can block, so once per burst
+			// Armed only when the read can block, so one clock read per burst.
 			_ = t.conn.SetReadDeadline(time.Now().Add(t.idle))
 		}
-		chunk, err := t.br.ReadSlice('\n') //lint:allow hot-path-purity the wire read IS the request; mid-burst lines come out of the buffer
+		chunk, err := t.br.ReadSlice('\n') // mid-burst lines come out of the buffer
 		if len(t.line)+len(chunk) > maxLineBytes {
 			return nil, errLineTooLong
 		}
-		t.line = append(t.line, chunk...) //lint:allow hot-path-purity the line buffer grows to the longest line once, then is reused
+		t.line = append(t.line, chunk...) // grows to the longest line once, then is reused
 		switch err {
 		case nil:
 			return t.line, nil
@@ -86,7 +86,7 @@ func (t textCodec) next(op *Op) (verb, error) {
 		// Tell the client why before closing instead of silently
 		// dropping the connection.
 		t.ended = true
-		t.out = append(t.out[:0], "ERR line too long\n"...) //lint:allow hot-path-purity error path into reused scratch, here and for the unknown verb below
+		t.out = append(t.out[:0], "ERR line too long\n"...)
 		return verbTooLong, nil
 	}
 	t.fields = splitFields(line, t.fields[:0])
@@ -137,7 +137,7 @@ func (t textCodec) next(op *Op) (verb, error) {
 
 // bad stages the reply to a malformed line.
 func (t textCodec) bad(reply string) (verb, error) {
-	t.out = append(t.out[:0], reply...) //lint:allow hot-path-purity error path, and the scratch is reused
+	t.out = append(t.out[:0], reply...)
 	return verbBad, nil
 }
 
@@ -151,7 +151,7 @@ func (t textCodec) reply(op Op, ok bool) {
 	case ok:
 		word = "HIT "
 	}
-	b := append(t.bw.AvailableBuffer(), word...) //lint:allow hot-path-purity built in the reply buffer's free space; TestServingPathAllocFree asserts 0 allocs/op
+	b := append(t.bw.AvailableBuffer(), word...)
 	b = strconv.AppendInt(b, op.Size, 10)
 	t.send(append(b, '\n'))
 }
@@ -161,7 +161,7 @@ func (t textCodec) pong() { t.send(textPong) }
 var textPong = []byte("PONG\n")
 
 func (t textCodec) stats(st cache.Stats) {
-	t.out = append(t.out[:0], "STATS"...) //lint:allow hot-path-purity an operator verb, into reused scratch
+	t.out = append(t.out[:0], "STATS"...)
 	for _, v := range [...]int64{st.Requests, st.Hits, st.ReqBytes, st.HitBytes} {
 		t.out = strconv.AppendInt(append(t.out, ' '), v, 10)
 	}
@@ -169,7 +169,7 @@ func (t textCodec) stats(st cache.Stats) {
 }
 
 func (t textCodec) metrics(kvs []obs.KV) {
-	t.out = append(t.out[:0], "METRICS "...) //lint:allow hot-path-purity an operator verb; the scratch grows to one snapshot, then is reused
+	t.out = append(t.out[:0], "METRICS "...) // the scratch grows to one snapshot, then is reused
 	t.out = strconv.AppendInt(t.out, int64(len(kvs)), 10)
 	t.out = append(t.out, '\n')
 	for _, kv := range kvs {
@@ -197,7 +197,7 @@ func splitFields(line []byte, dst [][]byte) [][]byte {
 			i++
 		}
 		if i > start {
-			dst = append(dst, line[start:i]) //lint:allow hot-path-purity field views into reused scratch; grows to the widest line once
+			dst = append(dst, line[start:i]) // field views into reused scratch, which grows to the widest line once
 		}
 	}
 	return dst

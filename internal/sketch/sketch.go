@@ -43,7 +43,7 @@ type CountMin struct {
 // (counters per row, rounded up to a power of two).
 func NewCountMin(rows, width int, resetAt uint64) *CountMin {
 	if rows <= 0 || width <= 0 {
-		panic("sketch: rows and width must be positive") //lint:allow no-panic non-positive dimensions are a construction-time programmer error
+		panic("sketch: rows and width must be positive")
 	}
 	w := uint64(1)
 	for w < uint64(width) {

@@ -20,7 +20,7 @@ type LogHistogram struct {
 // underflow bucket. It panics on non-positive lo or base <= 1.
 func NewLogHistogram(lo, base float64, bins int) *LogHistogram {
 	if lo <= 0 || base <= 1 || bins <= 0 {
-		panic("stats: invalid LogHistogram parameters") //lint:allow no-panic invalid histogram shape is a construction-time programmer error
+		panic("stats: invalid LogHistogram parameters")
 	}
 	return &LogHistogram{base: base, lo: lo, weights: make([]float64, bins)}
 }

@@ -13,7 +13,7 @@ type Reservoir struct {
 // NewReservoir creates a reservoir holding at most capacity samples.
 func NewReservoir(capacity int, seed int64) *Reservoir {
 	if capacity <= 0 {
-		panic("stats: Reservoir capacity must be positive") //lint:allow no-panic non-positive capacity is a construction-time programmer error
+		panic("stats: Reservoir capacity must be positive")
 	}
 	return &Reservoir{cap: capacity, rng: NewRNG(seed)}
 }

@@ -65,7 +65,7 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 // It panics if mean <= 0.
 func (g *RNG) Exponential(mean float64) float64 {
 	if mean <= 0 {
-		panic("stats: Exponential mean must be positive") //lint:allow no-panic non-positive mean is a programmer error, mirroring math/rand
+		panic("stats: Exponential mean must be positive")
 	}
 	return g.r.ExpFloat64() * mean
 }
@@ -75,7 +75,7 @@ func (g *RNG) Exponential(mean float64) float64 {
 // alpha > 1.
 func (g *RNG) Pareto(alpha, scale float64) float64 {
 	if alpha <= 0 || scale <= 0 {
-		panic("stats: Pareto parameters must be positive") //lint:allow no-panic non-positive parameters are a programmer error, mirroring math/rand
+		panic("stats: Pareto parameters must be positive")
 	}
 	u := g.r.Float64()
 	for u == 0 { //lint:allow float-equal rejects an exact-zero uniform draw before taking its log

@@ -19,10 +19,10 @@ type Zipf struct {
 // It panics if n <= 0 or alpha < 0.
 func NewZipf(n int, alpha float64) *Zipf {
 	if n <= 0 {
-		panic("stats: Zipf needs n > 0") //lint:allow no-panic invalid n is a construction-time programmer error
+		panic("stats: Zipf needs n > 0")
 	}
 	if alpha < 0 {
-		panic("stats: Zipf needs alpha >= 0") //lint:allow no-panic invalid alpha is a construction-time programmer error
+		panic("stats: Zipf needs alpha >= 0")
 	}
 	z := &Zipf{cdf: make([]float64, n), probs: make([]float64, n)}
 	sum := 0.0

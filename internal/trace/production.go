@@ -241,7 +241,7 @@ func PresetConfig(p ProductionPreset, scale float64, seed int64) ProductionConfi
 			BurstProb: 0.25, OneHitFraction: 0.2, Seed: seed + 5,
 		}
 	default:
-		panic(fmt.Sprintf("trace: unknown production preset %q", p)) //lint:allow no-panic unknown preset name is a programmer error
+		panic(fmt.Sprintf("trace: unknown production preset %q", p))
 	}
 }
 

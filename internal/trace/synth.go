@@ -131,7 +131,7 @@ func Synthetic(cfg SynthConfig) *Trace {
 		case Pareto:
 			return g.ParetoMean(cfg.ParetoShape, mean)
 		default:
-			panic("trace: unknown interarrival distribution") //lint:allow no-panic exhaustive switch over the interarrival enum
+			panic("trace: unknown interarrival distribution")
 		}
 	}
 
