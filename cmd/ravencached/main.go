@@ -14,7 +14,6 @@
 //	verb     text                                              binary
 //	GET      GET <key> <size> [time] → HIT|MISS <size>         0x01 → HIT|MISS
 //	SET      SET <key> <size> [time] → STORED|NOSTORED <size>  0x02 → STORED|NOSTORED
-//	GETQ     —                                                 0x04 → HITQ; silent on a miss
 //	PING     PING → PONG (not counted as a request)            0x05 → PONG
 //	QUIT     QUIT                                              0x03
 //	STATS    STATS → STATS <requests> <hits> <reqBytes> <hitBytes>   —

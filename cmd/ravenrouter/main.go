@@ -2,13 +2,11 @@
 // fault-tolerant cluster tier (internal/cluster): a deterministic
 // consistent-hash ring routes every key to its owner, per-node circuit
 // breakers and PING health probes eject dead nodes and re-admit
-// recovered ones, failed requests retry with backoff and fail over to
-// ring replicas, and hot keys (count-min sketch top-k) are replicated
-// to their first successor so a single node death doesn't cold-start
-// the head of the popularity distribution.
+// recovered ones, and failed requests retry with backoff and fail over
+// to ring replicas.
 //
 // The router speaks the same wire protocols as ravencached itself —
-// text and binary, pipelined, with GETQ/PING — because it embeds the
+// text and binary, pipelined, with PING — because it embeds the
 // same hardened server front-end; clients cannot tell a router from a
 // node. What a client pipelines is forwarded pipelined: the requests
 // already buffered on a connection are served as one burst, each node's
@@ -62,7 +60,6 @@ func run() int {
 		probe    = flag.Duration("probe", 0, "health-probe interval (0 = 250ms, negative = off)")
 		failLim  = flag.Int("faillimit", 0, "consecutive failures per breaker rung (0 = 3)")
 		halfOpen = flag.Duration("halfopen", 0, "cool-down before an ejected node is probed (0 = 1s)")
-		hotFreq  = flag.Int("hotfreq", 0, "sketch estimate at which a key is replicated (0 = 16, negative = off)")
 		pool     = flag.Int("pool", 0, "idle connections pooled per node (0 = 4)")
 
 		maxConns     = flag.Int("maxconns", 0, "max concurrent client connections (0 = unlimited)")
@@ -96,7 +93,6 @@ func run() int {
 		ProbeInterval:  *probe,
 		FailLimit:      *failLim,
 		HalfOpenAfter:  *halfOpen,
-		HotKeyMinFreq:  *hotFreq,
 		PoolSize:       *pool,
 	})
 	if err != nil {

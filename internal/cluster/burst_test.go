@@ -40,17 +40,14 @@ func equivalenceOps() []server.Op {
 // per-op results, the same router STATS and counters, and leaves the
 // same cache.requests/sets/hits on every node.
 //
-// Nothing is ever evicted (a batch reorders a node's hot-key follow-ups
-// behind its first-wave requests, which an eviction could observe), yet
-// every routing decision is exercised: node 0 is too tight for the big
-// keys, so the hot ones it owns miss on it forever and are hedged
-// against a replica that holds them.
+// Nothing is ever evicted, yet both outcomes of every verb occur: node 0
+// is too tight for the big keys, so the ones it owns are never stored
+// and miss on it forever.
 func TestBurstEquivalence(t *testing.T) {
 	ops := equivalenceOps()
 	type outcome struct {
 		res                 []bool
 		router              cache.Stats
-		hedges, replicated  int64
 		unroutable, retries int64
 		nodes               [][3]int64 // requests, sets, hits
 	}
@@ -65,7 +62,7 @@ func TestBurstEquivalence(t *testing.T) {
 			}
 		})
 		addrs = a
-		r := newTestRouter(t, addrs, func(c *Config) { c.HotKeyMinFreq = 3 })
+		r := newTestRouter(t, addrs)
 		out := outcome{res: make([]bool, len(ops))}
 		for lo := 0; lo < len(ops); lo += max(burstLen, 1) {
 			switch op := ops[lo]; {
@@ -79,8 +76,6 @@ func TestBurstEquivalence(t *testing.T) {
 			}
 		}
 		out.router = r.Stats()
-		out.hedges = r.Metrics().Counter("router.hedges").Load()
-		out.replicated = r.Metrics().Counter("router.replicated_sets").Load()
 		out.unroutable = r.Metrics().Counter("router.unroutable").Load()
 		out.retries = r.Metrics().Counter("router.retries").Load()
 		// Free the addresses for the next fleet.
@@ -97,19 +92,8 @@ func TestBurstEquivalence(t *testing.T) {
 	}
 
 	want := run(0)
-	if want.hedges == 0 || want.replicated == 0 || want.unroutable != 0 || want.retries != 0 {
-		t.Fatalf("reference run: %d hedges, %d replicated sets, %d unroutable, %d retries; want hot-key traffic and no faults",
-			want.hedges, want.replicated, want.unroutable, want.retries)
-	}
-	shadow := shadowRing(t, 42, 64, addrs)
-	hedgeHits := 0
-	for i, op := range ops {
-		if !op.Set && op.Size > 100_000 && want.res[i] && shadow.Members()[shadow.Lookup(op.Key)] == addrs[0] {
-			hedgeHits++ // only a replica can hold it
-		}
-	}
-	if hedgeHits == 0 {
-		t.Fatal("reference run: no hedged read hit a replica")
+	if want.unroutable != 0 || want.retries != 0 {
+		t.Fatalf("reference run: %d unroutable, %d retries; want no faults", want.unroutable, want.retries)
 	}
 	for _, n := range []int{1, 7, 32} {
 		if got := run(n); !reflect.DeepEqual(got, want) {
@@ -122,6 +106,47 @@ func TestBurstEquivalence(t *testing.T) {
 			got.res, want.res = nil, nil
 			t.Errorf("bursts of %d:\n got  %+v\n want %+v", n, got, want)
 		}
+	}
+}
+
+// TestBurstOneRoundTripPerNode: a burst is plan, one round trip per
+// node, then per-op retry of what failed — and nothing else, however
+// popular its keys. Every key of the burst has been requested 16 times
+// (SETs that store, GETs that hit, and one key too big to ever be stored
+// whose GETs always miss); the burst then costs exactly one round trip
+// on each node that owns one of its keys.
+func TestBurstOneRoundTripPerNode(t *testing.T) {
+	addrs, _ := startBackends(t, 3, 1<<20)
+	trips := map[string]int{} // ServeBatch runs on this goroutine, and nothing probes
+	r, err := New(Config{
+		Nodes: addrs, Seed: 42, ProbeInterval: -1,
+		Faults: &Faults{BeforeOp: func(node string) error { trips[node]++; return nil }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = r.Close() })
+	shadow := shadowRing(t, 42, 0, addrs)
+
+	ops, want := make([]server.Op, 32), map[string]int{}
+	for i := range ops {
+		ops[i] = server.Op{Set: i%4 == 3, Key: trace.Key(i % 16), Size: 64, Time: -1}
+		if ops[i].Key == 5 {
+			ops[i].Size = 2 << 20
+		}
+		want[shadow.Members()[shadow.Lookup(ops[i].Key)]] = 1
+	}
+	res := make([]bool, len(ops))
+	for i := 0; i < 16; i++ {
+		r.ServeBatch(ops, res)
+	}
+	clear(trips)
+	r.ServeBatch(ops, res)
+	if !reflect.DeepEqual(trips, want) {
+		t.Errorf("round trips per node %v, want one on each owner: %v", trips, want)
+	}
+	if res[0] != true || res[3] != true || res[5] != false {
+		t.Errorf("warm GET %v, SET %v, oversized GET %v; want true, true, false", res[0], res[3], res[5])
 	}
 }
 
@@ -320,8 +345,7 @@ func TestBurstFaultNodeStalls(t *testing.T) {
 
 // TestServingPathAllocFree extends the server's zero-allocation budget
 // across the router hop: a front server forwarding 32-frame bursts to a
-// two-node fleet — hedged reads and replicated writes included —
-// allocates nothing, on the front, in the router or on the nodes
+// two-node fleet allocates nothing, on the front, in the router or on the nodes
 // (AllocsPerRun counts process-wide mallocs).
 func TestServingPathAllocFree(t *testing.T) {
 	noDeadlines := func(c *server.Config) {
@@ -330,7 +354,6 @@ func TestServingPathAllocFree(t *testing.T) {
 	}
 	addrs, _ := startBackends(t, 2, 1<<20, func(_ int, c *server.Config) { noDeadlines(c) })
 	r := newTestRouter(t, addrs, func(c *Config) {
-		c.HotKeyMinFreq = 3
 		c.RequestTimeout = -1 // no deadline on the pooled connections either
 	})
 	cfg := server.Config{Backend: r, Registry: r.Metrics(), DrainTimeout: time.Second}
@@ -346,9 +369,8 @@ func TestServingPathAllocFree(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = cl.Close() })
 
-	// 8 keys, all hot after the warm-up. Key 3 is SET, and copied to its
-	// replica, four times a burst. Key 7 is too big for any node: its
-	// four GETs miss on the owner and are hedged, every time.
+	// 8 keys: key 3 is SET four times a burst; key 7 is too big for any
+	// node, so its four GETs miss every time.
 	ops := make([]server.Op, 32)
 	for i := range ops {
 		ops[i] = server.Op{Set: i%8 == 3, Key: trace.Key(i % 8), Size: 64, Time: -1}
@@ -368,17 +390,7 @@ func TestServingPathAllocFree(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		burst() // warm up: pools, burst scratch, client buffers
 	}
-	hedges := r.Metrics().Counter("router.hedges").Load()
-	copies := r.Metrics().Counter("router.replicated_sets").Load()
-	const runs = 200
-	avg := testing.AllocsPerRun(runs, burst)
-	if avg != 0 {
+	if avg := testing.AllocsPerRun(200, burst); avg != 0 {
 		t.Errorf("a routed 32-frame burst allocates %.2f times; want 0", avg)
-	}
-	if h := r.Metrics().Counter("router.hedges").Load() - hedges; h < 4*runs {
-		t.Errorf("%d hedged reads in %d measured bursts; want 4 per burst", h, runs)
-	}
-	if c := r.Metrics().Counter("router.replicated_sets").Load() - copies; c < 4*runs {
-		t.Errorf("%d replicated sets in %d measured bursts; want 4 per burst", c, runs)
 	}
 }

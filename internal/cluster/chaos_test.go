@@ -139,8 +139,7 @@ func nodeMetricsSnapshot(t *testing.T, addr string) map[string]int64 {
 }
 
 // chaosRouterConfig is the shared router setup: fast breaker, fast
-// probes, hot-key replication on, so the two runs differ only in the
-// SIGKILL.
+// probes, so the two runs differ only in the SIGKILL.
 func chaosRouterConfig(addrs []string) Config {
 	return Config{
 		Nodes:          addrs,
@@ -153,7 +152,6 @@ func chaosRouterConfig(addrs []string) Config {
 		ProbeInterval:  20 * time.Millisecond,
 		FailLimit:      2,
 		HalfOpenAfter:  50 * time.Millisecond,
-		HotKeyMinFreq:  8,
 	}
 }
 
@@ -296,8 +294,7 @@ func TestChaosNodeChurn(t *testing.T) {
 
 	// Bounded error: losing one of three nodes' caches mid-replay (and
 	// re-warming it) costs hit ratio, but the cluster tier must keep the
-	// damage local — the surviving 2/3 of the keyspace and the hot-key
-	// replicas keep serving.
+	// damage local — the surviving 2/3 of the keyspace keeps serving.
 	if diff := math.Abs(res.OHR() - refRes.OHR()); diff > 0.15 {
 		t.Errorf("chaos OHR %.4f deviates %.4f from reference %.4f (bound 0.15)",
 			res.OHR(), diff, refRes.OHR())

@@ -52,13 +52,11 @@ type Breaker struct {
 	halfOpenAfter time.Duration // cool-down before a Fallback node is probed
 	now           func() time.Time
 
-	mu       sync.Mutex
-	state    State
-	fails    int // consecutive failures on the current rung
-	ejected  time.Time
-	probing  bool // a half-open probe is in flight
-	ejects   int64
-	recovers int64
+	mu      sync.Mutex
+	state   State
+	fails   int // consecutive failures on the current rung
+	ejected time.Time
+	probing bool // a half-open probe is in flight
 }
 
 // NewBreaker builds a breaker that climbs one rung per failLimit
@@ -80,13 +78,6 @@ func (b *Breaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Counts returns how often the breaker ejected and recovered a node.
-func (b *Breaker) Counts() (ejects, recovers int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.ejects, b.recovers
 }
 
 // Allow reports whether regular traffic may be routed to the node.
@@ -119,9 +110,6 @@ func (b *Breaker) AllowProbe() bool {
 func (b *Breaker) Success() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == Fallback {
-		b.recovers++
-	}
 	moved := b.state != Healthy
 	b.state = Healthy
 	b.fails = 0
@@ -148,24 +136,9 @@ func (b *Breaker) Failure() bool {
 	case Degraded:
 		b.state = Fallback
 		b.ejected = b.now()
-		b.ejects++
 	case Fallback:
 		b.ejected = b.now() // re-arm the half-open cool-down
 		return false
 	}
 	return true
-}
-
-// Eject forces the node straight to Fallback (the router uses it when a
-// node is being drained). The half-open clock starts now.
-func (b *Breaker) Eject() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state != Fallback {
-		b.ejects++
-	}
-	b.state = Fallback
-	b.fails = 0
-	b.probing = false
-	b.ejected = b.now()
 }

@@ -43,9 +43,6 @@ func TestBreakerLadder(t *testing.T) {
 	if b.State() != Fallback || b.Allow() {
 		t.Fatalf("state %v after two streaks, want fallback (ejected)", b.State())
 	}
-	if ejects, _ := b.Counts(); ejects != 1 {
-		t.Errorf("ejects = %d, want 1", ejects)
-	}
 }
 
 // TestBreakerHalfOpen: an ejected node admits exactly one probe per
@@ -85,26 +82,5 @@ func TestBreakerHalfOpen(t *testing.T) {
 	b.Success()
 	if b.State() != Healthy || !b.Allow() {
 		t.Fatalf("state %v after successful probe, want healthy", b.State())
-	}
-	if _, recovers := b.Counts(); recovers != 1 {
-		t.Errorf("recovers = %d, want 1", recovers)
-	}
-}
-
-// TestBreakerEject: a forced ejection (node drain) goes straight to
-// Fallback and starts the half-open clock.
-func TestBreakerEject(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	b := NewBreaker(5, time.Minute, clk.now)
-	b.Eject()
-	if b.State() != Fallback || b.Allow() {
-		t.Fatal("Eject did not eject")
-	}
-	if b.AllowProbe() {
-		t.Fatal("probe admitted before cool-down")
-	}
-	clk.advance(time.Minute)
-	if !b.AllowProbe() {
-		t.Fatal("probe refused after cool-down")
 	}
 }

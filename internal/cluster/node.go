@@ -16,7 +16,7 @@ const defaultPoolSize = 4
 // router.node<i>.* in the router's registry (and therefore visible over
 // the router's METRICS verb).
 type nodeMetrics struct {
-	state     *obs.Gauge     // Breaker state (0 healthy, 1 degraded, 2 fallback, -1 removed)
+	state     *obs.Gauge     // Breaker state (0 healthy, 1 degraded, 2 fallback)
 	ops       *obs.Counter   // cache ops this node answered
 	failures  *obs.Counter   // ops of a failed round trip it did not answer, and failed probes
 	latencyNs *obs.Histogram // round-trip latency: one sample per batch
@@ -84,8 +84,7 @@ func (n *node) put(cl *server.Client, ok bool) {
 	}
 }
 
-// drainPool closes every pooled connection (used on node removal and
-// router shutdown).
+// drainPool closes every pooled connection (used on router shutdown).
 func (n *node) drainPool() {
 	for {
 		select {

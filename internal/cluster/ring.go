@@ -16,8 +16,8 @@
 //   - Router (router.go): the request path — a burst of requests is
 //     grouped by owner node and forwarded as one batch per node under
 //     one timeout, with bounded retry with backoff failing over across
-//     ring replicas for what a failed batch left unanswered, hot-key
-//     replication steered by a count-min sketch, and health probing.
+//     ring replicas for what a failed batch left unanswered, and
+//     health probing.
 //     Router implements server.Backend and server.BatchBackend, so the
 //     router process reuses the entire hardened protocol loop.
 package cluster
@@ -68,7 +68,8 @@ type ringPoint struct {
 // allocation-free (they are on the router's per-request path;
 // TestRingLookupAllocFree holds them to 0 allocs/op).
 //
-// Ring is not goroutine-safe; Router guards it with its own lock.
+// Ring is not goroutine-safe; Router builds its ring once and only
+// reads it afterwards.
 type Ring struct {
 	seed   int64
 	vnodes int

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"raven/internal/cache"
 	"raven/internal/obs"
 	"raven/internal/server"
-	"raven/internal/sketch"
 	"raven/internal/trace"
 )
 
@@ -22,7 +22,6 @@ const (
 	defaultProbeInterval  = 250 * time.Millisecond
 	defaultFailLimit      = 3
 	defaultHalfOpenAfter  = time.Second
-	defaultHotKeyMinFreq  = 16
 
 	// maxReplicas caps the lookup fan-out so the per-request candidate
 	// scratch can live on the stack.
@@ -49,7 +48,8 @@ type Faults struct {
 
 // Config parameterizes a Router.
 type Config struct {
-	// Nodes are the backend addresses forming the initial ring.
+	// Nodes are the backend addresses forming the ring; the fleet is
+	// fixed for the router's lifetime.
 	Nodes []string
 	// Seed makes ring placement deterministic; two routers with equal
 	// (Seed, VNodes, Nodes) agree on every key's owner.
@@ -81,10 +81,6 @@ type Config struct {
 	// recovery probe (0 = 1s).
 	HalfOpenAfter time.Duration
 
-	// HotKeyMinFreq is the count-min estimate at which a key counts as
-	// hot and is replicated to its first ring successor (0 = 16;
-	// negative disables hot-key replication).
-	HotKeyMinFreq int
 	// PoolSize bounds each node's idle-connection pool (0 = 4).
 	PoolSize int
 
@@ -99,20 +95,18 @@ type Config struct {
 // routerMetrics are the router-wide obs handles (per-node handles live
 // on each node).
 type routerMetrics struct {
-	failovers      *obs.Counter // attempts moved to a different replica
-	retries        *obs.Counter // extra attempts after a failure
-	hedges         *obs.Counter // speculative hot-key replica reads
-	probes         *obs.Counter // health probes sent
-	replicatedSets *obs.Counter // hot-key writes copied to a successor
-	unroutable     *obs.Counter // requests with every replica ejected
+	failovers  *obs.Counter // attempts moved to a different replica
+	retries    *obs.Counter // extra attempts after a failure
+	probes     *obs.Counter // health probes sent
+	unroutable *obs.Counter // requests with every replica ejected
 }
 
 // Router spreads cache traffic over a fleet of ravencached nodes via a
 // deterministic consistent-hash ring, with per-node circuit breakers,
-// bounded retry-with-backoff failover, health probing, and hot-key
-// replication. It implements server.Backend and server.BatchBackend,
-// so a server.Server can front it with the full hardened protocol loop
-// and hand it each connection's pipelined requests a burst at a time.
+// bounded retry-with-backoff failover, and health probing. It
+// implements server.Backend and server.BatchBackend, so a server.Server
+// can front it with the full hardened protocol loop and hand it each
+// connection's pipelined requests a burst at a time.
 //
 // Failure semantics: a request whose every attempt fails is reported as
 // a miss — the cluster tier degrades to origin traffic, it never errors
@@ -123,13 +117,10 @@ type Router struct {
 	reg      *obs.Registry
 	met      routerMetrics
 
-	mu      sync.RWMutex // guards ring, byName, nextIdx
-	ring    *Ring
-	byName  map[string]*node
-	nextIdx int
-
-	sketchMu sync.Mutex
-	hotness  *sketch.CountMin
+	// ring and nodes are built once in New and read-only afterwards;
+	// nodes[i] is the member the ring calls index i.
+	ring  *Ring
+	nodes []*node
 
 	// bursts recycles per-burst scratch, so a warmed-up burst allocates
 	// nothing. Like a node's pool it caps what idles, not concurrency:
@@ -178,9 +169,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.HalfOpenAfter == 0 {
 		cfg.HalfOpenAfter = defaultHalfOpenAfter
 	}
-	if cfg.HotKeyMinFreq == 0 {
-		cfg.HotKeyMinFreq = defaultHotKeyMinFreq
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -190,26 +178,24 @@ func New(cfg Config) (*Router, error) {
 		replicas: cfg.Replicas,
 		reg:      reg,
 		ring:     NewRing(cfg.Seed, cfg.VNodes),
-		byName:   make(map[string]*node, len(cfg.Nodes)),
-		// 4-row, 1024-wide sketch with aging: enough resolution to pick
-		// out a Zipf head over a replay window without remembering it
-		// forever.
-		hotness: sketch.NewCountMin(4, 1024, 64*1024),
-		bursts:  make(chan *burst, burstPoolSize),
-		stop:    make(chan struct{}),
+		nodes:    make([]*node, len(cfg.Nodes)),
+		bursts:   make(chan *burst, burstPoolSize),
+		stop:     make(chan struct{}),
 		met: routerMetrics{
-			failovers:      reg.Counter("router.failovers"),
-			retries:        reg.Counter("router.retries"),
-			hedges:         reg.Counter("router.hedges"),
-			probes:         reg.Counter("router.probes"),
-			replicatedSets: reg.Counter("router.replicated_sets"),
-			unroutable:     reg.Counter("router.unroutable"),
+			failovers:  reg.Counter("router.failovers"),
+			retries:    reg.Counter("router.retries"),
+			probes:     reg.Counter("router.probes"),
+			unroutable: reg.Counter("router.unroutable"),
 		},
 	}
 	for _, addr := range cfg.Nodes {
-		if err := r.addNodeLocked(addr); err != nil {
+		if err := r.ring.Add(addr); err != nil {
 			return nil, err
 		}
+	}
+	// Metrics are numbered in Config.Nodes order, the slice in ring order.
+	for idx, addr := range cfg.Nodes {
+		r.nodes[sort.SearchStrings(r.ring.Members(), addr)] = r.buildNode(addr, idx)
 	}
 	if cfg.ProbeInterval > 0 {
 		r.wg.Add(1)
@@ -218,15 +204,8 @@ func New(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// addNodeLocked creates the node and puts it on the ring. Callers hold
-// r.mu (New is single-threaded).
-func (r *Router) addNodeLocked(addr string) error {
-	if _, dup := r.byName[addr]; dup {
-		return fmt.Errorf("cluster: duplicate node %q", addr)
-	}
-	if err := r.ring.Add(addr); err != nil {
-		return err
-	}
+// buildNode builds the idx-th configured node with its breaker and dialer.
+func (r *Router) buildNode(addr string, idx int) *node {
 	br := NewBreaker(r.cfg.FailLimit, r.cfg.HalfOpenAfter, nil)
 	dial := func() (*server.Client, error) {
 		if f := r.cfg.Faults; f != nil && f.Dial != nil {
@@ -241,83 +220,29 @@ func (r *Router) addNodeLocked(addr string) error {
 		cl.Timeout = r.cfg.RequestTimeout
 		return cl, nil
 	}
-	r.byName[addr] = newNode(addr, r.nextIdx, br, r.cfg.PoolSize, r.reg, dial)
-	r.nextIdx++
-	return nil
-}
-
-// AddNode joins a node to the ring. Keys whose ownership moves to it
-// start routing there immediately; the ring guarantees only ~1/(N+1) of
-// the keyspace moves (property-tested in ring_test.go).
-func (r *Router) AddNode(addr string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.addNodeLocked(addr)
-}
-
-// RemoveNode drains a node out of the ring: new requests route to the
-// survivors at once, in-flight requests finish on their checked-out
-// connections, and the idle pool is closed. Bounded key movement holds
-// symmetrically — only the removed node's ~1/N share moves.
-func (r *Router) RemoveNode(addr string) error {
-	r.mu.Lock()
-	n := r.byName[addr]
-	if n == nil {
-		r.mu.Unlock()
-		return fmt.Errorf("cluster: unknown node %q", addr)
-	}
-	if err := r.ring.Remove(addr); err != nil {
-		r.mu.Unlock()
-		return err
-	}
-	delete(r.byName, addr)
-	r.mu.Unlock()
-	n.met.state.Set(-1) // removed; distinguishes drain from ejection
-	n.drainPool()
-	return nil
+	return newNode(addr, idx, br, r.cfg.PoolSize, r.reg, dial)
 }
 
 // Close stops the prober and closes every pooled connection.
 func (r *Router) Close() error {
 	r.stopOnce.Do(func() { close(r.stop) })
 	r.wg.Wait()
-	for _, n := range r.nodeSnapshot() {
+	for _, n := range r.nodes {
 		n.drainPool()
 	}
 	return nil
 }
 
-// nodeSnapshot returns the current nodes in ring-membership (sorted
-// name) order, so every pass over the fleet is deterministic.
-func (r *Router) nodeSnapshot() []*node {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := r.ring.Members()
-	nodes := make([]*node, 0, len(names))
-	for _, name := range names {
-		if n, ok := r.byName[name]; ok {
-			nodes = append(nodes, n)
-		}
-	}
-	return nodes
-}
-
 // Fingerprint returns the ring's placement fingerprint (see
 // Ring.Fingerprint).
-func (r *Router) Fingerprint() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.ring.Fingerprint()
-}
+func (r *Router) Fingerprint() uint64 { return r.ring.Fingerprint() }
 
 // NodeStates returns each member's breaker state, for operators and
 // tests.
 func (r *Router) NodeStates() map[string]State {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]State, len(r.byName))
-	for name, n := range r.byName {
-		out[name] = n.breaker.State()
+	out := make(map[string]State, len(r.nodes))
+	for _, n := range r.nodes {
+		out[n.name] = n.breaker.State()
 	}
 	return out
 }
@@ -333,7 +258,7 @@ func (r *Router) Replicas() int { return r.replicas }
 // connection. A batch without ops is a bare PING, the health probe.
 type batch struct {
 	n     *node
-	allow bool // n's breaker admitted traffic when the wave was planned
+	allow bool // n's breaker admitted traffic when the burst was planned
 	cl    *server.Client
 	t0    time.Time
 	ops   []server.Op
@@ -346,47 +271,26 @@ type batch struct {
 
 // burst is the scratch one ServeBatch call works in.
 type burst struct {
-	hot     []bool  // per op: the sketch calls its key hot
-	by      []*node // per op: the node that served it (nil: none did)
 	cands   []*node // per op: the owner, then its failover replicas
 	fan     int     // candidates per op: min(replicas, members)
-	batches []batch // the current wave, one batch per node
+	batches []batch // one batch per node
 	one     batch   // a retried op's round trip
 }
 
-// plan feeds the hotness sketch and looks up every op's candidates:
-// one acquisition of the sketch lock and one of the ring lock per burst.
+// plan looks up every op's candidates.
 func (r *Router) plan(b *burst, ops []server.Op) {
-	if cap(b.hot) < len(ops) {
-		// Burst scratch grows to the largest burst seen, then is reused.
-		b.hot, b.by = make([]bool, len(ops)), make([]*node, len(ops))
-	}
-	b.hot, b.by = b.hot[:len(ops)], b.by[:len(ops)]
-	clear(b.hot)
-	clear(b.by)
-	if r.cfg.HotKeyMinFreq >= 0 {
-		r.sketchMu.Lock()
-		for i, op := range ops {
-			r.hotness.Add(uint64(op.Key))
-			b.hot[i] = r.hotness.Estimate(uint64(op.Key)) >= uint32(r.cfg.HotKeyMinFreq)
-		}
-		r.sketchMu.Unlock()
-	}
 	var ibuf [maxReplicas]int
-	b.cands, b.fan = b.cands[:0], 0
-	r.mu.RLock()
+	b.cands, b.fan = b.cands[:0], min(r.replicas, len(r.nodes))
 	for _, op := range ops {
-		idxs := r.ring.LookupN(op.Key, r.replicas, ibuf[:0])
-		b.fan = len(idxs) // membership is fixed under the lock: the same for every key
-		for _, i := range idxs {
-			b.cands = append(b.cands, r.byName[r.ring.names[i]])
+		for _, i := range r.ring.LookupN(op.Key, r.replicas, ibuf[:0]) {
+			// Burst scratch grows to the largest burst seen, then is reused.
+			b.cands = append(b.cands, r.nodes[i])
 		}
 	}
-	r.mu.RUnlock()
 }
 
-// batchFor returns the wave's batch for n, opening it — and asking n's
-// breaker once per wave, not once per op — on first use. The pointer is
+// batchFor returns the burst's batch for n, opening it — and asking n's
+// breaker once per burst, not once per op — on first use. The pointer is
 // valid until the next call.
 func (b *burst) batchFor(n *node) *batch {
 	for j := range b.batches {
@@ -407,13 +311,10 @@ func (b *burst) batchFor(n *node) *batch {
 }
 
 // route queues op (position i in the burst) on the first of its
-// candidates, skip aside, whose breaker admits traffic, and reports
-// whether there was one.
-func (b *burst) route(i int, op server.Op, skip *node) bool {
+// candidates whose breaker admits traffic, and reports whether there
+// was one.
+func (b *burst) route(i int, op server.Op) bool {
 	for _, n := range b.cands[i*b.fan : (i+1)*b.fan] {
-		if n == skip {
-			continue
-		}
 		if g := b.batchFor(n); g.allow {
 			// The batch's slices are reused; they grow to the largest batch once.
 			g.ops, g.at, g.res = append(g.ops, op), append(g.at, i), append(g.res, false)
@@ -423,7 +324,7 @@ func (b *burst) route(i int, op server.Op, skip *node) bool {
 	return false
 }
 
-// roundTrips runs the wave: every batch is written before any reply is
+// roundTrips runs the batches: every one is written before any reply is
 // awaited, so the nodes work on their shares side by side.
 func (r *Router) roundTrips(b *burst) {
 	for j := range b.batches {
@@ -439,7 +340,8 @@ func (r *Router) roundTrips(b *burst) {
 }
 
 // send checks a connection out of g's node and writes the batch to it
-// in one flush. A round trip that fails here answered nothing.
+// in one flush; a probe's whole PING round trip happens here, leaving
+// recv only the accounts. A round trip that fails here answered nothing.
 func (r *Router) send(g *batch) {
 	g.cl, g.answered = nil, 0
 	if f := r.cfg.Faults; f != nil && f.BeforeOp != nil && f.BeforeOp(g.n.name) != nil {
@@ -453,7 +355,12 @@ func (r *Router) send(g *batch) {
 	}
 	// One clock read per batch, not per op.
 	g.t0 = time.Now()
-	if err := cl.Send(g.ops); err != nil {
+	if len(g.ops) == 0 {
+		err = cl.Ping()
+	} else {
+		err = cl.Send(g.ops)
+	}
+	if err != nil {
 		g.n.put(cl, false)
 		r.failed(g)
 		return
@@ -504,10 +411,10 @@ func (n *node) observeState() { n.met.state.Set(int64(n.breaker.State())) }
 // doOp is the slow path of an op whose batch round trip failed. That
 // was its first attempt, on the node failed; the others run here one
 // at a time, as bursts of one: bounded retry with exponential backoff,
-// failing over to the next routable replica on every failure. It
-// returns the outcome and the node that served the op (nil: every
-// attempt failed, or every replica is ejected).
-func (r *Router) doOp(b *burst, op server.Op, cands []*node, failed *node) (bool, *node) {
+// failing over to the next routable replica on every failure. An op
+// whose every attempt failed, or whose every replica is ejected, is a
+// miss.
+func (r *Router) doOp(b *burst, op server.Op, cands []*node, failed *node) bool {
 	ci := 0 // index of the node used by the previous attempt
 	for i, n := range cands {
 		if n == failed {
@@ -528,7 +435,7 @@ func (r *Router) doOp(b *burst, op server.Op, cands []*node, failed *node) (bool
 		}
 		if next == -1 {
 			r.met.unroutable.Inc()
-			return false, nil
+			return false
 		}
 		r.met.retries.Inc()
 		time.Sleep(backoff)
@@ -544,10 +451,10 @@ func (r *Router) doOp(b *burst, op server.Op, cands []*node, failed *node) (bool
 		r.send(g)
 		r.recv(g)
 		if g.answered == 1 {
-			return g.res[0], g.n
+			return g.res[0]
 		}
 	}
-	return false, nil
+	return false
 }
 
 // ServeBatch implements server.BatchBackend: the burst of requests a
@@ -556,12 +463,7 @@ func (r *Router) doOp(b *burst, op server.Op, cands []*node, failed *node) (bool
 // admits traffic — and the batches are written, flushed once each, and
 // read back in order, so the backend round trip is paid once per node
 // per burst and every node sees its requests in the order the client
-// sent them. Ops whose round trip failed re-enter doOp one by one. Hot
-// keys then get their follow-ups as a second wave of batches: a hot GET
-// that missed is hedged with a quiet read (binary GETQ — a miss costs
-// no reply payload) against the first other replica, which hot-key
-// replication keeps warm, and a hot SET is copied there (best effort —
-// a failed copy trips that node's breaker but never fails the op).
+// sent them. Ops whose round trip failed re-enter doOp one by one.
 // Every request ravenrouter serves crosses this hop;
 // TestServingPathAllocFree holds it to 0 allocs/op.
 func (r *Router) ServeBatch(ops []server.Op, res []bool) {
@@ -582,8 +484,7 @@ func (r *Router) ServeBatch(ops []server.Op, res []bool) {
 			gets++
 			getBytes += op.Size
 		}
-		op.Quiet = false // the front connection's reply framing, not ours
-		if !b.route(i, op, nil) {
+		if !b.route(i, op) {
 			r.met.unroutable.Inc()
 		}
 	}
@@ -595,34 +496,9 @@ func (r *Router) ServeBatch(ops []server.Op, res []bool) {
 		g := &b.batches[j]
 		for k, i := range g.at {
 			if k < g.answered {
-				res[i], b.by[i] = g.res[k], g.n
+				res[i] = g.res[k]
 			} else {
-				res[i], b.by[i] = r.doOp(b, g.ops[k], b.cands[i*b.fan:(i+1)*b.fan], g.n)
-			}
-		}
-	}
-
-	b.batches = b.batches[:0]
-	for i, op := range ops {
-		if b.by[i] == nil || !b.hot[i] || !op.Set && res[i] {
-			continue
-		}
-		op.Quiet = !op.Set
-		if !b.route(i, op, b.by[i]) {
-			continue
-		}
-		if op.Set {
-			r.met.replicatedSets.Inc()
-		} else {
-			r.met.hedges.Inc()
-		}
-	}
-	r.roundTrips(b)
-	for j := range b.batches {
-		g := &b.batches[j]
-		for k, i := range g.at[:g.answered] {
-			if g.res[k] && !ops[i].Set {
-				res[i] = true // the replica held a hot copy
+				res[i] = r.doOp(b, g.ops[k], b.cands[i*b.fan:(i+1)*b.fan], g.n)
 			}
 		}
 	}
@@ -688,7 +564,7 @@ func (r *Router) probeLoop() {
 // recovered node is re-admitted. Exported so tests and drills can
 // drive probing deterministically with the background prober disabled.
 func (r *Router) ProbePass() {
-	for _, n := range r.nodeSnapshot() {
+	for _, n := range r.nodes {
 		if !n.breaker.Allow() && !n.breaker.AllowProbe() {
 			continue
 		}

@@ -36,8 +36,7 @@ func startBackends(t testing.TB, n int, capacity int64, mods ...func(i int, c *s
 }
 
 // newTestRouter builds a router with fast, deterministic settings: no
-// background prober (tests call ProbePass), tight timeouts, no hot-key
-// replication unless the test opts in.
+// background prober (tests call ProbePass) and tight timeouts.
 func newTestRouter(t testing.TB, addrs []string, mods ...func(*Config)) *Router {
 	t.Helper()
 	cfg := Config{
@@ -50,7 +49,6 @@ func newTestRouter(t testing.TB, addrs []string, mods ...func(*Config)) *Router 
 		ProbeInterval:  -1,
 		FailLimit:      2,
 		HalfOpenAfter:  5 * time.Millisecond,
-		HotKeyMinFreq:  -1,
 	}
 	for _, m := range mods {
 		m(&cfg)
@@ -210,103 +208,11 @@ func TestRouterProbePassEjectsSilentDeath(t *testing.T) {
 	}
 }
 
-// TestRouterHotKeyReplication: a key the sketch marks hot is written to
-// its replica as well, hedged quiet reads consult the replica on a
-// miss, and when the owner dies the replica serves the hot key.
-func TestRouterHotKeyReplication(t *testing.T) {
-	addrs, _ := startBackends(t, 2, 1<<20)
-	var victim atomic.Value
-	victim.Store("")
-	r := newTestRouter(t, addrs, func(c *Config) {
-		c.HotKeyMinFreq = 3
-		c.Faults = &Faults{BeforeOp: func(node string) error {
-			if node == victim.Load().(string) {
-				return errors.New("injected node fault")
-			}
-			return nil
-		}}
-	})
-	shadow := shadowRing(t, 42, 64, addrs)
-	const hot = trace.Key(7)
-
-	// Hammer the hot key with sets; once its estimate crosses the
-	// threshold the router mirrors each set to the replica.
-	ts := int64(1)
-	for i := 0; i < 8; i++ {
-		r.Set(hot, 10, ts)
-		ts++
-	}
-	if n := r.Metrics().Counter("router.replicated_sets").Load(); n == 0 {
-		t.Fatal("hot key was never replicated")
-	}
-
-	// Kill the owner: the hot key must still hit, served by the replica
-	// holding the mirrored copy.
-	owner := shadow.Members()[shadow.Lookup(hot)]
-	victim.Store(owner)
-	if !r.Get(hot, 10, ts) {
-		t.Fatal("hot key missed after owner death — replica copy not used")
-	}
-}
-
-// TestRouterHedgedReads: a hot key that misses on its owner triggers a
-// speculative quiet read (GETQ) against the replica.
-func TestRouterHedgedReads(t *testing.T) {
-	// Tiny nodes: the hot key keeps falling out of the owner's cache,
-	// so hot misses (and therefore hedges) are guaranteed.
-	addrs, _ := startBackends(t, 2, 25)
-	r := newTestRouter(t, addrs, func(c *Config) {
-		c.HotKeyMinFreq = 3
-	})
-	const hot = trace.Key(7)
-	ts := int64(1)
-	for i := 0; i < 60; i++ {
-		r.Get(hot, 10, ts)
-		ts++
-		for j := trace.Key(0); j < 4; j++ { // churn evicts the hot key
-			r.Get(1000+trace.Key(i)*4+j, 10, ts)
-			ts++
-		}
-	}
-	if n := r.Metrics().Counter("router.hedges").Load(); n == 0 {
-		t.Error("no hedged replica reads recorded")
-	}
-}
-
-// TestRouterAddRemoveNode: membership changes are live — traffic keeps
-// flowing through joins and drains with zero unroutable requests.
-func TestRouterAddRemoveNode(t *testing.T) {
-	addrs, _ := startBackends(t, 4, 1<<20)
-	r := newTestRouter(t, addrs[:3])
-
-	ts := int64(1)
-	serve := func(n int) {
-		for k := trace.Key(0); k < trace.Key(n); k++ {
-			r.Get(k, 10, ts)
-			ts++
-		}
-	}
-	serve(100)
-	if err := r.AddNode(addrs[3]); err != nil {
-		t.Fatal(err)
-	}
-	serve(100)
-	if err := r.RemoveNode(addrs[0]); err != nil {
-		t.Fatal(err)
-	}
-	serve(100)
-
-	if err := r.AddNode(addrs[3]); err == nil {
-		t.Error("duplicate AddNode succeeded")
-	}
-	if err := r.RemoveNode(addrs[0]); err == nil {
-		t.Error("double RemoveNode succeeded")
-	}
-	if n := r.Metrics().Counter("router.unroutable").Load(); n != 0 {
-		t.Errorf("%d unroutable requests during churn, want 0", n)
-	}
-	if got := r.Stats().Requests; got != 300 {
-		t.Errorf("router served %d requests, want 300", got)
+// TestNewRejectsDuplicateNode: the fleet is a set — a repeated address
+// would leave a ring member without a node behind it.
+func TestNewRejectsDuplicateNode(t *testing.T) {
+	if _, err := New(Config{Nodes: []string{"a:1", "b:1", "a:1"}, ProbeInterval: -1}); err == nil {
+		t.Fatal("New accepted a duplicate node")
 	}
 }
 
@@ -366,7 +272,7 @@ func TestRouterBehindServer(t *testing.T) {
 		ops = append(ops, server.Op{Key: k, Size: 10, Time: -1})
 	}
 	for k := trace.Key(0); k < 100; k++ {
-		ops = append(ops, server.Op{Key: k, Size: 10, Time: -1, Quiet: true})
+		ops = append(ops, server.Op{Key: k, Size: 10, Time: -1})
 	}
 	st, err := cl.Pipeline(ops, 32)
 	if err != nil {

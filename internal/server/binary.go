@@ -37,31 +37,22 @@ const (
 // protocol). More-negative times are rejected as malformed.
 const binNoTime int64 = -1
 
-// Request verbs. GETQ is the quiet get: a hit is answered with a
-// binStatusHitQ frame carrying the key, a miss produces no reply frame
-// at all — miss-heavy pipelines pay reply bytes only for hits. PING is
-// a no-op answered with binStatusPong; it doubles as the router's
-// health probe and as the client-side barrier that flushes a trailing
-// run of quiet gets (every earlier quiet get without a reply by the
-// time PONG arrives is known to have missed).
+// Request verbs. PING is a no-op answered with binStatusPong: the
+// router's health probe. Verb and status 0x04 are unassigned.
 const (
 	binVerbGet  byte = 0x01
 	binVerbSet  byte = 0x02
 	binVerbQuit byte = 0x03
-	binVerbGetQ byte = 0x04
 	binVerbPing byte = 0x05
 )
 
 // Reply statuses. Statuses >= binStatusErr are errors and terminate
-// the connection. binStatusHitQ's 8-byte payload is the request KEY
-// (not the size): quiet replies are sparse, so the key is what lets a
-// pipelining client match a reply to the right in-flight quiet get.
+// the connection.
 const (
 	binStatusHit       byte = 0x00
 	binStatusMiss      byte = 0x01
 	binStatusStored    byte = 0x02
 	binStatusNotStored byte = 0x03
-	binStatusHitQ      byte = 0x04
 	binStatusPong      byte = 0x05
 
 	binStatusErr      byte = 0x80
@@ -85,7 +76,7 @@ func appendBinResp(dst []byte, status byte, size int64) []byte {
 }
 
 // binCodec is the binary protocol's codec over a connection's state.
-// It carries GET, SET, GETQ, PING and QUIT. Any other verb is answered
+// It carries GET, SET, PING and QUIT. Any other verb is answered
 // with binStatusBadVerb and a malformed frame (bad magic, non-positive
 // size, time < -1) with binStatusBadFrame; after either the stream is
 // ended, because an unparseable frame means framing is lost.
@@ -111,17 +102,16 @@ func (b binCodec) next(op *Op) (verb, error) {
 	}
 	magic, vb := p[0], p[1]
 	*op = Op{
-		Set:   vb == binVerbSet,
-		Quiet: vb == binVerbGetQ,
-		Key:   trace.Key(binary.LittleEndian.Uint64(p[2:10])),
-		Size:  int64(binary.LittleEndian.Uint64(p[10:18])),
-		Time:  int64(binary.LittleEndian.Uint64(p[18:26])),
+		Set:  vb == binVerbSet,
+		Key:  trace.Key(binary.LittleEndian.Uint64(p[2:10])),
+		Size: int64(binary.LittleEndian.Uint64(p[10:18])),
+		Time: int64(binary.LittleEndian.Uint64(p[18:26])),
 	}
 	_, _ = b.br.Discard(binReqLen) // cannot fail: Peek has just shown the bytes are buffered
 	status := binStatusBadFrame
 	if magic == binMagicReq {
 		switch vb {
-		case binVerbGet, binVerbSet, binVerbGetQ:
+		case binVerbGet, binVerbSet:
 			if op.Size > 0 && op.Time >= binNoTime {
 				return verbOp, nil
 			}
@@ -139,21 +129,16 @@ func (b binCodec) next(op *Op) (verb, error) {
 }
 
 func (b binCodec) reply(op Op, ok bool) {
-	status, payload := binStatusMiss, op.Size
+	status := binStatusMiss
 	switch {
 	case op.Set && ok:
 		status = binStatusStored
 	case op.Set:
 		status = binStatusNotStored
-	case ok && op.Quiet:
-		// A quiet hit echoes the key, not the size, so a pipelining
-		// client can match the sparse reply to the right in-flight
-		// quiet get.
-		status, payload = binStatusHitQ, int64(op.Key)
 	case ok:
 		status = binStatusHit
 	}
-	b.send(appendBinResp(b.bw.AvailableBuffer(), status, payload))
+	b.send(appendBinResp(b.bw.AvailableBuffer(), status, op.Size))
 }
 
 func (b binCodec) pong() {

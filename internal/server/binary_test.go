@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"math/rand"
 	"net"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -97,10 +99,12 @@ func readRawReply(t *testing.T, conn net.Conn) (status byte, size int64) {
 }
 
 // TestBinaryHostileFrames sends malformed frames and checks that each
-// one is answered with an error status (or a clean close) and never
-// takes the server down: a follow-up connection must still be served.
+// one is answered with an error status (or a clean close), is counted
+// in server.bad_requests without reaching the cache, and never takes the
+// server down: a follow-up connection must still be served.
 func TestBinaryHostileFrames(t *testing.T) {
 	srv := newTestServer(t, 100)
+	badRequests := srv.Metrics().Counter("server.bad_requests")
 
 	cases := []struct {
 		name  string
@@ -108,6 +112,7 @@ func TestBinaryHostileFrames(t *testing.T) {
 		want  byte // expected error status; 0 means expect-close-only
 	}{
 		{"bad verb", rawFrame(binMagicReq, 0x7f, 1, 10, 1), binStatusBadVerb},
+		{"unassigned verb 0x04", rawFrame(binMagicReq, 0x04, 1, 10, 1), binStatusBadVerb},
 		{"zero size", rawFrame(binMagicReq, binVerbGet, 1, 0, 1), binStatusBadFrame},
 		{"negative size", rawFrame(binMagicReq, binVerbGet, 1, math.MaxUint64, 1), binStatusBadFrame},
 		{"time below -1", rawFrame(binMagicReq, binVerbSet, 1, 10, math.MaxUint64-4), binStatusBadFrame},
@@ -122,6 +127,7 @@ func TestBinaryHostileFrames(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
+			bad, served := badRequests.Load(), srv.Stats().Requests
 			if _, err := conn.Write(tc.frame); err != nil {
 				t.Fatal(err)
 			}
@@ -142,6 +148,17 @@ func TestBinaryHostileFrames(t *testing.T) {
 				}
 			} else if len(buf) != 0 {
 				t.Errorf("unexpected %d reply bytes for a truncated frame", len(buf))
+			}
+			// Only the valid GETs in front of the bad frame are cache ops.
+			valid, counted := int64(max(len(buf)/binRespLen-1, 0)), int64(0)
+			if tc.want != 0 {
+				counted = 1
+			}
+			if got := srv.Stats().Requests - served; got != valid {
+				t.Errorf("%d requests reached the cache, want %d", got, valid)
+			}
+			if got := badRequests.Load() - bad; got != counted {
+				t.Errorf("server.bad_requests moved by %d, want %d", got, counted)
 			}
 		})
 	}
@@ -236,6 +253,7 @@ func FuzzBinaryFrames(f *testing.F) {
 	f.Add(rawFrame(binMagicReq, binVerbSet, 2, 20, uint64(math.MaxUint64))) // ts = -1
 	f.Add(rawFrame(binMagicReq, binVerbQuit, 0, 0, 0))
 	f.Add(rawFrame(binMagicReq, 0xff, 1, 1, 1))
+	f.Add(rawFrame(binMagicReq, 0x04, 1, 10, 1)) // unassigned verb
 	f.Add(rawFrame(binMagicReq, binVerbGet, 1, math.MaxUint64, 1))
 	f.Add(rawFrame(binMagicReq, binVerbGet, 1, 10, 1)[:7]) // truncated
 	f.Add([]byte{binMagicReq})
@@ -335,8 +353,8 @@ func (b *recordingBatch) Stats() cache.Stats                 { return cache.Stat
 // TestBurstToBatchBackend, for both codecs: the requests a client wrote
 // together reach a BatchBackend as one burst, in order, with timestamps
 // resolved and a PING ending the burst; the replies come back in
-// request order, a quiet miss (binary only) silent. A strict
-// request-response client gets bursts of one.
+// request order, one per request. A strict request-response client gets
+// bursts of one.
 func TestBurstToBatchBackend(t *testing.T) {
 	noTime := uint64(math.MaxUint64) // binNoTime on the wire
 	var frames []byte
@@ -346,30 +364,28 @@ func TestBurstToBatchBackend(t *testing.T) {
 		ts        uint64
 	}{
 		{binVerbGet, 1, 10, 5}, {binVerbGet, 2, 11, noTime}, {binVerbSet, 3, 12, noTime},
-		{binVerbGetQ, 4, 13, noTime}, // quiet miss: no frame
-		{binVerbGetQ, 5, 14, noTime}, {binVerbPing, 0, 0, 0}, {binVerbSet, 6, 15, noTime},
+		{binVerbGet, 4, 13, noTime}, {binVerbGet, 5, 14, noTime}, {binVerbPing, 0, 0, 0}, {binVerbSet, 6, 15, noTime},
 	} {
 		frames = append(frames, rawFrame(binMagicReq, f.verb, f.key, f.size, f.ts)...)
 	}
 	var replies []byte
 	for _, r := range []struct {
-		status  byte
-		payload int64
+		status byte
+		size   int64
 	}{
 		{binStatusHit, 10}, {binStatusMiss, 11}, {binStatusStored, 12},
-		{binStatusHitQ, 5}, {binStatusPong, 0}, {binStatusNotStored, 15},
+		{binStatusMiss, 13}, {binStatusHit, 14}, {binStatusPong, 0}, {binStatusNotStored, 15},
 	} {
-		replies = appendBinResp(replies, r.status, r.payload)
+		replies = appendBinResp(replies, r.status, r.size)
 	}
 	for _, tc := range []struct {
 		name          string
 		wire, replies string
 		dial          func(string) (*Client, error)
-		quietFrom     int // first quiet op of the burst
 	}{
-		{"binary", string(frames), string(replies), DialBinary, 3},
+		{"binary", string(frames), string(replies), DialBinary},
 		{"text", "GET 1 10 5\nGET 2 11\nSET 3 12\nGET 4 13\nGET 5 14\nPING\nSET 6 15\n",
-			"HIT 10\nMISS 11\nSTORED 12\nMISS 13\nHIT 14\nPONG\nNOSTORED 15\n", Dial, 5},
+			"HIT 10\nMISS 11\nSTORED 12\nMISS 13\nHIT 14\nPONG\nNOSTORED 15\n", Dial},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			be := &recordingBatch{}
@@ -414,7 +430,7 @@ func TestBurstToBatchBackend(t *testing.T) {
 			}
 			first := be.bursts[0]
 			for i, op := range first {
-				if op.Key != trace.Key(i+1) || op.Size != int64(10+i) || op.Set != (i == 2) || op.Quiet != (i >= tc.quietFrom) {
+				if op.Key != trace.Key(i+1) || op.Size != int64(10+i) || op.Set != (i == 2) {
 					t.Errorf("burst op %d = %+v", i, op)
 				}
 				if op.Time < 5 || i > 0 && op.Time <= first[i-1].Time {
@@ -425,5 +441,238 @@ func TestBurstToBatchBackend(t *testing.T) {
 				t.Errorf("%d requests took the op-by-op path", be.single)
 			}
 		})
+	}
+}
+
+// TestPingBothProtocols: PING answers PONG on text and binary
+// connections, is counted in server.pings, and never contributes to
+// the request counters health probing must not skew.
+func TestPingBothProtocols(t *testing.T) {
+	srv := newTestServer(t, 100)
+
+	txt, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer txt.Close()
+	bin := dialBinary(t, srv)
+
+	for i := 0; i < 3; i++ {
+		if err := txt.Ping(); err != nil {
+			t.Fatalf("text ping %d: %v", i, err)
+		}
+		if err := bin.Ping(); err != nil {
+			t.Fatalf("binary ping %d: %v", i, err)
+		}
+	}
+	// One real request so the counters are provably live.
+	if _, err := bin.Get(1, 10, 1); err != nil {
+		t.Fatal(err)
+	}
+	m, err := txt.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m["server.pings"] != 6 {
+		t.Errorf("server.pings = %d, want 6", m["server.pings"])
+	}
+	if m["server.requests_binary"] != 1 || m["server.requests_text"] != 0 {
+		t.Errorf("requests: text=%d binary=%d, want 0/1 (pings must not count)",
+			m["server.requests_text"], m["server.requests_binary"])
+	}
+	if m["cache.requests"] != 1 {
+		t.Errorf("cache.requests = %d, want 1", m["cache.requests"])
+	}
+}
+
+// TestReplaySurvivesReadFaultsBinary mirrors the text-protocol
+// read-fault replay test on a binary connection: with every 7th
+// server-side read failing, the reconnect-with-backoff resend path
+// must carry a binary Replay to completion too.
+func TestReplaySurvivesReadFaultsBinary(t *testing.T) {
+	var reads atomic.Int64
+	srv := newTestServer(t, 500, func(c *Config) {
+		c.Faults = &Faults{ReadErr: func() bool { return reads.Add(1)%7 == 0 }}
+	})
+	cl, err := DialBinary(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.Timeout = 5 * time.Second
+	cl.MaxRetries = 8
+	cl.RetryBackoff = time.Millisecond
+
+	tr := trace.Synthetic(trace.SynthConfig{Objects: 50, Requests: 300, Interarrival: trace.Poisson, Seed: 3})
+	res, err := cl.Replay(tr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != 300 {
+		t.Errorf("requests %d, want 300", res.Requests)
+	}
+	if res.Reconnects == 0 {
+		t.Error("expected reconnects under injected read faults")
+	}
+	if st := srv.Stats(); st.Requests != int64(res.Requests) {
+		t.Errorf("server processed %d, client completed %d", st.Requests, res.Requests)
+	}
+}
+
+// TestBinaryStressFaultMatrix is the binary twin of the text stress
+// test: concurrent pipelined binary clients under injected read faults
+// and pre-reply stalls. Totals must reconcile and no client may desync.
+func TestBinaryStressFaultMatrix(t *testing.T) {
+	const (
+		clients      = 20
+		opsPerConn   = 200
+		readFaultMod = 97 // sparse: a faulted conn loses its whole pipeline batch
+	)
+	var reads atomic.Int64
+	var stalls atomic.Int64
+	srv := newTestServer(t, 50_000, func(c *Config) {
+		c.IdleTimeout = 2 * time.Second
+		c.DrainTimeout = time.Second
+		c.Faults = &Faults{
+			ReadErr: func() bool { return reads.Add(1)%readFaultMod == 0 },
+			PreReply: func() {
+				if stalls.Add(1)%251 == 0 {
+					time.Sleep(time.Millisecond)
+				}
+			},
+		}
+	})
+
+	var (
+		okOps  atomic.Int64
+		okHits atomic.Int64
+		wg     sync.WaitGroup
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			// A pipelined batch dies wholesale when its connection takes
+			// an injected fault, so clients retry per-batch on a fresh
+			// connection, mirroring what a resilient edge client does.
+			r := rand.New(rand.NewSource(int64(c)))
+			pendingOps := make([]Op, 0, opsPerConn)
+			for i := 0; i < opsPerConn; i++ {
+				pendingOps = append(pendingOps, Op{
+					Key:  trace.Key(c*64 + r.Intn(32)),
+					Size: 16,
+					Time: -1,
+				})
+			}
+			for attempt := 0; attempt < 20 && len(pendingOps) > 0; attempt++ {
+				cl, err := DialBinary(srv.Addr())
+				if err != nil {
+					time.Sleep(5 * time.Millisecond)
+					continue
+				}
+				cl.Timeout = 5 * time.Second
+				st, err := cl.Pipeline(pendingOps, 16)
+				cl.Close()
+				okOps.Add(int64(st.Requests))
+				okHits.Add(int64(st.Hits + st.Stored))
+				if err == nil {
+					pendingOps = nil
+					break
+				}
+				// Resend only the unresolved tail; resolved ops were
+				// fully served and counted.
+				pendingOps = pendingOps[st.Requests:]
+				time.Sleep(5 * time.Millisecond)
+			}
+			if len(pendingOps) > 0 {
+				t.Errorf("client %d: %d ops never completed", c, len(pendingOps))
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	// Reconcile: every resolved client op was processed exactly once.
+	txt, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer txt.Close()
+	m, err := txt.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m["server.read_errors"] == 0 {
+		t.Error("no injected binary read faults observed")
+	}
+	if got, want := m["server.requests_binary"], okOps.Load(); got < want {
+		// The server may have processed requests whose replies were
+		// lost to a fault (client does not count those), never fewer.
+		t.Errorf("server served %d binary requests, clients resolved %d", got, want)
+	}
+	if got, want := m["cache.hits"], okHits.Load(); got < want {
+		t.Errorf("server counted %d hits, clients saw %d", got, want)
+	}
+}
+
+// TestBinaryErrorClosesWithoutDesync: an error status (>= 0x80)
+// terminates only the offending connection — a pipelined peer on
+// another connection keeps its framing and completes unperturbed.
+func TestBinaryErrorClosesWithoutDesync(t *testing.T) {
+	srv := newTestServer(t, 10_000)
+
+	// Peer: a long pipelined run straddling the hostile connection.
+	done := make(chan error, 1)
+	peerOps := make([]Op, 2000)
+	for i := range peerOps {
+		peerOps[i] = Op{Key: trace.Key(i % 50), Size: 8, Time: -1}
+	}
+	go func() {
+		cl, err := DialBinary(srv.Addr())
+		if err != nil {
+			done <- err
+			return
+		}
+		defer cl.Close()
+		cl.Timeout = 10 * time.Second
+		st, err := cl.Pipeline(peerOps, 64)
+		if err == nil && st.Requests != len(peerOps) {
+			err = &net.AddrError{Err: "short pipeline", Addr: srv.Addr()}
+		}
+		done <- err
+	}()
+
+	// Hostile client: a good frame, then a bad-magic frame mid-stream.
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	payload := append(rawFrame(binMagicReq, binVerbGet, 9001, 10, 1),
+		rawFrame(0x13, binVerbGet, 9001, 10, 2)...)
+	if _, err := conn.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	status, _ := readRawReply(t, conn) // the good GET's reply
+	if status != binStatusMiss && status != binStatusHit {
+		t.Fatalf("first reply status 0x%02x", status)
+	}
+	status, _ = readRawReply(t, conn) // the error reply
+	if status < binStatusErr {
+		t.Fatalf("bad frame answered with non-error status 0x%02x", status)
+	}
+	// After the error the server must close; the read drains to EOF.
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 64)
+	for {
+		if _, err := conn.Read(buf); err != nil {
+			break
+		}
+	}
+
+	if err := <-done; err != nil {
+		t.Fatalf("pipelined peer was perturbed: %v", err)
+	}
+	if n := srv.Metrics().Counter("server.bad_requests").Load(); n == 0 {
+		t.Error("bad frame was not counted")
 	}
 }

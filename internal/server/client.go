@@ -39,11 +39,6 @@ type Client struct {
 	rep     [binRespLen]byte
 	scratch []byte
 
-	// pending[head:] is the window of sent-but-unsettled requests in
-	// wire order: indices into the caller's ops, pipeBarrier for a PING.
-	pending []int
-	head    int
-
 	// Timeout bounds each request round trip (write + reply read);
 	// 0 means no deadline.
 	Timeout time.Duration
@@ -127,16 +122,11 @@ func (c *Client) Close() error {
 
 // appendOp appends op's wire encoding — a binary frame or a text
 // line, depending on the client's protocol — to buf and returns it.
-// Quiet is a binary-protocol refinement; on a text connection a quiet
-// get is sent as a plain GET (every text op replies).
 func (c *Client) appendOp(buf []byte, op Op) []byte {
 	if c.binary {
 		verb := binVerbGet
-		switch {
-		case op.Set:
+		if op.Set {
 			verb = binVerbSet
-		case op.Quiet:
-			verb = binVerbGetQ
 		}
 		putBinReq(&c.frame, verb, op.Key, op.Size, op.Time)
 		// Appends into the client's reused scratch, which grows to the largest burst once.
@@ -157,58 +147,14 @@ func (c *Client) appendOp(buf []byte, op Op) []byte {
 	return append(buf, '\n')
 }
 
-// pipeBarrier marks a PING in the window: its PONG proves every quiet
-// get sent before it has been served, so the ones that never replied
-// are known misses.
-const pipeBarrier = -1
-
-// quiet reports whether op rides the no-reply-on-miss path: a
-// binary-protocol GET marked Quiet.
-func (c *Client) quiet(op Op) bool { return c.binary && op.Quiet && !op.Set }
-
-// appendBarrier appends a PING to buf and to the window.
-func (c *Client) appendBarrier(buf []byte) []byte {
-	c.pending = append(c.pending, pipeBarrier)
-	if c.binary {
-		putBinReq(&c.frame, binVerbPing, 0, 0, 0)
-		return append(buf, c.frame[:]...)
-	}
-	return append(buf, "PING\n"...)
-}
-
-// echoAmbiguous reports whether a quiet get for key would follow
-// another for the same key with nothing that always replies between
-// them: the server's one echoed key could then mean either.
-func (c *Client) echoAmbiguous(ops []Op, key trace.Key) bool {
-	for j := len(c.pending) - 1; j >= c.head; j-- {
-		i := c.pending[j]
-		if i == pipeBarrier || !c.quiet(ops[i]) {
-			return false
-		}
-		if ops[i].Key == key {
-			return true
-		}
-	}
-	return false
-}
-
-// send writes ops[lo:hi], and a PING barrier behind them when asked,
-// as one burst — one write, one flush, under one deadline — and
-// appends them to the window. Two quiet gets for one key are kept
-// apart by a barrier of their own, so an echoed key names one request.
-func (c *Client) send(ops []Op, lo, hi int, barrier bool) error {
+// Send writes ops as one burst: every request in one write and one
+// flush, under one deadline. Recv must follow before the connection is
+// used for anything else.
+func (c *Client) Send(ops []Op) error {
 	c.armDeadline()
 	c.scratch = c.scratch[:0]
-	for i := lo; i < hi; i++ {
-		if c.quiet(ops[i]) && c.echoAmbiguous(ops, ops[i].Key) {
-			c.scratch = c.appendBarrier(c.scratch)
-		}
-		c.scratch = c.appendOp(c.scratch, ops[i])
-		// The window and the scratch are reused across bursts; they grow to the largest burst once.
-		c.pending = append(c.pending, i)
-	}
-	if barrier {
-		c.scratch = c.appendBarrier(c.scratch)
+	for _, op := range ops {
+		c.scratch = c.appendOp(c.scratch, op)
 	}
 	// One write and one flush per node per burst.
 	if _, err := c.w.Write(c.scratch); err != nil {
@@ -228,9 +174,8 @@ var textReplies = [...]struct {
 	{[]byte("PONG"), binStatusPong},
 }
 
-// readReply reads one reply in either protocol as a status and its
-// 8-byte payload (the size for most statuses, the echoed key for
-// binStatusHitQ; text replies report -1). Error statuses (>= 0x80)
+// readReply reads one reply in either protocol as a status and the
+// size it echoes (text replies report -1). Error statuses (>= 0x80)
 // are surfaced as errors — the server closes the connection after
 // sending one. The deadline is re-armed whenever the read may block,
 // so long pipelined runs are bounded per reply, not per batch.
@@ -268,56 +213,22 @@ func (c *Client) readReply() (byte, int64, error) {
 	return status, int64(binary.LittleEndian.Uint64(c.rep[2:10])), nil
 }
 
-// settle reads one reply and matches it against the window. Both
-// protocols reply in request order and a quiet get replies only on a
-// hit, so every reply settles a prefix of the window: the entry it
-// answers, and in front of it quiet gets that stayed silent, which
-// therefore missed. A quiet hit is matched by the key it echoes, a
-// PONG answers a barrier, any other status the first loud op — and
-// must be a status that op can have. settle returns the settled
-// entries (valid until the next send) and whether the last of them,
-// the one answered, was answered positively.
-func (c *Client) settle(ops []Op) (done []int, ok bool, err error) {
-	status, payload, err := c.readReply()
+// settle reads the reply to op — both protocols reply once per request,
+// in request order — and reports whether it was positive (HIT or
+// STORED). The reply must be a status op can have and echo op's size.
+func (c *Client) settle(op Op) (bool, error) {
+	status, size, err := c.readReply()
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
-	for n, i := range c.pending[c.head:] {
-		switch {
-		case i == pipeBarrier:
-			if status != binStatusPong {
-				return nil, false, fmt.Errorf("client: reply status 0x%02x crossed a PING barrier", status)
-			}
-		case !c.quiet(ops[i]):
-			pos, neg := binStatusHit, binStatusMiss
-			if ops[i].Set {
-				pos, neg = binStatusStored, binStatusNotStored
-			}
-			if status != pos && status != neg || payload >= 0 && payload != ops[i].Size {
-				return nil, false, fmt.Errorf("client: reply status 0x%02x size %d does not answer op %d", status, payload, i)
-			}
-			ok = status == pos
-		case status == binStatusHitQ && trace.Key(payload) == ops[i].Key:
-			ok = true
-		default:
-			continue // a quiet get the reply passed over: it missed
-		}
-		done = c.pending[c.head : c.head+n+1]
-		c.head += n + 1
-		return done, ok, nil
+	pos, neg := binStatusHit, binStatusMiss
+	if op.Set {
+		pos, neg = binStatusStored, binStatusNotStored
 	}
-	return nil, false, fmt.Errorf("client: reply status 0x%02x payload %d matches nothing in flight", status, payload)
-}
-
-// Send writes ops as one burst: every request in one write and one
-// flush, under one deadline. A burst that does not end in a request
-// that always replies — it ends in a quiet get, or is empty — is closed
-// with a PING barrier, so Recv never waits on silence. Recv must
-// follow before the connection is used for anything else.
-func (c *Client) Send(ops []Op) error {
-	c.pending, c.head = c.pending[:0], 0
-	n := len(ops)
-	return c.send(ops, 0, n, n == 0 || c.quiet(ops[n-1]))
+	if status != pos && status != neg || size >= 0 && size != op.Size {
+		return false, fmt.Errorf("client: reply status 0x%02x size %d does not answer the op in flight", status, size)
+	}
+	return status == pos, nil
 }
 
 // Recv reads the replies to the burst Send wrote, storing each op's
@@ -325,39 +236,35 @@ func (c *Client) Send(ops []Op) error {
 // on an error the ops settled so far are a prefix of the burst; Recv
 // returns its length, and the connection must not be reused.
 func (c *Client) Recv(ops []Op, res []bool) (int, error) {
-	settled := 0
-	for c.head < len(c.pending) {
-		done, ok, err := c.settle(ops)
+	for i, op := range ops {
+		ok, err := c.settle(op)
 		if err != nil {
-			return settled, err
+			return i, err
 		}
-		for k, i := range done {
-			if i != pipeBarrier {
-				res[i] = ok && k == len(done)-1
-				settled++
-			}
-		}
+		res[i] = ok
 	}
-	return settled, nil
+	return len(ops), nil
 }
 
 // Ping checks liveness with one PING round trip (both protocols). The
 // server answers without touching the cache, so probes never perturb
 // the traffic statistics the cluster tier reconciles.
 func (c *Client) Ping() error {
-	if err := c.Send(nil); err != nil {
+	c.armDeadline()
+	if c.binary {
+		putBinReq(&c.frame, binVerbPing, 0, 0, 0)
+		_, _ = c.w.Write(c.frame[:]) // a copy into the write buffer; Flush reports the error
+	} else {
+		_, _ = c.w.WriteString("PING\n")
+	}
+	if err := c.w.Flush(); err != nil {
 		return err
 	}
-	_, err := c.Recv(nil, nil)
+	status, _, err := c.readReply()
+	if err == nil && status != binStatusPong {
+		err = fmt.Errorf("client: reply status 0x%02x does not answer a PING", status)
+	}
 	return err
-}
-
-// GetQuiet issues one quiet GET (binary protocol): the server sends a
-// reply frame only on a hit, so a miss costs zero reply bytes beyond
-// the PING barrier pipelined behind it to resolve the outcome. On a
-// text connection it degrades to a plain Get.
-func (c *Client) GetQuiet(key trace.Key, size int64, ts int64) (bool, error) {
-	return c.roundTrip(Op{Quiet: true, Key: key, Size: size, Time: ts})
 }
 
 // Get requests one object and reports whether it hit. The round trip
@@ -556,15 +463,13 @@ func (c *Client) Replay(tr *trace.Trace, curvePoints int) (*ReplayResult, error)
 }
 
 // Op is one pipelined operation: a GET by default, a SET when Set is
-// true, a quiet GET (binary GETQ: no reply frame on a miss) when Quiet
-// is true. Time < 0 lets the server's virtual clock stand in for a
-// trace timestamp. Quiet is ignored for SETs and on text connections.
+// true. Time < 0 lets the server's virtual clock stand in for a trace
+// timestamp.
 type Op struct {
-	Set   bool
-	Quiet bool
-	Key   trace.Key
-	Size  int64
-	Time  int64
+	Set  bool
+	Key  trace.Key
+	Size int64
+	Time int64
 }
 
 // PipelineStats summarizes one Pipeline run.
@@ -588,17 +493,11 @@ func (p *PipelineStats) ReqPerSec() float64 {
 }
 
 // Pipeline issues ops keeping up to depth requests in flight on the
-// connection; replies are matched to ops by settle. Requests are
-// batched: the window is refilled (and flushed in one write) whenever
-// it drops to half depth, which pairs with the server's
-// one-flush-per-burst reply batching. depth <= 1 degenerates to strict
-// request-response.
-//
-// Quiet gets (binary only) produce no reply frame on a miss. A window
-// holding nothing but quiet gets could be all misses — and therefore
-// produce no reply to unblock the reader — so before blocking in that
-// state the client pipelines one PING barrier; the PONG settles the
-// whole quiet run as misses.
+// connection. Replies come back one per request in request order, so
+// the in-flight window is ops[st.Requests:next]. Requests are batched:
+// the window is refilled (and flushed in one write) whenever it drops
+// to half depth, which pairs with the server's one-flush-per-burst
+// reply batching. depth <= 1 degenerates to strict request-response.
 func (c *Client) Pipeline(ops []Op, depth int) (PipelineStats, error) {
 	if depth < 1 {
 		depth = 1
@@ -606,59 +505,33 @@ func (c *Client) Pipeline(ops []Op, depth int) (PipelineStats, error) {
 	var st PipelineStats
 	sent := make([]int64, len(ops)) // enqueue times, ns
 	lat := make([]float64, 0, len(ops))
-	c.pending, c.head = c.pending[:0], 0
 	next := 0
 	start := time.Now()
 
 	for st.Requests < len(ops) {
 		if inflight := next - st.Requests; next < len(ops) && (inflight == 0 || inflight <= depth/2) {
-			c.pending = c.pending[:copy(c.pending, c.pending[c.head:])]
-			c.head = 0
 			lo, now := next, time.Now().UnixNano()
 			for ; next < len(ops) && next-st.Requests < depth; next++ {
 				sent[next] = now
 			}
-			if err := c.send(ops, lo, next, false); err != nil {
+			if err := c.Send(ops[lo:next]); err != nil {
 				return st, fmt.Errorf("client: pipeline enqueue %d: %w", lo, err)
 			}
 		}
-		// All-quiet window: if every one of them misses the server stays
-		// silent, so inject a PING barrier before blocking.
-		allQuiet := c.head < len(c.pending)
-		for _, i := range c.pending[c.head:] {
-			allQuiet = allQuiet && i != pipeBarrier && c.quiet(ops[i])
-		}
-		if allQuiet {
-			if err := c.send(ops, 0, 0, true); err != nil {
-				return st, fmt.Errorf("client: pipeline barrier: %w", err)
-			}
-		}
-		done, ok, err := c.settle(ops)
+		i := st.Requests
+		ok, err := c.settle(ops[i])
 		if err != nil {
-			return st, fmt.Errorf("client: pipeline reply %d: %w", st.Requests, err)
+			return st, fmt.Errorf("client: pipeline reply %d: %w", i, err)
 		}
-		for k, i := range done {
-			if i == pipeBarrier {
-				continue
+		lat = append(lat, float64(time.Now().UnixNano()-sent[i]))
+		if ok {
+			if ops[i].Set {
+				st.Stored++
+			} else {
+				st.Hits++
 			}
-			lat = append(lat, float64(time.Now().UnixNano()-sent[i]))
-			if ok && k == len(done)-1 {
-				if ops[i].Set {
-					st.Stored++
-				} else {
-					st.Hits++
-				}
-			}
-			st.Requests++
 		}
-	}
-	// A quiet hit can settle the last op while its window's injected
-	// barrier is still in flight; drain those PONGs now or they would
-	// desync the next use of the connection.
-	for c.head < len(c.pending) {
-		if _, _, err := c.settle(ops); err != nil {
-			return st, fmt.Errorf("client: pipeline barrier drain: %w", err)
-		}
+		st.Requests++
 	}
 	st.Wall = time.Since(start)
 	sort.Float64s(lat)

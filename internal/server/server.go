@@ -9,7 +9,6 @@
 //	verb       text: request → reply                                  binary: verb → status, payload
 //	GET        GET <key> <size> [time] → HIT|MISS <size>              0x01 → HIT|MISS, size
 //	SET        SET <key> <size> [time] → STORED|NOSTORED <size>       0x02 → STORED|NOSTORED, size
-//	GETQ       —                                                      0x04 → HITQ, key; no reply on a miss
 //	PING       PING → PONG                                            0x05 → PONG
 //	QUIT       QUIT → close                                           0x03 → close
 //	STATS      STATS → STATS <requests> <hits> <reqBytes> <hitBytes>  —
@@ -252,9 +251,7 @@ type BatchBackend interface {
 	Backend
 	// ServeBatch serves ops in order and stores each op's outcome (hit
 	// or stored) in res, which has len(ops). Op.Time is already
-	// resolved against the server's virtual clock. Op.Quiet only
-	// frames the front connection's reply and must be ignored: a quiet
-	// get is served like any get.
+	// resolved against the server's virtual clock.
 	ServeBatch(ops []Op, res []bool)
 }
 
@@ -618,8 +615,8 @@ type verb uint8
 
 const (
 	verbNone    verb = iota // nothing to answer (a blank text line)
-	verbOp                  // GET, SET or GETQ, decoded into an Op
-	verbPing                // liveness probe / pipeline barrier
+	verbOp                  // GET or SET, decoded into an Op
+	verbPing                // liveness probe
 	verbQuit                // close the connection
 	verbStats               // text only
 	verbMetrics             // text only
@@ -783,12 +780,8 @@ func (s *Server) serveBurst(c *connIO, cd codec, ops []Op) {
 		if !ok && !op.Set && s.cfg.OriginDelay > 0 {
 			time.Sleep(s.cfg.OriginDelay)
 		}
-		// A quiet miss has no reply at all; its latency sample is still
-		// recorded — the work happened.
-		if ok || !op.Quiet {
-			s.preReply()
-			cd.reply(op, ok)
-		}
+		s.preReply()
+		cd.reply(op, ok)
 		hist.Observe(time.Since(t0).Nanoseconds())
 	}
 }
