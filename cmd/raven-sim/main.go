@@ -50,8 +50,7 @@ func main() {
 		// Research defaults: the simulator keeps the fast path and the
 		// SLO clock off so replays stay bit-identical run to run; the
 		// serving binary (ravencached) defaults them on.
-		admitMode  = flag.String("admit", "", "admission front-end: off|doorkeeper|learned (learned needs a reuse-predicting policy: raven/raven-ohr)")
-		prefetchHz = flag.Int64("prefetch-horizon", 0, "Raven prefetch: queue evicted objects predicted to return within this many trace ticks (0 = off)")
+		admitMode = flag.String("admit", "", "admission front-end: off|doorkeeper|learned (learned needs a reuse-predicting policy: raven/raven-ohr)")
 
 		scoreCache  = flag.Bool("score-cache", false, "Raven cached-score eviction fast path")
 		inference32 = flag.Bool("inference32", false, "Raven float32 inference kernels on the fast path (training stays float64)")
@@ -107,7 +106,6 @@ func main() {
 			Inference32:     *inference32,
 			DecisionBudget:  *budget,
 			Admission:       policy.AdmissionOptions{Mode: *admitMode},
-			Prefetch:        policy.PrefetchOptions{Horizon: *prefetchHz},
 		}
 		factory, err := policy.Lookup(name)
 		if err != nil {

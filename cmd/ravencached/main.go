@@ -69,8 +69,7 @@ func run() int {
 		originMS = flag.Int("origindelay", 0, "simulated per-miss origin delay (ms)")
 		seed     = flag.Int64("seed", 42, "random seed")
 
-		admitMode  = flag.String("admit", "", "admission front-end: off|doorkeeper|learned (learned needs a reuse-predicting policy: raven/raven-ohr)")
-		prefetchHz = flag.Int64("prefetch-horizon", 0, "raven: queue evicted objects predicted to return within this many trace ticks for re-warming (0 = off)")
+		admitMode = flag.String("admit", "", "admission front-end: off|doorkeeper|learned (learned needs a reuse-predicting policy: raven/raven-ohr)")
 
 		scoreCache  = flag.Bool("score-cache", true, "raven: cached-score eviction fast path")
 		inference32 = flag.Bool("inference32", true, "raven: float32 inference kernels on the fast path (training stays float64)")
@@ -109,7 +108,6 @@ func run() int {
 		Inference32:     *inference32,
 		DecisionBudget:  *budget,
 		Admission:       policy.AdmissionOptions{Mode: *admitMode},
-		Prefetch:        policy.PrefetchOptions{Horizon: *prefetchHz},
 	}.PerNode(*node, *nodes), *shards)
 	// Capture each shard's policy as it is built so checkpoint-resume
 	// status can be reported per shard below.

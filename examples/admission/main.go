@@ -1,7 +1,6 @@
-// Admission: front Raven with the learned admission pipeline and the
-// MDN-driven prefetch queue, and compare against admit-all on a
-// one-hit-wonder-heavy workload — PolicyOptions.Admission and
-// PolicyOptions.Prefetch are the whole admission API.
+// Admission: front Raven with the learned admission pipeline and
+// compare against admit-all on a one-hit-wonder-heavy workload —
+// PolicyOptions.Admission is the whole admission API.
 package main
 
 import (
@@ -35,7 +34,6 @@ func main() {
 		}},
 		{"learned", raven.PolicyOptions{
 			Admission: raven.AdmissionOptions{Mode: raven.AdmitLearned},
-			Prefetch:  raven.PrefetchOptions{Horizon: tr.Duration() / 50},
 		}},
 	} {
 		opts := cfg.opts
@@ -53,8 +51,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-11s OHR %.4f  (%d admissions, %d rejections, %d prefetch hits)\n",
-			cfg.label, res.OHR, res.Stats.Admissions, res.Stats.Rejections,
-			res.Stats.PrefetchHits)
+		fmt.Printf("%-11s OHR %.4f  (%d admissions, %d rejections)\n",
+			cfg.label, res.OHR, res.Stats.Admissions, res.Stats.Rejections)
 	}
 }

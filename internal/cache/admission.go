@@ -261,14 +261,6 @@ func (f *fronted) MetadataBytesPerObject() int64 {
 	return 0
 }
 
-// NextPrefetch implements Prefetcher, forwarding to the inner policy.
-func (f *fronted) NextPrefetch(now int64) (Request, bool) {
-	if pf, ok := f.Policy.(Prefetcher); ok {
-		return pf.NextPrefetch(now)
-	}
-	return Request{}, false
-}
-
 // Unwrap returns the innermost policy by following Unwrap methods, for
 // callers that inspect concrete policy state behind wrappers.
 func Unwrap(p Policy) Policy {

@@ -237,141 +237,6 @@ func TestShardedRejectCountersReconcile(t *testing.T) {
 	}
 }
 
-// ---- prefetch drain path ----
-
-// queuePrefetcher is a test policy with a scripted prefetch queue.
-type queuePrefetcher struct {
-	*testLRU
-	queue []Request
-}
-
-func (p *queuePrefetcher) NextPrefetch(now int64) (Request, bool) {
-	for len(p.queue) > 0 {
-		r := p.queue[0]
-		p.queue = p.queue[1:]
-		if r.Time <= now {
-			continue
-		}
-		r.Time = now
-		return r, true
-	}
-	return Request{}, false
-}
-
-// TestPrefetchCountersReconcile exercises the full prefetch lifecycle:
-// inserts land as resident prefetched entries, a later hit converts to
-// prefetch_hits, an eviction of an untouched entry converts to
-// prefetch_wasted, and at every point
-// inserts == hits + wasted + resident(gauge).
-func TestPrefetchCountersReconcile(t *testing.T) {
-	r := obs.NewRegistry()
-	var co obs.CacheObs
-	co.Register(r, "cache")
-	p := &queuePrefetcher{testLRU: newTestLRU()}
-	c := New(3, p)
-	c.SetShardObs(0, &co)
-
-	check := func(when string) {
-		t.Helper()
-		snap := make(map[string]int64)
-		for _, kv := range r.Snapshot() {
-			snap[kv.Name] = kv.Value
-		}
-		ins, hits := snap["cache.prefetch_inserts"], snap["cache.prefetch_hits"]
-		wasted, res := snap["cache.prefetch_wasted"], snap["cache.prefetch_resident"]
-		if ins != hits+wasted+res {
-			t.Errorf("%s: prefetch_inserts %d != hits %d + wasted %d + resident %d",
-				when, ins, hits, wasted, res)
-		}
-		st := c.StatsSnapshot()
-		if st.Prefetches != ins || st.PrefetchHits != hits || st.PrefetchWasted != wasted {
-			t.Errorf("%s: stats (%d,%d,%d) != obs (%d,%d,%d)", when,
-				st.Prefetches, st.PrefetchHits, st.PrefetchWasted, ins, hits, wasted)
-		}
-	}
-
-	// Queue two warm-ups due in the future; the next request drains them.
-	p.queue = []Request{{Time: 100, Key: 50, Size: 1}, {Time: 100, Key: 51, Size: 1}}
-	c.Handle(req(10, 1, 1))
-	check("after drain")
-	if !c.Contains(50) || !c.Contains(51) {
-		t.Fatal("prefetched objects not resident")
-	}
-	st := c.StatsSnapshot()
-	if st.Prefetches != 2 || st.Admissions != 1 {
-		t.Fatalf("prefetches=%d admissions=%d, want 2 and 1", st.Prefetches, st.Admissions)
-	}
-
-	// Hitting a prefetched object converts it to a prefetch hit (once).
-	c.Handle(req(11, 50, 1))
-	check("after prefetch hit")
-	c.Handle(req(12, 50, 1))
-	st = c.StatsSnapshot()
-	if st.PrefetchHits != 1 {
-		t.Errorf("prefetch hits = %d, want 1 (flag clears on first hit)", st.PrefetchHits)
-	}
-
-	// Fill the cache so the untouched prefetched entry (51) is evicted:
-	// wasted, and not a one-hit wonder.
-	c.Handle(req(13, 2, 1))
-	c.Handle(req(14, 3, 1))
-	c.Handle(req(15, 4, 1))
-	check("after eviction churn")
-	st = c.StatsSnapshot()
-	if st.PrefetchWasted == 0 {
-		t.Error("untouched prefetched entry never counted as wasted")
-	}
-	if st.Hits != 2 {
-		t.Errorf("hits = %d, want 2", st.Hits)
-	}
-	// The invariant Hits+Admissions+Rejections == Requests must hold
-	// with prefetches counted separately.
-	if st.Hits+st.Admissions+st.Rejections != st.Requests {
-		t.Errorf("request conservation broken: %+v", st)
-	}
-}
-
-// TestPrefetchStaleAndResidentSkipped: entries already due or already
-// resident are skipped without counting as inserts.
-func TestPrefetchStaleAndResidentSkipped(t *testing.T) {
-	p := &queuePrefetcher{testLRU: newTestLRU()}
-	c := New(10, p)
-	c.Handle(req(1, 9, 1)) // key 9 resident
-	p.queue = []Request{
-		{Time: 1, Key: 60, Size: 1},  // stale: due before now
-		{Time: 100, Key: 9, Size: 1}, // already resident
-	}
-	c.Handle(req(5, 9, 1))
-	st := c.StatsSnapshot()
-	if st.Prefetches != 0 {
-		t.Errorf("prefetches = %d, want 0 (stale + resident are skipped)", st.Prefetches)
-	}
-	if len(p.queue) != 0 {
-		t.Errorf("queue not drained: %d left", len(p.queue))
-	}
-}
-
-// TestPrefetchDrainBounded: at most maxPrefetchPerObserve insertions
-// per observed request, the rest stay queued.
-func TestPrefetchDrainBounded(t *testing.T) {
-	p := &queuePrefetcher{testLRU: newTestLRU()}
-	c := New(100, p)
-	for i := 0; i < 10; i++ {
-		p.queue = append(p.queue, Request{Time: 1000, Key: Key(70 + i), Size: 1})
-	}
-	c.Handle(req(1, 1, 1))
-	if got := c.StatsSnapshot().Prefetches; got != maxPrefetchPerObserve {
-		t.Errorf("prefetches after one request = %d, want %d", got, maxPrefetchPerObserve)
-	}
-	if len(p.queue) != 10-maxPrefetchPerObserve {
-		t.Errorf("queue length %d, want %d", len(p.queue), 10-maxPrefetchPerObserve)
-	}
-	c.Handle(req(2, 1, 1))
-	if got := c.StatsSnapshot().Prefetches; got != 8 {
-		t.Errorf("prefetches after two requests = %d, want 8", got)
-	}
-}
-
 // TestFrontedStatsStayConserved runs a randomized workload through a
 // fronted cache (sketch admission) and checks engine conservation.
 func TestFrontedStatsStayConserved(t *testing.T) {

@@ -25,9 +25,10 @@ type Key = trace.Key
 type Request = trace.Request
 
 // Policy decides evictions. The engine calls exactly one of OnHit or
-// OnMiss per request, then OnAdmit if a missed object is inserted, and
-// OnEvict for every object removed. Victim must return a currently
-// cached key; it is called repeatedly until the new object fits.
+// OnMiss per request, then OnAdmit — for that request's key only — if
+// the missed object is inserted, and OnEvict for every object removed.
+// Victim must return a currently cached key; it is called repeatedly
+// until the new object fits.
 //
 // Policies are not safe for concurrent use; the engine serializes all
 // calls.
@@ -50,15 +51,11 @@ type Policy interface {
 	Victim() (key Key, ok bool)
 }
 
-// Prefetcher is an optional Policy extension for policies that
-// maintain a prefetch queue (core.Raven): after each request the
-// engine drains up to maxPrefetchPerObserve pending warm-ups via
-// NextPrefetch and inserts them. now is the virtual clock of the
-// request that triggered the drain; implementations must be driven by
-// it alone (no wall clock) so replays stay bit-exact.
+// Prefetcher is a leftover declaration, pinned because
+// benchmark/traced.go compiles against it. The engine never consults
+// it: admit is the only way into the cache, and nothing outside
+// benchmark/ may implement it.
 type Prefetcher interface {
-	// NextPrefetch pops the next object to warm, or ok=false when
-	// nothing is pending at now.
 	NextPrefetch(now int64) (req Request, ok bool)
 }
 
@@ -94,15 +91,6 @@ type Stats struct {
 	// Sets counts explicit store operations (the server's SET command);
 	// they do not contribute to Requests/Hits, which measure lookups.
 	Sets int64
-	// Prefetches counts policy-initiated warm-up insertions (they are
-	// not Admissions: no request triggered them). PrefetchHits counts
-	// prefetched objects whose next lookup hit; PrefetchWasted counts
-	// prefetched objects evicted without ever being hit (those are
-	// excluded from OneHitWonders, which measures admitted-after-miss
-	// objects).
-	Prefetches     int64
-	PrefetchHits   int64
-	PrefetchWasted int64
 }
 
 // Add accumulates o into s field by field. The sharded engine merges
@@ -118,9 +106,6 @@ func (s *Stats) Add(o Stats) {
 	s.Admissions += o.Admissions
 	s.Rejections += o.Rejections
 	s.Sets += o.Sets
-	s.Prefetches += o.Prefetches
-	s.PrefetchHits += o.PrefetchHits
-	s.PrefetchWasted += o.PrefetchWasted
 }
 
 // Misses returns the lookups that did not hit.
@@ -148,9 +133,6 @@ func (s Stats) MissBytes() int64 { return s.ReqBytes - s.HitBytes }
 type entry struct {
 	size int64
 	hits int64
-	// prefetched marks entries inserted by the prefetch drain and not
-	// yet hit; it drives the prefetch_hits/prefetch_wasted accounting.
-	prefetched bool
 }
 
 // shard is one independent cache partition: a Policy coupled with
@@ -162,19 +144,15 @@ type shard struct {
 	used     int64
 	entries  map[Key]entry
 	policy   Policy
-	// prefetcher is the policy's Prefetcher extension, resolved once at
-	// construction so the per-request drain check is a nil test.
-	prefetcher Prefetcher
-	stats      Stats
-	observer   func(victim Key)
-	obs        *obs.CacheObs
+	stats    Stats
+	observer func(victim Key)
+	obs      *obs.CacheObs
 }
 
 func (c *shard) init(capacity int64, policy Policy) {
 	c.capacity = capacity
 	c.entries = make(map[Key]entry, 1024)
 	c.policy = policy
-	c.prefetcher, _ = policy.(Prefetcher)
 }
 
 // setObs attaches live observability metrics (occupancy gauges and
@@ -211,25 +189,15 @@ func (c *shard) handle(req Request) bool {
 		c.stats.Hits++
 		c.stats.HitBytes += req.Size
 		e.hits++
-		if e.prefetched {
-			e.prefetched = false
-			c.stats.PrefetchHits++
-			if c.obs != nil {
-				c.obs.PrefetchHits.Inc()
-				c.obs.PrefetchResident.Add(-1)
-			}
-		}
 		c.entries[req.Key] = e
 		if c.obs != nil {
 			c.obs.Hits.Inc()
 		}
 		c.policy.OnHit(req)
-		c.drainPrefetch(req.Time)
 		return true
 	}
 	c.policy.OnMiss(req)
 	c.admit(req)
-	c.drainPrefetch(req.Time)
 	return false
 }
 
@@ -281,15 +249,12 @@ func (c *shard) set(req Request) bool {
 	if e, ok := c.entries[req.Key]; ok {
 		if e.size == req.Size {
 			c.policy.OnHit(req)
-			c.drainPrefetch(req.Time)
 			return true
 		}
 		c.evict(req.Key)
 	}
 	c.policy.OnMiss(req)
-	admitted := c.admit(req)
-	c.drainPrefetch(req.Time)
-	return admitted
+	return c.admit(req)
 }
 
 // reject counts a refused admission under the given reason (one of the
@@ -298,57 +263,6 @@ func (c *shard) reject(reason string) {
 	c.stats.Rejections++
 	if c.obs != nil {
 		c.obs.AdmitReject(reason)
-	}
-}
-
-// maxPrefetchPerObserve bounds how many queued warm-ups one request
-// drains, so a burst of predictions cannot stall the serving path.
-const maxPrefetchPerObserve = 4
-
-// drainPrefetch pops pending warm-ups from the policy's prefetch queue
-// and inserts them. It runs after every request on the request's own
-// virtual timestamp, so the drain schedule is a pure function of the
-// trace.
-func (c *shard) drainPrefetch(now int64) {
-	if c.prefetcher == nil {
-		return
-	}
-	for i := 0; i < maxPrefetchPerObserve; i++ {
-		preq, ok := c.prefetcher.NextPrefetch(now)
-		if !ok {
-			return
-		}
-		if _, resident := c.entries[preq.Key]; resident {
-			continue
-		}
-		c.prefetchInsert(preq)
-	}
-}
-
-// prefetchInsert warms one predicted object: the same eviction loop as
-// admit, but no admission checks (the policy itself asked for it) and
-// separate accounting (Prefetches, not Admissions — no request
-// triggered the insert).
-func (c *shard) prefetchInsert(req Request) {
-	if req.Size > c.capacity {
-		return
-	}
-	for c.used+req.Size > c.capacity {
-		victim, ok := c.policy.Victim()
-		if !ok {
-			return
-		}
-		c.evict(victim)
-	}
-	c.entries[req.Key] = entry{size: req.Size, prefetched: true}
-	c.used += req.Size
-	c.stats.Prefetches++
-	c.policy.OnAdmit(req)
-	if c.obs != nil {
-		c.obs.PrefetchInserts.Inc()
-		c.obs.PrefetchResident.Add(1)
-		c.obs.UsedBytes.Set(c.used)
-		c.obs.Objects.Set(int64(len(c.entries)))
 	}
 }
 
@@ -363,15 +277,7 @@ func (c *shard) evict(key Key) {
 	delete(c.entries, key)
 	c.used -= e.size
 	c.stats.Evictions++
-	if e.prefetched {
-		// Never hit since its warm-up: the prefetch was wasted. Not a
-		// one-hit wonder — no request ever admitted it.
-		c.stats.PrefetchWasted++
-		if c.obs != nil {
-			c.obs.PrefetchWasted.Inc()
-			c.obs.PrefetchResident.Add(-1)
-		}
-	} else if e.hits == 0 {
+	if e.hits == 0 {
 		c.stats.OneHitWonders++
 	}
 	if c.obs != nil {

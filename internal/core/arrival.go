@@ -1,0 +1,61 @@
+package core
+
+import (
+	"math"
+
+	"raven/internal/cache"
+)
+
+// PredictNextArrival implements cache.ReusePredictor for the admission
+// front-end: the model's expected next-arrival time for the object, on
+// the virtual clock. ok is false when no usable prediction exists (no
+// trained model, degraded health, no history for the key, or a
+// non-finite mixture).
+func (r *Raven) PredictNextArrival(req cache.Request) (int64, bool) {
+	if r.net == nil || r.health == Fallback {
+		return 0, false
+	}
+	h, ok := r.hists[req.Key]
+	if !ok {
+		return 0, false
+	}
+	return r.predictArrival(h)
+}
+
+// predictArrival computes the deterministic expected next arrival of h:
+// lastSeen + TimeScale * E[exp(z)] where z is the predicted
+// log-residual mixture — the lognormal mixture mean
+// sum_k w_k * exp(mu_k + s_k^2/2), exponent-clamped like the fast
+// path. Unlike the eviction score (which Monte Carlo samples), this is
+// closed-form and consumes no RNG, so admission never perturbs the
+// eviction stream's variates.
+func (r *Raven) predictArrival(h *objHist) (int64, bool) {
+	if r.pred == nil {
+		r.pred = r.net.NewPredictScratch()
+	}
+	if h.embVersion != r.net.Version {
+		h.emb = r.net.EmbedHistoryInto(h.emb, h.hist)
+		h.embVersion = r.net.Version
+	}
+	age := float64(r.now - h.lastSeen)
+	r.net.PredictWith(r.pred, h.emb, float64(h.size), age, &r.predMix)
+	if !mixtureFinite(&r.predMix) {
+		return 0, false
+	}
+	eTau := 0.0
+	for k := range r.predMix.W {
+		ex := r.predMix.Mu[k] + 0.5*r.predMix.S[k]*r.predMix.S[k]
+		if ex > expClamp {
+			ex = expClamp
+		} else if ex < -expClamp {
+			ex = -expClamp
+		}
+		eTau += r.predMix.W[k] * math.Exp(ex)
+	}
+	ts := r.net.Cfg.TimeScale
+	next := float64(h.lastSeen) + ts*eTau
+	if math.IsNaN(next) || math.IsInf(next, 0) || next > math.MaxInt64/2 {
+		return 0, false
+	}
+	return int64(next), true
+}

@@ -122,14 +122,6 @@ type Config struct {
 	// resumes from the newest valid one at construction.
 	Checkpoint CheckpointConfig
 
-	// Prefetch, when Horizon is positive, arms the MDN-driven prefetch
-	// queue (prefetch.go): an evicted object whose predicted next
-	// arrival falls inside the horizon is queued for re-warming, and
-	// the cache engine drains the queue after each request. Driven
-	// entirely by the trace's virtual clock, so replays are bit-exact
-	// for every Workers value. Off by default.
-	Prefetch PrefetchConfig
-
 	// TrainFaultWindows stops applying Train.Faults after this many
 	// training windows (0 = inject for as long as Faults is set).
 	// Fault-drill/test hook, like Train.Faults itself.
@@ -141,18 +133,6 @@ type Config struct {
 
 	Seed int64
 }
-
-// PrefetchConfig configures the MDN-driven prefetch queue.
-type PrefetchConfig struct {
-	// Horizon is the virtual-clock window: an evicted object predicted
-	// to return within Horizon ticks is queued for re-warming. 0
-	// disables prefetching entirely.
-	Horizon int64
-}
-
-// prefetchMaxQueue bounds the pending prefetch queue; when full the
-// incoming entry is dropped, keeping memory and drain work bounded.
-const prefetchMaxQueue = 256
 
 // historyLen is the per-object ring of recent interarrival times kept
 // for re-embedding after a model swap.

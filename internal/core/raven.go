@@ -85,13 +85,9 @@ type Raven struct {
 	scrIn    []nn.PredictInput
 	scrCum   []float64
 
-	// Prefetch state (prefetch.go): the bounded queue of predicted
-	// re-arrivals, the cascade-suppression flag set while the engine
-	// drains it, and the persistent mixture scratch for the
-	// closed-form next-arrival predictions (no RNG draws).
-	pfq      []prefetchEntry
-	draining bool
-	predMix  nn.Mixture
+	// predMix is the persistent mixture scratch for the closed-form
+	// next-arrival predictions (arrival.go; no RNG draws).
+	predMix nn.Mixture
 
 	// Model-lifecycle state (health.go): the health state machine,
 	// the consecutive-guard-trip counter that drives it, lifecycle
@@ -252,7 +248,6 @@ func (r *Raven) observe(req cache.Request) {
 		r.window.reset(req.Time)
 	}
 	r.now = req.Time
-	r.draining = false // any aborted prefetch insertion is over by the next request
 	r.window.record(req)
 
 	h, ok := r.hists[req.Key]
@@ -439,27 +434,18 @@ func (r *Raven) OnHit(req cache.Request) {
 // OnMiss implements cache.Policy.
 func (r *Raven) OnMiss(req cache.Request) { r.observe(req) }
 
-// OnAdmit implements cache.Policy. Prefetch insertions arrive here
-// without a preceding OnMiss, and the object's history may have been
-// GC'd while it sat in the queue, so a missing entry is recreated.
+// OnAdmit implements cache.Policy. The object's history was created
+// (or refreshed) by the same request's OnMiss.
 func (r *Raven) OnAdmit(req cache.Request) {
-	h, ok := r.hists[req.Key] // created by the preceding OnMiss
-	if !ok {
-		h = &objHist{lastSeen: req.Time, size: req.Size, embVersion: -1, scoreVer: -1}
-		r.hists[req.Key] = h
-	}
+	h := r.hists[req.Key]
 	h.elem = r.ll.PushFront(req.Key)
 	r.set.Add(req.Key, h)
-	r.draining = false // the prefetch insertion (if any) has landed
 }
 
 // OnEvict implements cache.Policy. The object's history survives
-// eviction; only residency state is dropped — and, with prefetching
-// armed, the evictee is considered for the re-warm queue while its
-// history is still at hand.
+// eviction; only residency state is dropped.
 func (r *Raven) OnEvict(key cache.Key) {
 	if h, ok := r.set.Get(key); ok {
-		r.maybeEnqueuePrefetch(key, h)
 		r.ll.Remove(h.elem)
 		h.elem = nil
 		r.set.Remove(key)

@@ -8,15 +8,14 @@ import (
 	"raven/internal/trace"
 )
 
-// Admission evaluates the learned admission + prefetching front-end on
-// a one-hit-wonder-heavy CDN-like synthetic trace (many objects, few
+// Admission evaluates the learned admission front-end on a
+// one-hit-wonder-heavy CDN-like synthetic trace (many objects, few
 // repeats, Pareto interarrivals): Raven under admit-all, the
-// doorkeeper frequency front, the full learned pipeline, and the
-// learned pipeline with the MDN prefetch queue armed. The EXPERIMENTS.md
-// "Admission & prefetching" entry records this table.
+// doorkeeper frequency front, and the full learned pipeline. The
+// EXPERIMENTS.md "Admission front-end" entry records this table.
 func (r *Runner) Admission() *Report {
-	rep := &Report{ID: "admission", Title: "Learned admission + prefetching front-end, one-hit-wonder-heavy trace"}
-	rep.Header = []string{"mode", "OHR", "reject rate", "prefetch hits", "prefetch wasted"}
+	rep := &Report{ID: "admission", Title: "Learned admission front-end, one-hit-wonder-heavy trace"}
+	rep.Header = []string{"mode", "OHR", "reject rate"}
 
 	requests := int(150000 * r.Cfg.Scale)
 	if r.Cfg.Quick {
@@ -29,25 +28,16 @@ func (r *Runner) Admission() *Report {
 		Seed:         r.Cfg.Seed,
 	})
 	capacity := int64(requests) / 300
-	horizon := t.Duration() / 8
 
-	modes := []struct {
-		label string
-		adm   policy.AdmissionOptions
-		pf    policy.PrefetchOptions
-	}{
-		{"admit-all", policy.AdmissionOptions{}, policy.PrefetchOptions{}},
-		{"prefetch-only", policy.AdmissionOptions{}, policy.PrefetchOptions{Horizon: horizon}},
-		{"doorkeeper", policy.AdmissionOptions{Mode: policy.AdmitDoorkeeper}, policy.PrefetchOptions{}},
-		{"learned", policy.AdmissionOptions{Mode: policy.AdmitLearned}, policy.PrefetchOptions{}},
-		{"learned+prefetch", policy.AdmissionOptions{Mode: policy.AdmitLearned},
-			policy.PrefetchOptions{Horizon: horizon}},
+	modes := []struct{ label, mode string }{
+		{"admit-all", policy.AdmitOff},
+		{"doorkeeper", policy.AdmitDoorkeeper},
+		{"learned", policy.AdmitLearned},
 	}
 	for _, m := range modes {
 		o := r.polOpts(t, capacity)
 		o.ScoreCache = true // admission quality, not decision latency
-		o.Admission = m.adm
-		o.Prefetch = m.pf
+		o.Admission = policy.AdmissionOptions{Mode: m.mode}
 		p := policy.MustNew("raven", o)
 		res := r.simulate(t, p, sim.Options{
 			Capacity: capacity, Seed: r.Cfg.Seed, WarmupFrac: prodWarmup,
@@ -60,12 +50,10 @@ func (r *Runner) Admission() *Report {
 		r.logf("  admission %-16s OHR=%.4f reject=%.3f", m.label, res.OHR, reject)
 		rep.Rows = append(rep.Rows, []string{
 			m.label, fmt.Sprintf("%.4f", res.OHR), fmt.Sprintf("%.3f", reject),
-			fmt.Sprintf("%d", res.Stats.PrefetchHits),
-			fmt.Sprintf("%d", res.Stats.PrefetchWasted),
 		})
 	}
 	rep.Notes = append(rep.Notes,
 		"trace: Pareto renewals, objects = requests/3 (heavy one-hit-wonder traffic), capacity = requests/300 objects",
-		"learned = doorkeeper + MDN predicted-reuse check; prefetch horizon = trace duration / 8")
+		"learned = doorkeeper + MDN predicted-reuse check")
 	return rep
 }

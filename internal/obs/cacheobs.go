@@ -62,16 +62,6 @@ type CacheObs struct {
 	RejFrequency     Counter
 	RejReuse         Counter
 	RejOther         Counter
-
-	// Prefetch accounting: inserts performed, prefetched objects later
-	// hit, prefetched objects evicted without a hit, and the gauge of
-	// prefetched objects still resident and unused — so at any quiescent
-	// point PrefetchInserts == PrefetchHits + PrefetchWasted +
-	// PrefetchResident exactly.
-	PrefetchInserts  Counter
-	PrefetchHits     Counter
-	PrefetchWasted   Counter
-	PrefetchResident Gauge
 }
 
 // AdmitReject bumps the total rejection counter plus the per-reason
@@ -118,10 +108,6 @@ func (co *CacheObs) Register(r *Registry, prefix string) {
 	r.adoptCounter(prefix+".admit_rejects."+ReasonFrequency, &co.RejFrequency)
 	r.adoptCounter(prefix+".admit_rejects."+ReasonPredictedReuse, &co.RejReuse)
 	r.adoptCounter(prefix+".admit_rejects."+ReasonOther, &co.RejOther)
-	r.adoptCounter(prefix+".prefetch_inserts", &co.PrefetchInserts)
-	r.adoptCounter(prefix+".prefetch_hits", &co.PrefetchHits)
-	r.adoptCounter(prefix+".prefetch_wasted", &co.PrefetchWasted)
-	r.adoptGauge(prefix+".prefetch_resident", &co.PrefetchResident)
 }
 
 // ShardedCacheObs is the observability surface of a sharded cache
@@ -183,10 +169,6 @@ func (so *ShardedCacheObs) Register(r *Registry, prefix string) {
 	r.RegisterFunc(prefix+".admit_rejects."+ReasonFrequency, so.sum(func(c *CacheObs) int64 { return c.RejFrequency.Load() }))
 	r.RegisterFunc(prefix+".admit_rejects."+ReasonPredictedReuse, so.sum(func(c *CacheObs) int64 { return c.RejReuse.Load() }))
 	r.RegisterFunc(prefix+".admit_rejects."+ReasonOther, so.sum(func(c *CacheObs) int64 { return c.RejOther.Load() }))
-	r.RegisterFunc(prefix+".prefetch_inserts", so.sum(func(c *CacheObs) int64 { return c.PrefetchInserts.Load() }))
-	r.RegisterFunc(prefix+".prefetch_hits", so.sum(func(c *CacheObs) int64 { return c.PrefetchHits.Load() }))
-	r.RegisterFunc(prefix+".prefetch_wasted", so.sum(func(c *CacheObs) int64 { return c.PrefetchWasted.Load() }))
-	r.RegisterFunc(prefix+".prefetch_resident", so.sum(func(c *CacheObs) int64 { return c.PrefetchResident.Load() }))
 	for i, s := range so.shards {
 		s.Register(r, fmt.Sprintf("%s.shard%d", prefix, i))
 	}

@@ -182,8 +182,8 @@ func TestCacheObsRegister(t *testing.T) {
 	if got["cache.requests"] != 1 || got["cache.used_bytes"] != 64 {
 		t.Errorf("snapshot %v", got)
 	}
-	// 8 original metrics + 8 admit_rejects.<reason> + 4 prefetch.
-	if len(kvs) != 20 {
-		t.Errorf("want 20 cache metrics, got %d", len(kvs))
+	// 8 original metrics + 8 admit_rejects.<reason>.
+	if len(kvs) != 16 {
+		t.Errorf("want 16 cache metrics, got %d", len(kvs))
 	}
 }

@@ -35,16 +35,6 @@ type AdmissionOptions struct {
 	Mode string
 }
 
-// PrefetchOptions groups the prefetch knobs of Options; they flow into
-// core.Config.Prefetch for policies that maintain a prefetch queue
-// (Raven). The zero value is off.
-type PrefetchOptions struct {
-	// Horizon is the virtual-clock window: an evicted object predicted
-	// to return within Horizon ticks is queued for re-warming. 0
-	// disables prefetching.
-	Horizon int64
-}
-
 // front wraps p with the configured admission pipeline. Off returns p
 // unchanged; unknown modes and learned-mode requests for policies that
 // cannot predict reuse fail loudly rather than silently admitting all.

@@ -16,10 +16,9 @@ import (
 // model is a deliberately naive cache: a map of resident sizes plus the
 // counters of cache.Stats, with no policy and no shards. It never looks
 // inside the engine. It learns what happened from the operation and its
-// return value, from the eviction observer, and from tap — a
-// pass-through around each shard's policy that reports OnAdmit, the
-// only sign of a prefetch insert (no request triggers one) and of
-// whether a missed Handle was admitted (Handle returns hit or miss).
+// return value and from tap — a pass-through around each shard's policy
+// that reports every call the engine makes on it, which is also how the
+// cache.Policy call contract is checked.
 type model struct {
 	t        *testing.T
 	resident map[cache.Key]modelEntry
@@ -27,55 +26,57 @@ type model struct {
 	st       cache.Stats
 
 	// Per-operation state.
-	key      cache.Key // the key the running operation asked for
-	admitted bool      // that key's admission was seen
-	draining bool      // the engine has started the prefetch drain
+	key          cache.Key // the key the running operation asked for
+	hits, misses int       // OnHit / OnMiss calls seen
+	admitted     bool      // that key's admission was seen
 }
 
 type modelEntry struct {
-	size       int64
-	hit        bool // looked up since insertion
-	prefetched bool // inserted by the drain and not yet looked up
+	size int64
+	hit  bool // looked up since insertion
+}
+
+// observe checks an OnHit (hit) or OnMiss for the operation's own key.
+func (m *model) observe(req cache.Request, hit bool) {
+	if req.Key != m.key {
+		m.t.Fatalf("OnHit/OnMiss(%d) while serving key %d", req.Key, m.key)
+	}
+	if hit {
+		m.hits++
+	} else {
+		m.misses++
+	}
 }
 
 func (m *model) insert(req cache.Request) {
 	if _, ok := m.resident[req.Key]; ok {
 		m.t.Fatalf("OnAdmit(%d) for an object the model already holds", req.Key)
 	}
-	e := modelEntry{size: req.Size}
-	switch {
-	case m.draining:
-		e.prefetched = true
-		m.st.Prefetches++
-	case req.Key == m.key && !m.admitted:
-		m.admitted = true
-		m.st.Admissions++
-	default:
-		m.t.Fatalf("OnAdmit(%d) outside the drain while serving key %d", req.Key, m.key)
+	if req.Key != m.key || m.misses != 1 || m.admitted {
+		m.t.Fatalf("OnAdmit(%d) while serving key %d (OnMiss calls %d, admission seen %v)",
+			req.Key, m.key, m.misses, m.admitted)
 	}
-	m.resident[req.Key] = e
+	m.admitted = true
+	m.st.Admissions++
+	m.resident[req.Key] = modelEntry{size: req.Size}
 	m.used += req.Size
 }
 
 func (m *model) evict(victim cache.Key) {
 	e, ok := m.resident[victim]
 	if !ok {
-		m.t.Fatalf("evicted %d, which the model does not hold", victim)
+		m.t.Fatalf("OnEvict(%d), which the model does not hold", victim)
 	}
 	delete(m.resident, victim)
 	m.used -= e.size
 	m.st.Evictions++
-	if e.prefetched {
-		m.st.PrefetchWasted++
-	} else if !e.hit {
+	if !e.hit {
 		m.st.OneHitWonders++
 	}
 }
 
-// lookup applies a Handle before the engine runs it — the drain that
-// follows a hit may evict the very object that was hit, and must find
-// it marked — and predicts the outcome: a hit iff the model holds the
-// key.
+// lookup applies a Handle before the engine runs it and predicts the
+// outcome: a hit iff the model holds the key.
 func (m *model) lookup(req cache.Request) (hit bool) {
 	m.st.Requests++
 	m.st.ReqBytes += req.Size
@@ -85,10 +86,7 @@ func (m *model) lookup(req cache.Request) (hit bool) {
 	}
 	m.st.Hits++
 	m.st.HitBytes += req.Size
-	if e.prefetched {
-		m.st.PrefetchHits++
-	}
-	e.hit, e.prefetched = true, false
+	e.hit = true
 	m.resident[req.Key] = e
 	return true
 }
@@ -101,30 +99,34 @@ func (m *model) store(req cache.Request) (refresh bool) {
 	return ok && e.size == req.Size
 }
 
-// settle closes an operation that had to insert its key — a missed
-// lookup or a storing Set: no admission seen means it was refused.
-func (m *model) settle() {
-	if !m.admitted {
+// settle closes an operation. hit says the policy had to see it as one
+// (a lookup that hit, a refreshing Set): exactly one OnHit and nothing
+// else. Otherwise the operation had to insert its key — exactly one
+// OnMiss, and no admission seen means it was refused.
+func (m *model) settle(hit bool) {
+	if m.hits+m.misses != 1 || (m.hits == 1) != hit {
+		m.t.Fatalf("key %d: %d OnHit and %d OnMiss calls, want exactly one (OnHit: %v)", m.key, m.hits, m.misses, hit)
+	}
+	if !hit && !m.admitted {
 		m.st.Rejections++
 	}
 }
 
-func (m *model) prefetchedResident() int64 {
-	var n int64
-	for _, e := range m.resident {
-		if e.prefetched {
-			n++
-		}
-	}
-	return n
-}
-
-// tap reports a shard policy's OnAdmit calls and the start of the
-// prefetch drain to the model, and forwards the optional faces the
-// engine looks for.
+// tap reports every call the engine makes on a shard's policy to the
+// model, and forwards the optional face the engine looks for.
 type tap struct {
 	cache.Policy
 	m *model
+}
+
+func (p *tap) OnHit(req cache.Request) {
+	p.m.observe(req, true)
+	p.Policy.OnHit(req)
+}
+
+func (p *tap) OnMiss(req cache.Request) {
+	p.m.observe(req, false)
+	p.Policy.OnMiss(req)
 }
 
 func (p *tap) OnAdmit(req cache.Request) {
@@ -132,15 +134,12 @@ func (p *tap) OnAdmit(req cache.Request) {
 	p.Policy.OnAdmit(req)
 }
 
-func (p *tap) Admit(req cache.Request) cache.Decision { return cache.PolicyAdmit(p.Policy, req) }
-
-func (p *tap) NextPrefetch(now int64) (cache.Request, bool) {
-	p.m.draining = true
-	if pf, ok := p.Policy.(cache.Prefetcher); ok {
-		return pf.NextPrefetch(now)
-	}
-	return cache.Request{}, false
+func (p *tap) OnEvict(key cache.Key) {
+	p.m.evict(key)
+	p.Policy.OnEvict(key)
 }
+
+func (p *tap) Admit(req cache.Request) cache.Decision { return cache.PolicyAdmit(p.Policy, req) }
 
 // step is one operation of a lockstep run.
 type step struct {
@@ -155,8 +154,7 @@ func modelOptions(name string, front bool, capacity, duration int64) Options {
 	o := Options{Capacity: capacity, TrainWindow: duration/5 + 1, Seed: 9}
 	raven := name == "raven" || name == "raven-ohr"
 	if raven {
-		// A short window, a small net and the prefetch queue armed.
-		o.Prefetch = PrefetchOptions{Horizon: duration/8 + 1}
+		// A short window and a small net.
 		o.Raven = &core.Config{
 			MaxTrainObjects: 120,
 			Net:             nn.Config{Hidden: 4, MLPHidden: 6, K: 2},
@@ -174,15 +172,17 @@ func modelOptions(name string, front bool, capacity, duration int64) Options {
 
 // runModel drives the engine and the model in lockstep over steps and
 // checks after every step that the engine's Keys, Len, Used, Contains
-// and StatsSnapshot are the model's, and the accounting identities that
-// the metrics, the benchmark's reconciliation gate and the operators'
-// dashboards rely on:
+// and StatsSnapshot are the model's, the cache.Policy call contract —
+// exactly one of OnHit/OnMiss per operation, for its key; OnAdmit only
+// for that key and only after its OnMiss; OnEvict only for a resident
+// key — and the accounting identities that the metrics, the benchmark's
+// reconciliation gate and the operators' dashboards rely on:
 //
 //   - every lookup and every storing SET ends as exactly one of hit,
 //     admission, rejection;
 //   - the per-reason reject counters sum to the rejections;
-//   - every prefetch insert is a prefetch hit, a wasted prefetch, or
-//     still resident and unused;
+//   - admissions - evictions == the resident objects (admit is the
+//     only way in; these runs never ResetStats);
 //   - 0 <= used == the resident objects' bytes <= capacity.
 //
 // It returns the final statistics and the policy-reason reject count.
@@ -205,12 +205,11 @@ func runModel(t *testing.T, name string, o Options, shards int, steps []step) (c
 		cobs[i] = &obs.CacheObs{}
 		eng.SetShardObs(i, cobs[i])
 	}
-	eng.SetEvictionObserver(func(victim cache.Key, _ func([]cache.Key) []cache.Key) { m.evict(victim) })
 
 	var fills int64 // SETs that had to store: not a same-size refresh
 	var keys, want []cache.Key
 	for i, s := range steps {
-		m.key, m.admitted, m.draining = s.req.Key, false, false
+		m.key, m.hits, m.misses, m.admitted = s.req.Key, 0, 0, false
 		if s.set {
 			refresh := m.store(s.req)
 			if !refresh {
@@ -220,17 +219,13 @@ func runModel(t *testing.T, name string, o Options, shards int, steps []step) (c
 			if (refresh && m.admitted) || stored != (refresh || m.admitted) {
 				t.Fatalf("step %d: Set(%d) returned %v; refresh %v, admission seen %v", i, s.req.Key, stored, refresh, m.admitted)
 			}
-			if !refresh {
-				m.settle()
-			}
+			m.settle(refresh)
 		} else {
 			want := m.lookup(s.req)
 			if hit := eng.Handle(s.req); hit != want || (hit && m.admitted) {
 				t.Fatalf("step %d: Handle(%d) returned %v, the model predicted %v (admission seen %v)", i, s.req.Key, hit, want, m.admitted)
 			}
-			if !want {
-				m.settle()
-			}
+			m.settle(want)
 		}
 
 		st := eng.StatsSnapshot()
@@ -258,20 +253,18 @@ func runModel(t *testing.T, name string, o Options, shards int, steps []step) (c
 			t.Fatalf("step %d: hits %d + admissions %d + rejections %d != requests %d + storing sets %d",
 				i, st.Hits, st.Admissions, st.Rejections, st.Requests, fills)
 		}
-		var rejects, byReason, prefetched int64
+		if st.Admissions-st.Evictions != int64(eng.Len()) {
+			t.Fatalf("step %d: admissions %d - evictions %d != %d resident objects", i, st.Admissions, st.Evictions, eng.Len())
+		}
+		var rejects, byReason int64
 		for _, co := range cobs {
 			rejects += co.Rejections.Load()
 			byReason += co.RejTooLarge.Load() + co.RejNoVictim.Load() + co.RejPolicy.Load() +
 				co.RejSizeThreshold.Load() + co.RejDoorkeeper.Load() + co.RejFrequency.Load() +
 				co.RejReuse.Load() + co.RejOther.Load()
-			prefetched += co.PrefetchResident.Load()
 		}
 		if byReason != st.Rejections || rejects != st.Rejections {
 			t.Fatalf("step %d: per-reason rejects sum to %d, counter %d, stats %d", i, byReason, rejects, st.Rejections)
-		}
-		if prefetched != m.prefetchedResident() || st.Prefetches != st.PrefetchHits+st.PrefetchWasted+prefetched {
-			t.Fatalf("step %d: prefetches %d != hits %d + wasted %d + resident %d (model resident %d)",
-				i, st.Prefetches, st.PrefetchHits, st.PrefetchWasted, prefetched, m.prefetchedResident())
 		}
 	}
 	var policyRejects int64
@@ -301,14 +294,13 @@ func TestEngineModel(t *testing.T) {
 		}
 	}
 	capacity := tr.UniqueBytes() / 6
-	prefetches, policyRejects := int64(0), int64(0)
+	var policyRejects int64
 	for _, name := range Names() {
 		for _, front := range []bool{false, true} {
 			o := modelOptions(name, front, capacity, tr.Duration())
 			for _, shards := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/admit=%s/shards=%d", name, o.Admission.Mode, shards), func(t *testing.T) {
 					st, rejects := runModel(t, name, o, shards, steps)
-					prefetches += st.Prefetches
 					policyRejects += rejects
 					if st.Evictions == 0 {
 						t.Errorf("no evictions: the fixture does not press %s", name)
@@ -318,9 +310,6 @@ func TestEngineModel(t *testing.T) {
 		}
 	}
 	// The identities are vacuous for a path the fixture never takes.
-	if prefetches == 0 {
-		t.Error("no policy prefetched: the prefetch identity was never exercised")
-	}
 	if policyRejects == 0 {
 		t.Error("no policy-reason rejects: the ported admitters were never exercised")
 	}

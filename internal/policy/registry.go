@@ -69,10 +69,6 @@ type Options struct {
 	// build. Derived per shard/node exactly like Seed: the pipeline is
 	// built per instance from the shard's own Capacity and Seed.
 	Admission AdmissionOptions
-	// Prefetch arms Raven's MDN-driven prefetch queue
-	// (core.Config.Prefetch). Policies without a prefetch queue ignore
-	// it. The zero value is off.
-	Prefetch PrefetchOptions
 	// Raven optionally overrides the default Raven configuration; its
 	// TrainWindow/Goal/Seed are filled from this Options if zero.
 	Raven *core.Config
@@ -129,9 +125,6 @@ func (o Options) ravenConfig(goal core.Goal) core.Config {
 	}
 	if cfg.DecisionBudget == 0 {
 		cfg.DecisionBudget = o.DecisionBudget
-	}
-	if cfg.Prefetch.Horizon == 0 {
-		cfg.Prefetch.Horizon = o.Prefetch.Horizon
 	}
 	return cfg
 }

@@ -101,7 +101,8 @@ type Config struct {
 	// two lock domains).
 	Policy cache.Policy
 	// Shards is the number of cache shards (rounded up to a power of
-	// two; 0 = 1). Requests for different shards proceed in parallel.
+	// two; 0 = 1, negative is an error). Requests for different shards
+	// proceed in parallel.
 	Shards int
 	// NewPolicy builds one independent policy instance per shard; use
 	// policy.Factory.PerShard to derive it from a registered policy.
@@ -307,7 +308,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, errors.New("server: capacity must be positive")
 		}
 		shards := cfg.Shards
-		if shards <= 0 {
+		if shards == 0 {
 			shards = 1
 		}
 		factory := cfg.NewPolicy

@@ -51,6 +51,9 @@ func TestShardedConfigValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("Policy and NewPolicy together should fail")
 	}
+	if _, err := New(Config{Capacity: 1024, Shards: -3, NewPolicy: f.PerShard(opts, 1)}); err == nil {
+		t.Error("negative Shards should fail, not be served as 1 shard")
+	}
 	srv, err := New(Config{Capacity: 1024, Shards: 5, NewPolicy: f.PerShard(opts, 5)})
 	if err != nil {
 		t.Fatal(err)

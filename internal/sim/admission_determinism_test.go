@@ -12,17 +12,16 @@ import (
 	"raven/internal/trace"
 )
 
-// TestAdmissionPrefetchBitExact extends the determinism contract to
-// the admission + prefetching front-end: with the learned admission
-// pipeline (doorkeeper + predicted-reuse) AND the MDN prefetch queue
-// armed, a full replay must be byte-identical across repeated runs and
-// bit-exact for every Workers value (1 and 8 here). The front-end
-// keeps all of its state on the virtual clock — sketch counters,
-// doorkeeper bits, the online lifetime estimate, and the closed-form
-// (RNG-free) next-arrival predictions — so nothing about scheduling
-// order may leak into admissions, rejections, prefetches, or the
-// trained weights.
-func TestAdmissionPrefetchBitExact(t *testing.T) {
+// TestAdmissionBitExact extends the determinism contract to the
+// admission front-end: with the learned admission pipeline (doorkeeper
+// + predicted-reuse) armed, a full replay must be byte-identical across
+// repeated runs and bit-exact for every Workers value (1 and 8 here).
+// The front-end keeps all of its state on the virtual clock — sketch
+// counters, doorkeeper bits, the online lifetime estimate, and the
+// closed-form (RNG-free) next-arrival predictions — so nothing about
+// scheduling order may leak into admissions, rejections, or the trained
+// weights.
+func TestAdmissionBitExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
 	}
@@ -37,7 +36,6 @@ func TestAdmissionPrefetchBitExact(t *testing.T) {
 			Seed:        5,
 			Workers:     workers,
 			Admission:   policy.AdmissionOptions{Mode: policy.AdmitLearned},
-			Prefetch:    policy.PrefetchOptions{Horizon: tr.Duration() / 16},
 			Raven: &core.Config{
 				MaxTrainObjects: 400,
 				Net:             nn.Config{Hidden: 8, MLPHidden: 12, K: 4},
@@ -55,7 +53,6 @@ func TestAdmissionPrefetchBitExact(t *testing.T) {
 		if !ok {
 			t.Fatal("fronted policy did not unwrap to *core.Raven")
 		}
-		s += fmt.Sprintf(" queue=%d", r.PrefetchQueueLen())
 		if n := r.Net(); n != nil {
 			var buf bytes.Buffer
 			if err := n.Checkpoint(&buf); err != nil {
@@ -77,7 +74,7 @@ func TestAdmissionPrefetchBitExact(t *testing.T) {
 }
 
 // TestAdmissionOffMatchesUnfronted pins the compat guarantee: building
-// a policy with the zero AdmissionOptions/PrefetchOptions must replay
+// a policy with the zero AdmissionOptions must replay
 // bit-identically to the same policy built before the front-end
 // existed — the registry wraps nothing and the engine behaves as if
 // the admission API had never changed.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -32,16 +33,34 @@ func TestOracleAgreesWithAnnotation(t *testing.T) {
 }
 
 // TestWarmupExcludesEarlyRequests verifies the Appendix C.1 warmup
-// accounting: reported request counts cover only the post-warmup part.
+// accounting: reported request counts cover only the post-warmup part,
+// and a fraction that would leave no such part is an error rather than
+// whole-trace statistics.
 func TestWarmupExcludesEarlyRequests(t *testing.T) {
 	tr := trace.Synthetic(trace.SynthConfig{
 		Objects: 100, Requests: 10000, Interarrival: trace.Poisson, Seed: 3,
 	})
-	res := runOne(t, tr, policy.MustNew("lru", policy.Options{Capacity: 50}), Options{
-		Capacity: 50, WarmupFrac: 0.5,
-	})
-	if res.Stats.Requests != 5000 {
-		t.Errorf("post-warmup requests %d, want 5000", res.Stats.Requests)
+	for _, tc := range []struct {
+		frac     float64
+		requests int64 // post-warmup; -1 = Run must fail
+	}{
+		{0, 10000},
+		{0.5, 5000},
+		{1, -1},
+		{1.5, -1},
+		{-0.1, -1},
+		{math.NaN(), -1},
+	} {
+		p := policy.MustNew("lru", policy.Options{Capacity: 50})
+		res, err := Run(tr, 1, cache.SingleFactory(p), Options{Capacity: 50, WarmupFrac: tc.frac})
+		switch {
+		case tc.requests < 0 && err == nil:
+			t.Errorf("WarmupFrac %v: no error, %d requests reported", tc.frac, res.Stats.Requests)
+		case tc.requests >= 0 && err != nil:
+			t.Errorf("WarmupFrac %v: %v", tc.frac, err)
+		case tc.requests >= 0 && res.Stats.Requests != tc.requests:
+			t.Errorf("WarmupFrac %v: post-warmup requests %d, want %d", tc.frac, res.Stats.Requests, tc.requests)
+		}
 	}
 }
 

@@ -26,7 +26,8 @@ type Options struct {
 	// reported statistics (hit ratios, latency, traffic, rank errors).
 	// The cache and policy still process those requests — learning
 	// policies train during warmup — matching Appendix C.1's
-	// train-on-first-half / evaluate-on-second-half methodology.
+	// train-on-first-half / evaluate-on-second-half methodology. Must
+	// be in [0, 1).
 	WarmupFrac float64
 
 	// Seed drives the measurement sampling (not the policy).
@@ -72,7 +73,7 @@ type evictTimer struct {
 }
 
 // timedPolicy decorates a policy, measuring Victim wall time and
-// forwarding the optional Admitter/Flusher/Prefetcher extensions.
+// forwarding the optional Admitter/Flusher extensions.
 type timedPolicy struct {
 	cache.Policy
 	t *evictTimer
@@ -96,13 +97,6 @@ func (t *timedPolicy) Admit(req cache.Request) cache.Decision {
 	return cache.PolicyAdmit(t.Policy, req)
 }
 
-func (t *timedPolicy) NextPrefetch(now int64) (cache.Request, bool) {
-	if pf, ok := t.Policy.(cache.Prefetcher); ok {
-		return pf.NextPrefetch(now)
-	}
-	return cache.Request{}, false
-}
-
 func (t *timedPolicy) Flush() {
 	if f, ok := t.Policy.(cache.Flusher); ok {
 		f.Flush()
@@ -115,6 +109,9 @@ func (t *timedPolicy) Flush() {
 // for an instance the caller already holds (one shard only). The trace
 // is annotated with oracle next-arrival times on demand.
 func Run(tr *trace.Trace, shards int, newPolicy cache.ShardFactory, opts Options) (*Result, error) {
+	if !(opts.WarmupFrac >= 0 && opts.WarmupFrac < 1) { // negated so NaN fails too
+		return nil, fmt.Errorf("sim: WarmupFrac must be in [0, 1), got %v", opts.WarmupFrac)
+	}
 	tp := &evictTimer{res: stats.NewReservoir(4096, opts.Seed+1)}
 	var policies []cache.Policy
 	c, err := cache.NewSharded(opts.Capacity, shards, func(shard int, capacity int64) (cache.Policy, error) {

@@ -79,8 +79,6 @@ type (
 	// AdmissionOptions selects and tunes the admission front-end
 	// pipeline (off | doorkeeper | learned).
 	AdmissionOptions = policy.AdmissionOptions
-	// PrefetchOptions arms Raven's MDN-driven prefetch queue.
-	PrefetchOptions = policy.PrefetchOptions
 )
 
 // Admission front-end modes for AdmissionOptions.Mode.

@@ -19,7 +19,7 @@
 #                determinism / concurrency / hygiene contracts nothing
 #                else checks, among them the interprocedural lock-cycle
 #                and determinism-taint rules
-#   determinism  admission + prefetch replays are bit-exact across runs
+#   determinism  admission replays are bit-exact across runs
 #                and worker counts
 #   alloc        the runtime referee for "no allocation per decision or
 #                per request": eviction decisions and f32 inference, the
@@ -112,8 +112,8 @@ stage_lint() {
 }
 
 stage_determinism() {
-    echo "==> admission + prefetch determinism (double run, Workers 1 vs 8)"
-    run_named 'TestAdmissionPrefetchBitExact|TestAdmissionOffMatchesUnfronted' ./internal/sim/
+    echo "==> admission determinism (double run, Workers 1 vs 8)"
+    run_named 'TestAdmissionBitExact|TestAdmissionOffMatchesUnfronted' ./internal/sim/
 }
 
 stage_alloc() {
