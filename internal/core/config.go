@@ -167,7 +167,7 @@ func (c *Config) defaults() {
 		c.Net.K = 8
 	}
 	if c.Train.MaxEpochs == 0 {
-		c.Train.MaxEpochs = 30
+		c.Train.MaxEpochs = 12
 	}
 	if c.Train.Patience == 0 {
 		c.Train.Patience = 5

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -195,6 +196,16 @@ func TestCoreFaultCycleDegradesAndRecovers(t *testing.T) {
 	if ro.Rollbacks.Load() != 2 {
 		t.Errorf("raven.rollbacks = %d, want 2", ro.Rollbacks.Load())
 	}
+	// Training cost counts every fit that ran, the rolled-back ones too.
+	var epochs, sequences int64
+	for _, rec := range r.TrainStats {
+		epochs += int64(rec.Result.Epochs)
+		sequences += int64(rec.Result.Sequences)
+	}
+	if epochs == 0 || ro.TrainEpochs.Load() != epochs || ro.TrainSequences.Load() != sequences {
+		t.Errorf("raven.train_epochs/train_sequences = %d/%d, TrainStats sums to %d/%d",
+			ro.TrainEpochs.Load(), ro.TrainSequences.Load(), epochs, sequences)
+	}
 	if r.Health() != Healthy {
 		t.Fatalf("final health %v, want healthy after faults stopped", r.Health())
 	}
@@ -211,6 +222,45 @@ func TestCoreFaultCycleDegradesAndRecovers(t *testing.T) {
 	}
 	if !sawFallback || !recovered {
 		t.Errorf("HealthLog missing Fallback->Healthy cycle: %+v", r.HealthLog)
+	}
+}
+
+// TestWindowCountOutlivesTrainStats: the per-window shuffle seed and
+// the fault-drill cut-off count windows, not len(TrainStats), so a
+// caller (or a future ring buffer) that drops old records trains the
+// same models.
+func TestWindowCountOutlivesTrainStats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training test skipped in -short mode")
+	}
+	run := func(keep int) []byte {
+		tr := trace.Synthetic(trace.SynthConfig{
+			Objects: 100, Requests: 8000, Interarrival: trace.Poisson, Seed: 5,
+		})
+		r := New(Config{
+			TrainWindow: tr.Duration() / 5, MaxTrainObjects: 200, ResidualSamples: 20, Seed: 7,
+			Net:               nn.Config{Hidden: 6, MLPHidden: 8, K: 3},
+			Train:             nn.TrainConfig{MaxEpochs: 3, Patience: 2, Faults: &nn.TrainFaults{NaNLossEpoch: 1}},
+			TrainFaultWindows: 2,
+		})
+		c := cache.New(30, r)
+		for _, req := range tr.Reqs {
+			c.Handle(req)
+			if keep > 0 && len(r.TrainStats) > keep {
+				r.TrainStats = r.TrainStats[len(r.TrainStats)-keep:]
+			}
+		}
+		if r.Net() == nil {
+			t.Fatal("the fault drill never ended: no model was trained")
+		}
+		var buf bytes.Buffer
+		if err := r.Net().Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(run(0), run(1)) {
+		t.Error("dropping old TrainStats records changed the trained model")
 	}
 }
 

@@ -97,6 +97,11 @@ type Raven struct {
 	obs       *obs.RavenObs
 	store     *ckpt.Store
 	completed int // non-skipped, non-diverged trainings (checkpoint cadence)
+	// windows counts the TrainRecords ever appended (skipped windows
+	// included). The per-window shuffle seed and the fault-drill cut-off
+	// read it, not len(TrainStats), so bounding that slice cannot change
+	// what any window trains.
+	windows int
 
 	// TrainStats records every completed training run (Table 7 and the
 	// overhead discussion of §6.1.1).
@@ -306,7 +311,7 @@ func (r *Raven) train() {
 		retrain = r.drift.shouldRetrain()
 	}
 	if r.net != nil && !retrain {
-		r.TrainStats = append(r.TrainStats, TrainRecord{
+		r.record(TrainRecord{
 			WindowEnd: r.now,
 			Objects:   len(data),
 			Samples:   terms,
@@ -352,11 +357,15 @@ func (r *Raven) train() {
 		snap = r.net.WeightsCopy()
 	}
 	tc := r.cfg.Train
-	tc.Seed += int64(len(r.TrainStats)) // vary shuffles between windows
-	if tc.Faults != nil && r.cfg.TrainFaultWindows > 0 && len(r.TrainStats) >= r.cfg.TrainFaultWindows {
+	tc.Seed += int64(r.windows) // vary shuffles between windows
+	if tc.Faults != nil && r.cfg.TrainFaultWindows > 0 && r.windows >= r.cfg.TrainFaultWindows {
 		tc.Faults = nil // fault drill over; train clean from here on
 	}
 	res := r.net.Fit(data, tc)
+	if r.obs != nil {
+		r.obs.TrainEpochs.Add(int64(res.Epochs))
+		r.obs.TrainSequences.Add(int64(res.Sequences))
+	}
 	rec := TrainRecord{
 		WindowEnd: r.now,
 		Objects:   len(data),
@@ -391,7 +400,13 @@ func (r *Raven) train() {
 			r.frozen = r.net.Freeze32()
 		}
 	}
+	r.record(rec)
+}
+
+// record appends one window's TrainRecord and counts it.
+func (r *Raven) record(rec TrainRecord) {
 	r.TrainStats = append(r.TrainStats, rec)
+	r.windows++
 }
 
 // meanTau averages the finite, positive interarrival times of the

@@ -1,0 +1,53 @@
+package nn
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	"raven/internal/stats"
+)
+
+// fitGoldenSHA is the SHA-256 of the serialized weights plus every
+// TrainResult field of goldenFit, computed before the training arena
+// existed (the parent of the commit that introduced it, with no kernel
+// file touched). It pins "same program": a buffer that is accumulated
+// into and not zeroed on reuse, a changed summation order, or a moved
+// RNG draw all change these bytes. Regenerate it only in a PR whose
+// stated purpose is to change training numerics.
+const fitGoldenSHA = "889ebcf57123a869f06d8a99da7d6a147c2412b3889542068386575c7a3794bd"
+
+// goldenFit runs the pinned fit: GRU, survival on, DefaultGuard, three
+// epochs, over data that reaches every branch of forwardBackward —
+// sequences longer than MaxSeq (truncated), survival-only sequences
+// (one-hit wonders) and sequences with the survival term disabled.
+func goldenFit(t *testing.T, workers int) string {
+	t.Helper()
+	data := trainSequences(72, stats.NewRNG(5))
+	for i := range data {
+		switch i % 9 {
+		case 3:
+			data[i].Taus = nil // survival-only
+		case 6:
+			data[i].Survival = 0 // no open interval
+		}
+	}
+	n := NewNet(Config{Hidden: 8, MLPHidden: 12, K: 4, TimeScale: 40, Seed: 3})
+	res := n.Fit(data, TrainConfig{
+		MaxEpochs: 3, Patience: 3, Batch: 8, MaxSeq: 12, Survival: true,
+		Workers: workers, Seed: 11, Guard: DefaultGuard(),
+	})
+	h := sha256.New()
+	h.Write(netBytes(t, n))
+	fmt.Fprintf(h, "%d %x %x %d %d %d %t %q %d", res.Epochs, res.TrainNLL, res.ValNLL,
+		res.Sequences, res.Terms, res.Parameters, res.Diverged, res.GuardReason, res.ClippedEpochs)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+func TestFitGoldenBytes(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		if got := goldenFit(t, w); got != fitGoldenSHA {
+			t.Errorf("workers=%d: fit bytes hash %s, want %s", w, got, fitGoldenSHA)
+		}
+	}
+}

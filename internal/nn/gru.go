@@ -20,6 +20,9 @@ type GRU struct {
 	// inference scratch (lazily sized); GRU is not safe for
 	// concurrent use, matching the policy contract.
 	scrZ, scrR, scrRH, scrHC []float64
+	// bwd is Backward's scratch, one 7·H block (lazily sized, private
+	// to each Shadow like the inference scratch).
+	bwd []float64
 }
 
 // NewGRU returns a GRU cell with Xavier-initialized weights.
@@ -119,13 +122,13 @@ func (u *GRU) Step(x, prev []float64, cache *CellCache, out []float64) {
 func (u *GRU) Backward(cache *CellCache, dNext, dPrev []float64) {
 	H := u.HiddenN
 	z, r, rh, hc := cache.Bufs[gruZ], cache.Bufs[gruR], cache.Bufs[gruRH], cache.Bufs[gruHC]
-	dz := make([]float64, H)
-	dhc := make([]float64, H)
-	daH := make([]float64, H)
-	drh := make([]float64, H)
-	dr := make([]float64, H)
-	daZ := make([]float64, H)
-	daR := make([]float64, H)
+	if len(u.bwd) != 7*H {
+		u.bwd = make([]float64, 7*H)
+	}
+	b := u.bwd
+	dz, dhc, daH, drh := b[:H], b[H:2*H], b[2*H:3*H], b[3*H:4*H]
+	dr, daZ, daR := b[4*H:5*H], b[5*H:6*H], b[6*H:]
+	zero(drh) // the only one accumulated into (matTVecAdd); the rest are assigned
 
 	for i := 0; i < H; i++ {
 		dz[i] = dNext[i] * (hc[i] - cache.Prev[i])

@@ -13,10 +13,24 @@ type Mixture struct {
 	W  []float64 // mixture weights, sum to 1
 	Mu []float64 // means of log residual time
 	S  []float64 // std devs of log residual time (positive)
+
+	// tmp is the 2K scratch of NLLGrad/SurvivalNLLGrad, sized on their
+	// first call; a mixture that is only predicted from never has one.
+	tmp []float64
 }
 
 // K returns the number of components.
 func (m *Mixture) K() int { return len(m.W) }
+
+// scratch returns two K-sized temporaries; callers overwrite every
+// element before reading it.
+func (m *Mixture) scratch() (a, b []float64) {
+	k := m.K()
+	if len(m.tmp) != 2*k {
+		m.tmp = make([]float64, 2*k)
+	}
+	return m.tmp[:k], m.tmp[k:]
+}
 
 const (
 	logSClampLo = -7.0
@@ -132,7 +146,7 @@ func (m *Mixture) Sample(g *stats.RNG) float64 {
 func (m *Mixture) NLLGrad(r float64, dAW, dAMu, dAS []float64) float64 {
 	k := m.K()
 	lr := math.Log(r)
-	ls := make([]float64, k)
+	ls, _ := m.scratch()
 	maxL := math.Inf(-1)
 	for i := 0; i < k; i++ {
 		ls[i] = math.Log(m.W[i]+minDensity) + logNormLogPDF(r, m.Mu[i], m.S[i])
@@ -161,8 +175,7 @@ func (m *Mixture) NLLGrad(r float64, dAW, dAMu, dAS []float64) float64 {
 func (m *Mixture) SurvivalNLLGrad(v float64, dAW, dAMu, dAS []float64) float64 {
 	k := m.K()
 	lv := math.Log(v)
-	q := make([]float64, k)
-	u := make([]float64, k)
+	q, u := m.scratch()
 	s := 0.0
 	for i := 0; i < k; i++ {
 		u[i] = (lv - m.Mu[i]) / m.S[i]

@@ -52,6 +52,10 @@ type Net struct {
 	// whenever Version moves past it. Never serialized — checkpoints
 	// hold f64 weights only, and a resumed net re-freezes lazily.
 	frozen32 *Frozen32
+
+	// arena is forwardBackward's reusable scratch (train.go), built on
+	// first use and private to this replica. Never serialized.
+	arena *trainArena
 }
 
 // NewNet builds a freshly initialized network.
@@ -182,6 +186,14 @@ func (n *Net) newMLPCache() *mlpCache {
 	}
 }
 
+// zeroGrad clears the activation gradients the loss terms accumulate
+// into, so a reused cache starts where a fresh one would.
+func (c *mlpCache) zeroGrad() {
+	zero(c.dAW)
+	zero(c.dAMu)
+	zero(c.dAS)
+}
+
 // forwardMLP computes head activations and the mixture for one
 // (embedding, size, age) input; c may be reused across calls.
 func (n *Net) forwardMLP(h []float64, size, age float64, c *mlpCache, out *Mixture) {
@@ -200,12 +212,13 @@ func (n *Net) forwardMLP(h []float64, size, age float64, c *mlpCache, out *Mixtu
 
 // backwardMLP backpropagates the activation gradients stored in c
 // (dAW/dAMu/dAS) through the heads and MLP, accumulating parameter
-// gradients and adding the embedding gradient into dh.
-func (n *Net) backwardMLP(c *mlpCache, dh []float64) {
-	m := n.Cfg.MLPHidden
-	dy2 := make([]float64, m)
-	dy1 := make([]float64, m)
-	din := make([]float64, len(c.in))
+// gradients and adding the embedding gradient into dh. The layer
+// gradients live in ar and are zeroed here: every Dense.Backward adds.
+func (n *Net) backwardMLP(ar *trainArena, c *mlpCache, dh []float64) {
+	dy2, dy1, din := ar.dy2, ar.dy1, ar.din
+	zero(dy2)
+	zero(dy1)
+	zero(din)
 	// Clamp masking for the log-stddev head.
 	for i, a := range c.aS {
 		if a < logSClampLo || a > logSClampHi {

@@ -159,4 +159,27 @@ func BenchmarkFitEpoch(b *testing.B) {
 			}
 		})
 	}
+	// The cold fit the servers run (core.Config defaults on a full first
+	// window): 4 000 sequences of mean ≈ 13 loss terms, history capped at
+	// 32, survival on, guarded. ns/term divides by the trained terms.
+	b.Run("served-shape", func(b *testing.B) {
+		g := stats.NewRNG(3)
+		served := make([]Sequence, 4000)
+		for i := range served {
+			taus := make([]float64, int(g.Exponential(13)))
+			for j := range taus {
+				taus[j] = g.Exponential(40)
+			}
+			served[i] = Sequence{Taus: taus, Size: 64 + float64(g.Intn(4000)), Survival: g.Exponential(80)}
+		}
+		n := NewNet(Config{TimeScale: 40, Seed: 3})
+		tc := TrainConfig{MaxEpochs: 1, Patience: 1, MaxSeq: 32, Survival: true, Seed: 9, Guard: DefaultGuard()}
+		terms := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			terms += n.Fit(served, tc).Terms
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(terms), "ns/term")
+	})
 }

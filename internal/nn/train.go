@@ -100,17 +100,30 @@ type fitState struct {
 	terms   []int
 }
 
-func newFitState(n *Net, tc TrainConfig, nVal int) *fitState {
+func newFitState(n *Net, data []Sequence, tc TrainConfig, nVal int) *fitState {
 	st := &fitState{pool: NewPool(tc.Workers)}
 	slots := tc.Batch
 	if w := st.pool.Workers(); slots < w {
 		slots = w
 	}
+	// Every replica's arena is grown here, once, to the longest sequence
+	// forwardBackward will see, so the fit's allocation count does not
+	// depend on which sequences land on which slot.
+	longest := 0
+	for i := range data {
+		if l := len(data[i].Taus); l > longest {
+			longest = l
+		}
+	}
+	if tc.MaxSeq > 0 && longest > tc.MaxSeq {
+		longest = tc.MaxSeq
+	}
 	st.shadows = make([]*Net, slots)
 	st.rngs = make([]*stats.RNG, slots)
 	for i := range st.shadows {
 		st.shadows[i] = n.Shadow()
-		st.rngs[i] = stats.NewRNG(0) // reseeded before every use
+		st.shadows[i].arenaFor(longest, i < tc.Batch) // slots past Batch only validate
+		st.rngs[i] = stats.NewRNG(0)                  // reseeded before every use
 	}
 	st.seeds = make([]int64, tc.Batch)
 	size := tc.Batch
@@ -149,7 +162,7 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 	}
 	val, train := idx[:nVal], idx[nVal:]
 
-	st := newFitState(n, tc, nVal)
+	st := newFitState(n, data, tc, nVal)
 	defer st.pool.Close() // release parked workers when this fit's batches are done
 	opt := NewAdam(tc.LR, n.params)
 	best := math.Inf(1)
@@ -166,13 +179,29 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 	}
 	bestEpochNLL := math.Inf(1)
 
+	// The pool tasks and the shuffle's swap are built once and read
+	// start through the closure: a closure per minibatch would be a heap
+	// allocation per minibatch.
+	var start int
+	trainTask := func(w, i int) {
+		sh := st.shadows[i]
+		sh.zeroGrad()
+		rng := st.rngs[i]
+		rng.Reseed(st.seeds[i])
+		st.loss[i], st.terms[i] = sh.forwardBackward(&data[train[start+i]], rng, tc, true)
+	}
+	valTask := func(w, vi int) {
+		st.loss[vi], st.terms[vi] = st.shadows[w].forwardBackward(&data[val[vi]], nil, tc, false)
+	}
+	swap := func(i, j int) { train[i], train[j] = train[j], train[i] }
+
 	for epoch := 0; epoch < tc.MaxEpochs; epoch++ {
 		res.Epochs = epoch + 1
-		g.Shuffle(len(train), func(i, j int) { train[i], train[j] = train[j], train[i] })
+		g.Shuffle(len(train), swap)
 		terms := 0
 		lossSum := 0.0
 		clipped := false
-		for start := 0; start < len(train); start += tc.Batch {
+		for start = 0; start < len(train); start += tc.Batch {
 			end := start + tc.Batch
 			if end > len(train) {
 				end = len(train)
@@ -183,13 +212,7 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 			for i := 0; i < bl; i++ {
 				st.seeds[i] = g.Int63()
 			}
-			st.pool.ParallelFor(bl, func(w, i int) {
-				sh := st.shadows[i]
-				sh.zeroGrad()
-				rng := st.rngs[i]
-				rng.Reseed(st.seeds[i])
-				st.loss[i], st.terms[i] = sh.forwardBackward(&data[train[start+i]], rng, tc, true)
-			})
+			st.pool.ParallelFor(bl, trainTask)
 			// Fixed-order reduction: shard gradients fold into the
 			// master in sequence-index order, never worker order.
 			// Everything below this point — fault injection, guard
@@ -258,9 +281,7 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 			}
 		}
 
-		st.pool.ParallelFor(len(val), func(w, vi int) {
-			st.loss[vi], st.terms[vi] = st.shadows[w].forwardBackward(&data[val[vi]], nil, tc, false)
-		})
+		st.pool.ParallelFor(len(val), valTask)
 		vLoss, vTerms := 0.0, 0
 		for vi := range val {
 			vLoss += st.loss[vi]
@@ -287,12 +308,58 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 	return res
 }
 
+// trainArena is the scratch one replica's forwardBackward reuses from
+// sequence to sequence, so a fit allocates per replica, not per
+// timestep. The per-timestep slots grow to the longest sequence the
+// replica has seen (at most MaxSeq, plus one MLP slot for the survival
+// term) and are never shrunk; the arena belongs to the replica, so a
+// Fit's arenas are released with its fitState and a serving net, which
+// never trains, never builds one.
+//
+// Reuse keeps the arithmetic of freshly allocated buffers only if
+// every buffer that is accumulated into (+=) starts from zero:
+// forwardBackward zeroes each slot's dAW/dAMu/dAS (NLLGrad adds) and
+// dhSteps[i], backwardMLP zeroes dy2/dy1/din (Dense.Backward adds).
+// Everything else is overwritten before it is read.
+type trainArena struct {
+	h, dh, dhPrev []float64
+	x             [1]float64 // the cell's input; a local would escape through the Cell interface
+	mix           Mixture
+	steps         []*mlpCache  // MLP activations: [i] timestep i, [m] the survival term
+	caches        []*CellCache // recurrent activations of timestep i (train only)
+	dhSteps       [][]float64  // the MLP's gradient on the embedding timestep i consumed
+	dy2, dy1, din []float64    // backwardMLP's layer gradients
+}
+
+// arenaFor returns n's arena with slots for an m-step sequence.
+func (n *Net) arenaFor(m int, train bool) *trainArena {
+	a := n.arena
+	if a == nil {
+		ss := n.cell.StateSize()
+		a = &trainArena{
+			h: make([]float64, ss), dh: make([]float64, ss), dhPrev: make([]float64, ss),
+			dy2: make([]float64, n.Cfg.MLPHidden), dy1: make([]float64, n.Cfg.MLPHidden),
+			din: make([]float64, n.Cfg.Hidden+2),
+		}
+		n.arena = a
+	}
+	for len(a.steps) <= m {
+		a.steps = append(a.steps, n.newMLPCache())
+	}
+	for train && len(a.caches) < m {
+		a.caches = append(a.caches, n.cell.NewCache())
+		a.dhSteps = append(a.dhSteps, make([]float64, len(a.h)))
+	}
+	return a
+}
+
 // forwardBackward runs one sequence through the network, returning the
 // summed loss and the number of loss terms. With train=true it
 // accumulates parameter gradients (ages drawn ~ U[0, τ] per Eq. 5);
 // with train=false it evaluates deterministically (age = τ/2). It is
 // called on shadow replicas from Fit's worker goroutines, so it must
-// only touch n's own (per-shadow) state plus the shared weights.
+// only touch n's own (per-shadow) state plus the shared weights. All
+// scratch comes from n's arena: in steady state it allocates nothing.
 func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train bool) (float64, int) {
 	taus := seq.Taus
 	if tc.MaxSeq > 0 && len(taus) > tc.MaxSeq {
@@ -301,19 +368,12 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 	m := len(taus)
 	ts := n.Cfg.TimeScale
 
-	h := n.ZeroState()
-	ss := n.cell.StateSize()
-	var caches []*CellCache
-	var steps []*mlpCache
-	var dhSteps [][]float64
-	if train {
-		caches = make([]*CellCache, m)
-		dhSteps = make([][]float64, m+1)
-	}
+	a := n.arenaFor(m, train)
+	h, mix := a.h, &a.mix
+	zero(h)
 
 	loss := 0.0
 	terms := 0
-	var mix Mixture
 	for i := 0; i < m; i++ {
 		tau := taus[i]
 		if tau < 1e-9 {
@@ -329,24 +389,20 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 		if residual < 1e-9 {
 			residual = 1e-9
 		}
-		c := n.newMLPCache()
-		n.forwardMLP(h, seq.Size, age, c, &mix)
+		c := a.steps[i]
+		c.zeroGrad()
+		n.forwardMLP(h, seq.Size, age, c, mix)
 		loss += mix.NLLGrad(residual/ts, c.dAW, c.dAMu, c.dAS)
 		terms++
+		a.x[0] = n.featTau(tau)
 		if train {
-			steps = append(steps, c)
-			dhSteps[i] = make([]float64, ss)
-			caches[i] = n.cell.NewCache()
-		}
-		x := [1]float64{n.featTau(tau)}
-		if train {
-			n.cell.Step(x[:], h, caches[i], h)
+			n.cell.Step(a.x[:], h, a.caches[i], h)
 		} else {
-			n.cell.Step(x[:], h, nil, h)
+			n.cell.Step(a.x[:], h, nil, h)
 		}
 	}
 
-	var survCache *mlpCache
+	surv := false
 	if tc.Survival && seq.Survival > 0 {
 		v := seq.Survival
 		var age float64
@@ -359,13 +415,12 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 		if thresh < 1e-9 {
 			thresh = 1e-9
 		}
-		c := n.newMLPCache()
-		n.forwardMLP(h, seq.Size, age, c, &mix)
+		c := a.steps[m]
+		c.zeroGrad()
+		n.forwardMLP(h, seq.Size, age, c, mix)
 		loss += mix.SurvivalNLLGrad(thresh/ts, c.dAW, c.dAMu, c.dAS)
 		terms++
-		if train {
-			survCache = c
-		}
+		surv = true
 	}
 
 	if !train {
@@ -374,16 +429,17 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 
 	// Backward: MLP heads first (each contributes a gradient on the
 	// embedding it consumed), then BPTT through the GRU chain.
-	dh := make([]float64, ss)
-	if survCache != nil {
-		n.backwardMLP(survCache, dh)
+	dh, dhPrev := a.dh, a.dhPrev
+	zero(dh)
+	if surv {
+		n.backwardMLP(a, a.steps[m], dh)
 	}
-	dhPrev := make([]float64, ss)
 	for i := m - 1; i >= 0; i-- {
-		n.backwardMLP(steps[i], dhSteps[i])
-		n.cell.Backward(caches[i], dh, dhPrev)
+		zero(a.dhSteps[i])
+		n.backwardMLP(a, a.steps[i], a.dhSteps[i])
+		n.cell.Backward(a.caches[i], dh, dhPrev)
 		copy(dh, dhPrev)
-		axpy(1, dhSteps[i], dh)
+		axpy(1, a.dhSteps[i], dh)
 	}
 	return loss, terms
 }

@@ -168,6 +168,26 @@ func TestRegistryRenderers(t *testing.T) {
 	}
 }
 
+func TestRavenObsRegister(t *testing.T) {
+	r := NewRegistry()
+	var ro RavenObs
+	ro.Register(r, "raven")
+	ro.TrainEpochs.Add(12)
+	ro.TrainSequences.Add(4000)
+	kvs := r.Snapshot()
+	got := make(map[string]int64, len(kvs))
+	for _, kv := range kvs {
+		got[kv.Name] = kv.Value
+	}
+	if got["raven.train_epochs"] != 12 || got["raven.train_sequences"] != 4000 {
+		t.Errorf("snapshot %v", got)
+	}
+	// 11 lifecycle and fast-path metrics + train_epochs, train_sequences.
+	if len(kvs) != 13 {
+		t.Errorf("want 13 raven metrics, got %d", len(kvs))
+	}
+}
+
 func TestCacheObsRegister(t *testing.T) {
 	r := NewRegistry()
 	var co CacheObs

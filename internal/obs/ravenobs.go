@@ -1,8 +1,8 @@
 package obs
 
 // RavenObs is the learning policy's model-lifecycle observability
-// surface: rollbacks, health transitions, fallback activity, and
-// checkpoint accounting. Raven updates it inline from its (single)
+// surface: rollbacks, health transitions, fallback activity, training
+// cost, and checkpoint accounting. Raven updates it inline from its (single)
 // policy goroutine; the atomic metric types keep concurrent METRICS
 // snapshots safe. Attach one via core.Config.Obs and register it on
 // the server/sim registry so operators can watch a learned policy
@@ -17,6 +17,12 @@ type RavenObs struct {
 	// FallbackEvictions counts evictions decided by the LRU fallback
 	// while the policy was in the Fallback health state.
 	FallbackEvictions Counter
+	// TrainEpochs and TrainSequences sum nn.TrainResult.Epochs and
+	// .Sequences over every fit that ran, rolled back or not (a window
+	// skipped by drift detection adds nothing): the training cost in
+	// units that need no clock.
+	TrainEpochs    Counter
+	TrainSequences Counter
 
 	// CkptSaves counts checkpoint generations written; CkptErrors
 	// counts failed save/load attempts; CkptCorruptSkipped counts
@@ -55,4 +61,6 @@ func (ro *RavenObs) Register(r *Registry, prefix string) {
 	r.adoptCounter(prefix+".slo_overruns", &ro.SLOOverruns)
 	r.adoptCounter(prefix+".score_cache_hits", &ro.ScoreCacheHits)
 	r.adoptCounter(prefix+".score_rescores", &ro.ScoreRescores)
+	r.adoptCounter(prefix+".train_epochs", &ro.TrainEpochs)
+	r.adoptCounter(prefix+".train_sequences", &ro.TrainSequences)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"testing"
@@ -165,5 +166,59 @@ func TestTraceGeneratorsDeterministic(t *testing.T) {
 				t.Fatal("traces differ")
 			}
 		})
+	}
+}
+
+// ravenGoldenSHA is the SHA-256 of the eviction order, final stats and
+// trained-net bytes of TestRavenGoldenBytes' replay, computed at the parent of the
+// commit that gave nn.Fit its training arena and core.Raven its window
+// counter. It is the core-level twin of nn's TestFitGoldenBytes: the
+// epoch budget is explicit, so a change to core.Config's default does
+// not reach it, while any change to what a fit computes does.
+const ravenGoldenSHA = "5b5c6c02d592ecd84c6af3159cca7c397cd67e4cdef1512f092c47644b056160"
+
+// evictLog records the eviction order a policy is told about.
+type evictLog struct {
+	cache.Policy
+	order []cache.Key
+}
+
+func (e *evictLog) OnEvict(k cache.Key) {
+	e.order = append(e.order, k)
+	e.Policy.OnEvict(k)
+}
+
+func TestRavenGoldenBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training test skipped in -short mode")
+	}
+	tr := trace.Synthetic(trace.SynthConfig{
+		Objects: 150, Requests: 5000, Interarrival: trace.Pareto,
+		VariableSizes: true, Seed: 17,
+	})
+	capacity := tr.UniqueBytes() / 8
+	log := &evictLog{Policy: policy.MustNew("raven", policy.Options{
+		Capacity: capacity, TrainWindow: tr.Duration() / 4, Seed: 5,
+		Raven: &core.Config{
+			MaxTrainObjects: 400,
+			Net:             nn.Config{Hidden: 8, MLPHidden: 12, K: 4},
+			Train:           nn.TrainConfig{MaxEpochs: 30, Patience: 5},
+		},
+	})}
+	res, err := Run(tr, 1, cache.SingleFactory(log), Options{Capacity: capacity, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := log.Policy.(*core.Raven).Net()
+	if n == nil {
+		t.Fatal("raven never trained a model")
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%v stats=%+v net=", log.order, res.Stats)
+	if err := n.Checkpoint(h); err != nil {
+		t.Fatalf("save net: %v", err)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != ravenGoldenSHA {
+		t.Errorf("replay hash %s, want %s", got, ravenGoldenSHA)
 	}
 }
