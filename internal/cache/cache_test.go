@@ -2,9 +2,11 @@ package cache
 
 import (
 	"container/list"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"raven/internal/obs"
 	"raven/internal/stats"
@@ -280,6 +282,36 @@ func TestSampledSetSwapDeleteConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSampledSetRemoveReleasesValue: Remove must not leave the removed
+// value reachable from the slot the truncation vacates, or every
+// pointer-holding V a policy ever stored is pinned by the backing array.
+func TestSampledSetRemoveReleasesValue(t *testing.T) {
+	type payload struct {
+		self *payload
+		pad  [4]int64
+	}
+	s := NewSampledSet[*payload]()
+	collected := make(chan struct{})
+	func() {
+		p := &payload{}
+		runtime.SetFinalizer(p, func(*payload) { close(collected) })
+		s.Add(1, p)
+	}()
+	s.Remove(1)
+	deadline := time.After(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(s)
+			return
+		case <-deadline:
+			t.Fatal("a removed pointer value is still reachable from the set")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }
 

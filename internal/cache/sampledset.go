@@ -8,16 +8,10 @@ import "raven/internal/stats"
 // an index map (§4.3.1: "randomly samples cached objects to get
 // eviction candidates").
 type SampledSet[V any] struct {
-	keys  []Key
-	vals  []V
-	index map[Key]int
-
-	// Sampling scratch: perm is an identity permutation grown lazily
-	// (always restored to identity after each Sample); swaps records
-	// the swap targets of one partial Fisher-Yates pass so it can be
-	// undone.
-	perm  []int
-	swaps []int
+	keys    []Key
+	vals    []V
+	index   map[Key]int
+	sampler IndexSampler
 }
 
 // NewSampledSet creates an empty set.
@@ -67,10 +61,12 @@ func (s *SampledSet[V]) Remove(k Key) {
 	s.keys[i] = s.keys[last]
 	s.vals[i] = s.vals[last]
 	s.index[s.keys[i]] = i
+	// Zero the vacated slot: the backing array outlives the truncation,
+	// and a V holding a pointer would stay reachable from it.
+	var zero V
+	s.vals[last] = zero
 	s.keys = s.keys[:last]
 	s.vals = s.vals[:last]
-	var zero V
-	_ = zero
 	delete(s.index, k)
 }
 
@@ -79,12 +75,29 @@ func (s *SampledSet[V]) Remove(k Key) {
 func (s *SampledSet[V]) At(i int) (Key, *V) { return s.keys[i], &s.vals[i] }
 
 // Sample writes up to n distinct random indices into dst and returns
-// it. When the set holds fewer than n items all indices are returned.
-// Distinctness uses a partial Fisher-Yates over a scratch permutation
-// kept inside the set, so repeated calls do not allocate.
+// it; see IndexSampler.Sample.
 func (s *SampledSet[V]) Sample(g *stats.RNG, n int, dst []int) []int {
+	return s.sampler.Sample(g, len(s.keys), n, dst)
+}
+
+// IndexSampler draws distinct uniform indices from a dense array. It is
+// SampledSet's sampling half, usable on its own by a container that
+// keeps its own dense array (core.Raven's record table).
+//
+// perm is an identity permutation grown lazily (always restored to
+// identity after each Sample); swaps records the swap targets of one
+// partial Fisher-Yates pass so it can be undone.
+type IndexSampler struct {
+	perm  []int
+	swaps []int
+}
+
+// Sample writes up to n distinct random indices in [0, m) into dst and
+// returns it. When m <= n all indices are returned, in order, and g is
+// not consulted. Distinctness uses a partial Fisher-Yates over the
+// scratch permutation, so repeated calls do not allocate.
+func (s *IndexSampler) Sample(g *stats.RNG, m, n int, dst []int) []int {
 	dst = dst[:0]
-	m := len(s.keys)
 	if m == 0 {
 		return dst
 	}

@@ -15,30 +15,26 @@ func (r *Raven) PredictNextArrival(req cache.Request) (int64, bool) {
 	if r.net == nil || r.health == Fallback {
 		return 0, false
 	}
-	h, ok := r.hists[req.Key]
-	if !ok {
+	h := r.tab.find(req.Key)
+	if h == 0 {
 		return 0, false
 	}
-	return r.predictArrival(h)
+	return r.predictArrival(r.tab.recs.at(h))
 }
 
-// predictArrival computes the deterministic expected next arrival of h:
+// predictArrival computes the deterministic expected next arrival of rc:
 // lastSeen + TimeScale * E[exp(z)] where z is the predicted
 // log-residual mixture — the lognormal mixture mean
 // sum_k w_k * exp(mu_k + s_k^2/2), exponent-clamped like the fast
 // path. Unlike the eviction score (which Monte Carlo samples), this is
 // closed-form and consumes no RNG, so admission never perturbs the
 // eviction stream's variates.
-func (r *Raven) predictArrival(h *objHist) (int64, bool) {
+func (r *Raven) predictArrival(rc *rec) (int64, bool) {
 	if r.pred == nil {
 		r.pred = r.net.NewPredictScratch()
 	}
-	if h.embVersion != r.net.Version {
-		h.emb = r.net.EmbedHistoryInto(h.emb, h.hist)
-		h.embVersion = r.net.Version
-	}
-	age := float64(r.now - h.lastSeen)
-	r.net.PredictWith(r.pred, h.emb, float64(h.size), age, &r.predMix)
+	age := float64(r.now - rc.lastSeen)
+	r.net.PredictWith(r.pred, r.embedding(r.net, rc), float64(rc.size), age, &r.predMix)
 	if !mixtureFinite(&r.predMix) {
 		return 0, false
 	}
@@ -53,7 +49,7 @@ func (r *Raven) predictArrival(h *objHist) (int64, bool) {
 		eTau += r.predMix.W[k] * math.Exp(ex)
 	}
 	ts := r.net.Cfg.TimeScale
-	next := float64(h.lastSeen) + ts*eTau
+	next := float64(rc.lastSeen) + ts*eTau
 	if math.IsNaN(next) || math.IsInf(next, 0) || next > math.MaxInt64/2 {
 		return 0, false
 	}

@@ -6,6 +6,7 @@ import (
 
 	"raven/internal/cache"
 	"raven/internal/nn"
+	"raven/internal/stats"
 	"raven/internal/trace"
 )
 
@@ -134,4 +135,73 @@ func BenchmarkEvictDecisionFast(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkObserve times the policy's per-request bookkeeping with no
+// model installed — the path every request pays whatever then decides
+// evictions — on a table at its ceiling (atCeiling), where records are
+// recycled and nothing grows: B/op is 0 on all three.
+//
+//	hit      OnHit on a resident: one key lookup, ring push, LRU move
+//	new-key  OnMiss on a never-seen key: insert, drop the oldest ghost
+//	churn    kv_write_churn's mix: half hits; of the misses, two in
+//	         five on a known ghost, the rest new keys that are admitted
+//	         over an LRU victim
+func BenchmarkObserve(b *testing.B) {
+	const residents, floor = 30000, 10000
+	b.Run("hit", func(b *testing.B) {
+		r, resident, next := atCeiling(residents, floor)
+		hit := func(i int) {
+			next.Time++
+			r.OnHit(cache.Request{Time: next.Time, Key: resident[i%residents], Size: 1})
+		}
+		for i := 0; i < residents; i++ {
+			hit(i) // the second sighting allocates the ring
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			hit(i)
+		}
+	})
+	b.Run("new-key", func(b *testing.B) {
+		r, _, next := atCeiling(residents, floor)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			next.Time++
+			next.Key++
+			r.OnMiss(*next)
+		}
+	})
+	b.Run("churn", func(b *testing.B) {
+		r, _, next := atCeiling(residents, floor)
+		g := stats.NewRNG(1)
+		var evicted [1024]cache.Key // recent victims: known keys, not resident
+		step := func(i int) {
+			next.Time++
+			switch p := g.Float64(); {
+			case p < 0.5:
+				key := r.tab.recs.at(r.tab.dense[g.Intn(residents)]).key
+				r.OnHit(cache.Request{Time: next.Time, Key: key, Size: 1})
+			case p < 0.7:
+				r.OnMiss(cache.Request{Time: next.Time, Key: evicted[g.Intn(len(evicted))], Size: 1})
+			default:
+				next.Key++
+				r.OnMiss(*next)
+				victim, _ := r.Victim()
+				r.OnEvict(victim)
+				r.OnAdmit(*next)
+				evicted[i%len(evicted)] = victim
+			}
+		}
+		for i := 0; i < 40*residents; i++ {
+			step(i) // a full turn of the age queue: dropped ghosts' rings are being reused
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step(i)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,28 +12,58 @@ import (
 	"raven/internal/trace"
 )
 
-func TestPushHistBounded(t *testing.T) {
-	var h []float64
-	for i := 1; i <= 10; i++ {
-		pushHist(&h, float64(i), 4)
+func TestRingPushBounded(t *testing.T) {
+	var g ring
+	for i := 1; i <= historyLen+6; i++ {
+		g.push(float64(i))
 	}
-	want := []float64{7, 8, 9, 10}
-	if len(h) != 4 {
-		t.Fatalf("len = %d, want 4", len(h))
+	h := g.taus()
+	if len(h) != historyLen {
+		t.Fatalf("len = %d, want %d", len(h), historyLen)
 	}
-	for i, v := range want {
-		if h[i] != v {
-			t.Errorf("h[%d] = %v, want %v", i, h[i], v)
+	for i, v := range h {
+		if want := float64(7 + i); v != want {
+			t.Errorf("h[%d] = %v, want %v", i, v, want)
 		}
 	}
 }
 
+// markedWindow drives a window the way Raven does, keeping each key's
+// winMark for it.
+type markedWindow struct {
+	*window
+	marks map[cache.Key]*winMark
+}
+
+func newMarkedWindow(budgetBytes int64, maxObjects, maxSeq int, seed int64) *markedWindow {
+	return &markedWindow{
+		window: newWindow(budgetBytes, maxObjects, maxSeq, stats.NewRNG(seed)),
+		marks:  map[cache.Key]*winMark{},
+	}
+}
+
+func (w *markedWindow) record(req cache.Request) {
+	m := w.marks[req.Key]
+	if m == nil {
+		m = &winMark{}
+		w.marks[req.Key] = m
+	}
+	w.window.record(req, m)
+}
+
+// taus returns what the window recorded for key (nil if not sampled).
+func (w *markedWindow) taus(key cache.Key) []float64 {
+	if m := w.marks[key]; m != nil && m.gen == w.gen && m.slot >= 0 {
+		return w.sampled[m.slot].taus
+	}
+	return nil
+}
+
 func TestWindowRecordsInterarrivals(t *testing.T) {
-	w := newWindow(0, 0, 32, stats.NewRNG(1))
+	w := newMarkedWindow(0, 0, 32, 1)
 	w.reset(0)
-	for i, tm := range []int64{10, 30, 70} {
+	for _, tm := range []int64{10, 30, 70} {
 		w.record(cache.Request{Time: tm, Key: 5, Size: 100})
-		_ = i
 	}
 	seqs, terms := w.sequences(100)
 	if len(seqs) != 1 {
@@ -51,7 +82,7 @@ func TestWindowRecordsInterarrivals(t *testing.T) {
 }
 
 func TestWindowBudgetStopsNewObjects(t *testing.T) {
-	w := newWindow(1000, 0, 32, stats.NewRNG(2))
+	w := newMarkedWindow(1000, 0, 32, 2)
 	w.reset(0)
 	for k := 0; k < 100; k++ {
 		w.record(cache.Request{Time: int64(k), Key: cache.Key(k), Size: 100})
@@ -60,21 +91,21 @@ func TestWindowBudgetStopsNewObjects(t *testing.T) {
 		t.Errorf("sampled bytes %d exceed budget substantially", w.sampledBytes)
 	}
 	// Existing sampled objects keep recording even after the budget.
-	before := len(w.taus[0])
+	before := len(w.taus(0))
 	w.record(cache.Request{Time: 500, Key: 0, Size: 100})
-	if len(w.taus[0]) != before+1 {
+	if len(w.taus(0)) != before+1 {
 		t.Error("existing sampled object stopped recording after budget")
 	}
 }
 
 func TestWindowObjectCap(t *testing.T) {
-	w := newWindow(0, 10, 32, stats.NewRNG(3))
+	w := newMarkedWindow(0, 10, 32, 3)
 	w.reset(0)
 	for k := 0; k < 100; k++ {
 		w.record(cache.Request{Time: int64(k), Key: cache.Key(k), Size: 1})
 	}
-	if len(w.last) > 10 {
-		t.Errorf("object cap violated: %d objects sampled", len(w.last))
+	if len(w.sampled) > 10 {
+		t.Errorf("object cap violated: %d objects sampled", len(w.sampled))
 	}
 }
 
@@ -230,5 +261,102 @@ func TestRavenOHRGoalUsesSizeWeight(t *testing.T) {
 	if ohr.StatsSnapshot().OHR() < bhr.StatsSnapshot().OHR()-0.05 {
 		t.Errorf("OHR goal (%.3f) should not lag BHR goal (%.3f) on object hits by this much",
 			ohr.StatsSnapshot().OHR(), bhr.StatsSnapshot().OHR())
+	}
+}
+
+// mapWindow is the window as the parent commit kept it — four maps per
+// window, a lookup or two per request — retained as the reference the
+// mark-based window must reproduce sequence for sequence.
+type mapWindow struct {
+	budgetBytes  int64
+	maxObjects   int
+	maxSeq       int
+	rng          *stats.RNG
+	sampledBytes int64
+	taus         map[cache.Key][]float64
+	last, sizes  map[cache.Key]int64
+	rejected     map[cache.Key]bool
+	sampleProb   float64
+}
+
+func (w *mapWindow) reset() {
+	w.sampledBytes, w.sampleProb = 0, 1
+	w.taus = map[cache.Key][]float64{}
+	w.last, w.sizes = map[cache.Key]int64{}, map[cache.Key]int64{}
+	w.rejected = map[cache.Key]bool{}
+}
+
+func (w *mapWindow) record(req cache.Request) {
+	if lt, ok := w.last[req.Key]; ok {
+		seq := append(w.taus[req.Key], max(float64(req.Time-lt), 1))
+		if w.maxSeq > 0 && len(seq) > 2*w.maxSeq {
+			seq = seq[1:]
+		}
+		w.taus[req.Key], w.last[req.Key] = seq, req.Time
+		return
+	}
+	if w.rejected[req.Key] {
+		return
+	}
+	full := (w.budgetBytes > 0 && w.sampledBytes >= w.budgetBytes) ||
+		(w.maxObjects > 0 && len(w.last) >= w.maxObjects)
+	if full || w.rng.Float64() >= w.sampleProb {
+		w.rejected[req.Key] = true
+		return
+	}
+	w.last[req.Key], w.sizes[req.Key] = req.Time, req.Size
+	w.sampledBytes += req.Size
+	if frac := float64(w.sampledBytes) / float64(w.budgetBytes); w.budgetBytes > 0 && frac > 0.5 {
+		w.sampleProb = max(1-(frac-0.5)*1.6, 0.05)
+	}
+}
+
+func (w *mapWindow) sequences(end int64) (out []nn.Sequence) {
+	keys := make([]cache.Key, 0, len(w.last))
+	for k := range w.last {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		seq := nn.Sequence{Taus: w.taus[k], Size: float64(w.sizes[k]), Survival: float64(end - w.last[k])}
+		if len(seq.Taus) > 0 || seq.Survival > 0 {
+			out = append(out, seq)
+		}
+	}
+	return out
+}
+
+// TestWindowMatchesMapWindow: over random streams, budgets and caps,
+// and several windows in a row, the mark-based window yields the
+// training set the map-based one did.
+func TestWindowMatchesMapWindow(t *testing.T) {
+	f := func(seed int64) bool {
+		g := stats.NewRNG(seed)
+		budget, maxObj, maxSeq := int64(g.Intn(3))*400, g.Intn(3)*20, 1+g.Intn(4)
+		w := newMarkedWindow(budget, maxObj, maxSeq, seed)
+		ref := &mapWindow{budgetBytes: budget, maxObjects: maxObj, maxSeq: maxSeq, rng: stats.NewRNG(seed)}
+		now := int64(0)
+		for win := 0; win < 4; win++ {
+			w.reset(now)
+			ref.reset()
+			for i := 0; i < 600; i++ {
+				now += int64(g.Intn(3))
+				req := cache.Request{Time: now, Key: cache.Key(g.Intn(80)), Size: 1 + int64(g.Intn(40))}
+				w.record(req)
+				ref.record(req)
+			}
+			got, _ := w.sequences(now)
+			want := ref.sequences(now)
+			if !slices.EqualFunc(got, want, func(a, b nn.Sequence) bool {
+				return a.Size == b.Size && a.Survival == b.Survival && slices.Equal(a.Taus, b.Taus)
+			}) {
+				t.Logf("seed %d window %d: %d sequences, reference %d", seed, win, len(got), len(want))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
 	}
 }

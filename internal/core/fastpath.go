@@ -63,7 +63,7 @@ func (r *Raven) growFastScratch(n int) {
 	}
 	if cap(r.scrScore) < n {
 		r.scrScore = make([]float64, n)
-		r.scrObj = make([]*objHist, n)
+		r.scrRec = make([]*rec, n)
 		r.scrDirty = make([]int, 0, n)
 		r.scrIn = make([]nn.PredictInput, n)
 	}
@@ -71,7 +71,7 @@ func (r *Raven) growFastScratch(n int) {
 	r.scrKeys = r.scrKeys[:n]
 	r.scrSize = r.scrSize[:n]
 	r.scrScore = r.scrScore[:n]
-	r.scrObj = r.scrObj[:n]
+	r.scrRec = r.scrRec[:n]
 }
 
 // victimFast is Victim's ScoreCache decision path. Candidates with a
@@ -85,7 +85,8 @@ func (r *Raven) victimFast() (cache.Key, bool) {
 	if budget > 0 {
 		deadline = time.Now().Add(budget) //lint:allow wall-clock the DecisionBudget deadline is the SLO feature; replay configurations leave the budget at 0
 	}
-	r.scrIdx = r.set.Sample(r.rng, r.cfg.CandidateSample, r.scrIdx)
+	t := r.tab
+	r.scrIdx = t.sampler.Sample(r.rng, len(t.dense), r.cfg.CandidateSample, r.scrIdx)
 	n := len(r.scrIdx)
 	r.growFastScratch(n)
 	ver := r.net.Version
@@ -93,13 +94,13 @@ func (r *Raven) victimFast() (cache.Key, bool) {
 	// Partition candidates by score-stamp validity, slot order.
 	dirty := r.scrDirty[:0]
 	for j := 0; j < n; j++ {
-		k, hp := r.set.At(r.scrIdx[j])
-		h := *hp
-		r.scrKeys[j] = k
-		r.scrSize[j] = h.size
-		r.scrObj[j] = h
-		if !r.forceRescore && h.scoreVer == ver && h.scoreEp == h.epoch {
-			r.scrScore[j] = h.score
+		rc := t.recs.at(t.dense[r.scrIdx[j]])
+		sd := t.sides.at(rc.res)
+		r.scrKeys[j] = rc.key
+		r.scrSize[j] = rc.size
+		r.scrRec[j] = rc
+		if !r.forceRescore && int(sd.scoreVer) == ver && sd.scoreEp == sd.epoch {
+			r.scrScore[j] = sd.score
 		} else {
 			// Into scratch sized by growFastScratch.
 			dirty = append(dirty, j)
@@ -124,7 +125,7 @@ func (r *Raven) victimFast() (cache.Key, bool) {
 	// absolute arrival time, whose magnitude would drown the size
 	// factor) by object size, mirroring the §3.4 size weighting.
 	best := math.Inf(-1)
-	victim := r.scrKeys[0]
+	victim := 0
 	for j := 0; j < n; j++ {
 		s := r.scrScore[j]
 		if r.cfg.Goal == GoalOHR {
@@ -136,13 +137,13 @@ func (r *Raven) victimFast() (cache.Key, bool) {
 		}
 		if s > best {
 			best = s
-			victim = r.scrKeys[j]
+			victim = j
 		}
 	}
 	if budget > 0 {
 		r.sloMet()
 	}
-	return victim, true
+	return r.choose(victim), true
 }
 
 // rescoreChunk is how many dirty candidates rescore embeds, predicts,
@@ -186,12 +187,8 @@ func (r *Raven) rescore(dirty []int, ver int, budget time.Duration, deadline tim
 		}
 		chunk := dirty[start:end]
 		for ci, j := range chunk {
-			h := r.scrObj[j]
-			if h.embVersion != ver {
-				h.emb = r.net.EmbedHistoryInto(h.emb, h.hist)
-				h.embVersion = ver
-			}
-			r.scrIn[start+ci] = nn.PredictInput{H: h.emb, Size: float64(h.size), Age: float64(r.now - h.lastSeen)}
+			rc := r.scrRec[j]
+			r.scrIn[start+ci] = nn.PredictInput{H: r.embedding(r.net, rc), Size: float64(rc.size), Age: float64(r.now - rc.lastSeen)}
 		}
 		in := r.scrIn[start:end]
 		mixes := r.scrMix[start:end]
@@ -226,9 +223,10 @@ func (r *Raven) rescore(dirty []int, ver int, budget time.Duration, deadline tim
 			} else if lr < -expClamp {
 				lr = -expClamp
 			}
-			h := r.scrObj[j]
-			score := float64(h.lastSeen) + ts*math.Exp(lr)
-			h.score, h.scoreEp, h.scoreVer = score, h.epoch, ver
+			rc := r.scrRec[j]
+			sd := r.tab.sides.at(rc.res)
+			score := float64(rc.lastSeen) + ts*math.Exp(lr)
+			sd.score, sd.scoreEp, sd.scoreVer = score, sd.epoch, int32(ver)
 			r.scrScore[j] = score
 		}
 		if r.overBudget(budget, deadline) {

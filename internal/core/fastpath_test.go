@@ -195,7 +195,7 @@ func TestSLOOverrunDegradesAndRecovers(t *testing.T) {
 
 	for i := 0; i < sloTripsBeforeDegrade; i++ {
 		h.touchAll() // keep candidates dirty so the slow rescore path runs
-		lru := h.r.ll.Back().Value.(cache.Key)
+		lru := h.r.lruTail()
 		v := h.evictAdmit(t)
 		if v != lru {
 			t.Fatalf("overrun decision %d evicted %d, want LRU tail %d", i, v, lru)
@@ -263,7 +263,7 @@ func TestFastPathAllocFree(t *testing.T) {
 		// Dirty one object per decision by bumping its epoch directly
 		// (observe would touch the training-window reservoir, which is
 		// off the decision path and allowed to allocate).
-		obj := h.r.hists[h.resident[3]]
+		obj := h.r.sideOf(h.resident[3])
 		avg := testing.AllocsPerRun(200, func() {
 			obj.epoch++
 			if _, ok := h.r.Victim(); !ok {

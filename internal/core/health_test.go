@@ -140,7 +140,7 @@ func TestVictimFallsBackOnInsaneScores(t *testing.T) {
 	}
 	poisonNet(r.Net())
 
-	lruTail := r.ll.Back().Value.(cache.Key)
+	lruTail := r.lruTail()
 	victim, ok := r.Victim()
 	if !ok {
 		t.Fatal("Victim returned none with a populated cache")

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"container/list"
 	"math"
 	"time"
+	"unsafe"
 
 	"raven/internal/cache"
 	"raven/internal/nn"
@@ -11,28 +11,6 @@ import (
 	"raven/internal/obs"
 	"raven/internal/stats"
 )
-
-// objHist is an object's arrival-history state. Raven keeps it across
-// evictions (like LRB's feature store): an object that re-enters the
-// cache resumes with its learned history instead of a cold embedding.
-type objHist struct {
-	lastSeen   int64
-	size       int64
-	hist       []float64 // ring of recent interarrival times, oldest first
-	emb        []float64 // history embedding h (§4.2.1)
-	embVersion int       // nn.Net.Version the embedding was computed with; -1 = stale
-	elem       *list.Element
-
-	// Score-cache state (fastpath.go). epoch increments every time the
-	// object's history advances; a cached score is valid while both its
-	// epoch stamp and its model-version stamp still match, so a score
-	// survives across decisions exactly until the object is touched or
-	// the model is swapped.
-	epoch    int64
-	score    float64 // cached priority: predicted next-arrival time (ticks)
-	scoreEp  int64   // epoch the score was computed at
-	scoreVer int     // nn.Net.Version the score was computed with; -1 = never
-}
 
 // Raven is the learning cache policy. Create it with New; it
 // implements cache.Policy and falls back to LRU until its first model
@@ -42,9 +20,7 @@ type Raven struct {
 	net *nn.Net
 	rng *stats.RNG
 
-	hists map[cache.Key]*objHist // global history store
-	set   *cache.SampledSet[*objHist]
-	ll    *list.List // LRU order of resident objects (fallback phase)
+	tab   *table // per-object state: history store, LRU order, sample array (table.go)
 	now   int64
 	start int64
 	begun bool
@@ -80,7 +56,7 @@ type Raven struct {
 	scrKeys  []cache.Key
 	scrSize  []int64
 	scrScore []float64
-	scrObj   []*objHist
+	scrRec   []*rec
 	scrDirty []int
 	scrIn    []nn.PredictInput
 	scrCum   []float64
@@ -140,12 +116,10 @@ func New(cfg Config) *Raven {
 		panic("core: Config.TrainWindow must be positive")
 	}
 	r := &Raven{
-		cfg:   cfg,
-		rng:   stats.NewRNG(cfg.Seed),
-		hists: make(map[cache.Key]*objHist, 4096),
-		set:   cache.NewSampledSet[*objHist](),
-		ll:    list.New(),
-		pool:  nn.NewPool(cfg.Workers),
+		cfg:  cfg,
+		rng:  stats.NewRNG(cfg.Seed),
+		tab:  newTable(),
+		pool: nn.NewPool(cfg.Workers),
 	}
 	r.candTask = r.candidateTask
 	r.mc = newMCScratch(r.pool)
@@ -227,73 +201,119 @@ func (r *Raven) Name() string {
 	return "raven"
 }
 
-// MetadataBytesPerObject implements cache.Footprinter: the per-cached-
-// object state Raven keeps for inference — the recurrent state
-// (float64s), last-access time, size, the interarrival ring used
-// to re-embed after model swaps (§6.1.1), and the score-cache stamps
-// (epoch, cached score, epoch/version stamps).
+// MetadataBytesPerObject implements cache.Footprinter: what one cached
+// object costs in the record table — its core record, side record,
+// interarrival ring and embedding (§6.1.1). The index map's entry is
+// not counted.
 func (r *Raven) MetadataBytesPerObject() int64 {
-	state := int64(r.cfg.Net.Hidden)
+	state := r.cfg.Net.Hidden
 	if r.net != nil {
-		state = int64(r.net.StateSize())
+		state = r.net.StateSize()
 	}
-	return 8*state + 8 + 8 + 8*historyLen + 4*8
+	return RecordBytes + int64(unsafe.Sizeof(resRec{})+unsafe.Sizeof(ring{})) + 8*int64(state)
 }
+
+// RecordBytes is what every known key costs in the record table,
+// cached or not: the core record. From its second sighting a key also
+// holds a ring (RingBytes).
+const (
+	RecordBytes = int64(unsafe.Sizeof(rec{}))
+	RingBytes   = int64(unsafe.Sizeof(ring{}))
+)
 
 // Net returns the current model (nil before the first training).
 func (r *Raven) Net() *nn.Net { return r.net }
 
 // observe advances virtual time, maintains the object's history and
 // embedding, collects training data, and retrains at window
-// boundaries. It runs once per request (hit or miss).
-func (r *Raven) observe(req cache.Request) {
+// boundaries. It runs once per request (hit or miss) and returns the
+// key's record handle: the one key lookup the policy makes per request.
+func (r *Raven) observe(req cache.Request) uint32 {
 	if !r.begun {
 		r.begun = true
 		r.start = req.Time
 		r.window.reset(req.Time)
 	}
 	r.now = req.Time
-	r.window.record(req)
+	t := r.tab
 
-	h, ok := r.hists[req.Key]
-	if !ok {
-		h = &objHist{lastSeen: req.Time, size: req.Size, embVersion: -1, scoreVer: -1}
-		r.hists[req.Key] = h
-		r.maybeGC()
-	} else {
-		h.epoch++ // history advances below: any cached score is now stale
-		tau := float64(req.Time - h.lastSeen)
+	h := t.find(req.Key)
+	fresh := h == 0
+	if fresh {
+		h = t.insert(req.Key, req.Time, req.Size)
+		if r.obs != nil {
+			r.obs.HistoryRecords.Add(1)
+		}
+		r.trim(h)
+	}
+	rc := t.recs.at(h)
+	r.window.record(req, &rc.win)
+	if !fresh {
+		tau := float64(req.Time - rc.lastSeen)
 		if tau < 1 {
 			tau = 1
 		}
 		if r.drift != nil {
 			r.drift.observe(tau)
 		}
-		pushHist(&h.hist, tau, historyLen)
-		if r.net != nil && h.embVersion == r.net.Version {
-			r.net.StepEmbed(h.emb, tau)
+		if rc.ring == 0 {
+			rc.ring = t.rings.alloc()
 		}
-		h.lastSeen = req.Time
-		h.size = req.Size
+		t.rings.at(rc.ring).push(tau)
+		rc.lastSeen = req.Time
+		rc.size = req.Size
+		resident := false
+		if rc.res != 0 {
+			sd := t.sides.at(rc.res)
+			resident = sd.pos >= 0
+			sd.epoch++ // the history advanced: any cached score is now stale
+			if r.net != nil && int(sd.embVer) == r.net.Version {
+				r.net.StepEmbed(t.emb(rc.res), tau)
+			} else if !resident {
+				// A ghost kept for an embedding that a model swap has
+				// since made stale.
+				t.sides.release(rc.res)
+				rc.res = 0
+			}
+		}
+		if !resident {
+			t.ghosts.moveToFront(&t.recs, h)
+		}
 	}
 
 	if req.Time-r.window.start >= r.cfg.TrainWindow {
 		r.train()
 		r.window.reset(req.Time)
 	}
+	return h
 }
 
-// maybeGC bounds the global history store: non-resident objects not
-// seen for two training windows are dropped.
-func (r *Raven) maybeGC() {
-	if len(r.hists) < 8*r.set.Len()+200000 {
+// trim bounds the history store. It runs when a new key (record keep)
+// arrives and the table is at its ceiling, and drops from the old end
+// of the age queue: every ghost not seen for two training windows, or
+// else the single oldest one. One record in, at least one out, so the
+// record count cannot pass the largest value the ceiling has taken,
+// and a new key costs O(1) amortized — nothing on the request path
+// walks the table.
+func (r *Raven) trim(keep uint32) {
+	t := r.tab
+	if len(t.index) < ghostsPerResident*len(t.dense)+t.floor {
 		return
 	}
 	horizon := r.now - 2*r.cfg.TrainWindow
-	for k, h := range r.hists {
-		if h.elem == nil && h.lastSeen < horizon {
-			delete(r.hists, k)
+	dropped := 0
+	for {
+		old := t.ghosts.back
+		t.examined++
+		if old == 0 || old == keep || (dropped > 0 && t.recs.at(old).lastSeen >= horizon) {
+			break
 		}
+		t.drop(old)
+		dropped++
+	}
+	if r.obs != nil {
+		r.obs.HistoryRecords.Add(-int64(dropped))
+		r.obs.HistoryDropped.Add(int64(dropped))
 	}
 }
 
@@ -440,30 +460,47 @@ func meanTau(data []nn.Sequence, fallback float64) float64 {
 
 // OnHit implements cache.Policy.
 func (r *Raven) OnHit(req cache.Request) {
-	r.observe(req)
-	if h, ok := r.hists[req.Key]; ok && h.elem != nil {
-		r.ll.MoveToFront(h.elem)
+	h := r.observe(req)
+	if r.tab.resident(r.tab.recs.at(h)) {
+		r.tab.lru.moveToFront(&r.tab.recs, h)
 	}
 }
 
 // OnMiss implements cache.Policy.
 func (r *Raven) OnMiss(req cache.Request) { r.observe(req) }
 
-// OnAdmit implements cache.Policy. The object's history was created
+// OnAdmit implements cache.Policy. The object's record was created
 // (or refreshed) by the same request's OnMiss.
 func (r *Raven) OnAdmit(req cache.Request) {
-	h := r.hists[req.Key]
-	h.elem = r.ll.PushFront(req.Key)
-	r.set.Add(req.Key, h)
+	t := r.tab
+	h := t.find(req.Key)
+	if h == 0 {
+		panic("core: OnAdmit for a key no request observed")
+	}
+	if t.resident(t.recs.at(h)) {
+		return
+	}
+	t.admit(h)
+	if r.obs != nil {
+		r.obs.HistoryResident.Add(1)
+	}
 }
 
-// OnEvict implements cache.Policy. The object's history survives
+// OnEvict implements cache.Policy. The object's record survives
 // eviction; only residency state is dropped.
 func (r *Raven) OnEvict(key cache.Key) {
-	if h, ok := r.set.Get(key); ok {
-		r.ll.Remove(h.elem)
-		h.elem = nil
-		r.set.Remove(key)
+	t := r.tab
+	h := t.find(key)
+	if h == 0 {
+		return
+	}
+	rc := t.recs.at(h)
+	if !t.resident(rc) {
+		return
+	}
+	t.evict(h, r.net != nil && int(t.sides.at(rc.res).embVer) == r.net.Version)
+	if r.obs != nil {
+		r.obs.HistoryResident.Add(-1)
 	}
 }
 
@@ -477,7 +514,7 @@ func (r *Raven) OnEvict(key cache.Key) {
 //
 //lint:allow determinism-taint the DecisionBudget deadline is the SLO feature itself; the clock can only influence the decision when Config.DecisionBudget > 0, which deterministic-replay configurations leave at 0
 func (r *Raven) Victim() (cache.Key, bool) {
-	if r.set.Len() == 0 {
+	if len(r.tab.dense) == 0 {
 		return 0, false
 	}
 	if r.net == nil || r.health == Fallback {
@@ -514,14 +551,14 @@ func (r *Raven) Victim() (cache.Key, bool) {
 		if budget > 0 {
 			r.sloMet()
 		}
-		return r.scrKeys[0], true
+		return r.choose(0), true
 	}
 	// Monte Carlo estimator (Eq. 1c): the win count is the score up to
 	// the constant 1/M factor, which cannot change the argmax, so the
 	// hot path skips the normalization (and any scores slice).
 	wins := r.mc.winsMC(r.scrMix, r.cfg.ResidualSamples, r.rng)
 	best := -1.0
-	victim := r.scrKeys[0]
+	victim := 0
 	for j := 0; j < n; j++ {
 		score := float64(wins[j])
 		if r.cfg.Goal == GoalOHR {
@@ -529,13 +566,21 @@ func (r *Raven) Victim() (cache.Key, bool) {
 		}
 		if score > best {
 			best = score
-			victim = r.scrKeys[j]
+			victim = j
 		}
 	}
 	if budget > 0 {
 		r.sloMet()
 	}
-	return victim, true
+	return r.choose(victim), true
+}
+
+// choose returns candidate slot j's key as the decision, remembering its
+// record so the OnEvict that follows needs no lookup.
+func (r *Raven) choose(j int) cache.Key {
+	t := r.tab
+	t.vicKey, t.vicH = r.scrKeys[j], t.dense[r.scrIdx[j]]
+	return t.vicKey
 }
 
 // candidateTask prepares candidate slot j: it refreshes the object's
@@ -543,28 +588,47 @@ func (r *Raven) Victim() (cache.Key, bool) {
 // mixture, and records the key and size. It runs on pool workers —
 // each worker uses its own shadow network and prediction scratch, and
 // the task writes only j-addressed slots (distinct sampled indices
-// hold distinct *objHist, so the in-place embedding refresh is
-// race-free). Results are bit-identical for any worker count because
-// shadows alias the master's weights.
+// name distinct records, and prepareCandidates reserved every
+// embedding slot, so the in-place embedding refresh is race-free).
+// Results are bit-identical for any worker count because shadows alias
+// the master's weights.
 func (r *Raven) candidateTask(w, j int) {
-	k, hp := r.set.At(r.scrIdx[j])
-	h := *hp
-	net := r.infNets[w]
-	if h.embVersion != r.net.Version {
-		h.emb = net.EmbedHistoryInto(h.emb, h.hist)
-		h.embVersion = r.net.Version
+	t := r.tab
+	rc := t.recs.at(t.dense[r.scrIdx[j]])
+	emb := r.embedding(r.infNets[w], rc)
+	age := float64(r.now - rc.lastSeen)
+	r.infNets[w].PredictWith(r.infPred[w], emb, float64(rc.size), age, &r.scrMix[j])
+	r.scrKeys[j] = rc.key
+	r.scrSize[j] = rc.size
+}
+
+// embedding returns rc's history embedding under the current model,
+// recomputing it from the ring (through net, the current model or a
+// shadow of it) when a model swap made it stale. rc gets a side record
+// if it has none.
+func (r *Raven) embedding(net *nn.Net, rc *rec) []float64 {
+	t := r.tab
+	sd := t.side(rc)
+	if int(sd.embVer) == r.net.Version {
+		return t.emb(rc.res)
 	}
-	age := float64(r.now - h.lastSeen)
-	net.PredictWith(r.infPred[w], h.emb, float64(h.size), age, &r.scrMix[j])
-	r.scrKeys[j] = k
-	r.scrSize[j] = h.size
+	t.setDim(r.net.StateSize())
+	emb := t.emb(rc.res)
+	var taus []float64
+	if rc.ring != 0 {
+		taus = t.rings.at(rc.ring).taus()
+	}
+	net.EmbedHistoryInto(emb, taus)
+	sd.embVer = int32(r.net.Version)
+	return emb
 }
 
 // prepareCandidates samples eviction candidates and fans their
 // embed+predict work out over the pool, one indexed slot per
 // candidate.
 func (r *Raven) prepareCandidates() {
-	r.scrIdx = r.set.Sample(r.rng, r.cfg.CandidateSample, r.scrIdx)
+	t := r.tab
+	r.scrIdx = t.sampler.Sample(r.rng, len(t.dense), r.cfg.CandidateSample, r.scrIdx)
 	n := len(r.scrIdx)
 	if cap(r.scrMix) < n {
 		r.scrMix = make([]nn.Mixture, n)
@@ -583,6 +647,12 @@ func (r *Raven) prepareCandidates() {
 			r.infPred[k] = r.net.NewPredictScratch()
 		}
 	}
+	// The workers touch only their candidate's slots; anything that
+	// grows shared table state happens here, serially.
+	t.setDim(r.net.StateSize())
+	for _, i := range r.scrIdx {
+		t.emb(t.recs.at(t.dense[i]).res)
+	}
 	r.pool.ParallelFor(n, r.candTask)
 }
 
@@ -593,7 +663,10 @@ func (r *Raven) fallbackVictim() cache.Key {
 	if r.health == Fallback && r.obs != nil {
 		r.obs.FallbackEvictions.Inc()
 	}
-	return r.ll.Back().Value.(cache.Key)
+	t := r.tab
+	t.vicH = t.lru.back
+	t.vicKey = t.recs.at(t.vicH).key
+	return t.vicKey
 }
 
 // mixtureFinite reports whether every parameter of the predicted
@@ -642,15 +715,4 @@ func sampleLogResidual(m *nn.Mixture, cum []float64, g *stats.RNG) float64 {
 		}
 	}
 	return m.Mu[k] + m.S[k]*g.NormFloat64()
-}
-
-// pushHist appends tau to a bounded ring kept as a slice.
-func pushHist(h *[]float64, tau float64, max int) {
-	s := *h
-	if len(s) == max {
-		copy(s, s[1:])
-		s[len(s)-1] = tau
-		return
-	}
-	*h = append(s, tau)
 }

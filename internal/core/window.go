@@ -13,6 +13,10 @@ import (
 // arrival times are recorded until the window ends. The sample stops
 // admitting new objects once its unique bytes exceed the budget
 // (the paper caps it at 5× the cache size) or the object cap is hit.
+//
+// Whether the window took a key, and where it keeps it, is a winMark
+// the caller stores with the key (Raven keeps it in the key's record),
+// so recording a request needs no lookup.
 type window struct {
 	start       int64
 	budgetBytes int64
@@ -20,14 +24,27 @@ type window struct {
 	maxSeq      int
 	rng         *stats.RNG
 
+	gen          uint32 // current window; never 0, the zero winMark's gen
 	sampledBytes int64
-	taus         map[cache.Key][]float64
-	last         map[cache.Key]int64
-	sizes        map[cache.Key]int64
-	rejected     map[cache.Key]struct{}
+	sampled      []winSample
 	// sampleProb adapts downward as the budget fills so the sample
 	// stays uniform-ish across the window rather than front-loaded.
 	sampleProb float64
+}
+
+// winMark is one key's standing in a window. The zero value, and a mark
+// made in an earlier window, mean the window has not seen the key.
+type winMark struct {
+	gen  uint32
+	slot int32 // index into window.sampled; -1 = the window passed the key over
+}
+
+// winSample is one sampled object's record for the window.
+type winSample struct {
+	key  cache.Key
+	last int64
+	size int64
+	taus []float64
 }
 
 func newWindow(budgetBytes int64, maxObjects, maxSeq int, rng *stats.RNG) *window {
@@ -43,44 +60,43 @@ func newWindow(budgetBytes int64, maxObjects, maxSeq int, rng *stats.RNG) *windo
 
 func (w *window) reset(start int64) {
 	w.start = start
+	w.gen++
 	w.sampledBytes = 0
-	w.taus = make(map[cache.Key][]float64, 1024)
-	w.last = make(map[cache.Key]int64, 1024)
-	w.sizes = make(map[cache.Key]int64, 1024)
-	w.rejected = make(map[cache.Key]struct{}, 1024)
+	clear(w.sampled) // release the finished window's sequences
+	w.sampled = w.sampled[:0]
 	w.sampleProb = 1
 }
 
-// record observes one request.
-func (w *window) record(req cache.Request) {
-	if lt, ok := w.last[req.Key]; ok {
-		tau := float64(req.Time - lt)
+// record observes one request; m is the requested key's mark.
+func (w *window) record(req cache.Request, m *winMark) {
+	if m.gen == w.gen {
+		if m.slot < 0 {
+			return
+		}
+		s := &w.sampled[m.slot]
+		tau := float64(req.Time - s.last)
 		if tau < 1 {
 			tau = 1
 		}
-		seq := w.taus[req.Key]
-		if w.maxSeq > 0 && len(seq) >= 2*w.maxSeq {
+		if w.maxSeq > 0 && len(s.taus) >= 2*w.maxSeq {
 			// Keep the most recent interarrivals only.
-			copy(seq, seq[1:])
-			seq[len(seq)-1] = tau
+			copy(s.taus, s.taus[1:])
+			s.taus[len(s.taus)-1] = tau
 		} else {
-			seq = append(seq, tau)
+			s.taus = append(s.taus, tau)
 		}
-		w.taus[req.Key] = seq
-		w.last[req.Key] = req.Time
+		s.last = req.Time
 		return
 	}
-	if _, ok := w.rejected[req.Key]; ok {
-		return
-	}
+	m.gen = w.gen
 	full := (w.budgetBytes > 0 && w.sampledBytes >= w.budgetBytes) ||
-		(w.maxObjects > 0 && len(w.last) >= w.maxObjects)
+		(w.maxObjects > 0 && len(w.sampled) >= w.maxObjects)
 	if full || w.rng.Float64() >= w.sampleProb {
-		w.rejected[req.Key] = struct{}{}
+		m.slot = -1
 		return
 	}
-	w.last[req.Key] = req.Time
-	w.sizes[req.Key] = req.Size
+	m.slot = int32(len(w.sampled))
+	w.sampled = append(w.sampled, winSample{key: req.Key, last: req.Time, size: req.Size})
 	w.sampledBytes += req.Size
 	// Tighten the sampling probability as capacity fills.
 	if w.budgetBytes > 0 {
@@ -96,23 +112,30 @@ func (w *window) record(req cache.Request) {
 
 // sequences converts the window into training sequences, attaching
 // each object's survival interval up to windowEnd. It returns the
-// sequences and the total number of loss terms. Keys are visited in
-// sorted order so training (and therefore the whole policy) is
-// deterministic regardless of map iteration order.
+// sequences and the total number of loss terms. Objects are visited in
+// key order (a key the history store dropped and saw again mid-window
+// is sampled afresh, so ties break by sampling order) to keep training
+// independent of arrival order within the window.
 func (w *window) sequences(windowEnd int64) ([]nn.Sequence, int) {
-	keys := make([]cache.Key, 0, len(w.last))
-	for k := range w.last {
-		keys = append(keys, k)
+	order := make([]int, len(w.sampled))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]nn.Sequence, 0, len(w.last))
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if ka, kb := w.sampled[a].key, w.sampled[b].key; ka != kb {
+			return ka < kb
+		}
+		return a < b
+	})
+	out := make([]nn.Sequence, 0, len(w.sampled))
 	terms := 0
-	for _, k := range keys {
-		lt := w.last[k]
+	for _, i := range order {
+		s := &w.sampled[i]
 		seq := nn.Sequence{
-			Taus:     w.taus[k],
-			Size:     float64(w.sizes[k]),
-			Survival: float64(windowEnd - lt),
+			Taus:     s.taus,
+			Size:     float64(s.size),
+			Survival: float64(windowEnd - s.last),
 		}
 		if len(seq.Taus) == 0 && seq.Survival <= 0 {
 			continue
@@ -124,14 +147,4 @@ func (w *window) sequences(windowEnd int64) ([]nn.Sequence, int) {
 		out = append(out, seq)
 	}
 	return out, terms
-}
-
-// Counts returns how many objects and loss samples the current window
-// holds (Table 7 reporting).
-func (w *window) Counts() (objects, samples int) {
-	objects = len(w.last)
-	for _, t := range w.taus {
-		samples += len(t)
-	}
-	return objects, samples + objects // + survival terms
 }

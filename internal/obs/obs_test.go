@@ -182,9 +182,15 @@ func TestRavenObsRegister(t *testing.T) {
 	if got["raven.train_epochs"] != 12 || got["raven.train_sequences"] != 4000 {
 		t.Errorf("snapshot %v", got)
 	}
-	// 11 lifecycle and fast-path metrics + train_epochs, train_sequences.
-	if len(kvs) != 13 {
-		t.Errorf("want 13 raven metrics, got %d", len(kvs))
+	// 11 lifecycle and fast-path metrics + train_epochs, train_sequences,
+	// then the history-store triple, registered last.
+	if len(kvs) != 16 {
+		t.Fatalf("want 16 raven metrics, got %d", len(kvs))
+	}
+	for i, name := range []string{"raven.history_records", "raven.history_resident", "raven.history_dropped"} {
+		if kvs[13+i].Name != name {
+			t.Errorf("metric %d = %q, want %q", 13+i, kvs[13+i].Name, name)
+		}
 	}
 }
 

@@ -45,6 +45,15 @@ type RavenObs struct {
 	// number of candidates considered by the fast path.
 	ScoreCacheHits Counter
 	ScoreRescores  Counter
+
+	// HistoryRecords is how many keys the policy's record table holds
+	// (resident or not), HistoryResident how many of them are cached,
+	// and HistoryDropped counts records the table's bound has dropped —
+	// the "is anything growing" triple. Summed over shards; written only
+	// where a count changes (new key, drop, admit, evict), never per hit.
+	HistoryRecords  Gauge
+	HistoryResident Gauge
+	HistoryDropped  Counter
 }
 
 // Register adds every RavenObs metric to r under prefix (e.g.
@@ -63,4 +72,7 @@ func (ro *RavenObs) Register(r *Registry, prefix string) {
 	r.adoptCounter(prefix+".score_rescores", &ro.ScoreRescores)
 	r.adoptCounter(prefix+".train_epochs", &ro.TrainEpochs)
 	r.adoptCounter(prefix+".train_sequences", &ro.TrainSequences)
+	r.adoptGauge(prefix+".history_records", &ro.HistoryRecords)
+	r.adoptGauge(prefix+".history_resident", &ro.HistoryResident)
+	r.adoptCounter(prefix+".history_dropped", &ro.HistoryDropped)
 }

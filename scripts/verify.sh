@@ -23,16 +23,19 @@
 #                and worker counts
 #   alloc        the runtime referee for "no allocation per decision or
 #                per request": eviction decisions and f32 inference, the
-#                engine's lock-held evict section, the serving path —
-#                text and binary direct, binary through the router — and
-#                the ring lookup hold 0 allocs/op; and for "no allocation
-#                per trained term": forwardBackward holds 0 allocs/op and
-#                a whole Fit allocates the same count whatever the number
-#                of sequences and epochs
+#                policy's record table (hit, miss, new key, admit, evict
+#                at its ceiling), the engine's lock-held evict section,
+#                the serving path — text and binary direct, binary
+#                through the router — and the ring lookup hold 0
+#                allocs/op; and for "no allocation per trained term":
+#                forwardBackward holds 0 allocs/op and a whole Fit
+#                allocates the same count whatever the number of
+#                sequences and epochs
 #   bench-smoke  every `go test -bench` benchmark — the one place a single
 #                layer is timed — still compiles and runs once: the root
 #                package's per-operation costs, nn kernels and fit, core
-#                eviction decisions, the serving path over the wire and
+#                eviction decisions and per-request bookkeeping
+#                (BenchmarkObserve), the serving path over the wire and
 #                through the router. (The served system is timed by
 #                benchmark/ only; cmd/ravenbench records and gates it.)
 #   fuzz-smoke   five seconds each of FuzzBinaryFrames and FuzzTextLines
@@ -120,8 +123,8 @@ stage_determinism() {
 }
 
 stage_alloc() {
-    echo "==> eviction alloc sweep (0 allocs/op at Workers 1,2,4,8; f32 batch inference) and the training arena (0 allocs/term)"
-    run_named 'TestEvictionPathAllocFree|TestFastPathAllocFree|TestFrozen32PredictAllocFree|TestFitAllocFree' ./internal/core/ ./internal/nn/
+    echo "==> eviction alloc sweep (0 allocs/op at Workers 1,2,4,8; f32 batch inference), the record table's request path (0 allocs/op at its ceiling) and the training arena (0 allocs/term)"
+    run_named 'TestEvictionPathAllocFree|TestFastPathAllocFree|TestRequestPathAllocFree|TestFrozen32PredictAllocFree|TestFitAllocFree' ./internal/core/ ./internal/nn/
 
     echo "==> engine evict section alloc assertion (Victim + evict over a full shard; 0 allocs/op)"
     run_named 'TestEvictAllocFree' ./internal/cache/
