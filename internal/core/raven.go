@@ -208,7 +208,7 @@ func (r *Raven) Name() string {
 func (r *Raven) MetadataBytesPerObject() int64 {
 	state := r.cfg.Net.Hidden
 	if r.net != nil {
-		state = r.net.StateSize()
+		state = r.net.Cfg.Hidden
 	}
 	return RecordBytes + int64(unsafe.Sizeof(resRec{})+unsafe.Sizeof(ring{})) + 8*int64(state)
 }
@@ -612,7 +612,7 @@ func (r *Raven) embedding(net *nn.Net, rc *rec) []float64 {
 	if int(sd.embVer) == r.net.Version {
 		return t.emb(rc.res)
 	}
-	t.setDim(r.net.StateSize())
+	t.setDim(r.net.Cfg.Hidden)
 	emb := t.emb(rc.res)
 	var taus []float64
 	if rc.ring != 0 {
@@ -649,7 +649,7 @@ func (r *Raven) prepareCandidates() {
 	}
 	// The workers touch only their candidate's slots; anything that
 	// grows shared table state happens here, serially.
-	t.setDim(r.net.StateSize())
+	t.setDim(r.net.Cfg.Hidden)
 	for _, i := range r.scrIdx {
 		t.emb(t.recs.at(t.dense[i]).res)
 	}

@@ -421,9 +421,8 @@ func atCeiling(residents, floor int) (r *Raven, resident []cache.Key, next *cach
 }
 
 // TestRequestPathAllocFree: with the table at its working size, none of
-// the policy's per-request entry points touches the heap. No model is
-// installed: a live embedding adds nn.StepEmbed to a hit, whose input
-// array escapes through the Cell interface (ROADMAP item 10(e)).
+// the policy's per-request entry points touches the heap, with or
+// without a model installed.
 func TestRequestPathAllocFree(t *testing.T) {
 	r, resident, next := atCeiling(64, 2000)
 	ghost := *next // the youngest ghost: known, not resident
@@ -437,11 +436,12 @@ func TestRequestPathAllocFree(t *testing.T) {
 		}
 	}
 	i := 0
-	cycle("a hit", func() {
+	hit := func() {
 		next.Time++
 		i++
 		r.OnHit(cache.Request{Time: next.Time, Key: resident[i%len(resident)], Size: 1})
-	})
+	}
+	cycle("a hit", hit)
 	cycle("a miss on a known key", func() {
 		next.Time++
 		ghost.Time = next.Time
@@ -464,6 +464,23 @@ func TestRequestPathAllocFree(t *testing.T) {
 	if len(r.tab.index) != records || len(r.tab.dense) != len(resident) {
 		t.Fatalf("the table moved while measuring: %d → %d records, %d residents", records, len(r.tab.index), len(r.tab.dense))
 	}
+
+	// The same hit under an installed model, every resident's embedding
+	// live: observe advances it in place with nn.StepEmbed.
+	r.net = nn.NewNet(nn.Config{Hidden: 8, MLPHidden: 12, K: 4, TimeScale: 50, Seed: 11})
+	r.net.Version = 1
+	for j, h := range r.tab.dense {
+		rc := r.tab.recs.at(h)
+		r.embedding(r.net, rc)
+		resident[j] = rc.key
+	}
+	probe := r.tab.recs.at(r.tab.index[resident[(i+1)%len(resident)]]).res
+	before := slices.Clone(r.tab.emb(probe))
+	hit()
+	if slices.Equal(r.tab.emb(probe), before) {
+		t.Fatal("a hit on a live embedding did not step it")
+	}
+	cycle("a hit on a live embedding", hit)
 }
 
 // TestEmbeddingWidthChange: a model of another state width (a resumed

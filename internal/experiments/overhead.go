@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"raven/internal/cache"
 	"raven/internal/core"
@@ -55,34 +54,6 @@ func (r *Runner) Overhead() *Report {
 		"our float64 CPU substrate doubles metadata widths; orderings match",
 		"ghostB/key: Raven's record-table bytes per known, uncached key (+ the interarrival ring from its second sighting); the key→record index adds 24–38 B with the map's load")
 	return rep
-}
-
-// sruAblation compares GRU and SRU history encoders on training time
-// and hit ratio — the paper's §6.1.1 claim that SRU cuts ~28% of
-// training time without hurting performance.
-func (r *Runner) sruAblation(rep *Report, t *trace.Trace) {
-	for _, kind := range []nn.RNNKind{nn.GRUCell, nn.SRUCell, nn.LSTMCell, nn.VanillaCell} {
-		cfg := core.Config{
-			TrainWindow: t.Duration() / 8,
-			Net:         nn.Config{RNN: kind},
-			Seed:        r.Cfg.Seed,
-		}
-		if r.Cfg.Quick {
-			cfg.Net.Hidden, cfg.Net.MLPHidden, cfg.Net.K = 8, 12, 4
-			cfg.Train = nn.TrainConfig{MaxEpochs: 6, Patience: 2}
-			cfg.MaxTrainObjects = 600
-			cfg.ResidualSamples = 30
-		} else {
-			cfg.Train = nn.TrainConfig{MaxEpochs: 25, Patience: 5}
-		}
-		p := core.New(cfg)
-		start := time.Now()
-		res := r.simulate(t, p, sim.Options{
-			Capacity: synthUnitCapacity, WarmupFrac: synthWarmup, Seed: r.Cfg.Seed,
-		})
-		r.logf("  ablation rnn=%s OHR=%.4f (%v)", kind, res.OHR, time.Since(start).Round(time.Millisecond))
-		rep.Add("rnnUnit", kind.String(), res.OHR, res.EvictionNanos.Mean/1e3)
-	}
 }
 
 // driftAblation measures the retraining-skip optimization.

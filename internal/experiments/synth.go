@@ -317,7 +317,6 @@ func (r *Runner) Ablations() *Report {
 	cold := base()
 	cold.ColdStart = true
 	runCfg("coldstart", "true", cold)
-	r.sruAblation(rep, t)
 	r.driftAblation(rep, t)
 	return rep
 }

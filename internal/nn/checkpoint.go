@@ -16,10 +16,12 @@ package nn
 //	12+n    4     CRC32 (IEEE), big-endian, over bytes [0, 12+n)
 //
 // The CRC covers the header too, so a flipped version byte or length
-// is caught by the same check as a flipped payload byte. Loaded
-// weights additionally pass the netFromWire finite/shape validation —
-// a checkpoint load that returns nil error never yields a non-finite
-// network.
+// is caught by the same check as a flipped payload byte. The decoded
+// architecture and weights additionally pass netFromWire's validation
+// (dimensions that describe the stream, finite weights of the right
+// shapes) — a checkpoint load that returns nil error never yields a
+// non-finite network, and a hostile architecture never sizes an
+// allocation.
 
 import (
 	"bytes"
@@ -33,7 +35,8 @@ import (
 
 // ErrCorrupt is the typed error every checkpoint/stream validation
 // failure wraps: bad magic trailers, CRC mismatches, truncation,
-// unknown format versions, and non-finite or misshapen weights.
+// unknown format versions, an architecture the weights do not fit, and
+// non-finite or misshapen weights.
 // Callers test with errors.Is(err, nn.ErrCorrupt) and fall back to an
 // older generation or a fresh network.
 var ErrCorrupt = errors.New("corrupt model stream")
@@ -50,26 +53,35 @@ const (
 // header, gob payload, CRC32 trailer). It persists architecture,
 // weights, and Version but no optimizer state.
 func (n *Net) Checkpoint(w io.Writer) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(n.wire()); err != nil {
-		return fmt.Errorf("nn: checkpoint encode: %w", err)
+	buf, err := sealWire(n.wire())
+	if err != nil {
+		return err
 	}
-	buf := make([]byte, 0, ckptHeaderLen+payload.Len()+4)
-	buf = append(buf, ckptMagic...)
-	buf = append(buf, ckptVersion)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(payload.Len()))
-	buf = append(buf, payload.Bytes()...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("nn: checkpoint write: %w", err)
 	}
 	return nil
 }
 
+// sealWire gob-encodes wire and wraps it in the v2 envelope.
+func sealWire(wire netWire) ([]byte, error) {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(wire); err != nil {
+		return nil, fmt.Errorf("nn: checkpoint encode: %w", err)
+	}
+	buf := make([]byte, 0, ckptHeaderLen+payload.Len()+4)
+	buf = append(buf, ckptMagic...)
+	buf = append(buf, ckptVersion)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(payload.Len()))
+	buf = append(buf, payload.Bytes()...)
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
+}
+
 // LoadCheckpoint reads a network from a v2 checkpoint stream. Any
 // integrity or validation failure — missing magic, truncation, CRC
-// mismatch, unknown version, non-finite weights, empty stream —
-// returns an error wrapping ErrCorrupt.
+// mismatch, unknown version, an architecture that does not describe the
+// weights, non-finite weights, empty stream — returns an error wrapping
+// ErrCorrupt.
 func LoadCheckpoint(r io.Reader) (*Net, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

@@ -2,8 +2,11 @@ package nn
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
+	"os"
 	"testing"
 )
 
@@ -121,4 +124,86 @@ func TestNetFromWireRejectsCorruptWire(t *testing.T) {
 			t.Errorf("got net=%v err=%v, want nil + ErrCorrupt", got != nil, err)
 		}
 	})
+}
+
+// TestCheckpointRejectsHostileArchitecture: the architecture in a
+// CRC-valid envelope (another build's file, or a crafted one) is
+// checked before anything is sized by it — a negative or absurd
+// dimension used to panic in make or exhaust memory inside NewNet.
+func TestCheckpointRejectsHostileArchitecture(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"negative Hidden", func(c *Config) { c.Hidden = -1 }},
+		{"negative MLPHidden", func(c *Config) { c.MLPHidden = -2 }},
+		{"negative K", func(c *Config) { c.K = -3 }},
+		{"huge Hidden", func(c *Config) { c.Hidden = 1 << 40 }},
+		{"huge MLPHidden", func(c *Config) { c.MLPHidden = 1 << 40 }},
+		{"huge K", func(c *Config) { c.K = 1 << 40 }},
+		{"overflowing Hidden", func(c *Config) { c.Hidden = math.MaxInt }},
+		{"Hidden disagrees with the weights", func(c *Config) { c.Hidden++ }},
+		{"K disagrees with the weights", func(c *Config) { c.K-- }},
+		{"negative TimeScale", func(c *Config) { c.TimeScale = -1 }},
+		{"NaN TimeScale", func(c *Config) { c.TimeScale = math.NaN() }},
+		{"infinite TimeScale", func(c *Config) { c.TimeScale = math.Inf(1) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wire := guardNet().wire()
+			tc.mutate(&wire.Cfg)
+			data, err := sealWire(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := LoadCheckpoint(bytes.NewReader(data))
+			if n != nil || !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("got net=%v err=%v, want nil + ErrCorrupt", n != nil, err)
+			}
+		})
+	}
+}
+
+// parentGRUWeights is writeWeights' SHA-256 of the net behind
+// testdata/parent_gru.ckpt, and parentGRUMixture the bits of one
+// PredictWith on it (the embedding of interarrivals 3, 4, 5; size 100,
+// age 2), both printed by the program that wrote the file at commit
+// ebe4571 — the last one whose nn.Config had an RNN field, which is in
+// the file's gob stream and must be skipped silently.
+const parentGRUWeights = "9d63a3d5d371f875f96466ff3db5c26e43d9ef95bf8d178518698881ecbc42e3"
+
+var parentGRUMixture = [3][3]uint64{ // per component: W, Mu, S
+	{0x3fd57af09044561d, 0xc000b7b1ea114c84, 0x3ff1e4244ad1a3f5},
+	{0x3fd54181fc13366f, 0xbfe70b8d77a95876, 0x3feeed5591a887a0},
+	{0x3fd5438d73a87375, 0x3fe350406ce444a8, 0x3ff09c824722931b},
+}
+
+// TestParentCheckpointLoads: a checkpoint a parent-commit server wrote
+// still loads, to the same weights and the same prediction.
+func TestParentCheckpointLoads(t *testing.T) {
+	f, err := os.Open("testdata/parent_gru.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	n, err := LoadCheckpoint(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Config{Hidden: 4, MLPHidden: 6, K: 3, TimeScale: 7, Seed: 3}); n.Cfg != want {
+		t.Errorf("config %+v, want %+v", n.Cfg, want)
+	}
+	h := sha256.New()
+	writeWeights(h, n)
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != parentGRUWeights {
+		t.Errorf("weights hash %s, want %s", got, parentGRUWeights)
+	}
+	var m Mixture
+	n.PredictWith(n.NewPredictScratch(), n.EmbedHistory([]float64{3, 4, 5}), 100, 2, &m)
+	for k, want := range parentGRUMixture {
+		got := [3]uint64{math.Float64bits(m.W[k]), math.Float64bits(m.Mu[k]), math.Float64bits(m.S[k])}
+		if got != want {
+			t.Errorf("component %d: bits %#x, want %#x", k, got, want)
+		}
+	}
 }

@@ -247,3 +247,38 @@ func TestForeignFilesIgnored(t *testing.T) {
 		t.Errorf("foreign-only dir: net=%v err=%v info=%+v", n != nil, err, info)
 	}
 }
+
+// TestForeignCellCheckpointRejected: a checkpoint a parent-commit
+// build wrote for an LSTM net (../testdata, written at ebe4571) is a
+// valid envelope around an architecture this build cannot hold. It must
+// read as corrupt, and as the newest generation of a store it is
+// skipped for the older GRU generation the same build wrote.
+func TestForeignCellCheckpointRejected(t *testing.T) {
+	lstm, err := os.ReadFile("../testdata/parent_lstm.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := nn.LoadCheckpoint(bytes.NewReader(lstm)); n != nil || !errors.Is(err, nn.ErrCorrupt) {
+		t.Fatalf("foreign checkpoint: net=%v err=%v, want nil + ErrCorrupt", n != nil, err)
+	}
+	gru, err := os.ReadFile("../testdata/parent_gru.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := open(t, t.TempDir(), Options{})
+	for seq, data := range [][]byte{gru, lstm} {
+		if err := os.WriteFile(s.genPath(seq), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, info, err := s.LoadNewest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Seq != 0 || info.CorruptSkipped != 1 {
+		t.Errorf("info = %+v, want Seq=0 CorruptSkipped=1", info)
+	}
+	if want := (nn.Config{Hidden: 4, MLPHidden: 6, K: 3, TimeScale: 7, Seed: 3}); got.Cfg != want {
+		t.Errorf("resumed config %+v, want the GRU generation's %+v", got.Cfg, want)
+	}
+}

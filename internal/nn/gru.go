@@ -6,8 +6,8 @@ import (
 	"raven/internal/stats"
 )
 
-// GRU is a gated-recurrent-unit cell (the paper's default history
-// encoder, §4.2.1):
+// GRU is the gated-recurrent-unit cell the paper uses as its history
+// encoder (§4.2.1, §5.1.3):
 //
 //	z = σ(Wz x + Uz h + bz)
 //	r = σ(Wr x + Ur h + br)
@@ -17,11 +17,12 @@ type GRU struct {
 	In, HiddenN                        int
 	Wz, Uz, Bz, Wr, Ur, Br, Wh, Uh, Bh *Param
 
-	// inference scratch (lazily sized); GRU is not safe for
-	// concurrent use, matching the policy contract.
-	scrZ, scrR, scrRH, scrHC []float64
+	// scr holds the gate activations of a Step that records nothing
+	// (inference; built on first use). GRU is not safe for concurrent
+	// use, matching the policy contract.
+	scr *gruCache
 	// bwd is Backward's scratch, one 7·H block (lazily sized, private
-	// to each Shadow like the inference scratch).
+	// to each Shadow like scr).
 	bwd []float64
 }
 
@@ -42,33 +43,31 @@ func NewGRU(name string, in, hidden int, g *stats.RNG) *GRU {
 	return u
 }
 
-// Params implements Cell.
+// Params returns the learnable tensors.
 func (u *GRU) Params() []*Param {
 	return []*Param{u.Wz, u.Uz, u.Bz, u.Wr, u.Ur, u.Br, u.Wh, u.Uh, u.Bh}
 }
 
-// StateSize implements Cell.
-func (u *GRU) StateSize() int { return u.HiddenN }
-
-// OutputSize implements Cell.
-func (u *GRU) OutputSize() int { return u.HiddenN }
-
-// Cache buffer layout: Bufs = [z, r, r⊙h, ĥ].
-const (
-	gruZ = iota
-	gruR
-	gruRH
-	gruHC
-)
-
-// NewCache implements Cell.
-func (u *GRU) NewCache() *CellCache {
-	return newCellCache(u.In, u.HiddenN, u.HiddenN, u.HiddenN, u.HiddenN, u.HiddenN)
+// gruCache holds one step's activations: what Backward needs of a
+// training step, or the gate scratch of an inference step.
+type gruCache struct {
+	x, prev      []float64
+	z, r, rh, hc []float64 // update gate, reset gate, r⊙h, candidate ĥ
 }
 
-// Shadow implements Cell. The replica's lazily-sized inference
+func (u *GRU) newCache() *gruCache {
+	H := u.HiddenN
+	return &gruCache{
+		x: make([]float64, u.In), prev: make([]float64, H),
+		z: make([]float64, H), r: make([]float64, H), rh: make([]float64, H), hc: make([]float64, H),
+	}
+}
+
+// Shadow returns a replica whose weights alias this cell's but whose
+// gradient buffers and scratch are private, so one goroutine can run
+// Step/Backward concurrently with others. The replica's lazily-sized
 // scratch starts empty, so concurrent shadows never share it.
-func (u *GRU) Shadow() Cell {
+func (u *GRU) Shadow() *GRU {
 	return &GRU{In: u.In, HiddenN: u.HiddenN,
 		Wz: u.Wz.shadowOf(), Uz: u.Uz.shadowOf(), Bz: u.Bz.shadowOf(),
 		Wr: u.Wr.shadowOf(), Ur: u.Ur.shadowOf(), Br: u.Br.shadowOf(),
@@ -77,23 +76,20 @@ func (u *GRU) Shadow() Cell {
 
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
-// Step implements Cell. out may alias prev.
-func (u *GRU) Step(x, prev []float64, cache *CellCache, out []float64) {
+// Step advances prev to out given input x, recording activations in
+// cache when non-nil. out may alias prev.
+func (u *GRU) Step(x, prev []float64, cache *gruCache, out []float64) {
 	H := u.HiddenN
-	var z, r, rh, hc []float64
 	if cache != nil {
-		copy(cache.X, x)
-		copy(cache.Prev, prev)
-		z, r, rh, hc = cache.Bufs[gruZ], cache.Bufs[gruR], cache.Bufs[gruRH], cache.Bufs[gruHC]
+		copy(cache.x, x)
+		copy(cache.prev, prev)
 	} else {
-		if len(u.scrZ) != H {
-			u.scrZ = make([]float64, H)
-			u.scrR = make([]float64, H)
-			u.scrRH = make([]float64, H)
-			u.scrHC = make([]float64, H)
+		if u.scr == nil {
+			u.scr = u.newCache()
 		}
-		z, r, rh, hc = u.scrZ, u.scrR, u.scrRH, u.scrHC
+		cache = u.scr
 	}
+	z, r, rh, hc := cache.z, cache.r, cache.rh, cache.hc
 
 	matVec(u.Wz.W, H, u.In, x, u.Bz.W, z)
 	matVecAdd(u.Uz.W, H, prev, z)
@@ -118,10 +114,12 @@ func (u *GRU) Step(x, prev []float64, cache *CellCache, out []float64) {
 	}
 }
 
-// Backward implements Cell.
-func (u *GRU) Backward(cache *CellCache, dNext, dPrev []float64) {
+// Backward consumes dNext (the gradient on this step's output state)
+// and the step's cache, accumulates parameter gradients, and writes the
+// gradient on the previous state into dPrev (overwritten).
+func (u *GRU) Backward(cache *gruCache, dNext, dPrev []float64) {
 	H := u.HiddenN
-	z, r, rh, hc := cache.Bufs[gruZ], cache.Bufs[gruR], cache.Bufs[gruRH], cache.Bufs[gruHC]
+	z, r, rh, hc := cache.z, cache.r, cache.rh, cache.hc
 	if len(u.bwd) != 7*H {
 		u.bwd = make([]float64, 7*H)
 	}
@@ -131,28 +129,28 @@ func (u *GRU) Backward(cache *CellCache, dNext, dPrev []float64) {
 	zero(drh) // the only one accumulated into (matTVecAdd); the rest are assigned
 
 	for i := 0; i < H; i++ {
-		dz[i] = dNext[i] * (hc[i] - cache.Prev[i])
+		dz[i] = dNext[i] * (hc[i] - cache.prev[i])
 		dhc[i] = dNext[i] * z[i]
 		dPrev[i] = dNext[i] * (1 - z[i])
 		daH[i] = dhc[i] * (1 - hc[i]*hc[i])
 	}
 	// Candidate path.
-	outerAdd(u.Wh.G, H, u.In, daH, cache.X)
+	outerAdd(u.Wh.G, H, u.In, daH, cache.x)
 	outerAdd(u.Uh.G, H, H, daH, rh)
 	axpy(1, daH, u.Bh.G)
 	matTVecAdd(u.Uh.W, H, H, daH, drh)
 	for i := 0; i < H; i++ {
-		dr[i] = drh[i] * cache.Prev[i]
+		dr[i] = drh[i] * cache.prev[i]
 		dPrev[i] += drh[i] * r[i]
 		daZ[i] = dz[i] * z[i] * (1 - z[i])
 		daR[i] = dr[i] * r[i] * (1 - r[i])
 	}
 	// Gate paths.
-	outerAdd(u.Wz.G, H, u.In, daZ, cache.X)
-	outerAdd(u.Uz.G, H, H, daZ, cache.Prev)
+	outerAdd(u.Wz.G, H, u.In, daZ, cache.x)
+	outerAdd(u.Uz.G, H, H, daZ, cache.prev)
 	axpy(1, daZ, u.Bz.G)
-	outerAdd(u.Wr.G, H, u.In, daR, cache.X)
-	outerAdd(u.Ur.G, H, H, daR, cache.Prev)
+	outerAdd(u.Wr.G, H, u.In, daR, cache.x)
+	outerAdd(u.Ur.G, H, H, daR, cache.prev)
 	axpy(1, daR, u.Br.G)
 	matTVecAdd(u.Uz.W, H, H, daZ, dPrev)
 	matTVecAdd(u.Ur.W, H, H, daR, dPrev)

@@ -54,7 +54,7 @@ func TestPredictBatchMatchesPredictWith(t *testing.T) {
 	const batch = 16
 	in := make([]PredictInput, batch)
 	for i := range in {
-		h := make([]float64, n.StateSize())
+		h := make([]float64, n.Cfg.Hidden)
 		for j := range h {
 			h[j] = g.NormFloat64()
 		}
@@ -82,7 +82,7 @@ func TestFrozen32MatchesF64WithinTolerance(t *testing.T) {
 	s32 := fz.NewScratch()
 	g := stats.NewRNG(9)
 	for trial := 0; trial < 100; trial++ {
-		h := make([]float64, n.StateSize())
+		h := make([]float64, n.Cfg.Hidden)
 		for j := range h {
 			h[j] = g.NormFloat64()
 		}
@@ -125,7 +125,7 @@ func TestFrozen32PredictAllocFree(t *testing.T) {
 	n := testNet()
 	fz := n.Freeze32()
 	s := fz.NewScratch()
-	h := make([]float64, n.StateSize())
+	h := make([]float64, n.Cfg.Hidden)
 	var out Mixture
 	fz.Predict(s, h, 100, 10, &out) // first call fills the mixture
 	allocs := testing.AllocsPerRun(200, func() {

@@ -10,14 +10,11 @@ import (
 // encoder feeding a two-hidden-layer MLP whose three heads emit the
 // parameters of a K-component log-normal mixture over residual time.
 type Config struct {
-	Hidden    int     // recurrent hidden size (history embedding dimension)
+	Hidden    int     // GRU hidden size: the history embedding is the whole recurrent state
 	MLPHidden int     // width of the two MLP hidden layers
 	K         int     // number of mixture components
 	TimeScale float64 // ticks per normalized time unit (≈ mean interarrival)
-	// RNN selects the recurrent unit (§4.2.1): GRU (the paper's
-	// default), vanilla RNN, LSTM, or the faster SRU (§6.1.1).
-	RNN  RNNKind
-	Seed int64
+	Seed      int64
 }
 
 func (c *Config) defaults() {
@@ -43,7 +40,7 @@ type Net struct {
 	// detect stale cached embeddings after a model swap.
 	Version int
 
-	cell                 Cell
+	cell                 *GRU
 	fc1, fc2             *Dense
 	headW, headMu, headS *Dense
 	params               []*Param
@@ -63,7 +60,7 @@ func NewNet(cfg Config) *Net {
 	cfg.defaults()
 	g := stats.NewRNG(cfg.Seed)
 	n := &Net{Cfg: cfg}
-	n.cell = NewCell(cfg.RNN, cfg.RNN.String(), 1, cfg.Hidden, g)
+	n.cell = NewGRU("gru", 1, cfg.Hidden, g)
 	in := cfg.Hidden + 2 // embedding + size + age features
 	n.fc1 = NewDense("fc1", in, cfg.MLPHidden, g)
 	n.fc2 = NewDense("fc2", cfg.MLPHidden, cfg.MLPHidden, g)
@@ -127,13 +124,9 @@ func (n *Net) NumParams() int {
 	return t
 }
 
-// ZeroState returns a fresh zero recurrent state. Its first
-// Cfg.Hidden entries are the history embedding; LSTM and SRU carry
-// extra cell state behind it.
-func (n *Net) ZeroState() []float64 { return make([]float64, n.cell.StateSize()) }
-
-// StateSize returns the recurrent state length (>= Cfg.Hidden).
-func (n *Net) StateSize() int { return n.cell.StateSize() }
+// ZeroState returns a fresh zero recurrent state: the Cfg.Hidden-wide
+// history embedding of an object with no observed interarrivals.
+func (n *Net) ZeroState() []float64 { return make([]float64, n.Cfg.Hidden) }
 
 // featTau maps an interarrival time in ticks to the GRU input feature.
 func (n *Net) featTau(tau float64) float64 {
@@ -246,8 +239,7 @@ func (n *Net) NewPredictScratch() *PredictScratch {
 
 // Predict computes the residual-time mixture for an object with the
 // given history embedding, size (bytes) and age (ticks). The returned
-// mixture is over normalized time; use SampleResidual / MeanResidual
-// for tick-valued results, or scale by Cfg.TimeScale.
+// mixture is over normalized time; scale by Cfg.TimeScale for ticks.
 func (n *Net) Predict(h []float64, size, age float64, out *Mixture) {
 	c := n.newMLPCache()
 	n.forwardMLP(h, size, age, c, out)
@@ -277,40 +269,17 @@ func (n *Net) PredictBatch(s *PredictScratch, in []PredictInput, out []Mixture) 
 	}
 }
 
-// StepEmbedInto advances hPrev by one interarrival into hOut (which
-// may alias hPrev), allocation-free.
-func (n *Net) StepEmbedInto(hPrev, hOut []float64, tau float64) {
-	x := [1]float64{n.featTau(tau)}
-	n.cell.Step(x[:], hPrev, nil, hOut)
-}
-
 // EmbedHistoryInto recomputes an embedding into dst (resized as
 // needed) and returns it.
 func (n *Net) EmbedHistoryInto(dst []float64, taus []float64) []float64 {
-	ss := n.cell.StateSize()
-	if cap(dst) < ss {
-		dst = make([]float64, ss)
+	H := n.Cfg.Hidden
+	if cap(dst) < H {
+		dst = make([]float64, H)
 	}
-	dst = dst[:ss]
+	dst = dst[:H]
 	zero(dst)
 	for _, t := range taus {
-		n.StepEmbedInto(dst, dst, t)
+		n.StepEmbed(dst, t)
 	}
 	return dst
-}
-
-// SampleResidual draws one residual time in ticks from a mixture
-// produced by Predict.
-func (n *Net) SampleResidual(m *Mixture, g *stats.RNG) float64 {
-	return m.Sample(g) * n.Cfg.TimeScale
-}
-
-// MeanResidual returns the mixture's mean residual time in ticks.
-func (n *Net) MeanResidual(m *Mixture) float64 {
-	return m.Mean() * n.Cfg.TimeScale
-}
-
-// SurvivalTicks returns Pr{R > v} for v in ticks.
-func (n *Net) SurvivalTicks(m *Mixture, v float64) float64 {
-	return m.Survival(v / n.Cfg.TimeScale)
 }

@@ -31,8 +31,37 @@ func (n *Net) wire() netWire {
 	return w
 }
 
+// fits reports whether NewNet(c) allocates exactly have weights, the
+// number the stream carries. H², M² and K·M are each below that count,
+// so bounding them by have first keeps the sum from overflowing, and a
+// stream that passes sizes nothing larger than itself.
+func (c Config) fits(have int) bool {
+	H, M, K := c.Hidden, c.MLPHidden, c.K
+	if H < 1 || M < 1 || K < 1 || H > have/H || M > have/M || K > have/M {
+		return false
+	}
+	gru := 3 * (H + H*H + H) // one input feature
+	mlp := (H+2)*M + M + M*M + M
+	heads := 3 * (M*K + K)
+	return gru+mlp+heads == have
+}
+
 // netFromWire validates a decoded wire form and builds the network.
+// The architecture comes from outside the program: it is checked
+// against what the stream holds before NewNet sizes anything by it.
 func netFromWire(wire netWire) (*Net, error) {
+	wire.Cfg.defaults()
+	if ts := wire.Cfg.TimeScale; !(ts > 0) || math.IsInf(ts, 1) {
+		return nil, fmt.Errorf("nn: time scale %v in stream: %w", ts, ErrCorrupt)
+	}
+	have := 0
+	for _, t := range wire.Tensors {
+		have += len(t.W)
+	}
+	if !wire.Cfg.fits(have) {
+		return nil, fmt.Errorf("nn: architecture %+v does not describe the stream's %d weights: %w",
+			wire.Cfg, have, ErrCorrupt)
+	}
 	n := NewNet(wire.Cfg)
 	n.Version = wire.Version
 	byName := make(map[string]*Param, len(n.params))

@@ -8,40 +8,38 @@ import (
 )
 
 func TestCheckpointRoundTripAllCells(t *testing.T) {
-	for _, kind := range []RNNKind{GRUCell, LSTMCell, SRUCell} {
-		net := NewNet(Config{Hidden: 8, MLPHidden: 12, K: 4, TimeScale: 7, RNN: kind, Seed: 3})
-		// Give it distinctive weights via a tiny fit.
-		g := stats.NewRNG(1)
-		data := []Sequence{{Taus: []float64{5, 6, 7}, Size: 10, Survival: 2}}
-		for i := 0; i < 3; i++ {
-			data = append(data, Sequence{Taus: []float64{g.Float64() * 10}, Size: 5})
-		}
-		net.Fit(data, TrainConfig{MaxEpochs: 2, Patience: 1, Survival: true, Seed: 2})
+	net := NewNet(Config{Hidden: 8, MLPHidden: 12, K: 4, TimeScale: 7, Seed: 3})
+	// Give it distinctive weights via a tiny fit.
+	g := stats.NewRNG(1)
+	data := []Sequence{{Taus: []float64{5, 6, 7}, Size: 10, Survival: 2}}
+	for i := 0; i < 3; i++ {
+		data = append(data, Sequence{Taus: []float64{g.Float64() * 10}, Size: 5})
+	}
+	net.Fit(data, TrainConfig{MaxEpochs: 2, Patience: 1, Survival: true, Seed: 2})
 
-		var buf bytes.Buffer
-		if err := net.Checkpoint(&buf); err != nil {
-			t.Fatalf("%s: save: %v", kind, err)
-		}
-		got, err := LoadCheckpoint(&buf)
-		if err != nil {
-			t.Fatalf("%s: load: %v", kind, err)
-		}
-		if got.Version != net.Version {
-			t.Errorf("%s: version %d, want %d", kind, got.Version, net.Version)
-		}
-		if got.Cfg != net.Cfg {
-			t.Errorf("%s: config %+v, want %+v", kind, got.Cfg, net.Cfg)
-		}
-		// Predictions must match bit for bit.
-		h1 := net.EmbedHistory([]float64{3, 4, 5})
-		h2 := got.EmbedHistory([]float64{3, 4, 5})
-		var m1, m2 Mixture
-		net.Predict(h1, 100, 2, &m1)
-		got.Predict(h2, 100, 2, &m2)
-		for k := range m1.W {
-			if m1.W[k] != m2.W[k] || m1.Mu[k] != m2.Mu[k] || m1.S[k] != m2.S[k] {
-				t.Fatalf("%s: mixture mismatch after round trip", kind)
-			}
+	var buf bytes.Buffer
+	if err := net.Checkpoint(&buf); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	got, err := LoadCheckpoint(&buf)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if got.Version != net.Version {
+		t.Errorf("version %d, want %d", got.Version, net.Version)
+	}
+	if got.Cfg != net.Cfg {
+		t.Errorf("config %+v, want %+v", got.Cfg, net.Cfg)
+	}
+	// Predictions must match bit for bit.
+	h1 := net.EmbedHistory([]float64{3, 4, 5})
+	h2 := got.EmbedHistory([]float64{3, 4, 5})
+	var m1, m2 Mixture
+	net.Predict(h1, 100, 2, &m1)
+	got.Predict(h2, 100, 2, &m2)
+	for k := range m1.W {
+		if m1.W[k] != m2.W[k] || m1.Mu[k] != m2.Mu[k] || m1.S[k] != m2.S[k] {
+			t.Fatal("mixture mismatch after round trip")
 		}
 	}
 }

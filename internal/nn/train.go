@@ -323,21 +323,20 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 // Everything else is overwritten before it is read.
 type trainArena struct {
 	h, dh, dhPrev []float64
-	x             [1]float64 // the cell's input; a local would escape through the Cell interface
 	mix           Mixture
-	steps         []*mlpCache  // MLP activations: [i] timestep i, [m] the survival term
-	caches        []*CellCache // recurrent activations of timestep i (train only)
-	dhSteps       [][]float64  // the MLP's gradient on the embedding timestep i consumed
-	dy2, dy1, din []float64    // backwardMLP's layer gradients
+	steps         []*mlpCache // MLP activations: [i] timestep i, [m] the survival term
+	caches        []*gruCache // recurrent activations of timestep i (train only)
+	dhSteps       [][]float64 // the MLP's gradient on the embedding timestep i consumed
+	dy2, dy1, din []float64   // backwardMLP's layer gradients
 }
 
 // arenaFor returns n's arena with slots for an m-step sequence.
 func (n *Net) arenaFor(m int, train bool) *trainArena {
 	a := n.arena
 	if a == nil {
-		ss := n.cell.StateSize()
+		H := n.Cfg.Hidden
 		a = &trainArena{
-			h: make([]float64, ss), dh: make([]float64, ss), dhPrev: make([]float64, ss),
+			h: make([]float64, H), dh: make([]float64, H), dhPrev: make([]float64, H),
 			dy2: make([]float64, n.Cfg.MLPHidden), dy1: make([]float64, n.Cfg.MLPHidden),
 			din: make([]float64, n.Cfg.Hidden+2),
 		}
@@ -347,7 +346,7 @@ func (n *Net) arenaFor(m int, train bool) *trainArena {
 		a.steps = append(a.steps, n.newMLPCache())
 	}
 	for train && len(a.caches) < m {
-		a.caches = append(a.caches, n.cell.NewCache())
+		a.caches = append(a.caches, n.cell.newCache())
 		a.dhSteps = append(a.dhSteps, make([]float64, len(a.h)))
 	}
 	return a
@@ -394,11 +393,11 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 		n.forwardMLP(h, seq.Size, age, c, mix)
 		loss += mix.NLLGrad(residual/ts, c.dAW, c.dAMu, c.dAS)
 		terms++
-		a.x[0] = n.featTau(tau)
+		x := [1]float64{n.featTau(tau)}
 		if train {
-			n.cell.Step(a.x[:], h, a.caches[i], h)
+			n.cell.Step(x[:], h, a.caches[i], h)
 		} else {
-			n.cell.Step(a.x[:], h, nil, h)
+			n.cell.Step(x[:], h, nil, h)
 		}
 	}
 

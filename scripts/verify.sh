@@ -24,7 +24,9 @@
 #   alloc        the runtime referee for "no allocation per decision or
 #                per request": eviction decisions and f32 inference, the
 #                policy's record table (hit, miss, new key, admit, evict
-#                at its ceiling), the engine's lock-held evict section,
+#                at its ceiling, and a hit that steps a live embedding
+#                with a model installed), the engine's lock-held evict
+#                section,
 #                the serving path — text and binary direct, binary
 #                through the router — and the ring lookup hold 0
 #                allocs/op; and for "no allocation per trained term":
@@ -43,7 +45,9 @@
 #                FuzzEngineModel (the engine against its naive reference
 #                model); the seed corpora still pass
 #   checkpoint   a corrupted newest checkpoint generation is skipped on
-#                resume, end to end through raven-sim
+#                resume, end to end through raven-sim; checkpoints the
+#                parent of the one-cell commit wrote still load (GRU) or
+#                read as corrupt and are skipped (another cell)
 #
 # Any failure aborts with a nonzero exit. Every CI job calls a stage of
 # this script, so a green local run means a green CI run. SKIP_RACE=1
@@ -123,7 +127,7 @@ stage_determinism() {
 }
 
 stage_alloc() {
-    echo "==> eviction alloc sweep (0 allocs/op at Workers 1,2,4,8; f32 batch inference), the record table's request path (0 allocs/op at its ceiling) and the training arena (0 allocs/term)"
+    echo "==> eviction alloc sweep (0 allocs/op at Workers 1,2,4,8; f32 batch inference), the record table's request path (0 allocs/op at its ceiling, with and without a model installed) and the training arena (0 allocs/term)"
     run_named 'TestEvictionPathAllocFree|TestFastPathAllocFree|TestRequestPathAllocFree|TestFrozen32PredictAllocFree|TestFitAllocFree' ./internal/core/ ./internal/nn/
 
     echo "==> engine evict section alloc assertion (Victim + evict over a full shard; 0 allocs/op)"
@@ -149,6 +153,8 @@ stage_fuzz_smoke() {
 }
 
 stage_checkpoint() {
+    echo "==> on-disk compatibility: checkpoints written by an older build"
+    run_named 'TestParentCheckpointLoads|TestForeignCellCheckpointRejected' ./internal/nn/...
     echo "==> checkpoint corruption smoke"
     local dir newest out
     dir="$(mktemp -d)"
