@@ -40,7 +40,7 @@ func main() {
 		cacheFrac = flag.Float64("cachefrac", 0.02, "cache capacity as a fraction of unique bytes")
 		warmup    = flag.Float64("warmup", 0.3, "fraction of requests excluded from statistics")
 		netKind   = flag.String("net", "", "latency model: cdn|memory|'' (off)")
-		workers   = flag.Int("workers", 1, "Raven training/eviction goroutines (results are bit-identical for any value)")
+		workers   = flag.Int("workers", 1, "Raven training goroutines (results are bit-identical for any value; eviction decisions are serial)")
 		shards    = flag.Int("shards", 1, "cache shards, one policy instance each (rounded up to a power of two)")
 		ckptDir   = flag.String("checkpoint", "", "Raven checkpoint directory: resume from the newest valid generation, save after trainings")
 		ckptEvery = flag.Int("checkpoint-every", 1, "save a checkpoint generation every N completed trainings")
@@ -53,7 +53,7 @@ func main() {
 		admitMode = flag.String("admit", "", "admission front-end: off|doorkeeper|learned (learned needs a reuse-predicting policy: raven/raven-ohr)")
 
 		scoreCache  = flag.Bool("score-cache", false, "Raven cached-score eviction fast path")
-		inference32 = flag.Bool("inference32", false, "Raven float32 inference kernels on the fast path (training stays float64)")
+		inference32 = flag.Bool("inference32", false, "Raven float32 inference kernels for eviction decisions (training stays float64)")
 		budget      = flag.Duration("decision-budget", 0, "Raven per-eviction-decision deadline; overruns fall back to LRU (0 = off)")
 	)
 	flag.Parse()

@@ -72,7 +72,7 @@ func run() int {
 		admitMode = flag.String("admit", "", "admission front-end: off|doorkeeper|learned (learned needs a reuse-predicting policy: raven/raven-ohr)")
 
 		scoreCache  = flag.Bool("score-cache", true, "raven: cached-score eviction fast path")
-		inference32 = flag.Bool("inference32", true, "raven: float32 inference kernels on the fast path (training stays float64)")
+		inference32 = flag.Bool("inference32", true, "raven: float32 inference kernels for eviction decisions (training stays float64)")
 		budget      = flag.Duration("decision-budget", 50*time.Microsecond, "raven: per-eviction-decision deadline; overruns fall back to LRU and count toward degradation (0 = off)")
 
 		ckptDir   = flag.String("checkpoint", "", "learning-policy checkpoint directory: resume from the newest valid generation, save after trainings")

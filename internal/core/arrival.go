@@ -34,7 +34,7 @@ func (r *Raven) predictArrival(rc *rec) (int64, bool) {
 		r.pred = r.net.NewPredictScratch()
 	}
 	age := float64(r.now - rc.lastSeen)
-	r.net.PredictWith(r.pred, r.embedding(r.net, rc), float64(rc.size), age, &r.predMix)
+	r.net.PredictWith(r.pred, r.embedding(rc), float64(rc.size), age, &r.predMix)
 	if !mixtureFinite(&r.predMix) {
 		return 0, false
 	}

@@ -2,138 +2,131 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"raven/internal/cache"
 	"raven/internal/nn"
+	"raven/internal/obs"
 	"raven/internal/stats"
 	"raven/internal/trace"
 )
 
-// trainedRaven builds a Raven that has completed at least one training
-// window and holds a full cache, ready for eviction benchmarks.
-func trainedRaven(tb testing.TB, workers int) *Raven {
-	tb.Helper()
-	tr := trace.Synthetic(trace.SynthConfig{
-		Objects: 200, Requests: 30000, Interarrival: trace.Poisson, Seed: 5,
-	})
-	r := New(Config{
-		TrainWindow:     tr.Duration() / 4,
-		MaxTrainObjects: 300,
-		Net:             nn.Config{Hidden: 8, MLPHidden: 12, K: 4},
-		Train:           nn.TrainConfig{MaxEpochs: 5, Patience: 2},
-		Workers:         workers,
-		Seed:            7,
-	})
-	c := cache.New(40, r) // 40 unit-size objects
-	for _, req := range tr.Reqs {
-		c.Handle(req)
-	}
-	if r.Net() == nil {
-		tb.Fatal("raven never trained a model")
-	}
-	return r
+// estimators are Victim's two scoring steps, the rows of the eviction
+// alloc test and benchmark; each also runs under both inference widths.
+var estimators = []struct {
+	name       string
+	scoreCache bool
+}{{"win-count", false}, {"score-cache", true}}
+
+// fitted is a model fitted once per test binary, on one window of a
+// short trace, and shared by every deciding Raven: Victim only reads
+// it.
+var fitted struct {
+	once sync.Once
+	net  *nn.Net
+	tr   *trace.Trace
 }
 
-// TestEvictionPathAllocFree pins the eviction hot path at zero
-// allocations per decision for every worker count: after one warmup
-// call has grown every scratch buffer, refreshed every resident
-// embedding, and spawned the pool's parked workers, Victim must not
-// touch the heap. Workers>1 used to leak 2(w-1)+1 allocs per pool
-// dispatch through per-call goroutine closures; the persistent-worker
-// pool (nn/pool.go) eliminates them, and this sweep keeps it that way.
-//
-// The model is fitted once, on one window of a short trace, and shared:
-// training is bit-exact across Workers, so every entry of the sweep
-// would fit this same net. Each entry decides with it at its own
-// fan-out, over a cache filled by the trace's tail.
+// decidingRaven returns a Raven holding the shared fitted model over a
+// cache of 40 unit-size objects filled by the trace's tail, its first
+// decision made so every scratch buffer is grown and every resident
+// embedded. It never retrains.
+func decidingRaven(tb testing.TB, scoreCache, f32 bool) (*Raven, *obs.RavenObs) {
+	tb.Helper()
+	fitted.once.Do(func() {
+		tr := trace.Synthetic(trace.SynthConfig{
+			Objects: 200, Requests: 8000, Interarrival: trace.Poisson, Seed: 5,
+		})
+		r := New(Config{
+			TrainWindow:     tr.Duration()/2 + 1,
+			MaxTrainObjects: 300,
+			Net:             nn.Config{Hidden: 8, MLPHidden: 12, K: 4},
+			Train:           nn.TrainConfig{MaxEpochs: 5, Patience: 2},
+			Seed:            7,
+		})
+		fill(r, tr.Reqs)
+		fitted.net, fitted.tr = r.Net(), tr
+	})
+	if fitted.net == nil {
+		tb.Fatal("raven never trained a model")
+	}
+	ro := &obs.RavenObs{}
+	r := New(Config{TrainWindow: 1 << 40, ScoreCache: scoreCache, Inference32: f32, Obs: ro, Seed: 7})
+	r.net = fitted.net
+	fill(r, fitted.tr.Reqs[7000:])
+	r.Victim()
+	return r, ro
+}
+
+func fill(r *Raven, reqs []trace.Request) {
+	c := cache.New(40, r)
+	for _, req := range reqs {
+		c.Handle(req)
+	}
+}
+
+// TestEvictionPathAllocFree pins the eviction decision at zero
+// allocations under both estimators and both inference widths: after
+// one warmup call has grown every scratch buffer, frozen the weights
+// and refreshed every resident embedding, Victim must not touch the
+// heap. Under the score cache one resident is dirtied per decision by
+// bumping its epoch directly (observe would touch the training-window
+// reservoir, which is off the decision path and allowed to allocate),
+// so every decision also predicts and stamps.
 func TestEvictionPathAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
 	}
-	tr := trace.Synthetic(trace.SynthConfig{
-		Objects: 200, Requests: 8000, Interarrival: trace.Poisson, Seed: 5,
-	})
-	fill := func(r *Raven, reqs []trace.Request) {
-		c := cache.New(40, r) // 40 unit-size objects
-		for _, req := range reqs {
-			c.Handle(req)
-		}
-	}
-	fitted := New(Config{
-		TrainWindow:     tr.Duration()/2 + 1,
-		MaxTrainObjects: 300,
-		Net:             nn.Config{Hidden: 8, MLPHidden: 12, K: 4},
-		Train:           nn.TrainConfig{MaxEpochs: 5, Patience: 2},
-		Seed:            7,
-	})
-	fill(fitted, tr.Reqs)
-	if fitted.Net() == nil {
-		t.Fatal("raven never trained a model")
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			r := New(Config{TrainWindow: 1 << 40, Workers: w, Seed: 7})
-			r.net = fitted.net
-			fill(r, tr.Reqs[7000:])
-			r.Victim() // grow scratch, embed all residents, spawn workers
-			avg := testing.AllocsPerRun(200, func() {
-				if _, ok := r.Victim(); !ok {
-					t.Fatal("no victim from a full cache")
+	for _, est := range estimators {
+		for _, f32 := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/f32=%v", est.name, f32), func(t *testing.T) {
+				r, ro := decidingRaven(t, est.scoreCache, f32)
+				obj := r.tab.sides.at(r.tab.recs.at(r.tab.dense[3]).res)
+				predicted := ro.ScoreRescores.Load()
+				avg := testing.AllocsPerRun(200, func() {
+					obj.epoch++
+					if _, ok := r.Victim(); !ok {
+						t.Fatal("no victim from a full cache")
+					}
+				})
+				if avg != 0 {
+					t.Errorf("eviction decision allocates %.1f times per op; want 0", avg)
+				}
+				if r.health != Healthy || ro.ScoreRescores.Load() == predicted {
+					t.Fatalf("the model did not decide: health %v", r.health)
 				}
 			})
-			if avg != 0 {
-				t.Errorf("Workers=%d: eviction decision allocates %.1f times per op; want 0", w, avg)
-			}
-			if r.health != Healthy || r.infNets == nil {
-				t.Fatalf("the model did not decide: health %v", r.health)
-			}
-		})
+		}
 	}
 }
 
+// BenchmarkEvictDecision times one eviction decision under each
+// estimator and inference width. The joint win count predicts every
+// candidate every time. For the score cache the warm case (all
+// candidates clean) is the steady state the <50µs p99 SLO targets; the
+// all-dirty case bounds the worst decision after a model swap
+// invalidates every cached score.
 func BenchmarkEvictDecision(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			r := trainedRaven(b, w)
-			r.Victim() // warmup: grow scratch outside the timed region
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Victim()
+	for _, est := range estimators {
+		for _, width := range []string{"f64", "f32"} {
+			cases := []string{""}
+			if est.scoreCache {
+				cases = []string{"/warm", "/alldirty"}
 			}
-		})
-	}
-}
-
-// BenchmarkEvictDecisionFast times the ScoreCache fast path. The
-// warm-cache case (all candidates clean) is the steady state the <50µs
-// p99 SLO targets; the all-dirty case bounds the worst decision after
-// a model swap invalidates every cached score.
-func BenchmarkEvictDecisionFast(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		f32  bool
-	}{{"f64", false}, {"f32", true}} {
-		b.Run(mode.name+"/warm", func(b *testing.B) {
-			h := newFastHarness(func(c *Config) { c.Inference32 = mode.f32 })
-			h.r.Victim() // score + cache every resident
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.r.Victim()
+			for _, c := range cases {
+				b.Run(est.name+"/"+width+c, func(b *testing.B) {
+					r, _ := decidingRaven(b, est.scoreCache, width == "f32")
+					r.forceRescore = c == "/alldirty"
+					r.Victim()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						r.Victim()
+					}
+				})
 			}
-		})
-		b.Run(mode.name+"/alldirty", func(b *testing.B) {
-			h := newFastHarness(func(c *Config) { c.Inference32 = mode.f32 })
-			h.r.forceRescore = true
-			h.r.Victim()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.r.Victim()
-			}
-		})
+		}
 	}
 }
 

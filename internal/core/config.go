@@ -81,20 +81,20 @@ type Config struct {
 	// first window always trains.
 	DriftThreshold float64
 
-	// ScoreCache enables the cached-score eviction fast path (DESIGN.md
+	// ScoreCache selects Victim's score-cache estimator (DESIGN.md
 	// "Inference fast path & SLO"): each resident object's priority
 	// score is cached with a dirty-epoch stamp, Victim() re-embeds and
 	// re-predicts only candidates whose history advanced since their
 	// stamp, and dirty candidates are scored through one fused
-	// batch-predict + shared-RNG Monte Carlo pass. The fast path ranks
-	// candidates by their expected next-arrival time instead of the
-	// joint win-count estimator, so it is a deliberate approximation
-	// (off by default; the servers turn it on).
+	// batch-predict + shared-RNG Monte Carlo pass. It ranks candidates
+	// by their expected next-arrival time instead of the joint
+	// win-count estimator, so it is a deliberate approximation (off by
+	// default; the servers turn it on).
 	ScoreCache bool
-	// Inference32 routes fast-path predictions through the float32
-	// kernels of a frozen weight copy (nn.Freeze32). Training stays
-	// float64. Only consulted when ScoreCache is on. Off by default so
-	// exact-reproduction runs stay bit-identical to the f64 path.
+	// Inference32 routes every prediction Victim makes through the
+	// float32 kernels of a frozen weight copy (nn.Freeze32). Training
+	// stays float64. Off by default so exact-reproduction runs stay
+	// bit-identical to the f64 path.
 	Inference32 bool
 	// DecisionBudget is the per-eviction-decision latency SLO. When
 	// positive, Victim() checks the wall clock at candidate-loop
@@ -105,17 +105,10 @@ type Config struct {
 	// disables the deadline — and keeps the wall clock off the
 	// decision path entirely, which deterministic replay tests rely on.
 	DecisionBudget time.Duration
-	// EvictFault, when non-nil, runs once per re-scored candidate on
-	// the eviction fast path. Test hook for injecting latency into the
-	// decision loop (SLO overrun drills), mirroring Train.Faults.
+	// EvictFault, when non-nil, runs once per candidate Victim
+	// predicts. Test hook for injecting latency into the decision loop
+	// (SLO overrun drills), mirroring Train.Faults.
 	EvictFault func()
-
-	// Workers is the goroutine fan-out for training minibatches and
-	// per-candidate eviction inference (0 or 1 = serial). Results are
-	// bit-identical for every value — see DESIGN.md "Parallel execution
-	// & determinism" — so Workers is purely a throughput knob;
-	// nn.DefaultWorkers() is the hardware optimum.
-	Workers int
 
 	// Checkpoint, when Dir is set, persists the trained model with
 	// rotated, checksummed, atomically-written generations and
@@ -176,9 +169,6 @@ func (c *Config) defaults() {
 		c.Train.MaxSeq = 32
 	}
 	c.Train.Survival = !c.DisableSurvival
-	if c.Train.Workers == 0 {
-		c.Train.Workers = c.Workers
-	}
 	// A training without a guard of its own gets nn.DefaultGuard (finite
 	// checks, loss blow-up detection, outer gradient clip): a diverged
 	// fit rolls back to the last good network instead of committing

@@ -8,12 +8,13 @@ import (
 	"raven/internal/nn"
 )
 
-// The cached-score eviction fast path (Config.ScoreCache; DESIGN.md
-// "Inference fast path & SLO").
+// Eviction inference: the predict step of Victim's pipeline and the
+// score cache (Config.ScoreCache; DESIGN.md "Inference fast path &
+// SLO").
 //
-// The legacy estimator re-embeds, re-predicts, and re-samples every
+// The joint win count re-embeds, re-predicts, and re-samples every
 // sampled candidate on every decision — ~650µs per eviction on the
-// bench trace. The fast path gets comparable decision quality (within
+// bench trace. The score cache gets comparable decision quality (within
 // about one OHR point on the bench traces — it optimizes the paper's
 // Belady surrogate directly rather than the joint win-count tournament)
 // for a fraction of the work by exploiting two structural facts:
@@ -33,19 +34,17 @@ import (
 //     moved since their last scoring, so per decision only a handful
 //     of candidates pay embed+predict+sampling.
 //
-// Dirty candidates are batched through one fused PredictBatch pass
-// (f32 kernels when Config.Inference32) and their MC draws come off
-// the policy's own RNG stream serially in slot order — no per-
-// candidate Reseed (the legacy path's hidden cost: reseeding 64
-// std-lib generators per decision is ~300µs by itself), and results
-// are bit-identical for every Workers value because the fast path
-// never fans out.
+// Under either estimator the candidates that need a mixture go through
+// fused PredictBatch passes (f32 kernels when Config.Inference32). A
+// stamped score's MC draws come off the policy's own RNG stream
+// serially in slot order — no per-candidate Reseed, which is what makes
+// the joint win count's sampling cost ~300µs of its decision.
 
 // expClamp bounds the mean log-residual before exponentiation so a
 // wild mixture cannot push the score to +Inf and poison the cache.
 const expClamp = 700.0
 
-// invalidateFastPath drops every piece of fast-path state derived
+// invalidateFastPath drops every piece of inference state derived
 // from the current network. Cached per-object scores need no sweep:
 // they carry the model version and fail the stamp check lazily.
 func (r *Raven) invalidateFastPath() {
@@ -54,14 +53,12 @@ func (r *Raven) invalidateFastPath() {
 	r.pred = nil
 }
 
-// growFastScratch sizes the fast-path scratch slices for n candidates.
-func (r *Raven) growFastScratch(n int) {
+// growScratch sizes Victim's per-candidate scratch for n candidates.
+func (r *Raven) growScratch(n int) {
 	if cap(r.scrMix) < n {
 		r.scrMix = make([]nn.Mixture, n)
 		r.scrKeys = make([]cache.Key, n)
 		r.scrSize = make([]int64, n)
-	}
-	if cap(r.scrScore) < n {
 		r.scrScore = make([]float64, n)
 		r.scrRec = make([]*rec, n)
 		r.scrDirty = make([]int, 0, n)
@@ -74,79 +71,7 @@ func (r *Raven) growFastScratch(n int) {
 	r.scrRec = r.scrRec[:n]
 }
 
-// victimFast is Victim's ScoreCache decision path. Candidates with a
-// valid cached score reuse it; the rest are re-scored in one fused
-// pass. When Config.DecisionBudget is armed, the wall clock is checked
-// at candidate-loop boundaries and an overrun abandons the decision to
-// the LRU fallback (health.go sloOverrun).
-func (r *Raven) victimFast() (cache.Key, bool) {
-	budget := r.cfg.DecisionBudget
-	var deadline time.Time
-	if budget > 0 {
-		deadline = time.Now().Add(budget) //lint:allow wall-clock the DecisionBudget deadline is the SLO feature; replay configurations leave the budget at 0
-	}
-	t := r.tab
-	r.scrIdx = t.sampler.Sample(r.rng, len(t.dense), r.cfg.CandidateSample, r.scrIdx)
-	n := len(r.scrIdx)
-	r.growFastScratch(n)
-	ver := r.net.Version
-
-	// Partition candidates by score-stamp validity, slot order.
-	dirty := r.scrDirty[:0]
-	for j := 0; j < n; j++ {
-		rc := t.recs.at(t.dense[r.scrIdx[j]])
-		sd := t.sides.at(rc.res)
-		r.scrKeys[j] = rc.key
-		r.scrSize[j] = rc.size
-		r.scrRec[j] = rc
-		if !r.forceRescore && int(sd.scoreVer) == ver && sd.scoreEp == sd.epoch {
-			r.scrScore[j] = sd.score
-		} else {
-			// Into scratch sized by growFastScratch.
-			dirty = append(dirty, j)
-		}
-	}
-	r.scrDirty = dirty
-	if r.obs != nil {
-		r.obs.ScoreCacheHits.Add(int64(n - len(dirty)))
-		r.obs.ScoreRescores.Add(int64(len(dirty)))
-	}
-
-	if len(dirty) > 0 {
-		if ok := r.rescore(dirty, ver, budget, deadline); !ok {
-			// rescore already recorded why (scoresInsane or sloOverrun);
-			// this decision is served from the LRU fallback.
-			return r.fallbackVictim(), true
-		}
-	}
-
-	// Argmax over cached + fresh scores, serial slot order. For the
-	// OHR goal the comparison weights the predicted RESIDUAL (not the
-	// absolute arrival time, whose magnitude would drown the size
-	// factor) by object size, mirroring the §3.4 size weighting.
-	best := math.Inf(-1)
-	victim := 0
-	for j := 0; j < n; j++ {
-		s := r.scrScore[j]
-		if r.cfg.Goal == GoalOHR {
-			res := s - float64(r.now)
-			if res < 1 {
-				res = 1
-			}
-			s = res * float64(r.scrSize[j])
-		}
-		if s > best {
-			best = s
-			victim = j
-		}
-	}
-	if budget > 0 {
-		r.sloMet()
-	}
-	return r.choose(victim), true
-}
-
-// rescoreChunk is how many dirty candidates rescore embeds, predicts,
+// rescoreChunk is how many dirty candidates predict embeds, predicts,
 // and stamps between deadline checks. Chunking is what lets the score
 // cache warm under a tight DecisionBudget: the all-dirty decision
 // right after a model swap costs far more than any sane budget, and an
@@ -160,13 +85,14 @@ func (r *Raven) victimFast() (cache.Key, bool) {
 // stream (and every score) is unchanged by the chunk size.
 const rescoreChunk = 16
 
-// rescore refreshes the embeddings of the dirty candidates, predicts
-// their residual-time mixtures in fused batches, and Monte Carlo
-// scores each from the policy's shared RNG stream in slot order,
-// stamping scores chunk by chunk. It returns false when the decision
-// must fall back (insane scores or deadline overrun, already
+// predict refreshes the embeddings of the dirty candidates and
+// predicts their residual-time mixtures into scrMix (position i of
+// dirty at scrMix[i]) in fused batches. Under the score cache it also
+// Monte Carlo scores each from the policy's shared RNG stream in slot
+// order, stamping scores chunk by chunk. It returns false when the
+// decision must fall back (insane mixture or deadline overrun, already
 // recorded); scores stamped before the abort remain cached.
-func (r *Raven) rescore(dirty []int, ver int, budget time.Duration, deadline time.Time) bool {
+func (r *Raven) predict(dirty []int, ver int, budget time.Duration, deadline time.Time) bool {
 	if r.cfg.Inference32 {
 		if r.frozen == nil || r.frozen.Version != ver {
 			r.frozen = r.net.Freeze32()
@@ -178,17 +104,12 @@ func (r *Raven) rescore(dirty []int, ver int, budget time.Duration, deadline tim
 	} else if r.pred == nil {
 		r.pred = r.net.NewPredictScratch()
 	}
-	m := r.cfg.ResidualSamples
-	ts := r.net.Cfg.TimeScale
 	for start := 0; start < len(dirty); start += rescoreChunk {
-		end := start + rescoreChunk
-		if end > len(dirty) {
-			end = len(dirty)
-		}
+		end := min(start+rescoreChunk, len(dirty))
 		chunk := dirty[start:end]
 		for ci, j := range chunk {
 			rc := r.scrRec[j]
-			r.scrIn[start+ci] = nn.PredictInput{H: r.embedding(r.net, rc), Size: float64(rc.size), Age: float64(r.now - rc.lastSeen)}
+			r.scrIn[start+ci] = nn.PredictInput{H: r.embedding(rc), Size: float64(rc.size), Age: float64(r.now - rc.lastSeen)}
 		}
 		in := r.scrIn[start:end]
 		mixes := r.scrMix[start:end]
@@ -197,37 +118,23 @@ func (r *Raven) rescore(dirty []int, ver int, budget time.Duration, deadline tim
 		} else {
 			r.net.PredictBatch(r.pred, in, mixes)
 		}
+		// Runtime sanity gate: a single non-finite mixture parameter
+		// means the model's output can no longer be trusted to order
+		// candidates — enter Fallback now and evict by LRU instead of
+		// comparing NaNs.
 		for ci := range mixes {
 			if !mixtureFinite(&mixes[ci]) {
 				r.scoresInsane()
 				return false
 			}
 		}
-		// Fused MC scoring: all candidates' draws come off the shared
-		// stream serially in slot order, so the sequence of variates —
-		// and therefore every score — is a pure function of the trace
-		// and seed.
 		for ci, j := range chunk {
 			if r.cfg.EvictFault != nil {
 				r.cfg.EvictFault()
 			}
-			mix := &mixes[ci]
-			r.scrCum = cumWeights(mix.W, r.scrCum)
-			sum := 0.0
-			for s := 0; s < m; s++ {
-				sum += sampleLogResidual(mix, r.scrCum, r.rng)
+			if r.cfg.ScoreCache {
+				r.stampArrival(j, &mixes[ci], ver)
 			}
-			lr := sum / float64(m)
-			if lr > expClamp {
-				lr = expClamp
-			} else if lr < -expClamp {
-				lr = -expClamp
-			}
-			rc := r.scrRec[j]
-			sd := r.tab.sides.at(rc.res)
-			score := float64(rc.lastSeen) + ts*math.Exp(lr)
-			sd.score, sd.scoreEp, sd.scoreVer = score, sd.epoch, int32(ver)
-			r.scrScore[j] = score
 		}
 		if r.overBudget(budget, deadline) {
 			r.sloOverrun()
@@ -235,6 +142,30 @@ func (r *Raven) rescore(dirty []int, ver int, budget time.Duration, deadline tim
 		}
 	}
 	return true
+}
+
+// stampArrival scores candidate slot j by its predicted next-arrival
+// time and caches the score on its side record. Its draws come off the
+// shared stream in slot order, so every score is a pure function of
+// the trace and seed.
+func (r *Raven) stampArrival(j int, mix *nn.Mixture, ver int) {
+	m := r.cfg.ResidualSamples
+	r.scrCum = cumWeights(mix.W, r.scrCum)
+	sum := 0.0
+	for s := 0; s < m; s++ {
+		sum += sampleLogResidual(mix, r.scrCum, r.rng)
+	}
+	lr := sum / float64(m)
+	if lr > expClamp {
+		lr = expClamp
+	} else if lr < -expClamp {
+		lr = -expClamp
+	}
+	rc := r.scrRec[j]
+	sd := r.tab.sides.at(rc.res)
+	score := float64(rc.lastSeen) + r.net.Cfg.TimeScale*math.Exp(lr)
+	sd.score, sd.scoreEp, sd.scoreVer = score, sd.epoch, int32(ver)
+	r.scrScore[j] = score
 }
 
 // overBudget reports whether an armed DecisionBudget deadline has

@@ -107,171 +107,154 @@ func TestScoreCacheAllDirtyMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestScoreCacheMetricsReconcile checks the accounting contract: over
-// any run, score_cache_hits + score_rescores equals the total number
-// of candidates the fast path considered, and a skewed touch pattern
+// TestScoreCacheMetricsReconcile checks the accounting contract under
+// both estimators: over any run, score_cache_hits + score_rescores
+// equals the total number of candidates Victim considered. The joint
+// win count predicts every candidate, so it reports them all as
+// rescores and no hits; under the score cache a skewed touch pattern
 // actually produces cache hits.
 func TestScoreCacheMetricsReconcile(t *testing.T) {
-	ro := &obs.RavenObs{}
-	h := newFastHarness(func(c *Config) { c.Obs = ro })
-	ro.ScoreCacheHits.Add(-ro.ScoreCacheHits.Load()) // ignore harness setup
-	ro.ScoreRescores.Add(-ro.ScoreRescores.Load())
-	total := int64(0)
-	for round := 0; round < 50; round++ {
-		h.touchOne(round % 4) // skew: only a few residents ever move
-		// CandidateSample (64) exceeds the resident count, so every
-		// decision considers every resident.
-		total += int64(len(h.resident))
-		h.evictAdmit(t)
-	}
-	hits, rescores := ro.ScoreCacheHits.Load(), ro.ScoreRescores.Load()
-	if hits+rescores != total {
-		t.Fatalf("hits(%d) + rescores(%d) = %d, want %d candidates considered",
-			hits, rescores, hits+rescores, total)
-	}
-	if hits == 0 {
-		t.Fatal("skewed trace produced zero score-cache hits; the cache is not caching")
-	}
-	if rescores == 0 {
-		t.Fatal("zero rescores; dirty candidates were never re-scored")
-	}
-}
-
-// TestFastPathWorkersBitExact pins the fast path's determinism
-// contract: Workers is a throughput knob only, so any worker count
-// must produce the identical victim sequence.
-func TestFastPathWorkersBitExact(t *testing.T) {
-	a := newFastHarness(func(c *Config) { c.Workers = 1 })
-	b := newFastHarness(func(c *Config) { c.Workers = 8 })
-	for round := 0; round < 40; round++ {
-		if round%3 == 0 {
-			a.touchAll()
-			b.touchAll()
-		} else {
-			a.touchOne(round % 5)
-			b.touchOne(round % 5)
-		}
-		if va, vb := a.evictAdmit(t), b.evictAdmit(t); va != vb {
-			t.Fatalf("round %d: Workers=1 victim %d != Workers=8 victim %d", round, va, vb)
-		}
+	for _, est := range estimators {
+		t.Run(est.name, func(t *testing.T) {
+			ro := &obs.RavenObs{}
+			h := newFastHarness(func(c *Config) { c.Obs = ro; c.ScoreCache = est.scoreCache })
+			ro.ScoreCacheHits.Add(-ro.ScoreCacheHits.Load()) // ignore harness setup
+			ro.ScoreRescores.Add(-ro.ScoreRescores.Load())
+			total := int64(0)
+			for round := 0; round < 50; round++ {
+				h.touchOne(round % 4) // skew: only a few residents ever move
+				// CandidateSample (64) exceeds the resident count, so every
+				// decision considers every resident.
+				total += int64(len(h.resident))
+				h.evictAdmit(t)
+			}
+			hits, rescores := ro.ScoreCacheHits.Load(), ro.ScoreRescores.Load()
+			if hits+rescores != total {
+				t.Fatalf("hits(%d) + rescores(%d) = %d, want %d candidates considered",
+					hits, rescores, hits+rescores, total)
+			}
+			if !est.scoreCache {
+				if hits != 0 {
+					t.Fatalf("the joint win count reported %d score-cache hits; it caches nothing", hits)
+				}
+				return
+			}
+			if hits == 0 {
+				t.Fatal("skewed trace produced zero score-cache hits; the cache is not caching")
+			}
+			if rescores == 0 {
+				t.Fatal("zero rescores; dirty candidates were never re-scored")
+			}
+		})
 	}
 }
 
-// TestFastPathInference32MatchesRanking sanity-checks the f32 path:
-// it must run, never pick a non-resident victim, and — since the f32
-// forward pass differs from f64 by ~1e-6 while Monte Carlo scores are
-// separated by sampling noise orders of magnitude larger — it should
-// agree with the f64 fast path on nearly every decision.
+// TestFastPathInference32MatchesRanking sanity-checks float32
+// inference under both estimators: it must run, never pick a
+// non-resident victim, and — since the f32 forward pass differs from
+// f64 by ~1e-6 while Monte Carlo scores are separated by sampling noise
+// orders of magnitude larger — it should agree with f64 on nearly every
+// decision.
 func TestFastPathInference32MatchesRanking(t *testing.T) {
-	a := newFastHarness(nil)
-	b := newFastHarness(func(c *Config) { c.Inference32 = true })
-	agree, total := 0, 60
-	for round := 0; round < total; round++ {
-		a.touchAll()
-		b.touchAll()
-		va := a.evictAdmit(t)
-		vb := b.evictAdmit(t)
-		if va == vb {
-			agree++
-		}
-	}
-	// The two paths draw different variates once a single decision
-	// diverges, so demand strong but not perfect agreement.
-	if agree < total*8/10 {
-		t.Fatalf("f32 and f64 fast paths agreed on %d/%d decisions; expected >= %d", agree, total, total*8/10)
+	for _, est := range estimators {
+		t.Run(est.name, func(t *testing.T) {
+			a := newFastHarness(func(c *Config) { c.ScoreCache = est.scoreCache })
+			b := newFastHarness(func(c *Config) { c.ScoreCache = est.scoreCache; c.Inference32 = true })
+			agree, total := 0, 60
+			for round := 0; round < total; round++ {
+				a.touchAll()
+				b.touchAll()
+				va := a.evictAdmit(t)
+				vb := b.evictAdmit(t)
+				if va == vb {
+					agree++
+				}
+			}
+			// The two runs draw different variates once a single decision
+			// diverges, so demand strong but not perfect agreement.
+			if agree < total*8/10 {
+				t.Fatalf("f32 and f64 agreed on %d/%d decisions; expected >= %d", agree, total, total*8/10)
+			}
+		})
 	}
 }
 
-// TestSLOOverrunDegradesAndRecovers is the acceptance drill: a slow
-// predictor makes decisions overrun Config.DecisionBudget, every
-// overrun is served from the LRU fallback and counted, a streak of
-// them degrades health exactly like a training trip, and a completed
-// training restores Healthy.
+// TestSLOOverrunDegradesAndRecovers is the acceptance drill, under both
+// estimators: a slow predictor makes decisions overrun
+// Config.DecisionBudget, every overrun is served from the LRU fallback
+// and counted, a streak of them degrades health exactly like a training
+// trip, and a completed training restores Healthy.
 func TestSLOOverrunDegradesAndRecovers(t *testing.T) {
-	ro := &obs.RavenObs{}
-	h := newFastHarness(func(c *Config) { c.Obs = ro })
-	h.r.cfg.DecisionBudget = 2 * time.Millisecond
-	h.r.cfg.EvictFault = func() { time.Sleep(time.Millisecond) }
+	for _, est := range estimators {
+		t.Run(est.name, func(t *testing.T) {
+			ro := &obs.RavenObs{}
+			h := newFastHarness(func(c *Config) { c.Obs = ro; c.ScoreCache = est.scoreCache })
+			h.r.cfg.DecisionBudget = 2 * time.Millisecond
+			h.r.cfg.EvictFault = func() { time.Sleep(time.Millisecond) }
 
-	for i := 0; i < sloTripsBeforeDegrade; i++ {
-		h.touchAll() // keep candidates dirty so the slow rescore path runs
-		lru := h.r.lruTail()
-		v := h.evictAdmit(t)
-		if v != lru {
-			t.Fatalf("overrun decision %d evicted %d, want LRU tail %d", i, v, lru)
-		}
-	}
-	if got := ro.SLOOverruns.Load(); got != sloTripsBeforeDegrade {
-		t.Fatalf("raven.slo_overruns = %d, want %d", got, sloTripsBeforeDegrade)
-	}
-	if h.r.Health() != Degraded {
-		t.Fatalf("health after %d consecutive overruns = %v, want Degraded", sloTripsBeforeDegrade, h.r.Health())
-	}
-	last := h.r.HealthLog[len(h.r.HealthLog)-1]
-	if last.Reason != "eviction decision SLO overrun" {
-		t.Fatalf("transition reason = %q", last.Reason)
-	}
+			for i := 0; i < sloTripsBeforeDegrade; i++ {
+				h.touchAll() // keep candidates dirty so the slow predict step runs
+				lru := h.r.lruTail()
+				v := h.evictAdmit(t)
+				if v != lru {
+					t.Fatalf("overrun decision %d evicted %d, want LRU tail %d", i, v, lru)
+				}
+			}
+			if got := ro.SLOOverruns.Load(); got != sloTripsBeforeDegrade {
+				t.Fatalf("raven.slo_overruns = %d, want %d", got, sloTripsBeforeDegrade)
+			}
+			if h.r.Health() != Degraded {
+				t.Fatalf("health after %d consecutive overruns = %v, want Degraded", sloTripsBeforeDegrade, h.r.Health())
+			}
+			last := h.r.HealthLog[len(h.r.HealthLog)-1]
+			if last.Reason != "eviction decision SLO overrun" {
+				t.Fatalf("transition reason = %q", last.Reason)
+			}
 
-	// Recovery: remove the fault and complete a real training window.
-	h.r.cfg.EvictFault = nil
-	h.r.cfg.DecisionBudget = 0
-	tr := trace.Synthetic(trace.SynthConfig{Objects: 60, Requests: 6000, Interarrival: trace.Poisson, Seed: 9})
-	h.r.cfg.TrainWindow = tr.Duration() / 2 // make the boundary reachable
-	base := h.now + 1
-	for _, req := range tr.Reqs {
-		req.Time += base
-		h.r.OnMiss(req)
-	}
-	if h.r.Health() != Healthy {
-		t.Fatalf("health after successful retrain = %v, want Healthy", h.r.Health())
-	}
-	if _, ok := h.r.Victim(); !ok {
-		t.Fatal("no victim after recovery")
+			// Recovery: remove the fault and complete a real training window.
+			h.r.cfg.EvictFault = nil
+			h.r.cfg.DecisionBudget = 0
+			tr := trace.Synthetic(trace.SynthConfig{Objects: 60, Requests: 6000, Interarrival: trace.Poisson, Seed: 9})
+			h.r.cfg.TrainWindow = tr.Duration() / 2 // make the boundary reachable
+			base := h.now + 1
+			for _, req := range tr.Reqs {
+				req.Time += base
+				h.r.OnMiss(req)
+			}
+			if h.r.Health() != Healthy {
+				t.Fatalf("health after successful retrain = %v, want Healthy", h.r.Health())
+			}
+			if _, ok := h.r.Victim(); !ok {
+				t.Fatal("no victim after recovery")
+			}
+		})
 	}
 }
 
 // TestSLOMetResetsStreak: overruns separated by in-budget decisions
-// never accumulate into a guard trip.
+// never accumulate into a guard trip, under either estimator.
 func TestSLOMetResetsStreak(t *testing.T) {
-	ro := &obs.RavenObs{}
-	h := newFastHarness(func(c *Config) { c.Obs = ro })
-	h.r.cfg.DecisionBudget = 2 * time.Millisecond
-	slow := func() { time.Sleep(time.Millisecond) }
-	for i := 0; i < 2*sloTripsBeforeDegrade; i++ {
-		if i%2 == 0 {
-			h.r.cfg.EvictFault = slow // overrun
-		} else {
-			h.r.cfg.EvictFault = nil // comfortably in budget
-		}
-		h.touchAll()
-		h.evictAdmit(t)
-	}
-	if got := ro.SLOOverruns.Load(); got != sloTripsBeforeDegrade {
-		t.Fatalf("raven.slo_overruns = %d, want %d", got, sloTripsBeforeDegrade)
-	}
-	if h.r.Health() != Healthy {
-		t.Fatalf("health = %v after alternating overruns, want Healthy (streak must reset)", h.r.Health())
-	}
-}
-
-// TestFastPathAllocFree extends the zero-alloc eviction guarantee to
-// the ScoreCache fast path, in both f64 and f32 inference modes.
-func TestFastPathAllocFree(t *testing.T) {
-	for _, f32 := range []bool{false, true} {
-		h := newFastHarness(func(c *Config) { c.Inference32 = f32 })
-		h.r.Victim() // warm: grow scratch, freeze weights, embed residents
-		// Dirty one object per decision by bumping its epoch directly
-		// (observe would touch the training-window reservoir, which is
-		// off the decision path and allowed to allocate).
-		obj := h.r.sideOf(h.resident[3])
-		avg := testing.AllocsPerRun(200, func() {
-			obj.epoch++
-			if _, ok := h.r.Victim(); !ok {
-				t.Fatal("no victim from a populated policy")
+	for _, est := range estimators {
+		t.Run(est.name, func(t *testing.T) {
+			ro := &obs.RavenObs{}
+			h := newFastHarness(func(c *Config) { c.Obs = ro; c.ScoreCache = est.scoreCache })
+			h.r.cfg.DecisionBudget = 2 * time.Millisecond
+			slow := func() { time.Sleep(time.Millisecond) }
+			for i := 0; i < 2*sloTripsBeforeDegrade; i++ {
+				if i%2 == 0 {
+					h.r.cfg.EvictFault = slow // overrun
+				} else {
+					h.r.cfg.EvictFault = nil // comfortably in budget
+				}
+				h.touchAll()
+				h.evictAdmit(t)
+			}
+			if got := ro.SLOOverruns.Load(); got != sloTripsBeforeDegrade {
+				t.Fatalf("raven.slo_overruns = %d, want %d", got, sloTripsBeforeDegrade)
+			}
+			if h.r.Health() != Healthy {
+				t.Fatalf("health = %v after alternating overruns, want Healthy (streak must reset)", h.r.Health())
 			}
 		})
-		if avg != 0 {
-			t.Errorf("Inference32=%v: fast-path decision allocates %.1f times per op; want 0", f32, avg)
-		}
 	}
 }

@@ -108,86 +108,56 @@ func PriorityScoresExact(mixes []nn.Mixture, points int) []float64 {
 }
 
 // mcScratch is the reusable state of the Monte Carlo priority
-// estimator (Eq. 1c): per-candidate cumulative mixture weights, the
-// n×m matrix of log-residual draws, per-candidate seeds and RNG
-// streams, and the win counters. Raven holds one so the eviction hot
-// path is allocation-free after warmup; PriorityScoresMC builds a
-// throwaway one per call.
+// estimator (Eq. 1c): one candidate's cumulative mixture weights, the
+// running farthest draw (and its candidate) per draw index, the win
+// counters, and the generator each candidate's draws come from. Raven
+// holds one so the eviction hot path is allocation-free after warmup;
+// PriorityScoresMC builds a throwaway one per call.
 type mcScratch struct {
-	pool  *nn.Pool
-	task  func(w, j int) // pre-bound sampleCandidate, so ParallelFor takes no fresh closure
-	mixes []nn.Mixture
-	m     int
-	cums  [][]float64
-	samp  []float64
-	seeds []int64
-	rngs  []*stats.RNG
+	rng   *stats.RNG // reseeded per candidate
+	cum   []float64
+	best  []float64
+	bestJ []int
 	wins  []int
 }
 
-func newMCScratch(pool *nn.Pool) *mcScratch {
-	sc := &mcScratch{pool: pool}
-	sc.task = sc.sampleCandidate
-	return sc
-}
-
-// sampleCandidate fills candidate j's row of the draw matrix. It runs
-// on pool workers: per the Pool contract it writes only j-addressed
-// state, and its variates come from candidate j's own seeded stream,
-// so the matrix is bit-identical for any worker count.
-func (sc *mcScratch) sampleCandidate(w, j int) {
-	mix := &sc.mixes[j]
-	sc.cums[j] = cumWeights(mix.W, sc.cums[j])
-	rng := sc.rngs[j]
-	rng.Reseed(sc.seeds[j])
-	row := sc.samp[j*sc.m : (j+1)*sc.m]
-	for s := range row {
-		row[s] = sampleLogResidual(mix, sc.cums[j], rng)
-	}
-}
+func newMCScratch() *mcScratch { return &mcScratch{rng: stats.NewRNG(0)} }
 
 // winsMC estimates Eq. 1c win counts: m residual draws per candidate,
 // counting per draw index which candidate's sample is the farthest.
-// Per-candidate seeds come off g serially before the parallel section,
-// and the argmax reduction scans the draw matrix serially in index
-// order, so the result is bit-identical for any pool size.
+// Each candidate's seed comes off g in candidate order and its draws
+// from rng reseeded to it, so a candidate's variates depend on its seed
+// alone. Candidates are visited in ascending order and a draw replaces
+// the running best only when strictly larger, so ties go to the lowest
+// index.
 func (sc *mcScratch) winsMC(mixes []nn.Mixture, m int, g *stats.RNG) []int {
 	n := len(mixes)
-	sc.mixes, sc.m = mixes, m
-	for len(sc.cums) < n {
-		sc.cums = append(sc.cums, nil)
-	}
-	for len(sc.rngs) < n {
-		sc.rngs = append(sc.rngs, stats.NewRNG(0)) // reseeded before every use
-	}
-	if cap(sc.seeds) < n {
-		sc.seeds = make([]int64, n)
-	}
-	sc.seeds = sc.seeds[:n]
 	if cap(sc.wins) < n {
 		sc.wins = make([]int, n)
 	}
 	sc.wins = sc.wins[:n]
-	if cap(sc.samp) < n*m {
-		sc.samp = make([]float64, n*m)
+	if cap(sc.best) < m {
+		sc.best = make([]float64, m)
+		sc.bestJ = make([]int, m)
 	}
-	sc.samp = sc.samp[:n*m]
-	for j := 0; j < n; j++ {
-		sc.seeds[j] = g.Int63()
+	best, bestJ := sc.best[:m], sc.bestJ[:m]
+	for s := range best {
+		best[s], bestJ[s] = math.Inf(-1), 0
+	}
+	for j := range mixes {
 		sc.wins[j] = 0
-	}
-	sc.pool.ParallelFor(n, sc.task)
-	for s := 0; s < m; s++ {
-		bestJ, bestR := 0, math.Inf(-1)
-		for j := 0; j < n; j++ {
-			if r := sc.samp[j*m+s]; r > bestR {
-				bestR = r
-				bestJ = j
+		sc.rng.Reseed(g.Int63())
+		mix := &mixes[j]
+		sc.cum = cumWeights(mix.W, sc.cum)
+		for s := range best {
+			if x := sampleLogResidual(mix, sc.cum, sc.rng); x > best[s] {
+				best[s], bestJ[s] = x, j
 			}
 		}
-		sc.wins[bestJ]++
 	}
-	sc.mixes = nil
+	for _, j := range bestJ {
+		sc.wins[j]++
+	}
 	return sc.wins
 }
 
@@ -202,7 +172,7 @@ func PriorityScoresMC(mixes []nn.Mixture, m int, g *stats.RNG) []float64 {
 	if n == 0 || m <= 0 {
 		return out
 	}
-	wins := newMCScratch(nil).winsMC(mixes, m, g)
+	wins := newMCScratch().winsMC(mixes, m, g)
 	for j := range out {
 		out[j] = float64(wins[j]) / float64(m)
 	}

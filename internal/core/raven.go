@@ -28,26 +28,16 @@ type Raven struct {
 	window *window
 	drift  *driftDetector
 
-	// Eviction fan-out state. pool runs the per-candidate embed+predict
-	// and MC sampling loops; infNets/infPred are one shadow network and
-	// prediction scratch per worker (rebuilt lazily after a model swap);
-	// candTask is the pre-bound candidate closure so Victim never
-	// allocates one.
-	pool     *nn.Pool
-	infNets  []*nn.Net
-	infPred  []*nn.PredictScratch
-	candTask func(w, j int)
-	mc       *mcScratch
-
-	// Fast-path inference state (fastpath.go): the frozen f32 weight
-	// copy and its scratch (Inference32), the serial f64 batch scratch,
-	// and the per-decision SLO overrun streak.
+	// Eviction inference state (fastpath.go, priority.go): the joint
+	// win count's scratch, the frozen f32 weight copy and its scratch (Inference32),
+	// the f64 batch scratch, and the per-decision SLO overrun streak.
+	mc        *mcScratch
 	frozen    *nn.Frozen32
 	scr32     *nn.Scratch32
 	pred      *nn.PredictScratch
 	sloStreak int
 	// forceRescore treats every candidate as dirty — test hook that
-	// turns the fast path into its own uncached reference.
+	// turns the score cache into its own uncached reference.
 	forceRescore bool
 
 	// Scratch buffers reused across evictions.
@@ -116,13 +106,11 @@ func New(cfg Config) *Raven {
 		panic("core: Config.TrainWindow must be positive")
 	}
 	r := &Raven{
-		cfg:  cfg,
-		rng:  stats.NewRNG(cfg.Seed),
-		tab:  newTable(),
-		pool: nn.NewPool(cfg.Workers),
+		cfg: cfg,
+		rng: stats.NewRNG(cfg.Seed),
+		tab: newTable(),
+		mc:  newMCScratch(),
 	}
-	r.candTask = r.candidateTask
-	r.mc = newMCScratch(r.pool)
 	r.window = newWindow(cfg.SampleBudgetBytes, cfg.MaxTrainObjects, cfg.Train.MaxSeq, stats.NewRNG(cfg.Seed+3))
 	if cfg.DriftThreshold > 0 {
 		r.drift = newDriftDetector(cfg.DriftThreshold, 0)
@@ -345,8 +333,6 @@ func (r *Raven) train() {
 	// network" here is none.
 	if r.net != nil && !r.net.FiniteWeights() {
 		r.net = nil
-		r.infNets = nil
-		r.infPred = nil
 		r.invalidateFastPath()
 		if r.obs != nil {
 			r.obs.Rollbacks.Inc()
@@ -363,10 +349,6 @@ func (r *Raven) train() {
 		if prev != nil {
 			r.net.Version = prev.Version
 		}
-		// Inference shadows alias the old network's weights; rebuild
-		// them lazily against the new one.
-		r.infNets = nil
-		r.infPred = nil
 		r.invalidateFastPath()
 		replaced = true
 	}
@@ -402,8 +384,6 @@ func (r *Raven) train() {
 		} else {
 			r.net.RestoreWeightsCopy(snap)
 		}
-		r.infNets = nil
-		r.infPred = nil
 		r.invalidateFastPath()
 		rec.RolledBack = true
 		if r.obs != nil {
@@ -414,7 +394,7 @@ func (r *Raven) train() {
 		r.trainSucceeded()
 		r.saveCheckpoint()
 		r.invalidateFastPath()
-		if r.cfg.ScoreCache && r.cfg.Inference32 {
+		if r.cfg.Inference32 {
 			// Quantize the freshly fitted weights now, off the decision
 			// path, so the first post-swap eviction pays no freeze.
 			r.frozen = r.net.Freeze32()
@@ -504,109 +484,102 @@ func (r *Raven) OnEvict(key cache.Key) {
 	}
 }
 
-// Victim implements cache.Policy: the §4.4 eviction rule. Before the
-// first model is trained — and whenever the health state machine is
-// in Fallback — it falls back to LRU over the resident list. With
-// Config.ScoreCache on, the decision runs through the cached-score
-// fast path (fastpath.go); with Config.DecisionBudget armed, a
-// decision that overruns its deadline is abandoned to LRU and counted
-// (health.go sloOverrun).
+// Victim implements cache.Policy: the §4.3 eviction rule, one pipeline
+// for both estimators. Before the first model is trained — and
+// whenever the health state machine is in Fallback — it falls back to
+// LRU over the resident list. Otherwise it
+//
+//  1. samples the candidates;
+//  2. marks which need a fresh residual-time mixture: every one under
+//     the joint win count, and under the score cache (Config.ScoreCache)
+//     only those whose stamped score is stale;
+//  3. embeds and predicts those in chunks (fastpath.go predict), each
+//     chunk followed by the finiteness gate and, with
+//     Config.DecisionBudget armed, the deadline check — an insane
+//     mixture or an overrun abandons the decision to LRU;
+//  4. scores the candidates: the joint win count of Eq. 1c, or each
+//     object's stamped next-arrival time;
+//  5. evicts the goal-weighted argmax.
 //
 //lint:allow determinism-taint the DecisionBudget deadline is the SLO feature itself; the clock can only influence the decision when Config.DecisionBudget > 0, which deterministic-replay configurations leave at 0
 func (r *Raven) Victim() (cache.Key, bool) {
-	if len(r.tab.dense) == 0 {
+	t := r.tab
+	if len(t.dense) == 0 {
 		return 0, false
 	}
 	if r.net == nil || r.health == Fallback {
 		return r.fallbackVictim(), true
-	}
-	if r.cfg.ScoreCache {
-		return r.victimFast()
 	}
 	budget := r.cfg.DecisionBudget
 	var deadline time.Time
 	if budget > 0 {
 		deadline = time.Now().Add(budget) //lint:allow wall-clock the DecisionBudget deadline is the SLO feature; replay configurations leave the budget at 0
 	}
-	r.prepareCandidates()
-	n := len(r.scrKeys)
-	// Runtime sanity gate: a single non-finite mixture parameter
-	// means the model's output can no longer be trusted to order
-	// candidates — enter Fallback now and evict by LRU instead of
-	// comparing NaNs.
+	r.scrIdx = t.sampler.Sample(r.rng, len(t.dense), r.cfg.CandidateSample, r.scrIdx)
+	n := len(r.scrIdx)
+	r.growScratch(n)
+	ver := r.net.Version
+	cached := r.cfg.ScoreCache && !r.forceRescore
+	dirty := r.scrDirty[:0]
 	for j := 0; j < n; j++ {
-		if !mixtureFinite(&r.scrMix[j]) {
-			r.scoresInsane()
-			return r.fallbackVictim(), true
+		rc := t.recs.at(t.dense[r.scrIdx[j]])
+		r.scrKeys[j], r.scrSize[j], r.scrRec[j] = rc.key, rc.size, rc
+		if sd := t.sides.at(rc.res); cached && int(sd.scoreVer) == ver && sd.scoreEp == sd.epoch {
+			r.scrScore[j] = sd.score
+		} else {
+			dirty = append(dirty, j) // into scratch sized by growScratch
 		}
 	}
-	// Candidate-loop boundary: embed+predict is done, the estimator is
-	// next. A decision already past its deadline abandons to LRU here
-	// instead of paying the Monte Carlo pass.
-	if r.overBudget(budget, deadline) {
-		r.sloOverrun()
+	r.scrDirty = dirty
+	if r.obs != nil {
+		r.obs.ScoreCacheHits.Add(int64(n - len(dirty)))
+		r.obs.ScoreRescores.Add(int64(len(dirty)))
+	}
+	if len(dirty) > 0 && !r.predict(dirty, ver, budget, deadline) {
+		// predict already recorded why (scoresInsane or sloOverrun).
 		return r.fallbackVictim(), true
 	}
-	if n == 1 {
-		if budget > 0 {
-			r.sloMet()
+	if !r.cfg.ScoreCache && n > 1 {
+		// Joint win count (Eq. 1c): the score up to the constant 1/M
+		// factor, which cannot change the argmax. Every candidate was
+		// dirty, so scrMix is in slot order.
+		wins := r.mc.winsMC(r.scrMix, r.cfg.ResidualSamples, r.rng)
+		for j, w := range wins {
+			r.scrScore[j] = float64(w)
 		}
-		return r.choose(0), true
 	}
-	// Monte Carlo estimator (Eq. 1c): the win count is the score up to
-	// the constant 1/M factor, which cannot change the argmax, so the
-	// hot path skips the normalization (and any scores slice).
-	wins := r.mc.winsMC(r.scrMix, r.cfg.ResidualSamples, r.rng)
-	best := -1.0
+	// Goal-weighted argmax, slot order. For the OHR goal a score-cache
+	// score is weighted as its predicted RESIDUAL (not the absolute
+	// arrival time, whose magnitude would drown the size factor),
+	// mirroring the §3.4 size weighting.
+	best := math.Inf(-1)
 	victim := 0
 	for j := 0; j < n; j++ {
-		score := float64(wins[j])
+		s := r.scrScore[j]
 		if r.cfg.Goal == GoalOHR {
-			score *= float64(r.scrSize[j])
+			if r.cfg.ScoreCache {
+				s = max(s-float64(r.now), 1)
+			}
+			s *= float64(r.scrSize[j])
 		}
-		if score > best {
-			best = score
+		if s > best {
+			best = s
 			victim = j
 		}
 	}
 	if budget > 0 {
 		r.sloMet()
 	}
-	return r.choose(victim), true
-}
-
-// choose returns candidate slot j's key as the decision, remembering its
-// record so the OnEvict that follows needs no lookup.
-func (r *Raven) choose(j int) cache.Key {
-	t := r.tab
-	t.vicKey, t.vicH = r.scrKeys[j], t.dense[r.scrIdx[j]]
-	return t.vicKey
-}
-
-// candidateTask prepares candidate slot j: it refreshes the object's
-// embedding if a model swap made it stale, predicts the residual-time
-// mixture, and records the key and size. It runs on pool workers —
-// each worker uses its own shadow network and prediction scratch, and
-// the task writes only j-addressed slots (distinct sampled indices
-// name distinct records, and prepareCandidates reserved every
-// embedding slot, so the in-place embedding refresh is race-free).
-// Results are bit-identical for any worker count because shadows alias
-// the master's weights.
-func (r *Raven) candidateTask(w, j int) {
-	t := r.tab
-	rc := t.recs.at(t.dense[r.scrIdx[j]])
-	emb := r.embedding(r.infNets[w], rc)
-	age := float64(r.now - rc.lastSeen)
-	r.infNets[w].PredictWith(r.infPred[w], emb, float64(rc.size), age, &r.scrMix[j])
-	r.scrKeys[j] = rc.key
-	r.scrSize[j] = rc.size
+	// Remember the victim's record so the OnEvict that follows needs no
+	// lookup.
+	t.vicKey, t.vicH = r.scrKeys[victim], t.dense[r.scrIdx[victim]]
+	return t.vicKey, true
 }
 
 // embedding returns rc's history embedding under the current model,
-// recomputing it from the ring (through net, the current model or a
-// shadow of it) when a model swap made it stale. rc gets a side record
-// if it has none.
-func (r *Raven) embedding(net *nn.Net, rc *rec) []float64 {
+// recomputing it from the ring when a model swap made it stale. rc gets
+// a side record if it has none.
+func (r *Raven) embedding(rc *rec) []float64 {
 	t := r.tab
 	sd := t.side(rc)
 	if int(sd.embVer) == r.net.Version {
@@ -618,42 +591,9 @@ func (r *Raven) embedding(net *nn.Net, rc *rec) []float64 {
 	if rc.ring != 0 {
 		taus = t.rings.at(rc.ring).taus()
 	}
-	net.EmbedHistoryInto(emb, taus)
+	r.net.EmbedHistoryInto(emb, taus)
 	sd.embVer = int32(r.net.Version)
 	return emb
-}
-
-// prepareCandidates samples eviction candidates and fans their
-// embed+predict work out over the pool, one indexed slot per
-// candidate.
-func (r *Raven) prepareCandidates() {
-	t := r.tab
-	r.scrIdx = t.sampler.Sample(r.rng, len(t.dense), r.cfg.CandidateSample, r.scrIdx)
-	n := len(r.scrIdx)
-	if cap(r.scrMix) < n {
-		r.scrMix = make([]nn.Mixture, n)
-		r.scrKeys = make([]cache.Key, n)
-		r.scrSize = make([]int64, n)
-	}
-	r.scrMix = r.scrMix[:n]
-	r.scrKeys = r.scrKeys[:n]
-	r.scrSize = r.scrSize[:n]
-	if r.infNets == nil {
-		w := r.pool.Workers()
-		r.infNets = make([]*nn.Net, w)
-		r.infPred = make([]*nn.PredictScratch, w)
-		for k := range r.infNets {
-			r.infNets[k] = r.net.Shadow()
-			r.infPred[k] = r.net.NewPredictScratch()
-		}
-	}
-	// The workers touch only their candidate's slots; anything that
-	// grows shared table state happens here, serially.
-	t.setDim(r.net.Cfg.Hidden)
-	for _, i := range r.scrIdx {
-		t.emb(t.recs.at(t.dense[i]).res)
-	}
-	r.pool.ParallelFor(n, r.candTask)
 }
 
 // fallbackVictim evicts the LRU-list tail, counting the eviction when

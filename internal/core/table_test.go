@@ -471,7 +471,7 @@ func TestRequestPathAllocFree(t *testing.T) {
 	r.net.Version = 1
 	for j, h := range r.tab.dense {
 		rc := r.tab.recs.at(h)
-		r.embedding(r.net, rc)
+		r.embedding(rc)
 		resident[j] = rc.key
 	}
 	probe := r.tab.recs.at(r.tab.index[resident[(i+1)%len(resident)]]).res

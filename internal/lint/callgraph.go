@@ -25,8 +25,8 @@ import (
 //     resolve to every function literal, declared function, or method
 //     value assigned to / passed as that variable anywhere in the
 //     module, computed to a fixpoint so chains like
-//     `r.candTask = r.candidateTask; pool.ParallelFor(n, r.candTask)`
-//     link ParallelFor to candidateTask.
+//     `trainTask := func(w, i int) {…}; st.pool.ParallelFor(bl, trainTask)`
+//     link ParallelFor to that literal.
 //
 // Out-of-module (stdlib) callees have no bodies here and get no edge;
 // the taint walker models the value flow through them (taint.go).

@@ -88,8 +88,8 @@ func (n *Net) Params() []*Param { return n.params }
 // are immediately visible) but whose gradient buffers, recurrent
 // scratch, and MLP caches are private. One goroutine may run
 // forward/backward or Predict on a shadow concurrently with other
-// shadows; Fit's data-parallel workers and Raven's eviction fan-out
-// both use one shadow per slot. Only the original carries optimizer
+// shadows; Fit's data-parallel workers use one shadow per slot. Only
+// the original carries optimizer
 // state, and Fit must be called on the original.
 func (n *Net) Shadow() *Net {
 	s := &Net{Cfg: n.Cfg, Version: n.Version}
@@ -261,8 +261,8 @@ type PredictInput struct {
 // PredictBatch fills out[i] with the mixture for in[i], walking the
 // shared layers once per candidate through a single scratch arena.
 // Each out[i] is bit-identical to the corresponding PredictWith call;
-// the batch form exists so the eviction fast path amortizes the
-// weight-matrix cache traffic over all dirty candidates at once.
+// the batch form exists so an eviction decision amortizes the
+// weight-matrix cache traffic over a chunk of candidates at once.
 func (n *Net) PredictBatch(s *PredictScratch, in []PredictInput, out []Mixture) {
 	for i := range in {
 		n.forwardMLP(in[i].H, in[i].Size, in[i].Age, s.c, &out[i])

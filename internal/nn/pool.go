@@ -10,8 +10,8 @@ import (
 // internal/nn and internal/core allowed to launch goroutines:
 // ravenlint's goroutine-outside-pool rule flags any `go` statement in
 // those packages outside this file, which keeps every source of
-// concurrency on the training and eviction hot paths auditable from
-// one screen of code.
+// concurrency on the training hot path auditable from one screen of
+// code. Its one user is Fit: eviction decisions are serial.
 //
 // Determinism contract (DESIGN.md "Parallel execution & determinism"):
 // ParallelFor partitions indices into contiguous chunks purely by
@@ -26,13 +26,12 @@ import (
 // goroutines (one per extra worker) that block on a wake channel
 // between rounds, so steady-state dispatch allocates nothing — the
 // old per-call `go func` fan-out cost 2(w-1)+1 heap allocations per
-// ParallelFor, which the eviction path's zero-alloc budget cannot
-// afford at Workers>1. Pools used for a bounded piece of work (one
-// Fit call) should Close() to release the goroutines; pools owned for
-// a policy's lifetime may keep them parked.
+// ParallelFor, which a whole Fit's fixed allocation count cannot
+// afford. A pool used for a bounded piece of work (one Fit call)
+// should Close() to release the goroutines.
 //
 // A Pool is NOT safe for concurrent dispatch: one goroutine at a time
-// may call ParallelFor/Close (matching how Fit and Raven use it).
+// may call ParallelFor/Close (matching how Fit uses it).
 type Pool struct {
 	workers int
 

@@ -7,9 +7,9 @@ import (
 
 // TestParallelForDispatchAllocFree pins the persistent-worker design:
 // after the first dispatch spawns the parked workers, every further
-// ParallelFor must be allocation-free at any worker count — the
-// eviction path runs two dispatches per decision and asserts zero
-// allocs/op (TestEvictionPathAllocFree in internal/core).
+// ParallelFor must be allocation-free at any worker count — Fit
+// dispatches once per minibatch and its allocation count must not grow
+// with them (TestFitAllocFree).
 func TestParallelForDispatchAllocFree(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 8} {
 		p := NewPool(w)

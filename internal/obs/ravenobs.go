@@ -41,8 +41,9 @@ type RavenObs struct {
 	SLOOverruns Counter
 	// ScoreCacheHits counts sampled eviction candidates whose cached
 	// priority score was still valid; ScoreRescores counts candidates
-	// that had to be re-embedded/re-predicted. Their sum is the total
-	// number of candidates considered by the fast path.
+	// that had to be re-embedded/re-predicted — every candidate under the
+	// joint win count, which caches nothing. Their sum is the total
+	// number of candidates Victim considered.
 	ScoreCacheHits Counter
 	ScoreRescores  Counter
 

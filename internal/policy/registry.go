@@ -40,9 +40,10 @@ type Options struct {
 	TrainWindow int64
 	// Seed makes stochastic policies deterministic.
 	Seed int64
-	// Workers is Raven's goroutine fan-out for training and eviction
-	// inference (0 or 1 = serial). Results are bit-identical for every
-	// value, so it only changes throughput.
+	// Workers is Raven's goroutine fan-out for training (0 or 1 =
+	// serial); it sets Raven's Train.Workers when that is zero. Results
+	// are bit-identical for every value, so it only changes throughput.
+	// Eviction decisions are serial whatever its value.
 	Workers int
 	// CheckpointDir, when non-empty, makes Raven persist its model as
 	// rotated, checksummed, atomically-written checkpoint generations
@@ -55,11 +56,11 @@ type Options struct {
 	// (rollbacks, health transitions, checkpoint accounting).
 	Obs *obs.RavenObs
 	// ScoreCache enables Raven's cached-score eviction fast path;
-	// Inference32 additionally runs its prediction kernels in float32
-	// (training stays float64). DecisionBudget arms a per-decision wall
-	// clock deadline: an overrun serves the LRU fallback and counts
-	// toward health degradation (0 keeps the clock off the decision
-	// path). See DESIGN.md "Inference fast path & SLO".
+	// Inference32 runs every prediction of Raven's eviction decisions
+	// in float32 (training stays float64). DecisionBudget arms a
+	// per-decision wall clock deadline: an overrun serves the LRU
+	// fallback and counts toward health degradation (0 keeps the clock
+	// off the decision path). See DESIGN.md "Inference fast path & SLO".
 	ScoreCache     bool
 	Inference32    bool
 	DecisionBudget time.Duration
@@ -105,8 +106,8 @@ func (o Options) ravenConfig(goal core.Goal) core.Config {
 	if cfg.Seed == 0 {
 		cfg.Seed = o.Seed + 77
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = o.Workers
+	if cfg.Train.Workers == 0 {
+		cfg.Train.Workers = o.Workers
 	}
 	if cfg.Checkpoint.Dir == "" {
 		cfg.Checkpoint.Dir = o.CheckpointDir

@@ -78,55 +78,64 @@ func TestSimulateDeterministic(t *testing.T) {
 // parallel execution layer (DESIGN.md "Parallel execution &
 // determinism") end to end: a full cache run — training windows,
 // eviction decisions, final statistics, and the trained weights
-// themselves — must be byte-identical whether Raven runs serially or
-// fanned out over 4 workers. It fails if any parallel code path lets
-// scheduling order leak into results.
+// themselves — must be byte-identical whether Raven trains serially or
+// fanned out over 4 workers, under the joint win count and under the
+// estimator the servers run (score cache, float32 inference). It fails
+// if any parallel code path lets scheduling order leak into results.
 func TestRavenWorkersBitExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
 	}
-	run := func(workers int) string {
-		tr := trace.Synthetic(trace.SynthConfig{
-			Objects: 150, Requests: 5000, Interarrival: trace.Pareto,
-			VariableSizes: true, Seed: 17,
-		})
-		r := core.New(core.Config{
-			TrainWindow:     tr.Duration() / 4,
-			MaxTrainObjects: 400,
-			Net:             nn.Config{Hidden: 8, MLPHidden: 12, K: 4},
-			Train:           nn.TrainConfig{MaxEpochs: 4, Patience: 2},
-			Workers:         workers,
-			Seed:            5,
-		})
-		c := cache.New(tr.UniqueBytes()/8, r)
-		s := ""
-		c.SetEvictionObserver(func(v cache.Key, _ func([]cache.Key) []cache.Key) { s += fmt.Sprintf(" %d", v) })
-		for _, req := range tr.Reqs {
-			c.Handle(req)
-		}
-		s += fmt.Sprintf(" stats=%+v", c.StatsSnapshot())
-		for _, rec := range r.TrainStats {
-			s += fmt.Sprintf(" train(%d,%d,%d,%t,%d,%x,%x,%d,%d)",
-				rec.WindowEnd, rec.Objects, rec.Samples, rec.Skipped,
-				rec.Result.Epochs, rec.Result.TrainNLL, rec.Result.ValNLL,
-				rec.Result.Sequences, rec.Result.Terms)
-		}
-		if n := r.Net(); n != nil {
-			var buf bytes.Buffer
-			if err := n.Checkpoint(&buf); err != nil {
-				t.Fatalf("save net: %v", err)
+	for _, row := range []struct {
+		name              string
+		scoreCache, inf32 bool
+	}{{"win-count", false, false}, {"score-cache-f32", true, true}} {
+		t.Run(row.name, func(t *testing.T) {
+			run := func(workers int) string {
+				tr := trace.Synthetic(trace.SynthConfig{
+					Objects: 150, Requests: 5000, Interarrival: trace.Pareto,
+					VariableSizes: true, Seed: 17,
+				})
+				r := core.New(core.Config{
+					TrainWindow:     tr.Duration() / 4,
+					MaxTrainObjects: 400,
+					Net:             nn.Config{Hidden: 8, MLPHidden: 12, K: 4},
+					Train:           nn.TrainConfig{MaxEpochs: 4, Patience: 2, Workers: workers},
+					ScoreCache:      row.scoreCache,
+					Inference32:     row.inf32,
+					Seed:            5,
+				})
+				c := cache.New(tr.UniqueBytes()/8, r)
+				s := ""
+				c.SetEvictionObserver(func(v cache.Key, _ func([]cache.Key) []cache.Key) { s += fmt.Sprintf(" %d", v) })
+				for _, req := range tr.Reqs {
+					c.Handle(req)
+				}
+				s += fmt.Sprintf(" stats=%+v", c.StatsSnapshot())
+				for _, rec := range r.TrainStats {
+					s += fmt.Sprintf(" train(%d,%d,%d,%t,%d,%x,%x,%d,%d)",
+						rec.WindowEnd, rec.Objects, rec.Samples, rec.Skipped,
+						rec.Result.Epochs, rec.Result.TrainNLL, rec.Result.ValNLL,
+						rec.Result.Sequences, rec.Result.Terms)
+				}
+				if n := r.Net(); n != nil {
+					var buf bytes.Buffer
+					if err := n.Checkpoint(&buf); err != nil {
+						t.Fatalf("save net: %v", err)
+					}
+					s += fmt.Sprintf(" net=%x", buf.Bytes())
+				} else {
+					t.Fatal("raven never trained a model")
+				}
+				return s
 			}
-			s += fmt.Sprintf(" net=%x", buf.Bytes())
-		} else {
-			t.Fatal("raven never trained a model")
-		}
-		return s
-	}
-	serial := run(1)
-	for _, w := range []int{2, 4} {
-		if got := run(w); got != serial {
-			t.Errorf("workers=%d diverged from serial run (first 300 bytes):\n serial:  %.300s\n workers: %.300s", w, serial, got)
-		}
+			serial := run(1)
+			for _, w := range []int{2, 4} {
+				if got := run(w); got != serial {
+					t.Errorf("workers=%d diverged from serial run (first 300 bytes):\n serial:  %.300s\n workers: %.300s", w, serial, got)
+				}
+			}
+		})
 	}
 }
 

@@ -87,10 +87,9 @@ func TestRavenFaultedRunIsDeterministic(t *testing.T) {
 			TrainWindow:       tr.Duration() / 4,
 			MaxTrainObjects:   200,
 			Net:               nn.Config{Hidden: 6, MLPHidden: 8, K: 3},
-			Train:             nn.TrainConfig{MaxEpochs: 3, Patience: 2, Faults: &nn.TrainFaults{NaNLossEpoch: 1}},
+			Train:             nn.TrainConfig{MaxEpochs: 3, Patience: 2, Faults: &nn.TrainFaults{NaNLossEpoch: 1}, Workers: workers},
 			ResidualSamples:   20,
 			Seed:              7,
-			Workers:           workers,
 			TrainFaultWindows: 1,
 		}
 		p := policy.MustNew("raven", policy.Options{Capacity: capacity, Raven: cfg})

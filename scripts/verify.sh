@@ -22,7 +22,8 @@
 #   determinism  admission replays are bit-exact across runs
 #                and worker counts
 #   alloc        the runtime referee for "no allocation per decision or
-#                per request": eviction decisions and f32 inference, the
+#                per request": eviction decisions (both estimators, f64
+#                and f32) and f32 batch inference, the
 #                policy's record table (hit, miss, new key, admit, evict
 #                at its ceiling, and a hit that steps a live embedding
 #                with a model installed), the engine's lock-held evict
@@ -94,8 +95,8 @@ stage_test() {
 }
 
 stage_race() {
-    # Packages with real concurrency: the parallel training and eviction
-    # layer (nn.Pool and its users in core), the parallel simulator, the
+    # Packages with real concurrency: the parallel training layer
+    # (nn.Pool, Fit, and core's training windows), the parallel simulator, the
     # TCP server and its stress tests, the metrics layer it exports, the
     # experiment harness that fans out runs, the cache engine they all
     # share, and the cluster tier (router, breakers, probing, chaos test).
@@ -127,8 +128,8 @@ stage_determinism() {
 }
 
 stage_alloc() {
-    echo "==> eviction alloc sweep (0 allocs/op at Workers 1,2,4,8; f32 batch inference), the record table's request path (0 allocs/op at its ceiling, with and without a model installed) and the training arena (0 allocs/term)"
-    run_named 'TestEvictionPathAllocFree|TestFastPathAllocFree|TestRequestPathAllocFree|TestFrozen32PredictAllocFree|TestFitAllocFree' ./internal/core/ ./internal/nn/
+    echo "==> eviction decision alloc assertion (0 allocs/op: joint win count and score cache, f64 and f32; f32 batch inference), the record table's request path (0 allocs/op at its ceiling, with and without a model installed) and the training arena (0 allocs/term)"
+    run_named 'TestEvictionPathAllocFree|TestRequestPathAllocFree|TestFrozen32PredictAllocFree|TestFitAllocFree' ./internal/core/ ./internal/nn/
 
     echo "==> engine evict section alloc assertion (Victim + evict over a full shard; 0 allocs/op)"
     run_named 'TestEvictAllocFree' ./internal/cache/
