@@ -30,6 +30,7 @@ import (
 //
 // Out-of-module (stdlib) callees have no bodies here and get no edge;
 // the taint walker models the value flow through them (taint.go).
+// In-module assembly functions are nodes without a body: leaves.
 
 // LockSite is one lock acquisition inside a function, together with
 // the source region over which the lock is considered held: from the
@@ -100,6 +101,7 @@ type FuncNode struct {
 	index    int
 }
 
+// body returns the function's body, nil for an assembly declaration.
 func (n *FuncNode) body() *ast.BlockStmt {
 	if n.Decl != nil {
 		return n.Decl.Body
@@ -204,13 +206,16 @@ func nodeName(p *Package, decl *ast.FuncDecl) string {
 }
 
 // collectNodes creates one node per function declaration and function
-// literal, in deterministic source order.
+// literal, in deterministic source order. A declaration without a body
+// (its code is assembly) is a pure leaf: no calls and no locks. Having
+// no body to summarize, it is tainted like a stdlib call: its result
+// carries its arguments' taint (taint.go).
 func (g *Graph) collectNodes() {
 	for _, p := range g.Pkgs {
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
 				decl, ok := d.(*ast.FuncDecl)
-				if !ok || decl.Body == nil {
+				if !ok {
 					continue
 				}
 				n := &FuncNode{
@@ -224,6 +229,9 @@ func (g *Graph) collectNodes() {
 					g.byObj[obj] = n
 				}
 				g.Nodes = append(g.Nodes, n)
+				if decl.Body == nil {
+					continue // implemented in assembly: a pure leaf
+				}
 				// Nested literals become their own nodes, numbered in
 				// source order within the declaration.
 				ord := 0
@@ -516,6 +524,9 @@ type lockEvent struct {
 }
 
 func (g *Graph) walkNode(n *FuncNode) {
+	if n.body() == nil {
+		return
+	}
 	var lockEvents []lockEvent
 	deferred := make(map[ast.Node]bool)
 

@@ -142,6 +142,38 @@ func (s *S) f() {
 	}
 }
 
+// TestCallGraphAssemblyLeaf pins how a body-less declaration (a
+// function written in assembly) enters the graph: as a node with no
+// calls and no locks, reached by a static edge, which the lock-cycle
+// search walks through without a finding.
+func TestCallGraphAssemblyLeaf(t *testing.T) {
+	src := `package cgasm
+import "sync"
+type S struct{ mu sync.Mutex }
+func dot(x, y []float64) float64
+func (s *S) norm(x []float64) float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return dot(x, x)
+}
+`
+	g := graphFixture(t, "internal/cgasm/cgasm.go", src)
+	leaf := nodeByName(g, "internal/cgasm.dot")
+	if leaf == nil {
+		t.Fatal("no node for the assembly declaration")
+	}
+	if leaf.body() != nil || len(leaf.Calls) != 0 || len(leaf.Locks) != 0 || leaf.retTaint != 0 {
+		t.Fatalf("assembly node is not a bare leaf: calls %v, locks %v, taint %v", leaf.Calls, leaf.Locks, leaf.retTaint)
+	}
+	caller := nodeByName(g, "internal/cgasm.(*S).norm")
+	if caller == nil || len(caller.Calls) != 1 || caller.Calls[0].To != leaf || caller.Calls[0].Kind != "static" {
+		t.Fatalf("caller should have one static edge to the leaf, got %+v", caller)
+	}
+	if got := lintFixture(t, "internal/cgasm/cgasm.go", src); len(got) != 0 {
+		t.Fatalf("want no findings through an assembly leaf, got %v", got)
+	}
+}
+
 func TestCallGraphDeterministic(t *testing.T) {
 	src := `package cgdet
 type I interface{ M() }
@@ -299,6 +331,18 @@ func (P) Victim() (int, bool) { return int(jitter()), true }
 			want: []string{"3:[rand-global]", "6:[determinism-taint]"},
 		},
 		{
+			name: "clock passed through an assembly function taints the decision",
+			src: `package fix
+import "time"
+func mix(v int64) int64
+type P struct{}
+func (P) Victim() (int, bool) { return int(mix(time.Now().UnixNano())), true }
+`,
+			// With no body to summarize, the leaf's result carries its
+			// argument's taint, as a stdlib call's does.
+			want: []string{"5:[determinism-taint]", "5:[wall-clock]"},
+		},
+		{
 			name: "conditional map selection taints the decision",
 			src: `package fix
 type P struct{ m map[int]int }
@@ -393,6 +437,31 @@ func TestLoadModuleErrors(t *testing.T) {
 			t.Fatalf("want one package with recorded type errors, got %+v", mod.Pkgs)
 		}
 	})
+}
+
+// TestLoadModuleHonoursBuildConstraints loads a package that declares
+// one function per architecture, as internal/nn's kernels do: only the
+// host's file is type-checked, so nothing is declared twice.
+func TestLoadModuleHonoursBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":     "module example.com/arch\n",
+		"k_amd64.go": "package arch\nfunc kern() int { return 1 }\n",
+		"k_other.go": "//go:build !amd64\n\npackage arch\nfunc kern() int { return 2 }\n",
+		"use.go":     "package arch\nfunc Use() int { return kern() }\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mod, err := LoadModule(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mod.Pkgs) != 1 || len(mod.Pkgs[0].TypeErrs) != 0 {
+		t.Fatalf("want one clean package, got %+v", mod.Pkgs)
+	}
 }
 
 func TestPragmaAtFileBoundaries(t *testing.T) {

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -60,7 +61,7 @@ func FindModuleRoot(dir string) (string, error) {
 }
 
 // LoadModule parses and type-checks every non-test package of the
-// module rooted at root.
+// module rooted at root, as the host's GOOS/GOARCH builds it.
 //
 // Module-internal imports are resolved against the packages loaded
 // here (in dependency order); standard-library imports are
@@ -146,6 +147,14 @@ func (m *Module) parseDir(dir string) (*Package, error) {
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Only the files the host's build compiles (file-name GOOS/GOARCH
+		// suffixes and //go:build lines), as go vet sees them: a function
+		// written once per architecture is declared once.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, fmt.Errorf("lint: %v", err)
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(m.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

@@ -51,6 +51,9 @@ func (g *Graph) computeTaintSummaries() {
 // taintNode recomputes n's return-taint from scratch against current
 // callee summaries and reports whether the summary grew.
 func (g *Graph) taintNode(n *FuncNode) bool {
+	if n.body() == nil {
+		return false // assembly: its callers model it as a stdlib call
+	}
 	tw := &taintWalker{g: g, n: n, vars: make(map[*types.Var]taintMask)}
 
 	// Named result parameters participate in bare returns.
@@ -427,13 +430,14 @@ func (tw *taintWalker) callTaint(call *ast.CallExpr) taintMask {
 	}
 
 	// In-module callee: summary only (arguments do not pass through).
-	if callee := tw.g.byObj[fn]; callee != nil {
+	if callee := tw.g.byObj[fn]; callee != nil && callee.body() != nil {
 		tw.inheritOrigins(callee, callee.retTaint)
 		return callee.retTaint
 	}
 
-	// Out-of-module (stdlib): value-transforming by default — union of
-	// receiver and argument taint (now.UnixNano(), math.Mod(t, x), ...).
+	// Out-of-module (stdlib) or assembly, neither with a body to
+	// summarize: value-transforming by default — union of receiver and
+	// argument taint (now.UnixNano(), math.Mod(t, x), ...).
 	var mask taintMask
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && isMethod {
 		mask |= tw.exprTaint(sel.X)

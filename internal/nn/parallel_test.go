@@ -116,25 +116,6 @@ func TestShadowSharesWeights(t *testing.T) {
 	}
 }
 
-func BenchmarkMatVec(b *testing.B) {
-	const rows, cols = 64, 64
-	g := stats.NewRNG(1)
-	a := make([]float64, rows*cols)
-	x := make([]float64, cols)
-	y := make([]float64, rows)
-	for i := range a {
-		a[i] = g.NormFloat64()
-	}
-	for i := range x {
-		x[i] = g.NormFloat64()
-	}
-	b.SetBytes(rows * cols * 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		matVec(a, rows, cols, x, nil, y)
-	}
-}
-
 func BenchmarkPredict(b *testing.B) {
 	n := NewNet(Config{TimeScale: 40, Seed: 1})
 	h := n.EmbedHistory([]float64{3, 5, 2, 8, 13, 1, 4, 6})

@@ -6,13 +6,18 @@
 // optimizer. Gradients are hand-derived and verified against finite
 // differences in the package tests.
 //
-// The networks Raven trains are tiny (thousands of parameters), so
-// the kernels stay plain Go — but they are tuned, not naive: the
-// matrix-vector products run 4-wide unrolled accumulator chains that
-// break the floating-point dependency chain, and the training loop
-// exploits data parallelism across sequences through the fork-join
-// Pool in pool.go (the package's single sanctioned source of
-// goroutines, enforced by ravenlint's goroutine-outside-pool rule).
+// The networks Raven trains are tiny (thousands of parameters), and
+// their matrix kernels are where a fit spends its time. Each kernel is
+// a Go loop with four accumulator chains that break the floating-point
+// dependency chain (this file). On amd64 CPUs with AVX, matVec,
+// matTVecAdd and outerAdd run as assembly (kern_amd64.s) whose four
+// 256-bit lanes are exactly those four chains — multiply then add,
+// never fused, summed across lanes as (s0+s1)+(s2+s3) — so both paths
+// produce the same bits, and the Go loops are the oracle the kernel
+// tests compare the assembly against. The training loop exploits data
+// parallelism across sequences through the fork-join Pool in pool.go
+// (the package's single sanctioned source of goroutines, enforced by
+// ravenlint's goroutine-outside-pool rule).
 //
 // Determinism contract: every parallel code path in this package is
 // bit-exact for any worker count. Work is partitioned by index, each
@@ -39,15 +44,15 @@ func axpy(a float64, x, y []float64) {
 	}
 }
 
-// matVec computes y = W*x + y0 where W is rows×cols row-major, len(x)
-// = cols, len(y) = rows. y is overwritten with W*x when y0 is nil,
-// otherwise y = W*x + y0 (y and y0 may alias).
+// matVecGo computes y = W*x + y0 where W is rows×cols row-major,
+// len(x) = cols, len(y) = rows. y is overwritten with W*x when y0 is
+// nil, otherwise y = W*x + y0 (y and y0 may alias; y and x may not).
 //
 // The dot product runs four independent accumulator chains and
 // combines them as (s0+s1)+(s2+s3); the association is fixed, so the
 // result is deterministic (and identical for every worker count),
 // just not bit-identical to a single-chain sum.
-func matVec(w []float64, rows, cols int, x, y0, y []float64) {
+func matVecGo(w []float64, rows, cols int, x, y0, y []float64) {
 	x = x[:cols]
 	for r := 0; r < rows; r++ {
 		row := w[r*cols : r*cols+cols]
@@ -71,28 +76,10 @@ func matVec(w []float64, rows, cols int, x, y0, y []float64) {
 }
 
 // matVecAdd computes y += U*x for a square h×h matrix U.
-func matVecAdd(uw []float64, h int, x, y []float64) {
-	x = x[:h]
-	for r := 0; r < h; r++ {
-		row := uw[r*h : r*h+h]
-		var s0, s1, s2, s3 float64
-		c := 0
-		for ; c+4 <= h; c += 4 {
-			s0 += row[c] * x[c]
-			s1 += row[c+1] * x[c+1]
-			s2 += row[c+2] * x[c+2]
-			s3 += row[c+3] * x[c+3]
-		}
-		s := (s0 + s1) + (s2 + s3)
-		for ; c < h; c++ {
-			s += row[c] * x[c]
-		}
-		y[r] += s
-	}
-}
+func matVecAdd(uw []float64, h int, x, y []float64) { matVec(uw, h, h, x, y, y) }
 
-// matTVecAdd computes dx += W^T * dy.
-func matTVecAdd(w []float64, rows, cols int, dy, dx []float64) {
+// matTVecAddGo computes dx += W^T * dy.
+func matTVecAddGo(w []float64, rows, cols int, dy, dx []float64) {
 	dx = dx[:cols]
 	for r := 0; r < rows; r++ {
 		row := w[r*cols : r*cols+cols]
@@ -113,8 +100,8 @@ func matTVecAdd(w []float64, rows, cols int, dy, dx []float64) {
 	}
 }
 
-// outerAdd accumulates dW += dy ⊗ x (rank-one update).
-func outerAdd(dw []float64, rows, cols int, dy, x []float64) {
+// outerAddGo accumulates dW += dy ⊗ x (rank-one update).
+func outerAddGo(dw []float64, rows, cols int, dy, x []float64) {
 	x = x[:cols]
 	for r := 0; r < rows; r++ {
 		d := dy[r]

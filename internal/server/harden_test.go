@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -64,12 +65,14 @@ func TestSlowLorisIdleTimeout(t *testing.T) {
 
 	// The server may flush one ERR line for the partial token before
 	// closing; drain until EOF and require it within a bounded window.
+	// A byte the dripper sent just as the server closed makes the close
+	// a reset instead: that is a reaped connection too.
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	start := time.Now()
 	buf := make([]byte, 256)
 	for {
 		_, err := conn.Read(buf)
-		if err == io.EOF {
+		if err == io.EOF || errors.Is(err, syscall.ECONNRESET) {
 			break
 		}
 		if err != nil {

@@ -1,9 +1,10 @@
 package trace
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"raven/internal/stats"
 )
@@ -111,12 +112,14 @@ func Production(cfg ProductionConfig) *Trace {
 	h := make(arrivalHeap, 0, cfg.Objects)
 	for i := 0; i < cfg.Objects; i++ {
 		t := births[i] + g.Exponential(means[i]/maxMod)
-		heap.Push(&h, arrival{t: t, obj: i})
+		h.push(arrival{t: t, obj: i})
 	}
 
+	// Every push is at or after the popped arrival, so the main stream
+	// comes out ordered by time.
 	tr := &Trace{Name: cfg.Name, Reqs: make([]Request, 0, cfg.Requests)}
-	for len(tr.Reqs) < mainReqs && h.Len() > 0 {
-		a := heap.Pop(&h).(arrival)
+	for len(tr.Reqs) < mainReqs && len(h) > 0 {
+		a := h.pop()
 		// Lewis thinning against the diurnal rate envelope.
 		if g.Float64() <= rateMod(a.t)/maxMod {
 			tr.Reqs = append(tr.Reqs, Request{
@@ -126,10 +129,10 @@ func Production(cfg ProductionConfig) *Trace {
 				Next: NoNext,
 			})
 			if cfg.BurstProb > 0 && g.Float64() < cfg.BurstProb {
-				heap.Push(&h, arrival{t: a.t + g.Exponential(means[a.obj]/20), obj: a.obj})
+				h.push(arrival{t: a.t + g.Exponential(means[a.obj]/20), obj: a.obj})
 			}
 		}
-		heap.Push(&h, arrival{t: a.t + g.Exponential(means[a.obj]/maxMod), obj: a.obj})
+		h.push(arrival{t: a.t + g.Exponential(means[a.obj]/maxMod), obj: a.obj})
 	}
 
 	// One-hit wonders: fresh keys, one request each, uniform in time.
@@ -137,18 +140,40 @@ func Production(cfg ProductionConfig) *Trace {
 	if n := len(tr.Reqs); n > 0 {
 		lastT = float64(tr.Reqs[n-1].Time)
 	}
-	nextKey := Key(cfg.Objects)
-	for len(tr.Reqs) < cfg.Requests {
-		tr.Reqs = append(tr.Reqs, Request{
+	once := make([]Request, cfg.Requests-len(tr.Reqs))
+	for i := range once {
+		once[i] = Request{
 			Time: int64(g.Float64() * lastT),
-			Key:  nextKey,
+			Key:  Key(cfg.Objects + i),
 			Size: cfg.Sizes.Draw(g),
 			Next: NoNext,
-		})
-		nextKey++
+		}
 	}
-	tr.SortByTime()
+	// Their keys are unique and ascending, so ordering them by (Time,
+	// Key) is the stable sort by time; the merge puts the main stream
+	// first on ties. Together that is a stable sort of main ++ once.
+	slices.SortFunc(once, func(a, b Request) int {
+		return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Key, b.Key))
+	})
+	tr.Reqs = mergeByTime(tr.Reqs, once)
 	return tr
+}
+
+// mergeByTime merges b into a, both ordered by time, in a's spare
+// capacity (grown if short), taking a's request first on equal times.
+func mergeByTime(a, b []Request) []Request {
+	i, j := len(a)-1, len(b)-1
+	a = slices.Grow(a, len(b))[:len(a)+len(b)]
+	for k := len(a) - 1; j >= 0; k-- {
+		if i >= 0 && a[i].Time > b[j].Time {
+			a[k] = a[i]
+			i--
+		} else {
+			a[k] = b[j]
+			j--
+		}
+	}
+	return a
 }
 
 // ProductionPreset names one of the six production-like workloads.

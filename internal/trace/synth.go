@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -84,18 +83,45 @@ type arrival struct {
 	obj int
 }
 
+// arrivalHeap is a binary min-heap on t. push and pop take
+// container/heap's up and down steps with the same strict < tests, so
+// ties leave the heap exactly as container/heap would, but nothing is
+// boxed in an interface on the way.
 type arrivalHeap []arrival
 
-func (h arrivalHeap) Len() int            { return len(h) }
-func (h arrivalHeap) Less(i, j int) bool  { return h[i].t < h[j].t }
-func (h arrivalHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *arrivalHeap) Push(x interface{}) { *h = append(*h, x.(arrival)) }
-func (h *arrivalHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *arrivalHeap) push(a arrival) {
+	*h = append(*h, a)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(s[j].t < s[i].t) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *arrivalHeap) pop() arrival {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && s[j+1].t < s[j].t {
+			j++
+		}
+		if !(s[j].t < s[i].t) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }
 
 // Synthetic generates a renewal-superposition trace per cfg. Object
@@ -138,19 +164,19 @@ func Synthetic(cfg SynthConfig) *Trace {
 	h := make(arrivalHeap, 0, cfg.Objects)
 	for i := 0; i < cfg.Objects; i++ {
 		// Stagger initial arrivals to avoid a synchronized start.
-		heap.Push(&h, arrival{t: g.Float64() * means[i], obj: i})
+		h.push(arrival{t: g.Float64() * means[i], obj: i})
 	}
 
 	tr := &Trace{Name: cfg.Name, Reqs: make([]Request, 0, cfg.Requests)}
 	for len(tr.Reqs) < cfg.Requests {
-		a := heap.Pop(&h).(arrival)
+		a := h.pop()
 		tr.Reqs = append(tr.Reqs, Request{
 			Time: int64(math.Round(a.t * 16)), // 16 sub-ticks reduce timestamp ties
 			Key:  Key(a.obj),
 			Size: sizes[a.obj],
 			Next: NoNext,
 		})
-		heap.Push(&h, arrival{t: a.t + draw(a.obj), obj: a.obj})
+		h.push(arrival{t: a.t + draw(a.obj), obj: a.obj})
 	}
 	return tr
 }

@@ -13,7 +13,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Key identifies a cached object.
@@ -137,10 +136,4 @@ func (t *Trace) Validate() error {
 		sizes[r.Key] = r.Size
 	}
 	return nil
-}
-
-// SortByTime stably sorts requests by timestamp. Generators that merge
-// several processes call this once at the end.
-func (t *Trace) SortByTime() {
-	sort.SliceStable(t.Reqs, func(i, j int) bool { return t.Reqs[i].Time < t.Reqs[j].Time })
 }

@@ -5,9 +5,12 @@
 #   scripts/verify.sh <stage>...       only the named stages
 #
 # Stages:
-#   static       go vet (printf verbs, struct tags, and copylocks: the
-#                referee for locks passed or returned by value) and
-#                go build
+#   static       go vet (printf verbs, struct tags, copylocks: the
+#                referee for locks passed or returned by value, and
+#                asmdecl: internal/nn's assembly frames against their Go
+#                declarations) and go build; then the arm64 build and
+#                vet of internal/nn and internal/stats, so the Go
+#                kernels the assembly replaces on amd64 keep compiling
 #   test         go test ./... (full unit + integration suite)
 #   race         go test -race on the concurrent packages, plus the
 #                dedicated sharded-engine stress run (100 clients of
@@ -36,15 +39,17 @@
 #                sequences and epochs
 #   bench-smoke  every `go test -bench` benchmark — the one place a single
 #                layer is timed — still compiles and runs once: the root
-#                package's per-operation costs, nn kernels and fit, core
+#                package's per-operation costs, nn kernels (assembly and
+#                Go loop per shape) and fit, the RNG reseed, core
 #                eviction decisions and per-request bookkeeping
 #                (BenchmarkObserve), the serving path over the wire and
 #                through the router. (The served system is timed by
 #                benchmark/ only; cmd/ravenbench records and gates it.)
 #   fuzz-smoke   five seconds each of FuzzBinaryFrames and FuzzTextLines
-#                against a live server (no panic, no desync) and of
+#                against a live server (no panic, no desync), of
 #                FuzzEngineModel (the engine against its naive reference
-#                model); the seed corpora still pass
+#                model) and of FuzzKernels (internal/nn's assembly against
+#                its Go loops, bit for bit); the seed corpora still pass
 #   checkpoint   a corrupted newest checkpoint generation is skipped on
 #                resume, end to end through raven-sim; checkpoints the
 #                parent of the one-cell commit wrote still load (GRU) or
@@ -87,6 +92,9 @@ stage_static() {
     go vet ./...
     echo "==> go build ./..."
     go build ./...
+    echo "==> GOARCH=arm64: go build ./... and go vet of the Go kernel fallbacks"
+    GOARCH=arm64 go build ./...
+    GOARCH=arm64 go vet ./internal/nn/ ./internal/stats/
 }
 
 stage_test() {
@@ -142,12 +150,12 @@ stage_bench_smoke() {
     # Every package that declares a Benchmark function; DESIGN.md
     # "Performance: two timing surfaces" names them.
     echo "==> benchmark smoke (-benchtime=1x)"
-    go test -run='^$' -bench=. -benchtime=1x . ./internal/nn/... ./internal/core/... ./internal/server/... ./internal/cluster/... >/dev/null
+    go test -run='^$' -bench=. -benchtime=1x . ./internal/nn/... ./internal/stats/ ./internal/core/... ./internal/server/... ./internal/cluster/... >/dev/null
 }
 
 stage_fuzz_smoke() {
     local target
-    for target in server/FuzzBinaryFrames server/FuzzTextLines policy/FuzzEngineModel; do
+    for target in server/FuzzBinaryFrames server/FuzzTextLines policy/FuzzEngineModel nn/FuzzKernels; do
         echo "==> fuzz smoke: ${target} (5s)"
         go test -run '^$' -fuzz "^${target##*/}\$" -fuzztime 5s "./internal/${target%/*}/"
     done
