@@ -69,18 +69,6 @@ type Config struct {
 	// (the Fig. 5 ablation).
 	DisableSurvival bool
 
-	// WarmStart continues training the previous network each window
-	// instead of fitting a fresh one (default true behaviour; set
-	// ColdStart to disable).
-	ColdStart bool
-
-	// DriftThreshold, when positive, enables the §6.1.1 retraining
-	// optimization: a window only retrains when the two-sample KS
-	// statistic between its interarrival distribution and the previous
-	// window's is at least this value (0.05–0.15 are sensible). The
-	// first window always trains.
-	DriftThreshold float64
-
 	// ScoreCache selects Victim's score-cache estimator (DESIGN.md
 	// "Inference fast path & SLO"): each resident object's priority
 	// score is cached with a dirty-epoch stamp, Victim() re-embeds and
@@ -135,8 +123,8 @@ const historyLen = 16
 type CheckpointConfig struct {
 	// Dir is the checkpoint directory; empty disables checkpointing.
 	Dir string
-	// Every saves a generation after every N completed (non-skipped,
-	// non-diverged) trainings (default 1).
+	// Every saves a generation after every N completed (non-diverged)
+	// trainings (default 1).
 	Every int
 }
 

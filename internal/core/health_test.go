@@ -81,13 +81,11 @@ func TestGuardTripsResetOnSuccess(t *testing.T) {
 }
 
 func poisonNet(n *nn.Net) {
-	snap := n.WeightsCopy()
-	for _, w := range snap {
-		for i := range w {
-			w[i] = math.NaN()
+	for _, p := range n.Params() {
+		for i := range p.W {
+			p.W[i] = math.NaN()
 		}
 	}
-	n.RestoreWeightsCopy(snap)
 }
 
 // trainSmallRaven runs a short synthetic workload through a cache so
@@ -222,6 +220,40 @@ func TestCoreFaultCycleDegradesAndRecovers(t *testing.T) {
 	}
 	if !sawFallback || !recovered {
 		t.Errorf("HealthLog missing Fallback->Healthy cycle: %+v", r.HealthLog)
+	}
+}
+
+// TestDiscardedNetVersionNotReused: side records keep embVer/scoreVer
+// stamps from whatever network computed them. When a non-finite network
+// is discarded, its replacement must start above every version already
+// installed, or it would one day accept an embedding or score the
+// discarded network computed.
+func TestDiscardedNetVersionNotReused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training test skipped in -short mode")
+	}
+	r, c, tr := trainSmallRaven(t, Config{})
+	v := r.Net().Version
+	if v < 2 {
+		t.Fatalf("model at Version %d after the warm-up replay, want >= 2", v)
+	}
+	poisonNet(r.Net())
+	windows := len(r.TrainStats)
+	for _, req := range tr.Reqs {
+		req.Time += tr.Duration() + 1
+		c.Handle(req)
+		if len(r.TrainStats) > windows {
+			break
+		}
+	}
+	if len(r.TrainStats) == windows {
+		t.Fatal("no window closed after the poisoning")
+	}
+	if r.Net() == nil || !r.Net().FiniteWeights() {
+		t.Fatal("the non-finite network was not replaced")
+	}
+	if got := r.Net().Version; got <= v {
+		t.Errorf("replacement network at Version %d, want > %d (the discarded one's)", got, v)
 	}
 }
 

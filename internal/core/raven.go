@@ -26,7 +26,10 @@ type Raven struct {
 	begun bool
 
 	window *window
-	drift  *driftDetector
+	// topVer is the highest nn.Net.Version the policy has installed. A
+	// fresh network starts there, so its first fit moves it past every
+	// embVer/scoreVer stamp a discarded network left in the table.
+	topVer int
 
 	// Eviction inference state (fastpath.go, priority.go): the joint
 	// win count's scratch, the frozen f32 weight copy and its scratch (Inference32),
@@ -62,11 +65,11 @@ type Raven struct {
 	trips     int
 	obs       *obs.RavenObs
 	store     *ckpt.Store
-	completed int // non-skipped, non-diverged trainings (checkpoint cadence)
-	// windows counts the TrainRecords ever appended (skipped windows
-	// included). The per-window shuffle seed and the fault-drill cut-off
-	// read it, not len(TrainStats), so bounding that slice cannot change
-	// what any window trains.
+	completed int // non-diverged trainings (checkpoint cadence)
+	// windows counts the TrainRecords ever appended. The per-window
+	// shuffle seed and the fault-drill cut-off read it, not
+	// len(TrainStats), so bounding that slice cannot change what any
+	// window trains.
 	windows int
 
 	// TrainStats records every completed training run (Table 7 and the
@@ -89,8 +92,8 @@ type TrainRecord struct {
 	WindowEnd int64
 	Objects   int
 	Samples   int // total loss terms (interarrival + survival)
-	// Skipped marks windows whose retraining was elided by drift
-	// detection (Config.DriftThreshold).
+	// Skipped is always false: every window with data trains. It is
+	// kept only because benchmark/traced.go still reads it.
 	Skipped bool
 	// RolledBack marks windows whose training diverged (the guard
 	// tripped) and whose weights were rolled back to the last good
@@ -112,9 +115,6 @@ func New(cfg Config) *Raven {
 		mc:  newMCScratch(),
 	}
 	r.window = newWindow(cfg.SampleBudgetBytes, cfg.MaxTrainObjects, cfg.Train.MaxSeq, stats.NewRNG(cfg.Seed+3))
-	if cfg.DriftThreshold > 0 {
-		r.drift = newDriftDetector(cfg.DriftThreshold, 0)
-	}
 	r.obs = cfg.Obs
 	if r.obs != nil {
 		r.obs.Health.Set(int64(Healthy))
@@ -151,6 +151,7 @@ func (r *Raven) resumeCheckpoint() {
 		// The resumed net's embedded nn.Config (TimeScale, dims)
 		// supersedes cfg.Net — it describes the weights being loaded.
 		r.net = net
+		r.topVer = net.Version
 	}
 }
 
@@ -241,9 +242,6 @@ func (r *Raven) observe(req cache.Request) uint32 {
 		if tau < 1 {
 			tau = 1
 		}
-		if r.drift != nil {
-			r.drift.observe(tau)
-		}
 		if rc.ring == 0 {
 			rc.ring = t.rings.alloc()
 		}
@@ -305,26 +303,11 @@ func (r *Raven) trim(keep uint32) {
 	}
 }
 
-// train fits the MDN on the just-finished window (§4.4), unless drift
-// detection decides the previous model still matches the workload.
+// train fits the MDN on the just-finished window (§4.4), warm-started
+// from the current network.
 func (r *Raven) train() {
 	data, terms := r.window.sequences(r.now)
 	if len(data) == 0 {
-		return
-	}
-	retrain := true
-	if r.drift != nil {
-		// Always close the drift window so consecutive windows are
-		// compared pairwise, even before the first model exists.
-		retrain = r.drift.shouldRetrain()
-	}
-	if r.net != nil && !retrain {
-		r.record(TrainRecord{
-			WindowEnd: r.now,
-			Objects:   len(data),
-			Samples:   terms,
-			Skipped:   true,
-		})
 		return
 	}
 	// A network with non-finite weights (corrupt resume that slipped
@@ -338,25 +321,15 @@ func (r *Raven) train() {
 			r.obs.Rollbacks.Inc()
 		}
 	}
-	prev := r.net // last good network; the rollback target
-	replaced := false
-	if r.net == nil || r.cfg.ColdStart {
+	fresh := r.net == nil
+	if fresh {
 		cfg := r.cfg.Net
 		if cfg.TimeScale == 0 { //lint:allow float-equal zero TimeScale means unset; derive the default
 			cfg.TimeScale = meanTau(data, float64(r.cfg.TrainWindow)/1000)
 		}
 		r.net = nn.NewNet(cfg)
-		if prev != nil {
-			r.net.Version = prev.Version
-		}
+		r.net.Version = r.topVer
 		r.invalidateFastPath()
-		replaced = true
-	}
-	// Pre-fit snapshot: the rollback token for warm-start windows
-	// (windows that built a fresh net roll back to prev instead).
-	var snap [][]float64
-	if !replaced {
-		snap = r.net.WeightsCopy()
 	}
 	tc := r.cfg.Train
 	tc.Seed += int64(r.windows) // vary shuffles between windows
@@ -375,22 +348,18 @@ func (r *Raven) train() {
 		Result:    res,
 	}
 	if res.Diverged {
-		// Fit already restored the fitted network's pre-fit weights
-		// bit-identically; rolling back means re-installing the last
-		// good network (which, for warm starts, is that same
-		// snapshot).
-		if replaced {
-			r.net = prev
-		} else {
-			r.net.RestoreWeightsCopy(snap)
+		// Fit restored the pre-fit weights bit for bit, so a warm net is
+		// already the last good network; a fresh one had none.
+		if fresh {
+			r.net = nil
 		}
-		r.invalidateFastPath()
 		rec.RolledBack = true
 		if r.obs != nil {
 			r.obs.Rollbacks.Inc()
 		}
 		r.guardTripped("training diverged: " + res.GuardReason)
 	} else {
+		r.topVer = r.net.Version
 		r.trainSucceeded()
 		r.saveCheckpoint()
 		r.invalidateFastPath()
@@ -400,11 +369,6 @@ func (r *Raven) train() {
 			r.frozen = r.net.Freeze32()
 		}
 	}
-	r.record(rec)
-}
-
-// record appends one window's TrainRecord and counts it.
-func (r *Raven) record(rec TrainRecord) {
 	r.TrainStats = append(r.TrainStats, rec)
 	r.windows++
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"raven/internal/cache"
 	"raven/internal/nn"
@@ -501,5 +502,23 @@ func TestEmbeddingWidthChange(t *testing.T) {
 		if got := h.r.tab.emb(rc.res); !slices.Equal(got, want) {
 			t.Fatalf("key %d: embedding %v after the width change, want %v", k, got, want)
 		}
+	}
+}
+
+// TestRavenFootprint pins the §6.1.1 footprint to the record
+// layouts it is derived from, so growing a record shows up here (and in
+// EXPERIMENTS.md "Overhead") instead of silently.
+func TestRavenFootprint(t *testing.T) {
+	if RecordBytes != 48 || RingBytes != 8+8*historyLen || unsafe.Sizeof(resRec{}) != 40 {
+		t.Errorf("record layouts: core %d B, ring %d B, side %d B; want 48, %d, 40",
+			RecordBytes, RingBytes, unsafe.Sizeof(resRec{}), 8+8*historyLen)
+	}
+	r := New(Config{TrainWindow: 1, Net: nn.Config{Hidden: 16}})
+	if got, want := r.MetadataBytesPerObject(), int64(48+40+136+8*16); got != want {
+		t.Errorf("MetadataBytesPerObject = %d at hidden 16, want %d", got, want)
+	}
+	r.net = nn.NewNet(nn.Config{Hidden: 8, MLPHidden: 12, K: 4, TimeScale: 1})
+	if got, want := r.MetadataBytesPerObject(), int64(48+40+136+8*8); got != want {
+		t.Errorf("MetadataBytesPerObject = %d under a hidden-8 model, want %d", got, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"raven/internal/cache"
 	"raven/internal/core"
-	"raven/internal/nn"
 	"raven/internal/sim"
 	"raven/internal/trace"
 )
@@ -34,15 +33,7 @@ func (r *Runner) Overhead() *Report {
 			// What Raven keeps for a key it has seen and does not cache:
 			// the record, plus the ring from the second sighting on.
 			ghost = fmt.Sprintf("%d (+%d)", core.RecordBytes, core.RingBytes)
-			n, skipped := 0, 0
-			for _, ts := range p.TrainStats {
-				if ts.Skipped {
-					skipped++
-				} else {
-					n++
-				}
-			}
-			trainings = fmt.Sprintf("%d (%d skipped)", n, skipped)
+			trainings = fmt.Sprint(len(p.TrainStats))
 			trainWall = "see trainings"
 		case interface{ TrainedCount() int }:
 			trainings = fmt.Sprint(p.TrainedCount())
@@ -54,38 +45,4 @@ func (r *Runner) Overhead() *Report {
 		"our float64 CPU substrate doubles metadata widths; orderings match",
 		"ghostB/key: Raven's record-table bytes per known, uncached key (+ the interarrival ring from its second sighting); the key→record index adds 24–38 B with the map's load")
 	return rep
-}
-
-// driftAblation measures the retraining-skip optimization.
-func (r *Runner) driftAblation(rep *Report, t *trace.Trace) {
-	for _, th := range []float64{0, 0.05, 0.15} {
-		cfg := core.Config{
-			TrainWindow:    t.Duration() / 8,
-			DriftThreshold: th,
-			Seed:           r.Cfg.Seed,
-		}
-		if r.Cfg.Quick {
-			cfg.Net = nn.Config{Hidden: 8, MLPHidden: 12, K: 4}
-			cfg.Train = nn.TrainConfig{MaxEpochs: 6, Patience: 2}
-			cfg.MaxTrainObjects = 600
-			cfg.ResidualSamples = 30
-		} else {
-			cfg.Train = nn.TrainConfig{MaxEpochs: 25, Patience: 5}
-		}
-		p := core.New(cfg)
-		res := r.simulate(t, p, sim.Options{
-			Capacity: synthUnitCapacity, WarmupFrac: synthWarmup, Seed: r.Cfg.Seed,
-		})
-		trained, skipped := 0, 0
-		for _, ts := range p.TrainStats {
-			if ts.Skipped {
-				skipped++
-			} else {
-				trained++
-			}
-		}
-		r.logf("  ablation drift=%.2f OHR=%.4f trained=%d skipped=%d", th, res.OHR, trained, skipped)
-		rep.Add("driftThreshold", fmt.Sprintf("%.2f (%dT/%dS)", th, trained, skipped),
-			res.OHR, res.EvictionNanos.Mean/1e3)
-	}
 }

@@ -270,7 +270,7 @@ func (r *Runner) Fig7() *Report {
 
 // Ablations measures the design knobs DESIGN.md calls out: eviction
 // candidate count, mixture components, GRU hidden size, training
-// window, and warm vs cold start — all on the Uniform trace.
+// window — all on the Uniform trace.
 func (r *Runner) Ablations() *Report {
 	rep := &Report{ID: "ablations", Title: "Raven design ablations (Uniform trace, C=100)"}
 	rep.Header = []string{"knob", "value", "OHR", "evict_us"}
@@ -314,9 +314,5 @@ func (r *Runner) Ablations() *Report {
 		cfg.TrainWindow = t.Duration() / div
 		runCfg("window", fmt.Sprintf("dur/%d", div), cfg)
 	}
-	cold := base()
-	cold.ColdStart = true
-	runCfg("coldstart", "true", cold)
-	r.driftAblation(rep, t)
 	return rep
 }

@@ -146,13 +146,3 @@ func (n *Net) finiteGrads() bool {
 	}
 	return true
 }
-
-// WeightsCopy returns a deep copy of every parameter tensor, in
-// parameter order. The result is the rollback token callers pair with
-// RestoreWeightsCopy.
-func (n *Net) WeightsCopy() [][]float64 { return n.snapshot() }
-
-// RestoreWeightsCopy copies a WeightsCopy snapshot back into the
-// network's parameters. The snapshot must come from a network with
-// the same architecture.
-func (n *Net) RestoreWeightsCopy(snap [][]float64) { n.restore(snap) }

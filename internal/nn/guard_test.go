@@ -185,30 +185,3 @@ func TestFiniteWeights(t *testing.T) {
 		t.Fatal("-Inf weight not detected")
 	}
 }
-
-// TestWeightsCopyRoundTrip pins the rollback token API.
-func TestWeightsCopyRoundTrip(t *testing.T) {
-	n := guardNet()
-	snap := n.WeightsCopy()
-	before := netBytes(t, n)
-	// Mutate, then restore.
-	for _, p := range n.params {
-		for i := range p.W {
-			p.W[i] += 1.5
-		}
-	}
-	if bytes.Equal(netBytes(t, n), before) {
-		t.Fatal("mutation did not change serialized weights")
-	}
-	n.RestoreWeightsCopy(snap)
-	if !bytes.Equal(netBytes(t, n), before) {
-		t.Fatal("RestoreWeightsCopy did not restore weights bit-identically")
-	}
-	// The snapshot must be a deep copy: mutating the net after the
-	// copy must not have touched it (checked implicitly above), and
-	// mutating the snapshot must not touch the net.
-	snap[0][0] = 12345
-	if !bytes.Equal(netBytes(t, n), before) {
-		t.Fatal("WeightsCopy aliases the live weights")
-	}
-}

@@ -18,9 +18,8 @@ type RavenObs struct {
 	// while the policy was in the Fallback health state.
 	FallbackEvictions Counter
 	// TrainEpochs and TrainSequences sum nn.TrainResult.Epochs and
-	// .Sequences over every fit that ran, rolled back or not (a window
-	// skipped by drift detection adds nothing): the training cost in
-	// units that need no clock.
+	// .Sequences over every fit that ran, rolled back or not: the
+	// training cost in units that need no clock.
 	TrainEpochs    Counter
 	TrainSequences Counter
 

@@ -332,6 +332,18 @@ func FuzzEngineModel(f *testing.F) {
 	}
 	f.Add(uint16(0), []byte{})
 	f.Add(uint16(1), []byte{1, 1, 1, 1, 0x41, 1, 0x81, 1, 0xc1, 1, 1, 0})
+	// Shapes the random churn rarely produces: every operation a
+	// resizing store, a one-pass scan of all 64 keys, and one hot key
+	// interleaved with a scan.
+	var resize, scan, hot []byte
+	for k := 0; k < 64; k++ {
+		resize = append(resize, 0xc0|byte(k%24), 1)
+		scan = append(scan, 0x80|byte(k), 1)
+		hot = append(hot, 0x80, 0, 0x80|byte(k), 1)
+	}
+	f.Add(uint16(2), resize)
+	f.Add(uint16(3), scan)
+	f.Add(uint16(6), hot)
 
 	f.Fuzz(func(t *testing.T, sel uint16, data []byte) {
 		if len(data) > 4096 {

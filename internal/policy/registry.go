@@ -14,7 +14,6 @@ import (
 	"raven/internal/core"
 	"raven/internal/obs"
 	"raven/internal/policy/adaptsize"
-	"raven/internal/policy/arc"
 	"raven/internal/policy/belady"
 	"raven/internal/policy/freq"
 	"raven/internal/policy/hyperbolic"
@@ -26,7 +25,6 @@ import (
 	"raven/internal/policy/marker"
 	"raven/internal/policy/parrot"
 	"raven/internal/policy/random"
-	"raven/internal/policy/tinylfu"
 	"raven/internal/policy/ucb"
 )
 
@@ -243,8 +241,6 @@ func init() {
 		return lhr.New(lhr.GoalOHR, o.Seed, lhr.WithAdmission())
 	}))
 	Register("adaptsize", ok(func(o Options) cache.Policy { return adaptsize.New(o.Capacity, o.Seed) }))
-	Register("arc", ok(func(o Options) cache.Policy { return arc.New(o.Capacity) }))
-	Register("tinylfu", ok(func(o Options) cache.Policy { return tinylfu.New(o.Capacity, o.entries()) }))
 	Register("marker", ok(func(o Options) cache.Policy { return marker.New(o.Seed) }))
 	Register("predictivemarker", ok(func(o Options) cache.Policy {
 		return marker.NewPredictive(o.Seed, marker.NewEWMAPredictor(0.3))

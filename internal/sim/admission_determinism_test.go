@@ -90,9 +90,9 @@ func TestAdmissionOffMatchesUnfronted(t *testing.T) {
 	opts := Options{Capacity: capacity, Seed: 3}
 
 	base := runOne(t, newTrace(),
-		policy.MustNew("tinylfu", policy.Options{Capacity: capacity, Seed: 7}), opts)
+		policy.MustNew("lhr-adm", policy.Options{Capacity: capacity, Seed: 7}), opts)
 	off := runOne(t, newTrace(),
-		policy.MustNew("tinylfu", policy.Options{
+		policy.MustNew("lhr-adm", policy.Options{
 			Capacity: capacity, Seed: 7,
 			Admission: policy.AdmissionOptions{Mode: policy.AdmitOff},
 		}), opts)

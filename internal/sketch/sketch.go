@@ -1,6 +1,6 @@
-// Package sketch provides the probabilistic counting substrate used by
-// the TinyLFU admission policy (Einziger et al., cited in the paper's
-// related work §2): a conservative-update count-min sketch for
+// Package sketch provides the probabilistic counting substrate of
+// cache.SketchAdmitter, after TinyLFU (Einziger et al., cited in the
+// paper's related work §2): a conservative-update count-min sketch for
 // frequency estimation and a Bloom-filter "doorkeeper" that absorbs
 // one-hit wonders before they reach the sketch.
 package sketch
