@@ -118,27 +118,27 @@ func (b *Breaker) Success() bool {
 }
 
 // Failure records a failed round trip or probe and climbs the ladder
-// after failLimit consecutive failures on the current rung. A failed
-// half-open probe re-arms the cool-down. It reports whether the state
-// moved.
+// after failLimit consecutive failures on the current rung. Any failure
+// of an ejected node — a failed half-open probe — re-arms the cool-down.
+// It reports whether the state moved.
 func (b *Breaker) Failure() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
+	if b.state == Fallback {
+		b.ejected = b.now()
+		return false
+	}
 	b.fails++
 	if b.fails < b.failLimit {
 		return false
 	}
 	b.fails = 0
-	switch b.state {
-	case Healthy:
+	if b.state == Healthy {
 		b.state = Degraded
-	case Degraded:
+	} else {
 		b.state = Fallback
 		b.ejected = b.now()
-	case Fallback:
-		b.ejected = b.now() // re-arm the half-open cool-down
-		return false
 	}
 	return true
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -46,41 +47,46 @@ func TestBreakerLadder(t *testing.T) {
 }
 
 // TestBreakerHalfOpen: an ejected node admits exactly one probe per
-// cool-down window; a failed probe re-arms the window, a successful one
-// recovers the node.
+// cool-down window; a failed probe re-arms the window whatever the
+// failLimit, a successful one recovers the node.
 func TestBreakerHalfOpen(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(100, 0)}
-	b := NewBreaker(1, time.Second, clk.now)
-	b.Failure() // -> Degraded (failLimit 1)
-	b.Failure() // -> Fallback
-	if b.State() != Fallback {
-		t.Fatalf("state %v, want fallback", b.State())
-	}
-	if b.AllowProbe() {
-		t.Fatal("probe admitted before the cool-down elapsed")
-	}
-	clk.advance(time.Second)
-	if !b.AllowProbe() {
-		t.Fatal("probe refused after the cool-down")
-	}
-	if b.AllowProbe() {
-		t.Fatal("second concurrent probe admitted")
-	}
-	// Failed probe: stays ejected, cool-down re-arms.
-	b.Failure()
-	if b.State() != Fallback {
-		t.Fatal("failed probe changed state")
-	}
-	if b.AllowProbe() {
-		t.Fatal("probe admitted immediately after a failed probe")
-	}
-	clk.advance(time.Second)
-	if !b.AllowProbe() {
-		t.Fatal("probe refused after re-armed cool-down")
-	}
-	// Successful probe: full recovery.
-	b.Success()
-	if b.State() != Healthy || !b.Allow() {
-		t.Fatalf("state %v after successful probe, want healthy", b.State())
+	for _, failLimit := range []int{1, 3} {
+		t.Run(fmt.Sprintf("failLimit=%d", failLimit), func(t *testing.T) {
+			clk := &fakeClock{t: time.Unix(100, 0)}
+			b := NewBreaker(failLimit, time.Second, clk.now)
+			for i := 0; i < 2*failLimit; i++ {
+				b.Failure() // two full streaks: -> Degraded -> Fallback
+			}
+			if b.State() != Fallback {
+				t.Fatalf("state %v, want fallback", b.State())
+			}
+			if b.AllowProbe() {
+				t.Fatal("probe admitted before the cool-down elapsed")
+			}
+			clk.advance(time.Second)
+			if !b.AllowProbe() {
+				t.Fatal("probe refused after the cool-down")
+			}
+			if b.AllowProbe() {
+				t.Fatal("second concurrent probe admitted")
+			}
+			// Failed probe: stays ejected, cool-down re-arms.
+			b.Failure()
+			if b.State() != Fallback {
+				t.Fatal("failed probe changed state")
+			}
+			if b.AllowProbe() {
+				t.Fatal("probe admitted immediately after a failed probe")
+			}
+			clk.advance(time.Second)
+			if !b.AllowProbe() {
+				t.Fatal("probe refused after re-armed cool-down")
+			}
+			// Successful probe: full recovery.
+			b.Success()
+			if b.State() != Healthy || !b.Allow() {
+				t.Fatalf("state %v after successful probe, want healthy", b.State())
+			}
+		})
 	}
 }

@@ -12,7 +12,7 @@ import (
 // trained model, degraded health, no history for the key, or a
 // non-finite mixture).
 func (r *Raven) PredictNextArrival(req cache.Request) (int64, bool) {
-	if r.net == nil || r.health == Fallback {
+	if r.net == nil || r.Health() == Fallback {
 		return 0, false
 	}
 	h := r.tab.find(req.Key)

@@ -93,8 +93,8 @@ func TestEvictionPathAllocFree(t *testing.T) {
 				if avg != 0 {
 					t.Errorf("eviction decision allocates %.1f times per op; want 0", avg)
 				}
-				if r.health != Healthy || ro.ScoreRescores.Load() == predicted {
-					t.Fatalf("the model did not decide: health %v", r.health)
+				if r.Health() != Healthy || ro.ScoreRescores.Load() == predicted {
+					t.Fatalf("the model did not decide: health %v", r.Health())
 				}
 			})
 		}

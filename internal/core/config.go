@@ -59,14 +59,17 @@ type Config struct {
 	// (0 = default 4000), keeping CPU training time bounded.
 	MaxTrainObjects int
 
-	// Net configures the mixture density network. A zero TimeScale is
-	// inferred from the first window's mean interarrival time.
+	// Net configures the mixture density network; zero dimensions take
+	// nn's (nn.Config.Defaults). A zero TimeScale is inferred from the
+	// first window's mean interarrival time.
 	Net nn.Config
-	// Train configures the optimization loop. Train.Survival is
-	// overridden by Survival below.
+	// Train configures the optimization loop; zero fields take nn's
+	// served budget (nn.TrainConfig.Defaults). Every fit runs under nn's
+	// training guard.
 	Train nn.TrainConfig
-	// DisableSurvival removes the survival-probability loss term
-	// (the Fig. 5 ablation).
+	// DisableSurvival removes the survival-probability loss term (the
+	// Fig. 5 ablation): each window trains on the same sequences with
+	// their open intervals zeroed.
 	DisableSurvival bool
 
 	// ScoreCache selects Victim's score-cache estimator (DESIGN.md
@@ -138,32 +141,10 @@ func (c *Config) defaults() {
 	if c.MaxTrainObjects == 0 {
 		c.MaxTrainObjects = 4000
 	}
-	if c.Net.Hidden == 0 {
-		c.Net.Hidden = 16
-	}
-	if c.Net.MLPHidden == 0 {
-		c.Net.MLPHidden = 24
-	}
-	if c.Net.K == 0 {
-		c.Net.K = 8
-	}
-	if c.Train.MaxEpochs == 0 {
-		c.Train.MaxEpochs = 12
-	}
-	if c.Train.Patience == 0 {
-		c.Train.Patience = 5
-	}
-	if c.Train.MaxSeq == 0 {
-		c.Train.MaxSeq = 32
-	}
-	c.Train.Survival = !c.DisableSurvival
-	// A training without a guard of its own gets nn.DefaultGuard (finite
-	// checks, loss blow-up detection, outer gradient clip): a diverged
-	// fit rolls back to the last good network instead of committing
-	// insane weights; see DESIGN.md "Model lifecycle & failure domains".
-	if !c.Train.Guard.CheckFinite && c.Train.Guard.MaxLossBlowup <= 0 && c.Train.Guard.ClipNorm <= 0 {
-		c.Train.Guard = nn.DefaultGuard()
-	}
+	// Hidden sizes the record table's embeddings and MaxSeq the window's
+	// histories before the first network exists.
+	c.Net.Defaults()
+	c.Train.Defaults()
 	if c.Checkpoint.Every == 0 {
 		c.Checkpoint.Every = 1
 	}

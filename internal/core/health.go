@@ -51,57 +51,48 @@ type HealthTransition struct {
 	Reason   string
 }
 
-// setHealth moves the state machine, recording the transition and
-// mirroring it to the obs gauge.
-func (r *Raven) setHealth(to Health, reason string) {
-	if r.health == to {
-		return
-	}
-	r.HealthLog = append(r.HealthLog, HealthTransition{At: r.now, From: r.health, To: to, Reason: reason})
-	r.health = to
-	if r.obs != nil {
-		r.obs.Health.Set(int64(to))
-		r.obs.HealthTransitions.Inc()
-	}
-}
-
-// Health returns the current model-lifecycle state.
-func (r *Raven) Health() Health { return r.health }
+// Health returns the current model-lifecycle state. It is derived
+// from the consecutive-trip counter: each trip climbs one rung, and
+// fallbackAfterTrips of them reach Fallback.
+func (r *Raven) Health() Health { return Health(min(r.trips, fallbackAfterTrips)) }
 
 const (
 	// fallbackAfterTrips is how many consecutive guard trips force the
 	// Fallback state (LRU eviction until a training succeeds): the
 	// first trip only degrades.
-	fallbackAfterTrips = 2
+	fallbackAfterTrips = int(Fallback)
 	// sloTripsBeforeDegrade is how many consecutive DecisionBudget
 	// overruns count as one guard trip.
 	sloTripsBeforeDegrade = 4
 )
 
-// guardTripped advances the state machine after a diverged training:
-// Healthy degrades, Degraded falls back, and enough consecutive trips
-// (fallbackAfterTrips) force Fallback from any state.
+// setTrips moves the trip counter, and with it the state machine,
+// recording a health transition and mirroring it to the obs surface.
+func (r *Raven) setTrips(trips int, reason string) {
+	from := r.Health()
+	r.trips = trips
+	to := r.Health()
+	if from == to {
+		return
+	}
+	r.HealthLog = append(r.HealthLog, HealthTransition{At: r.now, From: from, To: to, Reason: reason})
+	if r.obs != nil {
+		r.obs.HealthMoved(int64(from), int64(to))
+	}
+}
+
+// guardTripped climbs one rung after a diverged training or an SLO
+// overrun streak: Healthy degrades, and Degraded falls back.
 func (r *Raven) guardTripped(reason string) {
-	r.trips++
 	if r.obs != nil {
 		r.obs.GuardTrips.Inc()
 	}
-	switch {
-	case r.trips >= fallbackAfterTrips:
-		r.setHealth(Fallback, reason)
-	case r.health == Healthy:
-		r.setHealth(Degraded, reason)
-	default:
-		r.setHealth(Fallback, reason)
-	}
+	r.setTrips(r.trips+1, reason)
 }
 
 // trainSucceeded resets the trip counter and restores Healthy from
 // any state — the new model just proved it can fit the workload.
-func (r *Raven) trainSucceeded() {
-	r.trips = 0
-	r.setHealth(Healthy, "training completed")
-}
+func (r *Raven) trainSucceeded() { r.setTrips(0, "training completed") }
 
 // sloOverrun records one eviction decision abandoned past its
 // DecisionBudget deadline. The decision itself is served from the LRU
@@ -129,7 +120,4 @@ func (r *Raven) sloMet() { r.sloStreak = 0 }
 // scoresInsane enters Fallback immediately after a non-finite
 // priority score: no further model output can be trusted until a
 // retrain succeeds.
-func (r *Raven) scoresInsane() {
-	r.trips = fallbackAfterTrips
-	r.setHealth(Fallback, "non-finite priority score")
-}
+func (r *Raven) scoresInsane() { r.setTrips(fallbackAfterTrips, "non-finite priority score") }

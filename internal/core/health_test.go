@@ -54,14 +54,56 @@ func TestHealthStateMachine(t *testing.T) {
 			t.Errorf("transition %d has no reason", i)
 		}
 	}
-	if ro.Health.Load() != int64(Fallback) {
-		t.Errorf("health gauge = %d, want %d", ro.Health.Load(), Fallback)
+	if ro.Health() != int64(Fallback) {
+		t.Errorf("health gauge = %d, want %d", ro.Health(), Fallback)
 	}
 	if ro.HealthTransitions.Load() != int64(len(wantLog)) {
 		t.Errorf("health_transitions = %d, want %d", ro.HealthTransitions.Load(), len(wantLog))
 	}
 	if ro.GuardTrips.Load() != 2 {
 		t.Errorf("guard_trips = %d, want 2", ro.GuardTrips.Load())
+	}
+}
+
+// TestHealthGaugeShowsWorstShard: the shards of one engine share a
+// RavenObs, so raven.health must report the worst shard, not whichever
+// shard moved last.
+func TestHealthGaugeShowsWorstShard(t *testing.T) {
+	ro := &obs.RavenObs{}
+	reg := obs.NewRegistry()
+	ro.Register(reg, "raven")
+	eng, err := cache.NewSharded(100, 2, func(shard int, _ int64) (cache.Policy, error) {
+		return New(Config{TrainWindow: 1, Seed: int64(shard + 1), Obs: ro}), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := eng.ShardPolicy(0).(*Raven), eng.ShardPolicy(1).(*Raven)
+	gauge := func() int64 {
+		for _, kv := range reg.Snapshot() {
+			if kv.Name == "raven.health" {
+				return kv.Value
+			}
+		}
+		t.Fatal("raven.health not registered")
+		return -1
+	}
+	steps := []struct {
+		name string
+		move func()
+		want Health
+	}{
+		{"A falls back", func() { a.scoresInsane() }, Fallback},
+		{"B degrades", func() { b.guardTripped("diverged") }, Fallback},
+		{"B recovers", func() { b.trainSucceeded() }, Fallback},
+		{"A recovers", func() { a.trainSucceeded() }, Healthy},
+		{"B degrades again", func() { b.guardTripped("diverged") }, Degraded},
+	}
+	for _, s := range steps {
+		s.move()
+		if got := gauge(); got != int64(s.want) {
+			t.Fatalf("after %s: raven.health = %d, want %d (%v)", s.name, got, s.want, s.want)
+		}
 	}
 }
 

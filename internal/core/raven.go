@@ -58,10 +58,9 @@ type Raven struct {
 	// next-arrival predictions (arrival.go; no RNG draws).
 	predMix nn.Mixture
 
-	// Model-lifecycle state (health.go): the health state machine,
-	// the consecutive-guard-trip counter that drives it, lifecycle
-	// metrics, and the checkpoint store.
-	health    Health
+	// Model-lifecycle state (health.go): the consecutive-guard-trip
+	// counter the health state is derived from, lifecycle metrics, and
+	// the checkpoint store.
 	trips     int
 	obs       *obs.RavenObs
 	store     *ckpt.Store
@@ -116,9 +115,6 @@ func New(cfg Config) *Raven {
 	}
 	r.window = newWindow(cfg.SampleBudgetBytes, cfg.MaxTrainObjects, cfg.Train.MaxSeq, stats.NewRNG(cfg.Seed+3))
 	r.obs = cfg.Obs
-	if r.obs != nil {
-		r.obs.Health.Set(int64(Healthy))
-	}
 	r.resumeCheckpoint()
 	return r
 }
@@ -310,6 +306,16 @@ func (r *Raven) train() {
 	if len(data) == 0 {
 		return
 	}
+	if r.cfg.DisableSurvival {
+		// The same sequences, so the same draws, without their open
+		// intervals: Fit takes the survival term only where it is > 0.
+		for i := range data {
+			if data[i].Survival > 0 {
+				data[i].Survival = 0
+				terms--
+			}
+		}
+	}
 	// A network with non-finite weights (corrupt resume that slipped
 	// validation, runtime overflow) cannot be trained out of NaN —
 	// discard it and fit fresh. Counted as a rollback: the "last good
@@ -471,7 +477,7 @@ func (r *Raven) Victim() (cache.Key, bool) {
 	if len(t.dense) == 0 {
 		return 0, false
 	}
-	if r.net == nil || r.health == Fallback {
+	if r.net == nil || r.Health() == Fallback {
 		return r.fallbackVictim(), true
 	}
 	budget := r.cfg.DecisionBudget
@@ -564,7 +570,7 @@ func (r *Raven) embedding(rc *rec) []float64 {
 // it happened because of degraded health (rather than the normal
 // before-first-model warmup).
 func (r *Raven) fallbackVictim() cache.Key {
-	if r.health == Fallback && r.obs != nil {
+	if r.Health() == Fallback && r.obs != nil {
 		r.obs.FallbackEvictions.Inc()
 	}
 	t := r.tab

@@ -281,12 +281,12 @@ func TestTableMatchesNaiveReference(t *testing.T) {
 				case p < 0.02:
 					r.net.Version++ // a completed fit, as far as stamps can tell
 				case p < 0.04:
-					r.health = Health(g.Intn(3))
+					r.trips = g.Intn(3)
 				case p < 0.10:
 					// The prediction embeds the key whether or not the
 					// mixture it then gets is usable.
 					_, ok := r.PredictNextArrival(req)
-					asked := o != nil && r.health != Fallback
+					asked := o != nil && r.Health() != Fallback
 					if ok && !asked {
 						t.Fatalf("step %d: a prediction for an unknown key or from a distrusted model", step)
 					}
@@ -308,12 +308,12 @@ func TestTableMatchesNaiveReference(t *testing.T) {
 						break // admission control said no
 					}
 					for len(ref.dense) >= capacity {
-						lruTail, modelDecides := ref.lru[len(ref.lru)-1], r.health != Fallback
+						lruTail, modelDecides := ref.lru[len(ref.lru)-1], r.Health() != Fallback
 						victim, ok := r.Victim()
 						if !ok {
 							t.Fatalf("step %d: no victim among %d residents", step, len(ref.dense))
 						}
-						if modelDecides && r.health != Fallback {
+						if modelDecides && r.Health() != Fallback {
 							ref.decided(r.net, scoreCache)
 						} else if victim != lruTail {
 							t.Fatalf("step %d: fallback victim %d, LRU tail %d", step, victim, lruTail)

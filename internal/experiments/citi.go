@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"raven/internal/core"
-	"raven/internal/nn"
 	"raven/internal/policy"
 	"raven/internal/sim"
 	"raven/internal/trace"
@@ -42,12 +41,9 @@ func (r *Runner) Table5() *Report {
 			var res *sim.Result
 			if name == "raven" {
 				rc := core.Config{TrainWindow: t.Duration() / 4, Seed: r.Cfg.Seed + 31}
+				r.trainShape(&rc, 20, 4)
 				if r.Cfg.Quick {
-					rc.Net = nn.Config{Hidden: 8, MLPHidden: 12, K: 4}
-					rc.Train = nn.TrainConfig{MaxEpochs: 6, Patience: 2}
 					rc.ResidualSamples = 30
-				} else {
-					rc.Train = nn.TrainConfig{MaxEpochs: 20, Patience: 4}
 				}
 				res = r.simulate(t, core.New(rc), opts)
 			} else {

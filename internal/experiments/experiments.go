@@ -220,16 +220,25 @@ func (r *Runner) polOpts(t *trace.Trace, capacity int64) policy.Options {
 		Seed:        r.Cfg.Seed,
 	}
 	rc := core.Config{}
+	r.trainShape(&rc, 25, 5)
 	if r.Cfg.Quick {
-		rc.Net = nn.Config{Hidden: 8, MLPHidden: 12, K: 4}
-		rc.Train = nn.TrainConfig{MaxEpochs: 6, Patience: 2}
 		rc.MaxTrainObjects = 600
 		rc.ResidualSamples = 30
-	} else {
-		rc.Train = nn.TrainConfig{MaxEpochs: 25, Patience: 5}
 	}
 	o.Raven = &rc
 	return o
+}
+
+// trainShape sets Raven's network and training budget for the suite
+// mode: the quick suite's small network and 6-epoch fits, or the served
+// network trained for up to epochs with the given patience.
+func (r *Runner) trainShape(c *core.Config, epochs, patience int) {
+	if r.Cfg.Quick {
+		c.Net = nn.Config{Hidden: 8, MLPHidden: 12, K: 4}
+		c.Train = nn.TrainConfig{MaxEpochs: 6, Patience: 2}
+		return
+	}
+	c.Train = nn.TrainConfig{MaxEpochs: epochs, Patience: patience}
 }
 
 // run executes (trace, policy, capacity) once, memoized.

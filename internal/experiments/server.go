@@ -6,7 +6,6 @@ import (
 
 	"raven/internal/cache"
 	"raven/internal/core"
-	"raven/internal/nn"
 	"raven/internal/policy"
 	"raven/internal/server"
 	"raven/internal/trace"
@@ -60,13 +59,10 @@ func (r *Runner) serverPolicies(t *trace.Trace, capacity int64) (ravenPol, atsPo
 		SampleBudgetBytes: 5 * capacity,
 		Seed:              r.Cfg.Seed + 21,
 	}
+	r.trainShape(&rc, 20, 4)
 	if r.Cfg.Quick {
-		rc.Net = nn.Config{Hidden: 8, MLPHidden: 12, K: 4}
-		rc.Train = nn.TrainConfig{MaxEpochs: 6, Patience: 2}
 		rc.MaxTrainObjects = 600
 		rc.ResidualSamples = 30
-	} else {
-		rc.Train = nn.TrainConfig{MaxEpochs: 20, Patience: 4}
 	}
 	return core.New(rc), policy.MustNew("lru", policy.Options{Capacity: capacity})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"raven/internal/core"
-	"raven/internal/nn"
 	"raven/internal/sim"
 	"raven/internal/stats"
 	"raven/internal/trace"
@@ -218,12 +217,9 @@ func (r *Runner) ravenWithM(t *trace.Trace, m int) *core.Raven {
 		ResidualSamples: m,
 		Seed:            r.Cfg.Seed + int64(m),
 	}
+	r.trainShape(&cfg, 25, 5)
 	if r.Cfg.Quick {
-		cfg.Net = nn.Config{Hidden: 8, MLPHidden: 12, K: 4}
-		cfg.Train = nn.TrainConfig{MaxEpochs: 6, Patience: 2}
 		cfg.MaxTrainObjects = 600
-	} else {
-		cfg.Train = nn.TrainConfig{MaxEpochs: 25, Patience: 5}
 	}
 	return core.New(cfg)
 }
@@ -277,13 +273,10 @@ func (r *Runner) Ablations() *Report {
 	t := r.synthetic(trace.Uniform, false)
 	base := func() core.Config {
 		cfg := core.Config{TrainWindow: t.Duration() / 8, Seed: r.Cfg.Seed}
+		r.trainShape(&cfg, 25, 5)
 		if r.Cfg.Quick {
-			cfg.Net = nn.Config{Hidden: 8, MLPHidden: 12, K: 4}
-			cfg.Train = nn.TrainConfig{MaxEpochs: 6, Patience: 2}
 			cfg.MaxTrainObjects = 600
 			cfg.ResidualSamples = 30
-		} else {
-			cfg.Train = nn.TrainConfig{MaxEpochs: 25, Patience: 5}
 		}
 		return cfg
 	}

@@ -12,7 +12,7 @@ import (
 // Fit allocates is set by the replica count and the longest sequence,
 // not by how many sequences or epochs it runs.
 func TestFitAllocFree(t *testing.T) {
-	tc := TrainConfig{MaxSeq: 12, Survival: true}
+	tc := TrainConfig{MaxSeq: 12}
 	long := trainSequences(1, stats.NewRNG(1))[0]
 	for len(long.Taus) < tc.MaxSeq+3 { // longer than MaxSeq: truncated to the cap
 		long.Taus = append(long.Taus, 25)
@@ -32,7 +32,7 @@ func TestFitAllocFree(t *testing.T) {
 
 	fitAllocs := func(sequences, epochs int) float64 {
 		data := trainSequences(sequences, stats.NewRNG(5))
-		cfg := TrainConfig{MaxEpochs: epochs, Patience: epochs, MaxSeq: 12, Survival: true, Seed: 9, Guard: DefaultGuard()}
+		cfg := TrainConfig{MaxEpochs: epochs, Patience: epochs, MaxSeq: 12, Seed: 9}
 		return testing.AllocsPerRun(2, func() {
 			NewNet(Config{TimeScale: 40, Seed: 3}).Fit(data, cfg)
 		})

@@ -2,49 +2,21 @@ package nn
 
 import "math"
 
-// GuardConfig is Fit's training guard (§6.1.1 deployment hardening):
-// a learned eviction policy that silently diverges is worse than no
-// policy at all, so the guard watches every serial reduction point of
-// the data-parallel loop and trips before insane weights can be
-// committed. A tripped Fit restores the exact pre-fit weights (bit
-// identical), leaves Version unchanged, and reports Diverged in
-// TrainResult so the caller can roll back and degrade.
+// Every Fit runs under the training guard (§6.1.1 deployment
+// hardening): a learned eviction policy that silently diverges is worse
+// than no policy at all, so the guard trips before insane weights can
+// be committed. It trips on a non-finite minibatch loss or reduced
+// gradient, a non-finite weight at an epoch boundary, or an epoch whose
+// mean training NLL exceeds the best epoch so far by more than
+// maxLossBlowup*(|best|+1) (NLLs can be negative, so the threshold is
+// measured on that shifted scale rather than as a raw ratio). A tripped
+// Fit restores the exact pre-fit weights, leaves Version unchanged, and
+// reports Diverged in TrainResult.
 //
-// All checks run at points that are serial for every Workers value
-// (the shard reduction and the epoch boundary), so enabling the guard
-// preserves the bit-determinism invariant of Fit.
-//
-// The zero value disables every check.
-type GuardConfig struct {
-	// MaxLossBlowup trips the guard when an epoch's mean training NLL
-	// exceeds the best epoch seen so far by more than
-	// MaxLossBlowup*(|best|+1). NLLs can be negative, so the threshold
-	// is measured on that shifted scale rather than a raw ratio.
-	// <= 0 disables the check.
-	MaxLossBlowup float64
-	// ClipNorm rescales any minibatch's reduced global gradient (the
-	// already term-normalized gradient Adam would consume) whose L2
-	// norm exceeds it. Epochs in which at least one clip fired are
-	// counted in TrainResult.ClippedEpochs. <= 0 disables.
-	ClipNorm float64
-	// CheckFinite trips the guard on any non-finite minibatch loss,
-	// non-finite reduced gradient, or non-finite weight at an epoch
-	// boundary.
-	CheckFinite bool
-}
-
-// enabled reports whether any guard check is active.
-func (g GuardConfig) enabled() bool {
-	return g.CheckFinite || g.MaxLossBlowup > 0 || g.ClipNorm > 0
-}
-
-// DefaultGuard is the guard the cache policy trains under: finite
-// checks on, a generous blow-up threshold that real workloads never
-// cross, and an outer clip far above Adam's own per-step clip so it
-// only fires on genuinely pathological gradients.
-func DefaultGuard() GuardConfig {
-	return GuardConfig{MaxLossBlowup: 50, ClipNorm: 100, CheckFinite: true}
-}
+// Every check runs at a point that is serial for every Workers value
+// (the shard reduction and the epoch boundary), so the guard preserves
+// Fit's bit-determinism. Gradient clipping is Adam's alone (Adam.Clip).
+const maxLossBlowup = 50
 
 // TrainFaults injects deterministic faults into Fit for testing the
 // guard and every degradation path behind it. Faults are applied at
@@ -54,19 +26,18 @@ func DefaultGuard() GuardConfig {
 // value. Epochs are 1-based; a zero epoch disables that fault.
 type TrainFaults struct {
 	// NaNLossEpoch, from that epoch on, replaces every minibatch's
-	// reduced loss with NaN (tripping a CheckFinite guard).
+	// reduced loss with NaN (tripping the finite check).
 	NaNLossEpoch int
 	// NaNGradEpoch, from that epoch on, poisons the first element of
-	// the reduced gradient with NaN (tripping a CheckFinite guard
-	// before the optimizer can spread it into the weights).
+	// the reduced gradient with NaN (tripping the finite check before
+	// the optimizer can spread it into the weights).
 	NaNGradEpoch int
 	// BlowupEpoch, from that epoch on, scales every reduced minibatch
 	// gradient AND its loss by BlowupScale (default 1e12). The loss
-	// scaling mimics the signature of genuine divergence (tripping a
-	// MaxLossBlowup guard); the gradient scaling exercises the
-	// ClipNorm path. Note a finite gradient scale alone cannot
-	// diverge training here: Adam's global norm clip rescales any
-	// finite gradient back to a bounded step.
+	// scaling mimics the signature of genuine divergence (tripping the
+	// blow-up check). A finite gradient scale alone cannot diverge
+	// training: Adam's global norm clip rescales any finite gradient
+	// back to a bounded step.
 	BlowupEpoch int
 	// BlowupScale overrides the blow-up scale factor (0 = 1e12).
 	BlowupScale float64
@@ -122,19 +93,6 @@ func (n *Net) FiniteWeights() bool {
 		}
 	}
 	return true
-}
-
-// gradNorm returns the L2 norm of the master gradients scaled by
-// invScale (the same scaling Adam's step will apply).
-func (n *Net) gradNorm(invScale float64) float64 {
-	norm := 0.0
-	for _, p := range n.params {
-		for _, g := range p.G {
-			gg := g * invScale
-			norm += gg * gg
-		}
-	}
-	return math.Sqrt(norm)
 }
 
 // finiteGrads reports whether every master gradient is finite.

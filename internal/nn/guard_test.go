@@ -14,8 +14,8 @@ func guardNet() *Net {
 
 func guardTrainConfig(workers int) TrainConfig {
 	return TrainConfig{
-		MaxEpochs: 4, Patience: 2, Batch: 8, Survival: true,
-		Workers: workers, Seed: 11, Guard: DefaultGuard(),
+		MaxEpochs: 4, Patience: 2, Batch: 8,
+		Workers: workers, Seed: 11,
 	}
 }
 
@@ -86,57 +86,30 @@ func TestGuardedFitWorkersBitExact(t *testing.T) {
 	}
 }
 
-// TestGuardCleanTrainingMatchesUnguarded pins that a guard which
-// never trips (generous thresholds, no faults) does not perturb
-// training: results are bit-identical with and without it.
-func TestGuardCleanTrainingMatchesUnguarded(t *testing.T) {
-	run := func(guard GuardConfig) (TrainResult, []byte) {
-		n := guardNet()
-		cfg := guardTrainConfig(2)
-		cfg.Guard = guard
-		res := n.Fit(trainSequences(60, stats.NewRNG(5)), cfg)
-		// Zero the guard-only fields so the structs compare equal.
-		res.ClippedEpochs = 0
-		return res, netBytes(t, n)
-	}
-	gRes, gW := run(DefaultGuard())
-	uRes, uW := run(GuardConfig{})
-	if gRes != uRes {
-		t.Errorf("guarded result %+v != unguarded %+v", gRes, uRes)
-	}
-	if !bytes.Equal(gW, uW) {
-		t.Error("guard with generous thresholds changed the trained weights")
-	}
-}
-
-// TestGuardClipCountsEpochs: a tiny clip threshold fires every epoch
-// without tripping divergence.
-func TestGuardClipCountsEpochs(t *testing.T) {
+// TestZeroConfigFitIsGuarded: the guard has no off switch. A fit with
+// a zero-value TrainConfig whose loss turns NaN still reports Diverged
+// and restores the pre-fit weights.
+func TestZeroConfigFitIsGuarded(t *testing.T) {
 	n := guardNet()
-	cfg := guardTrainConfig(2)
-	cfg.Guard = GuardConfig{ClipNorm: 1e-6, CheckFinite: true}
-	res := n.Fit(trainSequences(60, stats.NewRNG(5)), cfg)
-	if res.Diverged {
-		t.Fatalf("clipping alone must not diverge: %+v", res)
+	before := netBytes(t, n)
+	res := n.Fit(trainSequences(60, stats.NewRNG(5)), TrainConfig{Faults: &TrainFaults{NaNLossEpoch: 1}})
+	if !res.Diverged {
+		t.Fatalf("a zero-value TrainConfig trained unguarded: %+v", res)
 	}
-	if res.ClippedEpochs != res.Epochs {
-		t.Errorf("ClipNorm=1e-6 clipped %d of %d epochs; want all", res.ClippedEpochs, res.Epochs)
-	}
-	if !n.FiniteWeights() {
-		t.Error("weights non-finite after clipped training")
+	if !bytes.Equal(netBytes(t, n), before) {
+		t.Error("the zero-value fit did not restore the pre-fit weights")
 	}
 }
 
 // TestGuardLossBlowupTrips checks the blow-up detector (rather than
-// the finite check) catches a finite loss explosion: the guard has no
-// finite checks and no clip here, only the blow-up threshold.
+// the finite check) catches a finite loss explosion: the scaled loss
+// and gradients stay finite, and Adam's clip keeps the weights finite.
 func TestGuardLossBlowupTrips(t *testing.T) {
 	n := guardNet()
 	before := netBytes(t, n)
 	cfg := guardTrainConfig(1)
 	cfg.MaxEpochs = 8
 	cfg.Faults = &TrainFaults{BlowupEpoch: 2, BlowupScale: 1e6}
-	cfg.Guard = GuardConfig{MaxLossBlowup: 2}
 	res := n.Fit(trainSequences(60, stats.NewRNG(5)), cfg)
 	if !res.Diverged {
 		t.Fatalf("loss blow-up did not trip: %+v", res)
@@ -153,17 +126,14 @@ func TestGuardLossBlowupTrips(t *testing.T) {
 // finite gradient blow-up starting at epoch 1 cannot diverge training
 // (Adam's global norm clip rescales any finite gradient, and with no
 // sane first epoch there is no baseline for the blow-up detector), so
-// the guard's observable response is clipping, not rollback.
+// the response is Adam's clipping, not rollback.
 func TestGuardBlowupEpochOneClipsOnly(t *testing.T) {
 	n := guardNet()
 	cfg := guardTrainConfig(2)
 	cfg.Faults = &TrainFaults{BlowupEpoch: 1}
 	res := n.Fit(trainSequences(60, stats.NewRNG(5)), cfg)
 	if res.Diverged {
-		t.Fatalf("finite gradient scaling must not diverge under DefaultGuard: %+v", res)
-	}
-	if res.ClippedEpochs == 0 {
-		t.Error("blown-up gradients were never clipped")
+		t.Fatalf("finite gradient scaling must not diverge: %+v", res)
 	}
 	if !n.FiniteWeights() {
 		t.Error("weights non-finite after clipped blow-up training")

@@ -17,7 +17,11 @@ type Config struct {
 	Seed      int64
 }
 
-func (c *Config) defaults() {
+// Defaults fills every zero dimension with the served network's: a
+// 16-wide GRU, 24-wide MLP layers and 8 mixture components. It leaves a
+// zero TimeScale alone, so a caller can still infer it from data;
+// NewNet reads a zero TimeScale as 1.
+func (c *Config) Defaults() {
 	if c.Hidden == 0 {
 		c.Hidden = 16
 	}
@@ -27,6 +31,10 @@ func (c *Config) defaults() {
 	if c.K == 0 {
 		c.K = 8
 	}
+}
+
+func (c *Config) defaults() {
+	c.Defaults()
 	if c.TimeScale == 0 { //lint:allow float-equal zero TimeScale means unset; fill the default
 		c.TimeScale = 1
 	}

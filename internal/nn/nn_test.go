@@ -168,9 +168,8 @@ func TestNetGradFiniteDifference(t *testing.T) {
 			Size:     123,
 			Survival: 2.2,
 		}
-		tc := TrainConfig{Survival: true, MaxSeq: 16}
-		tc.defaults()
-		tc.Survival = true
+		tc := TrainConfig{MaxSeq: 16}
+		tc.Defaults()
 
 		lossAt := func() float64 {
 			for _, p := range net.params {
@@ -279,7 +278,7 @@ func TestFitSurvivalSeparatesHotAndCold(t *testing.T) {
 		// One-hit wonders: no interarrivals, long survival.
 		data = append(data, Sequence{Size: 100, Survival: 50 + 10*g.Float64()})
 	}
-	net.Fit(data, TrainConfig{MaxEpochs: 40, Patience: 6, Survival: true, Seed: 4})
+	net.Fit(data, TrainConfig{MaxEpochs: 40, Patience: 6, Seed: 4})
 
 	hHot := net.EmbedHistory([]float64{1, 1, 1, 1, 1})
 	hCold := net.ZeroState()

@@ -75,7 +75,7 @@ func TestFitWorkersBitExact(t *testing.T) {
 	run := func(workers int) (TrainResult, []byte) {
 		n := NewNet(Config{Hidden: 8, MLPHidden: 12, K: 4, TimeScale: 40, Seed: 3})
 		res := n.Fit(trainSequences(60, stats.NewRNG(5)), TrainConfig{
-			MaxEpochs: 4, Patience: 2, Batch: 8, Survival: true,
+			MaxEpochs: 4, Patience: 2, Batch: 8,
 			Workers: workers, Seed: 11,
 		})
 		return res, netBytes(t, n)
@@ -132,7 +132,7 @@ func BenchmarkFitEpoch(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			n := NewNet(Config{TimeScale: 40, Seed: 3})
-			tc := TrainConfig{MaxEpochs: 1, Patience: 1, Survival: true, Workers: w, Seed: 9}
+			tc := TrainConfig{MaxEpochs: 1, Patience: 1, Workers: w, Seed: 9}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -154,7 +154,7 @@ func BenchmarkFitEpoch(b *testing.B) {
 			served[i] = Sequence{Taus: taus, Size: 64 + float64(g.Intn(4000)), Survival: g.Exponential(80)}
 		}
 		n := NewNet(Config{TimeScale: 40, Seed: 3})
-		tc := TrainConfig{MaxEpochs: 1, Patience: 1, MaxSeq: 32, Survival: true, Seed: 9, Guard: DefaultGuard()}
+		tc := TrainConfig{MaxEpochs: 1, Patience: 1, Seed: 9}
 		terms := 0
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -9,8 +9,8 @@ import (
 )
 
 // TestFitNeverProducesNaN fuzzes Fit with adversarial sequences —
-// zero, tiny, huge and mixed interarrivals — and requires finite
-// weights and finite predictions afterwards.
+// zero, tiny, huge and mixed interarrivals — and requires a fit the
+// guard did not abort, finite weights and finite predictions afterwards.
 func TestFitNeverProducesNaN(t *testing.T) {
 	f := func(seed int64) bool {
 		g := stats.NewRNG(seed)
@@ -37,7 +37,11 @@ func TestFitNeverProducesNaN(t *testing.T) {
 				Survival: g.Float64() * 1000,
 			})
 		}
-		net.Fit(data, TrainConfig{MaxEpochs: 3, Patience: 1, Survival: true, Seed: seed})
+		// The guard is always on: a NaN the learner produced would show as
+		// Diverged (weights restored), which must not happen either.
+		if res := net.Fit(data, TrainConfig{MaxEpochs: 3, Patience: 1, Seed: seed}); res.Diverged {
+			return false
+		}
 		for _, p := range net.params {
 			for _, w := range p.W {
 				if math.IsNaN(w) || math.IsInf(w, 0) {

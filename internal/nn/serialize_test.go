@@ -15,7 +15,7 @@ func TestCheckpointRoundTripAllCells(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		data = append(data, Sequence{Taus: []float64{g.Float64() * 10}, Size: 5})
 	}
-	net.Fit(data, TrainConfig{MaxEpochs: 2, Patience: 1, Survival: true, Seed: 2})
+	net.Fit(data, TrainConfig{MaxEpochs: 2, Patience: 1, Seed: 2})
 
 	var buf bytes.Buffer
 	if err := net.Checkpoint(&buf); err != nil {

@@ -17,15 +17,22 @@ type Sequence struct {
 	Survival float64   // ticks from last arrival to window end; <= 0 disables the term
 }
 
-// TrainConfig controls Fit.
+// The fixed part of Fit's optimization: Adam's learning rate and the
+// share of sequences withheld for early stopping.
+const (
+	learningRate = 1e-3
+	valFrac      = 0.2
+)
+
+// TrainConfig controls Fit. Its zero value is the training the cache
+// policy serves (see Defaults); every Fit runs under the training guard
+// (guard.go) and takes the survival term of each sequence whose
+// Survival is positive.
 type TrainConfig struct {
-	LR        float64
 	MaxEpochs int
-	Patience  int     // epochs without validation improvement before stopping (§5.1.3)
-	ValFrac   float64 // fraction of sequences withheld for validation
-	Batch     int     // sequences per Adam step
-	MaxSeq    int     // truncate sequences to their last MaxSeq interarrivals
-	Survival  bool    // include the survival-probability loss term (Eq. 5)
+	Patience  int // epochs without validation improvement before stopping (§5.1.3)
+	Batch     int // sequences per Adam step
+	MaxSeq    int // truncate sequences to their last MaxSeq interarrivals
 	// Workers is the number of goroutines Fit fans each minibatch (and
 	// the validation pass) out over; 0 or 1 runs serially. Results are
 	// bit-identical for every value — gradient shards are reduced in
@@ -35,35 +42,28 @@ type TrainConfig struct {
 	Workers int
 	Seed    int64
 
-	// Guard watches training for divergence (non-finite losses,
-	// gradients, or weights; loss blow-ups) and clips pathological
-	// gradients. A tripped guard aborts Fit, restores the exact
-	// pre-fit weights, and reports Diverged in TrainResult. The zero
-	// value disables all checks; see GuardConfig and DefaultGuard.
-	Guard GuardConfig
 	// Faults, when non-nil, injects deterministic training faults
 	// (see TrainFaults). Test/fault-drill hook; nil in production.
 	Faults *TrainFaults
 }
 
-func (c *TrainConfig) defaults() {
-	if c.LR == 0 { //lint:allow float-equal zero LR means unset; fill the default
-		c.LR = 1e-3
-	}
+// Defaults fills every zero field with the served training budget
+// (§5.1.3, scaled to the CPU-only substrate per DESIGN.md): 12 epochs,
+// patience 5, minibatches of 16, histories cut to their last 32
+// interarrivals. Fit applies it; a caller that sizes state by MaxSeq
+// before its first fit applies it too.
+func (c *TrainConfig) Defaults() {
 	if c.MaxEpochs == 0 {
-		c.MaxEpochs = 60
+		c.MaxEpochs = 12
 	}
 	if c.Patience == 0 {
-		c.Patience = 8
-	}
-	if c.ValFrac == 0 { //lint:allow float-equal zero ValFrac means unset; fill the default
-		c.ValFrac = 0.2
+		c.Patience = 5
 	}
 	if c.Batch == 0 {
 		c.Batch = 16
 	}
 	if c.MaxSeq == 0 {
-		c.MaxSeq = 48
+		c.MaxSeq = 32
 	}
 }
 
@@ -81,9 +81,6 @@ type TrainResult struct {
 	// GuardReason says what tripped.
 	Diverged    bool
 	GuardReason string
-	// ClippedEpochs counts epochs in which the guard's outer
-	// gradient-norm clip fired at least once.
-	ClippedEpochs int
 }
 
 // fitState carries the reusable buffers of one Fit run: the per-slot
@@ -148,7 +145,7 @@ func newFitState(n *Net, data []Sequence, tc TrainConfig, nVal int) *fitState {
 // therefore sees byte-identical gradients — and Fit returns
 // byte-identical results — for every worker count.
 func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
-	tc.defaults()
+	tc.Defaults()
 	res := TrainResult{Sequences: len(data), Parameters: n.NumParams()}
 	if len(data) == 0 {
 		n.Version++
@@ -156,7 +153,7 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 	}
 	g := stats.NewRNG(tc.Seed)
 	idx := g.Perm(len(data))
-	nVal := int(tc.ValFrac * float64(len(data)))
+	nVal := int(valFrac * float64(len(data)))
 	if nVal >= len(data) {
 		nVal = len(data) - 1
 	}
@@ -164,7 +161,7 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 
 	st := newFitState(n, data, tc, nVal)
 	defer st.pool.Close() // release parked workers when this fit's batches are done
-	opt := NewAdam(tc.LR, n.params)
+	opt := NewAdam(learningRate, n.params)
 	best := math.Inf(1)
 	bestW := n.snapshot()
 	badEpochs := 0
@@ -172,11 +169,7 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 	// The guard's rollback token: the exact pre-fit weights. bestW
 	// above is overwritten as validation improves, so a tripped guard
 	// restores this separate snapshot instead.
-	guardOn := tc.Guard.enabled()
-	var preFit [][]float64
-	if guardOn {
-		preFit = n.snapshot()
-	}
+	preFit := n.snapshot()
 	bestEpochNLL := math.Inf(1)
 
 	// The pool tasks and the shuffle's swap are built once and read
@@ -200,7 +193,6 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 		g.Shuffle(len(train), swap)
 		terms := 0
 		lossSum := 0.0
-		clipped := false
 		for start = 0; start < len(train); start += tc.Batch {
 			end := start + tc.Batch
 			if end > len(train) {
@@ -215,8 +207,8 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 			st.pool.ParallelFor(bl, trainTask)
 			// Fixed-order reduction: shard gradients fold into the
 			// master in sequence-index order, never worker order.
-			// Everything below this point — fault injection, guard
-			// checks, clipping — runs serially on the reduced state,
+			// Everything below this point — fault injection, the guard
+			// checks, Adam's clip — runs serially on the reduced state,
 			// so the guard cannot break Workers bit-determinism.
 			batchLoss := 0.0
 			batchTerms := 0
@@ -243,41 +235,26 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 				}
 			}
 			lossSum += batchLoss
-			if guardOn && tc.Guard.CheckFinite &&
-				(math.IsNaN(batchLoss) || math.IsInf(batchLoss, 0) || !n.finiteGrads()) {
+			if math.IsNaN(batchLoss) || math.IsInf(batchLoss, 0) || !n.finiteGrads() {
 				return n.abortDiverged(&res, preFit, best, "non-finite minibatch loss or gradient")
 			}
 			if batchTerms > 0 {
-				invScale := 1 / float64(batchTerms)
-				if tc.Guard.ClipNorm > 0 {
-					if norm := n.gradNorm(invScale); norm > tc.Guard.ClipNorm {
-						invScale *= tc.Guard.ClipNorm / norm
-						clipped = true
-					}
-				}
-				opt.Step(invScale)
+				opt.Step(1 / float64(batchTerms))
 			}
-		}
-		if clipped {
-			res.ClippedEpochs++
 		}
 		if terms > 0 {
 			res.TrainNLL = lossSum / float64(terms)
 		}
 		res.Terms = terms
-		if guardOn {
-			if tc.Guard.CheckFinite && !n.FiniteWeights() {
-				return n.abortDiverged(&res, preFit, best, "non-finite weights after epoch")
+		if !n.FiniteWeights() {
+			return n.abortDiverged(&res, preFit, best, "non-finite weights after epoch")
+		}
+		if terms > 0 {
+			if res.TrainNLL-bestEpochNLL > maxLossBlowup*(math.Abs(bestEpochNLL)+1) {
+				return n.abortDiverged(&res, preFit, best, "training loss blow-up")
 			}
-			if tc.Guard.MaxLossBlowup > 0 && terms > 0 {
-				// NLLs can be negative, so "blow-up" is measured on a
-				// shifted scale relative to the best epoch so far.
-				if res.TrainNLL-bestEpochNLL > tc.Guard.MaxLossBlowup*(math.Abs(bestEpochNLL)+1) {
-					return n.abortDiverged(&res, preFit, best, "training loss blow-up")
-				}
-				if res.TrainNLL < bestEpochNLL {
-					bestEpochNLL = res.TrainNLL
-				}
+			if res.TrainNLL < bestEpochNLL {
+				bestEpochNLL = res.TrainNLL
 			}
 		}
 
@@ -402,7 +379,7 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 	}
 
 	surv := false
-	if tc.Survival && seq.Survival > 0 {
+	if seq.Survival > 0 {
 		v := seq.Survival
 		var age float64
 		if train {

@@ -194,6 +194,39 @@ func TestRavenObsRegister(t *testing.T) {
 	}
 }
 
+// TestRavenObsHealthConcurrent: shards move their health on their own
+// goroutines through one RavenObs. Every shard that falls back and
+// recovers leaves the shared state healthy; one that stays degraded
+// shows.
+func TestRavenObsHealthConcurrent(t *testing.T) {
+	var ro RavenObs
+	var wg sync.WaitGroup
+	const shards, cycles = 8, 1000
+	for s := 0; s < shards; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < cycles; i++ {
+				ro.HealthMoved(0, 1)
+				ro.HealthMoved(1, 2)
+				_ = ro.Health()
+				ro.HealthMoved(2, 0)
+			}
+		}()
+	}
+	wg.Wait()
+	if h := ro.Health(); h != 0 {
+		t.Fatalf("health %d after every shard recovered, want 0", h)
+	}
+	if n := ro.HealthTransitions.Load(); n != shards*cycles*3 {
+		t.Errorf("health_transitions = %d, want %d", n, shards*cycles*3)
+	}
+	ro.HealthMoved(0, 1)
+	if h := ro.Health(); h != 1 {
+		t.Errorf("health %d with one shard degraded, want 1", h)
+	}
+}
+
 func TestCacheObsRegister(t *testing.T) {
 	r := NewRegistry()
 	var co CacheObs

@@ -30,10 +30,12 @@ type RavenObs struct {
 	CkptErrors         Counter
 	CkptCorruptSkipped Counter
 
-	// Health is the current health state (0 healthy, 1 degraded,
-	// 2 fallback); HealthTransitions counts state changes.
-	Health            Gauge
+	// HealthTransitions counts health state changes; Health reports the
+	// state.
 	HealthTransitions Counter
+	// unhealthy[s-1] counts the policies sharing this RavenObs that are
+	// in health state s (1 degraded, 2 fallback).
+	unhealthy [2]Gauge
 
 	// SLOOverruns counts eviction decisions abandoned because they
 	// exceeded core.Config.DecisionBudget (served from LRU instead).
@@ -56,6 +58,31 @@ type RavenObs struct {
 	HistoryDropped  Counter
 }
 
+// HealthMoved records one policy's health transition from state from
+// to state to (0 healthy, 1 degraded, 2 fallback).
+func (ro *RavenObs) HealthMoved(from, to int64) {
+	if from > 0 {
+		ro.unhealthy[from-1].Add(-1)
+	}
+	if to > 0 {
+		ro.unhealthy[to-1].Add(1)
+	}
+	ro.HealthTransitions.Inc()
+}
+
+// Health is the worst health state of the policies sharing ro: 2 when
+// any is in fallback, else 1 when any is degraded, else 0. One
+// ravencached process hands the same RavenObs to every shard, so a
+// single shard in fallback shows.
+func (ro *RavenObs) Health() int64 {
+	for s := len(ro.unhealthy); s > 0; s-- {
+		if ro.unhealthy[s-1].Load() > 0 {
+			return int64(s)
+		}
+	}
+	return 0
+}
+
 // Register adds every RavenObs metric to r under prefix (e.g.
 // "raven"), in a fixed order so snapshots stay deterministic.
 func (ro *RavenObs) Register(r *Registry, prefix string) {
@@ -65,7 +92,7 @@ func (ro *RavenObs) Register(r *Registry, prefix string) {
 	r.adoptCounter(prefix+".ckpt_saves", &ro.CkptSaves)
 	r.adoptCounter(prefix+".ckpt_errors", &ro.CkptErrors)
 	r.adoptCounter(prefix+".ckpt_corrupt_skipped", &ro.CkptCorruptSkipped)
-	r.adoptGauge(prefix+".health", &ro.Health)
+	r.RegisterFunc(prefix+".health", ro.Health)
 	r.adoptCounter(prefix+".health_transitions", &ro.HealthTransitions)
 	r.adoptCounter(prefix+".slo_overruns", &ro.SLOOverruns)
 	r.adoptCounter(prefix+".score_cache_hits", &ro.ScoreCacheHits)

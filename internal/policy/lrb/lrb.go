@@ -22,6 +22,7 @@ const (
 	numEDCs   = 4 // exponentially decayed counters
 	// feature layout: deltas | EDCs | age | size
 	numFeatures = numDeltas + numEDCs + 2
+	sampleN     = 64 // eviction candidates sampled per decision
 )
 
 // Config controls an LRB policy.
@@ -32,24 +33,12 @@ type Config struct {
 	MemoryWindow int64
 	// MaxTrainSamples bounds the training buffer (default 30000).
 	MaxTrainSamples int
-	// SampleN is the eviction candidate sample size (default 64).
-	SampleN int
-	GBM     gbm.Config
-	Seed    int64
+	Seed            int64
 }
 
 func (c *Config) defaults() {
 	if c.MaxTrainSamples == 0 {
 		c.MaxTrainSamples = 30000
-	}
-	if c.SampleN == 0 {
-		c.SampleN = 64
-	}
-	if c.GBM.Trees == 0 {
-		c.GBM.Trees = 30
-	}
-	if c.GBM.Seed == 0 {
-		c.GBM.Seed = c.Seed + 1
 	}
 }
 
@@ -190,9 +179,8 @@ func (p *LRB) train() {
 	if len(p.trainX) < 200 {
 		return
 	}
-	cfg := p.cfg.GBM
-	cfg.Seed += int64(p.Trainings)
-	p.model = gbm.Train(p.trainX, p.trainY, cfg)
+	// gbm's defaults; each fit draws from its own seed.
+	p.model = gbm.Train(p.trainX, p.trainY, gbm.Config{Seed: p.cfg.Seed + 1 + int64(p.Trainings)})
 	p.Trainings++
 	// Drop stale per-object metadata outside the memory window.
 	for k, h := range p.hist {
@@ -226,7 +214,7 @@ func (p *LRB) Victim() (cache.Key, bool) {
 	if p.set.Len() == 0 {
 		return 0, false
 	}
-	p.scratch = p.set.Sample(p.rng, p.cfg.SampleN, p.scratch)
+	p.scratch = p.set.Sample(p.rng, sampleN, p.scratch)
 	var victim cache.Key
 	best := math.Inf(-1)
 	for _, i := range p.scratch {

@@ -23,6 +23,10 @@ const (
 	numTaus     = 4
 	numFeatures = numTaus + 3 // taus | age | freq | residency
 	hidden      = 24
+	// sampleN candidates are scored per eviction: the original scores
+	// the full cache; sampling keeps evictions O(1).
+	sampleN      = 32
+	learningRate = 3e-3
 )
 
 // Config controls a Parrot policy.
@@ -30,26 +34,16 @@ type Config struct {
 	// TeacherEpisodes is how many evictions are made (and recorded) by
 	// the Belady teacher before the imitator is trained (default 2000).
 	TeacherEpisodes int
-	// SampleN candidates per eviction (default 32 — the original
-	// scores the full cache; we sample for O(1) evictions).
-	SampleN int
-	Epochs  int
-	LR      float64
-	Seed    int64
+	Epochs          int // imitation epochs (default 8)
+	Seed            int64
 }
 
 func (c *Config) defaults() {
 	if c.TeacherEpisodes == 0 {
 		c.TeacherEpisodes = 2000
 	}
-	if c.SampleN == 0 {
-		c.SampleN = 32
-	}
 	if c.Epochs == 0 {
 		c.Epochs = 8
-	}
-	if c.LR == 0 { //lint:allow float-equal zero LR means unset; fill the default
-		c.LR = 3e-3
 	}
 }
 
@@ -160,7 +154,7 @@ func (p *Parrot) Victim() (cache.Key, bool) {
 	if p.set.Len() == 0 {
 		return 0, false
 	}
-	p.scr = p.set.Sample(p.rng, p.cfg.SampleN, p.scr)
+	p.scr = p.set.Sample(p.rng, sampleN, p.scr)
 	if !p.trained {
 		// Teacher: farthest true next arrival.
 		bestJ := 0
@@ -202,7 +196,7 @@ func (p *Parrot) Victim() (cache.Key, bool) {
 // candidates against the teacher's choice.
 func (p *Parrot) train() {
 	params := append(p.fc1.Params(), p.fc2.Params()...)
-	opt := nn.NewAdam(p.cfg.LR, params)
+	opt := nn.NewAdam(learningRate, params)
 	order := make([]int, len(p.episodes))
 	for i := range order {
 		order[i] = i

@@ -22,8 +22,10 @@
 #                determinism / concurrency / hygiene contracts nothing
 #                else checks, among them the interprocedural lock-cycle
 #                and determinism-taint rules
-#   determinism  admission replays are bit-exact across runs
-#                and worker counts
+#   determinism  the same-program referees: the pinned fit and Raven
+#                replay hashes, fits and replays bit-exact across worker
+#                counts (guarded fits with injected faults too), and
+#                admission replays bit-exact across runs and worker counts
 #   alloc        the runtime referee for "no allocation per decision or
 #                per request": eviction decisions (both estimators, f64
 #                and f32) and f32 batch inference, the
@@ -131,8 +133,10 @@ stage_lint() {
 }
 
 stage_determinism() {
-    echo "==> admission determinism (double run, Workers 1 vs 8)"
-    run_named 'TestAdmissionBitExact|TestAdmissionOffMatchesUnfronted' ./internal/sim/
+    echo "==> same program: pinned fit hash and fits bit-exact across worker counts, guarded and faulted ones too"
+    run_named 'TestFitGoldenBytes|TestFitWorkersBitExact|TestGuardedFitWorkersBitExact' ./internal/nn/
+    echo "==> same program: pinned Raven replay hash, replays bit-exact across worker counts, admission determinism (double run, Workers 1 vs 8)"
+    run_named 'TestRavenGoldenBytes|TestRavenWorkersBitExact|TestAdmissionBitExact|TestAdmissionOffMatchesUnfronted' ./internal/sim/
 }
 
 stage_alloc() {
