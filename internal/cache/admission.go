@@ -127,13 +127,14 @@ func NewSketchAdmitter(entries int) *SketchAdmitter {
 // estimated frequency reaches the threshold.
 func (a *SketchAdmitter) Admit(req Request) Decision {
 	k := uint64(req.Key)
+	gen := a.door.Resets()
 	seen := a.door.AddIfMissing(k)
 	if seen {
 		a.sk.Add(k)
 	}
 	f := a.sk.Estimate(k)
-	if a.door.Contains(k) {
-		f++
+	if a.door.Resets() == gen {
+		f++ // the doorkeeper holds k: AddIfMissing set its bits and no reset has cleared them
 	}
 	if f >= sketchMinFreq {
 		return Accepted

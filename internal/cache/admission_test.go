@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"raven/internal/obs"
+	"raven/internal/stats"
 )
 
 // ---- typed seam and pipeline composition ----
@@ -112,6 +113,62 @@ func TestSketchAdmitterSaturatedStillAdmitsHotKeys(t *testing.T) {
 	if d2 := next(Key(5)); !d2.Admit {
 		t.Errorf("hot key still rejected after saturation+aging: %+v", d2)
 	}
+}
+
+// TestSketchAdmitterMatchesProbe: Admit reads the doorkeeper bit of its
+// estimate off the filter's reset count instead of probing the filter
+// again. A reference admitter that probes decides the same on every
+// request of a stream whose doorkeeper resets both ways, each time with
+// the bit deciding the outcome: on its own at capacity, inside
+// AddIfMissing, and with the sketch's aging, inside the same Admit's
+// sketch add.
+func TestSketchAdmitterMatchesProbe(t *testing.T) {
+	a, ref := NewSketchAdmitter(64), NewSketchAdmitter(64)
+	var selfResets, agingResets int // resets after which the bit decided
+	probe := func(r Request) Decision {
+		k := uint64(r.Key)
+		gen := ref.door.Resets()
+		seen := ref.door.AddIfMissing(k)
+		self := ref.door.Resets() != gen
+		gen = ref.door.Resets()
+		if seen {
+			ref.sk.Add(k)
+		}
+		aging := ref.door.Resets() != gen
+		f := ref.sk.Estimate(k)
+		if ref.door.Contains(k) {
+			f++
+		} else if f == sketchMinFreq-1 {
+			selfResets += btoi(self)
+			agingResets += btoi(aging)
+		}
+		switch {
+		case f >= sketchMinFreq:
+			return Accepted
+		case !seen:
+			return Reject(RejectDoorkeeper)
+		}
+		return Reject(RejectFrequency)
+	}
+	// 2000 keys in a doorkeeper of 1024 and a sketch aging every 1024
+	// adds: both resets come often, and many keys sit at a count of one.
+	g := stats.NewRNG(11)
+	for i := 0; i < 200000; i++ {
+		r := req(int64(i), Key(g.Intn(2000)), 1)
+		if got, want := a.Admit(r), probe(r); got != want {
+			t.Fatalf("request %d (key %d): %+v, the probing reference %+v", i, r.Key, got, want)
+		}
+	}
+	if selfResets == 0 || agingResets == 0 {
+		t.Errorf("the doorkeeper bit decided after %d resets at capacity and %d with aging; want both > 0", selfResets, agingResets)
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // ---- predicted-reuse admission ----

@@ -130,9 +130,13 @@ func (s Stats) BHR() float64 {
 // MissBytes returns the bytes fetched from the origin/backend.
 func (s Stats) MissBytes() int64 { return s.ReqBytes - s.HitBytes }
 
+// entry is a cached object as the engine sees it, in a Slab; the shard's
+// index resolves a key to its handle.
 type entry struct {
+	key  Key
 	size int64
-	hits int64
+	live bool // false in a released slot, which keys skips
+	hit  bool // hit since admission; an object evicted unhit is a one-hit wonder
 }
 
 // shard is one independent cache partition: a Policy coupled with
@@ -142,7 +146,8 @@ type shard struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
-	entries  map[Key]entry
+	entries  Slab[entry]
+	index    *HandleIndex
 	policy   Policy
 	stats    Stats
 	observer func(victim Key)
@@ -151,7 +156,7 @@ type shard struct {
 
 func (c *shard) init(capacity int64, policy Policy) {
 	c.capacity = capacity
-	c.entries = make(map[Key]entry, 1024)
+	c.index = NewHandleIndex(func(h uint32) Key { return c.entries.At(h).key })
 	c.policy = policy
 }
 
@@ -163,15 +168,23 @@ func (c *shard) setObs(m *obs.CacheObs) {
 	c.obs = m
 	if m != nil {
 		m.UsedBytes.Set(c.used)
-		m.Objects.Set(int64(len(c.entries)))
+		m.Objects.Set(int64(c.index.Len()))
 	}
+}
+
+// keys appends the shard's cached keys to dst in slab order.
+func (c *shard) keys(dst []Key) []Key {
+	for h := uint32(1); h <= c.entries.Top(); h++ {
+		if e := c.entries.At(h); e.live {
+			dst = append(dst, e.key)
+		}
+	}
+	return dst
 }
 
 // sortedKeys appends the shard's cached keys to dst in ascending order.
 func (c *shard) sortedKeys(dst []Key) []Key {
-	for k := range c.entries {
-		dst = append(dst, k)
-	}
+	dst = c.keys(dst)
 	slices.Sort(dst)
 	return dst
 }
@@ -185,11 +198,10 @@ func (c *shard) handle(req Request) bool {
 	if c.obs != nil {
 		c.obs.Requests.Inc()
 	}
-	if e, ok := c.entries[req.Key]; ok {
+	if h := c.index.Find(req.Key); h != 0 {
 		c.stats.Hits++
 		c.stats.HitBytes += req.Size
-		e.hits++
-		c.entries[req.Key] = e
+		c.entries.At(h).hit = true
 		if c.obs != nil {
 			c.obs.Hits.Inc()
 		}
@@ -221,14 +233,16 @@ func (c *shard) admit(req Request) bool {
 		}
 		c.evict(victim)
 	}
-	c.entries[req.Key] = entry{size: req.Size}
+	h, _ := c.entries.Alloc()
+	*c.entries.At(h) = entry{key: req.Key, size: req.Size, live: true}
+	c.index.Insert(req.Key, h)
 	c.used += req.Size
 	c.stats.Admissions++
 	c.policy.OnAdmit(req)
 	if c.obs != nil {
 		c.obs.Admissions.Inc()
 		c.obs.UsedBytes.Set(c.used)
-		c.obs.Objects.Set(int64(len(c.entries)))
+		c.obs.Objects.Set(int64(c.index.Len()))
 	}
 	return true
 }
@@ -246,8 +260,8 @@ func (c *shard) set(req Request) bool {
 	if c.obs != nil {
 		c.obs.Sets.Inc()
 	}
-	if e, ok := c.entries[req.Key]; ok {
-		if e.size == req.Size {
+	if h := c.index.Find(req.Key); h != 0 {
+		if c.entries.At(h).size == req.Size {
 			c.policy.OnHit(req)
 			return true
 		}
@@ -267,23 +281,25 @@ func (c *shard) reject(reason string) {
 }
 
 func (c *shard) evict(key Key) {
-	e, ok := c.entries[key]
-	if !ok {
+	h := c.index.Find(key)
+	if h == 0 {
 		panic(fmt.Sprintf("cache: policy %q returned non-resident victim %d", c.policy.Name(), key))
 	}
 	if c.observer != nil {
 		c.observer(key)
 	}
-	delete(c.entries, key)
+	e := c.entries.At(h)
 	c.used -= e.size
 	c.stats.Evictions++
-	if e.hits == 0 {
+	if !e.hit {
 		c.stats.OneHitWonders++
 	}
+	c.index.Delete(key, h)
+	c.entries.Release(h)
 	if c.obs != nil {
 		c.obs.Evictions.Inc()
 		c.obs.UsedBytes.Set(c.used)
-		c.obs.Objects.Set(int64(len(c.entries)))
+		c.obs.Objects.Set(int64(c.index.Len()))
 	}
 	c.policy.OnEvict(key)
 }

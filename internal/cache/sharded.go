@@ -167,8 +167,7 @@ func (s *Sharded) Contains(key Key) bool {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, ok := sh.entries[key]
-	return ok
+	return sh.index.Find(key) != 0
 }
 
 // StatsSnapshot merges per-shard statistics into one total. Each
@@ -225,22 +224,20 @@ func (s *Sharded) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n += len(sh.entries)
+		n += sh.index.Len()
 		sh.mu.Unlock()
 	}
 	return n
 }
 
 // Keys appends all cached keys across shards to dst in ascending order
-// and returns it. Sorting keeps consumers deterministic: map order is
-// not reproducible.
+// and returns it. Sorting keeps consumers deterministic: slab order
+// depends on the order of admissions and evictions.
 func (s *Sharded) Keys(dst []Key) []Key {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for k := range sh.entries {
-			dst = append(dst, k)
-		}
+		dst = sh.keys(dst)
 		sh.mu.Unlock()
 	}
 	slices.Sort(dst)

@@ -19,7 +19,7 @@ func (r *Raven) PredictNextArrival(req cache.Request) (int64, bool) {
 	if h == 0 {
 		return 0, false
 	}
-	return r.predictArrival(r.tab.recs.at(h))
+	return r.predictArrival(r.tab.recs.At(h))
 }
 
 // predictArrival computes the deterministic expected next arrival of rc:

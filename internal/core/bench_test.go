@@ -82,7 +82,7 @@ func TestEvictionPathAllocFree(t *testing.T) {
 		for _, f32 := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/f32=%v", est.name, f32), func(t *testing.T) {
 				r, ro := decidingRaven(t, est.scoreCache, f32)
-				obj := r.tab.sides.at(r.tab.recs.at(r.tab.dense[3]).res)
+				obj := r.tab.sides.At(r.tab.recs.At(r.tab.dense[3]).res)
 				predicted := ro.ScoreRescores.Load()
 				avg := testing.AllocsPerRun(200, func() {
 					obj.epoch++
@@ -175,7 +175,7 @@ func BenchmarkObserve(b *testing.B) {
 			next.Time++
 			switch p := g.Float64(); {
 			case p < 0.5:
-				key := r.tab.recs.at(r.tab.dense[g.Intn(residents)]).key
+				key := r.tab.recs.At(r.tab.dense[g.Intn(residents)]).key
 				r.OnHit(cache.Request{Time: next.Time, Key: key, Size: 1})
 			case p < 0.7:
 				r.OnMiss(cache.Request{Time: next.Time, Key: evicted[g.Intn(len(evicted))], Size: 1})

@@ -12,12 +12,26 @@ import (
 	"raven/internal/trace"
 )
 
+// TestRingPushBounded: a ring keeps the last historyLen taus, oldest
+// first, through every class it is promoted to and past the last one.
 func TestRingPushBounded(t *testing.T) {
-	var g ring
+	tab := newTable(nil)
+	var rc rec
+	var want []float64
 	for i := 1; i <= historyLen+6; i++ {
-		g.push(float64(i))
+		tab.pushTau(&rc, float64(i))
+		want = append(want, float64(i))
+		if len(want) > historyLen {
+			want = want[1:]
+		}
+		if got := tab.taus(&rc); !slices.Equal(got, want) {
+			t.Fatalf("after %d pushes: %v, want %v", i, got, want)
+		}
 	}
-	h := g.taus()
+	if c := rc.ring >> ringClassShift; c != ringClasses-1 {
+		t.Errorf("a full ring is in class %d, want %d", c, ringClasses-1)
+	}
+	h := tab.taus(&rc)
 	if len(h) != historyLen {
 		t.Fatalf("len = %d, want %d", len(h), historyLen)
 	}

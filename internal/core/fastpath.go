@@ -162,7 +162,7 @@ func (r *Raven) stampArrival(j int, mix *nn.Mixture, ver int) {
 		lr = -expClamp
 	}
 	rc := r.scrRec[j]
-	sd := r.tab.sides.at(rc.res)
+	sd := r.tab.sides.At(rc.res)
 	score := float64(rc.lastSeen) + r.net.Cfg.TimeScale*math.Exp(lr)
 	sd.score, sd.scoreEp, sd.scoreVer = score, sd.epoch, int32(ver)
 	r.scrScore[j] = score

@@ -110,7 +110,7 @@ func New(cfg Config) *Raven {
 	r := &Raven{
 		cfg: cfg,
 		rng: stats.NewRNG(cfg.Seed),
-		tab: newTable(),
+		tab: newTable(tableBytes(cfg.Obs)),
 		mc:  newMCScratch(),
 	}
 	r.window = newWindow(cfg.SampleBudgetBytes, cfg.MaxTrainObjects, cfg.Train.MaxSeq, stats.NewRNG(cfg.Seed+3))
@@ -187,24 +187,33 @@ func (r *Raven) Name() string {
 }
 
 // MetadataBytesPerObject implements cache.Footprinter: what one cached
-// object costs in the record table — its core record, side record,
-// interarrival ring and embedding (§6.1.1). The index map's entry is
-// not counted.
+// object costs in the record table at most — its core record, side
+// record, a full interarrival ring and embedding (§6.1.1). The index
+// slot is not counted.
 func (r *Raven) MetadataBytesPerObject() int64 {
 	state := r.cfg.Net.Hidden
 	if r.net != nil {
 		state = r.net.Cfg.Hidden
 	}
-	return RecordBytes + int64(unsafe.Sizeof(resRec{})+unsafe.Sizeof(ring{})) + 8*int64(state)
+	return RecordBytes + int64(unsafe.Sizeof(resRec{})) + RingBytes + 8*int64(state)
 }
 
 // RecordBytes is what every known key costs in the record table,
 // cached or not: the core record. From its second sighting a key also
-// holds a ring (RingBytes).
+// holds a ring: 8 B plus 8 B per tau of its class, RingBytes once it
+// holds the full history.
 const (
 	RecordBytes = int64(unsafe.Sizeof(rec{}))
-	RingBytes   = int64(unsafe.Sizeof(ring{}))
+	RingBytes   = 8 * (1 + historyLen)
 )
+
+// tableBytes is the raven.table_bytes gauge of ro, nil without metrics.
+func tableBytes(ro *obs.RavenObs) *obs.Gauge {
+	if ro == nil {
+		return nil
+	}
+	return &ro.TableBytes
+}
 
 // Net returns the current model (nil before the first training).
 func (r *Raven) Net() *nn.Net { return r.net }
@@ -231,22 +240,19 @@ func (r *Raven) observe(req cache.Request) uint32 {
 		}
 		r.trim(h)
 	}
-	rc := t.recs.at(h)
+	rc := t.recs.At(h)
 	r.window.record(req, &rc.win)
 	if !fresh {
 		tau := float64(req.Time - rc.lastSeen)
 		if tau < 1 {
 			tau = 1
 		}
-		if rc.ring == 0 {
-			rc.ring = t.rings.alloc()
-		}
-		t.rings.at(rc.ring).push(tau)
+		t.pushTau(rc, tau)
 		rc.lastSeen = req.Time
 		rc.size = req.Size
 		resident := false
 		if rc.res != 0 {
-			sd := t.sides.at(rc.res)
+			sd := t.sides.At(rc.res)
 			resident = sd.pos >= 0
 			sd.epoch++ // the history advanced: any cached score is now stale
 			if r.net != nil && int(sd.embVer) == r.net.Version {
@@ -254,7 +260,7 @@ func (r *Raven) observe(req cache.Request) uint32 {
 			} else if !resident {
 				// A ghost kept for an embedding that a model swap has
 				// since made stale.
-				t.sides.release(rc.res)
+				t.sides.Release(rc.res)
 				rc.res = 0
 			}
 		}
@@ -279,7 +285,7 @@ func (r *Raven) observe(req cache.Request) uint32 {
 // walks the table.
 func (r *Raven) trim(keep uint32) {
 	t := r.tab
-	if len(t.index) < ghostsPerResident*len(t.dense)+t.floor {
+	if t.index.Len() < ghostsPerResident*len(t.dense)+t.floor {
 		return
 	}
 	horizon := r.now - 2*r.cfg.TrainWindow
@@ -287,7 +293,7 @@ func (r *Raven) trim(keep uint32) {
 	for {
 		old := t.ghosts.back
 		t.examined++
-		if old == 0 || old == keep || (dropped > 0 && t.recs.at(old).lastSeen >= horizon) {
+		if old == 0 || old == keep || (dropped > 0 && t.recs.At(old).lastSeen >= horizon) {
 			break
 		}
 		t.drop(old)
@@ -411,7 +417,7 @@ func meanTau(data []nn.Sequence, fallback float64) float64 {
 // OnHit implements cache.Policy.
 func (r *Raven) OnHit(req cache.Request) {
 	h := r.observe(req)
-	if r.tab.resident(r.tab.recs.at(h)) {
+	if r.tab.resident(r.tab.recs.At(h)) {
 		r.tab.lru.moveToFront(&r.tab.recs, h)
 	}
 }
@@ -427,7 +433,7 @@ func (r *Raven) OnAdmit(req cache.Request) {
 	if h == 0 {
 		panic("core: OnAdmit for a key no request observed")
 	}
-	if t.resident(t.recs.at(h)) {
+	if t.resident(t.recs.At(h)) {
 		return
 	}
 	t.admit(h)
@@ -444,11 +450,11 @@ func (r *Raven) OnEvict(key cache.Key) {
 	if h == 0 {
 		return
 	}
-	rc := t.recs.at(h)
+	rc := t.recs.At(h)
 	if !t.resident(rc) {
 		return
 	}
-	t.evict(h, r.net != nil && int(t.sides.at(rc.res).embVer) == r.net.Version)
+	t.evict(h, r.net != nil && int(t.sides.At(rc.res).embVer) == r.net.Version)
 	if r.obs != nil {
 		r.obs.HistoryResident.Add(-1)
 	}
@@ -492,9 +498,9 @@ func (r *Raven) Victim() (cache.Key, bool) {
 	cached := r.cfg.ScoreCache && !r.forceRescore
 	dirty := r.scrDirty[:0]
 	for j := 0; j < n; j++ {
-		rc := t.recs.at(t.dense[r.scrIdx[j]])
+		rc := t.recs.At(t.dense[r.scrIdx[j]])
 		r.scrKeys[j], r.scrSize[j], r.scrRec[j] = rc.key, rc.size, rc
-		if sd := t.sides.at(rc.res); cached && int(sd.scoreVer) == ver && sd.scoreEp == sd.epoch {
+		if sd := t.sides.At(rc.res); cached && int(sd.scoreVer) == ver && sd.scoreEp == sd.epoch {
 			r.scrScore[j] = sd.score
 		} else {
 			dirty = append(dirty, j) // into scratch sized by growScratch
@@ -557,11 +563,7 @@ func (r *Raven) embedding(rc *rec) []float64 {
 	}
 	t.setDim(r.net.Cfg.Hidden)
 	emb := t.emb(rc.res)
-	var taus []float64
-	if rc.ring != 0 {
-		taus = t.rings.at(rc.ring).taus()
-	}
-	r.net.EmbedHistoryInto(emb, taus)
+	r.net.EmbedHistoryInto(emb, t.taus(rc))
 	sd.embVer = int32(r.net.Version)
 	return emb
 }
@@ -575,7 +577,7 @@ func (r *Raven) fallbackVictim() cache.Key {
 	}
 	t := r.tab
 	t.vicH = t.lru.back
-	t.vicKey = t.recs.at(t.vicH).key
+	t.vicKey = t.recs.At(t.vicH).key
 	return t.vicKey
 }
 

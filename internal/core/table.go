@@ -2,16 +2,18 @@ package core
 
 import (
 	"raven/internal/cache"
+	"raven/internal/obs"
 )
 
 // The record table: everything the policy knows about an object, in one
-// place (DESIGN.md "Per-object state"). One index map resolves a key to
-// a uint32 handle; the state behind the handle lives in chunked slabs,
-// so a record costs its own bytes and no heap object of its own:
+// place (DESIGN.md "Per-object state"). One cache.HandleIndex resolves a
+// key to a uint32 handle; the state behind the handle lives in chunked
+// slabs, so a record costs its own bytes and no heap object of its own:
 //
 //   - a core record (rec) for every known key, resident or not;
 //   - an interarrival ring, from the key's second sighting on — a
-//     one-hit wonder never gets one;
+//     one-hit wonder never gets one — in the smallest of four ring
+//     classes that holds its history;
 //   - a side record (resRec) plus embedding while the object is cached
 //     or carries an embedding computed by the current model.
 //
@@ -20,45 +22,6 @@ import (
 // old end of which is what trim drops. A record is on exactly one of
 // the two lists, so both share rec.prev/next.
 
-const (
-	slabShift = 9
-	slabChunk = 1 << slabShift
-	slabMask  = slabChunk - 1
-)
-
-// slab is an arena of T addressed by uint32 handles; handle 0 is "none".
-// It grows one fixed chunk at a time: growth never copies (a doubling
-// append holds the old and the new backing array at once, and both land
-// in the process's peak RSS), and a *T stays valid for the slab's
-// lifetime. Released slots are zeroed and reissued before the slab
-// grows.
-type slab[T any] struct {
-	chunks [][]T
-	top    uint32 // highest handle ever issued
-	free   []uint32
-}
-
-func (s *slab[T]) at(h uint32) *T { return &s.chunks[h>>slabShift][h&slabMask] }
-
-func (s *slab[T]) alloc() uint32 {
-	if n := len(s.free); n > 0 {
-		h := s.free[n-1]
-		s.free = s.free[:n-1]
-		return h
-	}
-	s.top++
-	if int(s.top>>slabShift) == len(s.chunks) {
-		s.chunks = append(s.chunks, make([]T, slabChunk))
-	}
-	return s.top
-}
-
-func (s *slab[T]) release(h uint32) {
-	var zero T
-	*s.at(h) = zero
-	s.free = append(s.free, h)
-}
-
 // rec is the core record kept for every known key. It survives
 // eviction (like LRB's feature store): an object that re-enters the
 // cache resumes with its learned history instead of a cold embedding.
@@ -66,7 +29,7 @@ type rec struct {
 	key      cache.Key
 	lastSeen int64
 	size     int64
-	ring     uint32 // rings handle; 0 until the second sighting
+	ring     uint32 // ring handle (ring classes below); 0 until the second sighting
 	res      uint32 // sides handle; 0 unless resident or carrying a live embedding
 	// prev/next thread the LRU list while the object is resident and
 	// the age queue while it is not; prev points towards the front.
@@ -74,24 +37,71 @@ type rec struct {
 	win        winMark
 }
 
-// ring holds an object's most recent interarrival times, oldest first,
-// for re-embedding after a model swap.
-type ring struct {
-	n uint32
-	v [historyLen]float64
+// A ring holds an object's most recent interarrival times, oldest first,
+// for re-embedding after a model swap. Rings come in four classes of 2,
+// 4, 8 and 16 taus (historyLen), so a key seen twice holds 24 B of
+// history, not 136. A ring handle carries its class in the top two bits
+// and its handle in the class's slab in the rest. A ring starts in the
+// smallest class and moves up one class when it overflows; in the
+// largest it drops its oldest tau instead.
+const (
+	ringClasses    = 4
+	minRingLen     = historyLen >> (ringClasses - 1)
+	ringClassShift = 30
+	ringSlotMask   = 1<<ringClassShift - 1
+)
+
+// ringWidth is the floats a ring of class c takes: its length, then its
+// taus, oldest first.
+func ringWidth(c int) int { return 1 + minRingLen<<c }
+
+// ring returns the slot of ring handle h.
+func (t *table) ring(h uint32) []float64 {
+	return t.rings[h>>ringClassShift].Run(h & ringSlotMask)
 }
 
-func (g *ring) push(tau float64) {
-	if g.n == historyLen {
-		copy(g.v[:], g.v[1:])
-		g.v[historyLen-1] = tau
-		return
+// taus returns rc's interarrival history, oldest first (nil before its
+// second sighting).
+func (t *table) taus(rc *rec) []float64 {
+	if rc.ring == 0 {
+		return nil
 	}
-	g.v[g.n] = tau
-	g.n++
+	g := t.ring(rc.ring)
+	return g[1 : 1+int(g[0])]
 }
 
-func (g *ring) taus() []float64 { return g.v[:g.n] }
+// allocRing issues a ring of class c and returns its handle.
+func (t *table) allocRing(c uint32) uint32 {
+	i, grown := t.rings[c].Alloc()
+	t.grew(grown)
+	return c<<ringClassShift | i
+}
+
+func (t *table) releaseRing(h uint32) { t.rings[h>>ringClassShift].Release(h & ringSlotMask) }
+
+// pushTau appends tau to rc's history, giving rc its first ring or
+// moving it up a class when the one it has is full.
+func (t *table) pushTau(rc *rec, tau float64) {
+	if rc.ring == 0 {
+		rc.ring = t.allocRing(0)
+	}
+	g := t.ring(rc.ring)
+	n := int(g[0])
+	if n == len(g)-1 {
+		c := rc.ring >> ringClassShift
+		if c == ringClasses-1 {
+			copy(g[1:], g[2:])
+			g[n] = tau
+			return
+		}
+		up := t.allocRing(c + 1)
+		copy(t.ring(up), g)
+		t.releaseRing(rc.ring)
+		rc.ring, g = up, t.ring(up)
+	}
+	g[1+n] = tau
+	g[0] = float64(n + 1)
+}
 
 // resRec is the side record of a resident object: its place in the
 // dense sample array, the version stamp of its embedding (the floats
@@ -119,33 +129,33 @@ type resRec struct {
 // rec.prev/next. The front is the most recent end.
 type order struct{ front, back uint32 }
 
-func (o *order) pushFront(recs *slab[rec], h uint32) {
-	rc := recs.at(h)
+func (o *order) pushFront(recs *cache.Slab[rec], h uint32) {
+	rc := recs.At(h)
 	rc.prev, rc.next = 0, o.front
 	if o.front != 0 {
-		recs.at(o.front).prev = h
+		recs.At(o.front).prev = h
 	} else {
 		o.back = h
 	}
 	o.front = h
 }
 
-func (o *order) remove(recs *slab[rec], h uint32) {
-	rc := recs.at(h)
+func (o *order) remove(recs *cache.Slab[rec], h uint32) {
+	rc := recs.At(h)
 	if rc.prev != 0 {
-		recs.at(rc.prev).next = rc.next
+		recs.At(rc.prev).next = rc.next
 	} else {
 		o.front = rc.next
 	}
 	if rc.next != 0 {
-		recs.at(rc.next).prev = rc.prev
+		recs.At(rc.next).prev = rc.prev
 	} else {
 		o.back = rc.prev
 	}
 	rc.prev, rc.next = 0, 0
 }
 
-func (o *order) moveToFront(recs *slab[rec], h uint32) {
+func (o *order) moveToFront(recs *cache.Slab[rec], h uint32) {
 	if o.front == h {
 		return
 	}
@@ -162,14 +172,18 @@ const (
 )
 
 type table struct {
-	index map[cache.Key]uint32
-	recs  slab[rec]
-	rings slab[ring]
-	sides slab[resRec]
+	index *cache.HandleIndex
+	recs  cache.Slab[rec]
+	rings [ringClasses]cache.Slab[float64] // by class, ringWidth(c) floats a handle
+	sides cache.Slab[resRec]
 	// embs[c] backs the embeddings of sides chunk c, dim floats per
 	// handle, allocated at the chunk's first embedding.
 	embs [][]float64
 	dim  int
+	// bytes is raven.table_bytes: what the slabs, embedding chunks and
+	// index slots hold, added to where they grow. nil when the
+	// policy has no metrics.
+	bytes *obs.Gauge
 
 	lru    order // residents; front = most recently used
 	ghosts order // non-residents; front = most recently seen or evicted
@@ -191,8 +205,20 @@ type table struct {
 	examined int64
 }
 
-func newTable() *table {
-	return &table{index: make(map[cache.Key]uint32, 4096), floor: ghostFloor}
+func newTable(bytes *obs.Gauge) *table {
+	t := &table{floor: ghostFloor, bytes: bytes}
+	t.index = cache.NewHandleIndex(func(h uint32) cache.Key { return t.recs.At(h).key })
+	for c := range t.rings {
+		t.rings[c] = cache.NewWideSlab[float64](ringWidth(c))
+	}
+	return t
+}
+
+// grew adds the bytes an allocation added to raven.table_bytes.
+func (t *table) grew(b int64) {
+	if b != 0 && t.bytes != nil {
+		t.bytes.Add(b)
+	}
 }
 
 // find resolves key to its record handle, 0 when the key is unknown.
@@ -203,7 +229,7 @@ func (t *table) find(key cache.Key) uint32 {
 	if t.vicH != 0 && t.vicKey == key {
 		return t.vicH
 	}
-	h := t.index[key]
+	h := t.index.Find(key)
 	t.reqKey, t.reqH = key, h
 	return h
 }
@@ -211,9 +237,11 @@ func (t *table) find(key cache.Key) uint32 {
 // insert creates the record of a key seen for the first time, as the
 // youngest ghost.
 func (t *table) insert(key cache.Key, now, size int64) uint32 {
-	h := t.recs.alloc()
-	*t.recs.at(h) = rec{key: key, lastSeen: now, size: size}
-	t.index[key] = h
+	h, grown := t.recs.Alloc()
+	*t.recs.At(h) = rec{key: key, lastSeen: now, size: size}
+	was := t.index.Bytes()
+	t.index.Insert(key, h)
+	t.grew(grown + t.index.Bytes() - was)
 	t.ghosts.pushFront(&t.recs, h)
 	t.reqKey, t.reqH = key, h
 	return h
@@ -221,16 +249,16 @@ func (t *table) insert(key cache.Key, now, size int64) uint32 {
 
 // drop forgets a non-resident record entirely.
 func (t *table) drop(h uint32) {
-	rc := t.recs.at(h)
+	rc := t.recs.At(h)
 	t.ghosts.remove(&t.recs, h)
 	if rc.ring != 0 {
-		t.rings.release(rc.ring)
+		t.releaseRing(rc.ring)
 	}
 	if rc.res != 0 {
-		t.sides.release(rc.res)
+		t.sides.Release(rc.res)
 	}
-	delete(t.index, rc.key)
-	t.recs.release(h)
+	t.index.Delete(rc.key, h)
+	t.recs.Release(h)
 	if t.reqH == h {
 		t.reqH = 0
 	}
@@ -243,21 +271,23 @@ func (t *table) drop(h uint32) {
 // if it has none.
 func (t *table) side(rc *rec) *resRec {
 	if rc.res == 0 {
-		rc.res = t.sides.alloc()
-		*t.sides.at(rc.res) = resRec{scoreVer: -1, embVer: -1, pos: -1}
+		var grown int64
+		rc.res, grown = t.sides.Alloc()
+		t.grew(grown)
+		*t.sides.At(rc.res) = resRec{scoreVer: -1, embVer: -1, pos: -1}
 	}
-	return t.sides.at(rc.res)
+	return t.sides.At(rc.res)
 }
 
 // resident reports whether rc is a cached object.
 func (t *table) resident(rc *rec) bool {
-	return rc.res != 0 && t.sides.at(rc.res).pos >= 0
+	return rc.res != 0 && t.sides.At(rc.res).pos >= 0
 }
 
 // admit moves a ghost to the front of the LRU list and the end of the
 // dense array.
 func (t *table) admit(h uint32) {
-	rc := t.recs.at(h)
+	rc := t.recs.At(h)
 	t.ghosts.remove(&t.recs, h)
 	t.lru.pushFront(&t.recs, h)
 	t.side(rc).pos = int32(len(t.dense))
@@ -267,32 +297,36 @@ func (t *table) admit(h uint32) {
 // evict makes a resident the youngest ghost. keepSide says whether its
 // side record still carries a live embedding.
 func (t *table) evict(h uint32, keepSide bool) {
-	rc := t.recs.at(h)
-	sd := t.sides.at(rc.res)
+	rc := t.recs.At(h)
+	sd := t.sides.At(rc.res)
 	last := len(t.dense) - 1
 	moved := t.dense[last]
 	t.dense[sd.pos] = moved
-	t.sides.at(t.recs.at(moved).res).pos = sd.pos
+	t.sides.At(t.recs.At(moved).res).pos = sd.pos
 	t.dense = t.dense[:last]
 	sd.pos = -1
 	if !keepSide {
-		t.sides.release(rc.res)
+		t.sides.Release(rc.res)
 		rc.res = 0
 	}
 	t.lru.remove(&t.recs, h)
 	t.ghosts.pushFront(&t.recs, h)
 }
 
+// embChunkBytes is what one embedding chunk holds at the current width.
+func (t *table) embChunkBytes() int64 { return 8 * cache.SlabChunk * int64(t.dim) }
+
 // emb returns the embedding slot of side handle h (dim floats).
 func (t *table) emb(h uint32) []float64 {
-	c := int(h >> slabShift)
+	c, slot := cache.SlabPos(h)
 	for len(t.embs) <= c {
 		t.embs = append(t.embs, nil)
 	}
 	if t.embs[c] == nil {
-		t.embs[c] = make([]float64, slabChunk*t.dim)
+		t.embs[c] = make([]float64, cache.SlabChunk*t.dim)
+		t.grew(t.embChunkBytes())
 	}
-	off := int(h&slabMask) * t.dim
+	off := slot * t.dim
 	return t.embs[c][off : off+t.dim : off+t.dim]
 }
 
@@ -303,9 +337,14 @@ func (t *table) setDim(dim int) {
 	if t.dim == dim {
 		return
 	}
+	for _, ch := range t.embs {
+		if ch != nil {
+			t.grew(-t.embChunkBytes())
+		}
+	}
 	t.dim = dim
 	clear(t.embs)
-	for h := uint32(1); h <= t.sides.top; h++ {
-		t.sides.at(h).embVer = -1
+	for h := uint32(1); h <= t.sides.Top(); h++ {
+		t.sides.At(h).embVer = -1
 	}
 }

@@ -11,20 +11,21 @@ import (
 	"raven/internal/nn"
 	"raven/internal/obs"
 	"raven/internal/stats"
+	"raven/internal/trace"
 )
 
 // White-box accessors: tests name an object by key, the table by handle.
 
 // lruTail returns the key the LRU fallback would evict next.
-func (r *Raven) lruTail() cache.Key { return r.tab.recs.at(r.tab.lru.back).key }
+func (r *Raven) lruTail() cache.Key { return r.tab.recs.At(r.tab.lru.back).key }
 
 // sideOf returns key's side record (nil when it has none).
 func (r *Raven) sideOf(key cache.Key) *resRec {
-	h := r.tab.index[key]
-	if h == 0 || r.tab.recs.at(h).res == 0 {
+	h := r.tab.index.Find(key)
+	if h == 0 || r.tab.recs.At(h).res == 0 {
 		return nil
 	}
-	return r.tab.sides.at(r.tab.recs.at(h).res)
+	return r.tab.sides.At(r.tab.recs.At(h).res)
 }
 
 // refObj is the naive reference's per-key state: the parent commit's
@@ -50,6 +51,8 @@ type refStore struct {
 	dense []cache.Key
 	clock int64
 	floor int
+	// shifts counts pushes into a full history, which drop its oldest tau.
+	shifts int
 }
 
 func (s *refStore) tick() int64 { s.clock++; return s.clock }
@@ -95,6 +98,7 @@ func (s *refStore) observe(req cache.Request, net *nn.Net, trainWindow int64) {
 	}
 	if len(o.hist) == historyLen {
 		o.hist = append(o.hist[:0], o.hist[1:]...)
+		s.shifts++
 	}
 	o.hist = append(o.hist, tau)
 	if net != nil && o.embVer == net.Version {
@@ -170,13 +174,13 @@ func (s *refStore) decided(net *nn.Net, scoreCache bool) {
 func (s *refStore) checkAgainst(t *testing.T, r *Raven) {
 	t.Helper()
 	tab := r.tab
-	if len(tab.index) != len(s.objs) {
-		t.Fatalf("table holds %d records, reference %d", len(tab.index), len(s.objs))
+	if tab.index.Len() != len(s.objs) {
+		t.Fatalf("table holds %d records, reference %d", tab.index.Len(), len(s.objs))
 	}
 	keysOf := func(o order) []cache.Key {
 		var ks []cache.Key
-		for h := o.front; h != 0; h = tab.recs.at(h).next {
-			ks = append(ks, tab.recs.at(h).key)
+		for h := o.front; h != 0; h = tab.recs.At(h).next {
+			ks = append(ks, tab.recs.At(h).key)
 		}
 		return ks
 	}
@@ -190,10 +194,10 @@ func (s *refStore) checkAgainst(t *testing.T, r *Raven) {
 		t.Fatalf("%d residents, reference %d", len(tab.dense), len(s.dense))
 	}
 	for i, h := range tab.dense {
-		if k := tab.recs.at(h).key; k != s.dense[i] {
+		if k := tab.recs.At(h).key; k != s.dense[i] {
 			t.Fatalf("dense[%d] = key %d, reference %d", i, k, s.dense[i])
 		}
-		if pos := tab.sides.at(tab.recs.at(h).res).pos; int(pos) != i {
+		if pos := tab.sides.At(tab.recs.At(h).res).pos; int(pos) != i {
 			t.Fatalf("dense[%d] thinks it is at %d", i, pos)
 		}
 	}
@@ -202,19 +206,15 @@ func (s *refStore) checkAgainst(t *testing.T, r *Raven) {
 		ver = r.net.Version
 	}
 	for k, o := range s.objs {
-		h := tab.index[k]
+		h := tab.index.Find(k)
 		if h == 0 {
 			t.Fatalf("key %d missing from the table", k)
 		}
-		rc := tab.recs.at(h)
+		rc := tab.recs.At(h)
 		if rc.key != k || rc.lastSeen != o.lastSeen || rc.size != o.size {
 			t.Fatalf("key %d: record {%d %d %d}, reference {%d %d}", k, rc.key, rc.lastSeen, rc.size, o.lastSeen, o.size)
 		}
-		var hist []float64
-		if rc.ring != 0 {
-			hist = tab.rings.at(rc.ring).taus()
-		}
-		if !slices.Equal(hist, o.hist) {
+		if hist := tab.taus(rc); !slices.Equal(hist, o.hist) {
 			t.Fatalf("key %d: ring %v, reference %v", k, hist, o.hist)
 		}
 		if tab.resident(rc) != o.resident {
@@ -267,6 +267,7 @@ func TestTableMatchesNaiveReference(t *testing.T) {
 			ref := &refStore{objs: map[cache.Key]*refObj{}, floor: floor}
 			g := stats.NewRNG(99)
 			now, peak := int64(0), 0
+			var classes [ringClasses]bool // ring classes the run reached
 			for step := 0; step < steps; step++ {
 				now += int64(g.Intn(4))
 				key := cache.Key(g.Intn(20))
@@ -275,7 +276,7 @@ func TestTableMatchesNaiveReference(t *testing.T) {
 				}
 				req := cache.Request{Time: now, Key: key, Size: 1 + int64(g.Intn(3))}
 				net := r.net
-				before := len(r.tab.index)
+				before := r.tab.index.Len()
 				o := ref.objs[key]
 				switch p := g.Float64(); {
 				case p < 0.02:
@@ -325,8 +326,11 @@ func TestTableMatchesNaiveReference(t *testing.T) {
 					ref.admit(key)
 				}
 				ref.checkAgainst(t, r)
+				if h := r.tab.index.Find(key); h != 0 && r.tab.recs.At(h).ring != 0 {
+					classes[r.tab.recs.At(h).ring>>ringClassShift] = true
+				}
 
-				n := len(r.tab.index)
+				n := r.tab.index.Len()
 				if ceiling := ghostsPerResident*len(r.tab.dense) + floor; n > before && n >= ceiling {
 					t.Fatalf("step %d: a new key grew the table to %d at a ceiling of %d", step, n, ceiling)
 				}
@@ -337,6 +341,9 @@ func TestTableMatchesNaiveReference(t *testing.T) {
 			}
 			if len(r.TrainStats) == 0 || peak < ghostsPerResident*capacity {
 				t.Fatalf("the run never trained (%d windows) or never neared its ceiling (peak %d records)", len(r.TrainStats), peak)
+			}
+			if slices.Contains(classes[:], false) || ref.shifts == 0 {
+				t.Fatalf("the run reached ring classes %v and pushed into a full ring %d times; want every class and a push", classes, ref.shifts)
 			}
 		})
 	}
@@ -378,12 +385,12 @@ func TestHistoryStoreBoundedAndFlat(t *testing.T) {
 			r.OnAdmit(req)
 			cached[req.Key] = true
 		}
-		if n, res := len(r.tab.index), len(r.tab.dense); res != len(cached) || n > 9*res+ghostFloor {
+		if n, res := r.tab.index.Len(), len(r.tab.dense); res != len(cached) || n > 9*res+ghostFloor {
 			t.Fatalf("key %d: %d records, %d residents (want %d): ceiling %d", i, n, res, len(cached), 9*res+ghostFloor)
 		}
 	}
 	for k := range cached {
-		if h := r.tab.index[k]; h == 0 || !r.tab.resident(r.tab.recs.at(h)) {
+		if h := r.tab.index.Find(k); h == 0 || !r.tab.resident(r.tab.recs.At(h)) {
 			t.Fatalf("resident %d was dropped from the table", k)
 		}
 	}
@@ -394,7 +401,7 @@ func TestHistoryStoreBoundedAndFlat(t *testing.T) {
 	if dropped < keys/2 {
 		t.Errorf("only %d of %d keys were dropped: the run never reached the bound", dropped, keys)
 	}
-	if got, want := ro.HistoryRecords.Load(), int64(len(r.tab.index)); got != want || want != keys-dropped {
+	if got, want := ro.HistoryRecords.Load(), int64(r.tab.index.Len()); got != want || want != keys-dropped {
 		t.Errorf("raven.history_records = %d, table holds %d, %d keys minus %d dropped", got, want, keys, dropped)
 	}
 	if got := ro.HistoryResident.Load(); got != residents {
@@ -453,7 +460,7 @@ func TestRequestPathAllocFree(t *testing.T) {
 		next.Key++
 		r.OnMiss(*next)
 	})
-	records := len(r.tab.index)
+	records := r.tab.index.Len()
 	cycle("a miss, an evict and an admit", func() {
 		next.Time++
 		next.Key++
@@ -462,8 +469,8 @@ func TestRequestPathAllocFree(t *testing.T) {
 		r.OnEvict(victim)
 		r.OnAdmit(*next)
 	})
-	if len(r.tab.index) != records || len(r.tab.dense) != len(resident) {
-		t.Fatalf("the table moved while measuring: %d → %d records, %d residents", records, len(r.tab.index), len(r.tab.dense))
+	if r.tab.index.Len() != records || len(r.tab.dense) != len(resident) {
+		t.Fatalf("the table moved while measuring: %d → %d records, %d residents", records, r.tab.index.Len(), len(r.tab.dense))
 	}
 
 	// The same hit under an installed model, every resident's embedding
@@ -471,11 +478,11 @@ func TestRequestPathAllocFree(t *testing.T) {
 	r.net = nn.NewNet(nn.Config{Hidden: 8, MLPHidden: 12, K: 4, TimeScale: 50, Seed: 11})
 	r.net.Version = 1
 	for j, h := range r.tab.dense {
-		rc := r.tab.recs.at(h)
+		rc := r.tab.recs.At(h)
 		r.embedding(rc)
 		resident[j] = rc.key
 	}
-	probe := r.tab.recs.at(r.tab.index[resident[(i+1)%len(resident)]]).res
+	probe := r.tab.recs.At(r.tab.index.Find(resident[(i+1)%len(resident)])).res
 	before := slices.Clone(r.tab.emb(probe))
 	hit()
 	if slices.Equal(r.tab.emb(probe), before) {
@@ -497,11 +504,85 @@ func TestEmbeddingWidthChange(t *testing.T) {
 	h.touchAll() // every resident is dirty, so the next decision embeds them all
 	h.evictAdmit(t)
 	for _, k := range h.resident[:len(h.resident)-1] {
-		rc := h.r.tab.recs.at(h.r.tab.index[k])
-		want := wide.EmbedHistoryInto(nil, h.r.tab.rings.at(rc.ring).taus())
+		rc := h.r.tab.recs.At(h.r.tab.index.Find(k))
+		want := wide.EmbedHistoryInto(nil, h.r.tab.taus(rc))
 		if got := h.r.tab.emb(rc.res); !slices.Equal(got, want) {
 			t.Fatalf("key %d: embedding %v after the width change, want %v", k, got, want)
 		}
+	}
+}
+
+// chunks is how many chunks a slab holds once it has issued handle top.
+func chunks(top uint32) int64 {
+	if top == 0 {
+		return 0
+	}
+	c, _ := cache.SlabPos(top)
+	return int64(c) + 1
+}
+
+// footprint recomputes what raven.table_bytes should read for t from
+// the chunk counts of its slabs (record, side, ring classes) and
+// embeddings, and its index's slots.
+func footprint(t *table) int64 {
+	b := chunks(t.recs.Top())*cache.SlabChunk*int64(unsafe.Sizeof(rec{})) +
+		chunks(t.sides.Top())*cache.SlabChunk*int64(unsafe.Sizeof(resRec{})) +
+		t.index.Bytes()
+	for c := range t.rings {
+		b += 8 * chunks(t.rings[c].Top()) * cache.SlabChunk * int64(ringWidth(c))
+	}
+	for _, ch := range t.embs {
+		b += 8 * int64(len(ch))
+	}
+	return b
+}
+
+// TestTableBytesGauge: the policies of a four-shard engine share one
+// RavenObs, and after a replay that embeds under one model width and
+// then another (which drops the first width's embedding chunks),
+// raven.table_bytes equals the sum of their tables' footprints.
+func TestTableBytesGauge(t *testing.T) {
+	ro := &obs.RavenObs{}
+	net := func(hidden int, ver int) *nn.Net {
+		n := nn.NewNet(nn.Config{Hidden: hidden, MLPHidden: 6, K: 2, TimeScale: 20, Seed: 5})
+		n.Version = ver
+		return n
+	}
+	var ravens []*Raven
+	eng, err := cache.NewSharded(400, 4, func(shard int, _ int64) (cache.Policy, error) {
+		r := New(Config{TrainWindow: 1 << 40, CandidateSample: 8, ScoreCache: true, Obs: ro, Seed: int64(shard)})
+		r.net = net(4, 1)
+		ravens = append(ravens, r)
+		return r, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.Synthetic(trace.SynthConfig{Objects: 20000, Requests: 60000, Seed: 9})
+	for i, req := range tr.Reqs {
+		if i == len(tr.Reqs)/2 {
+			for _, r := range ravens {
+				r.net = net(6, 2)
+				r.invalidateFastPath()
+			}
+		}
+		eng.Handle(req)
+	}
+	var want int64
+	for _, r := range ravens {
+		want += footprint(r.tab)
+		for c := range r.tab.rings {
+			if r.tab.rings[c].Top() == 0 {
+				t.Fatalf("no ring of class %d: the replay left part of the table unexercised", c)
+			}
+		}
+		if r.tab.dim != 6 || len(r.tab.embs) == 0 || chunks(r.tab.recs.Top()) < 2 {
+			t.Fatalf("the replay left part of the table unexercised: width %d, %d embedding chunks, %d record chunks",
+				r.tab.dim, len(r.tab.embs), chunks(r.tab.recs.Top()))
+		}
+	}
+	if got := ro.TableBytes.Load(); got != want {
+		t.Errorf("raven.table_bytes = %d, the tables' chunks add up to %d", got, want)
 	}
 }
 

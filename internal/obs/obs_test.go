@@ -183,11 +183,11 @@ func TestRavenObsRegister(t *testing.T) {
 		t.Errorf("snapshot %v", got)
 	}
 	// 11 lifecycle and fast-path metrics + train_epochs, train_sequences,
-	// then the history-store triple, registered last.
-	if len(kvs) != 16 {
-		t.Fatalf("want 16 raven metrics, got %d", len(kvs))
+	// then the history-store triple and the table's bytes, registered last.
+	if len(kvs) != 17 {
+		t.Fatalf("want 17 raven metrics, got %d", len(kvs))
 	}
-	for i, name := range []string{"raven.history_records", "raven.history_resident", "raven.history_dropped"} {
+	for i, name := range []string{"raven.history_records", "raven.history_resident", "raven.history_dropped", "raven.table_bytes"} {
 		if kvs[13+i].Name != name {
 			t.Errorf("metric %d = %q, want %q", 13+i, kvs[13+i].Name, name)
 		}

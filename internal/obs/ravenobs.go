@@ -56,6 +56,11 @@ type RavenObs struct {
 	HistoryRecords  Gauge
 	HistoryResident Gauge
 	HistoryDropped  Counter
+	// TableBytes is what the record tables hold, summed over shards: their
+	// record, ring and side slabs, embedding chunks and index slots. It
+	// moves only when one of those grows (or a change of model width
+	// drops the embeddings), never per request at steady state.
+	TableBytes Gauge
 }
 
 // HealthMoved records one policy's health transition from state from
@@ -102,4 +107,5 @@ func (ro *RavenObs) Register(r *Registry, prefix string) {
 	r.adoptGauge(prefix+".history_records", &ro.HistoryRecords)
 	r.adoptGauge(prefix+".history_resident", &ro.HistoryResident)
 	r.adoptCounter(prefix+".history_dropped", &ro.HistoryDropped)
+	r.adoptGauge(prefix+".table_bytes", &ro.TableBytes)
 }

@@ -121,11 +121,12 @@ func (cm *CountMin) Adds() uint64 { return cm.adds }
 
 // Bloom is a simple blocked Bloom filter used as TinyLFU's doorkeeper.
 type Bloom struct {
-	bits  []uint64
-	mask  uint64
-	hashN int
-	set   int
-	cap   int
+	bits   []uint64
+	mask   uint64
+	hashN  int
+	set    int
+	cap    int
+	resets uint64
 }
 
 // NewBloom sizes a filter for roughly n entries at ~1% false positives.
@@ -145,12 +146,11 @@ func NewBloom(n int) *Bloom {
 	}
 }
 
-// hashes derives the i-th bit position by Kirsch–Mitzenmacher double
-// hashing: two independent 64-bit hashes combined as h1 + i*h2.
-func (b *Bloom) bit(key uint64, i int) uint64 {
-	h1 := mix64(key)
-	h2 := mix64(key^0x9e3779b97f4a7c15) | 1
-	return (h1 + uint64(i)*h2) & b.mask
+// hashes returns the two independent 64-bit hashes of key that
+// Kirsch–Mitzenmacher double hashing combines into the i-th bit
+// position, h1 + i*h2.
+func hashes(key uint64) (h1, h2 uint64) {
+	return mix64(key), mix64(key^0x9e3779b97f4a7c15) | 1
 }
 
 // AddIfMissing inserts key and reports whether it was already present
@@ -158,8 +158,10 @@ func (b *Bloom) bit(key uint64, i int) uint64 {
 // its design capacity, implementing the doorkeeper's periodic reset.
 func (b *Bloom) AddIfMissing(key uint64) bool {
 	present := true
+	h1, h2 := hashes(key)
 	for i := 0; i < b.hashN; i++ {
-		bit := b.bit(key, i)
+		bit := h1 & b.mask
+		h1 += h2
 		w, off := bit/64, bit%64
 		if b.bits[w]&(1<<off) == 0 {
 			present = false
@@ -177,8 +179,10 @@ func (b *Bloom) AddIfMissing(key uint64) bool {
 
 // Contains reports (probabilistic) membership.
 func (b *Bloom) Contains(key uint64) bool {
+	h1, h2 := hashes(key)
 	for i := 0; i < b.hashN; i++ {
-		bit := b.bit(key, i)
+		bit := h1 & b.mask
+		h1 += h2
 		if b.bits[bit/64]&(1<<(bit%64)) == 0 {
 			return false
 		}
@@ -192,4 +196,10 @@ func (b *Bloom) Reset() {
 		b.bits[i] = 0
 	}
 	b.set = 0
+	b.resets++
 }
+
+// Resets counts the filter's resets, its own and its callers'. A key
+// AddIfMissing took is Contained until the count moves: Reset is the
+// only way a bit is cleared.
+func (b *Bloom) Resets() uint64 { return b.resets }

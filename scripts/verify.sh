@@ -50,8 +50,10 @@
 #   fuzz-smoke   five seconds each of FuzzBinaryFrames and FuzzTextLines
 #                against a live server (no panic, no desync), of
 #                FuzzEngineModel (the engine against its naive reference
-#                model) and of FuzzKernels (internal/nn's assembly against
-#                its Go loops, bit for bit); the seed corpora still pass
+#                model), of FuzzHandleIndex (the per-key handle index
+#                against a map, its keys crowded into one sub-table) and
+#                of FuzzKernels (internal/nn's assembly against its Go
+#                loops, bit for bit); the seed corpora still pass
 #   checkpoint   a corrupted newest checkpoint generation is skipped on
 #                resume, end to end through raven-sim; checkpoints the
 #                parent of the one-cell commit wrote still load (GRU) or
@@ -159,7 +161,7 @@ stage_bench_smoke() {
 
 stage_fuzz_smoke() {
     local target
-    for target in server/FuzzBinaryFrames server/FuzzTextLines policy/FuzzEngineModel nn/FuzzKernels; do
+    for target in server/FuzzBinaryFrames server/FuzzTextLines policy/FuzzEngineModel cache/FuzzHandleIndex nn/FuzzKernels; do
         echo "==> fuzz smoke: ${target} (5s)"
         go test -run '^$' -fuzz "^${target##*/}\$" -fuzztime 5s "./internal/${target%/*}/"
     done
