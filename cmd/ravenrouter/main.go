@@ -2,8 +2,8 @@
 // fault-tolerant cluster tier (internal/cluster): a deterministic
 // consistent-hash ring routes every key to its owner, per-node circuit
 // breakers and PING health probes eject dead nodes and re-admit
-// recovered ones, and failed requests retry with backoff and fail over
-// to ring replicas.
+// recovered ones, and failed requests fail over to ring replicas in
+// bounded retry rounds.
 //
 // The router speaks the same wire protocols as ravencached itself —
 // text and binary, pipelined, with PING — because it embeds the
@@ -13,10 +13,11 @@
 // share of it written in one flush and its replies read back in order,
 // so the backend round trip is paid once per node per burst. A round
 // trip that fails counts once against the node's breaker; the requests
-// it left unanswered each count as a failure of that node and are
-// retried one by one. STATS aggregates the router's own view; METRICS additionally
-// serves the router.* health/failover metrics and per-node latency
-// histograms.
+// it left unanswered each count as a failure of that node and go to
+// their next replica in a retry round of the same burst, again one
+// batch per node. STATS aggregates the router's own view; METRICS
+// additionally serves the router.* health/failover metrics and per-node
+// latency histograms.
 //
 // Usage:
 //
@@ -51,16 +52,10 @@ func run() int {
 		addr     = flag.String("addr", "127.0.0.1:7071", "listen address")
 		nodeList = flag.String("cluster", "", "comma-separated ravencached node addresses (required)")
 		seed     = flag.Int64("seed", 42, "ring placement seed; all routers of a fleet must agree")
-		vnodes   = flag.Int("vnodes", 0, "virtual nodes per member (0 = 128)")
-		replicas = flag.Int("replicas", 0, "ring lookup fan-out: owner + failover successors (0 = 2)")
 
 		timeout  = flag.Duration("timeout", 0, "per-backend-request timeout (0 = 250ms)")
-		retries  = flag.Int("retries", 0, "extra attempts per request across replicas (0 = 2, negative = none)")
-		backoff  = flag.Duration("backoff", 0, "initial retry backoff, doubling per attempt (0 = 5ms)")
 		probe    = flag.Duration("probe", 0, "health-probe interval (0 = 250ms, negative = off)")
-		failLim  = flag.Int("faillimit", 0, "consecutive failures per breaker rung (0 = 3)")
 		halfOpen = flag.Duration("halfopen", 0, "cool-down before an ejected node is probed (0 = 1s)")
-		pool     = flag.Int("pool", 0, "idle connections pooled per node (0 = 4)")
 
 		maxConns     = flag.Int("maxconns", 0, "max concurrent client connections (0 = unlimited)")
 		idleTimeout  = flag.Duration("idletimeout", 0, "per-request read deadline (0 = 2m default, negative = off)")
@@ -85,15 +80,9 @@ func run() int {
 	router, err := cluster.New(cluster.Config{
 		Nodes:          nodes,
 		Seed:           *seed,
-		VNodes:         *vnodes,
-		Replicas:       *replicas,
 		RequestTimeout: *timeout,
-		MaxRetries:     *retries,
-		RetryBackoff:   *backoff,
 		ProbeInterval:  *probe,
-		FailLimit:      *failLim,
 		HalfOpenAfter:  *halfOpen,
-		PoolSize:       *pool,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ravenrouter:", err)
@@ -114,8 +103,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "ravenrouter:", err)
 		return 1
 	}
-	fmt.Printf("ravenrouter: fleet=%d replicas=%d ring=%016x listening on %s\n",
-		len(nodes), router.Replicas(), router.Fingerprint(), srv.Addr())
+	fmt.Printf("ravenrouter: fleet=%d ring=%016x listening on %s\n",
+		len(nodes), router.Fingerprint(), srv.Addr())
 
 	// Drain the front-end first (stats then reflect every served
 	// request), then the router, then report.

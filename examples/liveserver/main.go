@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"raven"
+	"raven/internal/cache"
 	"raven/internal/server"
 )
 
@@ -24,7 +25,7 @@ func main() {
 	})
 	srv, err := server.New(server.Config{
 		Capacity:    capacity,
-		Policy:      rv,
+		NewPolicy:   cache.SingleFactory(rv),
 		CacheDelay:  100 * time.Microsecond, // 1/100 of the paper's RTTs
 		OriginDelay: time.Millisecond,
 	})

@@ -110,7 +110,7 @@ func TestBurstEquivalence(t *testing.T) {
 }
 
 // TestBurstOneRoundTripPerNode: a burst is plan, one round trip per
-// node, then per-op retry of what failed — and nothing else, however
+// node, then retry rounds for what failed — and nothing else, however
 // popular its keys. Every key of the burst has been requested 16 times
 // (SETs that store, GETs that hit, and one key too big to ever be stored
 // whose GETs always miss); the burst then costs exactly one round trip
@@ -126,7 +126,7 @@ func TestBurstOneRoundTripPerNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = r.Close() })
-	shadow := shadowRing(t, 42, 0, addrs)
+	shadow := shadowRing(t, 42, addrs)
 
 	ops, want := make([]server.Op, 32), map[string]int{}
 	for i := range ops {
@@ -173,7 +173,7 @@ func newBurstFleet(t *testing.T, nodeFaults func(i int) *server.Faults, mod func
 			c.Faults = nodeFaults(i)
 		}
 	})
-	f.ring = shadowRing(t, 42, 64, f.addrs)
+	f.ring = shadowRing(t, 42, f.addrs)
 	f.r = newTestRouter(t, f.addrs, func(c *Config) {
 		c.RequestTimeout = 100 * time.Millisecond
 		if mod != nil {
@@ -199,8 +199,8 @@ func newBurstFleet(t *testing.T, nodeFaults func(i int) *server.Faults, mod func
 // 1 — the victim of every fault below — owns 11 of them. It requires
 // every request answered, in order: each carries its own size, which
 // the reply must echo, and a reply of the wrong kind for its request
-// fails the client's matcher.
-func (f *burstFleet) burst(t *testing.T) {
+// fails the client's matcher. It returns the burst it sent.
+func (f *burstFleet) burst(t *testing.T) []server.Op {
 	t.Helper()
 	ops := make([]server.Op, 32)
 	for i := range ops {
@@ -217,6 +217,7 @@ func (f *burstFleet) burst(t *testing.T) {
 	if n, err := f.cl.Recv(ops, res); err != nil || n != len(ops) {
 		t.Fatalf("burst before key %d: %d of %d requests answered: %v", f.next, n, len(ops), err)
 	}
+	return ops
 }
 
 // checkAccounts closes the fleet — so every node has served whatever it
@@ -244,9 +245,9 @@ func (f *burstFleet) checkAccounts(t *testing.T, sent int) {
 
 // TestBurstFaultBeforeOp: a node whose every round trip fails before
 // the wire. Each burst costs its breaker one failure however many of
-// the burst's requests were bound for it, so with FailLimit 2 the
-// ladder reads healthy, degraded, degraded, fallback after four bursts;
-// the requests themselves fail over one by one and are all answered.
+// the burst's requests were bound for it, so with failLimit 3 the
+// ladder reads healthy twice, degraded three times, then fallback; the
+// requests themselves fail over in a retry round and are all answered.
 func TestBurstFaultBeforeOp(t *testing.T) {
 	var victim atomic.Value
 	victim.Store("")
@@ -259,7 +260,8 @@ func TestBurstFaultBeforeOp(t *testing.T) {
 		}}
 	})
 	victim.Store(f.addrs[1])
-	for i, want := range []State{Healthy, Degraded, Degraded, Fallback, Fallback} {
+	ladder := []State{Healthy, Healthy, Degraded, Degraded, Degraded, Fallback, Fallback}
+	for i, want := range ladder {
 		f.burst(t)
 		if got := f.r.NodeStates()[f.addrs[1]]; got != want {
 			t.Fatalf("after %d failed round trips the victim is %v, want %v", i+1, got, want)
@@ -268,13 +270,66 @@ func TestBurstFaultBeforeOp(t *testing.T) {
 	if got := f.r.Metrics().Gauge("router.node1.state").Load(); got != int64(Fallback) {
 		t.Errorf("router.node1.state reads %d, want %d", got, Fallback)
 	}
-	if n := f.r.Metrics().Counter("router.node1.failures").Load(); n != 4*11 {
-		t.Errorf("router.node1.failures = %d, want one per request of the four failed batches (44)", n)
+	if n := f.r.Metrics().Counter("router.node1.failures").Load(); n != 6*11 {
+		t.Errorf("router.node1.failures = %d, want one per request of the six failed batches (66)", n)
 	}
 	if n := f.r.Metrics().Counter("router.failovers").Load(); n == 0 {
 		t.Error("no request failed over")
 	}
-	f.checkAccounts(t, 5*32)
+	f.checkAccounts(t, len(ladder)*32)
+}
+
+// TestBurstRetryIsOneRound: what a failed round trip left unanswered
+// is retried as a round of the burst, not op by op. Node 1 fails every
+// round trip before the wire, so its 11 ops of a 32-op burst go to
+// their ring successors in one more round trip per successor node. A
+// node's router.node<i>.latency_ns count, one sample per round trip,
+// rises by one for its own share of the burst and by one more if it is
+// a successor, whatever number of ops it took over.
+func TestBurstRetryIsOneRound(t *testing.T) {
+	var victim atomic.Value
+	victim.Store("")
+	f := newBurstFleet(t, nil, func(c *Config) {
+		c.Faults = &Faults{BeforeOp: func(node string) error {
+			if node == victim.Load().(string) {
+				return errors.New("injected node fault")
+			}
+			return nil
+		}}
+	})
+	victim.Store(f.addrs[1])
+	trips := func() (n [3]int64) {
+		for i := range n {
+			n[i] = f.r.Metrics().Histogram(fmt.Sprintf("router.node%d.latency_ns", i)).Snapshot().Count
+		}
+		return n
+	}
+	before := trips()
+	ops := f.burst(t)
+	after := trips()
+
+	want := [3]int64{1, 0, 1} // node 1 fails before the wire: nothing to time
+	var buf [replicas]int
+	for _, op := range ops {
+		if cands := f.ring.LookupN(op.Key, replicas, buf[:0]); f.ring.Members()[cands[0]] == f.addrs[1] {
+			for i, a := range f.addrs {
+				if a == f.ring.Members()[cands[1]] {
+					want[i] = 2
+				}
+			}
+		}
+	}
+	for i := range want {
+		if got := after[i] - before[i]; got != want[i] {
+			t.Errorf("node %d: %d round trips for one burst, want %d", i, got, want[i])
+		}
+	}
+	for _, name := range []string{"router.retries", "router.failovers"} {
+		if n := f.r.Metrics().Counter(name).Load(); n != 11 {
+			t.Errorf("%s = %d, want one per op of node 1's failed batch (11)", name, n)
+		}
+	}
+	f.checkAccounts(t, len(ops))
 }
 
 // TestBurstFaultNodeClosed: a node is shut down while a batch is in
@@ -333,7 +388,7 @@ func TestBurstFaultNodeStalls(t *testing.T) {
 	}, nil)
 	f.burst(t)
 	if got := f.r.NodeStates()[f.addrs[1]]; got != Healthy {
-		t.Errorf("one timed-out round trip left the node %v, want healthy (FailLimit 2)", got)
+		t.Errorf("one timed-out round trip left the node %v, want healthy (failLimit %d)", got, failLimit)
 	}
 	if n := f.r.Metrics().Counter("router.node1.ops").Load(); n != 4 {
 		t.Errorf("router.node1.ops = %d, want the 4 requests answered before the stall", n)

@@ -138,19 +138,14 @@ func nodeMetricsSnapshot(t *testing.T, addr string) map[string]int64 {
 	return m
 }
 
-// chaosRouterConfig is the shared router setup: fast breaker, fast
-// probes, so the two runs differ only in the SIGKILL.
+// chaosRouterConfig is the shared router setup: fast probes and a short
+// half-open cool-down, so the two runs differ only in the SIGKILL.
 func chaosRouterConfig(addrs []string) Config {
 	return Config{
 		Nodes:          addrs,
 		Seed:           42,
-		VNodes:         64,
-		Replicas:       2,
 		RequestTimeout: time.Second,
-		MaxRetries:     3,
-		RetryBackoff:   2 * time.Millisecond,
 		ProbeInterval:  20 * time.Millisecond,
-		FailLimit:      2,
 		HalfOpenAfter:  50 * time.Millisecond,
 	}
 }
@@ -238,7 +233,7 @@ func TestChaosNodeChurn(t *testing.T) {
 
 	// Ring determinism: an independently built router over the same
 	// membership places every key identically.
-	twin, err := New(Config{Nodes: addrs, Seed: 42, VNodes: 64, ProbeInterval: -1})
+	twin, err := New(Config{Nodes: addrs, Seed: 42, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,17 +44,18 @@ func (s State) String() string {
 	}
 }
 
-// Breaker is one node's failure ladder. All methods are safe for
-// concurrent use: request goroutines report outcomes while the probe
-// loop asks for half-open admission.
+// Breaker is one node's failure ladder. Its state is a function of one
+// count, the consecutive failures since the last success: Healthy
+// below failLimit, Degraded below 2·failLimit, Fallback from there on.
+// All methods are safe for concurrent use: request goroutines report
+// outcomes while the probe loop asks for half-open admission.
 type Breaker struct {
 	failLimit     int           // consecutive failures per rung
 	halfOpenAfter time.Duration // cool-down before a Fallback node is probed
 	now           func() time.Time
 
 	mu      sync.Mutex
-	state   State
-	fails   int // consecutive failures on the current rung
+	fails   int // consecutive failures; it stops counting at ejection
 	ejected time.Time
 	probing bool // a half-open probe is in flight
 }
@@ -73,18 +74,27 @@ func NewBreaker(failLimit int, halfOpenAfter time.Duration, now func() time.Time
 	return &Breaker{failLimit: failLimit, halfOpenAfter: halfOpenAfter, now: now}
 }
 
+// state derives the state from the failure count; b.mu must be held.
+func (b *Breaker) state() State {
+	switch {
+	case b.fails < b.failLimit:
+		return Healthy
+	case b.fails < 2*b.failLimit:
+		return Degraded
+	}
+	return Fallback
+}
+
 // State returns the current state.
 func (b *Breaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.state
+	return b.state()
 }
 
 // Allow reports whether regular traffic may be routed to the node.
 func (b *Breaker) Allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state != Fallback
+	return b.State() != Fallback
 }
 
 // AllowProbe admits at most one half-open recovery probe per cool-down
@@ -93,7 +103,7 @@ func (b *Breaker) Allow() bool {
 func (b *Breaker) AllowProbe() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state != Fallback || b.probing {
+	if b.state() != Fallback || b.probing {
 		return false
 	}
 	if b.now().Sub(b.ejected) < b.halfOpenAfter {
@@ -110,35 +120,27 @@ func (b *Breaker) AllowProbe() bool {
 func (b *Breaker) Success() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	moved := b.state != Healthy
-	b.state = Healthy
+	moved := b.state() != Healthy
 	b.fails = 0
 	b.probing = false
 	return moved
 }
 
-// Failure records a failed round trip or probe and climbs the ladder
-// after failLimit consecutive failures on the current rung. Any failure
-// of an ejected node — a failed half-open probe — re-arms the cool-down.
-// It reports whether the state moved.
+// Failure records a failed round trip or probe. The failLimit-th and
+// 2·failLimit-th consecutive failures each climb one rung; any failure
+// of an ejected node — a failed half-open probe — re-arms the
+// cool-down. It reports whether the state moved.
 func (b *Breaker) Failure() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
-	if b.state == Fallback {
-		b.ejected = b.now()
-		return false
+	from := b.state()
+	if from != Fallback {
+		b.fails++
 	}
-	b.fails++
-	if b.fails < b.failLimit {
-		return false
-	}
-	b.fails = 0
-	if b.state == Healthy {
-		b.state = Degraded
-	} else {
-		b.state = Fallback
+	to := b.state()
+	if to == Fallback {
 		b.ejected = b.now()
 	}
-	return true
+	return to != from
 }

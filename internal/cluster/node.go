@@ -7,10 +7,10 @@ import (
 	"raven/internal/server"
 )
 
-// defaultPoolSize bounds each node's idle-connection pool. Serving
-// goroutines beyond the pool dial fresh connections and the surplus is
-// closed on return, so the pool caps idle sockets, not concurrency.
-const defaultPoolSize = 4
+// poolSize bounds each node's idle-connection pool. Serving goroutines
+// beyond the pool dial fresh connections and the surplus is closed on
+// return, so the pool caps idle sockets, not concurrency.
+const poolSize = 4
 
 // nodeMetrics are one node's obs handles, registered as
 // router.node<i>.* in the router's registry (and therefore visible over
@@ -37,11 +37,8 @@ type node struct {
 
 // newNode builds a node and registers its metrics under
 // router.node<idx>.*.
-func newNode(name string, idx int, br *Breaker, poolSize int, reg *obs.Registry,
+func newNode(name string, idx int, br *Breaker, reg *obs.Registry,
 	dial func() (*server.Client, error)) *node {
-	if poolSize <= 0 {
-		poolSize = defaultPoolSize
-	}
 	prefix := fmt.Sprintf("router.node%d", idx)
 	n := &node{
 		name:    name,

@@ -9,15 +9,17 @@
 //     for bounded key movement on membership change.
 //   - Breaker (health.go): a per-node circuit breaker mirroring the
 //     policy's Healthy→Degraded→Fallback model-lifecycle machine
-//     (internal/core): consecutive failures climb the ladder, Fallback
-//     ejects the node from routing, and half-open probes re-admit it.
+//     (internal/core): its state is derived from one consecutive-failure
+//     count, Fallback ejects the node from routing, and half-open probes
+//     re-admit it.
 //   - node (node.go): one backend's address, breaker, bounded client
 //     pool, and per-node metrics.
 //   - Router (router.go): the request path — a burst of requests is
 //     grouped by owner node and forwarded as one batch per node under
-//     one timeout, with bounded retry with backoff failing over across
-//     ring replicas for what a failed batch left unanswered, and
-//     health probing.
+//     one timeout; what a failed batch left unanswered goes to the
+//     keys' next ring replicas in up to two more rounds of the same
+//     burst, each one batch per node after one backoff; and health
+//     probing.
 //     Router implements server.Backend and server.BatchBackend, so the
 //     router process reuses the entire hardened protocol loop.
 package cluster
@@ -29,9 +31,9 @@ import (
 	"raven/internal/trace"
 )
 
-// defaultVNodes is the virtual-node count per member when Config.VNodes
-// is zero. 128 points per node keeps the max/mean load ratio within a
-// few percent for small fleets while the ring stays cache-resident.
+// defaultVNodes is the virtual-node count per member of the router's
+// ring. 128 points per node keeps the max/mean load ratio within a few
+// percent for small fleets while the ring stays cache-resident.
 const defaultVNodes = 128
 
 // mix64 is a splitmix64-style finalizer: the ring's only hash.
@@ -105,18 +107,6 @@ func (r *Ring) Add(name string) error {
 	r.names = append(r.names, "")
 	copy(r.names[i+1:], r.names[i:])
 	r.names[i] = name
-	r.build()
-	return nil
-}
-
-// Remove drops a member and rebuilds the ring. Removing an unknown
-// member is an error.
-func (r *Ring) Remove(name string) error {
-	i := sort.SearchStrings(r.names, name)
-	if i >= len(r.names) || r.names[i] != name {
-		return fmt.Errorf("cluster: member %q not on the ring", name)
-	}
-	r.names = append(r.names[:i], r.names[i+1:]...)
 	r.build()
 	return nil
 }

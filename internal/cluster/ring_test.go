@@ -46,48 +46,34 @@ func TestRingDoubleBuildIdentical(t *testing.T) {
 	}
 }
 
-// TestRingBoundedKeyMovement is the drain/join guarantee: adding a node
-// to an N-node ring moves at most ~keys/(N+1) keys (with slack for
-// vnode variance), every moved key moves TO the new node, and removing
-// it moves exactly the keys it owned back — no collateral reshuffling.
+// TestRingBoundedKeyMovement is the drain/join guarantee: a ring with
+// one member more than an N-node ring moves at most ~keys/(N+1) keys
+// (with slack for vnode variance), and every moved key moves TO the
+// extra member. Every other key keeps its owner, so a ring built
+// without the member is exactly the prior placement: no collateral
+// reshuffling either way.
 func TestRingBoundedKeyMovement(t *testing.T) {
 	const keys = 50_000
 	names := []string{"a", "b", "c", "d", "e"}
-	r := ringOf(t, 7, 128, names...)
+	without := ringOf(t, 7, 128, names...)
+	with := ringOf(t, 7, 128, append(names, "f")...)
 
-	// Member indices shift as names sort; track ownership by name.
-	ownerName := func(k int) string { return r.Members()[r.Lookup(trace.Key(k))] }
-	before := make([]string, keys)
-	for k := range before {
-		before[k] = ownerName(k)
-	}
-	if err := r.Add("f"); err != nil {
-		t.Fatal(err)
-	}
+	// Member indices shift as names sort; compare ownership by name.
+	ownerName := func(r *Ring, k int) string { return r.Members()[r.Lookup(trace.Key(k))] }
 	moved := 0
 	for k := 0; k < keys; k++ {
-		now := ownerName(k)
+		before, now := ownerName(without, k), ownerName(with, k)
 		if now == "f" {
 			moved++
 			continue
 		}
-		if now != before[k] {
-			t.Fatalf("key %d moved between old nodes: %s -> %s", k, before[k], now)
+		if now != before {
+			t.Fatalf("key %d moved between old nodes: %s -> %s", k, before, now)
 		}
 	}
 	bound := keys/(len(names)+1) + keys/10 // 1/(N+1) share + 10% slack
 	if moved == 0 || moved > bound {
 		t.Errorf("add moved %d keys, want in (0, %d]", moved, bound)
-	}
-
-	// Removing "f" restores exactly the prior ownership.
-	if err := r.Remove("f"); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < keys; k++ {
-		if ownerName(k) != before[k] {
-			t.Fatalf("key %d did not return to its pre-join owner", k)
-		}
 	}
 }
 
@@ -157,7 +143,7 @@ func TestRingLookupAllocFree(t *testing.T) {
 	}
 }
 
-// TestRingErrors: duplicate adds and unknown removals are rejected.
+// TestRingErrors: duplicate and empty member names are rejected.
 func TestRingErrors(t *testing.T) {
 	r := ringOf(t, 1, 8, "a")
 	if err := r.Add("a"); err == nil {
@@ -165,8 +151,5 @@ func TestRingErrors(t *testing.T) {
 	}
 	if err := r.Add(""); err == nil {
 		t.Error("empty name accepted")
-	}
-	if err := r.Remove("zzz"); err == nil {
-		t.Error("unknown Remove succeeded")
 	}
 }

@@ -15,17 +15,23 @@ import (
 
 // Router defaults, applied when the corresponding Config field is zero.
 const (
-	defaultReplicas       = 2
 	defaultRequestTimeout = 250 * time.Millisecond
-	defaultMaxRetries     = 2
-	defaultRetryBackoff   = 5 * time.Millisecond
 	defaultProbeInterval  = 250 * time.Millisecond
-	defaultFailLimit      = 3
 	defaultHalfOpenAfter  = time.Second
+)
 
-	// maxReplicas caps the lookup fan-out so the per-request candidate
-	// scratch can live on the stack.
-	maxReplicas = 8
+const (
+	// replicas is the ring lookup fan-out: a key's owner and one failover
+	// successor.
+	replicas = 2
+	// maxRetries is how many retry rounds a burst gets for the ops a
+	// failed round trip left unanswered.
+	maxRetries = 2
+	// retryBackoff is the sleep before the first retry round, doubling
+	// per round.
+	retryBackoff = 5 * time.Millisecond
+	// failLimit is the consecutive-failure count per breaker rung.
+	failLimit = 3
 
 	// burstPoolSize bounds the idle burst scratch a router keeps: enough
 	// for the front connections of a busy router to serve bursts side by
@@ -52,37 +58,18 @@ type Config struct {
 	// fixed for the router's lifetime.
 	Nodes []string
 	// Seed makes ring placement deterministic; two routers with equal
-	// (Seed, VNodes, Nodes) agree on every key's owner.
+	// (Seed, Nodes) agree on every key's owner.
 	Seed int64
-	// VNodes is the virtual-node count per member (0 = 128).
-	VNodes int
-	// Replicas is the ring lookup fan-out: the owner plus Replicas-1
-	// failover successors (0 = 2, capped at 8 and the node count).
-	Replicas int
 
 	// RequestTimeout bounds each backend round trip (0 = 250ms).
 	RequestTimeout time.Duration
-	// MaxRetries is how many extra attempts a request gets after its
-	// first failure, failing over across replicas (0 = 2; negative
-	// disables retries).
-	MaxRetries int
-	// RetryBackoff is the initial sleep before a retry, doubling per
-	// attempt (0 = 5ms).
-	RetryBackoff time.Duration
-
 	// ProbeInterval is the health-probe period (0 = 250ms; negative
 	// disables the background prober — tests then drive ProbePass
 	// directly).
 	ProbeInterval time.Duration
-	// FailLimit is the consecutive-failure count per breaker rung
-	// (0 = 3).
-	FailLimit int
 	// HalfOpenAfter is the cool-down before an ejected node gets a
 	// recovery probe (0 = 1s).
 	HalfOpenAfter time.Duration
-
-	// PoolSize bounds each node's idle-connection pool (0 = 4).
-	PoolSize int
 
 	// Registry receives the router.* metrics; pass the same registry to
 	// server.Config so the router process serves them over METRICS.
@@ -95,27 +82,26 @@ type Config struct {
 // routerMetrics are the router-wide obs handles (per-node handles live
 // on each node).
 type routerMetrics struct {
-	failovers  *obs.Counter // attempts moved to a different replica
-	retries    *obs.Counter // extra attempts after a failure
+	failovers  *obs.Counter // retried ops moved to a different replica
+	retries    *obs.Counter // ops re-sent in a retry round
 	probes     *obs.Counter // health probes sent
-	unroutable *obs.Counter // requests with every replica ejected
+	unroutable *obs.Counter // ops left with no admitted replica to try
 }
 
 // Router spreads cache traffic over a fleet of ravencached nodes via a
 // deterministic consistent-hash ring, with per-node circuit breakers,
-// bounded retry-with-backoff failover, and health probing. It
-// implements server.Backend and server.BatchBackend, so a server.Server
-// can front it with the full hardened protocol loop and hand it each
-// connection's pipelined requests a burst at a time.
+// bounded retry rounds that fail over along the ring, and health
+// probing. It implements server.Backend and server.BatchBackend, so a
+// server.Server can front it with the full hardened protocol loop and
+// hand it each connection's pipelined requests a burst at a time.
 //
 // Failure semantics: a request whose every attempt fails is reported as
 // a miss — the cluster tier degrades to origin traffic, it never errors
 // toward the client.
 type Router struct {
-	cfg      Config
-	replicas int
-	reg      *obs.Registry
-	met      routerMetrics
+	cfg Config
+	reg *obs.Registry
+	met routerMetrics
 
 	// ring and nodes are built once in New and read-only afterwards;
 	// nodes[i] is the member the ring calls index i.
@@ -145,26 +131,11 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("cluster: no nodes")
 	}
-	if cfg.Replicas == 0 {
-		cfg.Replicas = defaultReplicas
-	}
-	if cfg.Replicas > maxReplicas {
-		cfg.Replicas = maxReplicas
-	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = defaultRequestTimeout
 	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = defaultMaxRetries
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = defaultRetryBackoff
-	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = defaultProbeInterval
-	}
-	if cfg.FailLimit == 0 {
-		cfg.FailLimit = defaultFailLimit
 	}
 	if cfg.HalfOpenAfter == 0 {
 		cfg.HalfOpenAfter = defaultHalfOpenAfter
@@ -174,13 +145,12 @@ func New(cfg Config) (*Router, error) {
 		reg = obs.NewRegistry()
 	}
 	r := &Router{
-		cfg:      cfg,
-		replicas: cfg.Replicas,
-		reg:      reg,
-		ring:     NewRing(cfg.Seed, cfg.VNodes),
-		nodes:    make([]*node, len(cfg.Nodes)),
-		bursts:   make(chan *burst, burstPoolSize),
-		stop:     make(chan struct{}),
+		cfg:    cfg,
+		reg:    reg,
+		ring:   NewRing(cfg.Seed, defaultVNodes),
+		nodes:  make([]*node, len(cfg.Nodes)),
+		bursts: make(chan *burst, burstPoolSize),
+		stop:   make(chan struct{}),
 		met: routerMetrics{
 			failovers:  reg.Counter("router.failovers"),
 			retries:    reg.Counter("router.retries"),
@@ -206,7 +176,7 @@ func New(cfg Config) (*Router, error) {
 
 // buildNode builds the idx-th configured node with its breaker and dialer.
 func (r *Router) buildNode(addr string, idx int) *node {
-	br := NewBreaker(r.cfg.FailLimit, r.cfg.HalfOpenAfter, nil)
+	br := NewBreaker(failLimit, r.cfg.HalfOpenAfter, nil)
 	dial := func() (*server.Client, error) {
 		if f := r.cfg.Faults; f != nil && f.Dial != nil {
 			if err := f.Dial(addr); err != nil {
@@ -220,7 +190,7 @@ func (r *Router) buildNode(addr string, idx int) *node {
 		cl.Timeout = r.cfg.RequestTimeout
 		return cl, nil
 	}
-	return newNode(addr, idx, br, r.cfg.PoolSize, r.reg, dial)
+	return newNode(addr, idx, br, r.reg, dial)
 }
 
 // Close stops the prober and closes every pooled connection.
@@ -250,15 +220,12 @@ func (r *Router) NodeStates() map[string]State {
 // Metrics returns the registry holding the router.* metrics.
 func (r *Router) Metrics() *obs.Registry { return r.reg }
 
-// Replicas returns the effective lookup fan-out after defaulting.
-func (r *Router) Replicas() int { return r.replicas }
-
 // batch is one round trip to one node: the requests of a burst that
 // route to it, in the order the client sent them, on one checked-out
 // connection. A batch without ops is a bare PING, the health probe.
 type batch struct {
 	n     *node
-	allow bool // n's breaker admitted traffic when the burst was planned
+	allow bool // n's breaker admitted traffic when the round was planned
 	cl    *server.Client
 	t0    time.Time
 	ops   []server.Op
@@ -269,28 +236,35 @@ type batch struct {
 	answered int
 }
 
+// retry is an op a round trip left unanswered: its position in the
+// burst and the node that failed it.
+type retry struct {
+	i      int
+	failed *node
+}
+
 // burst is the scratch one ServeBatch call works in.
 type burst struct {
-	cands   []*node // per op: the owner, then its failover replicas
+	cands   []*node // per op: the owner, then its failover replica
 	fan     int     // candidates per op: min(replicas, members)
-	batches []batch // one batch per node
-	one     batch   // a retried op's round trip
+	batches []batch // the current round: one batch per node
+	retries []retry // what the current round left unanswered
 }
 
 // plan looks up every op's candidates.
 func (r *Router) plan(b *burst, ops []server.Op) {
-	var ibuf [maxReplicas]int
-	b.cands, b.fan = b.cands[:0], min(r.replicas, len(r.nodes))
+	var ibuf [replicas]int
+	b.cands, b.fan = b.cands[:0], min(replicas, len(r.nodes))
 	for _, op := range ops {
-		for _, i := range r.ring.LookupN(op.Key, r.replicas, ibuf[:0]) {
+		for _, i := range r.ring.LookupN(op.Key, replicas, ibuf[:0]) {
 			// Burst scratch grows to the largest burst seen, then is reused.
 			b.cands = append(b.cands, r.nodes[i])
 		}
 	}
 }
 
-// batchFor returns the burst's batch for n, opening it — and asking n's
-// breaker once per burst, not once per op — on first use. The pointer is
+// batchFor returns the round's batch for n, opening it — and asking n's
+// breaker once per round, not once per op — on first use. The pointer is
 // valid until the next call.
 func (b *burst) batchFor(n *node) *batch {
 	for j := range b.batches {
@@ -311,17 +285,67 @@ func (b *burst) batchFor(n *node) *batch {
 }
 
 // route queues op (position i in the burst) on the first of its
-// candidates whose breaker admits traffic, and reports whether there
-// was one.
-func (b *burst) route(i int, op server.Op) bool {
-	for _, n := range b.cands[i*b.fan : (i+1)*b.fan] {
-		if g := b.batchFor(n); g.allow {
+// candidates whose breaker admits traffic, trying n of them from index
+// from on, wrapping. It returns that candidate's index, or -1 when none
+// admits traffic.
+func (b *burst) route(i int, op server.Op, from, n int) int {
+	cands := b.cands[i*b.fan : (i+1)*b.fan]
+	for off := 0; off < n; off++ {
+		c := (from + off) % b.fan
+		if g := b.batchFor(cands[c]); g.allow {
 			// The batch's slices are reused; they grow to the largest batch once.
 			g.ops, g.at, g.res = append(g.ops, op), append(g.at, i), append(g.res, false)
-			return true
+			return c
 		}
 	}
-	return false
+	return -1
+}
+
+// settle copies the round's answers into res and collects the ops it
+// left unanswered in b.retries.
+func (b *burst) settle(res []bool) {
+	b.retries = b.retries[:0]
+	for j := range b.batches {
+		g := &b.batches[j]
+		for k, i := range g.at {
+			if k < g.answered {
+				res[i] = g.res[k]
+			} else {
+				// Burst scratch, reused like the batches.
+				b.retries = append(b.retries, retry{i, g.n})
+			}
+		}
+	}
+}
+
+// reroute plans a retry round: each op the last round left unanswered
+// goes to its next admitted candidate after the node that failed it,
+// and back to that node only when it is the key's only replica. An op
+// with no such candidate stays a miss. It reports whether any op was
+// queued.
+func (r *Router) reroute(b *burst, ops []server.Op) bool {
+	b.batches = b.batches[:0]
+	queued := false
+	for _, t := range b.retries {
+		ci := 0
+		for c, n := range b.cands[t.i*b.fan : (t.i+1)*b.fan] {
+			if n == t.failed {
+				ci = c
+			}
+		}
+		// The fan-1 candidates after ci, or ci itself when it is the only one.
+		c := b.route(t.i, ops[t.i], ci+1, max(1, b.fan-1))
+		if c < 0 {
+			r.met.unroutable.Inc()
+			continue
+		}
+		r.met.retries.Inc()
+		if c != ci {
+			r.met.failovers.Inc()
+		}
+		queued = true
+	}
+	return queued
 }
 
 // roundTrips runs the batches: every one is written before any reply is
@@ -394,9 +418,9 @@ func (r *Router) recv(g *batch) {
 // counts one failure: it may have served any of them, so that
 // ops <= served <= ops + failures holds on every node whatever was in
 // flight when the connection died. A failed probe counts one. The
-// breaker climbs once per failed round trip, not once per op, so a node
-// is ejected after FailLimit failed round trips per rung however deep
-// the client pipelines.
+// breaker counts one failure per failed round trip, not per op, so a
+// node is ejected after 2·failLimit failed round trips in a row however
+// deep the client pipelines.
 func (r *Router) failed(g *batch) {
 	g.n.met.failures.Add(int64(max(1, len(g.ops)-g.answered)))
 	if g.n.breaker.Failure() {
@@ -408,64 +432,18 @@ func (r *Router) failed(g *batch) {
 // when a round trip's outcome moved it.
 func (n *node) observeState() { n.met.state.Set(int64(n.breaker.State())) }
 
-// doOp is the slow path of an op whose batch round trip failed. That
-// was its first attempt, on the node failed; the others run here one
-// at a time, as bursts of one: bounded retry with exponential backoff,
-// failing over to the next routable replica on every failure. An op
-// whose every attempt failed, or whose every replica is ejected, is a
-// miss.
-func (r *Router) doOp(b *burst, op server.Op, cands []*node, failed *node) bool {
-	ci := 0 // index of the node used by the previous attempt
-	for i, n := range cands {
-		if n == failed {
-			ci = i
-		}
-	}
-	backoff := r.cfg.RetryBackoff
-	g := &b.one
-	for a := 0; a < r.cfg.MaxRetries; a++ {
-		// Next routable candidate after the cursor; the node that just
-		// failed is retried only when it is the key's only replica.
-		next := -1
-		for off := min(1, len(cands)-1); off < len(cands); off++ {
-			if i := (ci + off) % len(cands); cands[i].breaker.Allow() {
-				next = i
-				break
-			}
-		}
-		if next == -1 {
-			r.met.unroutable.Inc()
-			return false
-		}
-		r.met.retries.Inc()
-		time.Sleep(backoff)
-		if backoff < time.Second {
-			backoff *= 2
-		}
-		if next != ci {
-			r.met.failovers.Inc()
-		}
-		ci = next
-		// Slow path, and the retry batch's slices are reused.
-		g.n, g.ops, g.res = cands[ci], append(g.ops[:0], op), append(g.res[:0], false)
-		r.send(g)
-		r.recv(g)
-		if g.answered == 1 {
-			return g.res[0]
-		}
-	}
-	return false
-}
-
 // ServeBatch implements server.BatchBackend: the burst of requests a
 // front connection had buffered is forwarded as one batch per node.
 // Each op goes to its key's owner — the first replica whose breaker
 // admits traffic — and the batches are written, flushed once each, and
 // read back in order, so the backend round trip is paid once per node
 // per burst and every node sees its requests in the order the client
-// sent them. Ops whose round trip failed re-enter doOp one by one.
-// Every request ravenrouter serves crosses this hop;
-// TestServingPathAllocFree holds it to 0 allocs/op.
+// sent them. The ops a failed round trip left unanswered are re-routed
+// in up to maxRetries further rounds of the same burst, each one batch
+// per node after one backoff (retryBackoff, doubling, at most a
+// second); an op whose every round failed is a miss. Every request
+// ravenrouter serves crosses this hop; TestServingPathAllocFree holds
+// it to 0 allocs/op.
 func (r *Router) ServeBatch(ops []server.Op, res []bool) {
 	var b *burst
 	select {
@@ -484,7 +462,7 @@ func (r *Router) ServeBatch(ops []server.Op, res []bool) {
 			gets++
 			getBytes += op.Size
 		}
-		if !b.route(i, op) {
+		if b.route(i, op, 0, b.fan) < 0 {
 			r.met.unroutable.Inc()
 		}
 	}
@@ -492,15 +470,13 @@ func (r *Router) ServeBatch(ops []server.Op, res []bool) {
 	r.reqBytes.Add(getBytes)
 	r.sets.Add(int64(len(ops)) - gets)
 	r.roundTrips(b)
-	for j := range b.batches {
-		g := &b.batches[j]
-		for k, i := range g.at {
-			if k < g.answered {
-				res[i] = g.res[k]
-			} else {
-				res[i] = r.doOp(b, g.ops[k], b.cands[i*b.fan:(i+1)*b.fan], g.n)
-			}
+	for round := 0; ; round++ {
+		b.settle(res)
+		if round == maxRetries || !r.reroute(b, ops) {
+			break
 		}
+		time.Sleep(min(retryBackoff<<round, time.Second))
+		r.roundTrips(b)
 	}
 	for i, op := range ops {
 		if res[i] && !op.Set {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"raven/internal/cache"
 	"raven/internal/policy"
 	"raven/internal/server"
 	"raven/internal/trace"
@@ -24,7 +25,7 @@ func startBackends(t testing.TB, n int, capacity int64, mods ...func(i int, c *s
 		for _, m := range mods {
 			m(i, &cfg)
 		}
-		cfg.Policy = policy.MustNew("lru", policy.Options{Capacity: cfg.Capacity})
+		cfg.NewPolicy = cache.SingleFactory(policy.MustNew("lru", policy.Options{Capacity: cfg.Capacity}))
 		srv, err := server.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -36,18 +37,15 @@ func startBackends(t testing.TB, n int, capacity int64, mods ...func(i int, c *s
 }
 
 // newTestRouter builds a router with fast, deterministic settings: no
-// background prober (tests call ProbePass) and tight timeouts.
+// background prober (tests call ProbePass) and a short half-open
+// cool-down.
 func newTestRouter(t testing.TB, addrs []string, mods ...func(*Config)) *Router {
 	t.Helper()
 	cfg := Config{
 		Nodes:          addrs,
 		Seed:           42,
-		VNodes:         64,
 		RequestTimeout: 2 * time.Second,
-		MaxRetries:     2,
-		RetryBackoff:   time.Millisecond,
 		ProbeInterval:  -1,
-		FailLimit:      2,
 		HalfOpenAfter:  5 * time.Millisecond,
 	}
 	for _, m := range mods {
@@ -63,9 +61,9 @@ func newTestRouter(t testing.TB, addrs []string, mods ...func(*Config)) *Router 
 
 // shadowRing rebuilds the router's ring independently — the test's own
 // view of who owns what, and a cross-build determinism check.
-func shadowRing(t *testing.T, seed int64, vnodes int, addrs []string) *Ring {
+func shadowRing(t *testing.T, seed int64, addrs []string) *Ring {
 	t.Helper()
-	r := NewRing(seed, vnodes)
+	r := NewRing(seed, defaultVNodes)
 	for _, a := range addrs {
 		if err := r.Add(a); err != nil {
 			t.Fatal(err)
@@ -80,7 +78,7 @@ func shadowRing(t *testing.T, seed int64, vnodes int, addrs []string) *Ring {
 func TestRouterRoutesDeterministically(t *testing.T) {
 	addrs, srvs := startBackends(t, 3, 1<<20)
 	r := newTestRouter(t, addrs)
-	shadow := shadowRing(t, 42, 64, addrs)
+	shadow := shadowRing(t, 42, addrs)
 	if r.Fingerprint() != shadow.Fingerprint() {
 		t.Fatalf("router ring fingerprint %x != shadow %x", r.Fingerprint(), shadow.Fingerprint())
 	}
@@ -133,7 +131,7 @@ func TestRouterFailoverAndRecovery(t *testing.T) {
 			return nil
 		}}
 	})
-	shadow := shadowRing(t, 42, 64, addrs)
+	shadow := shadowRing(t, 42, addrs)
 
 	// Keys owned by addrs-th member "v": pick the owner of key 1.
 	v := shadow.Members()[shadow.Lookup(1)]
@@ -222,7 +220,6 @@ func TestRouterAllNodesDown(t *testing.T) {
 	addrs, _ := startBackends(t, 2, 1<<20)
 	r := newTestRouter(t, addrs, func(c *Config) {
 		c.Faults = &Faults{Dial: func(string) error { return errors.New("injected dial failure") }}
-		c.PoolSize = 1
 	})
 	for k := trace.Key(0); k < 20; k++ {
 		if r.Get(k, 10, int64(k+1)) {

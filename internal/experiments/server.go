@@ -21,7 +21,7 @@ const serverDelayScale = 100
 func (r *Runner) serverRun(p cache.Policy, tr *trace.Trace, capacity int64) (*server.ReplayResult, error) {
 	srv, err := server.New(server.Config{
 		Capacity:    capacity,
-		Policy:      p,
+		NewPolicy:   cache.SingleFactory(p),
 		CacheDelay:  10 * time.Millisecond / serverDelayScale,
 		OriginDelay: 100 * time.Millisecond / serverDelayScale,
 	})

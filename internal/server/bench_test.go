@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"raven/internal/cache"
 	"raven/internal/policy"
 	"raven/internal/trace"
 )
@@ -26,7 +27,7 @@ func BenchmarkServing(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/depth=%d", bc.proto, bc.depth), func(b *testing.B) {
 			cfg := Config{
 				Capacity:     1 << 20,
-				Policy:       policy.MustNew("lru", policy.Options{Capacity: 1 << 20}),
+				NewPolicy:    cache.SingleFactory(policy.MustNew("lru", policy.Options{Capacity: 1 << 20})),
 				DrainTimeout: 0,
 			}
 			srv, err := New(cfg)

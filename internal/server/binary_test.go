@@ -239,7 +239,7 @@ func TestBinaryFrameSplitAcrossReads(t *testing.T) {
 func FuzzBinaryFrames(f *testing.F) {
 	cfg := Config{
 		Capacity:     1 << 20,
-		Policy:       policy.MustNew("lru", policy.Options{Capacity: 1 << 20}),
+		NewPolicy:    cache.SingleFactory(policy.MustNew("lru", policy.Options{Capacity: 1 << 20})),
 		DrainTimeout: time.Second,
 		IdleTimeout:  200 * time.Millisecond,
 	}

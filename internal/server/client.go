@@ -276,7 +276,7 @@ func (c *Client) Get(key trace.Key, size int64, ts int64) (bool, error) {
 
 // Set stores one object on the server (SET command) and reports
 // whether it was stored. The round trip runs under the client's
-// Timeout; it does not retry (see setRetry).
+// Timeout; it does not retry.
 func (c *Client) Set(key trace.Key, size int64, ts int64) (bool, error) {
 	return c.roundTrip(Op{Set: true, Key: key, Size: size, Time: ts})
 }
@@ -297,11 +297,6 @@ func (c *Client) roundTrip(op Op) (bool, error) {
 // backoff gives the server room to drain before the retry.
 func (c *Client) getRetry(key trace.Key, size int64, ts int64) (bool, error) {
 	return c.withRetry(func() (bool, error) { return c.Get(key, size, ts) })
-}
-
-// setRetry is Set with the same reconnect-and-backoff recovery.
-func (c *Client) setRetry(key trace.Key, size int64, ts int64) (bool, error) {
-	return c.withRetry(func() (bool, error) { return c.Set(key, size, ts) })
 }
 
 // withRetry runs one request, reconnecting with exponential backoff

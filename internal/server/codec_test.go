@@ -150,7 +150,7 @@ func TestProtocolEquivalence(t *testing.T) {
 				const capacity = 400 // ~30 of the 96 keys
 				srv, err := New(Config{
 					Capacity:     capacity,
-					Policy:       policy.MustNew(pol, policy.Options{Capacity: capacity, Seed: 5}),
+					NewPolicy:    cache.SingleFactory(policy.MustNew(pol, policy.Options{Capacity: capacity, Seed: 5})),
 					DrainTimeout: time.Second,
 				})
 				if err != nil {
@@ -227,7 +227,7 @@ func TestProtocolEquivalence(t *testing.T) {
 func FuzzTextLines(f *testing.F) {
 	srv, err := New(Config{
 		Capacity:     1 << 20,
-		Policy:       policy.MustNew("lru", policy.Options{Capacity: 1 << 20}),
+		NewPolicy:    cache.SingleFactory(policy.MustNew("lru", policy.Options{Capacity: 1 << 20})),
 		DrainTimeout: time.Second,
 		IdleTimeout:  2 * time.Second,
 	})

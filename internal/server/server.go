@@ -95,25 +95,20 @@ type Config struct {
 	Addr string
 	// Capacity of the cache in bytes (the total across all shards).
 	Capacity int64
-	// Policy drives evictions in the default single-shard setup. The
-	// shard lock serializes access to it. Mutually exclusive with
-	// NewPolicy; invalid when Shards > 1 (one instance cannot serve
-	// two lock domains).
-	Policy cache.Policy
 	// Shards is the number of cache shards (rounded up to a power of
 	// two; 0 = 1, negative is an error). Requests for different shards
 	// proceed in parallel.
 	Shards int
 	// NewPolicy builds one independent policy instance per shard; use
-	// policy.Factory.PerShard to derive it from a registered policy.
-	// Required when Shards > 1.
+	// policy.Factory.PerShard to derive it from a registered policy, or
+	// cache.SingleFactory to serve one pre-built instance on one shard.
 	NewPolicy cache.ShardFactory
 
 	// Backend, when non-nil, replaces the in-process sharded cache
 	// entirely: every GET/SET is delegated to it (the cluster router
 	// serves its fleet through this seam while reusing the whole
 	// hardened serving loop — deadlines, shedding, pipelining, the
-	// zero-alloc parse path). Mutually exclusive with Policy/NewPolicy;
+	// zero-alloc parse path). Mutually exclusive with NewPolicy;
 	// Capacity and Shards are ignored.
 	Backend Backend
 
@@ -294,15 +289,12 @@ func New(cfg Config) (*Server, error) {
 	var engine *cache.Sharded
 	backend := cfg.Backend
 	if backend != nil {
-		if cfg.Policy != nil || cfg.NewPolicy != nil {
-			return nil, errors.New("server: Backend and Policy/NewPolicy are mutually exclusive")
+		if cfg.NewPolicy != nil {
+			return nil, errors.New("server: Backend and NewPolicy are mutually exclusive")
 		}
 	} else {
-		if cfg.Policy == nil && cfg.NewPolicy == nil {
-			return nil, errors.New("server: need a Policy, a NewPolicy shard factory, or a Backend")
-		}
-		if cfg.Policy != nil && cfg.NewPolicy != nil {
-			return nil, errors.New("server: Policy and NewPolicy are mutually exclusive")
+		if cfg.NewPolicy == nil {
+			return nil, errors.New("server: need a NewPolicy shard factory or a Backend")
 		}
 		if cfg.Capacity <= 0 {
 			return nil, errors.New("server: capacity must be positive")
@@ -311,15 +303,8 @@ func New(cfg Config) (*Server, error) {
 		if shards == 0 {
 			shards = 1
 		}
-		factory := cfg.NewPolicy
-		if factory == nil {
-			if shards > 1 {
-				return nil, errors.New("server: Shards > 1 requires NewPolicy (one Policy instance cannot serve several shard locks)")
-			}
-			factory = cache.SingleFactory(cfg.Policy)
-		}
 		var err error
-		engine, err = cache.NewSharded(cfg.Capacity, shards, factory)
+		engine, err = cache.NewSharded(cfg.Capacity, shards, cfg.NewPolicy)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}

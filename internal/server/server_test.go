@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"raven/internal/cache"
 	"raven/internal/policy"
 	"raven/internal/trace"
 )
@@ -16,7 +17,7 @@ func newTestServer(t *testing.T, capacity int64, mods ...func(*Config)) *Server 
 	t.Helper()
 	cfg := Config{
 		Capacity:     capacity,
-		Policy:       policy.MustNew("lru", policy.Options{Capacity: capacity}),
+		NewPolicy:    cache.SingleFactory(policy.MustNew("lru", policy.Options{Capacity: capacity})),
 		DrainTimeout: time.Second,
 	}
 	for _, m := range mods {
@@ -96,7 +97,7 @@ func TestServerConfigValidation(t *testing.T) {
 	if _, err := New(Config{Capacity: 10}); err == nil {
 		t.Error("nil policy should fail")
 	}
-	if _, err := New(Config{Policy: policy.MustNew("lru", policy.Options{})}); err == nil {
+	if _, err := New(Config{NewPolicy: cache.SingleFactory(policy.MustNew("lru", policy.Options{}))}); err == nil {
 		t.Error("zero capacity should fail")
 	}
 }

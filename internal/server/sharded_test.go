@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"raven/internal/cache"
 	"raven/internal/policy"
 	"raven/internal/stats"
 	"raven/internal/trace"
@@ -35,21 +36,14 @@ func newShardedTestServer(t *testing.T, capacity int64, n int) *Server {
 func TestShardedConfigValidation(t *testing.T) {
 	f, _ := policy.Lookup("lru")
 	opts := policy.Options{Capacity: 1024}
-	// Shards > 1 with a single pre-built Policy must be refused: one
+	// Shards > 1 with a single pre-built policy must be refused: one
 	// instance cannot live under several shard locks.
 	if _, err := New(Config{
-		Capacity: 1024,
-		Shards:   4,
-		Policy:   policy.MustNew("lru", opts),
-	}); err == nil {
-		t.Error("Shards>1 with a single Policy instance should fail")
-	}
-	if _, err := New(Config{
 		Capacity:  1024,
-		Policy:    policy.MustNew("lru", opts),
-		NewPolicy: f.PerShard(opts, 2),
+		Shards:    4,
+		NewPolicy: cache.SingleFactory(policy.MustNew("lru", opts)),
 	}); err == nil {
-		t.Error("Policy and NewPolicy together should fail")
+		t.Error("Shards>1 with a single policy instance should fail")
 	}
 	if _, err := New(Config{Capacity: 1024, Shards: -3, NewPolicy: f.PerShard(opts, 1)}); err == nil {
 		t.Error("negative Shards should fail, not be served as 1 shard")
@@ -132,7 +126,7 @@ func TestShardedStress(t *testing.T) {
 				size := int64(8 + int(key)%64)
 				ts := int64(c*reqsPerConn + i + 1)
 				if g.Float64() < 0.3 {
-					stored, err := cl.setRetry(key, size, ts)
+					stored, err := cl.withRetry(func() (bool, error) { return cl.Set(key, size, ts) })
 					if err != nil {
 						errOnce.Do(func() { firstErr.Store(err) })
 						return

@@ -15,9 +15,11 @@
 #   race         go test -race on the concurrent packages, plus the
 #                dedicated sharded-engine stress run (100 clients of
 #                mixed GET/SET against an 8-shard server, reconciling
-#                METRICS totals) and the multi-process cluster chaos
+#                METRICS totals), the multi-process cluster chaos
 #                test (SIGKILL + restart of a ravencached node
-#                mid-replay behind the router)
+#                mid-replay behind the router) and the router's retry
+#                round (a failed node's share of a burst retried as one
+#                batch per successor node)
 #   lint         ravenlint, one invocation: the eleven repo-specific
 #                determinism / concurrency / hygiene contracts nothing
 #                else checks, among them the interprocedural lock-cycle
@@ -124,9 +126,11 @@ stage_race() {
     run_named 'TestShardedConcurrent' -race ./internal/cache/
     # The multi-process chaos test runs again explicitly under a hard
     # timeout: 3 ravencached processes, SIGKILL + restart mid-replay,
-    # bounded hit-ratio error and METRICS reconciliation.
-    echo "==> cluster chaos churn (3-node fleet, SIGKILL + restart mid-replay)"
-    run_named 'TestChaosNodeChurn' -race -timeout 300s ./internal/cluster/
+    # bounded hit-ratio error and METRICS reconciliation. Beside it, the
+    # retry round: what a failed round trip left unanswered goes out as
+    # one batch per successor node, not op by op.
+    echo "==> cluster chaos churn (3-node fleet, SIGKILL + restart mid-replay) and the burst retry round"
+    run_named 'TestChaosNodeChurn|TestBurstRetryIsOneRound' -race -timeout 300s ./internal/cluster/
 }
 
 stage_lint() {
