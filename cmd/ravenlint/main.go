@@ -19,8 +19,7 @@
 //
 // Flags:
 //
-//	-rules            list rule IDs and one-line docs, then exit
-//	-explain <rule>   print a rule's full documentation, then exit
+//	-rules   list rule IDs and one-line docs, then exit
 //
 // Individual sites are suppressed with a pragma on the same line or
 // the line directly above, which must name the rule and a reason:
@@ -42,7 +41,6 @@ import (
 
 func main() {
 	listRules := flag.Bool("rules", false, "list rule IDs and their documentation, then exit")
-	explain := flag.String("explain", "", "print the full documentation of one rule, then exit")
 	flag.Parse()
 
 	rules := lint.DefaultRules()
@@ -51,20 +49,6 @@ func main() {
 			fmt.Printf("%-18s %s\n", r.ID, r.Doc)
 		}
 		return
-	}
-	if *explain != "" {
-		for _, r := range rules {
-			if r.ID != *explain {
-				continue
-			}
-			fmt.Printf("%s — %s\n", r.ID, r.Doc)
-			if r.Explain != "" {
-				fmt.Printf("\n%s\n", r.Explain)
-			}
-			return
-		}
-		fmt.Fprintf(os.Stderr, "ravenlint: unknown rule %q (see -rules for the list)\n", *explain)
-		os.Exit(2)
 	}
 
 	cwd, err := os.Getwd()

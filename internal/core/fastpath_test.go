@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -107,6 +109,35 @@ func TestScoreCacheAllDirtyMatchesUncached(t *testing.T) {
 	}
 }
 
+// TestScoreStampsBitExact: a stamped score is state that later
+// decisions read, so a nondeterministic input that nudges a stamp must
+// show even where it flips no eviction. Two identical decision
+// sequences must leave every resident's stamp bit-identical.
+func TestScoreStampsBitExact(t *testing.T) {
+	stamps := func() []uint64 {
+		h := newFastHarness(nil)
+		for round := 0; round < 40; round++ {
+			h.touchOne(round % len(h.resident))
+			h.evictAdmit(t)
+		}
+		var out []uint64
+		for _, k := range h.resident {
+			rc := h.r.tab.recs.At(h.r.tab.find(k))
+			if sd := h.r.tab.sides.At(rc.res); sd.scoreVer >= 0 {
+				out = append(out, math.Float64bits(sd.score))
+			}
+		}
+		return out
+	}
+	a, b := stamps(), stamps()
+	if len(a) == 0 {
+		t.Fatal("no resident carries a stamped score")
+	}
+	if !slices.Equal(a, b) {
+		t.Errorf("two identical runs stamped different scores:\n run1: %x\n run2: %x", a, b)
+	}
+}
+
 // TestScoreCacheMetricsReconcile checks the accounting contract under
 // both estimators: over any run, score_cache_hits + score_rescores
 // equals the total number of candidates Victim considered. The joint
@@ -202,6 +233,9 @@ func TestSLOOverrunDegradesAndRecovers(t *testing.T) {
 			}
 			if got := ro.SLOOverruns.Load(); got != sloTripsBeforeDegrade {
 				t.Fatalf("raven.slo_overruns = %d, want %d", got, sloTripsBeforeDegrade)
+			}
+			if got := ro.FallbackEvictions.Load(); got != sloTripsBeforeDegrade {
+				t.Fatalf("raven.fallback_evictions = %d, want %d: every overrun is served from LRU", got, sloTripsBeforeDegrade)
 			}
 			if h.r.Health() != Degraded {
 				t.Fatalf("health after %d consecutive overruns = %v, want Degraded", sloTripsBeforeDegrade, h.r.Health())

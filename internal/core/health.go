@@ -64,6 +64,9 @@ const (
 	// sloTripsBeforeDegrade is how many consecutive DecisionBudget
 	// overruns count as one guard trip.
 	sloTripsBeforeDegrade = 4
+	// healthLogCap bounds HealthLog over unbounded uptime: the oldest
+	// transition is dropped once it holds this many.
+	healthLogCap = 64
 )
 
 // setTrips moves the trip counter, and with it the state machine,
@@ -74,6 +77,9 @@ func (r *Raven) setTrips(trips int, reason string) {
 	to := r.Health()
 	if from == to {
 		return
+	}
+	if len(r.HealthLog) == healthLogCap {
+		r.HealthLog = append(r.HealthLog[:0], r.HealthLog[1:]...)
 	}
 	r.HealthLog = append(r.HealthLog, HealthTransition{At: r.now, From: from, To: to, Reason: reason})
 	if r.obs != nil {

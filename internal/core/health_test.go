@@ -65,6 +65,29 @@ func TestHealthStateMachine(t *testing.T) {
 	}
 }
 
+// TestHealthLogBounded: HealthLog keeps the last healthLogCap
+// transitions, newest last, while raven.health_transitions counts all.
+func TestHealthLogBounded(t *testing.T) {
+	ro := &obs.RavenObs{}
+	r := New(Config{TrainWindow: 1, Seed: 1, Obs: ro})
+	const cycles = 1000
+	for i := 0; i < cycles; i++ {
+		r.now = int64(i)
+		r.guardTripped("diverged")
+		r.trainSucceeded()
+	}
+	if len(r.HealthLog) != healthLogCap {
+		t.Fatalf("HealthLog holds %d transitions after %d cycles, want %d", len(r.HealthLog), cycles, healthLogCap)
+	}
+	last := r.HealthLog[healthLogCap-1]
+	if last.At != cycles-1 || last.From != Degraded || last.To != Healthy {
+		t.Errorf("newest transition %+v, want the last cycle's Degraded->Healthy at %d", last, cycles-1)
+	}
+	if got := ro.HealthTransitions.Load(); got != 2*cycles {
+		t.Errorf("raven.health_transitions = %d, want %d", got, 2*cycles)
+	}
+}
+
 // TestHealthGaugeShowsWorstShard: the shards of one engine share a
 // RavenObs, so raven.health must report the worst shard, not whichever
 // shard moved last.

@@ -75,7 +75,8 @@ type Raven struct {
 	// overhead discussion of §6.1.1).
 	TrainStats []TrainRecord
 
-	// HealthLog records every health transition, oldest first.
+	// HealthLog holds the last healthLogCap health transitions, oldest
+	// first; raven.health_transitions counts every one.
 	HealthLog []HealthTransition
 
 	// CkptResume reports what checkpoint resume found at
@@ -476,8 +477,6 @@ func (r *Raven) OnEvict(key cache.Key) {
 //  4. scores the candidates: the joint win count of Eq. 1c, or each
 //     object's stamped next-arrival time;
 //  5. evicts the goal-weighted argmax.
-//
-//lint:allow determinism-taint the DecisionBudget deadline is the SLO feature itself; the clock can only influence the decision when Config.DecisionBudget > 0, which deterministic-replay configurations leave at 0
 func (r *Raven) Victim() (cache.Key, bool) {
 	t := r.tab
 	if len(t.dense) == 0 {
@@ -568,11 +567,13 @@ func (r *Raven) embedding(rc *rec) []float64 {
 	return emb
 }
 
-// fallbackVictim evicts the LRU-list tail, counting the eviction when
-// it happened because of degraded health (rather than the normal
-// before-first-model warmup).
+// fallbackVictim evicts the LRU-list tail, counting the eviction once a
+// model exists: a Fallback state, an insane mixture and a
+// DecisionBudget overrun each serve the decision the model was meant to
+// make. Evictions before the first model are the normal warmup and stay
+// uncounted.
 func (r *Raven) fallbackVictim() cache.Key {
-	if r.Health() == Fallback && r.obs != nil {
+	if r.net != nil && r.obs != nil {
 		r.obs.FallbackEvictions.Inc()
 	}
 	t := r.tab

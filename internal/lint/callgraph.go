@@ -9,11 +9,10 @@ import (
 )
 
 // This file builds ravenlint's interprocedural layer: a module-wide,
-// type-resolved call graph with per-function lock sites and taint
-// summaries. The intra-procedural rules see one function at a time;
-// the call graph lets rules reason about properties of whole call
-// chains — "no path re-acquires a held shard lock", "no clock value
-// flows into a decision" (DESIGN.md "Correctness tooling").
+// type-resolved call graph with per-function lock sites. The
+// intra-procedural rules see one function at a time; the call graph
+// lets lock-cycle reason about whole call chains — "no path
+// re-acquires a held shard lock" (DESIGN.md "Correctness tooling").
 //
 // Resolution, in decreasing order of precision:
 //
@@ -28,8 +27,7 @@ import (
 //     `trainTask := func(w, i int) {…}; st.pool.ParallelFor(bl, trainTask)`
 //     link ParallelFor to that literal.
 //
-// Out-of-module (stdlib) callees have no bodies here and get no edge;
-// the taint walker models the value flow through them (taint.go).
+// Out-of-module (stdlib) callees have no bodies here and get no edge.
 // In-module assembly functions are nodes without a body: leaves.
 
 // LockSite is one lock acquisition inside a function, together with
@@ -51,37 +49,6 @@ type Edge struct {
 	Kind string // "static", "interface", "funcval", "literal"
 }
 
-// taint masks for the determinism-taint rule.
-type taintMask uint8
-
-const (
-	taintClock taintMask = 1 << iota
-	taintRand
-	taintMapOrder
-)
-
-func (m taintMask) describe() string {
-	var parts []string
-	if m&taintClock != 0 {
-		parts = append(parts, "the wall clock")
-	}
-	if m&taintRand != 0 {
-		parts = append(parts, "global math/rand")
-	}
-	if m&taintMapOrder != 0 {
-		parts = append(parts, "map iteration order")
-	}
-	return strings.Join(parts, " and ")
-}
-
-// taintOrigin remembers one representative source for a taint bit so
-// findings can point at the line that introduced the nondeterminism.
-type taintOrigin struct {
-	pkg *Package
-	pos token.Pos
-	via string
-}
-
 // FuncNode is one function (declared function, method, or function
 // literal) of the module under analysis.
 type FuncNode struct {
@@ -93,12 +60,6 @@ type FuncNode struct {
 
 	Locks []LockSite
 	Calls []Edge
-
-	// Determinism-taint summary: the taint carried by the function's
-	// return values, with one representative origin per taint bit.
-	retTaint taintMask
-	origins  [3]taintOrigin
-	index    int
 }
 
 // body returns the function's body, nil for an assembly declaration.
@@ -107,31 +68,6 @@ func (n *FuncNode) body() *ast.BlockStmt {
 		return n.Decl.Body
 	}
 	return n.Lit.Body
-}
-
-// origin returns the representative origin for one taint bit.
-func (n *FuncNode) origin(bit taintMask) taintOrigin {
-	switch bit {
-	case taintClock:
-		return n.origins[0]
-	case taintRand:
-		return n.origins[1]
-	default:
-		return n.origins[2]
-	}
-}
-
-func (n *FuncNode) setOrigin(bit taintMask, o taintOrigin) {
-	idx := 2
-	switch bit {
-	case taintClock:
-		idx = 0
-	case taintRand:
-		idx = 1
-	}
-	if n.origins[idx].pkg == nil {
-		n.origins[idx] = o
-	}
 }
 
 // Graph is the module call graph plus the indexes rules need.
@@ -171,7 +107,6 @@ func BuildGraph(pkgs []*Package) *Graph {
 	g.collectNamedTypes()
 	g.collectFuncTargets()
 	g.collectEdgesAndLocks()
-	g.computeTaintSummaries()
 	return g
 }
 
@@ -207,9 +142,7 @@ func nodeName(p *Package, decl *ast.FuncDecl) string {
 
 // collectNodes creates one node per function declaration and function
 // literal, in deterministic source order. A declaration without a body
-// (its code is assembly) is a pure leaf: no calls and no locks. Having
-// no body to summarize, it is tainted like a stdlib call: its result
-// carries its arguments' taint (taint.go).
+// (its code is assembly) is a pure leaf: no calls and no locks.
 func (g *Graph) collectNodes() {
 	for _, p := range g.Pkgs {
 		for _, f := range p.Files {
@@ -218,12 +151,7 @@ func (g *Graph) collectNodes() {
 				if !ok {
 					continue
 				}
-				n := &FuncNode{
-					Name:  nodeName(p, decl),
-					Pkg:   p,
-					Decl:  decl,
-					index: len(g.Nodes),
-				}
+				n := &FuncNode{Name: nodeName(p, decl), Pkg: p, Decl: decl}
 				if obj, ok := p.Info.Defs[decl.Name].(*types.Func); ok {
 					n.Obj = obj
 					g.byObj[obj] = n
@@ -238,12 +166,7 @@ func (g *Graph) collectNodes() {
 				ast.Inspect(decl.Body, func(m ast.Node) bool {
 					if lit, ok := m.(*ast.FuncLit); ok {
 						ord++
-						ln := &FuncNode{
-							Name:  fmt.Sprintf("%s$%d", n.Name, ord),
-							Pkg:   p,
-							Lit:   lit,
-							index: len(g.Nodes),
-						}
+						ln := &FuncNode{Name: fmt.Sprintf("%s$%d", n.Name, ord), Pkg: p, Lit: lit}
 						g.Nodes = append(g.Nodes, ln)
 						g.byLit[lit] = ln
 					}

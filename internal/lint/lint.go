@@ -39,13 +39,10 @@ func (f Finding) String() string {
 
 // Rule is one named invariant check. Intra-procedural rules implement
 // Check and run once per package; interprocedural rules implement
-// CheckGraph and run once over the module call graph. Explain holds
-// the long-form documentation served by `ravenlint -explain <id>`
-// (falls back to Doc when empty).
+// CheckGraph and run once over the module call graph.
 type Rule struct {
 	ID         string
 	Doc        string
-	Explain    string
 	Check      func(p *Package) []Finding
 	CheckGraph func(g *Graph) []Finding
 }
@@ -63,7 +60,6 @@ func DefaultRules() []Rule {
 		ruleCkptAtomicWrite(),
 		ruleShardLocalState(),
 		ruleLockCycle(),
-		ruleDeterminismTaint(),
 	}
 }
 

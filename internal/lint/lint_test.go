@@ -604,12 +604,12 @@ func f(n int) int {
 }
 
 // TestRuleIDCount pins the rule set, not just its size: each of the
-// eleven guards a contract nothing else in the repository checks
+// ten guards a contract nothing else in the repository checks
 // (DESIGN.md "Correctness tooling"), so none may vanish, or arrive,
 // unnoticed.
 func TestRuleIDCount(t *testing.T) {
 	want := []string{
-		"ckpt-atomic-write", "deadline-on-conn", "determinism-taint", "float-equal",
+		"ckpt-atomic-write", "deadline-on-conn", "float-equal",
 		"goroutine-outside-pool", "lock-cycle", "map-iter-order", "rand-global",
 		"shard-local-state", "unchecked-error", "wall-clock",
 	}

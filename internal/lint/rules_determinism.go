@@ -83,8 +83,8 @@ var wallClockAllowed = []string{
 	"internal/cluster",
 }
 
-// clockFuncs are the time package's wall-clock reads, shared by the
-// wall-clock rule and the determinism-taint walker.
+// clockFuncs are the time package's wall-clock reads the wall-clock
+// rule flags.
 var clockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
 // ruleWallClock flags time.Now/Since/Until in simulation/policy

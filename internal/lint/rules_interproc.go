@@ -1,40 +1,37 @@
 package lint
 
-import (
-	"fmt"
-	"go/types"
-	"strings"
-)
+import "strings"
 
 // The interprocedural rules: checks over the module call graph rather
 // than over single functions. They run once per Graph (built from the
 // whole selected package set) instead of once per package.
 
+// ruleLockCycle catches self-deadlock. sync.Mutex and sync.RWMutex are
+// not reentrant: a goroutine that re-acquires a lock it already holds
+// deadlocks itself. The sharded cache engine makes this easy to do by
+// accident — eviction observers run UNDER the shard lock, so an
+// observer that calls back into any Sharded method (Keys,
+// StatsSnapshot, Handle, ...) re-locks the same shard mutex.
+// SetEvictionObserver's documentation warns about exactly this;
+// lock-cycle machine-checks it.
+//
+// For every lock acquisition the rule computes the held region (from
+// the Lock call to its matching Unlock, or to the end of the function
+// when the Unlock is deferred) and searches the call graph — through
+// interface dispatch and stored function values, so observer callbacks
+// are followed — for a path from any call inside that region to a
+// function that acquires a lock of the same class. A lock's class is
+// its field identity ("pkgpath.Owner.field", e.g.
+// raven/internal/cache.shard.mu) or package-level variable; locks held
+// in locals or parameters are skipped because their aliasing cannot be
+// resolved statically. RLock->RLock paths are not reported (read locks
+// are shared); Lock->Lock, Lock->RLock, and RLock->Lock all are, since
+// each blocks against a holder. The finding points at the call site
+// inside the held region and names the path to the re-acquisition.
 func ruleLockCycle() Rule {
 	return Rule{
-		ID:  "lock-cycle",
-		Doc: "no call path may re-acquire a mutex that is already held (self-deadlock)",
-		Explain: `sync.Mutex and sync.RWMutex are not reentrant: a goroutine that
-re-acquires a lock it already holds deadlocks itself. The sharded cache
-engine makes this easy to do by accident — eviction observers run
-UNDER the shard lock, so an observer that calls back into any Sharded
-method (Keys, StatsSnapshot, Handle, ...) re-locks the same shard
-mutex. SetEvictionObserver's documentation warns about exactly
-this; lock-cycle machine-checks it.
-
-For every lock acquisition the rule computes the held region (from the
-Lock call to its matching Unlock, or to the end of the function when
-the Unlock is deferred) and searches the call graph — through
-interface dispatch and stored function values, so observer callbacks
-are followed — for a path from any call inside that region to a
-function that acquires a lock of the same class. A lock's class is its
-field identity ("pkgpath.Owner.field", e.g. raven/internal/cache.shard.mu)
-or package-level variable; locks held in locals or parameters are
-skipped because their aliasing cannot be resolved statically.
-RLock->RLock paths are not reported (read locks are shared);
-Lock->Lock, Lock->RLock, and RLock->Lock all are, since each blocks
-against a holder. The finding points at the call site inside the held
-region and names the path to the re-acquisition.`,
+		ID:         "lock-cycle",
+		Doc:        "no call path may re-acquire a mutex that is already held (self-deadlock)",
 		CheckGraph: checkLockCycle,
 	}
 }
@@ -116,92 +113,4 @@ func (g *Graph) lockPath(start *FuncNode, cls string, heldRLock bool) []string {
 		}
 	}
 	return nil
-}
-
-func ruleDeterminismTaint() Rule {
-	return Rule{
-		ID:  "determinism-taint",
-		Doc: "wall clock, global rand, and map-iteration order may not flow into policy decision values",
-		Explain: `Replayed traces must produce bit-identical cache decisions (DESIGN.md
-"Parallel execution & determinism"); the per-line rand-global,
-wall-clock, and map-iter-order rules catch direct uses, but a
-timestamp can launder through three helper calls before it reaches a
-priority score. determinism-taint tracks the three nondeterminism
-sources interprocedurally: per-function return-taint summaries are
-iterated over the call graph to a fixpoint, with flow-insensitive
-propagation through local variables, control-dependence taint
-(a value assigned under a clock-tainted branch is clock-tainted), and
-value flow through stdlib calls and conversions.
-
-Decision sinks are the policy decision functions, identified by shape:
-methods named Victim returning (candidate, bool) and methods named
-Admit returning a single named struct type (the typed admission seam,
-cache.Decision). A finding means a nondeterministic source
-can reach the decision's return value; it names the source site. Two
-deliberate exclusions keep instrumentation clean: arguments do not
-flow through in-module calls (so passing a latency sample into a
-metrics sink does not taint the caller — the sim's timedPolicy wrapper
-measures Victim latency without tainting the decision), and methods on
-seeded *rand.Rand generators are not sources (seeded RNGs are the
-repo's sanctioned randomness; only package-level math/rand functions
-taint).`,
-		CheckGraph: checkDeterminismTaint,
-	}
-}
-
-// decisionSink reports whether n is a policy decision function by
-// shape: Victim() (T, bool) methods and Admit(...) Decision methods
-// (the typed admission seam — a single named-struct result).
-func decisionSink(n *FuncNode) bool {
-	if n.Decl == nil || n.Obj == nil || n.Decl.Recv == nil {
-		return false
-	}
-	sig, ok := n.Obj.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	res := sig.Results()
-	isBool := func(t types.Type) bool {
-		b, ok := t.Underlying().(*types.Basic)
-		return ok && b.Kind() == types.Bool
-	}
-	switch n.Obj.Name() {
-	case "Victim":
-		return res.Len() == 2 && isBool(res.At(1).Type())
-	case "Admit":
-		if res.Len() != 1 {
-			return false
-		}
-		named, ok := res.At(0).Type().(*types.Named)
-		if !ok {
-			return false
-		}
-		_, isStruct := named.Underlying().(*types.Struct)
-		return isStruct && named.Obj().Name() == "Decision"
-	}
-	return false
-}
-
-func checkDeterminismTaint(g *Graph) []Finding {
-	var out []Finding
-	for _, n := range g.Nodes {
-		if !decisionSink(n) || n.retTaint == 0 {
-			continue
-		}
-		for _, bit := range []taintMask{taintClock, taintRand, taintMapOrder} {
-			if n.retTaint&bit == 0 {
-				continue
-			}
-			o := n.origin(bit)
-			src := "an unresolved source"
-			if o.pkg != nil {
-				pos := o.pkg.relPosition(o.pos)
-				src = fmt.Sprintf("%s at %s:%d", o.via, pos.Filename, pos.Line)
-			}
-			out = append(out, n.Pkg.finding("determinism-taint", n.Decl.Pos(),
-				"decision value returned by %s is influenced by %s (source: %s)",
-				n.Name, bit.describe(), src))
-		}
-	}
-	return out
 }

@@ -14,8 +14,10 @@ type RavenObs struct {
 	// GuardTrips counts individual guard trips, including those that
 	// did not change the health state.
 	GuardTrips Counter
-	// FallbackEvictions counts evictions decided by the LRU fallback
-	// while the policy was in the Fallback health state.
+	// FallbackEvictions counts evictions served from the LRU list once a
+	// model exists, whatever the cause: the Fallback health state, an
+	// insane mixture, or a DecisionBudget overrun. LRU evictions before
+	// the first model are not counted.
 	FallbackEvictions Counter
 	// TrainEpochs and TrainSequences sum nn.TrainResult.Epochs and
 	// .Sequences over every fit that ran, rolled back or not: the

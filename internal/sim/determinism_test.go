@@ -31,20 +31,22 @@ func canonicalResult(r *Result) string {
 // TestSimulateDeterministic is the repository's determinism regression
 // test: the full replay, run twice on the same seeded synthetic trace,
 // must produce byte-identical outputs (hit ratios, eviction counts,
-// rank-order errors) for a representative policy spread — Raven
-// itself, the learned LRB baseline, and LRU. A third run pins the
-// seed-derivation half of the sharding contract: PerShard derives
-// shard 0's seed as Seed+0, so factory.PerShard(o, 1) must replay
-// bit-identically to policy.MustNew(name, o) behind SingleFactory — no
-// hidden reseeding may leak in.
+// rank-order errors) for every registered policy, so a wall-clock read,
+// a global rand draw or a map-order pick that reaches any policy's
+// Victim shows as a diverged run. Each policy replays two traces:
+// variable object sizes, and unit sizes, where equal scores are common
+// and a nondeterministic tie-break would otherwise hide. A third run
+// pins the seed-derivation half of the sharding contract: PerShard
+// derives shard 0's seed as Seed+0, so factory.PerShard(o, 1) must
+// replay bit-identically to policy.MustNew(name, o) behind
+// SingleFactory — no hidden reseeding may leak in.
 func TestSimulateDeterministic(t *testing.T) {
-	for _, name := range []string{"raven", "lrb", "lru"} {
-		name := name
+	for _, name := range policy.Names() {
 		t.Run(name, func(t *testing.T) {
-			run := func(perShard bool) string {
+			run := func(variableSizes, perShard bool) string {
 				tr := trace.Synthetic(trace.SynthConfig{
 					Objects: 200, Requests: 6000, Interarrival: trace.Pareto,
-					VariableSizes: true, Seed: 11,
+					VariableSizes: variableSizes, Seed: 11,
 				})
 				tr.AnnotateNext()
 				capacity := tr.UniqueBytes() / 8
@@ -63,12 +65,15 @@ func TestSimulateDeterministic(t *testing.T) {
 				}
 				return canonicalResult(res)
 			}
-			a, b := run(false), run(false)
-			if a != b {
+			a := run(true, false)
+			if b := run(true, false); a != b {
 				t.Errorf("two identical runs diverged:\n run1: %s\n run2: %s", a, b)
 			}
-			if c := run(true); c != a {
+			if c := run(true, true); c != a {
 				t.Errorf("PerShard(o, 1) diverged from MustNew behind SingleFactory:\n single:   %s\n perShard: %s", a, c)
+			}
+			if a, b := run(false, false), run(false, false); a != b {
+				t.Errorf("two identical unit-size runs diverged:\n run1: %s\n run2: %s", a, b)
 			}
 		})
 	}

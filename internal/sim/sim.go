@@ -82,8 +82,6 @@ type timedPolicy struct {
 // Victim times the inner decision. The wall clock here only measures;
 // it can reach the decision itself solely through an inner policy's
 // DecisionBudget SLO, which replay configurations leave at 0.
-//
-//lint:allow determinism-taint the clock read measures eviction latency; it influences the decision only via an inner DecisionBudget, off by default in the simulator
 func (t *timedPolicy) Victim() (cache.Key, bool) {
 	start := time.Now()
 	k, ok := t.Policy.Victim()

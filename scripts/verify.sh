@@ -20,14 +20,17 @@
 #                mid-replay behind the router) and the router's retry
 #                round (a failed node's share of a burst retried as one
 #                batch per successor node)
-#   lint         ravenlint, one invocation: the eleven repo-specific
+#   lint         ravenlint, one invocation: the ten repo-specific
 #                determinism / concurrency / hygiene contracts nothing
 #                else checks, among them the interprocedural lock-cycle
-#                and determinism-taint rules
+#                rule
 #   determinism  the same-program referees: the pinned fit and Raven
 #                replay hashes, fits and replays bit-exact across worker
-#                counts (guarded fits with injected faults too), and
-#                admission replays bit-exact across runs and worker counts
+#                counts (guarded fits with injected faults too),
+#                admission replays bit-exact across runs and worker
+#                counts, the score cache's stamped scores bit-exact across
+#                runs, and TestSimulateDeterministic: every registered
+#                policy replayed twice, byte for byte
 #   alloc        the runtime referee for "no allocation per decision or
 #                per request": eviction decisions (both estimators, f64
 #                and f32) and f32 batch inference, the
@@ -141,8 +144,10 @@ stage_lint() {
 stage_determinism() {
     echo "==> same program: pinned fit hash and fits bit-exact across worker counts, guarded and faulted ones too"
     run_named 'TestFitGoldenBytes|TestFitWorkersBitExact|TestGuardedFitWorkersBitExact' ./internal/nn/
-    echo "==> same program: pinned Raven replay hash, replays bit-exact across worker counts, admission determinism (double run, Workers 1 vs 8)"
-    run_named 'TestRavenGoldenBytes|TestRavenWorkersBitExact|TestAdmissionBitExact|TestAdmissionOffMatchesUnfronted' ./internal/sim/
+    echo "==> same program: pinned Raven replay hash, replays bit-exact across worker counts, admission determinism (double run, Workers 1 vs 8), every policy's replay run twice"
+    run_named 'TestRavenGoldenBytes|TestRavenWorkersBitExact|TestAdmissionBitExact|TestAdmissionOffMatchesUnfronted|TestSimulateDeterministic' ./internal/sim/
+    echo "==> same program: the score cache's stamped scores bit-exact across runs"
+    run_named 'TestScoreStampsBitExact' ./internal/core/
 }
 
 stage_alloc() {
