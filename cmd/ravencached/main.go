@@ -6,23 +6,22 @@
 //	ravencached -addr :7070 -capacity 1073741824 -policy raven
 //
 // One request loop serves every connection through one of two codecs,
-// picked by the connection's first byte: text lines, or — first byte
-// 0x80 — fixed binary frames (26-byte little-endian requests, 10-byte
-// status replies; internal/server/binary.go has the layout). Both are
-// pipelined on a zero-allocation path.
+// picked by the connection's first byte. GET and SET are fixed binary
+// frames (first byte 0x80; 26-byte little-endian requests, 10-byte
+// status replies; internal/server/binary.go has the layout), pipelined
+// on a zero-allocation path. Text lines are the control channel.
 //
-//	verb     text                                              binary
-//	GET      GET <key> <size> [time] → HIT|MISS <size>         0x01 → HIT|MISS
-//	SET      SET <key> <size> [time] → STORED|NOSTORED <size>  0x02 → STORED|NOSTORED
-//	PING     PING → PONG (not counted as a request)            0x05 → PONG
-//	QUIT     QUIT                                              0x03
-//	STATS    STATS → STATS <requests> <hits> <reqBytes> <hitBytes>   —
-//	METRICS  METRICS → METRICS <n> + n "name value" lines      —
+//	verb     binary                  text
+//	GET      0x01 → HIT|MISS         —
+//	SET      0x02 → STORED|NOSTORED  —
+//	PING     0x05 → PONG             PING → PONG (not counted as a request)
+//	QUIT     0x03                    QUIT
+//	STATS    —                       STATS → STATS <requests> <hits> <reqBytes> <hitBytes>
+//	METRICS  —                       METRICS → METRICS <n> + n "name value" lines
 //
 // Anything else is answered "ERR ..." on a text connection, which goes
 // on, and with an error status (0x80/0x81) on a binary one, which is
-// then closed. -readbuf sizes the per-connection read buffer, which
-// bounds how many pipelined requests batch into one reply flush.
+// then closed.
 //
 // -shards splits the cache into independent shards (memcached-style,
 // rounded up to a power of two), each with its own policy instance and
@@ -30,8 +29,8 @@
 //
 // The server shuts down cleanly on SIGINT or SIGTERM: it stops
 // accepting, drains in-flight connections up to -drain, force-closes
-// stragglers, and prints final statistics either way. -metricsevery
-// periodically logs the full metrics snapshot to stdout.
+// stragglers, and prints final statistics and the final metrics line
+// either way; METRICS serves the same snapshot live.
 package main
 
 import (
@@ -65,8 +64,6 @@ func run() int {
 		window   = flag.Int64("window", 100000, "learning-policy training window in trace ticks")
 		node     = flag.Int("node", 0, "this node's index in a ravenrouter fleet (derives per-node seeds and checkpoint dirs)")
 		nodes    = flag.Int("nodes", 1, "fleet size; 1 means standalone (no per-node derivation)")
-		cacheMS  = flag.Int("cachedelay", 0, "simulated per-request delay (ms)")
-		originMS = flag.Int("origindelay", 0, "simulated per-miss origin delay (ms)")
 		seed     = flag.Int64("seed", 42, "random seed")
 
 		admitMode = flag.String("admit", "", "admission front-end: off|doorkeeper|learned (learned needs a reuse-predicting policy: raven/raven-ohr)")
@@ -82,8 +79,6 @@ func run() int {
 		idleTimeout  = flag.Duration("idletimeout", 0, "per-request read deadline (0 = 2m default, negative = off)")
 		writeTimeout = flag.Duration("writetimeout", 0, "per-response write deadline (0 = 30s default, negative = off)")
 		drain        = flag.Duration("drain", 0, "graceful drain bound on shutdown (0 = 5s default, negative = wait forever)")
-		readBuf      = flag.Int("readbuf", 0, "per-connection read buffer in bytes (0 = 16KiB default); bounds pipelined reply batching")
-		metricsEvery = flag.Duration("metricsevery", 0, "log a metrics snapshot line this often (0 = off)")
 	)
 	flag.Parse()
 
@@ -125,13 +120,10 @@ func run() int {
 		Capacity:     *capacity,
 		Shards:       *shards,
 		NewPolicy:    newPolicy,
-		CacheDelay:   time.Duration(*cacheMS) * time.Millisecond,
-		OriginDelay:  time.Duration(*originMS) * time.Millisecond,
 		MaxConns:     *maxConns,
 		IdleTimeout:  *idleTimeout,
 		WriteTimeout: *writeTimeout,
 		DrainTimeout: *drain,
-		ReadBuf:      *readBuf,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ravencached:", err)
@@ -180,23 +172,6 @@ func run() int {
 		}
 		fmt.Printf("ravencached: final metrics: %s\n", srv.Metrics().Line())
 	}()
-
-	stopTicker := make(chan struct{})
-	defer close(stopTicker)
-	if *metricsEvery > 0 {
-		go func() {
-			t := time.NewTicker(*metricsEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopTicker:
-					return
-				case <-t.C:
-					fmt.Printf("ravencached: metrics: %s\n", srv.Metrics().Line())
-				}
-			}
-		}()
-	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

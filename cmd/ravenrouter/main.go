@@ -5,10 +5,10 @@
 // recovered ones, and failed requests fail over to ring replicas in
 // bounded retry rounds.
 //
-// The router speaks the same wire protocols as ravencached itself —
-// text and binary, pipelined, with PING — because it embeds the
-// same hardened server front-end; clients cannot tell a router from a
-// node. What a client pipelines is forwarded pipelined: the requests
+// The router speaks the same wire protocol as ravencached itself —
+// pipelined binary GET/SET, and the text control verbs — because it
+// embeds the same hardened server front-end; clients cannot tell a
+// router from a node. What a client pipelines is forwarded pipelined: the requests
 // already buffered on a connection are served as one burst, each node's
 // share of it written in one flush and its replies read back in order,
 // so the backend round trip is paid once per node per burst. A round
@@ -35,7 +35,6 @@ import (
 	"sort"
 	"strings"
 	"syscall"
-	"time"
 
 	"raven/internal/cluster"
 	"raven/internal/server"
@@ -61,8 +60,6 @@ func run() int {
 		idleTimeout  = flag.Duration("idletimeout", 0, "per-request read deadline (0 = 2m default, negative = off)")
 		writeTimeout = flag.Duration("writetimeout", 0, "per-response write deadline (0 = 30s default, negative = off)")
 		drain        = flag.Duration("drain", 0, "graceful drain bound on shutdown (0 = 5s default)")
-		readBuf      = flag.Int("readbuf", 0, "per-connection read buffer in bytes (0 = 16KiB default)")
-		metricsEvery = flag.Duration("metricsevery", 0, "log a metrics snapshot line this often (0 = off)")
 	)
 	flag.Parse()
 
@@ -96,7 +93,6 @@ func run() int {
 		IdleTimeout:  *idleTimeout,
 		WriteTimeout: *writeTimeout,
 		DrainTimeout: *drain,
-		ReadBuf:      *readBuf,
 	})
 	if err != nil {
 		_ = router.Close()
@@ -128,23 +124,6 @@ func run() int {
 		}
 		fmt.Printf("ravenrouter: final metrics: %s\n", srv.Metrics().Line())
 	}()
-
-	stopTicker := make(chan struct{})
-	defer close(stopTicker)
-	if *metricsEvery > 0 {
-		go func() {
-			t := time.NewTicker(*metricsEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopTicker:
-					return
-				case <-t.C:
-					fmt.Printf("ravenrouter: metrics: %s\n", srv.Metrics().Line())
-				}
-			}
-		}()
-	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

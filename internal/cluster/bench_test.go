@@ -26,7 +26,7 @@ func BenchmarkRoutedPipeline(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer front.Close()
-			cl, err := server.DialBinary(front.Addr())
+			cl, err := server.Dial(front.Addr())
 			if err != nil {
 				b.Fatal(err)
 			}

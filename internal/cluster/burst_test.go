@@ -185,7 +185,7 @@ func newBurstFleet(t *testing.T, nodeFaults func(i int) *server.Faults, mod func
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = front.Close() })
-	f.cl, err = server.DialBinary(front.Addr())
+	f.cl, err = server.Dial(front.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestServingPathAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = front.Close() })
-	cl, err := server.DialBinary(front.Addr())
+	cl, err := server.Dial(front.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

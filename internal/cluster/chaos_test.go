@@ -125,13 +125,7 @@ func fleetAddrs(fleet []*chaosNode) []string {
 // connection.
 func nodeMetricsSnapshot(t *testing.T, addr string) map[string]int64 {
 	t.Helper()
-	cl, err := server.Dial(addr)
-	if err != nil {
-		t.Fatalf("metrics dial %s: %v", addr, err)
-	}
-	defer cl.Close()
-	cl.Timeout = 5 * time.Second
-	m, err := cl.Metrics()
+	m, err := server.FetchMetrics(addr, 5*time.Second)
 	if err != nil {
 		t.Fatalf("metrics %s: %v", addr, err)
 	}
@@ -176,7 +170,7 @@ func replayThroughRouter(r *Router, tr *trace.Trace) (*server.ReplayResult, erro
 		return nil, err
 	}
 	defer front.Close()
-	cl, err := server.DialBinary(front.Addr())
+	cl, err := server.Dial(front.Addr())
 	if err != nil {
 		return nil, err
 	}

@@ -183,7 +183,7 @@ func (r *Router) buildNode(addr string, idx int) *node {
 				return nil, err
 			}
 		}
-		cl, err := server.DialBinary(addr)
+		cl, err := server.Dial(addr)
 		if err != nil {
 			return nil, err
 		}

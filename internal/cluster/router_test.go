@@ -241,7 +241,7 @@ func TestRouterAllNodesDown(t *testing.T) {
 }
 
 // TestRouterBehindServer: the router serves as a server.Backend — the
-// full protocol front-end (text and binary, pipelining, METRICS) works
+// full protocol front-end (binary pipelining, text METRICS) works
 // against a fleet, and the router.* metrics ride the same registry.
 func TestRouterBehindServer(t *testing.T) {
 	addrs, _ := startBackends(t, 3, 1<<20)
@@ -257,7 +257,7 @@ func TestRouterBehindServer(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = front.Close() })
 
-	cl, err := server.DialBinary(front.Addr())
+	cl, err := server.Dial(front.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,12 +279,7 @@ func TestRouterBehindServer(t *testing.T) {
 		t.Errorf("pipeline %d requests / %d hits, want 200/100", st.Requests, st.Hits)
 	}
 
-	txt, err := server.Dial(front.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = txt.Close() })
-	m, err := txt.Metrics()
+	m, err := server.FetchMetrics(front.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

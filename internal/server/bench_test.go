@@ -9,22 +9,15 @@ import (
 	"raven/internal/trace"
 )
 
-// BenchmarkServing measures over-the-wire request throughput for the
-// text and binary protocols at several pipeline depths (depth 1 is
-// strict request-response) against an in-process LRU server: the
-// connection loop and the two codecs alone. CI runs it with
-// -benchtime=1x as a smoke test of the pipelined path; the served
-// system (ravencached, Raven on) is timed by benchmark/ only.
+// BenchmarkServing measures over-the-wire request throughput at two
+// pipeline depths (depth 1 is strict request-response) against an
+// in-process LRU server: the connection loop and the binary codec
+// alone. CI runs it with -benchtime=1x as a smoke test of the pipelined
+// path; the served system (ravencached, Raven on) is timed by
+// benchmark/ only.
 func BenchmarkServing(b *testing.B) {
-	for _, bc := range []struct {
-		proto string
-		depth int
-	}{
-		{"text", 1},
-		{"binary", 1},
-		{"binary", 32},
-	} {
-		b.Run(fmt.Sprintf("%s/depth=%d", bc.proto, bc.depth), func(b *testing.B) {
+	for _, depth := range []int{1, 32} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			cfg := Config{
 				Capacity:     1 << 20,
 				NewPolicy:    cache.SingleFactory(policy.MustNew("lru", policy.Options{Capacity: 1 << 20})),
@@ -35,12 +28,7 @@ func BenchmarkServing(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer srv.Close()
-			var cl *Client
-			if bc.proto == "binary" {
-				cl, err = DialBinary(srv.Addr())
-			} else {
-				cl, err = Dial(srv.Addr())
-			}
+			cl, err := Dial(srv.Addr())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -52,7 +40,7 @@ func BenchmarkServing(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			st, err := cl.Pipeline(ops, bc.depth)
+			st, err := cl.Pipeline(ops, depth)
 			if err != nil {
 				b.Fatal(err)
 			}

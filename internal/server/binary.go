@@ -33,8 +33,7 @@ const (
 )
 
 // binNoTime in a frame's time field requests the server's virtual
-// clock (the binary equivalent of omitting [time] in the text
-// protocol). More-negative times are rejected as malformed.
+// clock. More-negative times are rejected as malformed.
 const binNoTime int64 = -1
 
 // Request verbs. PING is a no-op answered with binStatusPong: the

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -18,10 +19,10 @@ import (
 	"raven/internal/trace"
 )
 
-// dialBinary returns a binary-protocol client against srv.
-func dialBinary(t *testing.T, srv *Server) *Client {
+// dialClient returns a client against srv, closed at cleanup.
+func dialClient(t *testing.T, srv *Server) *Client {
 	t.Helper()
-	cl, err := DialBinary(srv.Addr())
+	cl, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func dialBinary(t *testing.T, srv *Server) *Client {
 
 func TestBinaryGetSetRoundTrip(t *testing.T) {
 	srv := newTestServer(t, 100)
-	cl := dialBinary(t, srv)
+	cl := dialClient(t, srv)
 
 	hit, err := cl.Get(1, 10, 1)
 	if err != nil || hit {
@@ -54,22 +55,18 @@ func TestBinaryGetSetRoundTrip(t *testing.T) {
 		t.Errorf("stats %+v", st)
 	}
 
-	// The protocol sniff and per-protocol counters must attribute all
-	// of the above to the binary side.
-	txt, err := Dial(srv.Addr())
+	// The protocol sniff must attribute the client to the binary side,
+	// and the METRICS connection to the text side.
+	m, err := FetchMetrics(srv.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer txt.Close()
-	m, err := txt.Metrics()
-	if err != nil {
-		t.Fatal(err)
+	if m["server.conns_binary"] != 1 || m["server.requests_binary"] != 4 || m["server.conns_text"] != 1 {
+		t.Errorf("counters: conns_binary=%d requests_binary=%d conns_text=%d, want 1/4/1",
+			m["server.conns_binary"], m["server.requests_binary"], m["server.conns_text"])
 	}
-	if m["server.conns_binary"] != 1 || m["server.requests_binary"] != 4 {
-		t.Errorf("binary counters: conns=%d requests=%d", m["server.conns_binary"], m["server.requests_binary"])
-	}
-	if m["server.requests_text"] != 0 {
-		t.Errorf("text requests = %d, want 0", m["server.requests_text"])
+	if _, ok := m["server.requests_text"]; ok {
+		t.Error("server.requests_text is exported, but text carries no GET/SET")
 	}
 }
 
@@ -181,14 +178,13 @@ func TestBinaryHostileFrames(t *testing.T) {
 	})
 
 	// The server must still be healthy after all of the above.
-	cl := dialBinary(t, srv)
+	cl := dialClient(t, srv)
 	if _, err := cl.Get(99, 5, binNoTime); err != nil {
 		t.Fatalf("server unhealthy after hostile frames: %v", err)
 	}
 }
 
-// TestBinaryNegativeTimeRejected is the binary twin of the text
-// protocol's "ERR bad time": time == -1 means clockless, anything
+// TestBinaryNegativeTimeRejected: time == -1 means clockless, anything
 // more negative is malformed and must not fall back to the virtual
 // clock.
 func TestBinaryNegativeTimeRejected(t *testing.T) {
@@ -275,58 +271,49 @@ func FuzzBinaryFrames(f *testing.F) {
 }
 
 // TestServingPathAllocFree pins the zero-allocation budget of the
-// serving path, binary and text: with deadlines disabled and buffers
-// warmed, a GET hit and a same-size SET must not allocate — on the
-// server or the client side (AllocsPerRun counts process-wide mallocs,
-// and the handler goroutine runs within the measured window).
+// serving path: with deadlines disabled and buffers warmed, a GET hit
+// and a same-size SET must not allocate — on the server or the client
+// side (AllocsPerRun counts process-wide mallocs, and the handler
+// goroutine runs within the measured window).
 func TestServingPathAllocFree(t *testing.T) {
 	srv := newTestServer(t, 1<<20, func(c *Config) {
 		c.IdleTimeout = -1  // deadline arming is the only timer churn;
 		c.WriteTimeout = -1 // disable it so the measurement is exact
 	})
-	for _, proto := range []struct {
-		name string
-		dial func(string) (*Client, error)
-	}{{"binary", DialBinary}, {"text", Dial}} {
-		cl, err := proto.dial(srv.Addr())
-		if err != nil {
+	cl := dialClient(t, srv)
+
+	const key, size = trace.Key(7), int64(128)
+	if _, err := cl.Set(key, size, binNoTime); err != nil {
+		t.Fatal(err)
+	}
+	// Warm up both paths: grow client scratch, fault in bufio pages.
+	for i := 0; i < 32; i++ {
+		if _, err := cl.Get(key, size, binNoTime); err != nil {
 			t.Fatal(err)
 		}
-		defer cl.Close()
-
-		const key, size = trace.Key(7), int64(128)
 		if _, err := cl.Set(key, size, binNoTime); err != nil {
 			t.Fatal(err)
 		}
-		// Warm up both paths: grow client scratch, fault in bufio pages.
-		for i := 0; i < 32; i++ {
-			if _, err := cl.Get(key, size, binNoTime); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cl.Set(key, size, binNoTime); err != nil {
-				t.Fatal(err)
-			}
-		}
+	}
 
-		avg := testing.AllocsPerRun(500, func() {
-			hit, err := cl.Get(key, size, binNoTime)
-			if err != nil || !hit {
-				t.Fatalf("%s GET: hit=%v err=%v", proto.name, hit, err)
-			}
-		})
-		if avg != 0 {
-			t.Errorf("%s GET hit allocates %.2f times per op; want 0", proto.name, avg)
+	avg := testing.AllocsPerRun(500, func() {
+		hit, err := cl.Get(key, size, binNoTime)
+		if err != nil || !hit {
+			t.Fatalf("GET: hit=%v err=%v", hit, err)
 		}
+	})
+	if avg != 0 {
+		t.Errorf("GET hit allocates %.2f times per op; want 0", avg)
+	}
 
-		avg = testing.AllocsPerRun(500, func() {
-			stored, err := cl.Set(key, size, binNoTime)
-			if err != nil || !stored {
-				t.Fatalf("%s SET: stored=%v err=%v", proto.name, stored, err)
-			}
-		})
-		if avg != 0 {
-			t.Errorf("%s same-size SET allocates %.2f times per op; want 0", proto.name, avg)
+	avg = testing.AllocsPerRun(500, func() {
+		stored, err := cl.Set(key, size, binNoTime)
+		if err != nil || !stored {
+			t.Fatalf("SET: stored=%v err=%v", stored, err)
 		}
+	})
+	if avg != 0 {
+		t.Errorf("same-size SET allocates %.2f times per op; want 0", avg)
 	}
 }
 
@@ -350,11 +337,10 @@ func (b *recordingBatch) Get(key trace.Key, _, _ int64) bool { b.single++; retur
 func (b *recordingBatch) Set(key trace.Key, _, _ int64) bool { b.single++; return key%2 == 1 }
 func (b *recordingBatch) Stats() cache.Stats                 { return cache.Stats{} }
 
-// TestBurstToBatchBackend, for both codecs: the requests a client wrote
-// together reach a BatchBackend as one burst, in order, with timestamps
-// resolved and a PING ending the burst; the replies come back in
-// request order, one per request. A strict request-response client gets
-// bursts of one.
+// TestBurstToBatchBackend: the frames a client wrote together reach a
+// BatchBackend as one burst, in order, with timestamps resolved and a
+// PING ending the burst; the replies come back in request order, one per
+// request. A strict request-response client gets bursts of one.
 func TestBurstToBatchBackend(t *testing.T) {
 	noTime := uint64(math.MaxUint64) // binNoTime on the wire
 	var frames []byte
@@ -378,70 +364,56 @@ func TestBurstToBatchBackend(t *testing.T) {
 	} {
 		replies = appendBinResp(replies, r.status, r.size)
 	}
-	for _, tc := range []struct {
-		name          string
-		wire, replies string
-		dial          func(string) (*Client, error)
-	}{
-		{"binary", string(frames), string(replies), DialBinary},
-		{"text", "GET 1 10 5\nGET 2 11\nSET 3 12\nGET 4 13\nGET 5 14\nPING\nSET 6 15\n",
-			"HIT 10\nMISS 11\nSTORED 12\nMISS 13\nHIT 14\nPONG\nNOSTORED 15\n", Dial},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			be := &recordingBatch{}
-			srv, err := New(Config{Backend: be, DrainTimeout: time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = srv.Close() })
-			conn, err := net.Dial("tcp", srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			if _, err := conn.Write([]byte(tc.wire)); err != nil {
-				t.Fatal(err)
-			}
-			got := make([]byte, len(tc.replies))
-			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			if _, err := io.ReadFull(conn, got); err != nil || string(got) != tc.replies {
-				t.Fatalf("replies %q err=%v, want %q", got, err, tc.replies)
-			}
+	t.Run("binary", func(t *testing.T) {
+		be := &recordingBatch{}
+		srv, err := New(Config{Backend: be, DrainTimeout: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(frames); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(replies))
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.ReadFull(conn, got); err != nil || !bytes.Equal(got, replies) {
+			t.Fatalf("replies % x err=%v, want % x", got, err, replies)
+		}
 
-			cl, err := tc.dial(srv.Addr())
-			if err != nil {
-				t.Fatal(err)
+		cl := dialClient(t, srv)
+		for k := trace.Key(10); k < 13; k++ {
+			if hit, err := cl.Get(k, 10, binNoTime); err != nil || hit != (k%2 == 1) {
+				t.Errorf("GET %d: hit=%v err=%v", k, hit, err)
 			}
-			defer cl.Close()
-			for k := trace.Key(10); k < 13; k++ {
-				if hit, err := cl.Get(k, 10, binNoTime); err != nil || hit != (k%2 == 1) {
-					t.Errorf("GET %d: hit=%v err=%v", k, hit, err)
-				}
-			}
+		}
 
-			be.mu.Lock()
-			defer be.mu.Unlock()
-			var sizes []int
-			for _, b := range be.bursts {
-				sizes = append(sizes, len(b))
+		be.mu.Lock()
+		defer be.mu.Unlock()
+		var sizes []int
+		for _, b := range be.bursts {
+			sizes = append(sizes, len(b))
+		}
+		if want := []int{5, 1, 1, 1, 1}; !reflect.DeepEqual(sizes, want) {
+			t.Fatalf("burst sizes %v, want %v (one write, split only by its PING; then strict request-response)", sizes, want)
+		}
+		first := be.bursts[0]
+		for i, op := range first {
+			if op.Key != trace.Key(i+1) || op.Size != int64(10+i) || op.Set != (i == 2) {
+				t.Errorf("burst op %d = %+v", i, op)
 			}
-			if want := []int{5, 1, 1, 1, 1}; !reflect.DeepEqual(sizes, want) {
-				t.Fatalf("burst sizes %v, want %v (one write, split only by its PING; then strict request-response)", sizes, want)
+			if op.Time < 5 || i > 0 && op.Time <= first[i-1].Time {
+				t.Errorf("burst op %d: time %d is not resolved against the virtual clock (previous %d)", i, op.Time, first[max(i-1, 0)].Time)
 			}
-			first := be.bursts[0]
-			for i, op := range first {
-				if op.Key != trace.Key(i+1) || op.Size != int64(10+i) || op.Set != (i == 2) {
-					t.Errorf("burst op %d = %+v", i, op)
-				}
-				if op.Time < 5 || i > 0 && op.Time <= first[i-1].Time {
-					t.Errorf("burst op %d: time %d is not resolved against the virtual clock (previous %d)", i, op.Time, first[max(i-1, 0)].Time)
-				}
-			}
-			if be.single != 0 {
-				t.Errorf("%d requests took the op-by-op path", be.single)
-			}
-		})
-	}
+		}
+		if be.single != 0 {
+			t.Errorf("%d requests took the op-by-op path", be.single)
+		}
+	})
 }
 
 // TestPingBothProtocols: PING answers PONG on text and binary
@@ -450,16 +422,21 @@ func TestBurstToBatchBackend(t *testing.T) {
 func TestPingBothProtocols(t *testing.T) {
 	srv := newTestServer(t, 100)
 
-	txt, err := Dial(srv.Addr())
+	txt, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer txt.Close()
-	bin := dialBinary(t, srv)
+	_ = txt.SetDeadline(time.Now().Add(5 * time.Second))
+	txtReplies := bufio.NewReader(txt)
+	bin := dialClient(t, srv)
 
 	for i := 0; i < 3; i++ {
-		if err := txt.Ping(); err != nil {
-			t.Fatalf("text ping %d: %v", i, err)
+		if _, err := io.WriteString(txt, "PING\n"); err != nil {
+			t.Fatal(err)
+		}
+		if line, err := txtReplies.ReadString('\n'); err != nil || line != "PONG\n" {
+			t.Fatalf("text ping %d: %q, %v", i, line, err)
 		}
 		if err := bin.Ping(); err != nil {
 			t.Fatalf("binary ping %d: %v", i, err)
@@ -469,59 +446,47 @@ func TestPingBothProtocols(t *testing.T) {
 	if _, err := bin.Get(1, 10, 1); err != nil {
 		t.Fatal(err)
 	}
-	m, err := txt.Metrics()
+	m, err := FetchMetrics(srv.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m["server.pings"] != 6 {
 		t.Errorf("server.pings = %d, want 6", m["server.pings"])
 	}
-	if m["server.requests_binary"] != 1 || m["server.requests_text"] != 0 {
-		t.Errorf("requests: text=%d binary=%d, want 0/1 (pings must not count)",
-			m["server.requests_text"], m["server.requests_binary"])
+	if m["server.requests_binary"] != 1 {
+		t.Errorf("server.requests_binary = %d, want 1 (pings must not count)", m["server.requests_binary"])
 	}
 	if m["cache.requests"] != 1 {
 		t.Errorf("cache.requests = %d, want 1", m["cache.requests"])
 	}
 }
 
-// TestReplaySurvivesReadFaultsBinary mirrors the text-protocol
-// read-fault replay test on a binary connection: with every 7th
-// server-side read failing, the reconnect-with-backoff resend path
-// must carry a binary Replay to completion too.
+// TestReplaySurvivesReadFaultsBinary: the resends of a read-fault
+// replay each ride a fresh connection, and every one of them must be
+// classified binary again — no reconnect may fall back to text, and
+// every completed request is counted once on the binary codec.
 func TestReplaySurvivesReadFaultsBinary(t *testing.T) {
-	var reads atomic.Int64
-	srv := newTestServer(t, 500, func(c *Config) {
-		c.Faults = &Faults{ReadErr: func() bool { return reads.Add(1)%7 == 0 }}
-	})
-	cl, err := DialBinary(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	cl.Timeout = 5 * time.Second
-	cl.MaxRetries = 8
-	cl.RetryBackoff = time.Millisecond
-
-	tr := trace.Synthetic(trace.SynthConfig{Objects: 50, Requests: 300, Interarrival: trace.Poisson, Seed: 3})
-	res, err := cl.Replay(tr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != 300 {
-		t.Errorf("requests %d, want 300", res.Requests)
-	}
+	srv, res := replayUnderReadFaults(t)
 	if res.Reconnects == 0 {
-		t.Error("expected reconnects under injected read faults")
+		t.Fatal("expected reconnects under injected read faults")
 	}
-	if st := srv.Stats(); st.Requests != int64(res.Requests) {
-		t.Errorf("server processed %d, client completed %d", st.Requests, res.Requests)
+	reg := srv.Metrics()
+	if n := reg.Counter("server.conns_text").Load(); n != 0 {
+		t.Errorf("server.conns_text = %d, want 0", n)
+	}
+	// A fault on a connection's first read ends it before its codec is
+	// picked, so some reconnects may go uncounted, but none twice.
+	if n := reg.Counter("server.conns_binary").Load(); n < 1 || n > 1+res.Reconnects {
+		t.Errorf("server.conns_binary = %d, want 1..%d", n, 1+res.Reconnects)
+	}
+	if n := reg.Counter("server.requests_binary").Load(); n != int64(res.Requests) {
+		t.Errorf("server.requests_binary = %d, client completed %d", n, res.Requests)
 	}
 }
 
-// TestBinaryStressFaultMatrix is the binary twin of the text stress
-// test: concurrent pipelined binary clients under injected read faults
-// and pre-reply stalls. Totals must reconcile and no client may desync.
+// TestBinaryStressFaultMatrix: concurrent pipelined clients under
+// injected read faults and pre-reply stalls. Totals must reconcile and
+// no client may desync.
 func TestBinaryStressFaultMatrix(t *testing.T) {
 	const (
 		clients      = 20
@@ -565,7 +530,7 @@ func TestBinaryStressFaultMatrix(t *testing.T) {
 				})
 			}
 			for attempt := 0; attempt < 20 && len(pendingOps) > 0; attempt++ {
-				cl, err := DialBinary(srv.Addr())
+				cl, err := Dial(srv.Addr())
 				if err != nil {
 					time.Sleep(5 * time.Millisecond)
 					continue
@@ -592,15 +557,7 @@ func TestBinaryStressFaultMatrix(t *testing.T) {
 	wg.Wait()
 
 	// Reconcile: every resolved client op was processed exactly once.
-	txt, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer txt.Close()
-	m, err := txt.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := metricsUnderFaults(t, srv)
 	if m["server.read_errors"] == 0 {
 		t.Error("no injected binary read faults observed")
 	}
@@ -627,7 +584,7 @@ func TestBinaryErrorClosesWithoutDesync(t *testing.T) {
 		peerOps[i] = Op{Key: trace.Key(i % 50), Size: 8, Time: -1}
 	}
 	go func() {
-		cl, err := DialBinary(srv.Addr())
+		cl, err := Dial(srv.Addr())
 		if err != nil {
 			done <- err
 			return

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -22,15 +21,14 @@ import (
 // runs under an optional deadline, and Replay transparently
 // reconnects with exponential backoff when a request fails.
 //
-// A client speaks either the text protocol (Dial) or the binary
-// protocol (DialBinary); both support pipelining via Pipeline, which
-// keeps up to N requests in flight on the one connection.
+// A client speaks the binary protocol; Pipeline keeps up to N requests
+// in flight on the one connection. STATS and METRICS are text verbs:
+// FetchMetrics asks for them on a connection of its own.
 type Client struct {
-	addr   string
-	conn   net.Conn
-	r      *bufio.Reader
-	w      *bufio.Writer
-	binary bool
+	addr string
+	conn net.Conn
+	r    *bufio.Reader
+	w    *bufio.Writer
 
 	// Reusable wire buffers: the binary request/reply frames and the
 	// encoding scratch a burst is built in, so a warmed-up round trip
@@ -55,26 +53,14 @@ type Client struct {
 	Reconnects int64
 }
 
-// Dial connects to a server speaking the text protocol.
+// Dial connects to a server. The server picks the codec from the first
+// byte a connection sends, so no handshake is needed.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
 	return &Client{addr: addr, conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
-}
-
-// DialBinary connects to a server speaking the binary protocol (the
-// server routes on the first byte, so no handshake is needed). Get,
-// Set, and Pipeline then use binary frames; STATS and METRICS remain
-// text-protocol commands — use a separate text client for them.
-func DialBinary(addr string) (*Client, error) {
-	c, err := Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	c.binary = true
-	return c, nil
 }
 
 // armDeadline applies the per-request deadline to the connection (or
@@ -107,12 +93,8 @@ func (c *Client) reconnect() error {
 // closing the socket fails first.
 func (c *Client) Close() error {
 	c.armDeadline()
-	if c.binary {
-		putBinReq(&c.frame, binVerbQuit, 0, 0, 0)
-		_, _ = c.w.Write(c.frame[:])
-	} else {
-		fmt.Fprintf(c.w, "QUIT\n")
-	}
+	putBinReq(&c.frame, binVerbQuit, 0, 0, 0)
+	_, _ = c.w.Write(c.frame[:])
 	flushErr := c.w.Flush()
 	if err := c.conn.Close(); err != nil {
 		return err
@@ -120,31 +102,15 @@ func (c *Client) Close() error {
 	return flushErr
 }
 
-// appendOp appends op's wire encoding — a binary frame or a text
-// line, depending on the client's protocol — to buf and returns it.
+// appendOp appends op's request frame to buf and returns it.
 func (c *Client) appendOp(buf []byte, op Op) []byte {
-	if c.binary {
-		verb := binVerbGet
-		if op.Set {
-			verb = binVerbSet
-		}
-		putBinReq(&c.frame, verb, op.Key, op.Size, op.Time)
-		// Appends into the client's reused scratch, which grows to the largest burst once.
-		return append(buf, c.frame[:]...)
-	}
+	verb := binVerbGet
 	if op.Set {
-		buf = append(buf, "SET "...)
-	} else {
-		buf = append(buf, "GET "...)
+		verb = binVerbSet
 	}
-	buf = strconv.AppendUint(buf, uint64(op.Key), 10)
-	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, op.Size, 10)
-	if op.Time >= 0 {
-		buf = append(buf, ' ')
-		buf = strconv.AppendInt(buf, op.Time, 10)
-	}
-	return append(buf, '\n')
+	putBinReq(&c.frame, verb, op.Key, op.Size, op.Time)
+	// Appends into the client's reused scratch, which grows to the largest burst once.
+	return append(buf, c.frame[:]...)
 }
 
 // Send writes ops as one burst: every request in one write and one
@@ -163,40 +129,12 @@ func (c *Client) Send(ops []Op) error {
 	return c.w.Flush()
 }
 
-// textReplies maps the text protocol's reply words onto the binary
-// statuses, so one matcher serves both protocols.
-var textReplies = [...]struct {
-	word   []byte
-	status byte
-}{
-	{[]byte("HIT"), binStatusHit}, {[]byte("MISS"), binStatusMiss},
-	{[]byte("STORED"), binStatusStored}, {[]byte("NOSTORED"), binStatusNotStored},
-	{[]byte("PONG"), binStatusPong},
-}
-
-// readReply reads one reply in either protocol as a status and the
-// size it echoes (text replies report -1). Error statuses (>= 0x80)
-// are surfaced as errors — the server closes the connection after
-// sending one. The deadline is re-armed whenever the read may block,
-// so long pipelined runs are bounded per reply, not per batch.
+// readReply reads one reply frame as a status and the size it echoes.
+// Error statuses (>= 0x80) are surfaced as errors — the server closes
+// the connection after sending one. The deadline is re-armed whenever
+// the read may block, so long pipelined runs are bounded per reply, not
+// per batch.
 func (c *Client) readReply() (byte, int64, error) {
-	if !c.binary {
-		if c.r.Buffered() == 0 {
-			c.armDeadline()
-		}
-		// The line is matched in the reader's buffer: a reply is far
-		// shorter than it, and nothing is kept past the next read.
-		line, err := c.r.ReadSlice('\n')
-		if err != nil {
-			return 0, 0, err
-		}
-		for _, t := range textReplies {
-			if bytes.HasPrefix(line, t.word) {
-				return t.status, -1, nil
-			}
-		}
-		return 0, 0, fmt.Errorf("client: unexpected reply %q", bytes.TrimSpace(line))
-	}
 	if c.r.Buffered() < binRespLen {
 		c.armDeadline()
 	}
@@ -213,7 +151,7 @@ func (c *Client) readReply() (byte, int64, error) {
 	return status, int64(binary.LittleEndian.Uint64(c.rep[2:10])), nil
 }
 
-// settle reads the reply to op — both protocols reply once per request,
+// settle reads the reply to op — the server replies once per request,
 // in request order — and reports whether it was positive (HIT or
 // STORED). The reply must be a status op can have and echo op's size.
 func (c *Client) settle(op Op) (bool, error) {
@@ -225,7 +163,7 @@ func (c *Client) settle(op Op) (bool, error) {
 	if op.Set {
 		pos, neg = binStatusStored, binStatusNotStored
 	}
-	if status != pos && status != neg || size >= 0 && size != op.Size {
+	if status != pos && status != neg || size != op.Size {
 		return false, fmt.Errorf("client: reply status 0x%02x size %d does not answer the op in flight", status, size)
 	}
 	return status == pos, nil
@@ -246,17 +184,13 @@ func (c *Client) Recv(ops []Op, res []bool) (int, error) {
 	return len(ops), nil
 }
 
-// Ping checks liveness with one PING round trip (both protocols). The
-// server answers without touching the cache, so probes never perturb
-// the traffic statistics the cluster tier reconciles.
+// Ping checks liveness with one PING round trip. The server answers
+// without touching the cache, so probes never perturb the traffic
+// statistics the cluster tier reconciles.
 func (c *Client) Ping() error {
 	c.armDeadline()
-	if c.binary {
-		putBinReq(&c.frame, binVerbPing, 0, 0, 0)
-		_, _ = c.w.Write(c.frame[:]) // a copy into the write buffer; Flush reports the error
-	} else {
-		_, _ = c.w.WriteString("PING\n")
-	}
+	putBinReq(&c.frame, binVerbPing, 0, 0, 0)
+	_, _ = c.w.Write(c.frame[:]) // a copy into the write buffer; Flush reports the error
 	if err := c.w.Flush(); err != nil {
 		return err
 	}
@@ -328,19 +262,24 @@ func (c *Client) withRetry(do func() (bool, error)) (bool, error) {
 	return false, fmt.Errorf("client: giving up after %d retries: %w", c.MaxRetries, err)
 }
 
-// Metrics issues a METRICS command and returns the server's metric
-// snapshot as a name → value map. METRICS is a text-protocol command;
-// binary clients must use a separate text connection.
-func (c *Client) Metrics() (map[string]int64, error) {
-	if c.binary {
-		return nil, fmt.Errorf("client: METRICS is a text-protocol command; use a text client")
+// FetchMetrics returns addr's METRICS snapshot as a name → value map.
+// METRICS is a text verb, so it dials a short-lived text connection of
+// its own and says METRICS then QUIT. timeout bounds the whole exchange
+// (0 = no deadline).
+func FetchMetrics(addr string, timeout time.Duration) (map[string]int64, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
-	c.armDeadline()
-	fmt.Fprintf(c.w, "METRICS\n")
-	if err := c.w.Flush(); err != nil {
+	defer conn.Close()
+	if timeout > 0 {
+		_ = conn.SetDeadline(time.Now().Add(timeout))
+	}
+	if _, err := io.WriteString(conn, "METRICS\nQUIT\n"); err != nil {
 		return nil, err
 	}
-	header, err := c.r.ReadString('\n')
+	r := bufio.NewReader(conn)
+	header, err := r.ReadString('\n')
 	if err != nil {
 		return nil, err
 	}
@@ -354,7 +293,7 @@ func (c *Client) Metrics() (map[string]int64, error) {
 	}
 	out := make(map[string]int64, n)
 	for i := 0; i < n; i++ {
-		line, err := c.r.ReadString('\n')
+		line, err := r.ReadString('\n')
 		if err != nil {
 			return nil, err
 		}

@@ -249,7 +249,8 @@ func TestDrainForceClose(t *testing.T) {
 }
 
 // TestMetricsRoundTrip: the METRICS wire command returns a snapshot
-// whose totals reconcile with the server's own statistics.
+// whose totals reconcile with the server's own statistics. The snapshot
+// comes over a text connection of its own, beside the binary client.
 func TestMetricsRoundTrip(t *testing.T) {
 	srv := newTestServer(t, 100)
 	cl, err := Dial(srv.Addr())
@@ -262,7 +263,7 @@ func TestMetricsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := cl.Metrics()
+	m, err := FetchMetrics(srv.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +273,10 @@ func TestMetricsRoundTrip(t *testing.T) {
 		"cache.admissions":            2,
 		"cache.used_bytes":            20,
 		"cache.objects":               2,
-		"server.conns_accepted":       1,
-		"server.conns_active":         1,
+		"server.conns_accepted":       2,
+		"server.conns_active":         2,
+		"server.conns_binary":         1,
+		"server.conns_text":           1,
 		"server.get_latency_ns.count": 3,
 	}
 	for name, want := range checks {
@@ -296,9 +299,10 @@ func TestMetricsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplaySurvivesReadFaults: with every 7th server-side read
-// failing, Replay must still complete via reconnect-with-backoff.
-func TestReplaySurvivesReadFaults(t *testing.T) {
+// replayUnderReadFaults replays a 300-request trace against a server
+// whose every 7th read fails, with a client that retries through it.
+func replayUnderReadFaults(t *testing.T) (*Server, *ReplayResult) {
+	t.Helper()
 	var reads atomic.Int64
 	srv := newTestServer(t, 500, func(c *Config) {
 		c.Faults = &Faults{ReadErr: func() bool { return reads.Add(1)%7 == 0 }}
@@ -307,7 +311,7 @@ func TestReplaySurvivesReadFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
+	t.Cleanup(func() { cl.Close() })
 	cl.Timeout = 5 * time.Second
 	cl.MaxRetries = 8
 	cl.RetryBackoff = time.Millisecond
@@ -317,6 +321,13 @@ func TestReplaySurvivesReadFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return srv, res
+}
+
+// TestReplaySurvivesReadFaults: with every 7th server-side read
+// failing, Replay must still complete via reconnect-with-backoff.
+func TestReplaySurvivesReadFaults(t *testing.T) {
+	srv, res := replayUnderReadFaults(t)
 	if res.Requests != 300 {
 		t.Errorf("requests %d, want 300", res.Requests)
 	}

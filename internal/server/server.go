@@ -2,27 +2,29 @@
 // paper's §5.4 system experiment — our stand-in for the Apache Traffic
 // Server integration. One request loop (serveConn) serves every
 // connection; what differs per connection is the codec, picked by the
-// first byte (no text command starts with the binary magic 0x80):
-// LF-terminated lines (text.go), or fixed 26-byte request and 10-byte
-// reply frames, memcached-style (binary.go).
+// first byte (no text command starts with the binary magic 0x80).
+// Cache operations are fixed 26-byte request and 10-byte reply frames,
+// memcached-style (binary.go); LF-terminated text lines (text.go) are
+// the control channel operators and probes type by hand.
 //
-//	verb       text: request → reply                                  binary: verb → status, payload
-//	GET        GET <key> <size> [time] → HIT|MISS <size>              0x01 → HIT|MISS, size
-//	SET        SET <key> <size> [time] → STORED|NOSTORED <size>       0x02 → STORED|NOSTORED, size
-//	PING       PING → PONG                                            0x05 → PONG
-//	QUIT       QUIT → close                                           0x03 → close
-//	STATS      STATS → STATS <requests> <hits> <reqBytes> <hitBytes>  —
-//	METRICS    METRICS → METRICS <n> + n "name value" lines           —
-//	malformed  ERR <why>, connection goes on; a line over 64 KiB:     0x80 (unknown verb) or 0x81 (bad
-//	           ERR line too long, then close                          frame), then close
+//	verb       binary: verb → status, payload        text: request → reply
+//	GET        0x01 → HIT|MISS, size                 —
+//	SET        0x02 → STORED|NOSTORED, size          —
+//	PING       0x05 → PONG                           PING → PONG
+//	QUIT       0x03 → close                          QUIT → close
+//	STATS      —                                     STATS → STATS <requests> <hits> <reqBytes> <hitBytes>
+//	METRICS    —                                     METRICS → METRICS <n> + n "name value" lines
+//	malformed  0x80 (unknown verb) or 0x81 (bad      ERR <why>, connection goes on; a line over
+//	           frame), then close                    64 KiB: ERR line too long, then close
 //
-// A verb a codec does not carry is malformed to it. Both codecs
-// pipeline: any number of requests may be in flight, replies come back
-// in order, the requests buffered together are served as one burst
-// (one ServeBatch call behind a BatchBackend such as the cluster
-// router) and their replies leave in one write. All per-request state
-// lives in the connection's reusable block, so the steady-state GET/SET
-// path performs zero heap allocations per request.
+// A verb a codec does not carry is malformed to it: a text GET is
+// answered "ERR unknown command". Both codecs pipeline: any number of
+// requests may be in flight, replies come back in order, the GET/SETs
+// buffered together are served as one burst (one ServeBatch call behind
+// a BatchBackend such as the cluster router) and their replies leave in
+// one write. All per-request state lives in the connection's reusable
+// block, so the steady-state GET/SET path performs zero heap
+// allocations per request.
 //
 // A configurable origin delay is charged on every miss and a cache
 // delay on every request, modelling the testbed RTTs of §5.1.4 at a
@@ -66,7 +68,7 @@ import (
 
 // defaultReadBuf is the per-connection read buffer; it bounds how
 // many pipelined requests are parsed (and their replies batched) per
-// read burst. Lines longer than the buffer still work — readLine
+// read burst. Text lines longer than the buffer still work — readLine
 // accumulates chunks up to maxLineBytes.
 const defaultReadBuf = 16 << 10
 
@@ -139,8 +141,8 @@ type Config struct {
 	DrainTimeout time.Duration
 
 	// ReadBuf is the per-connection read buffer in bytes (0 applies
-	// defaultReadBuf). Bigger buffers let deeper pipelines batch into
-	// fewer reply flushes at the cost of memory per connection.
+	// defaultReadBuf, floored at two binary frames). A smaller buffer
+	// splits a pipelined write into more bursts.
 	ReadBuf int
 
 	// Faults injects failures for stress testing; nil in production.
@@ -192,16 +194,16 @@ type serverMetrics struct {
 	getLatency    *obs.Histogram
 	setLatency    *obs.Histogram
 
-	// Per-protocol traffic split (the text/binary sniff) and the
-	// batched-flush count: flushes ≪ requests under pipelining.
-	connsText      *obs.Counter
-	connsBinary    *obs.Counter
-	requestsText   *obs.Counter
-	requestsBinary *obs.Counter
-	flushes        *obs.Counter
+	// Connections per codec (the text/binary sniff), the GET/SETs served
+	// (all binary) and the batched-flush count: flushes ≪ requests under
+	// pipelining.
+	connsText   *obs.Counter
+	connsBinary *obs.Counter
+	requests    *obs.Counter
+	flushes     *obs.Counter
 
-	// pings counts PING probes (both protocols). They are deliberately
-	// excluded from the request counters so health probing never skews
+	// pings counts PING probes (both codecs). They are deliberately
+	// excluded from the request counter so health probing never skews
 	// cache-traffic reconciliation.
 	pings *obs.Counter
 }
@@ -341,12 +343,11 @@ func New(cfg Config) (*Server, error) {
 			getLatency:    reg.Histogram("server.get_latency_ns"),
 			setLatency:    reg.Histogram("server.set_latency_ns"),
 
-			connsText:      reg.Counter("server.conns_text"),
-			connsBinary:    reg.Counter("server.conns_binary"),
-			requestsText:   reg.Counter("server.requests_text"),
-			requestsBinary: reg.Counter("server.requests_binary"),
-			flushes:        reg.Counter("server.flushes"),
-			pings:          reg.Counter("server.pings"),
+			connsText:   reg.Counter("server.conns_text"),
+			connsBinary: reg.Counter("server.conns_binary"),
+			requests:    reg.Counter("server.requests_binary"),
+			flushes:     reg.Counter("server.flushes"),
+			pings:       reg.Counter("server.pings"),
 		},
 	}
 	s.batch, _ = backend.(BatchBackend)
@@ -541,8 +542,8 @@ func (s *Server) acceptLoop() {
 
 // connIO is one connection's whole serving state, allocated as a single
 // block at accept time and reused for every request, so the
-// steady-state serving path (text and binary GET/SET) performs zero
-// heap allocations per request — asserted by TestServingPathAllocFree.
+// steady-state GET/SET path performs zero heap allocations per
+// request — asserted by TestServingPathAllocFree.
 // The codecs (text.go, binary.go) are method sets over it.
 type connIO struct {
 	conn net.Conn
@@ -554,10 +555,9 @@ type connIO struct {
 	write time.Duration // write deadline, armed per flush
 
 	// The slices grow on first use and are then reused.
-	line   []byte   // text: one request line, accumulated across ReadSlice chunks
-	fields [][]byte // text: field views into line
-	out    []byte   // the staged reply to a malformed request; STATS/METRICS scratch
-	ended  bool     // the codec's stream is over: its next decode reports io.EOF
+	line  []byte // text: one request line, accumulated across ReadSlice chunks
+	out   []byte // the staged reply to a malformed request; STATS/METRICS scratch
+	ended bool   // the codec's stream is over: its next decode reports io.EOF
 
 	// Burst scratch, outcomes first: a burst of one touches a single page
 	// of the block. Split over two heap objects it cost a depth-1 client
@@ -567,8 +567,8 @@ type connIO struct {
 }
 
 // burstCap bounds how many requests are served as one burst: the
-// binary frames a default read buffer holds. Their replies, text or
-// binary, fit the reply buffer.
+// binary frames a default read buffer holds. Their replies fit the
+// reply buffer.
 const burstCap = defaultReadBuf / binReqLen
 
 // flush writes the buffered replies to the connection under the write
@@ -601,7 +601,7 @@ type verb uint8
 
 const (
 	verbNone    verb = iota // nothing to answer (a blank text line)
-	verbOp                  // GET or SET, decoded into an Op
+	verbOp                  // binary GET or SET, decoded into an Op
 	verbPing                // liveness probe
 	verbQuit                // close the connection
 	verbStats               // text only
@@ -611,8 +611,10 @@ const (
 )
 
 // codec is the byte side of a connection: it decodes requests and
-// frames replies, and knows nothing of what a request means. Both
-// implementations wrap the connection's *connIO and keep their state in it.
+// answers PING, and knows nothing of what a request means. Both
+// implementations wrap the connection's *connIO and keep their state in
+// it. Only binCodec yields verbOp, so binCodec.reply frames every
+// GET/SET outcome.
 type codec interface {
 	// next blocks for the next request and decodes it: a verbOp into
 	// *op, anything else into its verb. A request the codec does not
@@ -624,8 +626,7 @@ type codec interface {
 	// more reports whether another whole request is already buffered,
 	// so that next will not block.
 	more() bool
-	// reply frames the outcome of a GET/SET; pong answers a PING.
-	reply(op Op, ok bool)
+	// pong answers a PING.
 	pong()
 }
 
@@ -657,12 +658,12 @@ func (s *Server) handle(conn net.Conn) {
 		s.classifyReadErr(err)
 		return
 	}
-	cd, conns, requests := codec(textCodec{c}), s.met.connsText, s.met.requestsText
+	cd, conns := codec(textCodec{c}), s.met.connsText
 	if first[0] == binMagicReq {
-		cd, conns, requests = binCodec{c}, s.met.connsBinary, s.met.requestsBinary
+		cd, conns = binCodec{c}, s.met.connsBinary
 	}
 	conns.Inc()
-	s.serveConn(c, cd, requests)
+	s.serveConn(c, cd)
 }
 
 // serveConn is the request loop of every connection. It owns what a
@@ -672,9 +673,9 @@ func (s *Server) handle(conn net.Conn) {
 // of one — serves it, then answers the control verb or malformed
 // request that ended it, if one did. Replies are flushed when the read
 // side has drained: the client is waiting on them. Every request of
-// either protocol crosses this loop; TestServingPathAllocFree holds
+// either codec crosses this loop; TestServingPathAllocFree holds
 // GET/SET through it to 0 allocs/op.
-func (s *Server) serveConn(c *connIO, cd codec, requests *obs.Counter) {
+func (s *Server) serveConn(c *connIO, cd codec) {
 	for {
 		n := 0
 		v, err := cd.next(&c.ops[0])
@@ -685,8 +686,8 @@ func (s *Server) serveConn(c *connIO, cd codec, requests *obs.Counter) {
 			v, err = cd.next(&c.ops[n])
 		}
 		if n > 0 {
-			requests.Add(int64(n))
-			s.serveBurst(c, cd, c.ops[:n])
+			s.met.requests.Add(int64(n))
+			s.serveBurst(c, c.ops[:n])
 		}
 		if err != nil {
 			s.classifyReadErr(err)
@@ -737,7 +738,7 @@ func (s *Server) serveConn(c *connIO, cd codec, requests *obs.Counter) {
 // from its own start, and from the burst's start behind a BatchBackend:
 // there the burst is the unit of work, and an op's reply is ready when
 // the burst's round trip is.
-func (s *Server) serveBurst(c *connIO, cd codec, ops []Op) {
+func (s *Server) serveBurst(c *connIO, ops []Op) {
 	var t0 time.Time
 	if s.batch != nil {
 		// Two clock reads per op are the latency histograms' price.
@@ -767,7 +768,7 @@ func (s *Server) serveBurst(c *connIO, cd codec, ops []Op) {
 			time.Sleep(s.cfg.OriginDelay)
 		}
 		s.preReply()
-		cd.reply(op, ok)
+		binCodec{c}.reply(op, ok)
 		hist.Observe(time.Since(t0).Nanoseconds())
 	}
 }

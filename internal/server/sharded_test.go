@@ -157,13 +157,7 @@ func TestShardedStress(t *testing.T) {
 		t.Fatalf("completed %d requests, want %d", total, clients*reqsPerConn)
 	}
 
-	mc, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mc.Close()
-	mc.Timeout = 5 * time.Second
-	m, err := mc.Metrics()
+	m, err := FetchMetrics(srv.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,97 @@
+package server
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"raven/internal/cache"
+	"raven/internal/core"
+	"raven/internal/policy"
+	"raven/internal/sim"
+	"raven/internal/trace"
+)
+
+// TestServedEqualsSimulated: what is served is what was simulated. A
+// production-like trace is replayed as timestamped GETs through a real
+// listener over the binary protocol, and the per-request HIT/MISS
+// sequence must equal a direct cache.Sharded.Handle replay — the engine
+// sim.Run drives — request for request, and the server's final
+// cache.Stats must equal sim.Run's, field for field. LRU runs at 1 and 4
+// shards, at depth 1 and pipelined 32 deep; Raven at raven-sim's
+// defaults (no score cache, no decision budget, so no wall clock
+// reaches a decision) on 1 shard.
+func TestServedEqualsSimulated(t *testing.T) {
+	tr := trace.ProductionTrace(trace.Wiki18, 0.02, 42)
+	capacity := max(int64(float64(tr.UniqueBytes())*0.02), 64)
+	for _, tc := range []struct {
+		policy        string
+		shards, depth int
+	}{
+		{"lru", 1, 1}, {"lru", 1, 32}, {"lru", 4, 1}, {"lru", 4, 32},
+		{"raven", 1, 32},
+	} {
+		t.Run(fmt.Sprintf("%s/shards=%d/depth=%d", tc.policy, tc.shards, tc.depth), func(t *testing.T) {
+			f, err := policy.Lookup(tc.policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each call builds a fresh instance, so the three engines share
+			// no policy state.
+			newPolicy := f.PerShard(policy.Options{Capacity: capacity, TrainWindow: tr.Duration() / 8, Seed: 42}, tc.shards)
+
+			simRes, err := sim.Run(tr, tc.shards, newPolicy, sim.Options{Capacity: capacity})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if simRes.Stats.Evictions == 0 {
+				t.Fatalf("degenerate replay: no eviction in %+v", simRes.Stats)
+			}
+			if r, ok := cache.Unwrap(simRes.Policies[0]).(*core.Raven); ok && r.Net() == nil {
+				t.Fatal("degenerate replay: Raven never fitted a model, so LRU decided every eviction")
+			}
+			direct, err := cache.NewSharded(capacity, tc.shards, newPolicy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]bool, tr.Len())
+			for i, req := range tr.Reqs {
+				want[i] = direct.Handle(req)
+			}
+
+			srv, err := New(Config{Capacity: capacity, Shards: tc.shards, NewPolicy: newPolicy, DrainTimeout: time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = srv.Close() })
+			cl := dialClient(t, srv)
+			cl.Timeout = time.Minute // a Raven fit runs inside a request
+			ops := make([]Op, tr.Len())
+			for i, req := range tr.Reqs {
+				ops[i] = Op{Key: req.Key, Size: req.Size, Time: req.Time}
+			}
+			got := make([]bool, len(ops))
+			for lo := 0; lo < len(ops); lo += tc.depth {
+				hi := min(lo+tc.depth, len(ops))
+				if err := cl.Send(ops[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cl.Recv(ops[lo:hi], got[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("request %d (%+v) served hit=%v, simulated hit=%v", i, tr.Reqs[i], got[i], want[i])
+				}
+			}
+			if st := srv.Stats(); st != simRes.Stats {
+				t.Errorf("served stats %+v, simulated %+v", st, simRes.Stats)
+			}
+			if st := direct.StatsSnapshot(); st != simRes.Stats {
+				t.Errorf("direct replay stats %+v, sim.Run %+v", st, simRes.Stats)
+			}
+		})
+	}
+}

@@ -104,25 +104,7 @@ func TestStressHostileClients(t *testing.T) {
 	// Reconcile server-side metrics with client-side counts: every
 	// successful round trip is exactly one cache request (faults kill
 	// requests before processing, never after).
-	// The metrics connection is subject to the same injected read
-	// faults as everyone else (~10% of reads), so fetch with a bounded
-	// retry — a single dial flaked here about one run in ten.
-	var m map[string]int64
-	for attempt := 0; ; attempt++ {
-		mc, err := Dial(srv.Addr())
-		if err == nil {
-			mc.Timeout = 5 * time.Second
-			m, err = mc.Metrics()
-			mc.Close()
-		}
-		if err == nil {
-			break
-		}
-		if attempt >= 10 {
-			t.Fatalf("metrics fetch kept failing: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	m := metricsUnderFaults(t, srv)
 	if m["cache.requests"] != okGets.Load() {
 		t.Errorf("server processed %d requests, clients completed %d", m["cache.requests"], okGets.Load())
 	}

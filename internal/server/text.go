@@ -1,5 +1,6 @@
-// Text protocol: one LF-terminated line per request, whitespace-separated
-// fields, case-insensitive verbs (the package comment lists them).
+// Text protocol: the control channel. One LF-terminated line per
+// request, a case-insensitive verb first (the package comment lists
+// them). Cache operations are binary frames only.
 
 package server
 
@@ -9,13 +10,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"time"
 
 	"raven/internal/cache"
 	"raven/internal/obs"
-	"raven/internal/trace"
 )
 
 // maxLineBytes bounds one protocol line; longer lines are answered
@@ -26,11 +25,11 @@ const maxLineBytes = 1 << 16
 var errLineTooLong = errors.New("server: line too long")
 
 // textCodec is the text protocol's codec over a connection's state. It
-// carries GET, SET, PING, QUIT, STATS and METRICS. A malformed line is
-// answered with an "ERR ..." line and the stream goes on, because the
-// next line boundary is still known; only an oversized line ends it.
-// Requests are parsed in place from the connection's reusable line
-// buffer and replies are built in the reply buffer's own free space.
+// carries PING, QUIT, STATS and METRICS; any other line, GET and SET
+// included, is answered "ERR unknown command" and the stream goes on,
+// because the next line boundary is still known. Only an oversized line
+// ends it. Requests are parsed in place from the connection's reusable
+// line buffer.
 type textCodec struct{ *connIO }
 
 // more looks for a line end in what is buffered: a partial line is not
@@ -77,7 +76,8 @@ func (t textCodec) readLine() ([]byte, error) {
 	}
 }
 
-func (t textCodec) next(op *Op) (verb, error) {
+// next never yields verbOp: cache operations travel as binary frames.
+func (t textCodec) next(*Op) (verb, error) {
 	line, err := t.readLine()
 	if err != nil {
 		if err != errLineTooLong { // readLine returns it bare
@@ -89,39 +89,11 @@ func (t textCodec) next(op *Op) (verb, error) {
 		t.out = append(t.out[:0], "ERR line too long\n"...)
 		return verbTooLong, nil
 	}
-	t.fields = splitFields(line, t.fields[:0])
-	fields := t.fields
-	if len(fields) == 0 {
+	name := firstField(line)
+	if len(name) == 0 {
 		return verbNone, nil
 	}
-	name := fields[0]
 	switch {
-	case verbIs(name, "GET"), verbIs(name, "SET"):
-		set := verbIs(name, "SET")
-		if len(fields) != 3 && len(fields) != 4 {
-			if set {
-				return t.bad("ERR want: SET <key> <size> [time]\n")
-			}
-			return t.bad("ERR want: GET <key> <size> [time]\n")
-		}
-		key, ok1 := parseUint(fields[1])
-		size, ok2 := parseUint(fields[2])
-		if !ok1 || !ok2 || size == 0 || size > math.MaxInt64 {
-			return t.bad("ERR bad key or size\n")
-		}
-		ts := binNoTime // no [time]: the virtual clock
-		if len(fields) == 4 {
-			// A negative or otherwise malformed explicit timestamp is
-			// rejected outright — it must not silently fall back to the
-			// virtual clock and masquerade as a clockless client.
-			u, ok := parseUint(fields[3])
-			if !ok || u > math.MaxInt64 {
-				return t.bad("ERR bad time\n")
-			}
-			ts = int64(u)
-		}
-		*op = Op{Set: set, Key: trace.Key(key), Size: int64(size), Time: ts}
-		return verbOp, nil
 	case verbIs(name, "PING"):
 		return verbPing, nil
 	case verbIs(name, "QUIT"):
@@ -133,27 +105,6 @@ func (t textCodec) next(op *Op) (verb, error) {
 	}
 	t.out = fmt.Appendf(t.out[:0], "ERR unknown command %q\n", name)
 	return verbBad, nil
-}
-
-// bad stages the reply to a malformed line.
-func (t textCodec) bad(reply string) (verb, error) {
-	t.out = append(t.out[:0], reply...)
-	return verbBad, nil
-}
-
-func (t textCodec) reply(op Op, ok bool) {
-	word := "MISS "
-	switch {
-	case op.Set && ok:
-		word = "STORED "
-	case op.Set:
-		word = "NOSTORED "
-	case ok:
-		word = "HIT "
-	}
-	b := append(t.bw.AvailableBuffer(), word...)
-	b = strconv.AppendInt(b, op.Size, 10)
-	t.send(append(b, '\n'))
 }
 
 func (t textCodec) pong() { t.send(textPong) }
@@ -181,26 +132,16 @@ func (t textCodec) metrics(kvs []obs.KV) {
 	t.send(t.out)
 }
 
-// asciiSpace reports whether b is text-protocol field whitespace.
-func asciiSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\r' || b == '\n' }
-
-// splitFields splits line on ASCII whitespace into dst, reusing its
-// capacity; the returned views alias line.
-func splitFields(line []byte, dst [][]byte) [][]byte {
-	i := 0
-	for i < len(line) {
-		for i < len(line) && asciiSpace(line[i]) {
-			i++
-		}
-		start := i
-		for i < len(line) && !asciiSpace(line[i]) {
-			i++
-		}
-		if i > start {
-			dst = append(dst, line[start:i]) // field views into reused scratch, which grows to the widest line once
-		}
+// firstField returns line's first field, a view into line: the verb.
+// Fields are separated by ASCII whitespace; the verbs take no arguments,
+// so the rest of the line is ignored.
+func firstField(line []byte) []byte {
+	const space = " \t\r\n"
+	line = bytes.TrimLeft(line, space)
+	if i := bytes.IndexAny(line, space); i >= 0 {
+		return line[:i]
 	}
-	return dst
+	return line
 }
 
 // verbIs reports a case-insensitive match of b against the upper-case
@@ -215,24 +156,4 @@ func verbIs(b []byte, verb string) bool {
 		}
 	}
 	return true
-}
-
-// parseUint parses an unsigned decimal from b. It rejects empty
-// input, any non-digit (including a sign), and overflow.
-func parseUint(b []byte) (uint64, bool) {
-	if len(b) == 0 || len(b) > 20 {
-		return 0, false
-	}
-	var v uint64
-	for _, ch := range b {
-		if ch < '0' || ch > '9' {
-			return 0, false
-		}
-		d := uint64(ch - '0')
-		if v > (math.MaxUint64-d)/10 {
-			return 0, false
-		}
-		v = v*10 + d
-	}
-	return v, true
 }

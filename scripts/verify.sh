@@ -19,7 +19,10 @@
 #                test (SIGKILL + restart of a ravencached node
 #                mid-replay behind the router) and the router's retry
 #                round (a failed node's share of a burst retried as one
-#                batch per successor node)
+#                batch per successor node). The quality stage's two
+#                tests run here too, race-instrumented: TestQuality adds
+#                ~70 s and TestServedEqualsSimulated ~25 s on two
+#                x86-64 cores
 #   lint         ravenlint, one invocation: the ten repo-specific
 #                determinism / concurrency / hygiene contracts nothing
 #                else checks, among them the interprocedural lock-cycle
@@ -38,8 +41,8 @@
 #                at its ceiling, and a hit that steps a live embedding
 #                with a model installed), the engine's lock-held evict
 #                section,
-#                the serving path — text and binary direct, binary
-#                through the router — and the ring lookup hold 0
+#                the serving path — direct and through the router —
+#                and the ring lookup hold 0
 #                allocs/op; and for "no allocation per trained term":
 #                forwardBackward holds 0 allocs/op and a whole Fit
 #                allocates the same count whatever the number of
@@ -52,7 +55,8 @@
 #                (BenchmarkObserve), the serving path over the wire and
 #                through the router. (The served system is timed by
 #                benchmark/ only; cmd/ravenbench records and gates it.)
-#   fuzz-smoke   five seconds each of FuzzBinaryFrames and FuzzTextLines
+#   fuzz-smoke   five seconds each of FuzzBinaryFrames (the GET/SET
+#                frames) and FuzzTextLines (the text control channel)
 #                against a live server (no panic, no desync), of
 #                FuzzEngineModel (the engine against its naive reference
 #                model), of FuzzHandleIndex (the per-key handle index
@@ -63,6 +67,16 @@
 #                resume, end to end through raven-sim; checkpoints the
 #                parent of the one-cell commit wrote still load (GRU) or
 #                read as corrupt and are skipped (another cell)
+#   quality      the hit-ratio referee (~10 s): TestQuality replays a
+#                small CDN trace (wiki18) and a small in-memory one
+#                (twitter52) at raven-sim's defaults and prints, per
+#                Raven configuration, OHR/BHR against LRU, the share of
+#                the Belady−LRU gap captured, model_evict_frac and the
+#                health it ends in; the defaults and learned-admission
+#                rows assert floors, the served configuration only
+#                reports. TestServedEqualsSimulated holds the server to
+#                the simulator: the same hit/miss sequence over the
+#                wire and the same final cache.Stats
 #
 # Any failure aborts with a nonzero exit. Every CI job calls a stage of
 # this script, so a green local run means a green CI run. SKIP_RACE=1
@@ -157,7 +171,7 @@ stage_alloc() {
     echo "==> engine evict section alloc assertion (Victim + evict over a full shard; 0 allocs/op)"
     run_named 'TestEvictAllocFree' ./internal/cache/
 
-    echo "==> serving-path alloc assertion (text and binary GET/SET direct, 32-frame bursts through the router, ring lookup; 0 allocs/op)"
+    echo "==> serving-path alloc assertion (GET/SET direct, 32-frame bursts through the router, ring lookup; 0 allocs/op)"
     run_named 'TestServingPathAllocFree|TestRingLookupAllocFree' ./internal/server/ ./internal/cluster/
 }
 
@@ -198,7 +212,13 @@ stage_checkpoint() {
     fi
 }
 
-stages="static test race lint determinism alloc bench-smoke fuzz-smoke checkpoint"
+stage_quality() {
+    echo "==> hit ratios against LRU and Belady on wiki18 and twitter52 (raven-sim defaults), and served = simulated"
+    run_named 'TestQuality' -v ./internal/sim/
+    run_named 'TestServedEqualsSimulated' ./internal/server/
+}
+
+stages="static test race lint determinism alloc bench-smoke fuzz-smoke checkpoint quality"
 if [[ $# -eq 0 ]]; then
     if [[ "${SKIP_RACE:-0}" == "1" ]]; then
         echo "==> skipping the race stage (SKIP_RACE=1; CI runs it as a dedicated job)"
