@@ -26,9 +26,9 @@ func (r *Raven) PredictNextArrival(req cache.Request) (int64, bool) {
 // lastSeen + TimeScale * E[exp(z)] where z is the predicted
 // log-residual mixture — the lognormal mixture mean
 // sum_k w_k * exp(mu_k + s_k^2/2), exponent-clamped like the fast
-// path. Unlike the eviction score (which Monte Carlo samples), this is
-// closed-form and consumes no RNG, so admission never perturbs the
-// eviction stream's variates.
+// path. It is the mean of the residual itself, not the score cache's
+// exp of its mean log (fastpath.go stampArrival); like the stamp, it
+// consumes no RNG, so admission never perturbs the eviction stream.
 func (r *Raven) predictArrival(rc *rec) (int64, bool) {
 	if r.pred == nil {
 		r.pred = r.net.NewPredictScratch()

@@ -44,8 +44,9 @@ type Config struct {
 	// CandidateSample is the number of cached objects sampled as
 	// eviction candidates (§4.3.1; default 64).
 	CandidateSample int
-	// ResidualSamples is M, the Monte Carlo draws per candidate used
-	// to estimate the priority score (§4.3.2; default 100).
+	// ResidualSamples is M, the Monte Carlo draws per candidate the
+	// joint win count estimates the priority score from (§4.3.2;
+	// default 100). The score cache draws none.
 	ResidualSamples int
 
 	// TrainWindow is the elapsed virtual time between retrainings
@@ -76,11 +77,12 @@ type Config struct {
 	// "Inference fast path & SLO"): each resident object's priority
 	// score is cached with a dirty-epoch stamp, Victim() re-embeds and
 	// re-predicts only candidates whose history advanced since their
-	// stamp, and dirty candidates are scored through one fused
-	// batch-predict + shared-RNG Monte Carlo pass. It ranks candidates
-	// by their expected next-arrival time instead of the joint
-	// win-count estimator, so it is a deliberate approximation (off by
-	// default; the servers turn it on).
+	// stamp, and dirty candidates are scored through fused batch
+	// predicts. A score is lastSeen + TimeScale·exp(Σ_k w_k·μ_k), the
+	// next arrival at the mixture's mean log-residual, computed in
+	// closed form with no random draw. It ranks candidates by that
+	// instead of the joint win-count estimator, so it is a deliberate
+	// approximation (off by default; the servers turn it on).
 	ScoreCache bool
 	// Inference32 routes every prediction Victim makes through the
 	// float32 kernels of a frozen weight copy (nn.Freeze32). Training

@@ -13,32 +13,31 @@ import (
 // SLO").
 //
 // The joint win count re-embeds, re-predicts, and re-samples every
-// sampled candidate on every decision — ~650µs per eviction on the
-// bench trace. The score cache gets comparable decision quality (within
-// about one OHR point on the bench traces — it optimizes the paper's
-// Belady surrogate directly rather than the joint win-count tournament)
-// for a fraction of the work by exploiting two structural facts:
+// sampled candidate on every decision. The score cache ranks by a
+// different statistic — the paper's Belady surrogate stated directly
+// rather than the joint win-count tournament — for a fraction of the
+// work, by exploiting two structural facts:
 //
 //  1. Scores are per-object once made absolute. Instead of the joint
 //     win-count estimator (which couples all candidates and so cannot
 //     be cached per object), each object is scored by its predicted
-//     next-arrival TIME: lastSeen + TimeScale·exp(mean log-residual
-//     over M Monte Carlo draws). Argmax over next-arrival times is
-//     the paper's Belady surrogate stated directly — evict whoever
-//     returns farthest in the future — and an absolute timestamp
-//     stays comparable across decisions, so it can be cached.
+//     next-arrival TIME: lastSeen + TimeScale·exp(mean log-residual).
+//     The MDN's components are Gaussian in log space, so that mean is
+//     Σ_k w_k·μ_k in closed form. Argmax over next-arrival times is
+//     the Belady surrogate — evict whoever returns farthest in the
+//     future — and an absolute timestamp stays comparable across
+//     decisions, so it can be cached.
 //  2. Most candidates are clean. A cached score is invalidated only
 //     when the object's history advances (observe bumps its epoch) or
 //     the model is swapped (Version moves). On skewed traces the
 //     sampled set is dominated by cold objects whose history has not
 //     moved since their last scoring, so per decision only a handful
-//     of candidates pay embed+predict+sampling.
+//     of candidates pay embed+predict.
 //
 // Under either estimator the candidates that need a mixture go through
 // fused PredictBatch passes (f32 kernels when Config.Inference32). A
-// stamped score's MC draws come off the policy's own RNG stream
-// serially in slot order — no per-candidate Reseed, which is what makes
-// the joint win count's sampling cost ~300µs of its decision.
+// stamp draws no random variate, so under the score cache the policy's
+// RNG stream feeds only the candidate sampler.
 
 // expClamp bounds the mean log-residual before exponentiation so a
 // wild mixture cannot push the score to +Inf and poison the cache.
@@ -81,17 +80,16 @@ func (r *Raven) growScratch(n int) {
 // overrun decision at roughly budget + one chunk while guaranteeing
 // every overrun still converts >= rescoreChunk candidates from dirty
 // to cached, so a handful of fallback decisions warm the cache and the
-// steady state meets the budget. Chunk order is slot order, so the RNG
-// stream (and every score) is unchanged by the chunk size.
+// steady state meets the budget. A stamp depends on its own mixture
+// alone, so the chunk size changes no score.
 const rescoreChunk = 16
 
 // predict refreshes the embeddings of the dirty candidates and
 // predicts their residual-time mixtures into scrMix (position i of
 // dirty at scrMix[i]) in fused batches. Under the score cache it also
-// Monte Carlo scores each from the policy's shared RNG stream in slot
-// order, stamping scores chunk by chunk. It returns false when the
-// decision must fall back (insane mixture or deadline overrun, already
-// recorded); scores stamped before the abort remain cached.
+// stamps each candidate's score, chunk by chunk. It returns false when
+// the decision must fall back (insane mixture or deadline overrun,
+// already recorded); scores stamped before the abort remain cached.
 func (r *Raven) predict(dirty []int, ver int, budget time.Duration, deadline time.Time) bool {
 	if r.cfg.Inference32 {
 		if r.frozen == nil || r.frozen.Version != ver {
@@ -145,22 +143,14 @@ func (r *Raven) predict(dirty []int, ver int, budget time.Duration, deadline tim
 }
 
 // stampArrival scores candidate slot j by its predicted next-arrival
-// time and caches the score on its side record. Its draws come off the
-// shared stream in slot order, so every score is a pure function of
-// the trace and seed.
+// time and caches the score on its side record. The mean log-residual
+// Σ_k w_k·μ_k is exact, so a score is a pure function of its mixture.
 func (r *Raven) stampArrival(j int, mix *nn.Mixture, ver int) {
-	m := r.cfg.ResidualSamples
-	r.scrCum = cumWeights(mix.W, r.scrCum)
-	sum := 0.0
-	for s := 0; s < m; s++ {
-		sum += sampleLogResidual(mix, r.scrCum, r.rng)
+	lr := 0.0
+	for k, w := range mix.W {
+		lr += w * mix.Mu[k]
 	}
-	lr := sum / float64(m)
-	if lr > expClamp {
-		lr = expClamp
-	} else if lr < -expClamp {
-		lr = -expClamp
-	}
+	lr = min(max(lr, -expClamp), expClamp)
 	rc := r.scrRec[j]
 	sd := r.tab.sides.At(rc.res)
 	score := float64(rc.lastSeen) + r.net.Cfg.TimeScale*math.Exp(lr)

@@ -88,10 +88,10 @@ func (h *fastHarness) evictAdmit(t *testing.T) cache.Key {
 	return v
 }
 
-// TestScoreCacheAllDirtyMatchesUncached is the satellite property
-// test: when every candidate is dirty at every decision, the cached
-// fast path and the forced-rescore (uncached) fast path consume the
-// same RNG stream and must produce identical victim sequences.
+// TestScoreCacheAllDirtyMatchesUncached: when every candidate is dirty
+// at every decision, the cached fast path and the forced-rescore
+// (uncached) fast path predict and stamp the same candidates and must
+// produce identical victim sequences.
 func TestScoreCacheAllDirtyMatchesUncached(t *testing.T) {
 	a := newFastHarness(nil)
 	b := newFastHarness(nil)
@@ -105,6 +105,70 @@ func TestScoreCacheAllDirtyMatchesUncached(t *testing.T) {
 		vb := b.evictAdmit(t)
 		if va != vb {
 			t.Fatalf("round %d: cached victim %d != uncached victim %d", round, va, vb)
+		}
+	}
+}
+
+// TestScoreStampIsClosedForm: every score a decision stamps is
+// lastSeen + TimeScale·exp(clamp(Σ_k w_k·μ_k)) of the mixture it was
+// predicted from, bit for bit, under f64 and f32 inference alike.
+func TestScoreStampIsClosedForm(t *testing.T) {
+	for _, f32 := range []bool{false, true} {
+		h := newFastHarness(func(c *Config) { c.Inference32 = f32 })
+		r := h.r
+		stamped := 0
+		for round := 0; round < 10; round++ {
+			h.touchOne(round % len(h.resident))
+			if _, ok := r.Victim(); !ok {
+				t.Fatal("no victim from a populated policy")
+			}
+			for i, j := range r.scrDirty {
+				mix := &r.scrMix[i]
+				lr := 0.0
+				for k := range mix.W {
+					lr += mix.W[k] * mix.Mu[k]
+				}
+				lr = math.Max(-expClamp, math.Min(lr, expClamp))
+				rc := r.scrRec[j]
+				want := float64(rc.lastSeen) + r.net.Cfg.TimeScale*math.Exp(lr)
+				if got := r.tab.sides.At(rc.res).score; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("f32=%v round %d slot %d: stamped %v, want %v", f32, round, j, got, want)
+				}
+				stamped++
+			}
+			h.evictAdmit(t)
+		}
+		if stamped == 0 {
+			t.Fatalf("f32=%v: no decision stamped a score", f32)
+		}
+	}
+}
+
+// TestScoreCacheSamplerIgnoresRescores: under the score cache the
+// policy's RNG feeds only the candidate sampler, so a decision sequence
+// samples the same candidate slots whether or not the residents were
+// touched between decisions — however many candidates each decision
+// had to re-score.
+func TestScoreCacheSamplerIgnoresRescores(t *testing.T) {
+	slots := func(touch bool) [][]int {
+		h := newFastHarness(func(c *Config) { c.CandidateSample = 6 })
+		if h.r.cfg.CandidateSample >= len(h.resident) {
+			t.Fatal("the sample must be smaller than the resident set")
+		}
+		var out [][]int
+		for round := 0; round < 30; round++ {
+			if touch {
+				h.touchAll()
+			}
+			h.evictAdmit(t)
+			out = append(out, slices.Clone(h.r.scrIdx))
+		}
+		return out
+	}
+	touched, idle := slots(true), slots(false)
+	for round := range touched {
+		if !slices.Equal(touched[round], idle[round]) {
+			t.Fatalf("round %d: sampled slots %v with touched residents, %v without", round, touched[round], idle[round])
 		}
 	}
 }
@@ -183,8 +247,8 @@ func TestScoreCacheMetricsReconcile(t *testing.T) {
 // TestFastPathInference32MatchesRanking sanity-checks float32
 // inference under both estimators: it must run, never pick a
 // non-resident victim, and — since the f32 forward pass differs from
-// f64 by ~1e-6 while Monte Carlo scores are separated by sampling noise
-// orders of magnitude larger — it should agree with f64 on nearly every
+// f64 by ~1e-6 relative, which flips only a decision whose top scores
+// are about that close — it should agree with f64 on nearly every
 // decision.
 func TestFastPathInference32MatchesRanking(t *testing.T) {
 	for _, est := range estimators {
@@ -201,7 +265,7 @@ func TestFastPathInference32MatchesRanking(t *testing.T) {
 					agree++
 				}
 			}
-			// The two runs draw different variates once a single decision
+			// The two runs' resident sets part once a single decision
 			// diverges, so demand strong but not perfect agreement.
 			if agree < total*8/10 {
 				t.Fatalf("f32 and f64 agreed on %d/%d decisions; expected >= %d", agree, total, total*8/10)

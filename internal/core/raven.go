@@ -52,7 +52,6 @@ type Raven struct {
 	scrRec   []*rec
 	scrDirty []int
 	scrIn    []nn.PredictInput
-	scrCum   []float64
 
 	// predMix is the persistent mixture scratch for the closed-form
 	// next-arrival predictions (arrival.go; no RNG draws).
@@ -602,30 +601,4 @@ func mixtureFinite(m *nn.Mixture) bool {
 		}
 	}
 	return true
-}
-
-func cumWeights(w []float64, dst []float64) []float64 {
-	dst = dst[:0]
-	acc := 0.0
-	for _, wi := range w {
-		acc += wi
-		dst = append(dst, acc)
-	}
-	return dst
-}
-
-// sampleLogResidual draws the LOG of a residual-time sample from the
-// mixture. Since log is monotone, comparing log-samples across
-// candidates gives the same argmax as comparing the samples
-// themselves, and skipping the exp saves ~30% of eviction time.
-func sampleLogResidual(m *nn.Mixture, cum []float64, g *stats.RNG) float64 {
-	u := g.Float64()
-	k := len(cum) - 1
-	for i, c := range cum {
-		if u <= c {
-			k = i
-			break
-		}
-	}
-	return m.Mu[k] + m.S[k]*g.NormFloat64()
 }

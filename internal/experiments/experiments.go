@@ -9,7 +9,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -297,60 +297,64 @@ func netFor(p trace.ProductionPreset) *sim.NetModel {
 
 // --- registry ----------------------------------------------------------------
 
-// All lists every experiment ID in paper order.
-var All = []string{
-	"fig2a", "fig2bc", "fig3", "fig5", "fig6", "fig7", "fig8",
-	"fig9", "fig10", "tab2", "fig11", "fig12", "tab3", "tab4",
-	"tab5", "tab6", "tab7", "tab8",
-	"fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-	"fig19", "fig20", "fig21", "ablations", "overhead", "admission",
+// experiment pairs an experiment ID with the Runner method that
+// produces its report.
+type experiment struct {
+	id  string
+	run func(*Runner) *Report
 }
+
+// experimentTable lists every experiment in paper order.
+var experimentTable = []experiment{
+	{"fig2a", (*Runner).Fig2a},
+	{"fig2bc", (*Runner).Fig2bc},
+	{"fig3", (*Runner).Fig3},
+	{"fig5", (*Runner).Fig5},
+	{"fig6", (*Runner).Fig6},
+	{"fig7", (*Runner).Fig7},
+	{"fig8", (*Runner).Fig8},
+	{"fig9", (*Runner).Fig9},
+	{"fig10", (*Runner).Fig10},
+	{"tab2", (*Runner).Table2},
+	{"fig11", (*Runner).Fig11},
+	{"fig12", (*Runner).Fig12},
+	{"tab3", (*Runner).Table3},
+	{"tab4", (*Runner).Table4},
+	{"tab5", (*Runner).Table5},
+	{"tab6", (*Runner).Table6},
+	{"tab7", (*Runner).Table7},
+	{"tab8", (*Runner).Table8},
+	{"fig13", (*Runner).Fig13},
+	{"fig14", (*Runner).Fig14},
+	{"fig15", (*Runner).Fig15},
+	{"fig16", (*Runner).Fig16},
+	{"fig17", (*Runner).Fig17},
+	{"fig18", (*Runner).Fig18},
+	{"fig19", (*Runner).Fig19},
+	{"fig20", (*Runner).Fig20},
+	{"fig21", (*Runner).Fig21},
+	{"ablations", (*Runner).Ablations},
+	{"overhead", (*Runner).Overhead},
+	{"admission", (*Runner).Admission},
+}
+
+// All lists every experiment ID in paper order.
+var All = func() []string {
+	ids := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		ids[i] = e.id
+	}
+	return ids
+}()
 
 // Run executes one experiment by ID.
 func (r *Runner) Run(id string) (*Report, error) {
-	fns := map[string]func() *Report{
-		"fig2a":     r.Fig2a,
-		"fig2bc":    r.Fig2bc,
-		"fig3":      r.Fig3,
-		"fig5":      r.Fig5,
-		"fig6":      r.Fig6,
-		"fig7":      r.Fig7,
-		"fig8":      r.Fig8,
-		"fig9":      r.Fig9,
-		"fig10":     r.Fig10,
-		"tab2":      r.Table2,
-		"fig11":     r.Fig11,
-		"fig12":     r.Fig12,
-		"tab3":      r.Table3,
-		"tab4":      r.Table4,
-		"tab5":      r.Table5,
-		"tab6":      r.Table6,
-		"tab7":      r.Table7,
-		"tab8":      r.Table8,
-		"fig13":     r.Fig13,
-		"fig14":     r.Fig14,
-		"fig15":     r.Fig15,
-		"fig16":     r.Fig16,
-		"fig17":     r.Fig17,
-		"fig18":     r.Fig18,
-		"fig19":     r.Fig19,
-		"fig20":     r.Fig20,
-		"fig21":     r.Fig21,
-		"ablations": r.Ablations,
-		"overhead":  r.Overhead,
-		"admission": r.Admission,
-	}
-	fn, ok := fns[id]
-	if !ok {
-		known := make([]string, 0, len(fns))
-		for k := range fns {
-			known = append(known, k)
-		}
-		sort.Strings(known)
-		return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, known)
+	i := slices.IndexFunc(experimentTable, func(e experiment) bool { return e.id == id })
+	if i < 0 {
+		return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, All)
 	}
 	start := time.Now()
-	rep := fn()
+	rep := experimentTable[i].run(r)
 	rep.Took = time.Since(start)
 	r.mu.Lock()
 	err := r.err

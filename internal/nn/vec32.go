@@ -7,8 +7,8 @@ package nn
 // doubles effective SIMD lanes and halves the weight-matrix cache
 // footprint. The mixture parameters an f32 forward pass produces
 // differ from the f64 pass by ~1e-6 relative — far below the Monte
-// Carlo estimator's own sampling noise (DESIGN.md "Inference fast
-// path & SLO" quantifies the error budget).
+// Carlo win count's own sampling noise (DESIGN.md "Inference fast
+// path & SLO" states the error budget under either estimator).
 //
 // The kernels mirror vec.go's shape exactly: 4-wide unrolled
 // accumulator chains combined as (s0+s1)+(s2+s3), so results are

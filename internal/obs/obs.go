@@ -267,14 +267,6 @@ func (r *Registry) adoptGauge(name string, g *Gauge) {
 	}
 }
 
-func (r *Registry) adoptHistogram(name string, h *Histogram) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.find(name) < 0 {
-		r.entries = append(r.entries, entry{name: name, kind: kindHistogram, h: h})
-	}
-}
-
 // RegisterFunc registers a derived metric: fn is evaluated at snapshot
 // time under the registry lock, so it must be fast and lock-free
 // (typically a sum of atomic loads). The sharded cache uses this to

@@ -32,8 +32,10 @@
 #                counts (guarded fits with injected faults too),
 #                admission replays bit-exact across runs and worker
 #                counts, the score cache's stamped scores bit-exact across
-#                runs, and TestSimulateDeterministic: every registered
-#                policy replayed twice, byte for byte
+#                runs and equal to the closed form of their mixtures, its
+#                candidate sample independent of how many candidates
+#                earlier decisions re-scored, and TestSimulateDeterministic:
+#                every registered policy replayed twice, byte for byte
 #   alloc        the runtime referee for "no allocation per decision or
 #                per request": eviction decisions (both estimators, f64
 #                and f32) and f32 batch inference, the
@@ -72,9 +74,12 @@
 #                (twitter52) at raven-sim's defaults and prints, per
 #                Raven configuration, OHR/BHR against LRU, the share of
 #                the Belady−LRU gap captured, model_evict_frac and the
-#                health it ends in; the defaults and learned-admission
-#                rows assert floors, the served configuration only
-#                reports. TestServedEqualsSimulated holds the server to
+#                health it ends in; the defaults, score-cache (the served
+#                estimator on the virtual clock: score cache and float32
+#                inference, no decision budget) and learned-admission rows
+#                assert floors, the served configuration (which adds the
+#                wall-clock budget) only reports.
+#                TestServedEqualsSimulated holds the server to
 #                the simulator: the same hit/miss sequence over the
 #                wire and the same final cache.Stats
 #
@@ -160,8 +165,8 @@ stage_determinism() {
     run_named 'TestFitGoldenBytes|TestFitWorkersBitExact|TestGuardedFitWorkersBitExact' ./internal/nn/
     echo "==> same program: pinned Raven replay hash, replays bit-exact across worker counts, admission determinism (double run, Workers 1 vs 8), every policy's replay run twice"
     run_named 'TestRavenGoldenBytes|TestRavenWorkersBitExact|TestAdmissionBitExact|TestAdmissionOffMatchesUnfronted|TestSimulateDeterministic' ./internal/sim/
-    echo "==> same program: the score cache's stamped scores bit-exact across runs"
-    run_named 'TestScoreStampsBitExact' ./internal/core/
+    echo "==> same program: the score cache's stamps bit-exact across runs and equal to their mixtures' closed form, and its candidate sample independent of how many candidates were re-scored"
+    run_named 'TestScoreStampsBitExact|TestScoreStampIsClosedForm|TestScoreCacheSamplerIgnoresRescores' ./internal/core/
 }
 
 stage_alloc() {
@@ -213,7 +218,7 @@ stage_checkpoint() {
 }
 
 stage_quality() {
-    echo "==> hit ratios against LRU and Belady on wiki18 and twitter52 (raven-sim defaults), and served = simulated"
+    echo "==> hit ratios against LRU and Belady on wiki18 and twitter52 (raven-sim defaults, and the served estimator without its wall-clock budget), and served = simulated"
     run_named 'TestQuality' -v ./internal/sim/
     run_named 'TestServedEqualsSimulated' ./internal/server/
 }
