@@ -87,44 +87,96 @@ func Chain(stages ...Admitter) Admitter {
 // Bloom doorkeeper absorbs first sightings (one-hit wonders never
 // reach the sketch) and a conservative-update CM-sketch counts
 // repeats. An object is admitted once its estimated frequency —
-// doorkeeper bit included — reaches sketchMinFreq. The doorkeeper resets in
-// lockstep with the sketch's periodic halving, so long replays decay
-// stale popularity instead of saturating (sketch.CountMin.OnAge).
+// doorkeeper bit included — reaches sketchMinFreq. The doorkeeper
+// resets two ways: on its own once it has absorbed its capacity of
+// distinct keys (the sketch keeps its counts), and with the sketch's
+// periodic halving (sketch.CountMin.OnAge), so long replays decay stale
+// popularity instead of saturating.
+//
+// The front is sized in objects, and the objects are the cache's: behind
+// WithAdmission it reads the resident count of the cache it fronts and
+// re-fits itself to it at doorkeeper resets (refit). Standalone it keeps
+// its minEntries sizing.
 type SketchAdmitter struct {
 	door *sketch.Bloom
 	sk   *sketch.CountMin
+
+	entries   int        // the object count door and sk are sized for
+	residents *int       // the fronted cache's resident count; nil standalone
+	gauge     *obs.Gauge // reports heldBytes at every sizing; nil when detached
 }
 
 // sketchMinFreq is the admission threshold: the doorkeeper absorbs the
 // first sighting, the second passes.
 const sketchMinFreq = 2
 
-// NewSketchAdmitter sizes the front for roughly entries objects (the
-// policy layer derives entries from the instance's capacity, so shards
-// size their fronts from their own slice of the cache). The sketch ages
-// deterministically every 16x entries increments, TinyLFU's W ratio.
-func NewSketchAdmitter(entries int) *SketchAdmitter {
-	if entries < 64 {
-		entries = 64
-	}
-	// The doorkeeper is sized for the sample window (TinyLFU's W = 16x
-	// cache entries), NOT the cache size: it must remember a full aging
-	// period's worth of distinct keys, or it self-resets faster than
-	// typical reuse distances and nothing ever recurs "within" it.
-	window := 16 * entries
-	a := &SketchAdmitter{
-		door: sketch.NewBloom(window),
-		sk:   sketch.NewCountMin(4, 4*entries, uint64(window)),
-	}
+// minEntries is the smallest object count the front is sized for, and
+// its size before the cache it fronts holds anything.
+const minEntries = 64
+
+// NewSketchAdmitter builds the front at minEntries. Behind WithAdmission
+// it grows to the cache's resident count at its first doorkeeper reset.
+func NewSketchAdmitter() *SketchAdmitter {
+	a := &SketchAdmitter{entries: minEntries, door: sketch.NewBloom(16 * minEntries)}
+	a.newSketch()
+	return a
+}
+
+// newSketch builds a zeroed CM-sketch for a.entries objects: 4 rows of
+// 4x entries four-bit counters, aging every 16x entries increments —
+// TinyLFU's sample window W, for which the doorkeeper is sized too. The
+// doorkeeper must remember a full aging period's worth of distinct keys,
+// or it self-resets faster than typical reuse distances and nothing ever
+// recurs "within" it. That is 20 B of doorkeeper (10 bits per window
+// key) and 8 B of sketch per entry: 28 B.
+func (a *SketchAdmitter) newSketch() {
+	window := 16 * a.entries
+	a.sk = sketch.NewCountMin(4, 4*a.entries, uint64(window))
 	// Aging halves sketch counters; the doorkeeper's "seen once" bits
 	// are half-counts too and must decay with them, or every object
 	// ever seen would keep its +1 forever.
 	a.sk.OnAge = a.door.Reset
-	return a
+	if a.gauge != nil {
+		a.gauge.Set(a.heldBytes())
+	}
+}
+
+// refit re-sizes the front to the fronted cache's resident count n =
+// max(minEntries, residents), called after every doorkeeper reset. It
+// rebuilds only when the current sizing has left [7n/8, 8n/7]: above it
+// the front would hold more than 32 B (28 B x 8/7) per resident object,
+// below it the sample window would fall more than an eighth short of
+// 16n. A steady cache therefore never rebuilds and its sketch keeps
+// halving; a rebuild starts an empty doorkeeper and a zeroed sketch.
+func (a *SketchAdmitter) refit() {
+	if a.residents == nil {
+		return
+	}
+	n := max(minEntries, *a.residents)
+	if 7*a.entries <= 8*n && 7*n <= 8*a.entries {
+		return
+	}
+	a.entries = n
+	a.door.Resize(16 * n) // counts as a reset: Resets keeps counting up
+	a.newSketch()
+}
+
+// heldBytes returns what the doorkeeper and the sketch hold.
+func (a *SketchAdmitter) heldBytes() int64 { return int64(a.door.Bytes() + a.sk.Bytes()) }
+
+// setGauge reports heldBytes on g now and at every rebuild; nil
+// detaches.
+func (a *SketchAdmitter) setGauge(g *obs.Gauge) {
+	a.gauge = g
+	if g != nil {
+		g.Set(a.heldBytes())
+	}
 }
 
 // Admit implements Admitter: observe the sighting, then admit when the
-// estimated frequency reaches the threshold.
+// estimated frequency reaches the threshold. A doorkeeper reset during
+// the sighting re-fits the front after the decision is made, so the
+// decision is the one the current sizing gives.
 func (a *SketchAdmitter) Admit(req Request) Decision {
 	k := uint64(req.Key)
 	gen := a.door.Resets()
@@ -135,6 +187,8 @@ func (a *SketchAdmitter) Admit(req Request) Decision {
 	f := a.sk.Estimate(k)
 	if a.door.Resets() == gen {
 		f++ // the doorkeeper holds k: AddIfMissing set its bits and no reset has cleared them
+	} else {
+		a.refit()
 	}
 	if f >= sketchMinFreq {
 		return Accepted
@@ -214,13 +268,20 @@ func (a *ReuseAdmitter) Admit(req Request) Decision {
 // front's decision with the inner policy's own admission. It is how policy.Options.Admission attaches the pipeline:
 // the wrapper travels through every existing construction seam
 // (Factory, PerShard, ShardFactory, the server's NewPolicy) untouched.
+// It sees every OnAdmit and OnEvict of the cache it serves, so it counts
+// that cache's resident objects for the frequency stage to size itself by.
 type fronted struct {
 	Policy
-	front Admitter
+	front     Admitter
+	freq      *SketchAdmitter // the frequency stage, if the pipeline has one
+	residents int
 }
 
 // WithAdmission returns inner fronted by the given pipeline stages.
-// With no stages inner is returned unchanged.
+// With no stages inner is returned unchanged. A SketchAdmitter among the
+// stages is sized from then on by the resident count of the cache the
+// returned policy serves; fronting two policies with one SketchAdmitter
+// is a mistake.
 func WithAdmission(inner Policy, stages ...Admitter) Policy {
 	if len(stages) == 0 {
 		return inner
@@ -229,7 +290,14 @@ func WithAdmission(inner Policy, stages ...Admitter) Policy {
 	if len(stages) > 1 {
 		front = Chain(stages...)
 	}
-	return &fronted{Policy: inner, front: front}
+	f := &fronted{Policy: inner, front: front}
+	for _, s := range stages {
+		if d, ok := s.(*SketchAdmitter); ok {
+			d.residents = &f.residents
+			f.freq = d
+		}
+	}
+	return f
 }
 
 // Admit implements Admitter: front stages first, then the inner
@@ -239,6 +307,25 @@ func (f *fronted) Admit(req Request) Decision {
 		return d
 	}
 	return PolicyAdmit(f.Policy, req)
+}
+
+// OnAdmit counts the inserted object and forwards to the inner policy.
+func (f *fronted) OnAdmit(req Request) {
+	f.residents++
+	f.Policy.OnAdmit(req)
+}
+
+// OnEvict counts the removed object and forwards to the inner policy.
+func (f *fronted) OnEvict(key Key) {
+	f.residents--
+	f.Policy.OnEvict(key)
+}
+
+// setAdmitGauge reports the frequency stage's bytes on g (nil detaches).
+func (f *fronted) setAdmitGauge(g *obs.Gauge) {
+	if f.freq != nil {
+		f.freq.setGauge(g)
+	}
 }
 
 // Unwrap returns the wrapped policy, so callers that type-assert for

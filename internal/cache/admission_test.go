@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"raven/internal/obs"
@@ -84,7 +85,7 @@ func TestWithAdmissionWrapsAndUnwraps(t *testing.T) {
 // enough one-hit-wonder traffic to saturate and age several times, a
 // genuinely hot key must still be admitted on its second sighting.
 func TestSketchAdmitterSaturatedStillAdmitsHotKeys(t *testing.T) {
-	a := NewSketchAdmitter(64) // tiny: ages every 1024 sketch adds
+	a := NewSketchAdmitter() // tiny: ages every 1024 sketch adds
 	now := int64(0)
 	next := func(k Key) Decision { now++; return a.Admit(req(now, k, 1)) }
 
@@ -123,7 +124,7 @@ func TestSketchAdmitterSaturatedStillAdmitsHotKeys(t *testing.T) {
 // AddIfMissing, and with the sketch's aging, inside the same Admit's
 // sketch add.
 func TestSketchAdmitterMatchesProbe(t *testing.T) {
-	a, ref := NewSketchAdmitter(64), NewSketchAdmitter(64)
+	a, ref := NewSketchAdmitter(), NewSketchAdmitter()
 	var selfResets, agingResets int // resets after which the bit decided
 	probe := func(r Request) Decision {
 		k := uint64(r.Key)
@@ -297,7 +298,7 @@ func TestShardedRejectCountersReconcile(t *testing.T) {
 // TestFrontedStatsStayConserved runs a randomized workload through a
 // fronted cache (sketch admission) and checks engine conservation.
 func TestFrontedStatsStayConserved(t *testing.T) {
-	c := New(50, WithAdmission(newTestLRU(), NewSketchAdmitter(64)))
+	c := New(50, WithAdmission(newTestLRU(), NewSketchAdmitter()))
 	for i := 0; i < 5000; i++ {
 		k := Key(i % 97)
 		c.Handle(req(int64(i+1), k, 1+int64(k%5)))
@@ -308,5 +309,141 @@ func TestFrontedStatsStayConserved(t *testing.T) {
 	}
 	if st.Rejections == 0 || st.Admissions == 0 {
 		t.Errorf("degenerate workload: %+v", st)
+	}
+}
+
+// ---- the frequency front's sizing ----
+
+// frontHeader bounds what rounding adds to the front's tables beyond its
+// per-entry bytes: the doorkeeper's last word and each sketch row's.
+const frontHeader = 8 + 4*8
+
+// TestFrontSizedByResidents replays a variable-size stream through a
+// fronted LRU on two shards and checks the front's memory against the
+// objects each shard holds: the fronted wrapper counts exactly the
+// shard's residents, the admit_bytes gauges report what each front
+// holds and sum to the merged gauge, and each front holds at most 32 B
+// per resident object (never fewer than minEntries) plus its rounding.
+func TestFrontSizedByResidents(t *testing.T) {
+	r := obs.NewRegistry()
+	var so obs.ShardedCacheObs
+	so.Init(2)
+	so.Register(r, "cache")
+	fronts := make([]*fronted, 2)
+	s, err := NewSharded(4<<20, 2, func(i int, _ int64) (Policy, error) {
+		p := WithAdmission(newTestLRU(), NewSketchAdmitter())
+		fronts[i] = p.(*fronted)
+		return p, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2 {
+		s.SetShardObs(i, so.Shard(i))
+		if got, want := so.Shard(i).AdmitBytes.Load(), fronts[i].freq.heldBytes(); got != want {
+			t.Errorf("shard %d: admit_bytes %d on attach, front holds %d", i, got, want)
+		}
+	}
+	g := stats.NewRNG(3)
+	for i := range 400000 {
+		k := Key(g.Intn(60000))
+		s.Handle(req(int64(i+1), k, 64+int64(k%7)*32))
+	}
+	snap := make(map[string]int64)
+	for _, kv := range r.Snapshot() {
+		snap[kv.Name] = kv.Value
+	}
+	var sum int64
+	for i, f := range fronts {
+		residents := s.shards[i].index.Len()
+		if f.residents != residents {
+			t.Errorf("shard %d: fronted counts %d residents, the shard holds %d", i, f.residents, residents)
+		}
+		held := f.freq.heldBytes()
+		if got := snap[fmt.Sprintf("cache.shard%d.admit_bytes", i)]; got != held {
+			t.Errorf("shard %d: admit_bytes %d, front holds %d", i, got, held)
+		}
+		if bound := int64(32*max(minEntries, residents) + frontHeader); held > bound {
+			t.Errorf("shard %d: front holds %d B for %d residents, bound %d", i, held, residents, bound)
+		}
+		if f.freq.entries == minEntries {
+			t.Errorf("shard %d: front never grew past %d entries with %d residents", i, minEntries, residents)
+		}
+		sum += held
+	}
+	if snap["cache.admit_bytes"] != sum {
+		t.Errorf("merged admit_bytes %d, shards sum to %d", snap["cache.admit_bytes"], sum)
+	}
+}
+
+// TestRefitTriggers pins which doorkeeper resets re-fit the front to the
+// resident count: both — the doorkeeper's own reset at capacity and the
+// one the sketch's aging drives. On the call whose reset triggers the
+// rebuild the decision, doorkeeper bit included, is the one an admitter
+// that never re-fits makes; and a front whose sizing already fits the
+// residents keeps its tables, so its sketch halves instead of zeroing.
+func TestRefitTriggers(t *testing.T) {
+	fronting := func(residents int) (a, ref *SketchAdmitter) {
+		a, ref = NewSketchAdmitter(), NewSketchAdmitter()
+		a.residents = &residents
+		return a, ref
+	}
+	step := func(a, ref *SketchAdmitter, now int64, k Key) (Decision, bool) {
+		gen, entries := a.door.Resets(), a.entries
+		got, want := a.Admit(req(now, k, 1)), ref.Admit(req(now, k, 1))
+		if got != want {
+			t.Fatalf("request %d (key %d): %+v, the admitter that never re-fits %+v", now, k, got, want)
+		}
+		if refit := a.entries != entries; refit != (a.door.Resets() > gen+1) {
+			t.Fatalf("request %d: sizing %d -> %d with %d resets", now, entries, a.entries, a.door.Resets()-gen)
+		}
+		return got, a.entries != entries
+	}
+
+	// The doorkeeper's own reset: 16 x 64 distinct keys fill it (a few
+	// more, one per false positive).
+	a, ref := fronting(5000)
+	for i := int64(1); ; i++ {
+		_, refit := step(a, ref, i, Key(i))
+		if refit {
+			if i < 16*minEntries || a.entries != 5000 {
+				t.Errorf("self reset re-fit at request %d to %d entries, want >= %d and 5000", i, a.entries, 16*minEntries)
+			}
+			break
+		}
+		if i > 17*minEntries {
+			t.Fatal("the doorkeeper's own reset did not re-fit the front")
+		}
+	}
+
+	// The aging reset: a hammered key drives the sketch to its 16 x 64th
+	// increment, which lands on a key counted twice, halving it to one.
+	// The doorkeeper was reset by that halving, so the bit is 0 and the
+	// key is refused; an estimate that kept the bit would admit it.
+	a, ref = fronting(5000)
+	now := int64(0)
+	next := func(k Key) (Decision, bool) { now++; return step(a, ref, now, k) }
+	for range 16*minEntries - 1 { // one doorkeeper insert, then 1022 sketch adds
+		if _, refit := next(1); refit {
+			t.Fatal("re-fit before any reset")
+		}
+	}
+	next(2) // doorkeeper
+	if _, refit := next(2); refit {
+		t.Fatal("re-fit before the sketch aged")
+	}
+	if d, refit := next(2); !refit || d != Reject(RejectFrequency) || a.entries != 5000 {
+		t.Errorf("aging call: %+v, re-fit %v to %d entries; want a frequency reject and a re-fit to 5000", d, refit, a.entries)
+	}
+
+	// A steady cache: the sizing fits, resets come and go, nothing is
+	// rebuilt.
+	a, ref = fronting(70)
+	sk := a.sk
+	for i := int64(1); i <= 20000; i++ {
+		step(a, ref, i, Key(i%3000))
+	}
+	if a.door.Resets() == 0 || a.sk != sk || a.entries != minEntries {
+		t.Errorf("steady front: %d resets, sketch rebuilt %v, %d entries", a.door.Resets(), a.sk != sk, a.entries)
 	}
 }

@@ -160,15 +160,21 @@ func (c *shard) init(capacity int64, policy Policy) {
 	c.policy = policy
 }
 
-// setObs attaches live observability metrics (occupancy gauges and
-// request/eviction counters), updated inline on every request. The
-// updates are a few atomic ops and never allocate, so attaching
-// metrics does not perturb what they measure. Passing nil detaches.
+// setObs attaches live observability metrics (occupancy gauges,
+// request/eviction counters and the admission front's size), updated
+// inline on every request. The updates are a few atomic ops and never
+// allocate, so attaching metrics does not perturb what they measure.
+// Passing nil detaches.
 func (c *shard) setObs(m *obs.CacheObs) {
 	c.obs = m
+	var admitBytes *obs.Gauge
 	if m != nil {
 		m.UsedBytes.Set(c.used)
 		m.Objects.Set(int64(c.index.Len()))
+		admitBytes = &m.AdmitBytes
+	}
+	if f, ok := c.policy.(*fronted); ok {
+		f.setAdmitGauge(admitBytes)
 	}
 }
 

@@ -42,6 +42,10 @@ type CacheObs struct {
 	// UsedBytes and Objects track live occupancy.
 	UsedBytes Gauge
 	Objects   Gauge
+	// AdmitBytes is what the admission front's doorkeeper and count-min
+	// sketch hold, set when they are sized and at every rebuild (0
+	// without a frequency front).
+	AdmitBytes Gauge
 
 	Requests   Counter
 	Hits       Counter
@@ -94,6 +98,7 @@ func (co *CacheObs) AdmitReject(reason string) {
 func (co *CacheObs) Register(r *Registry, prefix string) {
 	r.adoptGauge(prefix+".used_bytes", &co.UsedBytes)
 	r.adoptGauge(prefix+".objects", &co.Objects)
+	r.adoptGauge(prefix+".admit_bytes", &co.AdmitBytes)
 	r.adoptCounter(prefix+".requests", &co.Requests)
 	r.adoptCounter(prefix+".hits", &co.Hits)
 	r.adoptCounter(prefix+".evictions", &co.Evictions)
@@ -155,6 +160,7 @@ func (so *ShardedCacheObs) sum(get func(*CacheObs) int64) func() int64 {
 func (so *ShardedCacheObs) Register(r *Registry, prefix string) {
 	r.RegisterFunc(prefix+".used_bytes", so.sum(func(c *CacheObs) int64 { return c.UsedBytes.Load() }))
 	r.RegisterFunc(prefix+".objects", so.sum(func(c *CacheObs) int64 { return c.Objects.Load() }))
+	r.RegisterFunc(prefix+".admit_bytes", so.sum(func(c *CacheObs) int64 { return c.AdmitBytes.Load() }))
 	r.RegisterFunc(prefix+".requests", so.sum(func(c *CacheObs) int64 { return c.Requests.Load() }))
 	r.RegisterFunc(prefix+".hits", so.sum(func(c *CacheObs) int64 { return c.Hits.Load() }))
 	r.RegisterFunc(prefix+".evictions", so.sum(func(c *CacheObs) int64 { return c.Evictions.Load() }))

@@ -241,8 +241,32 @@ func TestCacheObsRegister(t *testing.T) {
 	if got["cache.requests"] != 1 || got["cache.used_bytes"] != 64 {
 		t.Errorf("snapshot %v", got)
 	}
-	// 8 original metrics + 8 admit_rejects.<reason>.
-	if len(kvs) != 16 {
-		t.Errorf("want 16 cache metrics, got %d", len(kvs))
+	// 3 gauges + 6 counters + 8 admit_rejects.<reason>.
+	if len(kvs) != 17 {
+		t.Errorf("want 17 cache metrics, got %d", len(kvs))
+	}
+	if _, ok := got["cache.admit_bytes"]; !ok {
+		t.Error("cache.admit_bytes not registered")
+	}
+
+	// The sharded bundle registers the merged gauge and one per shard.
+	r = NewRegistry()
+	var so ShardedCacheObs
+	so.Init(2)
+	so.Register(r, "cache")
+	so.Shard(0).AdmitBytes.Set(1000)
+	so.Shard(1).AdmitBytes.Set(24)
+	got = make(map[string]int64)
+	for _, kv := range r.Snapshot() {
+		got[kv.Name] = kv.Value
+	}
+	for name, want := range map[string]int64{
+		"cache.admit_bytes":        1024,
+		"cache.shard0.admit_bytes": 1000,
+		"cache.shard1.admit_bytes": 24,
+	} {
+		if v, ok := got[name]; !ok || v != want {
+			t.Errorf("%s = %d (registered %v), want %d", name, v, ok, want)
+		}
 	}
 }

@@ -43,7 +43,7 @@ func (a AdmissionOptions) front(p cache.Policy, o Options) (cache.Policy, error)
 	case "", AdmitOff:
 		return p, nil
 	case AdmitDoorkeeper:
-		return cache.WithAdmission(p, cache.NewSketchAdmitter(o.entries())), nil
+		return cache.WithAdmission(p, cache.NewSketchAdmitter()), nil
 	case AdmitLearned:
 		pred, ok := cache.Unwrap(p).(cache.ReusePredictor)
 		if !ok {
@@ -51,7 +51,7 @@ func (a AdmissionOptions) front(p cache.Policy, o Options) (cache.Policy, error)
 				a.Mode, p.Name())
 		}
 		return cache.WithAdmission(p,
-			cache.NewSketchAdmitter(o.entries()),
+			cache.NewSketchAdmitter(),
 			cache.NewReuseAdmitter(pred, o.Capacity),
 		), nil
 	}

@@ -65,16 +65,20 @@ type Options struct {
 	// Admission configures the admission front-end attached in front of
 	// the built policy (admission.go). The zero value is off: nothing
 	// is wrapped and replays are bit-identical to an admission-less
-	// build. Derived per shard/node exactly like Seed: the pipeline is
-	// built per instance from the shard's own Capacity and Seed.
+	// build. The pipeline is built per instance, so each shard or node
+	// gets its own: its frequency front is sized by the objects that
+	// shard holds, and its predicted-reuse check by the shard's
+	// Capacity.
 	Admission AdmissionOptions
 	// Raven optionally overrides the default Raven configuration; its
 	// TrainWindow/Goal/Seed are filled from this Options if zero.
 	Raven *core.Config
 }
 
-// entries approximates how many objects fit in the cache (LeCaR ghost
-// lists) from Capacity.
+// entries is LeCaR's ghost-list bound; LeCaR is its only user. It reads
+// a Capacity under 1 MiB as an object count and returns 4096 above it,
+// so it takes a byte count for an object count. (The admission front
+// sizes itself by the objects the cache holds instead.)
 func (o Options) entries() int {
 	if o.Capacity > 0 && o.Capacity < 1<<20 {
 		return int(o.Capacity)

@@ -3,11 +3,14 @@
 // paper's related work §2): a conservative-update count-min sketch for
 // frequency estimation and a Bloom-filter "doorkeeper" that absorbs
 // one-hit wonders before they reach the sketch.
+//
+// Both tables take exactly the size they are asked for: a hash is
+// mapped onto [0, n) by multiply-shift range reduction (reduce), not by
+// a power-of-two mask, so a table sized for n entries never holds up to
+// twice that.
 package sketch
 
-import (
-	"math"
-)
+import "math/bits"
 
 // mix64 is a splitmix64-style finalizer used to derive row hashes.
 func mix64(x uint64) uint64 {
@@ -19,46 +22,61 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// reduce maps a uniform 64-bit hash uniformly onto [0, n): the high
+// word of h·n (Lemire's range reduction).
+func reduce(h, n uint64) uint64 {
+	hi, _ := bits.Mul64(h, n)
+	return hi
+}
+
+// maxCount is a counter's ceiling. Counters are four bits wide,
+// TinyLFU's width: the admission threshold is 2, so counting higher
+// would only slow the decay of popularity that has gone stale.
+const maxCount = 15
+
 // CountMin is a count-min sketch with conservative update and
-// periodic halving ("aging") so stale popularity decays.
+// periodic halving ("aging") so stale popularity decays. Its counters
+// are four bits, sixteen to a word.
 type CountMin struct {
 	rows   int
-	width  uint64
-	counts [][]uint8
+	width  uint64   // counters per row
+	stride int      // words per row
+	counts []uint64 // rows × stride words
 	adds   uint64
 	// ResetAt halves all counters after this many increments (0
 	// disables aging). Saturated increments (all of the key's counters
-	// at MaxUint8) cannot raise a counter but still count toward the
+	// at maxCount) cannot raise a counter but still count toward the
 	// period: a saturated sketch is exactly the one that must keep
 	// aging, or stale popularity would be frozen in forever.
 	ResetAt uint64
 	// OnAge, when non-nil, runs after every periodic halving — the
-	// TinyLFU-style hook that lets a paired doorkeeper reset in
-	// lockstep, so its "seen once" bits decay with the counters they
-	// top up.
+	// TinyLFU-style hook that lets a paired doorkeeper reset with the
+	// sketch, so its "seen once" bits decay with the counters they top
+	// up.
 	OnAge func()
 }
 
 // NewCountMin creates a sketch with the given depth (rows) and width
-// (counters per row, rounded up to a power of two).
+// (counters per row).
 func NewCountMin(rows, width int, resetAt uint64) *CountMin {
 	if rows <= 0 || width <= 0 {
 		panic("sketch: rows and width must be positive")
 	}
-	w := uint64(1)
-	for w < uint64(width) {
-		w <<= 1
+	stride := (width + 15) / 16
+	return &CountMin{
+		rows:    rows,
+		width:   uint64(width),
+		stride:  stride,
+		counts:  make([]uint64, rows*stride),
+		ResetAt: resetAt,
 	}
-	cm := &CountMin{rows: rows, width: w, ResetAt: resetAt}
-	cm.counts = make([][]uint8, rows)
-	for i := range cm.counts {
-		cm.counts[i] = make([]uint8, w)
-	}
-	return cm
 }
 
-func (cm *CountMin) idx(row int, key uint64) uint64 {
-	return mix64(key+uint64(row)*0x9e3779b97f4a7c15) & (cm.width - 1)
+// slot locates key's counter in row: its word and the bit offset of its
+// four bits there.
+func (cm *CountMin) slot(row int, key uint64) (word int, shift uint) {
+	c := reduce(mix64(key+uint64(row)*0x9e3779b97f4a7c15), cm.width)
+	return row*cm.stride + int(c/16), uint(c%16) * 4
 }
 
 // Add increments key's counters (conservative update: only the
@@ -67,17 +85,11 @@ func (cm *CountMin) idx(row int, key uint64) uint64 {
 // early-return here silently disabled aging exactly when the sketch
 // filled up, freezing stale popularity for the rest of a long replay.
 func (cm *CountMin) Add(key uint64) {
-	min := uint8(math.MaxUint8)
-	for r := 0; r < cm.rows; r++ {
-		if c := cm.counts[r][cm.idx(r, key)]; c < min {
-			min = c
-		}
-	}
-	if min < math.MaxUint8 {
+	if min := uint64(cm.Estimate(key)); min < maxCount {
 		for r := 0; r < cm.rows; r++ {
-			i := cm.idx(r, key)
-			if cm.counts[r][i] == min {
-				cm.counts[r][i]++
+			w, s := cm.slot(r, key)
+			if cm.counts[w]>>s&maxCount == min {
+				cm.counts[w] += 1 << s
 			}
 		}
 	}
@@ -87,11 +99,13 @@ func (cm *CountMin) Add(key uint64) {
 	}
 }
 
-// Estimate returns key's approximate frequency (an overestimate).
+// Estimate returns key's approximate frequency (an overestimate, capped
+// at maxCount).
 func (cm *CountMin) Estimate(key uint64) uint32 {
-	min := uint8(math.MaxUint8)
+	min := uint64(maxCount)
 	for r := 0; r < cm.rows; r++ {
-		if c := cm.counts[r][cm.idx(r, key)]; c < min {
+		w, s := cm.slot(r, key)
+		if c := cm.counts[w] >> s & maxCount; c < min {
 			min = c
 		}
 	}
@@ -103,11 +117,10 @@ func (cm *CountMin) Estimate(key uint64) uint32 {
 // ResetAt increments; callers with their own deterministic schedule
 // (replay epochs, training windows) may invoke it directly.
 func (cm *CountMin) Halve() {
-	for r := range cm.counts {
-		row := cm.counts[r]
-		for i := range row {
-			row[i] >>= 1
-		}
+	for i, w := range cm.counts {
+		// All sixteen counters at once: the mask drops the bit each one
+		// would take from its upper neighbour.
+		cm.counts[i] = w >> 1 & 0x7777777777777777
 	}
 	cm.adds = 0
 	if cm.OnAge != nil {
@@ -119,10 +132,17 @@ func (cm *CountMin) Halve() {
 // absorbed.
 func (cm *CountMin) Adds() uint64 { return cm.adds }
 
-// Bloom is a simple blocked Bloom filter used as TinyLFU's doorkeeper.
+// Bytes returns the size of the sketch's counter table.
+func (cm *CountMin) Bytes() int { return 8 * len(cm.counts) }
+
+// bloomBitsPerEntry sizes the doorkeeper: ten bits per entry under its
+// seven hashes keep false positives near 1% at capacity.
+const bloomBitsPerEntry = 10
+
+// Bloom is a simple Bloom filter used as TinyLFU's doorkeeper.
 type Bloom struct {
 	bits   []uint64
-	mask   uint64
+	nbits  uint64
 	hashN  int
 	set    int
 	cap    int
@@ -131,19 +151,20 @@ type Bloom struct {
 
 // NewBloom sizes a filter for roughly n entries at ~1% false positives.
 func NewBloom(n int) *Bloom {
-	if n < 64 {
-		n = 64
-	}
-	bits := uint64(1)
-	for bits < uint64(n)*10 {
-		bits <<= 1
-	}
-	return &Bloom{
-		bits:  make([]uint64, bits/64),
-		mask:  bits - 1,
-		hashN: 7,
-		cap:   n,
-	}
+	b := &Bloom{hashN: 7}
+	b.size(n)
+	return b
+}
+
+// size replaces the bit array with an empty one for n entries (at
+// least 64).
+func (b *Bloom) size(n int) {
+	n = max(n, 64)
+	words := (n*bloomBitsPerEntry + 63) / 64
+	b.bits = make([]uint64, words)
+	b.nbits = uint64(64 * words)
+	b.cap = n
+	b.set = 0
 }
 
 // hashes returns the two independent 64-bit hashes of key that
@@ -160,7 +181,7 @@ func (b *Bloom) AddIfMissing(key uint64) bool {
 	present := true
 	h1, h2 := hashes(key)
 	for i := 0; i < b.hashN; i++ {
-		bit := h1 & b.mask
+		bit := reduce(h1, b.nbits)
 		h1 += h2
 		w, off := bit/64, bit%64
 		if b.bits[w]&(1<<off) == 0 {
@@ -181,7 +202,7 @@ func (b *Bloom) AddIfMissing(key uint64) bool {
 func (b *Bloom) Contains(key uint64) bool {
 	h1, h2 := hashes(key)
 	for i := 0; i < b.hashN; i++ {
-		bit := h1 & b.mask
+		bit := reduce(h1, b.nbits)
 		h1 += h2
 		if b.bits[bit/64]&(1<<(bit%64)) == 0 {
 			return false
@@ -192,14 +213,22 @@ func (b *Bloom) Contains(key uint64) bool {
 
 // Reset clears the filter.
 func (b *Bloom) Reset() {
-	for i := range b.bits {
-		b.bits[i] = 0
-	}
+	clear(b.bits)
 	b.set = 0
 	b.resets++
 }
 
-// Resets counts the filter's resets, its own and its callers'. A key
-// AddIfMissing took is Contained until the count moves: Reset is the
-// only way a bit is cleared.
+// Resize re-sizes the filter for n entries. The resized filter is
+// empty, so Resize counts as a reset.
+func (b *Bloom) Resize(n int) {
+	b.size(n)
+	b.resets++
+}
+
+// Resets counts the filter's resets, its own and its callers', resizes
+// included. A key AddIfMissing took is Contained until the count moves:
+// Reset and Resize are the only ways a bit is cleared.
 func (b *Bloom) Resets() uint64 { return b.resets }
+
+// Bytes returns the size of the filter's bit array.
+func (b *Bloom) Bytes() int { return 8 * len(b.bits) }

@@ -48,7 +48,11 @@
 #                allocs/op; and for "no allocation per trained term":
 #                forwardBackward holds 0 allocs/op and a whole Fit
 #                allocates the same count whatever the number of
-#                sequences and epochs
+#                sequences and epochs. Then the admission front's
+#                memory, which scales with resident objects: building
+#                raven with learned admission at a routed node's
+#                capacity allocates < 256 KiB, and after a replay the
+#                front holds <= 32 B per resident object
 #   bench-smoke  every `go test -bench` benchmark — the one place a single
 #                layer is timed — still compiles and runs once: the root
 #                package's per-operation costs, nn kernels (assembly and
@@ -81,7 +85,11 @@
 #                wall-clock budget) only reports.
 #                TestServedEqualsSimulated holds the server to
 #                the simulator: the same hit/miss sequence over the
-#                wire and the same final cache.Stats
+#                wire and the same final cache.Stats.
+#                TestDoorkeeperWindowCoversResidents: a doorkeeper-
+#                fronted LRU holding ~10 000 objects of a 1 MiB cache
+#                admits a second sighting after 8x residents distinct
+#                misses
 #
 # Any failure aborts with a nonzero exit. Every CI job calls a stage of
 # this script, so a green local run means a green CI run. SKIP_RACE=1
@@ -178,6 +186,10 @@ stage_alloc() {
 
     echo "==> serving-path alloc assertion (GET/SET direct, 32-frame bursts through the router, ring lookup; 0 allocs/op)"
     run_named 'TestServingPathAllocFree|TestRingLookupAllocFree' ./internal/server/ ./internal/cluster/
+
+    echo "==> admission front memory (sized by resident objects: < 256 KiB to build raven + learned admission at a routed node's capacity; <= 32 B per resident after a replay)"
+    run_named 'TestLearnedFrontConstructionAlloc' ./internal/policy/
+    run_named 'TestFrontSizedByResidents' ./internal/cache/
 }
 
 stage_bench_smoke() {
@@ -221,6 +233,8 @@ stage_quality() {
     echo "==> hit ratios against LRU and Belady on wiki18 and twitter52 (raven-sim defaults, and the served estimator without its wall-clock budget), and served = simulated"
     run_named 'TestQuality' -v ./internal/sim/
     run_named 'TestServedEqualsSimulated' ./internal/server/
+    echo "==> the doorkeeper's window spans 16x the resident objects: a second sighting after 8x residents distinct misses is admitted"
+    run_named 'TestDoorkeeperWindowCoversResidents' -v ./internal/policy/
 }
 
 stages="static test race lint determinism alloc bench-smoke fuzz-smoke checkpoint quality"
