@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"raven/internal/obs"
+	"raven/internal/trace"
 )
 
 // ShardFactory builds the policy instance for one shard. shard is the
@@ -160,6 +161,51 @@ func (s *Sharded) Set(req Request) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.set(req)
+}
+
+// Op is one operation of a batch: a lookup as Handle serves it, or a
+// store as Set serves it when Set is true. Time is its timestamp on the
+// policy clock.
+type Op struct {
+	Set  bool
+	Key  Key
+	Size int64
+	Time int64
+}
+
+// ServeBatch serves ops in order and stores each op's outcome in res,
+// which has len(ops): hit for a lookup, resident afterwards for a
+// store. Each run of consecutive ops on one shard is served under one
+// hold of that shard's lock, so a one-shard engine takes its lock once
+// per batch. Every policy sees the request stream Handle and Set would
+// give it op by op. ServeBatch does not allocate.
+func (s *Sharded) ServeBatch(ops []Op, res []bool) {
+	for i := 0; i < len(ops); {
+		k := s.ShardIndex(ops[i].Key)
+		j := i + 1
+		for j < len(ops) && s.ShardIndex(ops[j].Key) == k {
+			j++
+		}
+		s.shards[k].serveRun(ops[i:j], res[i:j])
+		i = j
+	}
+}
+
+// serveRun serves ops, all of this shard, under one hold of its lock.
+// The unlock is deferred, so a panicking policy cannot leave the shard
+// locked.
+func (c *shard) serveRun(ops []Op, res []bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range ops {
+		op := &ops[i]
+		req := Request{Time: op.Time, Key: op.Key, Size: op.Size, Next: trace.NoNext}
+		if op.Set {
+			res[i] = c.set(req)
+		} else {
+			res[i] = c.handle(req)
+		}
+	}
 }
 
 // Contains reports whether key is cached on its shard.

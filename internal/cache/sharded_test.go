@@ -139,6 +139,32 @@ func TestShardedSetSemantics(t *testing.T) {
 	}
 }
 
+// panicOnHit is an LRU whose OnHit panics.
+type panicOnHit struct{ *testLRU }
+
+func (p panicOnHit) OnHit(Request) { panic("policy bug") }
+
+// TestServeBatchPanicUnlocks: a policy that panics inside a batch
+// leaves its shard unlocked, so the engine keeps serving.
+func TestServeBatchPanicUnlocks(t *testing.T) {
+	s, err := NewSharded(1024, 1, SingleFactory(panicOnHit{newTestLRU()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the policy's panic did not reach the caller")
+			}
+		}()
+		ops := []Op{{Key: 1, Size: 8, Time: 1}, {Key: 1, Size: 8, Time: 2}} // a miss, then a hit
+		s.ServeBatch(ops, make([]bool, len(ops)))
+	}()
+	if s.Handle(Request{Time: 3, Key: 2, Size: 8}) { // deadlocks if the shard stayed locked
+		t.Error("a fresh key hit")
+	}
+}
+
 func TestSingleFactorySecondShardErrors(t *testing.T) {
 	f := SingleFactory(newTestLRU())
 	if _, err := f(0, 10); err != nil {
@@ -150,7 +176,8 @@ func TestSingleFactorySecondShardErrors(t *testing.T) {
 }
 
 // TestShardedConcurrent hammers a sharded cache from many goroutines
-// (mixed Handle/Set plus snapshot readers) and reconciles the merged
+// (mixed Handle/Set, batches through ServeBatch, plus snapshot
+// readers) and reconciles the merged
 // totals with the client-side counts. Run under -race this is the
 // engine-level half of the cross-shard safety story.
 func TestShardedConcurrent(t *testing.T) {
@@ -174,15 +201,29 @@ func TestShardedConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			g := stats.NewRNG(int64(w + 1))
+			// Odd workers serve their ops in batches of 16 (ServeBatch);
+			// even ones op by op.
+			var batch []Op
+			res := make([]bool, 16)
 			for i := 0; i < reqs; i++ {
 				k := Key(g.Intn(4096))
 				r := Request{Time: int64(i), Key: k, Size: int64(1 + int(k)%32)}
+				set := g.Float64() < 0.1
 				switch {
-				case g.Float64() < 0.1:
+				case w%2 == 1:
+					batch = append(batch, Op{Set: set, Key: r.Key, Size: r.Size, Time: r.Time})
+					if len(batch) == len(res) {
+						s.ServeBatch(batch, res)
+						batch = batch[:0]
+					}
+				case set:
 					s.Set(r)
-					sets.Add(1)
 				default:
 					s.Handle(r)
+				}
+				if set {
+					sets.Add(1)
+				} else {
 					gets.Add(1)
 				}
 				if i%256 == 0 {
@@ -190,6 +231,7 @@ func TestShardedConcurrent(t *testing.T) {
 					_ = s.Used()
 				}
 			}
+			s.ServeBatch(batch, res[:len(batch)])
 		}(w)
 	}
 	wg.Wait()

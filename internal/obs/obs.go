@@ -6,7 +6,7 @@
 // The paper's §5.4 system experiment (and the LHR framework it cites)
 // treats overhead accounting as part of the result; this package makes
 // the numbers observable without perturbing them. Everything on the
-// hot path — Counter.Inc, Gauge.Set, Histogram.Observe — is a fixed
+// hot path — Counter.Inc, Gauge.Set, Histogram.Observe/ObserveN — is a fixed
 // number of atomic operations on preallocated memory: no locks, no
 // allocations, no maps. Only snapshotting (METRICS, log lines)
 // allocates, and that runs off the request path.
@@ -73,13 +73,21 @@ type Histogram struct {
 }
 
 // Observe records v. Negative values are clamped to zero.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records v n times, for the same cost as one Observe: the
+// server's burst path gives every op of a burst the burst's service
+// time. n <= 0 records nothing. Negative values are clamped to zero.
+func (h *Histogram) ObserveN(v int64, n int64) {
+	if n <= 0 {
+		return
+	}
 	if v < 0 {
 		v = 0
 	}
-	h.counts[bits.Len64(uint64(v))&(histBuckets-1)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.counts[bits.Len64(uint64(v))&(histBuckets-1)].Add(n)
+	h.count.Add(n)
+	h.sum.Add(v * n)
 	for {
 		old := h.max.Load()
 		if v <= old || h.max.CompareAndSwap(old, v) {

@@ -71,6 +71,41 @@ func TestHistogramEdgeValues(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN: ObserveN(v, n) leaves a histogram exactly as n
+// Observe(v) calls do — every bucket, the count, the sum and the max —
+// negative values clamped alike, and n <= 0 records nothing.
+func TestHistogramObserveN(t *testing.T) {
+	var batched, single Histogram
+	for _, o := range []struct{ v, n int64 }{
+		{0, 3}, {1, 1}, {-7, 2}, {1000, 32}, {999, 0}, {1 << 40, 5}, {3, -4}, {1500, 7}, {1 << 62, 1},
+	} {
+		batched.ObserveN(o.v, o.n)
+		for i := int64(0); i < o.n; i++ {
+			single.Observe(o.v)
+		}
+	}
+	for i := range batched.counts {
+		if b, s := batched.counts[i].Load(), single.counts[i].Load(); b != s {
+			t.Errorf("bucket %d: ObserveN %d, Observe %d", i, b, s)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		b, s int64
+	}{
+		{"count", batched.count.Load(), single.count.Load()},
+		{"sum", batched.sum.Load(), single.sum.Load()},
+		{"max", batched.max.Load(), single.max.Load()},
+	} {
+		if f.b != f.s {
+			t.Errorf("%s: ObserveN %d, Observe %d", f.name, f.b, f.s)
+		}
+	}
+	if got := batched.Snapshot(); got != single.Snapshot() || got.Count != 51 {
+		t.Errorf("snapshot %+v, want %+v with 51 samples", got, single.Snapshot())
+	}
+}
+
 // TestHotPathAllocFree pins the contract the server relies on: metric
 // updates on the request path never allocate.
 func TestHotPathAllocFree(t *testing.T) {
@@ -81,6 +116,7 @@ func TestHotPathAllocFree(t *testing.T) {
 		c.Inc()
 		g.Set(123)
 		h.Observe(4096)
+		h.ObserveN(4096, 32)
 	})
 	if allocs != 0 {
 		t.Fatalf("hot path allocates %.1f per op, want 0", allocs)

@@ -317,6 +317,58 @@ func TestServingPathAllocFree(t *testing.T) {
 	}
 }
 
+// TestBurstServingAllocFree extends the zero-allocation budget to the
+// pipelined engine path: a 32-frame burst of GETs and SETs over a
+// 4-shard engine, served as one ServeBatch, allocates
+// nothing on the server or the client.
+func TestBurstServingAllocFree(t *testing.T) {
+	const shards = 4
+	f, err := policy.Lookup("lru")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, 1<<20, func(c *Config) {
+		c.Shards = shards
+		c.NewPolicy = f.PerShard(policy.Options{Capacity: 1 << 20}, shards)
+		c.IdleTimeout = -1  // deadline arming is the only timer churn;
+		c.WriteTimeout = -1 // disable it so the measurement is exact
+	})
+	cl := dialClient(t, srv)
+
+	// 16 keys: every fourth frame a same-size SET; key 15 is too big for
+	// the cache, so its GETs miss every time.
+	eng := srv.backend.(engineBackend).eng
+	ops, reached := make([]Op, 32), make(map[int]bool)
+	for i := range ops {
+		ops[i] = Op{Set: i%4 == 3, Key: trace.Key(i % 16), Size: 64, Time: -1}
+		if ops[i].Key == 15 {
+			ops[i].Size = 2 << 20
+		}
+		reached[eng.ShardIndex(ops[i].Key)] = true
+	}
+	if len(reached) != shards {
+		t.Fatalf("the burst reaches %d of %d shards", len(reached), shards)
+	}
+	res := make([]bool, len(ops))
+	burst := func() {
+		if err := cl.Send(ops); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := cl.Recv(ops, res); err != nil || n != len(ops) {
+			t.Fatalf("%d of %d answered: %v", n, len(ops), err)
+		}
+	}
+	for i := 0; i < 32; i++ {
+		burst() // warm up: admit the keys, grow client scratch, fault in bufio pages
+	}
+	if res[0] != true || res[3] != true || res[15] != false {
+		t.Fatalf("warm GET %v, SET %v, oversized GET %v; want true, true, false", res[0], res[3], res[15])
+	}
+	if avg := testing.AllocsPerRun(200, burst); avg != 0 {
+		t.Errorf("a 32-frame burst over %d shards allocates %.2f times; want 0", shards, avg)
+	}
+}
+
 // recordingBatch is a BatchBackend that answers from a fixed rule (odd
 // keys hit or store) and records the bursts it was handed.
 type recordingBatch struct {

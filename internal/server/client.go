@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"raven/internal/cache"
 	"raven/internal/stats"
 	"raven/internal/trace"
 )
@@ -398,13 +399,9 @@ func (c *Client) Replay(tr *trace.Trace, curvePoints int) (*ReplayResult, error)
 
 // Op is one pipelined operation: a GET by default, a SET when Set is
 // true. Time < 0 lets the server's virtual clock stand in for a trace
-// timestamp.
-type Op struct {
-	Set  bool
-	Key  trace.Key
-	Size int64
-	Time int64
-}
+// timestamp. It is the engine's batch op, so a burst reaches
+// cache.Sharded.ServeBatch without a copy.
+type Op = cache.Op
 
 // PipelineStats summarizes one Pipeline run.
 type PipelineStats struct {

@@ -20,11 +20,11 @@
 // A verb a codec does not carry is malformed to it: a text GET is
 // answered "ERR unknown command". Both codecs pipeline: any number of
 // requests may be in flight, replies come back in order, the GET/SETs
-// buffered together are served as one burst (one ServeBatch call behind
-// a BatchBackend such as the cluster router) and their replies leave in
-// one write. All per-request state lives in the connection's reusable
-// block, so the steady-state GET/SET path performs zero heap
-// allocations per request.
+// buffered together are served as one burst — one ServeBatch call, one
+// pair of clock reads, and on a one-shard engine one acquisition of its
+// lock — and their replies leave in one write. All per-request state
+// lives in the connection's reusable block, so the steady-state GET/SET
+// path performs zero heap allocations per request.
 //
 // A configurable origin delay is charged on every miss and a cache
 // delay on every request, modelling the testbed RTTs of §5.1.4 at a
@@ -37,9 +37,10 @@
 // slice, lock, and statistics, selected by a deterministic hash of the
 // key. There is no global cache lock — GET/SET on different shards
 // proceed in parallel, so one slow eviction decision (Raven inference)
-// stalls only the requests that hash to the same shard. Per-shard
-// metrics are exported as cache.shard<N>.* next to the merged cache.*
-// totals.
+// stalls only the requests that hash to the same shard. A burst is
+// served in request order, each run of consecutive same-shard requests
+// under one hold of that shard's lock. Per-shard metrics are exported
+// as cache.shard<N>.* next to the merged cache.* totals.
 //
 // The server is hardened for hostile and heavy clients: every
 // connection runs under read/write deadlines, an idle timeout reaps
@@ -220,37 +221,50 @@ type Backend interface {
 	Stats() cache.Stats
 }
 
-// engineBackend is the default Backend: the in-process sharded cache.
-// Only the key's shard lock is held per op. It is deliberately not a
-// BatchBackend: on the engine each op of a burst is timed from its own
-// start.
+// burstBackend is what the request loop serves through: a burst at a
+// time, and Stats for the STATS verb.
+type burstBackend interface {
+	ServeBatch(ops []Op, res []bool)
+	Stats() cache.Stats
+}
+
+// engineBackend is the default backend: the in-process sharded cache.
 type engineBackend struct{ eng *cache.Sharded }
 
-func (e engineBackend) Get(key trace.Key, size, ts int64) bool {
-	return e.eng.Handle(trace.Request{Time: ts, Key: key, Size: size, Next: trace.NoNext})
-}
-
-// Set stores one object (see cache.Sharded.Set) and reports whether it is
-// resident afterwards.
-func (e engineBackend) Set(key trace.Key, size, ts int64) bool {
-	return e.eng.Set(trace.Request{Time: ts, Key: key, Size: size, Next: trace.NoNext})
-}
+// ServeBatch serves a burst in order, one shard lock per run of
+// same-shard ops; see cache.Sharded.ServeBatch.
+func (e engineBackend) ServeBatch(ops []Op, res []bool) { e.eng.ServeBatch(ops, res) }
 
 // Stats merges the per-shard snapshots, each taken under its own lock;
 // see Sharded.StatsSnapshot.
 func (e engineBackend) Stats() cache.Stats { return e.eng.StatsSnapshot() }
 
-// BatchBackend is optionally implemented by a Backend that serves a
-// burst of pipelined requests faster together than one by one (the
-// cluster router forwards a burst as one batch per node). The request
-// loop probes for it; without it a burst is served through Get and
-// Set, op by op.
+// BatchBackend is implemented by a Backend that serves a burst of
+// pipelined requests faster together than one by one (the cluster
+// router forwards a burst as one batch per node). The request loop
+// serves every burst through ServeBatch; a Backend without it is served
+// op by op through Get and Set (opByOp).
 type BatchBackend interface {
 	Backend
-	// ServeBatch serves ops in order and stores each op's outcome (hit
-	// or stored) in res, which has len(ops). Op.Time is already
-	// resolved against the server's virtual clock.
+	// ServeBatch serves ops, those of one key in their original order,
+	// and stores each op's outcome (hit or stored) in res, which has
+	// len(ops). Op.Time is already resolved against the server's
+	// virtual clock.
 	ServeBatch(ops []Op, res []bool)
+}
+
+// opByOp serves a burst through a plain Backend's Get and Set, one op
+// at a time.
+type opByOp struct{ Backend }
+
+func (b opByOp) ServeBatch(ops []Op, res []bool) {
+	for i, op := range ops {
+		if op.Set {
+			res[i] = b.Set(op.Key, op.Size, op.Time)
+		} else {
+			res[i] = b.Get(op.Key, op.Size, op.Time)
+		}
+	}
 }
 
 // Server is a TCP cache server.
@@ -258,13 +272,12 @@ type Server struct {
 	cfg Config
 	ln  net.Listener
 
-	// backend serves every request: Config.Backend, or the in-process
+	// backend serves every burst: Config.Backend, or the in-process
 	// sharded cache behind engineBackend. The engine owns all locking
 	// (per shard), so the server has no global cache mutex on the
 	// request path.
-	backend Backend
-	batch   BatchBackend // backend, when it serves bursts as batches
-	shards  int          // the in-process engine's shard count; 0 behind Config.Backend
+	backend burstBackend
+	shards  int // the in-process engine's shard count; 0 behind Config.Backend
 	// vclock is the fallback virtual clock for clients that send no
 	// trace timestamps: a monotone request counter across all shards.
 	vclock atomic.Int64
@@ -289,10 +302,14 @@ type Server struct {
 // New creates and starts a server listening on cfg.Addr.
 func New(cfg Config) (*Server, error) {
 	var engine *cache.Sharded
-	backend := cfg.Backend
-	if backend != nil {
+	var backend burstBackend
+	if cfg.Backend != nil {
 		if cfg.NewPolicy != nil {
 			return nil, errors.New("server: Backend and NewPolicy are mutually exclusive")
+		}
+		backend = opByOp{cfg.Backend}
+		if b, ok := cfg.Backend.(BatchBackend); ok {
+			backend = b
 		}
 	} else {
 		if cfg.NewPolicy == nil {
@@ -350,19 +367,24 @@ func New(cfg Config) (*Server, error) {
 			pings:       reg.Counter("server.pings"),
 		},
 	}
-	s.batch, _ = backend.(BatchBackend)
 	if engine != nil {
 		s.shards = engine.Shards()
-		cacheObs := &obs.ShardedCacheObs{}
-		cacheObs.Init(s.shards)
-		cacheObs.Register(reg, "cache")
-		for i := 0; i < s.shards; i++ {
-			engine.SetShardObs(i, cacheObs.Shard(i))
-		}
+		registerCacheObs(engine, reg)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
+}
+
+// registerCacheObs attaches live metrics to every shard of engine and
+// registers them in reg as cache.* totals and cache.shard<i>.*.
+func registerCacheObs(engine *cache.Sharded, reg *obs.Registry) {
+	cacheObs := &obs.ShardedCacheObs{}
+	cacheObs.Init(engine.Shards())
+	cacheObs.Register(reg, "cache")
+	for i := 0; i < engine.Shards(); i++ {
+		engine.SetShardObs(i, cacheObs.Shard(i))
+	}
 }
 
 // Shards returns the engine's shard count (a power of two), or 0 when
@@ -731,35 +753,24 @@ func (s *Server) serveConn(c *connIO, cd codec) {
 	}
 }
 
-// serveBurst serves ops in order and frames their replies. A backend
-// that implements BatchBackend is handed the burst in one call; any
-// other serves it op by op. Either way CacheDelay, OriginDelay and
-// Faults.PreReply apply per op. The latency histograms time each op
-// from its own start, and from the burst's start behind a BatchBackend:
-// there the burst is the unit of work, and an op's reply is ready when
-// the burst's round trip is.
+// serveBurst serves ops as one unit of work and frames their replies:
+// one ServeBatch call, then CacheDelay, OriginDelay and Faults.PreReply
+// per op. The burst is timed once. Its replies are flushed together, so
+// every op's reply is ready when the last one is staged, and each op
+// takes that service time as its latency sample (at depth 1 that is the
+// op's own).
 func (s *Server) serveBurst(c *connIO, ops []Op) {
-	var t0 time.Time
-	if s.batch != nil {
-		// Two clock reads per op are the latency histograms' price.
-		t0 = time.Now()
-		for i := range ops {
-			ops[i].Time = s.now(ops[i].Time)
-		}
-		s.batch.ServeBatch(ops, c.res[:len(ops)])
+	t0 := time.Now()
+	for i := range ops {
+		ops[i].Time = s.now(ops[i].Time)
 	}
+	res := c.res[:len(ops)]
+	s.backend.ServeBatch(ops, res)
+	var sets int64
 	for i, op := range ops {
-		ok, hist := c.res[i], s.met.getLatency
+		ok := res[i]
 		if op.Set {
-			hist = s.met.setLatency
-		}
-		if s.batch == nil {
-			t0 = time.Now()
-			if ts := s.now(op.Time); op.Set {
-				ok = s.backend.Set(op.Key, op.Size, ts)
-			} else {
-				ok = s.backend.Get(op.Key, op.Size, ts)
-			}
+			sets++
 		}
 		if s.cfg.CacheDelay > 0 {
 			time.Sleep(s.cfg.CacheDelay)
@@ -769,8 +780,10 @@ func (s *Server) serveBurst(c *connIO, ops []Op) {
 		}
 		s.preReply()
 		binCodec{c}.reply(op, ok)
-		hist.Observe(time.Since(t0).Nanoseconds())
 	}
+	d := time.Since(t0).Nanoseconds()
+	s.met.getLatency.ObserveN(d, int64(len(ops))-sets)
+	s.met.setLatency.ObserveN(d, sets)
 }
 
 // preReply runs the fault-injection hook that precedes every reply.

@@ -20,7 +20,9 @@ import (
 // cache.Stats must equal sim.Run's, field for field. LRU runs at 1 and 4
 // shards, at depth 1 and pipelined 32 deep; Raven at raven-sim's
 // defaults (no score cache, no decision budget, so no wall clock
-// reaches a decision) on 1 shard.
+// reaches a decision) pipelined 32 deep on 1 and 4 shards, where the
+// engine serves each burst as runs of same-shard ops and must keep
+// every shard's op order.
 func TestServedEqualsSimulated(t *testing.T) {
 	tr := trace.ProductionTrace(trace.Wiki18, 0.02, 42)
 	capacity := max(int64(float64(tr.UniqueBytes())*0.02), 64)
@@ -29,7 +31,7 @@ func TestServedEqualsSimulated(t *testing.T) {
 		shards, depth int
 	}{
 		{"lru", 1, 1}, {"lru", 1, 32}, {"lru", 4, 1}, {"lru", 4, 32},
-		{"raven", 1, 32},
+		{"raven", 1, 32}, {"raven", 4, 32},
 	} {
 		t.Run(fmt.Sprintf("%s/shards=%d/depth=%d", tc.policy, tc.shards, tc.depth), func(t *testing.T) {
 			f, err := policy.Lookup(tc.policy)

@@ -34,8 +34,12 @@
 #                counts, the score cache's stamped scores bit-exact across
 #                runs and equal to the closed form of their mixtures, its
 #                candidate sample independent of how many candidates
-#                earlier decisions re-scored, and TestSimulateDeterministic:
-#                every registered policy replayed twice, byte for byte
+#                earlier decisions re-scored, TestSimulateDeterministic:
+#                every registered policy replayed twice, byte for byte,
+#                and TestEngineBurstEquivalence: the engine serving bursts
+#                of 1, 7 and 32 (one shard lock per run of same-shard
+#                ops) gives the replies,
+#                cache.Stats and METRICS cache.* of op-by-op serving
 #   alloc        the runtime referee for "no allocation per decision or
 #                per request": eviction decisions (both estimators, f64
 #                and f32) and f32 batch inference, the
@@ -43,8 +47,9 @@
 #                at its ceiling, and a hit that steps a live embedding
 #                with a model installed), the engine's lock-held evict
 #                section,
-#                the serving path — direct and through the router —
-#                and the ring lookup hold 0
+#                the serving path — direct, a 32-frame burst over a
+#                4-shard engine, and through the router — and the ring
+#                lookup hold 0
 #                allocs/op; and for "no allocation per trained term":
 #                forwardBackward holds 0 allocs/op and a whole Fit
 #                allocates the same count whatever the number of
@@ -175,6 +180,8 @@ stage_determinism() {
     run_named 'TestRavenGoldenBytes|TestRavenWorkersBitExact|TestAdmissionBitExact|TestAdmissionOffMatchesUnfronted|TestSimulateDeterministic' ./internal/sim/
     echo "==> same program: the score cache's stamps bit-exact across runs and equal to their mixtures' closed form, and its candidate sample independent of how many candidates were re-scored"
     run_named 'TestScoreStampsBitExact|TestScoreStampIsClosedForm|TestScoreCacheSamplerIgnoresRescores' ./internal/core/
+    echo "==> same program: the engine serves a burst (one shard lock per run of same-shard ops) with the replies, cache.Stats and METRICS cache.* of op-by-op serving"
+    run_named 'TestEngineBurstEquivalence' ./internal/server/
 }
 
 stage_alloc() {
@@ -184,8 +191,8 @@ stage_alloc() {
     echo "==> engine evict section alloc assertion (Victim + evict over a full shard; 0 allocs/op)"
     run_named 'TestEvictAllocFree' ./internal/cache/
 
-    echo "==> serving-path alloc assertion (GET/SET direct, 32-frame bursts through the router, ring lookup; 0 allocs/op)"
-    run_named 'TestServingPathAllocFree|TestRingLookupAllocFree' ./internal/server/ ./internal/cluster/
+    echo "==> serving-path alloc assertion (GET/SET direct, 32-frame bursts over a 4-shard engine and through the router, ring lookup; 0 allocs/op)"
+    run_named 'TestServingPathAllocFree|TestBurstServingAllocFree|TestRingLookupAllocFree' ./internal/server/ ./internal/cluster/
 
     echo "==> admission front memory (sized by resident objects: < 256 KiB to build raven + learned admission at a routed node's capacity; <= 32 B per resident after a replay)"
     run_named 'TestLearnedFrontConstructionAlloc' ./internal/policy/
