@@ -8,13 +8,23 @@ type Dense struct {
 	W, B    *Param
 }
 
-// NewDense returns a Dense layer with Xavier-initialized weights.
+// denseParams is the number of parameters of an in→out Dense layer.
+func denseParams(in, out int) int { return in*out + out }
+
+// NewDense returns a Dense layer with Xavier-initialized weights and
+// tensors of its own.
 func NewDense(name string, in, out int, g *stats.RNG) *Dense {
+	return newDense(newSlab(denseParams(in, out)), name, in, out, g)
+}
+
+// newDense returns a Dense layer with Xavier-initialized weights, its
+// tensors the next ones of s.
+func newDense(s *slab, name string, in, out int, g *stats.RNG) *Dense {
 	d := &Dense{
 		In:  in,
 		Out: out,
-		W:   newParam(name+".W", in*out),
-		B:   newParam(name+".b", out),
+		W:   s.view(name+".W", in*out),
+		B:   s.view(name+".b", out),
 	}
 	d.W.initXavier(g, in, out)
 	return d
@@ -23,9 +33,10 @@ func NewDense(name string, in, out int, g *stats.RNG) *Dense {
 // Params returns the layer's learnable tensors.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// Shadow returns a layer sharing d's weights with private gradients.
-func (d *Dense) Shadow() *Dense {
-	return &Dense{In: d.In, Out: d.Out, W: d.W.shadowOf(), B: d.B.shadowOf()}
+// shadow returns a layer sharing d's weights with private gradients,
+// the next tensors of s (a shadow's storage).
+func (d *Dense) shadow(s *slab) *Dense {
+	return &Dense{In: d.In, Out: d.Out, W: s.like(d.W), B: s.like(d.B)}
 }
 
 // Forward computes y = W*x + b. len(x) must be In; len(y) must be Out.
@@ -41,25 +52,5 @@ func (d *Dense) Backward(x, dy, dx []float64) {
 	axpy(1, dy, d.B.G)
 	if dx != nil {
 		matTVecAdd(d.W.W, d.Out, d.In, dy, dx)
-	}
-}
-
-// relu applies max(0, x) elementwise from x into y.
-func relu(x, y []float64) {
-	for i, v := range x {
-		if v > 0 {
-			y[i] = v
-		} else {
-			y[i] = 0
-		}
-	}
-}
-
-// reluBackward computes dx_i = dy_i if y_i > 0 else 0, in place on dy.
-func reluBackward(y, dy []float64) {
-	for i := range dy {
-		if y[i] <= 0 {
-			dy[i] = 0
-		}
 	}
 }

@@ -13,8 +13,12 @@ import (
 //	r = σ(Wr x + Ur h + br)
 //	ĥ = tanh(Wh x + Uh (r⊙h) + bh)
 //	h' = (1−z)⊙h + z⊙ĥ
+//
+// Its input x is one feature (the log interarrival time, Net.featTau),
+// so each input weight W· is a column of HiddenN entries and Step takes
+// x as a scalar.
 type GRU struct {
-	In, HiddenN                        int
+	HiddenN                            int
 	Wz, Uz, Bz, Wr, Ur, Br, Wh, Uh, Bh *Param
 
 	// scr holds the gate activations of a Step that records nothing
@@ -26,16 +30,19 @@ type GRU struct {
 	bwd []float64
 }
 
-// NewGRU returns a GRU cell with Xavier-initialized weights.
-func NewGRU(name string, in, hidden int, g *stats.RNG) *GRU {
-	u := &GRU{
-		In: in, HiddenN: hidden,
-		Wz: newParam(name+".Wz", hidden*in), Uz: newParam(name+".Uz", hidden*hidden), Bz: newParam(name+".bz", hidden),
-		Wr: newParam(name+".Wr", hidden*in), Ur: newParam(name+".Ur", hidden*hidden), Br: newParam(name+".br", hidden),
-		Wh: newParam(name+".Wh", hidden*in), Uh: newParam(name+".Uh", hidden*hidden), Bh: newParam(name+".bh", hidden),
+// gruParams is the number of parameters of a GRU of the given width.
+func gruParams(hidden int) int { return 3 * (hidden + hidden*hidden + hidden) }
+
+// newGRU returns a GRU cell with Xavier-initialized weights, its
+// tensors the next ones of s.
+func newGRU(s *slab, name string, hidden int, g *stats.RNG) *GRU {
+	u := &GRU{HiddenN: hidden,
+		Wz: s.view(name+".Wz", hidden), Uz: s.view(name+".Uz", hidden*hidden), Bz: s.view(name+".bz", hidden),
+		Wr: s.view(name+".Wr", hidden), Ur: s.view(name+".Ur", hidden*hidden), Br: s.view(name+".br", hidden),
+		Wh: s.view(name+".Wh", hidden), Uh: s.view(name+".Uh", hidden*hidden), Bh: s.view(name+".bh", hidden),
 	}
 	for _, p := range []*Param{u.Wz, u.Wr, u.Wh} {
-		p.initXavier(g, in, hidden)
+		p.initXavier(g, 1, hidden)
 	}
 	for _, p := range []*Param{u.Uz, u.Ur, u.Uh} {
 		p.initXavier(g, hidden, hidden)
@@ -51,37 +58,40 @@ func (u *GRU) Params() []*Param {
 // gruCache holds one step's activations: what Backward needs of a
 // training step, or the gate scratch of an inference step.
 type gruCache struct {
-	x, prev      []float64
+	x            float64
+	prev         []float64
 	z, r, rh, hc []float64 // update gate, reset gate, r⊙h, candidate ĥ
 }
 
 func (u *GRU) newCache() *gruCache {
 	H := u.HiddenN
-	return &gruCache{
-		x: make([]float64, u.In), prev: make([]float64, H),
+	return &gruCache{prev: make([]float64, H),
 		z: make([]float64, H), r: make([]float64, H), rh: make([]float64, H), hc: make([]float64, H),
 	}
 }
 
-// Shadow returns a replica whose weights alias this cell's but whose
-// gradient buffers and scratch are private, so one goroutine can run
-// Step/Backward concurrently with others. The replica's lazily-sized
-// scratch starts empty, so concurrent shadows never share it.
-func (u *GRU) Shadow() *GRU {
-	return &GRU{In: u.In, HiddenN: u.HiddenN,
-		Wz: u.Wz.shadowOf(), Uz: u.Uz.shadowOf(), Bz: u.Bz.shadowOf(),
-		Wr: u.Wr.shadowOf(), Ur: u.Ur.shadowOf(), Br: u.Br.shadowOf(),
-		Wh: u.Wh.shadowOf(), Uh: u.Uh.shadowOf(), Bh: u.Bh.shadowOf()}
+// shadow returns a replica whose weights alias this cell's but whose
+// gradients (the next tensors of s, a shadow's storage) and scratch
+// are private, so one goroutine can run Step/Backward concurrently
+// with others. The replica's lazily-sized scratch starts empty, so
+// concurrent shadows never share it.
+func (u *GRU) shadow(s *slab) *GRU {
+	return &GRU{HiddenN: u.HiddenN,
+		Wz: s.like(u.Wz), Uz: s.like(u.Uz), Bz: s.like(u.Bz),
+		Wr: s.like(u.Wr), Ur: s.like(u.Ur), Br: s.like(u.Br),
+		Wh: s.like(u.Wh), Uh: s.like(u.Uh), Bh: s.like(u.Bh)}
 }
 
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
 // Step advances prev to out given input x, recording activations in
 // cache when non-nil. out may alias prev.
-func (u *GRU) Step(x, prev []float64, cache *gruCache, out []float64) {
+func (u *GRU) Step(x float64, prev []float64, cache *gruCache, out []float64) {
 	H := u.HiddenN
+	checkLen(prev, H)
+	checkLen(out, H)
 	if cache != nil {
-		copy(cache.x, x)
+		cache.x = x
 		copy(cache.prev, prev)
 	} else {
 		if u.scr == nil {
@@ -91,12 +101,11 @@ func (u *GRU) Step(x, prev []float64, cache *gruCache, out []float64) {
 	}
 	z, r, rh, hc := cache.z, cache.r, cache.rh, cache.hc
 
-	matVec(u.Wz.W, H, u.In, x, u.Bz.W, z)
+	u.inputs(x, z, r, hc)
 	matVecAdd(u.Uz.W, H, prev, z)
 	for i := range z {
 		z[i] = sigmoid(z[i])
 	}
-	matVec(u.Wr.W, H, u.In, x, u.Br.W, r)
 	matVecAdd(u.Ur.W, H, prev, r)
 	for i := range r {
 		r[i] = sigmoid(r[i])
@@ -104,7 +113,6 @@ func (u *GRU) Step(x, prev []float64, cache *gruCache, out []float64) {
 	for i := range rh {
 		rh[i] = r[i] * prev[i]
 	}
-	matVec(u.Wh.W, H, u.In, x, u.Bh.W, hc)
 	matVecAdd(u.Uh.W, H, rh, hc)
 	for i := range hc {
 		hc[i] = math.Tanh(hc[i])
@@ -135,7 +143,6 @@ func (u *GRU) Backward(cache *gruCache, dNext, dPrev []float64) {
 		daH[i] = dhc[i] * (1 - hc[i]*hc[i])
 	}
 	// Candidate path.
-	outerAdd(u.Wh.G, H, u.In, daH, cache.x)
 	outerAdd(u.Uh.G, H, H, daH, rh)
 	axpy(1, daH, u.Bh.G)
 	matTVecAdd(u.Uh.W, H, H, daH, drh)
@@ -146,12 +153,47 @@ func (u *GRU) Backward(cache *gruCache, dNext, dPrev []float64) {
 		daR[i] = dr[i] * r[i] * (1 - r[i])
 	}
 	// Gate paths.
-	outerAdd(u.Wz.G, H, u.In, daZ, cache.x)
+	u.inputGrads(cache.x, daZ, daR, daH)
 	outerAdd(u.Uz.G, H, H, daZ, cache.prev)
 	axpy(1, daZ, u.Bz.G)
-	outerAdd(u.Wr.G, H, u.In, daR, cache.x)
 	outerAdd(u.Ur.G, H, H, daR, cache.prev)
 	axpy(1, daR, u.Br.G)
 	matTVecAdd(u.Uz.W, H, H, daZ, dPrev)
 	matTVecAdd(u.Ur.W, H, H, daR, dPrev)
+}
+
+// inputs sets z, r and hc to the gates' input terms Wz·x+bz, Wr·x+br
+// and Wh·x+bh. Each is summed as matVec sums a one-column row — from
+// +0, then the product, then the bias — so the bits are those of a
+// HiddenN×1 matVec, ±0 included.
+func (u *GRU) inputs(x float64, z, r, hc []float64) {
+	wz, bz := u.Wz.W, u.Bz.W[:len(u.Wz.W)]
+	wr, br := u.Wr.W[:len(wz)], u.Br.W[:len(wz)]
+	wh, bh := u.Wh.W[:len(wz)], u.Bh.W[:len(wz)]
+	z, r, hc = z[:len(wz)], r[:len(wz)], hc[:len(wz)]
+	for i := range wz {
+		z[i] = 0 + wz[i]*x + bz[i]
+		r[i] = 0 + wr[i]*x + br[i]
+		hc[i] = 0 + wh[i]*x + bh[i]
+	}
+}
+
+// inputGrads accumulates the input weights' gradients Wz.G += daZ·x,
+// Wr.G += daR·x and Wh.G += daH·x, skipping each entry whose gate
+// gradient is ±0 as outerAdd skips a dead row.
+func (u *GRU) inputGrads(x float64, daZ, daR, daH []float64) {
+	gz := u.Wz.G
+	gr, gh := u.Wr.G[:len(gz)], u.Wh.G[:len(gz)]
+	daZ, daR, daH = daZ[:len(gz)], daR[:len(gz)], daH[:len(gz)]
+	for i := range gz {
+		if d := daZ[i]; d != 0 { //lint:allow float-equal exact zero skips dead gradient rows; bit-exact by design
+			gz[i] += d * x
+		}
+		if d := daR[i]; d != 0 { //lint:allow float-equal exact zero skips dead gradient rows; bit-exact by design
+			gr[i] += d * x
+		}
+		if d := daH[i]; d != 0 { //lint:allow float-equal exact zero skips dead gradient rows; bit-exact by design
+			gh[i] += d * x
+		}
+	}
 }

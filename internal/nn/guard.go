@@ -1,7 +1,5 @@
 package nn
 
-import "math"
-
 // Every Fit runs under the training guard (§6.1.1 deployment
 // hardening): a learned eviction policy that silently diverges is worse
 // than no policy at all, so the guard trips before insane weights can
@@ -72,35 +70,11 @@ func (f *TrainFaults) nanGradFault(epoch int) bool {
 	return f != nil && f.NaNGradEpoch > 0 && epoch >= f.NaNGradEpoch
 }
 
-// finiteSlice reports whether every element of s is finite.
-func finiteSlice(s []float64) bool {
-	for _, v := range s {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
 // FiniteWeights reports whether every weight of the network is finite.
 // Raven checks this before warm-starting a new training window: a net
 // poisoned by a corrupt checkpoint or runtime overflow cannot be
 // trained out of NaN, only replaced.
-func (n *Net) FiniteWeights() bool {
-	for _, p := range n.params {
-		if !finiteSlice(p.W) {
-			return false
-		}
-	}
-	return true
-}
+func (n *Net) FiniteWeights() bool { return finite(n.all.W) }
 
 // finiteGrads reports whether every master gradient is finite.
-func (n *Net) finiteGrads() bool {
-	for _, p := range n.params {
-		if !finiteSlice(p.G) {
-			return false
-		}
-	}
-	return true
-}
+func (n *Net) finiteGrads() bool { return finite(n.all.G) }

@@ -61,6 +61,68 @@ func outerAdd(dw []float64, rows, cols int, dy, x []float64) {
 	outerAddAVX(dw, rows, cols, dy, x)
 }
 
+// relu, reluBackward, reduceZero, adamUpdate and finite are the
+// elementwise Go loops of vec.go, and checkLen proves every length
+// first. With AVX the assembly runs every whole group of four entries
+// and the Go loop the rest, except in reduceZero.
+
+func relu(x, y []float64) {
+	checkLen(y, len(x))
+	n := 0
+	if useAVX {
+		n = len(x) &^ 3
+		reluAVX(x[:n], y[:n])
+	}
+	reluGo(x[n:], y[n:])
+}
+
+func reluBackward(y, dy []float64) {
+	checkLen(y, len(dy))
+	n := 0
+	if useAVX {
+		n = len(dy) &^ 3
+		reluBackwardAVX(y[:n], dy[:n])
+	}
+	reluBackwardGo(y[n:], dy[n:])
+}
+
+// reduceZero's assembly runs every entry, the tail included: it takes
+// each entry through every slot in turn, so the master's entries stay
+// in registers while the slots are added in order.
+func reduceZero(dst []float64, srcs [][]float64) {
+	if !useAVX {
+		reduceZeroGo(dst, srcs)
+		return
+	}
+	for _, src := range srcs {
+		checkLen(src, len(dst))
+	}
+	reduceZeroAVX(dst, srcs)
+}
+
+func adamUpdate(w, g, m, v []float64, c *adamCoef) {
+	checkLen(g, len(w))
+	checkLen(m, len(w))
+	checkLen(v, len(w))
+	n := 0
+	if useAVX {
+		n = len(w) &^ 3
+		adamUpdateAVX(w[:n], g[:n], m[:n], v[:n], c)
+	}
+	adamUpdateGo(w[n:], g[n:], m[n:], v[n:], c)
+}
+
+func finite(x []float64) bool {
+	n := 0
+	if useAVX {
+		n = len(x) &^ 3
+		if !finiteAVX(x[:n]) {
+			return false
+		}
+	}
+	return finiteGo(x[n:])
+}
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
@@ -73,3 +135,18 @@ func matTVecAddAVX(w []float64, rows, cols int, dy, dx []float64)
 
 //go:noescape
 func outerAddAVX(dw []float64, rows, cols int, dy, x []float64)
+
+//go:noescape
+func reluAVX(x, y []float64)
+
+//go:noescape
+func reluBackwardAVX(y, dy []float64)
+
+//go:noescape
+func reduceZeroAVX(dst []float64, srcs [][]float64)
+
+//go:noescape
+func adamUpdateAVX(w, g, m, v []float64, c *adamCoef)
+
+//go:noescape
+func finiteAVX(x []float64) bool

@@ -351,3 +351,243 @@ oaNext:
 oaDone:
 	VZEROUPPER
 	RET
+
+// The elementwise kernels: one group of four entries per iteration,
+// each lane the Go loop's one entry. The Go wrappers pass whole groups
+// only and run the rest as Go.
+
+// func reluAVX(x, y []float64)
+//
+// y = x where x > 0 (an ordered compare: false for NaN), else +0.
+TEXT ·reluAVX(SB), NOSPLIT, $0-48
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	MOVQ y_base+24(FP), DI
+	SHLQ $3, CX
+	XORQ DX, DX
+	VXORPD Y15, Y15, Y15
+
+reluLoop:
+	CMPQ DX, CX
+	JGE  reluDone
+	VMOVUPD (SI)(DX*1), Y0
+	VCMPPD  $0x1E, Y15, Y0, Y1   // GT_OQ: x > 0
+	VANDPD  Y0, Y1, Y0
+	VMOVUPD Y0, (DI)(DX*1)
+	ADDQ $32, DX
+	JMP  reluLoop
+
+reluDone:
+	VZEROUPPER
+	RET
+
+// func reluBackwardAVX(y, dy []float64)
+//
+// dy = +0 where y <= 0; kept where y > 0 or y is NaN (an unordered
+// not-less-or-equal compare).
+TEXT ·reluBackwardAVX(SB), NOSPLIT, $0-48
+	MOVQ y_base+0(FP), SI
+	MOVQ dy_base+24(FP), DI
+	MOVQ dy_len+32(FP), CX
+	SHLQ $3, CX
+	XORQ DX, DX
+	VXORPD Y15, Y15, Y15
+
+rbLoop:
+	CMPQ DX, CX
+	JGE  rbDone
+	VMOVUPD (SI)(DX*1), Y0
+	VCMPPD  $0x16, Y15, Y0, Y1   // NLE_UQ: !(y <= 0)
+	VANDPD  (DI)(DX*1), Y1, Y1
+	VMOVUPD Y1, (DI)(DX*1)
+	ADDQ $32, DX
+	JMP  rbLoop
+
+rbDone:
+	VZEROUPPER
+	RET
+
+// func reduceZeroAVX(dst []float64, srcs [][]float64)
+//
+// dst += srcs[0], then srcs[1], …, each src cleared to +0: per block
+// of dst (16 entries, then 4, then 1) held in registers while every
+// src adds into it in slice order, so each entry sums as the slot-by-
+// slot Go loop sums it.
+TEXT ·reduceZeroAVX(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ srcs_base+24(FP), R8  // R8 = the first slice header of srcs
+	MOVQ srcs_len+32(FP), R9
+	SHLQ $3, CX                // CX = bytes of dst
+	XORQ DX, DX                // DX = the block's offset
+	VXORPD Y15, Y15, Y15
+
+rzBlock16:
+	LEAQ 128(DX), AX
+	CMPQ AX, CX
+	JGT  rzBlock4
+	VMOVUPD (DI)(DX*1), Y0
+	VMOVUPD 32(DI)(DX*1), Y1
+	VMOVUPD 64(DI)(DX*1), Y2
+	VMOVUPD 96(DI)(DX*1), Y3
+	MOVQ R8, R10
+	MOVQ R9, R11
+
+rzSlot16:
+	TESTQ R11, R11
+	JZ    rzStore16
+	MOVQ  (R10), SI            // the src's base
+	VADDPD  (SI)(DX*1), Y0, Y0
+	VADDPD  32(SI)(DX*1), Y1, Y1
+	VADDPD  64(SI)(DX*1), Y2, Y2
+	VADDPD  96(SI)(DX*1), Y3, Y3
+	VMOVUPD Y15, (SI)(DX*1)
+	VMOVUPD Y15, 32(SI)(DX*1)
+	VMOVUPD Y15, 64(SI)(DX*1)
+	VMOVUPD Y15, 96(SI)(DX*1)
+	ADDQ $24, R10
+	DECQ R11
+	JMP  rzSlot16
+
+rzStore16:
+	VMOVUPD Y0, (DI)(DX*1)
+	VMOVUPD Y1, 32(DI)(DX*1)
+	VMOVUPD Y2, 64(DI)(DX*1)
+	VMOVUPD Y3, 96(DI)(DX*1)
+	MOVQ AX, DX
+	JMP  rzBlock16
+
+rzBlock4:
+	LEAQ 32(DX), AX
+	CMPQ AX, CX
+	JGT  rzBlock1
+	VMOVUPD (DI)(DX*1), Y0
+	MOVQ R8, R10
+	MOVQ R9, R11
+
+rzSlot4:
+	TESTQ R11, R11
+	JZ    rzStore4
+	MOVQ  (R10), SI
+	VADDPD  (SI)(DX*1), Y0, Y0
+	VMOVUPD Y15, (SI)(DX*1)
+	ADDQ $24, R10
+	DECQ R11
+	JMP  rzSlot4
+
+rzStore4:
+	VMOVUPD Y0, (DI)(DX*1)
+	MOVQ AX, DX
+	JMP  rzBlock4
+
+rzBlock1:
+	CMPQ DX, CX
+	JGE  rzDone
+	VMOVSD (DI)(DX*1), X0
+	MOVQ R8, R10
+	MOVQ R9, R11
+
+rzSlot1:
+	TESTQ R11, R11
+	JZ    rzStore1
+	MOVQ  (R10), SI
+	VADDSD (SI)(DX*1), X0, X0
+	VMOVSD X15, (SI)(DX*1)
+	ADDQ $24, R10
+	DECQ R11
+	JMP  rzSlot1
+
+rzStore1:
+	VMOVSD X0, (DI)(DX*1)
+	ADDQ $8, DX
+	JMP  rzBlock1
+
+rzDone:
+	VZEROUPPER
+	RET
+
+// func adamUpdateAVX(w, g, m, v []float64, c *adamCoef)
+//
+// adamUpdateGo's update, its operations in the same order: products,
+// sums, quotients and the square root each rounded on its own.
+TEXT ·adamUpdateAVX(SB), NOSPLIT, $0-104
+	MOVQ w_base+0(FP), DI
+	MOVQ w_len+8(FP), CX
+	MOVQ g_base+24(FP), SI
+	MOVQ m_base+48(FP), R8
+	MOVQ v_base+72(FP), R9
+	MOVQ c+96(FP), AX
+	VBROADCASTSD 0(AX), Y7       // scale
+	VBROADCASTSD 8(AX), Y8       // β1
+	VBROADCASTSD 16(AX), Y9      // 1−β1
+	VBROADCASTSD 24(AX), Y10     // β2
+	VBROADCASTSD 32(AX), Y11     // 1−β2
+	VBROADCASTSD 40(AX), Y12     // c1
+	VBROADCASTSD 48(AX), Y13     // c2
+	VBROADCASTSD 56(AX), Y14     // lr
+	VBROADCASTSD 64(AX), Y15     // ε
+	VXORPD Y6, Y6, Y6
+	SHLQ $3, CX
+	XORQ DX, DX
+
+adLoop:
+	CMPQ DX, CX
+	JGE  adDone
+	VMOVUPD (SI)(DX*1), Y0
+	VMULPD  Y7, Y0, Y0           // g = G·scale
+	VMULPD  (R8)(DX*1), Y8, Y1   // β1·m
+	VMULPD  Y0, Y9, Y2           // (1−β1)·g
+	VADDPD  Y2, Y1, Y1           // m
+	VMOVUPD Y1, (R8)(DX*1)
+	VMULPD  (R9)(DX*1), Y10, Y2  // β2·v
+	VMULPD  Y0, Y11, Y3          // (1−β2)·g
+	VMULPD  Y0, Y3, Y3           // ·g
+	VADDPD  Y3, Y2, Y2           // v
+	VMOVUPD Y2, (R9)(DX*1)
+	VDIVPD  Y12, Y1, Y1          // m/c1
+	VDIVPD  Y13, Y2, Y2          // v/c2
+	VSQRTPD Y2, Y2
+	VADDPD  Y15, Y2, Y2          // √(v/c2) + ε
+	VMULPD  Y1, Y14, Y1          // lr·(m/c1)
+	VDIVPD  Y2, Y1, Y1
+	VMOVUPD (DI)(DX*1), Y3
+	VSUBPD  Y1, Y3, Y3           // W − step
+	VMOVUPD Y3, (DI)(DX*1)
+	VMOVUPD Y6, (SI)(DX*1)       // G = +0
+	ADDQ $32, DX
+	JMP  adLoop
+
+adDone:
+	VZEROUPPER
+	RET
+
+// func finiteAVX(x []float64) bool
+//
+// x − x is +0 for a finite x and NaN for ±Inf or NaN; OR-ing every
+// difference leaves a zero register only if every x was finite.
+TEXT ·finiteAVX(SB), NOSPLIT, $0-25
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	SHLQ $3, CX
+	XORQ DX, DX
+	VXORPD Y1, Y1, Y1
+
+fiLoop:
+	CMPQ DX, CX
+	JGE  fiFold
+	VMOVUPD (SI)(DX*1), Y0
+	VSUBPD  Y0, Y0, Y0
+	VORPD   Y0, Y1, Y1
+	ADDQ $32, DX
+	JMP  fiLoop
+
+fiFold:
+	VEXTRACTF128 $1, Y1, X2
+	VORPD        X2, X1, X1
+	VPSHUFD      $0x4E, X1, X2     // swap the two lanes
+	VORPD        X2, X1, X1
+	VMOVQ        X1, AX
+	TESTQ        AX, AX
+	SETEQ        ret+24(FP)
+	VZEROUPPER
+	RET

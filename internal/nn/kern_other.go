@@ -16,3 +16,13 @@ func matTVecAdd(w []float64, rows, cols int, dy, dx []float64) {
 func outerAdd(dw []float64, rows, cols int, dy, x []float64) {
 	outerAddGo(dw, rows, cols, dy, x)
 }
+
+func relu(x, y []float64) { reluGo(x, y) }
+
+func reluBackward(y, dy []float64) { reluBackwardGo(y, dy) }
+
+func reduceZero(dst []float64, srcs [][]float64) { reduceZeroGo(dst, srcs) }
+
+func adamUpdate(w, g, m, v []float64, c *adamCoef) { adamUpdateGo(w, g, m, v, c) }
+
+func finite(x []float64) bool { return finiteGo(x) }

@@ -11,12 +11,12 @@ import (
 	"raven/internal/stats"
 )
 
-// kernelCase is one set of operands for every kernel: w and dw are
-// rows×cols, x and dx have cols entries, y0 and dy have rows.
+// kernelCase is one set of operands for every kernel: w, dw, m and v
+// are rows×cols, x and dx have cols entries, y0 and dy have rows.
 type kernelCase struct {
 	rows, cols       int
 	w, x, y0, dy, dx []float64
-	dw               []float64
+	dw, m, v         []float64
 }
 
 // The operand fills: what a fit produces, and the edges where a
@@ -29,9 +29,9 @@ const (
 	numFills
 )
 
-func newKernelCase(rows, cols int, seed int64, fill int) kernelCase {
-	g := stats.NewRNG(seed)
-	draw := func(n int) []float64 {
+// drawer returns a function that draws n operands of the given fill.
+func drawer(g *stats.RNG, fill int) func(n int) []float64 {
+	return func(n int) []float64 {
 		v := make([]float64, n)
 		for i := range v {
 			v[i] = g.NormFloat64()
@@ -62,6 +62,11 @@ func newKernelCase(rows, cols int, seed int64, fill int) kernelCase {
 		}
 		return v
 	}
+}
+
+func newKernelCase(rows, cols int, seed int64, fill int) kernelCase {
+	g := stats.NewRNG(seed)
+	draw := drawer(g, fill)
 	c := kernelCase{
 		rows: rows, cols: cols,
 		w: draw(rows * cols), x: draw(cols), y0: draw(rows), dy: draw(rows),
@@ -70,7 +75,15 @@ func newKernelCase(rows, cols int, seed int64, fill int) kernelCase {
 	if fill == fillNormal && rows > 1 {
 		c.dy[g.Intn(rows)] = 0 // a dead gradient row, which both paths skip
 	}
+	c.m, c.v = draw(rows*cols), draw(rows*cols)
 	return c
+}
+
+// adamCase is an Adam step's coefficients at t = 3, with the gradient
+// scale drawn from the case's fill (±0, ±Inf and NaN included).
+func (c *kernelCase) adamCase() adamCoef {
+	return adamCoef{scale: c.x[0], b1: 0.9, nb1: 1 - 0.9, b2: 0.999, nb2: 1 - 0.999,
+		c1: 1 - math.Pow(0.9, 3), c2: 1 - math.Pow(0.999, 3), lr: 1e-3, eps: 1e-8}
 }
 
 // sameBits reports whether two kernel outputs agree: bit for bit, or
@@ -130,6 +143,105 @@ func checkKernels(t *testing.T, c kernelCase) {
 	if !sameBits(got, want) {
 		fail("outerAdd", got, want)
 	}
+
+	// The elementwise kernels, over the rows×cols operands.
+	got, want = make([]float64, len(c.w)), make([]float64, len(c.w))
+	relu(c.w, got)
+	reluGo(c.w, want)
+	if !sameBits(got, want) {
+		fail("relu", got, want)
+	}
+	got, want = slices.Clone(c.dw), slices.Clone(c.dw)
+	reluBackward(c.w, got)
+	reluBackwardGo(c.w, want)
+	if !sameBits(got, want) {
+		fail("reluBackward", got, want)
+	}
+
+	// Three slots, then none.
+	for _, slots := range [][][]float64{{c.w, c.m, c.v}, nil} {
+		got, want = slices.Clone(c.dw), slices.Clone(c.dw)
+		gotSrcs, wantSrcs := make([][]float64, len(slots)), make([][]float64, len(slots))
+		for i, src := range slots {
+			gotSrcs[i], wantSrcs[i] = slices.Clone(src), slices.Clone(src)
+		}
+		reduceZero(got, gotSrcs)
+		reduceZeroGo(want, wantSrcs)
+		if !sameBits(got, want) {
+			fail("reduceZero/dst", got, want)
+		}
+		for i := range gotSrcs {
+			if !sameBits(gotSrcs[i], wantSrcs[i]) {
+				fail("reduceZero/src", gotSrcs[i], wantSrcs[i])
+			}
+		}
+	}
+
+	coef := c.adamCase()
+	gotW, gotG, gotM, gotV := slices.Clone(c.w), slices.Clone(c.dw), slices.Clone(c.m), slices.Clone(c.v)
+	wantW, wantG, wantM, wantV := slices.Clone(c.w), slices.Clone(c.dw), slices.Clone(c.m), slices.Clone(c.v)
+	adamUpdate(gotW, gotG, gotM, gotV, &coef)
+	adamUpdateGo(wantW, wantG, wantM, wantV, &coef)
+	for _, o := range []struct {
+		name      string
+		got, want []float64
+	}{{"adamUpdate/w", gotW, wantW}, {"adamUpdate/g", gotG, wantG}, {"adamUpdate/m", gotM, wantM}, {"adamUpdate/v", gotV, wantV}} {
+		if !sameBits(o.got, o.want) {
+			fail(o.name, o.got, o.want)
+		}
+	}
+
+	for _, v := range [][]float64{c.w, c.x, c.dy} {
+		if got, want := finite(v), finiteGo(v); got != want {
+			t.Errorf("finite(%v) = %t, Go loop %t", v, got, want)
+		}
+	}
+}
+
+// checkGRUInput runs a GRU of width h through its scalar-input terms
+// (GRU.inputs, GRU.inputGrads) and through what they replace — the
+// h×1 matVec and outerAdd of a one-element input vector — on the same
+// weights, input and gate gradients, and requires the same bits.
+func checkGRUInput(t *testing.T, h int, seed int64, fill int) {
+	t.Helper()
+	g := stats.NewRNG(seed)
+	draw := drawer(g, fill)
+	u := newGRU(newSlab(gruParams(h)), "g", h, g)
+	for _, p := range u.Params() {
+		copy(p.W, draw(len(p.W)))
+		copy(p.G, draw(len(p.G)))
+	}
+	x := draw(1)
+	daZ, daR, daH := draw(h), draw(h), draw(h)
+	if fill == fillNormal && h > 1 {
+		daR[g.Intn(h)] = 0 // a dead gradient row, which both forms skip
+	}
+
+	z, r, hc := make([]float64, h), make([]float64, h), make([]float64, h)
+	u.inputs(x[0], z, r, hc)
+	for _, k := range []struct {
+		name    string
+		got     []float64
+		weights *Param
+		bias    *Param
+	}{{"inputs/z", z, u.Wz, u.Bz}, {"inputs/r", r, u.Wr, u.Br}, {"inputs/hc", hc, u.Wh, u.Bh}} {
+		want := make([]float64, h)
+		matVec(k.weights.W, h, 1, x, k.bias.W, want)
+		if !sameBits(k.got, want) {
+			t.Errorf("GRU %s h=%d: scalar input and matVec differ\n got: %v\nwant: %v", k.name, h, k.got, want)
+		}
+	}
+
+	want := [][]float64{slices.Clone(u.Wz.G), slices.Clone(u.Wr.G), slices.Clone(u.Wh.G)}
+	outerAdd(want[0], h, 1, daZ, x)
+	outerAdd(want[1], h, 1, daR, x)
+	outerAdd(want[2], h, 1, daH, x)
+	u.inputGrads(x[0], daZ, daR, daH)
+	for i, got := range [][]float64{u.Wz.G, u.Wr.G, u.Wh.G} {
+		if !sameBits(got, want[i]) {
+			t.Errorf("GRU inputGrads %d h=%d: scalar input and outerAdd differ\n got: %v\nwant: %v", i, h, got, want[i])
+		}
+	}
 }
 
 // TestKernelsMatchGo is the assembly's oracle: on every shape around
@@ -146,6 +258,13 @@ func TestKernelsMatchGo(t *testing.T) {
 			}
 		}
 	}
+	for _, h := range []int{1, 2, 3, 4, 5, 8, 16, 17, 24} {
+		for fill := 0; fill < numFills; fill++ {
+			for seed := int64(0); seed < 4; seed++ {
+				checkGRUInput(t, h, 100*int64(h)+seed, fill)
+			}
+		}
+	}
 }
 
 func FuzzKernels(f *testing.F) {
@@ -155,6 +274,7 @@ func FuzzKernels(f *testing.F) {
 	f.Add(uint8(8), uint8(4), int64(4), uint8(fillNonFinite))
 	f.Fuzz(func(t *testing.T, rows, cols uint8, seed int64, fill uint8) {
 		checkKernels(t, newKernelCase(int(rows%80)+1, int(cols%80)+1, seed, int(fill%numFills)))
+		checkGRUInput(t, int(rows%80)+1, seed, int(fill%numFills))
 	})
 }
 
@@ -168,7 +288,10 @@ func TestKernelsShortSlicesPanic(t *testing.T) {
 	}
 	const rows, cols = 5, 8
 	c := newKernelCase(rows, cols, 1, fillNormal)
+	coef := c.adamCase()
+	u := newGRU(newSlab(gruParams(rows)), "g", rows, stats.NewRNG(1))
 	short := func(v []float64) []float64 { return v[:len(v)-1] }
+	clone := slices.Clone[[]float64]
 	calls := []struct {
 		name string
 		out  []float64
@@ -184,6 +307,23 @@ func TestKernelsShortSlicesPanic(t *testing.T) {
 		{"outerAdd/dw", slices.Clone(c.dw), func(dw []float64) { outerAdd(short(dw), rows, cols, c.dy, c.x) }},
 		{"outerAdd/dy", slices.Clone(c.dw), func(dw []float64) { outerAdd(dw, rows, cols, short(c.dy), c.x) }},
 		{"outerAdd/x", slices.Clone(c.dw), func(dw []float64) { outerAdd(dw, rows, cols, c.dy, short(c.x)) }},
+		// The elementwise kernels: one slice sets the length, each other
+		// one short panics. out is watched for writes through the
+		// short view too.
+		{"relu/y", make([]float64, len(c.w)), func(y []float64) { relu(c.w, short(y)) }},
+		{"reluBackward/y", slices.Clone(c.dw), func(dy []float64) { reluBackward(short(c.w), dy) }},
+		{"reduceZero/src", slices.Clone(c.dw), func(dst []float64) {
+			reduceZero(dst, [][]float64{clone(c.w), short(clone(c.m))})
+		}},
+		{"reduceZero/src:src", slices.Clone(c.w), func(src []float64) {
+			reduceZero(clone(c.dw), [][]float64{src, short(clone(c.m))})
+		}},
+		{"adamUpdate/g", slices.Clone(c.w), func(w []float64) { adamUpdate(w, short(clone(c.dw)), clone(c.m), clone(c.v), &coef) }},
+		{"adamUpdate/m", slices.Clone(c.w), func(w []float64) { adamUpdate(w, clone(c.dw), short(clone(c.m)), clone(c.v), &coef) }},
+		{"adamUpdate/v", slices.Clone(c.w), func(w []float64) { adamUpdate(w, clone(c.dw), clone(c.m), short(clone(c.v)), &coef) }},
+		{"adamUpdate/g:g", slices.Clone(c.dw), func(g []float64) { adamUpdate(clone(c.w), short(g), clone(c.m), clone(c.v), &coef) }},
+		{"GRU.Step/prev", make([]float64, rows), func(out []float64) { u.Step(c.x[0], short(c.y0), nil, out) }},
+		{"GRU.Step/out", make([]float64, rows), func(out []float64) { u.Step(c.x[0], c.y0, nil, short(out)) }},
 	}
 	for _, k := range calls {
 		t.Run(k.name, func(t *testing.T) {

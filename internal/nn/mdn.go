@@ -75,20 +75,25 @@ func MixtureFromActivations(aW, aMu, aS []float64, out *Mixture) {
 	}
 }
 
-// logNormLogPDF returns the log density of a log-normal(mu, s) at r>0.
-func logNormLogPDF(r, mu, s float64) float64 {
-	lr := math.Log(r)
+// halfLog2Pi is ½·log 2π as math.Log computes it (one ulp below the
+// correctly rounded constant), so the density keeps its bits.
+var halfLog2Pi = 0.5 * math.Log(2*math.Pi)
+
+// logNormLogPDF returns the log density of a log-normal(mu, s) at r>0,
+// given lr = log r.
+func logNormLogPDF(lr, mu, s float64) float64 {
 	d := (lr - mu) / s
-	return -lr - math.Log(s) - 0.5*math.Log(2*math.Pi) - 0.5*d*d
+	return -lr - math.Log(s) - halfLog2Pi - 0.5*d*d
 }
 
 // LogPDF returns log p(r) under the mixture (Eq. 4). r must be > 0.
 func (m *Mixture) LogPDF(r float64) float64 {
 	maxL := math.Inf(-1)
 	k := m.K()
+	lr := math.Log(r)
 	ls := make([]float64, k)
 	for i := 0; i < k; i++ {
-		ls[i] = math.Log(m.W[i]+minDensity) + logNormLogPDF(r, m.Mu[i], m.S[i])
+		ls[i] = math.Log(m.W[i]+minDensity) + logNormLogPDF(lr, m.Mu[i], m.S[i])
 		if ls[i] > maxL {
 			maxL = ls[i]
 		}
@@ -149,7 +154,7 @@ func (m *Mixture) NLLGrad(r float64, dAW, dAMu, dAS []float64) float64 {
 	ls, _ := m.scratch()
 	maxL := math.Inf(-1)
 	for i := 0; i < k; i++ {
-		ls[i] = math.Log(m.W[i]+minDensity) + logNormLogPDF(r, m.Mu[i], m.S[i])
+		ls[i] = math.Log(m.W[i]+minDensity) + logNormLogPDF(lr, m.Mu[i], m.S[i])
 		if ls[i] > maxL {
 			maxL = ls[i]
 		}

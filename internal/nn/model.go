@@ -52,6 +52,10 @@ type Net struct {
 	fc1, fc2             *Dense
 	headW, headMu, headS *Dense
 	params               []*Param
+	// all holds every tensor of params end to end, as the one Param
+	// the slab carved them from (param.go); a shadow's shares the
+	// master's weights.
+	all *Param
 
 	// frozen32 caches the most recent Freeze32 result; it is rebuilt
 	// whenever Version moves past it. Never serialized — checkpoints
@@ -67,25 +71,40 @@ type Net struct {
 func NewNet(cfg Config) *Net {
 	cfg.defaults()
 	g := stats.NewRNG(cfg.Seed)
-	n := &Net{Cfg: cfg}
-	n.cell = NewGRU("gru", 1, cfg.Hidden, g)
+	s := newSlab(cfg.numParams())
+	n := &Net{Cfg: cfg, all: s.all}
+	n.cell = newGRU(s, "gru", cfg.Hidden, g)
 	in := cfg.Hidden + 2 // embedding + size + age features
-	n.fc1 = NewDense("fc1", in, cfg.MLPHidden, g)
-	n.fc2 = NewDense("fc2", cfg.MLPHidden, cfg.MLPHidden, g)
-	n.headW = NewDense("headW", cfg.MLPHidden, cfg.K, g)
-	n.headMu = NewDense("headMu", cfg.MLPHidden, cfg.K, g)
-	n.headS = NewDense("headS", cfg.MLPHidden, cfg.K, g)
+	n.fc1 = newDense(s, "fc1", in, cfg.MLPHidden, g)
+	n.fc2 = newDense(s, "fc2", cfg.MLPHidden, cfg.MLPHidden, g)
+	n.headW = newDense(s, "headW", cfg.MLPHidden, cfg.K, g)
+	n.headMu = newDense(s, "headMu", cfg.MLPHidden, cfg.K, g)
+	n.headS = newDense(s, "headS", cfg.MLPHidden, cfg.K, g)
+	n.collectParams()
+	// Spread initial component means so the mixture starts diverse.
+	for i := 0; i < cfg.K; i++ {
+		n.headMu.B.W[i] = -2 + 4*float64(i)/float64(cfg.K)
+	}
+	return n
+}
+
+// numParams is the number of parameters of the network c describes:
+// the GRU over one input feature, the MLP over the embedding plus the
+// size and age features, and the three heads.
+func (c Config) numParams() int {
+	H, M, K := c.Hidden, c.MLPHidden, c.K
+	return gruParams(H) + denseParams(H+2, M) + denseParams(M, M) + 3*denseParams(M, K)
+}
+
+// collectParams lists the layers' tensors in the order they were made,
+// which is their order in n.all.
+func (n *Net) collectParams() {
 	n.params = append(n.params, n.cell.Params()...)
 	n.params = append(n.params, n.fc1.Params()...)
 	n.params = append(n.params, n.fc2.Params()...)
 	n.params = append(n.params, n.headW.Params()...)
 	n.params = append(n.params, n.headMu.Params()...)
 	n.params = append(n.params, n.headS.Params()...)
-	// Spread initial component means so the mixture starts diverse.
-	for i := 0; i < cfg.K; i++ {
-		n.headMu.B.W[i] = -2 + 4*float64(i)/float64(cfg.K)
-	}
-	return n
 }
 
 // Params returns all learnable tensors.
@@ -94,43 +113,26 @@ func (n *Net) Params() []*Param { return n.params }
 // Shadow returns a replica of n whose weights ALIAS n's backing
 // arrays (updates to n's parameters — Adam steps, snapshot restores —
 // are immediately visible) but whose gradient buffers, recurrent
-// scratch, and MLP caches are private. One goroutine may run
-// forward/backward or Predict on a shadow concurrently with other
-// shadows; Fit's data-parallel workers use one shadow per slot. Only
-// the original carries optimizer
-// state, and Fit must be called on the original.
+// scratch, and MLP caches are private: one gradient vector in
+// Params() order, zeroed. One goroutine may run forward/backward or
+// PredictWith on a shadow concurrently with other shadows; Fit's
+// data-parallel workers use one shadow per slot. Only the original
+// carries optimizer state, and Fit must be called on the original.
 func (n *Net) Shadow() *Net {
-	s := &Net{Cfg: n.Cfg, Version: n.Version}
-	s.cell = n.cell.Shadow()
-	s.fc1 = n.fc1.Shadow()
-	s.fc2 = n.fc2.Shadow()
-	s.headW = n.headW.Shadow()
-	s.headMu = n.headMu.Shadow()
-	s.headS = n.headS.Shadow()
-	s.params = append(s.params, s.cell.Params()...)
-	s.params = append(s.params, s.fc1.Params()...)
-	s.params = append(s.params, s.fc2.Params()...)
-	s.params = append(s.params, s.headW.Params()...)
-	s.params = append(s.params, s.headMu.Params()...)
-	s.params = append(s.params, s.headS.Params()...)
+	sl := (&slab{all: n.all}).shadow()
+	s := &Net{Cfg: n.Cfg, Version: n.Version, all: sl.all}
+	s.cell = n.cell.shadow(sl)
+	s.fc1 = n.fc1.shadow(sl)
+	s.fc2 = n.fc2.shadow(sl)
+	s.headW = n.headW.shadow(sl)
+	s.headMu = n.headMu.shadow(sl)
+	s.headS = n.headS.shadow(sl)
+	s.collectParams()
 	return s
 }
 
-// zeroGrad clears every parameter's accumulated gradient.
-func (n *Net) zeroGrad() {
-	for _, p := range n.params {
-		p.ZeroGrad()
-	}
-}
-
 // NumParams returns the total parameter count.
-func (n *Net) NumParams() int {
-	t := 0
-	for _, p := range n.params {
-		t += len(p.W)
-	}
-	return t
-}
+func (n *Net) NumParams() int { return len(n.all.W) }
 
 // ZeroState returns a fresh zero recurrent state: the Cfg.Hidden-wide
 // history embedding of an object with no observed interarrivals.
@@ -156,8 +158,7 @@ func (n *Net) featAge(age float64) float64 {
 // StepEmbed advances a history embedding in place with one observed
 // interarrival time (in ticks).
 func (n *Net) StepEmbed(h []float64, tau float64) {
-	x := [1]float64{n.featTau(tau)}
-	n.cell.Step(x[:], h, nil, h)
+	n.cell.Step(n.featTau(tau), h, nil, h)
 }
 
 // EmbedHistory computes an embedding from scratch over a sequence of
@@ -196,11 +197,12 @@ func (c *mlpCache) zeroGrad() {
 }
 
 // forwardMLP computes head activations and the mixture for one
-// (embedding, size, age) input; c may be reused across calls.
-func (n *Net) forwardMLP(h []float64, size, age float64, c *mlpCache, out *Mixture) {
+// (embedding, size feature, age feature) input; c may be reused across
+// calls.
+func (n *Net) forwardMLP(h []float64, fSize, fAge float64, c *mlpCache, out *Mixture) {
 	copy(c.in, h[:n.Cfg.Hidden])
-	c.in[n.Cfg.Hidden] = featSize(size)
-	c.in[n.Cfg.Hidden+1] = n.featAge(age)
+	c.in[n.Cfg.Hidden] = fSize
+	c.in[n.Cfg.Hidden+1] = fAge
 	n.fc1.Forward(c.in, c.y1)
 	relu(c.y1, c.y1)
 	n.fc2.Forward(c.y1, c.y2)
@@ -236,8 +238,9 @@ func (n *Net) backwardMLP(ar *trainArena, c *mlpCache, dh []float64) {
 	axpy(1, din[:n.Cfg.Hidden], dh)
 }
 
-// PredictScratch holds reusable buffers for repeated Predict calls on
-// the eviction hot path; create one per caller with NewPredictScratch.
+// PredictScratch holds reusable buffers for repeated PredictWith calls
+// on the eviction hot path; create one per caller with
+// NewPredictScratch.
 type PredictScratch struct{ c *mlpCache }
 
 // NewPredictScratch allocates prediction buffers sized for this net.
@@ -245,18 +248,13 @@ func (n *Net) NewPredictScratch() *PredictScratch {
 	return &PredictScratch{c: n.newMLPCache()}
 }
 
-// Predict computes the residual-time mixture for an object with the
-// given history embedding, size (bytes) and age (ticks). The returned
-// mixture is over normalized time; scale by Cfg.TimeScale for ticks.
-func (n *Net) Predict(h []float64, size, age float64, out *Mixture) {
-	c := n.newMLPCache()
-	n.forwardMLP(h, size, age, c, out)
-}
-
-// PredictWith is Predict using caller-owned scratch buffers,
-// allocation-free after the first mixture fill.
+// PredictWith computes the residual-time mixture for an object with
+// the given history embedding, size (bytes) and age (ticks) in
+// caller-owned scratch, allocation-free after the first mixture fill.
+// The returned mixture is over normalized time; scale by Cfg.TimeScale
+// for ticks.
 func (n *Net) PredictWith(s *PredictScratch, h []float64, size, age float64, out *Mixture) {
-	n.forwardMLP(h, size, age, s.c, out)
+	n.forwardMLP(h, featSize(size), n.featAge(age), s.c, out)
 }
 
 // PredictInput is one candidate of a batched prediction: the history
@@ -273,7 +271,7 @@ type PredictInput struct {
 // weight-matrix cache traffic over a chunk of candidates at once.
 func (n *Net) PredictBatch(s *PredictScratch, in []PredictInput, out []Mixture) {
 	for i := range in {
-		n.forwardMLP(in[i].H, in[i].Size, in[i].Age, s.c, &out[i])
+		n.PredictWith(s, in[i].H, in[i].Size, in[i].Age, &out[i])
 	}
 }
 

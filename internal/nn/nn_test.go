@@ -52,7 +52,7 @@ func TestMixtureLogPDFMatchesSingleLogNormal(t *testing.T) {
 	var m Mixture
 	MixtureFromActivations([]float64{0}, []float64{0.5}, []float64{math.Log(0.7)}, &m)
 	r := 1.3
-	want := logNormLogPDF(r, 0.5, 0.7)
+	want := logNormLogPDF(math.Log(r), 0.5, 0.7)
 	checkClose(t, "single-component logpdf", m.LogPDF(r), want, 1e-9)
 }
 
@@ -140,12 +140,11 @@ func TestMixtureSampleMatchesMoments(t *testing.T) {
 
 func TestGRUStepDeterministicAndBounded(t *testing.T) {
 	g := stats.NewRNG(1)
-	u := NewGRU("g", 1, 8, g)
+	u := newGRU(newSlab(gruParams(8)), "g", 8, g)
 	h1 := make([]float64, 8)
 	h2 := make([]float64, 8)
-	x := []float64{0.5}
-	u.Step(x, h1, nil, h1)
-	u.Step(x, h2, nil, h2)
+	u.Step(0.5, h1, nil, h1)
+	u.Step(0.5, h2, nil, h2)
 	for i := range h1 {
 		if h1[i] != h2[i] {
 			t.Fatalf("GRU step not deterministic at %d: %v vs %v", i, h1[i], h2[i])
@@ -172,17 +171,13 @@ func TestNetGradFiniteDifference(t *testing.T) {
 		tc.Defaults()
 
 		lossAt := func() float64 {
-			for _, p := range net.params {
-				p.ZeroGrad()
-			}
+			zero(net.all.G)
 			l, _ := net.forwardBackward(seq, stats.NewRNG(99), tc, true)
 			return l
 		}
 
 		// Analytic gradients.
-		for _, p := range net.params {
-			p.ZeroGrad()
-		}
+		zero(net.all.G)
 		net.forwardBackward(seq, stats.NewRNG(99), tc, true)
 		analytic := make(map[string][]float64)
 		for _, p := range net.params {
@@ -210,12 +205,11 @@ func TestNetGradFiniteDifference(t *testing.T) {
 // (how StepEmbed and training advance a state in place) matches
 // non-aliased stepping.
 func TestCellStateContracts(t *testing.T) {
-	c := NewGRU("gru", 1, 6, stats.NewRNG(2))
-	x := []float64{0.7}
+	c := newGRU(newSlab(gruParams(6)), "gru", 6, stats.NewRNG(2))
 	a := make([]float64, c.HiddenN)
 	b := make([]float64, c.HiddenN)
-	c.Step(x, a, nil, b) // non-aliased
-	c.Step(x, a, nil, a) // aliased
+	c.Step(0.7, a, nil, b) // non-aliased
+	c.Step(0.7, a, nil, a) // aliased
 	for i := range a {
 		if a[i] != b[i] {
 			t.Errorf("aliased step diverges at %d: %v vs %v", i, a[i], b[i])
@@ -247,7 +241,7 @@ func TestFitLearnsConstantResidual(t *testing.T) {
 	// Predict residual at age 1.0 (mid-interval): true residual ~1.0.
 	h := net.EmbedHistory([]float64{2, 2, 2, 2, 2, 2})
 	var m Mixture
-	net.Predict(h, 100, 1.0, &m)
+	net.PredictWith(net.NewPredictScratch(), h, 100, 1.0, &m)
 	mean := m.Mean() * net.Cfg.TimeScale
 	if mean < 0.2 || mean > 4 {
 		t.Errorf("predicted mean residual %.3f ticks, want ~1", mean)
@@ -283,8 +277,9 @@ func TestFitSurvivalSeparatesHotAndCold(t *testing.T) {
 	hHot := net.EmbedHistory([]float64{1, 1, 1, 1, 1})
 	hCold := net.ZeroState()
 	var mHot, mCold Mixture
-	net.Predict(hHot, 100, 0.5, &mHot)
-	net.Predict(hCold, 100, 25, &mCold)
+	scr := net.NewPredictScratch()
+	net.PredictWith(scr, hHot, 100, 0.5, &mHot)
+	net.PredictWith(scr, hCold, 100, 25, &mCold)
 	// One TimeScale scales both, so the normalized means compare as ticks do.
 	if mCold.Mean() <= mHot.Mean() {
 		t.Errorf("cold mean residual %.3f should exceed hot %.3f", mCold.Mean(), mHot.Mean())

@@ -140,27 +140,40 @@ func BenchmarkFitEpoch(b *testing.B) {
 			}
 		})
 	}
-	// The cold fit the servers run (core.Config defaults on a full first
-	// window): 4 000 sequences of mean ≈ 13 loss terms, history capped at
-	// 32, survival on, guarded. ns/term divides by the trained terms.
-	b.Run("served-shape", func(b *testing.B) {
-		g := stats.NewRNG(3)
-		served := make([]Sequence, 4000)
-		for i := range served {
-			taus := make([]float64, int(g.Exponential(13)))
-			for j := range taus {
-				taus[j] = g.Exponential(40)
+	// One cold fit per iteration, each one epoch (MaxEpochs 1) at the
+	// served net and training shape, survival on, guarded; ns/term
+	// divides by the trained terms. served-shape is the cold fit the
+	// servers run on a full first window: 4 000 sequences of mean ≈ 13
+	// loss terms, history capped at 32. short is the cdn_miss_heavy
+	// regime: 4 000 sequences of about two interarrivals each, where the
+	// per-minibatch epilogue (shard reduction, guard checks, Adam) is
+	// about a fifth of a fit.
+	for _, shape := range []struct {
+		name string
+		taus func(g *stats.RNG) int
+	}{
+		{"served-shape", func(g *stats.RNG) int { return int(g.Exponential(13)) }},
+		{"short", func(g *stats.RNG) int { return 1 + g.Intn(3) }},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			g := stats.NewRNG(3)
+			data := make([]Sequence, 4000)
+			for i := range data {
+				taus := make([]float64, shape.taus(g))
+				for j := range taus {
+					taus[j] = g.Exponential(40)
+				}
+				data[i] = Sequence{Taus: taus, Size: 64 + float64(g.Intn(4000)), Survival: g.Exponential(80)}
 			}
-			served[i] = Sequence{Taus: taus, Size: 64 + float64(g.Intn(4000)), Survival: g.Exponential(80)}
-		}
-		n := NewNet(Config{TimeScale: 40, Seed: 3})
-		tc := TrainConfig{MaxEpochs: 1, Patience: 1, Seed: 9}
-		terms := 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			terms += n.Fit(served, tc).Terms
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(terms), "ns/term")
-	})
+			n := NewNet(Config{TimeScale: 40, Seed: 3})
+			tc := TrainConfig{MaxEpochs: 1, Patience: 1, Seed: 9}
+			terms := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				terms += n.Fit(data, tc).Terms
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(terms), "ns/term")
+		})
+	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Param is one learnable tensor: values, accumulated gradients, and
-// Adam moment estimates.
+// Adam moment estimates, each a view into its network's tensors.
 type Param struct {
 	Name string
 	W    []float64
@@ -25,6 +25,41 @@ func newParam(name string, n int) *Param {
 	}
 }
 
+// slab lays a network's tensors out end to end in the vectors of one
+// Param, all: each tensor's W, G, m and v are views into all's, in the
+// order the tensors were made, which is Params() order. Whatever runs
+// over every parameter at once — the shard reduction, Adam, the
+// guard's checks, a snapshot — is then one pass over one vector.
+type slab struct {
+	all  *Param
+	used int // entries view has handed out
+}
+
+func newSlab(size int) *slab { return &slab{all: newParam("", size)} }
+
+// shadow returns a slab that shares s's weights with a private, zeroed
+// gradient vector and no moments.
+func (s *slab) shadow() *slab {
+	return &slab{all: &Param{W: s.all.W, G: make([]float64, len(s.all.G))}}
+}
+
+// view hands out the next size entries of every vector as one tensor.
+func (s *slab) view(name string, size int) *Param {
+	lo, hi := s.used, s.used+size
+	s.used = hi
+	a := s.all
+	p := &Param{Name: name, W: a.W[lo:hi:hi], G: a.G[lo:hi:hi]}
+	if a.m != nil {
+		p.m, p.v = a.m[lo:hi:hi], a.v[lo:hi:hi]
+	}
+	return p
+}
+
+// like hands out the next entries as p's counterpart: same name and
+// size. A shadow is built by calling it for the master's tensors in
+// the order they were made.
+func (s *slab) like(p *Param) *Param { return s.view(p.Name, len(p.W)) }
+
 // initXavier fills W with Xavier/Glorot uniform values for a layer
 // with the given fan-in and fan-out.
 func (p *Param) initXavier(g *stats.RNG, fanIn, fanOut int) {
@@ -32,19 +67,6 @@ func (p *Param) initXavier(g *stats.RNG, fanIn, fanOut int) {
 	for i := range p.W {
 		p.W[i] = g.Uniform(-lim, lim)
 	}
-}
-
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { zero(p.G) }
-
-// shadowOf returns a Param whose weights ALIAS p's backing array but
-// whose gradient buffer is private (and zeroed). Shadow params are
-// the accumulation targets of one parallel training shard: workers
-// read shared weights and write private gradients, which the caller
-// reduces into the originals in fixed shard order. Shadows carry no
-// optimizer state — Adam only ever steps the originals.
-func (p *Param) shadowOf() *Param {
-	return &Param{Name: p.Name, W: p.W, G: make([]float64, len(p.G))}
 }
 
 // Adam is the Adam optimizer over a set of parameters.
@@ -60,13 +82,15 @@ type Adam struct {
 
 // NewAdam returns an Adam optimizer with standard defaults
 // (beta1=0.9, beta2=0.999, eps=1e-8) and gradient-norm clipping at 5.
+// A network passes one target, its slab's all.
 func NewAdam(lr float64, params []*Param) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, Clip: 5, targets: params}
 }
 
 // Step applies one update using the gradients accumulated in each
 // parameter (scaled by invScale, typically 1/batchSize) and clears
-// them.
+// them. The clip norm is one serial sum in target order; the update is
+// elementwise (adamUpdate).
 func (a *Adam) Step(invScale float64) {
 	a.t++
 	if a.Clip > 0 {
@@ -82,17 +106,12 @@ func (a *Adam) Step(invScale float64) {
 			invScale *= a.Clip / norm
 		}
 	}
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c := adamCoef{
+		scale: invScale, b1: a.Beta1, nb1: 1 - a.Beta1, b2: a.Beta2, nb2: 1 - a.Beta2,
+		c1: 1 - math.Pow(a.Beta1, float64(a.t)), c2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		lr: a.LR, eps: a.Eps,
+	}
 	for _, p := range a.targets {
-		for i := range p.W {
-			g := p.G[i] * invScale
-			p.m[i] = a.Beta1*p.m[i] + (1-a.Beta1)*g
-			p.v[i] = a.Beta2*p.v[i] + (1-a.Beta2)*g*g
-			mh := p.m[i] / c1
-			vh := p.v[i] / c2
-			p.W[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
-		}
-		p.ZeroGrad()
+		adamUpdate(p.W, p.G, p.m, p.v, &c)
 	}
 }

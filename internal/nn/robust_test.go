@@ -50,7 +50,7 @@ func TestFitNeverProducesNaN(t *testing.T) {
 			}
 		}
 		var m Mixture
-		net.Predict(net.EmbedHistory([]float64{1, 1e9, 0}), 12345, 1e8, &m)
+		net.PredictWith(net.NewPredictScratch(), net.EmbedHistory([]float64{1, 1e9, 0}), 12345, 1e8, &m)
 		for k := range m.W {
 			if math.IsNaN(m.W[k]) || math.IsNaN(m.Mu[k]) || math.IsNaN(m.S[k]) {
 				return false

@@ -40,10 +40,7 @@ func (c Config) fits(have int) bool {
 	if H < 1 || M < 1 || K < 1 || H > have/H || M > have/M || K > have/M {
 		return false
 	}
-	gru := 3 * (H + H*H + H) // one input feature
-	mlp := (H+2)*M + M + M*M + M
-	heads := 3 * (M*K + K)
-	return gru+mlp+heads == have
+	return c.numParams() == have
 }
 
 // netFromWire validates a decoded wire form and builds the network.

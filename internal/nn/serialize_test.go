@@ -35,8 +35,8 @@ func TestCheckpointRoundTripAllCells(t *testing.T) {
 	h1 := net.EmbedHistory([]float64{3, 4, 5})
 	h2 := got.EmbedHistory([]float64{3, 4, 5})
 	var m1, m2 Mixture
-	net.Predict(h1, 100, 2, &m1)
-	got.Predict(h2, 100, 2, &m2)
+	net.PredictWith(net.NewPredictScratch(), h1, 100, 2, &m1)
+	got.PredictWith(got.NewPredictScratch(), h2, 100, 2, &m2)
 	for k := range m1.W {
 		if m1.W[k] != m2.W[k] || m1.Mu[k] != m2.Mu[k] || m1.S[k] != m2.S[k] {
 			t.Fatal("mixture mismatch after round trip")

@@ -91,6 +91,7 @@ type TrainResult struct {
 type fitState struct {
 	pool    *Pool
 	shadows []*Net
+	grads   [][]float64 // each shadow's gradient vector, reduced in slot order
 	rngs    []*stats.RNG
 	seeds   []int64
 	loss    []float64
@@ -116,9 +117,11 @@ func newFitState(n *Net, data []Sequence, tc TrainConfig, nVal int) *fitState {
 		longest = tc.MaxSeq
 	}
 	st.shadows = make([]*Net, slots)
+	st.grads = make([][]float64, slots)
 	st.rngs = make([]*stats.RNG, slots)
 	for i := range st.shadows {
 		st.shadows[i] = n.Shadow()
+		st.grads[i] = st.shadows[i].all.G
 		st.shadows[i].arenaFor(longest, i < tc.Batch) // slots past Batch only validate
 		st.rngs[i] = stats.NewRNG(0)                  // reseeded before every use
 	}
@@ -161,7 +164,7 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 
 	st := newFitState(n, data, tc, nVal)
 	defer st.pool.Close() // release parked workers when this fit's batches are done
-	opt := NewAdam(learningRate, n.params)
+	opt := NewAdam(learningRate, []*Param{n.all})
 	best := math.Inf(1)
 	bestW := n.snapshot()
 	badEpochs := 0
@@ -177,11 +180,9 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 	// allocation per minibatch.
 	var start int
 	trainTask := func(w, i int) {
-		sh := st.shadows[i]
-		sh.zeroGrad()
 		rng := st.rngs[i]
 		rng.Reseed(st.seeds[i])
-		st.loss[i], st.terms[i] = sh.forwardBackward(&data[train[start+i]], rng, tc, true)
+		st.loss[i], st.terms[i] = st.shadows[i].forwardBackward(&data[train[start+i]], rng, tc, true)
 	}
 	valTask := func(w, vi int) {
 		st.loss[vi], st.terms[vi] = st.shadows[w].forwardBackward(&data[val[vi]], nil, tc, false)
@@ -206,7 +207,8 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 			}
 			st.pool.ParallelFor(bl, trainTask)
 			// Fixed-order reduction: shard gradients fold into the
-			// master in sequence-index order, never worker order.
+			// master in sequence-index order, never worker order, and
+			// each shard's vector is left zeroed for its next sequence.
 			// Everything below this point — fault injection, the guard
 			// checks, Adam's clip — runs serially on the reduced state,
 			// so the guard cannot break Workers bit-determinism.
@@ -216,22 +218,18 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 				batchLoss += st.loss[i]
 				terms += st.terms[i]
 				batchTerms += st.terms[i]
-				for pi, p := range n.params {
-					axpy(1, st.shadows[i].params[pi].G, p.G)
-				}
 			}
+			reduceZero(n.all.G, st.grads[:bl])
 			if tc.Faults.lossFault(epoch + 1) {
 				batchLoss = math.NaN()
 			}
-			if tc.Faults.nanGradFault(epoch+1) && len(n.params) > 0 && len(n.params[0].G) > 0 {
-				n.params[0].G[0] = math.NaN()
+			if tc.Faults.nanGradFault(epoch+1) && len(n.all.G) > 0 {
+				n.all.G[0] = math.NaN()
 			}
 			if s, ok := tc.Faults.gradFault(epoch + 1); ok {
 				batchLoss *= s
-				for _, p := range n.params {
-					for i := range p.G {
-						p.G[i] *= s
-					}
+				for i := range n.all.G {
+					n.all.G[i] *= s
 				}
 			}
 			lossSum += batchLoss
@@ -296,8 +294,10 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 // Reuse keeps the arithmetic of freshly allocated buffers only if
 // every buffer that is accumulated into (+=) starts from zero:
 // forwardBackward zeroes each slot's dAW/dAMu/dAS (NLLGrad adds) and
-// dhSteps[i], backwardMLP zeroes dy2/dy1/din (Dense.Backward adds).
-// Everything else is overwritten before it is read.
+// dhSteps[i], backwardMLP zeroes dy2/dy1/din (Dense.Backward adds), and
+// Fit's reduction (reduceZero) zeroes the replica's gradient vector as
+// it folds it into the master's. Everything else is overwritten before
+// it is read.
 type trainArena struct {
 	h, dh, dhPrev []float64
 	mix           Mixture
@@ -343,6 +343,7 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 	}
 	m := len(taus)
 	ts := n.Cfg.TimeScale
+	fSize := featSize(seq.Size)
 
 	a := n.arenaFor(m, train)
 	h, mix := a.h, &a.mix
@@ -367,14 +368,13 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 		}
 		c := a.steps[i]
 		c.zeroGrad()
-		n.forwardMLP(h, seq.Size, age, c, mix)
+		n.forwardMLP(h, fSize, n.featAge(age), c, mix)
 		loss += mix.NLLGrad(residual/ts, c.dAW, c.dAMu, c.dAS)
 		terms++
-		x := [1]float64{n.featTau(tau)}
 		if train {
-			n.cell.Step(x[:], h, a.caches[i], h)
+			n.cell.Step(n.featTau(tau), h, a.caches[i], h)
 		} else {
-			n.cell.Step(x[:], h, nil, h)
+			n.cell.Step(n.featTau(tau), h, nil, h)
 		}
 	}
 
@@ -393,7 +393,7 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 		}
 		c := a.steps[m]
 		c.zeroGrad()
-		n.forwardMLP(h, seq.Size, age, c, mix)
+		n.forwardMLP(h, fSize, n.featAge(age), c, mix)
 		loss += mix.SurvivalNLLGrad(thresh/ts, c.dAW, c.dAMu, c.dAS)
 		terms++
 		surv = true
@@ -424,7 +424,7 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 // is restored bit-identically, Version stays unchanged (cached
 // embeddings computed against these weights remain valid), and the
 // result reports why training was abandoned.
-func (n *Net) abortDiverged(res *TrainResult, preFit [][]float64, best float64, reason string) TrainResult {
+func (n *Net) abortDiverged(res *TrainResult, preFit []float64, best float64, reason string) TrainResult {
 	n.restore(preFit)
 	res.Diverged = true
 	res.GuardReason = reason
@@ -434,22 +434,9 @@ func (n *Net) abortDiverged(res *TrainResult, preFit [][]float64, best float64, 
 	return *res
 }
 
-func (n *Net) snapshot() [][]float64 {
-	s := make([][]float64, len(n.params))
-	for i, p := range n.params {
-		s[i] = append([]float64(nil), p.W...)
-	}
-	return s
-}
+// snapshot returns a copy of every weight, in Params() order.
+func (n *Net) snapshot() []float64 { return append([]float64(nil), n.all.W...) }
 
-func (n *Net) copyInto(dst [][]float64) {
-	for i, p := range n.params {
-		copy(dst[i], p.W)
-	}
-}
+func (n *Net) copyInto(dst []float64) { copy(dst, n.all.W) }
 
-func (n *Net) restore(src [][]float64) {
-	for i, p := range n.params {
-		copy(p.W, src[i])
-	}
-}
+func (n *Net) restore(src []float64) { copy(n.all.W, src) }

@@ -28,7 +28,9 @@
 #                else checks, among them the interprocedural lock-cycle
 #                rule
 #   determinism  the same-program referees: the pinned fit and Raven
-#                replay hashes, fits and replays bit-exact across worker
+#                replay hashes, the pinned fits again with every amd64
+#                kernel on its Go loop (TestFitGoldenBytesGoKernels, on
+#                amd64 hosts), fits and replays bit-exact across worker
 #                counts (guarded fits with injected faults too),
 #                admission replays bit-exact across runs and worker
 #                counts, the score cache's stamped scores bit-exact across
@@ -174,8 +176,13 @@ stage_lint() {
 }
 
 stage_determinism() {
-    echo "==> same program: pinned fit hash and fits bit-exact across worker counts, guarded and faulted ones too"
-    run_named 'TestFitGoldenBytes|TestFitWorkersBitExact|TestGuardedFitWorkersBitExact' ./internal/nn/
+    echo "==> same program: pinned fit hashes (assembly and, on amd64, Go kernels) and fits bit-exact across worker counts, guarded and faulted ones too"
+    local fit_names='TestFitGoldenBytes|TestFitWorkersBitExact|TestGuardedFitWorkersBitExact'
+    # Off amd64 useAVX is a constant, and the Go-kernel run does not exist.
+    if [[ "$(go env GOARCH)" == amd64 ]]; then
+        fit_names+='|TestFitGoldenBytesGoKernels'
+    fi
+    run_named "${fit_names}" ./internal/nn/
     echo "==> same program: pinned Raven replay hash, replays bit-exact across worker counts, admission determinism (double run, Workers 1 vs 8), every policy's replay run twice"
     run_named 'TestRavenGoldenBytes|TestRavenWorkersBitExact|TestAdmissionBitExact|TestAdmissionOffMatchesUnfronted|TestSimulateDeterministic' ./internal/sim/
     echo "==> same program: the score cache's stamps bit-exact across runs and equal to their mixtures' closed form, and its candidate sample independent of how many candidates were re-scored"
