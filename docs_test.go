@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -50,24 +51,22 @@ func TestDesignInventoryPathsExist(t *testing.T) {
 	}
 }
 
-// TestReadmeFlagsExist: every -flag README.md names is defined by a
-// flag.* call in some cmd/*/main.go, or is one of go test's own flags,
-// so a deleted flag cannot linger in the docs. The definitions are read
-// from the source, without a build.
-func TestReadmeFlagsExist(t *testing.T) {
-	defined := map[string]bool{}
-	for _, name := range []string{"bench", "benchmem", "benchtime", "count", "cover", "cpu", "fuzz", "fuzztime", "json", "list", "race", "run", "short", "timeout", "v"} {
-		defined[name] = true // go test's
-	}
+// cmdFlags returns every flag a cmd/*/main.go defines, mapped to the
+// binaries that define it. The definitions are read from the source,
+// without a build.
+func cmdFlags(t *testing.T) map[string][]string {
+	t.Helper()
 	mains, err := filepath.Glob("cmd/*/main.go")
 	if err != nil || len(mains) == 0 {
 		t.Fatalf("no cmd/*/main.go: %v", err)
 	}
+	defined := map[string][]string{}
 	for _, path := range mains {
 		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		cmd := filepath.Base(filepath.Dir(path))
 		// flag.String("name", ...), fs.Int("name", ...): the name is
 		// the first argument, or the second of a *Var call.
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -93,25 +92,60 @@ func TestReadmeFlagsExist(t *testing.T) {
 			}
 			if lit, ok := call.Args[at].(*ast.BasicLit); ok && lit.Kind == token.STRING {
 				if name, err := strconv.Unquote(lit.Value); err == nil {
-					defined[name] = true
+					defined[name] = append(defined[name], cmd)
 				}
 			}
 			return true
 		})
 	}
+	return defined
+}
+
+// readmeFlags returns every -flag README.md names.
+func readmeFlags(t *testing.T) map[string]bool {
+	t.Helper()
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	flagRE := regexp.MustCompile("(?m)(?:^|[\\s`(|])-([a-z][a-z0-9-]*)")
-	named := 0
+	named := map[string]bool{}
 	for _, m := range flagRE.FindAllStringSubmatch(string(readme), -1) {
-		named++
-		if !defined[m[1]] {
-			t.Errorf("README.md names -%s, which no cmd/*/main.go defines", m[1])
+		named[m[1]] = true
+	}
+	if len(named) == 0 {
+		t.Fatal("README.md names no flags: the pattern no longer matches")
+	}
+	return named
+}
+
+// TestReadmeFlagsExist: every -flag README.md names is defined by a
+// flag.* call in some cmd/*/main.go, or is one of go test's own flags,
+// so a deleted flag cannot linger in the docs.
+func TestReadmeFlagsExist(t *testing.T) {
+	defined := cmdFlags(t)
+	for _, name := range []string{"bench", "benchmem", "benchtime", "count", "cover", "cpu", "fuzz", "fuzztime", "json", "list", "race", "run", "short", "timeout", "v"} {
+		defined[name] = append(defined[name], "go test")
+	}
+	for name := range readmeFlags(t) {
+		if len(defined[name]) == 0 {
+			t.Errorf("README.md names -%s, which no cmd/*/main.go defines", name)
 		}
 	}
-	if named == 0 {
-		t.Fatal("README.md names no flags: the pattern no longer matches")
+}
+
+// TestReadmeListsEveryFlag: every flag a cmd/*/main.go defines appears
+// in README.md, so a new flag cannot go undocumented.
+func TestReadmeListsEveryFlag(t *testing.T) {
+	named, defined := readmeFlags(t), cmdFlags(t)
+	names := make([]string, 0, len(defined))
+	for name := range defined {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if !named[name] {
+			t.Errorf("README.md does not name -%s (defined by %s)", name, strings.Join(defined[name], ", "))
+		}
 	}
 }

@@ -1,7 +1,8 @@
 // Live server: starts the TCP cache server (the §5.4 ATS-style
 // prototype) with a Raven policy, replays a Wikimedia-like trace over
-// a real socket, and prints the hit-ratio trajectory and measured
-// latencies — the Fig. 12 experiment in miniature.
+// a real socket, and prints the hit-ratio trajectory and latencies —
+// each the §5.1.4 CDN model's service time plus the measured round
+// trip — the Fig. 12 experiment in miniature.
 package main
 
 import (
@@ -12,6 +13,7 @@ import (
 	"raven"
 	"raven/internal/cache"
 	"raven/internal/server"
+	"raven/internal/stats"
 )
 
 func main() {
@@ -24,10 +26,8 @@ func main() {
 		Seed:              19,
 	})
 	srv, err := server.New(server.Config{
-		Capacity:    capacity,
-		NewPolicy:   cache.SingleFactory(rv),
-		CacheDelay:  100 * time.Microsecond, // 1/100 of the paper's RTTs
-		OriginDelay: time.Millisecond,
+		Capacity:  capacity,
+		NewPolicy: cache.SingleFactory(rv),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "liveserver:", err)
@@ -44,7 +44,7 @@ func main() {
 	}
 	defer cl.Close()
 
-	res, err := cl.Replay(tr, 10)
+	res, err := cl.Replay(tr, 10, raven.CDNNetModel())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "liveserver:", err)
 		os.Exit(1)
@@ -53,8 +53,14 @@ func main() {
 	for _, pt := range res.Curve {
 		fmt.Printf("  after %6d requests: OHR %.4f  BHR %.4f\n", pt.Requests, pt.OHR, pt.BHR)
 	}
-	fmt.Printf("\nfinal: OHR %.4f BHR %.4f over the wire in %v\n", res.OHR(), res.BHR(), res.Wall.Round(time.Millisecond))
-	fmt.Printf("latency: mean %.2f ms  p90 %.2f ms  p99 %.2f ms (delays scaled 1/100 of §5.1.4)\n",
-		res.Latency.Mean/1e6, res.Latency.P90/1e6, res.Latency.P99/1e6)
+	fmt.Printf("\nfinal: OHR %.4f BHR %.4f over the wire in %v\n", res.Stats.OHR(), res.Stats.BHR(), res.Wall.Round(time.Millisecond))
+	ms := make([]float64, len(res.Latency))
+	for i, d := range res.Latency {
+		ms[i] = float64(d) / 1e6
+	}
+	lat := stats.Summarize(ms)
+	fmt.Printf("latency: mean %.2f ms  p90 %.2f ms  p99 %.2f ms (§5.1.4 CDN model + measured round trip)\n",
+		lat.Mean, lat.P90, lat.P99)
+	fmt.Printf("longest round trip: %v\n", res.MaxWire.Round(time.Microsecond))
 	fmt.Printf("trained %d model(s) while serving\n", len(rv.TrainStats))
 }

@@ -333,13 +333,6 @@ func (f *fronted) setAdmitGauge(g *obs.Gauge) {
 // through the front.
 func (f *fronted) Unwrap() Policy { return f.Policy }
 
-// Flush implements Flusher, forwarding to the inner policy.
-func (f *fronted) Flush() {
-	if fl, ok := f.Policy.(Flusher); ok {
-		fl.Flush()
-	}
-}
-
 // MetadataBytesPerObject implements Footprinter, forwarding to the
 // inner policy (0 when it does not report a footprint).
 func (f *fronted) MetadataBytesPerObject() int64 {

@@ -66,10 +66,9 @@ type Footprinter interface {
 	MetadataBytesPerObject() int64
 }
 
-// Flusher is an optional Policy extension for policies that buffer
-// training data (LRB, LHR, Raven); the simulator calls Flush at the
-// end of a run so final statistics (e.g. training counters) are
-// complete.
+// Flusher is a leftover declaration, pinned because
+// benchmark/traced.go forwards it. No policy implements it and nothing
+// outside benchmark/ calls Flush.
 type Flusher interface {
 	Flush()
 }

@@ -325,19 +325,6 @@ func (s *Sharded) SetShardObs(i int, m *obs.CacheObs) {
 	sh.setObs(m)
 }
 
-// Flush invokes every shard policy's Flush hook, in shard order.
-func (s *Sharded) Flush() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if f, ok := sh.policy.(Flusher); ok {
-			//lint:allow lock-cycle Flusher dispatch cannot reach *Sharded here: a Sharded is never installed as a shard's policy
-			f.Flush()
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // ShardPolicy returns shard i's policy instance. Callers must not
 // invoke it concurrently with cache operations: the policy itself is
 // only serialized by the shard lock.

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"raven/internal/server"
+	"raven/internal/sim"
 	"raven/internal/trace"
 )
 
@@ -178,7 +179,7 @@ func replayThroughRouter(r *Router, tr *trace.Trace) (*server.ReplayResult, erro
 	cl.Timeout = 10 * time.Second
 	cl.MaxRetries = 5
 	cl.RetryBackoff = 5 * time.Millisecond
-	return cl.Replay(tr, 0)
+	return cl.Replay(tr, 0, sim.CDNModel())
 }
 
 // TestChaosNodeChurn is the cluster tier's acceptance test. It spawns
@@ -209,11 +210,11 @@ func TestChaosNodeChurn(t *testing.T) {
 		t.Fatalf("reference replay: %v", err)
 	}
 	_ = refRouter.Close()
-	if refRes.Requests != tr.Len() {
-		t.Fatalf("reference replay completed %d/%d requests", refRes.Requests, tr.Len())
+	if refRes.Stats.Requests != int64(tr.Len()) {
+		t.Fatalf("reference replay completed %d/%d requests", refRes.Stats.Requests, tr.Len())
 	}
-	if refRes.OHR() <= 0.05 || refRes.OHR() >= 0.95 {
-		t.Fatalf("reference OHR %.3f too extreme to measure chaos error against", refRes.OHR())
+	if ohr := refRes.Stats.OHR(); ohr <= 0.05 || ohr >= 0.95 {
+		t.Fatalf("reference OHR %.3f too extreme to measure chaos error against", ohr)
 	}
 
 	// Chaos fleet: replay concurrently with a kill + restart.
@@ -277,16 +278,16 @@ func TestChaosNodeChurn(t *testing.T) {
 		t.Fatalf("chaos replay: %v", out.err)
 	}
 	res := out.res
-	if res.Requests != tr.Len() {
-		t.Fatalf("chaos replay completed %d/%d requests", res.Requests, tr.Len())
+	if res.Stats.Requests != int64(tr.Len()) {
+		t.Fatalf("chaos replay completed %d/%d requests", res.Stats.Requests, tr.Len())
 	}
 
 	// Bounded error: losing one of three nodes' caches mid-replay (and
 	// re-warming it) costs hit ratio, but the cluster tier must keep the
 	// damage local — the surviving 2/3 of the keyspace keeps serving.
-	if diff := math.Abs(res.OHR() - refRes.OHR()); diff > 0.15 {
+	if diff := math.Abs(res.Stats.OHR() - refRes.Stats.OHR()); diff > 0.15 {
 		t.Errorf("chaos OHR %.4f deviates %.4f from reference %.4f (bound 0.15)",
-			res.OHR(), diff, refRes.OHR())
+			res.Stats.OHR(), diff, refRes.Stats.OHR())
 	}
 	if n := r.Metrics().Counter("router.failovers").Load(); n == 0 {
 		t.Error("no failovers recorded during node churn")

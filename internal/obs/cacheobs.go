@@ -93,26 +93,56 @@ func (co *CacheObs) AdmitReject(reason string) {
 	}
 }
 
+// cacheMetric is one metric a CacheObs registers, under
+// <prefix>.<suffix>: a gauge or a counter, whichever of g and c is set.
+type cacheMetric struct {
+	suffix string
+	g      *Gauge
+	c      *Counter
+}
+
+func (m cacheMetric) load() int64 {
+	if m.g != nil {
+		return m.g.Load()
+	}
+	return m.c.Load()
+}
+
+// metrics is the one list of CacheObs metric names, in registration
+// order. Both Register methods walk it, so the plain and the merged
+// sharded names are the same, in the same order.
+func (co *CacheObs) metrics() [17]cacheMetric {
+	return [...]cacheMetric{
+		{suffix: "used_bytes", g: &co.UsedBytes},
+		{suffix: "objects", g: &co.Objects},
+		{suffix: "admit_bytes", g: &co.AdmitBytes},
+		{suffix: "requests", c: &co.Requests},
+		{suffix: "hits", c: &co.Hits},
+		{suffix: "evictions", c: &co.Evictions},
+		{suffix: "admissions", c: &co.Admissions},
+		{suffix: "rejections", c: &co.Rejections},
+		{suffix: "sets", c: &co.Sets},
+		{suffix: "admit_rejects." + ReasonTooLarge, c: &co.RejTooLarge},
+		{suffix: "admit_rejects." + ReasonNoVictim, c: &co.RejNoVictim},
+		{suffix: "admit_rejects." + ReasonPolicy, c: &co.RejPolicy},
+		{suffix: "admit_rejects." + ReasonSizeThreshold, c: &co.RejSizeThreshold},
+		{suffix: "admit_rejects." + ReasonDoorkeeper, c: &co.RejDoorkeeper},
+		{suffix: "admit_rejects." + ReasonFrequency, c: &co.RejFrequency},
+		{suffix: "admit_rejects." + ReasonPredictedReuse, c: &co.RejReuse},
+		{suffix: "admit_rejects." + ReasonOther, c: &co.RejOther},
+	}
+}
+
 // Register adds every CacheObs metric to r under prefix (e.g.
 // "cache"), in a fixed order so snapshots stay deterministic.
 func (co *CacheObs) Register(r *Registry, prefix string) {
-	r.adoptGauge(prefix+".used_bytes", &co.UsedBytes)
-	r.adoptGauge(prefix+".objects", &co.Objects)
-	r.adoptGauge(prefix+".admit_bytes", &co.AdmitBytes)
-	r.adoptCounter(prefix+".requests", &co.Requests)
-	r.adoptCounter(prefix+".hits", &co.Hits)
-	r.adoptCounter(prefix+".evictions", &co.Evictions)
-	r.adoptCounter(prefix+".admissions", &co.Admissions)
-	r.adoptCounter(prefix+".rejections", &co.Rejections)
-	r.adoptCounter(prefix+".sets", &co.Sets)
-	r.adoptCounter(prefix+".admit_rejects."+ReasonTooLarge, &co.RejTooLarge)
-	r.adoptCounter(prefix+".admit_rejects."+ReasonNoVictim, &co.RejNoVictim)
-	r.adoptCounter(prefix+".admit_rejects."+ReasonPolicy, &co.RejPolicy)
-	r.adoptCounter(prefix+".admit_rejects."+ReasonSizeThreshold, &co.RejSizeThreshold)
-	r.adoptCounter(prefix+".admit_rejects."+ReasonDoorkeeper, &co.RejDoorkeeper)
-	r.adoptCounter(prefix+".admit_rejects."+ReasonFrequency, &co.RejFrequency)
-	r.adoptCounter(prefix+".admit_rejects."+ReasonPredictedReuse, &co.RejReuse)
-	r.adoptCounter(prefix+".admit_rejects."+ReasonOther, &co.RejOther)
+	for _, m := range co.metrics() {
+		if m.g != nil {
+			r.adoptGauge(prefix+"."+m.suffix, m.g)
+		} else {
+			r.adoptCounter(prefix+"."+m.suffix, m.c)
+		}
+	}
 }
 
 // ShardedCacheObs is the observability surface of a sharded cache
@@ -142,39 +172,22 @@ func (so *ShardedCacheObs) Shards() int { return len(so.shards) }
 // shard's engine (cache.Sharded.SetShardObs).
 func (so *ShardedCacheObs) Shard(i int) *CacheObs { return so.shards[i] }
 
-// sum folds one metric across shards at snapshot time.
-func (so *ShardedCacheObs) sum(get func(*CacheObs) int64) func() int64 {
-	return func() int64 {
-		var t int64
-		for _, s := range so.shards {
-			t += get(s)
-		}
-		return t
-	}
-}
-
 // Register adds the merged totals under prefix.* (same names a plain
 // CacheObs registers, so dashboards and reconciliation tests work
 // unchanged against either engine), then each shard's bundle under
-// prefix.shard<N>.*, in shard order.
+// prefix.shard<N>.*, in shard order. A total is the sum over shards,
+// folded at snapshot time.
 func (so *ShardedCacheObs) Register(r *Registry, prefix string) {
-	r.RegisterFunc(prefix+".used_bytes", so.sum(func(c *CacheObs) int64 { return c.UsedBytes.Load() }))
-	r.RegisterFunc(prefix+".objects", so.sum(func(c *CacheObs) int64 { return c.Objects.Load() }))
-	r.RegisterFunc(prefix+".admit_bytes", so.sum(func(c *CacheObs) int64 { return c.AdmitBytes.Load() }))
-	r.RegisterFunc(prefix+".requests", so.sum(func(c *CacheObs) int64 { return c.Requests.Load() }))
-	r.RegisterFunc(prefix+".hits", so.sum(func(c *CacheObs) int64 { return c.Hits.Load() }))
-	r.RegisterFunc(prefix+".evictions", so.sum(func(c *CacheObs) int64 { return c.Evictions.Load() }))
-	r.RegisterFunc(prefix+".admissions", so.sum(func(c *CacheObs) int64 { return c.Admissions.Load() }))
-	r.RegisterFunc(prefix+".rejections", so.sum(func(c *CacheObs) int64 { return c.Rejections.Load() }))
-	r.RegisterFunc(prefix+".sets", so.sum(func(c *CacheObs) int64 { return c.Sets.Load() }))
-	r.RegisterFunc(prefix+".admit_rejects."+ReasonTooLarge, so.sum(func(c *CacheObs) int64 { return c.RejTooLarge.Load() }))
-	r.RegisterFunc(prefix+".admit_rejects."+ReasonNoVictim, so.sum(func(c *CacheObs) int64 { return c.RejNoVictim.Load() }))
-	r.RegisterFunc(prefix+".admit_rejects."+ReasonPolicy, so.sum(func(c *CacheObs) int64 { return c.RejPolicy.Load() }))
-	r.RegisterFunc(prefix+".admit_rejects."+ReasonSizeThreshold, so.sum(func(c *CacheObs) int64 { return c.RejSizeThreshold.Load() }))
-	r.RegisterFunc(prefix+".admit_rejects."+ReasonDoorkeeper, so.sum(func(c *CacheObs) int64 { return c.RejDoorkeeper.Load() }))
-	r.RegisterFunc(prefix+".admit_rejects."+ReasonFrequency, so.sum(func(c *CacheObs) int64 { return c.RejFrequency.Load() }))
-	r.RegisterFunc(prefix+".admit_rejects."+ReasonPredictedReuse, so.sum(func(c *CacheObs) int64 { return c.RejReuse.Load() }))
-	r.RegisterFunc(prefix+".admit_rejects."+ReasonOther, so.sum(func(c *CacheObs) int64 { return c.RejOther.Load() }))
+	// A zero bundle supplies the suffixes; each total reads the shards'.
+	for i, m := range new(CacheObs).metrics() {
+		r.RegisterFunc(prefix+"."+m.suffix, func() int64 {
+			var t int64
+			for _, s := range so.shards {
+				t += s.metrics()[i].load()
+			}
+			return t
+		})
+	}
 	for i, s := range so.shards {
 		s.Register(r, fmt.Sprintf("%s.shard%d", prefix, i))
 	}

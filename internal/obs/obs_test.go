@@ -263,46 +263,64 @@ func TestRavenObsHealthConcurrent(t *testing.T) {
 	}
 }
 
+// cacheNames is every metric a CacheObs registers, in its order: 3
+// gauges, 6 counters and the 8 admit_rejects.<reason> counters. METRICS
+// output and dashboards depend on both.
+var cacheNames = []string{
+	"used_bytes", "objects", "admit_bytes",
+	"requests", "hits", "evictions", "admissions", "rejections", "sets",
+	"admit_rejects.too_large", "admit_rejects.no_victim", "admit_rejects.policy",
+	"admit_rejects.size_threshold", "admit_rejects.doorkeeper", "admit_rejects.frequency",
+	"admit_rejects.predicted_reuse", "admit_rejects.other",
+}
+
+// setCacheObs gives metric i of co the value base+i.
+func setCacheObs(co *CacheObs, base int64) {
+	for i, m := range co.metrics() {
+		if m.g != nil {
+			m.g.Set(base + int64(i))
+		} else {
+			m.c.Add(base + int64(i))
+		}
+	}
+}
+
 func TestCacheObsRegister(t *testing.T) {
 	r := NewRegistry()
 	var co CacheObs
 	co.Register(r, "cache")
-	co.Requests.Inc()
-	co.UsedBytes.Set(64)
+	setCacheObs(&co, 1)
 	kvs := r.Snapshot()
-	got := make(map[string]int64, len(kvs))
-	for _, kv := range kvs {
-		got[kv.Name] = kv.Value
+	if len(kvs) != len(cacheNames) {
+		t.Fatalf("want %d cache metrics, got %d", len(cacheNames), len(kvs))
 	}
-	if got["cache.requests"] != 1 || got["cache.used_bytes"] != 64 {
-		t.Errorf("snapshot %v", got)
-	}
-	// 3 gauges + 6 counters + 8 admit_rejects.<reason>.
-	if len(kvs) != 17 {
-		t.Errorf("want 17 cache metrics, got %d", len(kvs))
-	}
-	if _, ok := got["cache.admit_bytes"]; !ok {
-		t.Error("cache.admit_bytes not registered")
+	for i, name := range cacheNames {
+		if kv := kvs[i]; kv.Name != "cache."+name || kv.Value != int64(1+i) {
+			t.Errorf("metric %d = %s %d, want cache.%s %d", i, kv.Name, kv.Value, name, 1+i)
+		}
 	}
 
-	// The sharded bundle registers the merged gauge and one per shard.
+	// The sharded bundle registers every total first, in CacheObs order,
+	// each the sum over shards; then each shard's own bundle.
 	r = NewRegistry()
 	var so ShardedCacheObs
 	so.Init(2)
 	so.Register(r, "cache")
-	so.Shard(0).AdmitBytes.Set(1000)
-	so.Shard(1).AdmitBytes.Set(24)
-	got = make(map[string]int64)
-	for _, kv := range r.Snapshot() {
-		got[kv.Name] = kv.Value
+	setCacheObs(so.Shard(0), 100)
+	setCacheObs(so.Shard(1), 200)
+	kvs = r.Snapshot()
+	if len(kvs) != 3*len(cacheNames) {
+		t.Fatalf("want %d sharded cache metrics, got %d", 3*len(cacheNames), len(kvs))
 	}
-	for name, want := range map[string]int64{
-		"cache.admit_bytes":        1024,
-		"cache.shard0.admit_bytes": 1000,
-		"cache.shard1.admit_bytes": 24,
-	} {
-		if v, ok := got[name]; !ok || v != want {
-			t.Errorf("%s = %d (registered %v), want %d", name, v, ok, want)
+	for i, name := range cacheNames {
+		for block, want := range []struct {
+			prefix string
+			value  int64
+		}{{"cache", 300 + 2*int64(i)}, {"cache.shard0", 100 + int64(i)}, {"cache.shard1", 200 + int64(i)}} {
+			kv := kvs[block*len(cacheNames)+i]
+			if kv.Name != want.prefix+"."+name || kv.Value != want.value {
+				t.Errorf("%s = %d, want %s.%s = %d", kv.Name, kv.Value, want.prefix, name, want.value)
+			}
 		}
 	}
 }

@@ -531,8 +531,8 @@ func TestReplaySurvivesReadFaultsBinary(t *testing.T) {
 	if n := reg.Counter("server.conns_binary").Load(); n < 1 || n > 1+res.Reconnects {
 		t.Errorf("server.conns_binary = %d, want 1..%d", n, 1+res.Reconnects)
 	}
-	if n := reg.Counter("server.requests_binary").Load(); n != int64(res.Requests) {
-		t.Errorf("server.requests_binary = %d, client completed %d", n, res.Requests)
+	if n := reg.Counter("server.requests_binary").Load(); n != res.Stats.Requests {
+		t.Errorf("server.requests_binary = %d, client completed %d", n, res.Stats.Requests)
 	}
 }
 

@@ -12,15 +12,15 @@ import (
 	"time"
 
 	"raven/internal/cache"
-	"raven/internal/stats"
+	"raven/internal/sim"
 	"raven/internal/trace"
 )
 
-// Client replays traces against a Server over TCP and measures what
-// Table 3 reports: latency percentiles, backend traffic, and
-// throughput. It survives a faulty server or network: every request
-// runs under an optional deadline, and Replay transparently
-// reconnects with exponential backoff when a request fails.
+// Client replays traces against a Server over TCP and measures the
+// round trips Table 3 prices (Replay). It survives a faulty server or
+// network: every request runs under an optional deadline, and Replay
+// transparently reconnects with exponential backoff when a request
+// fails.
 //
 // A client speaks the binary protocol; Pipeline keeps up to N requests
 // in flight on the one connection. STATS and METRICS are text verbs:
@@ -313,17 +313,21 @@ func FetchMetrics(addr string, timeout time.Duration) (map[string]int64, error) 
 
 // ReplayResult aggregates a replay's measurements.
 type ReplayResult struct {
-	Requests int
-	Hits     int
-	ReqBytes int64
-	HitBytes int64
+	// Stats holds the lookup counters (Requests, Hits, ReqBytes,
+	// HitBytes), counted from the replies; the engine-side fields stay 0.
+	Stats cache.Stats
 
 	// Retries and Reconnects count the recovery events the replay
 	// needed to complete (0 on a healthy server).
 	Retries    int64
 	Reconnects int64
 
-	Latency stats.Summary // nanoseconds, measured over the wire
+	// Latency is each request's latency, in trace order: its measured
+	// round trip plus the network model's ServiceTime(hit, size).
+	Latency []time.Duration
+	// MaxWire is the longest measured round trip. A stall the server
+	// took inline (a training fit) shows here, unscaled.
+	MaxWire time.Duration
 	// Curve samples the cumulative hit ratios over time (Fig. 12).
 	Curve []CurvePoint
 
@@ -337,40 +341,19 @@ type CurvePoint struct {
 	BHR      float64
 }
 
-// OHR returns the replay's object hit ratio.
-func (r *ReplayResult) OHR() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(r.Requests)
-}
-
-// BHR returns the replay's byte hit ratio.
-func (r *ReplayResult) BHR() float64 {
-	if r.ReqBytes == 0 {
-		return 0
-	}
-	return float64(r.HitBytes) / float64(r.ReqBytes)
-}
-
-// BackendBytes returns bytes fetched from the origin.
-func (r *ReplayResult) BackendBytes() int64 { return r.ReqBytes - r.HitBytes }
-
-// Replay sends every request of tr in order, measuring per-request
-// round-trip latency. curvePoints > 0 records the hit-ratio
-// trajectory. Failed requests are retried with reconnect-and-backoff
-// up to the client's MaxRetries, so a replay survives induced faults
-// and transient shedding.
-func (c *Client) Replay(tr *trace.Trace, curvePoints int) (*ReplayResult, error) {
-	res := &ReplayResult{}
-	lat := stats.NewReservoir(8192, 11)
+// Replay sends every request of tr in order and prices each with model:
+// the measured round trip plus model.ServiceTime(hit, size), the §5.1.4
+// testbed delays the simulator charges (sim.Run). curvePoints > 0
+// records the hit-ratio trajectory. Failed requests are retried with
+// reconnect-and-backoff up to the client's MaxRetries, so a replay
+// survives induced faults and transient shedding.
+func (c *Client) Replay(tr *trace.Trace, curvePoints int, model *sim.NetModel) (*ReplayResult, error) {
+	res := &ReplayResult{Latency: make([]time.Duration, 0, tr.Len())}
 	every := 0
 	if curvePoints > 0 {
-		every = tr.Len() / curvePoints
-		if every == 0 {
-			every = 1
-		}
+		every = max(tr.Len()/curvePoints, 1)
 	}
+	st := &res.Stats
 	startRetries, startReconnects := c.Retries, c.Reconnects
 	start := time.Now()
 	for i, req := range tr.Reqs {
@@ -379,19 +362,20 @@ func (c *Client) Replay(tr *trace.Trace, curvePoints int) (*ReplayResult, error)
 		if err != nil {
 			return nil, fmt.Errorf("client: request %d: %w", i, err)
 		}
-		lat.Add(float64(time.Since(t0).Nanoseconds()))
-		res.Requests++
-		res.ReqBytes += req.Size
+		wire := time.Since(t0)
+		res.MaxWire = max(res.MaxWire, wire)
+		res.Latency = append(res.Latency, wire+model.ServiceTime(hit, req.Size))
+		st.Requests++
+		st.ReqBytes += req.Size
 		if hit {
-			res.Hits++
-			res.HitBytes += req.Size
+			st.Hits++
+			st.HitBytes += req.Size
 		}
 		if every > 0 && (i+1)%every == 0 {
-			res.Curve = append(res.Curve, CurvePoint{Requests: i + 1, OHR: res.OHR(), BHR: res.BHR()})
+			res.Curve = append(res.Curve, CurvePoint{Requests: i + 1, OHR: st.OHR(), BHR: st.BHR()})
 		}
 	}
 	res.Wall = time.Since(start)
-	res.Latency = lat.Summary()
 	res.Retries = c.Retries - startRetries
 	res.Reconnects = c.Reconnects - startReconnects
 	return res, nil

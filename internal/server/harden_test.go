@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"raven/internal/sim"
 	"raven/internal/trace"
 )
 
@@ -317,7 +318,7 @@ func replayUnderReadFaults(t *testing.T) (*Server, *ReplayResult) {
 	cl.RetryBackoff = time.Millisecond
 
 	tr := trace.Synthetic(trace.SynthConfig{Objects: 50, Requests: 300, Interarrival: trace.Poisson, Seed: 3})
-	res, err := cl.Replay(tr, 0)
+	res, err := cl.Replay(tr, 0, sim.CDNModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,14 +329,14 @@ func replayUnderReadFaults(t *testing.T) (*Server, *ReplayResult) {
 // failing, Replay must still complete via reconnect-with-backoff.
 func TestReplaySurvivesReadFaults(t *testing.T) {
 	srv, res := replayUnderReadFaults(t)
-	if res.Requests != 300 {
-		t.Errorf("requests %d, want 300", res.Requests)
+	if res.Stats.Requests != 300 {
+		t.Errorf("requests %d, want 300", res.Stats.Requests)
 	}
 	if res.Reconnects == 0 {
 		t.Error("expected reconnects under injected read faults")
 	}
 	// Every successful client round trip is exactly one cache request.
-	if st := srv.Stats(); st.Requests != int64(res.Requests) {
-		t.Errorf("server processed %d, client completed %d", st.Requests, res.Requests)
+	if st := srv.Stats(); st.Requests != res.Stats.Requests {
+		t.Errorf("server processed %d, client completed %d", st.Requests, res.Stats.Requests)
 	}
 }

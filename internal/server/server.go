@@ -26,11 +26,11 @@
 // lives in the connection's reusable block, so the steady-state GET/SET
 // path performs zero heap allocations per request.
 //
-// A configurable origin delay is charged on every miss and a cache
-// delay on every request, modelling the testbed RTTs of §5.1.4 at a
-// reduced scale so experiments finish quickly. Any eviction policy
-// from this repository can drive the server; the "unmodified ATS"
-// baseline is the same server with LRU.
+// The server adds no delay of its own. The §5.4 experiment prices the
+// §5.1.4 testbed RTTs with sim.NetModel on top of each measured round
+// trip (Client.Replay). Any eviction policy from this repository can
+// drive the server; the "unmodified ATS" baseline is the same server
+// with LRU.
 //
 // The cache behind the server is sharded (cache.Sharded): N
 // independent shards, each with its own policy instance, capacity
@@ -119,11 +119,6 @@ type Config struct {
 	// registry, so a Backend owner can serve its own metrics (e.g.
 	// router.*) over this server's METRICS verb alongside server.*.
 	Registry *obs.Registry
-
-	// CacheDelay is charged on every request (edge RTT), OriginDelay
-	// additionally on every miss.
-	CacheDelay  time.Duration
-	OriginDelay time.Duration
 
 	// MaxConns caps concurrent connections; excess dials receive
 	// "ERR busy" and are closed immediately. 0 means unlimited.
@@ -754,11 +749,10 @@ func (s *Server) serveConn(c *connIO, cd codec) {
 }
 
 // serveBurst serves ops as one unit of work and frames their replies:
-// one ServeBatch call, then CacheDelay, OriginDelay and Faults.PreReply
-// per op. The burst is timed once. Its replies are flushed together, so
-// every op's reply is ready when the last one is staged, and each op
-// takes that service time as its latency sample (at depth 1 that is the
-// op's own).
+// one ServeBatch call, then Faults.PreReply per op. The burst is timed
+// once. Its replies are flushed together, so every op's reply is ready
+// when the last one is staged, and each op takes that service time as
+// its latency sample (at depth 1 that is the op's own).
 func (s *Server) serveBurst(c *connIO, ops []Op) {
 	t0 := time.Now()
 	for i := range ops {
@@ -768,18 +762,11 @@ func (s *Server) serveBurst(c *connIO, ops []Op) {
 	s.backend.ServeBatch(ops, res)
 	var sets int64
 	for i, op := range ops {
-		ok := res[i]
 		if op.Set {
 			sets++
 		}
-		if s.cfg.CacheDelay > 0 {
-			time.Sleep(s.cfg.CacheDelay)
-		}
-		if !ok && !op.Set && s.cfg.OriginDelay > 0 {
-			time.Sleep(s.cfg.OriginDelay)
-		}
 		s.preReply()
-		binCodec{c}.reply(op, ok)
+		binCodec{c}.reply(op, res[i])
 	}
 	d := time.Since(t0).Nanoseconds()
 	s.met.getLatency.ObserveN(d, int64(len(ops))-sets)

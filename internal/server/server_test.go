@@ -9,6 +9,7 @@ import (
 
 	"raven/internal/cache"
 	"raven/internal/policy"
+	"raven/internal/sim"
 	"raven/internal/trace"
 )
 
@@ -138,25 +139,31 @@ func TestClientReplayMeasures(t *testing.T) {
 	defer cl.Close()
 
 	tr := trace.Synthetic(trace.SynthConfig{Objects: 100, Requests: 2000, Interarrival: trace.Poisson, Seed: 1})
-	res, err := cl.Replay(tr, 5)
+	model := sim.InMemoryModel()
+	res, err := cl.Replay(tr, 5, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Requests != 2000 {
-		t.Errorf("requests %d", res.Requests)
+	if res.Stats.Requests != 2000 {
+		t.Errorf("requests %d", res.Stats.Requests)
 	}
-	if res.OHR() <= 0 || res.OHR() >= 1 {
-		t.Errorf("implausible OHR %v", res.OHR())
+	if ohr := res.Stats.OHR(); ohr <= 0 || ohr >= 1 {
+		t.Errorf("implausible OHR %v", ohr)
 	}
-	if res.Latency.Count == 0 || res.Latency.Mean <= 0 {
-		t.Error("latency not measured")
+	if len(res.Latency) != 2000 || res.MaxWire <= 0 {
+		t.Fatalf("latency not measured: %d samples, max wire %v", len(res.Latency), res.MaxWire)
+	}
+	for i, d := range res.Latency {
+		if floor := model.ServiceTime(true, tr.Reqs[i].Size); d <= floor {
+			t.Fatalf("request %d: latency %v not above the model's hit time %v", i, d, floor)
+		}
 	}
 	if len(res.Curve) < 4 {
 		t.Errorf("curve points %d", len(res.Curve))
 	}
 	st := srv.Stats()
-	if st.Hits != int64(res.Hits) {
-		t.Errorf("server hits %d != client hits %d", st.Hits, res.Hits)
+	if st.Hits != res.Stats.Hits {
+		t.Errorf("server hits %d != client hits %d", st.Hits, res.Stats.Hits)
 	}
 }
 

@@ -33,12 +33,6 @@ func (m *modelEra) Victim() (cache.Key, bool) {
 
 func (m *modelEra) Admit(req cache.Request) cache.Decision { return cache.PolicyAdmit(m.Policy, req) }
 
-func (m *modelEra) Flush() {
-	if f, ok := m.Policy.(cache.Flusher); ok {
-		f.Flush()
-	}
-}
-
 func (m *modelEra) Unwrap() cache.Policy { return m.Policy }
 
 // qualityRow is one Raven configuration of the quality table. Rows with

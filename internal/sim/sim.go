@@ -73,7 +73,7 @@ type evictTimer struct {
 }
 
 // timedPolicy decorates a policy, measuring Victim wall time and
-// forwarding the optional Admitter/Flusher extensions.
+// forwarding the optional Admitter extension.
 type timedPolicy struct {
 	cache.Policy
 	t *evictTimer
@@ -93,12 +93,6 @@ func (t *timedPolicy) Victim() (cache.Key, bool) {
 
 func (t *timedPolicy) Admit(req cache.Request) cache.Decision {
 	return cache.PolicyAdmit(t.Policy, req)
-}
-
-func (t *timedPolicy) Flush() {
-	if f, ok := t.Policy.(cache.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // Run replays tr through a cache engine of opts.Capacity split over
@@ -214,8 +208,6 @@ func Run(tr *trace.Trace, shards int, newPolicy cache.ShardFactory, opts Options
 			}
 		}
 	}
-	c.Flush()
-
 	res.Stats = c.StatsSnapshot()
 	res.OHR = res.Stats.OHR()
 	res.BHR = res.Stats.BHR()
