@@ -54,3 +54,19 @@ func (d *Dense) Backward(x, dy, dx []float64) {
 		matTVecAdd(d.W.W, d.Out, d.In, dy, dx)
 	}
 }
+
+// forwardRows computes y_i = W*x_i + b for the n rows of x (In wide),
+// into the rows of y (Out wide).
+func (d *Dense) forwardRows(x []float64, n int, y []float64) {
+	matVecRows(d.W.W, d.Out, d.In, x, n, d.B.W, y)
+}
+
+// backwardRows accumulates the parameter gradients of n rows, given
+// their inputs x and upstream gradients dy, from the last row to the
+// first. It leaves the input gradients to the caller.
+func (d *Dense) backwardRows(x, dy []float64, n int) {
+	outerAddRows(d.W.G, d.Out, d.In, dy, x, n)
+	for i := n - 1; i >= 0; i-- {
+		axpy(1, dy[i*d.Out:(i+1)*d.Out], d.B.G)
+	}
+}

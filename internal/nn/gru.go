@@ -61,12 +61,14 @@ type gruCache struct {
 	x            float64
 	prev         []float64
 	z, r, rh, hc []float64 // update gate, reset gate, r⊙h, candidate ĥ
+	zr           []float64 // z then r, end to end: the gates' sigmoids run as one pass
 }
 
 func (u *GRU) newCache() *gruCache {
 	H := u.HiddenN
+	zr := make([]float64, 2*H)
 	return &gruCache{prev: make([]float64, H),
-		z: make([]float64, H), r: make([]float64, H), rh: make([]float64, H), hc: make([]float64, H),
+		z: zr[:H], r: zr[H:], zr: zr, rh: make([]float64, H), hc: make([]float64, H),
 	}
 }
 
@@ -82,7 +84,17 @@ func (u *GRU) shadow(s *slab) *GRU {
 		Wh: s.like(u.Wh), Uh: s.like(u.Uh), Bh: s.like(u.Bh)}
 }
 
-func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
+// sigmoids sets each v_i to σ(v_i) = 1/(1+exp(−v_i)), the exps four
+// at a time (expSlice).
+func sigmoids(v []float64) {
+	for i := range v {
+		v[i] = -v[i]
+	}
+	expSlice(v, v)
+	for i := range v {
+		v[i] = 1 / (1 + v[i])
+	}
+}
 
 // Step advances prev to out given input x, recording activations in
 // cache when non-nil. out may alias prev.
@@ -103,13 +115,8 @@ func (u *GRU) Step(x float64, prev []float64, cache *gruCache, out []float64) {
 
 	u.inputs(x, z, r, hc)
 	matVecAdd(u.Uz.W, H, prev, z)
-	for i := range z {
-		z[i] = sigmoid(z[i])
-	}
 	matVecAdd(u.Ur.W, H, prev, r)
-	for i := range r {
-		r[i] = sigmoid(r[i])
-	}
+	sigmoids(cache.zr)
 	for i := range rh {
 		rh[i] = r[i] * prev[i]
 	}

@@ -5,6 +5,17 @@ package nn
 // decided once, at init.
 var useAVX = hasAVX()
 
+// useFMA picks expAVX's fused form. math.Exp takes its fused form when
+// the CPU has AVX and FMA (math's useFMA), and the kernel must take the
+// same one to give its bits.
+var useFMA = useAVX && hasFMA()
+
+func hasFMA() bool {
+	const fma = 1 << 12
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&fma != 0
+}
+
 func hasAVX() bool {
 	const osxsave, avx = 1 << 27, 1 << 28
 	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
@@ -15,10 +26,12 @@ func hasAVX() bool {
 	return eax&(xmmState|ymmState) == xmmState|ymmState
 }
 
-// matVec, matTVecAdd and outerAdd are the Go loops of vec.go (their
-// contracts are there), run as assembly when useAVX. Each proves every
-// slice long enough, with an index expression that panics as the Go
-// loop would, before the assembly touches memory.
+// matVec, matTVecAdd and outerAdd, and the row-batched matVecRows and
+// outerAddRows, are the Go loops of vec.go (their contracts are there),
+// run as assembly when useAVX. Each proves every slice long enough,
+// with an index expression that panics as the Go loop would, before the
+// assembly touches memory. matTVecAdd and outerAddRows are the one tile
+// kernel, tilesAVX, over different lists of pairs.
 
 func matVec(w []float64, rows, cols int, x, y0, y []float64) {
 	if !useAVX || rows < 1 || cols < 1 {
@@ -42,14 +55,14 @@ func matTVecAdd(w []float64, rows, cols int, dy, dx []float64) {
 	_ = w[rows*cols-1]
 	_ = dy[rows-1]
 	_ = dx[cols-1]
-	matTVecAddAVX(w, rows, cols, dy, dx)
+	tilesAVX(dx, 1, cols, dy, 0, 1, w, 0, cols, rows)
 }
 
 // outerAdd keeps the Go loop below one 4-wide lane group: there the
 // assembly runs only its scalar tail, which per row costs what the Go
-// loop does (16×1, the GRU's input weights: 51 vs 46 ns on a Xeon).
-// matVec and matTVecAdd gain even at one column (33 vs 74 and 21 vs
-// 50 ns), from their 4-row and register-held blocks.
+// loop does (16×1: 51 vs 46 ns on a Xeon). matVec and matTVecAdd gain
+// even at one column (27 vs 80 and 46 vs 78 ns on a Sapphire Rapids
+// Xeon), from their 4-row and register-held blocks.
 func outerAdd(dw []float64, rows, cols int, dy, x []float64) {
 	if !useAVX || rows < 1 || cols < 4 {
 		outerAddGo(dw, rows, cols, dy, x)
@@ -59,6 +72,79 @@ func outerAdd(dw []float64, rows, cols int, dy, x []float64) {
 	_ = dy[rows-1]
 	_ = x[cols-1]
 	outerAddAVX(dw, rows, cols, dy, x)
+}
+
+// matVecRows runs the assembly over each whole group of four input
+// rows, sharing every load of W across the four, and the rest one row
+// at a time through matVec.
+func matVecRows(w []float64, rows, cols int, x []float64, n int, y0, y []float64) {
+	if !useAVX || rows < 1 || cols < 1 || n < 1 {
+		matVecRowsGo(w, rows, cols, x, n, y0, y)
+		return
+	}
+	_ = w[rows*cols-1]
+	_ = x[n*cols-1]
+	_ = y[n*rows-1]
+	if y0 != nil {
+		_ = y0[rows-1]
+	}
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		matVec4AVX(w, rows, cols, x[i*cols:(i+4)*cols], y0, y[i*rows:(i+4)*rows])
+	}
+	for ; i < n; i++ {
+		matVecAVX(w, rows, cols, x[i*cols:(i+1)*cols], y0, y[i*rows:(i+1)*rows])
+	}
+}
+
+// outerAddRows runs every row of dW through the assembly's tiles: each
+// tile stays in registers while the n input rows add into it.
+func outerAddRows(dw []float64, rows, cols int, dy, x []float64, n int) {
+	if !useAVX || rows < 1 || cols < 1 || n < 1 {
+		outerAddRowsGo(dw, rows, cols, dy, x, n)
+		return
+	}
+	_ = dw[rows*cols-1]
+	_ = dy[n*rows-1]
+	_ = x[n*cols-1]
+	tilesAVX(dw, rows, cols, dy, (n-1)*rows, -rows, x, (n-1)*cols, -cols, n)
+}
+
+// expSlice is expGo: the assembly runs the whole groups of four until
+// one holds an entry outside [expLo, expHi]; math.Exp runs that group,
+// then the assembly resumes after it, and math.Exp runs the tail.
+func expSlice(x, y []float64) {
+	checkLen(y, len(x))
+	i := 0
+	if useAVX {
+		n := len(x) &^ 3
+		for i < n {
+			i += expAVX(x[i:n], y[i:n], useFMA)
+			if i < n {
+				expGo(x[i:i+4], y[i:i+4])
+				i += 4
+			}
+		}
+	}
+	expGo(x[i:], y[i:])
+}
+
+// logSlice is logGo, run as expSlice runs expGo: the assembly takes
+// the whole groups of four whose entries all lie in [logLo, logHi].
+func logSlice(x, y []float64) {
+	checkLen(y, len(x))
+	i := 0
+	if useAVX {
+		n := len(x) &^ 3
+		for i < n {
+			i += logAVX(x[i:n], y[i:n])
+			if i < n {
+				logGo(x[i:i+4], y[i:i+4])
+				i += 4
+			}
+		}
+	}
+	logGo(x[i:], y[i:])
 }
 
 // relu, reluBackward, reduceZero, adamUpdate and finite are the
@@ -131,10 +217,19 @@ func xgetbv() (eax, edx uint32)
 func matVecAVX(w []float64, rows, cols int, x, y0, y []float64)
 
 //go:noescape
-func matTVecAddAVX(w []float64, rows, cols int, dy, dx []float64)
+func outerAddAVX(dw []float64, rows, cols int, dy, x []float64)
 
 //go:noescape
-func outerAddAVX(dw []float64, rows, cols int, dy, x []float64)
+func matVec4AVX(w []float64, rows, cols int, x, y0, y []float64)
+
+//go:noescape
+func tilesAVX(acc []float64, rows, cols int, d []float64, dStart, dStep int, v []float64, vStart, vStep, pairs int)
+
+//go:noescape
+func expAVX(x, y []float64, fma bool) int
+
+//go:noescape
+func logAVX(x, y []float64) int
 
 //go:noescape
 func reluAVX(x, y []float64)

@@ -9,9 +9,12 @@
 //     VADDPD); nothing is fused;
 //   - a dot product folds its lanes as (s0+s1)+(s2+s3), then adds the
 //     scalar tail column by column, then y0, as matVecGo does;
-//   - matTVecAdd and outerAdd skip the rows whose dy is ±0.
+//   - matTVecAdd, outerAdd and outerAddRows skip the rows whose dy is
+//     ±0 (the tile kernel below, without a branch).
 //
-// The Go wrappers in kern_amd64.go have checked every length.
+// expAVX and logAVX, at the end, are math.Exp and math.Log four lanes
+// at a time. The Go wrappers in kern_amd64.go have checked every
+// length.
 
 // HSUM leaves (s0+s1)+(s2+s3) of the lanes of Y in the low lane of X
 // (X is Y's low half), using T as scratch.
@@ -19,6 +22,15 @@
 	VEXTRACTF128 $1, Y, T; \
 	VHADDPD      T, X, X;  \
 	VHADDPD      X, X, X
+
+// FOLD4 folds four accumulators at once: A becomes the vector of
+// (s0+s1)+(s2+s3) of A, B, C and D, in that order, T1 and T2 scratch.
+#define FOLD4(A, B, C, D, T1, T2) \
+	VHADDPD    B, A, T1;         \
+	VHADDPD    D, C, T2;         \
+	VPERM2F128 $0x20, T2, T1, A; \
+	VPERM2F128 $0x31, T2, T1, T1; \
+	VADDPD     T1, A, A
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -42,7 +54,9 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // func matVecAVX(w []float64, rows, cols int, x, y0, y []float64)
 //
 // Four rows at a time (R8..R11), each with its own accumulator
-// (Y0..Y3), sharing the loads of x; then one row at a time.
+// (Y0..Y3), sharing the loads of x, their sums folded into one vector
+// (FOLD4) that takes the tail columns, the bias and the store four
+// lanes at once; then one row at a time.
 TEXT ·matVecAVX(SB), NOSPLIT, $0-112
 	MOVQ w_base+0(FP), R8
 	MOVQ rows+24(FP), CX
@@ -82,40 +96,30 @@ mvLanes4:
 	JMP  mvLanes4
 
 mvFold4:
-	HSUM(Y0, X0, X5)
-	HSUM(Y1, X1, X6)
-	HSUM(Y2, X2, X7)
-	HSUM(Y3, X3, X8)
+	FOLD4(Y0, Y1, Y2, Y3, Y5, Y6)  // Y0 = the four rows' sums
 
 mvTail4:
 	CMPQ DX, BX
 	JGE  mvBias4
-	VMOVSD (SI)(DX*1), X4
-	VMULSD (R8)(DX*1), X4, X5
-	VADDSD X5, X0, X0
-	VMULSD (R9)(DX*1), X4, X6
-	VADDSD X6, X1, X1
-	VMULSD (R10)(DX*1), X4, X7
-	VADDSD X7, X2, X2
-	VMULSD (R11)(DX*1), X4, X8
-	VADDSD X8, X3, X3
+	VMOVSD  (R8)(DX*1), X5
+	VMOVHPD (R9)(DX*1), X5, X5
+	VMOVSD  (R10)(DX*1), X6
+	VMOVHPD (R11)(DX*1), X6, X6
+	VINSERTF128 $1, X6, Y5, Y5     // the column of the four rows
+	VBROADCASTSD (SI)(DX*1), Y4
+	VMULPD Y4, Y5, Y5
+	VADDPD Y5, Y0, Y0
 	ADDQ $8, DX
 	JMP  mvTail4
 
 mvBias4:
 	TESTQ R12, R12
 	JZ    mvStore4
-	VADDSD (R12), X0, X0
-	VADDSD 8(R12), X1, X1
-	VADDSD 16(R12), X2, X2
-	VADDSD 24(R12), X3, X3
+	VADDPD (R12), Y0, Y0
 	ADDQ $32, R12
 
 mvStore4:
-	VMOVSD X0, (DI)
-	VMOVSD X1, 8(DI)
-	VMOVSD X2, 16(DI)
-	VMOVSD X3, 24(DI)
+	VMOVUPD Y0, (DI)
 	ADDQ $32, DI
 	LEAQ (R11)(BX*1), R8
 	SUBQ $4, CX
@@ -162,122 +166,6 @@ mvStore1:
 	JMP  mvRows1
 
 mvDone:
-	VZEROUPPER
-	RET
-
-// func matTVecAddAVX(w []float64, rows, cols int, dy, dx []float64)
-//
-// Column blocks of 16, then 4, then 1: each block of dx stays in
-// registers while every row adds into it, in row order.
-TEXT ·matTVecAddAVX(SB), NOSPLIT, $0-88
-	MOVQ w_base+0(FP), R8      // R8 = the block's first column, row 0
-	MOVQ rows+24(FP), CX
-	MOVQ cols+32(FP), BX
-	MOVQ dy_base+40(FP), SI
-	MOVQ dx_base+64(FP), DI    // DI = the block's first column of dx
-	SHLQ $3, BX                // BX = bytes per row
-	MOVQ BX, R13               // R13 = bytes of dx left
-
-tvBlock16:
-	CMPQ R13, $128
-	JLT  tvBlock4
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD 64(DI), Y2
-	VMOVUPD 96(DI), Y3
-	MOVQ R8, R9
-	XORQ DX, DX
-
-tvRow16:
-	CMPQ DX, CX
-	JGE  tvStore16
-	MOVQ (SI)(DX*8), AX
-	SHLQ $1, AX                // drop the sign: zero iff dy is ±0
-	JZ   tvSkip16
-	VBROADCASTSD (SI)(DX*8), Y4
-	VMULPD (R9), Y4, Y5
-	VADDPD Y5, Y0, Y0
-	VMULPD 32(R9), Y4, Y6
-	VADDPD Y6, Y1, Y1
-	VMULPD 64(R9), Y4, Y7
-	VADDPD Y7, Y2, Y2
-	VMULPD 96(R9), Y4, Y8
-	VADDPD Y8, Y3, Y3
-
-tvSkip16:
-	ADDQ BX, R9
-	INCQ DX
-	JMP  tvRow16
-
-tvStore16:
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	ADDQ $128, R8
-	ADDQ $128, DI
-	SUBQ $128, R13
-	JMP  tvBlock16
-
-tvBlock4:
-	CMPQ R13, $32
-	JLT  tvBlock1
-	VMOVUPD (DI), Y0
-	MOVQ R8, R9
-	XORQ DX, DX
-
-tvRow4:
-	CMPQ DX, CX
-	JGE  tvStore4
-	MOVQ (SI)(DX*8), AX
-	SHLQ $1, AX
-	JZ   tvSkip4
-	VBROADCASTSD (SI)(DX*8), Y4
-	VMULPD (R9), Y4, Y5
-	VADDPD Y5, Y0, Y0
-
-tvSkip4:
-	ADDQ BX, R9
-	INCQ DX
-	JMP  tvRow4
-
-tvStore4:
-	VMOVUPD Y0, (DI)
-	ADDQ $32, R8
-	ADDQ $32, DI
-	SUBQ $32, R13
-	JMP  tvBlock4
-
-tvBlock1:
-	TESTQ R13, R13
-	JZ    tvDone
-	VMOVSD (DI), X0
-	MOVQ R8, R9
-	XORQ DX, DX
-
-tvRow1:
-	CMPQ DX, CX
-	JGE  tvStore1
-	MOVQ (SI)(DX*8), AX
-	SHLQ $1, AX
-	JZ   tvSkip1
-	VMOVSD (SI)(DX*8), X4
-	VMULSD (R9), X4, X5
-	VADDSD X5, X0, X0
-
-tvSkip1:
-	ADDQ BX, R9
-	INCQ DX
-	JMP  tvRow1
-
-tvStore1:
-	VMOVSD X0, (DI)
-	ADDQ $8, R8
-	ADDQ $8, DI
-	SUBQ $8, R13
-	JMP  tvBlock1
-
-tvDone:
 	VZEROUPPER
 	RET
 
@@ -589,5 +477,709 @@ fiFold:
 	VMOVQ        X1, AX
 	TESTQ        AX, AX
 	SETEQ        ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func matVec4AVX(w []float64, rows, cols int, x, y0, y []float64)
+//
+// matVecGo over four input rows at once: x holds them end to end, cols
+// apart, and y their outputs, rows apart. Two rows of W at a time, each
+// with one accumulator per input row (Y0..Y7), so every load of W is
+// shared by four dot products, folded (FOLD4) into two vectors that
+// take the tail columns, the bias and the stores as pairs of adjacent
+// outputs; then the last row of W on its own (Y0, Y2, Y4, Y6). Each dot
+// product is summed as matVecGo sums it.
+TEXT ·matVec4AVX(SB), NOSPLIT, $0-112
+	MOVQ w_base+0(FP), R8      // R8 = the current row of W
+	MOVQ rows+24(FP), CX
+	MOVQ cols+32(FP), BX
+	MOVQ x_base+40(FP), SI
+	MOVQ y0_base+64(FP), R12
+	MOVQ y_base+88(FP), DI     // DI = the current column of y's row 0
+	MOVQ CX, R13
+	SHLQ $3, R13               // R13 = bytes per row of y
+	SHLQ $3, BX                // BX = bytes per row of W and of x
+	MOVQ BX, AX
+	ANDQ $-32, AX              // AX = bytes the 4-wide loop covers
+
+m4Pair:
+	CMPQ CX, $2
+	JLT  m4One
+	LEAQ (R8)(BX*1), R9
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ DX, DX
+
+m4PairLanes:
+	CMPQ DX, AX
+	JGE  m4PairFold
+	VMOVUPD (R8)(DX*1), Y8
+	VMOVUPD (R9)(DX*1), Y9
+	LEAQ (SI)(DX*1), R10       // x row 0 (and row 1 at +BX)
+	LEAQ (R10)(BX*2), R11      // x row 2 (and row 3 at +BX)
+	VMOVUPD (R10), Y10
+	VMULPD  Y8, Y10, Y11
+	VADDPD  Y11, Y0, Y0
+	VMULPD  Y9, Y10, Y12
+	VADDPD  Y12, Y1, Y1
+	VMOVUPD (R10)(BX*1), Y10
+	VMULPD  Y8, Y10, Y11
+	VADDPD  Y11, Y2, Y2
+	VMULPD  Y9, Y10, Y12
+	VADDPD  Y12, Y3, Y3
+	VMOVUPD (R11), Y10
+	VMULPD  Y8, Y10, Y11
+	VADDPD  Y11, Y4, Y4
+	VMULPD  Y9, Y10, Y12
+	VADDPD  Y12, Y5, Y5
+	VMOVUPD (R11)(BX*1), Y10
+	VMULPD  Y8, Y10, Y11
+	VADDPD  Y11, Y6, Y6
+	VMULPD  Y9, Y10, Y12
+	VADDPD  Y12, Y7, Y7
+	ADDQ $32, DX
+	JMP  m4PairLanes
+
+m4PairFold:
+	FOLD4(Y0, Y1, Y2, Y3, Y8, Y9)  // Y0 = y0[r], y0[r+1], y1[r], y1[r+1]
+	FOLD4(Y4, Y5, Y6, Y7, Y8, Y9)  // Y4 = y2[r], y2[r+1], y3[r], y3[r+1]
+
+m4PairTail:
+	CMPQ DX, BX
+	JGE  m4PairBias
+	VMOVSD  (R8)(DX*1), X8
+	VMOVHPD (R9)(DX*1), X8, X8
+	VINSERTF128 $1, X8, Y8, Y8     // w_r[c], w_r+1[c], twice
+	LEAQ (SI)(DX*1), R10
+	LEAQ (R10)(BX*2), R11
+	VMOVDDUP (R10), X9
+	VMOVDDUP (R10)(BX*1), X10
+	VINSERTF128 $1, X10, Y9, Y9    // x0[c], x0[c], x1[c], x1[c]
+	VMULPD Y9, Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMOVDDUP (R11), X9
+	VMOVDDUP (R11)(BX*1), X10
+	VINSERTF128 $1, X10, Y9, Y9    // x2[c], x2[c], x3[c], x3[c]
+	VMULPD Y9, Y8, Y9
+	VADDPD Y9, Y4, Y4
+	ADDQ $8, DX
+	JMP  m4PairTail
+
+m4PairBias:
+	TESTQ R12, R12
+	JZ    m4PairStore
+	VBROADCASTF128 (R12), Y8       // y0[r], y0[r+1], twice
+	VADDPD Y8, Y0, Y0
+	VADDPD Y8, Y4, Y4
+	ADDQ $16, R12
+
+m4PairStore:
+	LEAQ (DI)(R13*2), R11
+	VMOVUPD X0, (DI)
+	VEXTRACTF128 $1, Y0, (DI)(R13*1)
+	VMOVUPD X4, (R11)
+	VEXTRACTF128 $1, Y4, (R11)(R13*1)
+	ADDQ $16, DI
+	LEAQ (R9)(BX*1), R8
+	SUBQ $2, CX
+	JMP  m4Pair
+
+m4One:
+	TESTQ CX, CX
+	JZ    m4Done
+	VXORPD Y0, Y0, Y0
+	VXORPD Y2, Y2, Y2
+	VXORPD Y4, Y4, Y4
+	VXORPD Y6, Y6, Y6
+	XORQ DX, DX
+
+m4OneLanes:
+	CMPQ DX, AX
+	JGE  m4OneFold
+	VMOVUPD (R8)(DX*1), Y8
+	LEAQ (SI)(DX*1), R10
+	LEAQ (R10)(BX*2), R11
+	VMULPD  (R10), Y8, Y11
+	VADDPD  Y11, Y0, Y0
+	VMULPD  (R10)(BX*1), Y8, Y11
+	VADDPD  Y11, Y2, Y2
+	VMULPD  (R11), Y8, Y11
+	VADDPD  Y11, Y4, Y4
+	VMULPD  (R11)(BX*1), Y8, Y11
+	VADDPD  Y11, Y6, Y6
+	ADDQ $32, DX
+	JMP  m4OneLanes
+
+m4OneFold:
+	HSUM(Y0, X0, X8)
+	HSUM(Y2, X2, X10)
+	HSUM(Y4, X4, X12)
+	HSUM(Y6, X6, X14)
+
+m4OneTail:
+	CMPQ DX, BX
+	JGE  m4OneBias
+	VMOVSD (R8)(DX*1), X8
+	LEAQ (SI)(DX*1), R10
+	LEAQ (R10)(BX*2), R11
+	VMULSD (R10), X8, X11
+	VADDSD X11, X0, X0
+	VMULSD (R10)(BX*1), X8, X11
+	VADDSD X11, X2, X2
+	VMULSD (R11), X8, X11
+	VADDSD X11, X4, X4
+	VMULSD (R11)(BX*1), X8, X11
+	VADDSD X11, X6, X6
+	ADDQ $8, DX
+	JMP  m4OneTail
+
+m4OneBias:
+	TESTQ R12, R12
+	JZ    m4OneStore
+	VMOVSD (R12), X8
+	VADDSD X8, X0, X0
+	VADDSD X8, X2, X2
+	VADDSD X8, X4, X4
+	VADDSD X8, X6, X6
+
+m4OneStore:
+	LEAQ (DI)(R13*2), R11
+	VMOVSD X0, (DI)
+	VMOVSD X2, (DI)(R13*1)
+	VMOVSD X4, (R11)
+	VMOVSD X6, (R11)(R13*1)
+
+m4Done:
+	VZEROUPPER
+	RET
+
+// func tilesAVX(acc []float64, rows, cols int, d []float64, dStart, dStep int, v []float64, vStart, vStep, pairs int)
+//
+// The tile kernel behind matTVecAdd and outerAddRows. For each row r of
+// acc (rows of cols entries, end to end), in order, and each pair t
+// from 0 to pairs−1, in order:
+//
+//	acc_r += d[dStart + r + t·dStep] · v[vStart + t·vStep :][:cols]
+//
+// (steps may be negative). A tile of acc_r — up to 24 entries in
+// Y0..Y5, or its last 1 to 3 in X0..X2 — stays in registers while every
+// pair adds into it, so each entry sums in pair order. A pair whose d
+// is ±0 is skipped without a branch: with m = (d is not ±0), the lanes
+// of (d | −0·¬m)·(v & m) are d·v where m holds and −0 where it does
+// not, and a + (−0) is a, bit for bit. Y6 holds d, Y7 m, Y15 −0 in
+// every lane, Y14 is scratch. A tile of six whole registers, or of
+// four, runs without tests; another tests AX, its bytes, before each
+// register.
+//
+// Registers: R8 the row of acc, BX its bytes, DX the tile's first
+// byte, DI the row's d of pair 0, R13 the bytes from one pair's d to
+// the next's, R10 pair 0's v, R12 the bytes from one pair's v to the
+// next's; R11, SI, R9 and CX walk the pairs and the tile.
+DATA negzero<>+0(SB)/8, $0x8000000000000000
+GLOBL negzero<>(SB), RODATA|NOPTR, $8
+
+// TILE_D loads the pair's d from (P) into Y6, its mask into Y7 (an
+// unordered not-equal compare with −0: NaN counts as not ±0), and makes
+// Y6 −0 where d is ±0; TILE_D_SCALAR does it in the low lane.
+#define TILE_D(P) \
+	VBROADCASTSD (P), Y6;      \
+	VCMPPD $0x04, Y15, Y6, Y7; \
+	VANDNPD Y15, Y7, Y14;      \
+	VORPD Y14, Y6, Y6
+
+#define TILE_D_SCALAR(P) \
+	VMOVSD (P), X6;            \
+	VCMPSD $0x04, X15, X6, X7; \
+	VANDNPD X15, X7, X14;      \
+	VORPD X14, X6, X6
+
+// TILE_ADD adds the pair's d·v, v at P, into the tile's register ACC
+// at byte off; TILE_ADD_SCALAR adds one entry.
+#define TILE_ADD(P, off, ACC) \
+	VANDPD off(P), Y7, Y14; \
+	VMULPD Y14, Y6, Y14;    \
+	VADDPD Y14, ACC, ACC
+
+#define TILE_ADD_SCALAR(P, off, ACC) \
+	VMOVSD off(P), X14;  \
+	VANDPD X14, X7, X14; \
+	VMULSD X14, X6, X14; \
+	VADDSD X14, ACC, ACC
+
+#define TILE_PAIR(D, V) \
+	TILE_D(D);            \
+	TILE_ADD(V, 0, Y0);   \
+	TILE_ADD(V, 32, Y1);  \
+	TILE_ADD(V, 64, Y2);  \
+	TILE_ADD(V, 96, Y3);  \
+	TILE_ADD(V, 128, Y4); \
+	TILE_ADD(V, 160, Y5)
+
+#define TILE_LOAD(P) \
+	VMOVUPD 0(P), Y0;   \
+	VMOVUPD 32(P), Y1;  \
+	VMOVUPD 64(P), Y2;  \
+	VMOVUPD 96(P), Y3;  \
+	VMOVUPD 128(P), Y4; \
+	VMOVUPD 160(P), Y5
+
+#define TILE_STORE(P) \
+	VMOVUPD Y0, 0(P);   \
+	VMOVUPD Y1, 32(P);  \
+	VMOVUPD Y2, 64(P);  \
+	VMOVUPD Y3, 96(P);  \
+	VMOVUPD Y4, 128(P); \
+	VMOVUPD Y5, 160(P)
+
+TEXT ·tilesAVX(SB), NOSPLIT, $0-128
+	MOVQ acc_base+0(FP), R8
+	MOVQ cols+32(FP), BX
+	SHLQ $3, BX
+	MOVQ d_base+40(FP), DI
+	MOVQ dStart+64(FP), AX
+	LEAQ (DI)(AX*8), DI
+	MOVQ dStep+72(FP), R13
+	SHLQ $3, R13
+	MOVQ v_base+80(FP), R10
+	MOVQ vStart+104(FP), AX
+	LEAQ (R10)(AX*8), R10
+	MOVQ vStep+112(FP), R12
+	SHLQ $3, R12
+	VBROADCASTSD negzero<>(SB), Y15
+
+tRow:
+	XORQ DX, DX
+
+tTile:
+	MOVQ BX, AX
+	SUBQ DX, AX                // AX = bytes of the row left
+	CMPQ AX, $32
+	JLT  tScalar
+	MOVQ DI, R11               // R11 = the pair's d
+	LEAQ (R10)(DX*1), SI       // SI = the pair's tile of v
+	MOVQ pairs+120(FP), R9     // R9 = pairs left
+	CMPQ AX, $192
+	JLT  tPart
+	MOVQ $192, AX
+	LEAQ (R8)(DX*1), CX
+	TILE_LOAD(CX)
+
+tWhole:
+	TILE_PAIR(R11, SI)
+	ADDQ R13, R11
+	ADDQ R12, SI
+	DECQ R9
+	JNZ  tWhole
+	TILE_STORE(CX)
+	ADDQ AX, DX
+	JMP  tTile
+
+tPart: // one to five whole registers, then the scalar tail
+	ANDQ $-32, AX              // AX = bytes of the whole registers
+	LEAQ (R8)(DX*1), CX
+	CMPQ AX, $128
+	JNE  tPartLoad
+	VMOVUPD 0(CX), Y0
+	VMOVUPD 32(CX), Y1
+	VMOVUPD 64(CX), Y2
+	VMOVUPD 96(CX), Y3
+
+tQuad: // four whole registers, without the tests
+	TILE_D(R11)
+	TILE_ADD(SI, 0, Y0)
+	TILE_ADD(SI, 32, Y1)
+	TILE_ADD(SI, 64, Y2)
+	TILE_ADD(SI, 96, Y3)
+	ADDQ R13, R11
+	ADDQ R12, SI
+	DECQ R9
+	JNZ  tQuad
+	VMOVUPD Y0, 0(CX)
+	VMOVUPD Y1, 32(CX)
+	VMOVUPD Y2, 64(CX)
+	VMOVUPD Y3, 96(CX)
+	ADDQ AX, DX
+	JMP  tScalar
+
+tPartLoad:
+	VMOVUPD 0(CX), Y0
+	CMPQ AX, $64
+	JLT  tPartPairs
+	VMOVUPD 32(CX), Y1
+	CMPQ AX, $96
+	JLT  tPartPairs
+	VMOVUPD 64(CX), Y2
+	CMPQ AX, $128
+	JLT  tPartPairs
+	VMOVUPD 96(CX), Y3
+	CMPQ AX, $160
+	JLT  tPartPairs
+	VMOVUPD 128(CX), Y4
+
+tPartPairs:
+	TILE_D(R11)
+	TILE_ADD(SI, 0, Y0)
+	CMPQ AX, $64
+	JLT  tPartAdded
+	TILE_ADD(SI, 32, Y1)
+	CMPQ AX, $96
+	JLT  tPartAdded
+	TILE_ADD(SI, 64, Y2)
+	CMPQ AX, $128
+	JLT  tPartAdded
+	TILE_ADD(SI, 96, Y3)
+	CMPQ AX, $160
+	JLT  tPartAdded
+	TILE_ADD(SI, 128, Y4)
+
+tPartAdded:
+	ADDQ R13, R11
+	ADDQ R12, SI
+	DECQ R9
+	JNZ  tPartPairs
+	VMOVUPD Y0, 0(CX)
+	CMPQ AX, $64
+	JLT  tPartStored
+	VMOVUPD Y1, 32(CX)
+	CMPQ AX, $96
+	JLT  tPartStored
+	VMOVUPD Y2, 64(CX)
+	CMPQ AX, $128
+	JLT  tPartStored
+	VMOVUPD Y3, 96(CX)
+	CMPQ AX, $160
+	JLT  tPartStored
+	VMOVUPD Y4, 128(CX)
+
+tPartStored:
+	ADDQ AX, DX
+
+tScalar: // the last 0 to 3 entries, one lane each
+	MOVQ BX, AX
+	SUBQ DX, AX                // AX = bytes left: 0, 8, 16 or 24
+	JZ   tNext
+	MOVQ DI, R11
+	LEAQ (R10)(DX*1), SI
+	MOVQ pairs+120(FP), R9
+	LEAQ (R8)(DX*1), CX
+	VMOVSD 0(CX), X0
+	CMPQ AX, $16
+	JLT  tScalarPairs
+	VMOVSD 8(CX), X1
+	CMPQ AX, $24
+	JLT  tScalarPairs
+	VMOVSD 16(CX), X2
+
+tScalarPairs:
+	TILE_D_SCALAR(R11)
+	TILE_ADD_SCALAR(SI, 0, X0)
+	CMPQ AX, $16
+	JLT  tScalarAdded
+	TILE_ADD_SCALAR(SI, 8, X1)
+	CMPQ AX, $24
+	JLT  tScalarAdded
+	TILE_ADD_SCALAR(SI, 16, X2)
+
+tScalarAdded:
+	ADDQ R13, R11
+	ADDQ R12, SI
+	DECQ R9
+	JNZ  tScalarPairs
+	VMOVSD X0, 0(CX)
+	CMPQ AX, $16
+	JLT  tScalarStored
+	VMOVSD X1, 8(CX)
+	CMPQ AX, $24
+	JLT  tScalarStored
+	VMOVSD X2, 16(CX)
+
+tScalarStored:
+
+tNext:
+	ADDQ BX, R8
+	ADDQ $8, DI
+	DECQ rows+24(FP)
+	JNZ  tRow
+	VZEROUPPER
+	RET
+
+// expAVX is math.Exp four lanes at a time: the steps of math's
+// archExp (exp_amd64.s, after Shibata's SIMD method) with each lane's
+// operations rounded as the scalar code rounds them — the reduction
+// x − e·ln2 in two parts, the Taylor chain on x/16, four squarings
+// (x·(x+2) undoes each halving), then the scale by 2^e built in the
+// exponent bits. fma picks archExp's fused form (its useFMA), whose
+// reductions and Taylor steps are single VFMADD/VFNMADD roundings.
+DATA expc<>+0(SB)/8, $1.4426950408889634073599246810018920  // log2(e)
+DATA expc<>+8(SB)/8, $0.69314718055966295651160180568695068359375  // ln2, upper part
+DATA expc<>+16(SB)/8, $0.28235290563031577122588448175013436025525412068e-12  // ln2, lower part
+DATA expc<>+24(SB)/8, $0.0625
+DATA expc<>+32(SB)/8, $2.4801587301587301587e-5  // 1/8!
+DATA expc<>+40(SB)/8, $1.9841269841269841270e-4  // 1/7!
+DATA expc<>+48(SB)/8, $1.3888888888888888889e-3  // 1/6!
+DATA expc<>+56(SB)/8, $8.3333333333333333333e-3  // 1/5!
+DATA expc<>+64(SB)/8, $4.1666666666666666667e-2  // 1/4!
+DATA expc<>+72(SB)/8, $1.6666666666666666667e-1  // 1/3!
+DATA expc<>+80(SB)/8, $0.5
+DATA expc<>+88(SB)/8, $1.0
+DATA expc<>+96(SB)/8, $2.0
+DATA expc<>+104(SB)/8, $-708.0  // expLo
+DATA expc<>+112(SB)/8, $709.0   // expHi
+GLOBL expc<>(SB), RODATA|NOPTR, $120
+
+// func expAVX(x, y []float64, fma bool) int
+//
+// y = exp(x) for each whole group of four entries, up to the first
+// group with an entry outside [expLo, expHi] (NaN included); returns
+// the entries written. Inside that range e+1023 stays in [2, 2046], so
+// archExp's ldexp step is one multiplication by a normal 2^e.
+TEXT ·expAVX(SB), NOSPLIT, $0-64
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	MOVQ y_base+24(FP), DI
+	MOVBQZX fma+48(FP), R8
+	SHLQ $3, CX
+	ANDQ $-32, CX              // CX = bytes of whole groups
+	XORQ DX, DX
+	VBROADCASTSD expc<>+0(SB), Y13
+	VBROADCASTSD expc<>+8(SB), Y12
+	VBROADCASTSD expc<>+16(SB), Y11
+	VBROADCASTSD expc<>+24(SB), Y10
+	VBROADCASTSD expc<>+88(SB), Y9
+	VBROADCASTSD expc<>+96(SB), Y8
+	VBROADCASTSD expc<>+104(SB), Y15
+	VBROADCASTSD expc<>+112(SB), Y14
+	MOVL $0x3FF, AX
+	VMOVD AX, X7
+	VPSHUFD $0, X7, X7         // X7 = the exponent bias, four int32 lanes
+
+exLoop:
+	CMPQ DX, CX
+	JGE  exDone
+	VMOVUPD (SI)(DX*1), Y0
+	VCMPPD  $0x1D, Y15, Y0, Y1 // GE_OQ: x >= expLo
+	VCMPPD  $0x12, Y14, Y0, Y2 // LE_OQ: x <= expHi
+	VANDPD  Y2, Y1, Y1
+	VMOVMSKPD Y1, AX
+	CMPQ AX, $15
+	JNE  exDone
+	VMULPD Y13, Y0, Y1
+	VCVTPD2DQY Y1, X4          // e = x·log2(e), rounded to nearest
+	VCVTDQ2PD X4, Y1
+	TESTQ R8, R8
+	JNZ  exFMA
+
+	VMULPD Y12, Y1, Y2
+	VSUBPD Y2, Y0, Y0
+	VMULPD Y11, Y1, Y2
+	VSUBPD Y2, Y0, Y0
+	VMULPD Y10, Y0, Y0
+	VBROADCASTSD expc<>+32(SB), Y3
+	VMULPD Y0, Y3, Y3
+	VBROADCASTSD expc<>+40(SB), Y6
+	VADDPD Y6, Y3, Y3
+	VMULPD Y0, Y3, Y3
+	VBROADCASTSD expc<>+48(SB), Y6
+	VADDPD Y6, Y3, Y3
+	VMULPD Y0, Y3, Y3
+	VBROADCASTSD expc<>+56(SB), Y6
+	VADDPD Y6, Y3, Y3
+	VMULPD Y0, Y3, Y3
+	VBROADCASTSD expc<>+64(SB), Y6
+	VADDPD Y6, Y3, Y3
+	VMULPD Y0, Y3, Y3
+	VBROADCASTSD expc<>+72(SB), Y6
+	VADDPD Y6, Y3, Y3
+	VMULPD Y0, Y3, Y3
+	VBROADCASTSD expc<>+80(SB), Y6
+	VADDPD Y6, Y3, Y3
+	VMULPD Y0, Y3, Y3
+	VADDPD Y9, Y3, Y3
+	VMULPD Y3, Y0, Y0
+	VADDPD Y8, Y0, Y3
+	VMULPD Y3, Y0, Y0
+	VADDPD Y8, Y0, Y3
+	VMULPD Y3, Y0, Y0
+	VADDPD Y8, Y0, Y3
+	VMULPD Y3, Y0, Y0
+	VADDPD Y8, Y0, Y3
+	VMULPD Y3, Y0, Y0
+	VADDPD Y9, Y0, Y0
+	JMP  exScale
+
+exFMA:
+	VFNMADD231PD Y12, Y1, Y0
+	VFNMADD231PD Y11, Y1, Y0
+	VMULPD Y10, Y0, Y0
+	VBROADCASTSD expc<>+32(SB), Y3
+	VBROADCASTSD expc<>+40(SB), Y6
+	VFMADD213PD Y6, Y0, Y3
+	VBROADCASTSD expc<>+48(SB), Y6
+	VFMADD213PD Y6, Y0, Y3
+	VBROADCASTSD expc<>+56(SB), Y6
+	VFMADD213PD Y6, Y0, Y3
+	VBROADCASTSD expc<>+64(SB), Y6
+	VFMADD213PD Y6, Y0, Y3
+	VBROADCASTSD expc<>+72(SB), Y6
+	VFMADD213PD Y6, Y0, Y3
+	VBROADCASTSD expc<>+80(SB), Y6
+	VFMADD213PD Y6, Y0, Y3
+	VFMADD213PD Y9, Y0, Y3
+	VMULPD Y3, Y0, Y0
+	VADDPD Y8, Y0, Y3
+	VMULPD Y3, Y0, Y0
+	VADDPD Y8, Y0, Y3
+	VMULPD Y3, Y0, Y0
+	VADDPD Y8, Y0, Y3
+	VMULPD Y3, Y0, Y0
+	VADDPD Y8, Y0, Y3
+	VFMADD213PD Y9, Y3, Y0
+
+exScale:
+	VPADDD X7, X4, X4          // e + 1023
+	VPMOVZXDQ X4, X5
+	VPSHUFD $0x0E, X4, X4
+	VPMOVZXDQ X4, X4
+	VPSLLQ $52, X5, X5
+	VPSLLQ $52, X4, X4
+	VINSERTF128 $1, X4, Y5, Y5 // 2^e, four float64 lanes
+	VMULPD Y5, Y0, Y0
+	VMOVUPD Y0, (DI)(DX*1)
+	ADDQ $32, DX
+	JMP  exLoop
+
+exDone:
+	SHRQ $3, DX
+	MOVQ DX, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// logAVX is math.Log four lanes at a time: the steps of math's archLog
+// (log_amd64.s, FreeBSD's e_log.c) with each lane's operations rounded
+// as the scalar code rounds them — the split x = f1·2^k with f1 taken
+// to [√2/2, √2), f = f1 − 1, s = f/(2+f), the two polynomials in s⁴,
+// and the assembly k·ln2hi − ((hfsq − (s·(hfsq+R) + k·ln2lo)) − f).
+DATA logc<>+0(SB)/8, $7.07106781186547524401e-01   // √2/2
+DATA logc<>+8(SB)/8, $6.93147180369123816490e-01   // ln2, upper part
+DATA logc<>+16(SB)/8, $1.90821492927058770002e-10  // ln2, lower part
+DATA logc<>+24(SB)/8, $6.666666666666735130e-01    // L1
+DATA logc<>+32(SB)/8, $3.999999999940941908e-01    // L2
+DATA logc<>+40(SB)/8, $2.857142874366239149e-01    // L3
+DATA logc<>+48(SB)/8, $2.222219843214978396e-01    // L4
+DATA logc<>+56(SB)/8, $1.818357216161805012e-01    // L5
+DATA logc<>+64(SB)/8, $1.531383769920937332e-01    // L6
+DATA logc<>+72(SB)/8, $1.479819860511658591e-01    // L7
+DATA logc<>+80(SB)/8, $0x000FFFFFFFFFFFFF          // the mantissa bits
+DATA logc<>+88(SB)/8, $0.5
+DATA logc<>+96(SB)/8, $1.0
+DATA logc<>+104(SB)/8, $2.0
+DATA logc<>+112(SB)/8, $0x0010000000000000         // logLo: the smallest normal
+DATA logc<>+120(SB)/8, $0x7FEFFFFFFFFFFFFF         // logHi: the largest finite
+GLOBL logc<>(SB), RODATA|NOPTR, $128
+
+// func logAVX(x, y []float64) int
+//
+// y = log(x) for each whole group of four entries, up to the first
+// group with an entry outside [logLo, logHi] (NaN included); returns
+// the entries written. Inside that range x is positive, finite and
+// normal, where archLog takes none of its special cases.
+TEXT ·logAVX(SB), NOSPLIT, $0-56
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	MOVQ y_base+24(FP), DI
+	SHLQ $3, CX
+	ANDQ $-32, CX              // CX = bytes of whole groups
+	XORQ DX, DX
+	VBROADCASTSD logc<>+0(SB), Y10
+	VBROADCASTSD logc<>+80(SB), Y12
+	VBROADCASTSD logc<>+88(SB), Y11
+	VBROADCASTSD logc<>+96(SB), Y9
+	VBROADCASTSD logc<>+104(SB), Y8
+	VBROADCASTSD logc<>+112(SB), Y15
+	VBROADCASTSD logc<>+120(SB), Y14
+	MOVL $0x3FE, AX
+	VMOVD AX, X13
+	VPSHUFD $0, X13, X13       // X13 = the exponent bias, four int32 lanes
+
+lgLoop:
+	CMPQ DX, CX
+	JGE  lgDone
+	VMOVUPD (SI)(DX*1), Y0
+	VCMPPD  $0x1D, Y15, Y0, Y1 // GE_OQ: x >= logLo
+	VCMPPD  $0x12, Y14, Y0, Y2 // LE_OQ: x <= logHi
+	VANDPD  Y2, Y1, Y1
+	VMOVMSKPD Y1, AX
+	CMPQ AX, $15
+	JNE  lgDone
+
+	// k = exponent − 0x3FE; f1 = the mantissa with exponent −1.
+	VEXTRACTF128 $1, Y0, X3
+	VPSRLQ $52, X0, X4
+	VPSRLQ $52, X3, X3
+	VSHUFPS $0x88, X3, X4, X4  // the four exponents, int32 lanes
+	VPSUBD X13, X4, X4
+	VCVTDQ2PD X4, Y1           // k
+	VANDPD Y12, Y0, Y2
+	VORPD  Y11, Y2, Y2         // f1
+	// Where !(√2/2 < f1): k −= 1 and f1 ·= 2. Then f = f1 − 1.
+	VCMPPD $0x05, Y2, Y10, Y3  // NLT_US
+	VANDPD Y9, Y3, Y3
+	VSUBPD Y3, Y1, Y1
+	VADDPD Y9, Y3, Y3
+	VMULPD Y3, Y2, Y2
+	VSUBPD Y9, Y2, Y2          // f
+	// s = f/(2+f), s2 = s·s, s4 = s2·s2
+	VADDPD Y8, Y2, Y3
+	VDIVPD Y3, Y2, Y3          // s
+	VMULPD Y3, Y3, Y4          // s2
+	VMULPD Y4, Y4, Y5          // s4
+	// t1 = s2·(L1 + s4·(L3 + s4·(L5 + s4·L7)))
+	VBROADCASTSD logc<>+72(SB), Y6
+	VMULPD Y5, Y6, Y6
+	VBROADCASTSD logc<>+56(SB), Y7
+	VADDPD Y7, Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VBROADCASTSD logc<>+40(SB), Y7
+	VADDPD Y7, Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VBROADCASTSD logc<>+24(SB), Y7
+	VADDPD Y7, Y6, Y6
+	VMULPD Y6, Y4, Y4          // t1
+	// t2 = s4·(L2 + s4·(L4 + s4·L6)); R = t1 + t2
+	VBROADCASTSD logc<>+64(SB), Y6
+	VMULPD Y5, Y6, Y6
+	VBROADCASTSD logc<>+48(SB), Y7
+	VADDPD Y7, Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VBROADCASTSD logc<>+32(SB), Y7
+	VADDPD Y7, Y6, Y6
+	VMULPD Y6, Y5, Y5          // t2
+	VADDPD Y5, Y4, Y4          // R
+	// hfsq = 0.5·f·f; k·ln2hi − ((hfsq − (s·(hfsq+R) + k·ln2lo)) − f)
+	VMULPD Y11, Y2, Y5
+	VMULPD Y2, Y5, Y5          // hfsq
+	VADDPD Y5, Y4, Y4
+	VMULPD Y4, Y3, Y3
+	VBROADCASTSD logc<>+16(SB), Y6
+	VMULPD Y1, Y6, Y6
+	VADDPD Y6, Y3, Y3
+	VSUBPD Y3, Y5, Y5
+	VSUBPD Y2, Y5, Y5
+	VBROADCASTSD logc<>+8(SB), Y6
+	VMULPD Y6, Y1, Y1
+	VSUBPD Y5, Y1, Y1
+	VMOVUPD Y1, (DI)(DX*1)
+	ADDQ $32, DX
+	JMP  lgLoop
+
+lgDone:
+	SHRQ $3, DX
+	MOVQ DX, ret+48(FP)
 	VZEROUPPER
 	RET

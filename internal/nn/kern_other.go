@@ -17,6 +17,18 @@ func outerAdd(dw []float64, rows, cols int, dy, x []float64) {
 	outerAddGo(dw, rows, cols, dy, x)
 }
 
+func matVecRows(w []float64, rows, cols int, x []float64, n int, y0, y []float64) {
+	matVecRowsGo(w, rows, cols, x, n, y0, y)
+}
+
+func outerAddRows(dw []float64, rows, cols int, dy, x []float64, n int) {
+	outerAddRowsGo(dw, rows, cols, dy, x, n)
+}
+
+func expSlice(x, y []float64) { expGo(x, y) }
+
+func logSlice(x, y []float64) { logGo(x, y) }
+
 func relu(x, y []float64) { reluGo(x, y) }
 
 func reluBackward(y, dy []float64) { reluBackwardGo(y, dy) }

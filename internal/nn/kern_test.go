@@ -12,11 +12,14 @@ import (
 )
 
 // kernelCase is one set of operands for every kernel: w, dw, m and v
-// are rows×cols, x and dx have cols entries, y0 and dy have rows.
+// are rows×cols, x and dx have cols entries, y0 and dy have rows; the
+// row-batched kernels take n input rows, xs (n×cols) and dys (n×rows).
 type kernelCase struct {
 	rows, cols       int
 	w, x, y0, dy, dx []float64
 	dw, m, v         []float64
+	n                int
+	xs, dys          []float64
 }
 
 // The operand fills: what a fit produces, and the edges where a
@@ -76,6 +79,23 @@ func newKernelCase(rows, cols int, seed int64, fill int) kernelCase {
 		c.dy[g.Intn(rows)] = 0 // a dead gradient row, which both paths skip
 	}
 	c.m, c.v = draw(rows*cols), draw(rows*cols)
+	return c
+}
+
+// withRows draws the case's n input rows for the row-batched kernels.
+// Under fillNormal one dy row is all ±0 and one entry of another is
+// +0, which both paths skip.
+func (c kernelCase) withRows(n int, seed int64, fill int) kernelCase {
+	g := stats.NewRNG(seed)
+	draw := drawer(g, fill)
+	c.n, c.xs, c.dys = n, draw(n*c.cols), draw(n*c.rows)
+	if fill == fillNormal {
+		dead := c.dys[g.Intn(n)*c.rows:]
+		for r := 0; r < c.rows; r++ {
+			dead[r] = math.Copysign(0, float64(g.Intn(2))-0.5)
+		}
+		c.dys[g.Intn(n*c.rows)] = 0
+	}
 	return c
 }
 
@@ -144,6 +164,23 @@ func checkKernels(t *testing.T, c kernelCase) {
 		fail("outerAdd", got, want)
 	}
 
+	if c.n > 0 {
+		for _, y0 := range [][]float64{nil, c.y0} {
+			got, want = make([]float64, c.n*c.rows), make([]float64, c.n*c.rows)
+			matVecRows(c.w, c.rows, c.cols, c.xs, c.n, y0, got)
+			matVecRowsGo(c.w, c.rows, c.cols, c.xs, c.n, y0, want)
+			if !sameBits(got, want) {
+				fail(fmt.Sprintf("matVecRows n=%d y0=%t", c.n, y0 != nil), got, want)
+			}
+		}
+		got, want = slices.Clone(c.dw), slices.Clone(c.dw)
+		outerAddRows(got, c.rows, c.cols, c.dys, c.xs, c.n)
+		outerAddRowsGo(want, c.rows, c.cols, c.dys, c.xs, c.n)
+		if !sameBits(got, want) {
+			fail(fmt.Sprintf("outerAddRows n=%d", c.n), got, want)
+		}
+	}
+
 	// The elementwise kernels, over the rows×cols operands.
 	got, want = make([]float64, len(c.w)), make([]float64, len(c.w))
 	relu(c.w, got)
@@ -156,6 +193,22 @@ func checkKernels(t *testing.T, c kernelCase) {
 	reluBackwardGo(c.w, want)
 	if !sameBits(got, want) {
 		fail("reluBackward", got, want)
+	}
+
+	got, want = make([]float64, len(c.w)), make([]float64, len(c.w))
+	expSlice(c.w, got)
+	expGo(c.w, want)
+	if !sameBits(got, want) {
+		fail("exp", got, want)
+	}
+	abs := make([]float64, len(c.w)) // mostly the kernel's range: log takes |w|
+	for i, v := range c.w {
+		abs[i] = math.Abs(v)
+	}
+	logSlice(abs, got)
+	logGo(abs, want)
+	if !sameBits(got, want) {
+		fail("log", got, want)
 	}
 
 	// Three slots, then none.
@@ -258,6 +311,17 @@ func TestKernelsMatchGo(t *testing.T) {
 			}
 		}
 	}
+	// The row-batched kernels over 1 to 33 input rows: every remainder
+	// of the four-row blocks, and up to a served sequence plus its
+	// survival row.
+	for n := 1; n <= 33; n++ {
+		for _, shape := range [][2]int{{1, 1}, {2, 3}, {3, 5}, {8, 24}, {24, 18}, {24, 24}, {5, 17}, {7, 33}} {
+			for fill := 0; fill < numFills; fill++ {
+				seed := int64(1000*n + 10*shape[0] + shape[1])
+				checkKernels(t, newKernelCase(shape[0], shape[1], seed, fill).withRows(n, seed+1, fill))
+			}
+		}
+	}
 	for _, h := range []int{1, 2, 3, 4, 5, 8, 16, 17, 24} {
 		for fill := 0; fill < numFills; fill++ {
 			for seed := int64(0); seed < 4; seed++ {
@@ -273,7 +337,8 @@ func FuzzKernels(f *testing.F) {
 	f.Add(uint8(5), uint8(17), int64(3), uint8(fillExtremes))
 	f.Add(uint8(8), uint8(4), int64(4), uint8(fillNonFinite))
 	f.Fuzz(func(t *testing.T, rows, cols uint8, seed int64, fill uint8) {
-		checkKernels(t, newKernelCase(int(rows%80)+1, int(cols%80)+1, seed, int(fill%numFills)))
+		n := int(uint64(seed)%33) + 1
+		checkKernels(t, newKernelCase(int(rows%80)+1, int(cols%80)+1, seed, int(fill%numFills)).withRows(n, seed, int(fill%numFills)))
 		checkGRUInput(t, int(rows%80)+1, seed, int(fill%numFills))
 	})
 }
@@ -286,8 +351,8 @@ func TestKernelsShortSlicesPanic(t *testing.T) {
 	if !useAVX {
 		t.Skip("no AVX on this CPU: the kernels are the Go loops")
 	}
-	const rows, cols = 5, 8
-	c := newKernelCase(rows, cols, 1, fillNormal)
+	const rows, cols, n = 5, 8, 6
+	c := newKernelCase(rows, cols, 1, fillNormal).withRows(n, 2, fillNormal)
 	coef := c.adamCase()
 	u := newGRU(newSlab(gruParams(rows)), "g", rows, stats.NewRNG(1))
 	short := func(v []float64) []float64 { return v[:len(v)-1] }
@@ -307,6 +372,15 @@ func TestKernelsShortSlicesPanic(t *testing.T) {
 		{"outerAdd/dw", slices.Clone(c.dw), func(dw []float64) { outerAdd(short(dw), rows, cols, c.dy, c.x) }},
 		{"outerAdd/dy", slices.Clone(c.dw), func(dw []float64) { outerAdd(dw, rows, cols, short(c.dy), c.x) }},
 		{"outerAdd/x", slices.Clone(c.dw), func(dw []float64) { outerAdd(dw, rows, cols, c.dy, short(c.x)) }},
+		{"matVecRows/w", make([]float64, n*rows), func(y []float64) { matVecRows(short(c.w), rows, cols, c.xs, n, c.y0, y) }},
+		{"matVecRows/x", make([]float64, n*rows), func(y []float64) { matVecRows(c.w, rows, cols, short(c.xs), n, c.y0, y) }},
+		{"matVecRows/y0", make([]float64, n*rows), func(y []float64) { matVecRows(c.w, rows, cols, c.xs, n, short(c.y0), y) }},
+		{"matVecRows/y", make([]float64, n*rows), func(y []float64) { matVecRows(c.w, rows, cols, c.xs, n, c.y0, short(y)) }},
+		{"outerAddRows/dw", slices.Clone(c.dw), func(dw []float64) { outerAddRows(short(dw), rows, cols, c.dys, c.xs, n) }},
+		{"outerAddRows/dy", slices.Clone(c.dw), func(dw []float64) { outerAddRows(dw, rows, cols, short(c.dys), c.xs, n) }},
+		{"outerAddRows/x", slices.Clone(c.dw), func(dw []float64) { outerAddRows(dw, rows, cols, c.dys, short(c.xs), n) }},
+		{"expSlice/y", make([]float64, len(c.w)), func(y []float64) { expSlice(c.w, short(y)) }},
+		{"logSlice/y", make([]float64, len(c.w)), func(y []float64) { logSlice(c.w, short(y)) }},
 		// The elementwise kernels: one slice sets the length, each other
 		// one short panics. out is watched for writes through the
 		// short view too.
@@ -346,7 +420,11 @@ func TestKernelsShortSlicesPanic(t *testing.T) {
 // BenchmarkKernels times each kernel at the served net's shapes (GRU
 // 16×1 and 16×16, fc1 24×18, fc2 24×24, a head 8×24) and at 64×64,
 // through the dispatch ("asm": the assembly on an AVX CPU, except
-// outerAdd below 4 columns) and through the Go loop ("go").
+// outerAdd below 4 columns) and through the Go loop ("go"). The
+// row-batched kernels run 16 input rows (a served sequence of ≈ 13
+// steps plus its survival row), exp runs over the rows×cols entries of
+// W and log over those of v, made positive as Adam's second moments
+// are.
 func BenchmarkKernels(b *testing.B) {
 	type kernel struct {
 		name        string
@@ -362,11 +440,27 @@ func BenchmarkKernels(b *testing.B) {
 		{"outerAdd",
 			func(c *kernelCase, _ []float64) { outerAdd(c.dw, c.rows, c.cols, c.dy, c.x) },
 			func(c *kernelCase, _ []float64) { outerAddGo(c.dw, c.rows, c.cols, c.dy, c.x) }},
+		{"matVecRows",
+			func(c *kernelCase, y []float64) { matVecRows(c.w, c.rows, c.cols, c.xs, c.n, c.y0, y) },
+			func(c *kernelCase, y []float64) { matVecRowsGo(c.w, c.rows, c.cols, c.xs, c.n, c.y0, y) }},
+		{"outerAddRows",
+			func(c *kernelCase, _ []float64) { outerAddRows(c.dw, c.rows, c.cols, c.dys, c.xs, c.n) },
+			func(c *kernelCase, _ []float64) { outerAddRowsGo(c.dw, c.rows, c.cols, c.dys, c.xs, c.n) }},
+		{"exp",
+			func(c *kernelCase, y []float64) { expSlice(c.w, y) },
+			func(c *kernelCase, y []float64) { expGo(c.w, y) }},
+		{"log",
+			func(c *kernelCase, y []float64) { logSlice(c.v, y) },
+			func(c *kernelCase, y []float64) { logGo(c.v, y) }},
 	}
+	const n = 16
 	for _, k := range kernels {
 		for _, shape := range [][2]int{{16, 1}, {16, 16}, {24, 18}, {24, 24}, {8, 24}, {64, 64}} {
-			c := newKernelCase(shape[0], shape[1], 1, fillNormal)
-			y := make([]float64, c.rows)
+			c := newKernelCase(shape[0], shape[1], 1, fillNormal).withRows(n, 2, fillNormal)
+			for i, v := range c.v {
+				c.v[i] = math.Abs(v)
+			}
+			y := make([]float64, max(n*c.rows, len(c.w)))
 			for _, impl := range []struct {
 				name string
 				run  func(c *kernelCase, y []float64)

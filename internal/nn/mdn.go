@@ -14,8 +14,9 @@ type Mixture struct {
 	Mu []float64 // means of log residual time
 	S  []float64 // std devs of log residual time (positive)
 
-	// tmp is the 2K scratch of NLLGrad/SurvivalNLLGrad, sized on their
-	// first call; a mixture that is only predicted from never has one.
+	// tmp is the 2K scratch of MixtureFromActivations and of the
+	// likelihood methods (LogPDF, the NLLs and their gradients), sized
+	// on the first call; a Mixture is not safe for concurrent use.
 	tmp []float64
 }
 
@@ -55,15 +56,12 @@ func MixtureFromActivations(aW, aMu, aS []float64, out *Mixture) {
 			maxA = a
 		}
 	}
-	sum := 0.0
+	// The softmax's exps and the deviations' run as one pass over the
+	// mixture's scratch, which holds w and s end to end.
+	w, s := out.scratch()
 	for i, a := range aW {
-		out.W[i] = math.Exp(a - maxA)
-		sum += out.W[i]
+		w[i] = a - maxA
 	}
-	for i := range out.W {
-		out.W[i] /= sum
-	}
-	copy(out.Mu, aMu)
 	for i, a := range aS {
 		if a < logSClampLo {
 			a = logSClampLo
@@ -71,8 +69,18 @@ func MixtureFromActivations(aW, aMu, aS []float64, out *Mixture) {
 		if a > logSClampHi {
 			a = logSClampHi
 		}
-		out.S[i] = math.Exp(a)
+		s[i] = a
 	}
+	expSlice(out.tmp, out.tmp)
+	sum := 0.0
+	for _, v := range w {
+		sum += v
+	}
+	for i, v := range w {
+		out.W[i] = v / sum
+	}
+	copy(out.Mu, aMu)
+	copy(out.S, s)
 }
 
 // halfLog2Pi is ½·log 2π as math.Log computes it (one ulp below the
@@ -80,28 +88,15 @@ func MixtureFromActivations(aW, aMu, aS []float64, out *Mixture) {
 var halfLog2Pi = 0.5 * math.Log(2*math.Pi)
 
 // logNormLogPDF returns the log density of a log-normal(mu, s) at r>0,
-// given lr = log r.
-func logNormLogPDF(lr, mu, s float64) float64 {
+// given lr = log r and logS = log s.
+func logNormLogPDF(lr, mu, s, logS float64) float64 {
 	d := (lr - mu) / s
-	return -lr - math.Log(s) - halfLog2Pi - 0.5*d*d
+	return -lr - logS - halfLog2Pi - 0.5*d*d
 }
 
 // LogPDF returns log p(r) under the mixture (Eq. 4). r must be > 0.
 func (m *Mixture) LogPDF(r float64) float64 {
-	maxL := math.Inf(-1)
-	k := m.K()
-	lr := math.Log(r)
-	ls := make([]float64, k)
-	for i := 0; i < k; i++ {
-		ls[i] = math.Log(m.W[i]+minDensity) + logNormLogPDF(lr, m.Mu[i], m.S[i])
-		if ls[i] > maxL {
-			maxL = ls[i]
-		}
-	}
-	sum := 0.0
-	for i := 0; i < k; i++ {
-		sum += math.Exp(ls[i] - maxL)
-	}
+	_, maxL, sum, _ := m.logTerms(r)
 	return maxL + math.Log(sum)
 }
 
@@ -144,45 +139,64 @@ func (m *Mixture) Sample(g *stats.RNG) float64 {
 	return math.Exp(m.Mu[k] + m.S[k]*g.NormFloat64())
 }
 
+// logTerms is the likelihood half of NLLGrad: with lr = log r, it
+// leaves in ls (m's scratch) each component's exp(log w_k + log p_k(r)
+// − maxL) and returns lr, maxL and the sum of ls. The logs of the
+// weights and of the deviations run as one pass (logSlice), the exps
+// as another (expSlice).
+func (m *Mixture) logTerms(r float64) (lr, maxL, sum float64, ls []float64) {
+	lr = math.Log(r)
+	ls, logS := m.scratch()
+	for i, w := range m.W {
+		ls[i] = w + minDensity
+	}
+	copy(logS, m.S)
+	logSlice(m.tmp, m.tmp)
+	maxL = math.Inf(-1)
+	for i := range ls {
+		ls[i] += logNormLogPDF(lr, m.Mu[i], m.S[i], logS[i])
+		if ls[i] > maxL {
+			maxL = ls[i]
+		}
+	}
+	for i := range ls {
+		ls[i] -= maxL
+	}
+	expSlice(ls, ls)
+	for _, v := range ls {
+		sum += v
+	}
+	return lr, maxL, sum, ls
+}
+
+// NLL returns the negative log-likelihood −log p(r), the value NLLGrad
+// returns, without its gradients.
+func (m *Mixture) NLL(r float64) float64 { return -m.LogPDF(r) }
+
 // NLLGrad computes the negative log-likelihood −log p(r) and
 // accumulates its gradients w.r.t. the raw head activations into
 // (dAW, dAMu, dAS). The mixture must have been produced by
 // MixtureFromActivations from those activations.
 func (m *Mixture) NLLGrad(r float64, dAW, dAMu, dAS []float64) float64 {
-	k := m.K()
-	lr := math.Log(r)
-	ls, _ := m.scratch()
-	maxL := math.Inf(-1)
-	for i := 0; i < k; i++ {
-		ls[i] = math.Log(m.W[i]+minDensity) + logNormLogPDF(lr, m.Mu[i], m.S[i])
-		if ls[i] > maxL {
-			maxL = ls[i]
-		}
-	}
-	sum := 0.0
-	for i := 0; i < k; i++ {
-		ls[i] = math.Exp(ls[i] - maxL)
-		sum += ls[i]
-	}
-	nll := -(maxL + math.Log(sum))
-	for i := 0; i < k; i++ {
+	lr, maxL, sum, ls := m.logTerms(r)
+	for i := range ls {
 		post := ls[i] / sum // responsibility z_k
 		d := (lr - m.Mu[i]) / m.S[i]
 		dAW[i] += m.W[i] - post
 		dAMu[i] += -post * d / m.S[i]
 		dAS[i] += post * (1 - d*d)
 	}
-	return nll
+	return -(maxL + math.Log(sum))
 }
 
-// SurvivalNLLGrad computes −log Pr{R > v} and accumulates gradients
-// w.r.t. the raw head activations (the survival term of Eq. 5).
-func (m *Mixture) SurvivalNLLGrad(v float64, dAW, dAMu, dAS []float64) float64 {
-	k := m.K()
+// survivalTerms is the probability half of SurvivalNLLGrad: it leaves
+// in q and u (m's scratch) each component's Pr{R_k > v} and
+// standardized log-threshold, and returns Pr{R > v} floored at
+// minSurvival.
+func (m *Mixture) survivalTerms(v float64) (s float64, q, u []float64) {
 	lv := math.Log(v)
-	q, u := m.scratch()
-	s := 0.0
-	for i := 0; i < k; i++ {
+	q, u = m.scratch()
+	for i := range q {
 		u[i] = (lv - m.Mu[i]) / m.S[i]
 		q[i] = 0.5 * math.Erfc(u[i]/math.Sqrt2)
 		s += m.W[i] * q[i]
@@ -190,12 +204,25 @@ func (m *Mixture) SurvivalNLLGrad(v float64, dAW, dAMu, dAS []float64) float64 {
 	if s < minSurvival {
 		s = minSurvival
 	}
-	nll := -math.Log(s)
-	for i := 0; i < k; i++ {
+	return s, q, u
+}
+
+// SurvivalNLL returns −log Pr{R > v}, the value SurvivalNLLGrad
+// returns, without its gradients.
+func (m *Mixture) SurvivalNLL(v float64) float64 {
+	s, _, _ := m.survivalTerms(v)
+	return -math.Log(s)
+}
+
+// SurvivalNLLGrad computes −log Pr{R > v} and accumulates gradients
+// w.r.t. the raw head activations (the survival term of Eq. 5).
+func (m *Mixture) SurvivalNLLGrad(v float64, dAW, dAMu, dAS []float64) float64 {
+	s, q, u := m.survivalTerms(v)
+	for i := range q {
 		phi := math.Exp(-0.5*u[i]*u[i]) / math.Sqrt(2*math.Pi)
 		dAW[i] += m.W[i] - m.W[i]*q[i]/s
 		dAMu[i] += -m.W[i] * phi / (s * m.S[i])
 		dAS[i] += -m.W[i] * phi * u[i] / s
 	}
-	return nll
+	return -math.Log(s)
 }

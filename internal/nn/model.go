@@ -171,81 +171,117 @@ func (n *Net) EmbedHistory(taus []float64) []float64 {
 	return h
 }
 
-// mlpCache stores one prediction's activations for backprop.
-type mlpCache struct {
-	in, y1, y2     []float64
-	aW, aMu, aS    []float64
-	dAW, dAMu, dAS []float64
+// mlpRows holds the MLP's activations for a batch of inputs, one row
+// per input in each row-major matrix: in is the input (the history
+// embedding, then the size and age features: Hidden+2 wide), y1 and y2
+// the hidden layers after their ReLU (MLPHidden wide), and aW, aMu, aS
+// the heads' raw activations (K wide). Run over all rows at once
+// (forwardRows), a layer loads each weight once per four rows
+// (matVecRows).
+type mlpRows struct {
+	in, y1, y2  []float64
+	aW, aMu, aS []float64
 }
 
-func (n *Net) newMLPCache() *mlpCache {
-	m := n.Cfg.MLPHidden
-	k := n.Cfg.K
-	return &mlpCache{
-		in: make([]float64, n.Cfg.Hidden+2), y1: make([]float64, m), y2: make([]float64, m),
-		aW: make([]float64, k), aMu: make([]float64, k), aS: make([]float64, k),
-		dAW: make([]float64, k), dAMu: make([]float64, k), dAS: make([]float64, k),
+// newMLPRows returns buffers for rows inputs.
+func (n *Net) newMLPRows(rows int) mlpRows {
+	m, k := n.Cfg.MLPHidden, n.Cfg.K
+	return mlpRows{
+		in: make([]float64, rows*(n.Cfg.Hidden+2)), y1: make([]float64, rows*m), y2: make([]float64, rows*m),
+		aW: make([]float64, rows*k), aMu: make([]float64, rows*k), aS: make([]float64, rows*k),
 	}
 }
 
-// zeroGrad clears the activation gradients the loss terms accumulate
-// into, so a reused cache starts where a fresh one would.
-func (c *mlpCache) zeroGrad() {
-	zero(c.dAW)
-	zero(c.dAMu)
-	zero(c.dAS)
+// rows returns how many inputs b holds.
+func (b *mlpRows) rows(n *Net) int { return len(b.aW) / n.Cfg.K }
+
+// setInput writes input row i: the embedding h, then the size and age
+// features.
+func (n *Net) setInput(b *mlpRows, i int, h []float64, fSize, fAge float64) {
+	H := n.Cfg.Hidden
+	in := b.in[i*(H+2) : (i+1)*(H+2)]
+	copy(in, h[:H])
+	in[H] = fSize
+	in[H+1] = fAge
 }
 
-// forwardMLP computes head activations and the mixture for one
-// (embedding, size feature, age feature) input; c may be reused across
-// calls.
-func (n *Net) forwardMLP(h []float64, fSize, fAge float64, c *mlpCache, out *Mixture) {
-	copy(c.in, h[:n.Cfg.Hidden])
-	c.in[n.Cfg.Hidden] = fSize
-	c.in[n.Cfg.Hidden+1] = fAge
-	n.fc1.Forward(c.in, c.y1)
-	relu(c.y1, c.y1)
-	n.fc2.Forward(c.y1, c.y2)
-	relu(c.y2, c.y2)
-	n.headW.Forward(c.y2, c.aW)
-	n.headMu.Forward(c.y2, c.aMu)
-	n.headS.Forward(c.y2, c.aS)
-	MixtureFromActivations(c.aW, c.aMu, c.aS, out)
+// forwardRows runs the MLP over b's first rows inputs, layer by layer.
+// Each row's activations have the bits a one-row pass gives them.
+func (n *Net) forwardRows(b *mlpRows, rows int) {
+	m, k := n.Cfg.MLPHidden, n.Cfg.K
+	y1, y2 := b.y1[:rows*m], b.y2[:rows*m]
+	n.fc1.forwardRows(b.in[:rows*(n.Cfg.Hidden+2)], rows, y1)
+	relu(y1, y1)
+	n.fc2.forwardRows(y1, rows, y2)
+	relu(y2, y2)
+	n.headW.forwardRows(y2, rows, b.aW[:rows*k])
+	n.headMu.forwardRows(y2, rows, b.aMu[:rows*k])
+	n.headS.forwardRows(y2, rows, b.aS[:rows*k])
 }
 
-// backwardMLP backpropagates the activation gradients stored in c
-// (dAW/dAMu/dAS) through the heads and MLP, accumulating parameter
-// gradients and adding the embedding gradient into dh. The layer
-// gradients live in ar and are zeroed here: every Dense.Backward adds.
-func (n *Net) backwardMLP(ar *trainArena, c *mlpCache, dh []float64) {
-	dy2, dy1, din := ar.dy2, ar.dy1, ar.din
-	zero(dy2)
-	zero(dy1)
-	zero(din)
+// mixture fills out with row i's mixture.
+func (n *Net) mixture(b *mlpRows, i int, out *Mixture) {
+	k := n.Cfg.K
+	MixtureFromActivations(b.aW[i*k:(i+1)*k], b.aMu[i*k:(i+1)*k], b.aS[i*k:(i+1)*k], out)
+}
+
+// backwardRows backpropagates the gradients on a's head activations
+// (dAW/dAMu/dAS) through the heads and the MLP for its first rows rows.
+// The parameter gradients are summed over the rows last to first, the
+// order backpropagation through time visits them. Each layer's input
+// gradient replaces that input, which nothing reads again: y2 becomes
+// dy2, y1 dy1, and in the gradient on the input, whose first Hidden
+// entries are the gradient on the embedding.
+func (n *Net) backwardRows(a *trainArena, rows int) {
+	H2, m, k := n.Cfg.Hidden+2, n.Cfg.MLPHidden, n.Cfg.K
+	b := &a.mlp
+	in, y1, y2 := b.in[:rows*H2], b.y1[:rows*m], b.y2[:rows*m]
+	dAW, dAMu, dAS := a.dAW[:rows*k], a.dAMu[:rows*k], a.dAS[:rows*k]
 	// Clamp masking for the log-stddev head.
-	for i, a := range c.aS {
-		if a < logSClampLo || a > logSClampHi {
-			c.dAS[i] = 0
+	for i, v := range b.aS[:rows*k] {
+		if v < logSClampLo || v > logSClampHi {
+			dAS[i] = 0
 		}
 	}
-	n.headW.Backward(c.y2, c.dAW, dy2)
-	n.headMu.Backward(c.y2, c.dAMu, dy2)
-	n.headS.Backward(c.y2, c.dAS, dy2)
-	reluBackward(c.y2, dy2)
-	n.fc2.Backward(c.y1, dy2, dy1)
-	reluBackward(c.y1, dy1)
-	n.fc1.Backward(c.in, dy1, din)
-	axpy(1, din[:n.Cfg.Hidden], dh)
+	n.headW.backwardRows(y2, dAW, rows)
+	n.headMu.backwardRows(y2, dAMu, rows)
+	n.headS.backwardRows(y2, dAS, rows)
+	// dx is one row's input gradient, zeroed first: matTVecAdd adds.
+	dx := a.dx[:m]
+	for i := 0; i < rows; i++ {
+		zero(dx)
+		matTVecAdd(n.headW.W.W, k, m, dAW[i*k:(i+1)*k], dx)
+		matTVecAdd(n.headMu.W.W, k, m, dAMu[i*k:(i+1)*k], dx)
+		matTVecAdd(n.headS.W.W, k, m, dAS[i*k:(i+1)*k], dx)
+		y := y2[i*m : (i+1)*m]
+		reluBackward(y, dx)
+		copy(y, dx)
+	}
+	n.fc2.backwardRows(y1, y2, rows)
+	for i := 0; i < rows; i++ {
+		zero(dx)
+		matTVecAdd(n.fc2.W.W, m, m, y2[i*m:(i+1)*m], dx)
+		y := y1[i*m : (i+1)*m]
+		reluBackward(y, dx)
+		copy(y, dx)
+	}
+	n.fc1.backwardRows(in, y1, rows)
+	dx = a.dx[:H2]
+	for i := 0; i < rows; i++ {
+		zero(dx)
+		matTVecAdd(n.fc1.W.W, m, H2, y1[i*m:(i+1)*m], dx)
+		copy(in[i*H2:(i+1)*H2], dx)
+	}
 }
 
-// PredictScratch holds reusable buffers for repeated PredictWith calls
-// on the eviction hot path; create one per caller with
-// NewPredictScratch.
-type PredictScratch struct{ c *mlpCache }
+// PredictScratch holds reusable buffers for repeated PredictWith and
+// PredictBatch calls on the eviction hot path; create one per caller
+// with NewPredictScratch. PredictBatch grows it to its largest batch.
+type PredictScratch struct{ b mlpRows }
 
 // NewPredictScratch allocates prediction buffers sized for this net.
 func (n *Net) NewPredictScratch() *PredictScratch {
-	return &PredictScratch{c: n.newMLPCache()}
+	return &PredictScratch{b: n.newMLPRows(1)}
 }
 
 // PredictWith computes the residual-time mixture for an object with
@@ -254,7 +290,9 @@ func (n *Net) NewPredictScratch() *PredictScratch {
 // The returned mixture is over normalized time; scale by Cfg.TimeScale
 // for ticks.
 func (n *Net) PredictWith(s *PredictScratch, h []float64, size, age float64, out *Mixture) {
-	n.forwardMLP(h, featSize(size), n.featAge(age), s.c, out)
+	n.setInput(&s.b, 0, h, featSize(size), n.featAge(age))
+	n.forwardRows(&s.b, 1)
+	n.mixture(&s.b, 0, out)
 }
 
 // PredictInput is one candidate of a batched prediction: the history
@@ -264,14 +302,20 @@ type PredictInput struct {
 	Size, Age float64
 }
 
-// PredictBatch fills out[i] with the mixture for in[i], walking the
-// shared layers once per candidate through a single scratch arena.
-// Each out[i] is bit-identical to the corresponding PredictWith call;
-// the batch form exists so an eviction decision amortizes the
-// weight-matrix cache traffic over a chunk of candidates at once.
+// PredictBatch fills out[i] with the mixture for in[i], running each
+// layer once over the whole chunk (forwardRows), so every weight is
+// loaded once per four candidates. Each out[i] is bit-identical to the
+// corresponding PredictWith call.
 func (n *Net) PredictBatch(s *PredictScratch, in []PredictInput, out []Mixture) {
+	if s.b.rows(n) < len(in) {
+		s.b = n.newMLPRows(len(in))
+	}
 	for i := range in {
-		n.PredictWith(s, in[i].H, in[i].Size, in[i].Age, &out[i])
+		n.setInput(&s.b, i, in[i].H, featSize(in[i].Size), n.featAge(in[i].Age))
+	}
+	n.forwardRows(&s.b, len(in))
+	for i := range in {
+		n.mixture(&s.b, i, &out[i])
 	}
 }
 

@@ -52,7 +52,7 @@ func TestMixtureLogPDFMatchesSingleLogNormal(t *testing.T) {
 	var m Mixture
 	MixtureFromActivations([]float64{0}, []float64{0.5}, []float64{math.Log(0.7)}, &m)
 	r := 1.3
-	want := logNormLogPDF(math.Log(r), 0.5, 0.7)
+	want := logNormLogPDF(math.Log(r), 0.5, 0.7, math.Log(0.7))
 	checkClose(t, "single-component logpdf", m.LogPDF(r), want, 1e-9)
 }
 

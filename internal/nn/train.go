@@ -285,46 +285,51 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 
 // trainArena is the scratch one replica's forwardBackward reuses from
 // sequence to sequence, so a fit allocates per replica, not per
-// timestep. The per-timestep slots grow to the longest sequence the
-// replica has seen (at most MaxSeq, plus one MLP slot for the survival
-// term) and are never shrunk; the arena belongs to the replica, so a
-// Fit's arenas are released with its fitState and a serving net, which
-// never trains, never builds one.
+// timestep. Its matrices have one row per MLP input — row i timestep i,
+// row m the survival term — and grow to the longest sequence the
+// replica has seen (at most MaxSeq, plus the survival row); they are
+// never shrunk. The arena belongs to the replica, so a Fit's arenas are
+// released with its fitState and a serving net, which never trains,
+// never builds one.
 //
 // Reuse keeps the arithmetic of freshly allocated buffers only if
 // every buffer that is accumulated into (+=) starts from zero:
-// forwardBackward zeroes each slot's dAW/dAMu/dAS (NLLGrad adds) and
-// dhSteps[i], backwardMLP zeroes dy2/dy1/din (Dense.Backward adds), and
-// Fit's reduction (reduceZero) zeroes the replica's gradient vector as
-// it folds it into the master's. Everything else is overwritten before
-// it is read.
+// forwardBackward zeroes dAW/dAMu/dAS (NLLGrad adds), backwardRows
+// zeroes dx before each row (matTVecAdd adds), and Fit's reduction
+// (reduceZero) zeroes the replica's gradient vector as it folds it into
+// the master's. Everything else is overwritten before it is read.
 type trainArena struct {
-	h, dh, dhPrev []float64
-	mix           Mixture
-	steps         []*mlpCache // MLP activations: [i] timestep i, [m] the survival term
-	caches        []*gruCache // recurrent activations of timestep i (train only)
-	dhSteps       [][]float64 // the MLP's gradient on the embedding timestep i consumed
-	dy2, dy1, din []float64   // backwardMLP's layer gradients
+	h, dh, dhPrev  []float64
+	mix            Mixture
+	mlp            mlpRows     // the MLP's inputs and activations, a row per loss term
+	target         []float64   // each row's normalized residual, or survival threshold
+	dAW, dAMu, dAS []float64   // the loss's gradients on the head activations, rows as mlp's (train only)
+	caches         []*gruCache // recurrent activations of timestep i (train only)
+	dx             []float64   // one row's gradient on a layer's input (backwardRows)
 }
 
-// arenaFor returns n's arena with slots for an m-step sequence.
+// arenaFor returns n's arena with rows for an m-step sequence and its
+// survival term.
 func (n *Net) arenaFor(m int, train bool) *trainArena {
 	a := n.arena
 	if a == nil {
 		H := n.Cfg.Hidden
 		a = &trainArena{
 			h: make([]float64, H), dh: make([]float64, H), dhPrev: make([]float64, H),
-			dy2: make([]float64, n.Cfg.MLPHidden), dy1: make([]float64, n.Cfg.MLPHidden),
-			din: make([]float64, n.Cfg.Hidden+2),
+			dx: make([]float64, max(n.Cfg.MLPHidden, H+2)),
 		}
 		n.arena = a
 	}
-	for len(a.steps) <= m {
-		a.steps = append(a.steps, n.newMLPCache())
+	rows, k := m+1, n.Cfg.K
+	if len(a.target) < rows {
+		a.mlp = n.newMLPRows(rows)
+		a.target = make([]float64, rows)
+	}
+	if train && len(a.dAW) < rows*k {
+		a.dAW, a.dAMu, a.dAS = make([]float64, rows*k), make([]float64, rows*k), make([]float64, rows*k)
 	}
 	for train && len(a.caches) < m {
 		a.caches = append(a.caches, n.cell.newCache())
-		a.dhSteps = append(a.dhSteps, make([]float64, len(a.h)))
 	}
 	return a
 }
@@ -332,10 +337,22 @@ func (n *Net) arenaFor(m int, train bool) *trainArena {
 // forwardBackward runs one sequence through the network, returning the
 // summed loss and the number of loss terms. With train=true it
 // accumulates parameter gradients (ages drawn ~ U[0, τ] per Eq. 5);
-// with train=false it evaluates deterministically (age = τ/2). It is
-// called on shadow replicas from Fit's worker goroutines, so it must
-// only touch n's own (per-shadow) state plus the shared weights. All
-// scratch comes from n's arena: in steady state it allocates nothing.
+// with train=false it evaluates the loss alone, deterministically (age
+// = τ/2). It is called on shadow replicas from Fit's worker goroutines,
+// so it must only touch n's own (per-shadow) state plus the shared
+// weights. All scratch comes from n's arena: in steady state it
+// allocates nothing.
+//
+// It runs in three passes. The GRU has a recurrence and the MLP does
+// not, so the MLP's work is batched over the sequence's rows:
+//
+//  1. the GRU over the sequence: input row i is the embedding before
+//     step i with the size and an age feature, the survival row (last)
+//     the final embedding, the ages drawn in sequence order;
+//  2. the MLP over every row at once, then each row's loss term;
+//  3. the MLP's backward over every row (backwardRows), which leaves
+//     each row's gradient on its embedding, then BPTT through the GRU
+//     chain from the last step to the first.
 func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train bool) (float64, int) {
 	taus := seq.Taus
 	if tc.MaxSeq > 0 && len(taus) > tc.MaxSeq {
@@ -346,11 +363,8 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 	fSize := featSize(seq.Size)
 
 	a := n.arenaFor(m, train)
-	h, mix := a.h, &a.mix
+	h := a.h
 	zero(h)
-
-	loss := 0.0
-	terms := 0
 	for i := 0; i < m; i++ {
 		tau := taus[i]
 		if tau < 1e-9 {
@@ -366,19 +380,15 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 		if residual < 1e-9 {
 			residual = 1e-9
 		}
-		c := a.steps[i]
-		c.zeroGrad()
-		n.forwardMLP(h, fSize, n.featAge(age), c, mix)
-		loss += mix.NLLGrad(residual/ts, c.dAW, c.dAMu, c.dAS)
-		terms++
+		n.setInput(&a.mlp, i, h, fSize, n.featAge(age))
+		a.target[i] = residual / ts
+		var c *gruCache
 		if train {
-			n.cell.Step(n.featTau(tau), h, a.caches[i], h)
-		} else {
-			n.cell.Step(n.featTau(tau), h, nil, h)
+			c = a.caches[i]
 		}
+		n.cell.Step(n.featTau(tau), h, c, h)
 	}
-
-	surv := false
+	rows := m
 	if seq.Survival > 0 {
 		v := seq.Survival
 		var age float64
@@ -391,33 +401,53 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 		if thresh < 1e-9 {
 			thresh = 1e-9
 		}
-		c := a.steps[m]
-		c.zeroGrad()
-		n.forwardMLP(h, fSize, n.featAge(age), c, mix)
-		loss += mix.SurvivalNLLGrad(thresh/ts, c.dAW, c.dAMu, c.dAS)
-		terms++
-		surv = true
+		n.setInput(&a.mlp, m, h, fSize, n.featAge(age))
+		a.target[m] = thresh / ts
+		rows++
 	}
 
+	n.forwardRows(&a.mlp, rows)
+	mix := &a.mix
+	loss := 0.0
 	if !train {
-		return loss, terms
+		for i := 0; i < rows; i++ {
+			n.mixture(&a.mlp, i, mix)
+			if i < m {
+				loss += mix.NLL(a.target[i])
+			} else {
+				loss += mix.SurvivalNLL(a.target[i])
+			}
+		}
+		return loss, rows
+	}
+	k := n.Cfg.K
+	zero(a.dAW[:rows*k])
+	zero(a.dAMu[:rows*k])
+	zero(a.dAS[:rows*k])
+	for i := 0; i < rows; i++ {
+		n.mixture(&a.mlp, i, mix)
+		dW, dMu, dS := a.dAW[i*k:(i+1)*k], a.dAMu[i*k:(i+1)*k], a.dAS[i*k:(i+1)*k]
+		if i < m {
+			loss += mix.NLLGrad(a.target[i], dW, dMu, dS)
+		} else {
+			loss += mix.SurvivalNLLGrad(a.target[i], dW, dMu, dS)
+		}
 	}
 
-	// Backward: MLP heads first (each contributes a gradient on the
-	// embedding it consumed), then BPTT through the GRU chain.
+	n.backwardRows(a, rows)
+	H := n.Cfg.Hidden
+	embGrad := func(i int) []float64 { return a.mlp.in[i*(H+2) : i*(H+2)+H] }
 	dh, dhPrev := a.dh, a.dhPrev
 	zero(dh)
-	if surv {
-		n.backwardMLP(a, a.steps[m], dh)
+	if rows > m {
+		axpy(1, embGrad(m), dh)
 	}
 	for i := m - 1; i >= 0; i-- {
-		zero(a.dhSteps[i])
-		n.backwardMLP(a, a.steps[i], a.dhSteps[i])
 		n.cell.Backward(a.caches[i], dh, dhPrev)
 		copy(dh, dhPrev)
-		axpy(1, a.dhSteps[i], dh)
+		axpy(1, embGrad(i), dh)
 	}
-	return loss, terms
+	return loss, rows
 }
 
 // abortDiverged finalizes a guard-tripped Fit: the pre-fit snapshot

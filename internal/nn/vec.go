@@ -10,16 +10,24 @@
 // their matrix kernels are where a fit spends its time. Each kernel is
 // a Go loop with four accumulator chains that break the floating-point
 // dependency chain (this file). On amd64 CPUs with AVX, matVec,
-// matTVecAdd and outerAdd run as assembly (kern_amd64.s) whose four
-// 256-bit lanes are exactly those four chains — multiply then add,
-// never fused, summed across lanes as (s0+s1)+(s2+s3) — so both paths
-// produce the same bits, and the Go loops are the oracle the kernel
-// tests compare the assembly against. The elementwise passes — the
-// ReLU masks, the shard reduction, Adam's update and the finiteness
-// check — have AVX forms too, four entries per instruction with each
-// operation rounded as the Go loop rounds it. The training loop
-// exploits data parallelism across sequences through the fork-join
-// Pool in pool.go (the package's single sanctioned source of
+// matTVecAdd and outerAdd and their row-batched forms matVecRows and
+// outerAddRows run as assembly (kern_amd64.s) whose four 256-bit lanes
+// are exactly those four chains — multiply then add, never fused,
+// summed across lanes as (s0+s1)+(s2+s3) — so both paths produce the
+// same bits, and the Go loops are the oracle the kernel tests compare
+// the assembly against. The row-batched forms let a fit run the MLP,
+// which has no recurrence, once over all of a sequence's steps: every
+// weight is loaded once per four rows, and each gradient tile stays in
+// registers while the rows add into it in backpropagation's order. The
+// elementwise passes — the ReLU masks, the shard reduction, Adam's
+// update and the finiteness check — have AVX forms too, four entries
+// per instruction with each operation rounded as the Go loop rounds
+// it, and so do math.Exp and math.Log (expSlice, logSlice): math's own
+// amd64 algorithms four lanes at a time, exp's fused form exactly where
+// math takes it, every argument outside a kernel's range left to math.
+// The training
+// loop exploits data parallelism across sequences through the
+// fork-join Pool in pool.go (the package's single sanctioned source of
 // goroutines, enforced by ravenlint's goroutine-outside-pool rule).
 //
 // Determinism contract: every parallel code path in this package is
@@ -124,6 +132,61 @@ func outerAddGo(dw []float64, rows, cols int, dy, x []float64) {
 		for ; c < cols; c++ {
 			row[c] += d * x[c]
 		}
+	}
+}
+
+// matVecRowsGo is matVecGo over n input rows: x holds them end to end
+// (row i at x[i*cols:]), and y_i = W*x_i + y0 lands at y[i*rows:]. y0
+// may be nil and must not alias y.
+func matVecRowsGo(w []float64, rows, cols int, x []float64, n int, y0, y []float64) {
+	for i := 0; i < n; i++ {
+		matVecGo(w, rows, cols, x[i*cols:(i+1)*cols], y0, y[i*rows:(i+1)*rows])
+	}
+}
+
+// outerAddRowsGo is outerAddGo over n input rows, last row first:
+// dW += dy_i ⊗ x_i for i = n−1 down to 0, with dy_i at dy[i*rows:] and
+// x_i at x[i*cols:]. That is the order backpropagation through time
+// visits a sequence's steps, so each gradient entry sums as it would
+// row by row.
+func outerAddRowsGo(dw []float64, rows, cols int, dy, x []float64, n int) {
+	for i := n - 1; i >= 0; i-- {
+		outerAddGo(dw, rows, cols, dy[i*rows:(i+1)*rows], x[i*cols:(i+1)*cols])
+	}
+}
+
+// expLo and expHi bound the arguments expSlice's assembly takes: inside
+// them archExp scales by a normal 2^e, with no overflow, underflow or
+// denormal step. Everything else — ±Inf and NaN too — is math.Exp's.
+const (
+	expLo = -708.0
+	expHi = 709.0
+)
+
+// expGo sets y_i = math.Exp(x_i). x and y may alias.
+func expGo(x, y []float64) {
+	checkLen(y, len(x))
+	y = y[:len(x)]
+	for i, v := range x {
+		y[i] = math.Exp(v)
+	}
+}
+
+// logLo and logHi bound the arguments logSlice's assembly takes: the
+// positive, finite, normal numbers, where archLog takes none of its
+// special cases. Everything else — ±0, denormals, negatives, ±Inf and
+// NaN — is math.Log's.
+const (
+	logLo = 0x1p-1022
+	logHi = math.MaxFloat64
+)
+
+// logGo sets y_i = math.Log(x_i). x and y may alias.
+func logGo(x, y []float64) {
+	checkLen(y, len(x))
+	y = y[:len(x)]
+	for i, v := range x {
+		y[i] = math.Log(v)
 	}
 }
 

@@ -63,6 +63,10 @@ func (g *ghostList) take(key cache.Key) (int64, bool) {
 	return gh.step, true
 }
 
+// minHistory is the smallest ghost-list bound and regret horizon, for a
+// cache that holds only a handful of objects.
+const minHistory = 16
+
 // LeCaR mixes LRU and LFU eviction with multiplicative-weights regret
 // updates driven by ghost-list hits.
 type LeCaR struct {
@@ -72,32 +76,30 @@ type LeCaR struct {
 	scr []int
 
 	wLRU, wLFU float64
-	discount   float64
 	step       int64
 
 	hLRU, hLFU *ghostList
-	maxGhosts  int
 }
 
-// New returns a LeCaR policy. maxEntries bounds the ghost histories
-// and sets the regret discount horizon; use an estimate of how many
-// objects fit in the cache.
-func New(seed int64, maxEntries int) *LeCaR {
-	if maxEntries < 16 {
-		maxEntries = 16
-	}
+// New returns a LeCaR policy. Its ghost histories and its regret
+// discount horizon are sized by the objects it holds (history), as the
+// paper sizes them by the cache's object count.
+func New(seed int64) *LeCaR {
 	return &LeCaR{
-		rng:       stats.NewRNG(seed),
-		set:       cache.NewSampledSet[meta](),
-		ll:        list.New(),
-		wLRU:      0.5,
-		wLFU:      0.5,
-		discount:  math.Pow(0.005, 1/float64(maxEntries)),
-		hLRU:      newGhostList(),
-		hLFU:      newGhostList(),
-		maxGhosts: maxEntries,
+		rng:  stats.NewRNG(seed),
+		set:  cache.NewSampledSet[meta](),
+		ll:   list.New(),
+		wLRU: 0.5,
+		wLFU: 0.5,
+		hLRU: newGhostList(),
+		hLFU: newGhostList(),
 	}
 }
+
+// history is the number of objects LeCaR holds, at least minHistory:
+// the bound of each ghost list and the regret discount horizon, over
+// which a ghost hit's reward decays to 0.005.
+func (p *LeCaR) history() int { return max(p.set.Len(), minHistory) }
 
 // Name implements cache.Policy.
 func (p *LeCaR) Name() string { return "lecar" }
@@ -117,15 +119,19 @@ func (p *LeCaR) OnHit(req cache.Request) {
 func (p *LeCaR) OnMiss(req cache.Request) {
 	p.step++
 	if evStep, ok := p.hLRU.take(req.Key); ok {
-		r := math.Pow(p.discount, float64(p.step-evStep))
-		p.wLFU *= math.Exp(learningRate * r)
+		p.wLFU *= math.Exp(learningRate * p.reward(evStep))
 	} else if evStep, ok := p.hLFU.take(req.Key); ok {
-		r := math.Pow(p.discount, float64(p.step-evStep))
-		p.wLRU *= math.Exp(learningRate * r)
+		p.wLRU *= math.Exp(learningRate * p.reward(evStep))
 	}
 	sum := p.wLRU + p.wLFU
 	p.wLRU /= sum
 	p.wLFU /= sum
+}
+
+// reward is the regret of an eviction made at step evStep, discounted
+// by the steps since: 0.005 after history() of them.
+func (p *LeCaR) reward(evStep int64) float64 {
+	return math.Pow(0.005, float64(p.step-evStep)/float64(p.history()))
 }
 
 // OnAdmit implements cache.Policy.
@@ -141,15 +147,19 @@ func (p *LeCaR) OnEvict(key cache.Key) {
 	}
 }
 
-// Victim samples an expert by weight and applies its rule.
+// Victim samples an expert by weight and applies its rule. The victim
+// joins that expert's ghost list, which is trimmed to the objects held
+// once it is gone (at least minHistory), so neither list outgrows the
+// cache.
 func (p *LeCaR) Victim() (cache.Key, bool) {
 	if p.set.Len() == 0 {
 		return 0, false
 	}
+	bound := max(p.set.Len()-1, minHistory)
 	var victim cache.Key
 	if p.rng.Float64() < p.wLRU {
 		victim = p.ll.Back().Value.(cache.Key)
-		p.hLRU.add(victim, p.step, p.maxGhosts)
+		p.hLRU.add(victim, p.step, bound)
 	} else {
 		p.scr = p.set.Sample(p.rng, lfuSample, p.scr)
 		best := int64(math.MaxInt64)
@@ -160,7 +170,7 @@ func (p *LeCaR) Victim() (cache.Key, bool) {
 				victim = k
 			}
 		}
-		p.hLFU.add(victim, p.step, p.maxGhosts)
+		p.hLFU.add(victim, p.step, bound)
 	}
 	return victim, true
 }

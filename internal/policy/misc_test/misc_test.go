@@ -70,7 +70,7 @@ func TestLHDRunsAndReconfigures(t *testing.T) {
 
 func TestLeCaRWeightsAdapt(t *testing.T) {
 	tr := zipfTrace(4)
-	p := lecar.New(1, 50)
+	p := lecar.New(1)
 	ohr(t, p, tr, 50)
 	wl, wf := p.Weights()
 	if wl < 0 || wf < 0 || wl+wf < 0.99 || wl+wf > 1.01 {

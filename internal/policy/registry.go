@@ -75,17 +75,6 @@ type Options struct {
 	Raven *core.Config
 }
 
-// entries is LeCaR's ghost-list bound; LeCaR is its only user. It reads
-// a Capacity under 1 MiB as an object count and returns 4096 above it,
-// so it takes a byte count for an object count. (The admission front
-// sizes itself by the objects the cache holds instead.)
-func (o Options) entries() int {
-	if o.Capacity > 0 && o.Capacity < 1<<20 {
-		return int(o.Capacity)
-	}
-	return 4096
-}
-
 func (o Options) window() int64 {
 	if o.TrainWindow > 0 {
 		return o.TrainWindow
@@ -234,7 +223,7 @@ func init() {
 		return hyperbolic.New(o.Seed, hyperbolic.WithSizeAware())
 	}))
 	Register("lhd", ok(func(o Options) cache.Policy { return lhd.New(o.Seed) }))
-	Register("lecar", ok(func(o Options) cache.Policy { return lecar.New(o.Seed, o.entries()) }))
+	Register("lecar", ok(func(o Options) cache.Policy { return lecar.New(o.Seed) }))
 	Register("ucb", ok(func(o Options) cache.Policy { return ucb.New(o.Seed) }))
 	Register("lrb", ok(func(o Options) cache.Policy {
 		return lrb.New(lrb.Config{MemoryWindow: o.window(), Seed: o.Seed})
