@@ -11,9 +11,8 @@ import (
 // predicted-reuse check — that policy.Options.Admission wires in front
 // of any eviction policy.
 
-// Canonical reject reasons, re-exported from obs (which defines them
-// next to the per-reason metric names) so decisions and metrics can
-// never drift apart.
+// The reject reasons, re-exported from obs, which defines the closed
+// set next to the per-reason metric names.
 const (
 	RejectTooLarge       = obs.ReasonTooLarge
 	RejectNoVictim       = obs.ReasonNoVictim
@@ -31,17 +30,16 @@ const (
 type Decision struct {
 	// Admit reports whether the object may be inserted.
 	Admit bool
-	// Reason names the rejecting stage when Admit is false (one of the
-	// Reject* constants, or any other short stable string — unknown
-	// reasons count under cache.admit_rejects.other). Empty on accept.
-	Reason string
+	// Reason names the rejecting stage when Admit is false, one of the
+	// Reject* constants; zero on accept.
+	Reason obs.Reason
 }
 
 // Accepted is the accepting Decision.
 var Accepted = Decision{Admit: true}
 
 // Reject returns a rejecting Decision carrying reason.
-func Reject(reason string) Decision { return Decision{Reason: reason} }
+func Reject(reason obs.Reason) Decision { return Decision{Reason: reason} }
 
 // Admitter is the admission seam: an optional Policy
 // extension (or standalone pipeline stage) consulted before a missed

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"raven/internal/obs"
@@ -40,10 +41,10 @@ func TestPolicyAdmitDispatch(t *testing.T) {
 
 func TestChainFirstRejectWins(t *testing.T) {
 	accept := AdmitterFunc(func(Request) Decision { return Accepted })
-	rejectA := AdmitterFunc(func(Request) Decision { return Reject("a") })
-	rejectB := AdmitterFunc(func(Request) Decision { return Reject("b") })
-	if d := Chain(accept, rejectA, rejectB).Admit(req(1, 1, 1)); d.Reason != "a" {
-		t.Errorf("chain reason %q, want first rejecting stage %q", d.Reason, "a")
+	rejectA := AdmitterFunc(func(Request) Decision { return Reject(RejectDoorkeeper) })
+	rejectB := AdmitterFunc(func(Request) Decision { return Reject(RejectFrequency) })
+	if d := Chain(accept, rejectA, rejectB).Admit(req(1, 1, 1)); d.Reason != RejectDoorkeeper {
+		t.Errorf("chain reason %q, want first rejecting stage %q", d.Reason, RejectDoorkeeper)
 	}
 	if d := Chain(accept, accept).Admit(req(1, 1, 1)); !d.Admit {
 		t.Errorf("all-accept chain rejected: %+v", d)
@@ -210,9 +211,44 @@ func TestReuseAdmitterLifetimeBound(t *testing.T) {
 
 // ---- metrics reconciliation: reject reasons ----
 
+// reconcileRejects checks the admit_rejects.<reason> rows under prefix
+// in a METRICS snapshot: each names a reason of the closed set, every
+// reason has exactly one, and together they sum to prefix.rejections,
+// which must equal want.
+func reconcileRejects(t *testing.T, kvs []obs.KV, prefix string, want int64) {
+	t.Helper()
+	closed := make(map[string]bool)
+	for r := obs.Reason(1); int(r) <= obs.NumReasons; r++ {
+		closed[r.String()] = true
+	}
+	seen := make(map[string]bool)
+	var sum, total int64
+	for _, kv := range kvs {
+		if kv.Name == prefix+".rejections" {
+			total = kv.Value
+		}
+		reason, ok := strings.CutPrefix(kv.Name, prefix+".admit_rejects.")
+		if !ok {
+			continue
+		}
+		if !closed[reason] || seen[reason] {
+			t.Errorf("%s: not a reason of the closed set, or registered twice", kv.Name)
+		}
+		seen[reason] = true
+		sum += kv.Value
+	}
+	if len(seen) != obs.NumReasons {
+		t.Errorf("%s: %d admit_rejects rows, want %d", prefix, len(seen), obs.NumReasons)
+	}
+	if sum != total || total != want {
+		t.Errorf("%s: sum(admit_rejects.*) = %d, rejections = %d, Stats.Rejections = %d", prefix, sum, total, want)
+	}
+}
+
 // TestRejectReasonCountersReconcile drives a fronted cache and checks
-// the per-reason counters exactly: their sum equals Stats.Rejections,
-// and each constituent reason matches the pipeline's decisions.
+// the per-reason counters exactly: they are the closed set, their sum
+// equals Stats.Rejections, and each constituent reason matches the
+// pipeline's decisions.
 func TestRejectReasonCountersReconcile(t *testing.T) {
 	r := obs.NewRegistry()
 	var co obs.CacheObs
@@ -222,7 +258,7 @@ func TestRejectReasonCountersReconcile(t *testing.T) {
 			return Reject(RejectFrequency)
 		}
 		if r.Key%3 == 1 {
-			return Reject("made-up-reason") // counts under .other
+			return Reject(RejectPredictedReuse)
 		}
 		return Accepted
 	})
@@ -234,33 +270,24 @@ func TestRejectReasonCountersReconcile(t *testing.T) {
 	c.Handle(req(1000, 200, 101)) // oversize -> too_large
 
 	st := c.StatsSnapshot()
+	kvs := r.Snapshot()
+	reconcileRejects(t, kvs, "cache", st.Rejections)
 	snap := make(map[string]int64)
-	for _, kv := range r.Snapshot() {
+	for _, kv := range kvs {
 		snap[kv.Name] = kv.Value
 	}
-	var sum int64
-	for _, reason := range []string{
-		RejectTooLarge, RejectNoVictim, RejectPolicy, RejectSizeThreshold,
-		RejectDoorkeeper, RejectFrequency, RejectPredictedReuse, obs.ReasonOther,
+	for reason, want := range map[obs.Reason]int64{
+		RejectFrequency: 30, RejectPredictedReuse: 30, RejectTooLarge: 1,
 	} {
-		sum += snap["cache.admit_rejects."+reason]
-	}
-	if sum != st.Rejections {
-		t.Errorf("sum(admit_rejects.*) = %d, Stats.Rejections = %d", sum, st.Rejections)
-	}
-	if got := snap["cache.admit_rejects."+RejectFrequency]; got != 30 {
-		t.Errorf("frequency rejects = %d, want 30", got)
-	}
-	if got := snap["cache.admit_rejects."+obs.ReasonOther]; got != 30 {
-		t.Errorf("other rejects = %d, want 30", got)
-	}
-	if got := snap["cache.admit_rejects."+RejectTooLarge]; got != 1 {
-		t.Errorf("too_large rejects = %d, want 1", got)
+		if got := snap["cache.admit_rejects."+reason.String()]; got != want {
+			t.Errorf("%s rejects = %d, want %d", reason, got, want)
+		}
 	}
 }
 
 // TestShardedRejectCountersReconcile checks the same invariant through
-// the sharded engine and the aggregated ShardedCacheObs registry rows.
+// the sharded engine and the aggregated ShardedCacheObs registry rows:
+// the merged rows and each shard's.
 func TestShardedRejectCountersReconcile(t *testing.T) {
 	r := obs.NewRegistry()
 	var so obs.ShardedCacheObs
@@ -285,11 +312,16 @@ func TestShardedRejectCountersReconcile(t *testing.T) {
 		s.Handle(req(int64(i+1), Key(i), 1))
 	}
 	st := s.StatsSnapshot()
+	kvs := r.Snapshot()
+	reconcileRejects(t, kvs, "cache", st.Rejections)
+	for i := 0; i < 4; i++ {
+		reconcileRejects(t, kvs, fmt.Sprintf("cache.shard%d", i), s.ShardStats(i).Rejections)
+	}
 	snap := make(map[string]int64)
-	for _, kv := range r.Snapshot() {
+	for _, kv := range kvs {
 		snap[kv.Name] = kv.Value
 	}
-	if got := snap["cache.admit_rejects."+RejectDoorkeeper]; got != st.Rejections || got != 100 {
+	if got := snap["cache.admit_rejects."+RejectDoorkeeper.String()]; got != st.Rejections || got != 100 {
 		t.Errorf("aggregated doorkeeper rejects = %d, Rejections = %d, want 100 each",
 			got, st.Rejections)
 	}

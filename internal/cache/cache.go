@@ -276,9 +276,9 @@ func (c *shard) set(req Request) bool {
 	return c.admit(req)
 }
 
-// reject counts a refused admission under the given reason (one of the
-// Reject* constants; anything else reconciles under "other").
-func (c *shard) reject(reason string) {
+// reject counts a refused admission under the given reason, one of
+// the Reject* constants.
+func (c *shard) reject(reason obs.Reason) {
 	c.stats.Rejections++
 	if c.obs != nil {
 		c.obs.AdmitReject(reason)

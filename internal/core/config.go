@@ -113,8 +113,10 @@ type Config struct {
 	// Fault-drill/test hook, like Train.Faults itself.
 	TrainFaultWindows int
 
-	// Obs, when non-nil, receives model-lifecycle metrics (rollbacks,
-	// health transitions, fallback evictions, checkpoint accounting).
+	// Obs receives the policy's metrics (rollbacks, health transitions,
+	// fallback evictions, checkpoint and record-table accounting). The
+	// policy always counts: New gives a Raven built without one a
+	// private block, and shards that should report together share one.
 	Obs *obs.RavenObs
 
 	Seed int64
@@ -149,6 +151,9 @@ func (c *Config) defaults() {
 	c.Train.Defaults()
 	if c.Checkpoint.Every == 0 {
 		c.Checkpoint.Every = 1
+	}
+	if c.Obs == nil {
+		c.Obs = new(obs.RavenObs)
 	}
 	if c.Train.Seed == 0 {
 		c.Train.Seed = c.Seed + 1

@@ -8,6 +8,7 @@ import (
 
 	"raven/internal/cache"
 	"raven/internal/nn"
+	"raven/internal/obs"
 	"raven/internal/stats"
 	"raven/internal/trace"
 )
@@ -15,7 +16,7 @@ import (
 // TestRingPushBounded: a ring keeps the last historyLen taus, oldest
 // first, through every class it is promoted to and past the last one.
 func TestRingPushBounded(t *testing.T) {
-	tab := newTable(nil)
+	tab := newTable(new(obs.Gauge))
 	var rc rec
 	var want []float64
 	for i := 1; i <= historyLen+6; i++ {

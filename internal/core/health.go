@@ -82,17 +82,13 @@ func (r *Raven) setTrips(trips int, reason string) {
 		r.HealthLog = append(r.HealthLog[:0], r.HealthLog[1:]...)
 	}
 	r.HealthLog = append(r.HealthLog, HealthTransition{At: r.now, From: from, To: to, Reason: reason})
-	if r.obs != nil {
-		r.obs.HealthMoved(int64(from), int64(to))
-	}
+	r.obs.HealthMoved(int64(from), int64(to))
 }
 
 // guardTripped climbs one rung after a diverged training or an SLO
 // overrun streak: Healthy degrades, and Degraded falls back.
 func (r *Raven) guardTripped(reason string) {
-	if r.obs != nil {
-		r.obs.GuardTrips.Inc()
-	}
+	r.obs.GuardTrips.Inc()
 	r.setTrips(r.trips+1, reason)
 }
 
@@ -109,9 +105,7 @@ func (r *Raven) trainSucceeded() { r.setTrips(0, "training completed") }
 // like a model that is wrong. Recovery is the usual one: the next
 // completed training resets the machine to Healthy.
 func (r *Raven) sloOverrun() {
-	if r.obs != nil {
-		r.obs.SLOOverruns.Inc()
-	}
+	r.obs.SLOOverruns.Inc()
 	r.sloStreak++
 	if r.sloStreak >= sloTripsBeforeDegrade {
 		r.sloStreak = 0

@@ -110,11 +110,11 @@ func New(cfg Config) *Raven {
 	r := &Raven{
 		cfg: cfg,
 		rng: stats.NewRNG(cfg.Seed),
-		tab: newTable(tableBytes(cfg.Obs)),
+		tab: newTable(&cfg.Obs.TableBytes),
 		mc:  newMCScratch(),
+		obs: cfg.Obs,
 	}
 	r.window = newWindow(cfg.SampleBudgetBytes, cfg.MaxTrainObjects, cfg.Train.MaxSeq, stats.NewRNG(cfg.Seed+3))
-	r.obs = cfg.Obs
 	r.resumeCheckpoint()
 	return r
 }
@@ -136,7 +136,7 @@ func (r *Raven) resumeCheckpoint() {
 	r.store = st
 	net, info, err := st.LoadNewest()
 	r.CkptResume = info
-	if r.obs != nil && info.CorruptSkipped > 0 {
+	if info.CorruptSkipped > 0 {
 		r.obs.CkptCorruptSkipped.Add(int64(info.CorruptSkipped))
 	}
 	if err != nil {
@@ -154,9 +154,7 @@ func (r *Raven) resumeCheckpoint() {
 // ckptError records a best-effort checkpoint failure.
 func (r *Raven) ckptError(err error) {
 	r.CkptErr = err
-	if r.obs != nil {
-		r.obs.CkptErrors.Inc()
-	}
+	r.obs.CkptErrors.Inc()
 }
 
 // saveCheckpoint persists the model after a completed training,
@@ -173,9 +171,7 @@ func (r *Raven) saveCheckpoint() {
 		r.ckptError(err)
 		return
 	}
-	if r.obs != nil {
-		r.obs.CkptSaves.Inc()
-	}
+	r.obs.CkptSaves.Inc()
 }
 
 // Name implements cache.Policy.
@@ -207,14 +203,6 @@ const (
 	RingBytes   = 8 * (1 + historyLen)
 )
 
-// tableBytes is the raven.table_bytes gauge of ro, nil without metrics.
-func tableBytes(ro *obs.RavenObs) *obs.Gauge {
-	if ro == nil {
-		return nil
-	}
-	return &ro.TableBytes
-}
-
 // Net returns the current model (nil before the first training).
 func (r *Raven) Net() *nn.Net { return r.net }
 
@@ -235,9 +223,7 @@ func (r *Raven) observe(req cache.Request) uint32 {
 	fresh := h == 0
 	if fresh {
 		h = t.insert(req.Key, req.Time, req.Size)
-		if r.obs != nil {
-			r.obs.HistoryRecords.Add(1)
-		}
+		r.obs.HistoryRecords.Add(1)
 		r.trim(h)
 	}
 	rc := t.recs.At(h)
@@ -299,10 +285,8 @@ func (r *Raven) trim(keep uint32) {
 		t.drop(old)
 		dropped++
 	}
-	if r.obs != nil {
-		r.obs.HistoryRecords.Add(-int64(dropped))
-		r.obs.HistoryDropped.Add(int64(dropped))
-	}
+	r.obs.HistoryRecords.Add(-int64(dropped))
+	r.obs.HistoryDropped.Add(int64(dropped))
 }
 
 // train fits the MDN on the just-finished window (§4.4), warm-started
@@ -329,9 +313,7 @@ func (r *Raven) train() {
 	if r.net != nil && !r.net.FiniteWeights() {
 		r.net = nil
 		r.invalidateFastPath()
-		if r.obs != nil {
-			r.obs.Rollbacks.Inc()
-		}
+		r.obs.Rollbacks.Inc()
 	}
 	fresh := r.net == nil
 	if fresh {
@@ -349,10 +331,8 @@ func (r *Raven) train() {
 		tc.Faults = nil // fault drill over; train clean from here on
 	}
 	res := r.net.Fit(data, tc)
-	if r.obs != nil {
-		r.obs.TrainEpochs.Add(int64(res.Epochs))
-		r.obs.TrainSequences.Add(int64(res.Sequences))
-	}
+	r.obs.TrainEpochs.Add(int64(res.Epochs))
+	r.obs.TrainSequences.Add(int64(res.Sequences))
 	rec := TrainRecord{
 		WindowEnd: r.now,
 		Objects:   len(data),
@@ -366,9 +346,7 @@ func (r *Raven) train() {
 			r.net = nil
 		}
 		rec.RolledBack = true
-		if r.obs != nil {
-			r.obs.Rollbacks.Inc()
-		}
+		r.obs.Rollbacks.Inc()
 		r.guardTripped("training diverged: " + res.GuardReason)
 	} else {
 		r.topVer = r.net.Version
@@ -437,9 +415,7 @@ func (r *Raven) OnAdmit(req cache.Request) {
 		return
 	}
 	t.admit(h)
-	if r.obs != nil {
-		r.obs.HistoryResident.Add(1)
-	}
+	r.obs.HistoryResident.Add(1)
 }
 
 // OnEvict implements cache.Policy. The object's record survives
@@ -455,9 +431,7 @@ func (r *Raven) OnEvict(key cache.Key) {
 		return
 	}
 	t.evict(h, r.net != nil && int(t.sides.At(rc.res).embVer) == r.net.Version)
-	if r.obs != nil {
-		r.obs.HistoryResident.Add(-1)
-	}
+	r.obs.HistoryResident.Add(-1)
 }
 
 // Victim implements cache.Policy: the §4.3 eviction rule, one pipeline
@@ -505,10 +479,8 @@ func (r *Raven) Victim() (cache.Key, bool) {
 		}
 	}
 	r.scrDirty = dirty
-	if r.obs != nil {
-		r.obs.ScoreCacheHits.Add(int64(n - len(dirty)))
-		r.obs.ScoreRescores.Add(int64(len(dirty)))
-	}
+	r.obs.ScoreCacheHits.Add(int64(n - len(dirty)))
+	r.obs.ScoreRescores.Add(int64(len(dirty)))
 	if len(dirty) > 0 && !r.predict(dirty, ver, budget, deadline) {
 		// predict already recorded why (scoresInsane or sloOverrun).
 		return r.fallbackVictim(), true
@@ -572,7 +544,7 @@ func (r *Raven) embedding(rc *rec) []float64 {
 // make. Evictions before the first model are the normal warmup and stay
 // uncounted.
 func (r *Raven) fallbackVictim() cache.Key {
-	if r.net != nil && r.obs != nil {
+	if r.net != nil {
 		r.obs.FallbackEvictions.Inc()
 	}
 	t := r.tab

@@ -181,8 +181,7 @@ type table struct {
 	embs [][]float64
 	dim  int
 	// bytes is raven.table_bytes: what the slabs, embedding chunks and
-	// index slots hold, added to where they grow. nil when the
-	// policy has no metrics.
+	// index slots hold, added to where they grow.
 	bytes *obs.Gauge
 
 	lru    order // residents; front = most recently used
@@ -216,7 +215,7 @@ func newTable(bytes *obs.Gauge) *table {
 
 // grew adds the bytes an allocation added to raven.table_bytes.
 func (t *table) grew(b int64) {
-	if b != 0 && t.bytes != nil {
+	if b != 0 {
 		t.bytes.Add(b)
 	}
 }

@@ -42,9 +42,6 @@ func (r *Runner) Table5() *Report {
 			if name == "raven" {
 				rc := core.Config{TrainWindow: t.Duration() / 4, Seed: r.Cfg.Seed + 31}
 				r.trainShape(&rc, 20, 4)
-				if r.Cfg.Quick {
-					rc.ResidualSamples = 30
-				}
 				res = r.simulate(t, core.New(rc), opts)
 			} else {
 				res = r.simulate(t, policy.MustNew(name, policy.Options{Capacity: capacity, Seed: r.Cfg.Seed}), opts)

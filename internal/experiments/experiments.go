@@ -221,21 +221,23 @@ func (r *Runner) polOpts(t *trace.Trace, capacity int64) policy.Options {
 	}
 	rc := core.Config{}
 	r.trainShape(&rc, 25, 5)
-	if r.Cfg.Quick {
-		rc.MaxTrainObjects = 600
-		rc.ResidualSamples = 30
-	}
 	o.Raven = &rc
 	return o
 }
 
 // trainShape sets Raven's network and training budget for the suite
-// mode: the quick suite's small network and 6-epoch fits, or the served
-// network trained for up to epochs with the given patience.
+// mode: the quick suite's small network, 6-epoch fits on at most 600
+// objects and 30 residual samples (unless c already sets its own, as
+// Fig. 6/7 do), or the served network trained for up to epochs with
+// the given patience.
 func (r *Runner) trainShape(c *core.Config, epochs, patience int) {
 	if r.Cfg.Quick {
 		c.Net = nn.Config{Hidden: 8, MLPHidden: 12, K: 4}
 		c.Train = nn.TrainConfig{MaxEpochs: 6, Patience: 2}
+		c.MaxTrainObjects = 600
+		if c.ResidualSamples == 0 {
+			c.ResidualSamples = 30
+		}
 		return
 	}
 	c.Train = nn.TrainConfig{MaxEpochs: epochs, Patience: patience}

@@ -55,10 +55,6 @@ func (r *Runner) serverPolicies(t *trace.Trace, capacity int64) (ravenPol, atsPo
 		Seed:              r.Cfg.Seed + 21,
 	}
 	r.trainShape(&rc, 20, 4)
-	if r.Cfg.Quick {
-		rc.MaxTrainObjects = 600
-		rc.ResidualSamples = 30
-	}
 	return core.New(rc), policy.MustNew("lru", policy.Options{Capacity: capacity})
 }
 

@@ -218,9 +218,6 @@ func (r *Runner) ravenWithM(t *trace.Trace, m int) *core.Raven {
 		Seed:            r.Cfg.Seed + int64(m),
 	}
 	r.trainShape(&cfg, 25, 5)
-	if r.Cfg.Quick {
-		cfg.MaxTrainObjects = 600
-	}
 	return core.New(cfg)
 }
 
@@ -274,10 +271,6 @@ func (r *Runner) Ablations() *Report {
 	base := func() core.Config {
 		cfg := core.Config{TrainWindow: t.Duration() / 8, Seed: r.Cfg.Seed}
 		r.trainShape(&cfg, 25, 5)
-		if r.Cfg.Quick {
-			cfg.MaxTrainObjects = 600
-			cfg.ResidualSamples = 30
-		}
 		return cfg
 	}
 	runCfg := func(knob, val string, cfg core.Config) {

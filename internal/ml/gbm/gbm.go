@@ -78,9 +78,6 @@ type Model struct {
 	trees []tree
 }
 
-// NumTrees returns the number of boosting rounds kept.
-func (m *Model) NumTrees() int { return len(m.trees) }
-
 // Predict returns the model output for one feature vector.
 func (m *Model) Predict(x []float64) float64 {
 	y := m.bias

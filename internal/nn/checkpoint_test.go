@@ -199,7 +199,7 @@ func TestParentCheckpointLoads(t *testing.T) {
 		t.Errorf("weights hash %s, want %s", got, parentGRUWeights)
 	}
 	var m Mixture
-	n.PredictWith(n.NewPredictScratch(), n.EmbedHistory([]float64{3, 4, 5}), 100, 2, &m)
+	n.PredictWith(n.NewPredictScratch(), n.EmbedHistoryInto(nil, []float64{3, 4, 5}), 100, 2, &m)
 	for k, want := range parentGRUMixture {
 		got := [3]uint64{math.Float64bits(m.W[k]), math.Float64bits(m.Mu[k]), math.Float64bits(m.S[k])}
 		if got != want {

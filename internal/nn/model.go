@@ -161,16 +161,6 @@ func (n *Net) StepEmbed(h []float64, tau float64) {
 	n.cell.Step(n.featTau(tau), h, nil, h)
 }
 
-// EmbedHistory computes an embedding from scratch over a sequence of
-// interarrival times.
-func (n *Net) EmbedHistory(taus []float64) []float64 {
-	h := n.ZeroState()
-	for _, t := range taus {
-		n.StepEmbed(h, t)
-	}
-	return h
-}
-
 // mlpRows holds the MLP's activations for a batch of inputs, one row
 // per input in each row-major matrix: in is the input (the history
 // embedding, then the size and age features: Hidden+2 wide), y1 and y2
@@ -319,8 +309,8 @@ func (n *Net) PredictBatch(s *PredictScratch, in []PredictInput, out []Mixture) 
 	}
 }
 
-// EmbedHistoryInto recomputes an embedding into dst (resized as
-// needed) and returns it.
+// EmbedHistoryInto computes an embedding from scratch over a sequence
+// of interarrival times into dst (resized as needed) and returns it.
 func (n *Net) EmbedHistoryInto(dst []float64, taus []float64) []float64 {
 	H := n.Cfg.Hidden
 	if cap(dst) < H {

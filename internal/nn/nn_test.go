@@ -239,7 +239,7 @@ func TestFitLearnsConstantResidual(t *testing.T) {
 		t.Fatal("no epochs ran")
 	}
 	// Predict residual at age 1.0 (mid-interval): true residual ~1.0.
-	h := net.EmbedHistory([]float64{2, 2, 2, 2, 2, 2})
+	h := net.EmbedHistoryInto(nil, []float64{2, 2, 2, 2, 2, 2})
 	var m Mixture
 	net.PredictWith(net.NewPredictScratch(), h, 100, 1.0, &m)
 	mean := m.Mean() * net.Cfg.TimeScale
@@ -274,7 +274,7 @@ func TestFitSurvivalSeparatesHotAndCold(t *testing.T) {
 	}
 	net.Fit(data, TrainConfig{MaxEpochs: 40, Patience: 6, Seed: 4})
 
-	hHot := net.EmbedHistory([]float64{1, 1, 1, 1, 1})
+	hHot := net.EmbedHistoryInto(nil, []float64{1, 1, 1, 1, 1})
 	hCold := net.ZeroState()
 	var mHot, mCold Mixture
 	scr := net.NewPredictScratch()
@@ -306,7 +306,7 @@ func TestAdamReducesQuadraticLoss(t *testing.T) {
 func TestStepEmbedMatchesEmbedHistory(t *testing.T) {
 	net := NewNet(Config{Hidden: 5, MLPHidden: 8, K: 2, TimeScale: 1, Seed: 9})
 	taus := []float64{0.5, 3, 1.2, 0.1}
-	h1 := net.EmbedHistory(taus)
+	h1 := net.EmbedHistoryInto(nil, taus)
 	h2 := net.ZeroState()
 	for _, tau := range taus {
 		net.StepEmbed(h2, tau)

@@ -118,7 +118,7 @@ func TestShadowSharesWeights(t *testing.T) {
 
 func BenchmarkPredict(b *testing.B) {
 	n := NewNet(Config{TimeScale: 40, Seed: 1})
-	h := n.EmbedHistory([]float64{3, 5, 2, 8, 13, 1, 4, 6})
+	h := n.EmbedHistoryInto(nil, []float64{3, 5, 2, 8, 13, 1, 4, 6})
 	scr := n.NewPredictScratch()
 	var mix Mixture
 	b.ReportAllocs()

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
 // Pool is a fork-join worker pool for data-parallel loops over
 // independent, index-addressed work items. It is the ONLY place in
@@ -49,18 +46,14 @@ type Pool struct {
 // Values below 1 mean serial execution. The count is not clamped to
 // GOMAXPROCS: results never depend on it, and oversubscription is
 // deliberately allowed so the race detector exercises real
-// interleavings even on single-core machines. Callers that want the
-// hardware optimum pass DefaultWorkers().
+// interleavings even on single-core machines. runtime.GOMAXPROCS(0)
+// is the hardware optimum.
 func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
 	return &Pool{workers: workers}
 }
-
-// DefaultWorkers returns the hardware-appropriate worker count,
-// runtime.GOMAXPROCS(0).
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Workers returns the pool's worker count.
 func (p *Pool) Workers() int {

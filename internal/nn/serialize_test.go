@@ -32,8 +32,8 @@ func TestCheckpointRoundTripAllCells(t *testing.T) {
 		t.Errorf("config %+v, want %+v", got.Cfg, net.Cfg)
 	}
 	// Predictions must match bit for bit.
-	h1 := net.EmbedHistory([]float64{3, 4, 5})
-	h2 := got.EmbedHistory([]float64{3, 4, 5})
+	h1 := net.EmbedHistoryInto(nil, []float64{3, 4, 5})
+	h2 := got.EmbedHistoryInto(nil, []float64{3, 4, 5})
 	var m1, m2 Mixture
 	net.PredictWith(net.NewPredictScratch(), h1, 100, 2, &m1)
 	got.PredictWith(got.NewPredictScratch(), h2, 100, 2, &m2)

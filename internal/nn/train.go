@@ -37,8 +37,8 @@ type TrainConfig struct {
 	// the validation pass) out over; 0 or 1 runs serially. Results are
 	// bit-identical for every value — gradient shards are reduced in
 	// fixed sequence order and every sequence owns its RNG stream — so
-	// Workers is purely a throughput knob. runtime.GOMAXPROCS(0)
-	// (nn.DefaultWorkers) is the hardware optimum.
+	// Workers is purely a throughput knob. runtime.GOMAXPROCS(0) is
+	// the hardware optimum.
 	Workers int
 	Seed    int64
 

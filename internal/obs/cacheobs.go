@@ -2,35 +2,52 @@ package obs
 
 import "fmt"
 
-// Canonical admission-reject reasons. They are defined here — rather
-// than in the cache package, which imports obs — so the engine's typed
-// decisions and the per-reason metric names always agree. Every reason
-// the engine can emit maps to exactly one cache.admit_rejects.<reason>
-// counter; anything else lands in "other" so the per-reason counters
-// always sum to cache.rejections exactly.
+// Reason is why the engine refused to admit an object. The set is
+// closed: every reason has one cache.admit_rejects.<name> counter, so
+// the per-reason counters sum to cache.rejections exactly. It is
+// defined here — rather than in the cache package, which imports obs —
+// so the engine's decisions and the metric names cannot drift apart.
+// The zero Reason is an accepted decision's.
+type Reason uint8
+
 const (
 	// ReasonTooLarge: the object exceeds the cache's total capacity.
-	ReasonTooLarge = "too_large"
+	ReasonTooLarge Reason = iota + 1
 	// ReasonNoVictim: the policy had nothing evictable to make room.
-	ReasonNoVictim = "no_victim"
+	ReasonNoVictim
 	// ReasonPolicy: the policy's own admission control (AdaptSize, LHR
 	// admission) refused the object.
-	ReasonPolicy = "policy"
+	ReasonPolicy
 	// ReasonSizeThreshold: a static size-threshold admitter (ThLRU)
 	// refused an over-threshold object.
-	ReasonSizeThreshold = "size_threshold"
+	ReasonSizeThreshold
 	// ReasonDoorkeeper: first sighting within the doorkeeper period —
 	// the one-hit-wonder filter absorbed the object.
-	ReasonDoorkeeper = "doorkeeper"
+	ReasonDoorkeeper
 	// ReasonFrequency: seen before, but the sketched frequency is still
 	// below the admission threshold.
-	ReasonFrequency = "frequency"
+	ReasonFrequency
 	// ReasonPredictedReuse: the MDN predicts the next arrival beyond
 	// the object's expected cache lifetime.
-	ReasonPredictedReuse = "predicted_reuse"
-	// ReasonOther: any reason string outside the canonical set.
-	ReasonOther = "other"
+	ReasonPredictedReuse
 )
+
+// NumReasons is how many reject reasons there are; they run from 1 to
+// NumReasons.
+const NumReasons = int(ReasonPredictedReuse)
+
+var reasonNames = [NumReasons + 1]string{
+	ReasonTooLarge:       "too_large",
+	ReasonNoVictim:       "no_victim",
+	ReasonPolicy:         "policy",
+	ReasonSizeThreshold:  "size_threshold",
+	ReasonDoorkeeper:     "doorkeeper",
+	ReasonFrequency:      "frequency",
+	ReasonPredictedReuse: "predicted_reuse",
+}
+
+// String is the reason's metric name, "" for the zero Reason.
+func (r Reason) String() string { return reasonNames[r] }
 
 // CacheObs is the cache engine's observability surface: occupancy
 // gauges plus the request/eviction counters operators watch. The
@@ -54,43 +71,18 @@ type CacheObs struct {
 	Rejections Counter
 	Sets       Counter
 
-	// Per-reason admission rejects. The reasons are a fixed enum of
-	// counters (not a map) so the hot path stays a single atomic op and
-	// snapshots register in a fixed order; they sum to Rejections
-	// exactly because every reject bumps exactly one of them.
-	RejTooLarge      Counter
-	RejNoVictim      Counter
-	RejPolicy        Counter
-	RejSizeThreshold Counter
-	RejDoorkeeper    Counter
-	RejFrequency     Counter
-	RejReuse         Counter
-	RejOther         Counter
+	// Rejects[r-1] counts the admission rejects of reason r: an array
+	// indexed by reason (not a map), so a reject is a single atomic op
+	// and snapshots register in a fixed order. The counters sum to
+	// Rejections exactly because every reject bumps exactly one of them.
+	Rejects [NumReasons]Counter
 }
 
-// AdmitReject bumps the total rejection counter plus the per-reason
-// counter matching reason (canonical strings above; anything else
-// counts as "other").
-func (co *CacheObs) AdmitReject(reason string) {
+// AdmitReject counts one reject of the given reason, which must be
+// one of the Reason constants.
+func (co *CacheObs) AdmitReject(reason Reason) {
 	co.Rejections.Inc()
-	switch reason {
-	case ReasonTooLarge:
-		co.RejTooLarge.Inc()
-	case ReasonNoVictim:
-		co.RejNoVictim.Inc()
-	case ReasonPolicy:
-		co.RejPolicy.Inc()
-	case ReasonSizeThreshold:
-		co.RejSizeThreshold.Inc()
-	case ReasonDoorkeeper:
-		co.RejDoorkeeper.Inc()
-	case ReasonFrequency:
-		co.RejFrequency.Inc()
-	case ReasonPredictedReuse:
-		co.RejReuse.Inc()
-	default:
-		co.RejOther.Inc()
-	}
+	co.Rejects[reason-1].Inc()
 }
 
 // cacheMetric is one metric a CacheObs registers, under
@@ -108,11 +100,15 @@ func (m cacheMetric) load() int64 {
 	return m.c.Load()
 }
 
+// numCacheMetrics is how many metrics a CacheObs registers: nine, then
+// one per reject reason.
+const numCacheMetrics = 9 + NumReasons
+
 // metrics is the one list of CacheObs metric names, in registration
 // order. Both Register methods walk it, so the plain and the merged
 // sharded names are the same, in the same order.
-func (co *CacheObs) metrics() [17]cacheMetric {
-	return [...]cacheMetric{
+func (co *CacheObs) metrics() [numCacheMetrics]cacheMetric {
+	m := [numCacheMetrics]cacheMetric{
 		{suffix: "used_bytes", g: &co.UsedBytes},
 		{suffix: "objects", g: &co.Objects},
 		{suffix: "admit_bytes", g: &co.AdmitBytes},
@@ -122,15 +118,11 @@ func (co *CacheObs) metrics() [17]cacheMetric {
 		{suffix: "admissions", c: &co.Admissions},
 		{suffix: "rejections", c: &co.Rejections},
 		{suffix: "sets", c: &co.Sets},
-		{suffix: "admit_rejects." + ReasonTooLarge, c: &co.RejTooLarge},
-		{suffix: "admit_rejects." + ReasonNoVictim, c: &co.RejNoVictim},
-		{suffix: "admit_rejects." + ReasonPolicy, c: &co.RejPolicy},
-		{suffix: "admit_rejects." + ReasonSizeThreshold, c: &co.RejSizeThreshold},
-		{suffix: "admit_rejects." + ReasonDoorkeeper, c: &co.RejDoorkeeper},
-		{suffix: "admit_rejects." + ReasonFrequency, c: &co.RejFrequency},
-		{suffix: "admit_rejects." + ReasonPredictedReuse, c: &co.RejReuse},
-		{suffix: "admit_rejects." + ReasonOther, c: &co.RejOther},
 	}
+	for i := range co.Rejects {
+		m[9+i] = cacheMetric{suffix: "admit_rejects." + Reason(i+1).String(), c: &co.Rejects[i]}
+	}
+	return m
 }
 
 // Register adds every CacheObs metric to r under prefix (e.g.
@@ -179,11 +171,15 @@ func (so *ShardedCacheObs) Shard(i int) *CacheObs { return so.shards[i] }
 // folded at snapshot time.
 func (so *ShardedCacheObs) Register(r *Registry, prefix string) {
 	// A zero bundle supplies the suffixes; each total reads the shards'.
+	shards := make([][numCacheMetrics]cacheMetric, len(so.shards))
+	for j, s := range so.shards {
+		shards[j] = s.metrics()
+	}
 	for i, m := range new(CacheObs).metrics() {
 		r.RegisterFunc(prefix+"."+m.suffix, func() int64 {
 			var t int64
-			for _, s := range so.shards {
-				t += s.metrics()[i].load()
+			for j := range shards {
+				t += shards[j][i].load()
 			}
 			return t
 		})

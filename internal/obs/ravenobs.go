@@ -4,9 +4,10 @@ package obs
 // surface: rollbacks, health transitions, fallback activity, training
 // cost, and checkpoint accounting. Raven updates it inline from its (single)
 // policy goroutine; the atomic metric types keep concurrent METRICS
-// snapshots safe. Attach one via core.Config.Obs and register it on
-// the server/sim registry so operators can watch a learned policy
-// degrade and recover instead of silently going insane.
+// snapshots safe. Raven always counts: pass one via core.Config.Obs
+// (a Raven built without one counts into a private block) and register
+// it on the server/sim registry so operators can watch a learned
+// policy degrade and recover instead of silently going insane.
 type RavenObs struct {
 	// Rollbacks counts trainings abandoned by the guard (weights
 	// restored to the pre-fit snapshot or the previous good network).

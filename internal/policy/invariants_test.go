@@ -259,9 +259,9 @@ func runModel(t *testing.T, name string, o Options, shards int, steps []step) (c
 		var rejects, byReason int64
 		for _, co := range cobs {
 			rejects += co.Rejections.Load()
-			byReason += co.RejTooLarge.Load() + co.RejNoVictim.Load() + co.RejPolicy.Load() +
-				co.RejSizeThreshold.Load() + co.RejDoorkeeper.Load() + co.RejFrequency.Load() +
-				co.RejReuse.Load() + co.RejOther.Load()
+			for r := range co.Rejects {
+				byReason += co.Rejects[r].Load()
+			}
 		}
 		if byReason != st.Rejections || rejects != st.Rejections {
 			t.Fatalf("step %d: per-reason rejects sum to %d, counter %d, stats %d", i, byReason, rejects, st.Rejections)
@@ -269,7 +269,7 @@ func runModel(t *testing.T, name string, o Options, shards int, steps []step) (c
 	}
 	var policyRejects int64
 	for _, co := range cobs {
-		policyRejects += co.RejPolicy.Load()
+		policyRejects += co.Rejects[cache.RejectPolicy-1].Load()
 	}
 	return m.st, policyRejects
 }

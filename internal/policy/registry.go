@@ -50,8 +50,9 @@ type Options struct {
 	// in completed trainings (0 = every training).
 	CheckpointDir   string
 	CheckpointEvery int
-	// Obs, when non-nil, receives Raven's model-lifecycle metrics
-	// (rollbacks, health transitions, checkpoint accounting).
+	// Obs is the metrics block every Raven built from these options
+	// counts into (rollbacks, health transitions, checkpoint
+	// accounting); unset, each Raven counts into a private one.
 	Obs *obs.RavenObs
 	// ScoreCache enables Raven's cached-score eviction fast path;
 	// Inference32 runs every prediction of Raven's eviction decisions

@@ -11,6 +11,7 @@ import (
 	"raven/internal/cache"
 	"raven/internal/core"
 	"raven/internal/nn"
+	"raven/internal/obs"
 	"raven/internal/policy"
 	"raven/internal/trace"
 )
@@ -39,7 +40,11 @@ func canonicalResult(r *Result) string {
 // pins the seed-derivation half of the sharding contract: PerShard
 // derives shard 0's seed as Seed+0, so factory.PerShard(o, 1) must
 // replay bit-identically to policy.MustNew(name, o) behind
-// SingleFactory — no hidden reseeding may leak in.
+// SingleFactory — no hidden reseeding may leak in. A last row pins that
+// Raven's counters never feed a decision: raven at 4 shards gives the
+// same eviction order and cache.Stats whether each shard counts into a
+// private metrics block (policy.Options.Obs unset) or all four share
+// one.
 func TestSimulateDeterministic(t *testing.T) {
 	for _, name := range policy.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -77,6 +82,45 @@ func TestSimulateDeterministic(t *testing.T) {
 			}
 		})
 	}
+	t.Run("raven-4shards-obs", func(t *testing.T) {
+		run := func(ro *obs.RavenObs) string {
+			tr := trace.Synthetic(trace.SynthConfig{
+				Objects: 200, Requests: 6000, Interarrival: trace.Pareto, VariableSizes: true, Seed: 11,
+			})
+			capacity := tr.UniqueBytes() / 8
+			f, err := policy.Lookup("raven")
+			if err != nil {
+				t.Fatal(err)
+			}
+			perShard := f.PerShard(policy.Options{Capacity: capacity, TrainWindow: tr.Duration() / 4, Seed: 7, Obs: ro}, 4)
+			var logs []*evictLog
+			res, err := Run(tr, 4, func(shard int, c int64) (cache.Policy, error) {
+				p, err := perShard(shard, c)
+				log := &evictLog{Policy: p}
+				logs = append(logs, log)
+				return log, err
+			}, Options{Capacity: capacity, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := fmt.Sprintf("stats=%+v", res.Stats)
+			for i, log := range logs {
+				if log.Policy.(*core.Raven).Net() == nil {
+					t.Fatalf("shard %d never trained a model", i)
+				}
+				s += fmt.Sprintf(" shard%d=%v", i, log.order)
+			}
+			return s
+		}
+		private := run(nil)
+		shared := new(obs.RavenObs)
+		if got := run(shared); got != private {
+			t.Errorf("a shared metrics block changed the replay (first 300 bytes):\n private: %.300s\n shared:  %.300s", private, got)
+		}
+		if shared.TrainEpochs.Load() == 0 || shared.HistoryResident.Load() == 0 {
+			t.Errorf("the shared block counted nothing: epochs %d, residents %d", shared.TrainEpochs.Load(), shared.HistoryResident.Load())
+		}
+	})
 }
 
 // TestRavenWorkersBitExact enforces the determinism contract of the

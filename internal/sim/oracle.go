@@ -33,6 +33,3 @@ func (o *Oracle) NextAfter(key trace.Key, t int64) int64 {
 	}
 	return ts[i]
 }
-
-// Arrivals returns key's arrival times (shared slice; do not modify).
-func (o *Oracle) Arrivals(key trace.Key) []int64 { return o.arrivals[key] }

@@ -70,8 +70,8 @@ type (
 	Goal = core.Goal
 	// Decision is the typed result of an admission check: whether the
 	// object may be inserted and, on refusal, the rejecting stage's
-	// reason (exported per reason over METRICS as
-	// cache.admit_rejects.<reason>).
+	// reason, one of a closed set (exported per reason over METRICS as
+	// cache.admit_rejects.<reason>; zero on accept).
 	Decision = cache.Decision
 	// Admitter is the typed admission seam — an optional Policy
 	// extension consulted before each miss is inserted.

@@ -186,7 +186,7 @@ stage_determinism() {
         fit_names+='|TestFitGoldenBytesGoKernels'
     fi
     run_named "${fit_names}" ./internal/nn/
-    echo "==> same program: pinned Raven replay hash, replays bit-exact across worker counts, admission determinism (double run, Workers 1 vs 8), every policy's replay run twice"
+    echo "==> same program (Raven's counters live in every replay): pinned Raven replay hash, replays bit-exact across worker counts, admission determinism (double run, Workers 1 vs 8), every policy's replay run twice, and raven at 4 shards with private and with one shared metrics block (TestSimulateDeterministic/raven-4shards-obs)"
     run_named 'TestRavenGoldenBytes|TestRavenWorkersBitExact|TestAdmissionBitExact|TestAdmissionOffMatchesUnfronted|TestSimulateDeterministic' ./internal/sim/
     echo "==> same program: the score cache's stamps bit-exact across runs and equal to their mixtures' closed form, and its candidate sample independent of how many candidates were re-scored"
     run_named 'TestScoreStampsBitExact|TestScoreStampIsClosedForm|TestScoreCacheSamplerIgnoresRescores' ./internal/core/
