@@ -7,10 +7,10 @@ import (
 	"raven/internal/stats"
 )
 
-// TestFitAllocFree pins the training arena: once a replica has seen its
+// TestFitAllocFree pins the training arena: once an arena has held its
 // longest sequence, forwardBackward allocates nothing, and what a whole
-// Fit allocates is set by the replica count and the longest sequence,
-// not by how many sequences or epochs it runs.
+// Fit allocates is set by the replica and worker counts and the longest
+// sequence, not by how many sequences or epochs it runs.
 func TestFitAllocFree(t *testing.T) {
 	tc := TrainConfig{MaxSeq: 12}
 	long := trainSequences(1, stats.NewRNG(1))[0]
@@ -19,12 +19,13 @@ func TestFitAllocFree(t *testing.T) {
 	}
 	survOnly := Sequence{Size: 900, Survival: 70}
 	n := NewNet(Config{TimeScale: 40, Seed: 3}).Shadow()
+	a := new(trainArena)
 	g := stats.NewRNG(9)
 	for _, train := range []bool{true, false} {
-		n.forwardBackward(&long, g, tc, train) // warm-up grows the arena
+		n.forwardBackward(a, &long, g, tc, train) // warm-up grows the arena
 		if allocs := testing.AllocsPerRun(50, func() {
-			n.forwardBackward(&long, g, tc, train)
-			n.forwardBackward(&survOnly, g, tc, train)
+			n.forwardBackward(a, &long, g, tc, train)
+			n.forwardBackward(a, &survOnly, g, tc, train)
 		}); allocs != 0 {
 			t.Errorf("forwardBackward(train=%t) allocates %v/op after warm-up, want 0", train, allocs)
 		}

@@ -66,7 +66,5 @@ func (d *Dense) forwardRows(x []float64, n int, y []float64) {
 // first. It leaves the input gradients to the caller.
 func (d *Dense) backwardRows(x, dy []float64, n int) {
 	outerAddRows(d.W.G, d.Out, d.In, dy, x, n)
-	for i := n - 1; i >= 0; i-- {
-		axpy(1, dy[i*d.Out:(i+1)*d.Out], d.B.G)
-	}
+	addRows(d.B.G, d.Out, dy, n)
 }

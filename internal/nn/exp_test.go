@@ -30,35 +30,9 @@ func expEdges() []float64 {
 // between groups the assembly runs — then on 10⁷ in the kernel's own
 // range, where every group is the assembly's.
 func TestExpMatchesMath(t *testing.T) {
-	check := func(x []float64) {
-		t.Helper()
-		got := make([]float64, len(x))
-		expSlice(x, got)
-		for i, v := range x {
-			want := math.Exp(v)
-			if math.Float64bits(got[i]) != math.Float64bits(want) && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
-				t.Fatalf("exp(%v) (bits %#x) = %v, math.Exp %v", v, math.Float64bits(v), got[i], want)
-			}
-		}
-	}
 	edges := expEdges()
-	for n := 0; n <= 9; n++ { // every tail length, and the edges in every lane
-		for off := 0; off+n <= len(edges); off += n + 1 {
-			check(edges[off : off+n])
-		}
-	}
+	checkEdges(t, "exp", expSlice, math.Exp, edges)
 	g := stats.NewRNG(1)
-	const chunk = 1 << 14
-	x := make([]float64, chunk)
-	for _, r := range []struct{ lo, hi float64 }{{-750, 710}, {expLo, expHi}} {
-		for done := 0; done < 10_000_000; done += chunk {
-			for i := range x {
-				x[i] = r.lo + (r.hi-r.lo)*g.Float64()
-			}
-			if r.lo < expLo {
-				x[g.Intn(chunk)] = edges[g.Intn(len(edges))]
-			}
-			check(x)
-		}
-	}
+	checkDrawn(t, "exp", expSlice, math.Exp, edges, g, func() float64 { return -750 + 1460*g.Float64() })
+	checkDrawn(t, "exp", expSlice, math.Exp, nil, g, func() float64 { return expLo + (expHi-expLo)*g.Float64() })
 }

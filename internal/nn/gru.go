@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"raven/internal/stats"
-)
+import "raven/internal/stats"
 
 // GRU is the gated-recurrent-unit cell the paper uses as its history
 // encoder (§4.2.1, §5.1.3):
@@ -21,13 +17,11 @@ type GRU struct {
 	HiddenN                            int
 	Wz, Uz, Bz, Wr, Ur, Br, Wh, Uh, Bh *Param
 
-	// scr holds the gate activations of a Step that records nothing
-	// (inference; built on first use). GRU is not safe for concurrent
-	// use, matching the policy contract.
-	scr *gruCache
-	// bwd is Backward's scratch, one 7·H block (lazily sized, private
-	// to each Shadow like scr).
-	bwd []float64
+	// scr holds the gate activations of a Step, 4·HiddenN wide (step's
+	// zr, rh and hc end to end; built on first use, private to each
+	// Shadow). GRU is not safe for concurrent use, matching the policy
+	// contract.
+	scr []float64
 }
 
 // gruParams is the number of parameters of a GRU of the given width.
@@ -55,28 +49,11 @@ func (u *GRU) Params() []*Param {
 	return []*Param{u.Wz, u.Uz, u.Bz, u.Wr, u.Ur, u.Br, u.Wh, u.Uh, u.Bh}
 }
 
-// gruCache holds one step's activations: what Backward needs of a
-// training step, or the gate scratch of an inference step.
-type gruCache struct {
-	x            float64
-	prev         []float64
-	z, r, rh, hc []float64 // update gate, reset gate, r⊙h, candidate ĥ
-	zr           []float64 // z then r, end to end: the gates' sigmoids run as one pass
-}
-
-func (u *GRU) newCache() *gruCache {
-	H := u.HiddenN
-	zr := make([]float64, 2*H)
-	return &gruCache{prev: make([]float64, H),
-		z: zr[:H], r: zr[H:], zr: zr, rh: make([]float64, H), hc: make([]float64, H),
-	}
-}
-
 // shadow returns a replica whose weights alias this cell's but whose
 // gradients (the next tensors of s, a shadow's storage) and scratch
-// are private, so one goroutine can run Step/Backward concurrently
-// with others. The replica's lazily-sized scratch starts empty, so
-// concurrent shadows never share it.
+// are private, so one goroutine can run Step and the backward pass
+// concurrently with others. The replica's lazily-sized scratch starts
+// empty, so concurrent shadows never share it.
 func (u *GRU) shadow(s *slab) *GRU {
 	return &GRU{HiddenN: u.HiddenN,
 		Wz: s.like(u.Wz), Uz: s.like(u.Uz), Bz: s.like(u.Bz),
@@ -84,89 +61,87 @@ func (u *GRU) shadow(s *slab) *GRU {
 		Wh: s.like(u.Wh), Uh: s.like(u.Uh), Bh: s.like(u.Bh)}
 }
 
-// sigmoids sets each v_i to σ(v_i) = 1/(1+exp(−v_i)), the exps four
-// at a time (expSlice).
-func sigmoids(v []float64) {
-	for i := range v {
-		v[i] = -v[i]
+// Step advances prev to out given input x. out may alias prev.
+func (u *GRU) Step(x float64, prev, out []float64) {
+	H := u.HiddenN
+	if len(u.scr) != 4*H {
+		u.scr = make([]float64, 4*H)
 	}
-	expSlice(v, v)
-	for i := range v {
-		v[i] = 1 / (1 + v[i])
-	}
+	u.step(x, prev, out, u.scr[:2*H], u.scr[2*H:3*H], u.scr[3*H:])
 }
 
-// Step advances prev to out given input x, recording activations in
-// cache when non-nil. out may alias prev.
-func (u *GRU) Step(x float64, prev []float64, cache *gruCache, out []float64) {
+// step is Step leaving its activations in zr (the update gate z, then
+// the reset gate r: 2·HiddenN), rh (r⊙prev) and hc (ĥ), what the
+// backward pass reads. The gates' sigmoids run as one pass, and so do
+// ĥ's tanhs.
+func (u *GRU) step(x float64, prev, out, zr, rh, hc []float64) {
 	H := u.HiddenN
 	checkLen(prev, H)
 	checkLen(out, H)
-	if cache != nil {
-		cache.x = x
-		copy(cache.prev, prev)
-	} else {
-		if u.scr == nil {
-			u.scr = u.newCache()
-		}
-		cache = u.scr
-	}
-	z, r, rh, hc := cache.z, cache.r, cache.rh, cache.hc
+	zr = zr[:2*H]
+	z, r := zr[:H], zr[H:]
+	rh, hc = rh[:H], hc[:H]
 
 	u.inputs(x, z, r, hc)
 	matVecAdd(u.Uz.W, H, prev, z)
 	matVecAdd(u.Ur.W, H, prev, r)
-	sigmoids(cache.zr)
+	sigmoidSlice(zr, zr)
 	for i := range rh {
 		rh[i] = r[i] * prev[i]
 	}
 	matVecAdd(u.Uh.W, H, rh, hc)
-	for i := range hc {
-		hc[i] = math.Tanh(hc[i])
-	}
+	tanhSlice(hc, hc)
 	for i := 0; i < H; i++ {
 		out[i] = (1-z[i])*prev[i] + z[i]*hc[i]
 	}
 }
 
-// Backward consumes dNext (the gradient on this step's output state)
-// and the step's cache, accumulates parameter gradients, and writes the
-// gradient on the previous state into dPrev (overwritten).
-func (u *GRU) Backward(cache *gruCache, dNext, dPrev []float64) {
+// backward is one step of backpropagation through time. Given dNext,
+// the gradient on the step's output state, and what step left (prev,
+// zr, rh, hc), it writes the gate gradients — daZ, daR and daH, on the
+// pre-activations of z, r and ĥ — and the gradient on the previous
+// state into dPrev (overwritten); drh is its scratch. It accumulates no
+// parameter gradient: paramGrads does, once per sequence.
+func (u *GRU) backward(dNext, prev, zr, rh, hc, daZ, daR, daH, dPrev, drh []float64) {
 	H := u.HiddenN
-	z, r, rh, hc := cache.z, cache.r, cache.rh, cache.hc
-	if len(u.bwd) != 7*H {
-		u.bwd = make([]float64, 7*H)
-	}
-	b := u.bwd
-	dz, dhc, daH, drh := b[:H], b[H:2*H], b[2*H:3*H], b[3*H:4*H]
-	dr, daZ, daR := b[4*H:5*H], b[5*H:6*H], b[6*H:]
-	zero(drh) // the only one accumulated into (matTVecAdd); the rest are assigned
-
-	for i := 0; i < H; i++ {
-		dz[i] = dNext[i] * (hc[i] - cache.prev[i])
-		dhc[i] = dNext[i] * z[i]
+	z, r := zr[:H], zr[H:2*H]
+	dNext, prev, hc = dNext[:H], prev[:H], hc[:H]
+	daZ, daR, daH, dPrev, drh = daZ[:H], daR[:H], daH[:H], dPrev[:H], drh[:H]
+	for i := range dPrev {
+		dz := dNext[i] * (hc[i] - prev[i])
+		dhc := dNext[i] * z[i]
 		dPrev[i] = dNext[i] * (1 - z[i])
-		daH[i] = dhc[i] * (1 - hc[i]*hc[i])
+		daH[i] = dhc * (1 - hc[i]*hc[i])
+		daZ[i] = dz * z[i] * (1 - z[i])
 	}
-	// Candidate path.
-	outerAdd(u.Uh.G, H, H, daH, rh)
-	axpy(1, daH, u.Bh.G)
+	zero(drh)
 	matTVecAdd(u.Uh.W, H, H, daH, drh)
-	for i := 0; i < H; i++ {
-		dr[i] = drh[i] * cache.prev[i]
+	for i := range dPrev {
+		dr := drh[i] * prev[i]
 		dPrev[i] += drh[i] * r[i]
-		daZ[i] = dz[i] * z[i] * (1 - z[i])
-		daR[i] = dr[i] * r[i] * (1 - r[i])
+		daR[i] = dr * r[i] * (1 - r[i])
 	}
-	// Gate paths.
-	u.inputGrads(cache.x, daZ, daR, daH)
-	outerAdd(u.Uz.G, H, H, daZ, cache.prev)
-	axpy(1, daZ, u.Bz.G)
-	outerAdd(u.Ur.G, H, H, daR, cache.prev)
-	axpy(1, daR, u.Br.G)
 	matTVecAdd(u.Uz.W, H, H, daZ, dPrev)
 	matTVecAdd(u.Ur.W, H, H, daR, dPrev)
+}
+
+// paramGrads accumulates the parameter gradients of an m-step sequence
+// from its rows (HiddenN wide, row i step i): the inputs xs, the states
+// before each step prevs, the r⊙h rows rhs, and backward's gate
+// gradients daZ, daR and daH. Every gradient entry sums the rows last
+// step first, the order backpropagation through time visits them, so
+// it has the bits of accumulating step by step.
+func (u *GRU) paramGrads(xs, prevs, rhs, daZ, daR, daH []float64, m int) {
+	H := u.HiddenN
+	outerAddRows(u.Uh.G, H, H, daH, rhs, m)
+	addRows(u.Bh.G, H, daH, m)
+	outerAddRows(u.Uz.G, H, H, daZ, prevs, m)
+	addRows(u.Bz.G, H, daZ, m)
+	outerAddRows(u.Ur.G, H, H, daR, prevs, m)
+	addRows(u.Br.G, H, daR, m)
+	for i := m - 1; i >= 0; i-- {
+		u.inputGrads(xs[i], daZ[i*H:(i+1)*H], daR[i*H:(i+1)*H], daH[i*H:(i+1)*H])
+	}
 }
 
 // inputs sets z, r and hc to the gates' input terms Wz·x+bz, Wr·x+br

@@ -26,12 +26,13 @@ func hasAVX() bool {
 	return eax&(xmmState|ymmState) == xmmState|ymmState
 }
 
-// matVec, matTVecAdd and outerAdd, and the row-batched matVecRows and
-// outerAddRows, are the Go loops of vec.go (their contracts are there),
-// run as assembly when useAVX. Each proves every slice long enough,
-// with an index expression that panics as the Go loop would, before the
-// assembly touches memory. matTVecAdd and outerAddRows are the one tile
-// kernel, tilesAVX, over different lists of pairs.
+// matVec, matTVecAdd and outerAdd, and the row-batched matVecRows,
+// matTVecAddRows, outerAddRows and addRows, are the Go loops of vec.go
+// (their contracts are there), run as assembly when useAVX. Each proves
+// every slice long enough, with an index expression that panics as the
+// Go loop would, before the assembly touches memory. matTVecAdd,
+// matTVecAddRows, outerAddRows and addRows are the one tile kernel,
+// tilesAVX, over different lists of pairs.
 
 func matVec(w []float64, rows, cols int, x, y0, y []float64) {
 	if !useAVX || rows < 1 || cols < 1 {
@@ -55,7 +56,7 @@ func matTVecAdd(w []float64, rows, cols int, dy, dx []float64) {
 	_ = w[rows*cols-1]
 	_ = dy[rows-1]
 	_ = dx[cols-1]
-	tilesAVX(dx, 1, cols, dy, 0, 1, w, 0, cols, rows)
+	tilesAVX(dx, 1, cols, dy, 0, 0, 1, w, 0, cols, rows)
 }
 
 // outerAdd keeps the Go loop below one 4-wide lane group: there the
@@ -107,44 +108,90 @@ func outerAddRows(dw []float64, rows, cols int, dy, x []float64, n int) {
 	_ = dw[rows*cols-1]
 	_ = dy[n*rows-1]
 	_ = x[n*cols-1]
-	tilesAVX(dw, rows, cols, dy, (n-1)*rows, -rows, x, (n-1)*cols, -cols, n)
+	tilesAVX(dw, rows, cols, dy, (n-1)*rows, 1, -rows, x, (n-1)*cols, -cols, n)
 }
 
-// expSlice is expGo: the assembly runs the whole groups of four until
-// one holds an entry outside [expLo, expHi]; math.Exp runs that group,
-// then the assembly resumes after it, and math.Exp runs the tail.
+// matTVecAddRows runs each row of dx as a tile: its pairs are the rows
+// of W, each scaled by that row's dy entry.
+func matTVecAddRows(w []float64, rows, cols int, dy []float64, n int, dx []float64) {
+	if !useAVX || rows < 1 || cols < 1 || n < 1 {
+		matTVecAddRowsGo(w, rows, cols, dy, n, dx)
+		return
+	}
+	_ = w[rows*cols-1]
+	_ = dy[n*rows-1]
+	_ = dx[n*cols-1]
+	tilesAVX(dx, n, cols, dy, 0, rows, 1, w, 0, cols, rows)
+}
+
+// one is addRows' every d: 1·v is v, bit for bit, and 1 is never ±0, so
+// the tile kernel adds every entry as axpy(1, v, acc) does.
+var one = []float64{1}
+
+// addRows runs acc as one tile row, the rows of v its pairs, last first.
+func addRows(acc []float64, cols int, v []float64, n int) {
+	if !useAVX || cols < 1 || n < 1 {
+		addRowsGo(acc, cols, v, n)
+		return
+	}
+	_ = acc[cols-1]
+	_ = v[n*cols-1]
+	tilesAVX(acc, 1, cols, one, 0, 0, 0, v, (n-1)*cols, -cols, n)
+}
+
+// lanes runs y_i = f(x_i) through kernel, f's assembly, and goLoop,
+// its Go loop: the assembly runs the whole groups of four until one
+// holds an entry outside its range (it returns the entries it wrote);
+// goLoop runs that group, then the assembly resumes after it, and goLoop
+// runs the tail.
+func lanes(x, y []float64, kernel func(x, y []float64) int, goLoop func(x, y []float64)) {
+	checkLen(y, len(x))
+	i := 0
+	if useAVX {
+		n := len(x) &^ 3
+		for i < n {
+			i += kernel(x[i:n], y[i:n])
+			if i < n {
+				goLoop(x[i:i+4], y[i:i+4])
+				i += 4
+			}
+		}
+	}
+	if i < len(x) {
+		goLoop(x[i:], y[i:])
+	}
+}
+
+// expSlice is expGo; its assembly takes the groups whose entries all lie
+// in [expLo, expHi].
 func expSlice(x, y []float64) {
-	checkLen(y, len(x))
-	i := 0
-	if useAVX {
-		n := len(x) &^ 3
-		for i < n {
-			i += expAVX(x[i:n], y[i:n], useFMA)
-			if i < n {
-				expGo(x[i:i+4], y[i:i+4])
-				i += 4
-			}
-		}
-	}
-	expGo(x[i:], y[i:])
+	lanes(x, y, func(x, y []float64) int { return expAVX(x, y, useFMA) }, expGo)
 }
 
-// logSlice is logGo, run as expSlice runs expGo: the assembly takes
-// the whole groups of four whose entries all lie in [logLo, logHi].
-func logSlice(x, y []float64) {
+// sigmoidSlice is sigmoidGo; its assembly takes the groups whose
+// negated entries all lie in [expLo, expHi].
+func sigmoidSlice(x, y []float64) {
+	lanes(x, y, func(x, y []float64) int { return sigmoidAVX(x, y, useFMA) }, sigmoidGo)
+}
+
+// logSlice is logGo; its assembly takes the groups whose entries all lie
+// in [logLo, logHi].
+func logSlice(x, y []float64) { lanes(x, y, logAVX, logGo) }
+
+// log1pSlice is log1pGo; its assembly takes the groups whose entries all
+// lie in (log1pLo, log1pHi).
+func log1pSlice(x, y []float64) { lanes(x, y, log1pAVX, log1pGo) }
+
+// tanhSlice is tanhGo. Its assembly takes every whole group of four,
+// the Go loop the tail.
+func tanhSlice(x, y []float64) {
 	checkLen(y, len(x))
-	i := 0
+	n := 0
 	if useAVX {
-		n := len(x) &^ 3
-		for i < n {
-			i += logAVX(x[i:n], y[i:n])
-			if i < n {
-				logGo(x[i:i+4], y[i:i+4])
-				i += 4
-			}
-		}
+		n = len(x) &^ 3
+		tanhAVX(x[:n], y[:n], useFMA)
 	}
-	logGo(x[i:], y[i:])
+	tanhGo(x[n:], y[n:])
 }
 
 // relu, reluBackward, reduceZero, adamUpdate and finite are the
@@ -223,13 +270,22 @@ func outerAddAVX(dw []float64, rows, cols int, dy, x []float64)
 func matVec4AVX(w []float64, rows, cols int, x, y0, y []float64)
 
 //go:noescape
-func tilesAVX(acc []float64, rows, cols int, d []float64, dStart, dStep int, v []float64, vStart, vStep, pairs int)
+func tilesAVX(acc []float64, rows, cols int, d []float64, dStart, dRow, dStep int, v []float64, vStart, vStep, pairs int)
 
 //go:noescape
 func expAVX(x, y []float64, fma bool) int
 
 //go:noescape
+func sigmoidAVX(x, y []float64, fma bool) int
+
+//go:noescape
+func tanhAVX(x, y []float64, fma bool)
+
+//go:noescape
 func logAVX(x, y []float64) int
+
+//go:noescape
+func log1pAVX(x, y []float64) int
 
 //go:noescape
 func reluAVX(x, y []float64)

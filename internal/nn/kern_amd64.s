@@ -9,11 +9,12 @@
 //     VADDPD); nothing is fused;
 //   - a dot product folds its lanes as (s0+s1)+(s2+s3), then adds the
 //     scalar tail column by column, then y0, as matVecGo does;
-//   - matTVecAdd, outerAdd and outerAddRows skip the rows whose dy is
-//     ±0 (the tile kernel below, without a branch).
+//   - matTVecAdd, matTVecAddRows, outerAdd and outerAddRows skip the
+//     rows whose dy is ±0 (the tile kernel below, without a branch).
 //
-// expAVX and logAVX, at the end, are math.Exp and math.Log four lanes
-// at a time. The Go wrappers in kern_amd64.go have checked every
+// expAVX, sigmoidAVX, tanhAVX, logAVX and log1pAVX, at the end, are
+// math.Exp, 1/(1+math.Exp(−x)), math.Tanh, math.Log and math.Log1p four
+// lanes at a time. The Go wrappers in kern_amd64.go have checked every
 // length.
 
 // HSUM leaves (s0+s1)+(s2+s3) of the lanes of Y in the low lane of X
@@ -659,13 +660,13 @@ m4Done:
 	VZEROUPPER
 	RET
 
-// func tilesAVX(acc []float64, rows, cols int, d []float64, dStart, dStep int, v []float64, vStart, vStep, pairs int)
+// func tilesAVX(acc []float64, rows, cols int, d []float64, dStart, dRow, dStep int, v []float64, vStart, vStep, pairs int)
 //
-// The tile kernel behind matTVecAdd and outerAddRows. For each row r of
-// acc (rows of cols entries, end to end), in order, and each pair t
-// from 0 to pairs−1, in order:
+// The tile kernel behind matTVecAdd, matTVecAddRows, outerAddRows and
+// addRows. For each row r of acc (rows of cols entries, end to end), in
+// order, and each pair t from 0 to pairs−1, in order:
 //
-//	acc_r += d[dStart + r + t·dStep] · v[vStart + t·vStep :][:cols]
+//	acc_r += d[dStart + r·dRow + t·dStep] · v[vStart + t·vStep :][:cols]
 //
 // (steps may be negative). A tile of acc_r — up to 24 entries in
 // Y0..Y5, or its last 1 to 3 in X0..X2 — stays in registers while every
@@ -678,8 +679,8 @@ m4Done:
 // register.
 //
 // Registers: R8 the row of acc, BX its bytes, DX the tile's first
-// byte, DI the row's d of pair 0, R13 the bytes from one pair's d to
-// the next's, R10 pair 0's v, R12 the bytes from one pair's v to the
+// byte, DI the row's d of pair 0 (dRow entries on from the last row's),
+// R13 the bytes from one pair's d to the next's, R10 pair 0's v, R12 the bytes from one pair's v to the
 // next's; R11, SI, R9 and CX walk the pairs and the tile.
 DATA negzero<>+0(SB)/8, $0x8000000000000000
 GLOBL negzero<>(SB), RODATA|NOPTR, $8
@@ -737,19 +738,19 @@ GLOBL negzero<>(SB), RODATA|NOPTR, $8
 	VMOVUPD Y4, 128(P); \
 	VMOVUPD Y5, 160(P)
 
-TEXT ·tilesAVX(SB), NOSPLIT, $0-128
+TEXT ·tilesAVX(SB), NOSPLIT, $0-136
 	MOVQ acc_base+0(FP), R8
 	MOVQ cols+32(FP), BX
 	SHLQ $3, BX
 	MOVQ d_base+40(FP), DI
 	MOVQ dStart+64(FP), AX
 	LEAQ (DI)(AX*8), DI
-	MOVQ dStep+72(FP), R13
+	MOVQ dStep+80(FP), R13
 	SHLQ $3, R13
-	MOVQ v_base+80(FP), R10
-	MOVQ vStart+104(FP), AX
+	MOVQ v_base+88(FP), R10
+	MOVQ vStart+112(FP), AX
 	LEAQ (R10)(AX*8), R10
-	MOVQ vStep+112(FP), R12
+	MOVQ vStep+120(FP), R12
 	SHLQ $3, R12
 	VBROADCASTSD negzero<>(SB), Y15
 
@@ -763,7 +764,7 @@ tTile:
 	JLT  tScalar
 	MOVQ DI, R11               // R11 = the pair's d
 	LEAQ (R10)(DX*1), SI       // SI = the pair's tile of v
-	MOVQ pairs+120(FP), R9     // R9 = pairs left
+	MOVQ pairs+128(FP), R9     // R9 = pairs left
 	CMPQ AX, $192
 	JLT  tPart
 	MOVQ $192, AX
@@ -866,7 +867,7 @@ tScalar: // the last 0 to 3 entries, one lane each
 	JZ   tNext
 	MOVQ DI, R11
 	LEAQ (R10)(DX*1), SI
-	MOVQ pairs+120(FP), R9
+	MOVQ pairs+128(FP), R9
 	LEAQ (R8)(DX*1), CX
 	VMOVSD 0(CX), X0
 	CMPQ AX, $16
@@ -903,7 +904,8 @@ tScalarStored:
 
 tNext:
 	ADDQ BX, R8
-	ADDQ $8, DI
+	MOVQ dRow+72(FP), AX
+	LEAQ (DI)(AX*8), DI
 	DECQ rows+24(FP)
 	JNZ  tRow
 	VZEROUPPER
@@ -916,6 +918,7 @@ tNext:
 // (x·(x+2) undoes each halving), then the scale by 2^e built in the
 // exponent bits. fma picks archExp's fused form (its useFMA), whose
 // reductions and Taylor steps are single VFMADD/VFNMADD roundings.
+// sigmoidAVX and tanhAVX run the same steps (the EXP macros).
 DATA expc<>+0(SB)/8, $1.4426950408889634073599246810018920  // log2(e)
 DATA expc<>+8(SB)/8, $0.69314718055966295651160180568695068359375  // ln2, upper part
 DATA expc<>+16(SB)/8, $0.28235290563031577122588448175013436025525412068e-12  // ln2, lower part
@@ -931,7 +934,106 @@ DATA expc<>+88(SB)/8, $1.0
 DATA expc<>+96(SB)/8, $2.0
 DATA expc<>+104(SB)/8, $-708.0  // expLo
 DATA expc<>+112(SB)/8, $709.0   // expHi
-GLOBL expc<>(SB), RODATA|NOPTR, $120
+DATA expc<>+120(SB)/8, $0x8000000000000000  // −0: the sign bit
+GLOBL expc<>(SB), RODATA|NOPTR, $128
+
+// The EXP macros set Y0 = exp(Y0) for arguments in [expLo, expHi]: the
+// reduction EXP_E (e = round(x·log2 e), in Y1 and as int32 lanes in X4),
+// then the plain (EXP_PLAIN) or fused (EXP_FMA) reduction, Taylor chain
+// and squarings, then EXP_SCALE. They use Y1..Y6 as scratch and read
+// the constants EXP_CONSTS pins: Y13 log2(e), Y12 and Y11 ln2's upper
+// and lower parts, Y10 1/16, Y9 1, Y8 2, and the exponent bias 0x3FF in
+// X7's four int32 lanes. Outside the range a lane's result is garbage,
+// never a fault.
+#define EXP_CONSTS \
+	VBROADCASTSD expc<>+0(SB), Y13;  \
+	VBROADCASTSD expc<>+8(SB), Y12;  \
+	VBROADCASTSD expc<>+16(SB), Y11; \
+	VBROADCASTSD expc<>+24(SB), Y10; \
+	VBROADCASTSD expc<>+88(SB), Y9;  \
+	VBROADCASTSD expc<>+96(SB), Y8;  \
+	MOVL $0x3FF, AX;                 \
+	VMOVD AX, X7;                    \
+	VPSHUFD $0, X7, X7
+
+#define EXP_E \
+	VMULPD Y13, Y0, Y1; \
+	VCVTPD2DQY Y1, X4;  \
+	VCVTDQ2PD X4, Y1
+
+#define EXP_TAYLOR(off) \
+	VMULPD Y0, Y3, Y3;               \
+	VBROADCASTSD expc<>+off(SB), Y6; \
+	VADDPD Y6, Y3, Y3
+
+#define EXP_SQUARE \
+	VADDPD Y8, Y0, Y3; \
+	VMULPD Y3, Y0, Y0
+
+#define EXP_PLAIN \
+	EXP_E;                          \
+	VMULPD Y12, Y1, Y2;             \
+	VSUBPD Y2, Y0, Y0;              \
+	VMULPD Y11, Y1, Y2;             \
+	VSUBPD Y2, Y0, Y0;              \
+	VMULPD Y10, Y0, Y0;             \
+	VBROADCASTSD expc<>+32(SB), Y3; \
+	EXP_TAYLOR(40);                 \
+	EXP_TAYLOR(48);                 \
+	EXP_TAYLOR(56);                 \
+	EXP_TAYLOR(64);                 \
+	EXP_TAYLOR(72);                 \
+	EXP_TAYLOR(80);                 \
+	VMULPD Y0, Y3, Y3;              \
+	VADDPD Y9, Y3, Y3;              \
+	VMULPD Y3, Y0, Y0;              \
+	EXP_SQUARE;                     \
+	EXP_SQUARE;                     \
+	EXP_SQUARE;                     \
+	EXP_SQUARE;                     \
+	VADDPD Y9, Y0, Y0
+
+#define EXP_FTAYLOR(off) \
+	VBROADCASTSD expc<>+off(SB), Y6; \
+	VFMADD213PD Y6, Y0, Y3
+
+#define EXP_FMA \
+	EXP_E;                          \
+	VFNMADD231PD Y12, Y1, Y0;       \
+	VFNMADD231PD Y11, Y1, Y0;       \
+	VMULPD Y10, Y0, Y0;             \
+	VBROADCASTSD expc<>+32(SB), Y3; \
+	EXP_FTAYLOR(40);                \
+	EXP_FTAYLOR(48);                \
+	EXP_FTAYLOR(56);                \
+	EXP_FTAYLOR(64);                \
+	EXP_FTAYLOR(72);                \
+	EXP_FTAYLOR(80);                \
+	VFMADD213PD Y9, Y0, Y3;         \
+	VMULPD Y3, Y0, Y0;              \
+	EXP_SQUARE;                     \
+	EXP_SQUARE;                     \
+	EXP_SQUARE;                     \
+	VADDPD Y8, Y0, Y3;              \
+	VFMADD213PD Y9, Y3, Y0
+
+#define EXP_SCALE \
+	VPADDD X7, X4, X4;          \
+	VPMOVZXDQ X4, X5;           \
+	VPSHUFD $0x0E, X4, X4;      \
+	VPMOVZXDQ X4, X4;           \
+	VPSLLQ $52, X5, X5;         \
+	VPSLLQ $52, X4, X4;         \
+	VINSERTF128 $1, X4, Y5, Y5; \
+	VMULPD Y5, Y0, Y0
+
+// EXP_RANGE sets AX's low four bits to which lanes of Y0 lie in
+// [expLo, expHi] (Y15, Y14): an ordered compare, so NaN is outside.
+#define EXP_RANGE \
+	VCMPPD $0x1D, Y15, Y0, Y1; \
+	VCMPPD $0x12, Y14, Y0, Y2; \
+	VANDPD Y2, Y1, Y1;         \
+	VMOVMSKPD Y1, AX
 
 // func expAVX(x, y []float64, fma bool) int
 //
@@ -947,109 +1049,27 @@ TEXT ·expAVX(SB), NOSPLIT, $0-64
 	SHLQ $3, CX
 	ANDQ $-32, CX              // CX = bytes of whole groups
 	XORQ DX, DX
-	VBROADCASTSD expc<>+0(SB), Y13
-	VBROADCASTSD expc<>+8(SB), Y12
-	VBROADCASTSD expc<>+16(SB), Y11
-	VBROADCASTSD expc<>+24(SB), Y10
-	VBROADCASTSD expc<>+88(SB), Y9
-	VBROADCASTSD expc<>+96(SB), Y8
 	VBROADCASTSD expc<>+104(SB), Y15
 	VBROADCASTSD expc<>+112(SB), Y14
-	MOVL $0x3FF, AX
-	VMOVD AX, X7
-	VPSHUFD $0, X7, X7         // X7 = the exponent bias, four int32 lanes
+	EXP_CONSTS
 
 exLoop:
 	CMPQ DX, CX
 	JGE  exDone
 	VMOVUPD (SI)(DX*1), Y0
-	VCMPPD  $0x1D, Y15, Y0, Y1 // GE_OQ: x >= expLo
-	VCMPPD  $0x12, Y14, Y0, Y2 // LE_OQ: x <= expHi
-	VANDPD  Y2, Y1, Y1
-	VMOVMSKPD Y1, AX
+	EXP_RANGE
 	CMPQ AX, $15
 	JNE  exDone
-	VMULPD Y13, Y0, Y1
-	VCVTPD2DQY Y1, X4          // e = x·log2(e), rounded to nearest
-	VCVTDQ2PD X4, Y1
 	TESTQ R8, R8
 	JNZ  exFMA
-
-	VMULPD Y12, Y1, Y2
-	VSUBPD Y2, Y0, Y0
-	VMULPD Y11, Y1, Y2
-	VSUBPD Y2, Y0, Y0
-	VMULPD Y10, Y0, Y0
-	VBROADCASTSD expc<>+32(SB), Y3
-	VMULPD Y0, Y3, Y3
-	VBROADCASTSD expc<>+40(SB), Y6
-	VADDPD Y6, Y3, Y3
-	VMULPD Y0, Y3, Y3
-	VBROADCASTSD expc<>+48(SB), Y6
-	VADDPD Y6, Y3, Y3
-	VMULPD Y0, Y3, Y3
-	VBROADCASTSD expc<>+56(SB), Y6
-	VADDPD Y6, Y3, Y3
-	VMULPD Y0, Y3, Y3
-	VBROADCASTSD expc<>+64(SB), Y6
-	VADDPD Y6, Y3, Y3
-	VMULPD Y0, Y3, Y3
-	VBROADCASTSD expc<>+72(SB), Y6
-	VADDPD Y6, Y3, Y3
-	VMULPD Y0, Y3, Y3
-	VBROADCASTSD expc<>+80(SB), Y6
-	VADDPD Y6, Y3, Y3
-	VMULPD Y0, Y3, Y3
-	VADDPD Y9, Y3, Y3
-	VMULPD Y3, Y0, Y0
-	VADDPD Y8, Y0, Y3
-	VMULPD Y3, Y0, Y0
-	VADDPD Y8, Y0, Y3
-	VMULPD Y3, Y0, Y0
-	VADDPD Y8, Y0, Y3
-	VMULPD Y3, Y0, Y0
-	VADDPD Y8, Y0, Y3
-	VMULPD Y3, Y0, Y0
-	VADDPD Y9, Y0, Y0
+	EXP_PLAIN
 	JMP  exScale
 
 exFMA:
-	VFNMADD231PD Y12, Y1, Y0
-	VFNMADD231PD Y11, Y1, Y0
-	VMULPD Y10, Y0, Y0
-	VBROADCASTSD expc<>+32(SB), Y3
-	VBROADCASTSD expc<>+40(SB), Y6
-	VFMADD213PD Y6, Y0, Y3
-	VBROADCASTSD expc<>+48(SB), Y6
-	VFMADD213PD Y6, Y0, Y3
-	VBROADCASTSD expc<>+56(SB), Y6
-	VFMADD213PD Y6, Y0, Y3
-	VBROADCASTSD expc<>+64(SB), Y6
-	VFMADD213PD Y6, Y0, Y3
-	VBROADCASTSD expc<>+72(SB), Y6
-	VFMADD213PD Y6, Y0, Y3
-	VBROADCASTSD expc<>+80(SB), Y6
-	VFMADD213PD Y6, Y0, Y3
-	VFMADD213PD Y9, Y0, Y3
-	VMULPD Y3, Y0, Y0
-	VADDPD Y8, Y0, Y3
-	VMULPD Y3, Y0, Y0
-	VADDPD Y8, Y0, Y3
-	VMULPD Y3, Y0, Y0
-	VADDPD Y8, Y0, Y3
-	VMULPD Y3, Y0, Y0
-	VADDPD Y8, Y0, Y3
-	VFMADD213PD Y9, Y3, Y0
+	EXP_FMA
 
 exScale:
-	VPADDD X7, X4, X4          // e + 1023
-	VPMOVZXDQ X4, X5
-	VPSHUFD $0x0E, X4, X4
-	VPMOVZXDQ X4, X4
-	VPSLLQ $52, X5, X5
-	VPSLLQ $52, X4, X4
-	VINSERTF128 $1, X4, Y5, Y5 // 2^e, four float64 lanes
-	VMULPD Y5, Y0, Y0
+	EXP_SCALE
 	VMOVUPD Y0, (DI)(DX*1)
 	ADDQ $32, DX
 	JMP  exLoop
@@ -1057,6 +1077,157 @@ exScale:
 exDone:
 	SHRQ $3, DX
 	MOVQ DX, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// func sigmoidAVX(x, y []float64, fma bool) int
+//
+// y = 1/(1+exp(−x)) for each whole group of four entries, up to the
+// first group with an −x outside [expLo, expHi] (NaN included); returns
+// the entries written. −x flips the sign bit, as Go's negation does.
+TEXT ·sigmoidAVX(SB), NOSPLIT, $0-64
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	MOVQ y_base+24(FP), DI
+	MOVBQZX fma+48(FP), R8
+	SHLQ $3, CX
+	ANDQ $-32, CX              // CX = bytes of whole groups
+	XORQ DX, DX
+	VBROADCASTSD expc<>+104(SB), Y15
+	VBROADCASTSD expc<>+112(SB), Y14
+	EXP_CONSTS
+
+sgLoop:
+	CMPQ DX, CX
+	JGE  sgDone
+	VBROADCASTSD expc<>+120(SB), Y1
+	VXORPD (SI)(DX*1), Y1, Y0  // −x
+	EXP_RANGE
+	CMPQ AX, $15
+	JNE  sgDone
+	TESTQ R8, R8
+	JNZ  sgFMA
+	EXP_PLAIN
+	JMP  sgScale
+
+sgFMA:
+	EXP_FMA
+
+sgScale:
+	EXP_SCALE
+	VADDPD Y9, Y0, Y0          // 1 + e
+	VDIVPD Y0, Y9, Y0          // 1/(1 + e)
+	VMOVUPD Y0, (DI)(DX*1)
+	ADDQ $32, DX
+	JMP  sgLoop
+
+sgDone:
+	SHRQ $3, DX
+	MOVQ DX, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// tanhAVX is math.Tanh four lanes at a time: math's tanh (tanh.go,
+// Cephes) on every lane, each branch's operations rounded as the scalar
+// code rounds them, and the branch picked per lane by blends. With
+// z = |x|: 1 − 2/(exp(2z)+1), exp by the EXP macros, where z ≥ 0.625,
+// and 1 where z > MAXLOG/2, both with x's sign; the rational
+// x + x·s·P(s)/Q(s), s = x·x, where z < 0.625; and x itself where x is
+// ±0.
+DATA tanhc<>+0(SB)/8, $-9.64399179425052238628e-1   // P0
+DATA tanhc<>+8(SB)/8, $-9.92877231001918586564e1    // P1
+DATA tanhc<>+16(SB)/8, $-1.61468768441708447952e3   // P2
+DATA tanhc<>+24(SB)/8, $1.12811678491632931402e2    // Q0
+DATA tanhc<>+32(SB)/8, $2.23548839060100448583e3    // Q1
+DATA tanhc<>+40(SB)/8, $4.84406305325125486048e3    // Q2
+DATA tanhc<>+48(SB)/8, $0.625
+DATA tanhc<>+56(SB)/8, $0x404601e678fc457b          // MAXLOG/2, log(2¹²⁷)/2
+DATA tanhc<>+64(SB)/8, $0x7FFFFFFFFFFFFFFF          // all but the sign bit
+GLOBL tanhc<>(SB), RODATA|NOPTR, $72
+
+// func tanhAVX(x, y []float64, fma bool)
+//
+// y = tanh(x) for each whole group of four entries. fma picks the fused
+// form of the exp steps, as math.Exp does. Y14 holds x, Y15 z. A group
+// with no z ≥ 0.625 skips the exp branch, whose lanes it would not
+// pick.
+TEXT ·tanhAVX(SB), NOSPLIT, $0-49
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	MOVQ y_base+24(FP), DI
+	MOVBQZX fma+48(FP), R8
+	SHLQ $3, CX
+	ANDQ $-32, CX              // CX = bytes of whole groups
+	XORQ DX, DX
+	EXP_CONSTS
+
+thLoop:
+	CMPQ DX, CX
+	JGE  thDone
+	VMOVUPD (SI)(DX*1), Y14    // x
+	VBROADCASTSD tanhc<>+64(SB), Y1
+	VANDPD Y1, Y14, Y15        // z = |x|
+	VBROADCASTSD tanhc<>+48(SB), Y6
+	VCMPPD $0x1D, Y6, Y15, Y1  // GE_OQ: z >= 0.625
+	VMOVMSKPD Y1, AX
+	TESTQ AX, AX
+	JZ   thRational            // no lane takes the exp branch
+	// Y0 = 1 − 2/(exp(2z)+1), or 1 where z > MAXLOG/2; then x's sign
+	VADDPD Y15, Y15, Y0        // 2z
+	TESTQ R8, R8
+	JNZ  thFMA
+	EXP_PLAIN
+	JMP  thScale
+
+thFMA:
+	EXP_FMA
+
+thScale:
+	EXP_SCALE
+	VADDPD Y9, Y0, Y0
+	VDIVPD Y0, Y8, Y1
+	VSUBPD Y1, Y9, Y0
+	VBROADCASTSD tanhc<>+56(SB), Y6
+	VCMPPD $0x1E, Y6, Y15, Y1  // GT_OQ: z > MAXLOG/2
+	VBLENDVPD Y1, Y9, Y0, Y0
+	VBROADCASTSD expc<>+120(SB), Y6
+	VANDPD Y6, Y14, Y6
+	VORPD Y6, Y0, Y0
+
+thRational:
+	// Y1 = x + x·s·((P0·s+P1)·s+P2) / (((s+Q0)·s+Q1)·s+Q2)
+	VMULPD Y14, Y14, Y1        // s
+	VBROADCASTSD tanhc<>+0(SB), Y2
+	VMULPD Y1, Y2, Y2
+	VBROADCASTSD tanhc<>+8(SB), Y6
+	VADDPD Y6, Y2, Y2
+	VMULPD Y1, Y2, Y2
+	VBROADCASTSD tanhc<>+16(SB), Y6
+	VADDPD Y6, Y2, Y2          // P(s)
+	VBROADCASTSD tanhc<>+24(SB), Y3
+	VADDPD Y1, Y3, Y3
+	VMULPD Y1, Y3, Y3
+	VBROADCASTSD tanhc<>+32(SB), Y6
+	VADDPD Y6, Y3, Y3
+	VMULPD Y1, Y3, Y3
+	VBROADCASTSD tanhc<>+40(SB), Y6
+	VADDPD Y6, Y3, Y3          // Q(s)
+	VMULPD Y14, Y1, Y1         // x·s
+	VMULPD Y2, Y1, Y1
+	VDIVPD Y3, Y1, Y1
+	VADDPD Y1, Y14, Y1
+	// z ≥ 0.625: Y0, else Y1; ±0: x
+	VBROADCASTSD tanhc<>+48(SB), Y6
+	VCMPPD $0x1D, Y6, Y15, Y2  // GE_OQ: z >= 0.625
+	VBLENDVPD Y2, Y0, Y1, Y0
+	VXORPD Y2, Y2, Y2
+	VCMPPD $0x00, Y2, Y14, Y2  // EQ_OQ: x == 0
+	VBLENDVPD Y2, Y14, Y0, Y0
+	VMOVUPD Y0, (DI)(DX*1)
+	ADDQ $32, DX
+	JMP  thLoop
+
+thDone:
 	VZEROUPPER
 	RET
 
@@ -1179,6 +1350,163 @@ lgLoop:
 	JMP  lgLoop
 
 lgDone:
+	SHRQ $3, DX
+	MOVQ DX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// log1pAVX is math.Log1p four lanes at a time: math's log1p (log1p.go,
+// FreeBSD's s_log1p.c) on every lane, each operation rounded as the
+// scalar code rounds it, its branches picked per lane by blends. Where
+// √2/2−1 < x < √2−1, f = x and k = 0; elsewhere u = 1+x = 2^k·(1+f)
+// with 1+f taken to [√2/2, √2) and c the rounding error of 1+x over u.
+// Then, with s = f/(2+f) and R the polynomial in s² (logAVX's), the
+// result is f − (hfsq − s·(hfsq+R)) where k = 0, else
+// k·ln2hi − ((hfsq − (s·(hfsq+R) + (k·ln2lo + c))) − f); x − x·x/2 where
+// |x| < 2⁻²⁹, and x where |x| < 2⁻⁵⁴. The scalar code's exact-power
+// shortcut (f = 0, k ≠ 0) is the general formula's value there.
+DATA log1pc<>+0(SB)/8, $-1.0                             // log1pLo
+DATA log1pc<>+8(SB)/8, $0x4340000000000000               // log1pHi: 2⁵³
+DATA log1pc<>+16(SB)/8, $0x7FFFFFFFFFFFFFFF              // all but the sign bit
+DATA log1pc<>+24(SB)/8, $0x3ff6a09e667f3bcd              // √2
+DATA log1pc<>+32(SB)/8, $4.142135623730950488017e-01     // √2−1
+DATA log1pc<>+40(SB)/8, $-2.928932188134524755992e-01    // √2/2−1
+DATA log1pc<>+48(SB)/8, $0x3e20000000000000              // 2⁻²⁹
+DATA log1pc<>+56(SB)/8, $0x3c90000000000000              // 2⁻⁵⁴
+GLOBL log1pc<>(SB), RODATA|NOPTR, $64
+
+// func log1pAVX(x, y []float64) int
+//
+// y = log1p(x) for each whole group of four entries, up to the first
+// group with an entry outside (log1pLo, log1pHi) (NaN included); returns
+// the entries written. The constants shared with log are logc's.
+TEXT ·log1pAVX(SB), NOSPLIT, $0-56
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	MOVQ y_base+24(FP), DI
+	SHLQ $3, CX
+	ANDQ $-32, CX              // CX = bytes of whole groups
+	XORQ DX, DX
+	VBROADCASTSD log1pc<>+0(SB), Y15
+	VBROADCASTSD log1pc<>+8(SB), Y14
+	VBROADCASTSD log1pc<>+16(SB), Y12
+	VBROADCASTSD logc<>+96(SB), Y9
+	MOVL $0x3FF, AX
+	VMOVD AX, X13
+	VPSHUFD $0, X13, X13       // X13 = the exponent bias, four int32 lanes
+
+lpLoop:
+	CMPQ DX, CX
+	JGE  lpDone
+	VMOVUPD (SI)(DX*1), Y0     // x
+	VCMPPD  $0x1E, Y15, Y0, Y1 // GT_OQ: x > log1pLo
+	VCMPPD  $0x11, Y14, Y0, Y2 // LT_OQ: x < log1pHi
+	VANDPD  Y2, Y1, Y1
+	VMOVMSKPD Y1, AX
+	CMPQ AX, $15
+	JNE  lpDone
+	VANDPD Y12, Y0, Y1         // |x|
+
+	// u = 1+x; c = (u ≥ 2 ? 1 − (u−x) : x − (u−1)) / u
+	VADDPD Y9, Y0, Y2          // u
+	VSUBPD Y0, Y2, Y3
+	VSUBPD Y3, Y9, Y3          // 1 − (u−x)
+	VSUBPD Y9, Y2, Y4
+	VSUBPD Y4, Y0, Y4          // x − (u−1)
+	VBROADCASTSD logc<>+104(SB), Y5
+	VCMPPD $0x1D, Y5, Y2, Y5   // GE_OQ: u ≥ 2, k > 0
+	VBLENDVPD Y5, Y3, Y4, Y3
+	VDIVPD Y2, Y3, Y3          // c
+	// k = u's exponent − 1023; 1+f = u's mantissa with exponent 0, halved
+	// (and k += 1) where it is at least √2. Then f = (1+f) − 1.
+	VEXTRACTF128 $1, Y2, X4
+	VPSRLQ $52, X2, X5
+	VPSRLQ $52, X4, X4
+	VSHUFPS $0x88, X4, X5, X5  // the four exponents, int32 lanes
+	VPSUBD X13, X5, X5
+	VCVTDQ2PD X5, Y4           // k
+	VBROADCASTSD logc<>+80(SB), Y5
+	VANDPD Y5, Y2, Y2
+	VORPD  Y9, Y2, Y2          // 1+f
+	VBROADCASTSD log1pc<>+24(SB), Y5
+	VCMPPD $0x1D, Y5, Y2, Y5   // GE_OQ: 1+f ≥ √2
+	VANDPD Y9, Y5, Y6
+	VADDPD Y6, Y4, Y4
+	VBROADCASTSD logc<>+88(SB), Y6
+	VMULPD Y6, Y2, Y6
+	VBLENDVPD Y5, Y6, Y2, Y2
+	VSUBPD Y9, Y2, Y2          // f
+	// √2/2−1 < x < √2−1: f = x, k = 0
+	VBROADCASTSD log1pc<>+32(SB), Y5
+	VCMPPD $0x11, Y5, Y1, Y5   // LT_OQ: |x| < √2−1
+	VBROADCASTSD log1pc<>+40(SB), Y6
+	VCMPPD $0x1E, Y6, Y0, Y6   // GT_OQ: x > √2/2−1
+	VANDPD Y6, Y5, Y5
+	VBLENDVPD Y5, Y0, Y2, Y2
+	VANDNPD Y4, Y5, Y4
+
+	// hfsq = 0.5·f·f; s = f/(2+f); R = z·(L1 + z·(L2 + … z·L7)), z = s·s
+	VBROADCASTSD logc<>+88(SB), Y6
+	VMULPD Y6, Y2, Y6
+	VMULPD Y2, Y6, Y6          // hfsq
+	VBROADCASTSD logc<>+104(SB), Y7
+	VADDPD Y7, Y2, Y7
+	VDIVPD Y7, Y2, Y7          // s
+	VMULPD Y7, Y7, Y8          // z
+	VBROADCASTSD logc<>+72(SB), Y10
+	VMULPD Y8, Y10, Y10
+	VBROADCASTSD logc<>+64(SB), Y11
+	VADDPD Y11, Y10, Y10
+	VMULPD Y8, Y10, Y10
+	VBROADCASTSD logc<>+56(SB), Y11
+	VADDPD Y11, Y10, Y10
+	VMULPD Y8, Y10, Y10
+	VBROADCASTSD logc<>+48(SB), Y11
+	VADDPD Y11, Y10, Y10
+	VMULPD Y8, Y10, Y10
+	VBROADCASTSD logc<>+40(SB), Y11
+	VADDPD Y11, Y10, Y10
+	VMULPD Y8, Y10, Y10
+	VBROADCASTSD logc<>+32(SB), Y11
+	VADDPD Y11, Y10, Y10
+	VMULPD Y8, Y10, Y10
+	VBROADCASTSD logc<>+24(SB), Y11
+	VADDPD Y11, Y10, Y10
+	VMULPD Y10, Y8, Y10        // R
+	VADDPD Y10, Y6, Y10
+	VMULPD Y10, Y7, Y7         // s·(hfsq+R)
+	// k = 0: f − (hfsq − s·(hfsq+R))
+	VSUBPD Y7, Y6, Y10
+	VSUBPD Y10, Y2, Y10
+	// k ≠ 0: k·ln2hi − ((hfsq − (s·(hfsq+R) + (k·ln2lo + c))) − f)
+	VBROADCASTSD logc<>+16(SB), Y11
+	VMULPD Y11, Y4, Y11
+	VADDPD Y3, Y11, Y11
+	VADDPD Y11, Y7, Y7
+	VSUBPD Y7, Y6, Y6
+	VSUBPD Y2, Y6, Y6
+	VBROADCASTSD logc<>+8(SB), Y11
+	VMULPD Y11, Y4, Y11
+	VSUBPD Y6, Y11, Y11
+	VXORPD Y5, Y5, Y5
+	VCMPPD $0x00, Y5, Y4, Y5   // EQ_OQ: k == 0
+	VBLENDVPD Y5, Y10, Y11, Y11
+	// |x| < 2⁻²⁹: x − x·x·0.5; |x| < 2⁻⁵⁴: x
+	VMULPD Y0, Y0, Y5
+	VBROADCASTSD logc<>+88(SB), Y6
+	VMULPD Y6, Y5, Y5
+	VSUBPD Y5, Y0, Y5
+	VBROADCASTSD log1pc<>+48(SB), Y6
+	VCMPPD $0x11, Y6, Y1, Y6   // LT_OQ: |x| < 2⁻²⁹
+	VBLENDVPD Y6, Y5, Y11, Y11
+	VBROADCASTSD log1pc<>+56(SB), Y6
+	VCMPPD $0x11, Y6, Y1, Y6   // LT_OQ: |x| < 2⁻⁵⁴
+	VBLENDVPD Y6, Y0, Y11, Y11
+	VMOVUPD Y11, (DI)(DX*1)
+	ADDQ $32, DX
+	JMP  lpLoop
+
+lpDone:
 	SHRQ $3, DX
 	MOVQ DX, ret+48(FP)
 	VZEROUPPER

@@ -25,7 +25,19 @@ func outerAddRows(dw []float64, rows, cols int, dy, x []float64, n int) {
 	outerAddRowsGo(dw, rows, cols, dy, x, n)
 }
 
+func matTVecAddRows(w []float64, rows, cols int, dy []float64, n int, dx []float64) {
+	matTVecAddRowsGo(w, rows, cols, dy, n, dx)
+}
+
+func addRows(acc []float64, cols int, v []float64, n int) { addRowsGo(acc, cols, v, n) }
+
 func expSlice(x, y []float64) { expGo(x, y) }
+
+func sigmoidSlice(x, y []float64) { sigmoidGo(x, y) }
+
+func tanhSlice(x, y []float64) { tanhGo(x, y) }
+
+func log1pSlice(x, y []float64) { log1pGo(x, y) }
 
 func logSlice(x, y []float64) { logGo(x, y) }
 

@@ -179,6 +179,18 @@ func checkKernels(t *testing.T, c kernelCase) {
 		if !sameBits(got, want) {
 			fail(fmt.Sprintf("outerAddRows n=%d", c.n), got, want)
 		}
+		got, want = slices.Clone(c.xs), slices.Clone(c.xs)
+		matTVecAddRows(c.w, c.rows, c.cols, c.dys, c.n, got)
+		matTVecAddRowsGo(c.w, c.rows, c.cols, c.dys, c.n, want)
+		if !sameBits(got, want) {
+			fail(fmt.Sprintf("matTVecAddRows n=%d", c.n), got, want)
+		}
+		got, want = slices.Clone(c.x), slices.Clone(c.x)
+		addRows(got, c.cols, c.xs, c.n)
+		addRowsGo(want, c.cols, c.xs, c.n)
+		if !sameBits(got, want) {
+			fail(fmt.Sprintf("addRows n=%d", c.n), got, want)
+		}
 	}
 
 	// The elementwise kernels, over the rows×cols operands.
@@ -201,6 +213,16 @@ func checkKernels(t *testing.T, c kernelCase) {
 	if !sameBits(got, want) {
 		fail("exp", got, want)
 	}
+	for _, k := range []struct {
+		name         string
+		slice, goRef func(x, y []float64)
+	}{{"sigmoid", sigmoidSlice, sigmoidGo}, {"tanh", tanhSlice, tanhGo}, {"log1p", log1pSlice, log1pGo}} {
+		k.slice(c.w, got)
+		k.goRef(c.w, want)
+		if !sameBits(got, want) {
+			fail(k.name, got, want)
+		}
+	}
 	abs := make([]float64, len(c.w)) // mostly the kernel's range: log takes |w|
 	for i, v := range c.w {
 		abs[i] = math.Abs(v)
@@ -209,6 +231,11 @@ func checkKernels(t *testing.T, c kernelCase) {
 	logGo(abs, want)
 	if !sameBits(got, want) {
 		fail("log", got, want)
+	}
+	log1pSlice(abs, got)
+	log1pGo(abs, want)
+	if !sameBits(got, want) {
+		fail("log1p of |w|", got, want)
 	}
 
 	// Three slots, then none.
@@ -297,6 +324,120 @@ func checkGRUInput(t *testing.T, h int, seed int64, fill int) {
 	}
 }
 
+// gruBackwardRef is the per-step backward the row pass (GRU.backward,
+// then GRU.paramGrads once per sequence) replaced, kept as its oracle:
+// one step's BPTT with that step's parameter gradients accumulated at
+// once — outerAdd and axpy per gate, inputGrads — between the state
+// gradient's terms. zr, rh and hc are what GRU.step left.
+func gruBackwardRef(u *GRU, x float64, prev, zr, rh, hc, dNext, dPrev []float64) {
+	H := u.HiddenN
+	z, r := zr[:H], zr[H:2*H]
+	dz, dhc, daH, drh := make([]float64, H), make([]float64, H), make([]float64, H), make([]float64, H)
+	dr, daZ, daR := make([]float64, H), make([]float64, H), make([]float64, H)
+	for i := 0; i < H; i++ {
+		dz[i] = dNext[i] * (hc[i] - prev[i])
+		dhc[i] = dNext[i] * z[i]
+		dPrev[i] = dNext[i] * (1 - z[i])
+		daH[i] = dhc[i] * (1 - hc[i]*hc[i])
+	}
+	outerAdd(u.Uh.G, H, H, daH, rh)
+	axpy(1, daH, u.Bh.G)
+	matTVecAdd(u.Uh.W, H, H, daH, drh)
+	for i := 0; i < H; i++ {
+		dr[i] = drh[i] * prev[i]
+		dPrev[i] += drh[i] * r[i]
+		daZ[i] = dz[i] * z[i] * (1 - z[i])
+		daR[i] = dr[i] * r[i] * (1 - r[i])
+	}
+	u.inputGrads(x, daZ, daR, daH)
+	outerAdd(u.Uz.G, H, H, daZ, prev)
+	axpy(1, daZ, u.Bz.G)
+	outerAdd(u.Ur.G, H, H, daR, prev)
+	axpy(1, daR, u.Br.G)
+	matTVecAdd(u.Uz.W, H, H, daZ, dPrev)
+	matTVecAdd(u.Ur.W, H, H, daR, dPrev)
+}
+
+// checkGRURows runs BPTT through a steps-long chain of a width-h GRU
+// both ways — gruBackwardRef step by step, and the row pass — from the
+// same weights, starting gradients (±0 and -0 included under the zero
+// fill), inputs, initial state and per-step gradients from the MLP, and
+// requires the same bits in every parameter gradient and in the
+// gradient on the initial state. Under the normal fill one starting
+// gradient row is ±0 and the last step's incoming gradient is ±0 in
+// places, so some gate gradients are ±0.
+func checkGRURows(t *testing.T, h, steps int, seed int64, fill int) {
+	t.Helper()
+	g := stats.NewRNG(seed)
+	draw := drawer(g, fill)
+	row := func(b []float64, i int) []float64 { return b[i*h : (i+1)*h] }
+	u := newGRU(newSlab(gruParams(h)), "g", h, g)
+	ref := newGRU(newSlab(gruParams(h)), "g", h, g)
+	for i, p := range u.Params() {
+		copy(p.W, draw(len(p.W)))
+		copy(p.G, draw(len(p.G)))
+		if fill == fillNormal && i == 2 {
+			zero(p.G) // Bz.G: the ±0 a fit's gradients start from
+			p.G[g.Intn(h)] = math.Copysign(0, -1)
+		}
+		copy(ref.Params()[i].W, p.W)
+		copy(ref.Params()[i].G, p.G)
+	}
+
+	xs, dLast, emb := draw(steps), draw(h), draw(steps*h)
+	if fill == fillNormal {
+		dLast[g.Intn(h)] = 0
+		dLast[g.Intn(h)] = math.Copysign(0, -1)
+		zero(row(emb, g.Intn(steps)))
+	}
+	hs, rh, hc := make([]float64, (steps+1)*h), make([]float64, steps*h), make([]float64, steps*h)
+	zr := make([]float64, steps*2*h)
+	copy(hs, draw(h))
+	for i := 0; i < steps; i++ {
+		u.step(xs[i], row(hs, i), row(hs, i+1), zr[2*i*h:2*(i+1)*h], row(rh, i), row(hc, i))
+	}
+
+	want, dPrev := slices.Clone(dLast), make([]float64, h)
+	for i := steps - 1; i >= 0; i-- {
+		gruBackwardRef(ref, xs[i], row(hs, i), zr[2*i*h:2*(i+1)*h], row(rh, i), row(hc, i), want, dPrev)
+		copy(want, dPrev)
+		axpy(1, row(emb, i), want)
+	}
+
+	got, drh := slices.Clone(dLast), make([]float64, h)
+	daZ, daR, daH := make([]float64, steps*h), make([]float64, steps*h), make([]float64, steps*h)
+	for i := steps - 1; i >= 0; i-- {
+		u.backward(got, row(hs, i), zr[2*i*h:2*(i+1)*h], row(rh, i), row(hc, i),
+			row(daZ, i), row(daR, i), row(daH, i), dPrev, drh)
+		got, dPrev = dPrev, got
+		axpy(1, row(emb, i), got)
+	}
+	u.paramGrads(xs, hs, rh, daZ, daR, daH, steps)
+
+	if !sameBits(got, want) {
+		t.Errorf("GRU h=%d steps=%d fill=%d: row pass and per-step BPTT differ on dh\n got: %v\nwant: %v", h, steps, fill, got, want)
+	}
+	for i, p := range u.Params() {
+		if w := ref.Params()[i].G; !sameBits(p.G, w) {
+			t.Errorf("GRU h=%d steps=%d fill=%d: row pass and per-step BPTT differ on %s\n got: %v\nwant: %v", h, steps, fill, p.Name, p.G, w)
+		}
+	}
+}
+
+// TestGRURowPassMatchesSteps is the oracle of the GRU's backward pass:
+// for every width up to the served 16 and past it, and every chain
+// length up to a served sequence (MaxSeq 32) plus one, the row pass
+// has the per-step formulation's bits.
+func TestGRURowPassMatchesSteps(t *testing.T) {
+	for h := 1; h <= 24; h++ {
+		for steps := 1; steps <= 33; steps++ {
+			for fill := 0; fill < numFills; fill++ {
+				checkGRURows(t, h, steps, int64(1000*h+10*steps+fill), fill)
+			}
+		}
+	}
+}
+
 // TestKernelsMatchGo is the assembly's oracle: on every shape around
 // the lane width and the 16-column blocks, and on every fill, each
 // kernel's result has the Go loop's bits.
@@ -340,6 +481,7 @@ func FuzzKernels(f *testing.F) {
 		n := int(uint64(seed)%33) + 1
 		checkKernels(t, newKernelCase(int(rows%80)+1, int(cols%80)+1, seed, int(fill%numFills)).withRows(n, seed, int(fill%numFills)))
 		checkGRUInput(t, int(rows%80)+1, seed, int(fill%numFills))
+		checkGRURows(t, int(rows%24)+1, n, seed, int(fill%numFills))
 	})
 }
 
@@ -381,6 +523,14 @@ func TestKernelsShortSlicesPanic(t *testing.T) {
 		{"outerAddRows/x", slices.Clone(c.dw), func(dw []float64) { outerAddRows(dw, rows, cols, c.dys, short(c.xs), n) }},
 		{"expSlice/y", make([]float64, len(c.w)), func(y []float64) { expSlice(c.w, short(y)) }},
 		{"logSlice/y", make([]float64, len(c.w)), func(y []float64) { logSlice(c.w, short(y)) }},
+		{"sigmoidSlice/y", make([]float64, len(c.w)), func(y []float64) { sigmoidSlice(c.w, short(y)) }},
+		{"tanhSlice/y", make([]float64, len(c.w)), func(y []float64) { tanhSlice(c.w, short(y)) }},
+		{"log1pSlice/y", make([]float64, len(c.w)), func(y []float64) { log1pSlice(c.w, short(y)) }},
+		{"matTVecAddRows/w", slices.Clone(c.xs), func(dx []float64) { matTVecAddRows(short(c.w), rows, cols, c.dys, n, dx) }},
+		{"matTVecAddRows/dy", slices.Clone(c.xs), func(dx []float64) { matTVecAddRows(c.w, rows, cols, short(c.dys), n, dx) }},
+		{"matTVecAddRows/dx", slices.Clone(c.xs), func(dx []float64) { matTVecAddRows(c.w, rows, cols, c.dys, n, short(dx)) }},
+		{"addRows/acc", slices.Clone(c.x), func(acc []float64) { addRows(short(acc), cols, c.xs, n) }},
+		{"addRows/v", slices.Clone(c.x), func(acc []float64) { addRows(acc, cols, short(c.xs), n) }},
 		// The elementwise kernels: one slice sets the length, each other
 		// one short panics. out is watched for writes through the
 		// short view too.
@@ -396,8 +546,8 @@ func TestKernelsShortSlicesPanic(t *testing.T) {
 		{"adamUpdate/m", slices.Clone(c.w), func(w []float64) { adamUpdate(w, clone(c.dw), short(clone(c.m)), clone(c.v), &coef) }},
 		{"adamUpdate/v", slices.Clone(c.w), func(w []float64) { adamUpdate(w, clone(c.dw), clone(c.m), short(clone(c.v)), &coef) }},
 		{"adamUpdate/g:g", slices.Clone(c.dw), func(g []float64) { adamUpdate(clone(c.w), short(g), clone(c.m), clone(c.v), &coef) }},
-		{"GRU.Step/prev", make([]float64, rows), func(out []float64) { u.Step(c.x[0], short(c.y0), nil, out) }},
-		{"GRU.Step/out", make([]float64, rows), func(out []float64) { u.Step(c.x[0], c.y0, nil, short(out)) }},
+		{"GRU.Step/prev", make([]float64, rows), func(out []float64) { u.Step(c.x[0], short(c.y0), out) }},
+		{"GRU.Step/out", make([]float64, rows), func(out []float64) { u.Step(c.x[0], c.y0, short(out)) }},
 	}
 	for _, k := range calls {
 		t.Run(k.name, func(t *testing.T) {
@@ -422,9 +572,10 @@ func TestKernelsShortSlicesPanic(t *testing.T) {
 // through the dispatch ("asm": the assembly on an AVX CPU, except
 // outerAdd below 4 columns) and through the Go loop ("go"). The
 // row-batched kernels run 16 input rows (a served sequence of ≈ 13
-// steps plus its survival row), exp runs over the rows×cols entries of
-// W and log over those of v, made positive as Adam's second moments
-// are.
+// steps plus its survival row) — matTVecAddRows at the heads', fc2's
+// and fc1's shapes is backwardRows' strided tile call — exp, the
+// sigmoid and tanh run over the rows×cols entries of W, and log and
+// log1p over those of v, made positive as Adam's second moments are.
 func BenchmarkKernels(b *testing.B) {
 	type kernel struct {
 		name        string
@@ -452,6 +603,21 @@ func BenchmarkKernels(b *testing.B) {
 		{"log",
 			func(c *kernelCase, y []float64) { logSlice(c.v, y) },
 			func(c *kernelCase, y []float64) { logGo(c.v, y) }},
+		{"sigmoid",
+			func(c *kernelCase, y []float64) { sigmoidSlice(c.w, y) },
+			func(c *kernelCase, y []float64) { sigmoidGo(c.w, y) }},
+		{"tanh",
+			func(c *kernelCase, y []float64) { tanhSlice(c.w, y) },
+			func(c *kernelCase, y []float64) { tanhGo(c.w, y) }},
+		{"log1p",
+			func(c *kernelCase, y []float64) { log1pSlice(c.v, y) },
+			func(c *kernelCase, y []float64) { log1pGo(c.v, y) }},
+		{"matTVecAddRows",
+			func(c *kernelCase, _ []float64) { matTVecAddRows(c.w, c.rows, c.cols, c.dys, c.n, c.xs) },
+			func(c *kernelCase, _ []float64) { matTVecAddRowsGo(c.w, c.rows, c.cols, c.dys, c.n, c.xs) }},
+		{"addRows",
+			func(c *kernelCase, _ []float64) { addRows(c.x, c.cols, c.xs, c.n) },
+			func(c *kernelCase, _ []float64) { addRowsGo(c.x, c.cols, c.xs, c.n) }},
 	}
 	const n = 16
 	for _, k := range kernels {

@@ -23,6 +23,16 @@ type Mixture struct {
 // K returns the number of components.
 func (m *Mixture) K() int { return len(m.W) }
 
+// sized gives a Mixture built without parameters its k-component W, Mu
+// and S.
+func (m *Mixture) sized(k int) {
+	if m.W == nil {
+		m.W = make([]float64, k)
+		m.Mu = make([]float64, k)
+		m.S = make([]float64, k)
+	}
+}
+
 // scratch returns two K-sized temporaries; callers overwrite every
 // element before reading it.
 func (m *Mixture) scratch() (a, b []float64) {
@@ -44,21 +54,27 @@ const (
 // weights, aMu means, aS pre-exp log-stddevs) into a Mixture,
 // clamping log-stddevs for numerical stability.
 func MixtureFromActivations(aW, aMu, aS []float64, out *Mixture) {
-	k := len(aW)
-	if out.W == nil {
-		out.W = make([]float64, k)
-		out.Mu = make([]float64, k)
-		out.S = make([]float64, k)
-	}
+	out.sized(len(aW))
+	// The softmax's exps and the deviations' run as one pass over the
+	// mixture's scratch, which holds w and s end to end.
+	w, s := out.scratch()
+	expArgs(aW, aS, w, s)
+	expSlice(out.tmp, out.tmp)
+	normalize(w, out.W)
+	copy(out.Mu, aMu)
+	copy(out.S, s)
+}
+
+// expArgs writes what MixtureFromActivations exponentiates: w = aW −
+// max(aW), the softmax's shifted activations, and s = aS clamped to
+// [logSClampLo, logSClampHi], the log-deviations.
+func expArgs(aW, aS, w, s []float64) {
 	maxA := math.Inf(-1)
 	for _, a := range aW {
 		if a > maxA {
 			maxA = a
 		}
 	}
-	// The softmax's exps and the deviations' run as one pass over the
-	// mixture's scratch, which holds w and s end to end.
-	w, s := out.scratch()
 	for i, a := range aW {
 		w[i] = a - maxA
 	}
@@ -71,16 +87,17 @@ func MixtureFromActivations(aW, aMu, aS []float64, out *Mixture) {
 		}
 		s[i] = a
 	}
-	expSlice(out.tmp, out.tmp)
+}
+
+// normalize sets W to the softmax weights w/Σw, given the exps w.
+func normalize(w, W []float64) {
 	sum := 0.0
 	for _, v := range w {
 		sum += v
 	}
 	for i, v := range w {
-		out.W[i] = v / sum
+		W[i] = v / sum
 	}
-	copy(out.Mu, aMu)
-	copy(out.S, s)
 }
 
 // halfLog2Pi is ½·log 2π as math.Log computes it (one ulp below the
@@ -147,11 +164,26 @@ func (m *Mixture) Sample(g *stats.RNG) float64 {
 func (m *Mixture) logTerms(r float64) (lr, maxL, sum float64, ls []float64) {
 	lr = math.Log(r)
 	ls, logS := m.scratch()
-	for i, w := range m.W {
-		ls[i] = w + minDensity
-	}
-	copy(logS, m.S)
+	logArgs(m.W, m.S, ls, logS)
 	logSlice(m.tmp, m.tmp)
+	maxL = m.logLikelihoods(lr, ls, logS)
+	expSlice(ls, ls)
+	return lr, maxL, sumOf(ls), ls
+}
+
+// logArgs writes what logTerms takes logs of: each weight plus
+// minDensity, into lw, and each deviation, into ls.
+func logArgs(W, S, lw, ls []float64) {
+	for i, w := range W {
+		lw[i] = w + minDensity
+	}
+	copy(ls, S)
+}
+
+// logLikelihoods turns ls, the log weights, into each component's log
+// w_k + log p_k(r) − maxL, given lr = log r and logS the log-deviations,
+// and returns maxL, their maximum.
+func (m *Mixture) logLikelihoods(lr float64, ls, logS []float64) (maxL float64) {
 	maxL = math.Inf(-1)
 	for i := range ls {
 		ls[i] += logNormLogPDF(lr, m.Mu[i], m.S[i], logS[i])
@@ -162,11 +194,14 @@ func (m *Mixture) logTerms(r float64) (lr, maxL, sum float64, ls []float64) {
 	for i := range ls {
 		ls[i] -= maxL
 	}
-	expSlice(ls, ls)
-	for _, v := range ls {
-		sum += v
+	return maxL
+}
+
+func sumOf(v []float64) (sum float64) {
+	for _, x := range v {
+		sum += x
 	}
-	return lr, maxL, sum, ls
+	return sum
 }
 
 // NLL returns the negative log-likelihood −log p(r), the value NLLGrad
@@ -179,6 +214,12 @@ func (m *Mixture) NLL(r float64) float64 { return -m.LogPDF(r) }
 // MixtureFromActivations from those activations.
 func (m *Mixture) NLLGrad(r float64, dAW, dAMu, dAS []float64) float64 {
 	lr, maxL, sum, ls := m.logTerms(r)
+	m.nllGrads(lr, sum, ls, dAW, dAMu, dAS)
+	return -(maxL + math.Log(sum))
+}
+
+// nllGrads is NLLGrad's gradient half, given what logTerms returns.
+func (m *Mixture) nllGrads(lr, sum float64, ls, dAW, dAMu, dAS []float64) {
 	for i := range ls {
 		post := ls[i] / sum // responsibility z_k
 		d := (lr - m.Mu[i]) / m.S[i]
@@ -186,7 +227,6 @@ func (m *Mixture) NLLGrad(r float64, dAW, dAMu, dAS []float64) float64 {
 		dAMu[i] += -post * d / m.S[i]
 		dAS[i] += post * (1 - d*d)
 	}
-	return -(maxL + math.Log(sum))
 }
 
 // survivalTerms is the probability half of SurvivalNLLGrad: it leaves

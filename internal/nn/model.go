@@ -61,10 +61,6 @@ type Net struct {
 	// whenever Version moves past it. Never serialized — checkpoints
 	// hold f64 weights only, and a resumed net re-freezes lazily.
 	frozen32 *Frozen32
-
-	// arena is forwardBackward's reusable scratch (train.go), built on
-	// first use and private to this replica. Never serialized.
-	arena *trainArena
 }
 
 // NewNet builds a freshly initialized network.
@@ -112,9 +108,9 @@ func (n *Net) Params() []*Param { return n.params }
 
 // Shadow returns a replica of n whose weights ALIAS n's backing
 // arrays (updates to n's parameters — Adam steps, snapshot restores —
-// are immediately visible) but whose gradient buffers, recurrent
-// scratch, and MLP caches are private: one gradient vector in
-// Params() order, zeroed. One goroutine may run forward/backward or
+// are immediately visible) but whose gradient buffers and recurrent
+// scratch are private: one gradient vector in Params() order, zeroed.
+// One goroutine may run forward/backward (with its own arena) or
 // PredictWith on a shadow concurrently with other shadows; Fit's
 // data-parallel workers use one shadow per slot. Only the original
 // carries optimizer state, and Fit must be called on the original.
@@ -138,27 +134,22 @@ func (n *Net) NumParams() int { return len(n.all.W) }
 // history embedding of an object with no observed interarrivals.
 func (n *Net) ZeroState() []float64 { return make([]float64, n.Cfg.Hidden) }
 
-// featTau maps an interarrival time in ticks to the GRU input feature.
-func (n *Net) featTau(tau float64) float64 {
-	if tau < 0 {
-		tau = 0
+// timeArg is the log1p argument of a time feature: the GRU input (an
+// interarrival time) and the age feature both take a time in ticks,
+// floored at 0, in units of TimeScale, as log1p(t/TimeScale).
+func (n *Net) timeArg(t float64) float64 {
+	if t < 0 {
+		t = 0
 	}
-	return math.Log1p(tau / n.Cfg.TimeScale)
+	return t / n.Cfg.TimeScale
 }
 
 func featSize(size float64) float64 { return math.Log1p(size) / 16 }
 
-func (n *Net) featAge(age float64) float64 {
-	if age < 0 {
-		age = 0
-	}
-	return math.Log1p(age / n.Cfg.TimeScale)
-}
-
 // StepEmbed advances a history embedding in place with one observed
 // interarrival time (in ticks).
 func (n *Net) StepEmbed(h []float64, tau float64) {
-	n.cell.Step(n.featTau(tau), h, nil, h)
+	n.cell.Step(math.Log1p(n.timeArg(tau)), h, h)
 }
 
 // mlpRows holds the MLP's activations for a batch of inputs, one row
@@ -217,11 +208,14 @@ func (n *Net) mixture(b *mlpRows, i int, out *Mixture) {
 
 // backwardRows backpropagates the gradients on a's head activations
 // (dAW/dAMu/dAS) through the heads and the MLP for its first rows rows.
-// The parameter gradients are summed over the rows last to first, the
-// order backpropagation through time visits them. Each layer's input
-// gradient replaces that input, which nothing reads again: y2 becomes
-// dy2, y1 dy1, and in the gradient on the input, whose first Hidden
-// entries are the gradient on the embedding.
+// Each layer's parameter gradients are summed over the rows last to
+// first, the order backpropagation through time visits them; its input
+// gradient runs over every row in one tile call per weight matrix
+// (matTVecAddRows), then one reluBackward masks the block. The heads'
+// input gradient goes to a.dy2; the later ones replace what nothing
+// reads again: y2 becomes fc2's input gradient, and in the gradient on
+// the MLP input, whose first Hidden entries are the gradient on the
+// embedding.
 func (n *Net) backwardRows(a *trainArena, rows int) {
 	H2, m, k := n.Cfg.Hidden+2, n.Cfg.MLPHidden, n.Cfg.K
 	b := &a.mlp
@@ -236,42 +230,34 @@ func (n *Net) backwardRows(a *trainArena, rows int) {
 	n.headW.backwardRows(y2, dAW, rows)
 	n.headMu.backwardRows(y2, dAMu, rows)
 	n.headS.backwardRows(y2, dAS, rows)
-	// dx is one row's input gradient, zeroed first: matTVecAdd adds.
-	dx := a.dx[:m]
-	for i := 0; i < rows; i++ {
-		zero(dx)
-		matTVecAdd(n.headW.W.W, k, m, dAW[i*k:(i+1)*k], dx)
-		matTVecAdd(n.headMu.W.W, k, m, dAMu[i*k:(i+1)*k], dx)
-		matTVecAdd(n.headS.W.W, k, m, dAS[i*k:(i+1)*k], dx)
-		y := y2[i*m : (i+1)*m]
-		reluBackward(y, dx)
-		copy(y, dx)
-	}
-	n.fc2.backwardRows(y1, y2, rows)
-	for i := 0; i < rows; i++ {
-		zero(dx)
-		matTVecAdd(n.fc2.W.W, m, m, y2[i*m:(i+1)*m], dx)
-		y := y1[i*m : (i+1)*m]
-		reluBackward(y, dx)
-		copy(y, dx)
-	}
-	n.fc1.backwardRows(in, y1, rows)
-	dx = a.dx[:H2]
-	for i := 0; i < rows; i++ {
-		zero(dx)
-		matTVecAdd(n.fc1.W.W, m, H2, y1[i*m:(i+1)*m], dx)
-		copy(in[i*H2:(i+1)*H2], dx)
-	}
+	dy2 := a.dy2[:rows*m]
+	zero(dy2)
+	matTVecAddRows(n.headW.W.W, k, m, dAW, rows, dy2)
+	matTVecAddRows(n.headMu.W.W, k, m, dAMu, rows, dy2)
+	matTVecAddRows(n.headS.W.W, k, m, dAS, rows, dy2)
+	reluBackward(y2, dy2)
+	n.fc2.backwardRows(y1, dy2, rows)
+	dy1 := y2
+	zero(dy1)
+	matTVecAddRows(n.fc2.W.W, m, m, dy2, rows, dy1)
+	reluBackward(y1, dy1)
+	n.fc1.backwardRows(in, dy1, rows)
+	zero(in)
+	matTVecAddRows(n.fc1.W.W, m, H2, dy1, rows, in)
 }
 
 // PredictScratch holds reusable buffers for repeated PredictWith and
 // PredictBatch calls on the eviction hot path; create one per caller
 // with NewPredictScratch. PredictBatch grows it to its largest batch.
-type PredictScratch struct{ b mlpRows }
+type PredictScratch struct {
+	b    mlpRows
+	feat []float64 // the batch's sizes, then ages, as log1p arguments (PredictBatch)
+	e    []float64 // the batch's shifted softmax activations, then log-deviations, as exp arguments (PredictBatch)
+}
 
 // NewPredictScratch allocates prediction buffers sized for this net.
 func (n *Net) NewPredictScratch() *PredictScratch {
-	return &PredictScratch{b: n.newMLPRows(1)}
+	return &PredictScratch{b: n.newMLPRows(1), feat: make([]float64, 2), e: make([]float64, 2*n.Cfg.K)}
 }
 
 // PredictWith computes the residual-time mixture for an object with
@@ -280,7 +266,7 @@ func (n *Net) NewPredictScratch() *PredictScratch {
 // The returned mixture is over normalized time; scale by Cfg.TimeScale
 // for ticks.
 func (n *Net) PredictWith(s *PredictScratch, h []float64, size, age float64, out *Mixture) {
-	n.setInput(&s.b, 0, h, featSize(size), n.featAge(age))
+	n.setInput(&s.b, 0, h, featSize(size), math.Log1p(n.timeArg(age)))
 	n.forwardRows(&s.b, 1)
 	n.mixture(&s.b, 0, out)
 }
@@ -292,20 +278,41 @@ type PredictInput struct {
 	Size, Age float64
 }
 
-// PredictBatch fills out[i] with the mixture for in[i], running each
-// layer once over the whole chunk (forwardRows), so every weight is
-// loaded once per four candidates. Each out[i] is bit-identical to the
-// corresponding PredictWith call.
+// PredictBatch fills out[i] with the mixture for in[i]: the size and
+// age features' log1ps as one pass, then each layer once over the whole
+// chunk (forwardRows), so every weight is loaded once per four
+// candidates, then every mixture's exps as one pass. Each out[i] is
+// bit-identical to the corresponding PredictWith call.
 func (n *Net) PredictBatch(s *PredictScratch, in []PredictInput, out []Mixture) {
-	if s.b.rows(n) < len(in) {
-		s.b = n.newMLPRows(len(in))
+	c, k := len(in), n.Cfg.K
+	if s.b.rows(n) < c {
+		s.b = n.newMLPRows(c)
+		s.feat = make([]float64, 2*c)
+		s.e = make([]float64, 2*c*k)
 	}
+	feat := s.feat[:2*c]
 	for i := range in {
-		n.setInput(&s.b, i, in[i].H, featSize(in[i].Size), n.featAge(in[i].Age))
+		feat[i] = in[i].Size
+		feat[c+i] = n.timeArg(in[i].Age)
 	}
-	n.forwardRows(&s.b, len(in))
+	log1pSlice(feat, feat)
 	for i := range in {
-		n.mixture(&s.b, i, &out[i])
+		n.setInput(&s.b, i, in[i].H, feat[i]/16, feat[c+i])
+	}
+	n.forwardRows(&s.b, c)
+	row := func(v []float64, i int) []float64 { return v[i*k : (i+1)*k] }
+	e := s.e[:2*c*k]
+	ew, es := e[:c*k], e[c*k:]
+	for i := range in {
+		expArgs(row(s.b.aW, i), row(s.b.aS, i), row(ew, i), row(es, i))
+	}
+	expSlice(e, e)
+	for i := range in {
+		o := &out[i]
+		o.sized(k)
+		normalize(row(ew, i), o.W)
+		copy(o.Mu, row(s.b.aMu, i))
+		copy(o.S, row(es, i))
 	}
 }
 

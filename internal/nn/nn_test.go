@@ -143,8 +143,8 @@ func TestGRUStepDeterministicAndBounded(t *testing.T) {
 	u := newGRU(newSlab(gruParams(8)), "g", 8, g)
 	h1 := make([]float64, 8)
 	h2 := make([]float64, 8)
-	u.Step(0.5, h1, nil, h1)
-	u.Step(0.5, h2, nil, h2)
+	u.Step(0.5, h1, h1)
+	u.Step(0.5, h2, h2)
 	for i := range h1 {
 		if h1[i] != h2[i] {
 			t.Fatalf("GRU step not deterministic at %d: %v vs %v", i, h1[i], h2[i])
@@ -172,13 +172,13 @@ func TestNetGradFiniteDifference(t *testing.T) {
 
 		lossAt := func() float64 {
 			zero(net.all.G)
-			l, _ := net.forwardBackward(seq, stats.NewRNG(99), tc, true)
+			l, _ := net.forwardBackward(new(trainArena), seq, stats.NewRNG(99), tc, true)
 			return l
 		}
 
 		// Analytic gradients.
 		zero(net.all.G)
-		net.forwardBackward(seq, stats.NewRNG(99), tc, true)
+		net.forwardBackward(new(trainArena), seq, stats.NewRNG(99), tc, true)
 		analytic := make(map[string][]float64)
 		for _, p := range net.params {
 			analytic[p.Name] = append([]float64(nil), p.G...)
@@ -208,8 +208,8 @@ func TestCellStateContracts(t *testing.T) {
 	c := newGRU(newSlab(gruParams(6)), "gru", 6, stats.NewRNG(2))
 	a := make([]float64, c.HiddenN)
 	b := make([]float64, c.HiddenN)
-	c.Step(0.7, a, nil, b) // non-aliased
-	c.Step(0.7, a, nil, a) // aliased
+	c.Step(0.7, a, b) // non-aliased
+	c.Step(0.7, a, a) // aliased
 	for i := range a {
 		if a[i] != b[i] {
 			t.Errorf("aliased step diverges at %d: %v vs %v", i, a[i], b[i])

@@ -86,12 +86,13 @@ type TrainResult struct {
 // fitState carries the reusable buffers of one Fit run: the per-slot
 // shadow replicas (slot i of a minibatch accumulates sequence i's
 // gradients; the validation pass reuses one shadow per worker), the
-// per-slot RNGs, and the slot-ordered loss/term/seed arrays every
-// parallel section writes into.
+// per-worker arenas, the per-slot RNGs, and the slot-ordered
+// loss/term/seed arrays every parallel section writes into.
 type fitState struct {
 	pool    *Pool
 	shadows []*Net
-	grads   [][]float64 // each shadow's gradient vector, reduced in slot order
+	arenas  []*trainArena // worker w's forwardBackward scratch
+	grads   [][]float64   // each shadow's gradient vector, reduced in slot order
 	rngs    []*stats.RNG
 	seeds   []int64
 	loss    []float64
@@ -104,9 +105,9 @@ func newFitState(n *Net, data []Sequence, tc TrainConfig, nVal int) *fitState {
 	if w := st.pool.Workers(); slots < w {
 		slots = w
 	}
-	// Every replica's arena is grown here, once, to the longest sequence
+	// Every worker's arena is grown here, once, to the longest sequence
 	// forwardBackward will see, so the fit's allocation count does not
-	// depend on which sequences land on which slot.
+	// depend on which sequences land on which worker.
 	longest := 0
 	for i := range data {
 		if l := len(data[i].Taus); l > longest {
@@ -122,8 +123,12 @@ func newFitState(n *Net, data []Sequence, tc TrainConfig, nVal int) *fitState {
 	for i := range st.shadows {
 		st.shadows[i] = n.Shadow()
 		st.grads[i] = st.shadows[i].all.G
-		st.shadows[i].arenaFor(longest, i < tc.Batch) // slots past Batch only validate
-		st.rngs[i] = stats.NewRNG(0)                  // reseeded before every use
+		st.rngs[i] = stats.NewRNG(0) // reseeded before every use
+	}
+	st.arenas = make([]*trainArena, st.pool.Workers())
+	for w := range st.arenas {
+		st.arenas[w] = new(trainArena)
+		st.arenas[w].grow(n, longest, true)
 	}
 	st.seeds = make([]int64, tc.Batch)
 	size := tc.Batch
@@ -182,10 +187,10 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 	trainTask := func(w, i int) {
 		rng := st.rngs[i]
 		rng.Reseed(st.seeds[i])
-		st.loss[i], st.terms[i] = st.shadows[i].forwardBackward(&data[train[start+i]], rng, tc, true)
+		st.loss[i], st.terms[i] = st.shadows[i].forwardBackward(st.arenas[w], &data[train[start+i]], rng, tc, true)
 	}
 	valTask := func(w, vi int) {
-		st.loss[vi], st.terms[vi] = st.shadows[w].forwardBackward(&data[val[vi]], nil, tc, false)
+		st.loss[vi], st.terms[vi] = st.shadows[w].forwardBackward(st.arenas[w], &data[val[vi]], nil, tc, false)
 	}
 	swap := func(i, j int) { train[i], train[j] = train[j], train[i] }
 
@@ -283,55 +288,60 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 	return res
 }
 
-// trainArena is the scratch one replica's forwardBackward reuses from
-// sequence to sequence, so a fit allocates per replica, not per
-// timestep. Its matrices have one row per MLP input — row i timestep i,
-// row m the survival term — and grow to the longest sequence the
-// replica has seen (at most MaxSeq, plus the survival row); they are
-// never shrunk. The arena belongs to the replica, so a Fit's arenas are
-// released with its fitState and a serving net, which never trains,
+// trainArena is the scratch forwardBackward reuses from sequence to
+// sequence, so a fit allocates per worker, not per timestep. Its
+// matrices have one row per timestep or per MLP input — row i timestep
+// i, MLP row m the survival term — and grow to the longest sequence
+// they have held (at most MaxSeq, plus the survival row); they are
+// never shrunk. Nothing in it outlives a call, so each of a Fit's
+// workers owns one, whichever slots it runs; a Fit's arenas are
+// released with its fitState, and a serving net, which never trains,
 // never builds one.
 //
 // Reuse keeps the arithmetic of freshly allocated buffers only if
 // every buffer that is accumulated into (+=) starts from zero:
 // forwardBackward zeroes dAW/dAMu/dAS (NLLGrad adds), backwardRows
-// zeroes dx before each row (matTVecAdd adds), and Fit's reduction
-// (reduceZero) zeroes the replica's gradient vector as it folds it into
-// the master's. Everything else is overwritten before it is read.
+// zeroes each input gradient before the tile kernel adds into it,
+// backward zeroes drh, and Fit's reduction (reduceZero) zeroes the
+// replica's gradient vector as it folds it into the master's.
+// Everything else is overwritten before it is read.
 type trainArena struct {
-	h, dh, dhPrev  []float64
-	mix            Mixture
-	mlp            mlpRows     // the MLP's inputs and activations, a row per loss term
-	target         []float64   // each row's normalized residual, or survival threshold
-	dAW, dAMu, dAS []float64   // the loss's gradients on the head activations, rows as mlp's (train only)
-	caches         []*gruCache // recurrent activations of timestep i (train only)
-	dx             []float64   // one row's gradient on a layer's input (backwardRows)
+	feat           []float64 // the GRU inputs, then each MLP row's age feature (log1p'd in one pass)
+	hs             []float64 // the recurrent state before step i (row i); row m the final state
+	zr, rh, hc     []float64 // step i's gates z and r (2·Hidden wide), r⊙h and ĥ
+	mix            Mixture   // a row's mixture, its W, Mu and S views of the rows below (lossRows)
+	mlp            mlpRows   // the MLP's inputs and activations, a row per loss term
+	mixE, mixW     []float64 // every row's softmax then deviation exps, and its weights (lossRows)
+	mixL, mixMax   []float64 // the NLL rows' log weights, log deviations and log targets, and their maxL (lossRows)
+	target         []float64 // each row's normalized residual, or survival threshold
+	dAW, dAMu, dAS []float64 // the loss's gradients on the head activations, rows as mlp's (train only)
+	dy2            []float64 // the heads' gradient on their input, rows as mlp's (backwardRows, train only)
+	daZ, daR, daH  []float64 // step i's gate gradients (train only)
+	dh, dhPrev     []float64 // the state gradient of BPTT
+	drh            []float64 // backward's scratch
 }
 
-// arenaFor returns n's arena with rows for an m-step sequence and its
-// survival term.
-func (n *Net) arenaFor(m int, train bool) *trainArena {
-	a := n.arena
-	if a == nil {
-		H := n.Cfg.Hidden
-		a = &trainArena{
-			h: make([]float64, H), dh: make([]float64, H), dhPrev: make([]float64, H),
-			dx: make([]float64, max(n.Cfg.MLPHidden, H+2)),
-		}
-		n.arena = a
+// grow gives a rows for an m-step sequence of n and its survival term.
+func (a *trainArena) grow(n *Net, m int, train bool) {
+	H := n.Cfg.Hidden
+	if a.dh == nil {
+		a.dh, a.dhPrev, a.drh = make([]float64, H), make([]float64, H), make([]float64, H)
 	}
 	rows, k := m+1, n.Cfg.K
 	if len(a.target) < rows {
+		a.feat = make([]float64, 2*rows)
+		a.hs = make([]float64, rows*H)
+		a.zr, a.rh, a.hc = make([]float64, rows*2*H), make([]float64, rows*H), make([]float64, rows*H)
 		a.mlp = n.newMLPRows(rows)
 		a.target = make([]float64, rows)
+		a.mixE, a.mixW = make([]float64, 2*rows*k), make([]float64, rows*k)
+		a.mixL, a.mixMax = make([]float64, 2*rows*k+rows), make([]float64, rows)
 	}
 	if train && len(a.dAW) < rows*k {
 		a.dAW, a.dAMu, a.dAS = make([]float64, rows*k), make([]float64, rows*k), make([]float64, rows*k)
+		a.dy2 = make([]float64, rows*n.Cfg.MLPHidden)
+		a.daZ, a.daR, a.daH = make([]float64, rows*H), make([]float64, rows*H), make([]float64, rows*H)
 	}
-	for train && len(a.caches) < m {
-		a.caches = append(a.caches, n.cell.newCache())
-	}
-	return a
 }
 
 // forwardBackward runs one sequence through the network, returning the
@@ -339,21 +349,27 @@ func (n *Net) arenaFor(m int, train bool) *trainArena {
 // accumulates parameter gradients (ages drawn ~ U[0, τ] per Eq. 5);
 // with train=false it evaluates the loss alone, deterministically (age
 // = τ/2). It is called on shadow replicas from Fit's worker goroutines,
-// so it must only touch n's own (per-shadow) state plus the shared
-// weights. All scratch comes from n's arena: in steady state it
-// allocates nothing.
+// so it must only touch n's own (per-shadow) state, the caller's arena
+// a and the shared weights. All scratch comes from a: in steady state
+// it allocates nothing.
 //
 // It runs in three passes. The GRU has a recurrence and the MLP does
 // not, so the MLP's work is batched over the sequence's rows:
 //
-//  1. the GRU over the sequence: input row i is the embedding before
-//     step i with the size and an age feature, the survival row (last)
-//     the final embedding, the ages drawn in sequence order;
-//  2. the MLP over every row at once, then each row's loss term;
+//  1. the features: the ages drawn in sequence order, the survival
+//     row's last, then every log1p of the GRU inputs and the age
+//     features as one pass; then the GRU over the sequence, each step's
+//     state and activations a row of the arena, and input row i the
+//     state before step i with the size and age features, the survival
+//     row (last) the final state;
+//  2. the MLP over every row at once, then every row's loss term
+//     (lossRows);
 //  3. the MLP's backward over every row (backwardRows), which leaves
-//     each row's gradient on its embedding, then BPTT through the GRU
-//     chain from the last step to the first.
-func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train bool) (float64, int) {
+//     each row's gradient on its embedding, then BPTT from the last
+//     step to the first, which computes the state and gate gradients
+//     alone; the GRU's parameter gradients follow from the rows, once
+//     per sequence (paramGrads).
+func (n *Net) forwardBackward(a *trainArena, seq *Sequence, g *stats.RNG, tc TrainConfig, train bool) (float64, int) {
 	taus := seq.Taus
 	if tc.MaxSeq > 0 && len(taus) > tc.MaxSeq {
 		taus = taus[len(taus)-tc.MaxSeq:]
@@ -362,9 +378,13 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 	ts := n.Cfg.TimeScale
 	fSize := featSize(seq.Size)
 
-	a := n.arenaFor(m, train)
-	h := a.h
-	zero(h)
+	a.grow(n, m, train)
+	rows := m
+	if seq.Survival > 0 {
+		rows++
+	}
+	// feat holds the m GRU inputs, then the rows' age features.
+	feat := a.feat[:m+rows]
 	for i := 0; i < m; i++ {
 		tau := taus[i]
 		if tau < 1e-9 {
@@ -380,16 +400,11 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 		if residual < 1e-9 {
 			residual = 1e-9
 		}
-		n.setInput(&a.mlp, i, h, fSize, n.featAge(age))
+		feat[i] = n.timeArg(tau)
+		feat[m+i] = n.timeArg(age)
 		a.target[i] = residual / ts
-		var c *gruCache
-		if train {
-			c = a.caches[i]
-		}
-		n.cell.Step(n.featTau(tau), h, c, h)
 	}
-	rows := m
-	if seq.Survival > 0 {
+	if rows > m {
 		v := seq.Survival
 		var age float64
 		if train {
@@ -401,41 +416,33 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 		if thresh < 1e-9 {
 			thresh = 1e-9
 		}
-		n.setInput(&a.mlp, m, h, fSize, n.featAge(age))
+		feat[2*m] = n.timeArg(age)
 		a.target[m] = thresh / ts
-		rows++
+	}
+	log1pSlice(feat, feat)
+
+	H := n.Cfg.Hidden
+	row := func(b []float64, i int) []float64 { return b[i*H : (i+1)*H] }
+	zero(row(a.hs, 0))
+	for i := 0; i < m; i++ {
+		n.setInput(&a.mlp, i, row(a.hs, i), fSize, feat[m+i])
+		n.cell.step(feat[i], row(a.hs, i), row(a.hs, i+1), a.zr[2*i*H:2*(i+1)*H], row(a.rh, i), row(a.hc, i))
+	}
+	if rows > m {
+		n.setInput(&a.mlp, m, row(a.hs, m), fSize, feat[2*m])
 	}
 
 	n.forwardRows(&a.mlp, rows)
-	mix := &a.mix
-	loss := 0.0
 	if !train {
-		for i := 0; i < rows; i++ {
-			n.mixture(&a.mlp, i, mix)
-			if i < m {
-				loss += mix.NLL(a.target[i])
-			} else {
-				loss += mix.SurvivalNLL(a.target[i])
-			}
-		}
-		return loss, rows
+		return n.lossRows(a, rows, m, false), rows
 	}
 	k := n.Cfg.K
 	zero(a.dAW[:rows*k])
 	zero(a.dAMu[:rows*k])
 	zero(a.dAS[:rows*k])
-	for i := 0; i < rows; i++ {
-		n.mixture(&a.mlp, i, mix)
-		dW, dMu, dS := a.dAW[i*k:(i+1)*k], a.dAMu[i*k:(i+1)*k], a.dAS[i*k:(i+1)*k]
-		if i < m {
-			loss += mix.NLLGrad(a.target[i], dW, dMu, dS)
-		} else {
-			loss += mix.SurvivalNLLGrad(a.target[i], dW, dMu, dS)
-		}
-	}
+	loss := n.lossRows(a, rows, m, true)
 
 	n.backwardRows(a, rows)
-	H := n.Cfg.Hidden
 	embGrad := func(i int) []float64 { return a.mlp.in[i*(H+2) : i*(H+2)+H] }
 	dh, dhPrev := a.dh, a.dhPrev
 	zero(dh)
@@ -443,11 +450,76 @@ func (n *Net) forwardBackward(seq *Sequence, g *stats.RNG, tc TrainConfig, train
 		axpy(1, embGrad(m), dh)
 	}
 	for i := m - 1; i >= 0; i-- {
-		n.cell.Backward(a.caches[i], dh, dhPrev)
-		copy(dh, dhPrev)
+		n.cell.backward(dh, row(a.hs, i), a.zr[2*i*H:2*(i+1)*H], row(a.rh, i), row(a.hc, i),
+			row(a.daZ, i), row(a.daR, i), row(a.daH, i), dhPrev, a.drh)
+		dh, dhPrev = dhPrev, dh
 		axpy(1, embGrad(i), dh)
 	}
+	n.cell.paramGrads(feat[:m], a.hs, a.rh, a.daZ, a.daR, a.daH, m)
 	return loss, rows
+}
+
+// lossRows returns the summed loss of a's first rows MLP rows: rows 0
+// to m−1 are NLL terms of their targets, and a row m the survival term.
+// With train it also accumulates each row's gradients on its head
+// activations into dAW/dAMu/dAS. Each row's mixture and term have the
+// bits of MixtureFromActivations and NLLGrad (NLL, SurvivalNLLGrad,
+// SurvivalNLL) on that row, and the terms add in row order; but the
+// exps of every row's mixture run as one pass, and so do the NLL rows'
+// logs and their likelihoods' exps.
+func (n *Net) lossRows(a *trainArena, rows, m int, train bool) float64 {
+	k, b := n.Cfg.K, &a.mlp
+	row := func(v []float64, i int) []float64 { return v[i*k : (i+1)*k] }
+	// The mixtures: each row's shifted softmax activations, then each
+	// row's clamped log-deviations, exponentiated as one pass.
+	e, W := a.mixE[:2*rows*k], a.mixW[:rows*k]
+	ew, es := e[:rows*k], e[rows*k:]
+	for i := 0; i < rows; i++ {
+		expArgs(row(b.aW, i), row(b.aS, i), row(ew, i), row(es, i))
+	}
+	expSlice(e, e)
+	for i := 0; i < rows; i++ {
+		normalize(row(ew, i), row(W, i))
+	}
+	mix := &a.mix
+	at := func(i int) *Mixture {
+		mix.W, mix.Mu, mix.S = row(W, i), row(b.aMu, i), row(es, i)
+		return mix
+	}
+
+	// The NLL rows' likelihoods: the logs of the weights, of the
+	// deviations and of the targets as one pass, then each row's scaled
+	// likelihoods, exponentiated as one pass.
+	l := a.mixL[:2*m*k+m]
+	lw, lS, lr := l[:m*k], l[m*k:2*m*k], l[2*m*k:]
+	for i := 0; i < m; i++ {
+		logArgs(row(W, i), row(es, i), row(lw, i), row(lS, i))
+		lr[i] = a.target[i]
+	}
+	logSlice(l, l)
+	maxL := a.mixMax[:m]
+	for i := 0; i < m; i++ {
+		maxL[i] = at(i).logLikelihoods(lr[i], row(lw, i), row(lS, i))
+	}
+	expSlice(lw, lw)
+
+	loss := 0.0
+	for i := 0; i < m; i++ {
+		ls := row(lw, i)
+		sum := sumOf(ls)
+		if train {
+			at(i).nllGrads(lr[i], sum, ls, row(a.dAW, i), row(a.dAMu, i), row(a.dAS, i))
+		}
+		loss += -(maxL[i] + math.Log(sum))
+	}
+	if rows > m {
+		if train {
+			loss += at(m).SurvivalNLLGrad(a.target[m], row(a.dAW, m), row(a.dAMu, m), row(a.dAS, m))
+		} else {
+			loss += at(m).SurvivalNLL(a.target[m])
+		}
+	}
+	return loss
 }
 
 // abortDiverged finalizes a guard-tripped Fit: the pre-fit snapshot

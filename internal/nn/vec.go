@@ -10,8 +10,8 @@
 // their matrix kernels are where a fit spends its time. Each kernel is
 // a Go loop with four accumulator chains that break the floating-point
 // dependency chain (this file). On amd64 CPUs with AVX, matVec,
-// matTVecAdd and outerAdd and their row-batched forms matVecRows and
-// outerAddRows run as assembly (kern_amd64.s) whose four 256-bit lanes
+// matTVecAdd and outerAdd and their row-batched forms matVecRows,
+// matTVecAddRows, outerAddRows and addRows run as assembly (kern_amd64.s) whose four 256-bit lanes
 // are exactly those four chains — multiply then add, never fused,
 // summed across lanes as (s0+s1)+(s2+s3) — so both paths produce the
 // same bits, and the Go loops are the oracle the kernel tests compare
@@ -22,9 +22,12 @@
 // elementwise passes — the ReLU masks, the shard reduction, Adam's
 // update and the finiteness check — have AVX forms too, four entries
 // per instruction with each operation rounded as the Go loop rounds
-// it, and so do math.Exp and math.Log (expSlice, logSlice): math's own
-// amd64 algorithms four lanes at a time, exp's fused form exactly where
-// math takes it, every argument outside a kernel's range left to math.
+// it, and so do math.Exp, math.Log, math.Tanh and math.Log1p and the
+// gates' sigmoid (expSlice, logSlice, tanhSlice, log1pSlice,
+// sigmoidSlice): math's own algorithms four lanes at a time, exp's
+// fused form exactly where math takes it, each branch of tanh and log1p
+// picked per lane by a blend, every argument outside a kernel's range
+// left to math.
 // The training
 // loop exploits data parallelism across sequences through the
 // fork-join Pool in pool.go (the package's single sanctioned source of
@@ -155,6 +158,22 @@ func outerAddRowsGo(dw []float64, rows, cols int, dy, x []float64, n int) {
 	}
 }
 
+// matTVecAddRowsGo is matTVecAddGo over n rows: dx_i += W^T * dy_i for
+// i = 0 to n−1, with dy_i at dy[i*rows:] and dx_i at dx[i*cols:].
+func matTVecAddRowsGo(w []float64, rows, cols int, dy []float64, n int, dx []float64) {
+	for i := 0; i < n; i++ {
+		matTVecAddGo(w, rows, cols, dy[i*rows:(i+1)*rows], dx[i*cols:(i+1)*cols])
+	}
+}
+
+// addRowsGo adds the n rows of v (cols wide, end to end) into acc, last
+// row first, each as axpy(1, v_i, acc) adds it.
+func addRowsGo(acc []float64, cols int, v []float64, n int) {
+	for i := n - 1; i >= 0; i-- {
+		axpy(1, v[i*cols:(i+1)*cols], acc[:cols])
+	}
+}
+
 // expLo and expHi bound the arguments expSlice's assembly takes: inside
 // them archExp scales by a normal 2^e, with no overflow, underflow or
 // denormal step. Everything else — ±Inf and NaN too — is math.Exp's.
@@ -187,6 +206,46 @@ func logGo(x, y []float64) {
 	y = y[:len(x)]
 	for i, v := range x {
 		y[i] = math.Log(v)
+	}
+}
+
+// sigmoidGo sets y_i = 1/(1+math.Exp(−x_i)), the gates' logistic
+// sigmoid. x and y may alias. Its assembly takes the groups whose −x_i
+// all lie in [expLo, expHi].
+func sigmoidGo(x, y []float64) {
+	checkLen(y, len(x))
+	y = y[:len(x)]
+	for i, v := range x {
+		y[i] = 1 / (1 + math.Exp(-v))
+	}
+}
+
+// tanhGo sets y_i = math.Tanh(x_i). x and y may alias. Its assembly
+// takes every argument: math.tanh's saturation and sign are blends
+// there, not special cases.
+func tanhGo(x, y []float64) {
+	checkLen(y, len(x))
+	y = y[:len(x)]
+	for i, v := range x {
+		y[i] = math.Tanh(v)
+	}
+}
+
+// log1pLo and log1pHi bound, exclusively, the arguments log1pSlice's
+// assembly takes: there math.log1p takes none of its special cases, nor
+// the branch of |x| ≥ 2⁵³, where 1+x is x. Everything else — −1 and
+// below, −Inf, +Inf and NaN — is math.Log1p's.
+const (
+	log1pLo = -1.0
+	log1pHi = 0x1p53
+)
+
+// log1pGo sets y_i = math.Log1p(x_i). x and y may alias.
+func log1pGo(x, y []float64) {
+	checkLen(y, len(x))
+	y = y[:len(x)]
+	for i, v := range x {
+		y[i] = math.Log1p(v)
 	}
 }
 

@@ -30,10 +30,13 @@
 #   determinism  the same-program referees: the pinned fit and Raven
 #                replay hashes, the pinned fits again with every amd64
 #                kernel on its Go loop (TestFitGoldenBytesGoKernels, on
-#                amd64 hosts), the four-lane exp and log kernels against
-#                math.Exp and math.Log bit for bit (TestExpMatchesMath,
-#                TestLogMatchesMath: 2×10⁷ arguments each and the
-#                overflow, denormal and special-value edges), fits and
+#                amd64 hosts), the four-lane exp, log, tanh, log1p and
+#                sigmoid kernels against math bit for bit
+#                (TestExpMatchesMath, TestLogMatchesMath,
+#                TestTanhMatchesMath with the gate sigmoid against
+#                1/(1+math.Exp(−x)), TestLog1pMatchesMath: 2×10⁷
+#                arguments each and the overflow, denormal, branch-bound
+#                and special-value edges), fits and
 #                replays bit-exact across worker counts (guarded fits
 #                with injected faults too), admission replays bit-exact across runs and worker
 #                counts, the score cache's stamped scores bit-exact across
@@ -180,7 +183,7 @@ stage_lint() {
 
 stage_determinism() {
     echo "==> same program: pinned fit hashes (assembly and, on amd64, Go kernels) and fits bit-exact across worker counts, guarded and faulted ones too"
-    local fit_names='TestFitGoldenBytes|TestFitWorkersBitExact|TestGuardedFitWorkersBitExact|TestExpMatchesMath|TestLogMatchesMath'
+    local fit_names='TestFitGoldenBytes|TestFitWorkersBitExact|TestGuardedFitWorkersBitExact|TestExpMatchesMath|TestLogMatchesMath|TestTanhMatchesMath|TestLog1pMatchesMath'
     # Off amd64 useAVX is a constant, and the Go-kernel run does not exist.
     if [[ "$(go env GOARCH)" == amd64 ]]; then
         fit_names+='|TestFitGoldenBytesGoKernels'
