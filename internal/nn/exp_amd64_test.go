@@ -78,12 +78,32 @@ func expRef(x float64, fused bool) float64 {
 	return x * math.Float64frombits(uint64(uint32(b))<<52)
 }
 
+// tanhRef is math.tanh (tanh.go) with its exp taken from expRef's
+// given form; its other branches have no exp and are math.Tanh's.
+func tanhRef(x float64, fused bool) float64 {
+	const maxLog = 8.8029691931113054295988e+01
+	z := math.Abs(x)
+	switch {
+	case z > 0.5*maxLog:
+		return math.Copysign(1, x)
+	case z >= 0.625:
+		s := expRef(2*z, fused)
+		z = 1 - 2/(s+1)
+		if x < 0 {
+			z = -z
+		}
+		return z
+	}
+	return math.Tanh(x)
+}
+
 // TestExpKernelMatchesReference checks expRef's two forms against what
-// they model and the kernel against both. The host's form must be
-// math.Exp, bit for bit; then the kernel, with its FMA switch forced
-// each way (the fused way only on a CPU with FMA), must be that form of
-// expRef on every argument it takes, so the plain form the kernel runs
-// on CPUs without FMA is tested on one with it.
+// they model and the kernels that run its steps — exp, the sigmoid and
+// tanh — against both. The host's form must be math.Exp, bit for bit
+// (and tanhRef's math.Tanh); then each kernel, with its FMA switch
+// forced each way (the fused way only on a CPU with FMA), must be that
+// form of the reference on every argument it takes, so the plain form
+// the kernels run on CPUs without FMA is tested on one with it.
 func TestExpKernelMatchesReference(t *testing.T) {
 	if !useAVX {
 		t.Skip("no AVX on this CPU: expSlice is math.Exp")
@@ -101,6 +121,18 @@ func TestExpKernelMatchesReference(t *testing.T) {
 			t.Fatalf("expRef(%v, fused=%t) = %v, math.Exp %v", v, useFMA, got, want)
 		}
 	}
+	// tanh's arguments: its rational, exp and saturated branches.
+	tanhArgs := make([]float64, n)
+	for i := range tanhArgs {
+		tanhArgs[i] = -50 + 100*g.Float64()
+		if got, want := tanhRef(tanhArgs[i], useFMA), math.Tanh(tanhArgs[i]); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("tanhRef(%v, fused=%t) = %v, math.Tanh %v", tanhArgs[i], useFMA, got, want)
+		}
+	}
+	negated := make([]float64, n)
+	for i, v := range inRange {
+		negated[i] = -v
+	}
 	forms := []bool{false}
 	if hasFMA() {
 		forms = append(forms, true)
@@ -117,6 +149,20 @@ func TestExpKernelMatchesReference(t *testing.T) {
 			}
 			if expRef(v, !fused) != got[i] {
 				differ++
+			}
+		}
+		if done := sigmoidAVX(negated, got, fused); done != n {
+			t.Fatalf("fused=%t: the sigmoid kernel stopped at %d of %d in-range arguments", fused, done, n)
+		}
+		for i, v := range inRange {
+			if want := 1 / (1 + expRef(v, fused)); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("fused=%t: kernel sigmoid(%v) = %v, reference %v", fused, -v, got[i], want)
+			}
+		}
+		tanhAVX(tanhArgs, got, fused)
+		for i, v := range tanhArgs {
+			if want := tanhRef(v, fused); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("fused=%t: kernel tanh(%v) = %v, tanhRef %v", fused, v, got[i], want)
 			}
 		}
 	}
