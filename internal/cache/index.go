@@ -78,6 +78,16 @@ func (ix *HandleIndex) Find(k Key) uint32 {
 	}
 }
 
+// Reset empties the index. Every sub-table keeps its slots, so refilling
+// it to its old size allocates nothing.
+func (ix *HandleIndex) Reset() {
+	for i := range ix.subs {
+		clear(ix.subs[i].slots)
+		ix.subs[i].n = 0
+	}
+	ix.n = 0
+}
+
 // Bytes returns the bytes the index's slots occupy.
 func (ix *HandleIndex) Bytes() int64 { return ix.bytes }
 

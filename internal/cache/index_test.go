@@ -218,6 +218,39 @@ func TestHandleIndexGrowsOneSubTable(t *testing.T) {
 	}
 }
 
+// TestHandleIndexReset: a reset index finds none of its keys, and
+// refilling it with as many keys reuses every sub-table's slots.
+func TestHandleIndexReset(t *testing.T) {
+	m := newIndexModel()
+	for k := Key(0); k < 5000; k++ {
+		m.insert(k)
+	}
+	before := m.ix.subs
+	bytes := m.ix.Bytes()
+	m.ix.Reset()
+	for k, h := range m.ref {
+		m.free = append(m.free, h)
+		delete(m.ref, k)
+	}
+	if err := m.check([]Key{0, 1, 4999}); err != nil {
+		t.Fatalf("after Reset: %v", err)
+	}
+	for k := Key(0); k < 5000; k++ {
+		m.insert(k)
+	}
+	if err := m.check(nil); err != nil {
+		t.Fatalf("after refilling: %v", err)
+	}
+	for i := range m.ix.subs {
+		if s, was := &m.ix.subs[i], &before[i]; len(s.slots) != len(was.slots) || len(s.slots) > 0 && &s.slots[0] != &was.slots[0] {
+			t.Fatalf("refilling sub-table %d replaced its slots", i)
+		}
+	}
+	if m.ix.Bytes() != bytes {
+		t.Errorf("Bytes = %d after a reset and refill, %d before", m.ix.Bytes(), bytes)
+	}
+}
+
 // TestHandleIndexHashBitsAreNotAMatch: a slot whose hash bits equal the
 // probe's but whose record holds another key is passed over. Two keys
 // that share 32 hash bits and a sub-table are too rare to draw, so the

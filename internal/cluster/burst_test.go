@@ -151,9 +151,10 @@ func TestBurstOneRoundTripPerNode(t *testing.T) {
 }
 
 // burstFleet is a three-node fleet behind a router and a front server,
-// for faults mid-burst. The nodes read two frames at a time, so they
-// flush replies every two requests: a batch that dies part-way has an
-// answered prefix and an unanswered rest, as on a real network.
+// for faults mid-burst. The nodes read two frames at a time (the
+// ReadFrames fault), so they flush replies every two requests: a batch
+// that dies part-way has an answered prefix and an unanswered rest, as
+// on a real network.
 type burstFleet struct {
 	addrs []string
 	srvs  []*server.Server
@@ -167,11 +168,14 @@ func newBurstFleet(t *testing.T, nodeFaults func(i int) *server.Faults, mod func
 	t.Helper()
 	f := &burstFleet{}
 	f.addrs, f.srvs = startBackends(t, 3, 1<<20, func(i int, c *server.Config) {
-		c.ReadBuf = 1 // floored to two frames
 		c.DrainTimeout = time.Millisecond
+		c.Faults = &server.Faults{}
 		if nodeFaults != nil {
-			c.Faults = nodeFaults(i)
+			if nf := nodeFaults(i); nf != nil {
+				c.Faults = nf
+			}
 		}
+		c.Faults.ReadFrames = 2
 	})
 	f.ring = shadowRing(t, 42, f.addrs)
 	f.r = newTestRouter(t, f.addrs, func(c *Config) {

@@ -19,22 +19,23 @@ func (r *Raven) PredictNextArrival(req cache.Request) (int64, bool) {
 	if h == 0 {
 		return 0, false
 	}
-	return r.predictArrival(r.tab.recs.At(h))
+	return r.predictArrival(r.tab.recs.At(h), req.Size)
 }
 
-// predictArrival computes the deterministic expected next arrival of rc:
+// predictArrival computes the deterministic expected next arrival of rc,
+// requested at the given size:
 // lastSeen + TimeScale * E[exp(z)] where z is the predicted
 // log-residual mixture — the lognormal mixture mean
 // sum_k w_k * exp(mu_k + s_k^2/2), exponent-clamped like the fast
 // path. It is the mean of the residual itself, not the score cache's
 // exp of its mean log (fastpath.go stampArrival); like the stamp, it
 // consumes no RNG, so admission never perturbs the eviction stream.
-func (r *Raven) predictArrival(rc *rec) (int64, bool) {
+func (r *Raven) predictArrival(rc *rec, size int64) (int64, bool) {
 	if r.pred == nil {
 		r.pred = r.net.NewPredictScratch()
 	}
 	age := float64(r.now - rc.lastSeen)
-	r.net.PredictWith(r.pred, r.embedding(rc), float64(rc.size), age, &r.predMix)
+	r.net.PredictWith(r.pred, r.embedding(rc), float64(size), age, &r.predMix)
 	if !mixtureFinite(&r.predMix) {
 		return 0, false
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
@@ -43,33 +44,33 @@ func TestRingPushBounded(t *testing.T) {
 	}
 }
 
-// markedWindow drives a window the way Raven does, keeping each key's
-// winMark for it.
+// markedWindow drives a window the way Raven does, giving each key a
+// record handle of its own for the window to name it by.
 type markedWindow struct {
 	*window
-	marks map[cache.Key]*winMark
+	handles map[cache.Key]uint32
 }
 
 func newMarkedWindow(budgetBytes int64, maxObjects, maxSeq int, seed int64) *markedWindow {
 	return &markedWindow{
-		window: newWindow(budgetBytes, maxObjects, maxSeq, stats.NewRNG(seed)),
-		marks:  map[cache.Key]*winMark{},
+		window:  newWindow(budgetBytes, maxObjects, maxSeq, stats.NewRNG(seed)),
+		handles: map[cache.Key]uint32{},
 	}
 }
 
 func (w *markedWindow) record(req cache.Request) {
-	m := w.marks[req.Key]
-	if m == nil {
-		m = &winMark{}
-		w.marks[req.Key] = m
+	h := w.handles[req.Key]
+	if h == 0 {
+		h = uint32(len(w.handles) + 1)
+		w.handles[req.Key] = h
 	}
-	w.window.record(req, m)
+	w.window.record(req, h)
 }
 
 // taus returns what the window recorded for key (nil if not sampled).
 func (w *markedWindow) taus(key cache.Key) []float64 {
-	if m := w.marks[key]; m != nil && m.gen == w.gen && m.slot >= 0 {
-		return w.sampled[m.slot].taus
+	if h := w.handles[key]; w.taken.has(h) {
+		return w.sampled[w.slots.Find(cache.Key(h))-1].taus
 	}
 	return nil
 }
@@ -373,5 +374,152 @@ func TestWindowMatchesMapWindow(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refWindow is the window as it stood when each key's record carried a
+// winMark — the window's generation when it first saw the key, and the
+// key's slot in the sample or -1 — kept here in a map by key. A key the
+// table drops loses its mark with its record, so if it comes back it is
+// new to the window.
+type refWindow struct {
+	budgetBytes  int64
+	maxObjects   int
+	maxSeq       int
+	rng          *stats.RNG
+	gen          uint32
+	marks        map[cache.Key]*refMark
+	sampledBytes int64
+	sampled      []winSample
+	sampleProb   float64
+}
+
+type refMark struct {
+	gen  uint32
+	slot int32
+}
+
+func (w *refWindow) reset() {
+	w.gen++
+	w.sampledBytes, w.sampled, w.sampleProb = 0, nil, 1
+}
+
+func (w *refWindow) record(req cache.Request) {
+	m := w.marks[req.Key]
+	if m == nil {
+		m = &refMark{}
+		w.marks[req.Key] = m
+	}
+	if m.gen == w.gen {
+		if m.slot < 0 {
+			return
+		}
+		s := &w.sampled[m.slot]
+		tau := max(float64(req.Time-s.last), 1)
+		if w.maxSeq > 0 && len(s.taus) >= 2*w.maxSeq {
+			s.taus = append(slices.Clone(s.taus[1:]), tau)
+		} else {
+			s.taus = append(s.taus, tau)
+		}
+		s.last = req.Time
+		return
+	}
+	m.gen = w.gen
+	full := (w.budgetBytes > 0 && w.sampledBytes >= w.budgetBytes) ||
+		(w.maxObjects > 0 && len(w.sampled) >= w.maxObjects)
+	if full || w.rng.Float64() >= w.sampleProb {
+		m.slot = -1
+		return
+	}
+	m.slot = int32(len(w.sampled))
+	w.sampled = append(w.sampled, winSample{key: req.Key, last: req.Time, size: req.Size})
+	w.sampledBytes += req.Size
+	if frac := float64(w.sampledBytes) / float64(w.budgetBytes); w.budgetBytes > 0 && frac > 0.5 {
+		w.sampleProb = max(1-(frac-0.5)*1.6, 0.05)
+	}
+}
+
+// sequences lists the samples by key, ties in sampling order.
+func (w *refWindow) sequences(end int64) (out []nn.Sequence) {
+	byKey := slices.Clone(w.sampled)
+	slices.SortStableFunc(byKey, func(a, b winSample) int { return cmp.Compare(a.key, b.key) })
+	for _, s := range byKey {
+		seq := nn.Sequence{Taus: s.taus, Size: float64(s.size), Survival: float64(end - s.last)}
+		if len(seq.Taus) > 0 || seq.Survival > 0 {
+			out = append(out, seq)
+		}
+	}
+	return out
+}
+
+// TestWindowMatchesReference: Raven's handle-keyed window, fed through
+// observe with a ghost floor so small that the trim drops sampled keys
+// mid-window and reissues their handles to new keys, takes the same keys
+// with the same taus as the winMark reference, yields the same
+// sequences at every rollover, and leaves its RNG at the same position.
+func TestWindowMatchesReference(t *testing.T) {
+	var droppedTaken, reissued, rollovers int
+	f := func(seed int64) bool {
+		g := stats.NewRNG(seed)
+		budget, maxObj, maxSeq := int64(g.Intn(3))*400, g.Intn(3)*20, 1+g.Intn(4)
+		r := New(Config{TrainWindow: 1 << 40, Seed: seed})
+		r.tab.floor = 4 + g.Intn(12)
+		r.window = newWindow(budget, maxObj, maxSeq, stats.NewRNG(seed))
+		ref := &refWindow{budgetBytes: budget, maxObjects: maxObj, maxSeq: maxSeq, rng: stats.NewRNG(seed), marks: map[cache.Key]*refMark{}}
+		ref.reset()
+		seenHandles := map[uint32]bool{} // handles the window saw this window
+		now := int64(0)
+		for win := 0; win < 5; win++ {
+			for i := 100 + g.Intn(400); i > 0; i-- {
+				now += int64(g.Intn(3))
+				req := cache.Request{Time: now, Key: cache.Key(g.Intn(60)), Size: 1 + int64(g.Intn(40))}
+				fresh := r.tab.index.Find(req.Key) == 0
+				r.OnMiss(req)
+				h := r.tab.index.Find(req.Key)
+				if fresh && seenHandles[h] {
+					reissued++
+				}
+				seenHandles[h] = true
+				for k, m := range ref.marks {
+					if r.tab.index.Find(k) == 0 {
+						if m.gen == ref.gen && m.slot >= 0 {
+							droppedTaken++
+						}
+						delete(ref.marks, k)
+					}
+				}
+				ref.record(req)
+				if !slices.EqualFunc(r.window.sampled, ref.sampled, func(a, b winSample) bool {
+					return a.key == b.key && a.last == b.last && a.size == b.size && slices.Equal(a.taus, b.taus)
+				}) {
+					t.Logf("seed %d window %d: sampled %d keys, reference %d", seed, win, len(r.window.sampled), len(ref.sampled))
+					return false
+				}
+			}
+			got, _ := r.window.sequences(now)
+			want := ref.sequences(now)
+			if !slices.EqualFunc(got, want, func(a, b nn.Sequence) bool {
+				return a.Size == b.Size && a.Survival == b.Survival && slices.Equal(a.Taus, b.Taus)
+			}) {
+				t.Logf("seed %d window %d: %d sequences, reference %d", seed, win, len(got), len(want))
+				return false
+			}
+			if a, b := r.window.rng.Int63(), ref.rng.Int63(); a != b {
+				t.Logf("seed %d window %d: the RNGs have drifted apart", seed, win)
+				return false
+			}
+			r.window.reset(now)
+			ref.reset()
+			clear(seenHandles)
+			rollovers++
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+	if droppedTaken == 0 || reissued == 0 || rollovers == 0 {
+		t.Errorf("coverage: %d sampled keys dropped mid-window, %d handles reissued within a window, %d rollovers; want each > 0",
+			droppedTaken, reissued, rollovers)
 	}
 }

@@ -107,7 +107,7 @@ func (r *Raven) predict(dirty []int, ver int, budget time.Duration, deadline tim
 		chunk := dirty[start:end]
 		for ci, j := range chunk {
 			rc := r.scrRec[j]
-			r.scrIn[start+ci] = nn.PredictInput{H: r.embedding(rc), Size: float64(rc.size), Age: float64(r.now - rc.lastSeen)}
+			r.scrIn[start+ci] = nn.PredictInput{H: r.embedding(rc), Size: float64(r.scrSize[j]), Age: float64(r.now - rc.lastSeen)}
 		}
 		in := r.scrIn[start:end]
 		mixes := r.scrMix[start:end]

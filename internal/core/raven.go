@@ -196,11 +196,11 @@ func (r *Raven) MetadataBytesPerObject() int64 {
 
 // RecordBytes is what every known key costs in the record table,
 // cached or not: the core record. From its second sighting a key also
-// holds a ring: 8 B plus 8 B per tau of its class, RingBytes once it
-// holds the full history.
+// holds a ring: 8 B per tau of its class, RingBytes once it holds the
+// full history.
 const (
 	RecordBytes = int64(unsafe.Sizeof(rec{}))
-	RingBytes   = 8 * (1 + historyLen)
+	RingBytes   = 8 * historyLen
 )
 
 // Net returns the current model (nil before the first training).
@@ -222,12 +222,12 @@ func (r *Raven) observe(req cache.Request) uint32 {
 	h := t.find(req.Key)
 	fresh := h == 0
 	if fresh {
-		h = t.insert(req.Key, req.Time, req.Size)
+		h = t.insert(req.Key, req.Time)
 		r.obs.HistoryRecords.Add(1)
 		r.trim(h)
 	}
 	rc := t.recs.At(h)
-	r.window.record(req, &rc.win)
+	r.window.record(req, h)
 	if !fresh {
 		tau := float64(req.Time - rc.lastSeen)
 		if tau < 1 {
@@ -235,19 +235,18 @@ func (r *Raven) observe(req cache.Request) uint32 {
 		}
 		t.pushTau(rc, tau)
 		rc.lastSeen = req.Time
-		rc.size = req.Size
 		resident := false
 		if rc.res != 0 {
 			sd := t.sides.At(rc.res)
 			resident = sd.pos >= 0
+			sd.size = req.Size
 			sd.epoch++ // the history advanced: any cached score is now stale
 			if r.net != nil && int(sd.embVer) == r.net.Version {
-				r.net.StepEmbed(t.emb(rc.res), tau)
+				r.net.StepEmbed(t.emb(sd), tau)
 			} else if !resident {
 				// A ghost kept for an embedding that a model swap has
 				// since made stale.
-				t.sides.Release(rc.res)
-				rc.res = 0
+				t.releaseSide(rc)
 			}
 		}
 		if !resident {
@@ -282,6 +281,7 @@ func (r *Raven) trim(keep uint32) {
 		if old == 0 || old == keep || (dropped > 0 && t.recs.At(old).lastSeen >= horizon) {
 			break
 		}
+		r.window.forget(old)
 		t.drop(old)
 		dropped++
 	}
@@ -414,7 +414,7 @@ func (r *Raven) OnAdmit(req cache.Request) {
 	if t.resident(t.recs.At(h)) {
 		return
 	}
-	t.admit(h)
+	t.admit(h, req.Size)
 	r.obs.HistoryResident.Add(1)
 }
 
@@ -471,8 +471,9 @@ func (r *Raven) Victim() (cache.Key, bool) {
 	dirty := r.scrDirty[:0]
 	for j := 0; j < n; j++ {
 		rc := t.recs.At(t.dense[r.scrIdx[j]])
-		r.scrKeys[j], r.scrSize[j], r.scrRec[j] = rc.key, rc.size, rc
-		if sd := t.sides.At(rc.res); cached && int(sd.scoreVer) == ver && sd.scoreEp == sd.epoch {
+		sd := t.sides.At(rc.res)
+		r.scrKeys[j], r.scrSize[j], r.scrRec[j] = rc.key, sd.size, rc
+		if cached && int(sd.scoreVer) == ver && sd.scoreEp == sd.epoch {
 			r.scrScore[j] = sd.score
 		} else {
 			dirty = append(dirty, j) // into scratch sized by growScratch
@@ -529,10 +530,10 @@ func (r *Raven) embedding(rc *rec) []float64 {
 	t := r.tab
 	sd := t.side(rc)
 	if int(sd.embVer) == r.net.Version {
-		return t.emb(rc.res)
+		return t.emb(sd)
 	}
 	t.setDim(r.net.Cfg.Hidden)
-	emb := t.emb(rc.res)
+	emb := t.emb(sd)
 	r.net.EmbedHistoryInto(emb, t.taus(rc))
 	sd.embVer = int32(r.net.Version)
 	return emb

@@ -14,8 +14,10 @@ import (
 //   - an interarrival ring, from the key's second sighting on — a
 //     one-hit wonder never gets one — in the smallest of four ring
 //     classes that holds its history;
-//   - a side record (resRec) plus embedding while the object is cached
-//     or carries an embedding computed by the current model.
+//   - a side record (resRec) while the object is cached or carries an
+//     embedding computed by the current model;
+//   - an embedding, from the first time the model embeds the key's
+//     history, for as long as its side record lives.
 //
 // Residents are threaded on an LRU list and listed in a dense array for
 // candidate sampling; everything else is threaded on an age queue, the
@@ -28,22 +30,22 @@ import (
 type rec struct {
 	key      cache.Key
 	lastSeen int64
-	size     int64
 	ring     uint32 // ring handle (ring classes below); 0 until the second sighting
 	res      uint32 // sides handle; 0 unless resident or carrying a live embedding
 	// prev/next thread the LRU list while the object is resident and
 	// the age queue while it is not; prev points towards the front.
 	prev, next uint32
-	win        winMark
 }
 
 // A ring holds an object's most recent interarrival times, oldest first,
 // for re-embedding after a model swap. Rings come in four classes of 2,
-// 4, 8 and 16 taus (historyLen), so a key seen twice holds 24 B of
-// history, not 136. A ring handle carries its class in the top two bits
-// and its handle in the class's slab in the rest. A ring starts in the
-// smallest class and moves up one class when it overflows; in the
-// largest it drops its oldest tau instead.
+// 4, 8 and 16 taus (historyLen), so a key seen twice holds 16 B of
+// history, not 128. A ring holds taus only and ends at its first zero:
+// a tau is at least 1, and a released slot is zeroed. A ring handle
+// carries its class in the top two bits and its handle in the class's
+// slab in the rest. A ring starts in the smallest class and moves up one
+// class when it overflows; in the largest it drops its oldest tau
+// instead.
 const (
 	ringClasses    = 4
 	minRingLen     = historyLen >> (ringClasses - 1)
@@ -51,9 +53,23 @@ const (
 	ringSlotMask   = 1<<ringClassShift - 1
 )
 
-// ringWidth is the floats a ring of class c takes: its length, then its
-// taus, oldest first.
-func ringWidth(c int) int { return 1 + minRingLen<<c }
+// ringWidth is the taus a ring of class c holds.
+func ringWidth(c int) int { return minRingLen << c }
+
+// ringLen is how many taus ring g holds: those before its first zero.
+// A full ring, the common case for a popular key, is told by its last
+// slot alone.
+func ringLen(g []float64) int {
+	if g[len(g)-1] != 0 { //lint:allow float-equal a tau is at least 1, so only an unwritten slot is zero
+		return len(g)
+	}
+	for i, v := range g {
+		if v == 0 { //lint:allow float-equal a tau is at least 1, so only an unwritten slot is zero
+			return i
+		}
+	}
+	return len(g)
+}
 
 // ring returns the slot of ring handle h.
 func (t *table) ring(h uint32) []float64 {
@@ -67,7 +83,7 @@ func (t *table) taus(rc *rec) []float64 {
 		return nil
 	}
 	g := t.ring(rc.ring)
-	return g[1 : 1+int(g[0])]
+	return g[:ringLen(g)]
 }
 
 // allocRing issues a ring of class c and returns its handle.
@@ -86,12 +102,12 @@ func (t *table) pushTau(rc *rec, tau float64) {
 		rc.ring = t.allocRing(0)
 	}
 	g := t.ring(rc.ring)
-	n := int(g[0])
-	if n == len(g)-1 {
+	n := ringLen(g)
+	if n == len(g) {
 		c := rc.ring >> ringClassShift
 		if c == ringClasses-1 {
-			copy(g[1:], g[2:])
-			g[n] = tau
+			copy(g, g[1:])
+			g[n-1] = tau
 			return
 		}
 		up := t.allocRing(c + 1)
@@ -99,17 +115,16 @@ func (t *table) pushTau(rc *rec, tau float64) {
 		t.releaseRing(rc.ring)
 		rc.ring, g = up, t.ring(up)
 	}
-	g[1+n] = tau
-	g[0] = float64(n + 1)
+	g[n] = tau
 }
 
-// resRec is the side record of a resident object: its place in the
-// dense sample array, the version stamp of its embedding (the floats
-// live in table.embs under the same handle) and the score cache
-// (fastpath.go). epoch increments every time the object's history
-// advances; a cached score is valid while both its epoch stamp and its
-// model-version stamp still match, so a score survives across decisions
-// exactly until the object is touched or the model is swapped.
+// resRec is the side record of a resident object: its size, its place
+// in the dense sample array, its embedding's handle and version stamp,
+// and the score cache (fastpath.go). epoch increments every time the
+// object's history advances; a cached score is valid while both its
+// epoch stamp and its model-version stamp still match, so a score
+// survives across decisions exactly until the object is touched or the
+// model is swapped.
 //
 // An evicted object keeps its side record only while its embedding was
 // computed by the current model: stepping that embedding on the next
@@ -120,9 +135,11 @@ type resRec struct {
 	epoch    int64
 	score    float64 // cached priority: predicted next-arrival time (ticks)
 	scoreEp  int64   // epoch the score was computed at
+	size     int64   // the size the object was last requested at
 	scoreVer int32   // nn.Net.Version the score was computed with; -1 = never
 	embVer   int32   // nn.Net.Version the embedding was computed with; -1 = none
 	pos      int32   // index in table.dense; -1 while not resident
+	emb      uint32  // embedding handle in table.embs; 0 until one is computed
 }
 
 // order is an intrusive doubly-linked list threaded through
@@ -176,12 +193,10 @@ type table struct {
 	recs  cache.Slab[rec]
 	rings [ringClasses]cache.Slab[float64] // by class, ringWidth(c) floats a handle
 	sides cache.Slab[resRec]
-	// embs[c] backs the embeddings of sides chunk c, dim floats per
-	// handle, allocated at the chunk's first embedding.
-	embs [][]float64
-	dim  int
-	// bytes is raven.table_bytes: what the slabs, embedding chunks and
-	// index slots hold, added to where they grow.
+	embs  cache.Slab[float64] // dim floats a handle; made by setDim
+	dim   int
+	// bytes is raven.table_bytes: what the slabs and index slots hold,
+	// added to where they grow.
 	bytes *obs.Gauge
 
 	lru    order // residents; front = most recently used
@@ -235,9 +250,9 @@ func (t *table) find(key cache.Key) uint32 {
 
 // insert creates the record of a key seen for the first time, as the
 // youngest ghost.
-func (t *table) insert(key cache.Key, now, size int64) uint32 {
+func (t *table) insert(key cache.Key, now int64) uint32 {
 	h, grown := t.recs.Alloc()
-	*t.recs.At(h) = rec{key: key, lastSeen: now, size: size}
+	*t.recs.At(h) = rec{key: key, lastSeen: now}
 	was := t.index.Bytes()
 	t.index.Insert(key, h)
 	t.grew(grown + t.index.Bytes() - was)
@@ -254,7 +269,7 @@ func (t *table) drop(h uint32) {
 		t.releaseRing(rc.ring)
 	}
 	if rc.res != 0 {
-		t.sides.Release(rc.res)
+		t.releaseSide(rc)
 	}
 	t.index.Delete(rc.key, h)
 	t.recs.Release(h)
@@ -278,18 +293,28 @@ func (t *table) side(rc *rec) *resRec {
 	return t.sides.At(rc.res)
 }
 
+// releaseSide releases rc's side record and its embedding.
+func (t *table) releaseSide(rc *rec) {
+	if e := t.sides.At(rc.res).emb; e != 0 {
+		t.embs.Release(e)
+	}
+	t.sides.Release(rc.res)
+	rc.res = 0
+}
+
 // resident reports whether rc is a cached object.
 func (t *table) resident(rc *rec) bool {
 	return rc.res != 0 && t.sides.At(rc.res).pos >= 0
 }
 
-// admit moves a ghost to the front of the LRU list and the end of the
-// dense array.
-func (t *table) admit(h uint32) {
+// admit moves a ghost of the given size to the front of the LRU list
+// and the end of the dense array.
+func (t *table) admit(h uint32, size int64) {
 	rc := t.recs.At(h)
 	t.ghosts.remove(&t.recs, h)
 	t.lru.pushFront(&t.recs, h)
-	t.side(rc).pos = int32(len(t.dense))
+	sd := t.side(rc)
+	sd.pos, sd.size = int32(len(t.dense)), size
 	t.dense = append(t.dense, h)
 }
 
@@ -305,45 +330,39 @@ func (t *table) evict(h uint32, keepSide bool) {
 	t.dense = t.dense[:last]
 	sd.pos = -1
 	if !keepSide {
-		t.sides.Release(rc.res)
-		rc.res = 0
+		t.releaseSide(rc)
 	}
 	t.lru.remove(&t.recs, h)
 	t.ghosts.pushFront(&t.recs, h)
 }
 
-// embChunkBytes is what one embedding chunk holds at the current width.
-func (t *table) embChunkBytes() int64 { return 8 * cache.SlabChunk * int64(t.dim) }
-
-// emb returns the embedding slot of side handle h (dim floats).
-func (t *table) emb(h uint32) []float64 {
-	c, slot := cache.SlabPos(h)
-	for len(t.embs) <= c {
-		t.embs = append(t.embs, nil)
+// emb returns sd's embedding (dim floats), giving it a slot if it has
+// none.
+func (t *table) emb(sd *resRec) []float64 {
+	if sd.emb == 0 {
+		var grown int64
+		sd.emb, grown = t.embs.Alloc()
+		t.grew(grown)
 	}
-	if t.embs[c] == nil {
-		t.embs[c] = make([]float64, cache.SlabChunk*t.dim)
-		t.grew(t.embChunkBytes())
-	}
-	off := slot * t.dim
-	return t.embs[c][off : off+t.dim : off+t.dim]
+	return t.embs.Run(sd.emb)
 }
 
 // setDim sizes the embedding slots for a model whose state is dim
-// floats wide. A change of width discards every embedding; it walks the
-// side records (residents and live ghosts), not the table.
+// floats wide. A change of width drops every embedding with the slab
+// that holds them; it walks the side records (residents and live
+// ghosts), not the table.
 func (t *table) setDim(dim int) {
 	if t.dim == dim {
 		return
 	}
-	for _, ch := range t.embs {
-		if ch != nil {
-			t.grew(-t.embChunkBytes())
-		}
+	if top := t.embs.Top(); top != 0 {
+		c, _ := cache.SlabPos(top)
+		t.grew(-8 * int64(c+1) * cache.SlabChunk * int64(t.dim))
 	}
 	t.dim = dim
-	clear(t.embs)
+	t.embs = cache.NewWideSlab[float64](dim)
 	for h := uint32(1); h <= t.sides.Top(); h++ {
-		t.sides.At(h).embVer = -1
+		sd := t.sides.At(h)
+		sd.embVer, sd.emb = -1, 0
 	}
 }

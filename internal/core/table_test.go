@@ -211,8 +211,8 @@ func (s *refStore) checkAgainst(t *testing.T, r *Raven) {
 			t.Fatalf("key %d missing from the table", k)
 		}
 		rc := tab.recs.At(h)
-		if rc.key != k || rc.lastSeen != o.lastSeen || rc.size != o.size {
-			t.Fatalf("key %d: record {%d %d %d}, reference {%d %d}", k, rc.key, rc.lastSeen, rc.size, o.lastSeen, o.size)
+		if rc.key != k || rc.lastSeen != o.lastSeen {
+			t.Fatalf("key %d: record {%d %d}, reference {%d}", k, rc.key, rc.lastSeen, o.lastSeen)
 		}
 		if hist := tab.taus(rc); !slices.Equal(hist, o.hist) {
 			t.Fatalf("key %d: ring %v, reference %v", k, hist, o.hist)
@@ -222,11 +222,14 @@ func (s *refStore) checkAgainst(t *testing.T, r *Raven) {
 		}
 		sd := r.sideOf(k)
 		if live := o.embVer == ver; live {
-			if sd == nil || int(sd.embVer) != ver || !slices.Equal(tab.emb(rc.res), o.emb) {
+			if sd == nil || int(sd.embVer) != ver || !slices.Equal(tab.emb(sd), o.emb) {
 				t.Fatalf("key %d: live embedding lost or different (side %+v)", k, sd)
 			}
 		} else if sd != nil && int(sd.embVer) == ver {
 			t.Fatalf("key %d: embedding is live, the reference's is stale", k)
+		}
+		if o.resident && sd.size != o.size {
+			t.Fatalf("key %d: resident at size %d, reference %d", k, sd.size, o.size)
 		}
 		if o.resident {
 			// A non-resident's stamps are unobservable: the miss that
@@ -482,7 +485,7 @@ func TestRequestPathAllocFree(t *testing.T) {
 		r.embedding(rc)
 		resident[j] = rc.key
 	}
-	probe := r.tab.recs.At(r.tab.index.Find(resident[(i+1)%len(resident)])).res
+	probe := r.tab.sides.At(r.tab.recs.At(r.tab.index.Find(resident[(i+1)%len(resident)])).res)
 	before := slices.Clone(r.tab.emb(probe))
 	hit()
 	if slices.Equal(r.tab.emb(probe), before) {
@@ -506,7 +509,7 @@ func TestEmbeddingWidthChange(t *testing.T) {
 	for _, k := range h.resident[:len(h.resident)-1] {
 		rc := h.r.tab.recs.At(h.r.tab.index.Find(k))
 		want := wide.EmbedHistoryInto(nil, h.r.tab.taus(rc))
-		if got := h.r.tab.emb(rc.res); !slices.Equal(got, want) {
+		if got := h.r.tab.emb(h.r.tab.sides.At(rc.res)); !slices.Equal(got, want) {
 			t.Fatalf("key %d: embedding %v after the width change, want %v", k, got, want)
 		}
 	}
@@ -521,18 +524,23 @@ func chunks(top uint32) int64 {
 	return int64(c) + 1
 }
 
+// tableBytes is t's footprint split by what holds it: the chunks of its
+// record, ring, side and embedding slabs, and its index's slots.
+type tableBytes struct{ recs, rings, sides, embs, index int64 }
+
+func (b tableBytes) total() int64 { return b.recs + b.rings + b.sides + b.embs + b.index }
+
 // footprint recomputes what raven.table_bytes should read for t from
-// the chunk counts of its slabs (record, side, ring classes) and
-// embeddings, and its index's slots.
-func footprint(t *table) int64 {
-	b := chunks(t.recs.Top())*cache.SlabChunk*int64(unsafe.Sizeof(rec{})) +
-		chunks(t.sides.Top())*cache.SlabChunk*int64(unsafe.Sizeof(resRec{})) +
-		t.index.Bytes()
-	for c := range t.rings {
-		b += 8 * chunks(t.rings[c].Top()) * cache.SlabChunk * int64(ringWidth(c))
+// the chunk counts of its slabs and its index's slots.
+func footprint(t *table) tableBytes {
+	b := tableBytes{
+		recs:  chunks(t.recs.Top()) * cache.SlabChunk * int64(unsafe.Sizeof(rec{})),
+		sides: chunks(t.sides.Top()) * cache.SlabChunk * int64(unsafe.Sizeof(resRec{})),
+		embs:  8 * chunks(t.embs.Top()) * cache.SlabChunk * int64(t.dim),
+		index: t.index.Bytes(),
 	}
-	for _, ch := range t.embs {
-		b += 8 * int64(len(ch))
+	for c := range t.rings {
+		b.rings += 8 * chunks(t.rings[c].Top()) * cache.SlabChunk * int64(ringWidth(c))
 	}
 	return b
 }
@@ -570,15 +578,15 @@ func TestTableBytesGauge(t *testing.T) {
 	}
 	var want int64
 	for _, r := range ravens {
-		want += footprint(r.tab)
+		want += footprint(r.tab).total()
 		for c := range r.tab.rings {
 			if r.tab.rings[c].Top() == 0 {
 				t.Fatalf("no ring of class %d: the replay left part of the table unexercised", c)
 			}
 		}
-		if r.tab.dim != 6 || len(r.tab.embs) == 0 || chunks(r.tab.recs.Top()) < 2 {
+		if r.tab.dim != 6 || r.tab.embs.Top() == 0 || chunks(r.tab.recs.Top()) < 2 {
 			t.Fatalf("the replay left part of the table unexercised: width %d, %d embedding chunks, %d record chunks",
-				r.tab.dim, len(r.tab.embs), chunks(r.tab.recs.Top()))
+				r.tab.dim, chunks(r.tab.embs.Top()), chunks(r.tab.recs.Top()))
 		}
 	}
 	if got := ro.TableBytes.Load(); got != want {
@@ -590,16 +598,124 @@ func TestTableBytesGauge(t *testing.T) {
 // layouts it is derived from, so growing a record shows up here (and in
 // EXPERIMENTS.md "Overhead") instead of silently.
 func TestRavenFootprint(t *testing.T) {
-	if RecordBytes != 48 || RingBytes != 8+8*historyLen || unsafe.Sizeof(resRec{}) != 40 {
-		t.Errorf("record layouts: core %d B, ring %d B, side %d B; want 48, %d, 40",
-			RecordBytes, RingBytes, unsafe.Sizeof(resRec{}), 8+8*historyLen)
+	if RecordBytes != 32 || RingBytes != 8*historyLen || unsafe.Sizeof(resRec{}) != 48 {
+		t.Errorf("record layouts: core %d B, ring %d B, side %d B; want 32, %d, 48",
+			RecordBytes, RingBytes, unsafe.Sizeof(resRec{}), 8*historyLen)
 	}
 	r := New(Config{TrainWindow: 1, Net: nn.Config{Hidden: 16}})
-	if got, want := r.MetadataBytesPerObject(), int64(48+40+136+8*16); got != want {
+	if got, want := r.MetadataBytesPerObject(), int64(32+48+128+8*16); got != want {
 		t.Errorf("MetadataBytesPerObject = %d at hidden 16, want %d", got, want)
 	}
 	r.net = nn.NewNet(nn.Config{Hidden: 8, MLPHidden: 12, K: 4, TimeScale: 1})
-	if got, want := r.MetadataBytesPerObject(), int64(48+40+136+8*8); got != want {
+	if got, want := r.MetadataBytesPerObject(), int64(32+48+128+8*8); got != want {
 		t.Errorf("MetadataBytesPerObject = %d under a hidden-8 model, want %d", got, want)
+	}
+}
+
+// TestEmbeddingMemoryFollowsEmbeddings: embedding memory is held for the
+// embeddings computed, not for the side records. With thousands of
+// residents and a handful of embeddings, the embedding slab holds the
+// chunks those need; raven.table_bytes agrees with the slabs; and a
+// change of model width drops them all.
+func TestEmbeddingMemoryFollowsEmbeddings(t *testing.T) {
+	const (
+		residents = 3000
+		embedded  = 134
+	)
+	ro := &obs.RavenObs{}
+	r := New(Config{TrainWindow: 1 << 40, Obs: ro, Seed: 4})
+	for i := 1; i <= residents; i++ {
+		req := cache.Request{Time: int64(i), Key: cache.Key(i), Size: 1}
+		r.OnMiss(req)
+		r.OnHit(req) // a ring too, so the embedding has history to run
+		r.OnAdmit(req)
+	}
+	r.net = nn.NewNet(nn.Config{Hidden: 8, MLPHidden: 12, K: 4, TimeScale: 50, Seed: 11})
+	r.net.Version = 1
+	r.topVer = 1
+	for i := 1; i <= embedded; i++ {
+		if _, ok := r.PredictNextArrival(cache.Request{Key: cache.Key(i * 7), Size: 1}); !ok {
+			t.Fatalf("no prediction for resident %d", i*7)
+		}
+	}
+	tab := r.tab
+	if got := chunks(tab.sides.Top()); got < residents/cache.SlabChunk {
+		t.Fatalf("%d side chunks for %d residents", got, residents)
+	}
+	if top, want := tab.embs.Top(), uint32(embedded); top != want {
+		t.Fatalf("the embedding slab issued %d handles for %d embeddings", top, want)
+	}
+	if got, want := chunks(tab.embs.Top()), int64((embedded+cache.SlabChunk-1)/cache.SlabChunk); got != want {
+		t.Errorf("%d embedding chunks for %d embeddings; want %d", got, embedded, want)
+	}
+	fp := footprint(tab)
+	if got := ro.TableBytes.Load(); got != fp.total() {
+		t.Errorf("raven.table_bytes = %d, the slabs add up to %d", got, fp.total())
+	}
+	if fp.embs != 8*cache.SlabChunk*8 {
+		t.Errorf("embeddings hold %d B; want one chunk of width 8, %d B", fp.embs, 8*cache.SlabChunk*8)
+	}
+
+	// A wider model drops every embedding with the slab.
+	r.net = nn.NewNet(nn.Config{Hidden: 12, MLPHidden: 12, K: 4, TimeScale: 50, Seed: 11})
+	r.net.Version = 2
+	r.invalidateFastPath()
+	tab.setDim(12)
+	if tab.embs.Top() != 0 || footprint(tab).embs != 0 {
+		t.Fatalf("a width change left %d embedding handles", tab.embs.Top())
+	}
+	for h := uint32(1); h <= tab.sides.Top(); h++ {
+		if sd := tab.sides.At(h); sd.emb != 0 || sd.embVer != -1 {
+			t.Fatalf("side %d keeps embedding handle %d (version %d) past a width change", h, sd.emb, sd.embVer)
+		}
+	}
+	if _, ok := r.PredictNextArrival(cache.Request{Key: 1, Size: 1}); !ok {
+		t.Fatal("no prediction under the wider model")
+	}
+	fp = footprint(tab)
+	if got := ro.TableBytes.Load(); got != fp.total() || fp.embs != 8*cache.SlabChunk*12 {
+		t.Errorf("raven.table_bytes = %d with %d B of embeddings; the slabs add up to %d, one width-12 chunk is %d B",
+			got, fp.embs, fp.total(), 8*cache.SlabChunk*12)
+	}
+}
+
+// TestWindowRolloverAllocFree: a window rollover at the table's ceiling
+// — reset, which clears both bitsets and empties the taken index, then
+// the sampling of a full window from the table's records, one of them
+// forgotten and taken again — allocates nothing once the bitsets and
+// the index have grown. No fit runs: training allocates per window by
+// design.
+func TestWindowRolloverAllocFree(t *testing.T) {
+	r, _, next := atCeiling(64, 2000)
+	var handles []uint32
+	for _, o := range []order{r.tab.lru, r.tab.ghosts} {
+		for h := o.front; h != 0; h = r.tab.recs.At(h).next {
+			handles = append(handles, h)
+		}
+	}
+	w := r.window
+	record := func(h uint32) {
+		w.record(cache.Request{Time: next.Time, Key: r.tab.recs.At(h).key, Size: 1}, h)
+	}
+	rollover := func() {
+		next.Time++
+		w.reset(next.Time)
+		for i, h := range handles {
+			record(h)
+			if i == 2 {
+				w.forget(handles[0])
+				record(handles[0])
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		rollover()
+	}
+	if len(w.sampled) != w.maxObjects || len(handles) < 4*w.maxObjects || w.slots.Find(cache.Key(handles[0])) != 4 {
+		t.Fatalf("sampled %d of %d records, the retaken key at slot %d; want a full window of %d, the retaken key at slot 4",
+			len(w.sampled), len(handles), w.slots.Find(cache.Key(handles[0])), w.maxObjects)
+	}
+	if avg := testing.AllocsPerRun(50, rollover); avg != 0 {
+		t.Errorf("a window rollover allocates %.1f times; want 0", avg)
 	}
 }

@@ -14,9 +14,12 @@ import (
 // admitting new objects once its unique bytes exceed the budget
 // (the paper caps it at 5× the cache size) or the object cap is hit.
 //
-// Whether the window took a key, and where it keeps it, is a winMark
-// the caller stores with the key (Raven keeps it in the key's record),
-// so recording a request needs no lookup.
+// The window names a key by its record handle, which the caller has
+// already resolved, so recording a request needs no lookup of the key:
+// two bitsets over the handles say whether the window has seen a key
+// and whether it took it, and only a taken key's handle is looked up to
+// find its sample. A handle the table drops must be forgotten before it
+// is reissued, so that the next key to hold it starts unseen.
 type window struct {
 	start       int64
 	budgetBytes int64
@@ -24,7 +27,9 @@ type window struct {
 	maxSeq      int
 	rng         *stats.RNG
 
-	gen          uint32 // current window; never 0, the zero winMark's gen
+	seen, taken bitset
+	// slots resolves a taken handle to 1 + its index in sampled.
+	slots        *cache.HandleIndex
 	sampledBytes int64
 	sampled      []winSample
 	// sampleProb adapts downward as the budget fills so the sample
@@ -32,19 +37,35 @@ type window struct {
 	sampleProb float64
 }
 
-// winMark is one key's standing in a window. The zero value, and a mark
-// made in an earlier window, mean the window has not seen the key.
-type winMark struct {
-	gen  uint32
-	slot int32 // index into window.sampled; -1 = the window passed the key over
-}
-
 // winSample is one sampled object's record for the window.
 type winSample struct {
 	key  cache.Key
+	h    uint32 // the record handle the key held when it was taken
 	last int64
 	size int64
 	taus []float64
+}
+
+// bitset is a set of record handles; it grows to the highest handle set.
+type bitset []uint64
+
+func (b bitset) has(h uint32) bool {
+	i := int(h >> 6)
+	return i < len(b) && b[i]&(1<<(h&63)) != 0
+}
+
+func (b *bitset) set(h uint32) {
+	i := int(h >> 6)
+	for len(*b) <= i {
+		*b = append(*b, 0)
+	}
+	(*b)[i] |= 1 << (h & 63)
+}
+
+func (b bitset) unset(h uint32) {
+	if i := int(h >> 6); i < len(b) {
+		b[i] &^= 1 << (h & 63)
+	}
 }
 
 func newWindow(budgetBytes int64, maxObjects, maxSeq int, rng *stats.RNG) *window {
@@ -54,26 +75,40 @@ func newWindow(budgetBytes int64, maxObjects, maxSeq int, rng *stats.RNG) *windo
 		maxSeq:      maxSeq,
 		rng:         rng,
 	}
+	w.slots = cache.NewHandleIndex(func(s uint32) cache.Key { return cache.Key(w.sampled[s-1].h) })
 	w.reset(0)
 	return w
 }
 
 func (w *window) reset(start int64) {
 	w.start = start
-	w.gen++
+	clear(w.seen)
+	clear(w.taken)
+	w.slots.Reset()
 	w.sampledBytes = 0
 	clear(w.sampled) // release the finished window's sequences
 	w.sampled = w.sampled[:0]
 	w.sampleProb = 1
 }
 
-// record observes one request; m is the requested key's mark.
-func (w *window) record(req cache.Request, m *winMark) {
-	if m.gen == w.gen {
-		if m.slot < 0 {
+// forget makes handle h unseen: the table is about to drop its record
+// and reissue the handle. A sample the key already gave stays in the
+// window.
+func (w *window) forget(h uint32) {
+	if w.taken.has(h) {
+		w.slots.Delete(cache.Key(h), w.slots.Find(cache.Key(h)))
+		w.taken.unset(h)
+	}
+	w.seen.unset(h)
+}
+
+// record observes one request; h is the requested key's record handle.
+func (w *window) record(req cache.Request, h uint32) {
+	if w.seen.has(h) {
+		if !w.taken.has(h) {
 			return
 		}
-		s := &w.sampled[m.slot]
+		s := &w.sampled[w.slots.Find(cache.Key(h))-1]
 		tau := float64(req.Time - s.last)
 		if tau < 1 {
 			tau = 1
@@ -88,15 +123,15 @@ func (w *window) record(req cache.Request, m *winMark) {
 		s.last = req.Time
 		return
 	}
-	m.gen = w.gen
+	w.seen.set(h)
 	full := (w.budgetBytes > 0 && w.sampledBytes >= w.budgetBytes) ||
 		(w.maxObjects > 0 && len(w.sampled) >= w.maxObjects)
 	if full || w.rng.Float64() >= w.sampleProb {
-		m.slot = -1
 		return
 	}
-	m.slot = int32(len(w.sampled))
-	w.sampled = append(w.sampled, winSample{key: req.Key, last: req.Time, size: req.Size})
+	w.taken.set(h)
+	w.sampled = append(w.sampled, winSample{key: req.Key, h: h, last: req.Time, size: req.Size})
+	w.slots.Insert(cache.Key(h), uint32(len(w.sampled)))
 	w.sampledBytes += req.Size
 	// Tighten the sampling probability as capacity fills.
 	if w.budgetBytes > 0 {

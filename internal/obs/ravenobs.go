@@ -60,7 +60,7 @@ type RavenObs struct {
 	HistoryResident Gauge
 	HistoryDropped  Counter
 	// TableBytes is what the record tables hold, summed over shards: their
-	// record, ring and side slabs, embedding chunks and index slots. It
+	// record, ring, side and embedding slabs and index slots. It
 	// moves only when one of those grows (or a change of model width
 	// drops the embeddings), never per request at steady state.
 	TableBytes Gauge

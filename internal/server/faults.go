@@ -23,21 +23,30 @@ type Faults struct {
 	// PreReply, when non-nil, runs before every reply write. Sleeping
 	// here simulates a stalled server under a slow downstream.
 	PreReply func()
+	// ReadFrames, when positive, caps every read on every connection
+	// at that many binary request frames' bytes, so a pipelined batch
+	// reaches the request loop, and its replies the wire, a few frames
+	// at a time, as over a slow link.
+	ReadFrames int
 }
 
 // errInjectedRead marks reads failed by Faults.ReadErr.
 var errInjectedRead = errors.New("server: injected read fault")
 
 // faultReader wraps a connection's reader, consulting the injection
-// hook before every read.
+// hook before every read and capping the read at limit bytes.
 type faultReader struct {
 	r      io.Reader
-	inject func() bool
+	inject func() bool // nil: no injected errors
+	limit  int         // 0: no cap
 }
 
 func (f *faultReader) Read(p []byte) (int, error) {
-	if f.inject() {
+	if f.inject != nil && f.inject() {
 		return 0, errInjectedRead
+	}
+	if f.limit > 0 && len(p) > f.limit {
+		p = p[:f.limit]
 	}
 	return f.r.Read(p)
 }

@@ -67,11 +67,11 @@ import (
 	"raven/internal/trace"
 )
 
-// defaultReadBuf is the per-connection read buffer; it bounds how
+// readBufBytes is the per-connection read buffer; it bounds how
 // many pipelined requests are parsed (and their replies batched) per
 // read burst. Text lines longer than the buffer still work — readLine
 // accumulates chunks up to maxLineBytes.
-const defaultReadBuf = 16 << 10
+const readBufBytes = 16 << 10
 
 // replyBufBytes is the per-connection reply buffer. It comfortably
 // holds the replies of a full read burst plus a METRICS snapshot, so
@@ -136,11 +136,6 @@ type Config struct {
 	// then waits indefinitely, the pre-hardening behavior).
 	DrainTimeout time.Duration
 
-	// ReadBuf is the per-connection read buffer in bytes (0 applies
-	// defaultReadBuf, floored at two binary frames). A smaller buffer
-	// splits a pipelined write into more bursts.
-	ReadBuf int
-
 	// Faults injects failures for stress testing; nil in production.
 	Faults *Faults
 }
@@ -153,18 +148,6 @@ func (c *Config) writeTimeout() time.Duration { return defaulted(c.WriteTimeout,
 
 // drainTimeout returns the effective drain bound (0 = wait forever).
 func (c *Config) drainTimeout() time.Duration { return defaulted(c.DrainTimeout, defaultDrainTimeout) }
-
-// readBuf returns the effective per-connection read buffer size,
-// floored so a full binary frame always fits.
-func (c *Config) readBuf() int {
-	if c.ReadBuf <= 0 {
-		return defaultReadBuf
-	}
-	if c.ReadBuf < 2*binReqLen {
-		return 2 * binReqLen
-	}
-	return c.ReadBuf
-}
 
 func defaulted(d, def time.Duration) time.Duration {
 	if d == 0 {
@@ -584,9 +567,9 @@ type connIO struct {
 }
 
 // burstCap bounds how many requests are served as one burst: the
-// binary frames a default read buffer holds. Their replies fit the
-// reply buffer.
-const burstCap = defaultReadBuf / binReqLen
+// binary frames the read buffer holds. Their replies fit the reply
+// buffer.
+const burstCap = readBufBytes / binReqLen
 
 // flush writes the buffered replies to the connection under the write
 // deadline and reports whether the peer is still reachable (a reply
@@ -656,12 +639,12 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.removeConn(conn)
 	defer conn.Close()
 	var r io.Reader = conn
-	if f := s.cfg.Faults; f != nil && f.ReadErr != nil {
-		r = &faultReader{r: r, inject: f.ReadErr}
+	if f := s.cfg.Faults; f != nil && (f.ReadErr != nil || f.ReadFrames > 0) {
+		r = &faultReader{r: r, inject: f.ReadErr, limit: f.ReadFrames * binReqLen}
 	}
 	c := &connIO{
 		conn:  conn,
-		br:    bufio.NewReaderSize(r, s.cfg.readBuf()),
+		br:    bufio.NewReaderSize(r, readBufBytes),
 		bw:    bufio.NewWriterSize(conn, replyBufBytes),
 		met:   &s.met,
 		idle:  s.cfg.idleTimeout(),

@@ -53,7 +53,9 @@
 #                and f32) and f32 batch inference, the
 #                policy's record table (hit, miss, new key, admit, evict
 #                at its ceiling, and a hit that steps a live embedding
-#                with a model installed), the engine's lock-held evict
+#                with a model installed), a training-window rollover at
+#                the table's ceiling (reset, then sampling a full window;
+#                no fit), the engine's lock-held evict
 #                section,
 #                the serving path — direct, a 32-frame burst over a
 #                4-shard engine, and through the router — and the ring
@@ -198,8 +200,8 @@ stage_determinism() {
 }
 
 stage_alloc() {
-    echo "==> eviction decision alloc assertion (0 allocs/op: joint win count and score cache, f64 and f32; f32 batch inference), the record table's request path (0 allocs/op at its ceiling, with and without a model installed) and the training arena (0 allocs/term)"
-    run_named 'TestEvictionPathAllocFree|TestRequestPathAllocFree|TestFrozen32PredictAllocFree|TestFitAllocFree' ./internal/core/ ./internal/nn/
+    echo "==> eviction decision alloc assertion (0 allocs/op: joint win count and score cache, f64 and f32; f32 batch inference), the record table's request path (0 allocs/op at its ceiling, with and without a model installed), a training-window rollover at the table's ceiling (TestWindowRolloverAllocFree: reset, Reset of the taken index, re-sampling a full window; no fit; 0 allocs) and the training arena (0 allocs/term)"
+    run_named 'TestEvictionPathAllocFree|TestRequestPathAllocFree|TestWindowRolloverAllocFree|TestFrozen32PredictAllocFree|TestFitAllocFree' ./internal/core/ ./internal/nn/
 
     echo "==> engine evict section alloc assertion (Victim + evict over a full shard; 0 allocs/op)"
     run_named 'TestEvictAllocFree' ./internal/cache/
