@@ -319,7 +319,7 @@ func (f *fronted) OnEvict(key Key) {
 	f.Policy.OnEvict(key)
 }
 
-// setAdmitGauge reports the frequency stage's bytes on g (nil detaches).
+// setAdmitGauge reports the frequency stage's bytes on g.
 func (f *fronted) setAdmitGauge(g *obs.Gauge) {
 	if f.freq != nil {
 		f.freq.setGauge(g)
@@ -343,11 +343,16 @@ func (f *fronted) MetadataBytesPerObject() int64 {
 // Unwrap returns the innermost policy by following Unwrap methods, for
 // callers that inspect concrete policy state behind wrappers.
 func Unwrap(p Policy) Policy {
-	for {
-		u, ok := p.(interface{ Unwrap() Policy })
-		if !ok {
-			return p
-		}
-		p = u.Unwrap()
+	for u := p; u != nil; u = unwrapOnce(u) {
+		p = u
 	}
+	return p
+}
+
+// unwrapOnce returns the policy p wraps, nil when p wraps none.
+func unwrapOnce(p Policy) Policy {
+	if u, ok := p.(interface{ Unwrap() Policy }); ok {
+		return u.Unwrap()
+	}
+	return nil
 }

@@ -479,3 +479,24 @@ func TestRefitTriggers(t *testing.T) {
 		t.Errorf("steady front: %d resets, sketch rebuilt %v, %d entries", a.door.Resets(), a.sk != sk, a.entries)
 	}
 }
+
+// wrapped hides a policy behind a decorator that forwards Unwrap, as
+// the simulator's timer and tracing wrappers do.
+type wrapped struct{ Policy }
+
+func (w wrapped) Unwrap() Policy { return w.Policy }
+
+// TestAdmitBytesBehindWrapper: the engine finds the admission front by
+// following Unwrap, so admit_bytes reports what a wrapped front holds.
+func TestAdmitBytesBehindWrapper(t *testing.T) {
+	f := WithAdmission(newTestLRU(), NewSketchAdmitter()).(*fronted)
+	c := New(1<<20, wrapped{f})
+	var co obs.CacheObs
+	c.SetShardObs(0, &co)
+	for i := range 20000 {
+		c.Handle(req(int64(i+1), Key(i%5000), 64))
+	}
+	if got, want := co.AdmitBytes.Load(), f.freq.heldBytes(); got != want || want == 0 {
+		t.Errorf("admit_bytes %d behind a wrapper, front holds %d", got, want)
+	}
+}

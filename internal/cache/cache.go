@@ -73,7 +73,9 @@ type Flusher interface {
 	Flush()
 }
 
-// Stats accumulates the hit-ratio statistics the paper reports.
+// Stats is a snapshot of a shard's counters, the hit-ratio statistics
+// the paper reports. A shard counts into an obs.CacheObs, the block
+// METRICS serves, and Stats is read from it.
 type Stats struct {
 	Requests  int64
 	Hits      int64
@@ -90,6 +92,21 @@ type Stats struct {
 	// Sets counts explicit store operations (the server's SET command);
 	// they do not contribute to Requests/Hits, which measure lookups.
 	Sets int64
+}
+
+// statsOf reads m's counters.
+func statsOf(m *obs.CacheObs) Stats {
+	return Stats{
+		Requests:      m.Requests.Load(),
+		Hits:          m.Hits.Load(),
+		ReqBytes:      m.ReqBytes.Load(),
+		HitBytes:      m.HitBytes.Load(),
+		Evictions:     m.Evictions.Load(),
+		OneHitWonders: m.OneHitWonders.Load(),
+		Admissions:    m.Admissions.Load(),
+		Rejections:    m.Rejections.Load(),
+		Sets:          m.Sets.Load(),
+	}
 }
 
 // Add accumulates o into s field by field. The sharded engine merges
@@ -139,7 +156,7 @@ type entry struct {
 }
 
 // shard is one independent cache partition: a Policy coupled with
-// capacity accounting and statistics, under its own lock. Its methods
+// capacity accounting and counters, under its own lock. Its methods
 // are unsynchronised; Sharded takes mu around every call.
 type shard struct {
 	mu       sync.Mutex
@@ -148,32 +165,34 @@ type shard struct {
 	entries  Slab[entry]
 	index    *HandleIndex
 	policy   Policy
-	stats    Stats
 	observer func(victim Key)
-	obs      *obs.CacheObs
+	// obs is what the shard counts into: its Stats and its METRICS rows.
+	obs *obs.CacheObs
 }
 
 func (c *shard) init(capacity int64, policy Policy) {
 	c.capacity = capacity
 	c.index = NewHandleIndex(func(h uint32) Key { return c.entries.At(h).key })
 	c.policy = policy
+	c.setObs(nil)
 }
 
-// setObs attaches live observability metrics (occupancy gauges,
-// request/eviction counters and the admission front's size), updated
-// inline on every request. The updates are a few atomic ops and never
-// allocate, so attaching metrics does not perturb what they measure.
-// Passing nil detaches.
+// setObs makes the shard count into m from now on (a fresh block when
+// m is nil): requests, bytes, evictions, admissions and rejects, the
+// occupancy gauges, seeded now, and the admission front's size. The
+// updates are a few atomic ops and never allocate.
 func (c *shard) setObs(m *obs.CacheObs) {
-	c.obs = m
-	var admitBytes *obs.Gauge
-	if m != nil {
-		m.UsedBytes.Set(c.used)
-		m.Objects.Set(int64(c.index.Len()))
-		admitBytes = &m.AdmitBytes
+	if m == nil {
+		m = new(obs.CacheObs)
 	}
-	if f, ok := c.policy.(*fronted); ok {
-		f.setAdmitGauge(admitBytes)
+	c.obs = m
+	m.UsedBytes.Set(c.used)
+	m.Objects.Set(int64(c.index.Len()))
+	for p := c.policy; p != nil; p = unwrapOnce(p) {
+		if f, ok := p.(*fronted); ok {
+			f.setAdmitGauge(&m.AdmitBytes)
+			break
+		}
 	}
 }
 
@@ -198,18 +217,12 @@ func (c *shard) sortedKeys(dst []Key) []Key {
 // the object is admitted (evicting as needed) unless it exceeds the
 // capacity or the policy's admission control refuses it.
 func (c *shard) handle(req Request) bool {
-	c.stats.Requests++
-	c.stats.ReqBytes += req.Size
-	if c.obs != nil {
-		c.obs.Requests.Inc()
-	}
+	c.obs.Requests.Inc()
+	c.obs.ReqBytes.Add(req.Size)
 	if h := c.index.Find(req.Key); h != 0 {
-		c.stats.Hits++
-		c.stats.HitBytes += req.Size
+		c.obs.Hits.Inc()
+		c.obs.HitBytes.Add(req.Size)
 		c.entries.At(h).hit = true
-		if c.obs != nil {
-			c.obs.Hits.Inc()
-		}
 		c.policy.OnHit(req)
 		return true
 	}
@@ -242,13 +255,10 @@ func (c *shard) admit(req Request) bool {
 	*c.entries.At(h) = entry{key: req.Key, size: req.Size, live: true}
 	c.index.Insert(req.Key, h)
 	c.used += req.Size
-	c.stats.Admissions++
 	c.policy.OnAdmit(req)
-	if c.obs != nil {
-		c.obs.Admissions.Inc()
-		c.obs.UsedBytes.Set(c.used)
-		c.obs.Objects.Set(int64(c.index.Len()))
-	}
+	c.obs.Admissions.Inc()
+	c.obs.UsedBytes.Set(c.used)
+	c.obs.Objects.Set(int64(c.index.Len()))
 	return true
 }
 
@@ -261,10 +271,7 @@ func (c *shard) admit(req Request) bool {
 // resident afterwards. It counts into Stats.Sets, not Requests/Hits,
 // which measure lookups.
 func (c *shard) set(req Request) bool {
-	c.stats.Sets++
-	if c.obs != nil {
-		c.obs.Sets.Inc()
-	}
+	c.obs.Sets.Inc()
 	if h := c.index.Find(req.Key); h != 0 {
 		if c.entries.At(h).size == req.Size {
 			c.policy.OnHit(req)
@@ -278,12 +285,7 @@ func (c *shard) set(req Request) bool {
 
 // reject counts a refused admission under the given reason, one of
 // the Reject* constants.
-func (c *shard) reject(reason obs.Reason) {
-	c.stats.Rejections++
-	if c.obs != nil {
-		c.obs.AdmitReject(reason)
-	}
-}
+func (c *shard) reject(reason obs.Reason) { c.obs.AdmitReject(reason) }
 
 func (c *shard) evict(key Key) {
 	h := c.index.Find(key)
@@ -295,16 +297,13 @@ func (c *shard) evict(key Key) {
 	}
 	e := c.entries.At(h)
 	c.used -= e.size
-	c.stats.Evictions++
+	c.obs.Evictions.Inc()
 	if !e.hit {
-		c.stats.OneHitWonders++
+		c.obs.OneHitWonders.Inc()
 	}
 	c.index.Delete(key, h)
 	c.entries.Release(h)
-	if c.obs != nil {
-		c.obs.Evictions.Inc()
-		c.obs.UsedBytes.Set(c.used)
-		c.obs.Objects.Set(int64(c.index.Len()))
-	}
+	c.obs.UsedBytes.Set(c.used)
+	c.obs.Objects.Set(int64(c.index.Len()))
 	c.policy.OnEvict(key)
 }

@@ -174,18 +174,6 @@ func TestStatsRatios(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	c := New(10, newTestLRU())
-	c.Handle(req(1, 1, 4))
-	c.ResetStats()
-	if c.StatsSnapshot().Requests != 0 {
-		t.Error("stats should be zeroed")
-	}
-	if !c.Contains(1) {
-		t.Error("contents must survive a stats reset")
-	}
-}
-
 func TestSampledSetBasics(t *testing.T) {
 	s := NewSampledSet[int]()
 	s.Add(1, 10)
@@ -346,15 +334,19 @@ func TestCacheObsWiring(t *testing.T) {
 	var co2 obs.CacheObs
 	c.SetShardObs(0, &co2)
 	if co2.UsedBytes.Load() != c.Used() || co2.Objects.Load() != int64(c.Len()) {
-		t.Error("SetObs did not seed occupancy gauges")
+		t.Error("SetShardObs did not seed occupancy gauges")
 	}
 
-	// Detach: further traffic must not touch the old metrics.
+	// Detach: further traffic must not touch the old metrics, and the
+	// shard counts afresh into a private block.
 	c.SetShardObs(0, nil)
 	before := co2.Requests.Load()
 	c.Handle(req(5, 2, 8))
 	if co2.Requests.Load() != before {
 		t.Error("detached obs still receiving updates")
+	}
+	if st := c.StatsSnapshot(); st.Requests != 1 || st.Hits != 1 || !c.Contains(2) {
+		t.Errorf("after detach: %+v, want one hit on a fresh block with contents kept", st)
 	}
 }
 

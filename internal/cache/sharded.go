@@ -33,7 +33,7 @@ func SingleFactory(p Policy) ShardFactory {
 
 // Sharded is the cache engine: N independent shards, memcached style
 // (N = 1 is an unpartitioned cache). Each shard owns its own Policy
-// instance, byte capacity, lock, and Stats; a deterministic FNV-1a hash
+// instance, byte capacity, lock, and counters; a deterministic FNV-1a hash
 // of the key (masked to the power-of-two shard count) selects the
 // shard, so requests for different shards proceed in parallel while
 // each policy still sees a strictly serialized request stream —
@@ -223,33 +223,18 @@ func (s *Sharded) Contains(key Key) bool {
 func (s *Sharded) StatsSnapshot() Stats {
 	var total Stats
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		total.Add(sh.stats)
-		sh.mu.Unlock()
+		total.Add(s.ShardStats(i))
 	}
 	return total
 }
 
-// ShardStats returns shard i's statistics snapshot.
+// ShardStats returns shard i's statistics snapshot: the counters of
+// the block it counts into.
 func (s *Sharded) ShardStats(i int) Stats {
 	sh := &s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.stats
-}
-
-// ResetStats zeroes every shard's statistics without touching cache
-// contents or policy state. The simulator uses it to exclude warmup
-// periods, as the paper does for its synthetic experiments (Appendix
-// C.1).
-func (s *Sharded) ResetStats() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.stats = Stats{}
-		sh.mu.Unlock()
-	}
+	return statsOf(sh.obs)
 }
 
 // Used returns the bytes currently cached across all shards.
@@ -314,10 +299,13 @@ func (s *Sharded) SetEvictionObserver(fn func(victim Key, resident func(dst []Ke
 	}
 }
 
-// SetShardObs attaches live metrics to shard i (occupancy gauges and
-// request/eviction counters, updated inline on every request); nil
-// detaches. obs.ShardedCacheObs bundles one CacheObs per shard plus
-// merged totals.
+// SetShardObs makes shard i count into m from now on: its Stats are
+// m's counters, and the occupancy gauges and the admission front's
+// size are seeded into m now. nil gives the shard a fresh private
+// block, which starts its Stats from zero without touching cache
+// contents or policy state. obs.ShardedCacheObs bundles one CacheObs
+// per shard plus merged totals; attach it before traffic for METRICS
+// to cover every request.
 func (s *Sharded) SetShardObs(i int, m *obs.CacheObs) {
 	sh := &s.shards[i]
 	sh.mu.Lock()

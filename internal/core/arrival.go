@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"raven/internal/cache"
+	"raven/internal/nn"
 )
 
 // PredictNextArrival implements cache.ReusePredictor for the admission
@@ -23,34 +24,24 @@ func (r *Raven) PredictNextArrival(req cache.Request) (int64, bool) {
 }
 
 // predictArrival computes the deterministic expected next arrival of rc,
-// requested at the given size:
-// lastSeen + TimeScale * E[exp(z)] where z is the predicted
-// log-residual mixture — the lognormal mixture mean
-// sum_k w_k * exp(mu_k + s_k^2/2), exponent-clamped like the fast
-// path. It is the mean of the residual itself, not the score cache's
-// exp of its mean log (fastpath.go stampArrival); like the stamp, it
-// consumes no RNG, so admission never perturbs the eviction stream.
+// requested at the given size: lastSeen + TimeScale * E[exp(z)] where z
+// is the predicted log-residual mixture — its lognormal mean,
+// Mixture.Mean. The one row goes through PredictBatch, as eviction's
+// candidates do. It is the mean of the residual itself, not the score
+// cache's exp of its mean log (fastpath.go stampArrival); like the
+// stamp, it consumes no RNG, so admission never perturbs the eviction
+// stream.
 func (r *Raven) predictArrival(rc *rec, size int64) (int64, bool) {
 	if r.pred == nil {
 		r.pred = r.net.NewPredictScratch()
 	}
-	age := float64(r.now - rc.lastSeen)
-	r.net.PredictWith(r.pred, r.embedding(rc), float64(size), age, &r.predMix)
-	if !mixtureFinite(&r.predMix) {
+	in := [1]nn.PredictInput{{H: r.embedding(rc), Size: float64(size), Age: float64(r.now - rc.lastSeen)}}
+	r.net.PredictBatch(r.pred, in[:], r.predMix[:])
+	m := &r.predMix[0]
+	if !mixtureFinite(m) {
 		return 0, false
 	}
-	eTau := 0.0
-	for k := range r.predMix.W {
-		ex := r.predMix.Mu[k] + 0.5*r.predMix.S[k]*r.predMix.S[k]
-		if ex > expClamp {
-			ex = expClamp
-		} else if ex < -expClamp {
-			ex = -expClamp
-		}
-		eTau += r.predMix.W[k] * math.Exp(ex)
-	}
-	ts := r.net.Cfg.TimeScale
-	next := float64(rc.lastSeen) + ts*eTau
+	next := float64(rc.lastSeen) + r.net.Cfg.TimeScale*m.Mean()
 	if math.IsNaN(next) || math.IsInf(next, 0) || next > math.MaxInt64/2 {
 		return 0, false
 	}

@@ -280,103 +280,6 @@ func TestRavenOHRGoalUsesSizeWeight(t *testing.T) {
 	}
 }
 
-// mapWindow is the window as the parent commit kept it — four maps per
-// window, a lookup or two per request — retained as the reference the
-// mark-based window must reproduce sequence for sequence.
-type mapWindow struct {
-	budgetBytes  int64
-	maxObjects   int
-	maxSeq       int
-	rng          *stats.RNG
-	sampledBytes int64
-	taus         map[cache.Key][]float64
-	last, sizes  map[cache.Key]int64
-	rejected     map[cache.Key]bool
-	sampleProb   float64
-}
-
-func (w *mapWindow) reset() {
-	w.sampledBytes, w.sampleProb = 0, 1
-	w.taus = map[cache.Key][]float64{}
-	w.last, w.sizes = map[cache.Key]int64{}, map[cache.Key]int64{}
-	w.rejected = map[cache.Key]bool{}
-}
-
-func (w *mapWindow) record(req cache.Request) {
-	if lt, ok := w.last[req.Key]; ok {
-		seq := append(w.taus[req.Key], max(float64(req.Time-lt), 1))
-		if w.maxSeq > 0 && len(seq) > 2*w.maxSeq {
-			seq = seq[1:]
-		}
-		w.taus[req.Key], w.last[req.Key] = seq, req.Time
-		return
-	}
-	if w.rejected[req.Key] {
-		return
-	}
-	full := (w.budgetBytes > 0 && w.sampledBytes >= w.budgetBytes) ||
-		(w.maxObjects > 0 && len(w.last) >= w.maxObjects)
-	if full || w.rng.Float64() >= w.sampleProb {
-		w.rejected[req.Key] = true
-		return
-	}
-	w.last[req.Key], w.sizes[req.Key] = req.Time, req.Size
-	w.sampledBytes += req.Size
-	if frac := float64(w.sampledBytes) / float64(w.budgetBytes); w.budgetBytes > 0 && frac > 0.5 {
-		w.sampleProb = max(1-(frac-0.5)*1.6, 0.05)
-	}
-}
-
-func (w *mapWindow) sequences(end int64) (out []nn.Sequence) {
-	keys := make([]cache.Key, 0, len(w.last))
-	for k := range w.last {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		seq := nn.Sequence{Taus: w.taus[k], Size: float64(w.sizes[k]), Survival: float64(end - w.last[k])}
-		if len(seq.Taus) > 0 || seq.Survival > 0 {
-			out = append(out, seq)
-		}
-	}
-	return out
-}
-
-// TestWindowMatchesMapWindow: over random streams, budgets and caps,
-// and several windows in a row, the mark-based window yields the
-// training set the map-based one did.
-func TestWindowMatchesMapWindow(t *testing.T) {
-	f := func(seed int64) bool {
-		g := stats.NewRNG(seed)
-		budget, maxObj, maxSeq := int64(g.Intn(3))*400, g.Intn(3)*20, 1+g.Intn(4)
-		w := newMarkedWindow(budget, maxObj, maxSeq, seed)
-		ref := &mapWindow{budgetBytes: budget, maxObjects: maxObj, maxSeq: maxSeq, rng: stats.NewRNG(seed)}
-		now := int64(0)
-		for win := 0; win < 4; win++ {
-			w.reset(now)
-			ref.reset()
-			for i := 0; i < 600; i++ {
-				now += int64(g.Intn(3))
-				req := cache.Request{Time: now, Key: cache.Key(g.Intn(80)), Size: 1 + int64(g.Intn(40))}
-				w.record(req)
-				ref.record(req)
-			}
-			got, _ := w.sequences(now)
-			want := ref.sequences(now)
-			if !slices.EqualFunc(got, want, func(a, b nn.Sequence) bool {
-				return a.Size == b.Size && a.Survival == b.Survival && slices.Equal(a.Taus, b.Taus)
-			}) {
-				t.Logf("seed %d window %d: %d sequences, reference %d", seed, win, len(got), len(want))
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // refWindow is the window as it stood when each key's record carried a
 // winMark — the window's generation when it first saw the key, and the
 // key's slot in the sample or -1 — kept here in a map by key. A key the
@@ -452,18 +355,24 @@ func (w *refWindow) sequences(end int64) (out []nn.Sequence) {
 	return out
 }
 
-// TestWindowMatchesReference: Raven's handle-keyed window, fed through
-// observe with a ghost floor so small that the trim drops sampled keys
-// mid-window and reissues their handles to new keys, takes the same keys
-// with the same taus as the winMark reference, yields the same
-// sequences at every rollover, and leaves its RNG at the same position.
+// TestWindowMatchesReference: over random streams, budgets, object caps
+// and sequence caps, and several windows in a row, Raven's handle-keyed
+// window, fed through observe, takes the same keys with the same taus
+// as the winMark reference, yields the same sequences at every
+// rollover, and leaves its RNG at the same position. Most runs have a
+// ghost floor so small that the trim drops sampled keys mid-window and
+// reissues their handles to new keys; one in four keeps every key.
 func TestWindowMatchesReference(t *testing.T) {
-	var droppedTaken, reissued, rollovers int
+	var droppedTaken, reissued, rollovers, budgetFull, capFull, seqCut, keptAll int
 	f := func(seed int64) bool {
 		g := stats.NewRNG(seed)
 		budget, maxObj, maxSeq := int64(g.Intn(3))*400, g.Intn(3)*20, 1+g.Intn(4)
 		r := New(Config{TrainWindow: 1 << 40, Seed: seed})
 		r.tab.floor = 4 + g.Intn(12)
+		if g.Intn(4) == 0 {
+			r.tab.floor = 1 << 20
+			keptAll++
+		}
 		r.window = newWindow(budget, maxObj, maxSeq, stats.NewRNG(seed))
 		ref := &refWindow{budgetBytes: budget, maxObjects: maxObj, maxSeq: maxSeq, rng: stats.NewRNG(seed), marks: map[cache.Key]*refMark{}}
 		ref.reset()
@@ -489,6 +398,17 @@ func TestWindowMatchesReference(t *testing.T) {
 					}
 				}
 				ref.record(req)
+				if budget > 0 && ref.sampledBytes >= budget {
+					budgetFull++
+				}
+				if maxObj > 0 && len(ref.sampled) >= maxObj {
+					capFull++
+				}
+				for _, s := range ref.sampled {
+					if len(s.taus) == 2*maxSeq {
+						seqCut++
+					}
+				}
 				if !slices.EqualFunc(r.window.sampled, ref.sampled, func(a, b winSample) bool {
 					return a.key == b.key && a.last == b.last && a.size == b.size && slices.Equal(a.taus, b.taus)
 				}) {
@@ -518,8 +438,9 @@ func TestWindowMatchesReference(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-	if droppedTaken == 0 || reissued == 0 || rollovers == 0 {
-		t.Errorf("coverage: %d sampled keys dropped mid-window, %d handles reissued within a window, %d rollovers; want each > 0",
-			droppedTaken, reissued, rollovers)
+	if droppedTaken == 0 || reissued == 0 || rollovers == 0 || budgetFull == 0 || capFull == 0 || seqCut == 0 || keptAll == 0 {
+		t.Errorf("coverage: %d sampled keys dropped mid-window, %d handles reissued within a window, %d rollovers, "+
+			"%d requests at a full budget, %d at the object cap, %d at the sequence cap, %d runs that keep every key; want each > 0",
+			droppedTaken, reissued, rollovers, budgetFull, capFull, seqCut, keptAll)
 	}
 }

@@ -39,10 +39,6 @@ import (
 // stamp draws no random variate, so under the score cache the policy's
 // RNG stream feeds only the candidate sampler.
 
-// expClamp bounds the mean log-residual before exponentiation so a
-// wild mixture cannot push the score to +Inf and poison the cache.
-const expClamp = 700.0
-
 // invalidateFastPath drops every piece of inference state derived
 // from the current network. Cached per-object scores need no sweep:
 // they carry the model version and fail the stamp check lazily.
@@ -150,7 +146,7 @@ func (r *Raven) stampArrival(j int, mix *nn.Mixture, ver int) {
 	for k, w := range mix.W {
 		lr += w * mix.Mu[k]
 	}
-	lr = min(max(lr, -expClamp), expClamp)
+	lr = min(max(lr, -nn.ExpClamp), nn.ExpClamp)
 	rc := r.scrRec[j]
 	sd := r.tab.sides.At(rc.res)
 	score := float64(rc.lastSeen) + r.net.Cfg.TimeScale*math.Exp(lr)

@@ -128,7 +128,7 @@ func TestScoreStampIsClosedForm(t *testing.T) {
 				for k := range mix.W {
 					lr += mix.W[k] * mix.Mu[k]
 				}
-				lr = math.Max(-expClamp, math.Min(lr, expClamp))
+				lr = math.Max(-nn.ExpClamp, math.Min(lr, nn.ExpClamp))
 				rc := r.scrRec[j]
 				want := float64(rc.lastSeen) + r.net.Cfg.TimeScale*math.Exp(lr)
 				if got := r.tab.sides.At(rc.res).score; math.Float64bits(got) != math.Float64bits(want) {

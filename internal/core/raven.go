@@ -53,9 +53,9 @@ type Raven struct {
 	scrDirty []int
 	scrIn    []nn.PredictInput
 
-	// predMix is the persistent mixture scratch for the closed-form
-	// next-arrival predictions (arrival.go; no RNG draws).
-	predMix nn.Mixture
+	// predMix is the persistent one-row mixture scratch for the
+	// closed-form next-arrival predictions (arrival.go; no RNG draws).
+	predMix [1]nn.Mixture
 
 	// Model-lifecycle state (health.go): the consecutive-guard-trip
 	// counter the health state is derived from, lifecycle metrics, and

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"raven/internal/stats"
@@ -12,6 +13,10 @@ import (
 // Fit allocates is set by the replica and worker counts and the longest
 // sequence, not by how many sequences or epochs it runs.
 func TestFitAllocFree(t *testing.T) {
+	// A collection inside a measured window adds the runtime's own
+	// allocations (the process's first one starts the mark workers) to
+	// the count, so the collector stays off while this test counts.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	tc := TrainConfig{MaxSeq: 12}
 	long := trainSequences(1, stats.NewRNG(1))[0]
 	for len(long.Taus) < tc.MaxSeq+3 { // longer than MaxSeq: truncated to the cap

@@ -166,7 +166,7 @@ func TestCheckpointRejectsHostileArchitecture(t *testing.T) {
 
 // parentGRUWeights is writeWeights' SHA-256 of the net behind
 // testdata/parent_gru.ckpt, and parentGRUMixture the bits of one
-// PredictWith on it (the embedding of interarrivals 3, 4, 5; size 100,
+// prediction on it (the embedding of interarrivals 3, 4, 5; size 100,
 // age 2), both printed by the program that wrote the file at commit
 // ebe4571 — the last one whose nn.Config had an RNN field, which is in
 // the file's gob stream and must be skipped silently.
@@ -198,8 +198,7 @@ func TestParentCheckpointLoads(t *testing.T) {
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != parentGRUWeights {
 		t.Errorf("weights hash %s, want %s", got, parentGRUWeights)
 	}
-	var m Mixture
-	n.PredictWith(n.NewPredictScratch(), n.EmbedHistoryInto(nil, []float64{3, 4, 5}), 100, 2, &m)
+	m := predictOne(n, n.EmbedHistoryInto(nil, []float64{3, 4, 5}), 100, 2)
 	for k, want := range parentGRUMixture {
 		got := [3]uint64{math.Float64bits(m.W[k]), math.Float64bits(m.Mu[k]), math.Float64bits(m.S[k])}
 		if got != want {

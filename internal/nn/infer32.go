@@ -69,38 +69,33 @@ func (fz *Frozen32) NewScratch() *Scratch32 {
 	}
 }
 
-// Predict computes the residual-time mixture for one (embedding,
-// size, age) input through the f32 kernels, allocation-free after the
-// first mixture fill. The input features are computed in f64 (same
-// log1p transforms as the f64 path) and rounded once at the MLP
-// boundary.
-func (fz *Frozen32) Predict(s *Scratch32, h []float64, size, age float64, out *Mixture) {
-	for i := 0; i < fz.hidden; i++ {
-		s.in[i] = float32(h[i])
-	}
-	s.in[fz.hidden] = float32(featSize(size))
-	if age < 0 {
-		age = 0
-	}
-	s.in[fz.hidden+1] = float32(math.Log1p(age / fz.timeScale))
-	matVec32(fz.fc1W, fz.mlp, fz.hidden+2, s.in, fz.fc1B, s.y1)
-	relu32(s.y1, s.y1)
-	matVec32(fz.fc2W, fz.mlp, fz.mlp, s.y1, fz.fc2B, s.y2)
-	relu32(s.y2, s.y2)
-	matVec32(fz.wW, fz.k, fz.mlp, s.y2, fz.wB, s.aW)
-	matVec32(fz.muW, fz.k, fz.mlp, s.y2, fz.muB, s.aMu)
-	matVec32(fz.sW, fz.k, fz.mlp, s.y2, fz.sB, s.aS)
-	MixtureFromActivations32(s.aW, s.aMu, s.aS, out)
-}
-
-// PredictBatch runs Predict for every input through one shared
-// scratch arena, filling out[i] from in[i]. Serial by design: the
-// fused eviction path batches all dirty candidates through one call
-// so the layer weights are walked with hot caches instead of being
+// PredictBatch fills out[i] with the residual-time mixture for in[i]
+// through the f32 kernels, one input at a time through one shared
+// scratch arena, allocation-free after the first mixture fill. The
+// input features are computed in f64 (same log1p transforms as the f64
+// path) and rounded once at the MLP boundary. Serial by design: the
+// fused eviction path batches all dirty candidates through one call so
+// the layer weights are walked with hot caches instead of being
 // re-fetched per candidate.
 func (fz *Frozen32) PredictBatch(s *Scratch32, in []PredictInput, out []Mixture) {
 	for i := range in {
-		fz.Predict(s, in[i].H, in[i].Size, in[i].Age, &out[i])
+		for j := 0; j < fz.hidden; j++ {
+			s.in[j] = float32(in[i].H[j])
+		}
+		s.in[fz.hidden] = float32(featSize(in[i].Size))
+		age := in[i].Age
+		if age < 0 {
+			age = 0
+		}
+		s.in[fz.hidden+1] = float32(math.Log1p(age / fz.timeScale))
+		matVec32(fz.fc1W, fz.mlp, fz.hidden+2, s.in, fz.fc1B, s.y1)
+		relu32(s.y1, s.y1)
+		matVec32(fz.fc2W, fz.mlp, fz.mlp, s.y1, fz.fc2B, s.y2)
+		relu32(s.y2, s.y2)
+		matVec32(fz.wW, fz.k, fz.mlp, s.y2, fz.wB, s.aW)
+		matVec32(fz.muW, fz.k, fz.mlp, s.y2, fz.muB, s.aMu)
+		matVec32(fz.sW, fz.k, fz.mlp, s.y2, fz.sB, s.aS)
+		MixtureFromActivations32(s.aW, s.aMu, s.aS, &out[i])
 	}
 }
 

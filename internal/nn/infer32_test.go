@@ -48,28 +48,39 @@ func testNet() *Net {
 	return NewNet(Config{Hidden: 8, MLPHidden: 12, K: 4, TimeScale: 50, Seed: 3})
 }
 
-func TestPredictBatchMatchesPredictWith(t *testing.T) {
+// predictOne predicts one input as a batch of one.
+func predictOne(n *Net, h []float64, size, age float64) Mixture {
+	out := make([]Mixture, 1)
+	n.PredictBatch(n.NewPredictScratch(), []PredictInput{{H: h, Size: size, Age: age}}, out)
+	return out[0]
+}
+
+// TestPredictBatchRowsIndependent: every row of a PredictBatch over 1–33
+// inputs has the bits of that input predicted as a batch of one, through
+// a scratch that earlier batches grew and filled.
+func TestPredictBatchRowsIndependent(t *testing.T) {
 	n := testNet()
 	g := stats.NewRNG(5)
-	const batch = 16
-	in := make([]PredictInput, batch)
-	for i := range in {
-		h := make([]float64, n.Cfg.Hidden)
-		for j := range h {
-			h[j] = g.NormFloat64()
-		}
-		in[i] = PredictInput{H: h, Size: float64(1 + g.Intn(4096)), Age: float64(g.Intn(1000))}
-	}
-	batched := make([]Mixture, batch)
-	n.PredictBatch(n.NewPredictScratch(), in, batched)
 	s := n.NewPredictScratch()
-	for i := range in {
-		var want Mixture
-		n.PredictWith(s, in[i].H, in[i].Size, in[i].Age, &want)
-		for k := 0; k < n.Cfg.K; k++ {
-			if batched[i].W[k] != want.W[k] || batched[i].Mu[k] != want.Mu[k] || batched[i].S[k] != want.S[k] {
-				t.Fatalf("candidate %d component %d: batch (%v,%v,%v) != single (%v,%v,%v)",
-					i, k, batched[i].W[k], batched[i].Mu[k], batched[i].S[k], want.W[k], want.Mu[k], want.S[k])
+	for c := 1; c <= 33; c++ {
+		in := make([]PredictInput, c)
+		for i := range in {
+			h := make([]float64, n.Cfg.Hidden)
+			for j := range h {
+				h[j] = g.NormFloat64()
+			}
+			in[i] = PredictInput{H: h, Size: float64(1 + g.Intn(4096)), Age: float64(g.Intn(1000))}
+		}
+		batched := make([]Mixture, c)
+		n.PredictBatch(s, in, batched)
+		for i := range in {
+			want := predictOne(n, in[i].H, in[i].Size, in[i].Age)
+			for k := 0; k < n.Cfg.K; k++ {
+				got := [3]uint64{math.Float64bits(batched[i].W[k]), math.Float64bits(batched[i].Mu[k]), math.Float64bits(batched[i].S[k])}
+				one := [3]uint64{math.Float64bits(want.W[k]), math.Float64bits(want.Mu[k]), math.Float64bits(want.S[k])}
+				if got != one {
+					t.Fatalf("batch of %d, row %d, component %d: bits %#x, alone %#x", c, i, k, got, one)
+				}
 			}
 		}
 	}
@@ -88,9 +99,11 @@ func TestFrozen32MatchesF64WithinTolerance(t *testing.T) {
 		}
 		size := float64(1 + g.Intn(1<<20))
 		age := float64(g.Intn(5000))
-		var m64, m32 Mixture
-		n.PredictWith(s64, h, size, age, &m64)
-		fz.Predict(s32, h, size, age, &m32)
+		in := []PredictInput{{H: h, Size: size, Age: age}}
+		out := make([]Mixture, 2)
+		n.PredictBatch(s64, in, out[:1])
+		fz.PredictBatch(s32, in, out[1:])
+		m64, m32 := out[0], out[1]
 		for k := 0; k < n.Cfg.K; k++ {
 			if d := math.Abs(m32.W[k] - m64.W[k]); d > 1e-4 {
 				t.Fatalf("trial %d W[%d]: f32 %v vs f64 %v", trial, k, m32.W[k], m64.W[k])
@@ -125,13 +138,13 @@ func TestFrozen32PredictAllocFree(t *testing.T) {
 	n := testNet()
 	fz := n.Freeze32()
 	s := fz.NewScratch()
-	h := make([]float64, n.Cfg.Hidden)
-	var out Mixture
-	fz.Predict(s, h, 100, 10, &out) // first call fills the mixture
+	in := []PredictInput{{H: make([]float64, n.Cfg.Hidden), Size: 100, Age: 10}}
+	out := make([]Mixture, 1)
+	fz.PredictBatch(s, in, out) // first call fills the mixture
 	allocs := testing.AllocsPerRun(200, func() {
-		fz.Predict(s, h, 100, 10, &out)
+		fz.PredictBatch(s, in, out)
 	})
 	if allocs != 0 {
-		t.Fatalf("Frozen32.Predict allocates %v/op, want 0", allocs)
+		t.Fatalf("Frozen32.PredictBatch allocates %v/op, want 0", allocs)
 	}
 }

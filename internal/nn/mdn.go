@@ -131,11 +131,16 @@ func (m *Mixture) Survival(v float64) float64 {
 // CDF returns Pr{R <= v} (used by the exact priority score, Eq. 1b).
 func (m *Mixture) CDF(v float64) float64 { return 1 - m.Survival(v) }
 
-// Mean returns the mixture mean E[R] = Σ w_k exp(mu_k + s_k²/2).
+// ExpClamp bounds an exponent before exponentiation, so a wild mixture
+// cannot push a mean or a score to +Inf.
+const ExpClamp = 700.0
+
+// Mean returns the mixture mean E[R] = Σ w_k exp(mu_k + s_k²/2), each
+// exponent clamped to ±ExpClamp.
 func (m *Mixture) Mean() float64 {
 	s := 0.0
 	for i := range m.W {
-		s += m.W[i] * math.Exp(m.Mu[i]+0.5*m.S[i]*m.S[i])
+		s += m.W[i] * math.Exp(min(max(m.Mu[i]+0.5*m.S[i]*m.S[i], -ExpClamp), ExpClamp))
 	}
 	return s
 }
@@ -203,10 +208,6 @@ func sumOf(v []float64) (sum float64) {
 	}
 	return sum
 }
-
-// NLL returns the negative log-likelihood −log p(r), the value NLLGrad
-// returns, without its gradients.
-func (m *Mixture) NLL(r float64) float64 { return -m.LogPDF(r) }
 
 // NLLGrad computes the negative log-likelihood −log p(r) and
 // accumulates its gradients w.r.t. the raw head activations into

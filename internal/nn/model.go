@@ -111,7 +111,7 @@ func (n *Net) Params() []*Param { return n.params }
 // are immediately visible) but whose gradient buffers and recurrent
 // scratch are private: one gradient vector in Params() order, zeroed.
 // One goroutine may run forward/backward (with its own arena) or
-// PredictWith on a shadow concurrently with other shadows; Fit's
+// PredictBatch on a shadow concurrently with other shadows; Fit's
 // data-parallel workers use one shadow per slot. Only the original
 // carries optimizer state, and Fit must be called on the original.
 func (n *Net) Shadow() *Net {
@@ -200,12 +200,6 @@ func (n *Net) forwardRows(b *mlpRows, rows int) {
 	n.headS.forwardRows(y2, rows, b.aS[:rows*k])
 }
 
-// mixture fills out with row i's mixture.
-func (n *Net) mixture(b *mlpRows, i int, out *Mixture) {
-	k := n.Cfg.K
-	MixtureFromActivations(b.aW[i*k:(i+1)*k], b.aMu[i*k:(i+1)*k], b.aS[i*k:(i+1)*k], out)
-}
-
 // backwardRows backpropagates the gradients on a's head activations
 // (dAW/dAMu/dAS) through the heads and the MLP for its first rows rows.
 // Each layer's parameter gradients are summed over the rows last to
@@ -246,29 +240,18 @@ func (n *Net) backwardRows(a *trainArena, rows int) {
 	matTVecAddRows(n.fc1.W.W, m, H2, dy1, rows, in)
 }
 
-// PredictScratch holds reusable buffers for repeated PredictWith and
-// PredictBatch calls on the eviction hot path; create one per caller
-// with NewPredictScratch. PredictBatch grows it to its largest batch.
+// PredictScratch holds reusable buffers for repeated PredictBatch
+// calls on the request and eviction paths; create one per caller with
+// NewPredictScratch. PredictBatch grows it to its largest batch.
 type PredictScratch struct {
 	b    mlpRows
-	feat []float64 // the batch's sizes, then ages, as log1p arguments (PredictBatch)
-	e    []float64 // the batch's shifted softmax activations, then log-deviations, as exp arguments (PredictBatch)
+	feat []float64 // the batch's sizes, then ages, as log1p arguments
+	e    []float64 // the batch's shifted softmax activations, then log-deviations, as exp arguments
 }
 
 // NewPredictScratch allocates prediction buffers sized for this net.
 func (n *Net) NewPredictScratch() *PredictScratch {
 	return &PredictScratch{b: n.newMLPRows(1), feat: make([]float64, 2), e: make([]float64, 2*n.Cfg.K)}
-}
-
-// PredictWith computes the residual-time mixture for an object with
-// the given history embedding, size (bytes) and age (ticks) in
-// caller-owned scratch, allocation-free after the first mixture fill.
-// The returned mixture is over normalized time; scale by Cfg.TimeScale
-// for ticks.
-func (n *Net) PredictWith(s *PredictScratch, h []float64, size, age float64, out *Mixture) {
-	n.setInput(&s.b, 0, h, featSize(size), math.Log1p(n.timeArg(age)))
-	n.forwardRows(&s.b, 1)
-	n.mixture(&s.b, 0, out)
 }
 
 // PredictInput is one candidate of a batched prediction: the history
@@ -278,11 +261,14 @@ type PredictInput struct {
 	Size, Age float64
 }
 
-// PredictBatch fills out[i] with the mixture for in[i]: the size and
-// age features' log1ps as one pass, then each layer once over the whole
+// PredictBatch fills out[i] with the residual-time mixture for in[i]
+// (the history embedding, size in bytes and age in ticks), over
+// normalized time: scale by Cfg.TimeScale for ticks. The size and age
+// features' log1ps run as one pass, then each layer once over the whole
 // chunk (forwardRows), so every weight is loaded once per four
-// candidates, then every mixture's exps as one pass. Each out[i] is
-// bit-identical to the corresponding PredictWith call.
+// candidates, then every mixture's exps as one pass. Each out[i] has
+// the bits of in[i] predicted as a batch of one, and the call is
+// allocation-free once s and the mixtures have grown.
 func (n *Net) PredictBatch(s *PredictScratch, in []PredictInput, out []Mixture) {
 	c, k := len(in), n.Cfg.K
 	if s.b.rows(n) < c {

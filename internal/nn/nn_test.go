@@ -240,8 +240,7 @@ func TestFitLearnsConstantResidual(t *testing.T) {
 	}
 	// Predict residual at age 1.0 (mid-interval): true residual ~1.0.
 	h := net.EmbedHistoryInto(nil, []float64{2, 2, 2, 2, 2, 2})
-	var m Mixture
-	net.PredictWith(net.NewPredictScratch(), h, 100, 1.0, &m)
+	m := predictOne(net, h, 100, 1.0)
 	mean := m.Mean() * net.Cfg.TimeScale
 	if mean < 0.2 || mean > 4 {
 		t.Errorf("predicted mean residual %.3f ticks, want ~1", mean)
@@ -276,10 +275,8 @@ func TestFitSurvivalSeparatesHotAndCold(t *testing.T) {
 
 	hHot := net.EmbedHistoryInto(nil, []float64{1, 1, 1, 1, 1})
 	hCold := net.ZeroState()
-	var mHot, mCold Mixture
-	scr := net.NewPredictScratch()
-	net.PredictWith(scr, hHot, 100, 0.5, &mHot)
-	net.PredictWith(scr, hCold, 100, 25, &mCold)
+	mHot := predictOne(net, hHot, 100, 0.5)
+	mCold := predictOne(net, hCold, 100, 25)
 	// One TimeScale scales both, so the normalized means compare as ticks do.
 	if mCold.Mean() <= mHot.Mean() {
 		t.Errorf("cold mean residual %.3f should exceed hot %.3f", mCold.Mean(), mHot.Mean())

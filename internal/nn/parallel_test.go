@@ -120,10 +120,11 @@ func BenchmarkPredict(b *testing.B) {
 	n := NewNet(Config{TimeScale: 40, Seed: 1})
 	h := n.EmbedHistoryInto(nil, []float64{3, 5, 2, 8, 13, 1, 4, 6})
 	scr := n.NewPredictScratch()
-	var mix Mixture
+	in := []PredictInput{{H: h, Size: 1000, Age: 7}}
+	mix := make([]Mixture, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		n.PredictWith(scr, h, 1000, 7, &mix)
+		n.PredictBatch(scr, in, mix)
 	}
 }
 

@@ -49,8 +49,7 @@ func TestFitNeverProducesNaN(t *testing.T) {
 				}
 			}
 		}
-		var m Mixture
-		net.PredictWith(net.NewPredictScratch(), net.EmbedHistoryInto(nil, []float64{1, 1e9, 0}), 12345, 1e8, &m)
+		m := predictOne(net, net.EmbedHistoryInto(nil, []float64{1, 1e9, 0}), 12345, 1e8)
 		for k := range m.W {
 			if math.IsNaN(m.W[k]) || math.IsNaN(m.Mu[k]) || math.IsNaN(m.S[k]) {
 				return false

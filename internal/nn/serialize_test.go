@@ -34,9 +34,8 @@ func TestCheckpointRoundTripAllCells(t *testing.T) {
 	// Predictions must match bit for bit.
 	h1 := net.EmbedHistoryInto(nil, []float64{3, 4, 5})
 	h2 := got.EmbedHistoryInto(nil, []float64{3, 4, 5})
-	var m1, m2 Mixture
-	net.PredictWith(net.NewPredictScratch(), h1, 100, 2, &m1)
-	got.PredictWith(got.NewPredictScratch(), h2, 100, 2, &m2)
+	m1 := predictOne(net, h1, 100, 2)
+	m2 := predictOne(got, h2, 100, 2)
 	for k := range m1.W {
 		if m1.W[k] != m2.W[k] || m1.Mu[k] != m2.Mu[k] || m1.S[k] != m2.S[k] {
 			t.Fatal("mixture mismatch after round trip")

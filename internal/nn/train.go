@@ -463,7 +463,7 @@ func (n *Net) forwardBackward(a *trainArena, seq *Sequence, g *stats.RNG, tc Tra
 // to m−1 are NLL terms of their targets, and a row m the survival term.
 // With train it also accumulates each row's gradients on its head
 // activations into dAW/dAMu/dAS. Each row's mixture and term have the
-// bits of MixtureFromActivations and NLLGrad (NLL, SurvivalNLLGrad,
+// bits of MixtureFromActivations and NLLGrad (SurvivalNLLGrad,
 // SurvivalNLL) on that row, and the terms add in row order; but the
 // exps of every row's mixture run as one pass, and so do the NLL rows'
 // logs and their likelihoods' exps.

@@ -49,12 +49,11 @@ var reasonNames = [NumReasons + 1]string{
 // String is the reason's metric name, "" for the zero Reason.
 func (r Reason) String() string { return reasonNames[r] }
 
-// CacheObs is the cache engine's observability surface: occupancy
-// gauges plus the request/eviction counters operators watch. The
-// engine updates it inline (a handful of atomic ops per request, no
-// allocation) when one is attached via cache.SetObs; the server and
-// simulator attach the same struct so live METRICS totals reconcile
-// exactly with the engine's own cache.Stats accounting.
+// CacheObs is one cache shard's counters: occupancy gauges plus the
+// request, byte and eviction counters operators watch. Every shard
+// counts into one from construction (a handful of atomic ops per
+// request, no allocation), and the engine's cache.Stats is read from
+// its counters, so METRICS and cache.Stats are the same numbers.
 type CacheObs struct {
 	// UsedBytes and Objects track live occupancy.
 	UsedBytes Gauge
@@ -64,12 +63,19 @@ type CacheObs struct {
 	// without a frequency front).
 	AdmitBytes Gauge
 
-	Requests   Counter
-	Hits       Counter
-	Evictions  Counter
-	Admissions Counter
-	Rejections Counter
-	Sets       Counter
+	Requests Counter
+	Hits     Counter
+	// ReqBytes and HitBytes sum the sizes of the lookups and of the
+	// hits: their ratio is the byte hit ratio.
+	ReqBytes  Counter
+	HitBytes  Counter
+	Evictions Counter
+	// OneHitWonders counts evicted objects that were never hit between
+	// admission and eviction.
+	OneHitWonders Counter
+	Admissions    Counter
+	Rejections    Counter
+	Sets          Counter
 
 	// Rejects[r-1] counts the admission rejects of reason r: an array
 	// indexed by reason (not a map), so a reject is a single atomic op
@@ -100,9 +106,9 @@ func (m cacheMetric) load() int64 {
 	return m.c.Load()
 }
 
-// numCacheMetrics is how many metrics a CacheObs registers: nine, then
-// one per reject reason.
-const numCacheMetrics = 9 + NumReasons
+// numCacheMetrics is how many metrics a CacheObs registers: twelve,
+// then one per reject reason.
+const numCacheMetrics = 12 + NumReasons
 
 // metrics is the one list of CacheObs metric names, in registration
 // order. Both Register methods walk it, so the plain and the merged
@@ -114,13 +120,16 @@ func (co *CacheObs) metrics() [numCacheMetrics]cacheMetric {
 		{suffix: "admit_bytes", g: &co.AdmitBytes},
 		{suffix: "requests", c: &co.Requests},
 		{suffix: "hits", c: &co.Hits},
+		{suffix: "req_bytes", c: &co.ReqBytes},
+		{suffix: "hit_bytes", c: &co.HitBytes},
 		{suffix: "evictions", c: &co.Evictions},
+		{suffix: "one_hit_wonders", c: &co.OneHitWonders},
 		{suffix: "admissions", c: &co.Admissions},
 		{suffix: "rejections", c: &co.Rejections},
 		{suffix: "sets", c: &co.Sets},
 	}
 	for i := range co.Rejects {
-		m[9+i] = cacheMetric{suffix: "admit_rejects." + Reason(i+1).String(), c: &co.Rejects[i]}
+		m[12+i] = cacheMetric{suffix: "admit_rejects." + Reason(i+1).String(), c: &co.Rejects[i]}
 	}
 	return m
 }
@@ -160,8 +169,8 @@ func (so *ShardedCacheObs) Init(n int) {
 // Shards returns how many shard bundles Init allocated.
 func (so *ShardedCacheObs) Shards() int { return len(so.shards) }
 
-// Shard returns shard i's metric bundle, to be attached to that
-// shard's engine (cache.Sharded.SetShardObs).
+// Shard returns shard i's metric bundle, for that shard of the engine
+// to count into (cache.Sharded.SetShardObs).
 func (so *ShardedCacheObs) Shard(i int) *CacheObs { return so.shards[i] }
 
 // Register adds the merged totals under prefix.* (same names a plain

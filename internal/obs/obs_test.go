@@ -264,11 +264,12 @@ func TestRavenObsHealthConcurrent(t *testing.T) {
 }
 
 // cacheNames is every metric a CacheObs registers, in its order: 3
-// gauges, 6 counters and the 7 admit_rejects.<reason> counters. METRICS
+// gauges, 9 counters and the 7 admit_rejects.<reason> counters. METRICS
 // output and dashboards depend on both.
 var cacheNames = []string{
 	"used_bytes", "objects", "admit_bytes",
-	"requests", "hits", "evictions", "admissions", "rejections", "sets",
+	"requests", "hits", "req_bytes", "hit_bytes", "evictions", "one_hit_wonders",
+	"admissions", "rejections", "sets",
 	"admit_rejects.too_large", "admit_rejects.no_victim", "admit_rejects.policy",
 	"admit_rejects.size_threshold", "admit_rejects.doorkeeper", "admit_rejects.frequency",
 	"admit_rejects.predicted_reuse",

@@ -182,7 +182,7 @@ func modelOptions(name string, front bool, capacity, duration int64) Options {
 //     admission, rejection;
 //   - the per-reason reject counters sum to the rejections;
 //   - admissions - evictions == the resident objects (admit is the
-//     only way in; these runs never ResetStats);
+//     only way in; these runs never give a shard a fresh counter block);
 //   - 0 <= used == the resident objects' bytes <= capacity.
 //
 // It returns the final statistics and the policy-reason reject count.

@@ -73,7 +73,7 @@ type evictTimer struct {
 }
 
 // timedPolicy decorates a policy, measuring Victim wall time and
-// forwarding the optional Admitter extension.
+// forwarding the optional Admitter extension and Unwrap.
 type timedPolicy struct {
 	cache.Policy
 	t *evictTimer
@@ -94,6 +94,10 @@ func (t *timedPolicy) Victim() (cache.Key, bool) {
 func (t *timedPolicy) Admit(req cache.Request) cache.Decision {
 	return cache.PolicyAdmit(t.Policy, req)
 }
+
+// Unwrap returns the timed policy, so the engine finds an admission
+// front behind the timer.
+func (t *timedPolicy) Unwrap() cache.Policy { return t.Policy }
 
 // Run replays tr through a cache engine of opts.Capacity split over
 // the given shard count, building one policy per shard via newPolicy:
@@ -172,7 +176,9 @@ func Run(tr *trace.Trace, shards int, newPolicy cache.ShardFactory, opts Options
 		if i == warmIdx && warmIdx > 0 {
 			// End of warmup: discard everything measured so far.
 			collecting = true
-			c.ResetStats()
+			for sh := range c.Shards() {
+				c.SetShardObs(sh, nil)
+			}
 			tp.res = stats.NewReservoir(4096, opts.Seed+4)
 			if opts.Net != nil {
 				lat = stats.NewReservoir(8192, opts.Seed+5)

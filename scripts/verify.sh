@@ -15,7 +15,10 @@
 #   race         go test -race on the concurrent packages, plus the
 #                dedicated sharded-engine stress run (100 clients of
 #                mixed GET/SET against an 8-shard server, reconciling
-#                METRICS totals), the multi-process cluster chaos
+#                METRICS totals), TestStatsAreTheMetrics (a 4-shard
+#                server's cache.Stats, METRICS cache.* rows and STATS
+#                reply are one set of counters, with METRICS read while
+#                traffic runs), the multi-process cluster chaos
 #                test (SIGKILL + restart of a ravencached node
 #                mid-replay behind the router) and the router's retry
 #                round (a failed node's share of a burst retried as one
@@ -38,7 +41,9 @@
 #                arguments each and the overflow, denormal, branch-bound
 #                and special-value edges), fits and
 #                replays bit-exact across worker counts (guarded fits
-#                with injected faults too), admission replays bit-exact across runs and worker
+#                with injected faults too), every row of a PredictBatch
+#                over 1–33 inputs bit-identical to that input predicted
+#                alone (TestPredictBatchRowsIndependent), admission replays bit-exact across runs and worker
 #                counts, the score cache's stamped scores bit-exact across
 #                runs and equal to the closed form of their mixtures, its
 #                candidate sample independent of how many candidates
@@ -169,6 +174,8 @@ stage_race() {
     echo "==> sharded cross-shard race stress (100 clients, mixed GET/SET)"
     run_named 'TestShardedStress' -race ./internal/server/
     run_named 'TestShardedConcurrent' -race ./internal/cache/
+    echo "==> cache.Stats, METRICS and STATS read one set of counters (METRICS snapshots taken under traffic)"
+    run_named 'TestStatsAreTheMetrics' -race ./internal/server/
     # The multi-process chaos test runs again explicitly under a hard
     # timeout: 3 ravencached processes, SIGKILL + restart mid-replay,
     # bounded hit-ratio error and METRICS reconciliation. Beside it, the
@@ -184,8 +191,8 @@ stage_lint() {
 }
 
 stage_determinism() {
-    echo "==> same program: pinned fit hashes (assembly and, on amd64, Go kernels) and fits bit-exact across worker counts, guarded and faulted ones too"
-    local fit_names='TestFitGoldenBytes|TestFitWorkersBitExact|TestGuardedFitWorkersBitExact|TestExpMatchesMath|TestLogMatchesMath|TestTanhMatchesMath|TestLog1pMatchesMath'
+    echo "==> same program: pinned fit hashes (assembly and, on amd64, Go kernels), fits bit-exact across worker counts, guarded and faulted ones too, and each PredictBatch row bit-identical to a batch of one"
+    local fit_names='TestFitGoldenBytes|TestFitWorkersBitExact|TestGuardedFitWorkersBitExact|TestExpMatchesMath|TestLogMatchesMath|TestTanhMatchesMath|TestLog1pMatchesMath|TestPredictBatchRowsIndependent'
     # Off amd64 useAVX is a constant, and the Go-kernel run does not exist.
     if [[ "$(go env GOARCH)" == amd64 ]]; then
         fit_names+='|TestFitGoldenBytesGoKernels'
