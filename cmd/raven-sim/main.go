@@ -10,7 +10,7 @@
 //
 // Traces come from the built-in production-like generators (-trace),
 // the synthetic renewal generators (-synthetic), or a "time key size"
-// file (-file).
+// file (-file, optionally gzipped).
 package main
 
 import (
@@ -30,7 +30,7 @@ func main() {
 	var (
 		prodName  = flag.String("trace", "", "production-like preset: wiki18|wiki19|wikimedia19|twitter17|twitter29|twitter52")
 		synthName = flag.String("synthetic", "", "synthetic interarrival law: poisson|uniform|pareto")
-		file      = flag.String("file", "", "trace file in 'time key size' format")
+		file      = flag.String("file", "", "trace file in 'time key size' format (a .gz file is decompressed)")
 		requests  = flag.Int("requests", 200000, "synthetic trace length")
 		objects   = flag.Int("objects", 1000, "synthetic object count")
 		varSizes  = flag.Bool("varsizes", false, "synthetic: variable object sizes U(10,1600)")
@@ -168,12 +168,7 @@ func countRollbacks(recs []core.TrainRecord) int {
 func loadTrace(prod, synth, file string, requests, objects int, varSizes bool, scale float64, seed int64) (*trace.Trace, error) {
 	switch {
 	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.ReadCSV(f, file)
+		return trace.ReadFile(file)
 	case prod != "":
 		return trace.ProductionTrace(trace.ProductionPreset(prod), scale, seed), nil
 	case synth != "":

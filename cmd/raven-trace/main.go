@@ -24,7 +24,7 @@ func main() {
 		varSizes = flag.Bool("varsizes", false, "synthetic variable sizes")
 		scale    = flag.Float64("scale", 0.5, "production trace scale")
 		seed     = flag.Int64("seed", 42, "random seed")
-		out      = flag.String("out", "", "output file ('' = stdout)")
+		out      = flag.String("out", "", "output file ('' = stdout; a .gz file is gzip-compressed)")
 		analyze  = flag.String("analyze", "", "analyze a trace file instead of generating")
 	)
 	flag.Parse()
@@ -63,29 +63,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	w := os.Stdout
+	var err error
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "raven-trace:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
+		err = trace.WriteFile(*out, tr)
+	} else {
+		err = trace.WriteCSV(os.Stdout, tr)
 	}
-	if err := trace.WriteCSV(w, tr); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "raven-trace:", err)
 		os.Exit(1)
 	}
 }
 
 func analyzeFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	tr, err := trace.ReadCSV(f, path)
+	tr, err := trace.ReadFile(path)
 	if err != nil {
 		return err
 	}

@@ -136,9 +136,6 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 // Capacity returns the configured total capacity in bytes.
 func (s *Sharded) Capacity() int64 { return s.capacity }
 
-// ShardCapacity returns shard i's byte capacity.
-func (s *Sharded) ShardCapacity(i int) int64 { return s.shards[i].capacity }
-
 // Handle processes one lookup on the key's shard and reports whether
 // it hit. On a miss the object is admitted (evicting as needed) unless
 // it exceeds the shard's capacity or the policy's admission control

@@ -264,3 +264,6 @@ func TestShardedConcurrent(t *testing.T) {
 		t.Errorf("per-shard request counters sum to %d, want %d", perShardReqs, st.Requests)
 	}
 }
+
+// ShardCapacity returns shard i's byte capacity.
+func (s *Sharded) ShardCapacity(i int) int64 { return s.shards[i].capacity }

@@ -66,9 +66,9 @@ type ringPoint struct {
 // Ring is a deterministic consistent-hash ring. Placement depends only
 // on (seed, vnodes, member set) — never on insertion order, map
 // iteration, or wall clock — so every router replica computes the same
-// ownership and Fingerprint proves it. Lookup and LookupN are pure and
-// allocation-free (they are on the router's per-request path;
-// TestRingLookupAllocFree holds them to 0 allocs/op).
+// ownership and Fingerprint proves it. LookupN is pure and
+// allocation-free (it is on the router's per-request path;
+// TestRingLookupAllocFree holds it to 0 allocs/op).
 //
 // Ring is not goroutine-safe; Router builds its ring once and only
 // reads it afterwards.
@@ -90,9 +90,6 @@ func NewRing(seed int64, vnodes int) *Ring {
 // Members returns the member names, sorted. The slice is shared; do not
 // mutate.
 func (r *Ring) Members() []string { return r.names }
-
-// Len returns the member count.
-func (r *Ring) Len() int { return len(r.names) }
 
 // Add inserts a member and rebuilds the ring. Adding an existing member
 // is an error (a duplicate would double the member's point share).
@@ -160,15 +157,6 @@ func (r *Ring) search(h uint64) int {
 		return 0
 	}
 	return lo
-}
-
-// Lookup returns the owning member's index (into Members) for key, or
-// -1 on an empty ring.
-func (r *Ring) Lookup(key trace.Key) int {
-	if len(r.points) == 0 {
-		return -1
-	}
-	return int(r.points[r.search(r.hashKey(key))].node)
 }
 
 // LookupN appends the indices of the first n distinct members clockwise

@@ -71,10 +71,6 @@ type Config struct {
 	// recovery probe (0 = 1s).
 	HalfOpenAfter time.Duration
 
-	// Registry receives the router.* metrics; pass the same registry to
-	// server.Config so the router process serves them over METRICS.
-	// nil creates a private registry.
-	Registry *obs.Registry
 	// Faults injects failures for tests; nil in production.
 	Faults *Faults
 }
@@ -140,10 +136,7 @@ func New(cfg Config) (*Router, error) {
 	if cfg.HalfOpenAfter == 0 {
 		cfg.HalfOpenAfter = defaultHalfOpenAfter
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	r := &Router{
 		cfg:    cfg,
 		reg:    reg,
@@ -217,7 +210,8 @@ func (r *Router) NodeStates() map[string]State {
 	return out
 }
 
-// Metrics returns the registry holding the router.* metrics.
+// Metrics returns the registry holding the router.* metrics; pass it
+// to server.Config so the router process serves them over METRICS.
 func (r *Router) Metrics() *obs.Registry { return r.reg }
 
 // batch is one round trip to one node: the requests of a burst that

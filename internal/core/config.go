@@ -27,14 +27,6 @@ const (
 	GoalOHR
 )
 
-// String returns the goal name.
-func (g Goal) String() string {
-	if g == GoalOHR {
-		return "ohr"
-	}
-	return "bhr"
-}
-
 // Config parameterizes a Raven policy. The zero value plus a positive
 // TrainWindow is usable; defaults follow §4 and §5.1.3 (scaled to the
 // CPU-only substrate per DESIGN.md).

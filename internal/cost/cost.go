@@ -6,8 +6,6 @@
 // measured hit-ratio curves.
 package cost
 
-import "fmt"
-
 // Monthly on-demand prices (USD) used by the paper (AWS, 2022).
 const (
 	priceT4gMicro    = 6.05   // ElastiCache t4g.micro, ~1.37 GB RAM
@@ -84,10 +82,4 @@ func Table4(inMemRatio, cdnRatio float64) []Scenario {
 		CDNClusterEBS(cdnRatio),
 		CDNClusterSSD(cdnRatio),
 	}
-}
-
-// String formats a scenario row.
-func (s Scenario) String() string {
-	return fmt.Sprintf("%-10s ratio=%.1fx raven=$%.0f/mo lru=$%.0f/mo savings=%.1f%%",
-		s.Name, s.CapacityRatio, s.RavenMonthly, s.LRUMonthly, 100*s.Savings())
 }

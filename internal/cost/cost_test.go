@@ -40,9 +40,3 @@ func TestSavingsMonotoneInRatio(t *testing.T) {
 		prev = s.Savings()
 	}
 }
-
-func TestStringFormatting(t *testing.T) {
-	if s := InMemoryCluster(4).String(); s == "" {
-		t.Error("empty String()")
-	}
-}

@@ -16,11 +16,14 @@ type Config struct {
 	Trees        int     // boosting rounds (default 30)
 	MaxDepth     int     // tree depth (default 4)
 	LearningRate float64 // shrinkage (default 0.1)
-	MinLeaf      int     // minimum samples per leaf (default 20)
-	Subsample    float64 // per-tree row subsampling in (0,1]; default 0.8
-	Bins         int     // histogram bins per feature (default 64, max 255)
 	Seed         int64
 }
+
+const (
+	minLeaf   = 20  // minimum samples per leaf
+	subsample = 0.8 // per-tree row subsampling fraction
+	bins      = 64  // histogram bins per feature (at most 255: bins are uint8)
+)
 
 func (c *Config) defaults() {
 	if c.Trees == 0 {
@@ -31,18 +34,6 @@ func (c *Config) defaults() {
 	}
 	if c.LearningRate == 0 { //lint:allow float-equal zero LearningRate means unset; fill the default
 		c.LearningRate = 0.1
-	}
-	if c.MinLeaf == 0 {
-		c.MinLeaf = 20
-	}
-	if c.Subsample == 0 { //lint:allow float-equal zero Subsample means unset; fill the default
-		c.Subsample = 0.8
-	}
-	if c.Bins == 0 {
-		c.Bins = 64
-	}
-	if c.Bins > 255 {
-		c.Bins = 255
 	}
 }
 
@@ -106,7 +97,7 @@ func Train(X [][]float64, y []float64, cfg Config) *Model {
 		for i := range X {
 			vals[i] = X[i][f]
 		}
-		edges[f] = quantileEdges(vals, cfg.Bins)
+		edges[f] = quantileEdges(vals, bins)
 	}
 	for i := range X {
 		row := make([]uint8, nf)
@@ -125,11 +116,11 @@ func Train(X [][]float64, y []float64, cfg Config) *Model {
 	for t := 0; t < cfg.Trees; t++ {
 		rows = rows[:0]
 		for i := range X {
-			if cfg.Subsample >= 1 || g.Float64() < cfg.Subsample {
+			if g.Float64() < subsample {
 				rows = append(rows, i)
 			}
 		}
-		if len(rows) < 2*cfg.MinLeaf {
+		if len(rows) < 2*minLeaf {
 			break
 		}
 		tr := buildTree(binned, edges, residual, rows, cfg)
@@ -176,14 +167,14 @@ func (t *tree) grow(binned [][]uint8, edges [][]float64, target []float64, rows 
 	}
 	mean := sum / float64(len(rows))
 	t.nodes[idx].value = mean
-	if depth >= cfg.MaxDepth || len(rows) < 2*cfg.MinLeaf {
+	if depth >= cfg.MaxDepth || len(rows) < 2*minLeaf {
 		return idx
 	}
 
 	nf := len(binned[rows[0]])
 	bestGain := 0.0
 	bestF, bestBin := -1, -1
-	maxBins := cfg.Bins + 1
+	maxBins := bins + 1
 	cnt := make([]int, maxBins)
 	sums := make([]float64, maxBins)
 	for f := 0; f < nf; f++ {
@@ -200,7 +191,7 @@ func (t *tree) grow(binned [][]uint8, edges [][]float64, target []float64, rows 
 			leftCnt += cnt[b]
 			leftSum += sums[b]
 			rightCnt := len(rows) - leftCnt
-			if leftCnt < cfg.MinLeaf || rightCnt < cfg.MinLeaf {
+			if leftCnt < minLeaf || rightCnt < minLeaf {
 				continue
 			}
 			rightSum := sum - leftSum
@@ -234,40 +225,4 @@ func (t *tree) grow(binned [][]uint8, edges [][]float64, target []float64, rows 
 	t.nodes[idx].left = l
 	t.nodes[idx].right = r
 	return idx
-}
-
-// MSE returns the mean squared error of the model on (X, y).
-func (m *Model) MSE(X [][]float64, y []float64) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range X {
-		d := m.Predict(X[i]) - y[i]
-		s += d * d
-	}
-	return s / float64(len(X))
-}
-
-// FeatureImportance returns per-feature split gains normalized to sum
-// to 1 (crude but useful for the explainability discussion).
-func (m *Model) FeatureImportance(nf int) []float64 {
-	imp := make([]float64, nf)
-	for i := range m.trees {
-		for _, n := range m.trees[i].nodes {
-			if n.left >= 0 && n.feature < nf {
-				imp[n.feature]++
-			}
-		}
-	}
-	t := 0.0
-	for _, v := range imp {
-		t += v
-	}
-	if t > 0 {
-		for i := range imp {
-			imp[i] /= t
-		}
-	}
-	return imp
 }

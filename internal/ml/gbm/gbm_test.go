@@ -81,9 +81,16 @@ func TestIrrelevantFeatureIgnored(t *testing.T) {
 		y[i] = 5 * x
 	}
 	m := Train(X, y, Config{Trees: 50, MaxDepth: 3, Seed: 7})
-	imp := m.FeatureImportance(2)
-	if imp[1] < imp[0] {
-		t.Errorf("informative feature importance %v should exceed noise %v", imp[1], imp[0])
+	var splits [2]int
+	for _, tr := range m.trees {
+		for _, n := range tr.nodes {
+			if n.left >= 0 {
+				splits[n.feature]++
+			}
+		}
+	}
+	if splits[1] < splits[0] {
+		t.Errorf("informative feature has %d splits, fewer than noise's %d", splits[1], splits[0])
 	}
 }
 
@@ -129,4 +136,17 @@ func TestDeterministicTraining(t *testing.T) {
 			t.Fatal("same seed should produce identical models")
 		}
 	}
+}
+
+// MSE returns the mean squared error of the model on (X, y).
+func (m *Model) MSE(X [][]float64, y []float64) float64 {
+	if len(X) == 0 {
+		return 0
+	}
+	s := 0.0
+	for i := range X {
+		d := m.Predict(X[i]) - y[i]
+		s += d * d
+	}
+	return s / float64(len(X))
 }

@@ -90,9 +90,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // genPath returns the final path of generation seq.
 func (s *Store) genPath(seq int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s-%08d.ckpt", s.opts.Prefix, seq))

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"raven/internal/stats"
-)
+import "math"
 
 // Mixture holds the post-transform parameters of a K-component
 // log-normal mixture (Eq. 2/4): weights (softmax), log-means, and
@@ -143,22 +139,6 @@ func (m *Mixture) Mean() float64 {
 		s += m.W[i] * math.Exp(min(max(m.Mu[i]+0.5*m.S[i]*m.S[i], -ExpClamp), ExpClamp))
 	}
 	return s
-}
-
-// Sample draws one residual time from the mixture.
-func (m *Mixture) Sample(g *stats.RNG) float64 {
-	u := g.Float64()
-	k := 0
-	acc := 0.0
-	for i := range m.W {
-		acc += m.W[i]
-		if u <= acc {
-			k = i
-			break
-		}
-		k = i
-	}
-	return math.Exp(m.Mu[k] + m.S[k]*g.NormFloat64())
 }
 
 // logTerms is the likelihood half of NLLGrad: with lr = log r, it

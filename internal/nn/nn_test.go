@@ -314,3 +314,19 @@ func TestStepEmbedMatchesEmbedHistory(t *testing.T) {
 		}
 	}
 }
+
+// Sample draws one residual time from the mixture.
+func (m *Mixture) Sample(g *stats.RNG) float64 {
+	u := g.Float64()
+	k := 0
+	acc := 0.0
+	for i := range m.W {
+		acc += m.W[i]
+		if u <= acc {
+			k = i
+			break
+		}
+		k = i
+	}
+	return math.Exp(m.Mu[k] + m.S[k]*g.NormFloat64())
+}

@@ -166,9 +166,6 @@ func (so *ShardedCacheObs) Init(n int) {
 	}
 }
 
-// Shards returns how many shard bundles Init allocated.
-func (so *ShardedCacheObs) Shards() int { return len(so.shards) }
-
 // Shard returns shard i's metric bundle, for that shard of the engine
 // to count into (cache.Sharded.SetShardObs).
 func (so *ShardedCacheObs) Shard(i int) *CacheObs { return so.shards[i] }

@@ -16,7 +16,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"strings"
@@ -316,19 +315,6 @@ func (r *Registry) Snapshot() []KV {
 		}
 	}
 	return out
-}
-
-// WriteTo writes the snapshot as "name value\n" lines.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	for _, kv := range r.Snapshot() {
-		m, err := fmt.Fprintf(w, "%s %d\n", kv.Name, kv.Value)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }
 
 // Line renders the snapshot as a single "name=value name=value ..."

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -192,13 +191,6 @@ func TestRegistryRenderers(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x").Add(1)
 	r.Gauge("y").Set(2)
-	var sb strings.Builder
-	if _, err := r.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != "x 1\ny 2\n" {
-		t.Errorf("WriteTo = %q", sb.String())
-	}
 	if line := r.Line(); line != "x=1 y=2" {
 		t.Errorf("Line = %q", line)
 	}

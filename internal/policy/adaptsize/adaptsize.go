@@ -49,9 +49,6 @@ func New(capacity int64, seed int64) *AdaptSize {
 // Name implements cache.Policy.
 func (p *AdaptSize) Name() string { return "adaptsize" }
 
-// C returns the current admission size parameter (for tests).
-func (p *AdaptSize) C() float64 { return p.c }
-
 // OnHit implements cache.Policy.
 func (p *AdaptSize) OnHit(req cache.Request) {
 	p.observe(true)

@@ -54,3 +54,6 @@ func TestNameAndLRUDelegation(t *testing.T) {
 		t.Errorf("delegated LRU should produce a hit: %+v", st)
 	}
 }
+
+// C returns the current admission size parameter (for tests).
+func (p *AdaptSize) C() float64 { return p.c }

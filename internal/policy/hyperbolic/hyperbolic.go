@@ -30,11 +30,6 @@ type Hyperbolic struct {
 // Option configures a Hyperbolic policy.
 type Option func(*Hyperbolic)
 
-// WithSampleSize overrides the default 64-candidate sample.
-func WithSampleSize(n int) Option {
-	return func(p *Hyperbolic) { p.sampleN = n }
-}
-
 // WithSizeAware divides the retention priority by object size.
 func WithSizeAware() Option {
 	return func(p *Hyperbolic) { p.sizeAware = true }

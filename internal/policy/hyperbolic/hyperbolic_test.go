@@ -53,3 +53,8 @@ func TestSampleSizeOption(t *testing.T) {
 		t.Errorf("capacity violated: %d", c.Used())
 	}
 }
+
+// WithSampleSize overrides the default 64-candidate sample.
+func WithSampleSize(n int) Option {
+	return func(p *Hyperbolic) { p.sampleN = n }
+}

@@ -242,6 +242,3 @@ func (p *LRB) Victim() (cache.Key, bool) {
 func (p *LRB) MetadataBytesPerObject() int64 {
 	return 8 * (numDeltas + numEDCs + 2)
 }
-
-// Trained reports whether a model is active (for tests).
-func (p *LRB) Trained() bool { return p.model != nil }

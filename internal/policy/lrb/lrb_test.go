@@ -66,3 +66,6 @@ func TestLRBBoundedTrainingBuffer(t *testing.T) {
 		t.Errorf("training buffer %d exceeds cap 500", len(p.trainX))
 	}
 }
+
+// Trained reports whether a model is active (for tests).
+func (p *LRB) Trained() bool { return p.model != nil }

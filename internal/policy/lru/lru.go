@@ -66,6 +66,3 @@ func (p *LRU) Victim() (cache.Key, bool) {
 	}
 	return back.Value.(lruEntry).key, true
 }
-
-// Len returns the number of tracked objects (for tests).
-func (p *LRU) Len() int { return len(p.items) }

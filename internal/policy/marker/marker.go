@@ -13,20 +13,12 @@ import (
 	"raven/internal/stats"
 )
 
-// Predictor supplies reuse-time predictions to PredictiveMarker.
-type Predictor interface {
-	// Observe records a request for key at the given time.
-	Observe(key cache.Key, now int64)
-	// PredictNext returns the predicted time of key's next request.
-	PredictNext(key cache.Key, now int64) float64
-	// Forget drops state for key (called on eviction).
-	Forget(key cache.Key)
-}
-
-// EWMAPredictor predicts the next arrival as now + an exponentially
-// weighted moving average of observed interarrival times. Unseen or
-// once-seen keys predict far in the future, mirroring how ML oracles
-// treat cold objects.
+// EWMAPredictor supplies reuse-time predictions to PredictiveMarker:
+// the next arrival is the last one plus an exponentially weighted
+// moving average of observed interarrival times. Unseen or once-seen
+// keys predict far in the future, mirroring how ML oracles treat cold
+// objects. History survives eviction, like the paper's ML oracle,
+// which is trained on the full request stream.
 type EWMAPredictor struct {
 	alpha float64
 	last  map[cache.Key]int64
@@ -47,7 +39,7 @@ func NewEWMAPredictor(alpha float64) *EWMAPredictor {
 	}
 }
 
-// Observe implements Predictor.
+// Observe records a request for key at time now.
 func (p *EWMAPredictor) Observe(key cache.Key, now int64) {
 	if lt, ok := p.last[key]; ok {
 		tau := float64(now - lt)
@@ -66,18 +58,12 @@ func (p *EWMAPredictor) Observe(key cache.Key, now int64) {
 	p.last[key] = now
 }
 
-// PredictNext implements Predictor.
+// PredictNext returns the predicted time of key's next request.
 func (p *EWMAPredictor) PredictNext(key cache.Key, now int64) float64 {
 	if e, ok := p.ewma[key]; ok {
 		return float64(p.last[key]) + e
 	}
 	return float64(now) + 10*p.far // cold object: assume far future
-}
-
-// Forget implements Predictor.
-func (p *EWMAPredictor) Forget(key cache.Key) {
-	// Keep history: predictions should survive eviction, like the
-	// paper's ML oracle which is trained on the full request stream.
 }
 
 type markState struct {
@@ -91,7 +77,7 @@ type markState struct {
 // unmarked object with the farthest predicted reuse.
 type Marker struct {
 	rng      *stats.RNG
-	pred     Predictor
+	pred     *EWMAPredictor
 	items    map[cache.Key]*markState
 	unmarked *list.List
 	now      int64
@@ -108,7 +94,7 @@ func New(seed int64) *Marker {
 
 // NewPredictive returns PredictiveMarker with the given reuse-time
 // predictor.
-func NewPredictive(seed int64, pred Predictor) *Marker {
+func NewPredictive(seed int64, pred *EWMAPredictor) *Marker {
 	m := New(seed)
 	m.pred = pred
 	return m
@@ -168,9 +154,6 @@ func (p *Marker) OnEvict(key cache.Key) {
 		p.unmarked.Remove(st.elem)
 	}
 	delete(p.items, key)
-	if p.pred != nil {
-		p.pred.Forget(key)
-	}
 }
 
 // Victim implements cache.Policy. When every cached object is marked a

@@ -228,6 +228,29 @@ func TestAcceptFaultBackoffBounded(t *testing.T) {
 	}
 }
 
+// TestAcceptLoopGivesUp: a listener that never stops failing is
+// permanent. After maxConsecutiveAcceptErrors retries the accept loop
+// exits, closes Fatal and reports the injected error through FatalErr.
+// The backoff makes this take about 9 s.
+func TestAcceptLoopGivesUp(t *testing.T) {
+	t.Parallel()
+	boom := errors.New("induced permanent accept fault")
+	srv := newTestServer(t, 100, func(c *Config) {
+		c.Faults = &Faults{AcceptErr: func() error { return boom }}
+	})
+	select {
+	case <-srv.Fatal():
+	case <-time.After(30 * time.Second):
+		t.Fatal("Fatal did not close under a permanently failing listener")
+	}
+	if err := srv.FatalErr(); !errors.Is(err, boom) {
+		t.Errorf("FatalErr() = %v, want it to wrap %v", err, boom)
+	}
+	if m := srv.Metrics().Counter("server.accept_errors").Load(); m != maxConsecutiveAcceptErrors+1 {
+		t.Errorf("accept_errors = %d, want %d", m, maxConsecutiveAcceptErrors+1)
+	}
+}
+
 // TestDrainForceClose: Close must return within the drain bound even
 // when a client holds its connection open forever.
 func TestDrainForceClose(t *testing.T) {

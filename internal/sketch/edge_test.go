@@ -166,3 +166,7 @@ func TestBloomResizeIsAReset(t *testing.T) {
 		t.Error("resized filter reset before its new capacity")
 	}
 }
+
+// Adds returns how many increments the current aging period has
+// absorbed.
+func (cm *CountMin) Adds() uint64 { return cm.adds }

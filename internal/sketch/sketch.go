@@ -128,10 +128,6 @@ func (cm *CountMin) Halve() {
 	}
 }
 
-// Adds returns how many increments the current aging period has
-// absorbed.
-func (cm *CountMin) Adds() uint64 { return cm.adds }
-
 // Bytes returns the size of the sketch's counter table.
 func (cm *CountMin) Bytes() int { return 8 * len(cm.counts) }
 

@@ -42,12 +42,6 @@ func (h *LogHistogram) Add(v, w float64) {
 // Bins returns the number of bins (excluding underflow).
 func (h *LogHistogram) Bins() int { return len(h.weights) }
 
-// Weight returns the accumulated weight of bin i.
-func (h *LogHistogram) Weight(i int) float64 { return h.weights[i] }
-
-// Underflow returns the weight accumulated below the lowest bin edge.
-func (h *LogHistogram) Underflow() float64 { return h.under }
-
 // BinLo returns the lower edge of bin i.
 func (h *LogHistogram) BinLo(i int) float64 {
 	return h.lo * math.Pow(h.base, float64(i))

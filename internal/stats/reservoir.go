@@ -30,12 +30,5 @@ func (r *Reservoir) Add(v float64) {
 	}
 }
 
-// Seen returns how many values have been offered.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
-// Items returns the current sample. The returned slice is owned by the
-// reservoir; callers must not modify it.
-func (r *Reservoir) Items() []float64 { return r.items }
-
 // Summary summarizes the current sample.
 func (r *Reservoir) Summary() Summary { return Summarize(r.items) }

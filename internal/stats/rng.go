@@ -107,42 +107,3 @@ func (g *RNG) ParetoMean(alpha, mean float64) float64 {
 func (g *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*g.r.NormFloat64())
 }
-
-// Poisson returns a Poisson-distributed count with the given mean,
-// using Knuth's method for small means and a normal approximation for
-// large ones.
-func (g *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 60 {
-		v := mean + math.Sqrt(mean)*g.r.NormFloat64()
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for {
-		p *= g.r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// GeometricMean returns a geometric variate (number of trials until
-// first success, >= 1) parameterized by its mean >= 1.
-func (g *RNG) GeometricMean(mean float64) int {
-	if mean <= 1 {
-		return 1
-	}
-	p := 1 / mean
-	u := g.r.Float64()
-	for u == 0 { //lint:allow float-equal rejects an exact-zero uniform draw before taking its log
-		u = g.r.Float64()
-	}
-	return 1 + int(math.Log(u)/math.Log(1-p))
-}

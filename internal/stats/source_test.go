@@ -29,8 +29,6 @@ func TestSourceMatchesMathRand(t *testing.T) {
 		{"Pareto", func(g *RNG) []uint64 { return []uint64{f(g.Pareto(1.5, 2))} }},
 		{"ParetoMean", func(g *RNG) []uint64 { return []uint64{f(g.ParetoMean(0.8, 10))} }},
 		{"LogNormal", func(g *RNG) []uint64 { return []uint64{f(g.LogNormal(1, 2))} }},
-		{"Poisson", func(g *RNG) []uint64 { return []uint64{uint64(g.Poisson(4)), uint64(g.Poisson(90))} }},
-		{"GeometricMean", func(g *RNG) []uint64 { return []uint64{uint64(g.GeometricMean(6))} }},
 		{"Perm", func(g *RNG) []uint64 {
 			var out []uint64
 			for _, v := range g.Perm(9) {

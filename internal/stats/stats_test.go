@@ -50,21 +50,6 @@ func TestParetoScalePositive(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	g := NewRNG(4)
-	for _, mean := range []float64{0.5, 5, 100} {
-		sum := 0.0
-		n := 100000
-		for i := 0; i < n; i++ {
-			sum += float64(g.Poisson(mean))
-		}
-		got := sum / float64(n)
-		if math.Abs(got-mean)/math.Max(mean, 1) > 0.05 {
-			t.Errorf("poisson(%v) mean %v", mean, got)
-		}
-	}
-}
-
 func TestLogNormalMedian(t *testing.T) {
 	g := NewRNG(5)
 	n := 100001
@@ -232,3 +217,19 @@ func TestReservoirUniformity(t *testing.T) {
 		t.Errorf("reservoir mean %v, want ~%v", mean, want)
 	}
 }
+
+// Weight returns the accumulated weight of bin i.
+func (h *LogHistogram) Weight(i int) float64 { return h.weights[i] }
+
+// Underflow returns the weight accumulated below the lowest bin edge.
+func (h *LogHistogram) Underflow() float64 { return h.under }
+
+// Seen returns how many values have been offered.
+func (r *Reservoir) Seen() int64 { return r.seen }
+
+// Items returns the current sample. The returned slice is owned by the
+// reservoir; callers must not modify it.
+func (r *Reservoir) Items() []float64 { return r.items }
+
+// N returns the number of ranks.
+func (z *Zipf) N() int { return len(z.cdf) }

@@ -31,9 +31,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // nearest-rank on a sorted copy. It returns 0 for an empty slice.
 func Percentile(xs []float64, p float64) float64 {

@@ -39,9 +39,6 @@ func NewZipf(n int, alpha float64) *Zipf {
 	return z
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Prob returns the probability of rank i.
 func (z *Zipf) Prob(i int) float64 { return z.probs[i] }
 

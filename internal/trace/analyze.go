@@ -40,19 +40,6 @@ func Characterize(t *Trace) Characteristics {
 	return c
 }
 
-// SizeCDF returns the empirical CDF of distinct object sizes (Fig 8a).
-func SizeCDF(t *Trace) []stats.CDFPoint {
-	sizes := make(map[Key]int64)
-	for _, r := range t.Reqs {
-		sizes[r.Key] = r.Size
-	}
-	xs := make([]float64, 0, len(sizes))
-	for _, s := range sizes {
-		xs = append(xs, float64(s)) //lint:allow map-iter-order stats.CDF sorts its input
-	}
-	return stats.CDF(xs)
-}
-
 // PopularityByRank returns per-object request counts sorted in
 // decreasing order — the popularity-vs-rank curve of Fig 8b. A roughly
 // straight line on log-log axes indicates a Zipf law.

@@ -61,7 +61,8 @@ func ReadCSV(r io.Reader, name string) (*Trace, error) {
 
 // ReadFile loads a trace from a file written by WriteCSV,
 // transparently decompressing .gz files (production traces are
-// customarily shipped gzipped).
+// customarily shipped gzipped). A trace that fails Validate is
+// rejected with Validate's error.
 func ReadFile(path string) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -77,7 +78,14 @@ func ReadFile(path string) (*Trace, error) {
 		defer gz.Close()
 		r = gz
 	}
-	return ReadCSV(r, path)
+	t, err := ReadCSV(r, path)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // WriteFile stores a trace, gzip-compressing when path ends in .gz.

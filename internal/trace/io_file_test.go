@@ -34,3 +34,27 @@ func TestReadFileMissing(t *testing.T) {
 		t.Error("missing file should error")
 	}
 }
+
+// TestReadFileRejectsInvalidTraces checks that a trace file is held to
+// Validate: a non-positive size, time running backwards and a key whose
+// size changes are each rejected, plain and gzipped.
+func TestReadFileRejectsInvalidTraces(t *testing.T) {
+	bad := map[string]*Trace{
+		"size": {Reqs: []Request{{Time: 1, Key: 1, Size: 10}, {Time: 2, Key: 2, Size: -50}}},
+		"time": {Reqs: []Request{{Time: 5, Key: 1, Size: 10}, {Time: 4, Key: 2, Size: 10}}},
+		"key":  {Reqs: []Request{{Time: 1, Key: 1, Size: 10}, {Time: 2, Key: 1, Size: 20}}},
+	}
+	dir := t.TempDir()
+	for name, tr := range bad {
+		for _, ext := range []string{".txt", ".txt.gz"} {
+			path := filepath.Join(dir, name+ext)
+			if err := WriteFile(path, tr); err != nil {
+				t.Fatalf("%s: write: %v", path, err)
+			}
+			want := (&Trace{Name: path, Reqs: tr.Reqs}).Validate()
+			if _, err := ReadFile(path); err == nil || want == nil || err.Error() != want.Error() {
+				t.Errorf("%s: ReadFile error %v, want %v", name+ext, err, want)
+			}
+		}
+	}
+}

@@ -18,6 +18,9 @@ const (
 	Pareto                      // heavy-tailed, mean-matched, shape 1.5
 )
 
+// paretoShape is the tail index of the Pareto interarrivals.
+const paretoShape = 1.5
+
 // String returns the distribution name.
 func (d Interarrival) String() string {
 	switch d {
@@ -36,12 +39,10 @@ func (d Interarrival) String() string {
 // Objects independent renewal processes whose rates follow a Zipf law,
 // merged in time order (§3.5 / Appendix C.1).
 type SynthConfig struct {
-	Name         string
 	Objects      int
 	Requests     int
 	ZipfAlpha    float64 // popularity skew; the paper uses 0.8
 	Interarrival Interarrival
-	ParetoShape  float64 // tail index for Pareto; default 1.5
 
 	// VariableSizes assigns each object a fixed size drawn from
 	// U[SizeLo, SizeHi) (the paper uses U(10, 1600)); otherwise all
@@ -63,17 +64,11 @@ func (c *SynthConfig) defaults() {
 	if c.ZipfAlpha == 0 { //lint:allow float-equal zero ZipfAlpha means unset; fill the default
 		c.ZipfAlpha = 0.8
 	}
-	if c.ParetoShape == 0 { //lint:allow float-equal zero ParetoShape means unset; fill the default
-		c.ParetoShape = 1.5
-	}
 	if c.SizeLo == 0 {
 		c.SizeLo = 10
 	}
 	if c.SizeHi == 0 {
 		c.SizeHi = 1600
-	}
-	if c.Name == "" {
-		c.Name = fmt.Sprintf("synth-%s", c.Interarrival)
 	}
 }
 
@@ -155,7 +150,7 @@ func Synthetic(cfg SynthConfig) *Trace {
 		case Uniform:
 			return g.Uniform(0, 2*mean)
 		case Pareto:
-			return g.ParetoMean(cfg.ParetoShape, mean)
+			return g.ParetoMean(paretoShape, mean)
 		default:
 			panic("trace: unknown interarrival distribution")
 		}
@@ -167,7 +162,7 @@ func Synthetic(cfg SynthConfig) *Trace {
 		h.push(arrival{t: g.Float64() * means[i], obj: i})
 	}
 
-	tr := &Trace{Name: cfg.Name, Reqs: make([]Request, 0, cfg.Requests)}
+	tr := &Trace{Name: "synth-" + cfg.Interarrival.String(), Reqs: make([]Request, 0, cfg.Requests)}
 	for len(tr.Reqs) < cfg.Requests {
 		a := h.pop()
 		tr.Reqs = append(tr.Reqs, Request{
@@ -179,20 +174,4 @@ func Synthetic(cfg SynthConfig) *Trace {
 		h.push(arrival{t: a.t + draw(a.obj), obj: a.obj})
 	}
 	return tr
-}
-
-// SyntheticTriple generates the paper's three §3.5 traces (Poisson,
-// Uniform, Pareto) with shared parameters.
-func SyntheticTriple(objects, requests int, variableSizes bool, seed int64) []*Trace {
-	out := make([]*Trace, 0, 3)
-	for _, d := range []Interarrival{Poisson, Uniform, Pareto} {
-		out = append(out, Synthetic(SynthConfig{
-			Objects:       objects,
-			Requests:      requests,
-			Interarrival:  d,
-			VariableSizes: variableSizes,
-			Seed:          seed + int64(d)*7919,
-		}))
-	}
-	return out
 }

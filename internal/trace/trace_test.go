@@ -70,23 +70,6 @@ func TestSyntheticVariableSizesInRange(t *testing.T) {
 	}
 }
 
-func TestSyntheticTriple(t *testing.T) {
-	ts := SyntheticTriple(100, 1000, false, 7)
-	if len(ts) != 3 {
-		t.Fatalf("want 3 traces, got %d", len(ts))
-	}
-	names := map[string]bool{}
-	for _, tr := range ts {
-		names[tr.Name] = true
-		if tr.Len() != 1000 {
-			t.Errorf("%s len %d", tr.Name, tr.Len())
-		}
-	}
-	if len(names) != 3 {
-		t.Errorf("duplicate trace names: %v", names)
-	}
-}
-
 func TestProductionPresets(t *testing.T) {
 	for _, p := range AllProductionPresets {
 		tr := ProductionTrace(p, 0.02, 5)
@@ -255,16 +238,5 @@ func TestBinWeightsSumToAtMostOne(t *testing.T) {
 		if sum < 0.5 {
 			t.Errorf("fractions sum %v suspiciously small", sum)
 		}
-	}
-}
-
-func TestSizeCDFCoversAllObjects(t *testing.T) {
-	tr := Synthetic(SynthConfig{Objects: 50, Requests: 1000, Interarrival: Poisson, VariableSizes: true, Seed: 4})
-	cdf := SizeCDF(tr)
-	if len(cdf) == 0 {
-		t.Fatal("empty CDF")
-	}
-	if last := cdf[len(cdf)-1].F; math.Abs(last-1) > 1e-12 {
-		t.Errorf("CDF should end at 1, got %v", last)
 	}
 }

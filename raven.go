@@ -1,8 +1,6 @@
 package raven
 
 import (
-	"io"
-
 	"raven/internal/cache"
 	"raven/internal/core"
 	"raven/internal/experiments"
@@ -150,11 +148,6 @@ func NewShardedCache(capacity int64, shards int, newPolicy ShardFactory) (*Cache
 	return cache.NewSharded(capacity, shards, newPolicy)
 }
 
-// UnwrapPolicy returns the innermost policy behind admission (or
-// other) wrappers, for callers that type-assert concrete policy state
-// — e.g. UnwrapPolicy(p).(*raven.Raven) to read checkpoint status.
-func UnwrapPolicy(p Policy) Policy { return cache.Unwrap(p) }
-
 // Simulate replays a trace through a fresh one-shard cache driven by p
 // and returns the measurements. It fails if opts.Capacity is not
 // positive or p is nil.
@@ -170,17 +163,6 @@ func CDNNetModel() *NetModel { return sim.CDNModel() }
 // memory, 10 ms database).
 func InMemoryNetModel() *NetModel { return sim.InMemoryModel() }
 
-// Experiment regenerates one of the paper's tables or figures by ID
-// (e.g. "fig9", "tab6"; see ExperimentIDs) and prints it to w.
-func Experiment(id string, quick bool, w io.Writer) error {
-	r := experiments.NewRunner(experiments.Config{Quick: quick})
-	rep, err := r.Run(id)
-	if err != nil {
-		return err
-	}
-	rep.Fprint(w)
-	return nil
-}
-
-// ExperimentIDs lists every reproducible table/figure.
+// ExperimentIDs lists every reproducible table/figure; cmd/raven-exp
+// regenerates one with -exp <id>.
 func ExperimentIDs() []string { return append([]string(nil), experiments.All...) }
