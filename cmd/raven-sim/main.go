@@ -62,6 +62,10 @@ func main() {
 		fmt.Println(strings.Join(policy.Names(), "\n"))
 		return
 	}
+	if *ckptEvery < 1 {
+		fmt.Fprintf(os.Stderr, "raven-sim: -checkpoint-every %d must be at least 1\n", *ckptEvery)
+		os.Exit(1)
+	}
 
 	tr, err := loadTrace(*prodName, *synthName, *file, *requests, *objects, *varSizes, *scale, *seed)
 	if err != nil {

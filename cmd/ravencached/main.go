@@ -39,7 +39,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"raven/internal/cache"
 	"raven/internal/core"
@@ -56,6 +55,7 @@ func main() {
 // server drain) executes before the process exits; os.Exit in main
 // would skip it.
 func run() int {
+	served := policy.Served()
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7070", "listen address")
 		capacity = flag.Int64("capacity", 64<<20, "cache capacity in bytes")
@@ -64,16 +64,18 @@ func run() int {
 		window   = flag.Int64("window", 100000, "learning-policy training window in trace ticks")
 		node     = flag.Int("node", 0, "this node's index in a ravenrouter fleet (derives per-node seeds and checkpoint dirs)")
 		nodes    = flag.Int("nodes", 1, "fleet size; 1 means standalone (no per-node derivation)")
-		seed     = flag.Int64("seed", 42, "random seed")
+		seed     = flag.Int64("seed", served.Seed, "random seed")
 
 		admitMode = flag.String("admit", "", "admission front-end: off|doorkeeper|learned (learned needs a reuse-predicting policy: raven/raven-ohr)")
 
-		scoreCache  = flag.Bool("score-cache", true, "raven: cached-score eviction fast path")
-		inference32 = flag.Bool("inference32", true, "raven: float32 inference kernels for eviction decisions (training stays float64)")
-		budget      = flag.Duration("decision-budget", 50*time.Microsecond, "raven: per-eviction-decision deadline; overruns fall back to LRU and count toward degradation (0 = off)")
+		// Raven's serving configuration is policy.Served(). -admit stays
+		// off: learned admission needs raven, and any policy is served.
+		scoreCache  = flag.Bool("score-cache", served.ScoreCache, "raven: cached-score eviction fast path")
+		inference32 = flag.Bool("inference32", served.Inference32, "raven: float32 inference kernels for eviction decisions (training stays float64)")
+		budget      = flag.Duration("decision-budget", served.DecisionBudget, "raven: per-eviction-decision deadline; overruns fall back to LRU and count toward degradation (0 = off)")
 
 		ckptDir   = flag.String("checkpoint", "", "learning-policy checkpoint directory: resume from the newest valid generation, save after trainings")
-		ckptEvery = flag.Int("checkpoint-every", 1, "save a checkpoint generation every N completed trainings")
+		ckptEvery = flag.Int("checkpoint-every", served.CheckpointEvery, "save a checkpoint generation every N completed trainings")
 
 		maxConns     = flag.Int("maxconns", 0, "max concurrent connections (0 = unlimited); excess dials get ERR busy")
 		idleTimeout  = flag.Duration("idletimeout", 0, "per-request read deadline (0 = 2m default, negative = off)")
@@ -90,6 +92,14 @@ func run() int {
 	}
 	if *node < 0 || *nodes < 1 || *node >= *nodes {
 		fmt.Fprintf(os.Stderr, "ravencached: -node %d out of range for -nodes %d\n", *node, *nodes)
+		return 1
+	}
+	if *window <= 0 {
+		fmt.Fprintf(os.Stderr, "ravencached: -window %d must be positive\n", *window)
+		return 1
+	}
+	if *ckptEvery < 1 {
+		fmt.Fprintf(os.Stderr, "ravencached: -checkpoint-every %d must be at least 1\n", *ckptEvery)
 		return 1
 	}
 	perShard := factory.PerShard(policy.Options{

@@ -21,9 +21,9 @@ func main() {
 	capacity := int64(float64(tr.UniqueBytes()) * 0.05)
 
 	rv := raven.NewRaven(raven.RavenConfig{
-		TrainWindow:       tr.Duration() / 6,
-		SampleBudgetBytes: 5 * capacity,
-		Seed:              19,
+		TrainWindow: tr.Duration() / 6,
+		Capacity:    capacity,
+		Seed:        19,
 	})
 	srv, err := server.New(server.Config{
 		Capacity:  capacity,

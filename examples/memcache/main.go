@@ -25,10 +25,10 @@ func main() {
 	}
 
 	rv := raven.NewRaven(raven.RavenConfig{
-		Goal:              raven.GoalOHR, // object hits matter for KV latency
-		TrainWindow:       tr.Duration() / 8,
-		SampleBudgetBytes: 5 * capacity,
-		Seed:              13,
+		Goal:        raven.GoalOHR, // object hits matter for KV latency
+		TrainWindow: tr.Duration() / 8,
+		Capacity:    capacity,
+		Seed:        13,
 	})
 
 	polOpts := raven.PolicyOptions{Capacity: capacity, TrainWindow: tr.Duration() / 8, Seed: 13}

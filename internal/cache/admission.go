@@ -200,7 +200,7 @@ func (a *SketchAdmitter) Admit(req Request) Decision {
 // ReusePredictor is implemented by learned policies (core.Raven) that
 // can predict an object's next arrival on the trace's virtual clock.
 // ok is false when no usable prediction exists (no trained model, no
-// history, degraded health); admission then accepts rather than
+// history, health in Fallback); admission then accepts rather than
 // guessing.
 type ReusePredictor interface {
 	PredictNextArrival(req Request) (at int64, ok bool)

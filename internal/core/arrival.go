@@ -10,8 +10,9 @@ import (
 // PredictNextArrival implements cache.ReusePredictor for the admission
 // front-end: the model's expected next-arrival time for the object, on
 // the virtual clock. ok is false when no usable prediction exists (no
-// trained model, degraded health, no history for the key, or a
-// non-finite mixture).
+// trained model, health in Fallback, no history for the key, or a
+// non-finite mixture). A Degraded model still predicts, as it still
+// decides evictions.
 func (r *Raven) PredictNextArrival(req cache.Request) (int64, bool) {
 	if r.net == nil || r.Health() == Fallback {
 		return 0, false

@@ -44,10 +44,10 @@ type Config struct {
 	// TrainWindow is the elapsed virtual time between retrainings
 	// (§4.1, "1 day" in the paper). Required.
 	TrainWindow int64
-	// SampleBudgetBytes caps the unique bytes of objects admitted to
-	// the training sample (§4.1 uses 5× the cache size). Values <= 0
-	// disable the cap.
-	SampleBudgetBytes int64
+	// Capacity is the byte capacity of the cache the policy serves. The
+	// training sample admits unique objects up to 5 × Capacity bytes
+	// (§4.1); values <= 0 leave the sample uncapped.
+	Capacity int64
 	// MaxTrainObjects additionally caps the number of sampled objects
 	// (0 = default 4000), keeping CPU training time bounded.
 	MaxTrainObjects int

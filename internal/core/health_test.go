@@ -426,7 +426,7 @@ func TestCheckpointResumeAllCorrupt(t *testing.T) {
 	cfg := Config{}
 	cfg.Checkpoint.Dir = dir
 	r, _, _ := trainSmallRaven(t, cfg)
-	st, err := ckpt.Open(dir, ckpt.Options{Prefix: "raven"})
+	st, err := ckpt.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

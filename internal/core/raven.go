@@ -114,7 +114,8 @@ func New(cfg Config) *Raven {
 		mc:  newMCScratch(),
 		obs: cfg.Obs,
 	}
-	r.window = newWindow(cfg.SampleBudgetBytes, cfg.MaxTrainObjects, cfg.Train.MaxSeq, stats.NewRNG(cfg.Seed+3))
+	// §4.1 samples up to 5× the cache size.
+	r.window = newWindow(5*cfg.Capacity, cfg.MaxTrainObjects, cfg.Train.MaxSeq, stats.NewRNG(cfg.Seed+3))
 	r.resumeCheckpoint()
 	return r
 }
@@ -128,7 +129,7 @@ func (r *Raven) resumeCheckpoint() {
 	if r.cfg.Checkpoint.Dir == "" {
 		return
 	}
-	st, err := ckpt.Open(r.cfg.Checkpoint.Dir, ckpt.Options{Prefix: "raven"})
+	st, err := ckpt.Open(r.cfg.Checkpoint.Dir)
 	if err != nil {
 		r.ckptError(err)
 		return

@@ -186,7 +186,7 @@ func (r *Runner) Fig5() *Report {
 		rc := *cfg.Raven
 		rc.TrainWindow = t.Duration() / 8
 		rc.DisableSurvival = true
-		rc.SampleBudgetBytes = 5 * capacity
+		rc.Capacity = capacity
 		rc.Seed = r.Cfg.Seed + 999
 		start := time.Now()
 		without := r.simulate(t, core.New(rc), sim.Options{

@@ -50,9 +50,9 @@ func (r *Runner) serverTrace() *trace.Trace {
 
 func (r *Runner) serverPolicies(t *trace.Trace, capacity int64) (ravenPol, atsPol cache.Policy) {
 	rc := core.Config{
-		TrainWindow:       t.Duration() / 6,
-		SampleBudgetBytes: 5 * capacity,
-		Seed:              r.Cfg.Seed + 21,
+		TrainWindow: t.Duration() / 6,
+		Capacity:    capacity,
+		Seed:        r.Cfg.Seed + 21,
 	}
 	r.trainShape(&rc, 20, 4)
 	return core.New(rc), policy.MustNew("lru", policy.Options{Capacity: capacity})

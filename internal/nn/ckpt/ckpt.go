@@ -1,6 +1,6 @@
 // Package ckpt persists model checkpoints durably: every save writes
 // a fresh generation file atomically (temp file in the same directory
-// → fsync → rename → directory fsync), keeps the last N generations,
+// → fsync → rename → directory fsync), keeps the last three generations,
 // and loads resume from the newest generation that passes the wire
 // format's CRC and finite-weight validation, skipping corrupt ones.
 //
@@ -27,31 +27,18 @@ import (
 	"raven/internal/nn"
 )
 
-// Options tunes a Store.
-type Options struct {
-	// Prefix names the generation files "<prefix>-<gen>.ckpt"
-	// (default "net").
-	Prefix string
-	// Keep is how many newest generations survive pruning (default 3;
-	// negative keeps everything).
-	Keep int
-}
-
-func (o *Options) defaults() {
-	if o.Prefix == "" {
-		o.Prefix = "net"
-	}
-	if o.Keep == 0 {
-		o.Keep = 3
-	}
-}
+// A store's generations are named "raven-<gen>.ckpt", and the newest
+// three survive pruning.
+const (
+	prefix = "raven"
+	keep   = 3
+)
 
 // Store manages rotated checkpoint generations in one directory.
 // It is not goroutine-safe; Raven saves from its (single) training
 // goroutine.
 type Store struct {
 	dir     string
-	opts    Options
 	nextGen int
 }
 
@@ -74,12 +61,11 @@ type LoadInfo struct {
 
 // Open creates (or reuses) a checkpoint directory and scans existing
 // generations so new saves continue the sequence.
-func Open(dir string, opts Options) (*Store, error) {
-	opts.defaults()
+func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts}
+	s := &Store{dir: dir}
 	gens, err := s.Generations()
 	if err != nil {
 		return nil, err
@@ -92,7 +78,7 @@ func Open(dir string, opts Options) (*Store, error) {
 
 // genPath returns the final path of generation seq.
 func (s *Store) genPath(seq int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s-%08d.ckpt", s.opts.Prefix, seq))
+	return filepath.Join(s.dir, fmt.Sprintf("%s-%08d.ckpt", prefix, seq))
 }
 
 // Generations lists on-disk generations in ascending sequence order.
@@ -120,7 +106,7 @@ func (s *Store) Generations() ([]Gen, error) {
 
 // parseGen extracts the sequence number from a generation file name.
 func (s *Store) parseGen(name string) (int, bool) {
-	rest, ok := strings.CutPrefix(name, s.opts.Prefix+"-")
+	rest, ok := strings.CutPrefix(name, prefix+"-")
 	if !ok {
 		return 0, false
 	}
@@ -135,8 +121,8 @@ func (s *Store) parseGen(name string) (int, bool) {
 	return seq, true
 }
 
-// Save writes n as the next generation, atomically, then prunes
-// generations beyond Options.Keep. On any error the previous newest
+// Save writes n as the next generation, atomically, then prunes all
+// but the newest keep generations. On any error the previous newest
 // generation is untouched.
 func (s *Store) Save(n *nn.Net) (string, error) {
 	seq := s.nextGen
@@ -182,7 +168,7 @@ func writeAtomic(tmp, final string, n *nn.Net) error {
 	return nil
 }
 
-// prune removes oldest generations beyond Keep and any stale temp
+// prune removes all but the newest keep generations, and any stale temp
 // files from interrupted saves. Best-effort: a failed remove is
 // retried on the next save.
 func (s *Store) prune() {
@@ -190,8 +176,8 @@ func (s *Store) prune() {
 	if err != nil {
 		return
 	}
-	if s.opts.Keep >= 0 && len(gens) > s.opts.Keep {
-		for _, g := range gens[:len(gens)-s.opts.Keep] {
+	if len(gens) > keep {
+		for _, g := range gens[:len(gens)-keep] {
 			_ = os.Remove(g.Path)
 		}
 	}
@@ -201,7 +187,7 @@ func (s *Store) prune() {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if !e.IsDir() && strings.HasPrefix(name, s.opts.Prefix+"-") && strings.HasSuffix(name, ".tmp") {
+		if !e.IsDir() && strings.HasPrefix(name, prefix+"-") && strings.HasSuffix(name, ".tmp") {
 			if filepath.Join(s.dir, name) != s.genPath(s.nextGen)+".tmp" {
 				_ = os.Remove(filepath.Join(s.dir, name))
 			}

@@ -23,9 +23,9 @@ func netBytes(t *testing.T, n *nn.Net) []byte {
 	return buf.Bytes()
 }
 
-func open(t *testing.T, dir string, opts Options) *Store {
+func open(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(dir, opts)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func open(t *testing.T, dir string, opts Options) *Store {
 }
 
 func TestSaveLoadNewest(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
+	s := open(t, t.TempDir())
 	n := testNet(1)
 	path, err := s.Save(n)
 	if err != nil {
@@ -52,7 +52,7 @@ func TestSaveLoadNewest(t *testing.T) {
 }
 
 func TestEmptyDirIsFreshStart(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
+	s := open(t, t.TempDir())
 	n, info, err := s.LoadNewest()
 	if err != nil || n != nil {
 		t.Fatalf("empty dir: net=%v err=%v, want nil/nil", n != nil, err)
@@ -63,7 +63,7 @@ func TestEmptyDirIsFreshStart(t *testing.T) {
 }
 
 func TestRotationPrunesOldGenerations(t *testing.T) {
-	s := open(t, t.TempDir(), Options{Keep: 2})
+	s := open(t, t.TempDir())
 	for i := 0; i < 5; i++ {
 		if _, err := s.Save(testNet(int64(i))); err != nil {
 			t.Fatal(err)
@@ -73,8 +73,8 @@ func TestRotationPrunesOldGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gens) != 2 || gens[0].Seq != 3 || gens[1].Seq != 4 {
-		t.Fatalf("generations after 5 saves with Keep=2: %+v, want seqs [3 4]", gens)
+	if len(gens) != 3 || gens[0].Seq != 2 || gens[1].Seq != 3 || gens[2].Seq != 4 {
+		t.Fatalf("generations after 5 saves: %+v, want seqs [2 3 4]", gens)
 	}
 	// The survivor must be the newest net.
 	got, info, err := s.LoadNewest()
@@ -89,27 +89,11 @@ func TestRotationPrunesOldGenerations(t *testing.T) {
 	}
 }
 
-func TestKeepNegativeKeepsAll(t *testing.T) {
-	s := open(t, t.TempDir(), Options{Keep: -1})
-	for i := 0; i < 4; i++ {
-		if _, err := s.Save(testNet(int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gens, err := s.Generations()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gens) != 4 {
-		t.Fatalf("Keep=-1 pruned: have %d generations, want 4", len(gens))
-	}
-}
-
 // TestCorruptNewestFallsBack is the heart of the resume contract: a
 // flipped byte in the newest generation must fall back to the
 // previous one and report the skip.
 func TestCorruptNewestFallsBack(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
+	s := open(t, t.TempDir())
 	older := testNet(1)
 	if _, err := s.Save(older); err != nil {
 		t.Fatal(err)
@@ -135,7 +119,7 @@ func TestCorruptNewestFallsBack(t *testing.T) {
 }
 
 func TestAllCorruptIsError(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
+	s := open(t, t.TempDir())
 	for i := 0; i < 3; i++ {
 		path, err := s.Save(testNet(int64(i)))
 		if err != nil {
@@ -159,12 +143,12 @@ func TestAllCorruptIsError(t *testing.T) {
 // clean it up.
 func TestStrayTempIgnoredAndCleaned(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, Options{})
+	s := open(t, dir)
 	if _, err := s.Save(testNet(1)); err != nil {
 		t.Fatal(err)
 	}
 	// A partial write that never reached rename.
-	stray := filepath.Join(dir, "net-00000009.ckpt.tmp")
+	stray := filepath.Join(dir, "raven-00000009.ckpt.tmp")
 	if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +171,7 @@ func TestStrayTempIgnoredAndCleaned(t *testing.T) {
 // full after a non-atomic copy by an operator): truncation is caught
 // by the length check and skipped like any other corruption.
 func TestTruncatedFinalFileSkipped(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
+	s := open(t, t.TempDir())
 	if _, err := s.Save(testNet(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -211,30 +195,30 @@ func TestTruncatedFinalFileSkipped(t *testing.T) {
 // must continue generation numbering, not restart at zero.
 func TestReopenContinuesSequence(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, Options{})
+	s := open(t, dir)
 	for i := 0; i < 3; i++ {
 		if _, err := s.Save(testNet(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s2 := open(t, dir, Options{})
+	s2 := open(t, dir)
 	path, err := s2.Save(testNet(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if filepath.Base(path) != "net-00000003.ckpt" {
-		t.Errorf("reopened store saved %s, want net-00000003.ckpt", filepath.Base(path))
+	if filepath.Base(path) != "raven-00000003.ckpt" {
+		t.Errorf("reopened store saved %s, want raven-00000003.ckpt", filepath.Base(path))
 	}
 }
 
 func TestForeignFilesIgnored(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"README", "net-x.ckpt", "net--1.ckpt", "other-00000001.ckpt"} {
+	for _, name := range []string{"README", "raven-x.ckpt", "raven--1.ckpt", "other-00000001.ckpt"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := open(t, dir, Options{})
+	s := open(t, dir)
 	gens, err := s.Generations()
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +249,7 @@ func TestForeignCellCheckpointRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := open(t, t.TempDir(), Options{})
+	s := open(t, t.TempDir())
 	for seq, data := range [][]byte{gru, lstm} {
 		if err := os.WriteFile(s.genPath(seq), data, 0o644); err != nil {
 			t.Fatal(err)

@@ -162,7 +162,7 @@ func (u *GRU) inputs(x float64, z, r, hc []float64) {
 
 // inputGrads accumulates the input weights' gradients Wz.G += daZ·x,
 // Wr.G += daR·x and Wh.G += daH·x, skipping each entry whose gate
-// gradient is ±0 as outerAdd skips a dead row.
+// gradient is ±0 as outerAddRows skips a dead row.
 func (u *GRU) inputGrads(x float64, daZ, daR, daH []float64) {
 	gz := u.Wz.G
 	gr, gh := u.Wr.G[:len(gz)], u.Wh.G[:len(gz)]

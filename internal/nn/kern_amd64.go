@@ -26,7 +26,7 @@ func hasAVX() bool {
 	return eax&(xmmState|ymmState) == xmmState|ymmState
 }
 
-// matVec, matTVecAdd and outerAdd, and the row-batched matVecRows,
+// matVec and matTVecAdd, and the row-batched matVecRows,
 // matTVecAddRows, outerAddRows and addRows, are the Go loops of vec.go
 // (their contracts are there), run as assembly when useAVX. Each proves
 // every slice long enough, with an index expression that panics as the
@@ -57,22 +57,6 @@ func matTVecAdd(w []float64, rows, cols int, dy, dx []float64) {
 	_ = dy[rows-1]
 	_ = dx[cols-1]
 	tilesAVX(dx, 1, cols, dy, 0, 0, 1, w, 0, cols, rows)
-}
-
-// outerAdd keeps the Go loop below one 4-wide lane group: there the
-// assembly runs only its scalar tail, which per row costs what the Go
-// loop does (16×1: 51 vs 46 ns on a Xeon). matVec and matTVecAdd gain
-// even at one column (27 vs 80 and 46 vs 78 ns on a Sapphire Rapids
-// Xeon), from their 4-row and register-held blocks.
-func outerAdd(dw []float64, rows, cols int, dy, x []float64) {
-	if !useAVX || rows < 1 || cols < 4 {
-		outerAddGo(dw, rows, cols, dy, x)
-		return
-	}
-	_ = dw[rows*cols-1]
-	_ = dy[rows-1]
-	_ = x[cols-1]
-	outerAddAVX(dw, rows, cols, dy, x)
 }
 
 // matVecRows runs the assembly over each whole group of four input
@@ -262,9 +246,6 @@ func xgetbv() (eax, edx uint32)
 
 //go:noescape
 func matVecAVX(w []float64, rows, cols int, x, y0, y []float64)
-
-//go:noescape
-func outerAddAVX(dw []float64, rows, cols int, dy, x []float64)
 
 //go:noescape
 func matVec4AVX(w []float64, rows, cols int, x, y0, y []float64)

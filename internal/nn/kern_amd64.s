@@ -9,8 +9,8 @@
 //     VADDPD); nothing is fused;
 //   - a dot product folds its lanes as (s0+s1)+(s2+s3), then adds the
 //     scalar tail column by column, then y0, as matVecGo does;
-//   - matTVecAdd, matTVecAddRows, outerAdd and outerAddRows skip the
-//     rows whose dy is ±0 (the tile kernel below, without a branch).
+//   - matTVecAdd, matTVecAddRows and outerAddRows skip the rows whose
+//     dy is ±0 (the tile kernel below, without a branch).
 //
 // expAVX, sigmoidAVX, tanhAVX, logAVX and log1pAVX, at the end, are
 // math.Exp, 1/(1+math.Exp(−x)), math.Tanh, math.Log and math.Log1p four
@@ -167,77 +167,6 @@ mvStore1:
 	JMP  mvRows1
 
 mvDone:
-	VZEROUPPER
-	RET
-
-// func outerAddAVX(dw []float64, rows, cols int, dy, x []float64)
-//
-// Row by row, skipping rows whose dy is ±0: 16 columns at a time, then
-// 4, then 1.
-TEXT ·outerAddAVX(SB), NOSPLIT, $0-88
-	MOVQ dw_base+0(FP), R8     // R8 = the current row of dW
-	MOVQ rows+24(FP), CX
-	MOVQ cols+32(FP), BX
-	MOVQ dy_base+40(FP), SI
-	MOVQ x_base+64(FP), DI
-	SHLQ $3, BX                // BX = bytes per row
-	MOVQ BX, AX
-	ANDQ $-128, AX             // AX = bytes the 16-wide loop covers
-	MOVQ BX, R10
-	ANDQ $-32, R10             // R10 = bytes the 4-wide loop covers
-
-oaRow:
-	TESTQ CX, CX
-	JZ    oaDone
-	MOVQ (SI), R11
-	SHLQ $1, R11               // drop the sign: zero iff dy is ±0
-	JZ   oaNext
-	VBROADCASTSD (SI), Y4
-	XORQ DX, DX
-
-oaCols16:
-	CMPQ DX, AX
-	JGE  oaCols4
-	VMULPD  (DI)(DX*1), Y4, Y0
-	VADDPD  (R8)(DX*1), Y0, Y0
-	VMOVUPD Y0, (R8)(DX*1)
-	VMULPD  32(DI)(DX*1), Y4, Y1
-	VADDPD  32(R8)(DX*1), Y1, Y1
-	VMOVUPD Y1, 32(R8)(DX*1)
-	VMULPD  64(DI)(DX*1), Y4, Y2
-	VADDPD  64(R8)(DX*1), Y2, Y2
-	VMOVUPD Y2, 64(R8)(DX*1)
-	VMULPD  96(DI)(DX*1), Y4, Y3
-	VADDPD  96(R8)(DX*1), Y3, Y3
-	VMOVUPD Y3, 96(R8)(DX*1)
-	ADDQ $128, DX
-	JMP  oaCols16
-
-oaCols4:
-	CMPQ DX, R10
-	JGE  oaCols1
-	VMULPD  (DI)(DX*1), Y4, Y0
-	VADDPD  (R8)(DX*1), Y0, Y0
-	VMOVUPD Y0, (R8)(DX*1)
-	ADDQ $32, DX
-	JMP  oaCols4
-
-oaCols1:
-	CMPQ DX, BX
-	JGE  oaNext
-	VMULSD (DI)(DX*1), X4, X0
-	VADDSD (R8)(DX*1), X0, X0
-	VMOVSD X0, (R8)(DX*1)
-	ADDQ $8, DX
-	JMP  oaCols1
-
-oaNext:
-	ADDQ BX, R8
-	ADDQ $8, SI
-	DECQ CX
-	JMP  oaRow
-
-oaDone:
 	VZEROUPPER
 	RET
 

@@ -13,10 +13,6 @@ func matTVecAdd(w []float64, rows, cols int, dy, dx []float64) {
 	matTVecAddGo(w, rows, cols, dy, dx)
 }
 
-func outerAdd(dw []float64, rows, cols int, dy, x []float64) {
-	outerAddGo(dw, rows, cols, dy, x)
-}
-
 func matVecRows(w []float64, rows, cols int, x []float64, n int, y0, y []float64) {
 	matVecRowsGo(w, rows, cols, x, n, y0, y)
 }

@@ -157,11 +157,13 @@ func checkKernels(t *testing.T, c kernelCase) {
 		fail("matTVecAdd", got, want)
 	}
 
+	// One input row is Dense.Backward's call (parrot's 24×7 and 1×24
+	// layers).
 	got, want = slices.Clone(c.dw), slices.Clone(c.dw)
-	outerAdd(got, c.rows, c.cols, c.dy, c.x)
+	outerAddRows(got, c.rows, c.cols, c.dy, c.x, 1)
 	outerAddGo(want, c.rows, c.cols, c.dy, c.x)
 	if !sameBits(got, want) {
-		fail("outerAdd", got, want)
+		fail("outerAddRows n=1", got, want)
 	}
 
 	if c.n > 0 {
@@ -280,7 +282,7 @@ func checkKernels(t *testing.T, c kernelCase) {
 
 // checkGRUInput runs a GRU of width h through its scalar-input terms
 // (GRU.inputs, GRU.inputGrads) and through what they replace — the
-// h×1 matVec and outerAdd of a one-element input vector — on the same
+// h×1 matVec and outerAddGo of a one-element input vector — on the same
 // weights, input and gate gradients, and requires the same bits.
 func checkGRUInput(t *testing.T, h int, seed int64, fill int) {
 	t.Helper()
@@ -313,13 +315,13 @@ func checkGRUInput(t *testing.T, h int, seed int64, fill int) {
 	}
 
 	want := [][]float64{slices.Clone(u.Wz.G), slices.Clone(u.Wr.G), slices.Clone(u.Wh.G)}
-	outerAdd(want[0], h, 1, daZ, x)
-	outerAdd(want[1], h, 1, daR, x)
-	outerAdd(want[2], h, 1, daH, x)
+	outerAddGo(want[0], h, 1, daZ, x)
+	outerAddGo(want[1], h, 1, daR, x)
+	outerAddGo(want[2], h, 1, daH, x)
 	u.inputGrads(x[0], daZ, daR, daH)
 	for i, got := range [][]float64{u.Wz.G, u.Wr.G, u.Wh.G} {
 		if !sameBits(got, want[i]) {
-			t.Errorf("GRU inputGrads %d h=%d: scalar input and outerAdd differ\n got: %v\nwant: %v", i, h, got, want[i])
+			t.Errorf("GRU inputGrads %d h=%d: scalar input and outerAddGo differ\n got: %v\nwant: %v", i, h, got, want[i])
 		}
 	}
 }
@@ -327,7 +329,7 @@ func checkGRUInput(t *testing.T, h int, seed int64, fill int) {
 // gruBackwardRef is the per-step backward the row pass (GRU.backward,
 // then GRU.paramGrads once per sequence) replaced, kept as its oracle:
 // one step's BPTT with that step's parameter gradients accumulated at
-// once — outerAdd and axpy per gate, inputGrads — between the state
+// once — outerAddGo and axpy per gate, inputGrads — between the state
 // gradient's terms. zr, rh and hc are what GRU.step left.
 func gruBackwardRef(u *GRU, x float64, prev, zr, rh, hc, dNext, dPrev []float64) {
 	H := u.HiddenN
@@ -340,7 +342,7 @@ func gruBackwardRef(u *GRU, x float64, prev, zr, rh, hc, dNext, dPrev []float64)
 		dPrev[i] = dNext[i] * (1 - z[i])
 		daH[i] = dhc[i] * (1 - hc[i]*hc[i])
 	}
-	outerAdd(u.Uh.G, H, H, daH, rh)
+	outerAddGo(u.Uh.G, H, H, daH, rh)
 	axpy(1, daH, u.Bh.G)
 	matTVecAdd(u.Uh.W, H, H, daH, drh)
 	for i := 0; i < H; i++ {
@@ -350,9 +352,9 @@ func gruBackwardRef(u *GRU, x float64, prev, zr, rh, hc, dNext, dPrev []float64)
 		daR[i] = dr[i] * r[i] * (1 - r[i])
 	}
 	u.inputGrads(x, daZ, daR, daH)
-	outerAdd(u.Uz.G, H, H, daZ, prev)
+	outerAddGo(u.Uz.G, H, H, daZ, prev)
 	axpy(1, daZ, u.Bz.G)
-	outerAdd(u.Ur.G, H, H, daR, prev)
+	outerAddGo(u.Ur.G, H, H, daR, prev)
 	axpy(1, daR, u.Br.G)
 	matTVecAdd(u.Uz.W, H, H, daZ, dPrev)
 	matTVecAdd(u.Ur.W, H, H, daR, dPrev)
@@ -511,13 +513,13 @@ func TestKernelsShortSlicesPanic(t *testing.T) {
 		{"matTVecAdd/w", slices.Clone(c.dx), func(dx []float64) { matTVecAdd(short(c.w), rows, cols, c.dy, dx) }},
 		{"matTVecAdd/dy", slices.Clone(c.dx), func(dx []float64) { matTVecAdd(c.w, rows, cols, short(c.dy), dx) }},
 		{"matTVecAdd/dx", slices.Clone(c.dx), func(dx []float64) { matTVecAdd(c.w, rows, cols, c.dy, short(dx)) }},
-		{"outerAdd/dw", slices.Clone(c.dw), func(dw []float64) { outerAdd(short(dw), rows, cols, c.dy, c.x) }},
-		{"outerAdd/dy", slices.Clone(c.dw), func(dw []float64) { outerAdd(dw, rows, cols, short(c.dy), c.x) }},
-		{"outerAdd/x", slices.Clone(c.dw), func(dw []float64) { outerAdd(dw, rows, cols, c.dy, short(c.x)) }},
 		{"matVecRows/w", make([]float64, n*rows), func(y []float64) { matVecRows(short(c.w), rows, cols, c.xs, n, c.y0, y) }},
 		{"matVecRows/x", make([]float64, n*rows), func(y []float64) { matVecRows(c.w, rows, cols, short(c.xs), n, c.y0, y) }},
 		{"matVecRows/y0", make([]float64, n*rows), func(y []float64) { matVecRows(c.w, rows, cols, c.xs, n, short(c.y0), y) }},
 		{"matVecRows/y", make([]float64, n*rows), func(y []float64) { matVecRows(c.w, rows, cols, c.xs, n, c.y0, short(y)) }},
+		{"outerAddRows/n=1/dw", slices.Clone(c.dw), func(dw []float64) { outerAddRows(short(dw), rows, cols, c.dy, c.x, 1) }},
+		{"outerAddRows/n=1/dy", slices.Clone(c.dw), func(dw []float64) { outerAddRows(dw, rows, cols, short(c.dy), c.x, 1) }},
+		{"outerAddRows/n=1/x", slices.Clone(c.dw), func(dw []float64) { outerAddRows(dw, rows, cols, c.dy, short(c.x), 1) }},
 		{"outerAddRows/dw", slices.Clone(c.dw), func(dw []float64) { outerAddRows(short(dw), rows, cols, c.dys, c.xs, n) }},
 		{"outerAddRows/dy", slices.Clone(c.dw), func(dw []float64) { outerAddRows(dw, rows, cols, short(c.dys), c.xs, n) }},
 		{"outerAddRows/x", slices.Clone(c.dw), func(dw []float64) { outerAddRows(dw, rows, cols, c.dys, short(c.xs), n) }},
@@ -569,8 +571,8 @@ func TestKernelsShortSlicesPanic(t *testing.T) {
 
 // BenchmarkKernels times each kernel at the served net's shapes (GRU
 // 16×1 and 16×16, fc1 24×18, fc2 24×24, a head 8×24) and at 64×64,
-// through the dispatch ("asm": the assembly on an AVX CPU, except
-// outerAdd below 4 columns) and through the Go loop ("go"). The
+// through the dispatch ("asm": the assembly on an AVX CPU) and through
+// the Go loop ("go"). The
 // row-batched kernels run 16 input rows (a served sequence of ≈ 13
 // steps plus its survival row) — matTVecAddRows at the heads', fc2's
 // and fc1's shapes is backwardRows' strided tile call — exp, the
@@ -588,9 +590,6 @@ func BenchmarkKernels(b *testing.B) {
 		{"matTVecAdd",
 			func(c *kernelCase, _ []float64) { matTVecAdd(c.w, c.rows, c.cols, c.dy, c.dx) },
 			func(c *kernelCase, _ []float64) { matTVecAddGo(c.w, c.rows, c.cols, c.dy, c.dx) }},
-		{"outerAdd",
-			func(c *kernelCase, _ []float64) { outerAdd(c.dw, c.rows, c.cols, c.dy, c.x) },
-			func(c *kernelCase, _ []float64) { outerAddGo(c.dw, c.rows, c.cols, c.dy, c.x) }},
 		{"matVecRows",
 			func(c *kernelCase, y []float64) { matVecRows(c.w, c.rows, c.cols, c.xs, c.n, c.y0, y) },
 			func(c *kernelCase, y []float64) { matVecRowsGo(c.w, c.rows, c.cols, c.xs, c.n, c.y0, y) }},

@@ -9,10 +9,10 @@
 // The networks Raven trains are tiny (thousands of parameters), and
 // their matrix kernels are where a fit spends its time. Each kernel is
 // a Go loop with four accumulator chains that break the floating-point
-// dependency chain (this file). On amd64 CPUs with AVX, matVec,
-// matTVecAdd and outerAdd and their row-batched forms matVecRows,
-// matTVecAddRows, outerAddRows and addRows run as assembly (kern_amd64.s) whose four 256-bit lanes
-// are exactly those four chains — multiply then add, never fused,
+// dependency chain (this file). On amd64 CPUs with AVX, matVec and
+// matTVecAdd and the row-batched matVecRows, matTVecAddRows,
+// outerAddRows and addRows run as assembly (kern_amd64.s) whose four
+// 256-bit lanes are exactly those four chains — multiply then add, never fused,
 // summed across lanes as (s0+s1)+(s2+s3) — so both paths produce the
 // same bits, and the Go loops are the oracle the kernel tests compare
 // the assembly against. The row-batched forms let a fit run the MLP,

@@ -69,7 +69,7 @@ func TestMatTVecAddIsTranspose(t *testing.T) {
 
 func TestOuterAdd(t *testing.T) {
 	dw := make([]float64, 6)
-	outerAdd(dw, 3, 2, []float64{1, 2, 3}, []float64{10, 20})
+	outerAddRows(dw, 3, 2, []float64{1, 2, 3}, []float64{10, 20}, 1)
 	want := []float64{10, 20, 20, 40, 30, 60}
 	for i := range want {
 		if dw[i] != want[i] {

@@ -76,6 +76,23 @@ type Options struct {
 	Raven *core.Config
 }
 
+// Served returns the options ravencached serves Raven with: the score
+// cache, float32 inference, a 50µs decision budget, learned admission,
+// seed 42 and a checkpoint after every completed training. The caller
+// fills in what depends on the deployment (Capacity, TrainWindow,
+// CheckpointDir, Obs, Workers). See DESIGN.md "Inference fast path &
+// SLO".
+func Served() Options {
+	return Options{
+		Seed:            42,
+		CheckpointEvery: 1,
+		ScoreCache:      true,
+		Inference32:     true,
+		DecisionBudget:  50 * time.Microsecond,
+		Admission:       AdmissionOptions{Mode: AdmitLearned},
+	}
+}
+
 func (o Options) window() int64 {
 	if o.TrainWindow > 0 {
 		return o.TrainWindow
@@ -92,8 +109,8 @@ func (o Options) ravenConfig(goal core.Goal) core.Config {
 	if cfg.TrainWindow == 0 {
 		cfg.TrainWindow = o.window()
 	}
-	if cfg.SampleBudgetBytes == 0 && o.Capacity > 0 {
-		cfg.SampleBudgetBytes = 5 * o.Capacity // §4.1
+	if cfg.Capacity == 0 {
+		cfg.Capacity = o.Capacity
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = o.Seed + 77

@@ -22,25 +22,37 @@ import (
 // defaults (no score cache, no decision budget, so no wall clock
 // reaches a decision) pipelined 32 deep on 1 and 4 shards, where the
 // engine serves each burst as runs of same-shard ops and must keep
-// every shard's op order.
+// every shard's op order. The served preset, policy.Served(), runs at 1
+// shard depth 1 and at 1 and 4 shards pipelined 32 deep.
 func TestServedEqualsSimulated(t *testing.T) {
 	tr := trace.ProductionTrace(trace.Wiki18, 0.02, 42)
 	capacity := max(int64(float64(tr.UniqueBytes())*0.02), 64)
+	// The served rows are policy.Served() (score cache, float32
+	// inference, learned admission) with DecisionBudget 0: a wall-clock
+	// budget decides by how long a decision took, so two replays of it
+	// differ.
+	served := policy.Served()
+	served.DecisionBudget = 0
+	plain := policy.Options{Seed: 42}
 	for _, tc := range []struct {
-		policy        string
+		name, policy  string
+		opts          policy.Options
 		shards, depth int
 	}{
-		{"lru", 1, 1}, {"lru", 1, 32}, {"lru", 4, 1}, {"lru", 4, 32},
-		{"raven", 1, 32}, {"raven", 4, 32},
+		{"lru", "lru", plain, 1, 1}, {"lru", "lru", plain, 1, 32}, {"lru", "lru", plain, 4, 1}, {"lru", "lru", plain, 4, 32},
+		{"raven", "raven", plain, 1, 32}, {"raven", "raven", plain, 4, 32},
+		{"served", "raven", served, 1, 1}, {"served", "raven", served, 1, 32}, {"served", "raven", served, 4, 32},
 	} {
-		t.Run(fmt.Sprintf("%s/shards=%d/depth=%d", tc.policy, tc.shards, tc.depth), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/shards=%d/depth=%d", tc.name, tc.shards, tc.depth), func(t *testing.T) {
 			f, err := policy.Lookup(tc.policy)
 			if err != nil {
 				t.Fatal(err)
 			}
+			o := tc.opts
+			o.Capacity, o.TrainWindow = capacity, tr.Duration()/8
 			// Each call builds a fresh instance, so the three engines share
 			// no policy state.
-			newPolicy := f.PerShard(policy.Options{Capacity: capacity, TrainWindow: tr.Duration() / 8, Seed: 42}, tc.shards)
+			newPolicy := f.PerShard(o, tc.shards)
 
 			simRes, err := sim.Run(tr, tc.shards, newPolicy, sim.Options{Capacity: capacity})
 			if err != nil {
@@ -51,6 +63,9 @@ func TestServedEqualsSimulated(t *testing.T) {
 			}
 			if r, ok := cache.Unwrap(simRes.Policies[0]).(*core.Raven); ok && r.Net() == nil {
 				t.Fatal("degenerate replay: Raven never fitted a model, so LRU decided every eviction")
+			}
+			if tc.opts.Admission.Mode != "" && simRes.Stats.Rejections == 0 {
+				t.Fatalf("degenerate replay: admission refused nothing in %+v", simRes.Stats)
 			}
 			direct, err := cache.NewSharded(capacity, tc.shards, newPolicy)
 			if err != nil {

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"time"
 
 	"raven/internal/cache"
 	"raven/internal/core"
@@ -70,10 +69,10 @@ type qualityRow struct {
 // spread of LRU; it is re-judged when the generator is fixed. The
 // score-cache row is the served estimator (score cache, float32
 // inference) on the virtual clock: no decision budget, so no wall clock
-// is read and its floors assert. The served configuration adds the 50µs
-// decision budget, reads the wall clock, and so only reports: on two
-// x86-64 cores it ends Degraded or in Fallback, with model_evict_frac
-// 0.55–0.74 over the six seeds.
+// is read and its floors assert. The served row is policy.Served(): it
+// adds learned admission and the 50µs decision budget, reads the wall
+// clock, and so only reports: on two x86-64 cores it ends Degraded or in
+// Fallback.
 func TestQuality(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays two traces under Raven (~7 s)")
@@ -81,8 +80,9 @@ func TestQuality(t *testing.T) {
 	const seed = 42
 	scoreCache := func(o *policy.Options) { o.ScoreCache, o.Inference32 = true, true }
 	served := func(o *policy.Options) {
-		scoreCache(o)
-		o.DecisionBudget = 50 * time.Microsecond
+		s := policy.Served()
+		s.Capacity, s.TrainWindow, s.Obs = o.Capacity, o.TrainWindow, o.Obs
+		*o = s
 	}
 	learned := func(o *policy.Options) { o.Admission = policy.AdmissionOptions{Mode: "learned"} }
 	report := math.NaN()

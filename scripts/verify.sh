@@ -101,11 +101,14 @@
 #                health it ends in; the defaults, score-cache (the served
 #                estimator on the virtual clock: score cache and float32
 #                inference, no decision budget) and learned-admission rows
-#                assert floors, the served configuration (which adds the
-#                wall-clock budget) only reports.
+#                assert floors, the served row (policy.Served(): learned
+#                admission and the wall-clock budget added) only reports.
 #                TestServedEqualsSimulated holds the server to
 #                the simulator: the same hit/miss sequence over the
-#                wire and the same final cache.Stats.
+#                wire and the same final cache.Stats, for lru, raven
+#                at raven-sim's defaults and the served rows
+#                (policy.Served() with the decision budget off: score
+#                cache, float32 inference, learned admission).
 #                TestDoorkeeperWindowCoversResidents: a doorkeeper-
 #                fronted LRU holding ~10 000 objects of a 1 MiB cache
 #                admits a second sighting after 8x residents distinct
