@@ -77,10 +77,8 @@ func run() int {
 		ckptDir   = flag.String("checkpoint", "", "learning-policy checkpoint directory: resume from the newest valid generation, save after trainings")
 		ckptEvery = flag.Int("checkpoint-every", served.CheckpointEvery, "save a checkpoint generation every N completed trainings")
 
-		maxConns     = flag.Int("maxconns", 0, "max concurrent connections (0 = unlimited); excess dials get ERR busy")
-		idleTimeout  = flag.Duration("idletimeout", 0, "per-request read deadline (0 = 2m default, negative = off)")
-		writeTimeout = flag.Duration("writetimeout", 0, "per-response write deadline (0 = 30s default, negative = off)")
-		drain        = flag.Duration("drain", 0, "graceful drain bound on shutdown (0 = 5s default, negative = wait forever)")
+		maxConns = flag.Int("maxconns", 0, "max concurrent connections (0 = unlimited); excess dials get ERR busy")
+		drain    = flag.Duration("drain", 0, "graceful drain bound on shutdown (0 = 5s default)")
 	)
 	flag.Parse()
 
@@ -92,6 +90,10 @@ func run() int {
 	}
 	if *node < 0 || *nodes < 1 || *node >= *nodes {
 		fmt.Fprintf(os.Stderr, "ravencached: -node %d out of range for -nodes %d\n", *node, *nodes)
+		return 1
+	}
+	if *shards < 1 {
+		fmt.Fprintf(os.Stderr, "ravencached: -shards %d must be at least 1\n", *shards)
 		return 1
 	}
 	if *window <= 0 {
@@ -131,8 +133,6 @@ func run() int {
 		Shards:       *shards,
 		NewPolicy:    newPolicy,
 		MaxConns:     *maxConns,
-		IdleTimeout:  *idleTimeout,
-		WriteTimeout: *writeTimeout,
 		DrainTimeout: *drain,
 	})
 	if err != nil {

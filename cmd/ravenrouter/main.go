@@ -52,14 +52,8 @@ func run() int {
 		nodeList = flag.String("cluster", "", "comma-separated ravencached node addresses (required)")
 		seed     = flag.Int64("seed", 42, "ring placement seed; all routers of a fleet must agree")
 
-		timeout  = flag.Duration("timeout", 0, "per-backend-request timeout (0 = 250ms)")
-		probe    = flag.Duration("probe", 0, "health-probe interval (0 = 250ms, negative = off)")
-		halfOpen = flag.Duration("halfopen", 0, "cool-down before an ejected node is probed (0 = 1s)")
-
-		maxConns     = flag.Int("maxconns", 0, "max concurrent client connections (0 = unlimited)")
-		idleTimeout  = flag.Duration("idletimeout", 0, "per-request read deadline (0 = 2m default, negative = off)")
-		writeTimeout = flag.Duration("writetimeout", 0, "per-response write deadline (0 = 30s default, negative = off)")
-		drain        = flag.Duration("drain", 0, "graceful drain bound on shutdown (0 = 5s default)")
+		maxConns = flag.Int("maxconns", 0, "max concurrent client connections (0 = unlimited)")
+		drain    = flag.Duration("drain", 0, "graceful drain bound on shutdown (0 = 5s default)")
 	)
 	flag.Parse()
 
@@ -74,13 +68,7 @@ func run() int {
 		return 1
 	}
 
-	router, err := cluster.New(cluster.Config{
-		Nodes:          nodes,
-		Seed:           *seed,
-		RequestTimeout: *timeout,
-		ProbeInterval:  *probe,
-		HalfOpenAfter:  *halfOpen,
-	})
+	router, err := cluster.New(cluster.Config{Nodes: nodes, Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ravenrouter:", err)
 		return 1
@@ -90,8 +78,6 @@ func run() int {
 		Backend:      router,
 		Registry:     router.Metrics(), // router.* rides the same METRICS
 		MaxConns:     *maxConns,
-		IdleTimeout:  *idleTimeout,
-		WriteTimeout: *writeTimeout,
 		DrainTimeout: *drain,
 	})
 	if err != nil {

@@ -119,7 +119,7 @@ func TestBurstOneRoundTripPerNode(t *testing.T) {
 	addrs, _ := startBackends(t, 3, 1<<20)
 	trips := map[string]int{} // ServeBatch runs on this goroutine, and nothing probes
 	r, err := New(Config{
-		Nodes: addrs, Seed: 42, ProbeInterval: -1,
+		Nodes: addrs, Seed: 42, probe: -1,
 		Faults: &Faults{BeforeOp: func(node string) error { trips[node]++; return nil }},
 	})
 	if err != nil {
@@ -179,7 +179,7 @@ func newBurstFleet(t *testing.T, nodeFaults func(i int) *server.Faults, mod func
 	})
 	f.ring = shadowRing(t, 42, f.addrs)
 	f.r = newTestRouter(t, f.addrs, func(c *Config) {
-		c.RequestTimeout = 100 * time.Millisecond
+		c.timeout = 100 * time.Millisecond
 		if mod != nil {
 			mod(c)
 		}
@@ -375,7 +375,7 @@ func TestBurstFaultNodeClosed(t *testing.T) {
 
 // TestBurstFaultNodeStalls: a node that stops answering mid-batch (as
 // one does for seconds during an inline fit). The router gives the
-// round trip RequestTimeout, counts one breaker failure for it — the
+// round trip its request timeout, counts one breaker failure for it — the
 // node stays routable — and retries what went unanswered elsewhere.
 func TestBurstFaultNodeStalls(t *testing.T) {
 	var replies atomic.Int64
@@ -405,19 +405,13 @@ func TestBurstFaultNodeStalls(t *testing.T) {
 // TestServingPathAllocFree extends the server's zero-allocation budget
 // across the router hop: a front server forwarding 32-frame bursts to a
 // two-node fleet allocates nothing, on the front, in the router or on the nodes
-// (AllocsPerRun counts process-wide mallocs).
+// (AllocsPerRun counts process-wide mallocs). Every deadline is armed:
+// the read and write deadlines of the front and the nodes, and the
+// round-trip deadline on the router's pooled connections.
 func TestServingPathAllocFree(t *testing.T) {
-	noDeadlines := func(c *server.Config) {
-		c.IdleTimeout = -1  // deadline arming is the only timer churn;
-		c.WriteTimeout = -1 // disable it so the measurement is exact
-	}
-	addrs, _ := startBackends(t, 2, 1<<20, func(_ int, c *server.Config) { noDeadlines(c) })
-	r := newTestRouter(t, addrs, func(c *Config) {
-		c.RequestTimeout = -1 // no deadline on the pooled connections either
-	})
-	cfg := server.Config{Backend: r, Registry: r.Metrics(), DrainTimeout: time.Second}
-	noDeadlines(&cfg)
-	front, err := server.New(cfg)
+	addrs, _ := startBackends(t, 2, 1<<20)
+	r := newTestRouter(t, addrs)
+	front, err := server.New(server.Config{Backend: r, Registry: r.Metrics(), DrainTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,11 +137,11 @@ func nodeMetricsSnapshot(t *testing.T, addr string) map[string]int64 {
 // half-open cool-down, so the two runs differ only in the SIGKILL.
 func chaosRouterConfig(addrs []string) Config {
 	return Config{
-		Nodes:          addrs,
-		Seed:           42,
-		RequestTimeout: time.Second,
-		ProbeInterval:  20 * time.Millisecond,
-		HalfOpenAfter:  50 * time.Millisecond,
+		Nodes:    addrs,
+		Seed:     42,
+		timeout:  time.Second,
+		probe:    20 * time.Millisecond,
+		halfOpen: 50 * time.Millisecond,
 	}
 }
 
@@ -228,7 +228,7 @@ func TestChaosNodeChurn(t *testing.T) {
 
 	// Ring determinism: an independently built router over the same
 	// membership places every key identically.
-	twin, err := New(Config{Nodes: addrs, Seed: 42, ProbeInterval: -1})
+	twin, err := New(Config{Nodes: addrs, Seed: 42, probe: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,11 +13,11 @@ import (
 	"raven/internal/trace"
 )
 
-// Router defaults, applied when the corresponding Config field is zero.
+// Router timings. No configuration disarms the round-trip deadline.
 const (
-	defaultRequestTimeout = 250 * time.Millisecond
-	defaultProbeInterval  = 250 * time.Millisecond
-	defaultHalfOpenAfter  = time.Second
+	requestTimeout = 250 * time.Millisecond // bounds each backend round trip
+	probeInterval  = 250 * time.Millisecond // the health-probe period
+	halfOpenAfter  = time.Second            // an ejected node's cool-down before a recovery probe
 )
 
 const (
@@ -61,18 +61,14 @@ type Config struct {
 	// (Seed, Nodes) agree on every key's owner.
 	Seed int64
 
-	// RequestTimeout bounds each backend round trip (0 = 250ms).
-	RequestTimeout time.Duration
-	// ProbeInterval is the health-probe period (0 = 250ms; negative
-	// disables the background prober — tests then drive ProbePass
-	// directly).
-	ProbeInterval time.Duration
-	// HalfOpenAfter is the cool-down before an ejected node gets a
-	// recovery probe (0 = 1s).
-	HalfOpenAfter time.Duration
-
 	// Faults injects failures for tests; nil in production.
 	Faults *Faults
+
+	// The package's tests shorten the timings: a positive value
+	// replaces requestTimeout, probeInterval or halfOpenAfter, and a
+	// negative probe stops the background prober so the test drives
+	// ProbePass itself.
+	timeout, probe, halfOpen time.Duration
 }
 
 // routerMetrics are the router-wide obs handles (per-node handles live
@@ -121,20 +117,19 @@ type Router struct {
 	wg       sync.WaitGroup
 }
 
-// New builds a Router over cfg.Nodes and starts the health prober
-// (unless ProbeInterval < 0).
+// New builds a Router over cfg.Nodes and starts the health prober.
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("cluster: no nodes")
 	}
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = defaultRequestTimeout
+	if cfg.timeout <= 0 {
+		cfg.timeout = requestTimeout
 	}
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = defaultProbeInterval
+	if cfg.probe == 0 {
+		cfg.probe = probeInterval
 	}
-	if cfg.HalfOpenAfter == 0 {
-		cfg.HalfOpenAfter = defaultHalfOpenAfter
+	if cfg.halfOpen <= 0 {
+		cfg.halfOpen = halfOpenAfter
 	}
 	reg := obs.NewRegistry()
 	r := &Router{
@@ -160,7 +155,7 @@ func New(cfg Config) (*Router, error) {
 	for idx, addr := range cfg.Nodes {
 		r.nodes[sort.SearchStrings(r.ring.Members(), addr)] = r.buildNode(addr, idx)
 	}
-	if cfg.ProbeInterval > 0 {
+	if cfg.probe > 0 {
 		r.wg.Add(1)
 		go r.probeLoop()
 	}
@@ -169,7 +164,7 @@ func New(cfg Config) (*Router, error) {
 
 // buildNode builds the idx-th configured node with its breaker and dialer.
 func (r *Router) buildNode(addr string, idx int) *node {
-	br := NewBreaker(failLimit, r.cfg.HalfOpenAfter, nil)
+	br := NewBreaker(failLimit, r.cfg.halfOpen, nil)
 	dial := func() (*server.Client, error) {
 		if f := r.cfg.Faults; f != nil && f.Dial != nil {
 			if err := f.Dial(addr); err != nil {
@@ -180,7 +175,7 @@ func (r *Router) buildNode(addr string, idx int) *node {
 		if err != nil {
 			return nil, err
 		}
-		cl.Timeout = r.cfg.RequestTimeout
+		cl.Timeout = r.cfg.timeout
 		return cl, nil
 	}
 	return newNode(addr, idx, br, r.reg, dial)
@@ -516,7 +511,7 @@ func (r *Router) Stats() cache.Stats {
 // probeLoop drives ProbePass on the configured interval until Close.
 func (r *Router) probeLoop() {
 	defer r.wg.Done()
-	t := time.NewTicker(r.cfg.ProbeInterval)
+	t := time.NewTicker(r.cfg.probe)
 	defer t.Stop()
 	for {
 		select {
@@ -531,8 +526,8 @@ func (r *Router) probeLoop() {
 // ProbePass pings every node once: routable nodes to catch silent
 // death (consecutive probe failures climb the breaker ladder and eject
 // the node), ejected nodes through the breaker's half-open gate so a
-// recovered node is re-admitted. Exported so tests and drills can
-// drive probing deterministically with the background prober disabled.
+// recovered node is re-admitted. The package's tests stop the
+// background prober and call it themselves, to probe deterministically.
 func (r *Router) ProbePass() {
 	for _, n := range r.nodes {
 		if !n.breaker.Allow() && !n.breaker.AllowProbe() {

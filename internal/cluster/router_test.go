@@ -42,11 +42,11 @@ func startBackends(t testing.TB, n int, capacity int64, mods ...func(i int, c *s
 func newTestRouter(t testing.TB, addrs []string, mods ...func(*Config)) *Router {
 	t.Helper()
 	cfg := Config{
-		Nodes:          addrs,
-		Seed:           42,
-		RequestTimeout: 2 * time.Second,
-		ProbeInterval:  -1,
-		HalfOpenAfter:  5 * time.Millisecond,
+		Nodes:    addrs,
+		Seed:     42,
+		timeout:  2 * time.Second,
+		probe:    -1,
+		halfOpen: 5 * time.Millisecond,
 	}
 	for _, m := range mods {
 		m(&cfg)
@@ -176,7 +176,7 @@ func TestRouterFailoverAndRecovery(t *testing.T) {
 
 	// Heal: half-open probe re-admits the node.
 	victim.Store("")
-	time.Sleep(10 * time.Millisecond) // past HalfOpenAfter
+	time.Sleep(10 * time.Millisecond) // past the half-open cool-down
 	r.ProbePass()
 	if st := r.NodeStates()[v]; st != Healthy {
 		t.Fatalf("victim state %v after successful probe, want healthy", st)
@@ -191,7 +191,7 @@ func TestRouterFailoverAndRecovery(t *testing.T) {
 func TestRouterProbePassEjectsSilentDeath(t *testing.T) {
 	addrs, srvs := startBackends(t, 2, 1<<20)
 	r := newTestRouter(t, addrs, func(c *Config) {
-		c.RequestTimeout = 200 * time.Millisecond
+		c.timeout = 200 * time.Millisecond
 	})
 	_ = srvs[0].Close() // silent death: probes now fail to connect
 	dead := addrs[0]
@@ -209,7 +209,7 @@ func TestRouterProbePassEjectsSilentDeath(t *testing.T) {
 // TestNewRejectsDuplicateNode: the fleet is a set — a repeated address
 // would leave a ring member without a node behind it.
 func TestNewRejectsDuplicateNode(t *testing.T) {
-	if _, err := New(Config{Nodes: []string{"a:1", "b:1", "a:1"}, ProbeInterval: -1}); err == nil {
+	if _, err := New(Config{Nodes: []string{"a:1", "b:1", "a:1"}, probe: -1}); err == nil {
 		t.Fatal("New accepted a duplicate node")
 	}
 }
@@ -300,9 +300,9 @@ func TestRouterGoroutineLeak(t *testing.T) {
 	addrs, _ := startBackends(t, 3, 1<<20)
 	base := runtime.NumGoroutine()
 	r, err := New(Config{
-		Nodes:         addrs,
-		Seed:          1,
-		ProbeInterval: 2 * time.Millisecond,
+		Nodes: addrs,
+		Seed:  1,
+		probe: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

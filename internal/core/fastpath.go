@@ -43,7 +43,6 @@ import (
 // from the current network. Cached per-object scores need no sweep:
 // they carry the model version and fail the stamp check lazily.
 func (r *Raven) invalidateFastPath() {
-	r.frozen = nil
 	r.scr32 = nil
 	r.pred = nil
 }
@@ -87,13 +86,12 @@ const rescoreChunk = 16
 // the decision must fall back (insane mixture or deadline overrun,
 // already recorded); scores stamped before the abort remain cached.
 func (r *Raven) predict(dirty []int, ver int, budget time.Duration, deadline time.Time) bool {
+	var fz *nn.Frozen32
 	if r.cfg.Inference32 {
-		if r.frozen == nil || r.frozen.Version != ver {
-			r.frozen = r.net.Freeze32()
-			r.scr32 = nil
-		}
+		// The copy cached on the net while its Version holds.
+		fz = r.net.Freeze32()
 		if r.scr32 == nil {
-			r.scr32 = r.frozen.NewScratch()
+			r.scr32 = fz.NewScratch()
 		}
 	} else if r.pred == nil {
 		r.pred = r.net.NewPredictScratch()
@@ -108,7 +106,7 @@ func (r *Raven) predict(dirty []int, ver int, budget time.Duration, deadline tim
 		in := r.scrIn[start:end]
 		mixes := r.scrMix[start:end]
 		if r.cfg.Inference32 {
-			r.frozen.PredictBatch(r.scr32, in, mixes)
+			fz.PredictBatch(r.scr32, in, mixes)
 		} else {
 			r.net.PredictBatch(r.pred, in, mixes)
 		}

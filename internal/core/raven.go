@@ -32,10 +32,10 @@ type Raven struct {
 	topVer int
 
 	// Eviction inference state (fastpath.go, priority.go): the joint
-	// win count's scratch, the frozen f32 weight copy and its scratch (Inference32),
-	// the f64 batch scratch, and the per-decision SLO overrun streak.
+	// win count's scratch, the f32 scratch (Inference32; the frozen weights
+	// are cached on the net), the f64 batch scratch, and the per-decision
+	// SLO overrun streak.
 	mc        *mcScratch
-	frozen    *nn.Frozen32
 	scr32     *nn.Scratch32
 	pred      *nn.PredictScratch
 	sloStreak int
@@ -357,7 +357,7 @@ func (r *Raven) train() {
 		if r.cfg.Inference32 {
 			// Quantize the freshly fitted weights now, off the decision
 			// path, so the first post-swap eviction pays no freeze.
-			r.frozen = r.net.Freeze32()
+			r.net.Freeze32()
 		}
 	}
 	r.TrainStats = append(r.TrainStats, rec)

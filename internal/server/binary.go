@@ -87,7 +87,7 @@ func (b binCodec) next(op *Op) (verb, error) {
 	if b.ended {
 		return verbNone, io.EOF
 	}
-	if !b.more() && b.idle > 0 {
+	if !b.more() {
 		// Armed only when the read can block, so one clock read per burst.
 		_ = b.conn.SetReadDeadline(time.Now().Add(b.idle))
 	}

@@ -237,7 +237,7 @@ func FuzzBinaryFrames(f *testing.F) {
 		Capacity:     1 << 20,
 		NewPolicy:    cache.SingleFactory(policy.MustNew("lru", policy.Options{Capacity: 1 << 20})),
 		DrainTimeout: time.Second,
-		IdleTimeout:  200 * time.Millisecond,
+		idle:         200 * time.Millisecond,
 	}
 	srv, err := New(cfg)
 	if err != nil {
@@ -271,15 +271,12 @@ func FuzzBinaryFrames(f *testing.F) {
 }
 
 // TestServingPathAllocFree pins the zero-allocation budget of the
-// serving path: with deadlines disabled and buffers warmed, a GET hit
-// and a same-size SET must not allocate — on the server or the client
-// side (AllocsPerRun counts process-wide mallocs, and the handler
-// goroutine runs within the measured window).
+// serving path: with the read and write deadlines armed as served and
+// buffers warmed, a GET hit and a same-size SET must not allocate — on
+// the server or the client side (AllocsPerRun counts process-wide
+// mallocs, and the handler goroutine runs within the measured window).
 func TestServingPathAllocFree(t *testing.T) {
-	srv := newTestServer(t, 1<<20, func(c *Config) {
-		c.IdleTimeout = -1  // deadline arming is the only timer churn;
-		c.WriteTimeout = -1 // disable it so the measurement is exact
-	})
+	srv := newTestServer(t, 1<<20)
 	cl := dialClient(t, srv)
 
 	const key, size = trace.Key(7), int64(128)
@@ -330,8 +327,6 @@ func TestBurstServingAllocFree(t *testing.T) {
 	srv := newTestServer(t, 1<<20, func(c *Config) {
 		c.Shards = shards
 		c.NewPolicy = f.PerShard(policy.Options{Capacity: 1 << 20}, shards)
-		c.IdleTimeout = -1  // deadline arming is the only timer churn;
-		c.WriteTimeout = -1 // disable it so the measurement is exact
 	})
 	cl := dialClient(t, srv)
 
@@ -548,7 +543,7 @@ func TestBinaryStressFaultMatrix(t *testing.T) {
 	var reads atomic.Int64
 	var stalls atomic.Int64
 	srv := newTestServer(t, 50_000, func(c *Config) {
-		c.IdleTimeout = 2 * time.Second
+		c.idle = 2 * time.Second
 		c.DrainTimeout = time.Second
 		c.Faults = &Faults{
 			ReadErr: func() bool { return reads.Add(1)%readFaultMod == 0 },

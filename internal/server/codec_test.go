@@ -25,7 +25,7 @@ func FuzzTextLines(f *testing.F) {
 		Capacity:     1 << 20,
 		NewPolicy:    cache.SingleFactory(policy.MustNew("lru", policy.Options{Capacity: 1 << 20})),
 		DrainTimeout: time.Second,
-		IdleTimeout:  2 * time.Second,
+		idle:         2 * time.Second,
 	})
 	if err != nil {
 		f.Fatal(err)

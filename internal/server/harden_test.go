@@ -40,7 +40,7 @@ func TestCloseIdempotent(t *testing.T) {
 // deadline is armed per request, not per byte, so drip-feeding cannot
 // hold a connection open.
 func TestSlowLorisIdleTimeout(t *testing.T) {
-	srv := newTestServer(t, 100, func(c *Config) { c.IdleTimeout = 50 * time.Millisecond })
+	srv := newTestServer(t, 100, func(c *Config) { c.idle = 50 * time.Millisecond })
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -79,11 +79,18 @@ const readBufBytes = 16 << 10
 // decides when bytes hit the wire.
 const replyBufBytes = 32 << 10
 
-// Default lifecycle bounds applied when the corresponding Config field
-// is zero. A negative Config value disables the bound entirely.
+// Connection lifecycle bounds. No configuration disarms a deadline:
+// every read that can block and every flush runs under one.
 const (
-	defaultIdleTimeout  = 2 * time.Minute
-	defaultWriteTimeout = 30 * time.Second
+	// idleTimeout is armed before every read that can block: a
+	// connection that sends no complete request for this long is closed
+	// (slow-loris defense).
+	idleTimeout = 2 * time.Minute
+	// writeTimeout bounds each flush, and the ERR busy of a shed
+	// connection.
+	writeTimeout = 30 * time.Second
+	// defaultDrainTimeout is Close's drain bound when
+	// Config.DrainTimeout is zero.
 	defaultDrainTimeout = 5 * time.Second
 )
 
@@ -121,42 +128,20 @@ type Config struct {
 	Registry *obs.Registry
 
 	// MaxConns caps concurrent connections; excess dials receive
-	// "ERR busy" and are closed immediately. 0 means unlimited.
+	// "ERR busy" and are closed immediately. 0 means unlimited;
+	// negative is an error.
 	MaxConns int
-	// IdleTimeout is the per-request read deadline: a connection that
-	// sends no complete line for this long is closed (slow-loris
-	// defense). 0 applies defaultIdleTimeout; negative disables.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write. 0 applies
-	// defaultWriteTimeout; negative disables.
-	WriteTimeout time.Duration
 	// DrainTimeout bounds Close's graceful drain: connections still
 	// open after this long are force-closed. 0 applies
-	// defaultDrainTimeout; negative disables the force-close (Close
-	// then waits indefinitely, the pre-hardening behavior).
+	// defaultDrainTimeout; negative is an error.
 	DrainTimeout time.Duration
 
 	// Faults injects failures for stress testing; nil in production.
 	Faults *Faults
-}
 
-// idleTimeout returns the effective idle timeout (0 = disabled).
-func (c *Config) idleTimeout() time.Duration { return defaulted(c.IdleTimeout, defaultIdleTimeout) }
-
-// writeTimeout returns the effective write timeout (0 = disabled).
-func (c *Config) writeTimeout() time.Duration { return defaulted(c.WriteTimeout, defaultWriteTimeout) }
-
-// drainTimeout returns the effective drain bound (0 = wait forever).
-func (c *Config) drainTimeout() time.Duration { return defaulted(c.DrainTimeout, defaultDrainTimeout) }
-
-func defaulted(d, def time.Duration) time.Duration {
-	if d == 0 {
-		return def
-	}
-	if d < 0 {
-		return 0
-	}
-	return d
+	// idle replaces idleTimeout when positive: the package's tests reap
+	// idle connections in milliseconds.
+	idle time.Duration
 }
 
 // serverMetrics holds the hot-path metric handles; all of them live in
@@ -279,6 +264,18 @@ type Server struct {
 
 // New creates and starts a server listening on cfg.Addr.
 func New(cfg Config) (*Server, error) {
+	if cfg.MaxConns < 0 {
+		return nil, fmt.Errorf("server: MaxConns %d is negative", cfg.MaxConns)
+	}
+	if cfg.DrainTimeout < 0 {
+		return nil, fmt.Errorf("server: DrainTimeout %v is negative", cfg.DrainTimeout)
+	}
+	if cfg.DrainTimeout == 0 {
+		cfg.DrainTimeout = defaultDrainTimeout
+	}
+	if cfg.idle <= 0 {
+		cfg.idle = idleTimeout
+	}
 	var engine *cache.Sharded
 	var backend burstBackend
 	if cfg.Backend != nil {
@@ -408,12 +405,7 @@ func (s *Server) Close() error {
 			s.wg.Wait()
 			close(done)
 		}()
-		drain := s.cfg.drainTimeout()
-		if drain <= 0 {
-			<-done
-			return
-		}
-		t := time.NewTimer(drain)
+		t := time.NewTimer(s.cfg.DrainTimeout)
 		defer t.Stop()
 		select {
 		case <-done:
@@ -459,11 +451,7 @@ func (s *Server) removeConn(conn net.Conn) {
 // non-reading peer cannot stall the accept loop.
 func (s *Server) shed(conn net.Conn) {
 	s.met.connsShed.Inc()
-	wt := s.cfg.writeTimeout()
-	if wt <= 0 {
-		wt = time.Second
-	}
-	_ = conn.SetWriteDeadline(time.Now().Add(wt))
+	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, _ = conn.Write([]byte("ERR busy\n"))
 	_ = conn.Close()
 }
@@ -551,8 +539,7 @@ type connIO struct {
 	bw   *bufio.Writer
 	met  *serverMetrics
 
-	idle  time.Duration // read deadline, armed when a read may block
-	write time.Duration // write deadline, armed per flush
+	idle time.Duration // read deadline, armed when a read may block
 
 	// The slices grow on first use and are then reused.
 	line  []byte // text: one request line, accumulated across ReadSlice chunks
@@ -576,10 +563,8 @@ const burstCap = readBufBytes / binReqLen
 // write that failed earlier surfaces here).
 func (c *connIO) flush() bool {
 	if c.bw.Buffered() > 0 {
-		if c.write > 0 {
-			// One clock read per flush, not per reply.
-			_ = c.conn.SetWriteDeadline(time.Now().Add(c.write))
-		}
+		// One clock read per flush, not per reply.
+		_ = c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		c.met.flushes.Inc()
 	}
 	return c.bw.Flush() == nil
@@ -590,8 +575,8 @@ func (c *connIO) flush() bool {
 // connection inside bufio, so that write gets the write deadline too.
 // A failed write is sticky in bufio and surfaces at the next flush.
 func (c *connIO) send(p []byte) {
-	if len(p) > c.bw.Available() && c.write > 0 {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(c.write))
+	if len(p) > c.bw.Available() {
+		_ = c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	}
 	_, _ = c.bw.Write(p) // a copy into the reply buffer; the wire is touched only on a spill
 }
@@ -643,16 +628,13 @@ func (s *Server) handle(conn net.Conn) {
 		r = &faultReader{r: r, inject: f.ReadErr, limit: f.ReadFrames * binReqLen}
 	}
 	c := &connIO{
-		conn:  conn,
-		br:    bufio.NewReaderSize(r, readBufBytes),
-		bw:    bufio.NewWriterSize(conn, replyBufBytes),
-		met:   &s.met,
-		idle:  s.cfg.idleTimeout(),
-		write: s.cfg.writeTimeout(),
+		conn: conn,
+		br:   bufio.NewReaderSize(r, readBufBytes),
+		bw:   bufio.NewWriterSize(conn, replyBufBytes),
+		met:  &s.met,
+		idle: s.cfg.idle,
 	}
-	if c.idle > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(c.idle))
-	}
+	_ = conn.SetReadDeadline(time.Now().Add(c.idle))
 	first, err := c.br.Peek(1)
 	if err != nil {
 		s.classifyReadErr(err)

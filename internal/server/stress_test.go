@@ -28,7 +28,7 @@ func TestStressHostileClients(t *testing.T) {
 	var reads atomic.Int64
 	srv := newTestServer(t, 50_000, func(c *Config) {
 		c.MaxConns = maxConns
-		c.IdleTimeout = 200 * time.Millisecond
+		c.idle = 200 * time.Millisecond
 		c.DrainTimeout = drainBound
 		c.Faults = &Faults{ReadErr: func() bool { return reads.Add(1)%10 == 0 }}
 	})

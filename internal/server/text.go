@@ -50,7 +50,7 @@ func (t textCodec) readLine() ([]byte, error) {
 	}
 	t.line = t.line[:0]
 	for {
-		if t.br.Buffered() == 0 && t.idle > 0 {
+		if t.br.Buffered() == 0 {
 			// Armed only when the read can block, so one clock read per burst.
 			_ = t.conn.SetReadDeadline(time.Now().Add(t.idle))
 		}

@@ -63,8 +63,9 @@
 #                no fit), the engine's lock-held evict
 #                section,
 #                the serving path — direct, a 32-frame burst over a
-#                4-shard engine, and through the router — and the ring
-#                lookup hold 0
+#                4-shard engine, and through the router, each with the
+#                default read and write deadlines armed (and the router's
+#                round-trip deadline) — and the ring lookup hold 0
 #                allocs/op; and for "no allocation per trained term":
 #                forwardBackward holds 0 allocs/op and a whole Fit
 #                allocates the same count whatever the number of
@@ -216,7 +217,7 @@ stage_alloc() {
     echo "==> engine evict section alloc assertion (Victim + evict over a full shard; 0 allocs/op)"
     run_named 'TestEvictAllocFree' ./internal/cache/
 
-    echo "==> serving-path alloc assertion (GET/SET direct, 32-frame bursts over a 4-shard engine and through the router, ring lookup; 0 allocs/op)"
+    echo "==> serving-path alloc assertion (GET/SET direct, 32-frame bursts over a 4-shard engine and through the router, deadlines armed; ring lookup; 0 allocs/op)"
     run_named 'TestServingPathAllocFree|TestBurstServingAllocFree|TestRingLookupAllocFree' ./internal/server/ ./internal/cluster/
 
     echo "==> admission front memory (sized by resident objects: < 256 KiB to build raven + learned admission at a routed node's capacity; <= 32 B per resident after a replay)"
