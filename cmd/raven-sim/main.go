@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"raven/internal/cache"
@@ -174,7 +175,11 @@ func loadTrace(prod, synth, file string, requests, objects int, varSizes bool, s
 	case file != "":
 		return trace.ReadFile(file)
 	case prod != "":
-		return trace.ProductionTrace(trace.ProductionPreset(prod), scale, seed), nil
+		p := trace.ProductionPreset(prod)
+		if !slices.Contains(trace.AllProductionPresets, p) {
+			return nil, fmt.Errorf("unknown production preset %q (known: %v)", prod, trace.AllProductionPresets)
+		}
+		return trace.ProductionTrace(p, scale, seed), nil
 	case synth != "":
 		var d trace.Interarrival
 		switch synth {

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"raven/internal/trace"
 )
@@ -40,7 +41,12 @@ func main() {
 	var tr *trace.Trace
 	switch {
 	case *gen != "":
-		tr = trace.ProductionTrace(trace.ProductionPreset(*gen), *scale, *seed)
+		p := trace.ProductionPreset(*gen)
+		if !slices.Contains(trace.AllProductionPresets, p) {
+			fmt.Fprintf(os.Stderr, "raven-trace: unknown production preset %q (known: %v)\n", *gen, trace.AllProductionPresets)
+			os.Exit(1)
+		}
+		tr = trace.ProductionTrace(p, *scale, *seed)
 	case *genSynth != "":
 		var d trace.Interarrival
 		switch *genSynth {

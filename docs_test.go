@@ -4,28 +4,24 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"raven/internal/experiments"
 )
 
 // TestDesignInventoryPathsExist: every backticked internal/, cmd/ or
 // examples/ path in DESIGN.md's "System inventory" table names
 // something on disk. A glob must match at least one path.
 func TestDesignInventoryPathsExist(t *testing.T) {
-	b, err := os.ReadFile("DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, section, ok := strings.Cut(string(b), "\n## System inventory\n")
-	if !ok {
-		t.Fatal(`DESIGN.md has no "## System inventory" section`)
-	}
-	section, _, _ = strings.Cut(section, "\n## ")
+	section := designSection(t, "System inventory")
 	pathRE := regexp.MustCompile("`((?:internal|cmd|examples)/[^`]*)`")
 	checked := 0
 	for _, line := range strings.Split(section, "\n") {
@@ -48,6 +44,72 @@ func TestDesignInventoryPathsExist(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no inventory paths found: the table's format changed")
+	}
+}
+
+// designSection returns the body of DESIGN.md's "## heading" section.
+func designSection(t *testing.T, heading string) string {
+	t.Helper()
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(b), "\n## "+heading+"\n")
+	if !ok {
+		t.Fatalf(`DESIGN.md has no "## %s" section`, heading)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	return section
+}
+
+// TestDesignExperimentIndex: DESIGN.md's "Per-experiment index" has a
+// row for every experiments.All ID, every `experiments.X` harness
+// target it names is a Runner method, and every benchmark it names is
+// declared in some _test.go.
+func TestDesignExperimentIndex(t *testing.T) {
+	section := designSection(t, "Per-experiment index")
+	rows := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 && cells[0] == "" {
+			rows[strings.TrimSpace(cells[1])] = true
+		}
+	}
+	for _, id := range experiments.All {
+		if !rows[id] {
+			t.Errorf("no index row for experiment %s", id)
+		}
+	}
+
+	runner := reflect.TypeOf(&experiments.Runner{})
+	targets := regexp.MustCompile("`experiments\\.(\\w+)`").FindAllStringSubmatch(section, -1)
+	if len(targets) == 0 {
+		t.Fatal("no harness targets found: the table's format changed")
+	}
+	for _, m := range targets {
+		if _, ok := runner.MethodByName(m[1]); !ok {
+			t.Errorf("harness target experiments.%s is not a Runner method", m[1])
+		}
+	}
+
+	declared := map[string]bool{}
+	declRE := regexp.MustCompile(`(?m)^func (Benchmark\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range declRE.FindAllStringSubmatch(string(src), -1) {
+			declared[m[1]] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range regexp.MustCompile("`(Benchmark\\w*)").FindAllStringSubmatch(section, -1) {
+		if !declared[m[1]] {
+			t.Errorf("the index names %s, which no _test.go declares", m[1])
+		}
 	}
 }
 

@@ -63,7 +63,7 @@ func main() {
 		return raven.MustNewPolicy(name, raven.PolicyOptions{Capacity: capacity, Seed: 3})
 	}
 	tw := flipTrace(objects, requests, 1).Duration() / 10
-	rv := raven.NewRaven(raven.RavenConfig{TrainWindow: tw, Seed: 5})
+	rv := raven.NewRaven(raven.RavenConfig{TrainWindow: tw, Capacity: capacity, Seed: 5})
 
 	for _, p := range []raven.Policy{mk("lfu"), mk("lru"), rv} {
 		ohrs := phaseOHR(flipTrace(objects, requests, 1), p, capacity, 8)

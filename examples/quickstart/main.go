@@ -27,6 +27,7 @@ func main() {
 	// training window controls how often the model refreshes.
 	rv := raven.NewRaven(raven.RavenConfig{
 		TrainWindow: tr.Duration() / 8,
+		Capacity:    capacity,
 		Seed:        7,
 	})
 

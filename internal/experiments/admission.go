@@ -35,12 +35,9 @@ func (r *Runner) Admission() *Report {
 		{"learned", policy.AdmitLearned},
 	}
 	for _, m := range modes {
-		o := r.polOpts(t, capacity)
-		o.ScoreCache = true // admission quality, not decision latency
-		o.Admission = policy.AdmissionOptions{Mode: m.mode}
-		p := policy.MustNew("raven", o)
-		res := r.simulate(t, p, sim.Options{
-			Capacity: capacity, Seed: r.Cfg.Seed, WarmupFrac: prodWarmup,
+		res := r.replay(t, "raven", capacity, sim.Options{WarmupFrac: prodWarmup}, func(o *policy.Options) {
+			o.ScoreCache = true // admission quality, not decision latency
+			o.Admission = policy.AdmissionOptions{Mode: m.mode}
 		})
 		misses := res.Stats.Admissions + res.Stats.Rejections
 		reject := 0.0

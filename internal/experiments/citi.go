@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"raven/internal/core"
 	"raven/internal/policy"
 	"raven/internal/sim"
 	"raven/internal/trace"
@@ -34,18 +33,13 @@ func (r *Runner) Table5() *Report {
 	ratioSum := make(map[string]float64)
 	for _, t := range traces {
 		t.AnnotateNext()
-		opts := sim.Options{Capacity: capacity, WarmupFrac: warm, Seed: r.Cfg.Seed}
-		belady := r.simulate(t, policy.MustNew("belady", policy.Options{Capacity: capacity}), opts)
+		opts := sim.Options{WarmupFrac: warm}
+		// A quarter of each month is Raven's training window.
+		window := func(o *policy.Options) { o.TrainWindow = t.Duration() / 4 }
+		belady := r.replay(t, "belady", capacity, opts, nil)
 		beladyMisses := float64(belady.Stats.Misses())
 		for _, name := range pols {
-			var res *sim.Result
-			if name == "raven" {
-				rc := core.Config{TrainWindow: t.Duration() / 4, Seed: r.Cfg.Seed + 31}
-				r.trainShape(&rc, 20, 4)
-				res = r.simulate(t, core.New(rc), opts)
-			} else {
-				res = r.simulate(t, policy.MustNew(name, policy.Options{Capacity: capacity, Seed: r.Cfg.Seed}), opts)
-			}
+			res := r.replay(t, name, capacity, opts, window)
 			misses := float64(res.Stats.Misses())
 			missSum[name] += 1 - res.OHR
 			if beladyMisses > 0 {

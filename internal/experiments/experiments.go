@@ -211,36 +211,33 @@ const synthWarmup = 0.5
 
 // --- policy construction ----------------------------------------------------
 
-// polOpts builds policy.Options for a trace/capacity pair, scaling
-// Raven's training effort to the suite mode.
+// polOpts builds the registry options of the Raven every experiment
+// evaluates on a trace/capacity pair, at the suite's training shape
+// (trainShape). An experiment arm is these options with the one knob it
+// varies set (replay's vary); nothing else builds an evaluated Raven.
 func (r *Runner) polOpts(t *trace.Trace, capacity int64) policy.Options {
-	o := policy.Options{
+	return policy.Options{
 		Capacity:    capacity,
 		TrainWindow: t.Duration() / 8,
 		Seed:        r.Cfg.Seed,
+		Raven:       r.trainShape(),
 	}
-	rc := core.Config{}
-	r.trainShape(&rc, 25, 5)
-	o.Raven = &rc
-	return o
 }
 
-// trainShape sets Raven's network and training budget for the suite
+// trainShape returns Raven's network and training budget for the suite
 // mode: the quick suite's small network, 6-epoch fits on at most 600
-// objects and 30 residual samples (unless c already sets its own, as
-// Fig. 6/7 do), or the served network trained for up to epochs with
-// the given patience.
-func (r *Runner) trainShape(c *core.Config, epochs, patience int) {
+// objects and 30 residual samples, or the served network trained for
+// up to 25 epochs with patience 5.
+func (r *Runner) trainShape() *core.Config {
 	if r.Cfg.Quick {
-		c.Net = nn.Config{Hidden: 8, MLPHidden: 12, K: 4}
-		c.Train = nn.TrainConfig{MaxEpochs: 6, Patience: 2}
-		c.MaxTrainObjects = 600
-		if c.ResidualSamples == 0 {
-			c.ResidualSamples = 30
+		return &core.Config{
+			Net:             nn.Config{Hidden: 8, MLPHidden: 12, K: 4},
+			Train:           nn.TrainConfig{MaxEpochs: 6, Patience: 2},
+			MaxTrainObjects: 600,
+			ResidualSamples: 30,
 		}
-		return
 	}
-	c.Train = nn.TrainConfig{MaxEpochs: epochs, Patience: patience}
+	return &core.Config{Train: nn.TrainConfig{MaxEpochs: 25, Patience: 5}}
 }
 
 // run executes (trace, policy, capacity) once, memoized.
@@ -258,11 +255,8 @@ func (r *Runner) run(t *trace.Trace, polName string, capacity int64, opts sim.Op
 	}
 	r.mu.Unlock()
 
-	opts.Capacity = capacity
-	opts.Seed = r.Cfg.Seed
-	p := policy.MustNew(polName, r.polOpts(t, capacity))
 	start := time.Now()
-	res := r.simulate(t, p, opts)
+	res := r.replay(t, polName, capacity, opts, nil)
 	r.logf("  ran %-18s on %-12s C=%-12d OHR=%.4f BHR=%.4f (%v)",
 		polName, t.Name, capacity, res.OHR, res.BHR, time.Since(start).Round(time.Millisecond))
 
@@ -270,6 +264,20 @@ func (r *Runner) run(t *trace.Trace, polName string, capacity int64, opts sim.Op
 	r.results[key] = res
 	r.mu.Unlock()
 	return res
+}
+
+// replay runs t once through the registry policy polName built from
+// polOpts(t, capacity), after vary (if not nil) has set the knob an
+// experiment arm varies. With vary nil it is run's replay: an arm at
+// its knob's suite value replays that run bit for bit.
+func (r *Runner) replay(t *trace.Trace, polName string, capacity int64, opts sim.Options, vary func(*policy.Options)) *sim.Result {
+	o := r.polOpts(t, capacity)
+	if vary != nil {
+		vary(&o)
+	}
+	opts.Capacity = capacity
+	opts.Seed = r.Cfg.Seed
+	return r.simulate(t, policy.MustNew(polName, o), opts)
 }
 
 // simulate replays t through a one-shard engine driven by p. The

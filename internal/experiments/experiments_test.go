@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
+	"raven/internal/policy"
 	"raven/internal/sim"
 	"raven/internal/trace"
 )
@@ -56,13 +58,11 @@ func TestAllIDsResolve(t *testing.T) {
 	}
 }
 
-func TestFig2aQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment test skipped in -short mode")
-	}
-	// Quick's training budget on traces a tenth of Quick's length,
-	// planted where Runner.synthetic memoizes them: the assertions are
-	// about the table's shape, not its values.
+// plantedRunner is a quick-suite Runner whose §3.5 unit-size traces
+// are a tenth of Quick's length, planted where Runner.synthetic
+// memoizes them: Quick's training budget on short traces, for tests
+// about a table's shape or about which runs agree, not about values.
+func plantedRunner() *Runner {
 	r := NewRunner(Config{Quick: true, Seed: 7})
 	for _, d := range synthTriple {
 		tr := trace.Synthetic(trace.SynthConfig{
@@ -71,6 +71,14 @@ func TestFig2aQuick(t *testing.T) {
 		tr.AnnotateNext()
 		r.traces[synthKey(d, false)] = tr
 	}
+	return r
+}
+
+func TestFig2aQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment test skipped in -short mode")
+	}
+	r := plantedRunner()
 	rep, err := r.Run("fig2a")
 	if err != nil {
 		t.Fatal(err)
@@ -123,4 +131,65 @@ func TestMemoization(t *testing.T) {
 	if a != b {
 		t.Error("results should be memoized")
 	}
+}
+
+// TestArmAtSuiteValueIsBaseRun: an experiment arm is the registry Raven
+// of polOpts plus the one knob it varies, so at the suite's own value
+// of that knob it replays the run it is compared with bit for bit (the
+// same OHR and eviction count). On the planted unit-size traces the
+// base is Fig. 2a's raven cell, and the arms are Fig. 6's M and each
+// ablation sweep; on a small production trace, Fig. 5's no-survival
+// arm with DisableSurvival cleared replays Fig. 5's raven run.
+func TestArmAtSuiteValueIsBaseRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment test skipped in -short mode")
+	}
+	same := func(t *testing.T, arm, base *sim.Result) {
+		t.Helper()
+		if arm.OHR != base.OHR || arm.Stats.Evictions != base.Stats.Evictions {
+			t.Errorf("arm OHR %v after %d evictions, base run %v after %d",
+				arm.OHR, arm.Stats.Evictions, base.OHR, base.Stats.Evictions)
+		}
+	}
+	r := plantedRunner()
+	// The quick suite's value of each knob (trainShape, polOpts).
+	const suiteM = 30
+	suite := map[string]int{"candidates": 64, "mixtureK": 4, "gruHidden": 8, "window": 8}
+	fig2aOpts := sim.Options{WarmupFrac: synthWarmup, RankOrderEvery: 10}
+
+	if !slices.Contains(residualMs, suiteM) {
+		t.Errorf("Fig. 6 sweeps M over %v, without the suite's %d", residualMs, suiteM)
+	}
+	for _, d := range synthTriple {
+		tr := r.synthetic(d, false)
+		base := r.run(tr, "raven", synthUnitCapacity, fig2aOpts)
+		t.Run("fig6/"+d.String(), func(t *testing.T) {
+			same(t, r.unitArm(tr, residualM(suiteM)), base)
+		})
+	}
+	tr := r.synthetic(trace.Uniform, false)
+	base := r.run(tr, "raven", synthUnitCapacity, fig2aOpts)
+	for _, k := range ablationKnobs {
+		v, ok := suite[k.name]
+		if !ok || !slices.Contains(k.values, v) {
+			t.Errorf("ablation %s sweeps %v, without the suite's value", k.name, k.values)
+			continue
+		}
+		t.Run("ablations/"+k.name, func(t *testing.T) {
+			same(t, r.unitArm(tr, func(o *policy.Options) { k.set(o, tr, v) }), base)
+		})
+	}
+
+	t.Run("fig5", func(t *testing.T) {
+		p := fig5Presets[0]
+		tr := trace.ProductionTrace(p, 0.01, r.Cfg.Seed)
+		tr.AnnotateNext()
+		r.traces["prod/"+string(p)] = tr
+		with := r.prodRun(p, "raven", smallFrac)
+		cleared := r.replay(tr, "raven", capFor(tr, smallFrac), r.prodOpts(p), func(o *policy.Options) {
+			noSurvival(o)
+			o.Raven.DisableSurvival = false
+		})
+		same(t, cleared, with)
+	})
 }

@@ -172,6 +172,10 @@ var fig5Presets = []trace.ProductionPreset{
 	trace.Wiki18, trace.Wikimedia19, trace.TwitterC29,
 }
 
+// noSurvival is Fig. 5's knob: Raven trained without the survival
+// term, on the same sequences and so the same draws.
+func noSurvival(o *policy.Options) { o.Raven.DisableSurvival = true }
+
 // Fig5 reproduces Fig. 5: the impact of the survival-probability loss
 // term, comparing Raven with and without it.
 func (r *Runner) Fig5() *Report {
@@ -182,16 +186,8 @@ func (r *Runner) Fig5() *Report {
 		capacity := capFor(t, smallFrac)
 		with := r.prodRun(p, "raven", smallFrac)
 
-		cfg := r.polOpts(t, capacity)
-		rc := *cfg.Raven
-		rc.TrainWindow = t.Duration() / 8
-		rc.DisableSurvival = true
-		rc.Capacity = capacity
-		rc.Seed = r.Cfg.Seed + 999
 		start := time.Now()
-		without := r.simulate(t, core.New(rc), sim.Options{
-			Capacity: capacity, Net: netFor(p), WarmupFrac: prodWarmup, Seed: r.Cfg.Seed,
-		})
+		without := r.replay(t, "raven", capacity, r.prodOpts(p), noSurvival)
 		r.logf("  fig5 %s nosurv OHR=%.4f (%v)", p, without.OHR, time.Since(start).Round(time.Second))
 
 		rep.Add(string(p), "OHR", with.OHR, without.OHR)

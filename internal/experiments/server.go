@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"raven/internal/cache"
-	"raven/internal/core"
 	"raven/internal/policy"
 	"raven/internal/server"
 	"raven/internal/sim"
@@ -48,65 +47,72 @@ func (r *Runner) serverTrace() *trace.Trace {
 	return t
 }
 
-func (r *Runner) serverPolicies(t *trace.Trace, capacity int64) (ravenPol, atsPol cache.Policy) {
-	rc := core.Config{
-		TrainWindow: t.Duration() / 6,
-		Capacity:    capacity,
-		Seed:        r.Cfg.Seed + 21,
+// servedOpts is the Raven ravencached serves (policy.Served) with the
+// live replay's deployment facts: its capacity, a sixth of the trace as
+// the training window and the suite's seed, at the quick network under
+// -quick. The decision budget is off, as TestServedEqualsSimulated
+// runs the preset, so the replay is a function of the trace.
+func (r *Runner) servedOpts(t *trace.Trace, capacity int64) policy.Options {
+	o := policy.Served()
+	o.Capacity = capacity
+	o.TrainWindow = t.Duration() / 6
+	o.Seed = r.Cfg.Seed
+	o.DecisionBudget = 0
+	if r.Cfg.Quick {
+		o.Raven = r.trainShape()
 	}
-	r.trainShape(&rc, 20, 4)
-	return core.New(rc), policy.MustNew("lru", policy.Options{Capacity: capacity})
+	return o
 }
 
-// Fig12 reproduces Fig. 12: hit ratios of the Raven prototype vs an
-// unmodified-ATS stand-in (the same TCP server with LRU), over time.
-func (r *Runner) Fig12() *Report {
-	rep := &Report{ID: "fig12", Title: "Raven prototype vs unmodified ATS over TCP (Fig. 12)"}
-	rep.Header = []string{"requests", "raven OHR", "raven BHR", "ats OHR", "ats BHR"}
+// liveReplays replays the server trace over TCP against the served
+// Raven and against the unmodified-ATS stand-in (the same server with
+// LRU), at a 5% cache.
+func (r *Runner) liveReplays() (rv, ats *server.ReplayResult, err error) {
 	t := r.serverTrace()
 	capacity := capFor(t, 0.05)
-	rv, ats := r.serverPolicies(t, capacity)
+	rv, err = r.serverRun(policy.MustNew("raven", r.servedOpts(t, capacity)), t, capacity)
+	if err != nil {
+		return nil, nil, fmt.Errorf("raven server run: %w", err)
+	}
+	ats, err = r.serverRun(policy.MustNew("lru", policy.Options{Capacity: capacity}), t, capacity)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ats server run: %w", err)
+	}
+	return rv, ats, nil
+}
 
-	rres, err := r.serverRun(rv, t, capacity)
+// Fig12 reproduces Fig. 12: hit ratios of the served Raven vs an
+// unmodified-ATS stand-in (the same TCP server with LRU), over time.
+func (r *Runner) Fig12() *Report {
+	rep := &Report{ID: "fig12", Title: "Served Raven vs unmodified ATS over TCP (Fig. 12)"}
+	rep.Header = []string{"requests", "raven OHR", "raven BHR", "ats OHR", "ats BHR"}
+	rres, ares, err := r.liveReplays()
 	if err != nil {
-		rep.Notes = append(rep.Notes, "raven server run failed: "+err.Error())
+		rep.Notes = append(rep.Notes, err.Error())
 		return rep
 	}
-	ares, err := r.serverRun(ats, t, capacity)
-	if err != nil {
-		rep.Notes = append(rep.Notes, "ats server run failed: "+err.Error())
-		return rep
-	}
-	n := len(rres.Curve)
-	if len(ares.Curve) < n {
-		n = len(ares.Curve)
-	}
+	n := min(len(rres.Curve), len(ares.Curve))
 	for i := 0; i < n; i++ {
 		rep.Add(rres.Curve[i].Requests,
 			rres.Curve[i].OHR, rres.Curve[i].BHR,
 			ares.Curve[i].OHR, ares.Curve[i].BHR)
 	}
 	rep.Notes = append(rep.Notes,
-		"live TCP replay; Raven starts as LRU and pulls ahead after its first training window (§5.4)")
+		"live TCP replay; the served Raven trails ATS while its admission doorkeeper turns first sightings away, then pulls ahead after its first training window (§5.4)")
 	return rep
 }
 
-// Table3 reproduces Table 3: resource usage of the Raven prototype vs
+// Table3 reproduces Table 3: resource usage of the served Raven vs
 // unmodified ATS in the live server experiment. Latency and throughput
 // are the §5.1.4 model plus the measured round trip, throughput as
 // sim.Run defines it (requests over the summed latency); the longest
 // round trip shows any stall the server took inline.
 func (r *Runner) Table3() *Report {
-	rep := &Report{ID: "tab3", Title: "Prototype resource usage (Table 3), §5.1.4 delays plus measured wire time"}
+	rep := &Report{ID: "tab3", Title: "Served Raven resource usage (Table 3), §5.1.4 delays plus measured wire time"}
 	rep.Header = []string{"metric", "raven", "ats"}
-	t := r.serverTrace()
-	capacity := capFor(t, 0.05)
-	rv, ats := r.serverPolicies(t, capacity)
-
-	rres, err1 := r.serverRun(rv, t, capacity)
-	ares, err2 := r.serverRun(ats, t, capacity)
-	if err1 != nil || err2 != nil {
-		rep.Notes = append(rep.Notes, fmt.Sprintf("server error: %v %v", err1, err2))
+	rres, ares, err := r.liveReplays()
+	if err != nil {
+		rep.Notes = append(rep.Notes, err.Error())
 		return rep
 	}
 	rlat, alat := latencyMs(rres), latencyMs(ares)

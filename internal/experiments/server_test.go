@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"raven/internal/cache"
+	"raven/internal/policy"
 	"raven/internal/sim"
 )
 
@@ -25,13 +26,11 @@ func TestLiveReplayPricedByModel(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			// A fresh instance per replay: the live one, sim.Run's, and
 			// the engine loop that records each request's hit.
-			fresh := func() cache.Policy {
-				rv, lru := r.serverPolicies(tr, capacity)
-				if name == "raven" {
-					return rv
-				}
-				return lru
+			o := policy.Options{Capacity: capacity}
+			if name == "raven" {
+				o = r.servedOpts(tr, capacity)
 			}
+			fresh := func() cache.Policy { return policy.MustNew(name, o) }
 			res, err := r.serverRun(fresh(), tr, capacity)
 			if err != nil {
 				t.Fatal(err)

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"raven/internal/core"
+	"raven/internal/policy"
 	"raven/internal/sim"
 	"raven/internal/stats"
 	"raven/internal/trace"
@@ -210,18 +210,18 @@ func (r *Runner) Fig16() *Report {
 	return r.synthSizeSweep("fig16", "BHR vs cache size, variable-size synthetic traces (Fig. 16)", "BHR")
 }
 
-// ravenWithM builds a Raven config with a given residual sample count.
-func (r *Runner) ravenWithM(t *trace.Trace, m int) *core.Raven {
-	cfg := core.Config{
-		TrainWindow:     t.Duration() / 8,
-		ResidualSamples: m,
-		Seed:            r.Cfg.Seed + int64(m),
-	}
-	r.trainShape(&cfg, 25, 5)
-	return core.New(cfg)
+// residualM is Fig. 6/7's knob: Raven's residual sample count M.
+func residualM(m int) func(*policy.Options) {
+	return func(o *policy.Options) { o.Raven.ResidualSamples = m }
 }
 
 var residualMs = []int{1, 10, 30, 100, 300}
+
+// unitArm replays an arm of the C=100 unit-size runs: Fig. 2a's raven
+// run with the knob vary sets.
+func (r *Runner) unitArm(t *trace.Trace, vary func(*policy.Options)) *sim.Result {
+	return r.replay(t, "raven", synthUnitCapacity, sim.Options{WarmupFrac: synthWarmup}, vary)
+}
 
 // Fig6 reproduces Fig. 6: residual-sample-size M vs hit ratio.
 func (r *Runner) Fig6() *Report {
@@ -231,9 +231,7 @@ func (r *Runner) Fig6() *Report {
 	for _, d := range synthTriple {
 		t := r.synthetic(d, false)
 		for _, m := range residualMs {
-			res := r.simulate(t, r.ravenWithM(t, m), sim.Options{
-				Capacity: synthUnitCapacity, WarmupFrac: synthWarmup, Seed: r.Cfg.Seed,
-			})
+			res := r.unitArm(t, residualM(m))
 			r.logf("  fig6 M=%-4d %-8s OHR=%.4f", m, d, res.OHR)
 			rows[m] = append(rows[m], fmt.Sprintf("%.4f", res.OHR))
 		}
@@ -252,13 +250,28 @@ func (r *Runner) Fig7() *Report {
 	rep.Header = []string{"M", "mean_us", "p90_us"}
 	t := r.synthetic(trace.Uniform, false)
 	for _, m := range residualMs {
-		res := r.simulate(t, r.ravenWithM(t, m), sim.Options{
-			Capacity: synthUnitCapacity, WarmupFrac: synthWarmup, Seed: r.Cfg.Seed,
-		})
+		res := r.unitArm(t, residualM(m))
 		rep.Add(m, res.EvictionNanos.Mean/1e3, res.EvictionNanos.P90/1e3)
 	}
 	rep.Notes = append(rep.Notes, "eviction time grows roughly linearly in M (O(M) estimator, §3.3)")
 	return rep
+}
+
+// ablationKnobs are the design knobs Ablations sweeps. Each sweep holds
+// the suite's own value, whose arm is Fig. 2a's raven run.
+var ablationKnobs = []struct {
+	name, label string // label formats a value for the report
+	values      []int
+	set         func(o *policy.Options, t *trace.Trace, v int)
+}{
+	{"candidates", "%d", []int{8, 16, 32, 64, 128},
+		func(o *policy.Options, _ *trace.Trace, v int) { o.Raven.CandidateSample = v }},
+	{"mixtureK", "%d", []int{1, 4, 8, 16},
+		func(o *policy.Options, _ *trace.Trace, v int) { o.Raven.Net.K = v }},
+	{"gruHidden", "%d", []int{4, 8, 16, 32},
+		func(o *policy.Options, _ *trace.Trace, v int) { o.Raven.Net.Hidden = v }},
+	{"window", "dur/%d", []int{16, 8, 4, 2},
+		func(o *policy.Options, t *trace.Trace, v int) { o.TrainWindow = t.Duration() / int64(v) }},
 }
 
 // Ablations measures the design knobs DESIGN.md calls out: eviction
@@ -268,37 +281,13 @@ func (r *Runner) Ablations() *Report {
 	rep := &Report{ID: "ablations", Title: "Raven design ablations (Uniform trace, C=100)"}
 	rep.Header = []string{"knob", "value", "OHR", "evict_us"}
 	t := r.synthetic(trace.Uniform, false)
-	base := func() core.Config {
-		cfg := core.Config{TrainWindow: t.Duration() / 8, Seed: r.Cfg.Seed}
-		r.trainShape(&cfg, 25, 5)
-		return cfg
-	}
-	runCfg := func(knob, val string, cfg core.Config) {
-		res := r.simulate(t, core.New(cfg), sim.Options{
-			Capacity: synthUnitCapacity, WarmupFrac: synthWarmup, Seed: r.Cfg.Seed,
-		})
-		r.logf("  ablation %s=%s OHR=%.4f", knob, val, res.OHR)
-		rep.Add(knob, val, res.OHR, res.EvictionNanos.Mean/1e3)
-	}
-	for _, cs := range []int{8, 16, 32, 64, 128} {
-		cfg := base()
-		cfg.CandidateSample = cs
-		runCfg("candidates", fmt.Sprint(cs), cfg)
-	}
-	for _, k := range []int{1, 4, 8, 16} {
-		cfg := base()
-		cfg.Net.K = k
-		runCfg("mixtureK", fmt.Sprint(k), cfg)
-	}
-	for _, h := range []int{4, 8, 16, 32} {
-		cfg := base()
-		cfg.Net.Hidden = h
-		runCfg("gruHidden", fmt.Sprint(h), cfg)
-	}
-	for _, div := range []int64{16, 8, 4, 2} {
-		cfg := base()
-		cfg.TrainWindow = t.Duration() / div
-		runCfg("window", fmt.Sprintf("dur/%d", div), cfg)
+	for _, k := range ablationKnobs {
+		for _, v := range k.values {
+			res := r.unitArm(t, func(o *policy.Options) { k.set(o, t, v) })
+			val := fmt.Sprintf(k.label, v)
+			r.logf("  ablation %s=%s OHR=%.4f", k.name, val, res.OHR)
+			rep.Add(k.name, val, res.OHR, res.EvictionNanos.Mean/1e3)
+		}
 	}
 	return rep
 }

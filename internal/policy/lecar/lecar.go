@@ -174,6 +174,3 @@ func (p *LeCaR) Victim() (cache.Key, bool) {
 	}
 	return victim, true
 }
-
-// Weights returns the current (LRU, LFU) expert weights (for tests).
-func (p *LeCaR) Weights() (float64, float64) { return p.wLRU, p.wLFU }

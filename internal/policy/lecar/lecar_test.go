@@ -5,6 +5,7 @@ import (
 
 	"raven/internal/cache"
 	"raven/internal/stats"
+	"raven/internal/trace"
 )
 
 func req(t int64, k cache.Key) cache.Request {
@@ -100,5 +101,43 @@ func TestGhostsSizedByResidents(t *testing.T) {
 		if h.ll.Len() < residents/2 {
 			t.Errorf("%s ghost list holds %d of %d: the replay barely evicted through it", name, h.ll.Len(), residents)
 		}
+	}
+}
+
+// Weights returns the current (LRU, LFU) expert weights (for tests).
+func (p *LeCaR) Weights() (float64, float64) { return p.wLRU, p.wLFU }
+
+// zipfTrace is a Zipf workload over 300 objects with Poisson renewals.
+func zipfTrace(seed int64) *trace.Trace {
+	tr := trace.Synthetic(trace.SynthConfig{
+		Objects: 300, Requests: 40000, Interarrival: trace.Poisson, Seed: seed,
+	})
+	tr.AnnotateNext()
+	return tr
+}
+
+// ohr replays tr through a cache of the given capacity driven by p.
+func ohr(t *testing.T, p cache.Policy, tr *trace.Trace, capacity int64) float64 {
+	t.Helper()
+	c := cache.New(capacity, p)
+	for _, r := range tr.Reqs {
+		c.Handle(r)
+	}
+	if c.Used() > c.Capacity() {
+		t.Fatalf("%s: capacity violated", p.Name())
+	}
+	return c.StatsSnapshot().OHR()
+}
+
+func TestLeCaRWeightsAdapt(t *testing.T) {
+	p := New(1)
+	ohr(t, p, zipfTrace(4), 50)
+	wl, wf := p.Weights()
+	if wl < 0 || wf < 0 || wl+wf < 0.99 || wl+wf > 1.01 {
+		t.Errorf("weights must stay a distribution: %v %v", wl, wf)
+	}
+	// On a Zipf/Poisson workload the LFU expert should gain weight.
+	if wf < 0.3 {
+		t.Errorf("LFU expert weight %.3f suspiciously low for a frequency-dominated workload", wf)
 	}
 }

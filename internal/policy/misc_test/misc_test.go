@@ -1,6 +1,6 @@
 // Package misc_test exercises the smaller baseline policies (Random,
-// Hyperbolic, LHD, LeCaR, UCB, AdaptSize, Parrot) through the cache
-// engine on shared workloads.
+// Hyperbolic, LHD, AdaptSize) through the cache engine on shared
+// workloads.
 package misc_test
 
 import (
@@ -9,12 +9,9 @@ import (
 	"raven/internal/cache"
 	"raven/internal/policy/adaptsize"
 	"raven/internal/policy/hyperbolic"
-	"raven/internal/policy/lecar"
 	"raven/internal/policy/lhd"
 	"raven/internal/policy/lru"
-	"raven/internal/policy/parrot"
 	"raven/internal/policy/random"
-	"raven/internal/policy/ucb"
 	"raven/internal/trace"
 )
 
@@ -68,35 +65,6 @@ func TestLHDRunsAndReconfigures(t *testing.T) {
 	}
 }
 
-func TestLeCaRWeightsAdapt(t *testing.T) {
-	tr := zipfTrace(4)
-	p := lecar.New(1)
-	ohr(t, p, tr, 50)
-	wl, wf := p.Weights()
-	if wl < 0 || wf < 0 || wl+wf < 0.99 || wl+wf > 1.01 {
-		t.Errorf("weights must stay a distribution: %v %v", wl, wf)
-	}
-	// On a Zipf/Poisson workload the LFU expert should gain weight.
-	if wf < 0.3 {
-		t.Errorf("LFU expert weight %.3f suspiciously low for a frequency-dominated workload", wf)
-	}
-}
-
-func TestUCBPullsAllArms(t *testing.T) {
-	tr := zipfTrace(5)
-	p := ucb.New(1)
-	ohr(t, p, tr, 50)
-	pulls, means := p.ArmStats()
-	for a, n := range pulls {
-		if n == 0 {
-			t.Errorf("arm %d never credited", a)
-		}
-		if means[a] < 0 || means[a] > 1 {
-			t.Errorf("arm %d mean reward %v out of range", a, means[a])
-		}
-	}
-}
-
 func TestAdaptSizeRejectsHugeObjects(t *testing.T) {
 	p := adaptsize.New(10000, 1)
 	c := cache.New(10000, p)
@@ -118,18 +86,5 @@ func TestAdaptSizeRejectsHugeObjects(t *testing.T) {
 	}
 	if admitted < 90 {
 		t.Errorf("tiny objects should almost always be admitted, got %d/100", admitted)
-	}
-}
-
-func TestParrotImitatesTeacher(t *testing.T) {
-	tr := zipfTrace(6)
-	p := parrot.New(parrot.Config{TeacherEpisodes: 500, Epochs: 4, Seed: 1})
-	got := ohr(t, p, tr, 50)
-	if !p.Trained() {
-		t.Fatal("parrot never finished its teacher phase")
-	}
-	rnd := ohr(t, random.New(2), zipfTrace(6), 50)
-	if got <= rnd {
-		t.Errorf("parrot OHR %.4f should beat random %.4f after imitation", got, rnd)
 	}
 }

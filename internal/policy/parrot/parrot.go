@@ -89,9 +89,6 @@ func New(cfg Config) *Parrot {
 // Name implements cache.Policy.
 func (p *Parrot) Name() string { return "parrot" }
 
-// Trained reports whether the imitator has been fit.
-func (p *Parrot) Trained() bool { return p.trained }
-
 func (p *Parrot) touch(req cache.Request) {
 	p.now = req.Time
 	if m := p.set.Ref(req.Key); m != nil {

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"raven/internal/cache"
+	"raven/internal/policy/random"
+	"raven/internal/trace"
 )
 
 func TestFeatureVectorShape(t *testing.T) {
@@ -53,5 +55,42 @@ func TestTrainingTriggersAfterEpisodes(t *testing.T) {
 	}
 	if p.episodes != nil {
 		t.Error("episode buffer should be released after training")
+	}
+}
+
+// Trained reports whether the imitator has been fit.
+func (p *Parrot) Trained() bool { return p.trained }
+
+// zipfTrace is a Zipf workload over 300 objects with Poisson renewals.
+func zipfTrace(seed int64) *trace.Trace {
+	tr := trace.Synthetic(trace.SynthConfig{
+		Objects: 300, Requests: 40000, Interarrival: trace.Poisson, Seed: seed,
+	})
+	tr.AnnotateNext()
+	return tr
+}
+
+// ohr replays tr through a cache of the given capacity driven by p.
+func ohr(t *testing.T, p cache.Policy, tr *trace.Trace, capacity int64) float64 {
+	t.Helper()
+	c := cache.New(capacity, p)
+	for _, r := range tr.Reqs {
+		c.Handle(r)
+	}
+	if c.Used() > c.Capacity() {
+		t.Fatalf("%s: capacity violated", p.Name())
+	}
+	return c.StatsSnapshot().OHR()
+}
+
+func TestParrotImitatesTeacher(t *testing.T) {
+	p := New(Config{TeacherEpisodes: 500, Epochs: 4, Seed: 1})
+	got := ohr(t, p, zipfTrace(6), 50)
+	if !p.Trained() {
+		t.Fatal("parrot never finished its teacher phase")
+	}
+	rnd := ohr(t, random.New(2), zipfTrace(6), 50)
+	if got <= rnd {
+		t.Errorf("parrot OHR %.4f should beat random %.4f after imitation", got, rnd)
 	}
 }

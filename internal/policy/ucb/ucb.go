@@ -168,14 +168,3 @@ func (p *UCB) Victim() (cache.Key, bool) {
 	p.ghost[victim] = pe
 	return victim, true
 }
-
-// ArmStats returns per-arm pull counts and mean rewards (for tests).
-func (p *UCB) ArmStats() (pulls, means [numArms]float64) {
-	pulls = p.pulls
-	for a := 0; a < numArms; a++ {
-		if p.pulls[a] > 0 {
-			means[a] = p.rewards[a] / p.pulls[a]
-		}
-	}
-	return pulls, means
-}

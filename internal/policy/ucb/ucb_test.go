@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"raven/internal/cache"
+	"raven/internal/trace"
 )
 
 func req(t int64, k cache.Key, s int64) cache.Request {
@@ -64,5 +65,52 @@ func TestPenalizedOnQuickReRequest(t *testing.T) {
 	}
 	if !credited {
 		t.Error("the regretted eviction should have been settled")
+	}
+}
+
+// ArmStats returns per-arm pull counts and mean rewards (for tests).
+func (p *UCB) ArmStats() (pulls, means [numArms]float64) {
+	pulls = p.pulls
+	for a := 0; a < numArms; a++ {
+		if p.pulls[a] > 0 {
+			means[a] = p.rewards[a] / p.pulls[a]
+		}
+	}
+	return pulls, means
+}
+
+// zipfTrace is a Zipf workload over 300 objects with Poisson renewals.
+func zipfTrace(seed int64) *trace.Trace {
+	tr := trace.Synthetic(trace.SynthConfig{
+		Objects: 300, Requests: 40000, Interarrival: trace.Poisson, Seed: seed,
+	})
+	tr.AnnotateNext()
+	return tr
+}
+
+// ohr replays tr through a cache of the given capacity driven by p.
+func ohr(t *testing.T, p cache.Policy, tr *trace.Trace, capacity int64) float64 {
+	t.Helper()
+	c := cache.New(capacity, p)
+	for _, r := range tr.Reqs {
+		c.Handle(r)
+	}
+	if c.Used() > c.Capacity() {
+		t.Fatalf("%s: capacity violated", p.Name())
+	}
+	return c.StatsSnapshot().OHR()
+}
+
+func TestUCBPullsAllArms(t *testing.T) {
+	p := New(1)
+	ohr(t, p, zipfTrace(5), 50)
+	pulls, means := p.ArmStats()
+	for a, n := range pulls {
+		if n == 0 {
+			t.Errorf("arm %d never credited", a)
+		}
+		if means[a] < 0 || means[a] > 1 {
+			t.Errorf("arm %d mean reward %v out of range", a, means[a])
+		}
 	}
 }

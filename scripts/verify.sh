@@ -49,10 +49,14 @@
 #                candidate sample independent of how many candidates
 #                earlier decisions re-scored, TestSimulateDeterministic:
 #                every registered policy replayed twice, byte for byte,
-#                and TestEngineBurstEquivalence: the engine serving bursts
+#                TestEngineBurstEquivalence: the engine serving bursts
 #                of 1, 7 and 32 (one shard lock per run of same-shard
 #                ops) gives the replies,
-#                cache.Stats and METRICS cache.* of op-by-op serving
+#                cache.Stats and METRICS cache.* of op-by-op serving,
+#                and TestArmAtSuiteValueIsBaseRun: each experiment arm
+#                (Fig. 5's no-survival arm, Fig. 6's M, each ablation
+#                sweep) at the suite's value of its knob replays its
+#                base run bit for bit
 #   alloc        the runtime referee for "no allocation per decision or
 #                per request": eviction decisions (both estimators, f64
 #                and f32) and f32 batch inference, the
@@ -208,6 +212,8 @@ stage_determinism() {
     run_named 'TestScoreStampsBitExact|TestScoreStampIsClosedForm|TestScoreCacheSamplerIgnoresRescores' ./internal/core/
     echo "==> same program: the engine serves a burst (one shard lock per run of same-shard ops) with the replies, cache.Stats and METRICS cache.* of op-by-op serving"
     run_named 'TestEngineBurstEquivalence' ./internal/server/
+    echo "==> same program: an experiment arm is the registry Raven plus the one knob it varies, so at the suite's value of that knob it replays its base run (Fig. 2a's raven cell, Fig. 5's raven run) bit for bit"
+    run_named 'TestArmAtSuiteValueIsBaseRun' ./internal/experiments/
 }
 
 stage_alloc() {
