@@ -41,6 +41,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "raven-exp: -exp is required (try -list)")
 		os.Exit(2)
 	}
+	if !(*scale > 0) {
+		// The runner would read 0 as its default scale, 1.
+		fmt.Fprintf(os.Stderr, "raven-exp: -scale %v must be positive\n", *scale)
+		os.Exit(1)
+	}
 	cfg := experiments.Config{Quick: *quick, Scale: *scale, Seed: *seed}
 	if *verbose {
 		cfg.Log = os.Stderr

@@ -55,7 +55,7 @@ func main() {
 
 		scoreCache  = flag.Bool("score-cache", false, "Raven cached-score eviction fast path")
 		inference32 = flag.Bool("inference32", false, "Raven float32 inference kernels for eviction decisions (training stays float64)")
-		budget      = flag.Duration("decision-budget", 0, "Raven per-eviction-decision deadline; overruns fall back to LRU (0 = off)")
+		budget      = flag.Duration("decision-budget", 0, "Raven per-eviction-decision deadline; overruns fall back to LRU (0 = off, negative refused)")
 	)
 	flag.Parse()
 
@@ -63,9 +63,24 @@ func main() {
 		fmt.Println(strings.Join(policy.Names(), "\n"))
 		return
 	}
-	if *ckptEvery < 1 {
-		fmt.Fprintf(os.Stderr, "raven-sim: -checkpoint-every %d must be at least 1\n", *ckptEvery)
-		os.Exit(1)
+	// A value the generators or the policy would silently replace (a
+	// zero count or scale by its default, a negative budget by none) is
+	// refused instead.
+	for _, bad := range []struct {
+		ok  bool
+		msg string
+	}{
+		{*ckptEvery >= 1, fmt.Sprintf("-checkpoint-every %d must be at least 1", *ckptEvery)},
+		{*requests >= 1, fmt.Sprintf("-requests %d must be at least 1", *requests)},
+		{*objects >= 1, fmt.Sprintf("-objects %d must be at least 1", *objects)},
+		{*scale > 0, fmt.Sprintf("-scale %v must be positive", *scale)},
+		{*cacheFrac > 0, fmt.Sprintf("-cachefrac %v must be positive", *cacheFrac)},
+		{*budget >= 0, fmt.Sprintf("-decision-budget %v must not be negative", *budget)},
+	} {
+		if !bad.ok {
+			fmt.Fprintln(os.Stderr, "raven-sim:", bad.msg)
+			os.Exit(1)
+		}
 	}
 
 	tr, err := loadTrace(*prodName, *synthName, *file, *requests, *objects, *varSizes, *scale, *seed)
@@ -181,16 +196,9 @@ func loadTrace(prod, synth, file string, requests, objects int, varSizes bool, s
 		}
 		return trace.ProductionTrace(p, scale, seed), nil
 	case synth != "":
-		var d trace.Interarrival
-		switch synth {
-		case "poisson":
-			d = trace.Poisson
-		case "uniform":
-			d = trace.Uniform
-		case "pareto":
-			d = trace.Pareto
-		default:
-			return nil, fmt.Errorf("unknown synthetic law %q", synth)
+		d, err := trace.ParseInterarrival(synth)
+		if err != nil {
+			return nil, err
 		}
 		return trace.Synthetic(trace.SynthConfig{
 			Objects: objects, Requests: requests, Interarrival: d,

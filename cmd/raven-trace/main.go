@@ -30,6 +30,22 @@ func main() {
 	)
 	flag.Parse()
 
+	// A zero count or scale would be silently replaced by the
+	// generator's default; refuse it instead.
+	for _, bad := range []struct {
+		ok  bool
+		msg string
+	}{
+		{*requests >= 1, fmt.Sprintf("-requests %d must be at least 1", *requests)},
+		{*objects >= 1, fmt.Sprintf("-objects %d must be at least 1", *objects)},
+		{*scale > 0, fmt.Sprintf("-scale %v must be positive", *scale)},
+	} {
+		if !bad.ok {
+			fmt.Fprintln(os.Stderr, "raven-trace:", bad.msg)
+			os.Exit(1)
+		}
+	}
+
 	if *analyze != "" {
 		if err := analyzeFile(*analyze); err != nil {
 			fmt.Fprintln(os.Stderr, "raven-trace:", err)
@@ -48,16 +64,9 @@ func main() {
 		}
 		tr = trace.ProductionTrace(p, *scale, *seed)
 	case *genSynth != "":
-		var d trace.Interarrival
-		switch *genSynth {
-		case "poisson":
-			d = trace.Poisson
-		case "uniform":
-			d = trace.Uniform
-		case "pareto":
-			d = trace.Pareto
-		default:
-			fmt.Fprintf(os.Stderr, "raven-trace: unknown law %q\n", *genSynth)
+		d, err := trace.ParseInterarrival(*genSynth)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "raven-trace:", err)
 			os.Exit(1)
 		}
 		tr = trace.Synthetic(trace.SynthConfig{
@@ -97,9 +106,9 @@ func analyzeFile(path string) error {
 	fmt.Printf("zipf slope:   %.2f\n", trace.ZipfSlope(tr))
 
 	fmt.Println("\nrequests by object size (log10 bins):")
-	printBins(trace.RequestsBySize(tr, 9))
+	printBins(trace.RequestsBySize(tr))
 	fmt.Println("bytes by object frequency (log10 bins):")
-	printBins(trace.BytesByFrequency(tr, 9))
+	printBins(trace.BytesByFrequency(tr))
 	return nil
 }
 

@@ -72,7 +72,7 @@ func run() int {
 		// off: learned admission needs raven, and any policy is served.
 		scoreCache  = flag.Bool("score-cache", served.ScoreCache, "raven: cached-score eviction fast path")
 		inference32 = flag.Bool("inference32", served.Inference32, "raven: float32 inference kernels for eviction decisions (training stays float64)")
-		budget      = flag.Duration("decision-budget", served.DecisionBudget, "raven: per-eviction-decision deadline; overruns fall back to LRU and count toward degradation (0 = off)")
+		budget      = flag.Duration("decision-budget", served.DecisionBudget, "raven: per-eviction-decision deadline; overruns fall back to LRU and count toward degradation (0 = off, negative refused)")
 
 		ckptDir   = flag.String("checkpoint", "", "learning-policy checkpoint directory: resume from the newest valid generation, save after trainings")
 		ckptEvery = flag.Int("checkpoint-every", served.CheckpointEvery, "save a checkpoint generation every N completed trainings")
@@ -102,6 +102,10 @@ func run() int {
 	}
 	if *ckptEvery < 1 {
 		fmt.Fprintf(os.Stderr, "ravencached: -checkpoint-every %d must be at least 1\n", *ckptEvery)
+		return 1
+	}
+	if *budget < 0 {
+		fmt.Fprintf(os.Stderr, "ravencached: -decision-budget %v must not be negative\n", *budget)
 		return 1
 	}
 	perShard := factory.PerShard(policy.Options{

@@ -15,9 +15,10 @@ import (
 // -node does, instead of serving. A non-positive -window becomes 2²⁰
 // ticks in the policy registry, -checkpoint-every -3 saves every third
 // fit through Go's remainder, -shards 0 serves one shard, a negative
-// -maxconns means no cap and a negative -drain makes Close wait
-// forever. The last two are refused by server.New, whose error names
-// the Config field.
+// -maxconns means no cap, a negative -drain makes Close wait forever
+// and a negative -decision-budget disarms the decision SLO. -maxconns
+// and -drain are refused by server.New, whose error names the Config
+// field.
 func TestRejectsBadFlags(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "ravencached")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -34,6 +35,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-shards", "0"}, "-shards"},
 		{[]string{"-maxconns", "-3"}, "MaxConns"},
 		{[]string{"-drain", "-1s"}, "DrainTimeout"},
+		{[]string{"-decision-budget", "-1ms"}, "-decision-budget"},
 	} {
 		t.Run(strings.Join(tc.args, "="), func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

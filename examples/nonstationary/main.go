@@ -12,10 +12,12 @@ import (
 	"raven/internal/stats"
 )
 
+const objects, requests, capacity = 500, 120000, 60
+
 // flipTrace builds a Zipf workload whose popularity ranking reverses
 // at the midpoint.
-func flipTrace(objects, requests int, seed int64) *raven.Trace {
-	g := stats.NewRNG(seed)
+func flipTrace() *raven.Trace {
+	g := stats.NewRNG(1)
 	z := stats.NewZipf(objects, 1.0)
 	tr := &raven.Trace{Name: "popularity-flip"}
 	t := 0.0
@@ -51,7 +53,6 @@ func phaseOHR(tr *raven.Trace, p raven.Policy, capacity int64, phases int) []flo
 }
 
 func main() {
-	const objects, requests, capacity = 500, 120000, 60
 	fmt.Println("popularity ranking flips at the midpoint (phase 4/8)")
 	fmt.Printf("%-8s", "policy")
 	for i := 1; i <= 8; i++ {
@@ -62,11 +63,12 @@ func main() {
 	mk := func(name string) raven.Policy {
 		return raven.MustNewPolicy(name, raven.PolicyOptions{Capacity: capacity, Seed: 3})
 	}
-	tw := flipTrace(objects, requests, 1).Duration() / 10
+	tr := flipTrace()
+	tw := tr.Duration() / 10
 	rv := raven.NewRaven(raven.RavenConfig{TrainWindow: tw, Capacity: capacity, Seed: 5})
 
 	for _, p := range []raven.Policy{mk("lfu"), mk("lru"), rv} {
-		ohrs := phaseOHR(flipTrace(objects, requests, 1), p, capacity, 8)
+		ohrs := phaseOHR(tr, p, capacity, 8)
 		fmt.Printf("%-8s", p.Name())
 		for _, v := range ohrs {
 			fmt.Printf("  %.3f", v)

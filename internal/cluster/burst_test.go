@@ -120,7 +120,7 @@ func TestBurstOneRoundTripPerNode(t *testing.T) {
 	trips := map[string]int{} // ServeBatch runs on this goroutine, and nothing probes
 	r, err := New(Config{
 		Nodes: addrs, Seed: 42, probe: -1,
-		Faults: &Faults{BeforeOp: func(node string) error { trips[node]++; return nil }},
+		faults: &faults{BeforeOp: func(node string) error { trips[node]++; return nil }},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestBurstFaultBeforeOp(t *testing.T) {
 	var victim atomic.Value
 	victim.Store("")
 	f := newBurstFleet(t, nil, func(c *Config) {
-		c.Faults = &Faults{BeforeOp: func(node string) error {
+		c.faults = &faults{BeforeOp: func(node string) error {
 			if node == victim.Load().(string) {
 				return errors.New("injected node fault")
 			}
@@ -294,7 +294,7 @@ func TestBurstRetryIsOneRound(t *testing.T) {
 	var victim atomic.Value
 	victim.Store("")
 	f := newBurstFleet(t, nil, func(c *Config) {
-		c.Faults = &Faults{BeforeOp: func(node string) error {
+		c.faults = &faults{BeforeOp: func(node string) error {
 			if node == victim.Load().(string) {
 				return errors.New("injected node fault")
 			}

@@ -126,7 +126,7 @@ func fleetAddrs(fleet []*chaosNode) []string {
 // connection.
 func nodeMetricsSnapshot(t *testing.T, addr string) map[string]int64 {
 	t.Helper()
-	m, err := server.FetchMetrics(addr, 5*time.Second)
+	m, err := server.FetchMetrics(addr)
 	if err != nil {
 		t.Fatalf("metrics %s: %v", addr, err)
 	}

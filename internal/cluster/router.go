@@ -39,10 +39,11 @@ const (
 	burstPoolSize = 32
 )
 
-// Faults injects failures into the router for tests; nil in production.
-// Both hooks run on request goroutines, keyed by node name, so a test
-// can deterministically fail one node's traffic while others serve.
-type Faults struct {
+// faults injects failures into the router for this package's tests;
+// nil in production. Both hooks run on request goroutines, keyed by
+// node name, so a test can deterministically fail one node's traffic
+// while others serve.
+type faults struct {
 	// Dial, when non-nil, is consulted before dialing a node; a non-nil
 	// error fails the dial.
 	Dial func(node string) error
@@ -61,8 +62,9 @@ type Config struct {
 	// (Seed, Nodes) agree on every key's owner.
 	Seed int64
 
-	// Faults injects failures for tests; nil in production.
-	Faults *Faults
+	// faults is the package's tests' failure injection; nil in
+	// production.
+	faults *faults
 
 	// The package's tests shorten the timings: a positive value
 	// replaces requestTimeout, probeInterval or halfOpenAfter, and a
@@ -166,7 +168,7 @@ func New(cfg Config) (*Router, error) {
 func (r *Router) buildNode(addr string, idx int) *node {
 	br := NewBreaker(failLimit, r.cfg.halfOpen, nil)
 	dial := func() (*server.Client, error) {
-		if f := r.cfg.Faults; f != nil && f.Dial != nil {
+		if f := r.cfg.faults; f != nil && f.Dial != nil {
 			if err := f.Dial(addr); err != nil {
 				return nil, err
 			}
@@ -357,7 +359,7 @@ func (r *Router) roundTrips(b *burst) {
 // recv only the accounts. A round trip that fails here answered nothing.
 func (r *Router) send(g *batch) {
 	g.cl, g.answered = nil, 0
-	if f := r.cfg.Faults; f != nil && f.BeforeOp != nil && f.BeforeOp(g.n.name) != nil {
+	if f := r.cfg.faults; f != nil && f.BeforeOp != nil && f.BeforeOp(g.n.name) != nil {
 		r.failed(g)
 		return
 	}

@@ -124,7 +124,7 @@ func TestRouterFailoverAndRecovery(t *testing.T) {
 	var victim atomic.Value // string; "" = no fault
 	victim.Store("")
 	r := newTestRouter(t, addrs, func(c *Config) {
-		c.Faults = &Faults{BeforeOp: func(node string) error {
+		c.faults = &faults{BeforeOp: func(node string) error {
 			if node == victim.Load().(string) {
 				return errors.New("injected node fault")
 			}
@@ -219,7 +219,7 @@ func TestNewRejectsDuplicateNode(t *testing.T) {
 func TestRouterAllNodesDown(t *testing.T) {
 	addrs, _ := startBackends(t, 2, 1<<20)
 	r := newTestRouter(t, addrs, func(c *Config) {
-		c.Faults = &Faults{Dial: func(string) error { return errors.New("injected dial failure") }}
+		c.faults = &faults{Dial: func(string) error { return errors.New("injected dial failure") }}
 	})
 	for k := trace.Key(0); k < 20; k++ {
 		if r.Get(k, 10, int64(k+1)) {
@@ -279,7 +279,7 @@ func TestRouterBehindServer(t *testing.T) {
 		t.Errorf("pipeline %d requests / %d hits, want 200/100", st.Requests, st.Hits)
 	}
 
-	m, err := server.FetchMetrics(front.Addr(), 5*time.Second)
+	m, err := server.FetchMetrics(front.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

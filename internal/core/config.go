@@ -90,10 +90,10 @@ type Config struct {
 	// disables the deadline — and keeps the wall clock off the
 	// decision path entirely, which deterministic replay tests rely on.
 	DecisionBudget time.Duration
-	// EvictFault, when non-nil, runs once per candidate Victim
-	// predicts. Test hook for injecting latency into the decision loop
-	// (SLO overrun drills), mirroring Train.Faults.
-	EvictFault func()
+	// evictFault, when non-nil, runs once per candidate Victim
+	// predicts: the unexported seam this package's SLO overrun drills
+	// inject decision latency through.
+	evictFault func()
 
 	// Checkpoint, when Dir is set, persists the trained model with
 	// rotated, checksummed, atomically-written generations and

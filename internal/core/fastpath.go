@@ -121,8 +121,8 @@ func (r *Raven) predict(dirty []int, ver int, budget time.Duration, deadline tim
 			}
 		}
 		for ci, j := range chunk {
-			if r.cfg.EvictFault != nil {
-				r.cfg.EvictFault()
+			if r.cfg.evictFault != nil {
+				r.cfg.evictFault()
 			}
 			if r.cfg.ScoreCache {
 				r.stampArrival(j, &mixes[ci], ver)

@@ -285,7 +285,7 @@ func TestSLOOverrunDegradesAndRecovers(t *testing.T) {
 			ro := &obs.RavenObs{}
 			h := newFastHarness(func(c *Config) { c.Obs = ro; c.ScoreCache = est.scoreCache })
 			h.r.cfg.DecisionBudget = 2 * time.Millisecond
-			h.r.cfg.EvictFault = func() { time.Sleep(time.Millisecond) }
+			h.r.cfg.evictFault = func() { time.Sleep(time.Millisecond) }
 
 			for i := 0; i < sloTripsBeforeDegrade; i++ {
 				h.touchAll() // keep candidates dirty so the slow predict step runs
@@ -310,7 +310,7 @@ func TestSLOOverrunDegradesAndRecovers(t *testing.T) {
 			}
 
 			// Recovery: remove the fault and complete a real training window.
-			h.r.cfg.EvictFault = nil
+			h.r.cfg.evictFault = nil
 			h.r.cfg.DecisionBudget = 0
 			tr := trace.Synthetic(trace.SynthConfig{Objects: 60, Requests: 6000, Interarrival: trace.Poisson, Seed: 9})
 			h.r.cfg.TrainWindow = tr.Duration() / 2 // make the boundary reachable
@@ -340,9 +340,9 @@ func TestSLOMetResetsStreak(t *testing.T) {
 			slow := func() { time.Sleep(time.Millisecond) }
 			for i := 0; i < 2*sloTripsBeforeDegrade; i++ {
 				if i%2 == 0 {
-					h.r.cfg.EvictFault = slow // overrun
+					h.r.cfg.evictFault = slow // overrun
 				} else {
-					h.r.cfg.EvictFault = nil // comfortably in budget
+					h.r.cfg.evictFault = nil // comfortably in budget
 				}
 				h.touchAll()
 				h.evictAdmit(t)

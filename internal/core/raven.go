@@ -22,7 +22,6 @@ type Raven struct {
 
 	tab   *table // per-object state: history store, LRU order, sample array (table.go)
 	now   int64
-	start int64
 	begun bool
 
 	window *window
@@ -214,7 +213,6 @@ func (r *Raven) Net() *nn.Net { return r.net }
 func (r *Raven) observe(req cache.Request) uint32 {
 	if !r.begun {
 		r.begun = true
-		r.start = req.Time
 		r.window.reset(req.Time)
 	}
 	r.now = req.Time

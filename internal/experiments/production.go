@@ -256,20 +256,15 @@ func (r *Runner) Fig18() *Report {
 	return r.binReport(rep, trace.RequestsByFrequency, trace.BytesByFrequency)
 }
 
-func (r *Runner) binReport(rep *Report, reqFn, byteFn func(*trace.Trace, int) trace.BinWeights) *Report {
-	const bins = 9
-	rep.Header = []string{"trace", "series"}
-	for i := 0; i < bins; i++ {
-		rep.Header = append(rep.Header, fmt.Sprintf("10^%d", i))
-	}
+func (r *Runner) binReport(rep *Report, reqFn, byteFn func(*trace.Trace) trace.BinWeights) *Report {
 	for _, p := range trace.AllProductionPresets {
 		t := r.production(p)
 		for _, series := range []struct {
 			name string
 			bw   trace.BinWeights
 		}{
-			{"requests", reqFn(t, bins)},
-			{"bytes", byteFn(t, bins)},
+			{"requests", reqFn(t)},
+			{"bytes", byteFn(t)},
 		} {
 			row := []string{string(p), series.name}
 			for _, f := range series.bw.Fractions {
@@ -277,6 +272,10 @@ func (r *Runner) binReport(rep *Report, reqFn, byteFn func(*trace.Trace, int) tr
 			}
 			rep.Rows = append(rep.Rows, row)
 		}
+	}
+	rep.Header = []string{"trace", "series"}
+	for i := range len(rep.Rows[0]) - 2 {
+		rep.Header = append(rep.Header, fmt.Sprintf("10^%d", i))
 	}
 	return rep
 }

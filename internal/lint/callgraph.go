@@ -56,7 +56,6 @@ type FuncNode struct {
 	Pkg  *Package
 	Decl *ast.FuncDecl // nil for literals
 	Lit  *ast.FuncLit  // nil for declared functions
-	Obj  *types.Func   // nil for literals
 
 	Locks []LockSite
 	Calls []Edge
@@ -153,7 +152,6 @@ func (g *Graph) collectNodes() {
 				}
 				n := &FuncNode{Name: nodeName(p, decl), Pkg: p, Decl: decl}
 				if obj, ok := p.Info.Defs[decl.Name].(*types.Func); ok {
-					n.Obj = obj
 					g.byObj[obj] = n
 				}
 				g.Nodes = append(g.Nodes, n)

@@ -73,11 +73,6 @@ type Options struct {
 	StalePragmas bool
 }
 
-// Run executes rules over pkgs with default options.
-func Run(pkgs []*Package, rules []Rule) []Finding {
-	return RunOpts(pkgs, rules, Options{})
-}
-
 // RunOpts executes rules over pkgs, applies pragma suppression, and
 // returns findings sorted by file, line, column, and rule. Graph rules
 // run over a call graph built from the full package set; their

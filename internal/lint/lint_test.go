@@ -16,6 +16,11 @@ import (
 	"testing"
 )
 
+// Run executes rules over pkgs with default options.
+func Run(pkgs []*Package, rules []Rule) []Finding {
+	return RunOpts(pkgs, rules, Options{})
+}
+
 // The fixture module root; it never exists on disk, positions are
 // computed purely from the fileset.
 const fixtureRoot = "/ravenlint-fixture"

@@ -19,8 +19,6 @@ const pragmaPrefix = "lint:allow"
 
 // pragma is one recorded //lint:allow site.
 type pragma struct {
-	file string // module-relative
-	line int
 	rule string
 	pkg  *Package
 	pos  token.Pos
@@ -100,7 +98,7 @@ func (ps *pragmaSet) collect(p *Package, known map[string]bool) []Finding {
 					bad = append(bad, p.finding(pragmaRuleID, c.Slash,
 						"pragma for %q is missing its reason", fields[0]))
 				default:
-					pr := &pragma{file: rel, line: line, rule: fields[0], pkg: p, pos: c.Slash}
+					pr := &pragma{rule: fields[0], pkg: p, pos: c.Slash}
 					if ps.byLoc[rel] == nil {
 						ps.byLoc[rel] = make(map[int]map[string]*pragma)
 					}

@@ -49,7 +49,7 @@ func (d *Dense) Forward(x, y []float64) {
 // be nil when the input needs no gradient).
 func (d *Dense) Backward(x, dy, dx []float64) {
 	outerAddRows(d.W.G, d.Out, d.In, dy, x, 1)
-	axpy(1, dy, d.B.G)
+	addTo(dy, d.B.G)
 	if dx != nil {
 		matTVecAdd(d.W.W, d.Out, d.In, dy, dx)
 	}

@@ -109,7 +109,7 @@ func matTVecAddRows(w []float64, rows, cols int, dy []float64, n int, dx []float
 }
 
 // one is addRows' every d: 1·v is v, bit for bit, and 1 is never ±0, so
-// the tile kernel adds every entry as axpy(1, v, acc) does.
+// the tile kernel adds every entry as addTo(v, acc) does.
 var one = []float64{1}
 
 // addRows runs acc as one tile row, the rows of v its pairs, last first.

@@ -329,7 +329,7 @@ func checkGRUInput(t *testing.T, h int, seed int64, fill int) {
 // gruBackwardRef is the per-step backward the row pass (GRU.backward,
 // then GRU.paramGrads once per sequence) replaced, kept as its oracle:
 // one step's BPTT with that step's parameter gradients accumulated at
-// once — outerAddGo and axpy per gate, inputGrads — between the state
+// once — outerAddGo and addTo per gate, inputGrads — between the state
 // gradient's terms. zr, rh and hc are what GRU.step left.
 func gruBackwardRef(u *GRU, x float64, prev, zr, rh, hc, dNext, dPrev []float64) {
 	H := u.HiddenN
@@ -343,7 +343,7 @@ func gruBackwardRef(u *GRU, x float64, prev, zr, rh, hc, dNext, dPrev []float64)
 		daH[i] = dhc[i] * (1 - hc[i]*hc[i])
 	}
 	outerAddGo(u.Uh.G, H, H, daH, rh)
-	axpy(1, daH, u.Bh.G)
+	addTo(daH, u.Bh.G)
 	matTVecAdd(u.Uh.W, H, H, daH, drh)
 	for i := 0; i < H; i++ {
 		dr[i] = drh[i] * prev[i]
@@ -353,9 +353,9 @@ func gruBackwardRef(u *GRU, x float64, prev, zr, rh, hc, dNext, dPrev []float64)
 	}
 	u.inputGrads(x, daZ, daR, daH)
 	outerAddGo(u.Uz.G, H, H, daZ, prev)
-	axpy(1, daZ, u.Bz.G)
+	addTo(daZ, u.Bz.G)
 	outerAddGo(u.Ur.G, H, H, daR, prev)
-	axpy(1, daR, u.Br.G)
+	addTo(daR, u.Br.G)
 	matTVecAdd(u.Uz.W, H, H, daZ, dPrev)
 	matTVecAdd(u.Ur.W, H, H, daR, dPrev)
 }
@@ -403,7 +403,7 @@ func checkGRURows(t *testing.T, h, steps int, seed int64, fill int) {
 	for i := steps - 1; i >= 0; i-- {
 		gruBackwardRef(ref, xs[i], row(hs, i), zr[2*i*h:2*(i+1)*h], row(rh, i), row(hc, i), want, dPrev)
 		copy(want, dPrev)
-		axpy(1, row(emb, i), want)
+		addTo(row(emb, i), want)
 	}
 
 	got, drh := slices.Clone(dLast), make([]float64, h)
@@ -412,7 +412,7 @@ func checkGRURows(t *testing.T, h, steps int, seed int64, fill int) {
 		u.backward(got, row(hs, i), zr[2*i*h:2*(i+1)*h], row(rh, i), row(hc, i),
 			row(daZ, i), row(daR, i), row(daH, i), dPrev, drh)
 		got, dPrev = dPrev, got
-		axpy(1, row(emb, i), got)
+		addTo(row(emb, i), got)
 	}
 	u.paramGrads(xs, hs, rh, daZ, daR, daH, steps)
 

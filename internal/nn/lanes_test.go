@@ -102,7 +102,7 @@ func TestTanhMatchesMath(t *testing.T) {
 // on 10⁷ arguments of uniform exponent in (−1, 2⁶⁰), then on 10⁷ in
 // [−1, 256), what the time features take.
 func TestLog1pMatchesMath(t *testing.T) {
-	edges := append(around(1, 0x1p-54, 0x1p-29, math.Sqrt2-1, math.Sqrt2/2-1, 0x1p53, 3, 0.5, 0.75, 7, 0x1p40-1),
+	edges := append(around(-log1pLo, 0x1p-54, 0x1p-29, math.Sqrt2-1, math.Sqrt2/2-1, log1pHi, 3, 0.5, 0.75, 7, 0x1p40-1),
 		specials...)
 	checkEdges(t, "log1p", log1pSlice, math.Log1p, edges)
 	g := stats.NewRNG(5)

@@ -447,13 +447,13 @@ func (n *Net) forwardBackward(a *trainArena, seq *Sequence, g *stats.RNG, tc Tra
 	dh, dhPrev := a.dh, a.dhPrev
 	zero(dh)
 	if rows > m {
-		axpy(1, embGrad(m), dh)
+		addTo(embGrad(m), dh)
 	}
 	for i := m - 1; i >= 0; i-- {
 		n.cell.backward(dh, row(a.hs, i), a.zr[2*i*H:2*(i+1)*H], row(a.rh, i), row(a.hc, i),
 			row(a.daZ, i), row(a.daR, i), row(a.daH, i), dhPrev, a.drh)
 		dh, dhPrev = dhPrev, dh
-		axpy(1, embGrad(i), dh)
+		addTo(embGrad(i), dh)
 	}
 	n.cell.paramGrads(feat[:m], a.hs, a.rh, a.daZ, a.daR, a.daH, m)
 	return loss, rows

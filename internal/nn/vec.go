@@ -42,21 +42,21 @@ package nn
 
 import "math"
 
-// axpy computes y += a*x.
-func axpy(a float64, x, y []float64) {
+// addTo computes y += x.
+func addTo(x, y []float64) {
 	if len(x) == 0 {
 		return
 	}
 	y = y[:len(x)]
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
-		y[i] += a * x[i]
-		y[i+1] += a * x[i+1]
-		y[i+2] += a * x[i+2]
-		y[i+3] += a * x[i+3]
+		y[i] += x[i]
+		y[i+1] += x[i+1]
+		y[i+2] += x[i+2]
+		y[i+3] += x[i+3]
 	}
 	for ; i < len(x); i++ {
-		y[i] += a * x[i]
+		y[i] += x[i]
 	}
 }
 
@@ -167,10 +167,10 @@ func matTVecAddRowsGo(w []float64, rows, cols int, dy []float64, n int, dx []flo
 }
 
 // addRowsGo adds the n rows of v (cols wide, end to end) into acc, last
-// row first, each as axpy(1, v_i, acc) adds it.
+// row first, each as addTo(v_i, acc) adds it.
 func addRowsGo(acc []float64, cols int, v []float64, n int) {
 	for i := n - 1; i >= 0; i-- {
-		axpy(1, v[i*cols:(i+1)*cols], acc[:cols])
+		addTo(v[i*cols:(i+1)*cols], acc[:cols])
 	}
 }
 

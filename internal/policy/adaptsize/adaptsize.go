@@ -26,7 +26,6 @@ type AdaptSize struct {
 	reqs, hits int64
 	prevOHR    float64
 	direction  float64 // multiplicative step, >1 grows c
-	seen       int64
 	resident   map[cache.Key]struct{}
 }
 

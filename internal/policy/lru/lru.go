@@ -9,14 +9,9 @@ import (
 	"raven/internal/cache"
 )
 
-type lruEntry struct {
-	key  cache.Key
-	size int64
-}
-
 // LRU evicts the least recently used object.
 type LRU struct {
-	ll    *list.List // front = most recently used
+	ll    *list.List // of cache.Key, front = most recently used
 	items map[cache.Key]*list.Element
 	fifo  bool
 	name  string
@@ -47,7 +42,7 @@ func (p *LRU) OnMiss(cache.Request) {}
 
 // OnAdmit implements cache.Policy.
 func (p *LRU) OnAdmit(req cache.Request) {
-	p.items[req.Key] = p.ll.PushFront(lruEntry{key: req.Key, size: req.Size})
+	p.items[req.Key] = p.ll.PushFront(req.Key)
 }
 
 // OnEvict implements cache.Policy.
@@ -64,5 +59,5 @@ func (p *LRU) Victim() (cache.Key, bool) {
 	if back == nil {
 		return 0, false
 	}
-	return back.Value.(lruEntry).key, true
+	return back.Value.(cache.Key), true
 }

@@ -311,8 +311,3 @@ var Baselines14 = []string{
 	"lru", "ths4lru", "random", "lfuda", "lruk", "hyperbolic", "gdsf",
 	"fifo", "thlru", "lrb", "ucb", "lhd", "lhr", "lecar",
 }
-
-// Best8 lists the eight best-performing algorithms shown in Fig. 9/10.
-var Best8 = []string{
-	"lrb", "lhr", "lhd", "gdsf", "hyperbolic", "lfuda", "lru", "ths4lru",
-}

@@ -57,7 +57,7 @@ func TestBinaryGetSetRoundTrip(t *testing.T) {
 
 	// The protocol sniff must attribute the client to the binary side,
 	// and the METRICS connection to the text side.
-	m, err := FetchMetrics(srv.Addr(), 5*time.Second)
+	m, err := FetchMetrics(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestPingBothProtocols(t *testing.T) {
 	if _, err := bin.Get(1, 10, 1); err != nil {
 		t.Fatal(err)
 	}
-	m, err := FetchMetrics(srv.Addr(), 5*time.Second)
+	m, err := FetchMetrics(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

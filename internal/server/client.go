@@ -18,7 +18,7 @@ import (
 
 // Client replays traces against a Server over TCP and measures the
 // round trips Table 3 prices (Replay). It survives a faulty server or
-// network: every request runs under an optional deadline, and Replay
+// network: every request runs under a deadline, and Replay
 // transparently reconnects with exponential backoff when a request
 // fails.
 //
@@ -38,9 +38,11 @@ type Client struct {
 	rep     [binRespLen]byte
 	scratch []byte
 
-	// Timeout bounds each request round trip (write + reply read);
-	// 0 means no deadline.
+	// Timeout bounds each request round trip (write + reply read); a
+	// value <= 0 takes fallback, so no round trip waits forever.
 	Timeout time.Duration
+	// fallback is defaultTimeout; a test shortens it.
+	fallback time.Duration
 	// MaxRetries is how many reconnect-and-resend attempts Replay
 	// makes per request before giving up (0 = fail on first error).
 	MaxRetries int
@@ -48,11 +50,18 @@ type Client struct {
 	// attempt up to 1s. 0 applies a 10ms default.
 	RetryBackoff time.Duration
 
-	// Retries and Reconnects count recovery events across the
-	// client's lifetime; Replay copies them into its result.
-	Retries    int64
+	// Reconnects counts the client's reconnects across its lifetime;
+	// Replay reports the ones it needed.
 	Reconnects int64
 }
+
+// defaultTimeout bounds a round trip whose Client.Timeout is not
+// positive. A reply can wait on a training fit the server runs inline,
+// so it is generous.
+const defaultTimeout = time.Minute
+
+// metricsTimeout bounds FetchMetrics' whole exchange.
+const metricsTimeout = 5 * time.Second
 
 // Dial connects to a server. The server picks the codec from the first
 // byte a connection sends, so no handshake is needed.
@@ -61,18 +70,17 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
-	return &Client{addr: addr, conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
+	return &Client{addr: addr, conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), fallback: defaultTimeout}, nil
 }
 
-// armDeadline applies the per-request deadline to the connection (or
-// clears it when Timeout is zero).
+// armDeadline applies the per-request deadline to the connection.
 func (c *Client) armDeadline() {
-	var dl time.Time
-	if c.Timeout > 0 {
-		// One clock read per burst, not one per op.
-		dl = time.Now().Add(c.Timeout)
+	d := c.Timeout
+	if d <= 0 {
+		d = c.fallback
 	}
-	_ = c.conn.SetDeadline(dl)
+	// One clock read per burst, not one per op.
+	_ = c.conn.SetDeadline(time.Now().Add(d))
 }
 
 // reconnect replaces the connection with a fresh dial to the same
@@ -246,7 +254,6 @@ func (c *Client) withRetry(do func() (bool, error)) (bool, error) {
 		backoff = 10 * time.Millisecond
 	}
 	for attempt := 0; attempt < c.MaxRetries; attempt++ {
-		c.Retries++
 		time.Sleep(backoff)
 		if backoff < time.Second {
 			backoff *= 2
@@ -265,17 +272,14 @@ func (c *Client) withRetry(do func() (bool, error)) (bool, error) {
 
 // FetchMetrics returns addr's METRICS snapshot as a name → value map.
 // METRICS is a text verb, so it dials a short-lived text connection of
-// its own and says METRICS then QUIT. timeout bounds the whole exchange
-// (0 = no deadline).
-func FetchMetrics(addr string, timeout time.Duration) (map[string]int64, error) {
+// its own and says METRICS then QUIT, all within metricsTimeout.
+func FetchMetrics(addr string) (map[string]int64, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
 	defer conn.Close()
-	if timeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(timeout))
-	}
+	_ = conn.SetDeadline(time.Now().Add(metricsTimeout))
 	if _, err := io.WriteString(conn, "METRICS\nQUIT\n"); err != nil {
 		return nil, err
 	}
@@ -317,9 +321,8 @@ type ReplayResult struct {
 	// HitBytes), counted from the replies; the engine-side fields stay 0.
 	Stats cache.Stats
 
-	// Retries and Reconnects count the recovery events the replay
-	// needed to complete (0 on a healthy server).
-	Retries    int64
+	// Reconnects counts the reconnects the replay needed to complete
+	// (0 on a healthy server).
 	Reconnects int64
 
 	// Latency is each request's latency, in trace order: its measured
@@ -354,7 +357,7 @@ func (c *Client) Replay(tr *trace.Trace, curvePoints int, model *sim.NetModel) (
 		every = max(tr.Len()/curvePoints, 1)
 	}
 	st := &res.Stats
-	startRetries, startReconnects := c.Retries, c.Reconnects
+	startReconnects := c.Reconnects
 	start := time.Now()
 	for i, req := range tr.Reqs {
 		t0 := time.Now()
@@ -376,7 +379,6 @@ func (c *Client) Replay(tr *trace.Trace, curvePoints int, model *sim.NetModel) (
 		}
 	}
 	res.Wall = time.Since(start)
-	res.Retries = c.Retries - startRetries
 	res.Reconnects = c.Reconnects - startReconnects
 	return res, nil
 }

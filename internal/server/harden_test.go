@@ -287,7 +287,7 @@ func TestMetricsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := FetchMetrics(srv.Addr(), 5*time.Second)
+	m, err := FetchMetrics(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,5 +361,57 @@ func TestReplaySurvivesReadFaults(t *testing.T) {
 	// Every successful client round trip is exactly one cache request.
 	if st := srv.Stats(); st.Requests != res.Stats.Requests {
 		t.Errorf("server processed %d, client completed %d", st.Requests, res.Stats.Requests)
+	}
+}
+
+// TestUnsetClientTimeoutExpires: a client whose Timeout is left at 0
+// still arms a deadline (defaultTimeout, shortened here through the
+// client's fallback), so a peer that accepts and never replies fails the
+// round trip instead of hanging it.
+func TestUnsetClientTimeoutExpires(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var mu sync.Mutex
+	var held []net.Conn
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	}()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c) // read nothing, reply nothing
+			mu.Unlock()
+		}
+	}()
+	cl, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.conn.Close()
+	cl.fallback = 50 * time.Millisecond
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Get(1, 1, 0)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("Get against a silent peer = %v, want a timeout", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a client with Timeout 0 waited on a silent peer with no deadline")
 	}
 }

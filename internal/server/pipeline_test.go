@@ -40,7 +40,7 @@ func TestTextPipeliningBurst(t *testing.T) {
 		}
 	}
 
-	m, err := FetchMetrics(srv.Addr(), 5*time.Second)
+	m, err := FetchMetrics(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestMetricsSingleReply(t *testing.T) {
 	srv := newTestServer(t, 1<<20, func(c *Config) {
 		c.Faults = &Faults{PreReply: func() { preReplies.Add(1) }}
 	})
-	m, err := FetchMetrics(srv.Addr(), 5*time.Second)
+	m, err := FetchMetrics(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

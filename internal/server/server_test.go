@@ -40,7 +40,7 @@ func newTestServer(t *testing.T, capacity int64, mods ...func(*Config)) *Server 
 func metricsUnderFaults(t *testing.T, srv *Server) map[string]int64 {
 	t.Helper()
 	for attempt := 0; ; attempt++ {
-		m, err := FetchMetrics(srv.Addr(), 5*time.Second)
+		m, err := FetchMetrics(srv.Addr())
 		if err == nil {
 			return m
 		}

@@ -157,7 +157,7 @@ func TestShardedStress(t *testing.T) {
 		t.Fatalf("completed %d requests, want %d", total, clients*reqsPerConn)
 	}
 
-	m, err := FetchMetrics(srv.Addr(), 5*time.Second)
+	m, err := FetchMetrics(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"raven/internal/cache"
 	"raven/internal/policy"
@@ -69,7 +68,7 @@ func TestStatsAreTheMetrics(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if _, err := FetchMetrics(srv.Addr(), 5*time.Second); err != nil {
+				if _, err := FetchMetrics(srv.Addr()); err != nil {
 					t.Errorf("METRICS under traffic: %v", err)
 					return
 				}
@@ -109,7 +108,7 @@ func TestStatsAreTheMetrics(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	m, err := FetchMetrics(srv.Addr(), 5*time.Second)
+	m, err := FetchMetrics(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

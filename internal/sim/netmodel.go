@@ -89,14 +89,10 @@ type NetResult struct {
 	P99Latency time.Duration
 
 	// Backend traffic: bytes fetched from origin (CDN) or rows read
-	// from the database (in-memory), and its rate over modelled time.
-	BackendBytes   int64
-	AvgTrafficGbps float64
-	P95TrafficGbps float64
+	// from the database (in-memory).
+	BackendBytes int64
 
 	// Throughput over modelled (closed-loop, serial) time.
 	ThroughputGbps float64
 	ThroughputKRPS float64
-
-	ModelledTime time.Duration
 }

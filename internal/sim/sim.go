@@ -157,18 +157,10 @@ func Run(tr *trace.Trace, shards int, newPolicy cache.ShardFactory, opts Options
 	var lat *stats.Reservoir
 	var modelled time.Duration
 	var backendBytes int64
-	var perBucketBytes []int64
-	var perBucketTime []time.Duration
 	var prevEvictSum time.Duration
 	if opts.Net != nil {
 		lat = stats.NewReservoir(8192, opts.Seed+3)
-		perBucketBytes = make([]int64, 0, 256)
-		perBucketTime = make([]time.Duration, 0, 256)
 	}
-
-	bucketReqs := tr.Len()/200 + 1
-	var bucketBytes int64
-	var bucketTime time.Duration
 
 	for i := range tr.Reqs {
 		req := tr.Reqs[i]
@@ -184,9 +176,6 @@ func Run(tr *trace.Trace, shards int, newPolicy cache.ShardFactory, opts Options
 				lat = stats.NewReservoir(8192, opts.Seed+5)
 				modelled = 0
 				backendBytes = 0
-				perBucketBytes = perBucketBytes[:0]
-				perBucketTime = perBucketTime[:0]
-				bucketBytes, bucketTime = 0, 0
 			}
 		}
 		hit := c.Handle(req)
@@ -204,13 +193,6 @@ func Run(tr *trace.Trace, shards int, newPolicy cache.ShardFactory, opts Options
 			lat.Add(float64(d.Nanoseconds()))
 			if !hit {
 				backendBytes += req.Size
-				bucketBytes += req.Size
-			}
-			bucketTime += d
-			if (i+1)%bucketReqs == 0 {
-				perBucketBytes = append(perBucketBytes, bucketBytes)
-				perBucketTime = append(perBucketTime, bucketTime)
-				bucketBytes, bucketTime = 0, 0
 			}
 		}
 	}
@@ -219,37 +201,23 @@ func Run(tr *trace.Trace, shards int, newPolicy cache.ShardFactory, opts Options
 	res.BHR = res.Stats.BHR()
 	res.EvictionNanos = tp.res.Summary()
 	if opts.Net != nil {
-		res.Net = summarizeNet(lat, modelled, backendBytes, res.Stats, perBucketBytes, perBucketTime)
+		res.Net = summarizeNet(lat, modelled, backendBytes, res.Stats)
 	}
 	res.WallTime = time.Since(start)
 	return res, nil
 }
 
-func summarizeNet(lat *stats.Reservoir, modelled time.Duration, backendBytes int64,
-	st cache.Stats, bucketBytes []int64, bucketTime []time.Duration) NetResult {
+func summarizeNet(lat *stats.Reservoir, modelled time.Duration, backendBytes int64, st cache.Stats) NetResult {
 	sum := lat.Summary()
 	nr := NetResult{
 		AvgLatency:   time.Duration(sum.Mean),
 		P90Latency:   time.Duration(sum.P90),
 		P99Latency:   time.Duration(sum.P99),
 		BackendBytes: backendBytes,
-		ModelledTime: modelled,
 	}
-	secs := modelled.Seconds()
-	if secs > 0 {
-		nr.AvgTrafficGbps = float64(backendBytes) * 8 / secs / 1e9
+	if secs := modelled.Seconds(); secs > 0 {
 		nr.ThroughputGbps = float64(st.ReqBytes) * 8 / secs / 1e9
 		nr.ThroughputKRPS = float64(st.Requests) / secs / 1e3
-	}
-	// P95 of per-bucket backend traffic rate.
-	rates := make([]float64, 0, len(bucketBytes))
-	for i := range bucketBytes {
-		if s := bucketTime[i].Seconds(); s > 0 {
-			rates = append(rates, float64(bucketBytes[i])*8/s/1e9)
-		}
-	}
-	if len(rates) > 0 {
-		nr.P95TrafficGbps = stats.Percentile(rates, 95)
 	}
 	return nr
 }

@@ -5,34 +5,35 @@ import (
 	"math"
 )
 
-// LogHistogram accumulates weighted counts into logarithmically spaced
-// bins, as used by the paper's Fig. 17/18 analysis of requests and
-// requested bytes over object-size and object-frequency ranges.
+// LogHistogram accumulates weighted counts into decade bins, as used by
+// the paper's Fig. 17/18 analysis of requests and requested bytes over
+// object-size and object-frequency ranges.
 type LogHistogram struct {
-	base    float64
-	lo      float64
 	weights []float64
 	under   float64
 }
 
+// histBase is the ratio of a bin's upper edge to its lower edge.
+const histBase = 10.0
+
 // NewLogHistogram creates a histogram whose i-th bin covers
-// [lo*base^i, lo*base^(i+1)). Values below lo are accumulated in an
-// underflow bucket. It panics on non-positive lo or base <= 1.
-func NewLogHistogram(lo, base float64, bins int) *LogHistogram {
-	if lo <= 0 || base <= 1 || bins <= 0 {
+// [10^i, 10^(i+1)). Values below 1 are accumulated in an underflow
+// bucket. It panics on bins <= 0.
+func NewLogHistogram(bins int) *LogHistogram {
+	if bins <= 0 {
 		panic("stats: invalid LogHistogram parameters")
 	}
-	return &LogHistogram{base: base, lo: lo, weights: make([]float64, bins)}
+	return &LogHistogram{weights: make([]float64, bins)}
 }
 
 // Add accumulates weight w at value v, extending into the last bin for
 // overflow values.
 func (h *LogHistogram) Add(v, w float64) {
-	if v < h.lo {
+	if v < 1 {
 		h.under += w
 		return
 	}
-	i := int(math.Log(v/h.lo) / math.Log(h.base))
+	i := int(math.Log(v) / math.Log(histBase))
 	if i >= len(h.weights) {
 		i = len(h.weights) - 1
 	}
@@ -44,7 +45,7 @@ func (h *LogHistogram) Bins() int { return len(h.weights) }
 
 // BinLo returns the lower edge of bin i.
 func (h *LogHistogram) BinLo(i int) float64 {
-	return h.lo * math.Pow(h.base, float64(i))
+	return math.Pow(histBase, float64(i))
 }
 
 // Total returns the total accumulated weight including underflow.

@@ -2,9 +2,21 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
+// nearest-rank on a sorted copy. It returns 0 for an empty slice.
+func Percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return sortedPercentile(s, p)
+}
 
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(5), NewRNG(5)
@@ -174,7 +186,7 @@ func TestCDFAt(t *testing.T) {
 }
 
 func TestLogHistogram(t *testing.T) {
-	h := NewLogHistogram(1, 10, 5)
+	h := NewLogHistogram(5)
 	h.Add(0.5, 1) // underflow
 	h.Add(5, 2)   // bin 0
 	h.Add(50, 3)  // bin 1

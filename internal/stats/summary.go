@@ -31,17 +31,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// nearest-rank on a sorted copy. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return sortedPercentile(s, p)
-}
-
 func sortedPercentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0

@@ -98,20 +98,24 @@ type BinWeights struct {
 	Fractions []float64
 }
 
+// bins is the number of decade bins of Fig. 17/18: [10^i, 10^(i+1))
+// for i < 9, the last one open-ended.
+const bins = 9
+
 // RequestsBySize returns the share of requests per object-size bin
 // (Fig 17, top).
-func RequestsBySize(t *Trace, bins int) BinWeights {
-	return sizeBinned(t, bins, func(r Request) float64 { return 1 })
+func RequestsBySize(t *Trace) BinWeights {
+	return sizeBinned(t, func(r Request) float64 { return 1 })
 }
 
 // BytesBySize returns the share of requested bytes per object-size bin
 // (Fig 17, bottom).
-func BytesBySize(t *Trace, bins int) BinWeights {
-	return sizeBinned(t, bins, func(r Request) float64 { return float64(r.Size) })
+func BytesBySize(t *Trace) BinWeights {
+	return sizeBinned(t, func(r Request) float64 { return float64(r.Size) })
 }
 
-func sizeBinned(t *Trace, bins int, weight func(Request) float64) BinWeights {
-	h := stats.NewLogHistogram(1, 10, bins)
+func sizeBinned(t *Trace, weight func(Request) float64) BinWeights {
+	h := stats.NewLogHistogram(bins)
 	for _, r := range t.Reqs {
 		h.Add(float64(r.Size), weight(r))
 	}
@@ -120,22 +124,22 @@ func sizeBinned(t *Trace, bins int, weight func(Request) float64) BinWeights {
 
 // RequestsByFrequency returns the share of requests per
 // object-frequency bin (Fig 18, top).
-func RequestsByFrequency(t *Trace, bins int) BinWeights {
-	return freqBinned(t, bins, func(r Request) float64 { return 1 })
+func RequestsByFrequency(t *Trace) BinWeights {
+	return freqBinned(t, func(r Request) float64 { return 1 })
 }
 
 // BytesByFrequency returns the share of requested bytes per
 // object-frequency bin (Fig 18, bottom).
-func BytesByFrequency(t *Trace, bins int) BinWeights {
-	return freqBinned(t, bins, func(r Request) float64 { return float64(r.Size) })
+func BytesByFrequency(t *Trace) BinWeights {
+	return freqBinned(t, func(r Request) float64 { return float64(r.Size) })
 }
 
-func freqBinned(t *Trace, bins int, weight func(Request) float64) BinWeights {
+func freqBinned(t *Trace, weight func(Request) float64) BinWeights {
 	counts := make(map[Key]int)
 	for _, r := range t.Reqs {
 		counts[r.Key]++
 	}
-	h := stats.NewLogHistogram(1, 10, bins)
+	h := stats.NewLogHistogram(bins)
 	for _, r := range t.Reqs {
 		h.Add(float64(counts[r.Key]), weight(r))
 	}

@@ -54,7 +54,7 @@ func CitiTraces(cfg CitiConfig) []*Trace {
 		for len(tr.Reqs) < cfg.Requests {
 			// Two commute peaks per day (8am / 6pm pattern).
 			day := math.Mod(t, ticksPerDay) / ticksPerDay
-			rate := 0.4 + 0.8*(gauss(day, 0.33, 0.06)+gauss(day, 0.75, 0.06))
+			rate := 0.4 + 0.8*(peak(day, 0.33)+peak(day, 0.75))
 			t += g.Exponential(1 / rate)
 			st := perm[z.Sample(g)]
 			tr.Reqs = append(tr.Reqs, Request{
@@ -69,7 +69,12 @@ func CitiTraces(cfg CitiConfig) []*Trace {
 	return out
 }
 
-func gauss(x, mu, sigma float64) float64 {
-	d := (x - mu) / sigma
+// peakWidth is the standard deviation of a commute peak, in days.
+const peakWidth = 0.06
+
+// peak is the unnormalised Gaussian bump of a commute peak centred at
+// mu (a fraction of the day).
+func peak(x, mu float64) float64 {
+	d := (x - mu) / peakWidth
 	return math.Exp(-0.5 * d * d)
 }

@@ -35,6 +35,17 @@ func (d Interarrival) String() string {
 	}
 }
 
+// ParseInterarrival returns the law String names: poisson, uniform or
+// pareto.
+func ParseInterarrival(name string) (Interarrival, error) {
+	for _, d := range []Interarrival{Poisson, Uniform, Pareto} {
+		if name == d.String() {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown synthetic law %q (known: poisson, uniform, pareto)", name)
+}
+
 // SynthConfig parameterizes a synthetic renewal-superposition trace:
 // Objects independent renewal processes whose rates follow a Zipf law,
 // merged in time order (§3.5 / Appendix C.1).

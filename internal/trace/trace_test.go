@@ -222,8 +222,8 @@ func TestSliceAndDuration(t *testing.T) {
 func TestBinWeightsSumToAtMostOne(t *testing.T) {
 	tr := ProductionTrace(Wikimedia19, 0.02, 3)
 	for _, bw := range []BinWeights{
-		RequestsBySize(tr, 9), BytesBySize(tr, 9),
-		RequestsByFrequency(tr, 9), BytesByFrequency(tr, 9),
+		RequestsBySize(tr), BytesBySize(tr),
+		RequestsByFrequency(tr), BytesByFrequency(tr),
 	} {
 		sum := 0.0
 		for _, f := range bw.Fractions {

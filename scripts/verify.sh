@@ -170,8 +170,9 @@ stage_race() {
     # Packages with real concurrency: the parallel training layer
     # (nn.Pool, Fit, and core's training windows), the parallel simulator, the
     # TCP server and its stress tests, the metrics layer it exports, the
-    # experiment harness that fans out runs, the cache engine they all
-    # share, and the cluster tier (router, breakers, probing, chaos test).
+    # experiments' live server (Fig. 12 / Table 3 replay a trace against
+    # an in-process server over TCP), the cache engine they all share,
+    # and the cluster tier (router, breakers, probing, chaos test).
     local pkgs="./internal/nn/... ./internal/core/... ./internal/sim/... ./internal/server/... ./internal/obs/... ./internal/experiments/... ./internal/cache/... ./internal/cluster/..."
     echo "==> go test -race ${pkgs}"
     # shellcheck disable=SC2086
