@@ -24,7 +24,7 @@ import (
 func main() {
 	var (
 		exp     = flag.String("exp", "", "experiment ID (fig2a..fig21, tab2..tab8, ablations) or 'all'")
-		quick   = flag.Bool("quick", false, "tiny workloads and training budgets ('all' takes 5 min 25 s on a 2-vCPU Intel Xeon VM)")
+		quick   = flag.Bool("quick", false, "short fixed traces, Raven trained as served; refuses -scale ('all' takes 9 min 14 s on a 2-vCPU Intel Xeon VM)")
 		scale   = flag.Float64("scale", 1, "workload scale multiplier")
 		seed    = flag.Int64("seed", 42, "random seed")
 		csvOut  = flag.Bool("csv", false, "emit CSV instead of an aligned table")
@@ -40,6 +40,15 @@ func main() {
 	if *exp == "" {
 		fmt.Fprintln(os.Stderr, "raven-exp: -exp is required (try -list)")
 		os.Exit(2)
+	}
+	if *quick {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "scale" {
+				// -quick replays fixed short traces, whatever the scale.
+				fmt.Fprintln(os.Stderr, "raven-exp: -scale has no effect with -quick; pass one or the other")
+				os.Exit(1)
+			}
+		})
 	}
 	if !(*scale > 0) {
 		// The runner would read 0 as its default scale, 1.

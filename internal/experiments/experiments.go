@@ -16,7 +16,6 @@ import (
 
 	"raven/internal/cache"
 	"raven/internal/core"
-	"raven/internal/nn"
 	"raven/internal/policy"
 	"raven/internal/sim"
 	"raven/internal/trace"
@@ -24,8 +23,8 @@ import (
 
 // Config scales the experiment suite.
 type Config struct {
-	// Quick shrinks every workload and Raven's training effort so the
-	// whole suite runs in roughly a minute (CI / go test -bench).
+	// Quick shrinks every workload to a short fixed trace; Raven trains
+	// as it does at any scale.
 	Quick bool
 	// Scale multiplies workload sizes (1.0 = default laptop scale used
 	// for EXPERIMENTS.md; ignored when Quick).
@@ -212,32 +211,17 @@ const synthWarmup = 0.5
 // --- policy construction ----------------------------------------------------
 
 // polOpts builds the registry options of the Raven every experiment
-// evaluates on a trace/capacity pair, at the suite's training shape
-// (trainShape). An experiment arm is these options with the one knob it
-// varies set (replay's vary); nothing else builds an evaluated Raven.
+// evaluates on a trace/capacity pair. It trains the network and budget
+// ravencached serves (the core and nn defaults); the zero core.Config
+// is there for an experiment arm to set the one knob it varies into
+// (replay's vary). Nothing else builds an evaluated Raven.
 func (r *Runner) polOpts(t *trace.Trace, capacity int64) policy.Options {
 	return policy.Options{
 		Capacity:    capacity,
 		TrainWindow: t.Duration() / 8,
 		Seed:        r.Cfg.Seed,
-		Raven:       r.trainShape(),
+		Raven:       &core.Config{},
 	}
-}
-
-// trainShape returns Raven's network and training budget for the suite
-// mode: the quick suite's small network, 6-epoch fits on at most 600
-// objects and 30 residual samples, or the served network trained for
-// up to 25 epochs with patience 5.
-func (r *Runner) trainShape() *core.Config {
-	if r.Cfg.Quick {
-		return &core.Config{
-			Net:             nn.Config{Hidden: 8, MLPHidden: 12, K: 4},
-			Train:           nn.TrainConfig{MaxEpochs: 6, Patience: 2},
-			MaxTrainObjects: 600,
-			ResidualSamples: 30,
-		}
-	}
-	return &core.Config{Train: nn.TrainConfig{MaxEpochs: 25, Patience: 5}}
 }
 
 // run executes (trace, policy, capacity) once, memoized.

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"raven/internal/core"
+	"raven/internal/nn"
 	"raven/internal/policy"
 	"raven/internal/sim"
 	"raven/internal/trace"
@@ -60,8 +62,8 @@ func TestAllIDsResolve(t *testing.T) {
 
 // plantedRunner is a quick-suite Runner whose §3.5 unit-size traces
 // are a tenth of Quick's length, planted where Runner.synthetic
-// memoizes them: Quick's training budget on short traces, for tests
-// about a table's shape or about which runs agree, not about values.
+// memoizes them: short traces for tests about a table's shape or about
+// which runs agree, not about values.
 func plantedRunner() *Runner {
 	r := NewRunner(Config{Quick: true, Seed: 7})
 	for _, d := range synthTriple {
@@ -152,9 +154,10 @@ func TestArmAtSuiteValueIsBaseRun(t *testing.T) {
 		}
 	}
 	r := plantedRunner()
-	// The quick suite's value of each knob (trainShape, polOpts).
-	const suiteM = 30
-	suite := map[string]int{"candidates": 64, "mixtureK": 4, "gruHidden": 8, "window": 8}
+	// The served value of each knob (the core and nn defaults) and
+	// polOpts' window.
+	const suiteM = 100
+	suite := map[string]int{"candidates": 64, "mixtureK": 8, "gruHidden": 16, "window": 8}
 	fig2aOpts := sim.Options{WarmupFrac: synthWarmup, RankOrderEvery: 10}
 
 	if !slices.Contains(residualMs, suiteM) {
@@ -192,4 +195,38 @@ func TestArmAtSuiteValueIsBaseRun(t *testing.T) {
 		})
 		same(t, cleared, with)
 	})
+}
+
+// TestSuiteTrainsServedShape: every Raven the suite evaluates, quick or
+// not, trains the network and budget ravencached serves. The options
+// polOpts and servedOpts build leave each training fact (network
+// dimensions, training budget, sample cap, residual draws) where
+// policy.Served() leaves it, for the core and nn defaults to fill.
+func TestSuiteTrainsServedShape(t *testing.T) {
+	type shape struct {
+		net             nn.Config
+		train           nn.TrainConfig
+		maxTrainObjects int
+		residualSamples int
+	}
+	of := func(o policy.Options) shape {
+		var c core.Config
+		if o.Raven != nil {
+			c = *o.Raven
+		}
+		return shape{c.Net, c.Train, c.MaxTrainObjects, c.ResidualSamples}
+	}
+	want := of(policy.Served())
+	tr := trace.Synthetic(trace.SynthConfig{Objects: 10, Requests: 100, Seed: 1})
+	for _, quick := range []bool{false, true} {
+		r := NewRunner(Config{Quick: quick, Seed: 7})
+		for name, o := range map[string]policy.Options{
+			"polOpts":    r.polOpts(tr, 1000),
+			"servedOpts": r.servedOpts(tr, 1000),
+		} {
+			if got := of(o); got != want {
+				t.Errorf("quick=%v: %s trains %+v, served %+v", quick, name, got, want)
+			}
+		}
+	}
 }

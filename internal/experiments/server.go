@@ -49,18 +49,15 @@ func (r *Runner) serverTrace() *trace.Trace {
 
 // servedOpts is the Raven ravencached serves (policy.Served) with the
 // live replay's deployment facts: its capacity, a sixth of the trace as
-// the training window and the suite's seed, at the quick network under
-// -quick. The decision budget is off, as TestServedEqualsSimulated
-// runs the preset, so the replay is a function of the trace.
+// the training window and the suite's seed. The decision budget is off,
+// as TestServedEqualsSimulated runs the preset, so the replay is a
+// function of the trace.
 func (r *Runner) servedOpts(t *trace.Trace, capacity int64) policy.Options {
 	o := policy.Served()
 	o.Capacity = capacity
 	o.TrainWindow = t.Duration() / 6
 	o.Seed = r.Cfg.Seed
 	o.DecisionBudget = 0
-	if r.Cfg.Quick {
-		o.Raven = r.trainShape()
-	}
 	return o
 }
 

@@ -36,7 +36,6 @@ const (
 type rate struct {
 	lastAccess int64
 	ewmaTau    float64 // EWMA interarrival; 0 = unknown (seen once)
-	freq       int64
 }
 
 // LHR is the policy.
@@ -91,7 +90,7 @@ func (p *LHR) observe(req cache.Request) {
 	p.now = req.Time
 	r, ok := p.hist[req.Key]
 	if !ok {
-		p.hist[req.Key] = &rate{lastAccess: req.Time, freq: 1}
+		p.hist[req.Key] = &rate{lastAccess: req.Time}
 		if len(p.hist) > 4*p.set.Len()+100000 {
 			p.gc()
 		}
@@ -112,7 +111,6 @@ func (p *LHR) observe(req cache.Request) {
 		p.meanRate = 0.999*p.meanRate + 0.001/tau
 	}
 	r.lastAccess = req.Time
-	r.freq++
 }
 
 func (p *LHR) gc() {
@@ -206,9 +204,9 @@ func (p *LHR) cheapest() (cache.Key, float64) {
 	return victim, best
 }
 
-// MetadataBytesPerObject implements cache.Footprinter: last access,
-// EWMA interarrival, and frequency.
-func (p *LHR) MetadataBytesPerObject() int64 { return 8 * 3 }
+// MetadataBytesPerObject implements cache.Footprinter: last access and
+// EWMA interarrival.
+func (p *LHR) MetadataBytesPerObject() int64 { return 8 * 2 }
 
 // Victim implements cache.Policy.
 func (p *LHR) Victim() (cache.Key, bool) {
