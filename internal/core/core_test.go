@@ -70,7 +70,7 @@ func (w *markedWindow) record(req cache.Request) {
 // taus returns what the window recorded for key (nil if not sampled).
 func (w *markedWindow) taus(key cache.Key) []float64 {
 	if h := w.handles[key]; w.taken.has(h) {
-		return w.sampled[w.slots.Find(cache.Key(h))-1].taus
+		return w.seqs[w.slots.Find(cache.Key(h))-1].Taus
 	}
 	return nil
 }
@@ -293,8 +293,14 @@ type refWindow struct {
 	gen          uint32
 	marks        map[cache.Key]*refMark
 	sampledBytes int64
-	sampled      []winSample
+	sampled      []refSample
 	sampleProb   float64
+}
+
+type refSample struct {
+	key        cache.Key
+	last, size int64
+	taus       []float64
 }
 
 type refMark struct {
@@ -335,7 +341,7 @@ func (w *refWindow) record(req cache.Request) {
 		return
 	}
 	m.slot = int32(len(w.sampled))
-	w.sampled = append(w.sampled, winSample{key: req.Key, last: req.Time, size: req.Size})
+	w.sampled = append(w.sampled, refSample{key: req.Key, last: req.Time, size: req.Size})
 	w.sampledBytes += req.Size
 	if frac := float64(w.sampledBytes) / float64(w.budgetBytes); w.budgetBytes > 0 && frac > 0.5 {
 		w.sampleProb = max(1-(frac-0.5)*1.6, 0.05)
@@ -345,7 +351,7 @@ func (w *refWindow) record(req cache.Request) {
 // sequences lists the samples by key, ties in sampling order.
 func (w *refWindow) sequences(end int64) (out []nn.Sequence) {
 	byKey := slices.Clone(w.sampled)
-	slices.SortStableFunc(byKey, func(a, b winSample) int { return cmp.Compare(a.key, b.key) })
+	slices.SortStableFunc(byKey, func(a, b refSample) int { return cmp.Compare(a.key, b.key) })
 	for _, s := range byKey {
 		seq := nn.Sequence{Taus: s.taus, Size: float64(s.size), Survival: float64(end - s.last)}
 		if len(seq.Taus) > 0 || seq.Survival > 0 {
@@ -409,9 +415,13 @@ func TestWindowMatchesReference(t *testing.T) {
 						seqCut++
 					}
 				}
-				if !slices.EqualFunc(r.window.sampled, ref.sampled, func(a, b winSample) bool {
-					return a.key == b.key && a.last == b.last && a.size == b.size && slices.Equal(a.taus, b.taus)
-				}) {
+				w := r.window
+				same := len(w.sampled) == len(ref.sampled) && len(w.seqs) == len(w.sampled)
+				for i := 0; same && i < len(ref.sampled); i++ {
+					a, q, b := w.sampled[i], w.seqs[i], ref.sampled[i]
+					same = a.key == b.key && a.last == b.last && q.Size == float64(b.size) && slices.Equal(q.Taus, b.taus)
+				}
+				if !same {
 					t.Logf("seed %d window %d: sampled %d keys, reference %d", seed, win, len(r.window.sampled), len(ref.sampled))
 					return false
 				}

@@ -31,19 +31,22 @@ type window struct {
 	// slots resolves a taken handle to 1 + its index in sampled.
 	slots        *cache.HandleIndex
 	sampledBytes int64
-	sampled      []winSample
+	// sampled[i] and seqs[i] are the i-th sampled object: its key and
+	// arrival bookkeeping, and the training sequence it records into,
+	// which sequences hands to Fit where it lies.
+	sampled []winSample
+	seqs    []nn.Sequence
 	// sampleProb adapts downward as the budget fills so the sample
 	// stays uniform-ish across the window rather than front-loaded.
 	sampleProb float64
 }
 
-// winSample is one sampled object's record for the window.
+// winSample is one sampled object's record for the window; its
+// interarrivals and size are in the nn.Sequence at its index in seqs.
 type winSample struct {
 	key  cache.Key
 	h    uint32 // the record handle the key held when it was taken
 	last int64
-	size int64
-	taus []float64
 }
 
 // bitset is a set of record handles; it grows to the highest handle set.
@@ -86,8 +89,9 @@ func (w *window) reset(start int64) {
 	clear(w.taken)
 	w.slots.Reset()
 	w.sampledBytes = 0
-	clear(w.sampled) // release the finished window's sequences
 	w.sampled = w.sampled[:0]
+	clear(w.seqs) // release the finished window's interarrivals
+	w.seqs = w.seqs[:0]
 	w.sampleProb = 1
 }
 
@@ -108,17 +112,18 @@ func (w *window) record(req cache.Request, h uint32) {
 		if !w.taken.has(h) {
 			return
 		}
-		s := &w.sampled[w.slots.Find(cache.Key(h))-1]
+		i := w.slots.Find(cache.Key(h)) - 1
+		s, q := &w.sampled[i], &w.seqs[i]
 		tau := float64(req.Time - s.last)
 		if tau < 1 {
 			tau = 1
 		}
-		if w.maxSeq > 0 && len(s.taus) >= 2*w.maxSeq {
+		if w.maxSeq > 0 && len(q.Taus) >= 2*w.maxSeq {
 			// Keep the most recent interarrivals only.
-			copy(s.taus, s.taus[1:])
-			s.taus[len(s.taus)-1] = tau
+			copy(q.Taus, q.Taus[1:])
+			q.Taus[len(q.Taus)-1] = tau
 		} else {
-			s.taus = append(s.taus, tau)
+			q.Taus = append(q.Taus, tau)
 		}
 		s.last = req.Time
 		return
@@ -130,7 +135,8 @@ func (w *window) record(req cache.Request, h uint32) {
 		return
 	}
 	w.taken.set(h)
-	w.sampled = append(w.sampled, winSample{key: req.Key, h: h, last: req.Time, size: req.Size})
+	w.sampled = append(w.sampled, winSample{key: req.Key, h: h, last: req.Time})
+	w.seqs = append(w.seqs, nn.Sequence{Size: float64(req.Size)})
 	w.slots.Insert(cache.Key(h), uint32(len(w.sampled)))
 	w.sampledBytes += req.Size
 	// Tighten the sampling probability as capacity fills.
@@ -151,27 +157,18 @@ func (w *window) record(req cache.Request, h uint32) {
 // key order (a key the history store dropped and saw again mid-window
 // is sampled afresh, so ties break by sampling order) to keep training
 // independent of arrival order within the window.
+//
+// The sequences are the window's own: sampled and seqs are sorted
+// together by key and seqs compacted, so the window must be reset
+// before it records again.
 func (w *window) sequences(windowEnd int64) ([]nn.Sequence, int) {
-	order := make([]int, len(w.sampled))
-	for i := range order {
-		order[i] = i
+	for i := range w.seqs {
+		w.seqs[i].Survival = float64(windowEnd - w.sampled[i].last)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if ka, kb := w.sampled[a].key, w.sampled[b].key; ka != kb {
-			return ka < kb
-		}
-		return a < b
-	})
-	out := make([]nn.Sequence, 0, len(w.sampled))
+	sort.Stable((*byKey)(w))
+	out := w.seqs[:0]
 	terms := 0
-	for _, i := range order {
-		s := &w.sampled[i]
-		seq := nn.Sequence{
-			Taus:     s.taus,
-			Size:     float64(s.size),
-			Survival: float64(windowEnd - s.last),
-		}
+	for _, seq := range w.seqs {
 		if len(seq.Taus) == 0 && seq.Survival <= 0 {
 			continue
 		}
@@ -182,4 +179,14 @@ func (w *window) sequences(windowEnd int64) ([]nn.Sequence, int) {
 		out = append(out, seq)
 	}
 	return out, terms
+}
+
+// byKey sorts a window's samples, and their sequences with them, by key.
+type byKey window
+
+func (b *byKey) Len() int           { return len(b.sampled) }
+func (b *byKey) Less(i, j int) bool { return b.sampled[i].key < b.sampled[j].key }
+func (b *byKey) Swap(i, j int) {
+	b.sampled[i], b.sampled[j] = b.sampled[j], b.sampled[i]
+	b.seqs[i], b.seqs[j] = b.seqs[j], b.seqs[i]
 }

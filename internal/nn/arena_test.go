@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"math"
 	"runtime/debug"
 	"testing"
@@ -43,14 +44,71 @@ func TestFitAllocFree(t *testing.T) {
 			NewNet(Config{TimeScale: 40, Seed: 3}).Fit(data, cfg)
 		})
 	}
+	// A later serial Fit on the same net reuses the scratch the first
+	// one left (fitScratch): it allocates only its few closures.
+	repeatAllocs := func(sequences, epochs int) float64 {
+		data := trainSequences(sequences, stats.NewRNG(5))
+		cfg := TrainConfig{MaxEpochs: epochs, Patience: epochs, MaxSeq: 12, Seed: 9}
+		n := NewNet(Config{TimeScale: 40, Seed: 3})
+		n.Fit(data, cfg)
+		return testing.AllocsPerRun(2, func() { n.Fit(data, cfg) })
+	}
 	// The counts are exact in the code; the slack of 2 absorbs a stray
 	// runtime malloc, and is below what one allocation per extra epoch
 	// (+3) or per extra minibatch (+22) would add.
+	shapes := []struct{ sequences, epochs int }{{512, 1}, {64, 4}, {512, 4}}
 	base := fitAllocs(64, 1)
-	for _, c := range []struct{ sequences, epochs int }{{512, 1}, {64, 4}, {512, 4}} {
+	for _, c := range shapes {
 		if got := fitAllocs(c.sequences, c.epochs); math.Abs(got-base) > 2 {
 			t.Errorf("Fit over %d sequences × %d epochs allocates %v, over 64 × 1 %v: want equal",
 				c.sequences, c.epochs, got, base)
+		}
+	}
+	const maxRepeat = 8
+	repeat := repeatAllocs(64, 1)
+	if repeat > maxRepeat {
+		t.Errorf("a repeat Fit over 64 sequences × 1 epoch allocates %v, want <= %d", repeat, maxRepeat)
+	}
+	for _, c := range shapes {
+		if got := repeatAllocs(c.sequences, c.epochs); math.Abs(got-repeat) > 2 {
+			t.Errorf("a repeat Fit over %d sequences × %d epochs allocates %v, over 64 × 1 %v: want equal",
+				c.sequences, c.epochs, got, repeat)
+		}
+	}
+	t.Logf("Fit allocates %v times on a fresh net, %v on its next fit", base, repeat)
+}
+
+// TestFitScratchCarriesNothing: a Fit on a net that kept the scratch of
+// an earlier fit gives what it gives on a net whose scratch is dropped
+// first — byte for byte in weights, gradient, moments and TrainResult —
+// whichever of the two fits is larger or has the longer sequences, and
+// whichever worker count each runs at.
+func TestFitScratchCarriesNothing(t *testing.T) {
+	big := trainSequences(90, stats.NewRNG(5))
+	small := trainSequences(30, stats.NewRNG(7))
+	for i := range small {
+		small[i].Taus = append(small[i].Taus, small[i].Taus...) // longer than big's
+	}
+	for _, d := range []struct {
+		name string
+		a, b []Sequence
+	}{{"big then small", big, small}, {"small then big", small, big}} {
+		for _, wa := range []int{1, 4} {
+			for _, wb := range []int{1, 4} {
+				ca := TrainConfig{MaxEpochs: 3, Patience: 3, Batch: 8, Workers: wa, Seed: 11}
+				cb := TrainConfig{MaxEpochs: 3, Patience: 3, Batch: 6, Workers: wb, Seed: 12}
+				kept, dropped := guardNet(), guardNet()
+				kept.Fit(d.a, ca)
+				dropped.Fit(d.a, ca)
+				dropped.fit = nil
+				got, want := kept.Fit(d.b, cb), dropped.Fit(d.b, cb)
+				if got != want {
+					t.Errorf("%s, workers %d then %d: kept scratch\n got %+v\nwant %+v", d.name, wa, wb, got, want)
+				}
+				if !bytes.Equal(trainedState(t, kept), trainedState(t, dropped)) {
+					t.Errorf("%s, workers %d then %d: the net that kept its scratch trained other weights", d.name, wa, wb)
+				}
+			}
 		}
 	}
 }

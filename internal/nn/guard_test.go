@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -57,6 +58,53 @@ func TestGuardTripRestoresPreFitWeights(t *testing.T) {
 				t.Error("weights non-finite after rollback")
 			}
 		})
+	}
+}
+
+// trainedState is what a Fit starts from and leaves behind: the weights
+// (as a checkpoint writes them), the master gradient and Adam's moments.
+func trainedState(t *testing.T, n *Net) []byte {
+	t.Helper()
+	b := netBytes(t, n)
+	for _, v := range [][]float64{n.all.G, n.all.m, n.all.v} {
+		for _, x := range v {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+	}
+	return b
+}
+
+// TestDivergedFitLeavesNoTrace: a guard-tripped Fit leaves the network
+// as it found it — weights, gradient and Adam moments — so the next,
+// clean Fit on it is the clean Fit of a twin that never saw the tripped
+// one, byte for byte in its state and its TrainResult. Both nets are
+// warm (one clean fit each) so that their moments are not zero.
+func TestDivergedFitLeavesNoTrace(t *testing.T) {
+	for _, f := range []TrainFaults{{NaNLossEpoch: 1}, {NaNGradEpoch: 1}, {BlowupEpoch: 2}} {
+		for _, workers := range []int{1, 4} {
+			cfg := guardTrainConfig(workers)
+			warm := trainSequences(60, stats.NewRNG(5))
+			data := trainSequences(60, stats.NewRNG(6))
+			n, twin := guardNet(), guardNet()
+			n.Fit(warm, cfg)
+			twin.Fit(warm, cfg)
+			faulted := cfg
+			faulted.Faults = &f
+			if res := n.Fit(data, faulted); !res.Diverged {
+				t.Fatalf("faults=%+v workers=%d: the fault did not trip the guard: %+v", f, workers, res)
+			}
+			if !bytes.Equal(trainedState(t, n), trainedState(t, twin)) {
+				t.Errorf("faults=%+v workers=%d: the tripped fit left weights, gradient or moments changed", f, workers)
+			}
+			cfg.Seed++
+			got, want := n.Fit(data, cfg), twin.Fit(data, cfg)
+			if got != want {
+				t.Errorf("faults=%+v workers=%d: the clean fit after a tripped one\n got %+v\nwant %+v", f, workers, got, want)
+			}
+			if !bytes.Equal(trainedState(t, n), trainedState(t, twin)) {
+				t.Errorf("faults=%+v workers=%d: the clean fit after a tripped one trained other weights than its twin", f, workers)
+			}
+		}
 	}
 }
 

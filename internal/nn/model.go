@@ -57,6 +57,10 @@ type Net struct {
 	// master's weights.
 	all *Param
 
+	// fit is the training scratch the last Fit left for the next
+	// (fitScratch); nil until the first Fit, and never serialized.
+	fit *fitScratch
+
 	// frozen32 caches the most recent Freeze32 result; it is rebuilt
 	// whenever Version moves past it. Never serialized — checkpoints
 	// hold f64 weights only, and a resumed net re-freezes lazily.
@@ -112,8 +116,8 @@ func (n *Net) Params() []*Param { return n.params }
 // scratch are private: one gradient vector in Params() order, zeroed.
 // One goroutine may run forward/backward (with its own arena) or
 // PredictBatch on a shadow concurrently with other shadows; Fit's
-// data-parallel workers use one shadow per slot. Only the original
-// carries optimizer state, and Fit must be called on the original.
+// gradient replicas are shadows. Only the original carries optimizer
+// state, and Fit must be called on the original.
 func (n *Net) Shadow() *Net {
 	sl := (&slab{all: n.all}).shadow()
 	s := &Net{Cfg: n.Cfg, Version: n.Version, all: sl.all}

@@ -141,20 +141,25 @@ func BenchmarkFitEpoch(b *testing.B) {
 			}
 		})
 	}
-	// One cold fit per iteration, each one epoch (MaxEpochs 1) at the
-	// served net and training shape, survival on, guarded; ns/term
-	// divides by the trained terms. served-shape is the cold fit the
-	// servers run on a full first window: 4 000 sequences of mean ≈ 13
-	// loss terms, history capped at 32. short is the cdn_miss_heavy
-	// regime: 4 000 sequences of about two interarrivals each, where the
-	// per-minibatch epilogue (shard reduction, guard checks, Adam) is
-	// about a fifth of a fit.
+	// One cold fit per iteration (the net's fit scratch dropped first),
+	// each one epoch (MaxEpochs 1) at the served net and training
+	// shape, survival on, guarded; ns/term divides by the trained
+	// terms. served-shape is the cold fit the servers run on a full
+	// first window: 4 000 sequences of mean ≈ 13 loss terms, history
+	// capped at 32. short is the cdn_miss_heavy regime: 4 000 sequences
+	// of about two interarrivals each, where the per-minibatch epilogue
+	// (shard reduction, guard checks, Adam) is about a fifth of a fit.
+	// served-shape-repeat is served-shape on a net that keeps the
+	// scratch of the fit before, as a server's every fit after its
+	// first: its B/op and allocs/op are a retraining's steady state.
 	for _, shape := range []struct {
-		name string
-		taus func(g *stats.RNG) int
+		name   string
+		taus   func(g *stats.RNG) int
+		repeat bool
 	}{
-		{"served-shape", func(g *stats.RNG) int { return int(g.Exponential(13)) }},
-		{"short", func(g *stats.RNG) int { return 1 + g.Intn(3) }},
+		{"served-shape", func(g *stats.RNG) int { return int(g.Exponential(13)) }, false},
+		{"served-shape-repeat", func(g *stats.RNG) int { return int(g.Exponential(13)) }, true},
+		{"short", func(g *stats.RNG) int { return 1 + g.Intn(3) }, false},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			g := stats.NewRNG(3)
@@ -168,10 +173,16 @@ func BenchmarkFitEpoch(b *testing.B) {
 			}
 			n := NewNet(Config{TimeScale: 40, Seed: 3})
 			tc := TrainConfig{MaxEpochs: 1, Patience: 1, Seed: 9}
+			if shape.repeat {
+				n.Fit(data, tc)
+			}
 			terms := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if !shape.repeat {
+					n.fit = nil
+				}
 				terms += n.Fit(data, tc).Terms
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(terms), "ns/term")

@@ -83,75 +83,119 @@ type TrainResult struct {
 	GuardReason string
 }
 
-// fitState carries the reusable buffers of one Fit run: the per-slot
-// shadow replicas (slot i of a minibatch accumulates sequence i's
-// gradients; the validation pass reuses one shadow per worker), the
-// per-worker arenas, the per-slot RNGs, and the slot-ordered
-// loss/term/seed arrays every parallel section writes into.
-type fitState struct {
-	pool    *Pool
-	shadows []*Net
-	arenas  []*trainArena // worker w's forwardBackward scratch
-	grads   [][]float64   // each shadow's gradient vector, reduced in slot order
-	rngs    []*stats.RNG
-	seeds   []int64
-	loss    []float64
-	terms   []int
+// fitScratch is the training state a Net keeps from one Fit to the
+// next, so that a network retrained every window allocates it once, not
+// once per fit: the worker pool and the optimizer, the master RNG, the
+// split-and-shuffle permutation, the gradient replicas with their RNGs
+// and the per-worker arenas, the slot-ordered seed/loss/term arrays
+// every minibatch writes, and the two weight snapshots. It is never
+// serialized, and no value in it outlives a fit: each buffer is
+// overwritten before it is read, except the replicas' gradient vectors,
+// which the reduction leaves zeroed (reduceZero).
+//
+// A serial fit (one worker) keeps one replica and folds it into the
+// master after every sequence; a parallel one keeps a replica and an
+// RNG per minibatch slot (slot i accumulates sequence i's gradients),
+// and the validation pass reuses one replica per worker.
+type fitScratch struct {
+	pool     *Pool
+	opt      *Adam
+	rng      *stats.RNG    // the fit's master stream, reseeded with TrainConfig.Seed
+	perm     []int         // the validation/training split, then the shuffled training order
+	replicas []*Net        // gradient replicas: one serial, a slot's each in parallel
+	grads    [][]float64   // each replica's gradient vector, reduced in slot order
+	rngs     []*stats.RNG  // each replica's age stream, reseeded per sequence
+	arenas   []*trainArena // worker w's forwardBackward scratch
+	seeds    []int64
+	loss     []float64
+	terms    []int
+	bestW    []float64 // the best validation epoch's weights
+	preFit   []float64 // the pre-fit weights, then Adam's first and second moments
 }
 
-func newFitState(n *Net, data []Sequence, tc TrainConfig, nVal int) *fitState {
-	st := &fitState{pool: NewPool(tc.Workers)}
-	slots := tc.Batch
-	if w := st.pool.Workers(); slots < w {
-		slots = w
+// scratch returns n's fit scratch, sized for a fit of data under tc
+// with nVal validation sequences; the first fit builds it, and a later
+// one grows only what it outgrew.
+func (n *Net) scratch(data []Sequence, tc TrainConfig, nVal int) *fitScratch {
+	st := n.fit
+	if st == nil {
+		P := n.NumParams()
+		st = &fitScratch{
+			opt:    NewAdam(learningRate, []*Param{n.all}),
+			rng:    stats.NewRNG(0),
+			bestW:  make([]float64, P),
+			preFit: make([]float64, 3*P),
+		}
+		n.fit = st
 	}
-	// Every worker's arena is grown here, once, to the longest sequence
-	// forwardBackward will see, so the fit's allocation count does not
-	// depend on which sequences land on which worker.
-	longest := 0
-	for i := range data {
-		if l := len(data[i].Taus); l > longest {
-			longest = l
+	workers := max(tc.Workers, 1)
+	if st.pool == nil || st.pool.Workers() != workers {
+		st.pool = NewPool(workers)
+	}
+	replicas := 1
+	if workers > 1 {
+		replicas = max(tc.Batch, workers)
+	}
+	if len(st.replicas) != replicas {
+		st.replicas = make([]*Net, replicas)
+		st.grads = make([][]float64, replicas)
+		st.rngs = make([]*stats.RNG, replicas)
+		for i := range st.replicas {
+			st.replicas[i] = n.Shadow()
+			st.grads[i] = st.replicas[i].all.G
+			st.rngs[i] = stats.NewRNG(0) // reseeded before every use
 		}
 	}
-	if tc.MaxSeq > 0 && longest > tc.MaxSeq {
-		longest = tc.MaxSeq
+	if len(st.arenas) != workers {
+		st.arenas = make([]*trainArena, workers)
+		for w := range st.arenas {
+			st.arenas[w] = new(trainArena)
+		}
 	}
-	st.shadows = make([]*Net, slots)
-	st.grads = make([][]float64, slots)
-	st.rngs = make([]*stats.RNG, slots)
-	for i := range st.shadows {
-		st.shadows[i] = n.Shadow()
-		st.grads[i] = st.shadows[i].all.G
-		st.rngs[i] = stats.NewRNG(0) // reseeded before every use
+	// Every worker's arena is grown here, before the first minibatch,
+	// to the longest sequence forwardBackward will see, so the fit's
+	// allocation count does not depend on which sequences land on which
+	// worker.
+	longest := 0
+	for i := range data {
+		longest = max(longest, len(data[i].Taus))
 	}
-	st.arenas = make([]*trainArena, st.pool.Workers())
-	for w := range st.arenas {
-		st.arenas[w] = new(trainArena)
-		st.arenas[w].grow(n, longest, true)
+	if tc.MaxSeq > 0 {
+		longest = min(longest, tc.MaxSeq)
 	}
-	st.seeds = make([]int64, tc.Batch)
-	size := tc.Batch
-	if nVal > size {
-		size = nVal
+	for _, a := range st.arenas {
+		a.grow(n, longest, true)
 	}
-	st.loss = make([]float64, size)
-	st.terms = make([]int, size)
+	st.perm = resize(st.perm, len(data))
+	st.seeds = resize(st.seeds, tc.Batch)
+	st.loss = resize(st.loss, max(tc.Batch, nVal))
+	st.terms = resize(st.terms, max(tc.Batch, nVal))
 	return st
+}
+
+// resize returns s at length n, on s's own array when it holds n.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Fit trains the network on data by maximizing Eq. 5 (log-likelihood
 // of observed residuals plus survival probability of open intervals)
 // with Adam, early-stopping on a withheld validation split. Fit may be
-// called repeatedly (warm start); Version increments on return.
+// called repeatedly (warm start); Version increments on return. The
+// network keeps its training scratch (fitScratch) for the next call.
 //
 // Minibatches are data-parallel across tc.Workers goroutines with a
 // deterministic reduction: each sequence accumulates into its own
-// shadow gradient buffer, drawn ages come from a per-sequence RNG
-// stream seeded serially from the master RNG, and shards are reduced
-// into the optimizer's gradients in sequence-index order. Adam
-// therefore sees byte-identical gradients — and Fit returns
-// byte-identical results — for every worker count.
+// replica gradient buffer, drawn ages come from a per-sequence RNG
+// stream seeded serially from the master RNG, and replicas are reduced
+// into the optimizer's gradients in sequence-index order. A serial fit
+// folds its one replica into the master after each sequence, which
+// adds the same terms in the same order. Adam therefore sees
+// byte-identical gradients — and Fit returns byte-identical results —
+// for every worker count.
 func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 	tc.Defaults()
 	res := TrainResult{Sequences: len(data), Parameters: n.NumParams()}
@@ -159,38 +203,44 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 		n.Version++
 		return res
 	}
-	g := stats.NewRNG(tc.Seed)
-	idx := g.Perm(len(data))
 	nVal := int(valFrac * float64(len(data)))
 	if nVal >= len(data) {
 		nVal = len(data) - 1
 	}
-	val, train := idx[:nVal], idx[nVal:]
-
-	st := newFitState(n, data, tc, nVal)
+	st := n.scratch(data, tc, nVal)
 	defer st.pool.Close() // release parked workers when this fit's batches are done
-	opt := NewAdam(learningRate, []*Param{n.all})
+	g := st.rng
+	g.Reseed(tc.Seed)
+	g.PermInto(st.perm)
+	val, train := st.perm[:nVal], st.perm[nVal:]
+	serial := st.pool.Workers() == 1
+
+	opt := st.opt
+	opt.t = 0
 	best := math.Inf(1)
-	bestW := n.snapshot()
+	bestW := st.bestW
+	n.copyInto(bestW)
 	badEpochs := 0
 
-	// The guard's rollback token: the exact pre-fit weights. bestW
-	// above is overwritten as validation improves, so a tripped guard
-	// restores this separate snapshot instead.
-	preFit := n.snapshot()
+	// The guard's rollback token: the exact pre-fit weights and Adam
+	// moments. bestW above is overwritten as validation improves, so a
+	// tripped guard restores this separate snapshot instead.
+	preFit := st.preFit
+	n.saveState(preFit)
 	bestEpochNLL := math.Inf(1)
 
-	// The pool tasks and the shuffle's swap are built once and read
-	// start through the closure: a closure per minibatch would be a heap
+	// The tasks and the shuffle's swap are built once and read start
+	// through the closure: a closure per minibatch would be a heap
 	// allocation per minibatch.
 	var start int
-	trainTask := func(w, i int) {
-		rng := st.rngs[i]
+	run := func(w, r, i int) {
+		rng := st.rngs[r]
 		rng.Reseed(st.seeds[i])
-		st.loss[i], st.terms[i] = st.shadows[i].forwardBackward(st.arenas[w], &data[train[start+i]], rng, tc, true)
+		st.loss[i], st.terms[i] = st.replicas[r].forwardBackward(st.arenas[w], &data[train[start+i]], rng, tc, true)
 	}
+	trainTask := func(w, i int) { run(w, i, i) }
 	valTask := func(w, vi int) {
-		st.loss[vi], st.terms[vi] = st.shadows[w].forwardBackward(st.arenas[w], &data[val[vi]], nil, tc, false)
+		st.loss[vi], st.terms[vi] = st.replicas[w].forwardBackward(st.arenas[w], &data[val[vi]], nil, tc, false)
 	}
 	swap := func(i, j int) { train[i], train[j] = train[j], train[i] }
 
@@ -210,10 +260,21 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 			for i := 0; i < bl; i++ {
 				st.seeds[i] = g.Int63()
 			}
-			st.pool.ParallelFor(bl, trainTask)
-			// Fixed-order reduction: shard gradients fold into the
+			// Fixed-order reduction: replica gradients fold into the
 			// master in sequence-index order, never worker order, and
-			// each shard's vector is left zeroed for its next sequence.
+			// each replica's vector is left zeroed for its next
+			// sequence. Serially that is one replica folded after each
+			// sequence, in parallel every slot's after the minibatch:
+			// either way each entry is ((G+g₀)+g₁)+…
+			if serial {
+				for i := 0; i < bl; i++ {
+					run(0, 0, i)
+					reduceZero(n.all.G, st.grads)
+				}
+			} else {
+				st.pool.ParallelFor(bl, trainTask)
+				reduceZero(n.all.G, st.grads[:bl])
+			}
 			// Everything below this point — fault injection, the guard
 			// checks, Adam's clip — runs serially on the reduced state,
 			// so the guard cannot break Workers bit-determinism.
@@ -224,7 +285,6 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 				terms += st.terms[i]
 				batchTerms += st.terms[i]
 			}
-			reduceZero(n.all.G, st.grads[:bl])
 			if tc.Faults.lossFault(epoch + 1) {
 				batchLoss = math.NaN()
 			}
@@ -294,9 +354,9 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 // i, MLP row m the survival term — and grow to the longest sequence
 // they have held (at most MaxSeq, plus the survival row); they are
 // never shrunk. Nothing in it outlives a call, so each of a Fit's
-// workers owns one, whichever slots it runs; a Fit's arenas are
-// released with its fitState, and a serving net, which never trains,
-// never builds one.
+// workers owns one, whichever slots it runs; the arenas are kept with
+// the Net's fit scratch for its next fit, and a serving net, which
+// never trains, never builds one.
 //
 // Reuse keeps the arithmetic of freshly allocated buffers only if
 // every buffer that is accumulated into (+=) starts from zero:
@@ -522,12 +582,15 @@ func (n *Net) lossRows(a *trainArena, rows, m int, train bool) float64 {
 	return loss
 }
 
-// abortDiverged finalizes a guard-tripped Fit: the pre-fit snapshot
-// is restored bit-identically, Version stays unchanged (cached
-// embeddings computed against these weights remain valid), and the
-// result reports why training was abandoned.
+// abortDiverged finalizes a guard-tripped Fit: the pre-fit weights
+// and Adam moments are restored bit-identically and the master
+// gradient is zeroed, so the next Fit starts from exactly the state
+// this one did; Version stays unchanged (cached embeddings computed
+// against these weights remain valid), and the result reports why
+// training was abandoned.
 func (n *Net) abortDiverged(res *TrainResult, preFit []float64, best float64, reason string) TrainResult {
-	n.restore(preFit)
+	n.loadState(preFit)
+	clear(n.all.G)
 	res.Diverged = true
 	res.GuardReason = reason
 	if !math.IsInf(best, 1) {
@@ -536,9 +599,23 @@ func (n *Net) abortDiverged(res *TrainResult, preFit []float64, best float64, re
 	return *res
 }
 
-// snapshot returns a copy of every weight, in Params() order.
-func (n *Net) snapshot() []float64 { return append([]float64(nil), n.all.W...) }
-
 func (n *Net) copyInto(dst []float64) { copy(dst, n.all.W) }
 
 func (n *Net) restore(src []float64) { copy(n.all.W, src) }
+
+// saveState copies the weights, then Adam's first and second moments,
+// into dst, three NumParams-long runs end to end; loadState puts them
+// back.
+func (n *Net) saveState(dst []float64) {
+	P := len(n.all.W)
+	copy(dst[:P], n.all.W)
+	copy(dst[P:2*P], n.all.m)
+	copy(dst[2*P:3*P], n.all.v)
+}
+
+func (n *Net) loadState(src []float64) {
+	P := len(n.all.W)
+	copy(n.all.W, src[:P])
+	copy(n.all.m, src[P:2*P])
+	copy(n.all.v, src[2*P:3*P])
+}

@@ -346,6 +346,7 @@ func New(cfg Config) (*Server, error) {
 		s.shards = engine.Shards()
 		registerCacheObs(engine, reg)
 	}
+	obs.RegisterRuntime(reg)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil

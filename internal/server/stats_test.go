@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"raven/internal/cache"
 	"raven/internal/policy"
@@ -148,5 +150,59 @@ func TestStatsAreTheMetrics(t *testing.T) {
 	want := fmt.Sprintf("STATS %d %d %d %d", m["cache.requests"], m["cache.hits"], m["cache.req_bytes"], m["cache.hit_bytes"])
 	if got := strings.TrimSpace(line); got != want {
 		t.Errorf("STATS replied %q, METRICS gives %q", got, want)
+	}
+}
+
+// TestRuntimeMemoryMetrics: METRICS carries the runtime's heap
+// figures, on a server with an engine (ravencached) and on one with a
+// Backend (ravenrouter); between two snapshots with traffic and a
+// collection in between, the cumulative ones never decrease and the
+// cycle count moves.
+func TestRuntimeMemoryMetrics(t *testing.T) {
+	engine := newTestServer(t, 1<<20)
+	routed, err := New(Config{Backend: &recordingBatch{}, DrainTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = routed.Close() })
+	names := []string{"runtime.heap_allocs_bytes", "runtime.heap_live_bytes", "runtime.gc_cycles"}
+	for _, srv := range []*Server{engine, routed} {
+		fetch := func() map[string]int64 {
+			t.Helper()
+			m, err := FetchMetrics(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range names {
+				if _, ok := m[name]; !ok {
+					t.Fatalf("METRICS has no %s", name)
+				}
+			}
+			return m
+		}
+		before := fetch()
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := trace.Key(0); k < 100; k++ {
+			if _, err := c.Set(k, 100, -1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+		runtime.GC()
+		after := fetch()
+		if before["runtime.heap_allocs_bytes"] <= 0 || after["runtime.heap_live_bytes"] <= 0 {
+			t.Errorf("runtime heap figures read zero: %v then %v", before, after)
+		}
+		for _, name := range []string{"runtime.heap_allocs_bytes", "runtime.gc_cycles"} {
+			if after[name] < before[name] {
+				t.Errorf("%s went down: %d then %d", name, before[name], after[name])
+			}
+		}
+		if after["runtime.gc_cycles"] == before["runtime.gc_cycles"] {
+			t.Errorf("runtime.gc_cycles stayed at %d across a forced collection", after["runtime.gc_cycles"])
+		}
 	}
 }

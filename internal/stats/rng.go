@@ -55,6 +55,17 @@ func (g *RNG) Int63n(n int64) int64 { return g.r.Int63n(n) }
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
+// PermInto fills m with a random permutation of [0, len(m)): the one
+// Perm(len(m)) returns, drawn the same way, so the generator ends in
+// the same state, without allocating.
+func (g *RNG) PermInto(m []int) {
+	for i := range m {
+		j := g.r.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+}
+
 // Shuffle randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -23,6 +24,29 @@ func TestRNGDeterminism(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if a.Float64() != b.Float64() {
 			t.Fatal("same seed should give identical streams")
+		}
+	}
+}
+
+// TestPermIntoIsPerm: PermInto writes Perm's permutation and leaves the
+// generator where Perm does, whatever the buffer held before.
+func TestPermIntoIsPerm(t *testing.T) {
+	buf := make([]int, 0, 64)
+	for seed := int64(0); seed < 8; seed++ {
+		for _, n := range []int{0, 1, 2, 7, 64} {
+			a, b := NewRNG(seed), NewRNG(seed)
+			want := a.Perm(n)
+			buf = buf[:n]
+			for i := range buf {
+				buf[i] = -1 - i
+			}
+			b.PermInto(buf)
+			if !slices.Equal(buf, want) {
+				t.Fatalf("seed %d n %d: PermInto %v, Perm %v", seed, n, buf, want)
+			}
+			if a.Int63() != b.Int63() {
+				t.Fatalf("seed %d n %d: PermInto left the generator elsewhere than Perm", seed, n)
+			}
 		}
 	}
 }

@@ -43,7 +43,12 @@
 #                replays bit-exact across worker counts (guarded fits
 #                with injected faults too), every row of a PredictBatch
 #                over 1–33 inputs bit-identical to that input predicted
-#                alone (TestPredictBatchRowsIndependent), admission replays bit-exact across runs and worker
+#                alone (TestPredictBatchRowsIndependent), a guard-tripped
+#                fit leaving weights, gradient and Adam moments as it
+#                found them (TestDivergedFitLeavesNoTrace), a fit on a
+#                net that kept an earlier fit's scratch equal to one on
+#                a net whose scratch was dropped
+#                (TestFitScratchCarriesNothing), admission replays bit-exact across runs and worker
 #                counts, the score cache's stamped scores bit-exact across
 #                runs and equal to the closed form of their mixtures, its
 #                candidate sample independent of how many candidates
@@ -71,9 +76,12 @@
 #                default read and write deadlines armed (and the router's
 #                round-trip deadline) — and the ring lookup hold 0
 #                allocs/op; and for "no allocation per trained term":
-#                forwardBackward holds 0 allocs/op and a whole Fit
+#                forwardBackward holds 0 allocs/op, a whole Fit
 #                allocates the same count whatever the number of
-#                sequences and epochs. Then the admission front's
+#                sequences and epochs, and a later serial Fit on the
+#                same net, which reuses the scratch the first one kept,
+#                at most 8 allocations, again the same count whatever
+#                the sequences and epochs. Then the admission front's
 #                memory, which scales with resident objects: building
 #                raven with learned admission at a routed node's
 #                capacity allocates < 256 KiB, and after a replay the
@@ -86,6 +94,8 @@
 #                (BenchmarkObserve), the serving path over the wire and
 #                through the router. (The served system is timed by
 #                benchmark/ only; cmd/ravenbench records and gates it.)
+#                It prints one line: BenchmarkFitEpoch/served-shape-repeat,
+#                a retraining's steady-state B/op and allocs/op
 #   fuzz-smoke   five seconds each of FuzzBinaryFrames (the GET/SET
 #                frames) and FuzzTextLines (the text control channel)
 #                against a live server (no panic, no desync), of
@@ -200,8 +210,8 @@ stage_lint() {
 }
 
 stage_determinism() {
-    echo "==> same program: pinned fit hashes (assembly and, on amd64, Go kernels), fits bit-exact across worker counts, guarded and faulted ones too, and each PredictBatch row bit-identical to a batch of one"
-    local fit_names='TestFitGoldenBytes|TestFitWorkersBitExact|TestGuardedFitWorkersBitExact|TestExpMatchesMath|TestLogMatchesMath|TestTanhMatchesMath|TestLog1pMatchesMath|TestPredictBatchRowsIndependent'
+    echo "==> same program: pinned fit hashes (assembly and, on amd64, Go kernels), fits bit-exact across worker counts, guarded and faulted ones too, each PredictBatch row bit-identical to a batch of one, a tripped fit leaving no trace in the next, and a kept fit scratch carrying nothing into the next fit"
+    local fit_names='TestFitGoldenBytes|TestFitWorkersBitExact|TestGuardedFitWorkersBitExact|TestExpMatchesMath|TestLogMatchesMath|TestTanhMatchesMath|TestLog1pMatchesMath|TestPredictBatchRowsIndependent|TestDivergedFitLeavesNoTrace|TestFitScratchCarriesNothing'
     # Off amd64 useAVX is a constant, and the Go-kernel run does not exist.
     if [[ "$(go env GOARCH)" == amd64 ]]; then
         fit_names+='|TestFitGoldenBytesGoKernels'
@@ -218,7 +228,7 @@ stage_determinism() {
 }
 
 stage_alloc() {
-    echo "==> eviction decision alloc assertion (0 allocs/op: joint win count and score cache, f64 and f32; f32 batch inference), the record table's request path (0 allocs/op at its ceiling, with and without a model installed), a training-window rollover at the table's ceiling (TestWindowRolloverAllocFree: reset, Reset of the taken index, re-sampling a full window; no fit; 0 allocs) and the training arena (0 allocs/term)"
+    echo "==> eviction decision alloc assertion (0 allocs/op: joint win count and score cache, f64 and f32; f32 batch inference), the record table's request path (0 allocs/op at its ceiling, with and without a model installed), a training-window rollover at the table's ceiling (TestWindowRolloverAllocFree: reset, Reset of the taken index, re-sampling a full window; no fit; 0 allocs) and training (TestFitAllocFree: 0 allocs/term; a Fit's count independent of sequences and epochs; a later serial Fit on the same net <= 8 allocs)"
     run_named 'TestEvictionPathAllocFree|TestRequestPathAllocFree|TestWindowRolloverAllocFree|TestFrozen32PredictAllocFree|TestFitAllocFree' ./internal/core/ ./internal/nn/
 
     echo "==> engine evict section alloc assertion (Victim + evict over a full shard; 0 allocs/op)"
@@ -235,8 +245,10 @@ stage_alloc() {
 stage_bench_smoke() {
     # Every package that declares a Benchmark function; DESIGN.md
     # "Performance: two timing surfaces" names them.
-    echo "==> benchmark smoke (-benchtime=1x)"
-    go test -run='^$' -bench=. -benchtime=1x . ./internal/nn/... ./internal/stats/ ./internal/core/... ./internal/server/... ./internal/cluster/... >/dev/null
+    echo "==> benchmark smoke (-benchtime=1x); a retraining's steady-state allocation:"
+    local out
+    out=$(go test -run='^$' -bench=. -benchtime=1x . ./internal/nn/... ./internal/stats/ ./internal/core/... ./internal/server/... ./internal/cluster/...)
+    grep '^BenchmarkFitEpoch/served-shape-repeat' <<<"${out}"
 }
 
 stage_fuzz_smoke() {
