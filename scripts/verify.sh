@@ -11,7 +11,13 @@
 #                declarations) and go build; then the arm64 build and
 #                vet of internal/nn and internal/stats, so the Go
 #                kernels the assembly replaces on amd64 keep compiling
-#   test         go test ./... (full unit + integration suite)
+#   test         go test ./... (full unit + integration suite), which
+#                includes the root package's docs checks: the DESIGN.md
+#                metrics catalogue against what ravencached and
+#                ravenrouter serve (TestMetricsCatalogue), a source tag
+#                on every number with a unit in README.md and DESIGN.md
+#                (TestNumbersHaveSources), DESIGN.md heading citations
+#                (TestDesignCitationsResolve), TestDesign* and TestReadme*
 #   race         go test -race on the concurrent packages, plus the
 #                dedicated sharded-engine stress run (100 clients of
 #                mixed GET/SET against an 8-shard server, reconciling
