@@ -137,7 +137,10 @@ func startListening(t *testing.T, bin string, args ...string) string {
 
 // TestDesignCitationsResolve: every DESIGN.md citation of a heading in
 // the repository's Go comments, shell comments and Markdown files names
-// a "##" or "###" heading of DESIGN.md, or the part of one before " (".
+// a "##" or "###" heading of DESIGN.md, or the part of one before " (",
+// and every EXPERIMENTS.md citation in Go and shell comments names
+// exactly one heading of EXPERIMENTS.md, or the start of exactly one
+// (as TestNumbersHaveSources resolves the tag in README and DESIGN).
 // A citation is the file name, then the heading in double quotes,
 // possibly in parentheses and wrapped over comment lines. CHANGES.md is
 // history and keeps the names it was written with; a citation inside a
@@ -152,7 +155,8 @@ func TestDesignCitationsResolve(t *testing.T) {
 	}
 
 	citeRE := regexp.MustCompile(`DESIGN\.md\s*\(?"([^"]+)"`)
-	cited := 0
+	exp := sources{expHeads: markdownHeadings(t, "EXPERIMENTS.md")}
+	cited, expCited := 0, 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -200,15 +204,24 @@ func TestDesignCitationsResolve(t *testing.T) {
 				t.Errorf("%s cites DESIGN.md %q, which is no heading of it", path, m[1])
 			}
 		}
+		if filepath.Ext(path) == ".md" {
+			return nil
+		}
+		for _, m := range expCiteRE.FindAllStringSubmatch(text, -1) {
+			expCited++
+			if n := exp.expMatches(m[1]); n != 1 {
+				t.Errorf("%s cites EXPERIMENTS.md %q, which matches %d of its headings, want 1", path, m[1], n)
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cited == 0 {
-		t.Fatal("no citations found: the pattern no longer matches")
+	if cited == 0 || expCited == 0 {
+		t.Fatalf("%d DESIGN.md and %d EXPERIMENTS.md citations found: a pattern no longer matches", cited, expCited)
 	}
-	t.Logf("%d citations resolve", cited)
+	t.Logf("%d DESIGN.md and %d EXPERIMENTS.md citations resolve", cited, expCited)
 }
 
 // maskCodeSpans replaces every backtick code span of s, backticks
@@ -232,8 +245,8 @@ var codeSpanRE = regexp.MustCompile("`[^`]*`")
 //   - `BENCH_<date>.json` with a backticked `workloads.…` JSON path: the
 //     file exists, the path holds a number, and some number of the
 //     same unit equals it at the prose's precision and unit scale;
-//   - EXPERIMENTS.md "<heading>", naming exactly one heading (or the
-//     start of exactly one);
+//   - EXPERIMENTS.md and a heading in double quotes, naming exactly one
+//     heading of it (or the start of exactly one);
 //   - a Test…, Benchmark… or Fuzz… name some _test.go declares (a
 //     trailing * matches a prefix);
 //   - a paper section, §n;

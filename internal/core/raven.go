@@ -269,7 +269,7 @@ func (r *Raven) observe(req cache.Request) uint32 {
 // walks the table.
 func (r *Raven) trim(keep uint32) {
 	t := r.tab
-	if t.index.Len() < ghostsPerResident*len(t.dense)+t.floor {
+	if t.index.Len() < t.ceiling() {
 		return
 	}
 	horizon := r.now - 2*r.cfg.TrainWindow

@@ -180,12 +180,15 @@ func (o *order) moveToFront(recs *cache.Slab[rec], h uint32) {
 	o.pushFront(recs, h)
 }
 
-// History-store bound: once the table holds ghostsPerResident×resident
-// + ghostFloor records, every new key drops from the old end of the age
-// queue (Raven.trim).
+// History-store bound: once the table holds max(recordsPerResident ×
+// resident, ghostFloor) records, every new key drops from the old end of
+// the age queue (Raven.trim). The floor is a minimum, not a surcharge:
+// a table of fewer keys drops nothing, and above it the cache's own size
+// sets the ceiling. The sweep in EXPERIMENTS.md "Ablations and §6.1.1
+// overhead" chose recordsPerResident (sweep_test.go).
 const (
-	ghostsPerResident = 8
-	ghostFloor        = 200000
+	recordsPerResident = 8
+	ghostFloor         = 200000
 )
 
 type table struct {
@@ -213,20 +216,26 @@ type table struct {
 	reqKey, vicKey cache.Key
 	reqH, vicH     uint32
 
-	floor int // ghostFloor; tests shrink it
+	// perResident and floor are recordsPerResident and ghostFloor; tests
+	// and the sweep of the bound set them (export_test.go).
+	perResident, floor int
 	// examined counts the records trim looked at; it is how the test
 	// of the bound sees that a new key costs O(1).
 	examined int64
 }
 
 func newTable(bytes *obs.Gauge) *table {
-	t := &table{floor: ghostFloor, bytes: bytes}
+	t := &table{perResident: recordsPerResident, floor: ghostFloor, bytes: bytes}
 	t.index = cache.NewHandleIndex(func(h uint32) cache.Key { return t.recs.At(h).key })
 	for c := range t.rings {
 		t.rings[c] = cache.NewWideSlab[float64](ringWidth(c))
 	}
 	return t
 }
+
+// ceiling is the record count at which a new key starts dropping
+// ghosts: max(perResident × resident, floor).
+func (t *table) ceiling() int { return max(t.perResident*len(t.dense), t.floor) }
 
 // grew adds the bytes an allocation added to raven.table_bytes.
 func (t *table) grew(b int64) {

@@ -75,7 +75,7 @@ func (s *refStore) observe(req cache.Request, net *nn.Net, trainWindow int64) {
 	o, ok := s.objs[req.Key]
 	if !ok {
 		s.objs[req.Key] = &refObj{lastSeen: req.Time, size: req.Size, embVer: -1, scoreVer: -1, aged: s.tick()}
-		if len(s.objs) < ghostsPerResident*len(s.dense)+s.floor {
+		if len(s.objs) < max(recordsPerResident*len(s.dense), s.floor) {
 			return
 		}
 		horizon := req.Time - 2*trainWindow
@@ -334,15 +334,15 @@ func TestTableMatchesNaiveReference(t *testing.T) {
 				}
 
 				n := r.tab.index.Len()
-				if ceiling := ghostsPerResident*len(r.tab.dense) + floor; n > before && n >= ceiling {
+				if ceiling := max(recordsPerResident*len(r.tab.dense), floor); n > before && n >= ceiling {
 					t.Fatalf("step %d: a new key grew the table to %d at a ceiling of %d", step, n, ceiling)
 				}
-				if n > ghostsPerResident*capacity+floor {
-					t.Fatalf("step %d: %d records, hard ceiling %d", step, n, ghostsPerResident*capacity+floor)
+				if hard := max(recordsPerResident*capacity, floor) - 1; n > hard {
+					t.Fatalf("step %d: %d records, hard ceiling %d", step, n, hard)
 				}
 				peak = max(peak, n)
 			}
-			if len(r.TrainStats) == 0 || peak < ghostsPerResident*capacity {
+			if len(r.TrainStats) == 0 || peak < max(recordsPerResident*capacity, floor)-1 {
 				t.Fatalf("the run never trained (%d windows) or never neared its ceiling (peak %d records)", len(r.TrainStats), peak)
 			}
 			if slices.Contains(classes[:], false) || ref.shifts == 0 {
@@ -388,8 +388,8 @@ func TestHistoryStoreBoundedAndFlat(t *testing.T) {
 			r.OnAdmit(req)
 			cached[req.Key] = true
 		}
-		if n, res := r.tab.index.Len(), len(r.tab.dense); res != len(cached) || n > 9*res+ghostFloor {
-			t.Fatalf("key %d: %d records, %d residents (want %d): ceiling %d", i, n, res, len(cached), 9*res+ghostFloor)
+		if n, res := r.tab.index.Len(), len(r.tab.dense); res != len(cached) || n > max(recordsPerResident*res, ghostFloor) {
+			t.Fatalf("key %d: %d records, %d residents (want %d): ceiling %d", i, n, res, len(cached), max(recordsPerResident*res, ghostFloor))
 		}
 	}
 	for k := range cached {
@@ -412,6 +412,80 @@ func TestHistoryStoreBoundedAndFlat(t *testing.T) {
 	}
 }
 
+// TestHistoryFloorIsAMinimum: the record ceiling is max(
+// recordsPerResident × resident, ghostFloor), not their sum. (a) A table
+// of fewer keys than the floor drops nothing, whatever the residents
+// allow — which is why every replay with fewer keys than ghostFloor is
+// the same program under either form. (b) Once recordsPerResident ×
+// resident is above the floor, it alone bounds the table: the count
+// never passes it by more than the new key in flight.
+func TestHistoryFloorIsAMinimum(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a million requests; skipped in -short mode")
+	}
+	// run sends keys distinct keys through a cache of residents objects,
+	// admitting every key until it is full and then one in five, each
+	// after evicting the policy's victim, and calls check after every
+	// request.
+	run := func(keys, residents int, check func(i, records, resident int)) *obs.RavenObs {
+		ro := &obs.RavenObs{}
+		r := New(Config{TrainWindow: 1 << 40, MaxTrainObjects: 500, Obs: ro, Seed: 5})
+		cached := 0
+		for i := 0; i < keys; i++ {
+			req := cache.Request{Time: int64(i), Key: cache.Key(i), Size: 1}
+			r.OnMiss(req)
+			if cached < residents || i%5 == 0 {
+				if cached == residents {
+					victim, ok := r.Victim()
+					if !ok {
+						t.Fatalf("key %d: no victim among %d residents", i, cached)
+					}
+					r.OnEvict(victim)
+					cached--
+				}
+				r.OnAdmit(req)
+				cached++
+			}
+			check(i, r.tab.index.Len(), len(r.tab.dense))
+		}
+		return ro
+	}
+
+	t.Run("below the floor", func(t *testing.T) {
+		const residents = 1000
+		if recordsPerResident*residents >= ghostFloor {
+			t.Fatalf("%d residents allow %d records, not below the floor %d", residents, recordsPerResident*residents, ghostFloor)
+		}
+		ro := run(ghostFloor-1, residents, func(int, int, int) {})
+		if got := ro.HistoryDropped.Load(); got != 0 {
+			t.Errorf("raven.history_dropped = %d with %d keys under a floor of %d; want 0", got, ghostFloor-1, ghostFloor)
+		}
+		if got := ro.HistoryRecords.Load(); got != ghostFloor-1 {
+			t.Errorf("raven.history_records = %d, want every one of the %d keys", got, ghostFloor-1)
+		}
+	})
+
+	t.Run("above the floor", func(t *testing.T) {
+		residents := ghostFloor/recordsPerResident + ghostFloor/(4*recordsPerResident)
+		ceiling := recordsPerResident * residents
+		peak, checked := 0, 0
+		ro := run(3*ceiling, residents, func(i, n, res int) {
+			if recordsPerResident*res <= ghostFloor {
+				return
+			}
+			if bound := recordsPerResident*res + 1; n > bound {
+				t.Fatalf("key %d: %d records for %d residents; want at most %d×%d + 1 = %d", i, n, res, recordsPerResident, res, bound)
+			}
+			peak = max(peak, n)
+			checked++
+		})
+		if ro.HistoryDropped.Load() == 0 || peak < ceiling-1 || checked < ceiling {
+			t.Fatalf("the run never reached its ceiling %d: peak %d records, %d dropped, %d steps above the floor",
+				ceiling, peak, ro.HistoryDropped.Load(), checked)
+		}
+	})
+}
+
 // atCeiling builds a model-less Raven whose table sits at its (shrunken)
 // ceiling with a full window sample, so what a request costs from here
 // on is the steady state: records are recycled, nothing grows.
@@ -419,7 +493,7 @@ func atCeiling(residents, floor int) (r *Raven, resident []cache.Key, next *cach
 	r = New(Config{TrainWindow: 1 << 40, MaxTrainObjects: 64, Seed: 3})
 	r.tab.floor = floor
 	next = &cache.Request{Size: 1}
-	for i := 0; i < 2*(ghostsPerResident*residents+floor); i++ {
+	for i := 0; i < 2*max(recordsPerResident*residents, floor); i++ {
 		next.Time++
 		next.Key++
 		r.OnMiss(*next)
@@ -596,7 +670,7 @@ func TestTableBytesGauge(t *testing.T) {
 
 // TestRavenFootprint pins the §6.1.1 footprint to the record
 // layouts it is derived from, so growing a record shows up here (and in
-// EXPERIMENTS.md "Overhead") instead of silently.
+// EXPERIMENTS.md "Ablations and §6.1.1 overhead") instead of silently.
 func TestRavenFootprint(t *testing.T) {
 	if RecordBytes != 32 || RingBytes != 8*historyLen || unsafe.Sizeof(resRec{}) != 48 {
 		t.Errorf("record layouts: core %d B, ring %d B, side %d B; want 32, %d, 48",

@@ -134,6 +134,16 @@
 #                fronted LRU holding ~10 000 objects of a 1 MiB cache
 #                admits a second sighting after 8x residents distinct
 #                misses
+#   soak         not part of a run of everything, and not tier 1: it is
+#                named alone. TestSoakPlateau (build tag soak) drives
+#                10M requests, Zipf over a catalogue plus 30% fresh
+#                keys drawn as they go, through a one-shard engine
+#                serving policy.Served() with learned admission; every
+#                100k requests the record table is within its ceiling,
+#                and raven.table_bytes and the live heap of the second
+#                half stay within 2% and 10% of the first half's maxima
+#                (~26 s on two x86-64 cores). Driving the binaries and
+#                the router is not yet part of it
 #
 # Any failure aborts with a nonzero exit. Every CI job calls a stage of
 # this script, so a green local run means a green CI run. SKIP_RACE=1
@@ -295,6 +305,11 @@ stage_quality() {
     run_named 'TestDoorkeeperWindowCoversResidents' -v ./internal/policy/
 }
 
+stage_soak() {
+    echo "==> 10M streamed requests through the served Raven: the record table, raven.table_bytes and the live heap plateau"
+    run_named 'TestSoakPlateau' -tags soak -timeout 30m -v ./internal/core/
+}
+
 stages="static test race lint determinism alloc bench-smoke fuzz-smoke checkpoint quality"
 if [[ $# -eq 0 ]]; then
     if [[ "${SKIP_RACE:-0}" == "1" ]]; then
@@ -307,7 +322,7 @@ fi
 for stage in "$@"; do
     fn="stage_${stage//-/_}"
     if ! declare -F "${fn}" >/dev/null; then
-        echo "verify.sh: unknown stage '${stage}' (${stages})" >&2
+        echo "verify.sh: unknown stage '${stage}' (${stages}, and soak)" >&2
         exit 2
     fi
     "${fn}"
