@@ -6,10 +6,10 @@ import (
 )
 
 // This file is the admission front-end: the typed admission seam
-// (Decision / Admitter) and the composable pipeline stages — the
-// CM-sketch + Bloom doorkeeper frequency front and the MDN
-// predicted-reuse check — that policy.Options.Admission wires in front
-// of any eviction policy.
+// (Decision / Admitter) and the one front (Front) that
+// policy.Options.Admission wires in front of any eviction policy — the
+// CM-sketch + Bloom doorkeeper frequency stage, then, in learned mode,
+// the MDN predicted-reuse check.
 
 // The reject reasons, re-exported from obs, which defines the closed
 // set next to the per-reason metric names.
@@ -41,20 +41,13 @@ var Accepted = Decision{Admit: true}
 // Reject returns a rejecting Decision carrying reason.
 func Reject(reason obs.Reason) Decision { return Decision{Reason: reason} }
 
-// Admitter is the admission seam: an optional Policy
-// extension (or standalone pipeline stage) consulted before a missed
-// object is inserted. Implementations may update internal state
-// (sketches, doorkeepers) on every call; the engine calls Admit at
-// most once per miss.
+// Admitter is the admission seam: an optional Policy extension
+// consulted before a missed object is inserted. Implementations may
+// update internal state (sketches, doorkeepers) on every call; the
+// engine calls Admit at most once per miss.
 type Admitter interface {
 	Admit(req Request) Decision
 }
-
-// AdmitterFunc adapts a function to the Admitter interface.
-type AdmitterFunc func(req Request) Decision
-
-// Admit implements Admitter.
-func (f AdmitterFunc) Admit(req Request) Decision { return f(req) }
 
 // PolicyAdmit runs p's admission control over req: its Admit when it
 // is an Admitter, else accept. It is the engine's single consumption
@@ -66,22 +59,7 @@ func PolicyAdmit(p Policy, req Request) Decision {
 	return Accepted
 }
 
-// Chain composes admission stages into one Admitter: every stage must
-// accept, and the first rejecting stage's reason is the pipeline's.
-// Later stages are not consulted after a reject, so their sketch state
-// only observes objects that survived the earlier filters.
-func Chain(stages ...Admitter) Admitter {
-	return AdmitterFunc(func(req Request) Decision {
-		for _, s := range stages {
-			if d := s.Admit(req); !d.Admit {
-				return d
-			}
-		}
-		return Accepted
-	})
-}
-
-// SketchAdmitter is the frequency front of the admission pipeline: a
+// SketchAdmitter is the frequency stage of the admission front: a
 // Bloom doorkeeper absorbs first sightings (one-hit wonders never
 // reach the sketch) and a conservative-update CM-sketch counts
 // repeats. An object is admitted once its estimated frequency —
@@ -91,16 +69,15 @@ func Chain(stages ...Admitter) Admitter {
 // periodic halving (sketch.CountMin.OnAge), so long replays decay stale
 // popularity instead of saturating.
 //
-// The front is sized in objects, and the objects are the cache's: behind
-// WithAdmission it reads the resident count of the cache it fronts and
-// re-fits itself to it at doorkeeper resets (refit). Standalone it keeps
-// its minEntries sizing.
+// The stage is sized in objects, and the objects are the cache's: it
+// reads the resident count of the cache its front serves and re-fits
+// itself to it at doorkeeper resets (refit).
 type SketchAdmitter struct {
 	door *sketch.Bloom
 	sk   *sketch.CountMin
 
 	entries   int        // the object count door and sk are sized for
-	residents *int       // the fronted cache's resident count; nil standalone
+	residents *int       // the fronted cache's resident count
 	gauge     *obs.Gauge // reports heldBytes at every sizing; nil when detached
 }
 
@@ -112,12 +89,13 @@ const sketchMinFreq = 2
 // its size before the cache it fronts holds anything.
 const minEntries = 64
 
-// NewSketchAdmitter builds the front at minEntries. Behind WithAdmission
-// it grows to the cache's resident count at its first doorkeeper reset.
-func NewSketchAdmitter() *SketchAdmitter {
-	a := &SketchAdmitter{entries: minEntries, door: sketch.NewBloom(16 * minEntries)}
+// init sizes the stage at minEntries, read from then on against
+// *residents: it grows to the cache's resident count at its first
+// doorkeeper reset.
+func (a *SketchAdmitter) init(residents *int) {
+	a.entries, a.residents = minEntries, residents
+	a.door = sketch.NewBloom(16 * minEntries)
 	a.newSketch()
-	return a
 }
 
 // newSketch builds a zeroed CM-sketch for a.entries objects: 4 rows of
@@ -147,9 +125,6 @@ func (a *SketchAdmitter) newSketch() {
 // 16n. A steady cache therefore never rebuilds and its sketch keeps
 // halving; a rebuild starts an empty doorkeeper and a zeroed sketch.
 func (a *SketchAdmitter) refit() {
-	if a.residents == nil {
-		return
-	}
 	n := max(minEntries, *a.residents)
 	if 7*a.entries <= 8*n && 7*n <= 8*a.entries {
 		return
@@ -206,7 +181,7 @@ type ReusePredictor interface {
 	PredictNextArrival(req Request) (at int64, ok bool)
 }
 
-// ReuseAdmitter is the MDN stage of the admission pipeline: reject
+// ReuseAdmitter is the MDN stage of the admission front: reject
 // when the model's predicted next arrival falls beyond the object's
 // expected cache lifetime — the object would be evicted before it is
 // requested again, so inserting it can only displace better bytes.
@@ -223,12 +198,6 @@ type ReuseAdmitter struct {
 	begun    bool
 	t0       int64
 	accepted int64
-}
-
-// NewReuseAdmitter builds the predicted-reuse stage for a cache of the
-// given byte capacity.
-func NewReuseAdmitter(pred ReusePredictor, capacity int64) *ReuseAdmitter {
-	return &ReuseAdmitter{pred: pred, capacity: capacity}
 }
 
 // lifetime returns the expected residency lifetime in virtual ticks.
@@ -262,47 +231,45 @@ func (a *ReuseAdmitter) Admit(req Request) Decision {
 	return Accepted
 }
 
-// fronted wraps a policy with an admission pipeline, chaining the
-// front's decision with the inner policy's own admission. It is how policy.Options.Admission attaches the pipeline:
-// the wrapper travels through every existing construction seam
-// (Factory, PerShard, ShardFactory, the server's NewPolicy) untouched.
-// It sees every OnAdmit and OnEvict of the cache it serves, so it counts
-// that cache's resident objects for the frequency stage to size itself by.
+// fronted is the admission front: the frequency stage, then, in
+// learned mode, the predicted-reuse stage, then the inner policy's own
+// admission; the first reject is the front's, and a later stage never
+// sees an object an earlier one refused. It is how
+// policy.Options.Admission attaches admission: the wrapper travels
+// through every existing construction seam (Factory, PerShard,
+// ShardFactory, the server's NewPolicy) untouched. It sees every
+// OnAdmit and OnEvict of the cache it serves, so it counts that cache's
+// resident objects for the frequency stage to size itself by.
 type fronted struct {
 	Policy
-	front     Admitter
-	freq      *SketchAdmitter // the frequency stage, if the pipeline has one
+	freq      SketchAdmitter
+	reuse     *ReuseAdmitter // nil in doorkeeper mode
 	residents int
 }
 
-// WithAdmission returns inner fronted by the given pipeline stages.
-// With no stages inner is returned unchanged. A SketchAdmitter among the
-// stages is sized from then on by the resident count of the cache the
-// returned policy serves; fronting two policies with one SketchAdmitter
-// is a mistake.
-func WithAdmission(inner Policy, stages ...Admitter) Policy {
-	if len(stages) == 0 {
-		return inner
-	}
-	front := stages[0]
-	if len(stages) > 1 {
-		front = Chain(stages...)
-	}
-	f := &fronted{Policy: inner, front: front}
-	for _, s := range stages {
-		if d, ok := s.(*SketchAdmitter); ok {
-			d.residents = &f.residents
-			f.freq = d
-		}
+// Front returns inner fronted by the doorkeeper frequency stage and,
+// when pred is not nil, the predicted-reuse stage for a cache of
+// capacity bytes. Each front owns its stages, sized by the resident
+// count of the cache the returned policy serves.
+func Front(inner Policy, pred ReusePredictor, capacity int64) Policy {
+	f := &fronted{Policy: inner}
+	f.freq.init(&f.residents)
+	if pred != nil {
+		f.reuse = &ReuseAdmitter{pred: pred, capacity: capacity}
 	}
 	return f
 }
 
-// Admit implements Admitter: front stages first, then the inner
+// Admit implements Admitter: the stages in order, then the inner
 // policy's own admission.
 func (f *fronted) Admit(req Request) Decision {
-	if d := f.front.Admit(req); !d.Admit {
+	if d := f.freq.Admit(req); !d.Admit {
 		return d
+	}
+	if f.reuse != nil {
+		if d := f.reuse.Admit(req); !d.Admit {
+			return d
+		}
 	}
 	return PolicyAdmit(f.Policy, req)
 }
@@ -317,13 +284,6 @@ func (f *fronted) OnAdmit(req Request) {
 func (f *fronted) OnEvict(key Key) {
 	f.residents--
 	f.Policy.OnEvict(key)
-}
-
-// setAdmitGauge reports the frequency stage's bytes on g.
-func (f *fronted) setAdmitGauge(g *obs.Gauge) {
-	if f.freq != nil {
-		f.freq.setGauge(g)
-	}
 }
 
 // Unwrap returns the wrapped policy, so callers that type-assert for

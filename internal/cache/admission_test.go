@@ -9,7 +9,7 @@ import (
 	"raven/internal/stats"
 )
 
-// ---- typed seam and pipeline composition ----
+// ---- typed seam and the front's order ----
 
 // policyDeny is a policy with its own admission control.
 type policyDeny struct {
@@ -39,43 +39,67 @@ func TestPolicyAdmitDispatch(t *testing.T) {
 	}
 }
 
-func TestChainFirstRejectWins(t *testing.T) {
-	accept := AdmitterFunc(func(Request) Decision { return Accepted })
-	rejectA := AdmitterFunc(func(Request) Decision { return Reject(RejectDoorkeeper) })
-	rejectB := AdmitterFunc(func(Request) Decision { return Reject(RejectFrequency) })
-	if d := Chain(accept, rejectA, rejectB).Admit(req(1, 1, 1)); d.Reason != RejectDoorkeeper {
-		t.Errorf("chain reason %q, want first rejecting stage %q", d.Reason, RejectDoorkeeper)
-	}
-	if d := Chain(accept, accept).Admit(req(1, 1, 1)); !d.Admit {
-		t.Errorf("all-accept chain rejected: %+v", d)
-	}
+// fixedPredictor predicts each key's next arrival from a table; a key
+// not in it has no prediction.
+type fixedPredictor map[Key]int64
+
+func (p fixedPredictor) PredictNextArrival(r Request) (int64, bool) {
+	at, ok := p[r.Key]
+	return at, ok
 }
 
-func TestWithAdmissionWrapsAndUnwraps(t *testing.T) {
+// doorkeeper returns a doorkeeper-mode front over a test LRU. Its
+// frequency stage reads a resident count of zero until the front
+// serves a cache, so it keeps its minEntries sizing.
+func doorkeeper() *fronted { return Front(newTestLRU(), nil, 0).(*fronted) }
+
+// TestFrontOrderAndUnwrap: the front's stages run in order and the
+// first reject is the front's: the doorkeeper's reason wins over
+// predicted reuse and the inner policy's, and predicted reuse wins over
+// the inner policy's. Unwrap reaches the inner policy.
+func TestFrontOrderAndUnwrap(t *testing.T) {
 	inner := &policyDeny{testLRU: newTestLRU()}
-	front := AdmitterFunc(func(r Request) Decision {
-		if r.Size > 5 {
-			return Reject(RejectSizeThreshold)
-		}
-		return Accepted
-	})
-	p := WithAdmission(inner, front)
+	p := Front(inner, fixedPredictor{7: 1_000_000, 8: 110}, 10)
 	if p.Name() != inner.Name() {
 		t.Errorf("fronted name %q", p.Name())
 	}
 	if Unwrap(p) != Policy(inner) {
 		t.Error("Unwrap did not reach the inner policy")
 	}
-	if same := WithAdmission(inner); same != Policy(inner) {
-		t.Error("WithAdmission with no stages must return inner unchanged")
+	admit := func(now int64, k Key) Decision { return p.(Admitter).Admit(req(now, k, 10)) }
+	// Warm-up: key 1 passes the doorkeeper on its second sighting and
+	// fills the reuse stage's one turnover of capacity, after which its
+	// lifetime estimate is the time since t = 2.
+	if d := admit(1, 1); d != Reject(RejectDoorkeeper) {
+		t.Fatalf("first sighting = %+v, want a doorkeeper reject", d)
 	}
-	// Front rejects first; then the inner policy's own admission.
-	if d := p.(Admitter).Admit(req(1, 1, 9)); d.Reason != RejectSizeThreshold {
-		t.Errorf("front reject = %+v", d)
+	if d := admit(2, 1); !d.Admit {
+		t.Fatalf("second sighting during warm-up = %+v, want accept", d)
 	}
 	inner.deny = true
-	if d := p.(Admitter).Admit(req(1, 1, 1)); d.Reason != RejectPolicy {
-		t.Errorf("inner reject through front = %+v", d)
+	// Key 7 returns a million ticks out, beyond any lifetime here: every
+	// stage would refuse it, and the doorkeeper, first, does.
+	if d := admit(100, 7); d != Reject(RejectDoorkeeper) {
+		t.Errorf("first sighting of a far-future key = %+v, want the doorkeeper's reject", d)
+	}
+	if d := admit(101, 7); d != Reject(RejectPredictedReuse) {
+		t.Errorf("far-future key past the doorkeeper = %+v, want the reuse stage's reject over the inner policy's", d)
+	}
+	// Key 8 returns within its lifetime: the inner policy decides.
+	admit(102, 8)
+	if d := admit(103, 8); d != Reject(RejectPolicy) {
+		t.Errorf("near-future key = %+v, want the inner policy's reject", d)
+	}
+	inner.deny = false
+	if d := admit(104, 8); !d.Admit {
+		t.Errorf("near-future key the inner policy takes = %+v, want accept", d)
+	}
+	// Without a predictor there is no reuse stage: key 7 past the
+	// doorkeeper goes to the inner policy.
+	f := Front(inner, nil, 0)
+	f.(Admitter).Admit(req(1, 7, 10))
+	if d := f.(Admitter).Admit(req(2, 7, 10)); !d.Admit || f.(*fronted).reuse != nil {
+		t.Errorf("doorkeeper-mode front = %+v with reuse stage %v, want accept and none", d, f.(*fronted).reuse)
 	}
 }
 
@@ -86,7 +110,7 @@ func TestWithAdmissionWrapsAndUnwraps(t *testing.T) {
 // enough one-hit-wonder traffic to saturate and age several times, a
 // genuinely hot key must still be admitted on its second sighting.
 func TestSketchAdmitterSaturatedStillAdmitsHotKeys(t *testing.T) {
-	a := NewSketchAdmitter() // tiny: ages every 1024 sketch adds
+	a := &doorkeeper().freq // tiny: ages every 1024 sketch adds
 	now := int64(0)
 	next := func(k Key) Decision { now++; return a.Admit(req(now, k, 1)) }
 
@@ -125,7 +149,7 @@ func TestSketchAdmitterSaturatedStillAdmitsHotKeys(t *testing.T) {
 // AddIfMissing, and with the sketch's aging, inside the same Admit's
 // sketch add.
 func TestSketchAdmitterMatchesProbe(t *testing.T) {
-	a, ref := NewSketchAdmitter(), NewSketchAdmitter()
+	a, ref := &doorkeeper().freq, &doorkeeper().freq
 	var selfResets, agingResets int // resets after which the bit decided
 	probe := func(r Request) Decision {
 		k := uint64(r.Key)
@@ -175,18 +199,8 @@ func btoi(b bool) int {
 
 // ---- predicted-reuse admission ----
 
-type stubPredictor struct {
-	at map[Key]int64
-}
-
-func (s stubPredictor) PredictNextArrival(r Request) (int64, bool) {
-	at, ok := s.at[r.Key]
-	return at, ok
-}
-
 func TestReuseAdmitterLifetimeBound(t *testing.T) {
-	pred := stubPredictor{at: map[Key]int64{7: 1000000, 8: 1010}}
-	a := NewReuseAdmitter(pred, 100)
+	a := Front(newTestLRU(), fixedPredictor{7: 1000000, 8: 1010}, 100).(*fronted).reuse
 	// Warm-up: before one full cache turnover of accepted bytes the
 	// stage abstains, even for the far-future key.
 	if d := a.Admit(req(1, 7, 50)); !d.Admit {
@@ -245,24 +259,32 @@ func reconcileRejects(t *testing.T, kvs []obs.KV, prefix string, want int64) {
 	}
 }
 
-// TestRejectReasonCountersReconcile drives a fronted cache and checks
-// the per-reason counters exactly: they are the closed set, their sum
-// equals Stats.Rejections, and each constituent reason matches the
-// pipeline's decisions.
+// reasonLRU is a test LRU with its own admission control, which the
+// engine consults through PolicyAdmit: it refuses a key for the reason
+// why gives it, and takes it when why gives 0.
+type reasonLRU struct {
+	*testLRU
+	why func(Key) obs.Reason
+}
+
+func (p *reasonLRU) Admit(r Request) Decision {
+	if reason := p.why(r.Key); reason != 0 {
+		return Reject(reason)
+	}
+	return Accepted
+}
+
+// TestRejectReasonCountersReconcile drives a cache whose policy refuses
+// for given reasons and checks the per-reason counters exactly: they
+// are the closed set, their sum equals Stats.Rejections, and each
+// constituent reason matches the policy's decisions.
 func TestRejectReasonCountersReconcile(t *testing.T) {
 	r := obs.NewRegistry()
 	var co obs.CacheObs
 	co.Register(r, "cache")
-	front := AdmitterFunc(func(r Request) Decision {
-		if r.Key%3 == 0 {
-			return Reject(RejectFrequency)
-		}
-		if r.Key%3 == 1 {
-			return Reject(RejectPredictedReuse)
-		}
-		return Accepted
-	})
-	c := New(100, WithAdmission(newTestLRU(), front))
+	c := New(100, &reasonLRU{newTestLRU(), func(k Key) obs.Reason {
+		return [3]obs.Reason{RejectFrequency, RejectPredictedReuse, 0}[k%3]
+	}})
 	c.SetShardObs(0, &co)
 	for i := 0; i < 90; i++ {
 		c.Handle(req(int64(i+1), Key(i), 1))
@@ -294,13 +316,9 @@ func TestShardedRejectCountersReconcile(t *testing.T) {
 	so.Init(4)
 	so.Register(r, "cache")
 	s, err := NewSharded(400, 4, func(int, int64) (Policy, error) {
-		front := AdmitterFunc(func(r Request) Decision {
-			if r.Key%2 == 0 {
-				return Reject(RejectDoorkeeper)
-			}
-			return Accepted
-		})
-		return WithAdmission(newTestLRU(), front), nil
+		return &reasonLRU{newTestLRU(), func(k Key) obs.Reason {
+			return [2]obs.Reason{RejectDoorkeeper, 0}[k%2]
+		}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +348,7 @@ func TestShardedRejectCountersReconcile(t *testing.T) {
 // TestFrontedStatsStayConserved runs a randomized workload through a
 // fronted cache (sketch admission) and checks engine conservation.
 func TestFrontedStatsStayConserved(t *testing.T) {
-	c := New(50, WithAdmission(newTestLRU(), NewSketchAdmitter()))
+	c := New(50, Front(newTestLRU(), nil, 0))
 	for i := 0; i < 5000; i++ {
 		k := Key(i % 97)
 		c.Handle(req(int64(i+1), k, 1+int64(k%5)))
@@ -363,9 +381,8 @@ func TestFrontSizedByResidents(t *testing.T) {
 	so.Register(r, "cache")
 	fronts := make([]*fronted, 2)
 	s, err := NewSharded(4<<20, 2, func(i int, _ int64) (Policy, error) {
-		p := WithAdmission(newTestLRU(), NewSketchAdmitter())
-		fronts[i] = p.(*fronted)
-		return p, nil
+		fronts[i] = doorkeeper()
+		return fronts[i], nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -416,9 +433,9 @@ func TestFrontSizedByResidents(t *testing.T) {
 // residents keeps its tables, so its sketch halves instead of zeroing.
 func TestRefitTriggers(t *testing.T) {
 	fronting := func(residents int) (a, ref *SketchAdmitter) {
-		a, ref = NewSketchAdmitter(), NewSketchAdmitter()
-		a.residents = &residents
-		return a, ref
+		f := doorkeeper()
+		f.residents = residents
+		return &f.freq, &doorkeeper().freq
 	}
 	step := func(a, ref *SketchAdmitter, now int64, k Key) (Decision, bool) {
 		gen, entries := a.door.Resets(), a.entries
@@ -489,7 +506,7 @@ func (w wrapped) Unwrap() Policy { return w.Policy }
 // TestAdmitBytesBehindWrapper: the engine finds the admission front by
 // following Unwrap, so admit_bytes reports what a wrapped front holds.
 func TestAdmitBytesBehindWrapper(t *testing.T) {
-	f := WithAdmission(newTestLRU(), NewSketchAdmitter()).(*fronted)
+	f := Front(newTestLRU(), nil, 0).(*fronted)
 	c := New(1<<20, wrapped{f})
 	var co obs.CacheObs
 	c.SetShardObs(0, &co)

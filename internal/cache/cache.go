@@ -190,25 +190,20 @@ func (c *shard) setObs(m *obs.CacheObs) {
 	m.Objects.Set(int64(c.index.Len()))
 	for p := c.policy; p != nil; p = unwrapOnce(p) {
 		if f, ok := p.(*fronted); ok {
-			f.setAdmitGauge(&m.AdmitBytes)
+			f.freq.setGauge(&m.AdmitBytes)
 			break
 		}
 	}
 }
 
-// keys appends the shard's cached keys to dst in slab order.
-func (c *shard) keys(dst []Key) []Key {
+// sortedKeys appends the shard's cached keys to dst and sorts all of
+// dst in ascending order.
+func (c *shard) sortedKeys(dst []Key) []Key {
 	for h := uint32(1); h <= c.entries.Top(); h++ {
 		if e := c.entries.At(h); e.live {
 			dst = append(dst, e.key)
 		}
 	}
-	return dst
-}
-
-// sortedKeys appends the shard's cached keys to dst in ascending order.
-func (c *shard) sortedKeys(dst []Key) []Key {
-	dst = c.keys(dst)
 	slices.Sort(dst)
 	return dst
 }

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"slices"
 
 	"raven/internal/obs"
 	"raven/internal/trace"
@@ -260,15 +259,15 @@ func (s *Sharded) Len() int {
 
 // Keys appends all cached keys across shards to dst in ascending order
 // and returns it. Sorting keeps consumers deterministic: slab order
-// depends on the order of admissions and evictions.
+// depends on the order of admissions and evictions. Each shard's
+// sortedKeys sorts all of dst, so the last one leaves it sorted.
 func (s *Sharded) Keys(dst []Key) []Key {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		dst = sh.keys(dst)
+		dst = sh.sortedKeys(dst)
 		sh.mu.Unlock()
 	}
-	slices.Sort(dst)
 	return dst
 }
 

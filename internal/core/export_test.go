@@ -3,6 +3,9 @@ package core
 // RecordsPerResident is recordsPerResident, for the sweep that chose it.
 const RecordsPerResident = recordsPerResident
 
+// MaxTrim is the most records one new key drops from the table.
+const MaxTrim = maxTrim
+
 // SetHistoryBound sets r's record ceiling to max(perResident ×
 // resident, floor) in place of max(recordsPerResident × resident,
 // ghostFloor). The sweep that chose recordsPerResident

@@ -261,29 +261,34 @@ func (r *Raven) observe(req cache.Request) uint32 {
 }
 
 // trim bounds the history store. It runs when a new key (record keep)
-// arrives and the table is at its ceiling, and drops from the old end
-// of the age queue: every ghost not seen for two training windows, or
-// else the single oldest one. One record in, at least one out, so the
-// record count cannot pass the largest value the ceiling has taken,
-// and a new key costs O(1) amortized — nothing on the request path
-// walks the table.
+// arrives and drops from the old end of the age queue, at most
+// maxTrim records a call. At the table's ceiling it drops the oldest
+// ghost and, after it, ghosts not seen for two training windows; one
+// record in, at least one out, so the record count cannot pass the
+// largest value the ceiling has taken. While the back of the queue is
+// still that old when the call stops, the table is draining: each
+// later new key drops up to maxTrim more of them, even below the
+// ceiling. A new key therefore costs O(1), and nothing on the request
+// path walks the table.
 func (r *Raven) trim(keep uint32) {
 	t := r.tab
-	if t.index.Len() < t.ceiling() {
+	full := t.index.Len() >= t.ceiling()
+	if !full && !t.draining {
 		return
 	}
 	horizon := r.now - 2*r.cfg.TrainWindow
 	dropped := 0
-	for {
+	for ; dropped < maxTrim; dropped++ {
 		old := t.ghosts.back
 		t.examined++
-		if old == 0 || old == keep || (dropped > 0 && t.recs.At(old).lastSeen >= horizon) {
+		if old == 0 || old == keep || (dropped > 0 || !full) && t.recs.At(old).lastSeen >= horizon {
 			break
 		}
 		r.window.forget(old)
 		t.drop(old)
-		dropped++
 	}
+	back := t.ghosts.back
+	t.draining = dropped == maxTrim && back != 0 && back != keep && t.recs.At(back).lastSeen < horizon
 	r.obs.HistoryRecords.Add(-int64(dropped))
 	r.obs.HistoryDropped.Add(int64(dropped))
 }

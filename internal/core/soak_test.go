@@ -18,7 +18,8 @@ import (
 // policy.Served() with learned admission, from a source that draws each
 // request as it goes and never holds a trace. A request is a Zipf draw
 // over a catalogue of keys, or, three times in ten, a key never seen
-// before; a key's size is a function of the key. Every checkEvery
+// before; a key's size is a function of the key. No request drops more
+// than core.MaxTrim records (raven.history_dropped). Every checkEvery
 // requests the record table is at most core.HistoryCeiling(residents), and
 // raven.table_bytes and the live heap after a GC in the second half
 // stay within 2% and 10% of the first half's maxima. Run it with
@@ -50,12 +51,18 @@ func TestSoakPlateau(t *testing.T) {
 	fresh := cache.Key(catalogue)
 	var table, heap [2]int64 // maxima of the first and second half
 	var ms runtime.MemStats
+	var dropped int64 // raven.history_dropped before the request
 	for i := 1; i <= requests; i++ {
 		key := cache.Key(zipf.Sample(g))
 		if g.Float64() < freshFrac {
 			key, fresh = fresh, fresh+1
 		}
 		c.Handle(cache.Request{Time: int64(i), Key: key, Size: 100 + int64(key*2654435761%900)})
+		d := ro.HistoryDropped.Load()
+		if d-dropped > core.MaxTrim {
+			t.Fatalf("request %d dropped %d records, more than %d", i, d-dropped, core.MaxTrim)
+		}
+		dropped = d
 		if i%checkEvery != 0 {
 			continue
 		}

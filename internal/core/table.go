@@ -182,13 +182,15 @@ func (o *order) moveToFront(recs *cache.Slab[rec], h uint32) {
 
 // History-store bound: once the table holds max(recordsPerResident ×
 // resident, ghostFloor) records, every new key drops from the old end of
-// the age queue (Raven.trim). The floor is a minimum, not a surcharge:
-// a table of fewer keys drops nothing, and above it the cache's own size
-// sets the ceiling. The sweep in EXPERIMENTS.md "Ablations and §6.1.1
-// overhead" chose recordsPerResident (sweep_test.go).
+// the age queue (Raven.trim), at most maxTrim records a key. The floor
+// is a minimum, not a surcharge: a table of fewer keys drops nothing,
+// and above it the cache's own size sets the ceiling. The sweep in
+// EXPERIMENTS.md "Ablations and §6.1.1 overhead" chose
+// recordsPerResident (sweep_test.go).
 const (
 	recordsPerResident = 8
 	ghostFloor         = 200000
+	maxTrim            = 4
 )
 
 type table struct {
@@ -219,6 +221,9 @@ type table struct {
 	// perResident and floor are recordsPerResident and ghostFloor; tests
 	// and the sweep of the bound set them (export_test.go).
 	perResident, floor int
+	// draining is set while the last trim stopped at maxTrim with an
+	// expired ghost still at the back of the age queue.
+	draining bool
 	// examined counts the records trim looked at; it is how the test
 	// of the bound sees that a new key costs O(1).
 	examined int64

@@ -53,6 +53,10 @@ type refStore struct {
 	floor int
 	// shifts counts pushes into a full history, which drop its oldest tau.
 	shifts int
+	// draining is table.draining; drains counts the new keys that left
+	// the table draining.
+	draining bool
+	drains   int
 }
 
 func (s *refStore) tick() int64 { s.clock++; return s.clock }
@@ -75,21 +79,29 @@ func (s *refStore) observe(req cache.Request, net *nn.Net, trainWindow int64) {
 	o, ok := s.objs[req.Key]
 	if !ok {
 		s.objs[req.Key] = &refObj{lastSeen: req.Time, size: req.Size, embVer: -1, scoreVer: -1, aged: s.tick()}
-		if len(s.objs) < max(recordsPerResident*len(s.dense), s.floor) {
+		full := len(s.objs) >= max(recordsPerResident*len(s.dense), s.floor)
+		if !full && !s.draining {
 			return
 		}
+		// Up to maxTrim of the oldest ghosts other than the new key go:
+		// the oldest when the table is full, and any unseen for two
+		// windows. If the next oldest is unseen for two windows too, the
+		// next new key goes on draining.
 		horizon := req.Time - 2*trainWindow
-		for dropped := 0; ; dropped++ {
-			gs := s.ghosts()
-			if gs[len(gs)-1] == req.Key {
-				return
-			}
-			old := gs[len(gs)-1]
-			if dropped > 0 && s.objs[old].lastSeen >= horizon {
-				return
-			}
-			delete(s.objs, old)
+		gs := s.ghosts() // gs[0] is the new key
+		n := 0
+		for n < maxTrim && n < len(gs)-1 && (full && n == 0 || s.objs[gs[len(gs)-1-n]].lastSeen < horizon) {
+			n++
 		}
+		for _, k := range gs[len(gs)-n:] {
+			delete(s.objs, k)
+		}
+		next := len(gs) - 1 - n
+		s.draining = n == maxTrim && next > 0 && s.objs[gs[next]].lastSeen < horizon
+		if s.draining {
+			s.drains++
+		}
+		return
 	}
 	o.epoch++
 	tau := float64(req.Time - o.lastSeen)
@@ -273,6 +285,9 @@ func TestTableMatchesNaiveReference(t *testing.T) {
 			var classes [ringClasses]bool // ring classes the run reached
 			for step := 0; step < steps; step++ {
 				now += int64(g.Intn(4))
+				if step%3000 == 2999 {
+					now += 2 * trainWindow // every ghost expires: the table drains
+				}
 				key := cache.Key(g.Intn(20))
 				if g.Float64() < 0.35 {
 					key = cache.Key(20 + g.Intn(150))
@@ -345,8 +360,9 @@ func TestTableMatchesNaiveReference(t *testing.T) {
 			if len(r.TrainStats) == 0 || peak < max(recordsPerResident*capacity, floor)-1 {
 				t.Fatalf("the run never trained (%d windows) or never neared its ceiling (peak %d records)", len(r.TrainStats), peak)
 			}
-			if slices.Contains(classes[:], false) || ref.shifts == 0 {
-				t.Fatalf("the run reached ring classes %v and pushed into a full ring %d times; want every class and a push", classes, ref.shifts)
+			if slices.Contains(classes[:], false) || ref.shifts == 0 || ref.drains == 0 {
+				t.Fatalf("the run reached ring classes %v, pushed into a full ring %d times and left the table draining %d times; want every class, a push and a drain",
+					classes, ref.shifts, ref.drains)
 			}
 		})
 	}
@@ -484,6 +500,42 @@ func TestHistoryFloorIsAMinimum(t *testing.T) {
 				ceiling, peak, ro.HistoryDropped.Load(), checked)
 		}
 	})
+}
+
+// TestTrimIsBounded: however many ghosts have expired, a new key drops
+// at most maxTrim records, so no request pays for a whole backlog under
+// the shard lock; the table drains the rest over the new keys that
+// follow, below its ceiling too.
+func TestTrimIsBounded(t *testing.T) {
+	const window, ghosts = 100, 100
+	ro := &obs.RavenObs{}
+	r := New(Config{TrainWindow: window, MaxTrainObjects: 64, Obs: ro, Seed: 3})
+	now := int64(0)
+	miss := func(k cache.Key) int64 {
+		before := ro.HistoryDropped.Load()
+		now++
+		r.OnMiss(cache.Request{Time: now, Key: k, Size: 1})
+		return ro.HistoryDropped.Load() - before
+	}
+	for k := cache.Key(1); k <= ghosts; k++ {
+		miss(k)
+	}
+	SetHistoryBound(r, recordsPerResident, ghosts)
+	now += 2 * window // every ghost is now more than two windows old
+	for k := cache.Key(ghosts + 1); r.tab.index.Find(ghosts) != 0; k++ {
+		if k > 2*ghosts {
+			t.Fatalf("%d new keys left expired ghosts behind", ghosts)
+		}
+		if d := miss(k); d > maxTrim || d == 0 {
+			t.Fatalf("new key %d dropped %d records; want 1 to %d", k, d, maxTrim)
+		}
+	}
+	if r.tab.draining {
+		t.Error("the table is still draining with no expired ghost left")
+	}
+	if got := ro.HistoryDropped.Load(); got != ghosts {
+		t.Errorf("raven.history_dropped = %d, want the %d expired ghosts", got, ghosts)
+	}
 }
 
 // atCeiling builds a model-less Raven whose table sits at its (shrunken)

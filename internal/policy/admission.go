@@ -12,30 +12,32 @@ const (
 	// AdmitOff disables the front-end (the default; also "").
 	AdmitOff = "off"
 	// AdmitDoorkeeper fronts the policy with the CM-sketch + Bloom
-	// doorkeeper frequency filter alone (cache.SketchAdmitter).
+	// doorkeeper frequency filter alone (cache.Front without a
+	// predictor).
 	AdmitDoorkeeper = "doorkeeper"
-	// AdmitLearned chains the doorkeeper with the MDN predicted-reuse
-	// check (cache.ReuseAdmitter): an object whose predicted next
-	// arrival falls beyond its expected cache lifetime is rejected.
-	// Requires a policy that implements cache.ReusePredictor (Raven).
+	// AdmitLearned follows the doorkeeper with the MDN predicted-reuse
+	// check (cache.Front with the policy as its predictor): an object
+	// whose predicted next arrival falls beyond its expected cache
+	// lifetime is rejected. Requires a policy that implements
+	// cache.ReusePredictor (Raven).
 	AdmitLearned = "learned"
 )
 
 // AdmissionOptions selects the admission front-end of Options. The
 // zero value is off and leaves the built policy untouched, so
 // replays without admission are bit-identical to builds that predate
-// the front-end. All state the pipeline keeps (sketch counters,
+// the front-end. All state the front keeps (sketch counters,
 // doorkeeper bits, the online lifetime estimate) is derived from the
 // request stream alone — no wall clock, no RNG — so fronted replays
 // are deterministic and bit-exact for every Workers value.
 type AdmissionOptions struct {
-	// Mode selects the pipeline: "" or AdmitOff disables it,
-	// AdmitDoorkeeper installs the frequency front, AdmitLearned chains
+	// Mode selects the front: "" or AdmitOff disables it,
+	// AdmitDoorkeeper installs the frequency front, AdmitLearned follows
 	// the frequency front with the predicted-reuse check.
 	Mode string
 }
 
-// front wraps p with the configured admission pipeline. Off returns p
+// front wraps p with the configured admission front. Off returns p
 // unchanged; unknown modes and learned-mode requests for policies that
 // cannot predict reuse fail loudly rather than silently admitting all.
 func (a AdmissionOptions) front(p cache.Policy, o Options) (cache.Policy, error) {
@@ -43,17 +45,14 @@ func (a AdmissionOptions) front(p cache.Policy, o Options) (cache.Policy, error)
 	case "", AdmitOff:
 		return p, nil
 	case AdmitDoorkeeper:
-		return cache.WithAdmission(p, cache.NewSketchAdmitter()), nil
+		return cache.Front(p, nil, 0), nil
 	case AdmitLearned:
 		pred, ok := cache.Unwrap(p).(cache.ReusePredictor)
 		if !ok {
 			return nil, fmt.Errorf("policy: admission mode %q needs a policy that predicts reuse (raven/raven-ohr), got %s",
 				a.Mode, p.Name())
 		}
-		return cache.WithAdmission(p,
-			cache.NewSketchAdmitter(),
-			cache.NewReuseAdmitter(pred, o.Capacity),
-		), nil
+		return cache.Front(p, pred, o.Capacity), nil
 	}
 	return nil, fmt.Errorf("policy: unknown admission mode %q (known: off, doorkeeper, learned)", a.Mode)
 }

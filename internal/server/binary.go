@@ -9,8 +9,10 @@
 //	magic(1)=0x81  status(1)  size(8)
 //
 // time is a signed trace timestamp; binNoTime (-1) means "clockless
-// client, use the server's virtual clock". Any other negative time is
-// a malformed frame. Verbs and statuses are single bytes; statuses
+// client, use the server's virtual clock". Any other negative time, and
+// any time above binMaxTime (1<<62), is a malformed frame: a timestamp
+// that close to math.MaxInt64 would let the clockless requests after it
+// tick the virtual clock past it and wrap negative. Verbs and statuses are single bytes; statuses
 // >= 0x80 are errors, after which the server closes the connection
 // (framing can no longer be trusted).
 package server
@@ -33,8 +35,12 @@ const (
 )
 
 // binNoTime in a frame's time field requests the server's virtual
-// clock. More-negative times are rejected as malformed.
-const binNoTime int64 = -1
+// clock. More-negative times are rejected as malformed, and so are times
+// above binMaxTime, which leaves the clock 2^62 ticks of headroom.
+const (
+	binNoTime  int64 = -1
+	binMaxTime int64 = 1 << 62
+)
 
 // Request verbs. PING is a no-op answered with binStatusPong: the
 // router's health probe. Verb and status 0x04 are unassigned.
@@ -56,7 +62,7 @@ const (
 
 	binStatusErr      byte = 0x80
 	binStatusBadVerb  byte = 0x80 // unknown verb
-	binStatusBadFrame byte = 0x81 // bad magic, non-positive size, or time < -1
+	binStatusBadFrame byte = 0x81 // bad magic, non-positive size, time < -1 or time > binMaxTime
 )
 
 // putBinReq encodes one request frame.
@@ -77,7 +83,7 @@ func appendBinResp(dst []byte, status byte, size int64) []byte {
 // binCodec is the binary protocol's codec over a connection's state.
 // It carries GET, SET, PING and QUIT. Any other verb is answered
 // with binStatusBadVerb and a malformed frame (bad magic, non-positive
-// size, time < -1) with binStatusBadFrame; after either the stream is
+// size, time < -1 or > binMaxTime) with binStatusBadFrame; after either the stream is
 // ended, because an unparseable frame means framing is lost.
 type binCodec struct{ *connIO }
 
@@ -111,7 +117,7 @@ func (b binCodec) next(op *Op) (verb, error) {
 	if magic == binMagicReq {
 		switch vb {
 		case binVerbGet, binVerbSet:
-			if op.Size > 0 && op.Time >= binNoTime {
+			if op.Size > 0 && op.Time >= binNoTime && op.Time <= binMaxTime {
 				return verbOp, nil
 			}
 		case binVerbPing:

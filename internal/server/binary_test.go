@@ -206,6 +206,58 @@ func TestBinaryNegativeTimeRejected(t *testing.T) {
 	}
 }
 
+// clockTap records the time of every request its policy sees.
+type clockTap struct {
+	cache.Policy
+	mu    sync.Mutex
+	times []int64
+}
+
+func (p *clockTap) seen(req cache.Request) {
+	p.mu.Lock()
+	p.times = append(p.times, req.Time)
+	p.mu.Unlock()
+}
+
+func (p *clockTap) OnHit(req cache.Request)  { p.seen(req); p.Policy.OnHit(req) }
+func (p *clockTap) OnMiss(req cache.Request) { p.seen(req); p.Policy.OnMiss(req) }
+
+// TestBinaryTimeAboveBoundRejected: a time above binMaxTime is
+// malformed. A GET at math.MaxInt64 that the server took would ratchet
+// the virtual clock there, and the clockless requests after it would
+// wrap policy time negative.
+func TestBinaryTimeAboveBoundRejected(t *testing.T) {
+	tap := &clockTap{Policy: policy.MustNew("lru", policy.Options{Capacity: 100})}
+	srv := newTestServer(t, 100, func(c *Config) { c.NewPolicy = cache.SingleFactory(tap) })
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(rawFrame(binMagicReq, binVerbGet, 1, 10, math.MaxInt64)); err != nil {
+		t.Fatal(err)
+	}
+	if status, _ := readRawReply(t, conn); status != binStatusBadFrame {
+		t.Errorf("ts=MaxInt64 status = 0x%02x, want 0x%02x", status, binStatusBadFrame)
+	}
+	cl := dialClient(t, srv)
+	for k := trace.Key(2); k < 6; k++ {
+		if _, err := cl.Get(k, 10, binNoTime); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	if len(tap.times) != 4 {
+		t.Fatalf("the policy saw %d requests, want the 4 clockless GETs", len(tap.times))
+	}
+	for i, ts := range tap.times {
+		if ts < 0 || i > 0 && ts <= tap.times[i-1] {
+			t.Fatalf("the policy saw times %v; want increasing and non-negative", tap.times)
+		}
+	}
+}
+
 // TestBinaryFrameSplitAcrossReads trickles one frame a byte at a time;
 // the framing layer must reassemble it into one request.
 func TestBinaryFrameSplitAcrossReads(t *testing.T) {
@@ -247,6 +299,7 @@ func FuzzBinaryFrames(f *testing.F) {
 
 	f.Add(rawFrame(binMagicReq, binVerbGet, 1, 10, 1))
 	f.Add(rawFrame(binMagicReq, binVerbSet, 2, 20, uint64(math.MaxUint64))) // ts = -1
+	f.Add(rawFrame(binMagicReq, binVerbGet, 1, 10, math.MaxInt64))          // ts above binMaxTime
 	f.Add(rawFrame(binMagicReq, binVerbQuit, 0, 0, 0))
 	f.Add(rawFrame(binMagicReq, 0xff, 1, 1, 1))
 	f.Add(rawFrame(binMagicReq, 0x04, 1, 10, 1)) // unassigned verb
