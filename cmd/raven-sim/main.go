@@ -1,12 +1,15 @@
 // Command raven-sim replays a cache trace through one or more eviction
 // policies and reports hit ratios, latency, traffic and eviction-time
-// statistics.
+// statistics. It also writes (-out) or characterizes (-analyze) the
+// trace it built instead of replaying it.
 //
 // Usage:
 //
 //	raven-sim -trace wiki18 -policies raven,lrb,lru -cachefrac 0.02
 //	raven-sim -synthetic uniform -requests 200000 -capacity 100
 //	raven-sim -file trace.txt -policies lru -capacity 1048576
+//	raven-sim -trace wiki18 -scale 0.5 -out wiki18.txt
+//	raven-sim -file wiki18.txt -analyze
 //
 // Traces come from the built-in production-like generators (-trace),
 // the synthetic renewal generators (-synthetic), or a "time key size"
@@ -22,6 +25,7 @@ import (
 
 	"raven/internal/cache"
 	"raven/internal/core"
+	"raven/internal/nn"
 	"raven/internal/policy"
 	"raven/internal/sim"
 	"raven/internal/trace"
@@ -47,6 +51,8 @@ func main() {
 		ckptEvery = flag.Int("checkpoint-every", 1, "save a checkpoint generation every N completed trainings")
 		seed      = flag.Int64("seed", 42, "random seed")
 		listPols  = flag.Bool("list", false, "list available policies and exit")
+		out       = flag.String("out", "", "write the trace to this file instead of replaying it (a .gz path is gzip-compressed; /dev/stdout prints it)")
+		analyze   = flag.Bool("analyze", false, "print the trace's characteristics instead of replaying it")
 
 		// Research defaults: the simulator keeps the fast path and the
 		// SLO clock off so replays stay bit-identical run to run; the
@@ -64,8 +70,8 @@ func main() {
 		return
 	}
 	// A value the generators or the policy would silently replace (a
-	// zero count or scale by its default, a negative budget by none) is
-	// refused instead.
+	// zero count or scale by its default, a negative budget by none, a
+	// worker count below 1 by serial training) is refused instead.
 	for _, bad := range []struct {
 		ok  bool
 		msg string
@@ -76,17 +82,50 @@ func main() {
 		{*scale > 0, fmt.Sprintf("-scale %v must be positive", *scale)},
 		{*cacheFrac > 0, fmt.Sprintf("-cachefrac %v must be positive", *cacheFrac)},
 		{*budget >= 0, fmt.Sprintf("-decision-budget %v must not be negative", *budget)},
+		{*workers >= 1, fmt.Sprintf("-workers %d must be at least 1", *workers)},
 	} {
 		if !bad.ok {
-			fmt.Fprintln(os.Stderr, "raven-sim:", bad.msg)
-			os.Exit(1)
+			fail(bad.msg)
 		}
+	}
+	var net *sim.NetModel
+	switch *netKind {
+	case "cdn":
+		net = sim.CDNModel()
+	case "memory":
+		net = sim.InMemoryModel()
+	case "":
+	default:
+		fail(fmt.Sprintf("unknown -net %q", *netKind))
+	}
+	// Every name resolves before anything replays.
+	var names []string
+	var factories []policy.Factory
+	for _, name := range strings.Split(*policies, ",") {
+		if name = strings.TrimSpace(name); name == "" {
+			continue
+		}
+		factory, err := policy.Lookup(name)
+		if err != nil {
+			fail(err)
+		}
+		names, factories = append(names, name), append(factories, factory)
 	}
 
 	tr, err := loadTrace(*prodName, *synthName, *file, *requests, *objects, *varSizes, *scale, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "raven-sim:", err)
-		os.Exit(1)
+		fail(err)
+	}
+	if *out != "" || *analyze {
+		if *out != "" {
+			if err := trace.WriteFile(*out, tr); err != nil {
+				fail(err)
+			}
+		}
+		if *analyze {
+			printAnalysis(tr)
+		}
+		return
 	}
 	cap := *capacity
 	if cap == 0 {
@@ -95,47 +134,27 @@ func main() {
 			cap = 64
 		}
 	}
-	opts := sim.Options{Capacity: cap, WarmupFrac: *warmup, Seed: *seed}
-	switch *netKind {
-	case "cdn":
-		opts.Net = sim.CDNModel()
-	case "memory":
-		opts.Net = sim.InMemoryModel()
-	case "":
-	default:
-		fmt.Fprintf(os.Stderr, "raven-sim: unknown -net %q\n", *netKind)
-		os.Exit(1)
-	}
+	opts := sim.Options{Capacity: cap, WarmupFrac: *warmup, Seed: *seed, Net: net}
 
 	fmt.Printf("trace=%s requests=%d objects=%d uniqueBytes=%d capacity=%d\n",
 		tr.Name, tr.Len(), tr.UniqueObjects(), tr.UniqueBytes(), cap)
 	fmt.Printf("%-18s %8s %8s %12s %12s %10s\n", "policy", "OHR", "BHR", "evictions", "evict(ns)", "wall")
-	for _, name := range strings.Split(*policies, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
+	for i, name := range names {
 		popts := policy.Options{
 			Capacity:        cap,
 			TrainWindow:     tr.Duration() / 8,
 			Seed:            *seed,
-			Workers:         *workers,
 			CheckpointDir:   *ckptDir,
 			CheckpointEvery: *ckptEvery,
 			ScoreCache:      *scoreCache,
 			Inference32:     *inference32,
 			DecisionBudget:  *budget,
 			Admission:       policy.AdmissionOptions{Mode: *admitMode},
+			Raven:           &core.Config{Train: nn.TrainConfig{Workers: *workers}},
 		}
-		factory, err := policy.Lookup(name)
+		res, err := sim.Run(tr, *shards, factories[i].PerShard(popts, *shards), opts)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "raven-sim:", err)
-			os.Exit(1)
-		}
-		res, err := sim.Run(tr, *shards, factory.PerShard(popts, *shards), opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "raven-sim:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		label := name
 		if res.Shards > 1 {
@@ -174,6 +193,12 @@ func main() {
 	}
 }
 
+// fail reports msg and exits 1.
+func fail(msg any) {
+	fmt.Fprintln(os.Stderr, "raven-sim:", msg)
+	os.Exit(1)
+}
+
 // countRollbacks tallies guard-tripped training windows.
 func countRollbacks(recs []core.TrainRecord) int {
 	n := 0
@@ -206,5 +231,34 @@ func loadTrace(prod, synth, file string, requests, objects int, varSizes bool, s
 		}), nil
 	default:
 		return nil, fmt.Errorf("one of -trace, -synthetic, -file is required")
+	}
+}
+
+// printAnalysis prints the trace's characteristics: its totals, the
+// Zipf slope of its popularity, and how requests spread over object
+// sizes and bytes over object frequencies.
+func printAnalysis(tr *trace.Trace) {
+	c := trace.Characterize(tr)
+	fmt.Printf("trace:        %s\n", c.Name)
+	fmt.Printf("requests:     %d\n", c.TotalRequests)
+	fmt.Printf("total bytes:  %d\n", c.TotalBytes)
+	fmt.Printf("objects:      %d\n", c.UniqueObjects)
+	fmt.Printf("unique bytes: %d\n", c.UniqueBytes)
+	fmt.Printf("duration:     %d ticks\n", c.Duration)
+	fmt.Printf("mean size:    %.1f B (max %d)\n", c.MeanSize, c.MaxSize)
+	fmt.Printf("zipf slope:   %.2f\n", trace.ZipfSlope(tr))
+
+	fmt.Println("\nrequests by object size (log10 bins):")
+	printBins(trace.RequestsBySize(tr))
+	fmt.Println("bytes by object frequency (log10 bins):")
+	printBins(trace.BytesByFrequency(tr))
+}
+
+func printBins(bw trace.BinWeights) {
+	for i, f := range bw.Fractions {
+		if f < 0.001 {
+			continue
+		}
+		fmt.Printf("  %-22s %5.1f%%\n", bw.Labels[i], 100*f)
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -12,20 +13,29 @@ import (
 	"raven/internal/trace"
 )
 
-// TestRejectsBadFlags: a bad flag makes raven-sim exit 1 with a message
-// before it replays anything. -checkpoint-every below 1 would otherwise
-// save every third fit through Go's remainder (-3), or every fit (0);
-// an unknown -trace preset would panic in the generator, and the
-// message lists the presets there are. The rest would be silently
-// replaced: -requests 0 and -objects 0 by the generator's 100 000 and
-// 1 000, a non-positive -scale by the scale-1 preset, a negative
-// -cachefrac by a 64-byte cache and a negative -decision-budget by no
-// budget at all.
-func TestRejectsBadFlags(t *testing.T) {
+// build compiles raven-sim into a temporary directory.
+func build(t *testing.T) string {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "raven-sim")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build raven-sim: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// TestRejectsBadFlags: a bad flag makes raven-sim exit 1 with a message
+// before it replays anything. -checkpoint-every below 1 would otherwise
+// save every third fit through Go's remainder (-3), or every fit (0);
+// an unknown -trace preset would panic in the generator, and the
+// message lists the presets there are; an unknown policy would fail
+// only after the names before it had replayed, and an unknown -net law
+// only after the trace was built. The rest would be
+// silently replaced: -requests 0 and -objects 0 by the generator's
+// 100 000 and 1 000, a non-positive -scale by the scale-1 preset, a
+// negative -cachefrac by a 64-byte cache, a negative -decision-budget
+// by no budget at all and -workers below 1 by serial training.
+func TestRejectsBadFlags(t *testing.T) {
+	bin := build(t)
 	synth := []string{"-synthetic", "uniform", "-requests", "1000", "-policies", "lru"}
 	presets := make([]string, len(trace.AllProductionPresets))
 	for i, p := range trace.AllProductionPresets {
@@ -46,6 +56,9 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"scale=-1", []string{"-trace", "wiki18", "-scale", "-1", "-policies", "lru"}, []string{"-scale"}},
 		{"cachefrac=-1", append(synth, "-cachefrac", "-1"), []string{"-cachefrac"}},
 		{"decision-budget=-5ms", append(synth, "-policies", "raven", "-decision-budget", "-5ms"), []string{"-decision-budget"}},
+		{"workers=-3", append(synth, "-policies", "raven", "-workers", "-3"), []string{"-workers"}},
+		{"policies=lru,bogus", append(synth, "-policies", "lru,bogus"), []string{`"bogus"`}},
+		{"net=bogus", append(synth, "-net", "bogus"), []string{"-net", `"bogus"`}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -64,6 +77,69 @@ func TestRejectsBadFlags(t *testing.T) {
 					t.Errorf("the message does not name %s:\n%s", w, out)
 				}
 			}
+			if strings.Contains(string(out), "OHR") {
+				t.Errorf("a replay ran before the exit:\n%s", out)
+			}
 		})
+	}
+}
+
+// TestFileRoundTrip: a synthetic trace written with -out, plain and
+// gzipped, replays from -file with the OHR, BHR and evictions of the
+// generated trace itself; -out /dev/stdout prints the plain file's
+// bytes, and -analyze prints the trace's report instead of a replay.
+func TestFileRoundTrip(t *testing.T) {
+	bin := build(t)
+	run := func(args ...string) string {
+		t.Helper()
+		out, err := exec.Command(bin, args...).Output()
+		if err != nil {
+			t.Fatalf("raven-sim %s: %v", strings.Join(args, " "), err)
+		}
+		return string(out)
+	}
+	// results keeps each result row's policy, OHR, BHR and evictions:
+	// the header names the trace, and the last two columns are wall
+	// clock.
+	results := func(out string) string {
+		var rows []string
+		for _, line := range strings.Split(out, "\n")[2:] {
+			if f := strings.Fields(line); len(f) >= 4 {
+				rows = append(rows, strings.Join(f[:4], " "))
+			}
+		}
+		if len(rows) == 0 {
+			t.Fatalf("no result rows:\n%s", out)
+		}
+		return strings.Join(rows, "\n")
+	}
+	replay := []string{"-policies", "lru,lhd", "-seed", "7"}
+	gen := append([]string{"-synthetic", "pareto", "-requests", "20000", "-objects", "2000", "-varsizes"}, replay...)
+	want := results(run(gen...))
+	dir := t.TempDir()
+	for _, name := range []string{"t.txt", "t.txt.gz"} {
+		path := filepath.Join(dir, name)
+		if out := run(append(gen, "-out", path)...); out != "" {
+			t.Errorf("-out %s printed %q", name, out)
+		}
+		if got := results(run(append([]string{"-file", path}, replay...)...)); got != want {
+			t.Errorf("-file %s replays\n%s\nthe generated trace replays\n%s", name, got, want)
+		}
+	}
+	plain, err := os.ReadFile(filepath.Join(dir, "t.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := run(append(gen, "-out", "/dev/stdout")...); out != string(plain) {
+		t.Errorf("-out /dev/stdout printed %d bytes, the file holds %d", len(out), len(plain))
+	}
+	report := run("-file", filepath.Join(dir, "t.txt.gz"), "-analyze")
+	for _, line := range []string{"trace:        " + filepath.Join(dir, "t.txt.gz"), "requests:     20000", "zipf slope:   "} {
+		if !strings.Contains(report, "\n"+line) && !strings.HasPrefix(report, line) {
+			t.Errorf("-analyze prints no %q line:\n%s", line, report)
+		}
+	}
+	if strings.Contains(report, "OHR") {
+		t.Errorf("-analyze replayed the trace:\n%s", report)
 	}
 }

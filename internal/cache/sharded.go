@@ -257,20 +257,6 @@ func (s *Sharded) Len() int {
 	return n
 }
 
-// Keys appends all cached keys across shards to dst in ascending order
-// and returns it. Sorting keeps consumers deterministic: slab order
-// depends on the order of admissions and evictions. Each shard's
-// sortedKeys sorts all of dst, so the last one leaves it sorted.
-func (s *Sharded) Keys(dst []Key) []Key {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		dst = sh.sortedKeys(dst)
-		sh.mu.Unlock()
-	}
-	return dst
-}
-
 // SetEvictionObserver registers fn, invoked with every victim just
 // before it is removed (while it is still resident); nil disables it.
 // resident appends the evicting shard's cached keys to dst in ascending

@@ -38,11 +38,6 @@ type Options struct {
 	TrainWindow int64
 	// Seed makes stochastic policies deterministic.
 	Seed int64
-	// Workers is Raven's goroutine fan-out for training (0 or 1 =
-	// serial); it sets Raven's Train.Workers when that is zero. Results
-	// are bit-identical for every value, so it only changes throughput.
-	// Eviction decisions are serial whatever its value.
-	Workers int
 	// CheckpointDir, when non-empty, makes Raven persist its model as
 	// rotated, checksummed, atomically-written checkpoint generations
 	// and resume from the newest valid one at startup (corrupt
@@ -80,8 +75,7 @@ type Options struct {
 // cache, float32 inference, a 50µs decision budget, learned admission,
 // seed 42 and a checkpoint after every completed training. The caller
 // fills in what depends on the deployment (Capacity, TrainWindow,
-// CheckpointDir, Obs, Workers). See DESIGN.md "Inference fast path &
-// SLO".
+// CheckpointDir, Obs). See DESIGN.md "Inference fast path & SLO".
 func Served() Options {
 	return Options{
 		Seed:            42,
@@ -114,9 +108,6 @@ func (o Options) ravenConfig(goal core.Goal) core.Config {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = o.Seed + 77
-	}
-	if cfg.Train.Workers == 0 {
-		cfg.Train.Workers = o.Workers
 	}
 	if cfg.Checkpoint.Dir == "" {
 		cfg.Checkpoint.Dir = o.CheckpointDir

@@ -34,12 +34,11 @@ func TestAdmissionBitExact(t *testing.T) {
 			Capacity:    tr.UniqueBytes() / 8,
 			TrainWindow: tr.Duration() / 4,
 			Seed:        5,
-			Workers:     workers,
 			Admission:   policy.AdmissionOptions{Mode: policy.AdmitLearned},
 			Raven: &core.Config{
 				MaxTrainObjects: 400,
 				Net:             nn.Config{Hidden: 8, MLPHidden: 12, K: 4},
-				Train:           nn.TrainConfig{MaxEpochs: 4, Patience: 2},
+				Train:           nn.TrainConfig{MaxEpochs: 4, Patience: 2, Workers: workers},
 			},
 		})
 		c := cache.New(tr.UniqueBytes()/8, p)
