@@ -71,7 +71,10 @@ func main() {
 	}
 	// A value the generators or the policy would silently replace (a
 	// zero count or scale by its default, a negative budget by none, a
-	// worker count below 1 by serial training) is refused instead.
+	// worker count below 1 by serial training), or one the replay would
+	// refuse only after the trace was built (a shard count, a warm-up
+	// share, an admission mode), is refused before anything runs.
+	admitErr := policy.AdmissionOptions{Mode: *admitMode}.Validate()
 	for _, bad := range []struct {
 		ok  bool
 		msg string
@@ -83,6 +86,9 @@ func main() {
 		{*cacheFrac > 0, fmt.Sprintf("-cachefrac %v must be positive", *cacheFrac)},
 		{*budget >= 0, fmt.Sprintf("-decision-budget %v must not be negative", *budget)},
 		{*workers >= 1, fmt.Sprintf("-workers %d must be at least 1", *workers)},
+		{*shards >= 1, fmt.Sprintf("-shards %d must be at least 1", *shards)},
+		{*warmup >= 0 && *warmup < 1, fmt.Sprintf("-warmup %v must be in [0, 1)", *warmup)},
+		{admitErr == nil, fmt.Sprintf("-admit: %v", admitErr)},
 	} {
 		if !bad.ok {
 			fail(bad.msg)

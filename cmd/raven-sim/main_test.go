@@ -29,8 +29,10 @@ func build(t *testing.T) string {
 // an unknown -trace preset would panic in the generator, and the
 // message lists the presets there are; an unknown policy would fail
 // only after the names before it had replayed, and an unknown -net law
-// only after the trace was built. The rest would be
-// silently replaced: -requests 0 and -objects 0 by the generator's
+// only after the trace was built, and so would -shards below 1 and a
+// -warmup outside [0, 1), after printing the result header; an unknown
+// -admit mode would not fail at all when -out skips the replay. The
+// rest would be silently replaced: -requests 0 and -objects 0 by the generator's
 // 100 000 and 1 000, a non-positive -scale by the scale-1 preset, a
 // negative -cachefrac by a 64-byte cache, a negative -decision-budget
 // by no budget at all and -workers below 1 by serial training.
@@ -59,6 +61,9 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"workers=-3", append(synth, "-policies", "raven", "-workers", "-3"), []string{"-workers"}},
 		{"policies=lru,bogus", append(synth, "-policies", "lru,bogus"), []string{`"bogus"`}},
 		{"net=bogus", append(synth, "-net", "bogus"), []string{"-net", `"bogus"`}},
+		{"shards=-1", append(synth, "-shards", "-1"), []string{"-shards"}},
+		{"warmup=1.5", append(synth, "-warmup", "1.5"), []string{"-warmup"}},
+		{"admit=bogus", append(synth, "-admit", "bogus", "-out", os.DevNull), []string{"-admit", `"bogus"`}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

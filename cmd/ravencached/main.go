@@ -27,10 +27,16 @@
 // rounded up to a power of two), each with its own policy instance and
 // lock, so concurrent clients on different shards never contend.
 //
+// A learning policy trains off the request path: one background
+// trainer, on a thread in the kernel's idle scheduling class, fits
+// every shard's windows while requests are served with the model in
+// place, and each shard's next request installs its new model.
+//
 // The server shuts down cleanly on SIGINT or SIGTERM: it stops
 // accepting, drains in-flight connections up to -drain, force-closes
 // stragglers, and prints final statistics and the final metrics line
-// either way; METRICS serves the same snapshot live.
+// either way; METRICS serves the same snapshot live. It does not wait
+// for a fit.
 package main
 
 import (
@@ -42,6 +48,7 @@ import (
 
 	"raven/internal/cache"
 	"raven/internal/core"
+	"raven/internal/nn"
 	"raven/internal/obs"
 	"raven/internal/policy"
 	"raven/internal/server"
@@ -108,6 +115,11 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "ravencached: -decision-budget %v must not be negative\n", *budget)
 		return 1
 	}
+	// One trainer fits every shard's windows off the request path. Exit
+	// does not wait for a fit: Close only stops one at its next epoch
+	// boundary.
+	trainer := nn.NewTrainer()
+	defer trainer.Close()
 	perShard := factory.PerShard(policy.Options{
 		Capacity:        *capacity,
 		TrainWindow:     *window,
@@ -119,6 +131,7 @@ func run() int {
 		Inference32:     *inference32,
 		DecisionBudget:  *budget,
 		Admission:       policy.AdmissionOptions{Mode: *admitMode},
+		Raven:           &core.Config{Trainer: trainer},
 	}.PerNode(*node, *nodes), *shards)
 	// Capture each shard's policy as it is built so checkpoint-resume
 	// status can be reported per shard below.

@@ -105,6 +105,21 @@ type Config struct {
 	// Fault-drill/test hook, like Train.Faults itself.
 	TrainFaultWindows int
 
+	// Trainer, when set, takes fits off the request path (DESIGN.md
+	// "Model lifecycle & failure domains"): a closing window is handed
+	// to it, serving keeps the model it has, and the shard's first
+	// request after the fit finishes installs the result. A window that
+	// closes while the shard's fit is unfinished is skipped
+	// (TrainRecord.Skipped). Nil fits inline, under the shard lock, at
+	// the window's close — what every replay does, since when a
+	// trainer's fit finishes depends on the wall clock. Only
+	// ravencached sets it.
+	Trainer *nn.Trainer
+	// fitHook, when non-nil, runs at the start of every fit, where the
+	// fit runs: the unexported seam this package's tests hold a fit in
+	// flight through.
+	fitHook func()
+
 	// Obs receives the policy's metrics (rollbacks, health transitions,
 	// fallback evictions, checkpoint and record-table accounting). The
 	// policy always counts: New gives a Raven built without one a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -68,9 +69,14 @@ type Raven struct {
 	// len(TrainStats), so bounding that slice cannot change what any
 	// window trains.
 	windows int
+	// pending is the fit handed to Config.Trainer and not installed yet;
+	// nil inline and whenever the shard has no fit out.
+	pending *fitJob
 
-	// TrainStats records every completed training run (Table 7 and the
-	// overhead discussion of §6.1.1).
+	// TrainStats records every training window's outcome (Table 7 and
+	// the overhead discussion of §6.1.1), appended as it becomes known:
+	// a skipped window at its close, a fitted one when its fit is
+	// installed.
 	TrainStats []TrainRecord
 
 	// HealthLog holds the last healthLogCap health transitions, oldest
@@ -90,8 +96,10 @@ type TrainRecord struct {
 	WindowEnd int64
 	Objects   int
 	Samples   int // total loss terms (interarrival + survival)
-	// Skipped is always false: every window with data trains. It is
-	// kept only because benchmark/traced.go still reads it.
+	// Skipped marks a window that closed while its shard's fit, handed
+	// to Config.Trainer, was unfinished: nothing trained on its data,
+	// Objects is how many objects it had sampled, and Result is zero.
+	// Inline, every window with data trains.
 	Skipped bool
 	// RolledBack marks windows whose training diverged (the guard
 	// tripped) and whose weights were rolled back to the last good
@@ -157,21 +165,20 @@ func (r *Raven) ckptError(err error) {
 	r.obs.CkptErrors.Inc()
 }
 
-// saveCheckpoint persists the model after a completed training,
-// honoring the Checkpoint.Every cadence.
-func (r *Raven) saveCheckpoint() {
-	if r.store == nil || r.net == nil {
+// saveCheckpoint persists a completed training's net, honoring the
+// Checkpoint.Every cadence. It runs where the fit ran, so no file is
+// written under the shard lock when a trainer fits; install counts
+// the outcome.
+func (r *Raven) saveCheckpoint(j *fitJob) {
+	if r.store == nil {
 		return
 	}
 	r.completed++
 	if r.completed%r.cfg.Checkpoint.Every != 0 {
 		return
 	}
-	if _, err := r.store.Save(r.net); err != nil {
-		r.ckptError(err)
-		return
-	}
-	r.obs.CkptSaves.Inc()
+	_, j.ckptErr = r.store.Save(j.net)
+	j.saved = j.ckptErr == nil
 }
 
 // Name implements cache.Policy.
@@ -216,6 +223,9 @@ func (r *Raven) observe(req cache.Request) uint32 {
 		r.window.reset(req.Time)
 	}
 	r.now = req.Time
+	if r.pending != nil && r.pending.done.Load() {
+		r.install(r.pending)
+	}
 	t := r.tab
 
 	h := t.find(req.Key)
@@ -293,12 +303,67 @@ func (r *Raven) trim(keep uint32) {
 	r.obs.HistoryDropped.Add(int64(dropped))
 }
 
-// train fits the MDN on the just-finished window (§4.4), warm-started
-// from the current network.
+// fitJob is one window's fit: what prepare hands the fitter, and what
+// the fitter leaves for install.
+type fitJob struct {
+	net  *nn.Net // the fitter's own: r.net itself inline, a clone or a fresh net with a trainer
+	data []nn.Sequence
+	tc   nn.TrainConfig
+	rec  TrainRecord // the window's; fit fills Result
+
+	saved   bool  // a checkpoint generation was written
+	ckptErr error // the checkpoint write failed
+	done    atomic.Bool
+}
+
+// train closes a training window (§4.4) in three steps: prepare the
+// fit, fit, install the result. Without a Config.Trainer they run back
+// to back under the shard lock. With one, the fit runs on the trainer
+// and the shard's first request after it finishes installs it
+// (observe); a window that closes before then is skipped.
 func (r *Raven) train() {
+	if r.pending != nil {
+		r.skip()
+		return
+	}
+	j := r.prepare()
+	if j == nil {
+		return
+	}
+	if r.cfg.Trainer == nil {
+		r.fit(j)
+		r.install(j)
+		return
+	}
+	r.pending = j
+	r.cfg.Trainer.Submit(func() {
+		if r.fit(j) {
+			j.done.Store(true)
+		}
+	})
+}
+
+// skip drops a window that closed while the shard's fit was
+// unfinished. Health does not move: a slow fit is not a wrong model.
+func (r *Raven) skip() {
+	if len(r.window.sampled) == 0 {
+		return
+	}
+	r.obs.TrainSkipped.Inc()
+	r.TrainStats = append(r.TrainStats, TrainRecord{WindowEnd: r.now, Objects: len(r.window.sampled), Skipped: true})
+	r.windows++
+}
+
+// prepare builds the fit of the just-finished window: its sequences,
+// the net to fit (the current one, warm, or a fresh one), the seed and
+// a fresh net's TimeScale. With a trainer the fitter gets its own copy
+// of the sequences, since the window reuses its buffers from its next
+// reset, and of a warm net, since serving keeps predicting with r.net.
+// It returns nil for a window without data.
+func (r *Raven) prepare() *fitJob {
 	data, terms := r.window.sequences(r.now)
 	if len(data) == 0 {
-		return
+		return nil
 	}
 	if r.cfg.DisableSurvival {
 		// The same sequences, so the same draws, without their open
@@ -319,51 +384,95 @@ func (r *Raven) train() {
 		r.invalidateFastPath()
 		r.obs.Rollbacks.Inc()
 	}
-	fresh := r.net == nil
-	if fresh {
+	net := r.net
+	if net == nil {
 		cfg := r.cfg.Net
 		if cfg.TimeScale == 0 { //lint:allow float-equal zero TimeScale means unset; derive the default
 			cfg.TimeScale = meanTau(data, float64(r.cfg.TrainWindow)/1000)
 		}
-		r.net = nn.NewNet(cfg)
-		r.net.Version = r.topVer
-		r.invalidateFastPath()
+		net = nn.NewNet(cfg)
+		net.Version = r.topVer
+	}
+	if r.cfg.Trainer != nil {
+		data = copySequences(data)
+		if net == r.net {
+			net = r.net.Clone()
+		}
 	}
 	tc := r.cfg.Train
 	tc.Seed += int64(r.windows) // vary shuffles between windows
 	if tc.Faults != nil && r.cfg.TrainFaultWindows > 0 && r.windows >= r.cfg.TrainFaultWindows {
 		tc.Faults = nil // fault drill over; train clean from here on
 	}
-	res := r.net.Fit(data, tc)
+	return &fitJob{net: net, data: data, tc: tc, rec: TrainRecord{WindowEnd: r.now, Objects: len(data), Samples: terms}}
+}
+
+// copySequences copies data, every interarrival into one array.
+func copySequences(data []nn.Sequence) []nn.Sequence {
+	n := 0
+	for i := range data {
+		n += len(data[i].Taus)
+	}
+	taus := make([]float64, 0, n)
+	out := make([]nn.Sequence, len(data))
+	for i, q := range data {
+		out[i] = q
+		out[i].Taus = taus[len(taus) : len(taus)+len(q.Taus) : len(taus)+len(q.Taus)]
+		taus = append(taus, q.Taus...)
+	}
+	return out
+}
+
+// fit trains the job's net on its window, then does what belongs with
+// the fit off the request path: the checkpoint write and the float32
+// freeze, so the first decision after the install pays neither. It
+// touches no serving state. It reports false when the trainer was
+// closed during the fit, whose result is then discarded.
+func (r *Raven) fit(j *fitJob) bool {
+	if r.cfg.fitHook != nil {
+		r.cfg.fitHook()
+	}
+	res, ok := r.cfg.Trainer.Fit(j.net, j.data, j.tc)
+	if !ok {
+		return false
+	}
+	j.rec.Result = res
+	if !res.Diverged {
+		r.saveCheckpoint(j)
+		if r.cfg.Inference32 {
+			j.net.Freeze32()
+		}
+	}
+	return true
+}
+
+// install puts a finished fit into service under the shard lock. A
+// completed fit's net becomes the model, with its version, Healthy and
+// its checkpoint counted. A diverged one leaves the serving net as it
+// was — Fit restored the pre-fit weights, so inline a warm net is
+// already the last good network, and a clone or a fresh net is dropped
+// — and climbs the health ladder.
+func (r *Raven) install(j *fitJob) {
+	r.pending = nil
+	res := j.rec.Result
 	r.obs.TrainEpochs.Add(int64(res.Epochs))
 	r.obs.TrainSequences.Add(int64(res.Sequences))
-	rec := TrainRecord{
-		WindowEnd: r.now,
-		Objects:   len(data),
-		Samples:   terms,
-		Result:    res,
-	}
 	if res.Diverged {
-		// Fit restored the pre-fit weights bit for bit, so a warm net is
-		// already the last good network; a fresh one had none.
-		if fresh {
-			r.net = nil
-		}
-		rec.RolledBack = true
+		j.rec.RolledBack = true
 		r.obs.Rollbacks.Inc()
 		r.guardTripped("training diverged: " + res.GuardReason)
 	} else {
+		r.net = j.net
 		r.topVer = r.net.Version
 		r.trainSucceeded()
-		r.saveCheckpoint()
-		r.invalidateFastPath()
-		if r.cfg.Inference32 {
-			// Quantize the freshly fitted weights now, off the decision
-			// path, so the first post-swap eviction pays no freeze.
-			r.net.Freeze32()
+		if j.ckptErr != nil {
+			r.ckptError(j.ckptErr)
+		} else if j.saved {
+			r.obs.CkptSaves.Inc()
 		}
+		r.invalidateFastPath()
 	}
-	r.TrainStats = append(r.TrainStats, rec)
+	r.TrainStats = append(r.TrainStats, j.rec)
 	r.windows++
 }
 

@@ -131,6 +131,20 @@ func (n *Net) Shadow() *Net {
 	return s
 }
 
+// Clone returns a deep copy of n: its configuration, Version, weights
+// and Adam moments, with a zeroed gradient and neither fit scratch nor
+// frozen copy. A Fit of the clone computes what the same Fit of n would
+// and leaves n as it was, so one goroutine may train the clone while
+// others predict with n.
+func (n *Net) Clone() *Net {
+	c := NewNet(n.Cfg)
+	c.Version = n.Version
+	copy(c.all.W, n.all.W)
+	copy(c.all.m, n.all.m)
+	copy(c.all.v, n.all.v)
+	return c
+}
+
 // NumParams returns the total parameter count.
 func (n *Net) NumParams() int { return len(n.all.W) }
 

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"sync/atomic"
 
 	"raven/internal/stats"
 )
@@ -45,6 +46,10 @@ type TrainConfig struct {
 	// Faults, when non-nil, injects deterministic training faults
 	// (see TrainFaults). Test/fault-drill hook; nil in production.
 	Faults *TrainFaults
+
+	// stop, set by Trainer.Fit, ends the fit at the next epoch boundary
+	// once it reads true.
+	stop *atomic.Bool
 }
 
 // Defaults fills every zero field with the served training budget
@@ -245,6 +250,9 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 	swap := func(i, j int) { train[i], train[j] = train[j], train[i] }
 
 	for epoch := 0; epoch < tc.MaxEpochs; epoch++ {
+		if tc.stop != nil && tc.stop.Load() {
+			return res // Trainer.Close: the caller discards this net
+		}
 		res.Epochs = epoch + 1
 		g.Shuffle(len(train), swap)
 		terms := 0

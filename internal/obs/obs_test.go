@@ -202,22 +202,24 @@ func TestRavenObsRegister(t *testing.T) {
 	ro.Register(r, "raven")
 	ro.TrainEpochs.Add(12)
 	ro.TrainSequences.Add(4000)
+	ro.TrainSkipped.Add(3)
 	kvs := r.Snapshot()
 	got := make(map[string]int64, len(kvs))
 	for _, kv := range kvs {
 		got[kv.Name] = kv.Value
 	}
-	if got["raven.train_epochs"] != 12 || got["raven.train_sequences"] != 4000 {
+	if got["raven.train_epochs"] != 12 || got["raven.train_sequences"] != 4000 || got["raven.train_skipped"] != 3 {
 		t.Errorf("snapshot %v", got)
 	}
 	// 11 lifecycle and fast-path metrics + train_epochs, train_sequences,
-	// then the history-store triple and the table's bytes, registered last.
-	if len(kvs) != 17 {
-		t.Fatalf("want 17 raven metrics, got %d", len(kvs))
+	// train_skipped, then the history-store triple and the table's bytes,
+	// registered last.
+	if len(kvs) != 18 {
+		t.Fatalf("want 18 raven metrics, got %d", len(kvs))
 	}
 	for i, name := range []string{"raven.history_records", "raven.history_resident", "raven.history_dropped", "raven.table_bytes"} {
-		if kvs[13+i].Name != name {
-			t.Errorf("metric %d = %q, want %q", 13+i, kvs[13+i].Name, name)
+		if kvs[14+i].Name != name {
+			t.Errorf("metric %d = %q, want %q", 14+i, kvs[14+i].Name, name)
 		}
 	}
 }

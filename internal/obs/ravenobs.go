@@ -25,6 +25,9 @@ type RavenObs struct {
 	// training cost in units that need no clock.
 	TrainEpochs    Counter
 	TrainSequences Counter
+	// TrainSkipped counts windows that closed while their shard's fit,
+	// handed to a trainer, was unfinished: their data is dropped.
+	TrainSkipped Counter
 
 	// CkptSaves counts checkpoint generations written; CkptErrors
 	// counts failed save/load attempts; CkptCorruptSkipped counts
@@ -107,6 +110,7 @@ func (ro *RavenObs) Register(r *Registry, prefix string) {
 	r.adoptCounter(prefix+".score_rescores", &ro.ScoreRescores)
 	r.adoptCounter(prefix+".train_epochs", &ro.TrainEpochs)
 	r.adoptCounter(prefix+".train_sequences", &ro.TrainSequences)
+	r.adoptCounter(prefix+".train_skipped", &ro.TrainSkipped)
 	r.adoptGauge(prefix+".history_records", &ro.HistoryRecords)
 	r.adoptGauge(prefix+".history_resident", &ro.HistoryResident)
 	r.adoptCounter(prefix+".history_dropped", &ro.HistoryDropped)

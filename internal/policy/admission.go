@@ -37,13 +37,25 @@ type AdmissionOptions struct {
 	Mode string
 }
 
+// Validate reports a Mode front would refuse: anything but "",
+// AdmitOff, AdmitDoorkeeper and AdmitLearned. A binary checks its
+// -admit flag with it before it builds anything.
+func (a AdmissionOptions) Validate() error {
+	switch a.Mode {
+	case "", AdmitOff, AdmitDoorkeeper, AdmitLearned:
+		return nil
+	}
+	return fmt.Errorf("policy: unknown admission mode %q (known: off, doorkeeper, learned)", a.Mode)
+}
+
 // front wraps p with the configured admission front. Off returns p
 // unchanged; unknown modes and learned-mode requests for policies that
 // cannot predict reuse fail loudly rather than silently admitting all.
 func (a AdmissionOptions) front(p cache.Policy, o Options) (cache.Policy, error) {
+	if err := a.Validate(); err != nil {
+		return nil, err
+	}
 	switch a.Mode {
-	case "", AdmitOff:
-		return p, nil
 	case AdmitDoorkeeper:
 		return cache.Front(p, nil, 0), nil
 	case AdmitLearned:
@@ -54,5 +66,5 @@ func (a AdmissionOptions) front(p cache.Policy, o Options) (cache.Policy, error)
 		}
 		return cache.Front(p, pred, o.Capacity), nil
 	}
-	return nil, fmt.Errorf("policy: unknown admission mode %q (known: off, doorkeeper, learned)", a.Mode)
+	return p, nil
 }

@@ -15,6 +15,9 @@ import (
 	"time"
 
 	"raven/internal/cache"
+	"raven/internal/core"
+	"raven/internal/nn"
+	"raven/internal/obs"
 	"raven/internal/policy"
 	"raven/internal/trace"
 )
@@ -328,26 +331,84 @@ func FuzzBinaryFrames(f *testing.F) {
 // buffers warmed, a GET hit and a same-size SET must not allocate — on
 // the server or the client side (AllocsPerRun counts process-wide
 // mallocs, and the handler goroutine runs within the measured window).
+// It holds for LRU, and for a Raven whose fits go to a trainer, as
+// ravencached's do: the trainer's first fit installed, and a second one
+// outstanding, which every request checks for.
 func TestServingPathAllocFree(t *testing.T) {
-	srv := newTestServer(t, 1<<20)
-	cl := dialClient(t, srv)
+	t.Run("lru", func(t *testing.T) {
+		srv := newTestServer(t, 1<<20)
+		servingAllocFree(t, dialClient(t, srv), binNoTime)
+	})
+	t.Run("raven-trainer", func(t *testing.T) {
+		tr := nn.NewTrainer()
+		defer tr.Close()
+		ro := &obs.RavenObs{}
+		srv := newTestServer(t, 1<<20, func(c *Config) {
+			c.NewPolicy = cache.SingleFactory(policy.MustNew("raven", policy.Options{
+				Capacity: 1 << 20, TrainWindow: 1000, Obs: ro,
+				Raven: &core.Config{
+					Trainer:         tr,
+					MaxTrainObjects: 50,
+					Net:             nn.Config{Hidden: 4, MLPHidden: 6, K: 2},
+					Train:           nn.TrainConfig{MaxEpochs: 2, Patience: 1},
+				},
+			}))
+		})
+		ro.Register(srv.Metrics(), "raven")
+		cl := dialClient(t, srv)
+		set := func(from, to int64) {
+			for ts := from; ts < to; ts++ {
+				if _, err := cl.Set(trace.Key(ts%100), 128, ts); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// The request at 1000 hands the first window to the trainer; a
+		// later request installs its fit once it is done.
+		set(0, 1001)
+		deadline := time.Now().Add(time.Minute)
+		for {
+			m, err := FetchMetrics(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m["raven.train_epochs"] > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("no fit installed within a minute")
+			}
+			time.Sleep(time.Millisecond)
+			set(1000, 1001)
+		}
+		// A closed trainer never runs the second window's fit, so it stays
+		// outstanding. The measured requests all come at 2000: no window
+		// closes while they run.
+		tr.Close()
+		set(1001, 2001)
+		servingAllocFree(t, cl, 2000)
+	})
+}
 
+// servingAllocFree checks that a GET hit and a same-size SET at time ts
+// allocate nothing once warmed up.
+func servingAllocFree(t *testing.T, cl *Client, ts int64) {
 	const key, size = trace.Key(7), int64(128)
-	if _, err := cl.Set(key, size, binNoTime); err != nil {
+	if _, err := cl.Set(key, size, ts); err != nil {
 		t.Fatal(err)
 	}
 	// Warm up both paths: grow client scratch, fault in bufio pages.
 	for i := 0; i < 32; i++ {
-		if _, err := cl.Get(key, size, binNoTime); err != nil {
+		if _, err := cl.Get(key, size, ts); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.Set(key, size, binNoTime); err != nil {
+		if _, err := cl.Set(key, size, ts); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	avg := testing.AllocsPerRun(500, func() {
-		hit, err := cl.Get(key, size, binNoTime)
+		hit, err := cl.Get(key, size, ts)
 		if err != nil || !hit {
 			t.Fatalf("GET: hit=%v err=%v", hit, err)
 		}
@@ -357,7 +418,7 @@ func TestServingPathAllocFree(t *testing.T) {
 	}
 
 	avg = testing.AllocsPerRun(500, func() {
-		stored, err := cl.Set(key, size, binNoTime)
+		stored, err := cl.Set(key, size, ts)
 		if err != nil || !stored {
 			t.Fatalf("SET: stored=%v err=%v", stored, err)
 		}

@@ -21,7 +21,11 @@
 #   race         go test -race on the concurrent packages, plus the
 #                dedicated sharded-engine stress run (100 clients of
 #                mixed GET/SET against an 8-shard server, reconciling
-#                METRICS totals), TestStatsAreTheMetrics (a 4-shard
+#                METRICS totals), the background trainer's tests (a fit
+#                held on the trainer while 12 000 requests are served and
+#                its windows skipped, then installed; an idle fit
+#                installed by the next request; Close stopping a fit; the
+#                trainer thread in the idle class), TestStatsAreTheMetrics (a 4-shard
 #                server's cache.Stats, METRICS cache.* rows and STATS
 #                reply are one set of counters, with METRICS read while
 #                traffic runs), the multi-process cluster chaos
@@ -209,6 +213,9 @@ stage_race() {
     echo "==> sharded cross-shard race stress (100 clients, mixed GET/SET)"
     run_named 'TestShardedStress' -race ./internal/server/
     run_named 'TestShardedConcurrent' -race ./internal/cache/
+    echo "==> the trainer: a held fit while requests are served, an idle fit installed by the next request, Close stopping a fit"
+    run_named 'TestHeldFitKeepsServing|TestHandedOffFitInstallsOnNextRequest' -race ./internal/core/
+    run_named 'TestClosedTrainerStopsFit|TestTrainerThreadIsIdle' -race ./internal/nn/
     echo "==> cache.Stats, METRICS and STATS read one set of counters (METRICS snapshots taken under traffic)"
     run_named 'TestStatsAreTheMetrics' -race ./internal/server/
     # The multi-process chaos test runs again explicitly under a hard
