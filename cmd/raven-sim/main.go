@@ -25,7 +25,6 @@ import (
 
 	"raven/internal/cache"
 	"raven/internal/core"
-	"raven/internal/nn"
 	"raven/internal/policy"
 	"raven/internal/sim"
 	"raven/internal/trace"
@@ -45,7 +44,6 @@ func main() {
 		cacheFrac = flag.Float64("cachefrac", 0.02, "cache capacity as a fraction of unique bytes")
 		warmup    = flag.Float64("warmup", 0.3, "fraction of requests excluded from statistics")
 		netKind   = flag.String("net", "", "latency model: cdn|memory|'' (off)")
-		workers   = flag.Int("workers", 1, "Raven training goroutines (results are bit-identical for any value; eviction decisions are serial)")
 		shards    = flag.Int("shards", 1, "cache shards, one policy instance each (rounded up to a power of two)")
 		ckptDir   = flag.String("checkpoint", "", "Raven checkpoint directory: resume from the newest valid generation, save after trainings")
 		ckptEvery = flag.Int("checkpoint-every", 1, "save a checkpoint generation every N completed trainings")
@@ -71,21 +69,29 @@ func main() {
 	}
 	// A value the generators or the policy would silently replace (a
 	// zero count or scale by its default, a negative budget by none, a
-	// worker count below 1 by serial training), or one the replay would
-	// refuse only after the trace was built (a shard count, a warm-up
-	// share, an admission mode), is refused before anything runs.
+	// second trace source by the first), or one the replay would refuse
+	// only after the trace was built (a capacity, a shard count, a
+	// warm-up share, an admission mode), is refused before anything
+	// runs.
 	admitErr := policy.AdmissionOptions{Mode: *admitMode}.Validate()
+	sources := 0
+	for _, s := range []string{*prodName, *synthName, *file} {
+		if s != "" {
+			sources++
+		}
+	}
 	for _, bad := range []struct {
 		ok  bool
 		msg string
 	}{
+		{sources == 1, fmt.Sprintf("give exactly one of -trace, -synthetic, -file (got %d)", sources)},
 		{*ckptEvery >= 1, fmt.Sprintf("-checkpoint-every %d must be at least 1", *ckptEvery)},
 		{*requests >= 1, fmt.Sprintf("-requests %d must be at least 1", *requests)},
 		{*objects >= 1, fmt.Sprintf("-objects %d must be at least 1", *objects)},
 		{*scale > 0, fmt.Sprintf("-scale %v must be positive", *scale)},
+		{*capacity >= 0, fmt.Sprintf("-capacity %d must not be negative", *capacity)},
 		{*cacheFrac > 0, fmt.Sprintf("-cachefrac %v must be positive", *cacheFrac)},
 		{*budget >= 0, fmt.Sprintf("-decision-budget %v must not be negative", *budget)},
-		{*workers >= 1, fmt.Sprintf("-workers %d must be at least 1", *workers)},
 		{*shards >= 1, fmt.Sprintf("-shards %d must be at least 1", *shards)},
 		{*warmup >= 0 && *warmup < 1, fmt.Sprintf("-warmup %v must be in [0, 1)", *warmup)},
 		{admitErr == nil, fmt.Sprintf("-admit: %v", admitErr)},
@@ -116,6 +122,9 @@ func main() {
 			fail(err)
 		}
 		names, factories = append(names, name), append(factories, factory)
+	}
+	if len(names) == 0 {
+		fail(fmt.Sprintf("-policies %q names no policy", *policies))
 	}
 
 	tr, err := loadTrace(*prodName, *synthName, *file, *requests, *objects, *varSizes, *scale, *seed)
@@ -156,7 +165,6 @@ func main() {
 			Inference32:     *inference32,
 			DecisionBudget:  *budget,
 			Admission:       policy.AdmissionOptions{Mode: *admitMode},
-			Raven:           &core.Config{Train: nn.TrainConfig{Workers: *workers}},
 		}
 		res, err := sim.Run(tr, *shards, factories[i].PerShard(popts, *shards), opts)
 		if err != nil {
@@ -226,7 +234,7 @@ func loadTrace(prod, synth, file string, requests, objects int, varSizes bool, s
 			return nil, fmt.Errorf("unknown production preset %q (known: %v)", prod, trace.AllProductionPresets)
 		}
 		return trace.ProductionTrace(p, scale, seed), nil
-	case synth != "":
+	default:
 		d, err := trace.ParseInterarrival(synth)
 		if err != nil {
 			return nil, err
@@ -235,8 +243,6 @@ func loadTrace(prod, synth, file string, requests, objects int, varSizes bool, s
 			Objects: objects, Requests: requests, Interarrival: d,
 			VariableSizes: varSizes, Seed: seed,
 		}), nil
-	default:
-		return nil, fmt.Errorf("one of -trace, -synthetic, -file is required")
 	}
 }
 

@@ -144,6 +144,33 @@ func TestRavenFallsBackToLRUBeforeTraining(t *testing.T) {
 	}
 }
 
+// TestNoModelCountsNoModelEvictions: a Raven that never trained serves
+// every eviction from its LRU list and counts none of them as the
+// model's, nor as fallback, which starts counting with the first model.
+func TestNoModelCountsNoModelEvictions(t *testing.T) {
+	ro := &obs.RavenObs{}
+	r := New(Config{TrainWindow: 1 << 40, Seed: 1, Obs: ro}) // window never ends
+	c := cache.New(3, r)
+	const n = 50
+	for i := 0; i < 3+n; i++ {
+		c.Handle(cache.Request{Time: int64(i), Key: cache.Key(i), Size: 1})
+	}
+	if r.Net() != nil {
+		t.Fatal("model unexpectedly trained")
+	}
+	if got := c.StatsSnapshot().Evictions; got != n {
+		t.Fatalf("%d evictions, want %d", got, n)
+	}
+	for k := cache.Key(0); k < n; k++ {
+		if c.Contains(k) {
+			t.Errorf("key %d resident: the evictions were not LRU's", k)
+		}
+	}
+	if m, f := ro.ModelEvictions.Load(), ro.FallbackEvictions.Load(); m != 0 || f != 0 {
+		t.Errorf("model_evictions %d, fallback_evictions %d before any model, want 0 and 0", m, f)
+	}
+}
+
 func TestMCConvergesToExactPriority(t *testing.T) {
 	g := stats.NewRNG(17)
 	mixes := make([]nn.Mixture, 5)
@@ -213,6 +240,7 @@ func TestRavenTrainsAndEvicts(t *testing.T) {
 		Objects: 200, Requests: 10000, Interarrival: trace.Poisson, Seed: 5,
 	})
 	window := tr.Duration() / 4
+	ro := &obs.RavenObs{}
 	r := New(Config{
 		TrainWindow:     window,
 		MaxTrainObjects: 300,
@@ -220,6 +248,7 @@ func TestRavenTrainsAndEvicts(t *testing.T) {
 		Train:           nn.TrainConfig{MaxEpochs: 10, Patience: 3},
 		ResidualSamples: 30,
 		Seed:            7,
+		Obs:             ro,
 	})
 	c := cache.New(40, r) // 40 unit-size objects
 	for _, req := range tr.Reqs {
@@ -230,6 +259,9 @@ func TestRavenTrainsAndEvicts(t *testing.T) {
 	}
 	if len(r.TrainStats) < 2 {
 		t.Errorf("expected multiple training windows, got %d", len(r.TrainStats))
+	}
+	if ro.ModelEvictions.Load() == 0 {
+		t.Error("the trained model decided no eviction (raven.model_evictions 0)")
 	}
 	st := c.StatsSnapshot()
 	if st.OHR() < 0.05 {

@@ -630,6 +630,7 @@ func (r *Raven) Victim() (cache.Key, bool) {
 	if budget > 0 {
 		r.sloMet()
 	}
+	r.obs.ModelEvictions.Inc()
 	// Remember the victim's record so the OnEvict that follows needs no
 	// lookup.
 	t.vicKey, t.vicH = r.scrKeys[victim], t.dense[r.scrIdx[victim]]

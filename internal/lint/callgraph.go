@@ -24,8 +24,8 @@ import (
 //     resolve to every function literal, declared function, or method
 //     value assigned to / passed as that variable anywhere in the
 //     module, computed to a fixpoint so chains like
-//     `trainTask := func(w, i int) {…}; st.pool.ParallelFor(bl, trainTask)`
-//     link ParallelFor to that literal.
+//     `fn := func(i int) {…}; each(n, fn)` link each's `fn(i)` to
+//     that literal.
 //
 // Out-of-module (stdlib) callees have no bodies here and get no edge.
 // In-module assembly functions are nodes without a body: leaves.

@@ -8,21 +8,21 @@ import (
 )
 
 // poolFile is the one file in the deterministic packages allowed to
-// launch goroutines: nn.Pool's fork-join loop.
+// launch goroutines: nn.Trainer's background fit loop.
 const poolFile = "internal/nn/pool.go"
 
 // ruleGoroutineOutsidePool flags every `go` statement in internal/nn
-// and internal/core outside nn.Pool. Those packages promise bit-exact
-// results for any worker count (DESIGN.md "Parallel execution &
-// determinism"), and that promise is only auditable while every
-// source of concurrency on the training and eviction paths flows
-// through Pool.ParallelFor's index-addressed contract. Sites with a
-// reason to fork directly carry a //lint:allow pragma.
+// and internal/core outside poolFile. Those packages promise byte-
+// identical replays (DESIGN.md "Determinism & where fits run"), and
+// that promise is only auditable while the one concurrent thing on the
+// training and eviction paths is nn.Trainer, which runs a whole fit on
+// its own goroutine and hands back the result. Sites with a reason to
+// fork directly carry a //lint:allow pragma.
 func ruleGoroutineOutsidePool() Rule {
 	const id = "goroutine-outside-pool"
 	return Rule{
 		ID:  id,
-		Doc: "internal/nn and internal/core launch goroutines only through nn.Pool",
+		Doc: "internal/nn and internal/core launch goroutines only through nn.Trainer",
 		Check: func(p *Package) []Finding {
 			var out []Finding
 			for _, f := range p.Files {
@@ -33,7 +33,7 @@ func ruleGoroutineOutsidePool() Rule {
 				ast.Inspect(f, func(n ast.Node) bool {
 					if gs, ok := n.(*ast.GoStmt); ok {
 						out = append(out, p.finding(id, gs.Pos(),
-							"goroutine launched outside nn.Pool; route parallelism through Pool.ParallelFor"))
+							"goroutine launched outside nn.Trainer; run background work as a Trainer job"))
 					}
 					return true
 				})

@@ -81,8 +81,7 @@ func TestFitAllocFree(t *testing.T) {
 // TestFitScratchCarriesNothing: a Fit on a net that kept the scratch of
 // an earlier fit gives what it gives on a net whose scratch is dropped
 // first — byte for byte in weights, gradient, moments and TrainResult —
-// whichever of the two fits is larger or has the longer sequences, and
-// whichever worker count each runs at.
+// whichever of the two fits is larger or has the longer sequences.
 func TestFitScratchCarriesNothing(t *testing.T) {
 	big := trainSequences(90, stats.NewRNG(5))
 	small := trainSequences(30, stats.NewRNG(7))
@@ -93,22 +92,18 @@ func TestFitScratchCarriesNothing(t *testing.T) {
 		name string
 		a, b []Sequence
 	}{{"big then small", big, small}, {"small then big", small, big}} {
-		for _, wa := range []int{1, 4} {
-			for _, wb := range []int{1, 4} {
-				ca := TrainConfig{MaxEpochs: 3, Patience: 3, Batch: 8, Workers: wa, Seed: 11}
-				cb := TrainConfig{MaxEpochs: 3, Patience: 3, Batch: 6, Workers: wb, Seed: 12}
-				kept, dropped := guardNet(), guardNet()
-				kept.Fit(d.a, ca)
-				dropped.Fit(d.a, ca)
-				dropped.fit = nil
-				got, want := kept.Fit(d.b, cb), dropped.Fit(d.b, cb)
-				if got != want {
-					t.Errorf("%s, workers %d then %d: kept scratch\n got %+v\nwant %+v", d.name, wa, wb, got, want)
-				}
-				if !bytes.Equal(trainedState(t, kept), trainedState(t, dropped)) {
-					t.Errorf("%s, workers %d then %d: the net that kept its scratch trained other weights", d.name, wa, wb)
-				}
-			}
+		ca := TrainConfig{MaxEpochs: 3, Patience: 3, Batch: 8, Seed: 11}
+		cb := TrainConfig{MaxEpochs: 3, Patience: 3, Batch: 6, Seed: 12}
+		kept, dropped := guardNet(), guardNet()
+		kept.Fit(d.a, ca)
+		dropped.Fit(d.a, ca)
+		dropped.fit = nil
+		got, want := kept.Fit(d.b, cb), dropped.Fit(d.b, cb)
+		if got != want {
+			t.Errorf("%s: kept scratch\n got %+v\nwant %+v", d.name, got, want)
+		}
+		if !bytes.Equal(trainedState(t, kept), trainedState(t, dropped)) {
+			t.Errorf("%s: the net that kept its scratch trained other weights", d.name)
 		}
 	}
 }

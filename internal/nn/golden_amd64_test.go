@@ -10,10 +10,8 @@ func TestFitGoldenBytesGoKernels(t *testing.T) {
 	defer func(on bool) { useAVX = on }(useAVX)
 	useAVX = false
 	for _, row := range goldenRows {
-		for _, w := range []int{1, 4} {
-			if got := row.fit(t, w); got != row.want {
-				t.Errorf("%s workers=%d, Go kernels: fit bytes hash %s, want %s", row.name, w, got, row.want)
-			}
+		if got := row.fit(t); got != row.want {
+			t.Errorf("%s, Go kernels: fit bytes hash %s, want %s", row.name, got, row.want)
 		}
 	}
 }

@@ -79,12 +79,11 @@ func goldenData(n int, seed int64, longer int) []Sequence {
 
 // goldenFit runs the pinned fit: an 8/12/4 net, survival on, guarded,
 // three epochs at MaxSeq 12.
-func goldenFit(t *testing.T, workers int) string {
+func goldenFit(t *testing.T) string {
 	t.Helper()
 	n := NewNet(Config{Hidden: 8, MLPHidden: 12, K: 4, TimeScale: 40, Seed: 3})
 	res := n.Fit(goldenData(72, 5, 0), TrainConfig{
-		MaxEpochs: 3, Patience: 3, Batch: 8, MaxSeq: 12,
-		Workers: workers, Seed: 11,
+		MaxEpochs: 3, Patience: 3, Batch: 8, MaxSeq: 12, Seed: 11,
 	})
 	return fitHash(n, res)
 }
@@ -92,12 +91,11 @@ func goldenFit(t *testing.T, workers int) string {
 // servedFit runs the pinned fit at the served net's widths (Hidden 16,
 // MLPHidden 24, K 8) and training shape (MaxSeq 32, Batch 16), survival
 // on, guarded, two epochs; the last minibatch of each epoch is partial.
-func servedFit(t *testing.T, workers int) string {
+func servedFit(t *testing.T) string {
 	t.Helper()
 	n := NewNet(Config{Hidden: 16, MLPHidden: 24, K: 8, TimeScale: 40, Seed: 4})
 	res := n.Fit(goldenData(90, 6, 33), TrainConfig{
-		MaxEpochs: 2, Patience: 2, Batch: 16, MaxSeq: 32,
-		Workers: workers, Seed: 12,
+		MaxEpochs: 2, Patience: 2, Batch: 16, MaxSeq: 32, Seed: 12,
 	})
 	return fitHash(n, res)
 }
@@ -105,7 +103,7 @@ func servedFit(t *testing.T, workers int) string {
 // goldenRows are the pinned fits with their hashes.
 var goldenRows = []struct {
 	name string
-	fit  func(t *testing.T, workers int) string
+	fit  func(t *testing.T) string
 	want string
 }{
 	{"8/12/4", goldenFit, fitGoldenSHA},
@@ -114,10 +112,8 @@ var goldenRows = []struct {
 
 func TestFitGoldenBytes(t *testing.T) {
 	for _, row := range goldenRows {
-		for _, w := range []int{1, 4} {
-			if got := row.fit(t, w); got != row.want {
-				t.Errorf("%s workers=%d: fit bytes hash %s, want %s", row.name, w, got, row.want)
-			}
+		if got := row.fit(t); got != row.want {
+			t.Errorf("%s: fit bytes hash %s, want %s", row.name, got, row.want)
 		}
 	}
 }

@@ -11,17 +11,15 @@ package nn
 // Fit restores the exact pre-fit weights, leaves Version unchanged, and
 // reports Diverged in TrainResult.
 //
-// Every check runs at a point that is serial for every Workers value
-// (the shard reduction and the epoch boundary), so the guard preserves
-// Fit's bit-determinism. Gradient clipping is Adam's alone (Adam.Clip).
+// Every check runs on a whole minibatch's folded gradient or at an
+// epoch boundary. Gradient clipping is Adam's alone (Adam.Clip).
 const maxLossBlowup = 50
 
 // TrainFaults injects deterministic faults into Fit for testing the
-// guard and every degradation path behind it. Faults are applied at
-// the serial reduction point of each minibatch — after the per-shard
-// gradients have been folded into the master in sequence order — so
-// an injected fault produces bit-identical outcomes for any Workers
-// value. Epochs are 1-based; a zero epoch disables that fault.
+// guard and every degradation path behind it. Faults are applied once
+// per minibatch, after every sequence's gradient has been folded into
+// the master in sequence order, so a faulted fit is as reproducible as
+// a clean one. Epochs are 1-based; a zero epoch disables that fault.
 type TrainFaults struct {
 	// NaNLossEpoch, from that epoch on, replaces every minibatch's
 	// reduced loss with NaN (tripping the finite check).

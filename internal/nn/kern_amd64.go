@@ -181,7 +181,7 @@ func tanhSlice(x, y []float64) {
 // relu, reluBackward, reduceZero, adamUpdate and finite are the
 // elementwise Go loops of vec.go, and checkLen proves every length
 // first. With AVX the assembly runs every whole group of four entries
-// and the Go loop the rest, except in reduceZero.
+// (of sixteen in reduceZero) and the Go loop the rest.
 
 func relu(x, y []float64) {
 	checkLen(y, len(x))
@@ -203,18 +203,14 @@ func reluBackward(y, dy []float64) {
 	reluBackwardGo(y[n:], dy[n:])
 }
 
-// reduceZero's assembly runs every entry, the tail included: it takes
-// each entry through every slot in turn, so the master's entries stay
-// in registers while the slots are added in order.
-func reduceZero(dst []float64, srcs [][]float64) {
-	if !useAVX {
-		reduceZeroGo(dst, srcs)
-		return
+func reduceZero(dst, src []float64) {
+	checkLen(src, len(dst))
+	n := 0
+	if useAVX {
+		n = len(dst) &^ 15
+		reduceZeroAVX(dst[:n], src[:n])
 	}
-	for _, src := range srcs {
-		checkLen(src, len(dst))
-	}
-	reduceZeroAVX(dst, srcs)
+	reduceZeroGo(dst[n:], src[n:])
 }
 
 func adamUpdate(w, g, m, v []float64, c *adamCoef) {
@@ -275,7 +271,7 @@ func reluAVX(x, y []float64)
 func reluBackwardAVX(y, dy []float64)
 
 //go:noescape
-func reduceZeroAVX(dst []float64, srcs [][]float64)
+func reduceZeroAVX(dst, src []float64)
 
 //go:noescape
 func adamUpdateAVX(w, g, m, v []float64, c *adamCoef)

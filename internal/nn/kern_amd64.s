@@ -225,100 +225,39 @@ rbDone:
 	VZEROUPPER
 	RET
 
-// func reduceZeroAVX(dst []float64, srcs [][]float64)
+// func reduceZeroAVX(dst, src []float64)
 //
-// dst += srcs[0], then srcs[1], …, each src cleared to +0: per block
-// of dst (16 entries, then 4, then 1) held in registers while every
-// src adds into it in slice order, so each entry sums as the slot-by-
-// slot Go loop sums it.
+// dst += src, then src = +0, sixteen entries a round; len(dst) is a
+// multiple of 16.
 TEXT ·reduceZeroAVX(SB), NOSPLIT, $0-48
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
-	MOVQ srcs_base+24(FP), R8  // R8 = the first slice header of srcs
-	MOVQ srcs_len+32(FP), R9
-	SHLQ $3, CX                // CX = bytes of dst
-	XORQ DX, DX                // DX = the block's offset
+	MOVQ src_base+24(FP), SI
+	SHLQ $3, CX
+	XORQ DX, DX
 	VXORPD Y15, Y15, Y15
 
-rzBlock16:
-	LEAQ 128(DX), AX
-	CMPQ AX, CX
-	JGT  rzBlock4
+rzLoop:
+	CMPQ DX, CX
+	JGE  rzDone
 	VMOVUPD (DI)(DX*1), Y0
 	VMOVUPD 32(DI)(DX*1), Y1
 	VMOVUPD 64(DI)(DX*1), Y2
 	VMOVUPD 96(DI)(DX*1), Y3
-	MOVQ R8, R10
-	MOVQ R9, R11
-
-rzSlot16:
-	TESTQ R11, R11
-	JZ    rzStore16
-	MOVQ  (R10), SI            // the src's base
 	VADDPD  (SI)(DX*1), Y0, Y0
 	VADDPD  32(SI)(DX*1), Y1, Y1
 	VADDPD  64(SI)(DX*1), Y2, Y2
 	VADDPD  96(SI)(DX*1), Y3, Y3
-	VMOVUPD Y15, (SI)(DX*1)
-	VMOVUPD Y15, 32(SI)(DX*1)
-	VMOVUPD Y15, 64(SI)(DX*1)
-	VMOVUPD Y15, 96(SI)(DX*1)
-	ADDQ $24, R10
-	DECQ R11
-	JMP  rzSlot16
-
-rzStore16:
 	VMOVUPD Y0, (DI)(DX*1)
 	VMOVUPD Y1, 32(DI)(DX*1)
 	VMOVUPD Y2, 64(DI)(DX*1)
 	VMOVUPD Y3, 96(DI)(DX*1)
-	MOVQ AX, DX
-	JMP  rzBlock16
-
-rzBlock4:
-	LEAQ 32(DX), AX
-	CMPQ AX, CX
-	JGT  rzBlock1
-	VMOVUPD (DI)(DX*1), Y0
-	MOVQ R8, R10
-	MOVQ R9, R11
-
-rzSlot4:
-	TESTQ R11, R11
-	JZ    rzStore4
-	MOVQ  (R10), SI
-	VADDPD  (SI)(DX*1), Y0, Y0
 	VMOVUPD Y15, (SI)(DX*1)
-	ADDQ $24, R10
-	DECQ R11
-	JMP  rzSlot4
-
-rzStore4:
-	VMOVUPD Y0, (DI)(DX*1)
-	MOVQ AX, DX
-	JMP  rzBlock4
-
-rzBlock1:
-	CMPQ DX, CX
-	JGE  rzDone
-	VMOVSD (DI)(DX*1), X0
-	MOVQ R8, R10
-	MOVQ R9, R11
-
-rzSlot1:
-	TESTQ R11, R11
-	JZ    rzStore1
-	MOVQ  (R10), SI
-	VADDSD (SI)(DX*1), X0, X0
-	VMOVSD X15, (SI)(DX*1)
-	ADDQ $24, R10
-	DECQ R11
-	JMP  rzSlot1
-
-rzStore1:
-	VMOVSD X0, (DI)(DX*1)
-	ADDQ $8, DX
-	JMP  rzBlock1
+	VMOVUPD Y15, 32(SI)(DX*1)
+	VMOVUPD Y15, 64(SI)(DX*1)
+	VMOVUPD Y15, 96(SI)(DX*1)
+	ADDQ $128, DX
+	JMP  rzLoop
 
 rzDone:
 	VZEROUPPER

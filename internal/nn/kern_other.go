@@ -41,7 +41,7 @@ func relu(x, y []float64) { reluGo(x, y) }
 
 func reluBackward(y, dy []float64) { reluBackwardGo(y, dy) }
 
-func reduceZero(dst []float64, srcs [][]float64) { reduceZeroGo(dst, srcs) }
+func reduceZero(dst, src []float64) { reduceZeroGo(dst, src) }
 
 func adamUpdate(w, g, m, v []float64, c *adamCoef) { adamUpdateGo(w, g, m, v, c) }
 

@@ -240,23 +240,15 @@ func checkKernels(t *testing.T, c kernelCase) {
 		fail("log1p of |w|", got, want)
 	}
 
-	// Three slots, then none.
-	for _, slots := range [][][]float64{{c.w, c.m, c.v}, nil} {
-		got, want = slices.Clone(c.dw), slices.Clone(c.dw)
-		gotSrcs, wantSrcs := make([][]float64, len(slots)), make([][]float64, len(slots))
-		for i, src := range slots {
-			gotSrcs[i], wantSrcs[i] = slices.Clone(src), slices.Clone(src)
-		}
-		reduceZero(got, gotSrcs)
-		reduceZeroGo(want, wantSrcs)
-		if !sameBits(got, want) {
-			fail("reduceZero/dst", got, want)
-		}
-		for i := range gotSrcs {
-			if !sameBits(gotSrcs[i], wantSrcs[i]) {
-				fail("reduceZero/src", gotSrcs[i], wantSrcs[i])
-			}
-		}
+	got, want = slices.Clone(c.dw), slices.Clone(c.dw)
+	gotSrc, wantSrc := slices.Clone(c.w), slices.Clone(c.w)
+	reduceZero(got, gotSrc)
+	reduceZeroGo(want, wantSrc)
+	if !sameBits(got, want) {
+		fail("reduceZero/dst", got, want)
+	}
+	if !sameBits(gotSrc, wantSrc) {
+		fail("reduceZero/src", gotSrc, wantSrc)
 	}
 
 	coef := c.adamCase()
@@ -538,12 +530,8 @@ func TestKernelsShortSlicesPanic(t *testing.T) {
 		// short view too.
 		{"relu/y", make([]float64, len(c.w)), func(y []float64) { relu(c.w, short(y)) }},
 		{"reluBackward/y", slices.Clone(c.dw), func(dy []float64) { reluBackward(short(c.w), dy) }},
-		{"reduceZero/src", slices.Clone(c.dw), func(dst []float64) {
-			reduceZero(dst, [][]float64{clone(c.w), short(clone(c.m))})
-		}},
-		{"reduceZero/src:src", slices.Clone(c.w), func(src []float64) {
-			reduceZero(clone(c.dw), [][]float64{src, short(clone(c.m))})
-		}},
+		{"reduceZero/src", slices.Clone(c.dw), func(dst []float64) { reduceZero(dst, short(clone(c.w))) }},
+		{"reduceZero/src:src", slices.Clone(c.w), func(src []float64) { reduceZero(clone(c.dw), short(src)) }},
 		{"adamUpdate/g", slices.Clone(c.w), func(w []float64) { adamUpdate(w, short(clone(c.dw)), clone(c.m), clone(c.v), &coef) }},
 		{"adamUpdate/m", slices.Clone(c.w), func(w []float64) { adamUpdate(w, clone(c.dw), short(clone(c.m)), clone(c.v), &coef) }},
 		{"adamUpdate/v", slices.Clone(c.w), func(w []float64) { adamUpdate(w, clone(c.dw), clone(c.m), short(clone(c.v)), &coef) }},

@@ -114,10 +114,8 @@ func (n *Net) Params() []*Param { return n.params }
 // arrays (updates to n's parameters — Adam steps, snapshot restores —
 // are immediately visible) but whose gradient buffers and recurrent
 // scratch are private: one gradient vector in Params() order, zeroed.
-// One goroutine may run forward/backward (with its own arena) or
-// PredictBatch on a shadow concurrently with other shadows; Fit's
-// gradient replicas are shadows. Only the original carries optimizer
-// state, and Fit must be called on the original.
+// Fit's gradient replica is a shadow. Only the original carries
+// optimizer state, and Fit must be called on the original.
 func (n *Net) Shadow() *Net {
 	sl := (&slab{all: n.all}).shadow()
 	s := &Net{Cfg: n.Cfg, Version: n.Version, all: sl.all}

@@ -28,7 +28,7 @@ func newParam(name string, n int) *Param {
 // slab lays a network's tensors out end to end in the vectors of one
 // Param, all: each tensor's W, G, m and v are views into all's, in the
 // order the tensors were made, which is Params() order. Whatever runs
-// over every parameter at once — the shard reduction, Adam, the
+// over every parameter at once — the gradient fold, Adam, the
 // guard's checks, a snapshot — is then one pass over one vector.
 type slab struct {
 	all  *Param

@@ -34,14 +34,7 @@ type TrainConfig struct {
 	Patience  int // epochs without validation improvement before stopping (§5.1.3)
 	Batch     int // sequences per Adam step
 	MaxSeq    int // truncate sequences to their last MaxSeq interarrivals
-	// Workers is the number of goroutines Fit fans each minibatch (and
-	// the validation pass) out over; 0 or 1 runs serially. Results are
-	// bit-identical for every value — gradient shards are reduced in
-	// fixed sequence order and every sequence owns its RNG stream — so
-	// Workers is purely a throughput knob. runtime.GOMAXPROCS(0) is
-	// the hardware optimum.
-	Workers int
-	Seed    int64
+	Seed      int64
 
 	// Faults, when non-nil, injects deterministic training faults
 	// (see TrainFaults). Test/fault-drill hook; nil in production.
@@ -90,77 +83,43 @@ type TrainResult struct {
 
 // fitScratch is the training state a Net keeps from one Fit to the
 // next, so that a network retrained every window allocates it once, not
-// once per fit: the worker pool and the optimizer, the master RNG, the
-// split-and-shuffle permutation, the gradient replicas with their RNGs
-// and the per-worker arenas, the slot-ordered seed/loss/term arrays
-// every minibatch writes, and the two weight snapshots. It is never
+// once per fit: the optimizer, the master RNG, the split-and-shuffle
+// permutation, the gradient replica with its age RNG, the arena
+// forwardBackward works in, and the two weight snapshots. It is never
 // serialized, and no value in it outlives a fit: each buffer is
-// overwritten before it is read, except the replicas' gradient vectors,
-// which the reduction leaves zeroed (reduceZero).
-//
-// A serial fit (one worker) keeps one replica and folds it into the
-// master after every sequence; a parallel one keeps a replica and an
-// RNG per minibatch slot (slot i accumulates sequence i's gradients),
-// and the validation pass reuses one replica per worker.
+// overwritten before it is read, except the replica's gradient vector,
+// which the fold into the master leaves zeroed (reduceZero).
 type fitScratch struct {
-	pool     *Pool
-	opt      *Adam
-	rng      *stats.RNG    // the fit's master stream, reseeded with TrainConfig.Seed
-	perm     []int         // the validation/training split, then the shuffled training order
-	replicas []*Net        // gradient replicas: one serial, a slot's each in parallel
-	grads    [][]float64   // each replica's gradient vector, reduced in slot order
-	rngs     []*stats.RNG  // each replica's age stream, reseeded per sequence
-	arenas   []*trainArena // worker w's forwardBackward scratch
-	seeds    []int64
-	loss     []float64
-	terms    []int
-	bestW    []float64 // the best validation epoch's weights
-	preFit   []float64 // the pre-fit weights, then Adam's first and second moments
+	opt     *Adam
+	rng     *stats.RNG  // the fit's master stream, reseeded with TrainConfig.Seed
+	perm    []int       // the validation/training split, then the shuffled training order
+	replica *Net        // takes one sequence's gradients, folded into the master's after it
+	ageRNG  *stats.RNG  // the replica's age stream, reseeded per sequence
+	arena   *trainArena // forwardBackward's scratch
+	bestW   []float64   // the best validation epoch's weights
+	preFit  []float64   // the pre-fit weights, then Adam's first and second moments
 }
 
-// scratch returns n's fit scratch, sized for a fit of data under tc
-// with nVal validation sequences; the first fit builds it, and a later
-// one grows only what it outgrew.
-func (n *Net) scratch(data []Sequence, tc TrainConfig, nVal int) *fitScratch {
+// scratch returns n's fit scratch, sized for a fit of data under tc;
+// the first fit builds it, and a later one grows only what it outgrew.
+func (n *Net) scratch(data []Sequence, tc TrainConfig) *fitScratch {
 	st := n.fit
 	if st == nil {
 		P := n.NumParams()
 		st = &fitScratch{
-			opt:    NewAdam(learningRate, []*Param{n.all}),
-			rng:    stats.NewRNG(0),
-			bestW:  make([]float64, P),
-			preFit: make([]float64, 3*P),
+			opt:     NewAdam(learningRate, []*Param{n.all}),
+			rng:     stats.NewRNG(0),
+			replica: n.Shadow(),
+			ageRNG:  stats.NewRNG(0), // reseeded before every use
+			arena:   new(trainArena),
+			bestW:   make([]float64, P),
+			preFit:  make([]float64, 3*P),
 		}
 		n.fit = st
 	}
-	workers := max(tc.Workers, 1)
-	if st.pool == nil || st.pool.Workers() != workers {
-		st.pool = NewPool(workers)
-	}
-	replicas := 1
-	if workers > 1 {
-		replicas = max(tc.Batch, workers)
-	}
-	if len(st.replicas) != replicas {
-		st.replicas = make([]*Net, replicas)
-		st.grads = make([][]float64, replicas)
-		st.rngs = make([]*stats.RNG, replicas)
-		for i := range st.replicas {
-			st.replicas[i] = n.Shadow()
-			st.grads[i] = st.replicas[i].all.G
-			st.rngs[i] = stats.NewRNG(0) // reseeded before every use
-		}
-	}
-	if len(st.arenas) != workers {
-		st.arenas = make([]*trainArena, workers)
-		for w := range st.arenas {
-			st.arenas[w] = new(trainArena)
-		}
-	}
-	// Every worker's arena is grown here, before the first minibatch,
-	// to the longest sequence forwardBackward will see, so the fit's
-	// allocation count does not depend on which sequences land on which
-	// worker.
+	// The arena is grown here, before the first minibatch, to the
+	// longest sequence forwardBackward will see, so the fit's allocation
+	// count does not depend on the order its sequences come in.
 	longest := 0
 	for i := range data {
 		longest = max(longest, len(data[i].Taus))
@@ -168,22 +127,12 @@ func (n *Net) scratch(data []Sequence, tc TrainConfig, nVal int) *fitScratch {
 	if tc.MaxSeq > 0 {
 		longest = min(longest, tc.MaxSeq)
 	}
-	for _, a := range st.arenas {
-		a.grow(n, longest, true)
+	st.arena.grow(n, longest, true)
+	if cap(st.perm) < len(data) {
+		st.perm = make([]int, len(data))
 	}
-	st.perm = resize(st.perm, len(data))
-	st.seeds = resize(st.seeds, tc.Batch)
-	st.loss = resize(st.loss, max(tc.Batch, nVal))
-	st.terms = resize(st.terms, max(tc.Batch, nVal))
+	st.perm = st.perm[:len(data)]
 	return st
-}
-
-// resize returns s at length n, on s's own array when it holds n.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // Fit trains the network on data by maximizing Eq. 5 (log-likelihood
@@ -192,15 +141,11 @@ func resize[T any](s []T, n int) []T {
 // called repeatedly (warm start); Version increments on return. The
 // network keeps its training scratch (fitScratch) for the next call.
 //
-// Minibatches are data-parallel across tc.Workers goroutines with a
-// deterministic reduction: each sequence accumulates into its own
-// replica gradient buffer, drawn ages come from a per-sequence RNG
-// stream seeded serially from the master RNG, and replicas are reduced
-// into the optimizer's gradients in sequence-index order. A serial fit
-// folds its one replica into the master after each sequence, which
-// adds the same terms in the same order. Adam therefore sees
-// byte-identical gradients — and Fit returns byte-identical results —
-// for every worker count.
+// Each sequence accumulates its gradients into the replica, drawing its
+// ages from a stream seeded off the master RNG in sequence order, and
+// the replica is folded into the master's gradient after it, so every
+// entry sums as ((G+g₀)+g₁)+… in sequence order; the minibatch's losses
+// add in the same order.
 func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 	tc.Defaults()
 	res := TrainResult{Sequences: len(data), Parameters: n.NumParams()}
@@ -212,13 +157,11 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 	if nVal >= len(data) {
 		nVal = len(data) - 1
 	}
-	st := n.scratch(data, tc, nVal)
-	defer st.pool.Close() // release parked workers when this fit's batches are done
+	st := n.scratch(data, tc)
 	g := st.rng
 	g.Reseed(tc.Seed)
 	g.PermInto(st.perm)
 	val, train := st.perm[:nVal], st.perm[nVal:]
-	serial := st.pool.Workers() == 1
 
 	opt := st.opt
 	opt.t = 0
@@ -234,19 +177,8 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 	n.saveState(preFit)
 	bestEpochNLL := math.Inf(1)
 
-	// The tasks and the shuffle's swap are built once and read start
-	// through the closure: a closure per minibatch would be a heap
-	// allocation per minibatch.
-	var start int
-	run := func(w, r, i int) {
-		rng := st.rngs[r]
-		rng.Reseed(st.seeds[i])
-		st.loss[i], st.terms[i] = st.replicas[r].forwardBackward(st.arenas[w], &data[train[start+i]], rng, tc, true)
-	}
-	trainTask := func(w, i int) { run(w, i, i) }
-	valTask := func(w, vi int) {
-		st.loss[vi], st.terms[vi] = st.replicas[w].forwardBackward(st.arenas[w], &data[val[vi]], nil, tc, false)
-	}
+	// The shuffle's swap is built once: a closure per epoch would be a
+	// heap allocation per epoch.
 	swap := func(i, j int) { train[i], train[j] = train[j], train[i] }
 
 	for epoch := 0; epoch < tc.MaxEpochs; epoch++ {
@@ -257,42 +189,18 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 		g.Shuffle(len(train), swap)
 		terms := 0
 		lossSum := 0.0
-		for start = 0; start < len(train); start += tc.Batch {
-			end := start + tc.Batch
-			if end > len(train) {
-				end = len(train)
-			}
-			bl := end - start
-			// Per-sequence seeds come off the master RNG serially, so
-			// its stream never depends on the worker count.
-			for i := 0; i < bl; i++ {
-				st.seeds[i] = g.Int63()
-			}
-			// Fixed-order reduction: replica gradients fold into the
-			// master in sequence-index order, never worker order, and
-			// each replica's vector is left zeroed for its next
-			// sequence. Serially that is one replica folded after each
-			// sequence, in parallel every slot's after the minibatch:
-			// either way each entry is ((G+g₀)+g₁)+…
-			if serial {
-				for i := 0; i < bl; i++ {
-					run(0, 0, i)
-					reduceZero(n.all.G, st.grads)
-				}
-			} else {
-				st.pool.ParallelFor(bl, trainTask)
-				reduceZero(n.all.G, st.grads[:bl])
-			}
-			// Everything below this point — fault injection, the guard
-			// checks, Adam's clip — runs serially on the reduced state,
-			// so the guard cannot break Workers bit-determinism.
+		for start := 0; start < len(train); start += tc.Batch {
+			end := min(start+tc.Batch, len(train))
 			batchLoss := 0.0
 			batchTerms := 0
-			for i := 0; i < bl; i++ {
-				batchLoss += st.loss[i]
-				terms += st.terms[i]
-				batchTerms += st.terms[i]
+			for _, i := range train[start:end] {
+				st.ageRNG.Reseed(g.Int63())
+				loss, k := st.replica.forwardBackward(st.arena, &data[i], st.ageRNG, tc, true)
+				reduceZero(n.all.G, st.replica.all.G)
+				batchLoss += loss
+				batchTerms += k
 			}
+			terms += batchTerms
 			if tc.Faults.lossFault(epoch + 1) {
 				batchLoss = math.NaN()
 			}
@@ -329,11 +237,11 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 			}
 		}
 
-		st.pool.ParallelFor(len(val), valTask)
 		vLoss, vTerms := 0.0, 0
-		for vi := range val {
-			vLoss += st.loss[vi]
-			vTerms += st.terms[vi]
+		for _, i := range val {
+			loss, k := st.replica.forwardBackward(st.arena, &data[i], nil, tc, false)
+			vLoss += loss
+			vTerms += k
 		}
 		cur := res.TrainNLL
 		if vTerms > 0 {
@@ -357,14 +265,13 @@ func (n *Net) Fit(data []Sequence, tc TrainConfig) TrainResult {
 }
 
 // trainArena is the scratch forwardBackward reuses from sequence to
-// sequence, so a fit allocates per worker, not per timestep. Its
+// sequence, so a fit allocates it once, not per timestep. Its
 // matrices have one row per timestep or per MLP input — row i timestep
 // i, MLP row m the survival term — and grow to the longest sequence
 // they have held (at most MaxSeq, plus the survival row); they are
-// never shrunk. Nothing in it outlives a call, so each of a Fit's
-// workers owns one, whichever slots it runs; the arenas are kept with
-// the Net's fit scratch for its next fit, and a serving net, which
-// never trains, never builds one.
+// never shrunk. Nothing in it outlives a call; it is kept with the
+// Net's fit scratch for its next fit, and a serving net, which never
+// trains, never builds one.
 //
 // Reuse keeps the arithmetic of freshly allocated buffers only if
 // every buffer that is accumulated into (+=) starts from zero:
@@ -416,10 +323,9 @@ func (a *trainArena) grow(n *Net, m int, train bool) {
 // summed loss and the number of loss terms. With train=true it
 // accumulates parameter gradients (ages drawn ~ U[0, τ] per Eq. 5);
 // with train=false it evaluates the loss alone, deterministically (age
-// = τ/2). It is called on shadow replicas from Fit's worker goroutines,
-// so it must only touch n's own (per-shadow) state, the caller's arena
-// a and the shared weights. All scratch comes from a: in steady state
-// it allocates nothing.
+// = τ/2). Fit calls it on its replica, so it writes only n's own
+// gradients and the arena a, and reads the shared weights. All scratch
+// comes from a: in steady state it allocates nothing.
 //
 // It runs in three passes. The GRU has a recurrence and the MLP does
 // not, so the MLP's work is batched over the sequence's rows:

@@ -19,7 +19,7 @@
 // which has no recurrence, once over all of a sequence's steps: every
 // weight is loaded once per four rows, and each gradient tile stays in
 // registers while the rows add into it in backpropagation's order. The
-// elementwise passes — the ReLU masks, the shard reduction, Adam's
+// elementwise passes — the ReLU masks, the gradient fold, Adam's
 // update and the finiteness check — have AVX forms too, four entries
 // per instruction with each operation rounded as the Go loop rounds
 // it, and so do math.Exp, math.Log, math.Tanh and math.Log1p and the
@@ -28,16 +28,12 @@
 // fused form exactly where math takes it, each branch of tanh and log1p
 // picked per lane by a blend, every argument outside a kernel's range
 // left to math.
-// The training
-// loop exploits data parallelism across sequences through the
-// fork-join Pool in pool.go (the package's single sanctioned source of
-// goroutines, enforced by ravenlint's goroutine-outside-pool rule).
 //
-// Determinism contract: every parallel code path in this package is
-// bit-exact for any worker count. Work is partitioned by index, each
-// shard accumulates into private buffers, and reductions run serially
-// in fixed index order, so Workers=1 and Workers=N produce identical
-// bytes (see DESIGN.md "Parallel execution & determinism").
+// Training is serial: Fit runs on its caller's goroutine and folds each
+// sequence's gradient into the master's in sequence order, so the same
+// data, configuration and seed give the same bytes (DESIGN.md
+// "Determinism & where fits run"). The one goroutine the package starts
+// is the Trainer's (pool.go).
 package nn
 
 import "math"
@@ -66,8 +62,8 @@ func addTo(x, y []float64) {
 //
 // The dot product runs four independent accumulator chains and
 // combines them as (s0+s1)+(s2+s3); the association is fixed, so the
-// result is deterministic (and identical for every worker count),
-// just not bit-identical to a single-chain sum.
+// result is deterministic, just not bit-identical to a single-chain
+// sum.
 func matVecGo(w []float64, rows, cols int, x, y0, y []float64) {
 	x = x[:cols]
 	for r := 0; r < rows; r++ {
@@ -275,20 +271,15 @@ func reluBackwardGo(y, dy []float64) {
 	}
 }
 
-// reduceZeroGo adds each of srcs into dst, in order, and clears it:
-// dst_i += src_i, then src_i = +0. It is how the shards' gradient
-// vectors fold into the master's and are left ready for the next
-// minibatch.
-func reduceZeroGo(dst []float64, srcs [][]float64) {
-	for _, src := range srcs {
-		checkLen(src, len(dst))
-	}
-	for _, src := range srcs {
-		src = src[:len(dst)]
-		for i, v := range src {
-			dst[i] += v
-			src[i] = 0
-		}
+// reduceZeroGo adds src into dst and clears it: dst_i += src_i, then
+// src_i = +0. It is how the replica's gradient folds into the master's
+// and is left ready for the next sequence.
+func reduceZeroGo(dst, src []float64) {
+	checkLen(src, len(dst))
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] += v
+		src[i] = 0
 	}
 }
 

@@ -12,7 +12,7 @@ package nn
 //
 // The kernels mirror vec.go's shape exactly: 4-wide unrolled
 // accumulator chains combined as (s0+s1)+(s2+s3), so results are
-// deterministic (fixed association) for every worker count.
+// deterministic (fixed association).
 
 // matVec32 computes y = W*x + y0 where W is rows×cols row-major,
 // len(x) = cols, len(y) = rows. y is overwritten with W*x when y0 is

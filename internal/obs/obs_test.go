@@ -211,15 +211,15 @@ func TestRavenObsRegister(t *testing.T) {
 	if got["raven.train_epochs"] != 12 || got["raven.train_sequences"] != 4000 || got["raven.train_skipped"] != 3 {
 		t.Errorf("snapshot %v", got)
 	}
-	// 11 lifecycle and fast-path metrics + train_epochs, train_sequences,
+	// 12 lifecycle and fast-path metrics + train_epochs, train_sequences,
 	// train_skipped, then the history-store triple and the table's bytes,
 	// registered last.
-	if len(kvs) != 18 {
-		t.Fatalf("want 18 raven metrics, got %d", len(kvs))
+	if len(kvs) != 19 {
+		t.Fatalf("want 19 raven metrics, got %d", len(kvs))
 	}
 	for i, name := range []string{"raven.history_records", "raven.history_resident", "raven.history_dropped", "raven.table_bytes"} {
-		if kvs[14+i].Name != name {
-			t.Errorf("metric %d = %q, want %q", 14+i, kvs[14+i].Name, name)
+		if kvs[15+i].Name != name {
+			t.Errorf("metric %d = %q, want %q", 15+i, kvs[15+i].Name, name)
 		}
 	}
 }

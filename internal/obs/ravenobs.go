@@ -20,6 +20,10 @@ type RavenObs struct {
 	// insane mixture, or a DecisionBudget overrun. LRU evictions before
 	// the first model are not counted.
 	FallbackEvictions Counter
+	// ModelEvictions counts evictions the model decided. With
+	// FallbackEvictions it splits every eviction made once a model
+	// exists; before the first model neither counts.
+	ModelEvictions Counter
 	// TrainEpochs and TrainSequences sum nn.TrainResult.Epochs and
 	// .Sequences over every fit that ran, rolled back or not: the
 	// training cost in units that need no clock.
@@ -100,6 +104,7 @@ func (ro *RavenObs) Register(r *Registry, prefix string) {
 	r.adoptCounter(prefix+".rollbacks", &ro.Rollbacks)
 	r.adoptCounter(prefix+".guard_trips", &ro.GuardTrips)
 	r.adoptCounter(prefix+".fallback_evictions", &ro.FallbackEvictions)
+	r.adoptCounter(prefix+".model_evictions", &ro.ModelEvictions)
 	r.adoptCounter(prefix+".ckpt_saves", &ro.CkptSaves)
 	r.adoptCounter(prefix+".ckpt_errors", &ro.CkptErrors)
 	r.adoptCounter(prefix+".ckpt_corrupt_skipped", &ro.CkptCorruptSkipped)

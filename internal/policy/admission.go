@@ -29,7 +29,7 @@ const (
 // the front-end. All state the front keeps (sketch counters,
 // doorkeeper bits, the online lifetime estimate) is derived from the
 // request stream alone — no wall clock, no RNG — so fronted replays
-// are deterministic and bit-exact for every Workers value.
+// are deterministic.
 type AdmissionOptions struct {
 	// Mode selects the front: "" or AdmitOff disables it,
 	// AdmitDoorkeeper installs the frequency front, AdmitLearned follows

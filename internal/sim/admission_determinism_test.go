@@ -15,7 +15,7 @@ import (
 // TestAdmissionBitExact extends the determinism contract to the
 // admission front-end: with the learned admission pipeline (doorkeeper
 // + predicted-reuse) armed, a full replay must be byte-identical across
-// repeated runs and bit-exact for every Workers value (1 and 8 here).
+// repeated runs.
 // The front-end keeps all of its state on the virtual clock — sketch
 // counters, doorkeeper bits, the online lifetime estimate, and the
 // closed-form (RNG-free) next-arrival predictions — so nothing about
@@ -25,7 +25,7 @@ func TestAdmissionBitExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
 	}
-	run := func(workers int) string {
+	run := func() string {
 		tr := trace.Synthetic(trace.SynthConfig{
 			Objects: 2000, Requests: 8000, Interarrival: trace.Pareto,
 			VariableSizes: true, Seed: 17,
@@ -38,7 +38,7 @@ func TestAdmissionBitExact(t *testing.T) {
 			Raven: &core.Config{
 				MaxTrainObjects: 400,
 				Net:             nn.Config{Hidden: 8, MLPHidden: 12, K: 4},
-				Train:           nn.TrainConfig{MaxEpochs: 4, Patience: 2, Workers: workers},
+				Train:           nn.TrainConfig{MaxEpochs: 4, Patience: 2},
 			},
 		})
 		c := cache.New(tr.UniqueBytes()/8, p)
@@ -63,12 +63,8 @@ func TestAdmissionBitExact(t *testing.T) {
 		}
 		return s
 	}
-	serial := run(1)
-	if again := run(1); again != serial {
-		t.Errorf("two identical serial runs diverged (first 300 bytes):\n run1: %.300s\n run2: %.300s", serial, again)
-	}
-	if par := run(8); par != serial {
-		t.Errorf("workers=8 diverged from serial run (first 300 bytes):\n serial:  %.300s\n workers: %.300s", serial, par)
+	if a, b := run(), run(); a != b {
+		t.Errorf("two identical runs diverged (first 300 bytes):\n run1: %.300s\n run2: %.300s", a, b)
 	}
 }
 

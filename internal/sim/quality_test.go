@@ -11,29 +11,6 @@ import (
 	"raven/internal/trace"
 )
 
-// modelEra counts the evictions decided once the policy has a model:
-// the denominator of model_evict_frac, whose complement's numerator is
-// raven.fallback_evictions (counted from the first model on as well).
-// It forwards Admit and Flush exactly as the engine's own timing
-// decorator does, so wrapping changes no decision.
-type modelEra struct {
-	cache.Policy
-	raven     *core.Raven
-	evictions int64
-}
-
-func (m *modelEra) Victim() (cache.Key, bool) {
-	k, ok := m.Policy.Victim()
-	if ok && m.raven.Net() != nil {
-		m.evictions++
-	}
-	return k, ok
-}
-
-func (m *modelEra) Admit(req cache.Request) cache.Decision { return cache.PolicyAdmit(m.Policy, req) }
-
-func (m *modelEra) Unwrap() cache.Policy { return m.Policy }
-
 // qualityRow is one Raven configuration of the quality table. Rows with
 // NaN floors only report; the others assert that Raven's OHR and BHR
 // beat LRU's by at least minOHR and minBHR, that at least minModelFrac
@@ -103,27 +80,20 @@ func TestQuality(t *testing.T) {
 		tr := trace.ProductionTrace(tc.preset, 0.05, seed)
 		capacity := max(int64(float64(tr.UniqueBytes())*0.02), 64)
 		opts := Options{Capacity: capacity, WarmupFrac: 0.3, Seed: seed}
-		replay := func(name string, o policy.Options, wrap func(cache.Policy) cache.Policy) *Result {
+		replay := func(name string, o policy.Options) *Result {
 			t.Helper()
 			f, err := policy.Lookup(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			built := f.PerShard(o, 1)
-			res, err := Run(tr, 1, func(shard int, capacity int64) (cache.Policy, error) {
-				p, err := built(shard, capacity)
-				if err != nil || wrap == nil {
-					return p, err
-				}
-				return wrap(p), nil
-			}, opts)
+			res, err := Run(tr, 1, f.PerShard(o, 1), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
 		}
-		lru := replay("lru", policy.Options{Capacity: capacity, Seed: seed}, nil)
-		belady := replay("belady", policy.Options{Capacity: capacity, Seed: seed}, nil)
+		lru := replay("lru", policy.Options{Capacity: capacity, Seed: seed})
+		belady := replay("belady", policy.Options{Capacity: capacity, Seed: seed})
 		t.Logf("%-9s %-9s   OHR %.4f  BHR %.4f", tc.preset, "lru", lru.OHR, lru.BHR)
 		t.Logf("%-9s %-9s   OHR %.4f  BHR %.4f", tc.preset, "belady", belady.OHR, belady.BHR)
 		for _, row := range tc.rows {
@@ -132,17 +102,13 @@ func TestQuality(t *testing.T) {
 			if row.opts != nil {
 				row.opts(&o)
 			}
-			var era *modelEra
-			res := replay("raven", o, func(p cache.Policy) cache.Policy {
-				era = &modelEra{Policy: p, raven: cache.Unwrap(p).(*core.Raven)}
-				return era
-			})
+			res := replay("raven", o)
 			modelFrac := 0.0
-			if era.evictions > 0 {
-				modelFrac = 1 - float64(ro.FallbackEvictions.Load())/float64(era.evictions)
+			if model, fallback := ro.ModelEvictions.Load(), ro.FallbackEvictions.Load(); model+fallback > 0 {
+				modelFrac = float64(model) / float64(model+fallback)
 			}
 			dOHR, dBHR := res.OHR-lru.OHR, res.BHR-lru.BHR
-			health := era.raven.Health()
+			health := cache.Unwrap(res.Policies[0]).(*core.Raven).Health()
 			t.Logf("%-9s raven/%-11s OHR %.4f  BHR %.4f  ΔOHR %+.4f  ΔBHR %+.4f  Belady headroom %3.0f%%  model_evict_frac %.4f  health_end %s",
 				tc.preset, row.name, res.OHR, res.BHR, dOHR, dBHR,
 				100*dOHR/(belady.OHR-lru.OHR), modelFrac, health)

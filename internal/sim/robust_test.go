@@ -73,7 +73,7 @@ func TestRavenSurvivesTrainingDivergence(t *testing.T) {
 
 // TestRavenFaultedRunIsDeterministic: the fault drill itself must be
 // reproducible — two identical faulted runs produce identical hit
-// ratios and health logs for any worker count.
+// ratios and health logs.
 func TestRavenFaultedRunIsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
@@ -82,12 +82,12 @@ func TestRavenFaultedRunIsDeterministic(t *testing.T) {
 		Objects: 200, Requests: 9000, Interarrival: trace.Poisson, Seed: 3,
 	})
 	const capacity = 40
-	run := func(workers int) (*Result, *core.Raven) {
+	run := func() (*Result, *core.Raven) {
 		cfg := &core.Config{
 			TrainWindow:       tr.Duration() / 4,
 			MaxTrainObjects:   200,
 			Net:               nn.Config{Hidden: 6, MLPHidden: 8, K: 3},
-			Train:             nn.TrainConfig{MaxEpochs: 3, Patience: 2, Faults: &nn.TrainFaults{NaNLossEpoch: 1}, Workers: workers},
+			Train:             nn.TrainConfig{MaxEpochs: 3, Patience: 2, Faults: &nn.TrainFaults{NaNLossEpoch: 1}},
 			ResidualSamples:   20,
 			Seed:              7,
 			TrainFaultWindows: 1,
@@ -95,24 +95,20 @@ func TestRavenFaultedRunIsDeterministic(t *testing.T) {
 		p := policy.MustNew("raven", policy.Options{Capacity: capacity, Raven: cfg})
 		return runOne(t, tr, p, Options{Capacity: capacity, Seed: 1}), p.(*core.Raven)
 	}
-	base, baseR := run(1)
-	for _, w := range []int{2, 4} {
-		res, r := run(w)
-		if res.OHR != base.OHR || res.BHR != base.BHR { // bit-exact by the determinism contract
-			t.Errorf("workers=%d OHR/BHR %.6f/%.6f differ from serial %.6f/%.6f",
-				w, res.OHR, res.BHR, base.OHR, base.BHR)
-		}
-		if len(r.HealthLog) != len(baseR.HealthLog) {
-			t.Errorf("workers=%d health log length %d != serial %d", w, len(r.HealthLog), len(baseR.HealthLog))
-			continue
-		}
-		for i := range r.HealthLog {
-			if r.HealthLog[i].From != baseR.HealthLog[i].From ||
-				r.HealthLog[i].To != baseR.HealthLog[i].To ||
-				r.HealthLog[i].At != baseR.HealthLog[i].At {
-				t.Errorf("workers=%d health transition %d differs: %+v vs %+v",
-					w, i, r.HealthLog[i], baseR.HealthLog[i])
-			}
+	base, baseR := run()
+	res, r := run()
+	if res.OHR != base.OHR || res.BHR != base.BHR { // bit-exact by the determinism contract
+		t.Errorf("second run's OHR/BHR %.6f/%.6f differ from the first's %.6f/%.6f",
+			res.OHR, res.BHR, base.OHR, base.BHR)
+	}
+	if len(r.HealthLog) != len(baseR.HealthLog) {
+		t.Fatalf("second run's health log length %d != first's %d", len(r.HealthLog), len(baseR.HealthLog))
+	}
+	for i := range r.HealthLog {
+		if r.HealthLog[i].From != baseR.HealthLog[i].From ||
+			r.HealthLog[i].To != baseR.HealthLog[i].To ||
+			r.HealthLog[i].At != baseR.HealthLog[i].At {
+			t.Errorf("health transition %d differs: %+v vs %+v", i, r.HealthLog[i], baseR.HealthLog[i])
 		}
 	}
 }
