@@ -258,15 +258,15 @@ func (s *Sharded) Len() int {
 }
 
 // SetEvictionObserver registers fn, invoked with every victim just
-// before it is removed (while it is still resident); nil disables it.
-// resident appends the evicting shard's cached keys to dst in ascending
-// order — the set the policy chose the victim from, which is how the
-// simulator ranks a victim against the Belady oracle.
-//
-// fn runs inside the eviction path with the evicting shard's lock
-// held: it must not call the engine's own methods (that self-deadlocks)
-// and must not keep resident past its return. Under concurrent load fn
-// may be called from several goroutines, one per shard.
+// before it is removed (still resident); nil disables it. resident
+// appends the evicting shard's keys to dst in ascending order: the set
+// the policy chose from, against which the simulator ranks the victim.
+// fn runs with the evicting shard's lock held, possibly on several
+// goroutines at once (one per shard). It must not keep resident past
+// its return nor call the engine's methods: that self-deadlocks, and
+// the race stage's observer tests hang on it until their -timeout:
+// TestEvictionObserverSeesResidentVictim, and TestSimulateDeterministic
+// and TestBeladyRankErrorIsZero through sim.Run's rank-order observer.
 func (s *Sharded) SetEvictionObserver(fn func(victim Key, resident func(dst []Key) []Key)) {
 	for i := range s.shards {
 		sh := &s.shards[i]

@@ -37,14 +37,11 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Msg)
 }
 
-// Rule is one named invariant check. Intra-procedural rules implement
-// Check and run once per package; interprocedural rules implement
-// CheckGraph and run once over the module call graph.
+// Rule is one named invariant check, run once per package.
 type Rule struct {
-	ID         string
-	Doc        string
-	Check      func(p *Package) []Finding
-	CheckGraph func(g *Graph) []Finding
+	ID    string
+	Doc   string
+	Check func(p *Package) []Finding
 }
 
 // DefaultRules returns the full repository rule set.
@@ -59,7 +56,6 @@ func DefaultRules() []Rule {
 		ruleUncheckedError(),
 		ruleCkptAtomicWrite(),
 		ruleShardLocalState(),
-		ruleLockCycle(),
 	}
 }
 
@@ -74,19 +70,15 @@ type Options struct {
 }
 
 // RunOpts executes rules over pkgs, applies pragma suppression, and
-// returns findings sorted by file, line, column, and rule. Graph rules
-// run over a call graph built from the full package set; their
-// findings go through the same pragma suppression.
+// returns findings sorted by file, line, column, and rule.
 func RunOpts(pkgs []*Package, rules []Rule, opts Options) []Finding {
 	known := make(map[string]bool)
-	hasGraphRule := false
 	for _, r := range rules {
 		known[r.ID] = true
-		hasGraphRule = hasGraphRule || r.CheckGraph != nil
 	}
 
-	// Merge pragmas across the whole set first: graph-rule findings can
-	// land in any package, and stale detection needs the global view.
+	// Merge pragmas across the whole set first: stale detection needs
+	// the global view.
 	pragmas := newPragmaSet()
 	var out []Finding
 	for _, p := range pkgs {
@@ -95,23 +87,7 @@ func RunOpts(pkgs []*Package, rules []Rule, opts Options) []Finding {
 
 	for _, p := range pkgs {
 		for _, r := range rules {
-			if r.Check == nil {
-				continue
-			}
 			for _, f := range r.Check(p) {
-				if !pragmas.suppresses(f) {
-					out = append(out, f)
-				}
-			}
-		}
-	}
-	if hasGraphRule {
-		g := BuildGraph(pkgs)
-		for _, r := range rules {
-			if r.CheckGraph == nil {
-				continue
-			}
-			for _, f := range r.CheckGraph(g) {
 				if !pragmas.suppresses(f) {
 					out = append(out, f)
 				}

@@ -117,6 +117,15 @@ import "math/rand"
 func f() int { return rand.Intn(5) }
 `,
 		},
+		{
+			name: "pragma suppresses rand-global",
+			src: `package fix
+import "math/rand"
+func f() int {
+	return rand.Intn(5) //lint:allow rand-global fixture demonstrates suppression
+}
+`,
+		},
 
 		// ---- wall-clock ----
 		{
@@ -152,6 +161,36 @@ func f() time.Time { return time.Now() }
 			src: `package main
 import "time"
 func main() { _ = time.Now() }
+`,
+		},
+		{
+			name: "clock used only for metrics does not taint the decision",
+			src: `package fix
+import "time"
+type res struct{ total float64 }
+func (r *res) add(v float64) { r.total += v }
+type P struct{ r *res }
+func (p P) Victim() (int, bool) {
+	start := time.Now()
+	k, ok := pick()
+	p.r.add(float64(time.Since(start)))
+	return k, ok
+}
+func pick() (int, bool) { return 7, true }
+`,
+			// The wall-clock rule flags both clock reads at their line;
+			// whether a clock value reaches a decision is the
+			// determinism suite's to referee (verify.sh determinism).
+			want: []string{"7:[wall-clock]", "9:[wall-clock]"},
+		},
+		{
+			name: "pragma suppresses wall-clock",
+			src: `package fix
+import "time"
+func f() int64 {
+	//lint:allow wall-clock fixture demonstrates suppression
+	return time.Now().UnixNano()
+}
 `,
 		},
 
@@ -221,6 +260,18 @@ func f(m map[int]int) int {
 		sum += v
 	}
 	return sum
+}
+`,
+		},
+		{
+			name: "pragma suppresses map-iter-order",
+			src: `package fix
+func f(m map[int]int) []int {
+	out := make([]int, 0, len(m))
+	for k := range m {
+		out = append(out, k) //lint:allow map-iter-order fixture demonstrates suppression
+	}
+	return out
 }
 `,
 		},
@@ -346,6 +397,17 @@ func f(conn net.Conn) {
 }
 `,
 		},
+		{
+			name:    "pragma suppresses deadline-on-conn",
+			relfile: "internal/server/handler.go",
+			src: `package server
+import "net"
+func f(conn net.Conn) {
+	buf := make([]byte, 16)
+	conn.Read(buf) //lint:allow deadline-on-conn fixture demonstrates suppression
+}
+`,
+		},
 
 		// ---- float-equal ----
 		{
@@ -418,6 +480,19 @@ func f(w io.Writer, fp *os.File) {
 }
 `,
 		},
+		{
+			name: "pragma suppresses unchecked-error",
+			src: `package fix
+import (
+	"bufio"
+	"io"
+)
+func f(w io.Writer) {
+	bw := bufio.NewWriter(w)
+	bw.Flush() //lint:allow unchecked-error fixture demonstrates suppression
+}
+`,
+		},
 
 		// ---- ckpt-atomic-write ----
 		{
@@ -484,6 +559,15 @@ func f(data []byte) error {
 }
 `,
 		},
+		{
+			name: "pragma suppresses ckpt-atomic-write",
+			src: `package fix
+import "os"
+func f(data []byte) error {
+	return os.WriteFile("model.ckpt", data, 0o644) //lint:allow ckpt-atomic-write fixture demonstrates suppression
+}
+`,
+		},
 
 		// ---- shard-local-state ----
 		{
@@ -534,6 +618,15 @@ var window int64
 func f() { window = 9 }
 `,
 			want: []string{"3:[shard-local-state]"},
+		},
+		{
+			name: "pragma suppresses shard-local-state",
+			src: `package fix
+var hits int
+func f() {
+	hits++ //lint:allow shard-local-state fixture demonstrates suppression
+}
+`,
 		},
 
 		// ---- pragma-syntax ----
@@ -609,13 +702,13 @@ func f(n int) int {
 }
 
 // TestRuleIDCount pins the rule set, not just its size: each of the
-// ten guards a contract nothing else in the repository checks
+// nine guards a contract nothing else in the repository checks
 // (DESIGN.md "Correctness tooling"), so none may vanish, or arrive,
 // unnoticed.
 func TestRuleIDCount(t *testing.T) {
 	want := []string{
 		"ckpt-atomic-write", "deadline-on-conn", "float-equal",
-		"goroutine-outside-pool", "lock-cycle", "map-iter-order", "rand-global",
+		"goroutine-outside-pool", "map-iter-order", "rand-global",
 		"shard-local-state", "unchecked-error", "wall-clock",
 	}
 	var got []string
@@ -690,5 +783,113 @@ func TestNothing(t *testing.T) {}
 	}
 	if fs := Run(all, DefaultRules()); len(fs) != 0 {
 		t.Fatalf("synthetic module not clean: %v", fs)
+	}
+}
+
+// ---- stale pragmas ----
+
+func TestStalePragmas(t *testing.T) {
+	p := loadFixture(t, "internal/policy/fix/fix.go", `package fix
+//lint:allow float-equal nothing here compares floats anymore
+func quiet() {}
+func unset(a float64) bool {
+	return a == 0 //lint:allow float-equal fixture wants this comparison
+}
+//lint:allow hot-path-purity names no rule: an inert comment, never stale
+func inert() {}
+`)
+	// Default run: stale pragmas are not reported.
+	if got := Run([]*Package{p}, DefaultRules()); len(got) != 0 {
+		t.Fatalf("default run should be clean, got %v", got)
+	}
+	got := RunOpts([]*Package{p}, DefaultRules(), Options{StalePragmas: true})
+	if len(got) != 1 || got[0].Rule != "pragma-stale" || got[0].Pos.Line != 2 {
+		t.Fatalf("want one pragma-stale at line 2, got %v", got)
+	}
+}
+
+// ---- loader error paths ----
+
+func TestLoadModuleErrors(t *testing.T) {
+	t.Run("missing go.mod", func(t *testing.T) {
+		dir := t.TempDir()
+		if _, err := LoadModule(dir); err == nil {
+			t.Fatal("want error for missing go.mod")
+		}
+	})
+	t.Run("no module line", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("// empty\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadModule(dir); err == nil {
+			t.Fatal("want error for go.mod without module line")
+		}
+	})
+	t.Run("type errors are tolerated and recorded", func(t *testing.T) {
+		dir := t.TempDir()
+		write := func(rel, src string) {
+			t.Helper()
+			full := filepath.Join(dir, rel)
+			if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write("go.mod", "module example.com/broken\n")
+		write("bad.go", "package broken\nfunc f() int { return undefinedIdent }\n")
+		mod, err := LoadModule(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The loader records rather than fails, so ravenlint can print
+		// every diagnostic before exiting 2 (cmd/ravenlint TestExitStatus).
+		if len(mod.Pkgs) != 1 || len(mod.Pkgs[0].TypeErrs) == 0 {
+			t.Fatalf("want one package with recorded type errors, got %+v", mod.Pkgs)
+		}
+	})
+}
+
+// TestLoadModuleHonoursBuildConstraints loads a package that declares
+// one function per architecture, as internal/nn's kernels do: only the
+// host's file is type-checked, so nothing is declared twice.
+func TestLoadModuleHonoursBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":     "module example.com/arch\n",
+		"k_amd64.go": "package arch\nfunc kern() int { return 1 }\n",
+		"k_other.go": "//go:build !amd64\n\npackage arch\nfunc kern() int { return 2 }\n",
+		"use.go":     "package arch\nfunc Use() int { return kern() }\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mod, err := LoadModule(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mod.Pkgs) != 1 || len(mod.Pkgs[0].TypeErrs) != 0 {
+		t.Fatalf("want one clean package, got %+v", mod.Pkgs)
+	}
+}
+
+func TestPragmaAtFileBoundaries(t *testing.T) {
+	// A pragma on line 1 (before the package clause) must not crash the
+	// line-1 lookup and must suppress a finding on the next line; a
+	// malformed pragma on the last line is still reported.
+	got := lintFixture(t, "internal/policy/fix/fix.go", `//lint:allow float-equal boundary fixture
+package fix
+func f(a float64) bool { return a == 0 }
+//lint:allow float-equal
+`)
+	// The line-1 pragma covers lines 1-2 only, so the comparison at
+	// line 3 is NOT suppressed; the reasonless pragma at line 4 reports.
+	want := []string{"3:[float-equal]", "4:[pragma-syntax]"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("boundary findings = %v, want %v", got, want)
 	}
 }

@@ -257,10 +257,9 @@ func (mi *moduleImporter) Import(path string) (*types.Package, error) {
 // prints them and exits 2 rather than lint partially checked code.
 func (p *Package) check(std types.Importer, checked map[string]*types.Package) {
 	p.Info = &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{
 		Importer: &moduleImporter{std: std, checked: checked},

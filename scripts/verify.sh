@@ -35,11 +35,18 @@
 #                batch per successor node). The quality stage's two
 #                tests run here too, race-instrumented: TestQuality adds
 #                ~70 s and TestServedEqualsSimulated ~25 s on two
-#                x86-64 cores
-#   lint         ravenlint, one invocation: the ten repo-specific
+#                x86-64 cores. The race stage also referees "no call
+#                path re-acquires a held lock": a self-deadlock hangs the
+#                test that takes the path. So every invocation has an
+#                explicit -timeout that fails it with a goroutine dump:
+#                6m for the package run (its slowest binary, sim, takes
+#                ~215 s and the whole stage ~7.5 min on two x86-64
+#                cores; four rounds of two hung binaries still end inside
+#                CI's 30-minute race job) and 2m for each named run
+#                (each takes under 3 s)
+#   lint         ravenlint, one invocation: the nine repo-specific
 #                determinism / concurrency / hygiene contracts nothing
-#                else checks, among them the interprocedural lock-cycle
-#                rule
+#                else checks
 #   determinism  the same-program referees: the pinned fit and Raven
 #                replay hashes, the pinned fits again with every amd64
 #                kernel on its Go loop (TestFitGoldenBytesGoKernels, on
@@ -206,25 +213,25 @@ stage_race() {
     local pkgs="./internal/nn/... ./internal/core/... ./internal/sim/... ./internal/server/... ./internal/obs/... ./internal/experiments/... ./internal/cache/... ./internal/cluster/..."
     echo "==> go test -race ${pkgs}"
     # shellcheck disable=SC2086
-    go test -race ${pkgs}
+    go test -race -timeout 6m ${pkgs}
     # The sharded engine's cross-shard stress runs again explicitly
     # so the per-shard-lock fast path is always exercised fresh under the
     # race detector.
     echo "==> sharded cross-shard race stress (100 clients, mixed GET/SET)"
-    run_named 'TestShardedStress' -race ./internal/server/
-    run_named 'TestShardedConcurrent' -race ./internal/cache/
+    run_named 'TestShardedStress' -race -timeout 2m ./internal/server/
+    run_named 'TestShardedConcurrent' -race -timeout 2m ./internal/cache/
     echo "==> the trainer: a held fit while requests are served, an idle fit installed by the next request, Close stopping a fit"
-    run_named 'TestHeldFitKeepsServing|TestHandedOffFitInstallsOnNextRequest' -race ./internal/core/
-    run_named 'TestClosedTrainerStopsFit|TestTrainerThreadIsIdle' -race ./internal/nn/
+    run_named 'TestHeldFitKeepsServing|TestHandedOffFitInstallsOnNextRequest' -race -timeout 2m ./internal/core/
+    run_named 'TestClosedTrainerStopsFit|TestTrainerThreadIsIdle' -race -timeout 2m ./internal/nn/
     echo "==> cache.Stats, METRICS and STATS read one set of counters (METRICS snapshots taken under traffic)"
-    run_named 'TestStatsAreTheMetrics' -race ./internal/server/
-    # The multi-process chaos test runs again explicitly under a hard
-    # timeout: 3 ravencached processes, SIGKILL + restart mid-replay,
-    # bounded hit-ratio error and METRICS reconciliation. Beside it, the
-    # retry round: what a failed round trip left unanswered goes out as
-    # one batch per successor node, not op by op.
+    run_named 'TestStatsAreTheMetrics' -race -timeout 2m ./internal/server/
+    # The multi-process chaos test runs again explicitly: 3 ravencached
+    # processes, SIGKILL + restart mid-replay, bounded hit-ratio error
+    # and METRICS reconciliation. Beside it, the retry round: what a
+    # failed round trip left unanswered goes out as one batch per
+    # successor node, not op by op.
     echo "==> cluster chaos churn (3-node fleet, SIGKILL + restart mid-replay) and the burst retry round"
-    run_named 'TestChaosNodeChurn|TestBurstRetryIsOneRound' -race -timeout 300s ./internal/cluster/
+    run_named 'TestChaosNodeChurn|TestBurstRetryIsOneRound' -race -timeout 2m ./internal/cluster/
 }
 
 stage_lint() {
