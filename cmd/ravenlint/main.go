@@ -45,9 +45,7 @@ func main() {
 
 	rules := lint.DefaultRules()
 	if *listRules {
-		for _, r := range rules {
-			fmt.Printf("%-18s %s\n", r.ID, r.Doc)
-		}
+		printRules(os.Stdout, rules)
 		return
 	}
 
@@ -57,6 +55,18 @@ func main() {
 		os.Exit(2)
 	}
 	os.Exit(run(cwd, flag.Args(), rules, os.Stdout, os.Stderr))
+}
+
+// printRules lists each rule's ID and doc, the docs in one column just
+// past the longest ID.
+func printRules(w io.Writer, rules []lint.Rule) {
+	width := 0
+	for _, r := range rules {
+		width = max(width, len(r.ID))
+	}
+	for _, r := range rules {
+		fmt.Fprintf(w, "%-*s %s\n", width, r.ID, r.Doc)
+	}
 }
 
 // run lints the packages of the module enclosing dir that match

@@ -78,3 +78,24 @@ func TestExitStatus(t *testing.T) {
 		})
 	}
 }
+
+// TestRulesListInOneColumn: -rules prints every rule's doc starting in
+// the same column, one space past the longest ID.
+func TestRulesListInOneColumn(t *testing.T) {
+	rules := lint.DefaultRules()
+	var out bytes.Buffer
+	printRules(&out, rules)
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != len(rules) {
+		t.Fatalf("%d lines for %d rules", len(lines), len(rules))
+	}
+	width := 0
+	for _, r := range rules {
+		width = max(width, len(r.ID))
+	}
+	for i, r := range rules {
+		if col := strings.Index(lines[i], r.Doc); col != width+1 || !strings.HasPrefix(lines[i], r.ID+" ") {
+			t.Errorf("line %q: the doc of %s starts in column %d, want %d", lines[i], r.ID, col, width+1)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -717,6 +718,59 @@ func TestTableBytesGauge(t *testing.T) {
 	}
 	if got := ro.TableBytes.Load(); got != want {
 		t.Errorf("raven.table_bytes = %d, the tables' chunks add up to %d", got, want)
+	}
+}
+
+// indexTombstones returns the deleted slots of each sub-table of ix, a
+// count the index keeps to itself.
+func indexTombstones(ix *cache.HandleIndex) []int64 {
+	subs := reflect.ValueOf(ix).Elem().FieldByName("subs")
+	field, _ := subs.Type().Elem().FieldByName("dead")
+	dead := make([]int64, subs.Len())
+	for i := range dead {
+		dead[i] = subs.Index(i).FieldByIndex(field.Index).Int()
+	}
+	return dead
+}
+
+// TestTableBytesAcrossIndexRebuilds: raven.table_bytes stays the slabs'
+// chunk bytes plus the index's bytes through a stream of new keys that
+// grows the index, then, with the table at its ceiling, trims the oldest
+// ghosts and makes the index purge the tombstones their deletes leave.
+// A purge shows as a sub-table losing more than the one tombstone an
+// insert may reuse.
+func TestTableBytesAcrossIndexRebuilds(t *testing.T) {
+	ro := &obs.RavenObs{}
+	r := New(Config{TrainWindow: 1 << 40, Obs: ro, Seed: 3})
+	r.tab.floor = 4000
+	next := cache.Request{Size: 1}
+	grew, purges := 0, 0
+	bytes, dead := r.tab.index.Bytes(), indexTombstones(r.tab.index)
+	for i := 0; i < 10*r.tab.floor; i++ {
+		next.Time++
+		next.Key++
+		r.OnMiss(next)
+		if i < 64 {
+			r.OnAdmit(next)
+		}
+		if b := r.tab.index.Bytes(); b != bytes {
+			grew++
+			bytes = b
+		}
+		was := dead
+		dead = indexTombstones(r.tab.index)
+		for s := range dead {
+			if dead[s] < was[s]-1 {
+				purges++
+			}
+		}
+		if got, want := ro.TableBytes.Load(), footprint(r.tab).total(); got != want {
+			t.Fatalf("key %d: raven.table_bytes = %d, the slabs and the index add up to %d", i, got, want)
+		}
+	}
+	if grew == 0 || purges == 0 || ro.HistoryDropped.Load() == 0 {
+		t.Errorf("the stream grew the index %d times, purged %d times and trimmed %d records; want each > 0",
+			grew, purges, ro.HistoryDropped.Load())
 	}
 }
 

@@ -45,6 +45,6 @@ func (r *Runner) Overhead() *Report {
 	rep.Notes = append(rep.Notes,
 		"the paper reports 136/72 B metadata for Raven, 176 B LRB, 84 B LHR; eviction ~3 µs LRB, ~6 µs LHR, ~50 µs Raven",
 		"our float64 CPU substrate doubles metadata widths; orderings match",
-		"ghostB/key: Raven's record-table bytes per known, uncached key (+ at most a full interarrival ring from its second sighting: 16–128 B, 16 B while it holds one or two taus); the key→record index adds an 8-byte slot at most 3/4 full, 11–21 B")
+		"ghostB/key: Raven's record-table bytes per known, uncached key (+ at most a full interarrival ring from its second sighting: 16–128 B, 16 B while it holds one or two taus); the key→record index adds its share of 40-byte groups of 8 slots at most 7/8 full, 5.7–11.4 B (BenchmarkHandleIndex reads 6.6 B at 400 000 keys)")
 	return rep
 }

@@ -106,11 +106,12 @@
 #   bench-smoke  every `go test -bench` benchmark — the one place a single
 #                layer is timed — still compiles and runs once: the root
 #                package's per-operation costs, nn kernels (assembly and
-#                Go loop per shape) and fit, the RNG reseed, core
-#                eviction decisions and per-request bookkeeping
-#                (BenchmarkObserve), the serving path over the wire and
-#                through the router. (The served system is timed by
-#                benchmark/ only; cmd/ravenbench records and gates it.)
+#                Go loop per shape) and fit, the RNG reseed, the key
+#                index (BenchmarkHandleIndex), core eviction decisions
+#                and per-request bookkeeping (BenchmarkObserve), the
+#                serving path over the wire and through the router.
+#                (The served system is timed by benchmark/ only;
+#                cmd/ravenbench records and gates it.)
 #                It prints one line: BenchmarkFitEpoch/served-shape-repeat,
 #                a retraining's steady-state B/op and allocs/op
 #   fuzz-smoke   five seconds each of FuzzBinaryFrames (the GET/SET
@@ -277,7 +278,7 @@ stage_bench_smoke() {
     # "Performance: two timing surfaces" names them.
     echo "==> benchmark smoke (-benchtime=1x); a retraining's steady-state allocation:"
     local out
-    out=$(go test -run='^$' -bench=. -benchtime=1x . ./internal/nn/... ./internal/stats/ ./internal/core/... ./internal/server/... ./internal/cluster/...)
+    out=$(go test -run='^$' -bench=. -benchtime=1x . ./internal/nn/... ./internal/stats/ ./internal/cache/ ./internal/core/... ./internal/server/... ./internal/cluster/...)
     grep '^BenchmarkFitEpoch/served-shape-repeat' <<<"${out}"
 }
 
