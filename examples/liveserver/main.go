@@ -1,8 +1,7 @@
-// Live server: starts the TCP cache server (the §5.4 ATS-style
-// prototype) with a Raven policy, replays a Wikimedia-like trace over
-// a real socket, and prints the hit-ratio trajectory and latencies —
-// each the §5.1.4 CDN model's service time plus the measured round
-// trip — the Fig. 12 experiment in miniature.
+// Live server: starts the TCP cache server with a Raven policy, sends a
+// Wikimedia-like trace's GETs over a real socket one round trip at a
+// time, and prints the client's round-trip percentiles, the server's
+// STATS counters and its final METRICS line.
 package main
 
 import (
@@ -13,10 +12,16 @@ import (
 	"raven"
 	"raven/internal/cache"
 	"raven/internal/server"
-	"raven/internal/stats"
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "liveserver:", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	tr := raven.ProductionTrace(raven.Wikimedia19, 0.03, 17)
 	capacity := int64(float64(tr.UniqueBytes()) * 0.05)
 
@@ -30,37 +35,33 @@ func main() {
 		NewPolicy: cache.SingleFactory(rv),
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "liveserver:", err)
-		os.Exit(1)
+		return err
 	}
 	defer srv.Close()
-	fmt.Printf("cache server on %s, capacity %.1f MB, %d requests to replay\n\n",
+	fmt.Printf("cache server on %s, capacity %.1f MB, %d requests to send\n\n",
 		srv.Addr(), float64(capacity)/(1<<20), tr.Len())
 
 	cl, err := server.Dial(srv.Addr())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "liveserver:", err)
-		os.Exit(1)
+		return err
 	}
 	defer cl.Close()
-
-	res, err := cl.Replay(tr, 10, raven.CDNNetModel())
+	ops := make([]server.Op, tr.Len())
+	for i, req := range tr.Reqs {
+		ops[i] = server.Op{Key: req.Key, Size: req.Size, Time: req.Time}
+	}
+	st, err := cl.Pipeline(ops, 1)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "liveserver:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Println("hit-ratio trajectory (cumulative):")
-	for _, pt := range res.Curve {
-		fmt.Printf("  after %6d requests: OHR %.4f  BHR %.4f\n", pt.Requests, pt.OHR, pt.BHR)
-	}
-	fmt.Printf("\nfinal: OHR %.4f BHR %.4f over the wire in %v\n", res.Stats.OHR(), res.Stats.BHR(), res.Wall.Round(time.Millisecond))
-	ms := make([]float64, len(res.Latency))
-	for i, d := range res.Latency {
-		ms[i] = float64(d) / 1e6
-	}
-	lat := stats.Summarize(ms)
-	fmt.Printf("latency: mean %.2f ms  p90 %.2f ms  p99 %.2f ms (§5.1.4 CDN model + measured round trip)\n",
-		lat.Mean, lat.P90, lat.P99)
-	fmt.Printf("longest round trip: %v\n", res.MaxWire.Round(time.Microsecond))
-	fmt.Printf("trained %d model(s) while serving\n", len(rv.TrainStats))
+	fmt.Printf("%d GETs, %d hits, in %v: round trip p50 %.1f µs, p99 %.1f µs\n",
+		st.Requests, st.Hits, st.Wall.Round(time.Millisecond), st.P50Ns/1e3, st.P99Ns/1e3)
+	fmt.Printf("trained %d model(s) while serving\n\n", len(rv.TrainStats))
+
+	// The counters the STATS verb replies with, and the one-line METRICS
+	// snapshot ravencached prints when it exits.
+	c := srv.Stats()
+	fmt.Printf("STATS %d %d %d %d (OHR %.4f, BHR %.4f)\n", c.Requests, c.Hits, c.ReqBytes, c.HitBytes, c.OHR(), c.BHR())
+	fmt.Printf("final metrics: %s\n", srv.Metrics().Line())
+	return nil
 }

@@ -13,8 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"raven/internal/cache"
 	"raven/internal/server"
-	"raven/internal/sim"
 	"raven/internal/trace"
 )
 
@@ -157,10 +157,14 @@ func chaosTrace() *trace.Trace {
 	})
 }
 
-// replayThroughRouter fronts the router with a real server and replays
-// the trace over a binary connection. It returns an error rather than
-// failing the test so it is safe to run from a non-test goroutine.
-func replayThroughRouter(r *Router, tr *trace.Trace) (*server.ReplayResult, error) {
+// replayThroughRouter fronts the router with a real server and sends
+// the trace's GETs over a binary connection, redialling and resending
+// a request whose round trip fails up to 5 times, 5 ms apart and
+// doubling. It returns the replies' lookup counters, and an error
+// rather than failing the test, so it is safe to run from a non-test
+// goroutine.
+func replayThroughRouter(r *Router, tr *trace.Trace) (cache.Stats, error) {
+	var st cache.Stats
 	front, err := server.New(server.Config{
 		Addr:         "127.0.0.1:0",
 		Backend:      r,
@@ -168,18 +172,48 @@ func replayThroughRouter(r *Router, tr *trace.Trace) (*server.ReplayResult, erro
 		DrainTimeout: time.Second,
 	})
 	if err != nil {
-		return nil, err
+		return st, err
 	}
 	defer front.Close()
-	cl, err := server.Dial(front.Addr())
-	if err != nil {
-		return nil, err
+	var cl *server.Client
+	defer func() {
+		if cl != nil {
+			cl.Close()
+		}
+	}()
+	get := func(req trace.Request) (bool, error) {
+		if cl == nil {
+			c, err := server.Dial(front.Addr())
+			if err != nil {
+				return false, err
+			}
+			cl = c
+			cl.Timeout = 10 * time.Second
+		}
+		hit, err := cl.Get(req.Key, req.Size, req.Time)
+		if err != nil {
+			cl.Close()
+			cl = nil
+		}
+		return hit, err
 	}
-	defer cl.Close()
-	cl.Timeout = 10 * time.Second
-	cl.MaxRetries = 5
-	cl.RetryBackoff = 5 * time.Millisecond
-	return cl.Replay(tr, 0, sim.CDNModel())
+	for i, req := range tr.Reqs {
+		hit, err := get(req)
+		for attempt, backoff := 0, 5*time.Millisecond; err != nil && attempt < 5; attempt, backoff = attempt+1, 2*backoff {
+			time.Sleep(backoff)
+			hit, err = get(req)
+		}
+		if err != nil {
+			return st, fmt.Errorf("request %d: %w", i, err)
+		}
+		st.Requests++
+		st.ReqBytes += req.Size
+		if hit {
+			st.Hits++
+			st.HitBytes += req.Size
+		}
+	}
+	return st, nil
 }
 
 // TestChaosNodeChurn is the cluster tier's acceptance test. It spawns
@@ -210,10 +244,10 @@ func TestChaosNodeChurn(t *testing.T) {
 		t.Fatalf("reference replay: %v", err)
 	}
 	_ = refRouter.Close()
-	if refRes.Stats.Requests != int64(tr.Len()) {
-		t.Fatalf("reference replay completed %d/%d requests", refRes.Stats.Requests, tr.Len())
+	if refRes.Requests != int64(tr.Len()) {
+		t.Fatalf("reference replay completed %d/%d requests", refRes.Requests, tr.Len())
 	}
-	if ohr := refRes.Stats.OHR(); ohr <= 0.05 || ohr >= 0.95 {
+	if ohr := refRes.OHR(); ohr <= 0.05 || ohr >= 0.95 {
 		t.Fatalf("reference OHR %.3f too extreme to measure chaos error against", ohr)
 	}
 
@@ -239,7 +273,7 @@ func TestChaosNodeChurn(t *testing.T) {
 
 	victim := fleet[1]
 	type replayOutcome struct {
-		res *server.ReplayResult
+		res cache.Stats
 		err error
 	}
 	done := make(chan replayOutcome, 1)
@@ -278,16 +312,16 @@ func TestChaosNodeChurn(t *testing.T) {
 		t.Fatalf("chaos replay: %v", out.err)
 	}
 	res := out.res
-	if res.Stats.Requests != int64(tr.Len()) {
-		t.Fatalf("chaos replay completed %d/%d requests", res.Stats.Requests, tr.Len())
+	if res.Requests != int64(tr.Len()) {
+		t.Fatalf("chaos replay completed %d/%d requests", res.Requests, tr.Len())
 	}
 
 	// Bounded error: losing one of three nodes' caches mid-replay (and
 	// re-warming it) costs hit ratio, but the cluster tier must keep the
 	// damage local — the surviving 2/3 of the keyspace keeps serving.
-	if diff := math.Abs(res.Stats.OHR() - refRes.Stats.OHR()); diff > 0.15 {
+	if diff := math.Abs(res.OHR() - refRes.OHR()); diff > 0.15 {
 		t.Errorf("chaos OHR %.4f deviates %.4f from reference %.4f (bound 0.15)",
-			res.Stats.OHR(), diff, refRes.Stats.OHR())
+			res.OHR(), diff, refRes.OHR())
 	}
 	if n := r.Metrics().Counter("router.failovers").Load(); n == 0 {
 		t.Error("no failovers recorded during node churn")

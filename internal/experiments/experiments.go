@@ -232,6 +232,14 @@ func (r *Runner) run(t *trace.Trace, polName string, capacity int64, opts sim.Op
 	}
 	key := fmt.Sprintf("%s|%s|%d|net=%s|rank=%d|warm=%.2f",
 		t.Name, polName, capacity, netKey, opts.RankOrderEvery, opts.WarmupFrac)
+	return r.memo(key, t, polName, capacity, func() *sim.Result {
+		return r.replay(t, polName, capacity, opts, nil)
+	})
+}
+
+// memo returns the result stored under key, running do (polName on t
+// at capacity) and storing its result the first time.
+func (r *Runner) memo(key string, t *trace.Trace, polName string, capacity int64, do func() *sim.Result) *sim.Result {
 	r.mu.Lock()
 	if res, ok := r.results[key]; ok {
 		r.mu.Unlock()
@@ -240,7 +248,7 @@ func (r *Runner) run(t *trace.Trace, polName string, capacity int64, opts sim.Op
 	r.mu.Unlock()
 
 	start := time.Now()
-	res := r.replay(t, polName, capacity, opts, nil)
+	res := do()
 	r.logf("  ran %-18s on %-12s C=%-12d OHR=%.4f BHR=%.4f (%v)",
 		polName, t.Name, capacity, res.OHR, res.BHR, time.Since(start).Round(time.Millisecond))
 

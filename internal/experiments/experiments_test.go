@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -228,5 +229,29 @@ func TestSuiteTrainsServedShape(t *testing.T) {
 				t.Errorf("quick=%v: %s trains %+v, served %+v", quick, name, got, want)
 			}
 		}
+	}
+}
+
+// TestFig12EndsAtTable3: Fig. 12 and Table 3 read one replay per arm,
+// so Fig. 12's last row, the hit ratios after the trace's last request,
+// are Table 3's OHR and BHR.
+func TestFig12EndsAtTable3(t *testing.T) {
+	r := NewRunner(Config{Quick: true, Seed: 42})
+	fig, tab := r.Fig12(), r.Table3()
+	if len(fig.Rows) == 0 {
+		t.Fatal("Fig. 12 has no rows")
+	}
+	last := fig.Rows[len(fig.Rows)-1]
+	if want := fmt.Sprint(r.serverTrace().Len()); last[0] != want {
+		t.Fatalf("Fig. 12's last row is at %s requests, want %s", last[0], want)
+	}
+	rows := make(map[string][]string)
+	for _, row := range tab.Rows {
+		rows[row[0]] = row
+	}
+	ohr, bhr := rows["OHR"], rows["BHR"]
+	// Fig. 12's columns: raven OHR, raven BHR, ats OHR, ats BHR.
+	if want := []string{ohr[1], bhr[1], ohr[2], bhr[2]}; !slices.Equal(last[1:], want) {
+		t.Errorf("Fig. 12 ends at %v, Table 3 reads %v", last[1:], want)
 	}
 }

@@ -627,8 +627,8 @@ func TestPingBothProtocols(t *testing.T) {
 // classified binary again — no reconnect may fall back to text, and
 // every completed request is counted once on the binary codec.
 func TestReplaySurvivesReadFaultsBinary(t *testing.T) {
-	srv, res := replayUnderReadFaults(t)
-	if res.Reconnects == 0 {
+	srv, completed, reconnects := replayUnderReadFaults(t)
+	if reconnects == 0 {
 		t.Fatal("expected reconnects under injected read faults")
 	}
 	reg := srv.Metrics()
@@ -637,11 +637,11 @@ func TestReplaySurvivesReadFaultsBinary(t *testing.T) {
 	}
 	// A fault on a connection's first read ends it before its codec is
 	// picked, so some reconnects may go uncounted, but none twice.
-	if n := reg.Counter("server.conns_binary").Load(); n < 1 || n > 1+res.Reconnects {
-		t.Errorf("server.conns_binary = %d, want 1..%d", n, 1+res.Reconnects)
+	if n := reg.Counter("server.conns_binary").Load(); n < 1 || n > 1+reconnects {
+		t.Errorf("server.conns_binary = %d, want 1..%d", n, 1+reconnects)
 	}
-	if n := reg.Counter("server.requests_binary").Load(); n != res.Stats.Requests {
-		t.Errorf("server.requests_binary = %d, client completed %d", n, res.Stats.Requests)
+	if n := reg.Counter("server.requests_binary").Load(); n != completed {
+		t.Errorf("server.requests_binary = %d, client completed %d", n, completed)
 	}
 }
 

@@ -12,21 +12,15 @@ import (
 	"time"
 
 	"raven/internal/cache"
-	"raven/internal/sim"
 	"raven/internal/trace"
 )
 
-// Client replays traces against a Server over TCP and measures the
-// round trips Table 3 prices (Replay). It survives a faulty server or
-// network: every request runs under a deadline, and Replay
-// transparently reconnects with exponential backoff when a request
-// fails.
-//
-// A client speaks the binary protocol; Pipeline keeps up to N requests
-// in flight on the one connection. STATS and METRICS are text verbs:
-// FetchMetrics asks for them on a connection of its own.
+// Client speaks the binary protocol to a Server over TCP. Every round
+// trip runs under a deadline; a failed one is reported, not retried,
+// and the connection must not be reused. Pipeline keeps up to N
+// requests in flight on the one connection. STATS and METRICS are text
+// verbs: FetchMetrics asks for them on a connection of its own.
 type Client struct {
-	addr string
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
@@ -43,16 +37,6 @@ type Client struct {
 	Timeout time.Duration
 	// fallback is defaultTimeout; a test shortens it.
 	fallback time.Duration
-	// MaxRetries is how many reconnect-and-resend attempts Replay
-	// makes per request before giving up (0 = fail on first error).
-	MaxRetries int
-	// RetryBackoff is the initial backoff before a retry, doubling per
-	// attempt up to 1s. 0 applies a 10ms default.
-	RetryBackoff time.Duration
-
-	// Reconnects counts the client's reconnects across its lifetime;
-	// Replay reports the ones it needed.
-	Reconnects int64
 }
 
 // defaultTimeout bounds a round trip whose Client.Timeout is not
@@ -70,7 +54,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
-	return &Client{addr: addr, conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), fallback: defaultTimeout}, nil
+	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), fallback: defaultTimeout}, nil
 }
 
 // armDeadline applies the per-request deadline to the connection.
@@ -81,21 +65,6 @@ func (c *Client) armDeadline() {
 	}
 	// One clock read per burst, not one per op.
 	_ = c.conn.SetDeadline(time.Now().Add(d))
-}
-
-// reconnect replaces the connection with a fresh dial to the same
-// address.
-func (c *Client) reconnect() error {
-	_ = c.conn.Close()
-	conn, err := net.Dial("tcp", c.addr)
-	if err != nil {
-		return fmt.Errorf("client: redial %s: %w", c.addr, err)
-	}
-	c.conn = conn
-	c.r.Reset(conn)
-	c.w.Reset(conn)
-	c.Reconnects++
-	return nil
 }
 
 // Close terminates the connection. A flush failure is reported unless
@@ -211,8 +180,7 @@ func (c *Client) Ping() error {
 }
 
 // Get requests one object and reports whether it hit. The round trip
-// runs under the client's Timeout; it does not retry (see getRetry /
-// Replay for the self-healing path).
+// runs under the client's Timeout; it does not retry.
 func (c *Client) Get(key trace.Key, size int64, ts int64) (bool, error) {
 	return c.roundTrip(Op{Key: key, Size: size, Time: ts})
 }
@@ -232,42 +200,6 @@ func (c *Client) roundTrip(op Op) (bool, error) {
 	}
 	_, err := c.Recv(ops[:], res[:])
 	return res[0], err
-}
-
-// getRetry is Get plus recovery: on failure it reconnects with
-// exponential backoff and resends, up to MaxRetries attempts. A
-// request the server sheds with "ERR busy" lands here too — the
-// backoff gives the server room to drain before the retry.
-func (c *Client) getRetry(key trace.Key, size int64, ts int64) (bool, error) {
-	return c.withRetry(func() (bool, error) { return c.Get(key, size, ts) })
-}
-
-// withRetry runs one request, reconnecting with exponential backoff
-// and resending on failure, up to MaxRetries attempts.
-func (c *Client) withRetry(do func() (bool, error)) (bool, error) {
-	ok, err := do()
-	if err == nil {
-		return ok, nil
-	}
-	backoff := c.RetryBackoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
-	for attempt := 0; attempt < c.MaxRetries; attempt++ {
-		time.Sleep(backoff)
-		if backoff < time.Second {
-			backoff *= 2
-		}
-		if rerr := c.reconnect(); rerr != nil {
-			err = rerr
-			continue
-		}
-		ok, err = do()
-		if err == nil {
-			return ok, nil
-		}
-	}
-	return false, fmt.Errorf("client: giving up after %d retries: %w", c.MaxRetries, err)
 }
 
 // FetchMetrics returns addr's METRICS snapshot as a name → value map.
@@ -313,74 +245,6 @@ func FetchMetrics(addr string) (map[string]int64, error) {
 		out[kv[0]] = v
 	}
 	return out, nil
-}
-
-// ReplayResult aggregates a replay's measurements.
-type ReplayResult struct {
-	// Stats holds the lookup counters (Requests, Hits, ReqBytes,
-	// HitBytes), counted from the replies; the engine-side fields stay 0.
-	Stats cache.Stats
-
-	// Reconnects counts the reconnects the replay needed to complete
-	// (0 on a healthy server).
-	Reconnects int64
-
-	// Latency is each request's latency, in trace order: its measured
-	// round trip plus the network model's ServiceTime(hit, size).
-	Latency []time.Duration
-	// MaxWire is the longest measured round trip. A stall the server
-	// took inline (a training fit) shows here, unscaled.
-	MaxWire time.Duration
-	// Curve samples the cumulative hit ratios over time (Fig. 12).
-	Curve []CurvePoint
-
-	Wall time.Duration
-}
-
-// CurvePoint is one hit-ratio-over-time sample.
-type CurvePoint struct {
-	Requests int
-	OHR      float64
-	BHR      float64
-}
-
-// Replay sends every request of tr in order and prices each with model:
-// the measured round trip plus model.ServiceTime(hit, size), the §5.1.4
-// testbed delays the simulator charges (sim.Run). curvePoints > 0
-// records the hit-ratio trajectory. Failed requests are retried with
-// reconnect-and-backoff up to the client's MaxRetries, so a replay
-// survives induced faults and transient shedding.
-func (c *Client) Replay(tr *trace.Trace, curvePoints int, model *sim.NetModel) (*ReplayResult, error) {
-	res := &ReplayResult{Latency: make([]time.Duration, 0, tr.Len())}
-	every := 0
-	if curvePoints > 0 {
-		every = max(tr.Len()/curvePoints, 1)
-	}
-	st := &res.Stats
-	startReconnects := c.Reconnects
-	start := time.Now()
-	for i, req := range tr.Reqs {
-		t0 := time.Now()
-		hit, err := c.getRetry(req.Key, req.Size, req.Time)
-		if err != nil {
-			return nil, fmt.Errorf("client: request %d: %w", i, err)
-		}
-		wire := time.Since(t0)
-		res.MaxWire = max(res.MaxWire, wire)
-		res.Latency = append(res.Latency, wire+model.ServiceTime(hit, req.Size))
-		st.Requests++
-		st.ReqBytes += req.Size
-		if hit {
-			st.Hits++
-			st.HitBytes += req.Size
-		}
-		if every > 0 && (i+1)%every == 0 {
-			res.Curve = append(res.Curve, CurvePoint{Requests: i + 1, OHR: st.OHR(), BHR: st.BHR()})
-		}
-	}
-	res.Wall = time.Since(start)
-	res.Reconnects = c.Reconnects - startReconnects
-	return res, nil
 }
 
 // Op is one pipelined operation: a GET by default, a SET when Set is

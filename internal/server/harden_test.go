@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"raven/internal/sim"
 	"raven/internal/trace"
 )
 
@@ -323,44 +322,43 @@ func TestMetricsRoundTrip(t *testing.T) {
 	}
 }
 
-// replayUnderReadFaults replays a 300-request trace against a server
-// whose every 7th read fails, with a client that retries through it.
-func replayUnderReadFaults(t *testing.T) (*Server, *ReplayResult) {
+// replayUnderReadFaults sends a 300-request trace's GETs to a server
+// whose every 7th read fails, through a client that retries through
+// it, and returns the server, the GETs completed and the reconnects.
+func replayUnderReadFaults(t *testing.T) (srv *Server, completed, reconnects int64) {
 	t.Helper()
 	var reads atomic.Int64
-	srv := newTestServer(t, 500, func(c *Config) {
+	srv = newTestServer(t, 500, func(c *Config) {
 		c.Faults = &Faults{ReadErr: func() bool { return reads.Add(1)%7 == 0 }}
 	})
-	cl, err := Dial(srv.Addr())
+	cl, err := dialRetry(srv.Addr(), 5*time.Second, 8, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	cl.Timeout = 5 * time.Second
-	cl.MaxRetries = 8
-	cl.RetryBackoff = time.Millisecond
-
 	tr := trace.Synthetic(trace.SynthConfig{Objects: 50, Requests: 300, Interarrival: trace.Poisson, Seed: 3})
-	res, err := cl.Replay(tr, 0, sim.CDNModel())
-	if err != nil {
-		t.Fatal(err)
+	for i, req := range tr.Reqs {
+		if _, err := cl.do(Op{Key: req.Key, Size: req.Size, Time: req.Time}); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		completed++
 	}
-	return srv, res
+	return srv, completed, cl.reconnects
 }
 
 // TestReplaySurvivesReadFaults: with every 7th server-side read
-// failing, Replay must still complete via reconnect-with-backoff.
+// failing, a replay must still complete via reconnect-with-backoff.
 func TestReplaySurvivesReadFaults(t *testing.T) {
-	srv, res := replayUnderReadFaults(t)
-	if res.Stats.Requests != 300 {
-		t.Errorf("requests %d, want 300", res.Stats.Requests)
+	srv, completed, reconnects := replayUnderReadFaults(t)
+	if completed != 300 {
+		t.Errorf("requests %d, want 300", completed)
 	}
-	if res.Reconnects == 0 {
+	if reconnects == 0 {
 		t.Error("expected reconnects under injected read faults")
 	}
 	// Every successful client round trip is exactly one cache request.
-	if st := srv.Stats(); st.Requests != res.Stats.Requests {
-		t.Errorf("server processed %d, client completed %d", st.Requests, res.Stats.Requests)
+	if st := srv.Stats(); st.Requests != completed {
+		t.Errorf("server processed %d, client completed %d", st.Requests, completed)
 	}
 }
 

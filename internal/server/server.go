@@ -26,11 +26,10 @@
 // lives in the connection's reusable block, so the steady-state GET/SET
 // path performs zero heap allocations per request.
 //
-// The server adds no delay of its own. The §5.4 experiment prices the
-// §5.1.4 testbed RTTs with sim.NetModel on top of each measured round
-// trip (Client.Replay). Any eviction policy from this repository can
-// drive the server; the "unmodified ATS" baseline is the same server
-// with LRU.
+// The server adds no delay of its own. Any eviction policy from this
+// repository can drive it; the §5.4 experiment (Fig. 12 / Table 3)
+// replays what it serves through sim.Run, which TestServedEqualsSimulated
+// holds equal to the wire, with LRU as the "unmodified ATS" baseline.
 //
 // The cache behind the server is sharded (cache.Sharded): N
 // independent shards, each with its own policy instance, capacity

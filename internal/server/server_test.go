@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -9,7 +10,6 @@ import (
 
 	"raven/internal/cache"
 	"raven/internal/policy"
-	"raven/internal/sim"
 	"raven/internal/trace"
 )
 
@@ -32,6 +32,58 @@ func newTestServer(t *testing.T, capacity int64, mods ...func(*Config)) *Server 
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv
+}
+
+// retryClient drives a server through faults: a failed round trip
+// closes the connection, redials after an exponential backoff (from
+// backoff, doubling up to 1 s) and resends, up to retries times. A
+// request the server sheds with "ERR busy" lands here too. reconnects
+// counts the redials that connected.
+type retryClient struct {
+	cl         *Client
+	addr       string
+	timeout    time.Duration
+	retries    int
+	backoff    time.Duration
+	reconnects int64
+}
+
+// dialRetry dials addr for a retryClient whose round trips each run
+// under timeout.
+func dialRetry(addr string, timeout time.Duration, retries int, backoff time.Duration) (*retryClient, error) {
+	cl, err := Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	cl.Timeout = timeout
+	return &retryClient{cl: cl, addr: addr, timeout: timeout, retries: retries, backoff: backoff}, nil
+}
+
+// Close closes the current connection.
+func (c *retryClient) Close() error { return c.cl.Close() }
+
+// do runs op, reconnecting and resending on failure.
+func (c *retryClient) do(op Op) (bool, error) {
+	ok, err := c.cl.roundTrip(op)
+	backoff := c.backoff
+	for attempt := 0; err != nil && attempt < c.retries; attempt++ {
+		time.Sleep(backoff)
+		backoff = min(2*backoff, time.Second)
+		_ = c.cl.conn.Close()
+		cl, derr := Dial(c.addr)
+		if derr != nil {
+			err = derr
+			continue
+		}
+		cl.Timeout = c.timeout
+		c.cl = cl
+		c.reconnects++
+		ok, err = c.cl.roundTrip(op)
+	}
+	if err != nil {
+		return false, fmt.Errorf("giving up after %d retries: %w", c.retries, err)
+	}
+	return ok, nil
 }
 
 // metricsUnderFaults fetches srv's METRICS when injected read faults may
@@ -127,43 +179,6 @@ func TestServerConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{NewPolicy: cache.SingleFactory(policy.MustNew("lru", policy.Options{}))}); err == nil {
 		t.Error("zero capacity should fail")
-	}
-}
-
-func TestClientReplayMeasures(t *testing.T) {
-	srv := newTestServer(t, 50)
-	cl, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	tr := trace.Synthetic(trace.SynthConfig{Objects: 100, Requests: 2000, Interarrival: trace.Poisson, Seed: 1})
-	model := sim.InMemoryModel()
-	res, err := cl.Replay(tr, 5, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Requests != 2000 {
-		t.Errorf("requests %d", res.Stats.Requests)
-	}
-	if ohr := res.Stats.OHR(); ohr <= 0 || ohr >= 1 {
-		t.Errorf("implausible OHR %v", ohr)
-	}
-	if len(res.Latency) != 2000 || res.MaxWire <= 0 {
-		t.Fatalf("latency not measured: %d samples, max wire %v", len(res.Latency), res.MaxWire)
-	}
-	for i, d := range res.Latency {
-		if floor := model.ServiceTime(true, tr.Reqs[i].Size); d <= floor {
-			t.Fatalf("request %d: latency %v not above the model's hit time %v", i, d, floor)
-		}
-	}
-	if len(res.Curve) < 4 {
-		t.Errorf("curve points %d", len(res.Curve))
-	}
-	st := srv.Stats()
-	if st.Hits != res.Stats.Hits {
-		t.Errorf("server hits %d != client hits %d", st.Hits, res.Stats.Hits)
 	}
 }
 

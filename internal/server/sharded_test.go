@@ -111,22 +111,19 @@ func TestShardedStress(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl, err := Dial(srv.Addr())
+			cl, err := dialRetry(srv.Addr(), 10*time.Second, 8, 5*time.Millisecond)
 			if err != nil {
 				errOnce.Do(func() { firstErr.Store(err) })
 				return
 			}
 			defer cl.Close()
-			cl.Timeout = 10 * time.Second
-			cl.MaxRetries = 8
-			cl.RetryBackoff = 5 * time.Millisecond
 			g := stats.NewRNG(int64(c + 1))
 			for i := 0; i < reqsPerConn; i++ {
 				key := trace.Key(g.Intn(2048))
 				size := int64(8 + int(key)%64)
 				ts := int64(c*reqsPerConn + i + 1)
 				if g.Float64() < 0.3 {
-					stored, err := cl.withRetry(func() (bool, error) { return cl.Set(key, size, ts) })
+					stored, err := cl.do(Op{Set: true, Key: key, Size: size, Time: ts})
 					if err != nil {
 						errOnce.Do(func() { firstErr.Store(err) })
 						return
@@ -136,7 +133,7 @@ func TestShardedStress(t *testing.T) {
 						stores.Add(1)
 					}
 				} else {
-					hit, err := cl.getRetry(key, size, ts)
+					hit, err := cl.do(Op{Key: key, Size: size, Time: ts})
 					if err != nil {
 						errOnce.Do(func() { firstErr.Store(err) })
 						return

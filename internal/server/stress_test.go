@@ -69,18 +69,14 @@ func TestStressHostileClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl, err := Dial(srv.Addr())
+			cl, err := dialRetry(srv.Addr(), 5*time.Second, 10, 5*time.Millisecond)
 			if err != nil {
 				errOnce.Do(func() { firstEr.Store(err) })
 				return
 			}
 			defer cl.Close()
-			cl.Timeout = 5 * time.Second
-			cl.MaxRetries = 10
-			cl.RetryBackoff = 5 * time.Millisecond
 			for i := 0; i < reqsPerConn; i++ {
-				key := trace.Key(c*64 + i%32)
-				hit, err := cl.getRetry(key, 16, int64(c*reqsPerConn+i+1))
+				hit, err := cl.do(Op{Key: trace.Key(c*64 + i%32), Size: 16, Time: int64(c*reqsPerConn + i + 1)})
 				if err != nil {
 					errOnce.Do(func() { firstEr.Store(err) })
 					return

@@ -56,6 +56,11 @@ type Result struct {
 
 	Net NetResult
 
+	// Curve holds the engine's cumulative Stats at evenly spaced
+	// measured requests (Fig. 12); Curve[i].Requests is how many each
+	// point covers.
+	Curve []cache.Stats
+
 	// Policies holds the policy instances the run built, in shard
 	// order, for callers that inspect learned state afterwards (e.g.
 	// Raven's training records for Table 7).
@@ -63,6 +68,11 @@ type Result struct {
 
 	WallTime time.Duration
 }
+
+// curveSamples sets Result.Curve's spacing: a point every
+// max(n/curveSamples, 1) of a run's n measured requests, so curveSamples
+// points when it divides n.
+const curveSamples = 20
 
 // evictTimer accumulates per-eviction compute time. All shards share
 // one timer, so the measurement covers the whole engine (the replay is
@@ -131,6 +141,7 @@ func Run(tr *trace.Trace, shards int, newPolicy cache.ShardFactory, opts Options
 	}
 
 	warmIdx := int(opts.WarmupFrac * float64(tr.Len()))
+	curveEvery := max((tr.Len()-warmIdx)/curveSamples, 1)
 
 	var now int64
 	collecting := warmIdx == 0
@@ -182,6 +193,9 @@ func Run(tr *trace.Trace, shards int, newPolicy cache.ShardFactory, opts Options
 		if !collecting {
 			prevEvictSum = tp.sum
 			continue
+		}
+		if (i+1-warmIdx)%curveEvery == 0 {
+			res.Curve = append(res.Curve, c.StatsSnapshot())
 		}
 		if opts.Net != nil {
 			// Per-request service time plus the eviction compute this

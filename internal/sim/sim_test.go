@@ -154,3 +154,49 @@ func TestRankErrorVictimNeverRequestedAgain(t *testing.T) {
 		t.Errorf("rank error %v, want 0 for never-again victim", e)
 	}
 }
+
+// TestCurveIsCumulativeStats: each point of Result.Curve is the
+// engine's cumulative Stats after that many measured requests, one
+// point every max(n/curveSamples, 1) of the n measured requests, and
+// the warm-up requests count in none of them.
+func TestCurveIsCumulativeStats(t *testing.T) {
+	tr := trace.Synthetic(trace.SynthConfig{Objects: 300, Requests: 5017, Interarrival: trace.Poisson, VariableSizes: true, Seed: 4})
+	f, err := policy.Lookup("lru")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capacity, shards = 20000, 2
+	for _, warm := range []float64{0, 0.3} {
+		newPolicy := f.PerShard(policy.Options{Capacity: capacity}, shards)
+		res, err := Run(tr, shards, newPolicy, Options{Capacity: capacity, WarmupFrac: warm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := cache.NewSharded(capacity, shards, newPolicy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmIdx := int(warm * float64(tr.Len()))
+		every := max((tr.Len()-warmIdx)/curveSamples, 1)
+		var want []cache.Stats
+		for i, req := range tr.Reqs {
+			if i == warmIdx {
+				for sh := range shards {
+					direct.SetShardObs(sh, nil)
+				}
+			}
+			direct.Handle(req)
+			if i >= warmIdx && (i+1-warmIdx)%every == 0 {
+				want = append(want, direct.StatsSnapshot())
+			}
+		}
+		if len(res.Curve) != (tr.Len()-warmIdx)/every || len(res.Curve) != len(want) {
+			t.Fatalf("warm=%v: %d curve points, want %d", warm, len(res.Curve), len(want))
+		}
+		for k, st := range res.Curve {
+			if st != want[k] || st.Requests != int64((k+1)*every) {
+				t.Errorf("warm=%v: point %d is %+v, want %+v after %d measured requests", warm, k, st, want[k], (k+1)*every)
+			}
+		}
+	}
+}

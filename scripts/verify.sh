@@ -207,11 +207,10 @@ stage_test() {
 stage_race() {
     # Packages with real concurrency: the background trainer (nn.Trainer,
     # and core's hand-off and install), the parallel simulator, the
-    # TCP server and its stress tests, the metrics layer it exports, the
-    # experiments' live server (Fig. 12 / Table 3 replay a trace against
-    # an in-process server over TCP), the cache engine they all share,
-    # and the cluster tier (router, breakers, probing, chaos test).
-    local pkgs="./internal/nn/... ./internal/core/... ./internal/sim/... ./internal/server/... ./internal/obs/... ./internal/experiments/... ./internal/cache/... ./internal/cluster/..."
+    # TCP server and its stress tests, the metrics layer it exports,
+    # the cache engine they all share, and the cluster tier (router,
+    # breakers, probing, chaos test).
+    local pkgs="./internal/nn/... ./internal/core/... ./internal/sim/... ./internal/server/... ./internal/obs/... ./internal/cache/... ./internal/cluster/..."
     echo "==> go test -race ${pkgs}"
     # shellcheck disable=SC2086
     go test -race -timeout 6m ${pkgs}
