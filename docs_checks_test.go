@@ -290,6 +290,34 @@ func TestNumbersHaveSources(t *testing.T) {
 	t.Logf("%d numbers with units checked", numbers)
 }
 
+// TestDocsCiteDeclaredTests: every Test…, Benchmark… or Fuzz… name that
+// README.md, DESIGN.md or EXPERIMENTS.md cites, in prose, code spans and
+// fences alike, is declared in some _test.go of the module (a trailing
+// * matches a prefix). A test that is renamed or deleted takes its
+// citations with it.
+func TestDocsCiteDeclaredTests(t *testing.T) {
+	src := sources{declared: declaredTests(t)}
+	cited := 0
+	for _, file := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			for _, m := range testNameRE.FindAllStringSubmatch(line, -1) {
+				cited++
+				if !src.testDeclared(m[1], m[2] == "*") {
+					t.Errorf("%s:%d: %s%s is declared in no _test.go", file, i+1, m[1], m[2])
+				}
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("no test names found: the pattern no longer matches")
+	}
+	t.Logf("%d test-name citations checked", cited)
+}
+
 // A docUnit is one sentence, list item, table row or heading.
 type docUnit struct {
 	file string

@@ -14,6 +14,20 @@ import (
 	"raven/internal/trace"
 )
 
+// ringTaus returns rc's interarrival history as the float64 taus the
+// model embeds, oldest first (nil before its second sighting).
+func ringTaus(tab *table, rc *rec) []float64 {
+	narrow, wide := tab.history(rc)
+	var out []float64
+	for _, tau := range narrow {
+		out = append(out, float64(tau))
+	}
+	for _, tau := range wide {
+		out = append(out, float64(tau))
+	}
+	return out
+}
+
 // TestRingPushBounded: a ring keeps the last historyLen taus, oldest
 // first, through every class it is promoted to and past the last one.
 func TestRingPushBounded(t *testing.T) {
@@ -21,19 +35,19 @@ func TestRingPushBounded(t *testing.T) {
 	var rc rec
 	var want []float64
 	for i := 1; i <= historyLen+6; i++ {
-		tab.pushTau(&rc, float64(i))
+		tab.pushTau(&rc, int64(i))
 		want = append(want, float64(i))
 		if len(want) > historyLen {
 			want = want[1:]
 		}
-		if got := tab.taus(&rc); !slices.Equal(got, want) {
+		if got := ringTaus(tab, &rc); !slices.Equal(got, want) {
 			t.Fatalf("after %d pushes: %v, want %v", i, got, want)
 		}
 	}
 	if c := rc.ring >> ringClassShift; c != ringClasses-1 {
 		t.Errorf("a full ring is in class %d, want %d", c, ringClasses-1)
 	}
-	h := tab.taus(&rc)
+	h := ringTaus(tab, &rc)
 	if len(h) != historyLen {
 		t.Fatalf("len = %d, want %d", len(h), historyLen)
 	}
@@ -41,6 +55,100 @@ func TestRingPushBounded(t *testing.T) {
 		if want := float64(7 + i); v != want {
 			t.Errorf("h[%d] = %v, want %v", i, v, want)
 		}
+	}
+}
+
+// TestRingTicksExact: a ring of uint32 ticks, and the wide ring of int64
+// ticks a key moves to once it sees a gap of 2^32 ticks or more, hold
+// exactly the float64 ring of the last historyLen taus, and the model
+// re-embeds them with the bits nn.Net.EmbedHistoryInto gives over that
+// float64 ring. Every key first pushes k small taus, k = 0…historyLen+2,
+// so the narrow → wide move happens with no ring and from every class,
+// full or not; then taus drawn among 1, 2^32−1, 2^32, 2^40, 2^62 and
+// small ones. Last, requests through Raven.observe with gaps of 2^32
+// ticks and more, and a clock that steps back (a gap of at most 0
+// counts 1), leave the same ring as the float64 arithmetic they replace.
+func TestRingTicksExact(t *testing.T) {
+	r := New(Config{TrainWindow: math.MaxInt64, Seed: 1})
+	r.net = nn.NewNet(nn.Config{Hidden: 8, MLPHidden: 12, K: 4, TimeScale: 50, Seed: 11})
+	tab := r.tab
+	edges := []int64{1, 1<<32 - 1, 1 << 32, 1 << 40, 1 << 62}
+	g := stats.NewRNG(7)
+	var widenedFrom [ringClasses + 1]bool // the class a key widened from; ringClasses: no ring yet
+	for k := 0; k <= historyLen+2; k++ {
+		for seq := 0; seq < 8; seq++ {
+			h := tab.insert(cache.Key(k*100+seq+1), 0)
+			rc := tab.recs.At(h)
+			var ref []float64
+			wideSeen := false
+			for i := 0; i < k+3*historyLen; i++ {
+				tau := 1 + int64(g.Intn(1000))
+				switch {
+				case i == k:
+					tau = edges[2+g.Intn(len(edges)-2)] // 2^32 or more
+				case i > k && g.Float64() < 0.3:
+					tau = edges[g.Intn(len(edges))]
+				}
+				if tau > math.MaxUint32 && !wideSeen {
+					wideSeen = true
+					from := ringClasses
+					if rc.ring != 0 {
+						from = int(rc.ring >> ringClassShift)
+					}
+					widenedFrom[from] = true
+				}
+				tab.pushTau(rc, tau)
+				ref = append(ref, float64(tau))
+				if len(ref) > historyLen {
+					ref = ref[1:]
+				}
+				if got := ringTaus(tab, rc); !slices.Equal(got, ref) {
+					t.Fatalf("key %d, push %d (tau %d): ring %v, want %v", rc.key, i, tau, got, ref)
+				}
+				if wide := rc.ring&ringWide != 0; wide != wideSeen {
+					t.Fatalf("key %d, push %d (tau %d): wide ring %v, want %v", rc.key, i, tau, wide, wideSeen)
+				}
+				class := 0 // the smallest that holds the history
+				for ringWidth(class) < len(ref) {
+					class++
+				}
+				if c := int(rc.ring >> ringClassShift); c != class {
+					t.Fatalf("key %d: %d taus in a ring of class %d, want %d", rc.key, len(ref), c, class)
+				}
+				r.net.Version++ // the embedding is stale: re-embed it from the ring
+				got, want := r.embedding(rc), r.net.EmbedHistoryInto(nil, ref)
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("key %d, push %d: embedding %v, EmbedHistoryInto over the float64 ring %v", rc.key, i, got, want)
+					}
+				}
+			}
+		}
+	}
+	for c, ok := range widenedFrom {
+		if !ok {
+			t.Errorf("no key moved to a wide ring from class %d (%d: no ring yet)", c, ringClasses)
+		}
+	}
+
+	// Through observe: the gap is the request's time minus the key's
+	// last, at least 1, exact whatever its size.
+	times := []int64{5, 6, 6 + 1<<32, 3 + 1<<32, 10 + 1<<33, 10 + 1<<40, 11 + 1<<40, 1 << 62, 1<<62 + 1<<61}
+	var ref []float64
+	req := cache.Request{Key: 1 << 40, Size: 1}
+	for i, now := range times {
+		req.Time = now
+		r.OnMiss(req)
+		if i > 0 {
+			ref = append(ref, float64(max(now-times[i-1], 1)))
+		}
+		rc := tab.recs.At(tab.find(req.Key))
+		if got := ringTaus(tab, rc); !slices.Equal(got, ref) {
+			t.Fatalf("request at %d: ring %v, want %v", now, got, ref)
+		}
+	}
+	if got, want := tab.bytes.Load(), footprint(tab).total(); got != want {
+		t.Errorf("raven.table_bytes = %d, the slabs and the index add up to %d", got, want)
 	}
 }
 

@@ -191,8 +191,10 @@ func (r *Raven) Name() string {
 
 // MetadataBytesPerObject implements cache.Footprinter: what one cached
 // object costs in the record table at most — its core record, side
-// record, a full interarrival ring and embedding (§6.1.1). The index
-// slot is not counted.
+// record, a full interarrival ring and embedding (§6.1.1) — while its
+// gaps fit 32 bits; a key that saw a gap of 2^32 ticks or more holds a
+// wide ring, WideRingBytes − RingBytes more. The index slot is not
+// counted.
 func (r *Raven) MetadataBytesPerObject() int64 {
 	state := r.cfg.Net.Hidden
 	if r.net != nil {
@@ -203,11 +205,13 @@ func (r *Raven) MetadataBytesPerObject() int64 {
 
 // RecordBytes is what every known key costs in the record table,
 // cached or not: the core record. From its second sighting a key also
-// holds a ring: 8 B per tau of its class, RingBytes once it holds the
-// full history.
+// holds a ring: 4 B per tau of its class, RingBytes once it holds the
+// full history, and 8 B per tau (WideRingBytes in full) once it has
+// seen a gap of 2^32 ticks or more.
 const (
-	RecordBytes = int64(unsafe.Sizeof(rec{}))
-	RingBytes   = 8 * historyLen
+	RecordBytes   = int64(unsafe.Sizeof(rec{}))
+	RingBytes     = 4 * historyLen
+	WideRingBytes = 8 * historyLen
 )
 
 // Net returns the current model (nil before the first training).
@@ -238,11 +242,9 @@ func (r *Raven) observe(req cache.Request) uint32 {
 	rc := t.recs.At(h)
 	r.window.record(req, h)
 	if !fresh {
-		tau := float64(req.Time - rc.lastSeen)
-		if tau < 1 {
-			tau = 1
-		}
-		t.pushTau(rc, tau)
+		gap := max(req.Time-rc.lastSeen, 1)
+		tau := float64(gap)
+		t.pushTau(rc, gap)
 		rc.lastSeen = req.Time
 		resident := false
 		if rc.res != 0 {
@@ -647,8 +649,16 @@ func (r *Raven) embedding(rc *rec) []float64 {
 		return t.emb(sd)
 	}
 	t.setDim(r.net.Cfg.Hidden)
+	// nn.Net.EmbedHistoryInto over the ring, read as float64s in place.
 	emb := t.emb(sd)
-	r.net.EmbedHistoryInto(emb, t.taus(rc))
+	clear(emb)
+	narrow, wide := t.history(rc)
+	for _, tau := range narrow {
+		r.net.StepEmbed(emb, float64(tau))
+	}
+	for _, tau := range wide {
+		r.net.StepEmbed(emb, float64(tau))
+	}
 	sd.embVer = int32(r.net.Version)
 	return emb
 }

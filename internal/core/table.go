@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"raven/internal/cache"
 	"raven/internal/obs"
 )
@@ -13,7 +15,8 @@ import (
 //   - a core record (rec) for every known key, resident or not;
 //   - an interarrival ring, from the key's second sighting on — a
 //     one-hit wonder never gets one — in the smallest of four ring
-//     classes that holds its history;
+//     classes that holds its history, of uint32 ticks (int64 once a gap
+//     outgrows them);
 //   - a side record (resRec) while the object is cached or carries an
 //     embedding computed by the current model;
 //   - an embedding, from the first time the model embeds the key's
@@ -38,19 +41,24 @@ type rec struct {
 }
 
 // A ring holds an object's most recent interarrival times, oldest first,
-// for re-embedding after a model swap. Rings come in four classes of 2,
-// 4, 8 and 16 taus (historyLen), so a key seen twice holds 16 B of
-// history, not 128. A ring holds taus only and ends at its first zero:
-// a tau is at least 1, and a released slot is zeroed. A ring handle
-// carries its class in the top two bits and its handle in the class's
-// slab in the rest. A ring starts in the smallest class and moves up one
-// class when it overflows; in the largest it drops its oldest tau
-// instead.
+// for re-embedding after a model swap. A tau is a whole number of ticks,
+// at least 1 (Raven.observe), so a ring holds it as a uint32 — the same
+// number, not a rounding of it. Rings come in four classes of 2, 4, 8
+// and 16 taus (historyLen), so a key seen twice holds 8 B of history,
+// not 64. A ring ends at its first zero: a released slot is zeroed. A
+// key that sees a gap of 2^32 ticks or more — a client counting in
+// nanoseconds does after 4.3 s — moves to the wide ring of its class,
+// whose taus are int64, and keeps a wide ring for as long as it keeps a
+// history. A ring handle carries its class in the top two bits, whether
+// it is wide in the next, and its handle in that class's slab in the
+// rest. A ring starts in the smallest class and moves up one class when
+// it overflows; in the largest it drops its oldest tau instead.
 const (
 	ringClasses    = 4
 	minRingLen     = historyLen >> (ringClasses - 1)
 	ringClassShift = 30
-	ringSlotMask   = 1<<ringClassShift - 1
+	ringWide       = 1 << 29
+	ringSlotMask   = ringWide - 1
 )
 
 // ringWidth is the taus a ring of class c holds.
@@ -59,63 +67,120 @@ func ringWidth(c int) int { return minRingLen << c }
 // ringLen is how many taus ring g holds: those before its first zero.
 // A full ring, the common case for a popular key, is told by its last
 // slot alone.
-func ringLen(g []float64) int {
-	if g[len(g)-1] != 0 { //lint:allow float-equal a tau is at least 1, so only an unwritten slot is zero
+func ringLen[T uint32 | int64](g []T) int {
+	if g[len(g)-1] != 0 {
 		return len(g)
 	}
 	for i, v := range g {
-		if v == 0 { //lint:allow float-equal a tau is at least 1, so only an unwritten slot is zero
+		if v == 0 {
 			return i
 		}
 	}
 	return len(g)
 }
 
-// ring returns the slot of ring handle h.
-func (t *table) ring(h uint32) []float64 {
-	return t.rings[h>>ringClassShift].Run(h & ringSlotMask)
-}
+// ringSlabs holds the rings of one tau type, a slab per class. run and
+// release read a ring handle's class and slot and ignore its wide bit.
+type ringSlabs[T uint32 | int64] [ringClasses]cache.Slab[T]
 
-// taus returns rc's interarrival history, oldest first (nil before its
-// second sighting).
-func (t *table) taus(rc *rec) []float64 {
-	if rc.ring == 0 {
-		return nil
+func newRingSlabs[T uint32 | int64]() (s ringSlabs[T]) {
+	for c := range s {
+		s[c] = cache.NewWideSlab[T](ringWidth(c))
 	}
-	g := t.ring(rc.ring)
-	return g[:ringLen(g)]
+	return s
 }
 
-// allocRing issues a ring of class c and returns its handle.
-func (t *table) allocRing(c uint32) uint32 {
-	i, grown := t.rings[c].Alloc()
-	t.grew(grown)
-	return c<<ringClassShift | i
+// run returns the slots of ring handle h.
+func (s *ringSlabs[T]) run(h uint32) []T { return s[h>>ringClassShift].Run(h & ringSlotMask) }
+
+// alloc issues an empty ring of class c, and reports the bytes it added.
+func (s *ringSlabs[T]) alloc(c uint32) (uint32, int64) {
+	i, grown := s[c].Alloc()
+	return c<<ringClassShift | i, grown
 }
 
-func (t *table) releaseRing(h uint32) { t.rings[h>>ringClassShift].Release(h & ringSlotMask) }
+func (s *ringSlabs[T]) release(h uint32) { s[h>>ringClassShift].Release(h & ringSlotMask) }
 
-// pushTau appends tau to rc's history, giving rc its first ring or
-// moving it up a class when the one it has is full.
-func (t *table) pushTau(rc *rec, tau float64) {
-	if rc.ring == 0 {
-		rc.ring = t.allocRing(0)
+// push appends tau to ring h — a new ring of the smallest class when h
+// is 0 — moving it up a class when it is full, and returns the ring's
+// handle, wide bit kept, and the bytes new rings added.
+func (s *ringSlabs[T]) push(h uint32, tau T) (uint32, int64) {
+	var grown int64
+	if h == 0 {
+		h, grown = s.alloc(0)
 	}
-	g := t.ring(rc.ring)
+	g := s.run(h)
 	n := ringLen(g)
 	if n == len(g) {
-		c := rc.ring >> ringClassShift
+		c := h >> ringClassShift
 		if c == ringClasses-1 {
 			copy(g, g[1:])
 			g[n-1] = tau
-			return
+			return h, grown
 		}
-		up := t.allocRing(c + 1)
-		copy(t.ring(up), g)
-		t.releaseRing(rc.ring)
-		rc.ring, g = up, t.ring(up)
+		up, more := s.alloc(c + 1)
+		up |= h & ringWide
+		copy(s.run(up), g)
+		s.release(h)
+		h, g, grown = up, s.run(up), grown+more
 	}
 	g[n] = tau
+	return h, grown
+}
+
+// history returns rc's interarrival history, oldest first: narrow while
+// its every gap fits 32 bits, else wide (the other is nil). Both are
+// nil before its second sighting.
+func (t *table) history(rc *rec) (narrow []uint32, wide []int64) {
+	switch {
+	case rc.ring == 0:
+	case rc.ring&ringWide != 0:
+		g := t.wide.run(rc.ring)
+		wide = g[:ringLen(g)]
+	default:
+		g := t.rings.run(rc.ring)
+		narrow = g[:ringLen(g)]
+	}
+	return narrow, wide
+}
+
+func (t *table) releaseRing(h uint32) {
+	if h&ringWide != 0 {
+		t.wide.release(h)
+	} else {
+		t.rings.release(h)
+	}
+}
+
+// pushTau appends tau (ticks, at least 1) to rc's history, giving rc its
+// first ring, moving it up a class when the one it has is full, or
+// moving it to a wide ring when tau does not fit 32 bits.
+func (t *table) pushTau(rc *rec, tau int64) {
+	var grown int64
+	if rc.ring&ringWide == 0 && tau > math.MaxUint32 {
+		t.widen(rc)
+	}
+	if rc.ring&ringWide != 0 {
+		rc.ring, grown = t.wide.push(rc.ring, tau)
+	} else {
+		rc.ring, grown = t.rings.push(rc.ring, uint32(tau))
+	}
+	t.grew(grown)
+}
+
+// widen moves rc's history to a wide ring of the same class (of the
+// smallest class if rc has no ring yet).
+func (t *table) widen(rc *rec) {
+	h, grown := t.wide.alloc(rc.ring >> ringClassShift)
+	t.grew(grown)
+	if rc.ring != 0 {
+		g := t.wide.run(h)
+		for i, tau := range t.rings.run(rc.ring) {
+			g[i] = int64(tau)
+		}
+		t.rings.release(rc.ring)
+	}
+	rc.ring = h | ringWide
 }
 
 // resRec is the side record of a resident object: its size, its place
@@ -196,7 +261,8 @@ const (
 type table struct {
 	index *cache.HandleIndex
 	recs  cache.Slab[rec]
-	rings [ringClasses]cache.Slab[float64] // by class, ringWidth(c) floats a handle
+	rings ringSlabs[uint32] // by class, ringWidth(c) uint32 ticks a handle
+	wide  ringSlabs[int64]  // the same classes, for keys that saw a gap of 2^32 ticks or more
 	sides cache.Slab[resRec]
 	embs  cache.Slab[float64] // dim floats a handle; made by setDim
 	dim   int
@@ -232,9 +298,7 @@ type table struct {
 func newTable(bytes *obs.Gauge) *table {
 	t := &table{perResident: recordsPerResident, floor: ghostFloor, bytes: bytes}
 	t.index = cache.NewHandleIndex(func(h uint32) cache.Key { return t.recs.At(h).key })
-	for c := range t.rings {
-		t.rings[c] = cache.NewWideSlab[float64](ringWidth(c))
-	}
+	t.rings, t.wide = newRingSlabs[uint32](), newRingSlabs[int64]()
 	return t
 }
 

@@ -227,7 +227,7 @@ func (s *refStore) checkAgainst(t *testing.T, r *Raven) {
 		if rc.key != k || rc.lastSeen != o.lastSeen {
 			t.Fatalf("key %d: record {%d %d}, reference {%d}", k, rc.key, rc.lastSeen, o.lastSeen)
 		}
-		if hist := tab.taus(rc); !slices.Equal(hist, o.hist) {
+		if hist := ringTaus(tab, rc); !slices.Equal(hist, o.hist) {
 			t.Fatalf("key %d: ring %v, reference %v", k, hist, o.hist)
 		}
 		if tab.resident(rc) != o.resident {
@@ -635,7 +635,7 @@ func TestEmbeddingWidthChange(t *testing.T) {
 	h.evictAdmit(t)
 	for _, k := range h.resident[:len(h.resident)-1] {
 		rc := h.r.tab.recs.At(h.r.tab.index.Find(k))
-		want := wide.EmbedHistoryInto(nil, h.r.tab.taus(rc))
+		want := wide.EmbedHistoryInto(nil, ringTaus(h.r.tab, rc))
 		if got := h.r.tab.emb(h.r.tab.sides.At(rc.res)); !slices.Equal(got, want) {
 			t.Fatalf("key %d: embedding %v after the width change, want %v", k, got, want)
 		}
@@ -667,7 +667,8 @@ func footprint(t *table) tableBytes {
 		index: t.index.Bytes(),
 	}
 	for c := range t.rings {
-		b.rings += 8 * chunks(t.rings[c].Top()) * cache.SlabChunk * int64(ringWidth(c))
+		b.rings += 4 * chunks(t.rings[c].Top()) * cache.SlabChunk * int64(ringWidth(c))
+		b.rings += 8 * chunks(t.wide[c].Top()) * cache.SlabChunk * int64(ringWidth(c))
 	}
 	return b
 }
@@ -778,16 +779,16 @@ func TestTableBytesAcrossIndexRebuilds(t *testing.T) {
 // layouts it is derived from, so growing a record shows up here (and in
 // EXPERIMENTS.md "Ablations and §6.1.1 overhead") instead of silently.
 func TestRavenFootprint(t *testing.T) {
-	if RecordBytes != 32 || RingBytes != 8*historyLen || unsafe.Sizeof(resRec{}) != 48 {
-		t.Errorf("record layouts: core %d B, ring %d B, side %d B; want 32, %d, 48",
-			RecordBytes, RingBytes, unsafe.Sizeof(resRec{}), 8*historyLen)
+	if RecordBytes != 32 || RingBytes != 4*historyLen || WideRingBytes != 8*historyLen || unsafe.Sizeof(resRec{}) != 48 {
+		t.Errorf("record layouts: core %d B, ring %d B, wide ring %d B, side %d B; want 32, %d, %d, 48",
+			RecordBytes, RingBytes, WideRingBytes, unsafe.Sizeof(resRec{}), 4*historyLen, 8*historyLen)
 	}
 	r := New(Config{TrainWindow: 1, Net: nn.Config{Hidden: 16}})
-	if got, want := r.MetadataBytesPerObject(), int64(32+48+128+8*16); got != want {
+	if got, want := r.MetadataBytesPerObject(), int64(32+48+64+8*16); got != want {
 		t.Errorf("MetadataBytesPerObject = %d at hidden 16, want %d", got, want)
 	}
 	r.net = nn.NewNet(nn.Config{Hidden: 8, MLPHidden: 12, K: 4, TimeScale: 1})
-	if got, want := r.MetadataBytesPerObject(), int64(32+48+128+8*8); got != want {
+	if got, want := r.MetadataBytesPerObject(), int64(32+48+64+8*8); got != want {
 		t.Errorf("MetadataBytesPerObject = %d under a hidden-8 model, want %d", got, want)
 	}
 }

@@ -33,7 +33,7 @@ func (r *Runner) Overhead() *Report {
 			// What Raven keeps for a key it has seen and does not cache:
 			// the record, plus the ring from the second sighting on (its
 			// bound: a ring of the smallest class that holds one
-			// interarrival is 16 B).
+			// interarrival is 8 B).
 			ghost = fmt.Sprintf("%d (+%d)", core.RecordBytes, core.RingBytes)
 			trainings = fmt.Sprint(len(p.TrainStats))
 			trainWall = "see trainings"
@@ -45,6 +45,6 @@ func (r *Runner) Overhead() *Report {
 	rep.Notes = append(rep.Notes,
 		"the paper reports 136/72 B metadata for Raven, 176 B LRB, 84 B LHR; eviction ~3 µs LRB, ~6 µs LHR, ~50 µs Raven",
 		"our float64 CPU substrate doubles metadata widths; orderings match",
-		"ghostB/key: Raven's record-table bytes per known, uncached key (+ at most a full interarrival ring from its second sighting: 16–128 B, 16 B while it holds one or two taus); the key→record index adds its share of 40-byte groups of 8 slots at most 7/8 full, 5.7–11.4 B (BenchmarkHandleIndex reads 6.6 B at 400 000 keys)")
+		"ghostB/key: Raven's record-table bytes per known, uncached key (+ at most a full interarrival ring from its second sighting: 8–64 B, 8 B while it holds one or two taus, twice that once a gap of 2^32 ticks or more has made it wide); the key→record index adds its share of 40-byte groups of 8 slots at most 7/8 full, 5.7–11.4 B (BenchmarkHandleIndex reads 6.6 B at 400 000 keys)")
 	return rep
 }

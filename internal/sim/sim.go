@@ -221,13 +221,18 @@ func Run(tr *trace.Trace, shards int, newPolicy cache.ShardFactory, opts Options
 	return res, nil
 }
 
+// summarizeNet reports the network model over the measured requests:
+// the mean latency exactly, modelled over st.Requests, and the tail
+// from the latency sample lat.
 func summarizeNet(lat *stats.Reservoir, modelled time.Duration, backendBytes int64, st cache.Stats) NetResult {
 	sum := lat.Summary()
 	nr := NetResult{
-		AvgLatency:   time.Duration(sum.Mean),
 		P90Latency:   time.Duration(sum.P90),
 		P99Latency:   time.Duration(sum.P99),
 		BackendBytes: backendBytes,
+	}
+	if st.Requests > 0 {
+		nr.AvgLatency = modelled / time.Duration(st.Requests)
 	}
 	if secs := modelled.Seconds(); secs > 0 {
 		nr.ThroughputGbps = float64(st.ReqBytes) * 8 / secs / 1e9

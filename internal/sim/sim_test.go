@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"time"
 
 	"raven/internal/cache"
 	"raven/internal/policy"
@@ -127,6 +128,30 @@ func TestNetResultHigherHitRatioLowerLatency(t *testing.T) {
 	if belRes.Net.BackendBytes >= lruRes.Net.BackendBytes {
 		t.Errorf("Belady backend bytes %d should be below LRU %d",
 			belRes.Net.BackendBytes, lruRes.Net.BackendBytes)
+	}
+}
+
+// TestNetAvgLatencyIsExact: NetResult.AvgLatency is the modelled time
+// over every measured request, not the mean of the latency sample,
+// which keeps 8 192 of them. The cache holds every object, so nothing
+// is evicted, no measured eviction time enters, and the modelled time
+// is the in-memory model's hits and misses alone.
+func TestNetAvgLatencyIsExact(t *testing.T) {
+	tr := synth(9)
+	capacity := tr.UniqueBytes()
+	m := InMemoryModel()
+	for _, warm := range []float64{0, 0.25} {
+		res := runOne(t, tr, policy.MustNew("lru", policy.Options{Capacity: capacity}),
+			Options{Capacity: capacity, Net: m, WarmupFrac: warm})
+		st := res.Stats
+		if st.Evictions != 0 || st.Requests <= 8192 || st.Requests != int64(tr.Len()-int(warm*float64(tr.Len()))) {
+			t.Fatalf("warm=%v: %d evictions over %d measured requests; want none over all %d past the warm-up, more than the sample holds",
+				warm, st.Evictions, st.Requests, tr.Len())
+		}
+		modelled := time.Duration(st.Hits)*m.ServiceTime(true, 1) + time.Duration(st.Requests-st.Hits)*m.ServiceTime(false, 1)
+		if want := modelled / time.Duration(st.Requests); res.Net.AvgLatency != want {
+			t.Errorf("warm=%v: AvgLatency = %v, want %v (%d hits of %d measured requests)", warm, res.Net.AvgLatency, want, st.Hits, st.Requests)
+		}
 	}
 }
 

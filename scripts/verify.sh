@@ -69,7 +69,12 @@
 #                counts, the score cache's stamped scores bit-exact across
 #                runs and equal to the closed form of their mixtures, its
 #                candidate sample independent of how many candidates
-#                earlier decisions re-scored, TestSimulateDeterministic:
+#                earlier decisions re-scored, TestRingTicksExact: the
+#                interarrival rings' uint32 ticks, and the int64 ticks of
+#                the wide ring a gap of 2^32 or more moves a key to, equal
+#                to a float64 ring of the last 16 taus, and re-embedded
+#                with the bits of EmbedHistoryInto over it,
+#                TestSimulateDeterministic:
 #                every registered policy replayed twice, byte for byte,
 #                TestEngineBurstEquivalence: the engine serving bursts
 #                of 1, 7 and 32 (one shard lock per run of same-shard
@@ -206,10 +211,14 @@ stage_test() {
 
 stage_race() {
     # Packages with real concurrency: the background trainer (nn.Trainer,
-    # and core's hand-off and install), the parallel simulator, the
-    # TCP server and its stress tests, the metrics layer it exports,
-    # the cache engine they all share, and the cluster tier (router,
-    # breakers, probing, chaos test).
+    # and core's hand-off and install), the TCP server and its stress
+    # tests, the metrics layer it exports, the cache engine they all
+    # share, and the cluster tier (router, breakers, probing, chaos
+    # test). The simulator starts no goroutine: it runs here because
+    # its replays drive the engine's shard lock, so its tests referee
+    # lock re-entry under the timeout below (TestSimulateDeterministic,
+    # TestAdmissionOffMatchesUnfronted), and TestQuality runs race-
+    # instrumented.
     local pkgs="./internal/nn/... ./internal/core/... ./internal/sim/... ./internal/server/... ./internal/obs/... ./internal/cache/... ./internal/cluster/..."
     echo "==> go test -race ${pkgs}"
     # shellcheck disable=SC2086
@@ -249,8 +258,8 @@ stage_determinism() {
     run_named "${fit_names}" ./internal/nn/
     echo "==> same program (Raven's counters live in every replay): pinned Raven replay hash, admission determinism (double run), every policy's replay run twice, raven at 4 shards with private and with one shared metrics block (TestSimulateDeterministic/raven-4shards-obs), and full Raven replays, trained weights included, run twice under the win count and the served estimator (TestRavenWorkersBitExact)"
     run_named 'TestRavenGoldenBytes|TestRavenWorkersBitExact|TestAdmissionBitExact|TestAdmissionOffMatchesUnfronted|TestSimulateDeterministic' ./internal/sim/
-    echo "==> same program: the score cache's stamps bit-exact across runs and equal to their mixtures' closed form, and its candidate sample independent of how many candidates were re-scored"
-    run_named 'TestScoreStampsBitExact|TestScoreStampIsClosedForm|TestScoreCacheSamplerIgnoresRescores' ./internal/core/
+    echo "==> same program: the score cache's stamps bit-exact across runs and equal to their mixtures' closed form, its candidate sample independent of how many candidates were re-scored, and the interarrival rings' integer ticks (narrow and wide) equal to the float64 taus they replace, re-embedded bit for bit"
+    run_named 'TestScoreStampsBitExact|TestScoreStampIsClosedForm|TestScoreCacheSamplerIgnoresRescores|TestRingTicksExact' ./internal/core/
     echo "==> same program: the engine serves a burst (one shard lock per run of same-shard ops) with the replies, cache.Stats and METRICS cache.* of op-by-op serving"
     run_named 'TestEngineBurstEquivalence' ./internal/server/
     echo "==> same program: an experiment arm is the registry Raven plus the one knob it varies, so at the suite's value of that knob it replays its base run (Fig. 2a's raven cell, Fig. 5's raven run) bit for bit"
